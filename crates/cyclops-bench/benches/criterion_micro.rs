@@ -630,6 +630,79 @@ fn bench_plan_build_hybrid(c: &mut Criterion) {
     group.finish();
 }
 
+/// Ingress on hub-heavy inputs, where per-vertex fan-out lists are long —
+/// a star's hub owns half the edges, an R-MAT's head a few percent each,
+/// and either makes a wiring routine that is superlinear in the degree
+/// visible at once. Per edge: a from-scratch build against an 8-move
+/// `apply_migration` (the planner's batch cap) on the same plan, once
+/// moving the eight highest-degree vertices, whose neighbors' owners are
+/// every worker, and once the eight lowest-degree ones, which touch few.
+fn bench_plan_build_hub(c: &mut Criterion) {
+    const WORKERS: usize = 48;
+    let star = {
+        let leaves = 100_000u32;
+        let mut b = cyclops_graph::GraphBuilder::new(leaves as usize + 1);
+        for leaf in 1..=leaves {
+            b.add_edge(0, leaf);
+            b.add_edge(leaf, 0);
+        }
+        b.build()
+    };
+    let hub = rmat(
+        RmatConfig {
+            scale: 15,
+            edges: 400_000,
+            a: 0.7,
+            b: 0.12,
+            c: 0.12,
+            ..Default::default()
+        },
+        5,
+    );
+    let mut group = c.benchmark_group("plan_build_hub");
+    for (label, g) in [("star_100k", &star), ("rmat_hub_400k", &hub)] {
+        let p = HashPartitioner.partition(g, WORKERS);
+        let plan = cyclops_engine::CyclopsPlan::build_parallel(g, &p);
+        let mut by_degree: Vec<u32> = g
+            .vertices()
+            .filter(|&v| g.out_degree(v) + g.in_degree(v) > 0)
+            .collect();
+        by_degree.sort_by_key(|&v| g.out_degree(v) + g.in_degree(v));
+        // Each moved vertex hops one worker on.
+        let hop = |vertices: &[u32]| cyclops_partition::MigrationBatch {
+            moves: vertices
+                .iter()
+                .map(|&vertex| cyclops_partition::VertexMove {
+                    vertex,
+                    from: plan.owner[vertex as usize],
+                    to: (plan.owner[vertex as usize] + 1) % WORKERS as u32,
+                    cost: 1,
+                })
+                .collect(),
+        };
+        group.throughput(Throughput::Elements(g.num_edges() as u64));
+        group.bench_function(&format!("{label}_full_rebuild"), |b| {
+            b.iter(|| std::hint::black_box(cyclops_engine::CyclopsPlan::build_parallel(g, &p)))
+        });
+        for (moved, batch) in [
+            ("hubs", hop(&by_degree[by_degree.len() - 8..])),
+            ("leaves", hop(&by_degree[..8])),
+        ] {
+            group.bench_function(&format!("{label}_apply_migration_8_{moved}"), |b| {
+                b.iter_batched(
+                    || plan.clone(),
+                    |mut plan| {
+                        cyclops_engine::apply_migration(&mut plan, g, &batch, 0);
+                        std::hint::black_box(plan)
+                    },
+                    BatchSize::LargeInput,
+                )
+            });
+        }
+    }
+    group.finish();
+}
+
 /// The tracking allocator's bargain: a disarmed `--mem` machinery must
 /// cost a single relaxed bool load per malloc/free, and the armed path's
 /// price (scope lookup, sharded side table, peak maintenance) is what a
@@ -686,6 +759,7 @@ criterion_group!(
     bench_scheduling,
     bench_direct_vs_replica_publish,
     bench_plan_build_hybrid,
+    bench_plan_build_hub,
     bench_mem_tracking
 );
 criterion_main!(benches);

@@ -55,7 +55,7 @@ fn main() {
 
         // Cyclops ingress: LD + REP from the plan; INIT measured over the
         // same per-vertex initialization plus replica seeding.
-        let plan = CyclopsPlan::build(&g, &p);
+        let plan = CyclopsPlan::build_parallel(&g, &p);
         let init_start = Instant::now();
         let mut seeded = 0usize;
         for wp in &plan.workers {

@@ -144,11 +144,6 @@ fn main() {
     // threshold can trade, and the bytes the paper's Table 4 memory column
     // is about.
     report::subheading("Plan memory vs --replicate-threshold (hash partition, 48 workers)");
-    // Arming makes `attribute_memory` re-materialize every plan vector at
-    // exact capacity, so the breakdown reports the ledger itself rather
-    // than builder growth slack. One-way and process-global — which is why
-    // this panel runs after all the timed sections above.
-    cyclops_obs::mem::arm();
     let mut mem_table = Table::new(&[
         "dataset",
         "full boundary",

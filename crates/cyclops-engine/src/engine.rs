@@ -375,8 +375,17 @@ pub fn run_cyclops_with_plan_traced<P: CyclopsProgram>(
         num_workers
     );
 
+    let start_superstep = resume.map(|cp| cp.superstep).unwrap_or(0);
+
     // ---- INIT ingress phase: values, publications, replica seeds. ----
     let init_start = Instant::now();
+    // A resume restores master state from the checkpoint (the last entry of
+    // a vertex wins); only masters it does not cover are initialized, and
+    // those start inactive.
+    let mut restored = vec![None; resume.map_or(0, |_| graph.num_vertices())];
+    for entry in resume.iter().flat_map(|cp| &cp.vertices) {
+        restored[entry.0 as usize] = Some(entry);
+    }
     let mut shared: Vec<WorkerShared<P::Value, P::Message>> = Vec::with_capacity(num_workers);
     for wp in &plan.workers {
         let n = wp.num_masters();
@@ -387,11 +396,19 @@ pub fn run_cyclops_with_plan_traced<P: CyclopsProgram>(
             ShardedFrontier::new(n, threads)
         };
         for (li, &v) in wp.masters.iter().enumerate() {
+            if let Some(Some((_, value, publication, active))) = restored.get(v as usize) {
+                values.push(value.clone());
+                msgs.push(publication.clone());
+                if *active {
+                    frontier.mark(start_superstep & 1, li);
+                }
+                continue;
+            }
             let value = program.init(v, graph);
             let msg = program.init_message(v, graph, &value);
             values.push(value);
             msgs.push(msg);
-            if program.initially_active(v, graph) {
+            if resume.is_none() && program.initially_active(v, graph) {
                 frontier.mark(0, li);
             }
         }
@@ -426,22 +443,7 @@ pub fn run_cyclops_with_plan_traced<P: CyclopsProgram>(
             local: Barrier::new(threads),
         });
     }
-    // Apply a resume checkpoint to master state before seeding replicas.
-    if let Some(cp) = resume {
-        for ws in shared.iter_mut() {
-            ws.frontier.reset();
-        }
-        for (v, value, publication, active) in &cp.vertices {
-            let w = plan.owner[*v as usize] as usize;
-            let li = plan.local_of[*v as usize] as usize;
-            *shared[w].values.as_mut_slice().get_mut(li).unwrap() = value.clone();
-            shared[w].msg_cur.as_mut_slice()[li] = publication.clone();
-            shared[w].msg_next.as_mut_slice()[li] = publication.clone();
-            if *active {
-                shared[w].frontier.mark(cp.superstep & 1, li);
-            }
-        }
-    }
+    drop(restored);
     // Seed replica publications from their masters — the initial one-way
     // sync of the ingress (and of checkpoint recovery).
     for w in 0..num_workers {
@@ -490,7 +492,6 @@ pub fn run_cyclops_with_plan_traced<P: CyclopsProgram>(
     let barrier = HierarchicalBarrier::new(num_workers, threads);
 
     // ---- Shared coordination state. ----
-    let start_superstep = resume.map(|cp| cp.superstep).unwrap_or(0);
     let stop = AtomicBool::new(false);
     let computed_total = AtomicUsize::new(0);
     let next_active_total = AtomicUsize::new(0);

@@ -118,19 +118,6 @@ impl ShardedFrontier {
         }
         debug_assert!(flat.windows(2).all(|w| w[0] < w[1]));
     }
-
-    /// Clears both parities' bits and lists — checkpoint resume starts from
-    /// a clean slate before re-marking the restored frontier.
-    pub fn reset(&mut self) {
-        for parity in 0..2 {
-            for bit in &mut self.active[parity] {
-                *bit.get_mut() = false;
-            }
-            for list in &mut self.lists[parity] {
-                list.get_mut().clear();
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -189,16 +176,6 @@ mod tests {
         assert_eq!(f.len(0), 0, "drain empties the lists");
         // Bits are untouched by drain; compute consumes them.
         assert!(f.is_marked(0, 9));
-    }
-
-    #[test]
-    fn reset_clears_both_parities() {
-        let mut f = ShardedFrontier::new(8, 2);
-        f.mark(0, 1);
-        f.mark(1, 7);
-        f.reset();
-        assert_eq!(f.len(0) + f.len(1), 0);
-        assert!(!f.is_marked(0, 1) && !f.is_marked(1, 7));
     }
 
     proptest! {

@@ -9,7 +9,7 @@
 //! checkpoints, §3.6), and between epochs a
 //! [`cyclops_partition::MigrationPlanner`] moves hot masters off the
 //! straggler worker. The plan is rewired **incrementally** — only the
-//! workers whose tables a move actually touches are rebuilt — and the moved
+//! workers whose tables a move actually touches are rewired — and the moved
 //! vertices' state crosses the simulated wire in a dedicated
 //! `MigrationBatch` framing so the transfer cost is accounted like any
 //! other traffic.
@@ -27,9 +27,7 @@
 
 use crate::checkpoint::CyclopsCheckpoint;
 use crate::engine::{run_cyclops_with_plan_traced, CyclopsConfig, CyclopsResult};
-use crate::plan::{
-    classify_cold, direct_keys, wire_in_refs, wire_out, wire_rep_out, CyclopsPlan, DirectKey,
-};
+use crate::plan::{wire, CyclopsPlan};
 use crate::program::CyclopsProgram;
 use bytes::BytesMut;
 use cyclops_graph::{Graph, VertexId};
@@ -48,19 +46,23 @@ use std::sync::Arc;
 /// can only change the tables of `f`, `t`, the owners of `v`'s in-neighbors
 /// (their sender-side fan-out points at `v`'s replica/slot/local index),
 /// and the owners of `v`'s out-neighbors (they hold `v`'s replica or direct
-/// slots, and own the targets of `v`'s direct keys). Those workers get a
-/// full per-worker rebuild — identical code path to the builders, so
-/// equality holds by construction. Every *other* worker keeps its masters,
-/// replicas, in-edge references, and work mass verbatim; only workers whose
-/// mirror / direct destinations point *into* the affected set re-resolve
-/// their sender-side tables (replica and slot indices there may have
-/// shifted).
+/// slots, and own the targets of `v`'s direct slots). Those *affected*
+/// workers are rewired from their master lists, in parallel, by the same
+/// two-phase routine the builder runs (`plan::wire`) — so equality
+/// with a rebuild holds by construction. Every *other* worker keeps its
+/// tables: no master of it neighbors a moved vertex, so what it reads and
+/// which workers it fans out to are unchanged. Its receiving index is read
+/// back from its tables for the affected senders, and the mirror and
+/// direct-message entries that name an affected worker are re-pointed in
+/// place (replica and slot indices there may have shifted).
 ///
-/// Cold/hot classification can flip only for vertices whose entire remote
-/// readership lies inside `{f, t}` (a boundary edge appearing or
-/// disappearing), and every such vertex's owner and readers are already in
-/// the affected set — so the global `classify_cold` rescan feeds only
-/// affected-worker rebuilds.
+/// Nothing scans the whole graph: whether a boundary vertex is cold is
+/// decided by its degree where an edge of it is met, and a vertex's
+/// classification can flip only when a boundary edge of it appears or
+/// disappears, i.e. when it or a neighbor moved — and then its owner and
+/// its readers are all in the affected set. The cost is the edges of the
+/// affected workers plus sequential passes over the owner map and table
+/// offsets.
 pub fn apply_migration(
     plan: &mut CyclopsPlan,
     graph: &Graph,
@@ -71,11 +73,12 @@ pub fn apply_migration(
         return;
     }
     let k = plan.workers.len();
+    let n = graph.num_vertices();
     let CyclopsPlan {
         workers,
         owner,
         local_of,
-        ingress,
+        ..
     } = plan;
 
     // 1. Ownership transfer.
@@ -105,110 +108,34 @@ pub fn apply_migration(
         }
     }
 
-    // 3. Master lists and local indices of the movers' endpoints, rebuilt
-    //    in ascending vertex order exactly like the builders' LD pass.
-    for (w, wp) in workers.iter_mut().enumerate() {
-        if !remaster[w] {
-            continue;
-        }
-        wp.masters = graph
-            .vertices()
-            .filter(|&v| owner[v as usize] as usize == w)
-            .collect();
-        for (li, &m) in wp.masters.iter().enumerate() {
-            local_of[m as usize] = li as u32;
-        }
-    }
+    // 3. Master lists and local indices of the movers' endpoints, in
+    //    ascending vertex order exactly like the builder's LD pass.
+    wire::load_masters(owner, local_of, workers, |w| remaster[w]);
+    let (owner, local_of) = (&*owner, &*local_of);
 
-    // 4. Global cold classification and direct-slot key tables for the new
-    //    assignment (cheap O(V + E) scans, same as at build time).
-    let (cold, replicated_boundary, messaged_boundary) = classify_cold(graph, owner, threshold);
-    let key_lists: Vec<Vec<DirectKey>> = workers
-        .iter()
-        .enumerate()
-        .map(|(w, wp)| direct_keys(graph, owner, w, &wp.masters, &cold))
-        .collect();
-
-    // 5. Phase A for affected workers: replica discovery, in-edge
-    //    references, direct-slot tables — the builders' recipe verbatim.
-    for (w, wp) in workers.iter_mut().enumerate() {
-        if !affected[w] {
-            continue;
-        }
-        let mut reps: Vec<VertexId> = Vec::new();
-        for &v in &wp.masters {
-            for &u in graph.in_neighbors(v) {
-                if owner[u as usize] as usize != w && !cold[u as usize] {
-                    reps.push(u);
-                }
-            }
-        }
-        reps.sort_unstable();
-        reps.dedup();
-        wp.replicas = reps;
-        let (offsets, refs, weights) = wire_in_refs(
-            graph,
-            owner,
-            local_of,
-            w,
-            &wp.masters,
-            &wp.replicas,
-            &key_lists[w],
-            &cold,
-        );
-        wp.in_ref_offsets = offsets;
-        wp.in_refs = refs;
-        wp.in_weights = weights;
-        wp.direct_source = key_lists[w].iter().map(|key| key.1).collect();
-        wp.direct_target = key_lists[w].iter().map(|key| key.2).collect();
-    }
-
-    // 6. Phase B: sender-side wiring. Affected workers rebuild everything;
-    //    an unaffected worker re-resolves its mirror / direct destinations
-    //    only when they point into the affected set (replica and slot
-    //    indices there shifted), and its replica fan-out and counts are
-    //    untouched either way.
-    let replica_lists: Vec<Vec<VertexId>> = workers.iter().map(|wp| wp.replicas.clone()).collect();
-    for (w, wp) in workers.iter_mut().enumerate() {
-        let targets_affected = || {
-            wp.mirrors.iter().any(|&(t, _)| affected[t as usize])
-                || wp.direct_out.iter().any(|&(t, _)| affected[t as usize])
-        };
-        if !affected[w] && !targets_affected() {
-            continue;
-        }
-        let (lo_off, lo, mir_off, mir, d_off, d_out) = wire_out(
-            graph,
-            owner,
-            local_of,
-            w,
-            &wp.masters,
-            &cold,
-            &replica_lists,
-            &key_lists,
-        );
-        wp.local_out_offsets = lo_off;
-        wp.local_out = lo;
-        wp.mirror_offsets = mir_off;
-        wp.mirrors = mir;
-        wp.direct_out_offsets = d_off;
-        wp.direct_out = d_out;
+    // 4. Receiving halves: affected workers rewire; the rest only report
+    //    where remote vertices land on them.
+    let inbound = wire::par_workers(workers, |w, wp| {
         if affected[w] {
-            let (ro_off, ro) = wire_rep_out(graph, owner, local_of, w, &wp.replicas);
-            wp.rep_out_offsets = ro_off;
-            wp.rep_out = ro;
+            wire::wire_inbound(graph, owner, local_of, threshold, k, w, wp)
+        } else {
+            wire::Inbound::of(wp, n)
         }
-        wp.compute_work_mass();
-    }
+    });
 
-    // 7. Ingress size stats describe the *current* view; timings keep the
+    // 5. Sending halves: affected workers rewire; the rest re-point the
+    //    entries that name an affected worker, in place.
+    wire::par_workers(workers, |w, wp| {
+        if affected[w] {
+            wire::wire_outbound(graph, owner, local_of, threshold, w, wp, &inbound);
+        } else {
+            wire::repoint_outbound(wp, &inbound, &affected);
+        }
+    });
+
+    // 6. Ingress size stats describe the *current* view; timings keep the
     //    original build's values.
-    ingress.total_replicas = workers.iter().map(|wp| wp.replicas.len()).sum();
-    ingress.replicated_boundary = replicated_boundary;
-    ingress.messaged_boundary = messaged_boundary;
-    ingress.total_direct_slots = workers.iter().map(|wp| wp.num_direct_slots()).sum();
-
-    plan.attribute_memory();
+    plan.recount();
 }
 
 /// What one migration epoch boundary did: sizes for observability and the
@@ -408,40 +335,11 @@ pub fn run_cyclops_migrated_traced<P: CyclopsProgram>(
 mod tests {
     use super::*;
     use crate::engine::{run_cyclops, Sched};
+    use crate::plan::tests::assert_plans_equal;
     use crate::program::{CyclopsContext, CyclopsProgram};
     use cyclops_graph::GraphBuilder;
     use cyclops_net::ClusterSpec;
     use cyclops_partition::{EdgeCutPartitioner, HashPartitioner, VertexMove};
-
-    /// Asserts two plans are field-identical (the contract
-    /// `apply_migration` promises against a from-scratch build).
-    pub(crate) fn assert_plans_equal(a: &CyclopsPlan, b: &CyclopsPlan) {
-        assert_eq!(a.owner, b.owner);
-        assert_eq!(a.local_of, b.local_of);
-        assert_eq!(a.ingress.total_replicas, b.ingress.total_replicas);
-        assert_eq!(a.ingress.replicated_boundary, b.ingress.replicated_boundary);
-        assert_eq!(a.ingress.messaged_boundary, b.ingress.messaged_boundary);
-        assert_eq!(a.ingress.total_direct_slots, b.ingress.total_direct_slots);
-        for (x, y) in a.workers.iter().zip(&b.workers) {
-            assert_eq!(x.masters, y.masters);
-            assert_eq!(x.replicas, y.replicas);
-            assert_eq!(x.in_ref_offsets, y.in_ref_offsets);
-            assert_eq!(x.in_refs, y.in_refs);
-            assert_eq!(x.in_weights, y.in_weights);
-            assert_eq!(x.local_out_offsets, y.local_out_offsets);
-            assert_eq!(x.local_out, y.local_out);
-            assert_eq!(x.mirror_offsets, y.mirror_offsets);
-            assert_eq!(x.mirrors, y.mirrors);
-            assert_eq!(x.rep_out_offsets, y.rep_out_offsets);
-            assert_eq!(x.rep_out, y.rep_out);
-            assert_eq!(x.direct_source, y.direct_source);
-            assert_eq!(x.direct_target, y.direct_target);
-            assert_eq!(x.direct_out_offsets, y.direct_out_offsets);
-            assert_eq!(x.direct_out, y.direct_out);
-            assert_eq!(x.work_mass, y.work_mass);
-            assert_eq!(x.work_mass_prefix, y.work_mass_prefix);
-        }
-    }
 
     fn batch(moves: &[(VertexId, u32, u32)]) -> MigrationBatch {
         MigrationBatch {
@@ -501,6 +399,41 @@ mod tests {
                     assert_plans_equal(&plan, &fresh);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn unaffected_workers_are_repointed_in_place() {
+        // Vertex 0 (worker 0) and vertex 9 (worker 3) both reach into
+        // worker 2, so 9's replica — or direct slot — there sits behind
+        // 0's. Moving 0 onto worker 2 removes its entry and shifts 9's
+        // index down; worker 3 neighbors no moved vertex, so it must pick
+        // that up without being rewired.
+        let mut b = GraphBuilder::new(10);
+        b.add_edge(0, 6);
+        b.add_edge(9, 5);
+        let g = b.build();
+        let p = EdgeCutPartition::new(4, vec![0, 0, 1, 1, 1, 2, 2, 2, 3, 3]);
+        for threshold in [0u32, u32::MAX] {
+            let mut plan = CyclopsPlan::build_parallel_with_threshold(&g, &p, threshold);
+            let kept = plan.workers[3].local_out_offsets.as_ptr();
+            let before = (
+                plan.workers[3].mirrors.clone(),
+                plan.workers[3].direct_out.clone(),
+            );
+            apply_migration(&mut plan, &g, &batch(&[(0, 0, 2)]), threshold);
+            let fresh = CyclopsPlan::build_parallel_with_threshold(
+                &g,
+                &EdgeCutPartition::new(4, plan.owner.clone()),
+                threshold,
+            );
+            assert_plans_equal(&plan, &fresh);
+            assert_eq!(plan.workers[3].local_out_offsets.as_ptr(), kept);
+            let after = (
+                plan.workers[3].mirrors.clone(),
+                plan.workers[3].direct_out.clone(),
+            );
+            assert_ne!(before, after, "threshold {threshold}: index must shift");
         }
     }
 

@@ -5,7 +5,9 @@
 //! This module adds it with *epoch semantics*: a computation runs to
 //! quiescence, a [`MutationBatch`] is applied (new vertices, added and
 //! removed edges), the distributed immutable view is rebuilt for the new
-//! topology, and the computation resumes **warm** — values and publications
+//! topology (re-partitioned, then wired by the same linear-time routine as
+//! any other plan, at the configured replication threshold), and the
+//! computation resumes **warm** — values and publications
 //! carry over, and only the vertices whose neighborhood changed (plus any
 //! new vertices) are re-activated. Dynamic computation then propagates the
 //! disturbance exactly like any other activation wave, so self-correcting
@@ -135,7 +137,14 @@ where
 {
     let mut current = graph.clone();
     let mut epochs = Vec::with_capacity(batches.len() + 1);
-    let plan = CyclopsPlan::build_parallel(&current, &partition_fn(&current));
+    let build = |graph: &Graph| {
+        CyclopsPlan::build_parallel_with_threshold(
+            graph,
+            &partition_fn(graph),
+            config.replicate_threshold,
+        )
+    };
+    let plan = build(&current);
     epochs.push(run_cyclops_with_plan(
         program, &current, &plan, config, None,
     ));
@@ -143,8 +152,7 @@ where
     for (batch, policy) in batches {
         let prev: &CyclopsResult<P::Value, P::Message> = epochs.last().unwrap();
         let next_graph = apply_mutations(&current, batch);
-        let partition = partition_fn(&next_graph);
-        let plan = CyclopsPlan::build_parallel(&next_graph, &partition);
+        let plan = build(&next_graph);
         let result = match policy {
             WarmStart::Cold => run_cyclops_with_plan(program, &next_graph, &plan, config, None),
             WarmStart::Incremental => {
@@ -378,6 +386,48 @@ mod tests {
         );
         // Warm keeps the stale 10 — exactly why Cold exists.
         assert_eq!(warm.final_values(), &[10, 10]);
+    }
+
+    #[test]
+    fn evolving_run_honors_the_replication_threshold() {
+        // Every path edge crosses the cut, so the degree-1 head (and any
+        // vertex below the threshold) is a cold boundary vertex.
+        let g = path(12);
+        let partition_fn =
+            |g: &Graph| EdgeCutPartition::new(2, g.vertices().map(|v| v % 2).collect::<Vec<_>>());
+        let batches = [(
+            MutationBatch {
+                add_vertices: 1,
+                add_edges: vec![(12, 5, None), (3, 9, None)],
+                remove_edges: vec![],
+            },
+            WarmStart::Incremental,
+        )];
+        let run = |replicate_threshold: u32| {
+            let config = CyclopsConfig {
+                cluster: ClusterSpec::flat(2, 1),
+                replicate_threshold,
+                ..Default::default()
+            };
+            run_cyclops_evolving(&MaxPull, &g, partition_fn, &config, &batches)
+        };
+        let full = run(0);
+        assert!(full
+            .epochs
+            .iter()
+            .all(|e| e.ingress.total_direct_slots == 0));
+        for threshold in [2, u32::MAX] {
+            let hybrid = run(threshold);
+            for (h, f) in hybrid.epochs.iter().zip(&full.epochs) {
+                assert!(
+                    h.ingress.total_direct_slots > 0,
+                    "threshold {threshold} must message cold vertices in every epoch"
+                );
+                assert_eq!(h.values, f.values);
+                assert_eq!(h.publications, f.publications);
+                assert_eq!(h.supersteps, f.supersteps);
+            }
+        }
     }
 
     #[test]

@@ -1,0 +1,560 @@
+//! Linear-time plan wiring: the one routine behind the parallel build,
+//! migration rewiring and mutation rebuilds.
+//!
+//! A worker's tables are wired in two halves, each a count pass followed by
+//! a fill pass into vectors allocated once at their final length:
+//!
+//! * [`wire_inbound`] reads the in-edges of the worker's masters and builds
+//!   everything the worker *receives through*: its replica list, in-edge
+//!   references, replica activation fan-out and direct-slot tables. It
+//!   returns an [`Inbound`] index — two rank bitmaps — that tells senders
+//!   at which replica index or direct slot a remote vertex lands here.
+//! * [`wire_outbound`] reads the out-edges of the worker's masters and
+//!   builds what it *sends through*: local activation fan-out, mirror lists,
+//!   direct-message destinations and work mass, resolving remote indices
+//!   through every worker's [`Inbound`].
+//!
+//! A third entry point, [`repoint_outbound`], serves migration: a worker no
+//! moved vertex neighbors keeps its tables and only has the indices in its
+//! mirror and direct-message entries refreshed, in place.
+//!
+//! Nothing is searched, sorted or hashed per edge (a master's mirror
+//! workers, fewer than `k`, are put in order). Both halves lean on the
+//! [`Graph`] invariant that adjacency lists are sorted by neighbor id, so
+//! parallel edges are adjacent (a run, detected by comparing with the
+//! previous neighbor) and the local indices of one worker's vertices rise
+//! with their ids. Work is `O(V/64 + edges of the worker)` per half;
+//! scratch is the rank bitmaps (1.5 bits per vertex each), one cursor per
+//! replica and cold source, and `k`-sized stamps.
+//!
+//! [`CyclopsPlan::build_with_threshold`](super::CyclopsPlan::build_with_threshold)
+//! is the independent per-edge-search construction the tests hold this
+//! module equal to, field for field.
+
+use super::{InRef, WorkerPlan};
+use cyclops_graph::{Graph, VertexId, INVALID_VERTEX};
+use cyclops_obs::mem::{Component, MemScope};
+use std::sync::Mutex;
+
+/// An empty vector with room for exactly `len` elements, allocated under
+/// `component`'s scope so the memory ledger attributes it without a
+/// re-materializing copy.
+fn exact<T>(component: Component, len: usize) -> Vec<T> {
+    let _scope = MemScope::enter(component);
+    Vec::with_capacity(len)
+}
+
+/// [`exact`], filled with `value` (for tables written by index).
+fn filled<T: Clone>(component: Component, len: usize, value: T) -> Vec<T> {
+    let _scope = MemScope::enter(component);
+    vec![value; len]
+}
+
+/// Whether `u`'s combined degree is below the replication threshold: with a
+/// cross-worker out-edge that makes `u` a cold boundary vertex (messaged
+/// through direct slots, not replicated). Threshold 0 is never below, and
+/// says so without touching the graph.
+#[inline]
+fn below_threshold(graph: &Graph, u: VertexId, threshold: u32) -> bool {
+    threshold > 0 && ((graph.out_degree(u) + graph.in_degree(u)) as u64) < threshold as u64
+}
+
+/// A set of vertex ids as a bitmap with O(1) rank: the index of a member
+/// among the members in ascending order.
+struct RankSet {
+    words: Vec<u64>,
+    /// Members before each word; filled by [`Self::seal`].
+    before: Vec<u32>,
+    /// Number of members; set by [`Self::seal`].
+    len: usize,
+}
+
+impl RankSet {
+    fn new(num_vertices: usize) -> RankSet {
+        RankSet {
+            words: vec![0; num_vertices.div_ceil(64)],
+            before: Vec::new(),
+            len: 0,
+        }
+    }
+
+    /// The sealed set of `members`.
+    fn of(num_vertices: usize, members: &[VertexId]) -> RankSet {
+        let mut set = RankSet::new(num_vertices);
+        for &v in members {
+            set.insert_if(v, true);
+        }
+        set.seal();
+        set
+    }
+
+    /// Inserts `v` if `wanted`, without branching on it: on a hash cut
+    /// "is this neighbor remote" is a coin flip per edge.
+    #[inline]
+    fn insert_if(&mut self, v: VertexId, wanted: bool) {
+        self.words[(v >> 6) as usize] |= (wanted as u64) << (v & 63);
+    }
+
+    #[inline]
+    fn contains(&self, v: VertexId) -> bool {
+        self.words[(v >> 6) as usize] >> (v & 63) & 1 == 1
+    }
+
+    /// Ends the insert phase: computes the ranks and returns the size.
+    fn seal(&mut self) -> usize {
+        let mut total = 0u32;
+        self.before = self
+            .words
+            .iter()
+            .map(|w| {
+                let before = total;
+                total += w.count_ones();
+                before
+            })
+            .collect();
+        self.len = total as usize;
+        self.len
+    }
+
+    /// Index of member `v` in ascending order (sealed sets only).
+    #[inline]
+    fn rank(&self, v: VertexId) -> u32 {
+        let i = (v >> 6) as usize;
+        self.before[i] + (self.words[i] & ((1u64 << (v & 63)) - 1)).count_ones()
+    }
+
+    /// Members in ascending order.
+    fn iter(&self) -> impl Iterator<Item = VertexId> + '_ {
+        self.words.iter().enumerate().flat_map(|(i, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros();
+                    rest &= rest - 1;
+                    (i as VertexId) << 6 | bit
+                })
+            })
+        })
+    }
+}
+
+/// Where remote vertices land on one worker: what a sender needs to point
+/// its mirror and direct-message entries at that worker without searching
+/// its tables.
+pub(crate) struct Inbound {
+    /// The worker's replicas; a member's rank is its replica index.
+    replicas: RankSet,
+    /// The cold remote sources with direct slots on the worker.
+    cold: RankSet,
+    /// First direct slot of each cold source, by rank. A source's slots
+    /// are contiguous, in the order of its out-edges into the worker.
+    slot_start: Vec<u32>,
+}
+
+impl Inbound {
+    /// The index of an already wired worker, read back from its tables.
+    pub(crate) fn of(wp: &WorkerPlan, num_vertices: usize) -> Inbound {
+        let replicas = RankSet::of(num_vertices, &wp.replicas);
+        let cold = RankSet::of(num_vertices, &wp.direct_source);
+        let mut slot_start = vec![0u32; cold.len];
+        // Walking backwards leaves each source's lowest slot.
+        for (slot, &u) in wp.direct_source.iter().enumerate().rev() {
+            slot_start[cold.rank(u) as usize] = slot as u32;
+        }
+        Inbound {
+            replicas,
+            cold,
+            slot_start,
+        }
+    }
+}
+
+/// LD: hands every vertex to its owner in ascending id order, rebuilding the
+/// master list and local indices of the workers `select` picks.
+pub(crate) fn load_masters(
+    owner: &[u32],
+    local_of: &mut [u32],
+    workers: &mut [WorkerPlan],
+    select: impl Fn(usize) -> bool,
+) {
+    let mut counts = vec![0usize; workers.len()];
+    for &w in owner {
+        counts[w as usize] += 1;
+    }
+    for (w, wp) in workers.iter_mut().enumerate() {
+        if select(w) {
+            wp.masters = exact(Component::Plan, counts[w]);
+        }
+    }
+    for (v, &w) in owner.iter().enumerate() {
+        if select(w as usize) {
+            let masters = &mut workers[w as usize].masters;
+            local_of[v] = masters.len() as u32;
+            masters.push(v as VertexId);
+        }
+    }
+}
+
+/// Runs `f(w, &mut workers[w])` for every worker, on as many threads as the
+/// machine has cores (each thread takes the next unclaimed worker), and
+/// returns the results in worker order.
+pub(crate) fn par_workers<R: Send>(
+    workers: &mut [WorkerPlan],
+    f: impl Fn(usize, &mut WorkerPlan) -> R + Sync,
+) -> Vec<R> {
+    let threads = std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .min(workers.len());
+    if threads <= 1 {
+        return workers
+            .iter_mut()
+            .enumerate()
+            .map(|(w, wp)| f(w, wp))
+            .collect();
+    }
+    let queue = Mutex::new(workers.iter_mut().enumerate());
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        let next = queue.lock().expect("a plan build thread panicked").next();
+                        let Some((w, wp)) = next else { break };
+                        mine.push((w, f(w, wp)));
+                    }
+                    mine
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("a plan build thread panicked"))
+            .collect()
+    });
+    done.sort_unstable_by_key(|&(w, _)| w);
+    done.into_iter().map(|(_, r)| r).collect()
+}
+
+/// Wires the receiving half of worker `w` from its master list: replicas,
+/// in-edge references and weights, replica activation fan-out and the
+/// direct-slot tables.
+pub(crate) fn wire_inbound(
+    graph: &Graph,
+    owner: &[u32],
+    local_of: &[u32],
+    threshold: u32,
+    num_workers: usize,
+    w: usize,
+    wp: &mut WorkerPlan,
+) -> Inbound {
+    let me = w as u32;
+    let masters = &wp.masters;
+    let n = graph.num_vertices();
+
+    // Pass 1: which remote vertices my masters read, split hot (replicated
+    // here) from cold (messaged into direct slots). A remote in-neighbor
+    // has a cross-worker out-edge by definition, so its degree decides.
+    let mut replicas = RankSet::new(n);
+    let mut cold = RankSet::new(n);
+    let mut num_in_edges = 0usize;
+    for &v in masters {
+        let sources = graph.in_neighbors(v);
+        num_in_edges += sources.len();
+        debug_assert!(sources.windows(2).all(|s| s[0] <= s[1]), "sorted adjacency");
+        for &u in sources {
+            let remote = owner[u as usize] != me;
+            let messaged = remote && below_threshold(graph, u, threshold);
+            cold.insert_if(u, messaged);
+            replicas.insert_if(u, remote & !messaged);
+        }
+    }
+    let num_replicas = replicas.seal();
+    let num_cold = cold.seal();
+
+    // Pass 2, per remote source: the masters each replica activates (one
+    // per run of parallel edges) and the slots each cold source feeds (one
+    // per edge).
+    let mut rep_out_offsets = filled(Component::Replicas, num_replicas + 1, 0u32);
+    let mut next_slot = vec![0u32; num_cold];
+    if num_replicas + num_cold > 0 {
+        for &v in masters {
+            let mut prev = INVALID_VERTEX;
+            for &u in graph.in_neighbors(v) {
+                if owner[u as usize] != me {
+                    if cold.contains(u) {
+                        next_slot[cold.rank(u) as usize] += 1;
+                    } else if u != prev {
+                        rep_out_offsets[replicas.rank(u) as usize + 1] += 1;
+                    }
+                }
+                prev = u;
+            }
+        }
+    }
+    for ri in 0..num_replicas {
+        rep_out_offsets[ri + 1] += rep_out_offsets[ri];
+    }
+    let mut next_rep_out = rep_out_offsets[..num_replicas].to_vec();
+
+    // Direct slots are ordered by (source owner, source, target, occurrence)
+    // so that sender and receiver derive the same numbering on their own:
+    // bucket the ascending sources by owner, each with its edge count.
+    let mut slot_start = vec![0u32; num_cold];
+    let mut num_slots = 0u32;
+    if num_cold > 0 {
+        let mut owner_start = vec![0u32; num_workers];
+        for (j, u) in cold.iter().enumerate() {
+            owner_start[owner[u as usize] as usize] += next_slot[j];
+        }
+        for start in owner_start.iter_mut() {
+            let count = *start;
+            *start = num_slots;
+            num_slots += count;
+        }
+        for (j, u) in cold.iter().enumerate() {
+            let start = &mut owner_start[owner[u as usize] as usize];
+            slot_start[j] = *start;
+            *start += next_slot[j];
+        }
+        next_slot.copy_from_slice(&slot_start);
+    }
+
+    // Pass 3: fill. Masters ascend, so every per-source list comes out in
+    // the order of that source's out-edges into this worker.
+    let mut in_ref_offsets = exact(Component::Plan, masters.len() + 1);
+    let mut in_refs = exact(Component::Plan, num_in_edges);
+    let weighted_len = if graph.is_weighted() { num_in_edges } else { 0 };
+    let mut in_weights = exact(Component::Plan, weighted_len);
+    let mut rep_out = filled(
+        Component::Replicas,
+        rep_out_offsets[num_replicas] as usize,
+        0u32,
+    );
+    let mut direct_source = filled(Component::DirectSlots, num_slots as usize, 0 as VertexId);
+    let mut direct_target = filled(Component::DirectSlots, num_slots as usize, 0u32);
+    in_ref_offsets.push(0u32);
+    for (li, &v) in masters.iter().enumerate() {
+        let mut prev = INVALID_VERTEX;
+        for &u in graph.in_neighbors(v) {
+            in_refs.push(if owner[u as usize] == me {
+                InRef::Master(local_of[u as usize])
+            } else if cold.contains(u) {
+                let next = &mut next_slot[cold.rank(u) as usize];
+                let slot = *next;
+                *next += 1;
+                direct_source[slot as usize] = u;
+                direct_target[slot as usize] = li as u32;
+                InRef::Direct(slot)
+            } else {
+                let ri = replicas.rank(u);
+                if u != prev {
+                    let next = &mut next_rep_out[ri as usize];
+                    rep_out[*next as usize] = li as u32;
+                    *next += 1;
+                }
+                InRef::Replica(ri)
+            });
+            prev = u;
+        }
+        in_weights.extend_from_slice(graph.in_weights(v));
+        in_ref_offsets.push(in_refs.len() as u32);
+    }
+    let mut replica_ids = exact(Component::Replicas, num_replicas);
+    replica_ids.extend(replicas.iter());
+
+    wp.replicas = replica_ids;
+    wp.in_ref_offsets = in_ref_offsets;
+    wp.in_refs = in_refs;
+    wp.in_weights = in_weights;
+    wp.rep_out_offsets = rep_out_offsets;
+    wp.rep_out = rep_out;
+    wp.direct_source = direct_source;
+    wp.direct_target = direct_target;
+    Inbound {
+        replicas,
+        cold,
+        slot_start,
+    }
+}
+
+/// Points a master's remote fan-out entries at their indices on the
+/// receiving workers.
+struct Pointer<'a> {
+    inbound: &'a [Inbound],
+    /// `seen[p] == li + 1` once master `li` has an entry for worker `p`;
+    /// the tags rise with `li`, so the stamp never needs clearing.
+    seen: Vec<u32>,
+    /// Next direct slot on each worker for the current master.
+    next_slot: Vec<u32>,
+}
+
+impl<'a> Pointer<'a> {
+    fn new(inbound: &'a [Inbound]) -> Pointer<'a> {
+        Pointer {
+            inbound,
+            seen: vec![0; inbound.len()],
+            next_slot: vec![0; inbound.len()],
+        }
+    }
+
+    /// Resolves the entries of master `li` (vertex `u`) that name a worker
+    /// with `stale[p]` set: a mirror gets `u`'s replica index there, and
+    /// direct destinations get `u`'s slots there in edge order.
+    fn point(
+        &mut self,
+        li: usize,
+        u: VertexId,
+        mirrors: &mut [(u32, u32)],
+        direct_out: &mut [(u32, u32)],
+        stale: &[bool],
+    ) {
+        for (p, ri) in mirrors {
+            if stale[*p as usize] {
+                *ri = self.inbound[*p as usize].replicas.rank(u);
+            }
+        }
+        let tag = li as u32 + 1;
+        for (p, slot) in direct_out {
+            let p = *p as usize;
+            if !stale[p] {
+                continue;
+            }
+            if self.seen[p] != tag {
+                self.seen[p] = tag;
+                let to = &self.inbound[p];
+                self.next_slot[p] = to.slot_start[to.cold.rank(u) as usize];
+            }
+            *slot = self.next_slot[p];
+            self.next_slot[p] += 1;
+        }
+    }
+}
+
+/// Re-points worker `w`'s mirror and direct-message entries at the workers
+/// whose receiving half was rewired, in place. For a worker none of whose
+/// masters neighbors a moved vertex this is the whole update: which
+/// workers each master fans out to is unchanged, only indices there moved.
+pub(crate) fn repoint_outbound(wp: &mut WorkerPlan, inbound: &[Inbound], rewired: &[bool]) {
+    let mut pointer = Pointer::new(inbound);
+    for (li, &u) in wp.masters.iter().enumerate() {
+        let mirrors = wp.mirror_offsets[li] as usize..wp.mirror_offsets[li + 1] as usize;
+        let direct = wp.direct_out_offsets[li] as usize..wp.direct_out_offsets[li + 1] as usize;
+        pointer.point(
+            li,
+            u,
+            &mut wp.mirrors[mirrors],
+            &mut wp.direct_out[direct],
+            rewired,
+        );
+    }
+}
+
+/// Wires the sending half of worker `w`: local activation fan-out, then per
+/// master either the mirror list (hot) or the direct-message destinations
+/// (cold), and the work mass. `inbound[p]` must describe worker `p`'s
+/// current receiving half, and `w`'s own in-edge offsets must be wired.
+pub(crate) fn wire_outbound(
+    graph: &Graph,
+    owner: &[u32],
+    local_of: &[u32],
+    threshold: u32,
+    w: usize,
+    wp: &mut WorkerPlan,
+    inbound: &[Inbound],
+) {
+    let me = w as u32;
+    let masters = &wp.masters;
+    let m = masters.len();
+
+    // Pass 1: count. `seen[p] == li + 1` once master `li` has met worker
+    // `p`; the tags rise, so the stamp never needs clearing within a pass.
+    let mut seen = vec![0u32; inbound.len()];
+    let mut local_out_offsets = exact(Component::Plan, m + 1);
+    let mut mirror_offsets = exact(Component::Replicas, m + 1);
+    let mut direct_out_offsets = exact(Component::DirectSlots, m + 1);
+    let (mut num_local, mut num_mirrors, mut num_direct) = (0u32, 0u32, 0u32);
+    local_out_offsets.push(0u32);
+    mirror_offsets.push(0u32);
+    direct_out_offsets.push(0u32);
+    for (li, &u) in masters.iter().enumerate() {
+        let cold = below_threshold(graph, u, threshold);
+        let tag = li as u32 + 1;
+        let targets = graph.out_neighbors(u);
+        debug_assert!(targets.windows(2).all(|t| t[0] <= t[1]), "sorted adjacency");
+        let mut prev = INVALID_VERTEX;
+        for &x in targets {
+            // Counted without branching on the owner (see `insert_if`).
+            let p = owner[x as usize] as usize;
+            let remote = p != w;
+            // Activation is idempotent: parallel edges collapse.
+            num_local += (!remote & (x != prev)) as u32;
+            num_direct += (remote & cold) as u32;
+            let new_mirror = remote & !cold & (seen[p] != tag);
+            seen[p] = if new_mirror { tag } else { seen[p] };
+            num_mirrors += new_mirror as u32;
+            prev = x;
+        }
+        local_out_offsets.push(num_local);
+        mirror_offsets.push(num_mirrors);
+        direct_out_offsets.push(num_direct);
+    }
+
+    // Pass 2: fill which workers each master fans out to, then point the
+    // entries at their indices there.
+    seen.fill(0);
+    let mut pointer = Pointer::new(inbound);
+    let everywhere = vec![true; inbound.len()];
+    let mut local_out = exact(Component::Plan, num_local as usize);
+    let mut mirrors: Vec<(u32, u32)> = exact(Component::Replicas, num_mirrors as usize);
+    let mut direct_out: Vec<(u32, u32)> = exact(Component::DirectSlots, num_direct as usize);
+    let mut work_mass = exact(Component::Plan, m);
+    let mut work_mass_prefix = exact(Component::Plan, m + 1);
+    work_mass_prefix.push(0u64);
+    for (li, &u) in masters.iter().enumerate() {
+        let cold = below_threshold(graph, u, threshold);
+        let tag = li as u32 + 1;
+        let (first_mirror, first_direct) = (mirrors.len(), direct_out.len());
+        let mut prev = INVALID_VERTEX;
+        for &x in graph.out_neighbors(u) {
+            let p = owner[x as usize];
+            if p == me {
+                if x != prev {
+                    local_out.push(local_of[x as usize]);
+                }
+            } else if cold {
+                direct_out.push((p, 0));
+            } else if seen[p as usize] != tag {
+                seen[p as usize] = tag;
+                mirrors.push((p, 0));
+            }
+            prev = x;
+        }
+        mirrors[first_mirror..].sort_unstable_by_key(|&(p, _)| p);
+        pointer.point(
+            li,
+            u,
+            &mut mirrors[first_mirror..],
+            &mut direct_out[first_direct..],
+            &everywhere,
+        );
+        // In-degree + local activation fan-out + remote fan-out + the
+        // publication itself.
+        let mass = wp.in_ref_offsets[li + 1] - wp.in_ref_offsets[li]
+            + (local_out_offsets[li + 1] - local_out_offsets[li])
+            + (mirror_offsets[li + 1] - mirror_offsets[li])
+            + (direct_out_offsets[li + 1] - direct_out_offsets[li])
+            + 1;
+        work_mass.push(mass);
+        work_mass_prefix.push(work_mass_prefix[li] + mass as u64);
+    }
+
+    wp.local_out_offsets = local_out_offsets;
+    wp.local_out = local_out;
+    wp.mirror_offsets = mirror_offsets;
+    wp.mirrors = mirrors;
+    wp.direct_out_offsets = direct_out_offsets;
+    wp.direct_out = direct_out;
+    wp.work_mass = work_mass;
+    wp.work_mass_prefix = work_mass_prefix;
+}

@@ -6,6 +6,7 @@
 use cyclops_engine::{
     apply_migration, run_cyclops, CyclopsConfig, CyclopsContext, CyclopsPlan, CyclopsProgram,
 };
+use cyclops_graph::gen::{rmat, RmatConfig};
 use cyclops_graph::{Graph, GraphBuilder, VertexId};
 use cyclops_net::ClusterSpec;
 use cyclops_partition::{EdgeCutPartition, MigrationBatch, VertexMove};
@@ -77,6 +78,109 @@ fn arb_partition(g: &Graph, k: usize, seed: u64) -> EdgeCutPartition {
         .map(|v| (((v as u64).wrapping_mul(seed.wrapping_mul(2) + 1) >> 3) % k as u64) as u32)
         .collect();
     EdgeCutPartition::new(k, assignment)
+}
+
+/// Hub-heavy multigraphs on 64 vertices: a non-simple R-MAT core (parallel
+/// edges and self-loops included), a star around one vertex with every
+/// other spoke answered and every third doubled, and arbitrary extra edges.
+fn arb_hub_graph() -> impl Strategy<Value = Graph> {
+    (
+        0u64..500,
+        0u32..64,
+        1u32..64,
+        any::<bool>(),
+        prop::collection::vec((0u32..64, 0u32..64), 0..30),
+    )
+        .prop_map(|(seed, hub, spokes, weighted, extra)| {
+            let core = rmat(
+                RmatConfig {
+                    scale: 6,
+                    edges: 200,
+                    simple: false,
+                    ..Default::default()
+                },
+                seed,
+            );
+            let mut edges: Vec<(u32, u32)> = core.edges().map(|(s, t, _)| (s, t)).collect();
+            for leaf in 0..spokes {
+                edges.push((hub, leaf));
+                if leaf % 2 == 0 {
+                    edges.push((leaf, hub));
+                }
+                if leaf % 3 == 0 {
+                    edges.push((hub, leaf));
+                }
+            }
+            edges.extend(extra);
+            let mut b = GraphBuilder::new(64);
+            for (i, (s, t)) in edges.into_iter().enumerate() {
+                if weighted {
+                    b.add_weighted_edge(s, t, i as f64);
+                } else {
+                    b.add_edge(s, t);
+                }
+            }
+            b.build()
+        })
+}
+
+/// The moves `picks[round..]` name on the current plan: one per vertex,
+/// no-op moves dropped.
+fn moves_from_picks(plan: &CyclopsPlan, picks: &[(usize, u32)], round: usize) -> Vec<VertexMove> {
+    let (n, k) = (plan.owner.len(), plan.workers.len() as u32);
+    picks
+        .iter()
+        .skip(round)
+        .map(|&(vi, to)| {
+            let vertex = (vi % n) as VertexId;
+            VertexMove {
+                vertex,
+                from: plan.owner[vertex as usize],
+                to: to % k,
+                cost: 1,
+            }
+        })
+        .scan(std::collections::BTreeSet::new(), |seen, mv| {
+            Some(seen.insert(mv.vertex).then_some(mv))
+        })
+        .flatten()
+        .filter(|mv| mv.from != mv.to)
+        .collect()
+}
+
+/// Every vector of the plan was allocated at its final length: capacity
+/// slack would inflate `memory_breakdown()` (and `plan_bytes`).
+fn exactly_sized(plan: &CyclopsPlan) -> Result<(), String> {
+    macro_rules! check {
+        ($v:expr, $name:literal) => {
+            if $v.len() != $v.capacity() {
+                return Err(format!("{}: len {} of {}", $name, $v.len(), $v.capacity()));
+            }
+        };
+    }
+    check!(plan.workers, "workers");
+    check!(plan.owner, "owner");
+    check!(plan.local_of, "local_of");
+    for w in &plan.workers {
+        check!(w.masters, "masters");
+        check!(w.replicas, "replicas");
+        check!(w.in_ref_offsets, "in_ref_offsets");
+        check!(w.in_refs, "in_refs");
+        check!(w.in_weights, "in_weights");
+        check!(w.local_out_offsets, "local_out_offsets");
+        check!(w.local_out, "local_out");
+        check!(w.mirror_offsets, "mirror_offsets");
+        check!(w.mirrors, "mirrors");
+        check!(w.rep_out_offsets, "rep_out_offsets");
+        check!(w.rep_out, "rep_out");
+        check!(w.direct_source, "direct_source");
+        check!(w.direct_target, "direct_target");
+        check!(w.direct_out_offsets, "direct_out_offsets");
+        check!(w.direct_out, "direct_out");
+        check!(w.work_mass, "work_mass");
+        check!(w.work_mass_prefix, "work_mass_prefix");
+    }
+    Ok(())
 }
 
 /// Field-by-field structural equality of two plans — the contract
@@ -181,27 +285,8 @@ proptest! {
         let threshold = [0u32, 2, u32::MAX][threshold_idx];
         let p = arb_partition(&g, workers, seed);
         let mut plan = CyclopsPlan::build_parallel_with_threshold(&g, &p, threshold);
-        let n = g.num_vertices();
         for round in 0..2 {
-            let moves: Vec<VertexMove> = picks
-                .iter()
-                .skip(round)
-                .map(|&(vi, to)| {
-                    let vertex = (vi % n) as VertexId;
-                    VertexMove {
-                        vertex,
-                        from: plan.owner[vertex as usize],
-                        to: to % workers as u32,
-                        cost: 1,
-                    }
-                })
-                // One move per vertex per batch; drop no-op moves.
-                .scan(std::collections::BTreeSet::new(), |seen, mv| {
-                    Some(seen.insert(mv.vertex).then_some(mv))
-                })
-                .flatten()
-                .filter(|mv| mv.from != mv.to)
-                .collect();
+            let moves = moves_from_picks(&plan, &picks, round);
             if moves.is_empty() {
                 continue;
             }
@@ -214,6 +299,41 @@ proptest! {
             if let Err(e) = plans_equal(&plan, &fresh) {
                 prop_assert!(false, "round {round}: {e}");
             }
+        }
+    }
+
+    #[test]
+    fn linear_wiring_equals_reference_builder_on_hub_heavy_graphs(
+        g in arb_hub_graph(),
+        seed in 0u64..1_000,
+        workers_idx in 0usize..3,
+        threshold_idx in 0usize..3,
+        picks in prop::collection::vec((0usize..64, 0u32..5), 1..8),
+    ) {
+        // The production routine against the independent serial
+        // construction, from scratch and after each of two chained
+        // rewires, with no capacity slack anywhere.
+        let workers = [1usize, 2, 5][workers_idx];
+        let threshold = [0u32, 2, u32::MAX][threshold_idx];
+        let p = arb_partition(&g, workers, seed);
+        let mut plan = CyclopsPlan::build_parallel_with_threshold(&g, &p, threshold);
+        for round in 0..3 {
+            if round > 0 {
+                let moves = moves_from_picks(&plan, &picks, round - 1);
+                if moves.is_empty() {
+                    continue;
+                }
+                apply_migration(&mut plan, &g, &MigrationBatch { moves }, threshold);
+            }
+            let reference = CyclopsPlan::build_with_threshold(
+                &g,
+                &EdgeCutPartition::new(workers, plan.owner.clone()),
+                threshold,
+            );
+            if let Err(e) = plans_equal(&plan, &reference).and_then(|_| exactly_sized(&plan)) {
+                prop_assert!(false, "round {round}: {e}");
+            }
+            prop_assert_eq!(plan.memory_breakdown(), reference.memory_breakdown());
         }
     }
 

@@ -27,11 +27,10 @@ fn plan_components_live() -> [i64; 3] {
     ]
 }
 
-/// The audit contract: after construction (which ends with
-/// `attribute_memory` re-materializing every vector at exact capacity
-/// under its component scope), the tracked live deltas equal the
-/// capacity-computed breakdown byte for byte — and dropping the plan
-/// returns every component to its baseline.
+/// The audit contract: construction allocates every vector once, at its
+/// final length, under its component scope, so the tracked live deltas
+/// equal the capacity-computed breakdown byte for byte — and dropping the
+/// plan returns every component to its baseline.
 #[test]
 fn plan_breakdown_matches_tracked_bytes_exactly() {
     let _guard = LOCK.lock().unwrap();
@@ -67,10 +66,10 @@ fn plan_breakdown_matches_tracked_bytes_exactly() {
     }
 }
 
-/// The serial builder attributes identically (it shares
-/// `attribute_memory`), and the replica ledger shrinks as the threshold
-/// trades replicas for direct slots — the bench panel's claim in
-/// miniature.
+/// The serial reference builder attributes identically (it shrinks each
+/// vector to fit under its scope), and the replica ledger shrinks as the
+/// threshold trades replicas for direct slots — the bench panel's claim
+/// in miniature.
 #[test]
 fn serial_build_attributes_and_threshold_shrinks_replicas() {
     let _guard = LOCK.lock().unwrap();
