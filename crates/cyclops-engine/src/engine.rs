@@ -1,4 +1,5 @@
-//! The unified Cyclops / CyclopsMT superstep loop.
+//! The unified Cyclops / CyclopsMT engine: one set of superstep phases, two
+//! drivers.
 //!
 //! One engine serves both systems: flat Cyclops is a [`ClusterSpec`] with
 //! single-threaded workers (`M x W x 1`); CyclopsMT is one worker per
@@ -8,33 +9,63 @@
 //! at machine granularity for CyclopsMT — the replica/message reduction
 //! §6.10 and Table 4 measure.
 //!
-//! Superstep structure (per worker, with `T` threads and `R ≤ T` receivers):
+//! # The phases
 //!
-//! 1. **apply** — receiver threads drain their share of the inbound lanes
-//!    and update replica publications lock-free ([`DisjointSlots`]): each
-//!    replica receives at most one message per superstep, the paper's §3.4
-//!    invariant (debug builds actually verify it);
-//! 2. **compute** — compute threads run the program on their chunk of the
-//!    active masters, reading in-neighbor publications from the immutable
-//!    view;
-//! 3. **publish & send** — updated publications become visible locally and
-//!    one sync+activation message per mirror goes out through private
-//!    per-thread lanes;
-//! 4. **barrier** — a hierarchical barrier (local then global) ends the
-//!    superstep; the global leader evaluates convergence.
+//! The paper's superstep is one fixed sequence (§3.4, §4.1) and each step has
+//! exactly one definition, a method of `Worker` (one worker as a phase sees
+//! it) or of `Run` (the run-scoped state every thread borrows):
+//!
+//! * **PRS** — `Worker::apply_inbound`: drain a share of the inbound lanes,
+//!   write each update into its view slot lock-free, wake the slot's readers;
+//! * **CMP** — `Worker::compute_vertex` (build the [`CyclopsContext`], run the
+//!   program, fold error / convergence / digest, store the publication, wake
+//!   local readers), `Worker::fan_out` (one sync per mirror, one direct
+//!   message per cold cross edge) and `Worker::publish_local`;
+//! * **SND** — `Worker::send_outboxes`: one batch per non-empty destination;
+//!   `send_batch` books the receipt in the trace;
+//! * **SYN** — `Run::close_superstep`: the global leader's reduction,
+//!   [`SuperstepStats`], convergence predicate and cap → `stop`;
+//!   `Worker::commit_superstep` closes a worker's trace record;
+//!   `Run::checkpoint_due` / `Worker::capture_checkpoint` are the checkpoint
+//!   cadence and capture.
+//!
+//! They vary in two things only, both decided by what the caller holds. *How a
+//! reader is woken* is a closure over `(reader local indices, &payload)`: the
+//! per-barrier driver marks the frontier's parity bit, the bucket settle parks
+//! the reader at the priority the payload proposes. *Which update kind is in
+//! hand*: `ViewUpdate` is the shape [`ReplicaUpdate`] and [`DirectMessage`]
+//! share, an `Outbox` holds both framings per destination and `Wire` both
+//! transports, because mirroring and messaging are one mechanism with a degree
+//! cutoff (Yan et al., arXiv:1503.00626).
+//!
+//! # The drivers
+//!
+//! `thread_loop` runs one barrier pair per relaxation round and owns the
+//! intra-worker barrier choreography, the frontier snapshot and its mass
+//! chunks, chunk claiming, the `[dest][thread]` deposit/merge, and the sparse
+//! fast path's "leader does it all". `settle_bucket` runs one barrier pair per
+//! priority bucket, on the global leader alone, and owns bucket selection, the
+//! per-round dirty-list dedup, fast-mode chaining and Δ retuning.
+//!
+//! # Safety
+//!
+//! Four `unsafe` sites, one per slot array that is written, each resting on
+//! [`DisjointSlots`]' single-writer-per-epoch protocol (verified in debug
+//! builds) and stating its argument once for both drivers: view slots in
+//! `apply_batches`, `values` and `msg_next` in `Worker::compute_vertex`,
+//! `msg_cur` in `Worker::publish_local`.
 
 use crate::checkpoint::CyclopsCheckpoint;
 use crate::frontier::ShardedFrontier;
-use crate::plan::CyclopsPlan;
+use crate::plan::{CyclopsPlan, WorkerPlan};
 use crate::program::{CyclopsContext, CyclopsProgram};
 use cyclops_graph::Graph;
 use cyclops_net::metrics::CounterSnapshot;
-use cyclops_net::metrics::PhaseHists;
-use cyclops_net::trace::{digest_bytes, TraceSink};
+use cyclops_net::trace::{digest_bytes, SpaceSaving, TraceSink};
 use cyclops_net::{
     AggregateStats, BucketMode, ClusterSpec, Codec, DirectMessage, DisjointSlots,
-    HierarchicalBarrier, InboxMode, Phase, PhaseTimes, ReplicaUpdate, SchedObs, SendReceipt,
-    SuperstepStats, Transport, WireMode,
+    HierarchicalBarrier, InboxMode, Phase, PhaseHists, PhaseTimes, ReplicaUpdate, SchedObs,
+    SuperstepStats, Transport, WireFormat, WireMode, WorkerTracer,
 };
 use cyclops_obs::mem::{Component, MemScope};
 use cyclops_obs::{SpanKind, SpanRing};
@@ -223,15 +254,23 @@ pub struct CyclopsResult<V, M> {
     pub barrier_protocol_messages: usize,
 }
 
-/// Float accumulators of one compute chunk (or, reduced, of one worker's
-/// superstep). Integer counters stay in racing atomics — addition order
-/// cannot change them — but float sums are reduced in a fixed order so the
-/// dynamic scheduler's claim order never shows in the results.
+/// What one compute chunk (or, reduced, one worker's superstep, or the whole
+/// superstep) reports to the leader. Addition order cannot change the
+/// integer counts, but the float sums are reduced in a fixed order — chunks
+/// within a worker, then workers — so the dynamic scheduler's claim order
+/// never shows in the results.
 #[derive(Clone, Copy, Default)]
 struct ChunkPartial {
     agg: AggregateStats,
     err_sum: f64,
     err_count: usize,
+    computed: usize,
+    /// Net change of the worker's converged-vertex count (Proportion mode).
+    conv_delta: isize,
+    /// The worker's locally known next frontier; set once per worker, by its
+    /// leader (remote activations are still in flight and covered by the
+    /// transport-empty termination check).
+    next_active: usize,
 }
 
 impl ChunkPartial {
@@ -239,6 +278,84 @@ impl ChunkPartial {
         self.agg.merge(&other.agg);
         self.err_sum += other.err_sum;
         self.err_count += other.err_count;
+        self.computed += other.computed;
+        self.conv_delta += other.conv_delta;
+        self.next_active += other.next_active;
+    }
+}
+
+/// The shape the view's two update kinds share: a slot id in the
+/// destination worker's view array (replica index or direct slot), the
+/// publication, and the activation bit. `cyclops-net` frames the two
+/// differently on the wire; the engine treats them as one mechanism.
+trait ViewUpdate<M>: WireFormat + Send {
+    /// Whether sends also feed the trace's `direct_*` columns.
+    const DIRECT: bool;
+    fn into_parts(self) -> (usize, M, bool);
+}
+
+impl<M: Codec + Send> ViewUpdate<M> for ReplicaUpdate<M> {
+    const DIRECT: bool = false;
+    fn into_parts(self) -> (usize, M, bool) {
+        (self.replica as usize, self.payload, self.activate)
+    }
+}
+
+impl<M: Codec + Send> ViewUpdate<M> for DirectMessage<M> {
+    const DIRECT: bool = true;
+    fn into_parts(self) -> (usize, M, bool) {
+        (self.slot as usize, self.payload, self.activate)
+    }
+}
+
+/// What one sender holds for one destination worker, both framings side by
+/// side: one sync+activation message per mirror, one direct message per
+/// cross edge into a cold (unreplicated) neighbor's slot. `direct` stays
+/// empty under full replication (no master has a `direct_out` list).
+struct Outbox<M> {
+    replica: Vec<ReplicaUpdate<M>>,
+    direct: Vec<DirectMessage<M>>,
+}
+
+impl<M> Outbox<M> {
+    /// One empty outbox per destination worker.
+    fn per_worker(num_workers: usize) -> Vec<Self> {
+        let _mem = MemScope::enter(Component::SendPool);
+        let outbox = |(replica, direct)| Outbox { replica, direct };
+        let empty = (0..num_workers).map(|_| (Vec::new(), Vec::new()));
+        empty.map(outbox).collect()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.replica.is_empty() && self.direct.is_empty()
+    }
+
+    /// Moves `other`'s messages behind this outbox's, leaving `other` empty
+    /// with its capacity intact (so deposit slots recycle their buffers).
+    fn append(&mut self, other: &mut Self) {
+        self.replica.append(&mut other.replica);
+        self.direct.append(&mut other.direct);
+    }
+}
+
+/// The two transports behind the view's two publication paths. Same lanes,
+/// same pooled-send contract, each its own framing; the direct one is
+/// completely idle (and allocation-free past construction) when the plan
+/// has no direct slots.
+struct Wire<M> {
+    replica: Transport<ReplicaUpdate<M>>,
+    direct: Transport<DirectMessage<M>>,
+}
+
+impl<M: Codec + Send> Wire<M> {
+    /// Whole-run counters of both transports (totals add, queue peaks max).
+    fn counters(&self) -> CounterSnapshot {
+        let direct = self.direct.counters().snapshot();
+        self.replica.counters().snapshot().merge(&direct)
+    }
+
+    fn all_empty(&self) -> bool {
+        self.replica.all_empty() && self.direct.all_empty()
     }
 }
 
@@ -277,16 +394,10 @@ struct WorkerShared<V, M> {
     cmp_ns: Vec<AtomicU64>,
     /// Shared outboxes `[dest][thread]`: threads deposit their per-
     /// destination publications at the end of CMP; flush threads merge the
-    /// thread slots in thread order and send **one batch per destination**
-    /// per superstep, so the batch count (and its wire framing) stays
-    /// deterministic under dynamic chunk claiming.
-    #[allow(clippy::type_complexity)]
-    outboxes: Vec<Vec<Mutex<Vec<ReplicaUpdate<M>>>>>,
-    /// Direct-message analogue of `outboxes`, same `[dest][thread]` layout
-    /// and one-batch-per-destination flush discipline. Deposits stay empty
-    /// under full replication (no master has a `direct_out` list).
-    #[allow(clippy::type_complexity)]
-    direct_outboxes: Vec<Vec<Mutex<Vec<DirectMessage<M>>>>>,
+    /// thread slots in thread order and send **one batch per destination
+    /// and kind** per superstep, so the batch count (and its wire framing)
+    /// stays deterministic under dynamic chunk claiming.
+    deposits: Vec<Vec<Mutex<Outbox<M>>>>,
     /// Whether this superstep runs on the sparse fast path (decided by the
     /// worker leader at frontier snapshot, read by every thread after the
     /// post-snapshot barrier).
@@ -295,6 +406,36 @@ struct WorkerShared<V, M> {
     converged: Vec<AtomicBool>,
     /// Intra-worker phase barrier (T participants).
     local: Barrier,
+}
+
+/// Run-scoped state, built once and borrowed by every engine thread; a
+/// thread is this plus its `(worker, thread)` coordinates.
+struct Run<'a, P: CyclopsProgram> {
+    program: &'a P,
+    graph: &'a Graph,
+    plan: &'a CyclopsPlan,
+    config: &'a CyclopsConfig,
+    trace: Option<&'a TraceSink>,
+    phase_hists: Option<PhaseHists>,
+    sched_obs: Option<SchedObs>,
+    threads: usize,
+    receivers: usize,
+    shared: Vec<WorkerShared<P::Value, P::Message>>,
+    wire: Wire<P::Message>,
+    barrier: HierarchicalBarrier,
+    stop: AtomicBool,
+    converged_total: AtomicIsize,
+    /// One float-partial slot per worker, overwritten each superstep by that
+    /// worker's leader (chunk-ordered reduction) and read in worker order by
+    /// the global leader — a fully deterministic two-level reduction tree.
+    worker_partials: Vec<Mutex<ChunkPartial>>,
+    prev_aggregate: Mutex<Option<AggregateStats>>,
+    history: Mutex<Vec<SuperstepStats>>,
+    current: Mutex<SuperstepStats>,
+    checkpoints: Mutex<Vec<CyclopsCheckpoint<P::Value, P::Message>>>,
+    last_counters: Mutex<CounterSnapshot>,
+    supersteps_done: AtomicUsize,
+    start_superstep: usize,
 }
 
 /// Runs `program` over `graph` cut by `partition` on the simulated cluster,
@@ -307,9 +448,7 @@ pub fn run_cyclops<P: CyclopsProgram>(
     partition: &EdgeCutPartition,
     config: &CyclopsConfig,
 ) -> CyclopsResult<P::Value, P::Message> {
-    let plan =
-        CyclopsPlan::build_parallel_with_threshold(graph, partition, config.replicate_threshold);
-    run_cyclops_with_plan(program, graph, &plan, config, None)
+    run_cyclops_traced(program, graph, partition, config, None)
 }
 
 /// [`run_cyclops`] with a superstep-trace sink attached. The sink must have
@@ -366,13 +505,10 @@ pub fn run_cyclops_with_plan_traced<P: CyclopsProgram>(
     let spec = config.cluster;
     let num_workers = spec.num_workers();
     let threads = spec.threads_per_worker;
-    let receivers = spec.receivers_per_worker.min(threads);
+    let planned = plan.workers.len();
     assert_eq!(
-        plan.workers.len(),
-        num_workers,
-        "plan has {} workers but the cluster has {}",
-        plan.workers.len(),
-        num_workers
+        planned, num_workers,
+        "plan and cluster disagree on the worker count"
     );
 
     let start_superstep = resume.map(|cp| cp.superstep).unwrap_or(0);
@@ -387,6 +523,7 @@ pub fn run_cyclops_with_plan_traced<P: CyclopsProgram>(
         restored[entry.0 as usize] = Some(entry);
     }
     let mut shared: Vec<WorkerShared<P::Value, P::Message>> = Vec::with_capacity(num_workers);
+    let thread_slots = |_| (Outbox::per_worker(threads).into_iter().map(Mutex::new)).collect();
     for wp in &plan.workers {
         let n = wp.num_masters();
         let mut values: Vec<P::Value> = Vec::with_capacity(n);
@@ -426,155 +563,75 @@ pub fn run_cyclops_with_plan_traced<P: CyclopsProgram>(
                 .map(|_| Mutex::new(ChunkPartial::default()))
                 .collect(),
             cmp_ns: (0..threads).map(|_| AtomicU64::new(0)).collect(),
-            outboxes: {
-                let _mem = MemScope::enter(Component::SendPool);
-                (0..num_workers)
-                    .map(|_| (0..threads).map(|_| Mutex::new(Vec::new())).collect())
-                    .collect()
-            },
-            direct_outboxes: {
-                let _mem = MemScope::enter(Component::SendPool);
-                (0..num_workers)
-                    .map(|_| (0..threads).map(|_| Mutex::new(Vec::new())).collect())
-                    .collect()
-            },
+            deposits: (0..num_workers).map(thread_slots).collect(),
             fast_path: AtomicBool::new(false),
             converged: (0..n).map(|_| AtomicBool::new(false)).collect(),
             local: Barrier::new(threads),
         });
     }
     drop(restored);
-    // Seed replica publications from their masters — the initial one-way
-    // sync of the ingress (and of checkpoint recovery).
+    // Seed replica publications and direct slots from their source masters —
+    // the initial one-way sync of the ingress (and of checkpoint recovery):
+    // superstep 0 (and a resume) reads the identical immutable view through
+    // either path.
     for w in 0..num_workers {
-        let reps: Vec<Option<P::Message>> = {
-            let _mem = MemScope::enter(Component::Replicas);
-            plan.workers[w]
-                .replicas
-                .iter()
-                .map(|&u| {
-                    let ow = plan.owner[u as usize] as usize;
-                    let li = plan.local_of[u as usize] as usize;
-                    shared[ow].msg_cur.read(li).clone()
-                })
-                .collect()
+        let seed = |sources: &[u32], component| -> Vec<Option<P::Message>> {
+            let _mem = MemScope::enter(component);
+            let source_pub = |&u: &u32| {
+                let ow = plan.owner[u as usize] as usize;
+                let li = plan.local_of[u as usize] as usize;
+                shared[ow].msg_cur.read(li).clone()
+            };
+            sources.iter().map(source_pub).collect()
         };
+        let reps = seed(&plan.workers[w].replicas, Component::Replicas);
+        let dirs = seed(&plan.workers[w].direct_source, Component::DirectSlots);
         shared[w].rep_msg = DisjointSlots::new(reps);
-        // Direct slots seed the same way: each slot starts at its source
-        // master's current publication, so superstep 0 (and a checkpoint
-        // resume) reads the identical immutable view the replica path
-        // would have provided.
-        let dirs: Vec<Option<P::Message>> = {
-            let _mem = MemScope::enter(Component::DirectSlots);
-            plan.workers[w]
-                .direct_source
-                .iter()
-                .map(|&u| {
-                    let ow = plan.owner[u as usize] as usize;
-                    let li = plan.local_of[u as usize] as usize;
-                    shared[ow].msg_cur.read(li).clone()
-                })
-                .collect()
-        };
         shared[w].direct_msg = DisjointSlots::new(dirs);
     }
     let mut ingress = plan.ingress;
     ingress.init = init_start.elapsed();
 
-    let transport: Transport<ReplicaUpdate<P::Message>> =
-        Transport::with_pooling(spec, InboxMode::Sharded, config.network, config.pooled);
-    // Second transport for hybrid replication's direct-message batches.
-    // Same lanes, same pooled-send contract, its own `DirectBatch` framing;
-    // completely idle (and allocation-free past construction) when the plan
-    // has no direct slots.
-    let direct_transport: Transport<DirectMessage<P::Message>> =
-        Transport::with_pooling(spec, InboxMode::Sharded, config.network, config.pooled);
-    let barrier = HierarchicalBarrier::new(num_workers, threads);
-
-    // ---- Shared coordination state. ----
-    let stop = AtomicBool::new(false);
-    let computed_total = AtomicUsize::new(0);
-    let next_active_total = AtomicUsize::new(0);
-    let converged_delta = AtomicIsize::new(0);
-    let converged_total = AtomicIsize::new(0);
-    // One float-partial slot per worker, overwritten each superstep by that
-    // worker's leader (chunk-ordered reduction) and read in worker order by
-    // the global leader — a fully deterministic two-level reduction tree.
-    let worker_partials: Vec<Mutex<ChunkPartial>> = (0..num_workers)
-        .map(|_| Mutex::new(ChunkPartial::default()))
-        .collect();
-    let prev_aggregate: Mutex<Option<AggregateStats>> =
-        Mutex::new(resume.and_then(|cp| cp.aggregate));
-    let history: Mutex<Vec<SuperstepStats>> = Mutex::new(Vec::new());
-    let current: Mutex<SuperstepStats> = Mutex::new(SuperstepStats::default());
-    let checkpoints: Mutex<Vec<CyclopsCheckpoint<P::Value, P::Message>>> = Mutex::new(Vec::new());
-    let last_counters = Mutex::new(CounterSnapshot::default());
-    let supersteps_done = AtomicUsize::new(start_superstep);
-    let total_vertices = graph.num_vertices();
-
-    let phase_hists = cyclops_net::metrics::PhaseHists::resolve("cyclops");
-    let sched_obs = SchedObs::resolve("cyclops");
+    let (net, pooled) = (config.network, config.pooled);
+    let run = Run {
+        program,
+        graph,
+        plan,
+        config,
+        trace,
+        phase_hists: PhaseHists::resolve("cyclops"),
+        sched_obs: SchedObs::resolve("cyclops"),
+        threads,
+        receivers: spec.receivers_per_worker.min(threads),
+        shared,
+        wire: Wire {
+            replica: Transport::with_pooling(spec, InboxMode::Sharded, net, pooled),
+            direct: Transport::with_pooling(spec, InboxMode::Sharded, net, pooled),
+        },
+        barrier: HierarchicalBarrier::new(num_workers, threads),
+        stop: AtomicBool::new(false),
+        converged_total: AtomicIsize::new(0),
+        worker_partials: (0..num_workers)
+            .map(|_| Mutex::new(ChunkPartial::default()))
+            .collect(),
+        prev_aggregate: Mutex::new(resume.and_then(|cp| cp.aggregate)),
+        history: Mutex::new(Vec::new()),
+        current: Mutex::new(SuperstepStats::default()),
+        checkpoints: Mutex::new(Vec::new()),
+        last_counters: Mutex::new(CounterSnapshot::default()),
+        supersteps_done: AtomicUsize::new(start_superstep),
+        start_superstep,
+    };
 
     let loop_start = Instant::now();
     // With the cap at or below the resume point there is no superstep left
     // to run (max_supersteps is a global cap, not a budget from the resume).
-    let budget_left = start_superstep < config.max_supersteps;
-    if budget_left {
+    if start_superstep < config.max_supersteps {
         std::thread::scope(|scope| {
             for w in 0..num_workers {
                 for t in 0..threads {
-                    let shared = &shared;
-                    let plan_ref = plan;
-                    let transport = &transport;
-                    let direct_transport = &direct_transport;
-                    let barrier = &barrier;
-                    let stop = &stop;
-                    let computed_total = &computed_total;
-                    let next_active_total = &next_active_total;
-                    let converged_delta = &converged_delta;
-                    let converged_total = &converged_total;
-                    let worker_partials = &worker_partials;
-                    let prev_aggregate = &prev_aggregate;
-                    let history = &history;
-                    let current = &current;
-                    let checkpoints = &checkpoints;
-                    let last_counters = &last_counters;
-                    let supersteps_done = &supersteps_done;
-                    let phase_hists = phase_hists.as_ref();
-                    let sched_obs = sched_obs.as_ref();
-                    scope.spawn(move || {
-                        thread_loop(ThreadEnv {
-                            w,
-                            t,
-                            trace,
-                            phase_hists,
-                            sched_obs,
-                            threads,
-                            receivers,
-                            program,
-                            graph,
-                            plan: plan_ref,
-                            config,
-                            shared,
-                            transport,
-                            direct_transport,
-                            barrier,
-                            stop,
-                            computed_total,
-                            next_active_total,
-                            converged_delta,
-                            converged_total,
-                            worker_partials,
-                            prev_aggregate,
-                            history,
-                            current,
-                            checkpoints,
-                            last_counters,
-                            supersteps_done,
-                            total_vertices,
-                            start_superstep,
-                        });
-                    });
+                    let run = &run;
+                    scope.spawn(move || thread_loop(run, w, t));
                 }
             }
         });
@@ -582,195 +639,509 @@ pub fn run_cyclops_with_plan_traced<P: CyclopsProgram>(
     let elapsed = loop_start.elapsed();
 
     // ---- Assemble global outputs. ----
+    let total_vertices = graph.num_vertices();
     let mut values: Vec<Option<P::Value>> = vec![None; total_vertices];
     let mut publications: Vec<Option<P::Message>> = vec![None; total_vertices];
-    for (w, ws) in shared.into_iter().enumerate() {
-        let vals = ws.values.into_inner();
+    for (w, ws) in run.shared.into_iter().enumerate() {
         let msgs = ws.msg_cur.into_inner();
-        for (i, &v) in plan.workers[w].masters.iter().enumerate() {
-            values[v as usize] = Some(vals[i].clone());
-            publications[v as usize] = msgs[i].clone();
+        let state = ws.values.into_inner().into_iter().zip(msgs);
+        for (&v, (value, publication)) in plan.workers[w].masters.iter().zip(state) {
+            values[v as usize] = Some(value);
+            publications[v as usize] = publication;
         }
     }
-    let direct_snap = direct_transport.counters().snapshot();
+    let direct_snap = run.wire.direct.counters().snapshot();
     CyclopsResult {
         values: values.into_iter().map(Option::unwrap).collect(),
         publications,
-        supersteps: supersteps_done.load(Ordering::Acquire),
-        stats: history.into_inner(),
-        counters: transport.counters().snapshot().merge(&direct_snap),
+        supersteps: run.supersteps_done.load(Ordering::Acquire),
+        stats: run.history.into_inner(),
+        counters: run.wire.counters(),
         direct_messages: direct_snap.messages,
         direct_bytes: direct_snap.bytes,
         elapsed,
         ingress,
         replication_factor: plan.replication_factor(graph),
-        checkpoints: checkpoints.into_inner(),
-        barrier_protocol_messages: barrier.protocol_messages(),
+        checkpoints: run.checkpoints.into_inner(),
+        barrier_protocol_messages: run.barrier.protocol_messages(),
     }
 }
 
-/// Everything one engine thread needs; bundling keeps the spawn readable.
-struct ThreadEnv<'a, P: CyclopsProgram> {
+/// CMP state of one compute stream — an engine thread in the per-barrier
+/// loop, one worker's share of a bucket settle.
+#[derive(Default)]
+struct CmpAcc {
+    /// Partial being accumulated (one chunk, or one worker's settle).
+    part: ChunkPartial,
+    /// Masters whose publication is stored in `msg_next` but not yet visible
+    /// ([`Worker::publish_local`] drains it).
+    updated: Vec<u32>,
+    /// Hot-vertex capture: a Space-Saving sketch of per-vertex work mass,
+    /// folded into the tracer each superstep. Disabled (`hot_k == 0`) the
+    /// compute loop pays one `Option` check per vertex.
+    hot: Option<SpaceSaving>,
+    /// Scratch buffer for values-mode publication digests, reused across
+    /// publications and supersteps (this used to be a fresh `BytesMut` per
+    /// message — the allocation Table 2 flags).
+    digest_buf: bytes::BytesMut,
+}
+
+impl CmpAcc {
+    fn new(trace: Option<&TraceSink>) -> Self {
+        let hot_k = trace.map_or(0, |s| s.hot_k());
+        CmpAcc {
+            hot: (hot_k > 0).then(|| SpaceSaving::new(hot_k)),
+            ..Default::default()
+        }
+    }
+}
+
+/// One worker as a phase function sees it. The tracer handle is resolved
+/// here — once per thread or per worker visit of a settle, never per send.
+struct Worker<'r, P: CyclopsProgram> {
+    run: &'r Run<'r, P>,
     w: usize,
-    t: usize,
-    trace: Option<&'a TraceSink>,
-    phase_hists: Option<&'a PhaseHists>,
-    sched_obs: Option<&'a SchedObs>,
-    threads: usize,
-    receivers: usize,
-    program: &'a P,
-    graph: &'a Graph,
-    plan: &'a CyclopsPlan,
-    config: &'a CyclopsConfig,
-    shared: &'a [WorkerShared<P::Value, P::Message>],
-    transport: &'a Transport<ReplicaUpdate<P::Message>>,
-    direct_transport: &'a Transport<DirectMessage<P::Message>>,
-    barrier: &'a HierarchicalBarrier,
-    stop: &'a AtomicBool,
-    computed_total: &'a AtomicUsize,
-    next_active_total: &'a AtomicUsize,
-    converged_delta: &'a AtomicIsize,
-    converged_total: &'a AtomicIsize,
-    worker_partials: &'a [Mutex<ChunkPartial>],
-    prev_aggregate: &'a Mutex<Option<AggregateStats>>,
-    history: &'a Mutex<Vec<SuperstepStats>>,
-    current: &'a Mutex<SuperstepStats>,
-    checkpoints: &'a Mutex<Vec<CyclopsCheckpoint<P::Value, P::Message>>>,
-    last_counters: &'a Mutex<CounterSnapshot>,
-    supersteps_done: &'a AtomicUsize,
-    total_vertices: usize,
-    start_superstep: usize,
+    ws: &'r WorkerShared<P::Value, P::Message>,
+    wp: &'r WorkerPlan,
+    tr: Option<&'r WorkerTracer>,
+    /// Whether the sink captures publication digests (values mode).
+    digests: bool,
 }
 
-fn thread_loop<P: CyclopsProgram>(env: ThreadEnv<'_, P>) {
-    if env.config.bucket_width > 0.0 {
-        return bucketed_thread_loop(env);
+impl<'r, P: CyclopsProgram> Run<'r, P> {
+    fn worker(&'r self, w: usize) -> Worker<'r, P> {
+        Worker {
+            run: self,
+            w,
+            ws: &self.shared[w],
+            wp: &self.plan.workers[w],
+            tr: self.trace.map(|s| s.worker(w)),
+            digests: self.trace.is_some_and(|s| s.captures_values()),
+        }
     }
-    let ws = &env.shared[env.w];
-    let wp = &env.plan.workers[env.w];
-    let lane = env.w * env.threads + env.t;
-    let num_workers = env.plan.workers.len();
-    let sched = env.config.sched;
+
+    /// Whether superstep `superstep` opens with a checkpoint capture — a
+    /// pure function of the superstep index, so every thread of every
+    /// worker agrees without communicating.
+    fn checkpoint_due(&self, superstep: usize) -> bool {
+        self.config.checkpoint_every.is_some_and(|every| {
+            every > 0
+                && superstep > self.start_superstep
+                && (superstep - self.start_superstep).is_multiple_of(every)
+        })
+    }
+
+    /// SYN, global leader only, between the superstep's two hierarchical
+    /// barrier waits: every worker's partial is in `worker_partials` and its
+    /// phase times in `current`. Reduces, records the superstep's
+    /// [`SuperstepStats`], and decides `stop`; `budget_exhausted` is the
+    /// settle's fused-round cap.
+    fn close_superstep(&self, superstep: usize, budget_exhausted: bool) -> bool {
+        // Global reduction: merge the per-worker partials in worker order.
+        // Two fixed-order levels — chunks within a worker, workers here —
+        // make the float results independent of thread scheduling.
+        let mut total = ChunkPartial::default();
+        for slot in &self.worker_partials {
+            total.merge(&slot.lock());
+        }
+        let before = self
+            .converged_total
+            .fetch_add(total.conv_delta, Ordering::Relaxed);
+        let conv_total = before + total.conv_delta;
+        *self.prev_aggregate.lock() = (!total.agg.is_empty()).then_some(total.agg);
+        let mean_err = (total.err_count > 0).then(|| total.err_sum / total.err_count as f64);
+
+        let snap = self.wire.counters();
+        let mut last = self.last_counters.lock();
+        let mut cur = self.current.lock();
+        cur.superstep = superstep;
+        cur.active_vertices = total.computed;
+        cur.messages_sent = snap.messages - last.messages;
+        cur.bytes_sent = snap.bytes - last.bytes;
+        self.history.lock().push(std::mem::take(&mut cur));
+        *last = snap;
+        self.supersteps_done.store(superstep + 1, Ordering::Release);
+
+        let converged_enough = match self.config.convergence {
+            Convergence::ActiveVertices => false,
+            Convergence::Proportion { target, .. } => {
+                conv_total as f64 >= target * self.graph.num_vertices() as f64
+            }
+            Convergence::GlobalError { epsilon } => mean_err.is_some_and(|e| e <= epsilon),
+        };
+        let drained = total.next_active == 0 && self.wire.all_empty();
+        // A *global* cap on the superstep index: resumed runs continue
+        // toward the same cap rather than getting a fresh budget.
+        let capped = superstep + 1 >= self.config.max_supersteps || budget_exhausted;
+        let stop = drained || converged_enough || capped;
+        self.stop.store(stop, Ordering::Release);
+        stop
+    }
+}
+
+/// PRS core: writes every update of `batches` into its view slot and wakes
+/// the slot's readers (`readers(slot id)` → local indices) when the update
+/// activates. Returns the number of updates applied.
+#[inline]
+fn apply_batches<'p, U: ViewUpdate<M>, M>(
+    batches: Vec<(usize, Vec<U>)>,
+    slots: &DisjointSlots<Option<M>>,
+    readers: impl Fn(usize) -> &'p [u32],
+    wake: &mut impl FnMut(&[u32], &M),
+) -> u64 {
+    let mut applied = 0u64;
+    for (_, batch) in batches {
+        applied += batch.len() as u64;
+        for upd in batch {
+            let (id, payload, activate) = upd.into_parts();
+            if activate {
+                wake(readers(id), &payload);
+            }
+            // SAFETY: each slot has one source master (a replica's master,
+            // a direct slot's cross edge), a master reaches a slot at most
+            // once per epoch (one sync per mirror per superstep; the
+            // settle's dirty list dedups a round's republications), and
+            // lanes touching the same slot are drained by one receiver —
+            // so within an epoch no slot is written twice, and readers are
+            // behind a barrier (or, in the settle, on this same thread).
+            unsafe { slots.write(id, Some(payload)) };
+        }
+    }
+    applied
+}
+
+/// SND core: sends `batch` (left empty) to `dest` as one batch and books
+/// the receipt — tracer totals and comm-matrix row, the `direct_*` columns
+/// for direct messages, and the wire mode's dense/sparse batch counts
+/// (legacy and intra-machine sends count as neither).
+#[inline]
+fn send_batch<U: ViewUpdate<M>, M>(
+    transport: &Transport<U>,
+    (lane, dest, epoch): (usize, usize, usize),
+    batch: &mut Vec<U>,
+    tr: Option<&WorkerTracer>,
+) {
+    if batch.is_empty() {
+        return;
+    }
+    let sent = batch.len() as u64;
+    let receipt = transport.send(lane, dest, std::mem::take(batch), epoch);
+    if let Some(tr) = tr {
+        tr.add_sent_to(dest, sent, receipt.bytes as u64);
+        if U::DIRECT {
+            tr.add_direct(sent, receipt.bytes as u64);
+        }
+        match receipt.wire_mode {
+            Some(WireMode::Dense) => tr.add_wire_batches_to(dest, 1, 0),
+            Some(WireMode::Sparse) => tr.add_wire_batches_to(dest, 0, 1),
+            _ => {}
+        }
+    }
+}
+
+impl<'r, P: CyclopsProgram> Worker<'r, P> {
+    /// Opens a write epoch on every slot array (resets the debug-mode
+    /// single-writer claim tables; no-op in release builds).
+    fn begin_epoch(&self) {
+        self.ws.values.begin_epoch();
+        self.ws.msg_cur.begin_epoch();
+        self.ws.msg_next.begin_epoch();
+        self.ws.rep_msg.begin_epoch();
+        self.ws.direct_msg.begin_epoch();
+    }
+
+    /// PRS: drains receiver `part` of `parts`' share of this worker's
+    /// inbound lanes for `epoch` — replica syncs, then direct messages — and
+    /// applies them to the view. `wake(readers, &payload)` is how the caller
+    /// activates the local masters that read an updated slot.
+    fn apply_inbound(
+        &self,
+        epoch: usize,
+        (part, parts): (usize, usize),
+        mut wake: impl FnMut(&[u32], &P::Message),
+    ) {
+        let (wire, wp) = (&self.run.wire, self.wp);
+        let syncs = wire
+            .replica
+            .drain_lanes_partitioned(self.w, epoch, part, parts);
+        let directs = wire
+            .direct
+            .drain_lanes_partitioned(self.w, epoch, part, parts);
+        let drained = apply_batches(syncs, &self.ws.rep_msg, |rep| wp.rep_out(rep), &mut wake)
+            + apply_batches(
+                directs,
+                &self.ws.direct_msg,
+                |slot| std::slice::from_ref(&wp.direct_target[slot]),
+                &mut wake,
+            );
+        if let Some(tr) = self.tr {
+            tr.add_drained(drained);
+        }
+    }
+
+    /// CMP core: runs the program on local master `li` against the
+    /// immutable view and does everything a computed vertex owes — the
+    /// stream's counters and float partial, the `converged` flag, the
+    /// values-mode digest, storing the publication in `msg_next`, and
+    /// waking the same-worker readers (`wake(local_out, &publication)`, a
+    /// lock-free bit test in the per-barrier loop, §5). Returns the stored
+    /// publication, if the vertex published, for the caller to fan out.
+    #[inline]
+    fn compute_vertex(
+        &self,
+        li: usize,
+        superstep: usize,
+        agg_in: Option<AggregateStats>,
+        acc: &mut CmpAcc,
+        mut wake: impl FnMut(&[u32], &P::Message),
+    ) -> Option<&'r P::Message> {
+        let (ws, wp) = (self.ws, self.wp);
+        acc.part.computed += 1;
+        if let Some(hs) = acc.hot.as_mut() {
+            // Degree-derived work mass is the per-vertex cost proxy — the
+            // same estimate the dynamic scheduler balances on.
+            hs.record(wp.masters[li], wp.work_mass[li].max(1) as u64);
+        }
+        let (mut publish, mut reported) = (None, None);
+        // SAFETY: a driver computes each master at most once per epoch — the
+        // per-barrier loop's chunks partition a duplicate-free frontier, the
+        // settle's selection is duplicate-free (mark / select keep set
+        // semantics) and sequential — and nothing else touches `values`
+        // during CMP.
+        let value = unsafe { ws.values.get_mut(li) };
+        self.run.program.compute(&mut CyclopsContext {
+            vertex: wp.masters[li],
+            local: li,
+            superstep,
+            graph: self.run.graph,
+            plan: wp,
+            value,
+            msg_cur: &ws.msg_cur,
+            rep_msg: &ws.rep_msg,
+            direct_msg: &ws.direct_msg,
+            publish: &mut publish,
+            reported_error: &mut reported,
+            aggregate: &mut acc.part.agg,
+            prev_aggregate: agg_in,
+        });
+        if let Some(err) = reported {
+            acc.part.err_sum += err;
+            acc.part.err_count += 1;
+            if let Convergence::Proportion { epsilon, .. } = self.run.config.convergence {
+                let now = err <= epsilon;
+                let was = ws.converged[li].swap(now, Ordering::Relaxed);
+                acc.part.conv_delta += now as isize - was as isize;
+            }
+        }
+        let m = publish?;
+        // Digest the publication exactly as it would go on the wire (values
+        // mode only — the diagnostic path that lets trace-diff name the
+        // first divergent vertex).
+        if let Some(tr) = self.tr.filter(|_| self.digests) {
+            acc.digest_buf.clear();
+            m.encode(&mut acc.digest_buf);
+            tr.record_publication(wp.masters[li], digest_bytes(&acc.digest_buf));
+        }
+        wake(wp.local_out(li), &m);
+        // SAFETY: one write per master per epoch, by the one stream that
+        // computed it (see above); `msg_next` has no reader until
+        // `publish_local`.
+        unsafe { ws.msg_next.write(li, Some(m)) };
+        acc.updated.push(li as u32);
+        ws.msg_next.read(li).as_ref()
+    }
+
+    /// Makes the stream's stored publications visible to readers (`msg_next`
+    /// → `msg_cur`) and empties `updated`.
+    fn publish_local(&self, updated: &mut Vec<u32>) {
+        for li in updated.drain(..) {
+            let m = self.ws.msg_next.read(li as usize).clone();
+            // SAFETY: only the stream that computed `li` copies it, once
+            // per epoch, and no reader is active — the per-barrier loop is
+            // past its post-compute barrier, the settle is sequential.
+            unsafe { self.ws.msg_cur.write(li as usize, m) };
+        }
+    }
+
+    /// Queues master `li`'s publication `m` for its remote readers: exactly
+    /// one sync+activation message per mirror, and one direct message per
+    /// cross edge into a cold neighbor's slot.
+    #[inline]
+    fn fan_out(&self, li: usize, m: &P::Message, out: &mut [Outbox<P::Message>]) {
+        for &(mw, rep) in self.wp.mirrors(li) {
+            let sync = ReplicaUpdate::new(rep, m.clone(), true);
+            out[mw as usize].replica.push(sync);
+        }
+        // The length check spares a full-replication run two offset loads
+        // per publication — measurable in CMP on publish-heavy SSSP.
+        if !self.wp.direct_out.is_empty() {
+            for &(dw, slot) in self.wp.direct_out(li) {
+                let msg = DirectMessage::new(slot, m.clone(), true);
+                out[dw as usize].direct.push(msg);
+            }
+        }
+    }
+
+    /// SND: sends every non-empty outbox on `lane` for `epoch` — one batch
+    /// per destination and kind — leaving `out` empty (capacity given away).
+    fn send_outboxes(&self, lane: usize, epoch: usize, out: &mut [Outbox<P::Message>]) {
+        let wire = &self.run.wire;
+        for (dest, ob) in out.iter_mut().enumerate() {
+            send_batch(&wire.replica, (lane, dest, epoch), &mut ob.replica, self.tr);
+            send_batch(&wire.direct, (lane, dest, epoch), &mut ob.direct, self.tr);
+        }
+    }
+
+    /// Captures this worker's share of a value-only checkpoint (cooperative:
+    /// the first worker to arrive creates the superstep's entry). `active`
+    /// reports a master's activation flag — the per-barrier loop reads the
+    /// frontier parity bit, the settle its parked set.
+    fn capture_checkpoint(
+        &self,
+        superstep: usize,
+        aggregate: Option<AggregateStats>,
+        active: impl Fn(usize) -> bool,
+    ) {
+        let mut cps = self.run.checkpoints.lock();
+        if cps.last().map(|c| c.superstep) != Some(superstep) {
+            cps.push(CyclopsCheckpoint {
+                superstep,
+                vertices: Vec::new(),
+                aggregate,
+            });
+        }
+        let cp = cps
+            .last_mut()
+            .expect("the push above guarantees an entry for this superstep");
+        for (li, &v) in self.wp.masters.iter().enumerate() {
+            cp.vertices.push((
+                v,
+                self.ws.values.read(li).clone(),
+                self.ws.msg_cur.read(li).clone(),
+                active(li),
+            ));
+        }
+    }
+
+    /// Folds a compute stream's hot-vertex sketch into slot `t` of this
+    /// worker's trace record (slots merge in thread order at commit) and
+    /// clears it. Call before the worker's commit.
+    fn trace_hot(&self, t: usize, acc: &mut CmpAcc) {
+        if let (Some(tr), Some(hs)) = (self.tr, acc.hot.as_mut()) {
+            tr.set_thread_hot(t, hs);
+            hs.clear();
+        }
+    }
+
+    /// Closes this worker's superstep for the observers: phase-latency
+    /// histograms, the trace record (the worker's reduced partial `part`,
+    /// its aggregate in slot 0 — commit reset every slot last superstep),
+    /// and the memory sample (no-op unless `--mem` armed the tracking
+    /// allocator; lands in `{"mem":…}` JSONL lines outside the trace-diff
+    /// contract). One caller per worker, after all its streams finished.
+    fn commit_superstep(
+        &self,
+        superstep: usize,
+        frontier: usize,
+        times: &PhaseTimes,
+        part: &ChunkPartial,
+        checkpoint: bool,
+    ) {
+        if let Some(ph) = &self.run.phase_hists {
+            ph.record(times);
+            if self.w == 0 {
+                ph.set_supersteps(superstep + 1);
+            }
+        }
+        if let Some(tr) = self.tr {
+            tr.add_computed(part.computed as u64);
+            tr.add_converged_delta(part.conv_delta as i64);
+            tr.add_activated(part.next_active as u64);
+            if !part.agg.is_empty() {
+                tr.set_thread_agg(0, part.agg);
+            }
+            tr.commit(superstep, self.w, frontier, times, checkpoint);
+        }
+        cyclops_obs::mem::sample(superstep as u64, self.w as u32);
+    }
+}
+
+/// Ends a flight-recorder span opened with `ring.map(|r| r.now_ns())`. With
+/// no recorder installed (the default) every span site is one `Option`
+/// check, the same discipline as the tracer and the phase histograms.
+#[inline]
+fn end_span(ring: Option<&SpanRing>, start: Option<u64>, kind: SpanKind, args: [u64; 3]) {
+    if let (Some(r), Some(start)) = (ring, start) {
+        r.record(kind, start, args[0], args[1], args[2]);
+    }
+}
+
+/// Body of one engine thread: the per-barrier driver, or (with a bucket
+/// width set) the bucketed one.
+fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
+    // Per-thread flight-recorder ring, resolved once.
+    let flight = cyclops_obs::flight().map(|fr| fr.ring(w as u32, t as u32));
+    let flight = flight.as_deref();
+    // Tag this thread's allocations with its worker slot for the tracking
+    // allocator (two thread-local writes; the allocator itself is a single
+    // relaxed load when disarmed).
+    let _mem_tag = MemScope::worker(w);
+    if run.config.bucket_width > 0.0 {
+        return bucketed_thread_loop(run, w, t, flight);
+    }
+    let wk = run.worker(w);
+    let (ws, wp) = (wk.ws, wk.wp);
+    let lane = w * run.threads + t;
+    let num_workers = run.plan.workers.len();
+    let sched = run.config.sched;
     // Number of compute chunks per superstep: the thread shards themselves
     // (static) or finer equal-work-mass spans claimed via the cursor
     // (dynamic). Fixed per run, so every partial slot in `0..chunks` is
     // written every superstep — no stale-slot hazard.
     let chunks = match sched {
-        Sched::Static => env.threads,
-        Sched::Dynamic => env.threads * CHUNKS_PER_THREAD,
+        Sched::Static => run.threads,
+        Sched::Dynamic => run.threads * CHUNKS_PER_THREAD,
     };
 
-    let mut superstep = env.start_superstep;
-    let mut outboxes: Vec<Vec<ReplicaUpdate<P::Message>>> =
-        (0..num_workers).map(|_| Vec::new()).collect();
-    let mut direct_outboxes: Vec<Vec<DirectMessage<P::Message>>> =
-        (0..num_workers).map(|_| Vec::new()).collect();
-    // Whether this worker can ever produce or receive direct messages —
-    // lets a full-replication run skip the whole second publication path.
-    let hybrid = env.plan.workers.iter().any(|p| p.num_direct_slots() > 0);
-    let mut updated: Vec<u32> = Vec::new();
-    // Scratch buffer for values-mode publication digests, reused across
-    // publications and supersteps (this used to be a fresh `BytesMut` per
-    // message — the allocation Table 2 flags).
-    let mut digest_buf = bytes::BytesMut::new();
-    let tracer = env.trace.map(|s| s.worker(env.w));
-    // Per-thread flight-recorder ring, resolved once; with no recorder
-    // installed (the default) every span site below is one `Option` check,
-    // the same discipline as the tracer and the phase histograms.
-    let flight = cyclops_obs::flight().map(|fr| fr.ring(env.w as u32, env.t as u32));
-    // Tag this thread's allocations with its worker slot for the tracking
-    // allocator (two thread-local writes; the allocator itself is a single
-    // relaxed load when disarmed).
-    let _mem_tag = cyclops_obs::mem::MemScope::worker(env.w);
-    let capture_values = env.trace.map(|s| s.captures_values()).unwrap_or(false);
-    // Hot-vertex capture, resolved once: a per-thread Space-Saving sketch of
-    // per-vertex work mass, folded into the tracer each superstep. Disabled
-    // (`hot_k == 0`) the compute loop pays one Option check per vertex.
-    let hot_k = env.trace.map(|s| s.hot_k()).unwrap_or(0);
-    let mut hot_local = (hot_k > 0).then(|| cyclops_net::trace::SpaceSaving::new(hot_k));
+    // How this driver wakes readers: a lock-free frontier bit (§5), in the
+    // parity of the superstep that will compute them.
+
+    let mut superstep = run.start_superstep;
+    let mut out = Outbox::per_worker(num_workers);
+    let mut flush = Outbox::per_worker(num_workers);
+    let mut acc = CmpAcc::new(run.trace);
 
     loop {
         let mut times = PhaseTimes::default();
         let mut frontier_len = 0usize;
+        let step = superstep as u64;
         let cur_parity = superstep & 1;
         let next_parity = (superstep + 1) & 1;
-        let agg_in = *env.prev_aggregate.lock();
+        let agg_in = *run.prev_aggregate.lock();
 
         // ---- Superstep prologue (worker leader). ----
-        if env.t == 0 {
-            ws.values.begin_epoch();
-            ws.msg_cur.begin_epoch();
-            ws.msg_next.begin_epoch();
-            ws.rep_msg.begin_epoch();
-            if hybrid {
-                ws.direct_msg.begin_epoch();
-            }
+        if t == 0 {
+            wk.begin_epoch();
         }
-        let checkpoint_now = match env.config.checkpoint_every {
-            Some(every) => {
-                every > 0
-                    && superstep > env.start_superstep
-                    && (superstep - env.start_superstep).is_multiple_of(every)
-            }
-            None => false,
-        };
+        let checkpoint_now = run.checkpoint_due(superstep);
         ws.local.wait();
 
-        // ---- Apply phase (PRS): receivers update replicas lock-free. ----
+        // ---- Apply phase (PRS): receivers update the view lock-free. ----
         let apply_start = Instant::now();
-        let prs_span = flight.as_ref().map(|r| r.now_ns());
-        if env.t < env.receivers {
-            let mut drained = 0u64;
-            for (_, batch) in
-                env.transport
-                    .drain_lanes_partitioned(env.w, superstep, env.t, env.receivers)
-            {
-                drained += batch.len() as u64;
-                for upd in batch {
-                    // SAFETY: each replica receives at most one message per
-                    // superstep (one master, one sync), and lanes touching
-                    // the same replica are handled by one receiver.
-                    unsafe { ws.rep_msg.write(upd.replica as usize, Some(upd.payload)) };
-                    if upd.activate {
-                        for &lo in wp.rep_out(upd.replica as usize) {
-                            ws.frontier.mark(cur_parity, lo as usize);
-                        }
-                    }
+        let prs_span = flight.map(|r| r.now_ns());
+        if t < run.receivers {
+            wk.apply_inbound(superstep, (t, run.receivers), |los, _| {
+                for &lo in los {
+                    ws.frontier.mark(cur_parity, lo as usize);
                 }
-            }
-            if hybrid {
-                for (_, batch) in env.direct_transport.drain_lanes_partitioned(
-                    env.w,
-                    superstep,
-                    env.t,
-                    env.receivers,
-                ) {
-                    drained += batch.len() as u64;
-                    for dm in batch {
-                        // SAFETY: each direct slot belongs to exactly one
-                        // remote master (one slot per cross edge), masters
-                        // publish at most once per superstep, and lanes
-                        // touching the same slot are handled by one receiver.
-                        unsafe { ws.direct_msg.write(dm.slot as usize, Some(dm.payload)) };
-                        if dm.activate {
-                            ws.frontier
-                                .mark(cur_parity, wp.direct_target[dm.slot as usize] as usize);
-                        }
-                    }
-                }
-            }
-            if let Some(tr) = tracer {
-                tr.add_drained(drained);
-            }
+            });
         }
-        // Only the drain/apply loop above is parse work; the barrier waits
-        // (and the optional checkpoint they bracket) are coordination time
-        // and belong to SYN — charging them to PRS used to inflate the parse
+        // Only the drain/apply above is parse work; the barrier waits (and
+        // the optional checkpoint they bracket) are coordination time and
+        // belong to SYN — charging them to PRS used to inflate the parse
         // column by a full barrier interval per superstep.
         times.add(Phase::Parse, apply_start.elapsed());
-        if let (Some(r), Some(start)) = (&flight, prs_span) {
-            r.record(SpanKind::Parse, start, superstep as u64, 0, 0);
-        }
+        end_span(flight, prs_span, SpanKind::Parse, [step, 0, 0]);
         let wait_start = Instant::now();
         ws.local.wait();
         // Value-only checkpoint (no replicas, no messages — §3.6), taken on
@@ -779,25 +1150,18 @@ fn thread_loop<P: CyclopsProgram>(env: ThreadEnv<'_, P>) {
         // equals its master's publication, so a restore can rebuild replicas
         // from masters alone.
         if checkpoint_now {
-            if env.t == 0 {
-                capture_checkpoint(
-                    env.checkpoints,
-                    wp,
-                    ws,
-                    superstep,
-                    env.config.checkpoint_every,
-                    |li| ws.frontier.is_marked(cur_parity, li),
-                    agg_in,
-                );
+            if t == 0 {
+                wk.capture_checkpoint(superstep, agg_in, |li| {
+                    ws.frontier.is_marked(cur_parity, li)
+                });
             }
             ws.local.wait();
-            // Epoch boundary: `checkpoint_now` is a pure function of the
-            // superstep index, so every thread of every worker reaches this
+            // Epoch boundary: every thread of every worker reaches this
             // exact point and returns together — transports are drained,
             // the frontier still holds superstep `s`'s activations (which
             // the checkpoint captured), and `supersteps_done` already reads
             // `s`. The migration driver resumes from the checkpoint.
-            if env.config.stop_at_checkpoint {
+            if run.config.stop_at_checkpoint {
                 return;
             }
         }
@@ -809,7 +1173,7 @@ fn thread_loop<P: CyclopsProgram>(env: ThreadEnv<'_, P>) {
         // and chunk contents (hence float reduction groups) are independent
         // of activation interleaving. O(frontier log(frontier/T)), no
         // scan-and-skip.
-        if env.t == 0 {
+        if t == 0 {
             let snap_start = Instant::now();
             let mut flat = ws.flat.write();
             let mut ends = ws.ends.write();
@@ -824,8 +1188,8 @@ fn thread_loop<P: CyclopsProgram>(env: ThreadEnv<'_, P>) {
             // this thread, walking the same chunk boundaries in chunk order
             // (identical float-reduction grouping), while the other threads
             // sit out the claim loop and the outbox fan-out is bypassed.
-            let fast = env.config.sparse_cutoff > 0.0
-                && (frontier_len as f64) < env.config.sparse_cutoff * wp.num_masters() as f64;
+            let fast = run.config.sparse_cutoff > 0.0
+                && (frontier_len as f64) < run.config.sparse_cutoff * wp.num_masters() as f64;
             ws.fast_path.store(fast, Ordering::Relaxed);
             times.add(Phase::Parse, snap_start.elapsed());
         }
@@ -836,190 +1200,81 @@ fn thread_loop<P: CyclopsProgram>(env: ThreadEnv<'_, P>) {
         // ---- Compute phase (CMP). ----
         let fast = ws.fast_path.load(Ordering::Relaxed);
         let compute_start = Instant::now();
-        let cmp_span = flight.as_ref().map(|r| r.now_ns());
-        let mut computed = 0usize;
-        let mut conv_delta = 0isize;
-        updated.clear();
+        let cmp_span = flight.map(|r| r.now_ns());
         {
             let flat = ws.flat.read();
             let ends = ws.ends.read();
-            let mut static_done = false;
-            let mut fast_next = 0usize;
-            loop {
-                // Claim the next chunk: statically this thread's own shard,
-                // dynamically whatever the cursor hands out — or, on the
-                // fast path, every chunk in index order on the leader alone
-                // (same chunk grouping, so the chunk-ordered float
-                // reduction is bitwise identical to the parallel schedule).
-                let c = if fast {
-                    if env.t != 0 || fast_next >= chunks {
-                        break;
-                    }
-                    fast_next += 1;
-                    fast_next - 1
-                } else {
-                    match sched {
-                        Sched::Static => {
-                            if static_done {
-                                break;
-                            }
-                            static_done = true;
-                            env.t
-                        }
-                        Sched::Dynamic => {
-                            let c = ws.cursor.fetch_add(1, Ordering::Relaxed);
-                            if c >= chunks {
-                                break;
-                            }
-                            c
-                        }
-                    }
-                };
+            // Claim the next chunk: statically this thread's own shard,
+            // dynamically whatever the cursor hands out — or, on the fast
+            // path, every chunk in index order on the leader alone (same
+            // chunk grouping, so the chunk-ordered float reduction is
+            // bitwise identical to the parallel schedule).
+            let mut own = match (fast, t) {
+                (true, 0) => 0..chunks,
+                (true, _) => 0..0,
+                (false, _) => t..t + 1,
+            };
+            let mut claim = || match sched {
+                Sched::Dynamic if !fast => Some(ws.cursor.fetch_add(1, Ordering::Relaxed)),
+                _ => own.next(),
+            };
+            while let Some(c) = claim().filter(|&c| c < chunks) {
                 let lo = if c == 0 { 0 } else { ends[c - 1] as usize };
                 let hi = ends[c] as usize;
                 // Dynamic claims are the events worth their own timeline
                 // rows; static shards and fast-path walks are already the
                 // compute span.
                 let chunk_span = flight
-                    .as_ref()
                     .filter(|_| sched == Sched::Dynamic && !fast)
                     .map(|r| r.now_ns());
-                let mut part = ChunkPartial::default();
+                acc.part = ChunkPartial::default();
                 for &li in &flat[lo..hi] {
                     let li = li as usize;
                     // Consume the activation so the parity slot can be
                     // reused two supersteps from now.
                     ws.frontier.consume(cur_parity, li);
-                    computed += 1;
-                    if let Some(hs) = hot_local.as_mut() {
-                        // Degree-derived work mass is the per-vertex cost
-                        // proxy — the same estimate the dynamic scheduler
-                        // balances on.
-                        hs.record(wp.masters[li], wp.work_mass[li].max(1) as u64);
-                    }
-                    if let Some(ledger) = &env.config.load_ledger {
+                    if let Some(ledger) = &run.config.load_ledger {
                         // Same cost proxy as the hot sketch; relaxed integer
                         // adds commute, so the ledger — and every migration
                         // decision read from it — is independent of thread
                         // count and chunk claim order.
                         ledger.record(wp.masters[li], wp.work_mass[li].max(1) as u64);
                     }
-                    let mut publish: Option<P::Message> = None;
-                    let mut reported: Option<f64> = None;
-                    {
-                        // SAFETY: chunks partition the frontier and the
-                        // frontier is duplicate-free, so each master is
-                        // computed at most once per superstep.
-                        let value = unsafe { ws.values.get_mut(li) };
-                        let mut ctx = CyclopsContext {
-                            vertex: wp.masters[li],
-                            local: li,
-                            superstep,
-                            graph: env.graph,
-                            plan: wp,
-                            value,
-                            msg_cur: &ws.msg_cur,
-                            rep_msg: &ws.rep_msg,
-                            direct_msg: &ws.direct_msg,
-                            publish: &mut publish,
-                            reported_error: &mut reported,
-                            aggregate: &mut part.agg,
-                            prev_aggregate: agg_in,
-                        };
-                        env.program.compute(&mut ctx);
-                    }
-                    if let Some(err) = reported {
-                        part.err_sum += err;
-                        part.err_count += 1;
-                        if let Convergence::Proportion { epsilon, .. } = env.config.convergence {
-                            let now = err <= epsilon;
-                            let was = ws.converged[li].swap(now, Ordering::Relaxed);
-                            conv_delta += now as isize - was as isize;
-                        }
-                    }
-                    if let Some(m) = publish {
-                        // Digest the publication exactly as it would go on
-                        // the wire (values mode only — this is the
-                        // diagnostic path that lets trace-diff name the
-                        // first divergent vertex).
-                        if capture_values {
-                            if let Some(tr) = tracer {
-                                digest_buf.clear();
-                                m.encode(&mut digest_buf);
-                                tr.record_publication(wp.masters[li], digest_bytes(&digest_buf));
-                            }
-                        }
-                        // Publish for local readers (visible next
-                        // superstep)... SAFETY: one write per master per
-                        // superstep.
-                        unsafe { ws.msg_next.write(li, Some(m.clone())) };
-                        updated.push(li as u32);
-                        // ...activate same-worker neighbors (lock-free bit
-                        // test, §5)...
-                        for &lo in wp.local_out(li) {
+                    let published = wk.compute_vertex(li, superstep, agg_in, &mut acc, |los, _| {
+                        for &lo in los {
                             ws.frontier.mark(next_parity, lo as usize);
                         }
-                        // ...and send exactly one sync+activation message
-                        // per mirror.
-                        for &(mw, rep_idx) in wp.mirrors(li) {
-                            outboxes[mw as usize].push(ReplicaUpdate::new(
-                                rep_idx,
-                                m.clone(),
-                                true,
-                            ));
-                        }
-                        // ...and one direct message per cross edge into a
-                        // cold (unreplicated) neighbor's inbox slot.
-                        if hybrid {
-                            for &(dw, slot) in wp.direct_out(li) {
-                                direct_outboxes[dw as usize].push(DirectMessage::new(
-                                    slot,
-                                    m.clone(),
-                                    true,
-                                ));
-                            }
-                        }
+                    });
+                    if let Some(m) = published {
+                        wk.fan_out(li, m, &mut out);
                     }
                 }
                 // Publish the chunk's float partial into its slot; the
                 // worker leader reduces slots in chunk-index order, so claim
                 // order never affects the float results.
-                *ws.partials[c].lock() = part;
-                if let (Some(r), Some(start)) = (&flight, chunk_span) {
-                    r.record(
-                        SpanKind::Chunk,
-                        start,
-                        superstep as u64,
-                        c as u64,
-                        (hi - lo) as u64,
-                    );
-                }
+                *ws.partials[c].lock() = acc.part;
+                end_span(
+                    flight,
+                    chunk_span,
+                    SpanKind::Chunk,
+                    [step, c as u64, (hi - lo) as u64],
+                );
             }
         }
         let cmp_elapsed = compute_start.elapsed();
-        ws.cmp_ns[env.t].store(cmp_elapsed.as_nanos() as u64, Ordering::Relaxed);
+        ws.cmp_ns[t].store(cmp_elapsed.as_nanos() as u64, Ordering::Relaxed);
         times.add(Phase::Compute, cmp_elapsed);
-        if let (Some(r), Some(start)) = (&flight, cmp_span) {
-            r.record(SpanKind::Compute, start, superstep as u64, 0, 0);
-        }
-        // Deposit this thread's outboxes into the worker-shared per-
-        // destination slots (Vec swaps — the slot left empty by last
-        // superstep's flush trades places with the filled local vec, so
-        // capacities recycle). Flush threads merge them after the barrier.
-        // The fast path skips the fan-out entirely: the leader holds every
+        end_span(flight, cmp_span, SpanKind::Compute, [step, 0, 0]);
+        // Deposit this thread's outboxes into the worker's `deposits` slots
+        // (swaps — the slot left empty by last superstep's flush trades
+        // places with the filled local outbox, so capacities recycle). The
+        // fast path skips the fan-out entirely: the leader holds every
         // message already and sends directly after the barrier.
         if !fast {
             let deposit_start = Instant::now();
-            for (dest, batch) in outboxes.iter_mut().enumerate() {
-                if !batch.is_empty() {
-                    std::mem::swap(&mut *ws.outboxes[dest][env.t].lock(), batch);
-                }
-            }
-            if hybrid {
-                for (dest, batch) in direct_outboxes.iter_mut().enumerate() {
-                    if !batch.is_empty() {
-                        std::mem::swap(&mut *ws.direct_outboxes[dest][env.t].lock(), batch);
-                    }
+            for (dest, ob) in out.iter_mut().enumerate() {
+                if !ob.is_empty() {
+                    std::mem::swap(&mut *ws.deposits[dest][t].lock(), ob);
                 }
             }
             times.add(Phase::Send, deposit_start.elapsed());
@@ -1030,269 +1285,72 @@ fn thread_loop<P: CyclopsProgram>(env: ThreadEnv<'_, P>) {
 
         // ---- Publish & send phase (SND). ----
         let send_start = Instant::now();
-        let snd_span = flight.as_ref().map(|r| r.now_ns());
-        for &li in &updated {
-            let li = li as usize;
-            // SAFETY: only the owning thread copies its updated slots, after
-            // the post-compute barrier (no readers are active).
-            let m = ws.msg_next.read(li).clone();
-            unsafe { ws.msg_cur.write(li, m) };
-        }
-        // All compute-phase local activations are in; the frontier length is
-        // the worker's locally-known next frontier (remote activations are
-        // still in flight and covered by the transport-empty termination
-        // check).
-        let next_active = if env.t == 0 {
-            ws.frontier.len(next_parity)
-        } else {
-            0
-        };
-        // Flush the worker-shared outboxes: destination `dest` is flushed by
-        // thread `dest % threads`, merging every compute thread's deposit in
-        // thread order. Exactly one batch goes out per non-empty destination
-        // per superstep, so the batch *count* stays deterministic even
-        // though dynamic chunk claiming shuffles which thread produced which
-        // message (and the adaptive wire format canonicalizes each batch by
-        // replica id, so the *bytes* are order-independent too). On the
-        // fast path the leader sends its local outboxes directly on its own
-        // lane — same one-batch-per-destination framing, no merge.
-        if fast {
-            if env.t == 0 {
-                for (dest, batch) in outboxes.iter_mut().enumerate() {
-                    if !batch.is_empty() {
-                        let sent = batch.len();
-                        let receipt =
-                            env.transport
-                                .send(lane, dest, std::mem::take(batch), superstep);
-                        if let Some(tr) = tracer {
-                            tr.add_sent_to(dest, sent as u64, receipt.bytes as u64);
-                            record_wire_mode(tr, dest, receipt);
-                        }
-                    }
-                }
-                if hybrid {
-                    for (dest, batch) in direct_outboxes.iter_mut().enumerate() {
-                        if !batch.is_empty() {
-                            let sent = batch.len();
-                            let receipt = env.direct_transport.send(
-                                lane,
-                                dest,
-                                std::mem::take(batch),
-                                superstep,
-                            );
-                            if let Some(tr) = tracer {
-                                tr.add_sent_to(dest, sent as u64, receipt.bytes as u64);
-                                tr.add_direct(sent as u64, receipt.bytes as u64);
-                                record_wire_mode(tr, dest, receipt);
-                            }
-                        }
-                    }
-                }
-            }
-        } else {
-            let mut flush: Vec<ReplicaUpdate<P::Message>> = Vec::new();
-            let mut dflush: Vec<DirectMessage<P::Message>> = Vec::new();
-            for dest in (env.t..num_workers).step_by(env.threads) {
-                flush.clear();
-                for slot in &ws.outboxes[dest] {
-                    flush.append(&mut slot.lock());
-                }
-                if !flush.is_empty() {
-                    let sent = flush.len();
-                    let receipt =
-                        env.transport
-                            .send(lane, dest, std::mem::take(&mut flush), superstep);
-                    if let Some(tr) = tracer {
-                        tr.add_sent_to(dest, sent as u64, receipt.bytes as u64);
-                        record_wire_mode(tr, dest, receipt);
-                    }
-                }
-                if hybrid {
-                    dflush.clear();
-                    for slot in &ws.direct_outboxes[dest] {
-                        dflush.append(&mut slot.lock());
-                    }
-                    if !dflush.is_empty() {
-                        let sent = dflush.len();
-                        let receipt = env.direct_transport.send(
-                            lane,
-                            dest,
-                            std::mem::take(&mut dflush),
-                            superstep,
-                        );
-                        if let Some(tr) = tracer {
-                            tr.add_sent_to(dest, sent as u64, receipt.bytes as u64);
-                            tr.add_direct(sent as u64, receipt.bytes as u64);
-                            record_wire_mode(tr, dest, receipt);
-                        }
-                    }
-                }
+        let snd_span = flight.map(|r| r.now_ns());
+        wk.publish_local(&mut acc.updated);
+        // Flush: destination `dest` is flushed by thread `dest % threads`,
+        // merging every compute thread's deposit in thread order (see
+        // `deposits`; the adaptive wire format canonicalizes each batch by
+        // slot id, so the *bytes* are order-independent too) into `flush`,
+        // not `out` — the send gives the buffer away, and the deposit slots
+        // and local outboxes keep the capacities they trade. On the fast
+        // path nothing was deposited: the leader's outboxes go out as they
+        // are on its own lane — same one-batch-per-destination framing, no
+        // merge — and the other threads' are empty.
+        let mine = if fast { 0..0 } else { t..num_workers };
+        for dest in mine.step_by(run.threads) {
+            for slot in &ws.deposits[dest] {
+                flush[dest].append(&mut slot.lock());
             }
         }
+        wk.send_outboxes(lane, superstep, if fast { &mut out } else { &mut flush });
         times.add(Phase::Send, send_start.elapsed());
-        if let (Some(r), Some(start)) = (&flight, snd_span) {
-            r.record(SpanKind::Send, start, superstep as u64, 0, 0);
-        }
+        end_span(flight, snd_span, SpanKind::Send, [step, 0, 0]);
 
-        // ---- Publish per-thread statistics. ----
-        env.computed_total.fetch_add(computed, Ordering::Relaxed);
-        env.next_active_total
-            .fetch_add(next_active, Ordering::Relaxed);
-        if conv_delta != 0 {
-            env.converged_delta.fetch_add(conv_delta, Ordering::Relaxed);
-        }
-        if let Some(tr) = tracer {
-            tr.add_computed(computed as u64);
-            tr.add_converged_delta(conv_delta as i64);
-            if env.t == 0 {
-                tr.add_activated(next_active as u64);
-                if fast {
-                    tr.mark_sparse_fast_path();
-                }
+        // ---- Publish this thread's sketch; reduce the worker's partials. ----
+        wk.trace_hot(t, &mut acc);
+        let mut reduced = ChunkPartial::default();
+        if t == 0 {
+            if let (Some(tr), true) = (wk.tr, fast) {
+                tr.mark_sparse_fast_path();
             }
-            if let Some(hs) = hot_local.as_mut() {
-                // Fold this thread's sketch before the barrier; the leader
-                // merges the slots in thread order at commit.
-                tr.set_thread_hot(env.t, hs);
-                hs.clear();
-            }
-        }
-        if env.t == 0 {
             // Worker-leader reduction: fold the chunk partials in chunk-index
             // order — a fixed order regardless of which thread computed which
             // chunk — so floating-point aggregation stays bitwise
             // deterministic under dynamic claiming.
-            let mut reduced = ChunkPartial::default();
             for slot in &ws.partials[..chunks] {
                 reduced.merge(&slot.lock());
             }
-            if let Some(tr) = tracer {
-                if !reduced.agg.is_empty() {
-                    // Slot 0 carries the whole worker's reduction; commit()
-                    // already reset every thread slot last superstep.
-                    tr.set_thread_agg(0, reduced.agg);
-                }
-            }
-            if let Some(so) = env.sched_obs {
+            // All compute-phase local activations are in.
+            reduced.next_active = ws.frontier.len(next_parity);
+            if let Some(so) = &run.sched_obs {
                 // Fast-path supersteps are single-threaded by design; their
                 // max/mean ratio is not scheduler skew, so don't record it.
                 if !fast {
                     so.record_threads(ws.cmp_ns.iter().map(|a| a.load(Ordering::Relaxed)));
                 }
             }
-            *env.worker_partials[env.w].lock() = reduced;
-        }
-        if env.t == 0 {
-            let mut cur = env.current.lock();
+            *run.worker_partials[w].lock() = reduced;
+            let mut cur = run.current.lock();
             cur.phase_times = cur.phase_times.merge(&times);
-        }
-        {
-            let mut cur = env.current.lock();
-            cur.active_vertices += computed;
         }
 
         // ---- SYN: hierarchical barrier + leader bookkeeping. ----
         let sync_start = Instant::now();
-        env.barrier
-            .wait_traced(env.w, env.t, flight.as_deref(), superstep as u64);
-        if env.w == 0 && env.t == 0 {
-            let total_computed = env.computed_total.swap(0, Ordering::Relaxed);
-            let total_next = env.next_active_total.swap(0, Ordering::Relaxed);
-            let delta = env.converged_delta.swap(0, Ordering::Relaxed);
-            let conv_total = env.converged_total.fetch_add(delta, Ordering::Relaxed) + delta;
-            // Global reduction: merge the per-worker partials in worker
-            // order (each worker's leader wrote its slot before the first
-            // hierarchical barrier above). Two fixed-order levels — chunks
-            // within a worker, workers here — make the float results
-            // independent of thread scheduling.
-            let mut agg = AggregateStats::default();
-            let mut err = (0.0f64, 0usize);
-            for slot in env.worker_partials.iter() {
-                let part = slot.lock();
-                agg.merge(&part.agg);
-                err.0 += part.err_sum;
-                err.1 += part.err_count;
-            }
-            *env.prev_aggregate.lock() = if agg.is_empty() { None } else { Some(agg) };
-            let mean_err = if err.1 > 0 {
-                Some(err.0 / err.1 as f64)
-            } else {
-                None
-            };
-
-            let snap = env
-                .transport
-                .counters()
-                .snapshot()
-                .merge(&env.direct_transport.counters().snapshot());
-            let mut last = env.last_counters.lock();
-            let mut cur = env.current.lock();
-            cur.superstep = superstep;
-            cur.messages_sent = snap.messages - last.messages;
-            cur.bytes_sent = snap.bytes - last.bytes;
-            debug_assert_eq!(cur.active_vertices, total_computed);
-            env.history.lock().push(std::mem::take(&mut cur));
-            *last = snap;
-            env.supersteps_done.store(superstep + 1, Ordering::Release);
-
-            let converged_enough = match env.config.convergence {
-                Convergence::ActiveVertices => false,
-                Convergence::Proportion { target, .. } => {
-                    conv_total as f64 >= target * env.total_vertices as f64
-                }
-                Convergence::GlobalError { epsilon } => {
-                    mean_err.map(|e| e <= epsilon).unwrap_or(false)
-                }
-            };
-            let drained =
-                total_next == 0 && env.transport.all_empty() && env.direct_transport.all_empty();
-            // A *global* cap on the superstep index: resumed runs continue
-            // toward the same cap rather than getting a fresh budget.
-            let capped = superstep + 1 >= env.config.max_supersteps;
-            env.stop
-                .store(drained || converged_enough || capped, Ordering::Release);
+        run.barrier.wait_traced(w, t, flight, superstep as u64);
+        if w == 0 && t == 0 {
+            run.close_superstep(superstep, false);
         }
-        env.barrier
-            .wait_traced(env.w, env.t, flight.as_deref(), superstep as u64);
-        if env.t == 0 {
+        run.barrier.wait_traced(w, t, flight, superstep as u64);
+        if t == 0 {
             let final_sync = sync_start.elapsed();
-            env.current.lock().phase_times.add(Phase::Sync, final_sync);
+            run.current.lock().phase_times.add(Phase::Sync, final_sync);
             times.add(Phase::Sync, final_sync);
-            // Worker leaders feed the phase-latency histograms (one Option
-            // check when no registry is installed).
-            if let Some(ph) = env.phase_hists {
-                ph.record(&times);
-                if env.w == 0 {
-                    ph.set_supersteps(superstep + 1);
-                }
-            }
-            // Commit this worker's superstep record. Safe to read every
-            // thread's accumulators: all of them published before the first
-            // hierarchical barrier above.
-            if let Some(tr) = tracer {
-                tr.commit(superstep, env.w, frontier_len, &times, checkpoint_now);
-            }
-            // Per-superstep memory sample (no-op unless `--mem` armed the
-            // tracking allocator); lands in `{"mem":…}` JSONL lines beside
-            // the records, outside the trace-diff contract.
-            cyclops_obs::mem::sample(superstep as u64, env.w as u32);
+            wk.commit_superstep(superstep, frontier_len, &times, &reduced, checkpoint_now);
         }
-        if env.stop.load(Ordering::Acquire) {
+        if run.stop.load(Ordering::Acquire) {
             return;
         }
         superstep += 1;
-    }
-}
-
-/// Folds one send receipt's wire mode into the tracer's per-superstep
-/// dense/sparse batch counts — both the record totals and destination
-/// `dest`'s comm-matrix row (legacy and intra-machine sends count as
-/// neither).
-fn record_wire_mode(tr: &cyclops_net::WorkerTracer, dest: usize, receipt: SendReceipt) {
-    match receipt.wire_mode {
-        Some(WireMode::Dense) => tr.add_wire_batches_to(dest, 1, 0),
-        Some(WireMode::Sparse) => tr.add_wire_batches_to(dest, 0, 1),
-        _ => {}
     }
 }
 
@@ -1318,62 +1376,60 @@ fn build_mass_chunks(flat: &[u32], ends: &mut Vec<u32>, mass: &[u32], chunks: us
     }
 }
 
-/// Captures a value-only checkpoint of one worker's masters (cooperative:
-/// the first worker to arrive creates the superstep's entry). `active`
-/// reports the vertex's activation flag — the barrier-per-superstep loop
-/// reads the frontier parity bit, the bucketed loop its pending-mark set.
-fn capture_checkpoint<V: Clone, M: Clone>(
-    checkpoints: &Mutex<Vec<CyclopsCheckpoint<V, M>>>,
-    wp: &crate::plan::WorkerPlan,
-    ws: &WorkerShared<V, M>,
-    superstep: usize,
-    interval: Option<usize>,
-    active: impl Fn(usize) -> bool,
-    aggregate: Option<AggregateStats>,
-) {
-    let mut cps = checkpoints.lock();
-    if cps.last().map(|c| c.superstep) != Some(superstep) {
-        cps.push(CyclopsCheckpoint {
-            superstep,
-            vertices: Vec::new(),
-            aggregate,
-        });
-    }
-    let cp = cps.last_mut().unwrap_or_else(|| {
-        // The push above guarantees an entry for this superstep exists; an
-        // empty store here means the capture cadence and the store went out
-        // of sync (e.g. a caller invoked capture without its trigger).
-        panic!(
-            "checkpoint store empty at superstep {superstep} despite a capture trigger \
-             (checkpoint_every = {interval:?})"
-        )
-    });
-    for (li, &v) in wp.masters.iter().enumerate() {
-        cp.vertices.push((
-            v,
-            ws.values.read(li).clone(),
-            ws.msg_cur.read(li).clone(),
-            active(li),
-        ));
-    }
-}
-
 // ---- Bucketed (delta-stepping) execution. ----
 //
-// The paper's Figure 9 SSSP-on-RoadCA pathology: ~600 near-empty supersteps,
-// one global barrier pair per hop, so barrier cost dominates and Cyclops
-// loses to Hama. The bucketed scheduler replaces "one relaxation round per
-// barrier" with "one priority bucket per barrier": vertices carry an
+// "One priority bucket per barrier" instead of "one relaxation round per
+// barrier" (what and why: `CyclopsConfig::bucket_width`). Vertices carry an
 // activation priority (for SSSP, the tentative distance proposed by the
-// activating publication), parked activations wait in a bucket queue of
-// width Δ, and each superstep drains the lowest nonempty bucket to a local
-// fixpoint — fusing all the light-edge relaxation rounds the bucket needs —
-// before the one global barrier pair runs. Correctness does not depend on
-// the drain order: with non-negative weights, min-relaxation reaches the
-// same fixpoint under any schedule; the priority is only a lower bound used
-// to avoid relaxing vertices whose turn has not come.
+// activating publication) and parked activations wait in a bucket queue of
+// width Δ. Correctness does not depend on the drain order: with non-negative
+// weights, min-relaxation reaches the same fixpoint under any schedule; the
+// priority is only a lower bound used to avoid relaxing vertices whose turn
+// has not come.
 
 use cyclops_net::{priority_key as okey, priority_key_inv as okey_inv, IMMEDIATE_KEY as IMMEDIATE};
+
+/// The settle's activation set: where the per-barrier loop marks a frontier
+/// parity bit, the settle parks the vertex at a priority.
+struct Parked {
+    /// Per worker: local indices of parked/pending activations.
+    pending: Vec<Vec<u32>>,
+    /// Per worker, per master: whether the vertex is in `pending`.
+    marked: Vec<Vec<bool>>,
+    /// Per worker, per master: ordered-key activation priority. Valid only
+    /// while marked; re-marks fold with `min`.
+    prio: Vec<Vec<u64>>,
+}
+
+impl Parked {
+    /// Parks an activation of each of worker `w`'s local masters `readers`
+    /// at priority `key` (re-activations keep the smaller key).
+    fn mark(&mut self, w: usize, readers: &[u32], key: u64) {
+        for &li in readers {
+            let prio = &mut self.prio[w][li as usize];
+            if std::mem::replace(&mut self.marked[w][li as usize], true) {
+                *prio = key.min(*prio);
+            } else {
+                *prio = key;
+                self.pending[w].push(li);
+            }
+        }
+    }
+
+    /// Moves worker `w`'s due activations (priority below `end_key`) out of
+    /// its pending list into `sel`, in order; parked vertices stay pending.
+    fn select(&mut self, w: usize, end_key: u64, sel: &mut Vec<u32>) {
+        let (prio, marked) = (&self.prio[w], &mut self.marked[w]);
+        self.pending[w].retain(|&li| {
+            let due = prio[li as usize] < end_key;
+            if due {
+                marked[li as usize] = false;
+                sel.push(li);
+            }
+            !due
+        });
+    }
+}
 
 /// Leader-owned state of the bucketed scheduler.
 ///
@@ -1384,13 +1440,7 @@ use cyclops_net::{priority_key as okey, priority_key_inv as okey_inv, IMMEDIATE_
 /// near-empty high-diameter supersteps — for a superstep (and barrier)
 /// count of ~one per nonempty bucket instead of one per hop.
 struct BucketSched<M> {
-    /// Per worker: local indices of parked/pending activations.
-    pending: Vec<Vec<u32>>,
-    /// Per worker, per master: whether the vertex is in `pending`.
-    marked: Vec<Vec<bool>>,
-    /// Per worker, per master: ordered-key activation priority. Valid only
-    /// while marked; re-marks fold with `min`.
-    prio: Vec<Vec<u64>>,
+    parked: Parked,
     /// Per worker, per master: superstep generation of the last selection —
     /// counts distinct bucket occupancy without a per-superstep reset pass.
     sel_gen: Vec<Vec<u64>>,
@@ -1402,13 +1452,11 @@ struct BucketSched<M> {
     dirty: Vec<u32>,
     /// Scratch: the current fused round's selection, per worker.
     selected: Vec<Vec<u32>>,
-    /// Scratch: per-destination replica-update outboxes, reused per round.
-    outboxes: Vec<Vec<ReplicaUpdate<M>>>,
-    /// Scratch: per-destination direct-message outboxes (hybrid replication),
-    /// reused per round.
-    direct_outboxes: Vec<Vec<DirectMessage<M>>>,
-    /// Scratch: masters whose publication changed this round.
-    updated: Vec<u32>,
+    /// Scratch: per-destination outboxes, reused per worker and round.
+    out: Vec<Outbox<M>>,
+    /// Per worker: this superstep's CMP accumulators (scratch recycled
+    /// across supersteps).
+    accs: Vec<CmpAcc>,
     /// Index of the bucket the current superstep drains.
     bucket: u64,
     /// Live bucket width. Seeded from `config.bucket_width`; when
@@ -1431,34 +1479,25 @@ struct BucketSched<M> {
 }
 
 impl<M> BucketSched<M> {
-    fn new<V>(shared: &[WorkerShared<V, M>], start_parity: usize, delta: f64) -> Self {
-        let num_workers = shared.len();
+    fn new<P: CyclopsProgram<Message = M>>(run: &Run<'_, P>) -> Self {
+        let masters = || run.shared.iter().map(|ws| ws.values.len());
+        let per_master = || -> Vec<Vec<u64>> { masters().map(|n| vec![0; n]).collect() };
+        let num_workers = run.shared.len();
         let mut s = BucketSched {
-            pending: (0..num_workers).map(|_| Vec::new()).collect(),
-            marked: shared
-                .iter()
-                .map(|ws| vec![false; ws.values.len()])
-                .collect(),
-            prio: shared
-                .iter()
-                .map(|ws| vec![0u64; ws.values.len()])
-                .collect(),
-            sel_gen: shared
-                .iter()
-                .map(|ws| vec![0u64; ws.values.len()])
-                .collect(),
-            dirty_gen: shared
-                .iter()
-                .map(|ws| vec![0u64; ws.values.len()])
-                .collect(),
+            parked: Parked {
+                pending: vec![Vec::new(); num_workers],
+                marked: masters().map(|n| vec![false; n]).collect(),
+                prio: per_master(),
+            },
+            sel_gen: per_master(),
+            dirty_gen: per_master(),
             dirty: Vec::new(),
-            selected: (0..num_workers).map(|_| Vec::new()).collect(),
-            outboxes: (0..num_workers).map(|_| Vec::new()).collect(),
-            direct_outboxes: (0..num_workers).map(|_| Vec::new()).collect(),
-            updated: Vec::new(),
+            selected: vec![Vec::new(); num_workers],
+            out: Outbox::per_worker(num_workers),
+            accs: (0..num_workers).map(|_| CmpAcc::new(run.trace)).collect(),
             bucket: 0,
-            delta,
-            delta0: delta,
+            delta: run.config.bucket_width,
+            delta0: run.config.bucket_width,
             occ_sum: 0,
             occ_count: 0,
             epoch: 0,
@@ -1466,73 +1505,35 @@ impl<M> BucketSched<M> {
         };
         // Seed from the initial (or checkpoint-restored) frontier marks;
         // their priorities are unknown, so they are due immediately.
-        for (w, ws) in shared.iter().enumerate() {
+        for (w, ws) in run.shared.iter().enumerate() {
             for li in 0..ws.values.len() {
-                if ws.frontier.is_marked(start_parity, li) {
-                    s.mark(w, li, IMMEDIATE);
+                if ws.frontier.is_marked(run.start_superstep & 1, li) {
+                    s.parked.mark(w, &[li as u32], IMMEDIATE);
                 }
             }
         }
         s
     }
-
-    /// Parks an activation of worker `w`'s local master `li` at priority
-    /// `key` (re-activations keep the smaller key).
-    fn mark(&mut self, w: usize, li: usize, key: u64) {
-        if self.marked[w][li] {
-            let p = &mut self.prio[w][li];
-            if key < *p {
-                *p = key;
-            }
-        } else {
-            self.marked[w][li] = true;
-            self.prio[w][li] = key;
-            self.pending[w].push(li as u32);
-        }
-    }
-
-    /// Moves worker `w`'s due activations (priority below `end_key`) out of
-    /// its pending list into `sel`, in place; parked vertices stay pending.
-    fn select(&mut self, w: usize, end_key: u64, sel: &mut Vec<u32>) {
-        let prio = &self.prio[w];
-        let marked = &mut self.marked[w];
-        let pending = &mut self.pending[w];
-        let mut keep = 0;
-        for i in 0..pending.len() {
-            let li = pending[i];
-            if prio[li as usize] < end_key {
-                marked[li as usize] = false;
-                sel.push(li);
-            } else {
-                pending[keep] = li;
-                keep += 1;
-            }
-        }
-        pending.truncate(keep);
-    }
 }
 
 /// Thread body of a bucketed run. Every thread still meets the two
-/// hierarchical barrier waits per superstep — so barrier-protocol
-/// accounting stays comparable with the classic loop — but all settle work
-/// happens on the global leader between them.
-fn bucketed_thread_loop<P: CyclopsProgram>(env: ThreadEnv<'_, P>) {
-    let is_leader = env.w == 0 && env.t == 0;
-    let mut sched = is_leader
-        .then(|| BucketSched::new(env.shared, env.start_superstep & 1, env.config.bucket_width));
-    let flight = cyclops_obs::flight().map(|fr| fr.ring(env.w as u32, env.t as u32));
-    // Worker-slot tag for the tracking allocator (see `thread_loop`).
-    let _mem_tag = cyclops_obs::mem::MemScope::worker(env.w);
-    let mut superstep = env.start_superstep;
+/// hierarchical barrier waits per superstep, so barrier-protocol accounting
+/// stays comparable with the per-barrier loop (see [`BucketSched`]).
+fn bucketed_thread_loop<P: CyclopsProgram>(
+    run: &Run<'_, P>,
+    w: usize,
+    t: usize,
+    flight: Option<&SpanRing>,
+) {
+    let mut sched = (w == 0 && t == 0).then(|| BucketSched::new(run));
+    let mut superstep = run.start_superstep;
     loop {
-        env.barrier
-            .wait_traced(env.w, env.t, flight.as_deref(), superstep as u64);
+        run.barrier.wait_traced(w, t, flight, superstep as u64);
         if let Some(sched) = sched.as_mut() {
-            settle_bucket(&env, sched, superstep, flight.as_deref());
+            settle_bucket(run, sched, superstep, flight);
         }
-        env.barrier
-            .wait_traced(env.w, env.t, flight.as_deref(), superstep as u64);
-        if env.stop.load(Ordering::Acquire) {
+        run.barrier.wait_traced(w, t, flight, superstep as u64);
+        if run.stop.load(Ordering::Acquire) {
             return;
         }
         superstep += 1;
@@ -1540,142 +1541,77 @@ fn bucketed_thread_loop<P: CyclopsProgram>(env: ThreadEnv<'_, P>) {
 }
 
 /// One bucketed superstep, run by the global leader alone: drain the
-/// current bucket to a fixpoint (fused relaxation rounds), then do the
-/// whole-superstep bookkeeping the classic loop's leader does at SYN.
+/// current bucket to a fixpoint (fused relaxation rounds, each a PRS → CMP
+/// → SND pass over every worker in worker order), then close the superstep.
 fn settle_bucket<P: CyclopsProgram>(
-    env: &ThreadEnv<'_, P>,
+    run: &Run<'_, P>,
     sched: &mut BucketSched<P::Message>,
     superstep: usize,
     ring: Option<&SpanRing>,
 ) {
     let settle_start = Instant::now();
-    let num_workers = env.plan.workers.len();
-    let hybrid = env.plan.workers.iter().any(|p| p.num_direct_slots() > 0);
-    let delta = sched.delta;
-    let fast_mode = env.config.bucket_mode == BucketMode::Fast;
+    let num_workers = run.plan.workers.len();
+    let fast_mode = run.config.bucket_mode == BucketMode::Fast;
     let bucket = sched.bucket;
-    let end_key = okey((bucket + 1) as f64 * delta);
-    let agg_in = *env.prev_aggregate.lock();
-    let capture_values = env.trace.map(|s| s.captures_values()).unwrap_or(false);
-    let hot_k = env.trace.map(|s| s.hot_k()).unwrap_or(0);
+    let end_key = okey((bucket + 1) as f64 * sched.delta);
+    let agg_in = *run.prev_aggregate.lock();
     let gen = superstep as u64 + 1;
+    // Activations park at the priority their payload proposes.
+    let key_of = |m: &P::Message| run.program.priority(m).map(okey).unwrap_or(IMMEDIATE);
 
     // Value-only checkpoint on the bucket boundary: the previous settle's
     // final drain applied every in-flight update, so the transport is empty
     // and each replica equals its master — the same consistent cut the
-    // classic loop captures. Parked priorities are not stored; a resume
+    // per-barrier loop captures. Parked priorities are not stored; a resume
     // reactivates the parked set as immediately due, costing at most one
     // extra (idempotent) relaxation.
-    let checkpoint_now = match env.config.checkpoint_every {
-        Some(every) => {
-            every > 0
-                && superstep > env.start_superstep
-                && (superstep - env.start_superstep).is_multiple_of(every)
-        }
-        None => false,
-    };
+    let checkpoint_now = run.checkpoint_due(superstep);
     if checkpoint_now {
-        for w in 0..num_workers {
-            let marked = &sched.marked[w];
-            capture_checkpoint(
-                env.checkpoints,
-                &env.plan.workers[w],
-                &env.shared[w],
-                superstep,
-                env.config.checkpoint_every,
-                |li| marked[li],
-                agg_in,
-            );
+        for (w, marked) in sched.parked.marked.iter().enumerate() {
+            run.worker(w)
+                .capture_checkpoint(superstep, agg_in, |li| marked[li]);
         }
     }
 
     // Per-worker accumulators for this superstep's trace records.
-    let mut drained = vec![0u64; num_workers];
     let mut occupancy = vec![0u64; num_workers];
-    let mut computed = vec![0usize; num_workers];
-    let mut conv_delta = vec![0isize; num_workers];
-    let mut partials: Vec<ChunkPartial> = vec![ChunkPartial::default(); num_workers];
     let mut times: Vec<PhaseTimes> = vec![PhaseTimes::default(); num_workers];
-    let mut hot: Vec<Option<cyclops_net::trace::SpaceSaving>> = (0..num_workers)
-        .map(|_| (hot_k > 0).then(|| cyclops_net::trace::SpaceSaving::new(hot_k)))
-        .collect();
-    let mut digest_buf = bytes::BytesMut::new();
     let mut rounds = 0u64;
     let mut budget_exhausted = false;
 
     // ---- Fused relaxation rounds. ----
     loop {
         let round_span = ring.map(|r| r.now_ns());
-        // A program that keeps re-activating (which the classic loop would
-        // cut off at its superstep cap) must not spin the drain forever:
-        // stop once the run has spent as many fused rounds as the classic
-        // loop would have been allowed barrier rounds.
-        if sched.rounds_total >= env.config.max_supersteps {
+        // A program that keeps re-activating (which the per-barrier loop
+        // would cut off at its superstep cap) must not spin the drain
+        // forever: stop once the run has spent as many fused rounds as the
+        // per-barrier loop would have been allowed barrier rounds.
+        if sched.rounds_total >= run.config.max_supersteps {
             budget_exhausted = true;
             break;
         }
-        // Phase A: drain inbound sync messages and apply them to replicas,
-        // every worker in worker order; activations park at the priority
-        // their payload proposes.
-        for w in 0..num_workers {
-            let ws = &env.shared[w];
-            let wp = &env.plan.workers[w];
+        // Phase A (PRS): every worker, in worker order.
+        for (w, t) in times.iter_mut().enumerate() {
+            let wk = run.worker(w);
             let t0 = Instant::now();
-            ws.rep_msg.begin_epoch();
-            let batch = env.transport.drain(w, sched.epoch);
-            drained[w] += batch.len() as u64;
-            for upd in batch {
-                let key = env
-                    .program
-                    .priority(&upd.payload)
-                    .map(okey)
-                    .unwrap_or(IMMEDIATE);
-                let rep = upd.replica as usize;
-                // SAFETY: the settle is sequential and the epoch is fresh —
-                // one writer, at most one write per replica per round.
-                unsafe { ws.rep_msg.write(rep, Some(upd.payload)) };
-                if upd.activate {
-                    for &lo in wp.rep_out(rep) {
-                        sched.mark(w, lo as usize, key);
-                    }
-                }
-            }
-            if hybrid {
-                ws.direct_msg.begin_epoch();
-                let batch = env.direct_transport.drain(w, sched.epoch);
-                drained[w] += batch.len() as u64;
-                for dm in batch {
-                    let key = env
-                        .program
-                        .priority(&dm.payload)
-                        .map(okey)
-                        .unwrap_or(IMMEDIATE);
-                    let slot = dm.slot as usize;
-                    // SAFETY: sequential settle, fresh epoch, and the dirty
-                    // list dedup sends at most one message per slot per round.
-                    unsafe { ws.direct_msg.write(slot, Some(dm.payload)) };
-                    if dm.activate {
-                        sched.mark(w, wp.direct_target[slot] as usize, key);
-                    }
-                }
-            }
-            times[w].add(Phase::Parse, t0.elapsed());
+            wk.begin_epoch();
+            let wake = |readers: &[u32], m: &P::Message| sched.parked.mark(w, readers, key_of(m));
+            wk.apply_inbound(sched.epoch, (0, 1), wake);
+            t.add(Phase::Parse, t0.elapsed());
         }
 
         // Phase B: select this round's due vertices per worker.
-        let mut selected = std::mem::take(&mut sched.selected);
         let mut total_selected = 0usize;
-        for (w, sel) in selected.iter_mut().enumerate() {
+        for (w, sel) in sched.selected.iter_mut().enumerate() {
             sel.clear();
-            sched.select(w, end_key, sel);
+            sched.parked.select(w, end_key, sel);
             if !fast_mode {
                 // Deterministic drain (and float-reduction) order.
                 sel.sort_unstable();
             }
             total_selected += sel.len();
         }
-        if total_selected == 0 && env.transport.all_empty() && env.direct_transport.all_empty() {
-            sched.selected = selected;
+        if total_selected == 0 && run.wire.all_empty() {
             break;
         }
         rounds += 1;
@@ -1686,343 +1622,148 @@ fn settle_bucket<P: CyclopsProgram>(
         // even when the first bucket needs several rounds — or when a
         // self-loop re-selects an initially active vertex.
         let kickoff_round = superstep == 0 && sched.rounds_total == 1;
+        // Round generation for the dirty-list dedup: the transport epoch is
+        // unique per round and never reset.
+        let rgen = sched.epoch as u64 + 1;
 
-        // Phase C+D: compute each worker's selection against the immutable
-        // view, publish, and send one sync batch per destination. In fast
-        // mode, newly due same-worker activations chain into extra passes
-        // of the same round instead of waiting for the next one.
+        // Phase C+D (CMP, SND): compute each worker's selection against the
+        // immutable view, publish, and send one sync batch per destination.
+        // In fast mode, newly due same-worker activations chain into extra
+        // passes of the same round instead of waiting for the next one.
         for w in 0..num_workers {
-            let ws = &env.shared[w];
-            let wp = &env.plan.workers[w];
-            let mut outboxes = std::mem::take(&mut sched.outboxes);
-            let mut direct_outboxes = std::mem::take(&mut sched.direct_outboxes);
-            let mut updated = std::mem::take(&mut sched.updated);
-            let mut dirty = std::mem::take(&mut sched.dirty);
-            // Round generation for the dirty-list dedup: the transport epoch
-            // is unique per round and never reset.
-            let rgen = sched.epoch as u64 + 1;
-            let sel = &mut selected[w];
+            let wk = run.worker(w);
+            let acc = &mut sched.accs[w];
+            let sel = &mut sched.selected[w];
             let t_cmp = Instant::now();
             let mut pass_superstep = if kickoff_round { 0 } else { superstep.max(1) };
             loop {
-                ws.values.begin_epoch();
-                ws.msg_cur.begin_epoch();
-                ws.msg_next.begin_epoch();
-                updated.clear();
                 for &li in sel.iter() {
                     let li = li as usize;
-                    computed[w] += 1;
                     if sched.sel_gen[w][li] != gen {
                         sched.sel_gen[w][li] = gen;
                         occupancy[w] += 1;
                     }
-                    if let Some(hs) = hot[w].as_mut() {
-                        hs.record(wp.masters[li], wp.work_mass[li].max(1) as u64);
-                    }
-                    let mut publish: Option<P::Message> = None;
-                    let mut reported: Option<f64> = None;
-                    {
-                        // SAFETY: `sel` is duplicate-free (mark/select keep
-                        // set semantics) and the settle is sequential.
-                        let value = unsafe { ws.values.get_mut(li) };
-                        let mut ctx = CyclopsContext {
-                            vertex: wp.masters[li],
-                            local: li,
-                            superstep: pass_superstep,
-                            graph: env.graph,
-                            plan: wp,
-                            value,
-                            msg_cur: &ws.msg_cur,
-                            rep_msg: &ws.rep_msg,
-                            direct_msg: &ws.direct_msg,
-                            publish: &mut publish,
-                            reported_error: &mut reported,
-                            aggregate: &mut partials[w].agg,
-                            prev_aggregate: agg_in,
-                        };
-                        env.program.compute(&mut ctx);
-                    }
-                    if let Some(err) = reported {
-                        partials[w].err_sum += err;
-                        partials[w].err_count += 1;
-                        if let Convergence::Proportion { epsilon, .. } = env.config.convergence {
-                            let now = err <= epsilon;
-                            let was = ws.converged[li].swap(now, Ordering::Relaxed);
-                            conv_delta[w] += now as isize - was as isize;
-                        }
-                    }
-                    if let Some(m) = publish {
-                        if capture_values {
-                            if let Some(trace) = env.trace {
-                                digest_buf.clear();
-                                m.encode(&mut digest_buf);
-                                trace
-                                    .worker(w)
-                                    .record_publication(wp.masters[li], digest_bytes(&digest_buf));
-                            }
-                        }
-                        let key = env.program.priority(&m).map(okey).unwrap_or(IMMEDIATE);
-                        // SAFETY: one write per master per epoch (per pass).
-                        unsafe { ws.msg_next.write(li, Some(m)) };
-                        updated.push(li as u32);
-                        for &lo in wp.local_out(li) {
-                            sched.mark(w, lo as usize, key);
-                        }
-                        if sched.dirty_gen[w][li] != rgen {
-                            sched.dirty_gen[w][li] = rgen;
-                            dirty.push(li as u32);
-                        }
+                    let wake = |los: &[u32], m: &P::Message| sched.parked.mark(w, los, key_of(m));
+                    let published = wk.compute_vertex(li, pass_superstep, agg_in, acc, wake);
+                    if published.is_some() && sched.dirty_gen[w][li] != rgen {
+                        sched.dirty_gen[w][li] = rgen;
+                        sched.dirty.push(li as u32);
                     }
                 }
                 // Publish this pass's updates so the next round — or, in
                 // fast mode, the next chained pass — reads them.
-                for &li in &updated {
-                    let li = li as usize;
-                    let m = ws.msg_next.read(li).clone();
-                    // SAFETY: sequential; fresh epoch began this pass.
-                    unsafe { ws.msg_cur.write(li, m) };
-                }
+                wk.publish_local(&mut acc.updated);
                 if !fast_mode {
                     break;
                 }
                 sel.clear();
-                sched.select(w, end_key, sel);
+                sched.parked.select(w, end_key, sel);
                 if sel.is_empty() {
                     break;
                 }
-                // A chained pass is a later logical superstep.
+                // A chained pass is a later logical superstep, and a fresh
+                // write epoch for the masters it recomputes.
                 pass_superstep = superstep.max(1);
+                wk.begin_epoch();
             }
-            // Sync each dirty master's *final* publication to its mirrors —
-            // exactly one update per replica per round, preserving the §3.4
+            // Sync each dirty master's *final* publication to its readers —
+            // exactly one update per slot per round, preserving the §3.4
             // at-most-one-message invariant even when fast-mode chaining
             // republished a master several times within the round (that
             // collapse is delta-stepping's message saving).
-            for &li in &dirty {
-                let li = li as usize;
-                if let Some(m) = ws.msg_cur.read(li) {
-                    for &(mw, rep_idx) in wp.mirrors(li) {
-                        outboxes[mw as usize].push(ReplicaUpdate::new(rep_idx, m.clone(), true));
-                    }
-                    if hybrid {
-                        for &(dw, slot) in wp.direct_out(li) {
-                            direct_outboxes[dw as usize].push(DirectMessage::new(
-                                slot,
-                                m.clone(),
-                                true,
-                            ));
-                        }
-                    }
+            for li in sched.dirty.drain(..) {
+                if let Some(m) = wk.ws.msg_cur.read(li as usize) {
+                    wk.fan_out(li as usize, m, &mut sched.out);
                 }
             }
-            dirty.clear();
             times[w].add(Phase::Compute, t_cmp.elapsed());
             let t_snd = Instant::now();
-            let lane = w * env.threads;
-            for (dest, batch) in outboxes.iter_mut().enumerate() {
-                if !batch.is_empty() {
-                    let sent = batch.len();
-                    let receipt =
-                        env.transport
-                            .send(lane, dest, std::mem::take(batch), sched.epoch);
-                    if let Some(trace) = env.trace {
-                        let tr = trace.worker(w);
-                        tr.add_sent_to(dest, sent as u64, receipt.bytes as u64);
-                        record_wire_mode(tr, dest, receipt);
-                    }
-                }
-            }
-            if hybrid {
-                for (dest, batch) in direct_outboxes.iter_mut().enumerate() {
-                    if !batch.is_empty() {
-                        let sent = batch.len();
-                        let receipt = env.direct_transport.send(
-                            lane,
-                            dest,
-                            std::mem::take(batch),
-                            sched.epoch,
-                        );
-                        if let Some(trace) = env.trace {
-                            let tr = trace.worker(w);
-                            tr.add_sent_to(dest, sent as u64, receipt.bytes as u64);
-                            tr.add_direct(sent as u64, receipt.bytes as u64);
-                            record_wire_mode(tr, dest, receipt);
-                        }
-                    }
-                }
-            }
+            wk.send_outboxes(w * run.threads, sched.epoch, &mut sched.out);
             times[w].add(Phase::Send, t_snd.elapsed());
-            sched.outboxes = outboxes;
-            sched.direct_outboxes = direct_outboxes;
-            sched.updated = updated;
-            sched.dirty = dirty;
         }
-        sched.selected = selected;
         sched.epoch += 1;
-        if let (Some(r), Some(start)) = (ring, round_span) {
-            r.record(
-                SpanKind::Round,
-                start,
-                bucket,
-                rounds,
-                total_selected as u64,
-            );
-        }
+        let span_args = [bucket, rounds, total_selected as u64];
+        end_span(ring, round_span, SpanKind::Round, span_args);
     }
 
-    // ---- Superstep epilogue: the classic loop's leader bookkeeping. ----
-    let total_computed: usize = computed.iter().sum();
-    let delta_conv: isize = conv_delta.iter().sum();
-    let conv_total = env.converged_total.fetch_add(delta_conv, Ordering::Relaxed) + delta_conv;
-    // Two-level deterministic float reduction: per worker sequentially
-    // above, workers merged in worker order here.
-    let mut agg = AggregateStats::default();
-    let mut err = (0.0f64, 0usize);
-    for part in &partials {
-        agg.merge(&part.agg);
-        err.0 += part.err_sum;
-        err.1 += part.err_count;
-    }
-    *env.prev_aggregate.lock() = if agg.is_empty() { None } else { Some(agg) };
-    let mean_err = if err.1 > 0 {
-        Some(err.0 / err.1 as f64)
-    } else {
-        None
-    };
-
+    // ---- Superstep epilogue: hand the leader's SYN what the per-barrier
+    // loop's worker leaders hand it. ----
     let settle_elapsed = settle_start.elapsed();
-    // The settle is sequential: while one worker's state is processed every
-    // other worker's threads wait, so a worker's sync share is the superstep
-    // wall minus its own work — making why-slow's wait attribution reflect
-    // the serialization honestly.
+    let mut phase_total = PhaseTimes::default();
     for t in times.iter_mut() {
+        // The settle is sequential: while one worker's state is processed
+        // every other worker's threads wait, so a worker's sync share is the
+        // superstep wall minus its own work — making why-slow's wait
+        // attribution reflect the serialization honestly.
         let work = t.total();
         t.add(Phase::Sync, settle_elapsed.saturating_sub(work));
+        phase_total = phase_total.merge(t);
     }
-
-    let snap = env
-        .transport
-        .counters()
-        .snapshot()
-        .merge(&env.direct_transport.counters().snapshot());
-    let mut last = env.last_counters.lock();
-    let mut stats = SuperstepStats {
-        superstep,
-        active_vertices: total_computed,
-        messages_sent: snap.messages - last.messages,
-        bytes_sent: snap.bytes - last.bytes,
-        ..SuperstepStats::default()
-    };
-    for t in &times {
-        stats.phase_times = stats.phase_times.merge(t);
+    run.current.lock().phase_times = phase_total;
+    for (w, acc) in sched.accs.iter_mut().enumerate() {
+        // The locally-known next frontier is the parked set.
+        acc.part.next_active = sched.parked.pending[w].len();
+        *run.worker_partials[w].lock() = acc.part;
     }
-    env.history.lock().push(stats);
-    *last = snap;
-    drop(last);
-    env.supersteps_done.store(superstep + 1, Ordering::Release);
-
-    if let Some(trace) = env.trace {
-        for w in 0..num_workers {
-            let tr = trace.worker(w);
-            tr.add_drained(drained[w]);
-            tr.add_computed(computed[w] as u64);
-            tr.add_converged_delta(conv_delta[w] as i64);
-            // The locally-known next frontier is the parked set.
-            tr.add_activated(sched.pending[w].len() as u64);
+    let stop = run.close_superstep(superstep, budget_exhausted);
+    // The settle runs on the global leader, so it commits (and samples
+    // memory) on every worker's behalf.
+    for (w, acc) in sched.accs.iter_mut().enumerate() {
+        let wk = run.worker(w);
+        if let Some(tr) = wk.tr {
             tr.set_bucket(bucket, rounds.max(1), occupancy[w]);
-            if !partials[w].agg.is_empty() {
-                tr.set_thread_agg(0, partials[w].agg);
-            }
-            if let Some(hs) = hot[w].as_ref() {
-                tr.set_thread_hot(0, hs);
-            }
-            tr.commit(
-                superstep,
-                w,
-                occupancy[w] as usize,
-                &times[w],
-                checkpoint_now,
-            );
-            // Per-superstep memory sample for each worker's slot (no-op
-            // unless `--mem` armed the allocator); the settle runs on the
-            // global leader, so it samples on every worker's behalf.
-            cyclops_obs::mem::sample(superstep as u64, w as u32);
         }
-    }
-    if let Some(ph) = env.phase_hists {
-        for t in &times {
-            ph.record(t);
-        }
-        ph.set_supersteps(superstep + 1);
+        wk.trace_hot(0, acc);
+        let frontier = occupancy[w] as usize;
+        wk.commit_superstep(superstep, frontier, &times[w], &acc.part, checkpoint_now);
+        acc.part = ChunkPartial::default(); // the next superstep starts clean
     }
 
-    // ---- Termination / bucket advance. ----
-    let converged_enough = match env.config.convergence {
-        Convergence::ActiveVertices => false,
-        Convergence::Proportion { target, .. } => {
-            conv_total as f64 >= target * env.total_vertices as f64
-        }
-        Convergence::GlobalError { epsilon } => mean_err.map(|e| e <= epsilon).unwrap_or(false),
-    };
-    let all_parked_empty = sched.pending.iter().all(|p| p.is_empty());
-    let drained_all =
-        all_parked_empty && env.transport.all_empty() && env.direct_transport.all_empty();
-    let capped = superstep + 1 >= env.config.max_supersteps || budget_exhausted;
-    let stop = drained_all || converged_enough || capped;
-    if !stop {
-        // Feed the live occupancy histogram into the width controller.
-        // Counters, never clocks: the same run retunes identically on any
-        // machine or thread count, keeping `det` mode trace-stable.
-        let total_occ: u64 = occupancy.iter().sum();
-        sched.occ_sum += total_occ;
-        sched.occ_count += 1;
-        let new_delta = if env.config.bucket_adapt {
-            retune_delta(
-                sched.delta,
-                sched.delta0,
-                total_occ,
-                rounds,
-                sched.occ_sum,
-                sched.occ_count,
-            )
-        } else {
-            sched.delta
-        };
-        // Jump straight to the bucket holding the smallest parked priority
-        // (parked keys are all >= end_key, so this always advances).
-        let mut min_key = u64::MAX;
-        for (w, p) in sched.pending.iter().enumerate() {
-            for &li in p {
-                min_key = min_key.min(sched.prio[w][li as usize]);
-            }
-        }
-        if min_key != u64::MAX {
-            let p = okey_inv(min_key);
-            if new_delta != sched.delta {
-                // Bucket indices are in units of the width; after a retune
-                // re-derive the index containing the smallest parked
-                // priority directly (the monotonic guard below compares
-                // old-unit indices and would be meaningless). Progress is
-                // still guaranteed: the next end key strictly exceeds the
-                // smallest parked priority, so every superstep selects at
-                // least one vertex.
-                sched.delta = new_delta;
-                sched.bucket = if p.is_finite() && p >= 0.0 {
-                    (p / new_delta) as u64
-                } else {
-                    sched.bucket + 1
-                };
-            } else {
-                let nb = if p.is_finite() && p >= 0.0 {
-                    (p / delta) as u64
-                } else {
-                    sched.bucket + 1
-                };
-                sched.bucket = nb.max(sched.bucket + 1);
-            }
-        }
+    // ---- Bucket advance. ----
+    if stop {
+        return;
     }
-    env.stop.store(stop, Ordering::Release);
+    // Feed the live occupancy histogram into the width controller.
+    // Counters, never clocks: the same run retunes identically on any
+    // machine or thread count, keeping `det` mode trace-stable.
+    let total_occ: u64 = occupancy.iter().sum();
+    sched.occ_sum += total_occ;
+    sched.occ_count += 1;
+    let new_delta = if run.config.bucket_adapt {
+        retune_delta(
+            sched.delta,
+            sched.delta0,
+            total_occ,
+            rounds,
+            sched.occ_sum,
+            sched.occ_count,
+        )
+    } else {
+        sched.delta
+    };
+    // Jump straight to the bucket holding the smallest parked priority
+    // (parked keys are all >= end_key, so this always advances).
+    let parked = &sched.parked;
+    let keys = (parked.pending.iter().zip(&parked.prio))
+        .flat_map(|(pending, prio)| pending.iter().map(|&li| prio[li as usize]));
+    if let Some(p) = keys.min().map(okey_inv) {
+        let next = if p.is_finite() && p >= 0.0 {
+            (p / new_delta) as u64
+        } else {
+            sched.bucket + 1
+        };
+        // Bucket indices are in units of the width, so the monotonic guard
+        // only means something while the width stands. After a retune the
+        // index containing the smallest parked priority is taken as is;
+        // progress is still guaranteed — the next end key strictly exceeds
+        // that priority, so every superstep selects at least one vertex.
+        sched.bucket = if new_delta == sched.delta {
+            next.max(sched.bucket + 1)
+        } else {
+            next
+        };
+        sched.delta = new_delta;
+    }
 }
 
 /// Deterministic bucket-width controller for `--bucket-width auto` runs:
@@ -2055,7 +1796,6 @@ fn retune_delta(
     };
     wanted.clamp(delta0 / 16.0, delta0 * 16.0)
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -69,6 +69,10 @@ impl ShardedFrontier {
     /// owner's shard list.
     #[inline]
     pub fn mark(&self, parity: usize, li: usize) {
+        // `& 1`: a parity by construction. Saying so here keeps the buffer
+        // bounds check out of the engine's hottest call (once per edge of
+        // every publishing vertex) however a caller derives the value.
+        let parity = parity & 1;
         let was = self.active[parity][li].swap(true, Ordering::Relaxed);
         if !was {
             self.lists[parity][self.owner(li)].lock().push(li as u32);

@@ -157,9 +157,12 @@ where
             WarmStart::Cold => run_cyclops_with_plan(program, &next_graph, &plan, config, None),
             WarmStart::Incremental => {
                 // Build a synthetic checkpoint: carried state for old
-                // vertices, activation for the disturbance front. New
-                // vertices are absent, so the engine gives them `init`
-                // state; activate them explicitly if the program wants.
+                // vertices, activation for the disturbance front. Vertices
+                // the batch added are chained in with the program's own
+                // `init` / `init_message` state and `initially_active`
+                // flag — a resume starts every master the checkpoint does
+                // not cover *inactive*, which would strand a new vertex the
+                // program expects to start active.
                 let mut active = vec![false; current.num_vertices()];
                 for v in batch.disturbed() {
                     if (v as usize) < active.len() {

@@ -837,9 +837,15 @@ fn adaptive_wire_try_decode<T: AdaptiveUpdate>(buf: &mut impl Buf) -> Option<Vec
         let count = try_decode_varint(buf)? as usize;
         let base = try_decode_varint(buf)?;
         let span = try_decode_varint(buf)?;
+        // `span >= count >= 1` once the first two checks pass, so `span - 1`
+        // cannot underflow; the add is checked because `base` is a hostile
+        // varint — the last id must still be a `u32` for the `base as u32 +
+        // off as u32` below to be exact.
         if count == 0
             || span < count as u64
-            || base + span - 1 > u32::MAX as u64
+            || base
+                .checked_add(span - 1)
+                .is_none_or(|last| last > u32::MAX as u64)
             || span > buf.remaining() as u64 * 8
         {
             return None;
@@ -1212,6 +1218,33 @@ mod tests {
             ReplicaUpdate::<f64>::wire_try_decode_batch(&mut &dense[..]),
             None
         );
+        // Dense header whose id range runs past u32::MAX: a hostile varint
+        // base that overflows `base + span` in u64, and the largest base
+        // that does not overflow but still names id 2^32. Same frames under
+        // the direct tag (which carries no activation bitmap).
+        for base in [u64::MAX, u32::MAX as u64] {
+            for (tag, carries_activation) in
+                [(REPLICA_BATCH_DENSE, true), (DIRECT_BATCH_DENSE, false)]
+            {
+                let mut frame = BytesMut::new();
+                frame.put_u8(tag);
+                encode_varint(&mut frame, 2); // count
+                encode_varint(&mut frame, base);
+                encode_varint(&mut frame, 2); // span
+                frame.put_u8(0b11); // presence
+                if carries_activation {
+                    frame.put_u8(0b11);
+                }
+                1.0f64.encode(&mut frame);
+                2.0f64.encode(&mut frame);
+                let rejected = if carries_activation {
+                    ReplicaUpdate::<f64>::wire_try_decode_batch(&mut &frame[..]).is_none()
+                } else {
+                    DirectMessage::<f64>::wire_try_decode_batch(&mut &frame[..]).is_none()
+                };
+                assert!(rejected, "tag {tag:#04x}, base {base} must not decode");
+            }
+        }
     }
 
     fn directs(ids: &[u32]) -> Vec<DirectMessage<f64>> {

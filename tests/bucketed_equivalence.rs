@@ -8,7 +8,10 @@
 //! mode's trace against itself across thread counts.
 
 use cyclops::prelude::*;
-use cyclops_algos::sssp::{run_bsp_sssp_bucketed, run_cyclops_sssp, run_cyclops_sssp_bucketed};
+use cyclops_algos::sssp::{
+    run_bsp_sssp_bucketed, run_cyclops_sssp, run_cyclops_sssp_bucketed, run_cyclops_sssp_tuned,
+};
+use cyclops_engine::Sched;
 use cyclops_net::trace::{diff, read_jsonl, RunTrace, TraceSink};
 use cyclops_net::BucketMode;
 use proptest::prelude::*;
@@ -39,30 +42,41 @@ fn arb_graph_and_width() -> impl Strategy<Value = (Graph, f64)> {
 proptest! {
     /// Bucketed SSSP distances are bitwise equal to the unbucketed
     /// barrier-per-superstep run on all three engines, in both det and
-    /// fast mode, for arbitrary graphs and bucket widths.
+    /// fast mode, for arbitrary graphs and bucket widths — and, on the
+    /// Cyclops engines, at every hybrid-replication threshold.
     #[test]
     fn bucketed_sssp_matches_barrier_per_superstep((g, width) in arb_graph_and_width()) {
         let p = HashPartitioner.partition(&g, 3);
-        let oracle = run_cyclops_sssp(&g, &p, &ClusterSpec::flat(3, 1), 0, 100_000);
+        let flat = ClusterSpec::flat(3, 1);
+        let oracle = run_cyclops_sssp(&g, &p, &flat, 0, 100_000);
 
-        let flat_det = run_cyclops_sssp_bucketed(
-            &g, &p, &ClusterSpec::flat(3, 1), 0, 100_000, width, BucketMode::Det, 0, None,
-        );
-        prop_assert_eq!(&oracle.values, &flat_det.values, "flat cyclops det");
+        // Threshold 0 is full replication; 2 messages the leaves; u32::MAX
+        // messages the whole boundary, so every cross-worker publication of
+        // the settle travels as a direct message.
+        for threshold in [0, 2, u32::MAX] {
+            let bucketed = |cluster: &ClusterSpec, mode| {
+                run_cyclops_sssp_bucketed(&g, &p, cluster, 0, 100_000, width, mode, threshold, None)
+            };
+            let flat_det = bucketed(&flat, BucketMode::Det);
+            prop_assert_eq!(&oracle.values, &flat_det.values, "flat det, t={}", threshold);
+            let flat_fast = bucketed(&flat, BucketMode::Fast);
+            prop_assert_eq!(&oracle.values, &flat_fast.values, "flat fast, t={}", threshold);
+            let mt = bucketed(&ClusterSpec::mt(3, 2, 2), BucketMode::Det);
+            prop_assert_eq!(&oracle.values, &mt.values, "cyclops-mt det, t={}", threshold);
 
-        let flat_fast = run_cyclops_sssp_bucketed(
-            &g, &p, &ClusterSpec::flat(3, 1), 0, 100_000, width, BucketMode::Fast, 0, None,
-        );
-        prop_assert_eq!(&oracle.values, &flat_fast.values, "flat cyclops fast");
+            // The direct path is really taken: whenever the barrier-per-hop
+            // run at this threshold sends direct messages, so does each
+            // settle (fusing rounds dedups messages, it never drops a path).
+            let per_hop = run_cyclops_sssp_tuned(
+                &g, &p, &flat, 0, 100_000, Sched::Dynamic, 0.015, threshold, None,
+            );
+            prop_assert_eq!(&oracle.values, &per_hop.values, "per-hop, t={}", threshold);
+            for r in [&flat_det, &flat_fast, &mt] {
+                prop_assert_eq!(r.direct_messages > 0, per_hop.direct_messages > 0, "t={}", threshold);
+            }
+        }
 
-        let mt = run_cyclops_sssp_bucketed(
-            &g, &p, &ClusterSpec::mt(3, 2, 2), 0, 100_000, width, BucketMode::Det, 0, None,
-        );
-        prop_assert_eq!(&oracle.values, &mt.values, "cyclops-mt det");
-
-        let bsp = run_bsp_sssp_bucketed(
-            &g, &p, &ClusterSpec::flat(3, 1), 0, 100_000, width, BucketMode::Det,
-        );
+        let bsp = run_bsp_sssp_bucketed(&g, &p, &flat, 0, 100_000, width, BucketMode::Det);
         prop_assert_eq!(&oracle.values, &bsp.values, "bsp det");
     }
 }
