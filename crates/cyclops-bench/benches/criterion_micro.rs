@@ -10,13 +10,20 @@
 //! scheduler's frontier-dispatch strategies on a skewed R-MAT frontier,
 //! the hybrid-replication publish split (direct-message batches alongside
 //! replica flushes across boundary coldness levels), hybrid plan
-//! construction against the full-replication build it extends, and the
-//! tracking allocator's malloc/free overhead disarmed vs armed.
+//! construction against the full-replication build it extends, the two
+//! per-edge operations of the view (a frontier mark, first vs repeated, and a
+//! gather through `in_messages`), and the tracking allocator's malloc/free
+//! overhead disarmed vs armed.
 
 use bytes::BytesMut;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use cyclops_algos::linalg::cholesky_solve;
+use cyclops_engine::{
+    run_cyclops_with_plan, CyclopsConfig, CyclopsContext, CyclopsPlan, CyclopsProgram,
+    ShardedFrontier,
+};
 use cyclops_graph::gen::{rmat, RmatConfig};
+use cyclops_graph::{Dataset, Graph, VertexId};
 use cyclops_net::codec::{decode_batch, encode_batch, encode_batch_into};
 use cyclops_net::metrics::{PhaseHists, PhaseTimes};
 use cyclops_net::{
@@ -708,6 +715,93 @@ fn bench_plan_build_hub(c: &mut Criterion) {
 /// price (scope lookup, sharded side table, peak maintenance) is what a
 /// `--mem` run pays. Measured on the same allocate-and-free loop before
 /// and after the one-way `arm()`, plus the `MemScope::enter` guard itself.
+/// The wake-up's two cases, per mark, uncontended: the first mark of an
+/// index in a parity epoch (bit swap, owner lookup, shard-list push) against
+/// re-marking an index whose bit is already set — all but one of a reader's
+/// wake-ups in a pull-mode superstep. One shard is every single-threaded
+/// worker; two adds the owner division to the first mark.
+fn bench_frontier_mark(c: &mut Criterion) {
+    const N: usize = 4096;
+    let mut group = c.benchmark_group("frontier_mark");
+    group.throughput(Throughput::Elements(N as u64));
+    for shards in [1usize, 2] {
+        group.bench_function(&format!("first_mark_{shards}_shard"), |b| {
+            b.iter_batched(
+                || ShardedFrontier::new(N, shards),
+                |f| {
+                    for li in 0..N {
+                        f.mark(0, li);
+                    }
+                    f
+                },
+                BatchSize::SmallInput,
+            )
+        });
+        let marked = ShardedFrontier::new(N, shards);
+        for li in 0..N {
+            marked.mark(0, li);
+        }
+        group.bench_function(&format!("remark_set_bit_{shards}_shard"), |b| {
+            b.iter(|| {
+                for li in 0..N {
+                    marked.mark(0, li);
+                }
+            })
+        });
+    }
+    group.finish();
+}
+
+/// Folds every in-neighbor publication once and publishes nothing: with
+/// every vertex initially active, one superstep is one gather over the
+/// whole graph through the view.
+struct GatherFold;
+
+impl CyclopsProgram for GatherFold {
+    type Value = f64;
+    type Message = f64;
+    fn init(&self, _v: VertexId, _g: &Graph) -> f64 {
+        0.0
+    }
+    fn init_message(&self, v: VertexId, _g: &Graph, _value: &f64) -> Option<f64> {
+        Some(v as f64)
+    }
+    fn compute(&self, ctx: &mut CyclopsContext<'_, f64, f64>) {
+        let sum = ctx.in_messages().map(|(m, w)| m * w).sum();
+        ctx.set_value(sum);
+    }
+}
+
+/// The read side of the view, per in-edge: one full-frontier superstep of
+/// [`GatherFold`] over the Wiki stand-in on the repo benchmark's `2x1x1`
+/// cluster, under full replication (masters and replicas interleaved by the
+/// hash cut) and at the auto threshold (direct slots too). An iteration also
+/// pays the run's INIT and thread start, the same on either side of a
+/// comparison; the rate is in-edges per second.
+fn bench_view_gather(c: &mut Criterion) {
+    let g = Dataset::Wiki.generate_scaled(1.0, Dataset::Wiki.default_seed());
+    let cluster = ClusterSpec::flat(2, 1);
+    let p = HashPartitioner.partition(&g, cluster.num_workers());
+    let config = CyclopsConfig {
+        cluster,
+        max_supersteps: 1,
+        ..Default::default()
+    };
+    let mut group = c.benchmark_group("view_gather");
+    group.throughput(Throughput::Elements(g.num_edges() as u64));
+    let auto = p.auto_replicate_threshold(&g);
+    for (label, threshold) in [
+        ("threshold_0".to_string(), 0),
+        (format!("threshold_auto_{auto}"), auto),
+    ] {
+        let plan = CyclopsPlan::build_parallel_with_threshold(&g, &p, threshold);
+        group.bench_function(&label, |b| {
+            b.iter(|| run_cyclops_with_plan(&GatherFold, &g, &plan, &config, None).values)
+        });
+    }
+    group.finish();
+}
+
 /// This group MUST stay last in `criterion_group!`: arming is process-
 /// global and irreversible, and every other group's numbers assume the
 /// disarmed pass-through.
@@ -760,6 +854,8 @@ criterion_group!(
     bench_direct_vs_replica_publish,
     bench_plan_build_hybrid,
     bench_plan_build_hub,
+    bench_frontier_mark,
+    bench_view_gather,
     bench_mem_tracking
 );
 criterion_main!(benches);

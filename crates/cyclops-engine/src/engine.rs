@@ -49,11 +49,19 @@
 //!
 //! # Safety
 //!
-//! Four `unsafe` sites, one per slot array that is written, each resting on
+//! Three slot arrays per worker are written without locks — `values`,
+//! `msg_next` (the masters' write buffer) and `view`, the one array every
+//! gather reads: `[masters | replicas | direct slots]`, indexed by the plan's
+//! in-edge references. Four `unsafe` sites, each resting on
 //! [`DisjointSlots`]' single-writer-per-epoch protocol (verified in debug
-//! builds) and stating its argument once for both drivers: view slots in
-//! `apply_batches`, `values` and `msg_next` in `Worker::compute_vertex`,
-//! `msg_cur` in `Worker::publish_local`.
+//! builds) and stating its argument once for both drivers: `values` and
+//! `msg_next` in `Worker::compute_vertex`; the view's master range in
+//! `Worker::publish_local` (SND, by the stream that computed the master); the
+//! view's replica and direct ranges in `apply_batches` (PRS, by the receiver
+//! that drained the slot's lane). The two view writers never overlap in range
+//! or in phase, and no gather runs during either, so one argument covers the
+//! array: within an epoch every slot has one writer, and readers are behind a
+//! barrier.
 
 use crate::checkpoint::CyclopsCheckpoint;
 use crate::frontier::ShardedFrontier;
@@ -284,8 +292,8 @@ impl ChunkPartial {
     }
 }
 
-/// The shape the view's two update kinds share: a slot id in the
-/// destination worker's view array (replica index or direct slot), the
+/// The shape the view's two update kinds share: a slot id local to its range
+/// of the destination worker's view (replica index or direct slot), the
 /// publication, and the activation bit. `cyclops-net` frames the two
 /// differently on the wire; the engine treats them as one mechanism.
 trait ViewUpdate<M>: WireFormat + Send {
@@ -362,18 +370,17 @@ impl<M: Codec + Send> Wire<M> {
 /// Per-worker state shared by that worker's threads.
 struct WorkerShared<V, M> {
     values: DisjointSlots<V>,
-    /// Publications visible this superstep (the immutable view).
-    msg_cur: DisjointSlots<Option<M>>,
-    /// Publications produced this superstep, made visible at the copy phase.
+    /// The immutable view: every publication visible this superstep, in the
+    /// plan's slot space `[masters | replicas | direct slots]`. The master
+    /// range is copied from `msg_next` at the copy phase; the replica and
+    /// direct ranges are written by receiver threads, at most one message
+    /// per slot per superstep (one source master per slot, one batch per
+    /// sender per superstep). The direct range is empty under full
+    /// replication.
+    view: DisjointSlots<Option<M>>,
+    /// Master publications produced this superstep, made visible at the copy
+    /// phase.
     msg_next: DisjointSlots<Option<M>>,
-    /// Replica publications (updated by receiver threads).
-    rep_msg: DisjointSlots<Option<M>>,
-    /// Direct-message slots (hybrid replication): the publications of cold
-    /// boundary in-neighbors, updated by receiver threads under the same
-    /// at-most-one-message-per-slot-per-superstep discipline as `rep_msg`
-    /// (one source master per slot, one batch per sender per superstep).
-    /// Empty under full replication.
-    direct_msg: DisjointSlots<Option<M>>,
     /// Owner-sharded double-buffered activation frontier: activations route
     /// to the owning thread's shard list, so snapshotting is O(frontier)
     /// with no scan-and-skip and no single contended list.
@@ -524,6 +531,7 @@ pub fn run_cyclops_with_plan_traced<P: CyclopsProgram>(
     }
     let mut shared: Vec<WorkerShared<P::Value, P::Message>> = Vec::with_capacity(num_workers);
     let thread_slots = |_| (Outbox::per_worker(threads).into_iter().map(Mutex::new)).collect();
+    let mut views: Vec<Vec<Option<P::Message>>> = Vec::with_capacity(num_workers);
     for wp in &plan.workers {
         let n = wp.num_masters();
         let mut values: Vec<P::Value> = Vec::with_capacity(n);
@@ -549,12 +557,18 @@ pub fn run_cyclops_with_plan_traced<P: CyclopsProgram>(
                 frontier.mark(0, li);
             }
         }
+        // The whole view is one allocation, booked as replica machinery:
+        // the master range now, the ranges seeded from other workers below.
+        views.push({
+            let _mem = MemScope::enter(Component::Replicas);
+            let mut view = Vec::with_capacity(wp.num_view_slots());
+            view.extend(msgs.iter().cloned());
+            view
+        });
         shared.push(WorkerShared {
             values: DisjointSlots::new(values),
-            msg_cur: DisjointSlots::new(msgs.clone()),
+            view: DisjointSlots::new(Vec::new()), // filled below
             msg_next: DisjointSlots::new(msgs),
-            rep_msg: DisjointSlots::new(Vec::new()), // filled below
-            direct_msg: DisjointSlots::new(Vec::new()), // filled below
             frontier,
             flat: parking_lot::RwLock::new(Vec::new()),
             ends: parking_lot::RwLock::new(Vec::new()),
@@ -574,20 +588,17 @@ pub fn run_cyclops_with_plan_traced<P: CyclopsProgram>(
     // the initial one-way sync of the ingress (and of checkpoint recovery):
     // superstep 0 (and a resume) reads the identical immutable view through
     // either path.
-    for w in 0..num_workers {
-        let seed = |sources: &[u32], component| -> Vec<Option<P::Message>> {
-            let _mem = MemScope::enter(component);
-            let source_pub = |&u: &u32| {
-                let ow = plan.owner[u as usize] as usize;
-                let li = plan.local_of[u as usize] as usize;
-                shared[ow].msg_cur.read(li).clone()
-            };
-            sources.iter().map(source_pub).collect()
+    for (w, mut view) in views.into_iter().enumerate() {
+        let _mem = MemScope::enter(Component::Replicas);
+        let wp = &plan.workers[w];
+        // `msg_next` still equals the master range of its worker's view.
+        let source_pub = |&u: &u32| {
+            let ow = plan.owner[u as usize] as usize;
+            let li = plan.local_of[u as usize] as usize;
+            shared[ow].msg_next.read(li).clone()
         };
-        let reps = seed(&plan.workers[w].replicas, Component::Replicas);
-        let dirs = seed(&plan.workers[w].direct_source, Component::DirectSlots);
-        shared[w].rep_msg = DisjointSlots::new(reps);
-        shared[w].direct_msg = DisjointSlots::new(dirs);
+        view.extend(wp.replicas.iter().chain(&wp.direct_source).map(source_pub));
+        shared[w].view = DisjointSlots::new(view);
     }
     let mut ingress = plan.ingress;
     ingress.init = init_start.elapsed();
@@ -643,7 +654,8 @@ pub fn run_cyclops_with_plan_traced<P: CyclopsProgram>(
     let mut values: Vec<Option<P::Value>> = vec![None; total_vertices];
     let mut publications: Vec<Option<P::Message>> = vec![None; total_vertices];
     for (w, ws) in run.shared.into_iter().enumerate() {
-        let msgs = ws.msg_cur.into_inner();
+        // The view leads with the master range; the zips stop at its end.
+        let msgs = ws.view.into_inner();
         let state = ws.values.into_inner().into_iter().zip(msgs);
         for (&v, (value, publication)) in plan.workers[w].masters.iter().zip(state) {
             values[v as usize] = Some(value);
@@ -779,13 +791,15 @@ impl<'r, P: CyclopsProgram> Run<'r, P> {
     }
 }
 
-/// PRS core: writes every update of `batches` into its view slot and wakes
-/// the slot's readers (`readers(slot id)` → local indices) when the update
+/// PRS core: writes every update of `batches` into its view slot — `base`,
+/// the first slot of the update kind's range, plus the update's id — and
+/// wakes the slot's readers (`readers(id)` → local indices) when the update
 /// activates. Returns the number of updates applied.
 #[inline]
 fn apply_batches<'p, U: ViewUpdate<M>, M>(
     batches: Vec<(usize, Vec<U>)>,
-    slots: &DisjointSlots<Option<M>>,
+    view: &DisjointSlots<Option<M>>,
+    base: usize,
     readers: impl Fn(usize) -> &'p [u32],
     wake: &mut impl FnMut(&[u32], &M),
 ) -> u64 {
@@ -798,13 +812,16 @@ fn apply_batches<'p, U: ViewUpdate<M>, M>(
                 wake(readers(id), &payload);
             }
             // SAFETY: each slot has one source master (a replica's master,
-            // a direct slot's cross edge), a master reaches a slot at most
-            // once per epoch (one sync per mirror per superstep; the
-            // settle's dirty list dedups a round's republications), and
-            // lanes touching the same slot are drained by one receiver —
-            // so within an epoch no slot is written twice, and readers are
-            // behind a barrier (or, in the settle, on this same thread).
-            unsafe { slots.write(id, Some(payload)) };
+            // a direct slot's cross edge) whose plan tables hold this id, so
+            // `base + id` stays inside the kind's range; a master reaches a
+            // slot at most once per epoch (one sync per mirror per
+            // superstep; the settle's dirty list dedups a round's
+            // republications), and lanes touching the same slot are drained
+            // by one receiver — so within an epoch no slot is written
+            // twice, the master range is written in another phase, and
+            // readers are behind a barrier (or, in the settle, on this same
+            // thread).
+            unsafe { view.write(base + id, Some(payload)) };
         }
     }
     applied
@@ -844,10 +861,8 @@ impl<'r, P: CyclopsProgram> Worker<'r, P> {
     /// single-writer claim tables; no-op in release builds).
     fn begin_epoch(&self) {
         self.ws.values.begin_epoch();
-        self.ws.msg_cur.begin_epoch();
+        self.ws.view.begin_epoch();
         self.ws.msg_next.begin_epoch();
-        self.ws.rep_msg.begin_epoch();
-        self.ws.direct_msg.begin_epoch();
     }
 
     /// PRS: drains receiver `part` of `parts`' share of this worker's
@@ -867,13 +882,11 @@ impl<'r, P: CyclopsProgram> Worker<'r, P> {
         let directs = wire
             .direct
             .drain_lanes_partitioned(self.w, epoch, part, parts);
-        let drained = apply_batches(syncs, &self.ws.rep_msg, |rep| wp.rep_out(rep), &mut wake)
-            + apply_batches(
-                directs,
-                &self.ws.direct_msg,
-                |slot| std::slice::from_ref(&wp.direct_target[slot]),
-                &mut wake,
-            );
+        let view = &self.ws.view;
+        let replica_readers = |rep| wp.rep_out(rep);
+        let direct_reader = |slot| std::slice::from_ref(&wp.direct_target[slot]);
+        let drained = apply_batches(syncs, view, wp.replica_base(), replica_readers, &mut wake)
+            + apply_batches(directs, view, wp.direct_base(), direct_reader, &mut wake);
         if let Some(tr) = self.tr {
             tr.add_drained(drained);
         }
@@ -916,9 +929,7 @@ impl<'r, P: CyclopsProgram> Worker<'r, P> {
             graph: self.run.graph,
             plan: wp,
             value,
-            msg_cur: &ws.msg_cur,
-            rep_msg: &ws.rep_msg,
-            direct_msg: &ws.direct_msg,
+            view: &ws.view,
             publish: &mut publish,
             reported_error: &mut reported,
             aggregate: &mut acc.part.agg,
@@ -952,14 +963,16 @@ impl<'r, P: CyclopsProgram> Worker<'r, P> {
     }
 
     /// Makes the stream's stored publications visible to readers (`msg_next`
-    /// → `msg_cur`) and empties `updated`.
+    /// → the view's master range, where slot = local index) and empties
+    /// `updated`.
     fn publish_local(&self, updated: &mut Vec<u32>) {
         for li in updated.drain(..) {
             let m = self.ws.msg_next.read(li as usize).clone();
             // SAFETY: only the stream that computed `li` copies it, once
-            // per epoch, and no reader is active — the per-barrier loop is
-            // past its post-compute barrier, the settle is sequential.
-            unsafe { self.ws.msg_cur.write(li as usize, m) };
+            // per epoch, into a range PRS never writes, and no reader is
+            // active — the per-barrier loop is past its post-compute
+            // barrier, the settle is sequential.
+            unsafe { self.ws.view.write(li as usize, m) };
         }
     }
 
@@ -1017,7 +1030,7 @@ impl<'r, P: CyclopsProgram> Worker<'r, P> {
             cp.vertices.push((
                 v,
                 self.ws.values.read(li).clone(),
-                self.ws.msg_cur.read(li).clone(),
+                self.ws.view.read(li).clone(),
                 active(li),
             ));
         }
@@ -1672,7 +1685,7 @@ fn settle_bucket<P: CyclopsProgram>(
             // republished a master several times within the round (that
             // collapse is delta-stepping's message saving).
             for li in sched.dirty.drain(..) {
-                if let Some(m) = wk.ws.msg_cur.read(li as usize) {
+                if let Some(m) = wk.ws.view.read(li as usize) {
                     wk.fan_out(li as usize, m, &mut sched.out);
                 }
             }

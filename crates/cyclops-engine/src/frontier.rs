@@ -55,10 +55,12 @@ impl ShardedFrontier {
     }
 
     /// The shard owning local index `li`: `⌊li·T/n⌋`, the exact inverse of
-    /// the ceiling-boundary shard ranges.
+    /// the ceiling-boundary shard ranges. One shard owns everything, and
+    /// says so without the 64-bit division — every first mark of a
+    /// single-threaded worker comes through here.
     #[inline]
     pub fn owner(&self, li: usize) -> usize {
-        if self.num_masters == 0 {
+        if self.shards == 1 || self.num_masters == 0 {
             return 0;
         }
         (li as u64 * self.shards as u64 / self.num_masters as u64) as usize
@@ -73,8 +75,15 @@ impl ShardedFrontier {
         // bounds check out of the engine's hottest call (once per edge of
         // every publishing vertex) however a caller derives the value.
         let parity = parity & 1;
-        let was = self.active[parity][li].swap(true, Ordering::Relaxed);
-        if !was {
+        let bit = &self.active[parity][li];
+        // Re-marking an already active reader is the common case (in a
+        // pull-mode superstep all but the first of a vertex's in-edges), so
+        // test before the locked read-modify-write. The swap still
+        // arbitrates racing first marks: exactly one of them reads clear.
+        // A stale `false` only sends a re-mark to the swap; a `true` is
+        // final until this parity's compute consumes the bit, which a
+        // barrier separates from every mark.
+        if !bit.load(Ordering::Relaxed) && !bit.swap(true, Ordering::Relaxed) {
             self.lists[parity][self.owner(li)].lock().push(li as u32);
         }
     }
@@ -165,6 +174,34 @@ mod tests {
         // After consume, the same parity accepts the vertex again.
         f.mark(0, 4);
         assert_eq!(f.len(0), 2);
+    }
+
+    #[test]
+    fn contended_remarks_push_each_index_exactly_once() {
+        // Four threads, released together, hammer the same eight indices:
+        // every mark after an index's first takes the load-only path while
+        // first marks race on the swap. Each index must be drained once.
+        let f = ShardedFrontier::new(64, 2);
+        let indices = [0usize, 7, 8, 31, 32, 33, 62, 63];
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..10_000 {
+                        for &li in &indices {
+                            f.mark(1, li);
+                        }
+                    }
+                });
+            }
+        });
+        let (mut flat, mut ends) = (Vec::new(), Vec::new());
+        f.drain_sorted(1, &mut flat, &mut ends);
+        let expected: Vec<u32> = indices.iter().map(|&li| li as u32).collect();
+        assert_eq!(flat, expected);
+        assert_eq!(ends, vec![4, 8]);
+        assert!(f.is_empty(0), "the other parity saw nothing");
     }
 
     #[test]

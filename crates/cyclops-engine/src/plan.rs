@@ -21,17 +21,17 @@ use std::time::{Duration, Instant};
 mod reference;
 pub(crate) mod wire;
 
-/// A resolved in-edge reference: where a vertex finds one in-neighbor's
-/// publication inside the worker-local immutable view.
+/// Which range of a worker's view slot space a slot index falls in, with the
+/// index local to that range — what [`WorkerPlan::slot_kind`] decodes an
+/// in-edge reference to. The engine never needs this: it reads the slot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum InRef {
-    /// The in-neighbor is a master on the same worker (local index).
+pub enum SlotKind {
+    /// A master on the same worker (local index).
     Master(u32),
-    /// The in-neighbor is a read-only replica on this worker (replica index).
+    /// A read-only replica on this worker (replica index).
     Replica(u32),
-    /// The in-neighbor is a cold boundary vertex with no replica here: its
-    /// publication arrives as a per-edge direct message into this slot of
-    /// the worker's direct-message table (hybrid replication).
+    /// A direct-message slot: the publication of a cold boundary vertex with
+    /// no replica here arrives per edge (hybrid replication).
     Direct(u32),
 }
 
@@ -46,8 +46,11 @@ pub struct WorkerPlan {
 
     /// CSR offsets into `in_refs` / `in_weights`, one entry per master + 1.
     pub in_ref_offsets: Vec<u32>,
-    /// Resolved in-edge references per master.
-    pub in_refs: Vec<InRef>,
+    /// Resolved in-edge references per master, in the graph's in-edge order:
+    /// each is an index into the worker's one view slot space
+    /// `[masters 0..nm | replicas nm..nm+nr | direct slots nm+nr..]`, so a
+    /// neighbour read is one load whatever kind of neighbour it is.
+    pub in_refs: Vec<u32>,
     /// In-edge weights aligned with `in_refs`; empty for unweighted graphs.
     pub in_weights: Vec<f64>,
 
@@ -149,6 +152,38 @@ impl WorkerPlan {
     #[inline]
     pub fn num_direct_slots(&self) -> usize {
         self.direct_source.len()
+    }
+
+    /// First view slot of the replica range (the master range starts at 0).
+    #[inline]
+    pub fn replica_base(&self) -> usize {
+        self.masters.len()
+    }
+
+    /// First view slot of the direct-slot range.
+    #[inline]
+    pub fn direct_base(&self) -> usize {
+        self.masters.len() + self.replicas.len()
+    }
+
+    /// Size of this worker's view slot space: masters, then replicas, then
+    /// direct slots.
+    #[inline]
+    pub fn num_view_slots(&self) -> usize {
+        self.direct_base() + self.num_direct_slots()
+    }
+
+    /// The range view slot `slot` falls in, and its index there.
+    pub fn slot_kind(&self, slot: u32) -> SlotKind {
+        let (replicas, direct) = (self.replica_base() as u32, self.direct_base() as u32);
+        debug_assert!((slot as usize) < self.num_view_slots());
+        if slot < replicas {
+            SlotKind::Master(slot)
+        } else if slot < direct {
+            SlotKind::Replica(slot - replicas)
+        } else {
+            SlotKind::Direct(slot - direct)
+        }
     }
 
     /// Remote direct-message destinations of master `local` as
@@ -458,6 +493,12 @@ pub(crate) mod tests {
         assert_eq!(a.memory_breakdown(), b.memory_breakdown());
     }
 
+    /// Master `local`'s in-edge references, decoded range by range.
+    fn in_ref_kinds(wp: &WorkerPlan, local: usize) -> Vec<SlotKind> {
+        let (s, e) = wp.in_ref_range(local);
+        wp.in_refs[s..e].iter().map(|&r| wp.slot_kind(r)).collect()
+    }
+
     /// The plan as run paths build it, once it equals the reference
     /// construction — so every fixture below pins both builders.
     fn build(g: &Graph, p: &EdgeCutPartition, threshold: u32) -> CyclopsPlan {
@@ -503,14 +544,18 @@ pub(crate) mod tests {
         // 3 (master local 1) and 5 (replica slot 1); vertex 3 (worker 1,
         // local 1) from 2 (master local 0).
         let w1 = &plan.workers[1];
-        let (s, e) = w1.in_ref_range(0);
-        let refs: Vec<_> = w1.in_refs[s..e].to_vec();
         assert_eq!(
-            refs,
-            vec![InRef::Replica(0), InRef::Master(1), InRef::Replica(1)]
+            in_ref_kinds(w1, 0),
+            vec![
+                SlotKind::Replica(0),
+                SlotKind::Master(1),
+                SlotKind::Replica(1)
+            ]
         );
-        let (s, e) = w1.in_ref_range(1);
-        assert_eq!(w1.in_refs[s..e], vec![InRef::Master(0)]);
+        assert_eq!(in_ref_kinds(w1, 1), vec![SlotKind::Master(0)]);
+        // One slot space: two masters, then the two replicas.
+        let (s, e) = w1.in_ref_range(0);
+        assert_eq!(w1.in_refs[s..e], [2, 1, 3]);
     }
 
     #[test]
@@ -558,8 +603,10 @@ pub(crate) mod tests {
         assert_eq!(w1.masters, vec![1, 2]);
         let weights = w1.in_weights(1);
         assert_eq!(weights, &[5.0, 7.0]);
-        let (s, e) = w1.in_ref_range(1);
-        assert_eq!(w1.in_refs[s..e], vec![InRef::Replica(0), InRef::Master(0)]);
+        assert_eq!(
+            in_ref_kinds(w1, 1),
+            vec![SlotKind::Replica(0), SlotKind::Master(0)]
+        );
     }
 
     #[test]
@@ -668,7 +715,7 @@ pub(crate) mod tests {
             assert!(wp.direct_source.is_empty());
             assert!(wp.direct_out.is_empty());
             assert_eq!(wp.direct_out_offsets.len(), wp.num_masters() + 1);
-            assert!(wp.in_refs.iter().all(|r| !matches!(r, InRef::Direct(_))));
+            assert!(wp.in_refs.iter().all(|&r| (r as usize) < wp.direct_base()));
         }
     }
 
@@ -691,10 +738,13 @@ pub(crate) mod tests {
         let w1 = &plan.workers[1];
         assert_eq!(w1.direct_source, vec![0, 5]);
         assert_eq!(w1.direct_target, vec![0, 0]);
-        let (s, e) = w1.in_ref_range(0);
         assert_eq!(
-            w1.in_refs[s..e],
-            vec![InRef::Direct(0), InRef::Master(1), InRef::Direct(1)]
+            in_ref_kinds(w1, 0),
+            vec![
+                SlotKind::Direct(0),
+                SlotKind::Master(1),
+                SlotKind::Direct(1)
+            ]
         );
         // Worker 2's direct table: slot for 3->4.
         assert_eq!(plan.workers[2].direct_source, vec![3]);
@@ -734,8 +784,10 @@ pub(crate) mod tests {
         let w1 = &plan.workers[1];
         assert_eq!(w1.direct_source, vec![0, 0]);
         assert_eq!(w1.direct_target, vec![0, 0]);
-        let (s, e) = w1.in_ref_range(0);
-        assert_eq!(w1.in_refs[s..e], vec![InRef::Direct(0), InRef::Direct(1)]);
+        assert_eq!(
+            in_ref_kinds(w1, 0),
+            vec![SlotKind::Direct(0), SlotKind::Direct(1)]
+        );
         let mut dests = plan.workers[0].direct_out(0).to_vec();
         dests.sort_unstable();
         assert_eq!(dests, vec![(1, 0), (1, 1)]);

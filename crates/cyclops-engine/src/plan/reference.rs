@@ -9,7 +9,7 @@
 //! `O(d²)` dedup on hubs, which is fine for what calls it: tests, and
 //! `tests/mem_observability.rs`. Nothing on a run path does.
 
-use super::{CyclopsPlan, InRef, IngressStats, WorkerPlan};
+use super::{CyclopsPlan, IngressStats, WorkerPlan};
 use cyclops_graph::{Graph, VertexId};
 use cyclops_obs::mem::{Component, MemScope};
 use cyclops_partition::EdgeCutPartition;
@@ -77,7 +77,9 @@ fn direct_keys(
 }
 
 /// Resolves worker `w`'s in-edge references against its replica list and
-/// direct-slot key table. Returns `(offsets, refs, weights)`.
+/// direct-slot key table, as indices into the worker's view slot space
+/// (masters, then replicas, then direct slots). Returns
+/// `(offsets, refs, weights)`.
 #[allow(clippy::too_many_arguments)]
 fn wire_in_refs(
     graph: &Graph,
@@ -88,8 +90,10 @@ fn wire_in_refs(
     replicas: &[VertexId],
     keys: &[DirectKey],
     cold: &[bool],
-) -> (Vec<u32>, Vec<InRef>, Vec<f64>) {
+) -> (Vec<u32>, Vec<u32>, Vec<f64>) {
     let weighted = graph.is_weighted();
+    let replica_base = masters.len() as u32;
+    let direct_base = replica_base + replicas.len() as u32;
     let mut offsets = Vec::with_capacity(masters.len() + 1);
     let mut refs = Vec::new();
     let mut weights = Vec::new();
@@ -102,16 +106,16 @@ fn wire_in_refs(
         for (i, &u) in srcs.iter().enumerate() {
             let p = owner[u as usize];
             if p as usize == w {
-                refs.push(InRef::Master(local_of[u as usize]));
+                refs.push(local_of[u as usize]);
             } else if cold[u as usize] {
                 let c = occ.entry(u).or_insert(0);
                 let key = (p, u, li as u32, *c);
                 *c += 1;
                 let slot = keys.binary_search(&key).expect("direct slot exists") as u32;
-                refs.push(InRef::Direct(slot));
+                refs.push(direct_base + slot);
             } else {
                 let ri = replicas.binary_search(&u).expect("replica exists") as u32;
-                refs.push(InRef::Replica(ri));
+                refs.push(replica_base + ri);
             }
             if weighted {
                 weights.push(ws[i]);

@@ -31,7 +31,7 @@
 //! is the independent per-edge-search construction the tests hold this
 //! module equal to, field for field.
 
-use super::{InRef, WorkerPlan};
+use super::WorkerPlan;
 use cyclops_graph::{Graph, VertexId, INVALID_VERTEX};
 use cyclops_obs::mem::{Component, MemScope};
 use std::sync::Mutex;
@@ -321,7 +321,10 @@ pub(crate) fn wire_inbound(
     }
 
     // Pass 3: fill. Masters ascend, so every per-source list comes out in
-    // the order of that source's out-edges into this worker.
+    // the order of that source's out-edges into this worker. In-edge
+    // references are view slots: masters, then replicas, then direct slots.
+    let replica_base = masters.len() as u32;
+    let direct_base = replica_base + num_replicas as u32;
     let mut in_ref_offsets = exact(Component::Plan, masters.len() + 1);
     let mut in_refs = exact(Component::Plan, num_in_edges);
     let weighted_len = if graph.is_weighted() { num_in_edges } else { 0 };
@@ -338,14 +341,14 @@ pub(crate) fn wire_inbound(
         let mut prev = INVALID_VERTEX;
         for &u in graph.in_neighbors(v) {
             in_refs.push(if owner[u as usize] == me {
-                InRef::Master(local_of[u as usize])
+                local_of[u as usize]
             } else if cold.contains(u) {
                 let next = &mut next_slot[cold.rank(u) as usize];
                 let slot = *next;
                 *next += 1;
                 direct_source[slot as usize] = u;
                 direct_target[slot as usize] = li as u32;
-                InRef::Direct(slot)
+                direct_base + slot
             } else {
                 let ri = replicas.rank(u);
                 if u != prev {
@@ -353,7 +356,7 @@ pub(crate) fn wire_inbound(
                     rep_out[*next as usize] = li as u32;
                     *next += 1;
                 }
-                InRef::Replica(ri)
+                replica_base + ri
             });
             prev = u;
         }

@@ -15,7 +15,7 @@
 //! (§3.1: "a vertex will deactivate itself by default and only become
 //! active again upon receiving activation signal").
 
-use crate::plan::{InRef, WorkerPlan};
+use crate::plan::WorkerPlan;
 use cyclops_graph::{Graph, VertexId};
 use cyclops_net::{AggregateStats, Codec, DisjointSlots};
 
@@ -70,13 +70,10 @@ pub struct CyclopsContext<'a, V, M> {
     pub(crate) graph: &'a Graph,
     pub(crate) plan: &'a WorkerPlan,
     pub(crate) value: &'a mut V,
-    /// Master publications of this worker (previous superstep).
-    pub(crate) msg_cur: &'a DisjointSlots<Option<M>>,
-    /// Replica publications on this worker (previous superstep).
-    pub(crate) rep_msg: &'a DisjointSlots<Option<M>>,
-    /// Direct-message slots on this worker (previous superstep): the
-    /// publications of cold boundary in-neighbors under hybrid replication.
-    pub(crate) direct_msg: &'a DisjointSlots<Option<M>>,
+    /// This worker's immutable view as of the previous superstep: the
+    /// publications of its masters, its replicas and its direct slots in one
+    /// slot space, indexed by the plan's in-edge references.
+    pub(crate) view: &'a DisjointSlots<Option<M>>,
     /// Set by `activate_neighbors`.
     pub(crate) publish: &'a mut Option<M>,
     /// Local error reported via `report_error`.
@@ -85,6 +82,33 @@ pub struct CyclopsContext<'a, V, M> {
     pub(crate) aggregate: &'a mut AggregateStats,
     /// Previous superstep's combined aggregate, if any.
     pub(crate) prev_aggregate: Option<AggregateStats>,
+}
+
+/// One pass over a vertex's in-edges — the one gather loop. Walks the plan's
+/// in-edge references and weights in step, resolves each reference with a
+/// single load from the view, and yields `(k, publication, weight)` for the
+/// `k`-th in-edge (in the graph's in-edge order) whose source has published.
+struct Gather<'a, M> {
+    refs: std::slice::Iter<'a, u32>,
+    /// Empty when the graph is unweighted: every weight is 1.0.
+    weights: std::slice::Iter<'a, f64>,
+    in_degree: usize,
+    view: &'a DisjointSlots<Option<M>>,
+}
+
+impl<'a, M> Iterator for Gather<'a, M> {
+    type Item = (usize, &'a M, f64);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            let &slot = self.refs.next()?;
+            let w = self.weights.next().map_or(1.0, |w| *w);
+            if let Some(m) = self.view.read(slot as usize) {
+                return Some((self.in_degree - self.refs.len() - 1, m, w));
+            }
+        }
+    }
 }
 
 impl<'a, V, M> CyclopsContext<'a, V, M> {
@@ -123,28 +147,28 @@ impl<'a, V, M> CyclopsContext<'a, V, M> {
         *self.value = v;
     }
 
+    /// A gather over this vertex's in-edges.
+    #[inline]
+    fn gather(&self) -> Gather<'a, M> {
+        let (start, end) = self.plan.in_ref_range(self.local);
+        Gather {
+            refs: self.plan.in_refs[start..end].iter(),
+            weights: self.plan.in_weights(self.local).iter(),
+            in_degree: end - start,
+            view: self.view,
+        }
+    }
+
     /// Iterator over the in-neighbors' publications from the previous
     /// superstep, each with the in-edge weight (1.0 when unweighted). This
-    /// is the distributed immutable view: reads resolve to the local master
-    /// array or to local read-only replicas — never to a remote machine.
-    /// Neighbors that have published nothing yet are skipped.
+    /// is the distributed immutable view (§3.1): every in-edge holds the
+    /// index of its source's slot in the worker's one view array — a local
+    /// master, a read-only replica or a direct-message slot, the reader
+    /// neither knows nor branches on which — so a read is one local load,
+    /// never a trip to a remote machine. Neighbors that have published
+    /// nothing yet are skipped.
     pub fn in_messages(&self) -> impl Iterator<Item = (&M, f64)> + '_ {
-        let (start, end) = self.plan.in_ref_range(self.local);
-        let weights = self.plan.in_weights(self.local);
-        self.plan.in_refs[start..end]
-            .iter()
-            .enumerate()
-            .filter_map(move |(i, r)| {
-                let slot = match *r {
-                    InRef::Master(mi) => self.msg_cur.read(mi as usize),
-                    InRef::Replica(ri) => self.rep_msg.read(ri as usize),
-                    InRef::Direct(di) => self.direct_msg.read(di as usize),
-                };
-                slot.as_ref().map(|m| {
-                    let w = if weights.is_empty() { 1.0 } else { weights[i] };
-                    (m, w)
-                })
-            })
+        self.gather().map(|(_, m, w)| (m, w))
     }
 
     /// Like [`Self::in_messages`], but also yields the in-neighbor's vertex
@@ -152,23 +176,8 @@ impl<'a, V, M> CyclopsContext<'a, V, M> {
     /// order, so ids and publications line up). Used by programs that need
     /// to know *who* published, e.g. triangle counting.
     pub fn in_messages_with_sources(&self) -> impl Iterator<Item = ((VertexId, &M), f64)> + '_ {
-        let (start, end) = self.plan.in_ref_range(self.local);
-        let weights = self.plan.in_weights(self.local);
         let sources = self.graph.in_neighbors(self.vertex);
-        self.plan.in_refs[start..end]
-            .iter()
-            .enumerate()
-            .filter_map(move |(i, r)| {
-                let slot = match *r {
-                    InRef::Master(mi) => self.msg_cur.read(mi as usize),
-                    InRef::Replica(ri) => self.rep_msg.read(ri as usize),
-                    InRef::Direct(di) => self.direct_msg.read(di as usize),
-                };
-                slot.as_ref().map(|m| {
-                    let w = if weights.is_empty() { 1.0 } else { weights[i] };
-                    ((sources[i], m), w)
-                })
-            })
+        self.gather().map(move |(k, m, w)| ((sources[k], m), w))
     }
 
     /// The (read-only) global graph topology. A real Cyclops worker only

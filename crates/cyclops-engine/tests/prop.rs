@@ -3,6 +3,7 @@
 //! sequential fixpoint computation, and the §3.4 message invariant must
 //! hold.
 
+use cyclops_engine::plan::SlotKind;
 use cyclops_engine::{
     apply_migration, run_cyclops, CyclopsConfig, CyclopsContext, CyclopsPlan, CyclopsProgram,
 };
@@ -183,6 +184,44 @@ fn exactly_sized(plan: &CyclopsPlan) -> Result<(), String> {
     Ok(())
 }
 
+/// The view slot space's invariant: on every worker, the `k`-th in-edge
+/// reference of every master is a slot inside `[masters | replicas | direct
+/// slots]` that names the `k`-th vertex of `graph.in_neighbors(v)` — by the
+/// table of whichever range it falls in — and a direct slot wakes exactly
+/// the master that reads it.
+fn in_refs_name_in_neighbors(plan: &CyclopsPlan, g: &Graph) -> Result<(), String> {
+    for (w, wp) in plan.workers.iter().enumerate() {
+        for (li, &v) in wp.masters.iter().enumerate() {
+            let (s, e) = wp.in_ref_range(li);
+            let sources = g.in_neighbors(v);
+            if e - s != sources.len() {
+                return Err(format!("worker {w} vertex {v}: {} refs", e - s));
+            }
+            for (k, (&slot, &u)) in wp.in_refs[s..e].iter().zip(sources).enumerate() {
+                if slot as usize >= wp.num_view_slots() {
+                    return Err(format!(
+                        "worker {w} vertex {v} ref {k}: slot {slot} out of range"
+                    ));
+                }
+                let named = match wp.slot_kind(slot) {
+                    SlotKind::Master(i) => wp.masters[i as usize] == u,
+                    SlotKind::Replica(i) => wp.replicas[i as usize] == u,
+                    SlotKind::Direct(i) => {
+                        wp.direct_source[i as usize] == u
+                            && wp.direct_target[i as usize] == li as u32
+                    }
+                };
+                if !named {
+                    return Err(format!(
+                        "worker {w} vertex {v} ref {k}: slot {slot} is not {u}"
+                    ));
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Field-by-field structural equality of two plans — the contract
 /// [`apply_migration`] promises against a from-scratch build.
 fn plans_equal(a: &CyclopsPlan, b: &CyclopsPlan) -> Result<(), String> {
@@ -334,6 +373,34 @@ proptest! {
                 prop_assert!(false, "round {round}: {e}");
             }
             prop_assert_eq!(plan.memory_breakdown(), reference.memory_breakdown());
+        }
+    }
+
+    #[test]
+    fn in_refs_index_one_slot_space_naming_the_in_neighbors(
+        g in arb_hub_graph(),
+        seed in 0u64..1_000,
+        workers_idx in 0usize..3,
+        threshold_idx in 0usize..3,
+        picks in prop::collection::vec((0usize..64, 0u32..5), 1..8),
+    ) {
+        // From scratch, then after each of a chain of arbitrary migration
+        // batches (a move shifts the range bases of both workers it touches).
+        let workers = [1usize, 2, 5][workers_idx];
+        let threshold = [0u32, 2, u32::MAX][threshold_idx];
+        let p = arb_partition(&g, workers, seed);
+        let mut plan = CyclopsPlan::build_parallel_with_threshold(&g, &p, threshold);
+        for round in 0..picks.len() {
+            if let Err(e) = in_refs_name_in_neighbors(&plan, &g) {
+                prop_assert!(false, "before batch {round}: {e}");
+            }
+            let moves = moves_from_picks(&plan, &picks, round);
+            if !moves.is_empty() {
+                apply_migration(&mut plan, &g, &MigrationBatch { moves }, threshold);
+            }
+        }
+        if let Err(e) = in_refs_name_in_neighbors(&plan, &g) {
+            prop_assert!(false, "after the last batch: {e}");
         }
     }
 

@@ -788,6 +788,16 @@ fn adaptive_wire_encode<T: AdaptiveUpdate>(buf: &mut BytesMut, msgs: &mut [T]) -
     }
 }
 
+/// How many updates a batch decoder reserves room for when the header
+/// announces `count` and `remaining` bytes are left to read. `count` is a
+/// hostile varint; every update still to come costs at least one payload
+/// byte, so a well-formed frame's reservation is its `count` and a lying
+/// one's is bounded by its own length.
+#[inline]
+fn batch_reservation(count: usize, remaining: usize) -> usize {
+    count.min(remaining)
+}
+
 /// Shared decoder of the adaptive framing. Rejects (returns `None` for) a
 /// batch carrying the *other* format's tags, so replica and direct traffic
 /// cannot be cross-decoded.
@@ -816,7 +826,7 @@ fn adaptive_wire_try_decode<T: AdaptiveUpdate>(buf: &mut impl Buf) -> Option<Vec
         } else {
             None
         };
-        let mut out = Vec::with_capacity(count.min(buf.remaining()));
+        let mut out = Vec::with_capacity(batch_reservation(count, buf.remaining()));
         let mut id = 0u64;
         for i in 0..count {
             let delta = try_decode_varint(buf)?;
@@ -856,7 +866,9 @@ fn adaptive_wire_try_decode<T: AdaptiveUpdate>(buf: &mut impl Buf) -> Option<Vec
         } else {
             None
         };
-        let mut out = Vec::with_capacity(count);
+        // Taken after the bitmaps: the header check above lets `count` be
+        // 8x the bytes that were left, bitmaps included.
+        let mut out = Vec::with_capacity(batch_reservation(count, buf.remaining()));
         for off in 0..span as usize {
             if bitmap_get(&presence, off) {
                 if out.len() == count {
@@ -1245,6 +1257,39 @@ mod tests {
                 assert!(rejected, "tag {tag:#04x}, base {base} must not decode");
             }
         }
+    }
+
+    #[test]
+    fn dense_batch_reservation_is_bounded_by_the_frame() {
+        // A frame of two all-ones bitmaps and no payloads: the header checks
+        // pass (count <= span <= 8 x remaining), so without the cap the
+        // decoder would reserve `count` updates — 100x the frame's length
+        // for f64 payloads — before finding nothing to decode.
+        let count = 1usize << 16;
+        for (tag, carries_activation) in [(REPLICA_BATCH_DENSE, true), (DIRECT_BATCH_DENSE, false)]
+        {
+            let mut frame = BytesMut::new();
+            frame.put_u8(tag);
+            encode_varint(&mut frame, count as u64);
+            encode_varint(&mut frame, 0); // base
+            encode_varint(&mut frame, count as u64); // span
+            let bitmaps = if carries_activation { 2 } else { 1 };
+            frame.put_slice(&vec![0xFF; bitmaps * count / 8]);
+            let rejected = if carries_activation {
+                ReplicaUpdate::<f64>::wire_try_decode_batch(&mut &frame[..]).is_none()
+            } else {
+                DirectMessage::<f64>::wire_try_decode_batch(&mut &frame[..]).is_none()
+            };
+            assert!(
+                rejected,
+                "tag {tag:#04x}: payload-free frame must not decode"
+            );
+        }
+        // The bound itself: never more updates than bytes left, and a
+        // legitimate frame (>= 1 payload byte per update) keeps its count.
+        assert_eq!(batch_reservation(count, 0), 0);
+        assert_eq!(batch_reservation(usize::MAX, 17), 17);
+        assert_eq!(batch_reservation(3, 24), 3);
     }
 
     fn directs(ids: &[u32]) -> Vec<DirectMessage<f64>> {

@@ -55,10 +55,13 @@ pub enum Component {
     /// direct-slot tables below.
     Plan,
     /// Replica machinery: replica id lists, mirror fan-out, replica
-    /// activation CSRs, and the replica publication slots.
+    /// activation CSRs — and each worker's immutable view, the one array of
+    /// publication slots (masters, replicas, direct slots) every gather
+    /// reads.
     Replicas,
     /// Hybrid-replication direct-message machinery: slot source/target
-    /// tables, sender-side destination CSRs, and the slot value tables.
+    /// tables and sender-side destination CSRs. The slots' values live in
+    /// the view, under [`Component::Replicas`].
     DirectSlots,
     /// The transport's pooled per-lane encode buffers and engine outboxes.
     SendPool,

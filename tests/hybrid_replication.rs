@@ -14,7 +14,8 @@ use cyclops::prelude::*;
 use cyclops_algos::cc::{run_cyclops_cc_tuned, symmetrize};
 use cyclops_algos::pagerank::run_cyclops_pagerank_tuned;
 use cyclops_algos::sssp::run_cyclops_sssp_tuned;
-use cyclops_engine::Sched;
+use cyclops_algos::triangles::CyclopsTriangles;
+use cyclops_engine::{run_cyclops, CyclopsConfig, Sched};
 use cyclops_net::trace::{diff, RunTrace, TraceSink};
 use cyclops_partition::EdgeCutPartition;
 
@@ -174,6 +175,54 @@ fn cc_hybrid_matches_full_replication_on_rmat() {
             let hy = run_cyclops_cc_tuned(&g, &p, &cluster, Sched::Static, SPARSE, t, None);
             assert_eq!(hy.values, full.values, "{cluster:?} {name}");
             assert_eq!(hy.supersteps, full.supersteps, "{cluster:?} {name}");
+        }
+    }
+}
+
+/// Triangle counting is the one program that gathers through
+/// `in_messages_with_sources`, so it pins the other face of the gather loop
+/// to the slot space: the source id zipped beside each publication must stay
+/// aligned whether the slot read is a master, a replica or a direct slot.
+/// It never republishes — the whole view it reads is the INIT seeding — so
+/// no direct message is ever sent; what shows that the reads went through
+/// direct slots is the plan's slot count. Threshold 2 messages nothing on a
+/// symmetric graph (a boundary vertex has an edge each way), 16 mixes all
+/// three ranges, `u32::MAX` leaves no replica at all.
+#[test]
+fn triangles_gather_with_sources_through_every_slot_range() {
+    let g = symmetrize(&Dataset::Amazon.generate_scaled(0.05, 17));
+    let expected = cyclops::graph::reference::triangle_count(&g);
+    assert!(expected > 0);
+    for cluster in [ClusterSpec::flat(3, 1), ClusterSpec::mt(2, 3, 2)] {
+        let p = HashPartitioner.partition(&g, cluster.num_workers());
+        let run = |replicate_threshold| {
+            let config = CyclopsConfig {
+                cluster,
+                max_supersteps: 4,
+                replicate_threshold,
+                ..Default::default()
+            };
+            run_cyclops(&CyclopsTriangles, &g, &p, &config)
+        };
+        let full = run(0);
+        assert_eq!(full.values.iter().sum::<u64>() as usize, expected);
+        assert_eq!(full.ingress.total_direct_slots, 0);
+        for t in [2, 16, u32::MAX] {
+            let hy = run(t);
+            assert_eq!(hy.values, full.values, "{cluster:?} t={t}");
+            assert_eq!(hy.direct_messages, 0, "{cluster:?} t={t}");
+            let (slots, replicas) = (hy.ingress.total_direct_slots, hy.ingress.total_replicas);
+            match t {
+                2 => assert_eq!((slots, replicas), (0, full.ingress.total_replicas)),
+                16 => assert!(
+                    slots > 0 && replicas > 0,
+                    "{cluster:?}: {slots} / {replicas}"
+                ),
+                _ => assert!(
+                    slots > 0 && replicas == 0,
+                    "{cluster:?}: {slots} / {replicas}"
+                ),
+            }
         }
     }
 }
