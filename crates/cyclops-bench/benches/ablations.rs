@@ -468,7 +468,7 @@ fn main() {
         "messaged",
         "messages",
         "bytes",
-        "direct bytes",
+        "direct msgs",
         "time (s)",
     ]);
     let mut baseline_values: Option<Vec<f64>> = None;
@@ -502,7 +502,7 @@ fn main() {
             report::count(ingress.messaged_boundary),
             report::count(r.counters.messages),
             report::count(r.counters.bytes),
-            report::count(r.direct_bytes),
+            report::count(r.direct_messages),
             report::secs(r.elapsed),
         ]);
     }

@@ -8,8 +8,7 @@
 //! disabled Option check), the communication matrix's per-flush accounting
 //! (per-destination cells vs the aggregate counters), the compute
 //! scheduler's frontier-dispatch strategies on a skewed R-MAT frontier,
-//! the hybrid-replication publish split (direct-message batches alongside
-//! replica flushes across boundary coldness levels), hybrid plan
+//! hybrid plan
 //! construction against the full-replication build it extends, the two
 //! per-edge operations of the view (a frontier mark, first vs repeated, and a
 //! gather through `in_messages`), and the tracking allocator's malloc/free
@@ -27,8 +26,7 @@ use cyclops_graph::{Dataset, Graph, VertexId};
 use cyclops_net::codec::{decode_batch, encode_batch, encode_batch_into};
 use cyclops_net::metrics::{PhaseHists, PhaseTimes};
 use cyclops_net::{
-    ClusterSpec, DirectMessage, FlatBarrier, HierarchicalBarrier, InboxMode, ReplicaUpdate,
-    Transport, WireFormat,
+    ClusterSpec, FlatBarrier, HierarchicalBarrier, InboxMode, ReplicaUpdate, Transport, WireFormat,
 };
 use cyclops_partition::{EdgeCutPartitioner, HashPartitioner};
 
@@ -73,7 +71,7 @@ fn bench_wire_encoding(c: &mut Criterion) {
             .map(|k| ReplicaUpdate {
                 replica: (k as f64 / density) as u32,
                 payload: k as f64 * 0.5,
-                activate: k % 3 == 0,
+                activate: true,
             })
             .collect();
         let legacy: Vec<(u32, f64, bool)> = updates
@@ -524,87 +522,6 @@ fn bench_scheduling(c: &mut Criterion) {
     group.finish();
 }
 
-/// The hybrid-replication publish split: a 4096-vertex boundary where a
-/// coldness fraction is messaged directly (`DirectBatch`) and the rest is
-/// replicated (`ReplicaBatch`), versus the threshold-0 baseline that
-/// replicates everything. Both framings share the adaptive sparse/dense
-/// encoder, so this isolates the cost of splitting one flush into two
-/// batches — the per-superstep price of hybrid mode on the publish path.
-fn bench_direct_vs_replica_publish(c: &mut Criterion) {
-    const SPAN: u32 = 4096;
-    for (label, coldness) in [("1pct", 0.01), ("10pct", 0.10), ("90pct", 0.90)] {
-        let cold = (SPAN as f64 * coldness) as u32;
-        // Cold (messaged) vertices spread evenly through the span; the rest
-        // are hot (replicated). Deterministic so runs are comparable.
-        let stride = (SPAN / cold.max(1)).max(1);
-        let is_cold = |v: u32| v.is_multiple_of(stride) && v / stride < cold;
-        let full: Vec<ReplicaUpdate<f64>> = (0..SPAN)
-            .map(|v| ReplicaUpdate {
-                replica: v,
-                payload: v as f64 * 0.5,
-                activate: v % 3 == 0,
-            })
-            .collect();
-        let hot: Vec<ReplicaUpdate<f64>> = full
-            .iter()
-            .filter(|u| !is_cold(u.replica))
-            .cloned()
-            .collect();
-        let direct: Vec<DirectMessage<f64>> = (0..SPAN)
-            .filter(|&v| is_cold(v))
-            .enumerate()
-            .map(|(slot, v)| DirectMessage::new(slot as u32, v as f64 * 0.5, true))
-            .collect();
-
-        let mut rb = BytesMut::new();
-        ReplicaUpdate::wire_encode_batch_into(&mut rb, &mut full.clone());
-        let mut hb = BytesMut::new();
-        ReplicaUpdate::wire_encode_batch_into(&mut hb, &mut hot.clone());
-        let mut db = BytesMut::new();
-        DirectMessage::wire_encode_batch_into(&mut db, &mut direct.clone());
-        println!(
-            "direct_vs_replica_publish/{label}: full-replication {} B, hybrid {} B \
-             ({} replica + {} direct, {:+.1}%)",
-            rb.len(),
-            hb.len() + db.len(),
-            hb.len(),
-            db.len(),
-            100.0 * ((hb.len() + db.len()) as f64 / rb.len() as f64 - 1.0),
-        );
-
-        let mut group = c.benchmark_group(&format!("direct_vs_replica_publish_{label}"));
-        group.throughput(Throughput::Elements(SPAN as u64));
-        group.bench_function("replica_full_4096", |b| {
-            let mut buf = BytesMut::new();
-            b.iter_batched(
-                || full.clone(),
-                |mut updates| {
-                    buf.clear();
-                    ReplicaUpdate::wire_encode_batch_into(&mut buf, &mut updates);
-                    std::hint::black_box(buf.len())
-                },
-                BatchSize::SmallInput,
-            )
-        });
-        group.bench_function("hybrid_split_4096", |b| {
-            let mut rbuf = BytesMut::new();
-            let mut dbuf = BytesMut::new();
-            b.iter_batched(
-                || (hot.clone(), direct.clone()),
-                |(mut hot, mut direct)| {
-                    rbuf.clear();
-                    dbuf.clear();
-                    ReplicaUpdate::wire_encode_batch_into(&mut rbuf, &mut hot);
-                    DirectMessage::wire_encode_batch_into(&mut dbuf, &mut direct);
-                    std::hint::black_box(rbuf.len() + dbuf.len())
-                },
-                BatchSize::SmallInput,
-            )
-        });
-        group.finish();
-    }
-}
-
 /// Ingress cost of hybrid plan construction: rewiring cold boundary
 /// vertices to direct-message tables happens once at plan build, and this
 /// pins its price against the threshold-0 build it replaces.
@@ -851,7 +768,6 @@ criterion_group!(
     bench_span_event,
     bench_comm_matrix,
     bench_scheduling,
-    bench_direct_vs_replica_publish,
     bench_plan_build_hybrid,
     bench_plan_build_hub,
     bench_frontier_mark,

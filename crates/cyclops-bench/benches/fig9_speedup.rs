@@ -92,7 +92,7 @@ fn main() {
                 ("hybrid_replication_factor", hy.replication_factor.into()),
                 ("hybrid_full_bytes", full.counters.bytes.into()),
                 ("hybrid_bytes", hy.counters.bytes.into()),
-                ("hybrid_direct_bytes", hy.direct_bytes.into()),
+                ("hybrid_direct_messages", hy.direct_messages.into()),
             ]);
         }
         json.row(row);

@@ -156,8 +156,6 @@ pub struct Outcome {
     /// Direct messages sent for cold boundary vertices (hybrid replication;
     /// 0 unless a Cyclops engine ran with a nonzero threshold).
     pub direct_messages: usize,
-    /// Wire bytes of those direct messages.
-    pub direct_bytes: usize,
     /// Ingress breakdown (Cyclops engines only).
     pub ingress: Option<IngressStats>,
     /// Final values as f64 when the algorithm is PageRank/SSSP (for
@@ -183,7 +181,6 @@ pub fn run_on_hama(
                 stats: r.stats,
                 replication_factor: 0.0,
                 direct_messages: 0,
-                direct_bytes: 0,
                 ingress: None,
                 values_f64: Some(r.values),
             }
@@ -197,7 +194,6 @@ pub fn run_on_hama(
                 stats: r.stats,
                 replication_factor: 0.0,
                 direct_messages: 0,
-                direct_bytes: 0,
                 ingress: None,
                 values_f64: None,
             }
@@ -211,7 +207,6 @@ pub fn run_on_hama(
                 stats: r.stats,
                 replication_factor: 0.0,
                 direct_messages: 0,
-                direct_bytes: 0,
                 ingress: None,
                 values_f64: None,
             }
@@ -225,7 +220,6 @@ pub fn run_on_hama(
                 stats: r.stats,
                 replication_factor: 0.0,
                 direct_messages: 0,
-                direct_bytes: 0,
                 ingress: None,
                 values_f64: Some(r.values),
             }
@@ -251,7 +245,6 @@ pub fn run_on_cyclops(
                 stats: r.stats,
                 replication_factor: r.replication_factor,
                 direct_messages: r.direct_messages,
-                direct_bytes: r.direct_bytes,
                 ingress: Some(r.ingress),
                 values_f64: Some(r.values),
             }
@@ -265,7 +258,6 @@ pub fn run_on_cyclops(
                 stats: r.stats,
                 replication_factor: r.replication_factor,
                 direct_messages: r.direct_messages,
-                direct_bytes: r.direct_bytes,
                 ingress: Some(r.ingress),
                 values_f64: None,
             }
@@ -279,7 +271,6 @@ pub fn run_on_cyclops(
                 stats: r.stats,
                 replication_factor: r.replication_factor,
                 direct_messages: r.direct_messages,
-                direct_bytes: r.direct_bytes,
                 ingress: Some(r.ingress),
                 values_f64: None,
             }
@@ -308,7 +299,6 @@ pub fn run_on_cyclops(
                 stats: r.stats,
                 replication_factor: r.replication_factor,
                 direct_messages: r.direct_messages,
-                direct_bytes: r.direct_bytes,
                 ingress: Some(r.ingress),
                 values_f64: Some(r.values),
             }
@@ -343,7 +333,6 @@ pub fn run_on_cyclops_threshold(
         stats: r.stats,
         replication_factor: r.replication_factor,
         direct_messages: r.direct_messages,
-        direct_bytes: r.direct_bytes,
         ingress: Some(r.ingress),
         values_f64: Some(r.values),
     };
@@ -392,7 +381,6 @@ pub fn run_on_gas(
                 stats: r.stats,
                 replication_factor: r.replication_factor,
                 direct_messages: 0,
-                direct_bytes: 0,
                 ingress: None,
                 values_f64: Some(r.values),
             }
@@ -406,7 +394,6 @@ pub fn run_on_gas(
                 stats: r.stats,
                 replication_factor: r.replication_factor,
                 direct_messages: 0,
-                direct_bytes: 0,
                 ingress: None,
                 values_f64: Some(r.values),
             }

@@ -19,24 +19,25 @@
 //!   write each update into its view slot lock-free, wake the slot's readers;
 //! * **CMP** — `Worker::compute_vertex` (build the [`CyclopsContext`], run the
 //!   program, fold error / convergence / digest, store the publication, wake
-//!   local readers), `Worker::fan_out` (one sync per mirror, one direct
-//!   message per cold cross edge) and `Worker::publish_local`;
-//! * **SND** — `Worker::send_outboxes`: one batch per non-empty destination;
-//!   `send_batch` books the receipt in the trace;
+//!   local readers), `Worker::fan_out` (one [`ReplicaUpdate`] per remote copy
+//!   of the publication: a replica of a hot master, a direct slot per cross
+//!   edge of a cold one) and `Worker::publish_local`;
+//! * **SND** — `Worker::send_outboxes`: one batch per non-empty destination,
+//!   its receipt booked in the trace;
 //! * **SYN** — `Run::close_superstep`: the global leader's reduction,
 //!   [`SuperstepStats`], convergence predicate and cap → `stop`;
 //!   `Worker::commit_superstep` closes a worker's trace record;
 //!   `Run::checkpoint_due` / `Worker::capture_checkpoint` are the checkpoint
 //!   cadence and capture.
 //!
-//! They vary in two things only, both decided by what the caller holds. *How a
-//! reader is woken* is a closure over `(reader local indices, &payload)`: the
+//! They vary in one thing only, decided by what the caller holds: *how a
+//! reader is woken* is a closure over `(reader local indices, &payload)` — the
 //! per-barrier driver marks the frontier's parity bit, the bucket settle parks
-//! the reader at the priority the payload proposes. *Which update kind is in
-//! hand*: `ViewUpdate` is the shape [`ReplicaUpdate`] and [`DirectMessage`]
-//! share, an `Outbox` holds both framings per destination and `Wire` both
-//! transports, because mirroring and messaging are one mechanism with a degree
-//! cutoff (Yan et al., arXiv:1503.00626).
+//! the reader at the priority the payload proposes. There is one kind of view
+//! update from publish to apply: mirroring and messaging are one mechanism with
+//! a degree cutoff (Yan et al., arXiv:1503.00626), so a destination's outbox is
+//! a `Vec<ReplicaUpdate>`, the run has one [`Transport`], and an update's id is
+//! a remote slot of the destination's view, `[replicas | direct slots]`.
 //!
 //! # The drivers
 //!
@@ -71,9 +72,9 @@ use cyclops_graph::Graph;
 use cyclops_net::metrics::CounterSnapshot;
 use cyclops_net::trace::{digest_bytes, SpaceSaving, TraceSink};
 use cyclops_net::{
-    AggregateStats, BucketMode, ClusterSpec, Codec, DirectMessage, DisjointSlots,
-    HierarchicalBarrier, InboxMode, Phase, PhaseHists, PhaseTimes, ReplicaUpdate, SchedObs,
-    SuperstepStats, Transport, WireFormat, WireMode, WorkerTracer,
+    AggregateStats, BucketMode, ClusterSpec, Codec, DisjointSlots, HierarchicalBarrier, InboxMode,
+    Phase, PhaseHists, PhaseTimes, ReplicaUpdate, SchedObs, SuperstepStats, Transport, WireMode,
+    WorkerTracer,
 };
 use cyclops_obs::mem::{Component, MemScope};
 use cyclops_obs::{SpanKind, SpanRing};
@@ -180,8 +181,8 @@ pub struct CyclopsConfig {
     /// Degree threshold of hybrid replication: a boundary vertex whose
     /// combined (in + out) degree is below the threshold gets **no**
     /// replica — its cross-worker in-edges read a per-worker direct-message
-    /// table fed by per-edge `DirectBatch` sends instead of the one-sync-
-    /// per-mirror replica path. `0` (the default) is full replication,
+    /// table fed by one update per edge instead of one per mirror, in the
+    /// same batches. `0` (the default) is full replication,
     /// byte-identical to the pre-hybrid engine. Results are bitwise
     /// identical at every threshold; only the wire traffic and the replica
     /// memory change. Ignored by the `run_cyclops_with_plan*` entry points,
@@ -241,14 +242,12 @@ pub struct CyclopsResult<V, M> {
     pub supersteps: usize,
     /// Per-superstep statistics, aggregated over workers.
     pub stats: Vec<SuperstepStats>,
-    /// Whole-run transport counters — replica-update and direct-message
-    /// transports merged (totals add, queue peaks take the max).
+    /// Whole-run transport counters.
     pub counters: CounterSnapshot,
-    /// Direct messages sent over the run (hybrid replication's cold-vertex
-    /// path; 0 under full replication).
+    /// Updates sent to direct slots over the run (hybrid replication's
+    /// cold-vertex path; 0 under full replication). A subset of
+    /// `counters.messages`.
     pub direct_messages: usize,
-    /// Cross-machine wire bytes of those direct-message batches.
-    pub direct_bytes: usize,
     /// Wall-clock time of the superstep loop (excludes ingress).
     pub elapsed: Duration,
     /// Ingress phase breakdown (LD / REP / INIT) and replica counts.
@@ -273,6 +272,8 @@ struct ChunkPartial {
     err_sum: f64,
     err_count: usize,
     computed: usize,
+    /// Updates queued for direct slots (see [`Worker::fan_out`]).
+    direct: usize,
     /// Net change of the worker's converged-vertex count (Proportion mode).
     conv_delta: isize,
     /// The worker's locally known next frontier; set once per worker, by its
@@ -287,84 +288,17 @@ impl ChunkPartial {
         self.err_sum += other.err_sum;
         self.err_count += other.err_count;
         self.computed += other.computed;
+        self.direct += other.direct;
         self.conv_delta += other.conv_delta;
         self.next_active += other.next_active;
     }
 }
 
-/// The shape the view's two update kinds share: a slot id local to its range
-/// of the destination worker's view (replica index or direct slot), the
-/// publication, and the activation bit. `cyclops-net` frames the two
-/// differently on the wire; the engine treats them as one mechanism.
-trait ViewUpdate<M>: WireFormat + Send {
-    /// Whether sends also feed the trace's `direct_*` columns.
-    const DIRECT: bool;
-    fn into_parts(self) -> (usize, M, bool);
-}
-
-impl<M: Codec + Send> ViewUpdate<M> for ReplicaUpdate<M> {
-    const DIRECT: bool = false;
-    fn into_parts(self) -> (usize, M, bool) {
-        (self.replica as usize, self.payload, self.activate)
-    }
-}
-
-impl<M: Codec + Send> ViewUpdate<M> for DirectMessage<M> {
-    const DIRECT: bool = true;
-    fn into_parts(self) -> (usize, M, bool) {
-        (self.slot as usize, self.payload, self.activate)
-    }
-}
-
-/// What one sender holds for one destination worker, both framings side by
-/// side: one sync+activation message per mirror, one direct message per
-/// cross edge into a cold (unreplicated) neighbor's slot. `direct` stays
-/// empty under full replication (no master has a `direct_out` list).
-struct Outbox<M> {
-    replica: Vec<ReplicaUpdate<M>>,
-    direct: Vec<DirectMessage<M>>,
-}
-
-impl<M> Outbox<M> {
-    /// One empty outbox per destination worker.
-    fn per_worker(num_workers: usize) -> Vec<Self> {
-        let _mem = MemScope::enter(Component::SendPool);
-        let outbox = |(replica, direct)| Outbox { replica, direct };
-        let empty = (0..num_workers).map(|_| (Vec::new(), Vec::new()));
-        empty.map(outbox).collect()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.replica.is_empty() && self.direct.is_empty()
-    }
-
-    /// Moves `other`'s messages behind this outbox's, leaving `other` empty
-    /// with its capacity intact (so deposit slots recycle their buffers).
-    fn append(&mut self, other: &mut Self) {
-        self.replica.append(&mut other.replica);
-        self.direct.append(&mut other.direct);
-    }
-}
-
-/// The two transports behind the view's two publication paths. Same lanes,
-/// same pooled-send contract, each its own framing; the direct one is
-/// completely idle (and allocation-free past construction) when the plan
-/// has no direct slots.
-struct Wire<M> {
-    replica: Transport<ReplicaUpdate<M>>,
-    direct: Transport<DirectMessage<M>>,
-}
-
-impl<M: Codec + Send> Wire<M> {
-    /// Whole-run counters of both transports (totals add, queue peaks max).
-    fn counters(&self) -> CounterSnapshot {
-        let direct = self.direct.counters().snapshot();
-        self.replica.counters().snapshot().merge(&direct)
-    }
-
-    fn all_empty(&self) -> bool {
-        self.replica.all_empty() && self.direct.all_empty()
-    }
+/// One empty outbox per destination worker: the view updates a sender holds
+/// for it until SND.
+fn outboxes<M>(num_workers: usize) -> Vec<Vec<ReplicaUpdate<M>>> {
+    let _mem = MemScope::enter(Component::SendPool);
+    (0..num_workers).map(|_| Vec::new()).collect()
 }
 
 /// Per-worker state shared by that worker's threads.
@@ -401,10 +335,10 @@ struct WorkerShared<V, M> {
     cmp_ns: Vec<AtomicU64>,
     /// Shared outboxes `[dest][thread]`: threads deposit their per-
     /// destination publications at the end of CMP; flush threads merge the
-    /// thread slots in thread order and send **one batch per destination
-    /// and kind** per superstep, so the batch count (and its wire framing)
-    /// stays deterministic under dynamic chunk claiming.
-    deposits: Vec<Vec<Mutex<Outbox<M>>>>,
+    /// thread slots in thread order and send **one batch per destination**
+    /// per superstep, so the batch count (and its wire framing) stays
+    /// deterministic under dynamic chunk claiming.
+    deposits: Vec<Vec<Mutex<Vec<ReplicaUpdate<M>>>>>,
     /// Whether this superstep runs on the sparse fast path (decided by the
     /// worker leader at frontier snapshot, read by every thread after the
     /// post-snapshot barrier).
@@ -428,7 +362,9 @@ struct Run<'a, P: CyclopsProgram> {
     threads: usize,
     receivers: usize,
     shared: Vec<WorkerShared<P::Value, P::Message>>,
-    wire: Wire<P::Message>,
+    transport: Transport<ReplicaUpdate<P::Message>>,
+    /// Running total behind [`CyclopsResult::direct_messages`].
+    direct_messages: AtomicUsize,
     barrier: HierarchicalBarrier,
     stop: AtomicBool,
     converged_total: AtomicIsize,
@@ -530,7 +466,7 @@ pub fn run_cyclops_with_plan_traced<P: CyclopsProgram>(
         restored[entry.0 as usize] = Some(entry);
     }
     let mut shared: Vec<WorkerShared<P::Value, P::Message>> = Vec::with_capacity(num_workers);
-    let thread_slots = |_| (Outbox::per_worker(threads).into_iter().map(Mutex::new)).collect();
+    let thread_slots = |_| (outboxes(threads).into_iter().map(Mutex::new)).collect();
     let mut views: Vec<Vec<Option<P::Message>>> = Vec::with_capacity(num_workers);
     for wp in &plan.workers {
         let n = wp.num_masters();
@@ -603,7 +539,6 @@ pub fn run_cyclops_with_plan_traced<P: CyclopsProgram>(
     let mut ingress = plan.ingress;
     ingress.init = init_start.elapsed();
 
-    let (net, pooled) = (config.network, config.pooled);
     let run = Run {
         program,
         graph,
@@ -615,10 +550,8 @@ pub fn run_cyclops_with_plan_traced<P: CyclopsProgram>(
         threads,
         receivers: spec.receivers_per_worker.min(threads),
         shared,
-        wire: Wire {
-            replica: Transport::with_pooling(spec, InboxMode::Sharded, net, pooled),
-            direct: Transport::with_pooling(spec, InboxMode::Sharded, net, pooled),
-        },
+        transport: Transport::with_pooling(spec, InboxMode::Sharded, config.network, config.pooled),
+        direct_messages: AtomicUsize::new(0),
         barrier: HierarchicalBarrier::new(num_workers, threads),
         stop: AtomicBool::new(false),
         converged_total: AtomicIsize::new(0),
@@ -662,15 +595,13 @@ pub fn run_cyclops_with_plan_traced<P: CyclopsProgram>(
             publications[v as usize] = publication;
         }
     }
-    let direct_snap = run.wire.direct.counters().snapshot();
     CyclopsResult {
         values: values.into_iter().map(Option::unwrap).collect(),
         publications,
         supersteps: run.supersteps_done.load(Ordering::Acquire),
         stats: run.history.into_inner(),
-        counters: run.wire.counters(),
-        direct_messages: direct_snap.messages,
-        direct_bytes: direct_snap.bytes,
+        counters: run.transport.counters().snapshot(),
+        direct_messages: run.direct_messages.into_inner(),
         elapsed,
         ingress,
         replication_factor: plan.replication_factor(graph),
@@ -763,7 +694,9 @@ impl<'r, P: CyclopsProgram> Run<'r, P> {
         *self.prev_aggregate.lock() = (!total.agg.is_empty()).then_some(total.agg);
         let mean_err = (total.err_count > 0).then(|| total.err_sum / total.err_count as f64);
 
-        let snap = self.wire.counters();
+        self.direct_messages
+            .fetch_add(total.direct, Ordering::Relaxed);
+        let snap = self.transport.counters().snapshot();
         let mut last = self.last_counters.lock();
         let mut cur = self.current.lock();
         cur.superstep = superstep;
@@ -781,7 +714,7 @@ impl<'r, P: CyclopsProgram> Run<'r, P> {
             }
             Convergence::GlobalError { epsilon } => mean_err.is_some_and(|e| e <= epsilon),
         };
-        let drained = total.next_active == 0 && self.wire.all_empty();
+        let drained = total.next_active == 0 && self.transport.all_empty();
         // A *global* cap on the superstep index: resumed runs continue
         // toward the same cap rather than getting a fresh budget.
         let capped = superstep + 1 >= self.config.max_supersteps || budget_exhausted;
@@ -791,69 +724,43 @@ impl<'r, P: CyclopsProgram> Run<'r, P> {
     }
 }
 
-/// PRS core: writes every update of `batches` into its view slot — `base`,
-/// the first slot of the update kind's range, plus the update's id — and
-/// wakes the slot's readers (`readers(id)` → local indices) when the update
-/// activates. Returns the number of updates applied.
+/// PRS core: writes every update of `batches` into its view slot — the
+/// worker's master count plus the update's remote slot — and wakes the slot's
+/// readers: a replica's local out-neighbors, a direct slot's one target.
+/// Returns the number of updates applied.
 #[inline]
-fn apply_batches<'p, U: ViewUpdate<M>, M>(
-    batches: Vec<(usize, Vec<U>)>,
+fn apply_batches<M>(
+    batches: Vec<(usize, Vec<ReplicaUpdate<M>>)>,
     view: &DisjointSlots<Option<M>>,
-    base: usize,
-    readers: impl Fn(usize) -> &'p [u32],
+    wp: &WorkerPlan,
     wake: &mut impl FnMut(&[u32], &M),
 ) -> u64 {
+    let (base, num_replicas) = (wp.replica_base(), wp.num_replicas());
     let mut applied = 0u64;
     for (_, batch) in batches {
         applied += batch.len() as u64;
         for upd in batch {
-            let (id, payload, activate) = upd.into_parts();
-            if activate {
-                wake(readers(id), &payload);
-            }
+            let id = upd.replica as usize;
+            let readers = match id.checked_sub(num_replicas) {
+                None => wp.rep_out(id),
+                Some(slot) => std::slice::from_ref(&wp.direct_target[slot]),
+            };
+            wake(readers, &upd.payload);
             // SAFETY: each slot has one source master (a replica's master,
-            // a direct slot's cross edge) whose plan tables hold this id, so
-            // `base + id` stays inside the kind's range; a master reaches a
-            // slot at most once per epoch (one sync per mirror per
-            // superstep; the settle's dirty list dedups a round's
-            // republications), and lanes touching the same slot are drained
-            // by one receiver — so within an epoch no slot is written
-            // twice, the master range is written in another phase, and
-            // readers are behind a barrier (or, in the settle, on this same
-            // thread).
-            unsafe { view.write(base + id, Some(payload)) };
+            // a direct slot's cross edge) whose `mirrors` entries hold this
+            // id, and the reader lookup above has bounds-checked it, so
+            // `base + id` stays inside the replica and direct ranges; a
+            // master reaches a slot at most once per epoch (one update per
+            // remote copy per superstep; the settle's dirty list dedups a
+            // round's republications), and lanes touching the same slot are
+            // drained by one receiver — so within an epoch no slot is
+            // written twice, the master range is written in another phase,
+            // and readers are behind a barrier (or, in the settle, on this
+            // same thread).
+            unsafe { view.write(base + id, Some(upd.payload)) };
         }
     }
     applied
-}
-
-/// SND core: sends `batch` (left empty) to `dest` as one batch and books
-/// the receipt — tracer totals and comm-matrix row, the `direct_*` columns
-/// for direct messages, and the wire mode's dense/sparse batch counts
-/// (legacy and intra-machine sends count as neither).
-#[inline]
-fn send_batch<U: ViewUpdate<M>, M>(
-    transport: &Transport<U>,
-    (lane, dest, epoch): (usize, usize, usize),
-    batch: &mut Vec<U>,
-    tr: Option<&WorkerTracer>,
-) {
-    if batch.is_empty() {
-        return;
-    }
-    let sent = batch.len() as u64;
-    let receipt = transport.send(lane, dest, std::mem::take(batch), epoch);
-    if let Some(tr) = tr {
-        tr.add_sent_to(dest, sent, receipt.bytes as u64);
-        if U::DIRECT {
-            tr.add_direct(sent, receipt.bytes as u64);
-        }
-        match receipt.wire_mode {
-            Some(WireMode::Dense) => tr.add_wire_batches_to(dest, 1, 0),
-            Some(WireMode::Sparse) => tr.add_wire_batches_to(dest, 0, 1),
-            _ => {}
-        }
-    }
 }
 
 impl<'r, P: CyclopsProgram> Worker<'r, P> {
@@ -866,27 +773,18 @@ impl<'r, P: CyclopsProgram> Worker<'r, P> {
     }
 
     /// PRS: drains receiver `part` of `parts`' share of this worker's
-    /// inbound lanes for `epoch` — replica syncs, then direct messages — and
-    /// applies them to the view. `wake(readers, &payload)` is how the caller
-    /// activates the local masters that read an updated slot.
+    /// inbound lanes for `epoch` and applies them to the view.
+    /// `wake(readers, &payload)` is how the caller activates the local
+    /// masters that read an updated slot.
     fn apply_inbound(
         &self,
         epoch: usize,
         (part, parts): (usize, usize),
         mut wake: impl FnMut(&[u32], &P::Message),
     ) {
-        let (wire, wp) = (&self.run.wire, self.wp);
-        let syncs = wire
-            .replica
-            .drain_lanes_partitioned(self.w, epoch, part, parts);
-        let directs = wire
-            .direct
-            .drain_lanes_partitioned(self.w, epoch, part, parts);
-        let view = &self.ws.view;
-        let replica_readers = |rep| wp.rep_out(rep);
-        let direct_reader = |slot| std::slice::from_ref(&wp.direct_target[slot]);
-        let drained = apply_batches(syncs, view, wp.replica_base(), replica_readers, &mut wake)
-            + apply_batches(directs, view, wp.direct_base(), direct_reader, &mut wake);
+        let transport = &self.run.transport;
+        let batches = transport.drain_lanes_partitioned(self.w, epoch, part, parts);
+        let drained = apply_batches(batches, &self.ws.view, self.wp, &mut wake);
         if let Some(tr) = self.tr {
             tr.add_drained(drained);
         }
@@ -977,31 +875,47 @@ impl<'r, P: CyclopsProgram> Worker<'r, P> {
     }
 
     /// Queues master `li`'s publication `m` for its remote readers: exactly
-    /// one sync+activation message per mirror, and one direct message per
-    /// cross edge into a cold neighbor's slot.
+    /// one update per remote copy — a replica per mirror worker if the master
+    /// is hot, a direct slot per cross edge if it is cold. Returns how many
+    /// of them went to direct slots, the `direct_messages` the run reports
+    /// (all or none: see [`CyclopsPlan::names_direct_slot`]).
     #[inline]
-    fn fan_out(&self, li: usize, m: &P::Message, out: &mut [Outbox<P::Message>]) {
-        for &(mw, rep) in self.wp.mirrors(li) {
-            let sync = ReplicaUpdate::new(rep, m.clone(), true);
-            out[mw as usize].replica.push(sync);
+    fn fan_out(
+        &self,
+        li: usize,
+        m: &P::Message,
+        out: &mut [Vec<ReplicaUpdate<P::Message>>],
+    ) -> usize {
+        let copies = self.wp.mirrors(li);
+        for &(p, id) in copies {
+            out[p as usize].push(ReplicaUpdate::new(id, m.clone(), true));
         }
-        // The length check spares a full-replication run two offset loads
-        // per publication — measurable in CMP on publish-heavy SSSP.
-        if !self.wp.direct_out.is_empty() {
-            for &(dw, slot) in self.wp.direct_out(li) {
-                let msg = DirectMessage::new(slot, m.clone(), true);
-                out[dw as usize].direct.push(msg);
-            }
+        match copies.first() {
+            Some(&first) if self.run.plan.names_direct_slot(first) => copies.len(),
+            _ => 0,
         }
     }
 
     /// SND: sends every non-empty outbox on `lane` for `epoch` — one batch
-    /// per destination and kind — leaving `out` empty (capacity given away).
-    fn send_outboxes(&self, lane: usize, epoch: usize, out: &mut [Outbox<P::Message>]) {
-        let wire = &self.run.wire;
-        for (dest, ob) in out.iter_mut().enumerate() {
-            send_batch(&wire.replica, (lane, dest, epoch), &mut ob.replica, self.tr);
-            send_batch(&wire.direct, (lane, dest, epoch), &mut ob.direct, self.tr);
+    /// per destination — leaving `out` empty (capacity given away), and books
+    /// each receipt: tracer totals, comm-matrix row and the wire mode's
+    /// dense/sparse batch count (intra-machine sends count as neither).
+    fn send_outboxes(&self, lane: usize, epoch: usize, out: &mut [Vec<ReplicaUpdate<P::Message>>]) {
+        let transport = &self.run.transport;
+        for (dest, batch) in out.iter_mut().enumerate() {
+            if batch.is_empty() {
+                continue;
+            }
+            let sent = batch.len() as u64;
+            let receipt = transport.send(lane, dest, std::mem::take(batch), epoch);
+            if let Some(tr) = self.tr {
+                tr.add_sent_to(dest, sent, receipt.bytes as u64);
+                match receipt.wire_mode {
+                    Some(WireMode::Dense) => tr.add_wire_batches_to(dest, 1, 0),
+                    Some(WireMode::Sparse) => tr.add_wire_batches_to(dest, 0, 1),
+                    _ => {}
+                }
+            }
         }
     }
 
@@ -1068,6 +982,7 @@ impl<'r, P: CyclopsProgram> Worker<'r, P> {
         }
         if let Some(tr) = self.tr {
             tr.add_computed(part.computed as u64);
+            tr.add_direct(part.direct as u64);
             tr.add_converged_delta(part.conv_delta as i64);
             tr.add_activated(part.next_active as u64);
             if !part.agg.is_empty() {
@@ -1120,8 +1035,8 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
     // parity of the superstep that will compute them.
 
     let mut superstep = run.start_superstep;
-    let mut out = Outbox::per_worker(num_workers);
-    let mut flush = Outbox::per_worker(num_workers);
+    let mut out = outboxes(num_workers);
+    let mut flush = outboxes(num_workers);
     let mut acc = CmpAcc::new(run.trace);
 
     loop {
@@ -1259,7 +1174,7 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
                         }
                     });
                     if let Some(m) = published {
-                        wk.fan_out(li, m, &mut out);
+                        acc.part.direct += wk.fan_out(li, m, &mut out);
                     }
                 }
                 // Publish the chunk's float partial into its slot; the
@@ -1466,7 +1381,7 @@ struct BucketSched<M> {
     /// Scratch: the current fused round's selection, per worker.
     selected: Vec<Vec<u32>>,
     /// Scratch: per-destination outboxes, reused per worker and round.
-    out: Vec<Outbox<M>>,
+    out: Vec<Vec<ReplicaUpdate<M>>>,
     /// Per worker: this superstep's CMP accumulators (scratch recycled
     /// across supersteps).
     accs: Vec<CmpAcc>,
@@ -1506,7 +1421,7 @@ impl<M> BucketSched<M> {
             dirty_gen: per_master(),
             dirty: Vec::new(),
             selected: vec![Vec::new(); num_workers],
-            out: Outbox::per_worker(num_workers),
+            out: outboxes(num_workers),
             accs: (0..num_workers).map(|_| CmpAcc::new(run.trace)).collect(),
             bucket: 0,
             delta: run.config.bucket_width,
@@ -1624,7 +1539,7 @@ fn settle_bucket<P: CyclopsProgram>(
             }
             total_selected += sel.len();
         }
-        if total_selected == 0 && run.wire.all_empty() {
+        if total_selected == 0 && run.transport.all_empty() {
             break;
         }
         rounds += 1;
@@ -1686,7 +1601,7 @@ fn settle_bucket<P: CyclopsProgram>(
             // collapse is delta-stepping's message saving).
             for li in sched.dirty.drain(..) {
                 if let Some(m) = wk.ws.view.read(li as usize) {
-                    wk.fan_out(li as usize, m, &mut sched.out);
+                    acc.part.direct += wk.fan_out(li as usize, m, &mut sched.out);
                 }
             }
             times[w].add(Phase::Compute, t_cmp.elapsed());
@@ -1961,7 +1876,6 @@ mod tests {
             ..base
         });
         assert!(all_direct.direct_messages > 0);
-        assert!(all_direct.direct_bytes > 0);
     }
 
     /// Complete directed graph on `n` vertices.

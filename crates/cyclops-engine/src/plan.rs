@@ -62,8 +62,13 @@ pub struct WorkerPlan {
 
     /// CSR offsets into `mirrors`, one per master + 1.
     pub mirror_offsets: Vec<u32>,
-    /// `(worker, replica index on that worker)` for each remote replica of
-    /// each master — the unidirectional sync fan-out (§3.4).
+    /// Every master's remote fan-out — the unidirectional sync of §3.4 — as
+    /// `(worker, remote slot)`, a remote slot being the destination worker's
+    /// view slot minus its master count. A replicated (hot) master has one
+    /// entry per worker holding a replica of it, ascending by worker, naming
+    /// the replica index there; a messaged (cold) one has one entry per
+    /// cross-worker out-edge, in edge order, naming `replicas.len() + slot`
+    /// of the direct slot that edge feeds. A master is one or the other.
     pub mirrors: Vec<(u32, u32)>,
 
     /// CSR offsets into `rep_out`, one per replica + 1: the local
@@ -81,15 +86,8 @@ pub struct WorkerPlan {
     /// Local master index each direct slot's activation targets.
     pub direct_target: Vec<u32>,
 
-    /// CSR offsets into `direct_out`, one per master + 1.
-    pub direct_out_offsets: Vec<u32>,
-    /// `(worker, direct slot on that worker)` destinations of each cold
-    /// master's cross-worker out-edges — the per-edge fan-out that replaces
-    /// the `mirrors` sync for vertices below the replication threshold.
-    pub direct_out: Vec<(u32, u32)>,
-
     /// Per-master compute cost estimate for degree-weighted scheduling:
-    /// in-degree + local activation fan-out + mirror count + 1 (the
+    /// in-degree + local activation fan-out + remote fan-out + 1 (the
     /// publication itself). Derived from the CSRs above once at plan build.
     pub work_mass: Vec<u32>,
     /// Prefix sums over `work_mass` (`num_masters + 1` entries) so a
@@ -136,7 +134,7 @@ impl WorkerPlan {
             [self.local_out_offsets[local] as usize..self.local_out_offsets[local + 1] as usize]
     }
 
-    /// Remote replicas of master `local` as `(worker, replica index)`.
+    /// Remote fan-out of master `local` as `(worker, remote slot)`.
     #[inline]
     pub fn mirrors(&self, local: usize) -> &[(u32, u32)] {
         &self.mirrors[self.mirror_offsets[local] as usize..self.mirror_offsets[local + 1] as usize]
@@ -186,14 +184,6 @@ impl WorkerPlan {
         }
     }
 
-    /// Remote direct-message destinations of master `local` as
-    /// `(worker, slot)`; empty for replicated (hot) masters.
-    #[inline]
-    pub fn direct_out(&self, local: usize) -> &[(u32, u32)] {
-        &self.direct_out
-            [self.direct_out_offsets[local] as usize..self.direct_out_offsets[local + 1] as usize]
-    }
-
     /// Total work mass across all masters on this worker.
     #[inline]
     pub fn total_work_mass(&self) -> u64 {
@@ -217,10 +207,7 @@ impl WorkerPlan {
                 + vec_bytes(&self.mirrors)
                 + vec_bytes(&self.rep_out_offsets)
                 + vec_bytes(&self.rep_out),
-            direct_slots: vec_bytes(&self.direct_source)
-                + vec_bytes(&self.direct_target)
-                + vec_bytes(&self.direct_out_offsets)
-                + vec_bytes(&self.direct_out),
+            direct_slots: vec_bytes(&self.direct_source) + vec_bytes(&self.direct_target),
         }
     }
 }
@@ -266,11 +253,12 @@ pub struct MemoryBreakdown {
     /// Master lists, in-edge CSRs, local activation fan-out, work-mass
     /// tables, and the plan-level lookup tables.
     pub plan: usize,
-    /// Replica id lists, mirror fan-out, and replica activation CSRs — the
-    /// storage that exists because boundary vertices are replicated.
+    /// Replica id lists, replica activation CSRs, and the sender table
+    /// (`mirrors`) — every boundary master's remote fan-out, the cold ones'
+    /// per-edge entries included.
     pub replicas: usize,
-    /// Direct-slot source/target tables and sender-side destination CSRs —
-    /// the storage that exists because cold boundary vertices are messaged.
+    /// Direct-slot source/target tables — the receiving-side storage that
+    /// exists because cold boundary vertices are messaged.
     pub direct_slots: usize,
 }
 
@@ -372,25 +360,33 @@ impl CyclopsPlan {
         plan
     }
 
+    /// Whether the fan-out entry `(worker, remote slot)` names a direct slot
+    /// of that worker rather than a replica. All of a master's entries are of
+    /// one kind (it is hot or cold), so its first one tells for the list.
+    #[inline]
+    pub fn names_direct_slot(&self, (worker, slot): (u32, u32)) -> bool {
+        slot as usize >= self.workers[worker as usize].num_replicas()
+    }
+
     /// Re-derives the size statistics of [`IngressStats`] from the tables:
-    /// a boundary vertex is a master with remote fan-out, through mirrors
-    /// if it is replicated and through direct destinations if it is
-    /// messaged.
+    /// a boundary vertex is a master with remote fan-out, replicated if its
+    /// entries name replicas and messaged if they name direct slots.
     pub(crate) fn recount(&mut self) {
-        let fanned_out = |offsets: &[u32]| offsets.windows(2).filter(|o| o[0] != o[1]).count();
+        let (mut replicated, mut messaged) = (0, 0);
+        for w in &self.workers {
+            for li in 0..w.num_masters() {
+                match w.mirrors(li).first() {
+                    Some(&first) if self.names_direct_slot(first) => messaged += 1,
+                    Some(_) => replicated += 1,
+                    None => {}
+                }
+            }
+        }
         let stats = &mut self.ingress;
         stats.total_replicas = self.workers.iter().map(|w| w.replicas.len()).sum();
         stats.total_direct_slots = self.workers.iter().map(|w| w.num_direct_slots()).sum();
-        stats.replicated_boundary = self
-            .workers
-            .iter()
-            .map(|w| fanned_out(&w.mirror_offsets))
-            .sum();
-        stats.messaged_boundary = self
-            .workers
-            .iter()
-            .map(|w| fanned_out(&w.direct_out_offsets))
-            .sum();
+        stats.replicated_boundary = replicated;
+        stats.messaged_boundary = messaged;
     }
 
     /// Average number of replicas per vertex — must equal
@@ -485,8 +481,6 @@ pub(crate) mod tests {
             assert_eq!(x.rep_out, y.rep_out);
             assert_eq!(x.direct_source, y.direct_source);
             assert_eq!(x.direct_target, y.direct_target);
-            assert_eq!(x.direct_out_offsets, y.direct_out_offsets);
-            assert_eq!(x.direct_out, y.direct_out);
             assert_eq!(x.work_mass, y.work_mass);
             assert_eq!(x.work_mass_prefix, y.work_mass_prefix);
         }
@@ -682,11 +676,7 @@ pub(crate) mod tests {
             assert_eq!(wp.work_mass_prefix.len(), wp.num_masters() + 1);
             for li in 0..wp.num_masters() {
                 let (s, e) = wp.in_ref_range(li);
-                let expect = (e - s)
-                    + wp.local_out(li).len()
-                    + wp.mirrors(li).len()
-                    + wp.direct_out(li).len()
-                    + 1;
+                let expect = (e - s) + wp.local_out(li).len() + wp.mirrors(li).len() + 1;
                 assert_eq!(wp.work_mass[li] as usize, expect);
                 assert_eq!(
                     wp.work_mass_prefix[li + 1] - wp.work_mass_prefix[li],
@@ -713,8 +703,6 @@ pub(crate) mod tests {
         assert_eq!(base.ingress.replicated_boundary, 4);
         for wp in &base.workers {
             assert!(wp.direct_source.is_empty());
-            assert!(wp.direct_out.is_empty());
-            assert_eq!(wp.direct_out_offsets.len(), wp.num_masters() + 1);
             assert!(wp.in_refs.iter().all(|&r| (r as usize) < wp.direct_base()));
         }
     }
@@ -749,14 +737,13 @@ pub(crate) mod tests {
         // Worker 2's direct table: slot for 3->4.
         assert_eq!(plan.workers[2].direct_source, vec![3]);
         assert_eq!(plan.workers[2].direct_target, vec![0]);
-        // Sender side: cold masters carry direct destinations, no mirrors.
-        assert_eq!(plan.workers[0].direct_out(0), &[(1, 0)]); // vertex 0
-        assert!(plan.workers[0].mirrors(0).is_empty());
-        assert_eq!(plan.workers[2].direct_out(1), &[(1, 1)]); // vertex 5
-        assert_eq!(plan.workers[1].direct_out(1), &[(2, 0)]); // vertex 3
-                                                              // Hot vertex 2 still mirrors onto worker 0.
+        // Sender side, one table: a cold master's entries name direct slots
+        // past the destination's replicas (none on workers 1 and 2)...
+        assert_eq!(plan.workers[0].mirrors(0), &[(1, 0)]); // vertex 0
+        assert_eq!(plan.workers[2].mirrors(1), &[(1, 1)]); // vertex 5
+        assert_eq!(plan.workers[1].mirrors(1), &[(2, 0)]); // vertex 3
+                                                           // ...and hot vertex 2 still names its replica on worker 0.
         assert_eq!(plan.workers[1].mirrors(0), &[(0, 0)]);
-        assert!(plan.workers[1].direct_out(0).is_empty());
     }
 
     #[test]
@@ -788,9 +775,7 @@ pub(crate) mod tests {
             in_ref_kinds(w1, 0),
             vec![SlotKind::Direct(0), SlotKind::Direct(1)]
         );
-        let mut dests = plan.workers[0].direct_out(0).to_vec();
-        dests.sort_unstable();
-        assert_eq!(dests, vec![(1, 0), (1, 1)]);
+        assert_eq!(plan.workers[0].mirrors(0), &[(1, 0), (1, 1)]);
     }
 
     #[test]

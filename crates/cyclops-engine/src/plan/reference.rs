@@ -127,10 +127,10 @@ fn wire_in_refs(
 }
 
 /// Wires worker `w`'s sender side: local activation fan-out plus, per
-/// master, either the mirror list (hot) or the direct-message destinations
-/// (cold). Returns
-/// `(local_out_offsets, local_out, mirror_offsets, mirrors,
-///   direct_out_offsets, direct_out)`.
+/// master, its remote fan-out — one entry per mirror worker naming the
+/// replica index there (hot), or one per cross-worker out-edge naming the
+/// direct slot there past that worker's replicas (cold). Returns
+/// `(local_out_offsets, local_out, mirror_offsets, mirrors)`.
 #[allow(clippy::type_complexity, clippy::too_many_arguments)]
 fn wire_out(
     graph: &Graph,
@@ -141,20 +141,11 @@ fn wire_out(
     cold: &[bool],
     replica_lists: &[Vec<VertexId>],
     key_lists: &[Vec<DirectKey>],
-) -> (
-    Vec<u32>,
-    Vec<u32>,
-    Vec<u32>,
-    Vec<(u32, u32)>,
-    Vec<u32>,
-    Vec<(u32, u32)>,
-) {
+) -> (Vec<u32>, Vec<u32>, Vec<u32>, Vec<(u32, u32)>) {
     let mut lo_off = vec![0u32];
     let mut lo = Vec::new();
     let mut mir_off = vec![0u32];
     let mut mir: Vec<(u32, u32)> = Vec::new();
-    let mut d_off = vec![0u32];
-    let mut d_out: Vec<(u32, u32)> = Vec::new();
     let mut mirror_workers: Vec<u32> = Vec::new();
     let mut occ: HashMap<VertexId, u32> = HashMap::new();
     // Deduplicate multigraph local fan-out: activation is idempotent, keep
@@ -178,8 +169,8 @@ fn wire_out(
                     *c += 1;
                     let slot = key_lists[p as usize]
                         .binary_search(&key)
-                        .expect("direct slot exists") as u32;
-                    d_out.push((p, slot));
+                        .expect("direct slot exists");
+                    mir.push((p, (replica_lists[p as usize].len() + slot) as u32));
                 }
             }
         } else {
@@ -202,9 +193,8 @@ fn wire_out(
         }
         lo_off.push(lo.len() as u32);
         mir_off.push(mir.len() as u32);
-        d_off.push(d_out.len() as u32);
     }
-    (lo_off, lo, mir_off, mir, d_off, d_out)
+    (lo_off, lo, mir_off, mir)
 }
 
 /// Wires worker `w`'s replica activation fan-out: the local out-neighbors
@@ -245,8 +235,7 @@ fn compute_work_mass(wp: &mut WorkerPlan) {
     prefix.push(0u64);
     for li in 0..n {
         let (s, e) = wp.in_ref_range(li);
-        let m =
-            (e - s) + wp.local_out(li).len() + wp.mirrors(li).len() + wp.direct_out(li).len() + 1;
+        let m = (e - s) + wp.local_out(li).len() + wp.mirrors(li).len() + 1;
         mass.push(m as u32);
         prefix.push(prefix[li] + m as u64);
     }
@@ -344,9 +333,9 @@ impl CyclopsPlan {
             worker.direct_source = key_lists[w].iter().map(|k| k.1).collect();
             worker.direct_target = key_lists[w].iter().map(|k| k.2).collect();
 
-            // Local activation fan-out, mirror lists and direct destinations
-            // per master; replica activation fan-out per replica.
-            let (lo_off, lo, mir_off, mir, d_off, d_out) = wire_out(
+            // Local activation fan-out and remote fan-out per master;
+            // replica activation fan-out per replica.
+            let (lo_off, lo, mir_off, mir) = wire_out(
                 graph,
                 &owner,
                 &local_of,
@@ -360,8 +349,6 @@ impl CyclopsPlan {
             worker.local_out = lo;
             worker.mirror_offsets = mir_off;
             worker.mirrors = mir;
-            worker.direct_out_offsets = d_off;
-            worker.direct_out = d_out;
             let (ro_off, ro) = wire_rep_out(graph, &owner, &local_of, w, &replica_lists[w]);
             worker.rep_out_offsets = ro_off;
             worker.rep_out = ro;
@@ -391,8 +378,6 @@ impl CyclopsPlan {
             settle(&mut w.rep_out, Component::Replicas);
             settle(&mut w.direct_source, Component::DirectSlots);
             settle(&mut w.direct_target, Component::DirectSlots);
-            settle(&mut w.direct_out_offsets, Component::DirectSlots);
-            settle(&mut w.direct_out, Component::DirectSlots);
         }
 
         let total_replicas = workers.iter().map(|w| w.replicas.len()).sum();

@@ -8,15 +8,16 @@
 //!   everything the worker *receives through*: its replica list, in-edge
 //!   references, replica activation fan-out and direct-slot tables. It
 //!   returns an [`Inbound`] index — two rank bitmaps — that tells senders
-//!   at which replica index or direct slot a remote vertex lands here.
+//!   at which remote slot (replica index, or replica count + direct slot) a
+//!   remote vertex lands here.
 //! * [`wire_outbound`] reads the out-edges of the worker's masters and
-//!   builds what it *sends through*: local activation fan-out, mirror lists,
-//!   direct-message destinations and work mass, resolving remote indices
-//!   through every worker's [`Inbound`].
+//!   builds what it *sends through*: local activation fan-out, the remote
+//!   fan-out table (`mirrors`) and work mass, resolving remote slots through
+//!   every worker's [`Inbound`].
 //!
 //! A third entry point, [`repoint_outbound`], serves migration: a worker no
-//! moved vertex neighbors keeps its tables and only has the indices in its
-//! mirror and direct-message entries refreshed, in place.
+//! moved vertex neighbors keeps its tables and only has the remote slots in
+//! its fan-out entries refreshed, in place.
 //!
 //! Nothing is searched, sorted or hashed per edge (a master's mirror
 //! workers, fewer than `k`, are put in order). Both halves lean on the
@@ -139,8 +140,7 @@ impl RankSet {
 }
 
 /// Where remote vertices land on one worker: what a sender needs to point
-/// its mirror and direct-message entries at that worker without searching
-/// its tables.
+/// its fan-out entries at that worker without searching its tables.
 pub(crate) struct Inbound {
     /// The worker's replicas; a member's rank is its replica index.
     replicas: RankSet,
@@ -381,14 +381,14 @@ pub(crate) fn wire_inbound(
     }
 }
 
-/// Points a master's remote fan-out entries at their indices on the
+/// Points a master's remote fan-out entries at their remote slots on the
 /// receiving workers.
 struct Pointer<'a> {
     inbound: &'a [Inbound],
-    /// `seen[p] == li + 1` once master `li` has an entry for worker `p`;
-    /// the tags rise with `li`, so the stamp never needs clearing.
+    /// `seen[p] == li + 1` once cold master `li` has an entry for worker
+    /// `p`; the tags rise with `li`, so the stamp never needs clearing.
     seen: Vec<u32>,
-    /// Next direct slot on each worker for the current master.
+    /// Next remote slot on each worker for the current cold master.
     next_slot: Vec<u32>,
 }
 
@@ -402,31 +402,25 @@ impl<'a> Pointer<'a> {
     }
 
     /// Resolves the entries of master `li` (vertex `u`) that name a worker
-    /// with `stale[p]` set: a mirror gets `u`'s replica index there, and
-    /// direct destinations get `u`'s slots there in edge order.
-    fn point(
-        &mut self,
-        li: usize,
-        u: VertexId,
-        mirrors: &mut [(u32, u32)],
-        direct_out: &mut [(u32, u32)],
-        stale: &[bool],
-    ) {
-        for (p, ri) in mirrors {
-            if stale[*p as usize] {
-                *ri = self.inbound[*p as usize].replicas.rank(u);
-            }
-        }
+    /// with `stale[p]` set. Where `u` is replicated the entry gets its
+    /// replica index; where it is messaged, the entries for that worker get
+    /// `u`'s direct slots there in edge order, past the worker's replicas.
+    fn point(&mut self, li: usize, u: VertexId, entries: &mut [(u32, u32)], stale: &[bool]) {
         let tag = li as u32 + 1;
-        for (p, slot) in direct_out {
+        for (p, slot) in entries {
             let p = *p as usize;
             if !stale[p] {
                 continue;
             }
+            let to = &self.inbound[p];
+            if to.replicas.contains(u) {
+                *slot = to.replicas.rank(u);
+                continue;
+            }
             if self.seen[p] != tag {
                 self.seen[p] = tag;
-                let to = &self.inbound[p];
-                self.next_slot[p] = to.slot_start[to.cold.rank(u) as usize];
+                let first = to.slot_start[to.cold.rank(u) as usize];
+                self.next_slot[p] = to.replicas.len as u32 + first;
             }
             *slot = self.next_slot[p];
             self.next_slot[p] += 1;
@@ -434,29 +428,25 @@ impl<'a> Pointer<'a> {
     }
 }
 
-/// Re-points worker `w`'s mirror and direct-message entries at the workers
-/// whose receiving half was rewired, in place. For a worker none of whose
-/// masters neighbors a moved vertex this is the whole update: which
-/// workers each master fans out to is unchanged, only indices there moved.
+/// Re-points worker `w`'s fan-out entries at the workers whose receiving
+/// half was rewired, in place. For a worker none of whose masters neighbors
+/// a moved vertex this is the whole update: which workers each master fans
+/// out to is unchanged, only slots there moved. Every worker whose master or
+/// replica count changed is rewired, so the direct-slot entries that count
+/// offsets are refreshed with the rest.
 pub(crate) fn repoint_outbound(wp: &mut WorkerPlan, inbound: &[Inbound], rewired: &[bool]) {
     let mut pointer = Pointer::new(inbound);
     for (li, &u) in wp.masters.iter().enumerate() {
-        let mirrors = wp.mirror_offsets[li] as usize..wp.mirror_offsets[li + 1] as usize;
-        let direct = wp.direct_out_offsets[li] as usize..wp.direct_out_offsets[li + 1] as usize;
-        pointer.point(
-            li,
-            u,
-            &mut wp.mirrors[mirrors],
-            &mut wp.direct_out[direct],
-            rewired,
-        );
+        let entries = wp.mirror_offsets[li] as usize..wp.mirror_offsets[li + 1] as usize;
+        pointer.point(li, u, &mut wp.mirrors[entries], rewired);
     }
 }
 
 /// Wires the sending half of worker `w`: local activation fan-out, then per
-/// master either the mirror list (hot) or the direct-message destinations
-/// (cold), and the work mass. `inbound[p]` must describe worker `p`'s
-/// current receiving half, and `w`'s own in-edge offsets must be wired.
+/// master its remote fan-out — one entry per mirror worker (hot) or one per
+/// cross-worker out-edge (cold) — and the work mass. `inbound[p]` must
+/// describe worker `p`'s current receiving half, and `w`'s own in-edge
+/// offsets must be wired.
 pub(crate) fn wire_outbound(
     graph: &Graph,
     owner: &[u32],
@@ -475,11 +465,9 @@ pub(crate) fn wire_outbound(
     let mut seen = vec![0u32; inbound.len()];
     let mut local_out_offsets = exact(Component::Plan, m + 1);
     let mut mirror_offsets = exact(Component::Replicas, m + 1);
-    let mut direct_out_offsets = exact(Component::DirectSlots, m + 1);
-    let (mut num_local, mut num_mirrors, mut num_direct) = (0u32, 0u32, 0u32);
+    let (mut num_local, mut num_remote) = (0u32, 0u32);
     local_out_offsets.push(0u32);
     mirror_offsets.push(0u32);
-    direct_out_offsets.push(0u32);
     for (li, &u) in masters.iter().enumerate() {
         let cold = below_threshold(graph, u, threshold);
         let tag = li as u32 + 1;
@@ -492,32 +480,30 @@ pub(crate) fn wire_outbound(
             let remote = p != w;
             // Activation is idempotent: parallel edges collapse.
             num_local += (!remote & (x != prev)) as u32;
-            num_direct += (remote & cold) as u32;
-            let new_mirror = remote & !cold & (seen[p] != tag);
-            seen[p] = if new_mirror { tag } else { seen[p] };
-            num_mirrors += new_mirror as u32;
+            // A cold master has an entry per edge, a hot one per worker.
+            let entry = remote & (cold | (seen[p] != tag));
+            seen[p] = if entry { tag } else { seen[p] };
+            num_remote += entry as u32;
             prev = x;
         }
         local_out_offsets.push(num_local);
-        mirror_offsets.push(num_mirrors);
-        direct_out_offsets.push(num_direct);
+        mirror_offsets.push(num_remote);
     }
 
     // Pass 2: fill which workers each master fans out to, then point the
-    // entries at their indices there.
+    // entries at their slots there.
     seen.fill(0);
     let mut pointer = Pointer::new(inbound);
     let everywhere = vec![true; inbound.len()];
     let mut local_out = exact(Component::Plan, num_local as usize);
-    let mut mirrors: Vec<(u32, u32)> = exact(Component::Replicas, num_mirrors as usize);
-    let mut direct_out: Vec<(u32, u32)> = exact(Component::DirectSlots, num_direct as usize);
+    let mut mirrors: Vec<(u32, u32)> = exact(Component::Replicas, num_remote as usize);
     let mut work_mass = exact(Component::Plan, m);
     let mut work_mass_prefix = exact(Component::Plan, m + 1);
     work_mass_prefix.push(0u64);
     for (li, &u) in masters.iter().enumerate() {
         let cold = below_threshold(graph, u, threshold);
         let tag = li as u32 + 1;
-        let (first_mirror, first_direct) = (mirrors.len(), direct_out.len());
+        let first = mirrors.len();
         let mut prev = INVALID_VERTEX;
         for &x in graph.out_neighbors(u) {
             let p = owner[x as usize];
@@ -525,28 +511,21 @@ pub(crate) fn wire_outbound(
                 if x != prev {
                     local_out.push(local_of[x as usize]);
                 }
-            } else if cold {
-                direct_out.push((p, 0));
-            } else if seen[p as usize] != tag {
+            } else if cold || seen[p as usize] != tag {
                 seen[p as usize] = tag;
                 mirrors.push((p, 0));
             }
             prev = x;
         }
-        mirrors[first_mirror..].sort_unstable_by_key(|&(p, _)| p);
-        pointer.point(
-            li,
-            u,
-            &mut mirrors[first_mirror..],
-            &mut direct_out[first_direct..],
-            &everywhere,
-        );
+        if !cold {
+            mirrors[first..].sort_unstable_by_key(|&(p, _)| p);
+        }
+        pointer.point(li, u, &mut mirrors[first..], &everywhere);
         // In-degree + local activation fan-out + remote fan-out + the
         // publication itself.
         let mass = wp.in_ref_offsets[li + 1] - wp.in_ref_offsets[li]
             + (local_out_offsets[li + 1] - local_out_offsets[li])
             + (mirror_offsets[li + 1] - mirror_offsets[li])
-            + (direct_out_offsets[li + 1] - direct_out_offsets[li])
             + 1;
         work_mass.push(mass);
         work_mass_prefix.push(work_mass_prefix[li] + mass as u64);
@@ -556,8 +535,6 @@ pub(crate) fn wire_outbound(
     wp.local_out = local_out;
     wp.mirror_offsets = mirror_offsets;
     wp.mirrors = mirrors;
-    wp.direct_out_offsets = direct_out_offsets;
-    wp.direct_out = direct_out;
     wp.work_mass = work_mass;
     wp.work_mass_prefix = work_mass_prefix;
 }

@@ -176,8 +176,6 @@ fn exactly_sized(plan: &CyclopsPlan) -> Result<(), String> {
         check!(w.rep_out, "rep_out");
         check!(w.direct_source, "direct_source");
         check!(w.direct_target, "direct_target");
-        check!(w.direct_out_offsets, "direct_out_offsets");
-        check!(w.direct_out, "direct_out");
         check!(w.work_mass, "work_mass");
         check!(w.work_mass_prefix, "work_mass_prefix");
     }
@@ -220,6 +218,49 @@ fn in_refs_name_in_neighbors(plan: &CyclopsPlan, g: &Graph) -> Result<(), String
         }
     }
     Ok(())
+}
+
+/// The sending side of the same invariant: every entry `(p, id)` of a
+/// master's fan-out names a remote slot of worker `p` — a replica below
+/// `p`'s replica count, a direct slot past it — whose source is that master,
+/// and a direct slot it names belongs to an in-edge from the master into the
+/// slot's target. Together the entries reach every remote copy exactly once.
+fn mirrors_name_their_master(plan: &CyclopsPlan, g: &Graph) -> Result<(), String> {
+    let mut reached: Vec<Vec<u32>> = plan
+        .workers
+        .iter()
+        .map(|wp| vec![0; wp.num_replicas() + wp.num_direct_slots()])
+        .collect();
+    for (w, wp) in plan.workers.iter().enumerate() {
+        for (li, &u) in wp.masters.iter().enumerate() {
+            for &(p, id) in wp.mirrors(li) {
+                let to = &plan.workers[p as usize];
+                let Some(hits) = reached[p as usize].get_mut(id as usize) else {
+                    return Err(format!("worker {w} vertex {u}: ({p}, {id}) out of range"));
+                };
+                *hits += 1;
+                let named = match to.slot_kind((to.num_masters() + id as usize) as u32) {
+                    SlotKind::Master(_) => false,
+                    SlotKind::Replica(i) => to.replicas[i as usize] == u,
+                    SlotKind::Direct(i) => {
+                        let target = to.masters[to.direct_target[i as usize] as usize];
+                        to.direct_source[i as usize] == u && g.in_neighbors(target).contains(&u)
+                    }
+                };
+                if p as usize == w || !named {
+                    return Err(format!(
+                        "worker {w} vertex {u}: ({p}, {id}) is not its copy"
+                    ));
+                }
+            }
+        }
+    }
+    match reached.iter().flatten().position(|&hits| hits != 1) {
+        Some(i) => Err(format!(
+            "remote slot {i} (flattened) is not reached exactly once"
+        )),
+        None => Ok(()),
+    }
 }
 
 /// Field-by-field structural equality of two plans — the contract
@@ -272,12 +313,6 @@ fn plans_equal(a: &CyclopsPlan, b: &CyclopsPlan) -> Result<(), String> {
         check!(x.rep_out, y.rep_out, "rep_out");
         check!(x.direct_source, y.direct_source, "direct_source");
         check!(x.direct_target, y.direct_target, "direct_target");
-        check!(
-            x.direct_out_offsets,
-            y.direct_out_offsets,
-            "direct_out_offsets"
-        );
-        check!(x.direct_out, y.direct_out, "direct_out");
         check!(x.work_mass, y.work_mass, "work_mass");
         check!(x.work_mass_prefix, y.work_mass_prefix, "work_mass_prefix");
     }
@@ -390,8 +425,11 @@ proptest! {
         let threshold = [0u32, 2, u32::MAX][threshold_idx];
         let p = arb_partition(&g, workers, seed);
         let mut plan = CyclopsPlan::build_parallel_with_threshold(&g, &p, threshold);
+        let both_sides = |plan: &CyclopsPlan| {
+            in_refs_name_in_neighbors(plan, &g).and_then(|_| mirrors_name_their_master(plan, &g))
+        };
         for round in 0..picks.len() {
-            if let Err(e) = in_refs_name_in_neighbors(&plan, &g) {
+            if let Err(e) = both_sides(&plan) {
                 prop_assert!(false, "before batch {round}: {e}");
             }
             let moves = moves_from_picks(&plan, &picks, round);
@@ -399,7 +437,7 @@ proptest! {
                 apply_migration(&mut plan, &g, &MigrationBatch { moves }, threshold);
             }
         }
-        if let Err(e) = in_refs_name_in_neighbors(&plan, &g) {
+        if let Err(e) = both_sides(&plan) {
             prop_assert!(false, "after the last batch: {e}");
         }
     }

@@ -6,6 +6,26 @@
 //! codec is little-endian, non-self-describing (both sides know the message
 //! type), and deliberately minimal — exactly what a tuned graph engine would
 //! put on the wire.
+//!
+//! # Framings
+//!
+//! A [`WireFormat`] frame is one batch. The legacy framing has no tag; every
+//! other frame starts with one tag byte, and the tags are disjoint, so a frame
+//! handed to the wrong decoder is rejected, never misread.
+//!
+//! | tag | frame | layout after the tag |
+//! |---|---|---|
+//! | (none) | legacy batch of any [`Codec`] message (BSP / GAS engines) | `u32` count · fixed-width messages |
+//! | `0x02` | [`ReplicaUpdate`]s, sparse | varint count · per update, ascending id: varint id-delta · payload |
+//! | `0x03` | [`ReplicaUpdate`]s, dense | varint count · varint base · varint span · presence bitmap ⌈span/8⌉ · payloads in ascending id order |
+//! | `0x04` | one [`ReplicaUpdate`] | varint id (≥ 128) · payload |
+//! | `0x80 \| id` | one [`ReplicaUpdate`], packed | payload (an id < 128 rides in the tag byte) |
+//! | `0x05` | [`MigrationRecord`]s | varint count · records ([`encode_migration_batch`]) |
+//!
+//! `0x00` and `0x01` are retired: they framed replica syncs with a
+//! ⌈count/8⌉-byte activation bitmap that was all ones by construction. A
+//! frame-level decoder must consume its whole input: bytes left over are
+//! corruption, not a second frame.
 
 use bytes::{Buf, BufMut, BytesMut};
 
@@ -221,9 +241,9 @@ pub fn try_decode_batch<M: Codec>(buf: &mut impl Buf) -> Option<Vec<M>> {
 // ---- Varint / zigzag / delta layer. ----
 //
 // LEB128 base-128 varints, least-significant group first, continuation bit
-// 0x80 — the standard protobuf wire integer. Replica-update batches use
-// them for counts, base ids, and delta-encoded vertex ids, where typical
-// values fit in 1–2 bytes instead of a fixed 4.
+// 0x80 — the standard protobuf wire integer. View-update batches use them
+// for counts, base ids, and delta-encoded slot ids, where typical values fit
+// in 1–2 bytes instead of a fixed 4.
 
 /// Appends `v` as an LEB128 varint (1–10 bytes).
 pub fn encode_varint(buf: &mut BytesMut, mut v: u64) {
@@ -240,19 +260,32 @@ pub fn varint_len(v: u64) -> usize {
     ((64 - (v | 1).leading_zeros()) as usize).div_ceil(7)
 }
 
-/// Reads one LEB128 varint; `None` on truncation or an encoding longer
-/// than 10 bytes (which cannot arise from [`encode_varint`]).
+/// Reads one LEB128 varint; `None` on truncation and on every encoding
+/// [`encode_varint`] does not produce — a trailing all-zero group, or bits
+/// past the 64th — so a value has exactly one byte string that decodes to it.
 pub fn try_decode_varint(buf: &mut impl Buf) -> Option<u64> {
-    let mut out = 0u64;
-    let mut shift = 0u32;
+    if !buf.has_remaining() {
+        return None;
+    }
+    // Ids and counts are mostly one byte: keep that path short.
+    let first = buf.get_u8();
+    if first < 0x80 {
+        return Some(first as u64);
+    }
+    let mut out = (first & 0x7f) as u64;
+    let mut shift = 7u32;
     loop {
-        if !buf.has_remaining() || shift >= 64 {
+        if !buf.has_remaining() {
             return None;
         }
         let b = buf.get_u8();
+        // The tenth byte has room for bit 63 alone, and ends the varint.
+        if shift == 63 && b > 1 {
+            return None;
+        }
         out |= ((b & 0x7f) as u64) << shift;
         if b & 0x80 == 0 {
-            return Some(out);
+            return (b != 0).then_some(out);
         }
         shift += 7;
     }
@@ -271,25 +304,6 @@ pub fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-/// Appends `count` bits packed LSB-first into `count.div_ceil(8)` bytes.
-fn put_bitmap(buf: &mut BytesMut, bits: impl Iterator<Item = bool>) {
-    let mut cur = 0u8;
-    let mut n = 0usize;
-    for b in bits {
-        if b {
-            cur |= 1 << (n % 8);
-        }
-        n += 1;
-        if n.is_multiple_of(8) {
-            buf.put_u8(cur);
-            cur = 0;
-        }
-    }
-    if !n.is_multiple_of(8) {
-        buf.put_u8(cur);
-    }
-}
-
 /// Reads `bits.div_ceil(8)` bitmap bytes; `None` on truncation.
 fn try_read_bitmap(buf: &mut impl Buf, bits: usize) -> Option<Vec<u8>> {
     let bytes = bits.div_ceil(8);
@@ -301,12 +315,7 @@ fn try_read_bitmap(buf: &mut impl Buf, bits: usize) -> Option<Vec<u8>> {
     Some(out)
 }
 
-#[inline]
-fn bitmap_get(bitmap: &[u8], i: usize) -> bool {
-    bitmap[i / 8] & (1 << (i % 8)) != 0
-}
-
-// ---- Adaptive wire formats. ----
+// ---- Wire framings (tag table in the module docs). ----
 
 /// Which encoding a wire batch chose. `Legacy` is the fixed-width
 /// count-prefixed framing every [`Codec`] message type gets by default;
@@ -315,10 +324,11 @@ fn bitmap_get(bitmap: &[u8], i: usize) -> bool {
 pub enum WireMode {
     /// Fixed-width `u32` count prefix + fixed-width messages.
     Legacy,
-    /// Delta-varint replica ids + packed values (small frontiers).
+    /// Delta-varint slot ids + packed values (small frontiers), and the
+    /// one-update frames.
     Sparse,
-    /// Base id + presence/activation bitmaps + packed values (a dense
-    /// slice of a contiguous replica range).
+    /// Base id + presence bitmap + packed values (a dense slice of a
+    /// contiguous slot range).
     Dense,
 }
 
@@ -349,7 +359,7 @@ pub struct WireStats {
 /// A batch-level wire encoding. The transport serializes cross-machine
 /// sends through this trait; every [`Codec`] message type gets the legacy
 /// fixed-width framing via a blanket impl, while [`ReplicaUpdate`] plugs in
-/// the adaptive dense/sparse `ReplicaBatch` format.
+/// the adaptive dense/sparse view-update framing.
 ///
 /// `wire_encode_batch_into` may reorder `msgs` (canonicalization): callers
 /// must not depend on batch order across the wire beyond set equality.
@@ -357,8 +367,9 @@ pub trait WireFormat: Sized {
     /// Encodes `msgs` as one batch into a pooled buffer (cleared first),
     /// reserving exactly the encoded size so a warm buffer never grows.
     fn wire_encode_batch_into(buf: &mut BytesMut, msgs: &mut [Self]) -> WireStats;
-    /// Decodes one batch produced by [`Self::wire_encode_batch_into`];
-    /// `None` on truncation or corruption, never a panic.
+    /// Decodes one frame produced by [`Self::wire_encode_batch_into`], which
+    /// must be all of `buf`: `None` on truncation, corruption or bytes left
+    /// over after the frame, never a panic.
     fn wire_try_decode_batch(buf: &mut impl Buf) -> Option<Vec<Self>>;
 }
 
@@ -372,42 +383,28 @@ impl<M: Codec> WireFormat for M {
         }
     }
     fn wire_try_decode_batch(buf: &mut impl Buf) -> Option<Vec<Self>> {
-        try_decode_batch(buf)
+        try_decode_batch(buf).filter(|_| !buf.has_remaining())
     }
 }
 
-/// One replica update: the master's new publication for one mirror, plus
-/// the piggybacked activation bit — the paper's single
-/// sync-message-per-mirror-per-superstep, as a named struct so it can carry
-/// the adaptive `ReplicaBatch` [`WireFormat`] (deliberately *not* a
-/// [`Codec`] impl: the blanket legacy path must not apply to it).
+/// One view update: a master's new publication for one remote copy of it —
+/// the paper's single sync-message-per-copy-per-superstep (§3.4), with the
+/// activation piggybacked. A named struct so it can carry the adaptive
+/// [`WireFormat`] (deliberately *not* a [`Codec`] impl: the blanket legacy
+/// path must not apply to it).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ReplicaUpdate<M> {
-    /// Destination-machine replica index (dense, per-machine).
+    /// Remote slot on the destination worker: its view slot minus its master
+    /// count, i.e. an index into `[replicas | direct slots]`.
     pub replica: u32,
     /// The master's published value.
     pub payload: M,
-    /// Whether the replica's out-neighbors activate next superstep.
+    /// Whether the slot's readers activate next superstep. **Wire contract:
+    /// always `true`.** An update only exists because a master published,
+    /// and a publication activates its readers, so the bit is not carried:
+    /// the encoder debug-asserts it and the decoder reconstructs `true`.
     pub activate: bool,
 }
-
-/// Mode bytes of the `ReplicaBatch` framing.
-const REPLICA_BATCH_SPARSE: u8 = 0;
-const REPLICA_BATCH_DENSE: u8 = 1;
-/// Mode bytes of the `DirectBatch` framing. Disjoint from the
-/// `ReplicaBatch` tags so a batch can never decode as the wrong kind.
-const DIRECT_BATCH_SPARSE: u8 = 2;
-const DIRECT_BATCH_DENSE: u8 = 3;
-/// One-message `DirectBatch` frame: tag · varint slot · payload. Cold
-/// boundary traffic is dominated by single-slot sends (a publish-once leaf
-/// reaching one remote reader), where the sparse frame's count byte and
-/// activation bitmap are pure overhead.
-const DIRECT_BATCH_SINGLE: u8 = 4;
-/// Packed one-message frame: when the slot fits in 7 bits — per-worker
-/// direct tables are small, so nearly always — the tag and slot share one
-/// byte, `PACKED_SINGLE_BIT | slot`, followed directly by the payload. The
-/// high bit keeps the byte disjoint from every mode tag (all < 0x80).
-const PACKED_SINGLE_BIT: u8 = 0x80;
 
 impl<M> ReplicaUpdate<M> {
     /// Builds an update.
@@ -420,42 +417,19 @@ impl<M> ReplicaUpdate<M> {
     }
 }
 
-/// One direct message under hybrid replication: a cold boundary master's
-/// new publication for one destination-worker direct slot. Structurally a
-/// [`ReplicaUpdate`] whose id addresses the receiver's direct-message table
-/// instead of its replica array; kept a distinct type so the wire tags (and
-/// every byte counter keyed on them) can never confuse the two paths.
-/// Deliberately *not* a [`Codec`] impl: the blanket legacy framing must not
-/// apply to it.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct DirectMessage<M> {
-    /// Destination-worker direct-slot index (dense, per-worker).
-    pub slot: u32,
-    /// The master's published value.
-    pub payload: M,
-    /// Whether the slot's target master activates next superstep. **Wire
-    /// contract: always `true`.** A direct message only exists because a
-    /// dirty master published, and a publication activates its readers, so
-    /// the bit is not carried in the `DirectBatch` framing — the encoder
-    /// debug-asserts it and the decoder reconstructs `true`.
-    pub activate: bool,
-}
+/// Tag bytes of the view-update framing (table above).
+const BATCH_SPARSE: u8 = 2;
+const BATCH_DENSE: u8 = 3;
+/// One-update frame: boundary traffic under hybrid replication is dominated
+/// by single-slot sends (a publish-once leaf reaching one remote reader),
+/// where the sparse frame's count byte is pure overhead.
+const BATCH_SINGLE: u8 = 4;
+/// Packed one-update frame: an id below 128 shares the tag byte. The high
+/// bit keeps it disjoint from every other tag (all < 0x80).
+const PACKED_SINGLE_BIT: u8 = 0x80;
 
-impl<M> DirectMessage<M> {
-    /// Builds a direct message.
-    pub fn new(slot: u32, payload: M, activate: bool) -> Self {
-        DirectMessage {
-            slot,
-            payload,
-            activate,
-        }
-    }
-}
-
-/// Mode byte of the `MigrationBatch` framing: one frame per migration
-/// epoch carrying the moved masters' pending state across the wire.
-/// Disjoint from every `ReplicaBatch` / `DirectBatch` tag (all < 0x80,
-/// so also disjoint from [`PACKED_SINGLE_BIT`] frames).
+/// Tag byte of the migration framing: one frame per migration epoch
+/// carrying the moved masters' pending state across the wire.
 const MIGRATION_BATCH: u8 = 5;
 
 /// One migrated master on the wire: the vertex, the ownership transfer,
@@ -511,14 +485,14 @@ pub fn encode_migration_batch<M: Codec>(buf: &mut BytesMut, records: &[Migration
     }
 }
 
-/// Decodes a migration batch, rejecting truncated buffers, non-migration
-/// tags, and malformed records.
+/// Decodes a migration frame, which must be all of `buf`: rejects truncated
+/// buffers, other tags, malformed records and bytes left over.
 pub fn try_decode_migration_batch<M: Codec>(buf: &mut impl Buf) -> Option<Vec<MigrationRecord<M>>> {
     if buf.remaining() < 1 || buf.get_u8() != MIGRATION_BATCH {
         return None;
     }
-    let count = try_decode_varint(buf)?;
-    let mut out = Vec::with_capacity(count.min(4096) as usize);
+    let count = try_decode_varint(buf)? as usize;
+    let mut out = Vec::with_capacity(batch_reservation(count, buf.remaining()));
     for _ in 0..count {
         let vertex = u32::try_from(try_decode_varint(buf)?).ok()?;
         let from = u32::try_from(try_decode_varint(buf)?).ok()?;
@@ -549,7 +523,7 @@ pub fn try_decode_migration_batch<M: Codec>(buf: &mut impl Buf) -> Option<Vec<Mi
             state_bytes,
         });
     }
-    Some(out)
+    (!buf.has_remaining()).then_some(out)
 }
 
 /// Exact wire size [`encode_migration_batch`] produces for `records`.
@@ -567,198 +541,111 @@ pub fn migration_batch_encoded_len<M: Codec>(records: &[MigrationRecord<M>]) -> 
     len
 }
 
-/// The shape both adaptive batch formats share: a `u32` id, a payload, and
-/// an activation bit. Lets `ReplicaBatch` and `DirectBatch` run the same
-/// encoder/decoder with per-format knobs: the mode tags, whether the wire
-/// carries activation bits, and an optional one-message frame.
-trait AdaptiveUpdate: Sized {
-    /// Payload type carried per id.
-    type Payload: Codec;
-    /// Mode byte of the sparse framing.
-    const SPARSE_TAG: u8;
-    /// Mode byte of the dense framing.
-    const DENSE_TAG: u8;
-    /// Whether the wire carries per-message activation bits. When `false`
-    /// every message is defined to activate: the encoder debug-asserts the
-    /// invariant and the decoder reconstructs `activate = true`.
-    const CARRIES_ACTIVATION: bool;
-    /// Mode byte of the one-message frame (tag · varint id · payload), if
-    /// the format has one.
-    const SINGLE_TAG: Option<u8>;
-    fn id(&self) -> u32;
-    fn payload(&self) -> &Self::Payload;
-    fn is_active(&self) -> bool;
-    fn from_parts(id: u32, payload: Self::Payload, activate: bool) -> Self;
+/// Bytes a dense frame spends naming its ids: base, span and the presence
+/// bitmap — what the sparse frame's id-delta varints are priced against.
+#[inline]
+fn dense_ids_len(base: u64, span: u64) -> usize {
+    varint_len(base) + varint_len(span) + (span as usize).div_ceil(8)
 }
 
-impl<M: Codec> AdaptiveUpdate for ReplicaUpdate<M> {
-    type Payload = M;
-    const SPARSE_TAG: u8 = REPLICA_BATCH_SPARSE;
-    const DENSE_TAG: u8 = REPLICA_BATCH_DENSE;
-    const CARRIES_ACTIVATION: bool = true;
-    const SINGLE_TAG: Option<u8> = None;
-    fn id(&self) -> u32 {
-        self.replica
-    }
-    fn payload(&self) -> &M {
-        &self.payload
-    }
-    fn is_active(&self) -> bool {
-        self.activate
-    }
-    fn from_parts(id: u32, payload: M, activate: bool) -> Self {
-        ReplicaUpdate::new(id, payload, activate)
-    }
+/// How many elements a batch decoder reserves room for when the header
+/// announces `count` and `remaining` bytes are left to read. `count` is a
+/// hostile varint; every element still to come costs at least one byte, so
+/// a well-formed frame's reservation is its `count` and a lying one's is
+/// bounded by its own length.
+#[inline]
+pub fn batch_reservation(count: usize, remaining: usize) -> usize {
+    count.min(remaining)
 }
 
-impl<M: Codec> AdaptiveUpdate for DirectMessage<M> {
-    type Payload = M;
-    const SPARSE_TAG: u8 = DIRECT_BATCH_SPARSE;
-    const DENSE_TAG: u8 = DIRECT_BATCH_DENSE;
-    // A direct message *is* an activation: the engines only publish to a
-    // slot for a dirty master, and the slot's target must recompute over
-    // the new value. Both publish paths construct `activate = true`, so
-    // the bit is dropped from the wire entirely.
-    const CARRIES_ACTIVATION: bool = false;
-    const SINGLE_TAG: Option<u8> = Some(DIRECT_BATCH_SINGLE);
-    fn id(&self) -> u32 {
-        self.slot
-    }
-    fn payload(&self) -> &M {
-        &self.payload
-    }
-    fn is_active(&self) -> bool {
-        self.activate
-    }
-    fn from_parts(id: u32, payload: M, activate: bool) -> Self {
-        DirectMessage::new(id, payload, activate)
-    }
-}
+/// The view-update framing (tags `0x02`–`0x04` and `0x80 | id` of the table
+/// above).
+///
+/// The encoder first sorts the batch by id (stable), making the bytes — and
+/// therefore the mode choice and every byte counter downstream — a pure
+/// function of the batch *set*, independent of the outbox merge order a
+/// multi-threaded sender produced. One update takes a one-update frame.
+/// Otherwise both encoded sizes are computed exactly and the smaller wins
+/// (ties favor sparse): dense once the updating fraction of the `[min, max]`
+/// id range crosses the bitmap break-even density (~1 bit vs ~1–2 varint
+/// bytes per id). Duplicate ids (which the engines never produce, but
+/// arbitrary inputs may) force sparse: a presence bitmap cannot express
+/// them.
+///
+/// The decoder accepts exactly the frames the encoder produces: a frame
+/// that another tag or a shorter varint would have encoded is rejected like
+/// a truncated one, so decoding then encoding returns the input bytes.
+impl<M: Codec> WireFormat for ReplicaUpdate<M> {
+    fn wire_encode_batch_into(buf: &mut BytesMut, msgs: &mut [Self]) -> WireStats {
+        debug_assert!(
+            msgs.iter().all(|m| m.activate),
+            "the wire carries no activation bits: every update activates"
+        );
+        msgs.sort_by_key(|m| m.replica);
+        let count = msgs.len();
+        let payload_len: usize = msgs.iter().map(|m| m.payload.encoded_len()).sum();
+        // Legacy framing: u32 count + (u32 id + payload + bool) each.
+        let legacy_len = 4 + payload_len + 5 * count;
 
-/// Shared encoder of the adaptive sparse/dense batch framing (see the
-/// [`ReplicaUpdate`] `WireFormat` docs for the byte layout). Sorts by id,
-/// prices both encodings exactly, and emits the smaller with the format's
-/// own mode tags.
-fn adaptive_wire_encode<T: AdaptiveUpdate>(buf: &mut BytesMut, msgs: &mut [T]) -> WireStats {
-    msgs.sort_by_key(|m| m.id());
-    let count = msgs.len();
-    let payload_len: usize = msgs.iter().map(|m| m.payload().encoded_len()).sum();
-    // Legacy framing: u32 count + (u32 id + payload + bool) each.
-    let legacy_len = 4 + payload_len + 5 * count;
-    debug_assert!(
-        T::CARRIES_ACTIVATION || msgs.iter().all(|m| m.is_active()),
-        "a format without wire activation bits must only carry activating messages"
-    );
-    let act_bytes = if T::CARRIES_ACTIVATION {
-        count.div_ceil(8)
-    } else {
-        0
-    };
-
-    // One-message frame: tag · varint id · payload — or, when the id fits
-    // in 7 bits, the packed variant that folds the id into the tag byte.
-    // Never longer than the sparse frame (which adds at least the count
-    // byte), so take it unconditionally when available.
-    if count == 1 {
-        if let Some(tag) = T::SINGLE_TAG {
-            let id = msgs[0].id();
-            let packed = id < PACKED_SINGLE_BIT as u32;
-            let total = if packed {
-                1 + payload_len
-            } else {
-                1 + varint_len(id as u64) + payload_len
-            };
-            buf.clear();
-            let before = buf.capacity();
-            buf.reserve(total);
-            let grown = buf.capacity().saturating_sub(before);
-            if packed {
-                buf.put_u8(PACKED_SINGLE_BIT | id as u8);
-            } else {
-                buf.put_u8(tag);
-                encode_varint(buf, id as u64);
-            }
-            msgs[0].payload().encode(buf);
-            debug_assert_eq!(buf.len(), total, "single-frame size arithmetic drifted");
-            return WireStats {
-                grown,
-                mode: WireMode::Sparse,
-                legacy_len,
-            };
+        let mut ids_len = 0usize;
+        let mut unique = true;
+        let mut prev = 0u32;
+        for (i, m) in msgs.iter().enumerate() {
+            unique &= i == 0 || m.replica != prev;
+            ids_len += varint_len((m.replica - prev) as u64);
+            prev = m.replica;
         }
-    }
-
-    let mut ids_len = 0usize;
-    let mut unique = true;
-    let mut prev = 0u32;
-    for (i, m) in msgs.iter().enumerate() {
-        let delta = if i == 0 {
-            m.id() as u64
-        } else {
-            if m.id() == prev {
-                unique = false;
-            }
-            (m.id() - prev) as u64
+        let sparse_len = 1 + varint_len(count as u64) + ids_len + payload_len;
+        let (base, span) = match (msgs.first(), msgs.last()) {
+            (Some(first), Some(last)) => (first.replica, (last.replica - first.replica) as u64 + 1),
+            _ => (0, 0),
         };
-        ids_len += varint_len(delta);
-        prev = m.id();
-    }
-    let sparse_len = 1 + varint_len(count as u64) + act_bytes + ids_len + payload_len;
-    let dense_len = if count > 0 && unique {
-        let base = msgs[0].id() as u64;
-        let span = msgs[count - 1].id() as u64 - base + 1;
-        Some(
-            1 + varint_len(count as u64)
-                + varint_len(base)
-                + varint_len(span)
-                + (span as usize).div_ceil(8)
-                + act_bytes
-                + payload_len,
-        )
-    } else {
-        None
-    };
+        let dense_len =
+            1 + varint_len(count as u64) + dense_ids_len(base as u64, span) + payload_len;
+        // Never longer than the sparse frame (which adds at least the count
+        // byte), so one update always takes a one-update frame.
+        let packed = count == 1 && base < PACKED_SINGLE_BIT as u32;
+        let (mode, total) = if count == 1 {
+            let id_len = if packed { 0 } else { varint_len(base as u64) };
+            (WireMode::Sparse, 1 + id_len + payload_len)
+        } else if unique && dense_len < sparse_len {
+            (WireMode::Dense, dense_len)
+        } else {
+            (WireMode::Sparse, sparse_len)
+        };
 
-    let (mode, total) = match dense_len {
-        Some(d) if d < sparse_len => (WireMode::Dense, d),
-        _ => (WireMode::Sparse, sparse_len),
-    };
-    buf.clear();
-    let before = buf.capacity();
-    buf.reserve(total);
-    let grown = buf.capacity().saturating_sub(before);
-    match mode {
-        WireMode::Sparse => {
-            buf.put_u8(T::SPARSE_TAG);
-            encode_varint(buf, count as u64);
-            if T::CARRIES_ACTIVATION {
-                put_bitmap(buf, msgs.iter().map(|m| m.is_active()));
+        buf.clear();
+        let before = buf.capacity();
+        buf.reserve(total);
+        let grown = buf.capacity().saturating_sub(before);
+        if count == 1 {
+            if packed {
+                buf.put_u8(PACKED_SINGLE_BIT | base as u8);
+            } else {
+                buf.put_u8(BATCH_SINGLE);
+                encode_varint(buf, base as u64);
             }
+            msgs[0].payload.encode(buf);
+        } else if mode == WireMode::Sparse {
+            buf.put_u8(BATCH_SPARSE);
+            encode_varint(buf, count as u64);
             let mut prev = 0u32;
-            for (i, m) in msgs.iter().enumerate() {
-                let delta = if i == 0 {
-                    m.id() as u64
-                } else {
-                    (m.id() - prev) as u64
-                };
-                encode_varint(buf, delta);
-                m.payload().encode(buf);
-                prev = m.id();
+            for m in msgs.iter() {
+                encode_varint(buf, (m.replica - prev) as u64);
+                m.payload.encode(buf);
+                prev = m.replica;
             }
-        }
-        WireMode::Dense => {
-            buf.put_u8(T::DENSE_TAG);
+        } else {
+            buf.put_u8(BATCH_DENSE);
             encode_varint(buf, count as u64);
-            let base = msgs[0].id();
-            let span = msgs[count - 1].id() as u64 - base as u64 + 1;
             encode_varint(buf, base as u64);
             encode_varint(buf, span);
-            // Presence bitmap, streamed in ascending-offset order.
-            let span_bytes = (span as usize).div_ceil(8);
+            // Presence bitmap, streamed in ascending-offset order; the last
+            // id's bit is in the last byte.
             let mut byte_idx = 0usize;
             let mut cur = 0u8;
             for m in msgs.iter() {
-                let off = (m.id() - base) as usize;
+                let off = (m.replica - base) as usize;
                 while byte_idx < off / 8 {
                     buf.put_u8(cur);
                     cur = 0;
@@ -766,172 +653,111 @@ fn adaptive_wire_encode<T: AdaptiveUpdate>(buf: &mut BytesMut, msgs: &mut [T]) -
                 }
                 cur |= 1 << (off % 8);
             }
-            while byte_idx < span_bytes {
-                buf.put_u8(cur);
-                cur = 0;
-                byte_idx += 1;
-            }
-            if T::CARRIES_ACTIVATION {
-                put_bitmap(buf, msgs.iter().map(|m| m.is_active()));
-            }
+            buf.put_u8(cur);
             for m in msgs.iter() {
-                m.payload().encode(buf);
+                m.payload.encode(buf);
             }
         }
-        WireMode::Legacy => unreachable!(),
+        debug_assert_eq!(buf.len(), total, "batch size arithmetic drifted");
+        WireStats {
+            grown,
+            mode,
+            legacy_len,
+        }
     }
-    debug_assert_eq!(buf.len(), total, "adaptive batch size arithmetic drifted");
-    WireStats {
-        grown,
-        mode,
-        legacy_len,
-    }
-}
 
-/// How many updates a batch decoder reserves room for when the header
-/// announces `count` and `remaining` bytes are left to read. `count` is a
-/// hostile varint; every update still to come costs at least one payload
-/// byte, so a well-formed frame's reservation is its `count` and a lying
-/// one's is bounded by its own length.
-#[inline]
-fn batch_reservation(count: usize, remaining: usize) -> usize {
-    count.min(remaining)
-}
-
-/// Shared decoder of the adaptive framing. Rejects (returns `None` for) a
-/// batch carrying the *other* format's tags, so replica and direct traffic
-/// cannot be cross-decoded.
-fn adaptive_wire_try_decode<T: AdaptiveUpdate>(buf: &mut impl Buf) -> Option<Vec<T>> {
-    if !buf.has_remaining() {
-        return None;
-    }
-    let tag = buf.get_u8();
-    if T::SINGLE_TAG.is_some() && tag & PACKED_SINGLE_BIT != 0 {
-        let payload = T::Payload::try_decode(buf)?;
-        let id = (tag & !PACKED_SINGLE_BIT) as u32;
-        return Some(vec![T::from_parts(id, payload, true)]);
-    }
-    if T::SINGLE_TAG == Some(tag) {
-        let id = try_decode_varint(buf)?;
-        if id > u32::MAX as u64 {
+    fn wire_try_decode_batch(buf: &mut impl Buf) -> Option<Vec<Self>> {
+        if !buf.has_remaining() {
             return None;
         }
-        let payload = T::Payload::try_decode(buf)?;
-        return Some(vec![T::from_parts(id as u32, payload, true)]);
-    }
-    if tag == T::SPARSE_TAG {
-        let count = try_decode_varint(buf)? as usize;
-        let act = if T::CARRIES_ACTIVATION {
-            Some(try_read_bitmap(buf, count)?)
-        } else {
-            None
-        };
-        let mut out = Vec::with_capacity(batch_reservation(count, buf.remaining()));
-        let mut id = 0u64;
-        for i in 0..count {
-            let delta = try_decode_varint(buf)?;
-            id = if i == 0 {
-                delta
-            } else {
-                id.checked_add(delta)?
-            };
-            if id > u32::MAX as u64 {
+        let update = |id: u64, payload| ReplicaUpdate::new(id as u32, payload, true);
+        let tag = buf.get_u8();
+        let out = if tag & PACKED_SINGLE_BIT != 0 {
+            vec![update(
+                (tag & !PACKED_SINGLE_BIT) as u64,
+                M::try_decode(buf)?,
+            )]
+        } else if tag == BATCH_SINGLE {
+            let id = try_decode_varint(buf)?;
+            if id < PACKED_SINGLE_BIT as u64 || id > u32::MAX as u64 {
+                return None; // the packed frame's id, or no id at all
+            }
+            vec![update(id, M::try_decode(buf)?)]
+        } else if tag == BATCH_SPARSE {
+            let count = try_decode_varint(buf)? as usize;
+            if count == 1 {
+                return None; // a one-update frame's batch
+            }
+            let mut out = Vec::with_capacity(batch_reservation(count, buf.remaining()));
+            let (mut id, mut first) = (0u64, 0u64);
+            let (mut ids_len, mut unique) = (0usize, true);
+            for i in 0..count {
+                // A varint decodes only from its one encoding, so what it
+                // took from `buf` is its `varint_len`.
+                let before = buf.remaining();
+                let delta = try_decode_varint(buf)?;
+                ids_len += before - buf.remaining();
+                id = id.checked_add(delta).filter(|&id| id <= u32::MAX as u64)?;
+                if i == 0 {
+                    first = id;
+                } else {
+                    unique &= delta != 0;
+                }
+                out.push(update(id, M::try_decode(buf)?));
+            }
+            if count > 0 && unique && dense_ids_len(first, id - first + 1) < ids_len {
+                return None; // the dense frame's batch
+            }
+            out
+        } else if tag == BATCH_DENSE {
+            let count = try_decode_varint(buf)? as usize;
+            let base = try_decode_varint(buf)?;
+            let span = try_decode_varint(buf)?;
+            // `span >= count >= 2` once the first two checks pass, so
+            // `span - 1` cannot underflow; the add is checked because `base`
+            // is a hostile varint — the last id must still be a `u32`.
+            if count < 2
+                || span < count as u64
+                || base
+                    .checked_add(span - 1)
+                    .is_none_or(|last| last > u32::MAX as u64)
+                || span > buf.remaining() as u64 * 8
+            {
                 return None;
             }
-            let payload = T::Payload::try_decode(buf)?;
-            let activate = act.as_ref().is_none_or(|a| bitmap_get(a, i));
-            out.push(T::from_parts(id as u32, payload, activate));
-        }
-        Some(out)
-    } else if tag == T::DENSE_TAG {
-        let count = try_decode_varint(buf)? as usize;
-        let base = try_decode_varint(buf)?;
-        let span = try_decode_varint(buf)?;
-        // `span >= count >= 1` once the first two checks pass, so `span - 1`
-        // cannot underflow; the add is checked because `base` is a hostile
-        // varint — the last id must still be a `u32` for the `base as u32 +
-        // off as u32` below to be exact.
-        if count == 0
-            || span < count as u64
-            || base
-                .checked_add(span - 1)
-                .is_none_or(|last| last > u32::MAX as u64)
-            || span > buf.remaining() as u64 * 8
-        {
-            return None;
-        }
-        let presence = try_read_bitmap(buf, span as usize)?;
-        let act = if T::CARRIES_ACTIVATION {
-            Some(try_read_bitmap(buf, count)?)
-        } else {
-            None
-        };
-        // Taken after the bitmaps: the header check above lets `count` be
-        // 8x the bytes that were left, bitmaps included.
-        let mut out = Vec::with_capacity(batch_reservation(count, buf.remaining()));
-        for off in 0..span as usize {
-            if bitmap_get(&presence, off) {
-                if out.len() == count {
-                    return None; // more presence bits than count
-                }
-                let payload = T::Payload::try_decode(buf)?;
-                let i = out.len();
-                let activate = act.as_ref().is_none_or(|a| bitmap_get(a, i));
-                out.push(T::from_parts(base as u32 + off as u32, payload, activate));
+            let presence = try_read_bitmap(buf, span as usize)?;
+            // `span` is the exact id range — both end bits set, padding
+            // clear — and `count` the exact population.
+            let last = span as usize - 1;
+            let present: u32 = presence.iter().map(|byte| byte.count_ones()).sum();
+            if presence[0] & 1 == 0
+                || presence[last / 8] >> (last % 8) != 1
+                || present as usize != count
+            {
+                return None;
             }
-        }
-        (out.len() == count).then_some(out)
-    } else {
-        None
-    }
-}
-
-/// The adaptive `ReplicaBatch` format.
-///
-/// ```text
-/// sparse: 0x00 · varint count · activation bitmap ⌈count/8⌉
-///         · per update (ascending replica id): varint id-delta · payload
-/// dense:  0x01 · varint count · varint base · varint span
-///         · presence bitmap ⌈span/8⌉ · activation bitmap ⌈count/8⌉
-///         · payloads in ascending replica order
-/// ```
-///
-/// The encoder first sorts the batch by replica id (stable), making the
-/// bytes — and therefore the mode choice and every byte counter downstream
-/// — a pure function of the batch *set*, independent of the outbox merge
-/// order a multi-threaded sender produced. It then computes both encoded
-/// sizes exactly and picks the smaller (ties favor sparse); dense wins
-/// once the updating fraction of the `[min, max]` replica range crosses
-/// the bitmap break-even density (~1 bit vs ~1–2 varint bytes per id).
-/// Duplicate replica ids (which the engines never produce, but arbitrary
-/// inputs may) force sparse: a presence bitmap cannot express them.
-impl<M: Codec> WireFormat for ReplicaUpdate<M> {
-    fn wire_encode_batch_into(buf: &mut BytesMut, msgs: &mut [Self]) -> WireStats {
-        adaptive_wire_encode(buf, msgs)
-    }
-
-    fn wire_try_decode_batch(buf: &mut impl Buf) -> Option<Vec<Self>> {
-        adaptive_wire_try_decode(buf)
-    }
-}
-
-/// The `DirectBatch` format: the adaptive sparse/dense layout of
-/// `ReplicaBatch` — slot ids delta-varint'd or bitmap'd, payloads in
-/// ascending slot order — under its own mode tags (`0x02` sparse, `0x03`
-/// dense), minus the activation bitmap (direct messages always activate;
-/// see [`DirectMessage::activate`]), plus a one-message frame: `0x04` ·
-/// varint slot · payload, or — when the slot fits in 7 bits — a single
-/// `0x80 | slot` byte · payload. Cold-vertex traffic skews toward tiny
-/// batches (a publish-once leaf reaching a single remote reader), where
-/// these fixed bytes are the difference between a direct message being
-/// cheaper or dearer than the replica entry it replaced.
-impl<M: Codec> WireFormat for DirectMessage<M> {
-    fn wire_encode_batch_into(buf: &mut BytesMut, msgs: &mut [Self]) -> WireStats {
-        adaptive_wire_encode(buf, msgs)
-    }
-
-    fn wire_try_decode_batch(buf: &mut impl Buf) -> Option<Vec<Self>> {
-        adaptive_wire_try_decode(buf)
+            // Taken after the bitmap: the header check above lets `count` be
+            // 8x the bytes that were left, bitmap included.
+            let mut out = Vec::with_capacity(batch_reservation(count, buf.remaining()));
+            let (mut ids_len, mut prev) = (0usize, 0u64);
+            for (i, &byte) in presence.iter().enumerate() {
+                let mut bits = byte;
+                while bits != 0 {
+                    let id = base + (i * 8) as u64 + bits.trailing_zeros() as u64;
+                    bits &= bits - 1;
+                    ids_len += varint_len(id - prev);
+                    prev = id;
+                    out.push(update(id, M::try_decode(buf)?));
+                }
+            }
+            if dense_ids_len(base, span) >= ids_len {
+                return None; // the sparse frame's batch
+            }
+            out
+        } else {
+            return None;
+        };
+        (!buf.has_remaining()).then_some(out)
     }
 }
 
@@ -1088,22 +914,75 @@ mod tests {
     }
 
     fn updates(ids: &[u32]) -> Vec<ReplicaUpdate<f64>> {
+        // Always-activate: the wire contract.
         ids.iter()
-            .map(|&id| ReplicaUpdate::new(id, id as f64 * 0.5, id % 3 == 0))
+            .map(|&id| ReplicaUpdate::new(id, id as f64 * 0.5, true))
             .collect()
     }
 
-    fn wire_round_trip(ids: &[u32]) -> (WireStats, Vec<ReplicaUpdate<f64>>) {
-        let mut msgs = updates(ids);
+    fn encoded(ids: &[u32]) -> (WireStats, BytesMut) {
         let mut buf = BytesMut::new();
-        let stats = ReplicaUpdate::wire_encode_batch_into(&mut buf, &mut msgs);
+        let stats = ReplicaUpdate::wire_encode_batch_into(&mut buf, &mut updates(ids));
+        (stats, buf)
+    }
+
+    fn decoded(bytes: &[u8]) -> Option<Vec<ReplicaUpdate<f64>>> {
+        ReplicaUpdate::<f64>::wire_try_decode_batch(&mut &bytes[..])
+    }
+
+    fn wire_round_trip(ids: &[u32]) -> (WireStats, Vec<ReplicaUpdate<f64>>) {
+        let (stats, buf) = encoded(ids);
         assert_eq!(stats.legacy_len, 4 + 13 * ids.len());
-        let out = ReplicaUpdate::<f64>::wire_try_decode_batch(&mut &buf[..])
-            .expect("well-formed batch must decode");
+        let out = decoded(&buf).expect("well-formed batch must decode");
         let mut sorted = updates(ids);
         sorted.sort_by_key(|m| m.replica);
         assert_eq!(out, sorted, "decode must return the sorted batch");
+        assert!(
+            out.iter().all(|m| m.activate),
+            "decode must reconstruct activate = true"
+        );
         (stats, out)
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn replica_batch_bytes_are_the_parent_direct_framing() {
+        // `DirectMessage::wire_encode_batch_into` at 21f0a30, payload
+        // `id * 0.5`: the one framing is that framing, byte for byte.
+        let dense: Vec<u32> = (100..116).collect();
+        let dense_payloads: String = (100..116)
+            .map(|id| hex(&(id as f64 * 0.5).to_le_bytes()))
+            .collect();
+        for (ids, mode, want) in [
+            (&[7][..], WireMode::Sparse, "870000000000000c40".to_string()),
+            (
+                &[300],
+                WireMode::Sparse,
+                "04ac020000000000c06240".to_string(),
+            ),
+            (
+                &[4_000_000_000, 3, 20_000, 10_000],
+                WireMode::Sparse,
+                "020403000000000000f83f8d4e000000000088b340904e000000000088c340\
+                 e0b3abf30e0000000065cddd41"
+                    .to_string(),
+            ),
+            (
+                &dense,
+                WireMode::Dense,
+                format!("03106410ffff{dense_payloads}"),
+            ),
+        ] {
+            let (stats, buf) = encoded(ids);
+            assert_eq!(stats.mode, mode, "{ids:?}");
+            assert_eq!(hex(&buf), want, "{ids:?}");
+        }
+        // The dense literal's payload run, spot-checked against the capture.
+        assert!(dense_payloads.starts_with("00000000000049400000000000404940"));
+        assert!(dense_payloads.ends_with("0000000000804c400000000000c04c40"));
     }
 
     #[test]
@@ -1111,11 +990,9 @@ mod tests {
         let ids: Vec<u32> = (100..200).collect();
         let (stats, _) = wire_round_trip(&ids);
         assert_eq!(stats.mode, WireMode::Dense);
-        // mode + count(1) + base(1) + span(1) + presence(13) + act(13) + 800.
-        let mut msgs = updates(&ids);
-        let mut buf = BytesMut::new();
-        ReplicaUpdate::wire_encode_batch_into(&mut buf, &mut msgs);
-        assert_eq!(buf.len(), 1 + 1 + 1 + 1 + 13 + 13 + 800);
+        // tag + count(1) + base(1) + span(1) + presence(13) + 800.
+        let (_, buf) = encoded(&ids);
+        assert_eq!(buf.len(), 1 + 1 + 1 + 1 + 13 + 800);
         // >= 25% under the 1304-byte legacy framing.
         assert!(buf.len() * 4 <= stats.legacy_len * 3);
     }
@@ -1132,26 +1009,17 @@ mod tests {
     #[test]
     fn replica_batch_is_order_independent() {
         let mut shuffled: Vec<u32> = (0..50).map(|i| (i * 37) % 101).collect();
-        let mut a = updates(&shuffled);
+        let (sa, ba) = encoded(&shuffled);
         shuffled.reverse();
-        let mut b = updates(&shuffled);
-        let mut ba = BytesMut::new();
-        let mut bb = BytesMut::new();
-        let sa = ReplicaUpdate::wire_encode_batch_into(&mut ba, &mut a);
-        let sb = ReplicaUpdate::wire_encode_batch_into(&mut bb, &mut b);
+        let (sb, bb) = encoded(&shuffled);
         assert_eq!(&ba[..], &bb[..], "same set must encode identically");
         assert_eq!(sa.mode, sb.mode);
     }
 
     #[test]
     fn replica_batch_duplicates_force_sparse() {
-        let (stats, out) = {
-            let mut msgs = updates(&[5, 5, 6, 7, 8, 9, 10, 11]);
-            let mut buf = BytesMut::new();
-            let stats = ReplicaUpdate::wire_encode_batch_into(&mut buf, &mut msgs);
-            let out = ReplicaUpdate::<f64>::wire_try_decode_batch(&mut &buf[..]).unwrap();
-            (stats, out)
-        };
+        let (stats, buf) = encoded(&[5, 5, 6, 7, 8, 9, 10, 11]);
+        let out = decoded(&buf).unwrap();
         assert_eq!(stats.mode, WireMode::Sparse);
         assert_eq!(out.len(), 8);
         assert_eq!(out[0].replica, 5);
@@ -1163,9 +1031,27 @@ mod tests {
         let (stats, out) = wire_round_trip(&[]);
         assert_eq!(stats.mode, WireMode::Sparse);
         assert!(out.is_empty());
-        let (stats, out) = wire_round_trip(&[7]);
-        assert!(out[0].payload == 3.5 && !out[0].activate);
-        assert!(stats.legacy_len >= 17);
+        // One update: `0x80 | id` · payload when the id fits in 7 bits,
+        // else `0x04` · varint id · payload.
+        for (id, frame_len) in [
+            (7u32, 1 + 8),
+            (127, 1 + 8),
+            (128, 1 + 2 + 8),
+            (300, 1 + 2 + 8),
+        ] {
+            let (stats, out) = wire_round_trip(&[id]);
+            assert_eq!(stats.mode, WireMode::Sparse);
+            assert!(stats.legacy_len >= 17);
+            assert_eq!(out[0].payload, id as f64 * 0.5);
+            let (_, buf) = encoded(&[id]);
+            assert_eq!(buf.len(), frame_len, "id {id}");
+            let tag = if id < 128 {
+                PACKED_SINGLE_BIT | id as u8
+            } else {
+                BATCH_SINGLE
+            };
+            assert_eq!(buf[0], tag, "id {id}");
+        }
     }
 
     #[test]
@@ -1187,222 +1073,177 @@ mod tests {
         }
     }
 
+    /// One batch per frame shape: dense, sparse, `0x04` single, packed single.
+    fn frame_shapes() -> [Vec<u32>; 4] {
+        [
+            (0..40u32).collect(),
+            (0..12).map(|i| i * 5_000 + 17).collect(),
+            vec![300],
+            vec![9],
+        ]
+    }
+
     #[test]
     fn replica_batch_rejects_truncation_at_every_offset() {
-        // One dense-leaning and one sparse-leaning batch.
-        for ids in [
-            (0..40u32).collect::<Vec<_>>(),
-            (0..12).map(|i| i * 5_000 + 17).collect(),
-        ] {
-            let mut msgs = updates(&ids);
-            let mut full = BytesMut::new();
-            ReplicaUpdate::wire_encode_batch_into(&mut full, &mut msgs);
+        for ids in frame_shapes() {
+            let (_, full) = encoded(&ids);
             for cut in 0..full.len() {
                 assert_eq!(
-                    ReplicaUpdate::<f64>::wire_try_decode_batch(&mut &full[..cut]),
+                    decoded(&full[..cut]),
                     None,
                     "a {cut}-byte prefix of {} decoded",
                     full.len()
                 );
             }
+        }
+    }
+
+    #[test]
+    fn replica_batch_rejects_trailing_bytes() {
+        // A count lowered from 3 to 2 leaves the third update unread: the
+        // frame must fail, not deliver two updates and drop one.
+        let (stats, full) = encoded(&[3, 10_000, 20_000]);
+        assert_eq!((stats.mode, full[1]), (WireMode::Sparse, 3));
+        let mut lowered = full.to_vec();
+        lowered[1] = 2;
+        assert_eq!(decoded(&lowered), None);
+        // And a valid frame of every shape with one byte appended.
+        for ids in frame_shapes() {
+            let (_, full) = encoded(&ids);
+            let mut longer = full.to_vec();
+            longer.push(0);
+            assert!(decoded(&full).is_some());
+            assert_eq!(decoded(&longer), None, "{ids:?} + 1 byte decoded");
         }
     }
 
     #[test]
     fn replica_batch_rejects_corrupt_headers() {
-        let mut msgs = updates(&[1, 2, 3]);
-        let mut buf = BytesMut::new();
-        ReplicaUpdate::wire_encode_batch_into(&mut buf, &mut msgs);
-        // Unknown mode byte.
-        let mut bytes = buf.to_vec();
-        bytes[0] = 7;
-        assert_eq!(
-            ReplicaUpdate::<f64>::wire_try_decode_batch(&mut &bytes[..]),
-            None
-        );
+        let (_, buf) = encoded(&[1, 2, 3]);
+        // Unknown tags, the retired `0x00`/`0x01` pair and the migration tag.
+        for tag in [0u8, 1, MIGRATION_BATCH, 6, 7, 0x7f] {
+            let mut bytes = buf.to_vec();
+            bytes[0] = tag;
+            assert_eq!(decoded(&bytes), None, "tag {tag:#04x}");
+        }
         // Dense header claiming span < count.
         let mut dense = BytesMut::new();
-        dense.put_u8(REPLICA_BATCH_DENSE);
+        dense.put_u8(BATCH_DENSE);
         encode_varint(&mut dense, 4); // count
         encode_varint(&mut dense, 0); // base
         encode_varint(&mut dense, 2); // span < count
-        assert_eq!(
-            ReplicaUpdate::<f64>::wire_try_decode_batch(&mut &dense[..]),
-            None
-        );
+        assert_eq!(decoded(&dense), None);
         // Dense header whose id range runs past u32::MAX: a hostile varint
         // base that overflows `base + span` in u64, and the largest base
-        // that does not overflow but still names id 2^32. Same frames under
-        // the direct tag (which carries no activation bitmap).
+        // that does not overflow but still names id 2^32.
         for base in [u64::MAX, u32::MAX as u64] {
-            for (tag, carries_activation) in
-                [(REPLICA_BATCH_DENSE, true), (DIRECT_BATCH_DENSE, false)]
-            {
-                let mut frame = BytesMut::new();
-                frame.put_u8(tag);
-                encode_varint(&mut frame, 2); // count
-                encode_varint(&mut frame, base);
-                encode_varint(&mut frame, 2); // span
-                frame.put_u8(0b11); // presence
-                if carries_activation {
-                    frame.put_u8(0b11);
-                }
-                1.0f64.encode(&mut frame);
-                2.0f64.encode(&mut frame);
-                let rejected = if carries_activation {
-                    ReplicaUpdate::<f64>::wire_try_decode_batch(&mut &frame[..]).is_none()
-                } else {
-                    DirectMessage::<f64>::wire_try_decode_batch(&mut &frame[..]).is_none()
-                };
-                assert!(rejected, "tag {tag:#04x}, base {base} must not decode");
-            }
+            let mut frame = BytesMut::new();
+            frame.put_u8(BATCH_DENSE);
+            encode_varint(&mut frame, 2); // count
+            encode_varint(&mut frame, base);
+            encode_varint(&mut frame, 2); // span
+            frame.put_u8(0b11); // presence
+            1.0f64.encode(&mut frame);
+            2.0f64.encode(&mut frame);
+            assert_eq!(decoded(&frame), None, "base {base} must not decode");
         }
     }
 
     #[test]
+    fn replica_batch_rejects_frames_the_encoder_would_not_emit() {
+        // Each decodes to a batch under a laxer reading, and each has a
+        // different canonical encoding: accepting it would let two byte
+        // strings name one batch.
+        let frame = |build: &dyn Fn(&mut BytesMut)| {
+            let mut f = BytesMut::new();
+            build(&mut f);
+            f
+        };
+        let payloads = |f: &mut BytesMut, n: usize| (0..n).for_each(|i| (i as f64).encode(f));
+        for (what, bytes) in [
+            (
+                "a sparse frame of one update",
+                frame(&|f| {
+                    f.put_slice(&[BATCH_SPARSE, 1, 9]);
+                    payloads(f, 1);
+                }),
+            ),
+            (
+                "a 0x04 frame whose id fits the packed tag",
+                frame(&|f| {
+                    f.put_slice(&[BATCH_SINGLE, 9]);
+                    payloads(f, 1);
+                }),
+            ),
+            (
+                "a count varint with a zero tail group",
+                frame(&|f| {
+                    f.put_slice(&[BATCH_SPARSE, 0x82, 0x00, 9, 1]);
+                    payloads(f, 2);
+                }),
+            ),
+            (
+                "a sparse frame of a contiguous run dense would shrink",
+                frame(&|f| {
+                    f.put_slice(&[BATCH_SPARSE, 40, 0xa0, 0x1f]); // count, first id 4000
+                    0.0f64.encode(f);
+                    for i in 1..40 {
+                        f.put_u8(1);
+                        (i as f64).encode(f);
+                    }
+                }),
+            ),
+            (
+                "a dense frame of two far-apart ids sparse would shrink",
+                frame(&|f| {
+                    f.put_slice(&[BATCH_DENSE, 2, 0, 64]); // count, base, span
+                    f.put_slice(&[1, 0, 0, 0, 0, 0, 0, 0x80]);
+                    payloads(f, 2);
+                }),
+            ),
+            (
+                "a dense frame whose span overshoots its last id",
+                frame(&|f| {
+                    f.put_slice(&[BATCH_DENSE, 9, 0, 10]);
+                    f.put_slice(&[0xff, 0b01]);
+                    payloads(f, 9);
+                }),
+            ),
+            (
+                "a dense frame with padding bits set",
+                frame(&|f| {
+                    f.put_slice(&[BATCH_DENSE, 9, 0, 9]);
+                    f.put_slice(&[0xff, 0b11]);
+                    payloads(f, 9);
+                }),
+            ),
+        ] {
+            assert_eq!(decoded(&bytes), None, "{what} decoded");
+        }
+        // The last two, repaired, are what the encoder emits.
+        let (_, canonical) = encoded(&(0..9).collect::<Vec<u32>>());
+        assert_eq!(&canonical[..6], &[BATCH_DENSE, 9, 0, 9, 0xff, 0b01]);
+    }
+
+    #[test]
     fn dense_batch_reservation_is_bounded_by_the_frame() {
-        // A frame of two all-ones bitmaps and no payloads: the header checks
+        // A frame of an all-ones bitmap and no payloads: the header checks
         // pass (count <= span <= 8 x remaining), so without the cap the
         // decoder would reserve `count` updates — 100x the frame's length
         // for f64 payloads — before finding nothing to decode.
         let count = 1usize << 16;
-        for (tag, carries_activation) in [(REPLICA_BATCH_DENSE, true), (DIRECT_BATCH_DENSE, false)]
-        {
-            let mut frame = BytesMut::new();
-            frame.put_u8(tag);
-            encode_varint(&mut frame, count as u64);
-            encode_varint(&mut frame, 0); // base
-            encode_varint(&mut frame, count as u64); // span
-            let bitmaps = if carries_activation { 2 } else { 1 };
-            frame.put_slice(&vec![0xFF; bitmaps * count / 8]);
-            let rejected = if carries_activation {
-                ReplicaUpdate::<f64>::wire_try_decode_batch(&mut &frame[..]).is_none()
-            } else {
-                DirectMessage::<f64>::wire_try_decode_batch(&mut &frame[..]).is_none()
-            };
-            assert!(
-                rejected,
-                "tag {tag:#04x}: payload-free frame must not decode"
-            );
-        }
+        let mut frame = BytesMut::new();
+        frame.put_u8(BATCH_DENSE);
+        encode_varint(&mut frame, count as u64);
+        encode_varint(&mut frame, 0); // base
+        encode_varint(&mut frame, count as u64); // span
+        frame.put_slice(&vec![0xFF; count / 8]);
+        assert_eq!(decoded(&frame), None, "payload-free frame must not decode");
         // The bound itself: never more updates than bytes left, and a
         // legitimate frame (>= 1 payload byte per update) keeps its count.
         assert_eq!(batch_reservation(count, 0), 0);
         assert_eq!(batch_reservation(usize::MAX, 17), 17);
         assert_eq!(batch_reservation(3, 24), 3);
-    }
-
-    fn directs(ids: &[u32]) -> Vec<DirectMessage<f64>> {
-        // Always-activate: the DirectBatch wire contract.
-        ids.iter()
-            .map(|&id| DirectMessage::new(id, id as f64 * 0.5, true))
-            .collect()
-    }
-
-    #[test]
-    fn direct_batch_round_trips_and_undercuts_replica_sizing() {
-        for ids in [
-            (100..200u32).collect::<Vec<_>>(),
-            (0..20).map(|i| i * 10_000).collect(),
-            vec![],
-            vec![7],
-        ] {
-            let mut dm = directs(&ids);
-            let mut ru = updates(&ids);
-            let mut db = BytesMut::new();
-            let mut rb = BytesMut::new();
-            let ds = DirectMessage::wire_encode_batch_into(&mut db, &mut dm);
-            let rs = ReplicaUpdate::wire_encode_batch_into(&mut rb, &mut ru);
-            assert_eq!(ds.legacy_len, rs.legacy_len);
-            if ids.len() == 1 {
-                // Packed one-message frame: `0x80 | slot` · payload — beats
-                // the sparse frame's count byte, slot varint, and
-                // activation bitmap.
-                assert_eq!(db[0], PACKED_SINGLE_BIT | ids[0] as u8);
-                assert_eq!(db.len(), rb.len() - 3);
-            } else {
-                // Same adaptive machinery and mode choice (the activation
-                // bitmap shrinks sparse and dense equally), with the direct
-                // batch exactly one ⌈count/8⌉ activation bitmap shorter.
-                assert_eq!(ds.mode, rs.mode);
-                assert_eq!(db.len() + ids.len().div_ceil(8), rb.len());
-                assert_eq!(db[0], rb[0] + 2, "direct tags are replica tags + 2");
-            }
-            let out = DirectMessage::<f64>::wire_try_decode_batch(&mut &db[..])
-                .expect("well-formed direct batch must decode");
-            let mut sorted = directs(&ids);
-            sorted.sort_by_key(|m| m.slot);
-            assert_eq!(out, sorted);
-            assert!(
-                out.iter().all(|m| m.activate),
-                "decode must reconstruct activate = true"
-            );
-        }
-    }
-
-    #[test]
-    fn direct_and_replica_batches_reject_each_other() {
-        let ids: Vec<u32> = (0..30).collect();
-        let mut dm = directs(&ids);
-        let mut ru = updates(&ids);
-        let mut db = BytesMut::new();
-        let mut rb = BytesMut::new();
-        DirectMessage::wire_encode_batch_into(&mut db, &mut dm);
-        ReplicaUpdate::wire_encode_batch_into(&mut rb, &mut ru);
-        assert_eq!(
-            ReplicaUpdate::<f64>::wire_try_decode_batch(&mut &db[..]),
-            None,
-            "a DirectBatch must not decode as a ReplicaBatch"
-        );
-        assert_eq!(
-            DirectMessage::<f64>::wire_try_decode_batch(&mut &rb[..]),
-            None,
-            "a ReplicaBatch must not decode as a DirectBatch"
-        );
-        // Both one-message frames are also DirectBatch-only.
-        for slot in [7u32, 300] {
-            let mut single = directs(&[slot]);
-            let mut sb = BytesMut::new();
-            DirectMessage::wire_encode_batch_into(&mut sb, &mut single);
-            if slot < 128 {
-                assert_eq!(sb[0], PACKED_SINGLE_BIT | slot as u8);
-                assert_eq!(sb.len(), 1 + 8, "packed frame is tag byte + payload");
-            } else {
-                assert_eq!(sb[0], DIRECT_BATCH_SINGLE);
-            }
-            assert_eq!(
-                ReplicaUpdate::<f64>::wire_try_decode_batch(&mut &sb[..]),
-                None,
-                "a single-message DirectBatch must not decode as a ReplicaBatch"
-            );
-            assert_eq!(
-                DirectMessage::<f64>::wire_try_decode_batch(&mut &sb[..]),
-                Some(single.clone()),
-                "slot {slot} single frame must round-trip"
-            );
-        }
-    }
-
-    #[test]
-    fn direct_batch_rejects_truncation_at_every_offset() {
-        for ids in [
-            (0..40u32).collect::<Vec<_>>(),
-            (0..12).map(|i| i * 5_000 + 17).collect(),
-            vec![300], // one-message frame with a two-byte slot varint
-            vec![9],   // packed one-message frame
-        ] {
-            let mut msgs = directs(&ids);
-            let mut full = BytesMut::new();
-            DirectMessage::wire_encode_batch_into(&mut full, &mut msgs);
-            for cut in 0..full.len() {
-                assert_eq!(
-                    DirectMessage::<f64>::wire_try_decode_batch(&mut &full[..cut]),
-                    None,
-                    "a {cut}-byte prefix of {} decoded",
-                    full.len()
-                );
-            }
-        }
     }
 
     fn migration_records(n: u32) -> Vec<MigrationRecord<f64>> {
@@ -1452,24 +1293,36 @@ mod tests {
     }
 
     #[test]
-    fn migration_batch_tag_is_disjoint_from_other_framings() {
-        // A migration frame must not decode as a replica or direct batch,
-        // and vice versa: every framing checks its own tag.
+    fn migration_batch_rejects_trailing_bytes() {
+        let records = migration_records(3);
+        let mut full = BytesMut::new();
+        encode_migration_batch(&mut full, &records);
+        assert_eq!(full[1], 3, "count varint");
+        let mut lowered = full.to_vec();
+        lowered[1] = 2;
+        assert_eq!(try_decode_migration_batch::<f64>(&mut &lowered[..]), None);
+        let mut longer = full.to_vec();
+        longer.push(0);
+        assert_eq!(try_decode_migration_batch::<f64>(&mut &longer[..]), None);
+        // A count far beyond the frame reserves no more than the frame.
+        let mut lying = BytesMut::new();
+        lying.put_u8(MIGRATION_BATCH);
+        encode_varint(&mut lying, u64::MAX);
+        assert_eq!(try_decode_migration_batch::<f64>(&mut &lying[..]), None);
+    }
+
+    #[test]
+    fn migration_batch_tag_is_disjoint_from_the_update_framing() {
+        // A migration frame must not decode as a view-update batch, and
+        // vice versa: every framing checks its own tag.
         let records = migration_records(3);
         let mut mig = BytesMut::new();
         encode_migration_batch(&mut mig, &records);
-        assert!(ReplicaUpdate::<f64>::wire_try_decode_batch(&mut &mig[..]).is_none());
-        assert!(DirectMessage::<f64>::wire_try_decode_batch(&mut &mig[..]).is_none());
-
-        let mut reps = vec![ReplicaUpdate::new(0, 1.0f64, true)];
-        let mut rep_buf = BytesMut::new();
-        ReplicaUpdate::wire_encode_batch_into(&mut rep_buf, &mut reps);
-        assert!(try_decode_migration_batch::<f64>(&mut &rep_buf[..]).is_none());
-
-        let mut dirs = directs(&[3]);
-        let mut dir_buf = BytesMut::new();
-        DirectMessage::wire_encode_batch_into(&mut dir_buf, &mut dirs);
-        assert!(try_decode_migration_batch::<f64>(&mut &dir_buf[..]).is_none());
+        assert_eq!(decoded(&mig), None);
+        for ids in frame_shapes() {
+            let (_, buf) = encoded(&ids);
+            assert!(try_decode_migration_batch::<f64>(&mut &buf[..]).is_none());
+        }
     }
 
     #[test]
@@ -1483,5 +1336,18 @@ mod tests {
         assert_eq!(&buf[..], &fresh[..]);
         let out = <(u32, f64)>::wire_try_decode_batch(&mut &buf[..]).unwrap();
         assert_eq!(out, msgs);
+    }
+
+    #[test]
+    fn legacy_batch_rejects_trailing_bytes() {
+        let mut msgs: Vec<(u32, f64)> = (0..3).map(|i| (i, i as f64)).collect();
+        let mut full = BytesMut::new();
+        <(u32, f64)>::wire_encode_batch_into(&mut full, &mut msgs);
+        let mut lowered = full.to_vec();
+        lowered[0] = 2; // u32 count 3 -> 2: the third message goes unread
+        assert_eq!(<(u32, f64)>::wire_try_decode_batch(&mut &lowered[..]), None);
+        let mut longer = full.to_vec();
+        longer.push(0);
+        assert_eq!(<(u32, f64)>::wire_try_decode_batch(&mut &longer[..]), None);
     }
 }

@@ -53,7 +53,7 @@ pub use barrier::{FlatBarrier, HierarchicalBarrier};
 pub use cluster::{priority_key, priority_key_inv, BucketMode, ClusterSpec, IMMEDIATE_KEY};
 pub use codec::{
     encode_migration_batch, migration_batch_encoded_len, try_decode_migration_batch, Codec,
-    DirectMessage, MigrationRecord, ReplicaUpdate, WireFormat, WireMode, WireStats,
+    MigrationRecord, ReplicaUpdate, WireFormat, WireMode, WireStats,
 };
 pub use metrics::{AggregateStats, Phase, PhaseHists, PhaseTimes, SchedObs, SuperstepStats};
 pub use slots::DisjointSlots;

@@ -108,7 +108,10 @@ pub struct TraceRecord {
     /// compare with [`diff::first_value_divergence`], which skips every
     /// traffic counter.
     pub direct_messages: u64,
-    /// Cross-machine wire bytes of the direct-message batches above.
+    /// Wire bytes of those messages, in traces written when they travelled
+    /// in batches of their own. No run records it any more (one batch per
+    /// destination carries both kinds); the column is read, compared and
+    /// re-serialized so older trace files keep loading.
     pub direct_bytes: u64,
     /// Masters migrated *onto* this worker at the epoch boundary preceding
     /// this superstep (dynamic load balancing). 0 on migration-off runs —
@@ -231,9 +234,8 @@ pub struct WorkerTracer {
     /// superstep.
     wire_dense: AtomicU64,
     wire_sparse: AtomicU64,
-    /// Direct messages / bytes sent this superstep (hybrid replication).
+    /// Direct messages sent this superstep (hybrid replication).
     direct_messages: AtomicU64,
-    direct_bytes: AtomicU64,
     /// Masters migrated onto this worker at the preceding epoch boundary.
     migrated: AtomicU64,
     /// Bucketed-scheduler accounting for this superstep: fused relaxation
@@ -299,7 +301,6 @@ impl WorkerTracer {
             wire_dense: AtomicU64::new(0),
             wire_sparse: AtomicU64::new(0),
             direct_messages: AtomicU64::new(0),
-            direct_bytes: AtomicU64::new(0),
             migrated: AtomicU64::new(0),
             fused: AtomicU64::new(0),
             bucket: AtomicU64::new(0),
@@ -387,18 +388,14 @@ impl WorkerTracer {
         }
     }
 
-    /// Adds direct messages / bytes sent by the calling thread this
-    /// superstep (hybrid replication's cold-vertex path). Callers also
-    /// attribute the same send through [`WorkerTracer::add_sent_to`] so the
-    /// run totals and the communication-matrix row stay consistent; this
-    /// only feeds the separate `direct_*` record columns.
+    /// Adds direct messages this worker queued this superstep (hybrid
+    /// replication's cold-vertex path). They are a subset of what
+    /// [`WorkerTracer::add_sent_to`] counts; this only feeds the separate
+    /// `direct_messages` record column.
     #[inline]
-    pub fn add_direct(&self, messages: u64, bytes: u64) {
+    pub fn add_direct(&self, messages: u64) {
         if messages > 0 {
             self.direct_messages.fetch_add(messages, Ordering::Relaxed);
-        }
-        if bytes > 0 {
-            self.direct_bytes.fetch_add(bytes, Ordering::Relaxed);
         }
     }
 
@@ -540,7 +537,7 @@ impl WorkerTracer {
             wire_dense: self.wire_dense.swap(0, Ordering::Relaxed),
             wire_sparse: self.wire_sparse.swap(0, Ordering::Relaxed),
             direct_messages: self.direct_messages.swap(0, Ordering::Relaxed),
-            direct_bytes: self.direct_bytes.swap(0, Ordering::Relaxed),
+            direct_bytes: 0,
             migrated: self.migrated.swap(0, Ordering::Relaxed),
             fused: self.fused.swap(0, Ordering::Relaxed),
             bucket: self.bucket.swap(0, Ordering::Relaxed),

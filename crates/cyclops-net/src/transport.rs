@@ -405,7 +405,7 @@ impl<M: WireFormat + Send> Transport<M> {
                 // The checked decoder turns a framing bug into a diagnosable
                 // panic instead of an out-of-bounds read deep in the codec.
                 let decoded = M::wire_try_decode_batch(&mut &buf[..])
-                    .expect("simulated wire corrupted: batch truncated mid-message");
+                    .expect("simulated wire corrupted: the frame just encoded did not decode");
                 (decoded, stats, bytes, stats.grown)
             } else {
                 // Unpooled (ablation baseline): every batch is a fresh
@@ -416,7 +416,7 @@ impl<M: WireFormat + Send> Transport<M> {
                 self.wire_delay(msgs.len(), bytes);
                 drop(msgs);
                 let decoded = M::wire_try_decode_batch(&mut &buf[..])
-                    .expect("simulated wire corrupted: batch truncated mid-message");
+                    .expect("simulated wire corrupted: the frame just encoded did not decode");
                 (decoded, stats, bytes, bytes)
             };
             self.counters.add_bytes(bytes);
@@ -641,7 +641,7 @@ mod tests {
         let t: Transport<ReplicaUpdate<f64>> = Transport::new(spec(), InboxMode::Sharded);
         // Contiguous ids → dense bitmap mode; scattered ids → sparse varints.
         let dense: Vec<_> = (0..100)
-            .map(|i| ReplicaUpdate::new(i, i as f64, i % 2 == 0))
+            .map(|i| ReplicaUpdate::new(i, i as f64, true))
             .collect();
         let sparse: Vec<_> = (0..8)
             .map(|i| ReplicaUpdate::new(i * 1_000_003, i as f64, true))

@@ -1,14 +1,118 @@
 //! Property-based tests of the codec and transport: arbitrary payloads
-//! round-trip exactly; arbitrary send schedules deliver exactly once with
+//! round-trip exactly; corrupted frames decode to nothing or to a batch that
+//! encodes back to them; arbitrary send schedules deliver exactly once with
 //! correct epoch isolation.
 
-use bytes::{Buf, BufMut};
+use bytes::{Buf, BufMut, BytesMut};
 use cyclops_net::codec::{
-    decode_batch, encode_batch, encode_varint, try_decode_batch, try_decode_varint, unzigzag,
-    varint_len, zigzag,
+    batch_reservation, decode_batch, encode_batch, encode_migration_batch, encode_varint,
+    try_decode_batch, try_decode_migration_batch, try_decode_varint, unzigzag, varint_len, zigzag,
+    MigrationRecord,
 };
 use cyclops_net::{ClusterSpec, Codec, InboxMode, ReplicaUpdate, Transport, WireFormat};
 use proptest::prelude::*;
+
+/// Update ids in the three shapes that steer the framing: clustered (dense
+/// mode), scattered (sparse mode), and hard against `u32::MAX` (where id
+/// arithmetic overflows if it is going to). Duplicates occur in all three.
+fn arb_ids() -> impl Strategy<Value = Vec<u32>> {
+    (
+        0usize..3,
+        prop::collection::vec(any::<u32>(), 0..24),
+        0u32..100_000,
+    )
+        .prop_map(|(shape, raw, base)| match shape {
+            0 => raw.iter().map(|v| base + v % 48).collect(),
+            1 => raw,
+            _ => raw.iter().map(|v| u32::MAX - v % 40).collect(),
+        })
+}
+
+/// What the decoder owes any byte string: nothing, or a batch that encodes
+/// back to exactly those bytes — so no two frames name one batch and nothing
+/// in a frame goes unread — in a vector no longer than the input.
+fn none_or_canonical<M: Codec>(bytes: &[u8]) -> Option<usize> {
+    let mut batch = ReplicaUpdate::<M>::wire_try_decode_batch(&mut &bytes[..])?;
+    assert!(
+        batch.capacity() <= bytes.len(),
+        "reserved {} updates for {} bytes",
+        batch.capacity(),
+        bytes.len()
+    );
+    let mut again = BytesMut::new();
+    ReplicaUpdate::wire_encode_batch_into(&mut again, &mut batch);
+    assert_eq!(
+        &again[..],
+        bytes,
+        "a decoded frame must re-encode to itself"
+    );
+    Some(batch.len())
+}
+
+/// Encodes `ids` with `payload(id)` each and runs the corruption corpus over
+/// the frame: every single-bit flip, every truncation, every other tag byte
+/// (the migration tag, the retired pair and the whole packed range among
+/// them) and every header varint overwritten with `{0, 1, v - 1, v + 1,
+/// u32::MAX, u64::MAX}`. The same bytes go to the migration decoder, which
+/// owes them the same: no panic, no reservation beyond the input.
+fn corruption_corpus<M: Codec + Clone>(ids: &[u32], payload: impl Fn(u32) -> M) {
+    let mut batch: Vec<ReplicaUpdate<M>> = ids
+        .iter()
+        .map(|&id| ReplicaUpdate::new(id, payload(id), true))
+        .collect();
+    let mut frame = BytesMut::new();
+    ReplicaUpdate::wire_encode_batch_into(&mut frame, &mut batch);
+    let frame = frame.to_vec();
+    assert_eq!(none_or_canonical::<M>(&frame), Some(ids.len()));
+
+    let probe = |bytes: &[u8]| {
+        none_or_canonical::<M>(bytes);
+        if let Some(records) = try_decode_migration_batch::<M>(&mut &bytes[..]) {
+            assert!(records.capacity() <= bytes.len());
+        }
+    };
+    for i in 0..frame.len() {
+        for bit in 0..8 {
+            let mut flipped = frame.clone();
+            flipped[i] ^= 1 << bit;
+            probe(&flipped);
+        }
+    }
+    for cut in 0..frame.len() {
+        probe(&frame[..cut]);
+        assert_eq!(
+            none_or_canonical::<M>(&frame[..cut]),
+            None,
+            "a {cut}-byte prefix of {} decoded",
+            frame.len()
+        );
+    }
+    for tag in 0..=u8::MAX {
+        let mut retagged = frame.clone();
+        retagged[0] = tag;
+        probe(&retagged);
+    }
+    // Header varints by frame shape: packed single none, `0x04` its id,
+    // sparse its count, dense count · base · span.
+    let headers = match frame[0] {
+        0x02 | 0x04 => 1,
+        0x03 => 3,
+        _ => 0,
+    };
+    let mut at = 1;
+    for _ in 0..headers {
+        let mut rest = &frame[at..];
+        let v = try_decode_varint(&mut rest).expect("header varint");
+        for hostile in [0, 1, v.wrapping_sub(1), v + 1, u32::MAX as u64, u64::MAX] {
+            let mut spliced = BytesMut::new();
+            spliced.put_slice(&frame[..at]);
+            encode_varint(&mut spliced, hostile);
+            spliced.put_slice(rest);
+            probe(&spliced);
+        }
+        at = frame.len() - rest.len();
+    }
+}
 
 proptest! {
     #[test]
@@ -132,7 +236,7 @@ proptest! {
         rot in any::<usize>(),
     ) {
         let mk = |ids: &[u32]| -> Vec<ReplicaUpdate<f64>> {
-            ids.iter().map(|&id| ReplicaUpdate::new(id, id as f64 * 1.5 - 3.0, id % 2 == 0)).collect()
+            ids.iter().map(|&id| ReplicaUpdate::new(id, id as f64 * 1.5 - 3.0, true)).collect()
         };
         let mut msgs = mk(&ids);
         let mut buf = bytes::BytesMut::new();
@@ -154,24 +258,66 @@ proptest! {
         prop_assert_eq!(stats.mode, stats2.mode);
     }
 
-    /// Truncating an adaptive batch at any byte offset fails cleanly —
-    /// the ReplicaBatch mirror of `truncated_batches_fail_cleanly_at_every_offset`.
+    /// The corruption corpus over the one view-update framing, for fixed-
+    /// and variable-width payloads (`f64` draws are raw bit patterns, NaNs
+    /// included: payload bytes must survive untouched).
     #[test]
-    fn truncated_replica_batches_fail_cleanly_at_every_offset(
-        ids in prop::collection::vec(any::<u32>(), 1..40),
-        dense_bias in any::<bool>(),
+    fn corrupted_update_frames_decode_to_nothing_or_to_themselves(
+        ids in arb_ids(),
+        salt in any::<u64>(),
+        width in 0usize..4,
     ) {
-        // Half the cases compress ids into a near-contiguous range so both
-        // wire modes get exercised.
-        let ids: Vec<u32> = if dense_bias { ids.iter().map(|&v| v % 64).collect() } else { ids };
-        let mut msgs: Vec<ReplicaUpdate<f64>> =
-            ids.iter().map(|&id| ReplicaUpdate::new(id, id as f64, id % 2 == 1)).collect();
-        let mut full = bytes::BytesMut::new();
-        ReplicaUpdate::wire_encode_batch_into(&mut full, &mut msgs);
-        for cut in 0..full.len() {
-            let got = ReplicaUpdate::<f64>::wire_try_decode_batch(&mut &full[..cut]);
-            prop_assert_eq!(got, None, "a {}-byte prefix of {} decoded", cut, full.len());
+        let word = |id: u32| f64::from_bits(salt.wrapping_mul(id as u64 | 1));
+        corruption_corpus(&ids, word);
+        corruption_corpus(&ids, |id| vec![word(id); (id as usize + width) % 4]);
+    }
+
+    /// The migration framing is not canonical (padding bytes are skipped,
+    /// not kept), so its corpus asks for less: any corruption of a frame
+    /// decodes or fails without a panic, reserving no more than the input.
+    #[test]
+    fn corrupted_migration_frames_never_panic_or_over_reserve(
+        records in prop::collection::vec(
+            (any::<u32>(), 0u32..8, 0u32..8, 0u8..4, any::<f64>(), 0u32..20),
+            0..12,
+        ),
+    ) {
+        let records: Vec<MigrationRecord<f64>> = records
+            .into_iter()
+            .map(|(vertex, from, to, flags, value, state_bytes)| MigrationRecord {
+                vertex,
+                from,
+                to,
+                active: flags & 1 != 0,
+                publication: (flags & 2 != 0).then_some(value),
+                state_bytes,
+            })
+            .collect();
+        let mut frame = BytesMut::new();
+        encode_migration_batch(&mut frame, &records);
+        let decode = |bytes: &[u8]| {
+            let out = try_decode_migration_batch::<f64>(&mut &bytes[..]);
+            prop_assert!(out.as_ref().is_none_or(|r| r.capacity() <= bytes.len()));
+            out
+        };
+        prop_assert_eq!(decode(&frame).map(|r| r.len()), Some(records.len()));
+        for i in 0..frame.len() {
+            prop_assert_eq!(decode(&frame[..i]), None, "a {}-byte prefix decoded", i);
+            for bit in 0..8 {
+                let mut flipped = frame.to_vec();
+                flipped[i] ^= 1 << bit;
+                decode(&flipped);
+            }
         }
+    }
+
+    /// Whatever count a header claims, a decoder reserves no more elements
+    /// than there are bytes left to read them from.
+    #[test]
+    fn reservations_are_bounded_by_the_input(count in any::<usize>(), remaining in 0usize..1 << 20) {
+        prop_assert!(batch_reservation(count, remaining) <= remaining);
+        prop_assert!(batch_reservation(count, remaining) <= count);
+        prop_assert_eq!(batch_reservation(u64::MAX as usize, remaining), remaining);
     }
 
     /// Lane-partitioned drains are a partition of the full drain.

@@ -54,14 +54,17 @@ pub enum Component {
     /// fan-out, work-mass tables — everything except the replica and
     /// direct-slot tables below.
     Plan,
-    /// Replica machinery: replica id lists, mirror fan-out, replica
-    /// activation CSRs — and each worker's immutable view, the one array of
+    /// Replica machinery: replica id lists, replica activation CSRs, the
+    /// sender table (every boundary master's remote fan-out: one entry per
+    /// mirror worker of a replicated master, one per cross-worker edge of a
+    /// messaged one) — and each worker's immutable view, the one array of
     /// publication slots (masters, replicas, direct slots) every gather
     /// reads.
     Replicas,
-    /// Hybrid-replication direct-message machinery: slot source/target
-    /// tables and sender-side destination CSRs. The slots' values live in
-    /// the view, under [`Component::Replicas`].
+    /// Hybrid-replication direct-message machinery on the receiving side:
+    /// slot source/target tables. The slots' values live in the view and
+    /// their senders' entries in the sender table, both under
+    /// [`Component::Replicas`].
     DirectSlots,
     /// The transport's pooled per-lane encode buffers and engine outboxes.
     SendPool,

@@ -433,13 +433,12 @@ fn report_hybrid<V, M>(threshold: u32, r: &cyclops_engine::CyclopsResult<V, M>) 
     let ing = &r.ingress;
     println!(
         "hybrid: threshold={} replicated={} messaged={} boundary={} \
-         direct_messages={} direct_bytes={} replication_factor={:.6}",
+         direct_messages={} replication_factor={:.6}",
         threshold,
         ing.replicated_boundary,
         ing.messaged_boundary,
         ing.replicated_boundary + ing.messaged_boundary,
         r.direct_messages,
-        r.direct_bytes,
         r.replication_factor,
     );
     if let Some(reg) = cyclops::obs::global() {
@@ -448,8 +447,6 @@ fn report_hybrid<V, M>(threshold: u32, r: &cyclops_engine::CyclopsResult<V, M>) 
             .set(r.replication_factor);
         reg.counter("cyclops_direct_messages_total", &[])
             .inc(r.direct_messages as u64);
-        reg.counter("cyclops_direct_bytes_total", &[])
-            .inc(r.direct_bytes as u64);
     }
 }
 

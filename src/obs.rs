@@ -1014,22 +1014,19 @@ pub fn why_slow_report(trace: &RunTrace) -> String {
     out.push('\n');
 
     // Hybrid replication: direct messages bypass replicas for cold boundary
-    // vertices; compare their share of the wire against the replica-sync
-    // traffic to judge the threshold.
+    // vertices; their share of the traffic is what the threshold trades for
+    // the replicas it saves. They ride in the same batches as replica syncs,
+    // so there is a message share and no byte share.
     let direct_msgs: u64 = trace.records.iter().map(|r| r.direct_messages).sum();
-    let direct_bytes: u64 = trace.records.iter().map(|r| r.direct_bytes).sum();
     if direct_msgs == 0 {
         out.push_str("hybrid replication: off (every boundary vertex replicated)\n");
     } else {
         let total_msgs: u64 = trace.records.iter().map(|r| r.messages).sum();
-        let total_bytes: u64 = trace.records.iter().map(|r| r.bytes).sum();
         let _ = writeln!(
             out,
-            "hybrid replication: {direct_msgs} direct messages / {direct_bytes} bytes \
-             ({:.1}% of messages, {:.1}% of wire bytes) took the no-replica path; \
-             the rest is replica sync for hot boundary vertices",
+            "hybrid replication: {direct_msgs} direct messages ({:.1}% of messages) took the \
+             no-replica path; the rest is replica sync for hot boundary vertices",
             pct(direct_msgs, total_msgs),
-            pct(direct_bytes, total_bytes),
         );
     }
     out.push('\n');

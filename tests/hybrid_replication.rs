@@ -268,7 +268,7 @@ fn hybrid_dynamic_sched_trace_is_stable_across_thread_counts() {
         assert_eq!(a.to_bits(), b.to_bits(), "vertex {v}");
     }
     assert_eq!(rn.direct_messages, rw.direct_messages);
-    assert_eq!(rn.direct_bytes, rw.direct_bytes);
+    assert_eq!(rn.counters.bytes, rw.counters.bytes);
     assert_eq!(
         diff::first_value_divergence(&finish(sink_n), &finish(sink_w)),
         None,
