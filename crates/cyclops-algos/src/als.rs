@@ -8,11 +8,9 @@
 //! items (and vice versa). One "iteration" is therefore two supersteps.
 
 use crate::linalg::{axpy, cholesky_solve, syrk_update};
-use cyclops_bsp::{run_bsp, BspConfig, BspContext, BspProgram, BspResult};
-use cyclops_engine::{run_cyclops, CyclopsConfig, CyclopsContext, CyclopsProgram, CyclopsResult};
+use cyclops_bsp::{BspContext, BspProgram};
+use cyclops_engine::{CyclopsContext, CyclopsProgram};
 use cyclops_graph::{Graph, VertexId};
-use cyclops_net::ClusterSpec;
-use cyclops_partition::EdgeCutPartition;
 
 /// Shared ALS parameters.
 #[derive(Clone, Copy, Debug)]
@@ -80,6 +78,9 @@ impl AlsParams {
 /// side's factors with rating weights through the immutable view, solves,
 /// and activates its neighbors (the other side) — the alternation falls out
 /// of distributed activation.
+///
+/// To run: one iteration is two supersteps (users, then items), so `n`
+/// iterations take `max_supersteps = 2 * n`.
 pub struct CyclopsAls {
     /// Shared parameters.
     pub params: AlsParams,
@@ -125,6 +126,10 @@ impl CyclopsProgram for CyclopsAls {
 /// BSP ALS: both sides stay alive; the off-turn side re-broadcasts its
 /// factors so the on-turn side has messages to solve against — the
 /// redundant traffic Cyclops' immutable view removes.
+///
+/// To run: two supersteps per iteration plus the seed superstep 0, so `n`
+/// iterations take `max_supersteps = 2 * n + 1`; no `combine` (each factor
+/// is needed whole).
 pub struct BspAls {
     /// Shared parameters.
     pub params: AlsParams,
@@ -196,48 +201,6 @@ impl BspProgram for BspAls {
     }
 }
 
-/// Runs Cyclops ALS for `iterations` full alternations (2 supersteps each).
-pub fn run_cyclops_als(
-    graph: &Graph,
-    partition: &EdgeCutPartition,
-    cluster: &ClusterSpec,
-    params: AlsParams,
-    iterations: usize,
-) -> CyclopsResult<Vec<f64>, Vec<f64>> {
-    run_cyclops(
-        &CyclopsAls { params },
-        graph,
-        partition,
-        &CyclopsConfig {
-            cluster: *cluster,
-            max_supersteps: iterations * 2,
-            ..Default::default()
-        },
-    )
-}
-
-/// Runs BSP ALS for `iterations` full alternations (2 supersteps each,
-/// plus the seed superstep).
-pub fn run_bsp_als(
-    graph: &Graph,
-    partition: &EdgeCutPartition,
-    cluster: &ClusterSpec,
-    params: AlsParams,
-    iterations: usize,
-) -> BspResult<Vec<f64>, Vec<f64>> {
-    run_bsp(
-        &BspAls { params },
-        graph,
-        partition,
-        &BspConfig {
-            cluster: *cluster,
-            max_supersteps: iterations * 2 + 1,
-            track_redundant: true,
-            ..Default::default()
-        },
-    )
-}
-
 /// Sequential reference ALS with the same alternation schedule; used by the
 /// tests as ground truth.
 pub fn reference_als(graph: &Graph, params: AlsParams, iterations: usize) -> Vec<Vec<f64>> {
@@ -276,8 +239,26 @@ pub fn rating_rmse(graph: &Graph, factors: &[Vec<f64>]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cyclops_bsp::{run_bsp, BspConfig};
+    use cyclops_engine::{run_cyclops, CyclopsConfig, CyclopsResult};
     use cyclops_graph::gen::bipartite_ratings;
-    use cyclops_partition::{EdgeCutPartitioner, HashPartitioner};
+    use cyclops_net::ClusterSpec;
+    use cyclops_partition::{EdgeCutPartition, EdgeCutPartitioner, HashPartitioner};
+
+    fn cyclops(
+        g: &Graph,
+        p: &EdgeCutPartition,
+        cluster: ClusterSpec,
+        params: AlsParams,
+        iterations: usize,
+    ) -> CyclopsResult<Vec<f64>, Vec<f64>> {
+        let config = CyclopsConfig {
+            cluster,
+            max_supersteps: iterations * 2,
+            ..Default::default()
+        };
+        run_cyclops(&CyclopsAls { params }, g, p, &config)
+    }
 
     fn small_ratings() -> (Graph, AlsParams) {
         let (g, users) = bipartite_ratings(60, 20, 400, 0.8, 11);
@@ -302,7 +283,7 @@ mod tests {
     fn cyclops_matches_reference() {
         let (g, params) = small_ratings();
         let p = HashPartitioner.partition(&g, 4);
-        let r = run_cyclops_als(&g, &p, &ClusterSpec::flat(2, 2), params, 3);
+        let r = cyclops(&g, &p, ClusterSpec::flat(2, 2), params, 3);
         let expected = reference_als(&g, params, 3);
         assert!(
             max_factor_diff(&r.values, &expected) < 1e-9,
@@ -315,7 +296,13 @@ mod tests {
     fn bsp_matches_reference() {
         let (g, params) = small_ratings();
         let p = HashPartitioner.partition(&g, 4);
-        let r = run_bsp_als(&g, &p, &ClusterSpec::flat(2, 2), params, 3);
+        let config = BspConfig {
+            cluster: ClusterSpec::flat(2, 2),
+            max_supersteps: 3 * 2 + 1,
+            track_redundant: true,
+            ..Default::default()
+        };
+        let r = run_bsp(&BspAls { params }, &g, &p, &config);
         let expected = reference_als(&g, params, 3);
         assert!(
             max_factor_diff(&r.values, &expected) < 1e-8,
@@ -340,11 +327,11 @@ mod tests {
         let (g, params) = small_ratings();
         let flat = {
             let p = HashPartitioner.partition(&g, 4);
-            run_cyclops_als(&g, &p, &ClusterSpec::flat(4, 1), params, 2)
+            cyclops(&g, &p, ClusterSpec::flat(4, 1), params, 2)
         };
         let mt = {
             let p = HashPartitioner.partition(&g, 2);
-            run_cyclops_als(&g, &p, &ClusterSpec::mt(2, 3, 2), params, 2)
+            cyclops(&g, &p, ClusterSpec::mt(2, 3, 2), params, 2)
         };
         assert!(max_factor_diff(&flat.values, &mt.values) < 1e-12);
     }

@@ -2,17 +2,20 @@
 //! push-mode workload: like SSSP with unit weights, but over the hop
 //! metric, converging in diameter supersteps.
 
-use cyclops_bsp::{run_bsp, BspConfig, BspContext, BspProgram, BspResult};
-use cyclops_engine::{run_cyclops, CyclopsConfig, CyclopsContext, CyclopsProgram, CyclopsResult};
+use cyclops_bsp::{BspContext, BspProgram};
+use cyclops_engine::{CyclopsContext, CyclopsProgram};
 use cyclops_graph::{Graph, VertexId};
-use cyclops_net::ClusterSpec;
-use cyclops_partition::EdgeCutPartition;
 
 /// Unvisited marker (matches `cyclops_graph::reference::bfs_levels`).
 pub const UNREACHED: u32 = u32::MAX;
 
 /// Cyclops BFS: the frontier publishes its level; unvisited in-neighbors
 /// adopt level+1.
+///
+/// To run: takes one superstep per hop, so cap `max_supersteps` above the
+/// diameter; declares `priority` (the hop level), so `bucket_width = 1.0`
+/// drains exactly one ring per barrier pair and wider buckets fuse that many
+/// rings — levels are bitwise identical at every width.
 pub struct CyclopsBfs {
     /// The source vertex.
     pub source: VertexId,
@@ -69,6 +72,9 @@ impl CyclopsProgram for CyclopsBfs {
 }
 
 /// BSP BFS (push-mode flooding).
+///
+/// To run: one superstep per hop after the seed superstep 0; defines
+/// `combine` (min), so set `use_combiner`; declares no `priority`.
 pub struct BspBfs {
     /// The source vertex.
     pub source: VertexId,
@@ -108,89 +114,48 @@ impl BspProgram for BspBfs {
     }
 }
 
-/// Runs Cyclops BFS from `source`.
-pub fn run_cyclops_bfs(
-    graph: &Graph,
-    partition: &EdgeCutPartition,
-    cluster: &ClusterSpec,
-    source: VertexId,
-) -> CyclopsResult<u32, u32> {
-    run_cyclops(
-        &CyclopsBfs { source },
-        graph,
-        partition,
-        &CyclopsConfig {
-            cluster: *cluster,
-            max_supersteps: 1_000_000,
-            ..Default::default()
-        },
-    )
-}
-
-/// Runs Cyclops BFS from `source` on the bucketed (hop-ring) scheduler:
-/// [`CyclopsBfs::priority`] maps each activation to its hop level, so a
-/// bucket of width 1.0 (`bucket_width` ≤ 0 resolves to it) drains exactly
-/// one BFS ring per barrier pair; wider buckets fuse that many rings
-/// behind one barrier. Levels are bitwise identical to
-/// [`run_cyclops_bfs`] at every width.
-pub fn run_cyclops_bfs_bucketed(
-    graph: &Graph,
-    partition: &EdgeCutPartition,
-    cluster: &ClusterSpec,
-    source: VertexId,
-    bucket_width: f64,
-    bucket_mode: cyclops_net::BucketMode,
-) -> CyclopsResult<u32, u32> {
-    run_cyclops(
-        &CyclopsBfs { source },
-        graph,
-        partition,
-        &CyclopsConfig {
-            cluster: *cluster,
-            max_supersteps: 1_000_000,
-            bucket_width: if bucket_width > 0.0 {
-                bucket_width
-            } else {
-                1.0
-            },
-            bucket_mode,
-            ..Default::default()
-        },
-    )
-}
-
-/// Runs BSP BFS from `source`.
-pub fn run_bsp_bfs(
-    graph: &Graph,
-    partition: &EdgeCutPartition,
-    cluster: &ClusterSpec,
-    source: VertexId,
-) -> BspResult<u32, u32> {
-    run_bsp(
-        &BspBfs { source },
-        graph,
-        partition,
-        &BspConfig {
-            cluster: *cluster,
-            max_supersteps: 1_000_000,
-            use_combiner: true,
-            ..Default::default()
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cyclops_bsp::{run_bsp, BspConfig};
+    use cyclops_engine::{run_cyclops, CyclopsConfig, CyclopsResult};
     use cyclops_graph::gen::{erdos_renyi, road_lattice};
     use cyclops_graph::reference;
-    use cyclops_partition::{EdgeCutPartitioner, HashPartitioner};
+    use cyclops_net::{BucketMode, ClusterSpec};
+    use cyclops_partition::{EdgeCutPartition, EdgeCutPartitioner, HashPartitioner};
+
+    fn cyclops(
+        g: &Graph,
+        p: &EdgeCutPartition,
+        cluster: &ClusterSpec,
+        source: VertexId,
+    ) -> CyclopsResult<u32, u32> {
+        bucketed(g, p, cluster, source, 0.0, BucketMode::Det)
+    }
+
+    fn bucketed(
+        g: &Graph,
+        p: &EdgeCutPartition,
+        cluster: &ClusterSpec,
+        source: VertexId,
+        bucket_width: f64,
+        bucket_mode: BucketMode,
+    ) -> CyclopsResult<u32, u32> {
+        let config = CyclopsConfig {
+            cluster: *cluster,
+            max_supersteps: 1_000_000,
+            bucket_width,
+            bucket_mode,
+            ..Default::default()
+        };
+        run_cyclops(&CyclopsBfs { source }, g, p, &config)
+    }
 
     #[test]
     fn cyclops_matches_reference_on_er() {
         let g = erdos_renyi(400, 1200, 9);
         let p = HashPartitioner.partition(&g, 4);
-        let r = run_cyclops_bfs(&g, &p, &ClusterSpec::flat(2, 2), 0);
+        let r = cyclops(&g, &p, &ClusterSpec::flat(2, 2), 0);
         assert_eq!(r.values, reference::bfs_levels(&g, 0));
     }
 
@@ -198,7 +163,13 @@ mod tests {
     fn bsp_matches_reference_on_er() {
         let g = erdos_renyi(400, 1200, 9);
         let p = HashPartitioner.partition(&g, 4);
-        let r = run_bsp_bfs(&g, &p, &ClusterSpec::flat(2, 2), 0);
+        let config = BspConfig {
+            cluster: ClusterSpec::flat(2, 2),
+            max_supersteps: 1_000_000,
+            use_combiner: true,
+            ..Default::default()
+        };
+        let r = run_bsp(&BspBfs { source: 0 }, &g, &p, &config);
         assert_eq!(r.values, reference::bfs_levels(&g, 0));
     }
 
@@ -206,7 +177,7 @@ mod tests {
     fn frontier_wave_on_grid() {
         let g = road_lattice(15, 15, 1.0, 0.0, 1);
         let p = HashPartitioner.partition(&g, 3);
-        let r = run_cyclops_bfs(&g, &p, &ClusterSpec::flat(3, 1), 0);
+        let r = cyclops(&g, &p, &ClusterSpec::flat(3, 1), 0);
         assert_eq!(r.values, reference::bfs_levels(&g, 0));
         // Supersteps track the eccentricity of the source (+kickoff/drain).
         let max_level = *r.values.iter().filter(|&&l| l != UNREACHED).max().unwrap();
@@ -215,13 +186,12 @@ mod tests {
 
     #[test]
     fn bucketed_bfs_matches_classic_and_reference() {
-        use cyclops_net::BucketMode;
         let g = erdos_renyi(400, 1200, 9);
         let p = HashPartitioner.partition(&g, 4);
         let cluster = ClusterSpec::flat(2, 2);
-        let classic = run_cyclops_bfs(&g, &p, &cluster, 0);
+        let classic = cyclops(&g, &p, &cluster, 0);
         for mode in [BucketMode::Det, BucketMode::Fast] {
-            let bucketed = run_cyclops_bfs_bucketed(&g, &p, &cluster, 0, 0.0, mode);
+            let bucketed = bucketed(&g, &p, &cluster, 0, 1.0, mode);
             assert_eq!(bucketed.values, classic.values, "{mode:?}");
             assert_eq!(bucketed.values, reference::bfs_levels(&g, 0));
             assert!(
@@ -236,10 +206,9 @@ mod tests {
 
     #[test]
     fn bucketed_bfs_drains_one_ring_per_superstep_on_grid() {
-        use cyclops_net::BucketMode;
         let g = road_lattice(15, 15, 1.0, 0.0, 1);
         let p = HashPartitioner.partition(&g, 3);
-        let r = run_cyclops_bfs_bucketed(&g, &p, &ClusterSpec::flat(3, 1), 0, 0.0, BucketMode::Det);
+        let r = bucketed(&g, &p, &ClusterSpec::flat(3, 1), 0, 1.0, BucketMode::Det);
         assert_eq!(r.values, reference::bfs_levels(&g, 0));
         let max_level = *r.values.iter().filter(|&&l| l != UNREACHED).max().unwrap() as usize;
         // Kickoff + one settled bucket per ring (+ nothing else).
@@ -251,8 +220,7 @@ mod tests {
         );
         // A wider bucket fuses that many rings behind one barrier: same
         // levels, ~4x fewer supersteps.
-        let wide =
-            run_cyclops_bfs_bucketed(&g, &p, &ClusterSpec::flat(3, 1), 0, 4.0, BucketMode::Det);
+        let wide = bucketed(&g, &p, &ClusterSpec::flat(3, 1), 0, 4.0, BucketMode::Det);
         assert_eq!(wide.values, r.values);
         assert!(
             wide.supersteps <= max_level / 4 + 3,
@@ -266,8 +234,8 @@ mod tests {
     fn source_choice_matters() {
         let g = erdos_renyi(100, 160, 11);
         let p = HashPartitioner.partition(&g, 2);
-        let a = run_cyclops_bfs(&g, &p, &ClusterSpec::flat(2, 1), 0);
-        let b = run_cyclops_bfs(&g, &p, &ClusterSpec::flat(2, 1), 7);
+        let a = cyclops(&g, &p, &ClusterSpec::flat(2, 1), 0);
+        let b = cyclops(&g, &p, &ClusterSpec::flat(2, 1), 7);
         assert_eq!(a.values, reference::bfs_levels(&g, 0));
         assert_eq!(b.values, reference::bfs_levels(&g, 7));
     }

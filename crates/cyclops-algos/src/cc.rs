@@ -7,11 +7,9 @@
 //! symmetrized view: programs read in-neighbors, and graphs passed here
 //! should be symmetrized (e.g. via [`symmetrize`]) for weak components.
 
-use cyclops_bsp::{run_bsp, BspConfig, BspContext, BspProgram, BspResult};
-use cyclops_engine::{CyclopsConfig, CyclopsContext, CyclopsProgram, CyclopsResult};
+use cyclops_bsp::{BspContext, BspProgram};
+use cyclops_engine::{CyclopsContext, CyclopsProgram};
 use cyclops_graph::{Graph, GraphBuilder, VertexId};
-use cyclops_net::ClusterSpec;
-use cyclops_partition::EdgeCutPartition;
 
 /// Returns the symmetric closure of `g` (each edge in both directions,
 /// deduplicated, unweighted).
@@ -26,6 +24,9 @@ pub fn symmetrize(g: &Graph) -> Graph {
 
 /// Cyclops connected components: publish the current label; recompute when
 /// a neighbor's label shrinks.
+///
+/// To run: on a [`symmetrize`]d graph, to quiescence — a label crosses one
+/// hop per superstep, so cap `max_supersteps` above the diameter.
 pub struct CyclopsComponents;
 
 impl CyclopsProgram for CyclopsComponents {
@@ -53,6 +54,9 @@ impl CyclopsProgram for CyclopsComponents {
 }
 
 /// BSP connected components (push-mode min flooding).
+///
+/// To run: on a [`symmetrize`]d graph, to quiescence; defines `combine`
+/// (min), so set `use_combiner`.
 pub struct BspComponents;
 
 impl BspProgram for BspComponents {
@@ -80,100 +84,30 @@ impl BspProgram for BspComponents {
     }
 }
 
-/// Runs Cyclops connected components on a (symmetrized) graph.
-pub fn run_cyclops_cc(
-    graph: &Graph,
-    partition: &EdgeCutPartition,
-    cluster: &ClusterSpec,
-) -> CyclopsResult<u32, u32> {
-    run_cyclops_cc_sched(
-        graph,
-        partition,
-        cluster,
-        cyclops_engine::Sched::default(),
-        None,
-    )
-}
-
-/// [`run_cyclops_cc`] with an explicit compute scheduler and an optional
-/// superstep-trace sink.
-pub fn run_cyclops_cc_sched(
-    graph: &Graph,
-    partition: &EdgeCutPartition,
-    cluster: &ClusterSpec,
-    sched: cyclops_engine::Sched,
-    trace: Option<&cyclops_net::trace::TraceSink>,
-) -> CyclopsResult<u32, u32> {
-    run_cyclops_cc_tuned(
-        graph,
-        partition,
-        cluster,
-        sched,
-        CyclopsConfig::default().sparse_cutoff,
-        0,
-        trace,
-    )
-}
-
-/// [`run_cyclops_cc_sched`] with an explicit sparse-superstep cutoff
-/// (fraction of local masters; `0.0` disables the fast path) and hybrid
-/// replication degree threshold (`0` replicates every boundary vertex).
-pub fn run_cyclops_cc_tuned(
-    graph: &Graph,
-    partition: &EdgeCutPartition,
-    cluster: &ClusterSpec,
-    sched: cyclops_engine::Sched,
-    sparse_cutoff: f64,
-    replicate_threshold: u32,
-    trace: Option<&cyclops_net::trace::TraceSink>,
-) -> CyclopsResult<u32, u32> {
-    cyclops_engine::run_cyclops_traced(
-        &CyclopsComponents,
-        graph,
-        partition,
-        &CyclopsConfig {
-            cluster: *cluster,
-            max_supersteps: 100_000,
-            sched,
-            sparse_cutoff,
-            replicate_threshold,
-            ..Default::default()
-        },
-        trace,
-    )
-}
-
-/// Runs BSP connected components on a (symmetrized) graph.
-pub fn run_bsp_cc(
-    graph: &Graph,
-    partition: &EdgeCutPartition,
-    cluster: &ClusterSpec,
-) -> BspResult<u32, u32> {
-    run_bsp(
-        &BspComponents,
-        graph,
-        partition,
-        &BspConfig {
-            cluster: *cluster,
-            max_supersteps: 100_000,
-            use_combiner: true,
-            ..Default::default()
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cyclops_bsp::{run_bsp, BspConfig};
+    use cyclops_engine::{run_cyclops, CyclopsConfig, CyclopsResult};
     use cyclops_graph::gen::erdos_renyi;
     use cyclops_graph::reference;
-    use cyclops_partition::{EdgeCutPartitioner, HashPartitioner};
+    use cyclops_net::ClusterSpec;
+    use cyclops_partition::{EdgeCutPartition, EdgeCutPartitioner, HashPartitioner};
+
+    fn cyclops(g: &Graph, p: &EdgeCutPartition, cluster: ClusterSpec) -> CyclopsResult<u32, u32> {
+        let config = CyclopsConfig {
+            cluster,
+            max_supersteps: 100_000,
+            ..Default::default()
+        };
+        run_cyclops(&CyclopsComponents, g, p, &config)
+    }
 
     #[test]
     fn cyclops_matches_union_find() {
         let g = symmetrize(&erdos_renyi(300, 350, 3));
         let p = HashPartitioner.partition(&g, 4);
-        let r = run_cyclops_cc(&g, &p, &ClusterSpec::flat(2, 2));
+        let r = cyclops(&g, &p, ClusterSpec::flat(2, 2));
         assert_eq!(r.values, reference::connected_components(&g));
     }
 
@@ -181,7 +115,13 @@ mod tests {
     fn bsp_matches_union_find() {
         let g = symmetrize(&erdos_renyi(300, 350, 4));
         let p = HashPartitioner.partition(&g, 4);
-        let r = run_bsp_cc(&g, &p, &ClusterSpec::flat(2, 2));
+        let config = BspConfig {
+            cluster: ClusterSpec::flat(2, 2),
+            max_supersteps: 100_000,
+            use_combiner: true,
+            ..Default::default()
+        };
+        let r = run_bsp(&BspComponents, &g, &p, &config);
         assert_eq!(r.values, reference::connected_components(&g));
     }
 
@@ -189,7 +129,7 @@ mod tests {
     fn isolated_vertices_keep_their_own_label() {
         let g = cyclops_graph::Graph::empty(5);
         let p = HashPartitioner.partition(&g, 2);
-        let r = run_cyclops_cc(&g, &p, &ClusterSpec::flat(2, 1));
+        let r = cyclops(&g, &p, ClusterSpec::flat(2, 1));
         assert_eq!(r.values, vec![0, 1, 2, 3, 4]);
     }
 
@@ -197,8 +137,8 @@ mod tests {
     fn mt_matches_flat() {
         let g = symmetrize(&erdos_renyi(200, 260, 5));
         let p = HashPartitioner.partition(&g, 3);
-        let flat = run_cyclops_cc(&g, &p, &ClusterSpec::flat(3, 1));
-        let mt = run_cyclops_cc(&g, &p, &ClusterSpec::mt(3, 4, 2));
+        let flat = cyclops(&g, &p, ClusterSpec::flat(3, 1));
+        let mt = cyclops(&g, &p, ClusterSpec::mt(3, 4, 2));
         assert_eq!(flat.values, mt.values);
     }
 
@@ -209,7 +149,7 @@ mod tests {
         b.add_edge(1, 0);
         let g = symmetrize(&b.build());
         let p = HashPartitioner.partition(&g, 2);
-        let r = run_cyclops_cc(&g, &p, &ClusterSpec::flat(2, 1));
+        let r = cyclops(&g, &p, ClusterSpec::flat(2, 1));
         assert_eq!(r.values, vec![0, 0, 0]);
     }
 }

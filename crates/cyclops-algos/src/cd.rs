@@ -3,11 +3,9 @@
 //! among its in-neighbors (ties toward the smaller label); vertices sharing
 //! a label form a community.
 
-use cyclops_bsp::{run_bsp, BspConfig, BspContext, BspProgram, BspResult};
-use cyclops_engine::{run_cyclops, CyclopsConfig, CyclopsContext, CyclopsProgram, CyclopsResult};
+use cyclops_bsp::{BspContext, BspProgram};
+use cyclops_engine::{CyclopsContext, CyclopsProgram};
 use cyclops_graph::{Graph, VertexId};
-use cyclops_net::ClusterSpec;
-use cyclops_partition::EdgeCutPartition;
 
 /// Picks the most frequent label, breaking ties toward the smallest; `None`
 /// when the iterator is empty.
@@ -25,6 +23,10 @@ fn most_frequent_label(labels: impl Iterator<Item = u32>) -> Option<u32> {
 /// BSP label propagation: every vertex rebroadcasts its label every
 /// superstep (pull-mode forced through messages); a changed-label count
 /// aggregated globally decides termination.
+///
+/// To run: superstep 0 only seeds, so `n` sweeps take
+/// `max_supersteps = n + 1`; no `combine` (the label histogram needs every
+/// message).
 pub struct BspCommunityDetection;
 
 impl BspProgram for BspCommunityDetection {
@@ -61,6 +63,8 @@ impl BspProgram for BspCommunityDetection {
 /// Cyclops label propagation: labels are publications; a vertex recomputes
 /// only when an in-neighbor's label changed — dynamic computation makes the
 /// quiescent parts of the graph free.
+///
+/// To run: one sweep per superstep, so `n` sweeps take `max_supersteps = n`.
 pub struct CyclopsCommunityDetection;
 
 impl CyclopsProgram for CyclopsCommunityDetection {
@@ -87,51 +91,29 @@ impl CyclopsProgram for CyclopsCommunityDetection {
     }
 }
 
-/// Runs BSP (Hama) community detection for at most `max_supersteps`.
-pub fn run_bsp_cd(
-    graph: &Graph,
-    partition: &EdgeCutPartition,
-    cluster: &ClusterSpec,
-    max_supersteps: usize,
-) -> BspResult<u32, u32> {
-    run_bsp(
-        &BspCommunityDetection,
-        graph,
-        partition,
-        &BspConfig {
-            cluster: *cluster,
-            max_supersteps,
-            track_redundant: true,
-            ..Default::default()
-        },
-    )
-}
-
-/// Runs Cyclops community detection for at most `max_supersteps`.
-pub fn run_cyclops_cd(
-    graph: &Graph,
-    partition: &EdgeCutPartition,
-    cluster: &ClusterSpec,
-    max_supersteps: usize,
-) -> CyclopsResult<u32, u32> {
-    run_cyclops(
-        &CyclopsCommunityDetection,
-        graph,
-        partition,
-        &CyclopsConfig {
-            cluster: *cluster,
-            max_supersteps,
-            ..Default::default()
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cyclops_bsp::{run_bsp, BspConfig};
+    use cyclops_engine::{run_cyclops, CyclopsConfig, CyclopsResult};
     use cyclops_graph::reference;
     use cyclops_graph::GraphBuilder;
-    use cyclops_partition::{EdgeCutPartitioner, HashPartitioner};
+    use cyclops_net::ClusterSpec;
+    use cyclops_partition::{EdgeCutPartition, EdgeCutPartitioner, HashPartitioner};
+
+    fn cyclops(
+        g: &Graph,
+        p: &EdgeCutPartition,
+        cluster: ClusterSpec,
+        sweeps: usize,
+    ) -> CyclopsResult<u32, u32> {
+        let config = CyclopsConfig {
+            cluster,
+            max_supersteps: sweeps,
+            ..Default::default()
+        };
+        run_cyclops(&CyclopsCommunityDetection, g, p, &config)
+    }
 
     /// Two directed triangles bridged by one edge.
     fn two_communities() -> Graph {
@@ -147,7 +129,7 @@ mod tests {
     fn cyclops_matches_reference_sweeps() {
         let g = two_communities();
         let p = HashPartitioner.partition(&g, 2);
-        let r = run_cyclops_cd(&g, &p, &ClusterSpec::flat(2, 1), 8);
+        let r = cyclops(&g, &p, ClusterSpec::flat(2, 1), 8);
         let expected = reference::label_propagation(&g, 8);
         assert_eq!(r.values, expected);
     }
@@ -157,7 +139,13 @@ mod tests {
         let g = two_communities();
         let p = HashPartitioner.partition(&g, 2);
         // 9 supersteps = 1 seed + 8 sweeps.
-        let r = run_bsp_cd(&g, &p, &ClusterSpec::flat(2, 1), 9);
+        let config = BspConfig {
+            cluster: ClusterSpec::flat(2, 1),
+            max_supersteps: 9,
+            track_redundant: true,
+            ..Default::default()
+        };
+        let r = run_bsp(&BspCommunityDetection, &g, &p, &config);
         let expected = reference::label_propagation(&g, 8);
         assert_eq!(r.values, expected);
     }
@@ -166,7 +154,7 @@ mod tests {
     fn communities_form_on_clustered_graph() {
         let g = two_communities();
         let p = HashPartitioner.partition(&g, 4);
-        let r = run_cyclops_cd(&g, &p, &ClusterSpec::flat(2, 2), 30);
+        let r = cyclops(&g, &p, ClusterSpec::flat(2, 2), 30);
         assert_eq!(r.values[0], r.values[1]);
         assert_eq!(r.values[1], r.values[2]);
         assert_eq!(r.values[3], r.values[4]);
@@ -178,7 +166,7 @@ mod tests {
         let g = cyclops_graph::gen::erdos_renyi(200, 900, 17);
         let p = HashPartitioner.partition(&g, 4);
         let sweeps = 12;
-        let cy = run_cyclops_cd(&g, &p, &ClusterSpec::flat(2, 2), sweeps);
+        let cy = cyclops(&g, &p, ClusterSpec::flat(2, 2), sweeps);
         let expected = reference::label_propagation(&g, sweeps);
         assert_eq!(cy.values, expected);
     }

@@ -10,10 +10,8 @@
 //! immutable view. Run on a symmetrized graph
 //! (see [`crate::cc::symmetrize`]).
 
-use cyclops_engine::{run_cyclops, CyclopsConfig, CyclopsContext, CyclopsProgram, CyclopsResult};
+use cyclops_engine::{CyclopsContext, CyclopsProgram};
 use cyclops_graph::{Graph, VertexId};
-use cyclops_net::ClusterSpec;
-use cyclops_partition::EdgeCutPartition;
 
 /// Largest `k ≤ cap` such that at least `k` of the `estimates` are ≥ `k`.
 fn h_index(mut estimates: Vec<u32>, cap: u32) -> u32 {
@@ -32,6 +30,9 @@ fn h_index(mut estimates: Vec<u32>, cap: u32) -> u32 {
 
 /// Cyclops k-core: publish the estimate; recompute the h-index of the
 /// in-neighborhood whenever a neighbor's estimate drops.
+///
+/// To run: on a symmetrized graph, to quiescence; the final values are the
+/// core numbers.
 pub struct CyclopsKCore;
 
 impl CyclopsProgram for CyclopsKCore {
@@ -56,25 +57,6 @@ impl CyclopsProgram for CyclopsKCore {
             ctx.activate_neighbors(new);
         }
     }
-}
-
-/// Runs the k-core decomposition on a symmetrized graph; values are core
-/// numbers.
-pub fn run_cyclops_kcore(
-    graph: &Graph,
-    partition: &EdgeCutPartition,
-    cluster: &ClusterSpec,
-) -> CyclopsResult<u32, u32> {
-    run_cyclops(
-        &CyclopsKCore,
-        graph,
-        partition,
-        &CyclopsConfig {
-            cluster: *cluster,
-            max_supersteps: 100_000,
-            ..Default::default()
-        },
-    )
 }
 
 /// Sequential reference: classic peeling (repeatedly remove the minimum-
@@ -124,9 +106,20 @@ pub fn reference_kcore(g: &Graph) -> Vec<u32> {
 mod tests {
     use super::*;
     use crate::cc::symmetrize;
+    use cyclops_engine::{run_cyclops, CyclopsConfig, CyclopsResult};
     use cyclops_graph::gen::erdos_renyi;
     use cyclops_graph::GraphBuilder;
-    use cyclops_partition::{EdgeCutPartitioner, HashPartitioner};
+    use cyclops_net::ClusterSpec;
+    use cyclops_partition::{EdgeCutPartition, EdgeCutPartitioner, HashPartitioner};
+
+    fn cyclops(g: &Graph, p: &EdgeCutPartition, cluster: ClusterSpec) -> CyclopsResult<u32, u32> {
+        let config = CyclopsConfig {
+            cluster,
+            max_supersteps: 100_000,
+            ..Default::default()
+        };
+        run_cyclops(&CyclopsKCore, g, p, &config)
+    }
 
     /// A 4-clique with a pendant path: clique vertices have core 3, the
     /// path has core 1.
@@ -163,7 +156,7 @@ mod tests {
     fn cyclops_matches_reference_on_clique_plus_tail() {
         let g = clique_plus_tail();
         let p = HashPartitioner.partition(&g, 3);
-        let r = run_cyclops_kcore(&g, &p, &ClusterSpec::flat(3, 1));
+        let r = cyclops(&g, &p, ClusterSpec::flat(3, 1));
         assert_eq!(r.values, vec![3, 3, 3, 3, 1, 1]);
     }
 
@@ -171,7 +164,7 @@ mod tests {
     fn cyclops_matches_reference_on_er() {
         let g = symmetrize(&erdos_renyi(200, 900, 13));
         let p = HashPartitioner.partition(&g, 4);
-        let r = run_cyclops_kcore(&g, &p, &ClusterSpec::flat(2, 2));
+        let r = cyclops(&g, &p, ClusterSpec::flat(2, 2));
         assert_eq!(r.values, reference_kcore(&g));
     }
 
@@ -179,8 +172,8 @@ mod tests {
     fn mt_matches_flat() {
         let g = symmetrize(&erdos_renyi(150, 600, 17));
         let p = HashPartitioner.partition(&g, 3);
-        let a = run_cyclops_kcore(&g, &p, &ClusterSpec::flat(3, 1));
-        let b = run_cyclops_kcore(&g, &p, &ClusterSpec::mt(3, 4, 2));
+        let a = cyclops(&g, &p, ClusterSpec::flat(3, 1));
+        let b = cyclops(&g, &p, ClusterSpec::mt(3, 4, 2));
         assert_eq!(a.values, b.values);
     }
 
@@ -188,7 +181,7 @@ mod tests {
     fn isolated_vertices_have_core_zero() {
         let g = Graph::empty(4);
         let p = HashPartitioner.partition(&g, 2);
-        let r = run_cyclops_kcore(&g, &p, &ClusterSpec::flat(2, 1));
+        let r = cyclops(&g, &p, ClusterSpec::flat(2, 1));
         assert_eq!(r.values, vec![0; 4]);
     }
 }

@@ -14,11 +14,20 @@
 //! adjacency-list publications), and [`kcore`] (k-core decomposition) —
 //! demonstrations of the model's generality.
 //!
-//! Each module provides the program types plus `run_*` helpers used by the
-//! examples and the benchmark harness. [`linalg`] holds the small dense
-//! Cholesky solver ALS needs. Every distributed implementation is
-//! cross-checked against the sequential references in
-//! `cyclops_graph::reference` (and [`als::reference_als`],
+//! **Programs, not runners.** Each module exports program values
+//! (`CyclopsPageRank { epsilon }`, `BspSssp { source }`, …) and whatever
+//! else is about the algorithm ([`sssp::auto_bucket_width`],
+//! [`cc::symmetrize`], [`als::AlsParams`]); nothing here starts a run. A
+//! caller hands a program and the engine's one config to the engine's own
+//! entry point — `run_cyclops(&program, &graph, &partition, &CyclopsConfig {
+//! cluster, max_supersteps, ..Default::default() })`, likewise `run_bsp` /
+//! `run_gas` — and what it must know to fill that config in (a BSP program
+//! that seeds in superstep 0 needs one more superstep; which BSP programs
+//! define `combine`) is a "To run" line on the program struct.
+//!
+//! [`linalg`] holds the small dense Cholesky solver ALS needs. Every
+//! distributed implementation is cross-checked against the sequential
+//! references in `cyclops_graph::reference` (and [`als::reference_als`],
 //! [`kcore::reference_kcore`]) by the test suites.
 
 pub mod als;

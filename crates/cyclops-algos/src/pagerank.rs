@@ -3,15 +3,10 @@
 //!
 //! Update rule: `rank' = 0.15 / n + 0.85 * Σ_in rank(u) / deg⁺(u)`.
 
-use cyclops_bsp::{run_bsp_traced, BspConfig, BspContext, BspProgram, BspResult};
-use cyclops_engine::{
-    run_cyclops_traced, Convergence, CyclopsConfig, CyclopsContext, CyclopsProgram, CyclopsResult,
-};
-use cyclops_gas::{run_gas_traced, GasConfig, GasProgram, GasResult};
+use cyclops_bsp::{BspContext, BspProgram};
+use cyclops_engine::{CyclopsContext, CyclopsProgram};
+use cyclops_gas::GasProgram;
 use cyclops_graph::{Graph, VertexId};
-use cyclops_net::trace::TraceSink;
-use cyclops_net::ClusterSpec;
-use cyclops_partition::{EdgeCutPartition, VertexCutPartition};
 
 const DAMPING: f64 = 0.85;
 
@@ -19,6 +14,9 @@ const DAMPING: f64 = 0.85;
 /// push-mode message passing. Every vertex stays alive, pushing its rank
 /// share each superstep, until the *global* aggregated error falls below
 /// `epsilon` — the redundant computation and messaging §2.2 dissects.
+///
+/// To run: superstep 0 only seeds, so `n` rank updates take
+/// `max_supersteps = n + 1`; defines `combine`, so set `use_combiner`.
 pub struct BspPageRank {
     /// Global mean-error convergence threshold.
     pub epsilon: f64,
@@ -134,209 +132,51 @@ impl GasProgram for GasPageRank {
     }
 }
 
-/// Runs BSP (Hama) PageRank.
-pub fn run_bsp_pagerank(
-    graph: &Graph,
-    partition: &EdgeCutPartition,
-    cluster: &ClusterSpec,
-    epsilon: f64,
-    max_supersteps: usize,
-) -> BspResult<f64, f64> {
-    run_bsp_pagerank_traced(graph, partition, cluster, epsilon, max_supersteps, None)
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cyclops_bsp::{run_bsp, BspConfig, BspResult};
+    use cyclops_engine::{run_cyclops, run_cyclops_migrated, CyclopsConfig, CyclopsResult};
+    use cyclops_gas::{run_gas, GasConfig};
+    use cyclops_graph::gen::erdos_renyi;
+    use cyclops_graph::reference;
+    use cyclops_net::ClusterSpec;
+    use cyclops_partition::{
+        EdgeCutPartition, EdgeCutPartitioner, HashPartitioner, MigrationConfig, RandomVertexCut,
+        VertexCutPartitioner,
+    };
 
-/// [`run_bsp_pagerank`] with a superstep-trace sink attached.
-pub fn run_bsp_pagerank_traced(
-    graph: &Graph,
-    partition: &EdgeCutPartition,
-    cluster: &ClusterSpec,
-    epsilon: f64,
-    max_supersteps: usize,
-    trace: Option<&TraceSink>,
-) -> BspResult<f64, f64> {
-    run_bsp_traced(
-        &BspPageRank { epsilon },
-        graph,
-        partition,
-        &BspConfig {
+    fn cyclops(
+        g: &Graph,
+        p: &EdgeCutPartition,
+        cluster: &ClusterSpec,
+        epsilon: f64,
+        max_supersteps: usize,
+    ) -> CyclopsResult<f64, f64> {
+        let config = CyclopsConfig {
+            cluster: *cluster,
+            max_supersteps,
+            ..Default::default()
+        };
+        run_cyclops(&CyclopsPageRank { epsilon }, g, p, &config)
+    }
+
+    fn hama(
+        g: &Graph,
+        p: &EdgeCutPartition,
+        cluster: &ClusterSpec,
+        epsilon: f64,
+        max_supersteps: usize,
+    ) -> BspResult<f64, f64> {
+        let config = BspConfig {
             cluster: *cluster,
             max_supersteps,
             use_combiner: true,
             track_redundant: true,
             ..Default::default()
-        },
-        trace,
-    )
-}
-
-/// Runs Cyclops PageRank with local-error activation.
-pub fn run_cyclops_pagerank(
-    graph: &Graph,
-    partition: &EdgeCutPartition,
-    cluster: &ClusterSpec,
-    epsilon: f64,
-    max_supersteps: usize,
-) -> CyclopsResult<f64, f64> {
-    run_cyclops_pagerank_traced(graph, partition, cluster, epsilon, max_supersteps, None)
-}
-
-/// [`run_cyclops_pagerank`] with a superstep-trace sink attached.
-pub fn run_cyclops_pagerank_traced(
-    graph: &Graph,
-    partition: &EdgeCutPartition,
-    cluster: &ClusterSpec,
-    epsilon: f64,
-    max_supersteps: usize,
-    trace: Option<&TraceSink>,
-) -> CyclopsResult<f64, f64> {
-    run_cyclops_pagerank_sched(
-        graph,
-        partition,
-        cluster,
-        epsilon,
-        max_supersteps,
-        cyclops_engine::Sched::default(),
-        trace,
-    )
-}
-
-/// [`run_cyclops_pagerank_traced`] with an explicit compute scheduler
-/// (static shards vs degree-weighted dynamic chunk claiming).
-pub fn run_cyclops_pagerank_sched(
-    graph: &Graph,
-    partition: &EdgeCutPartition,
-    cluster: &ClusterSpec,
-    epsilon: f64,
-    max_supersteps: usize,
-    sched: cyclops_engine::Sched,
-    trace: Option<&TraceSink>,
-) -> CyclopsResult<f64, f64> {
-    run_cyclops_pagerank_tuned(
-        graph,
-        partition,
-        cluster,
-        epsilon,
-        max_supersteps,
-        sched,
-        CyclopsConfig::default().sparse_cutoff,
-        0,
-        trace,
-    )
-}
-
-/// [`run_cyclops_pagerank_sched`] with an explicit sparse-superstep cutoff
-/// (fraction of local masters; `0.0` disables the fast path) and hybrid
-/// replication degree threshold (`0` replicates every boundary vertex).
-#[allow(clippy::too_many_arguments)]
-pub fn run_cyclops_pagerank_tuned(
-    graph: &Graph,
-    partition: &EdgeCutPartition,
-    cluster: &ClusterSpec,
-    epsilon: f64,
-    max_supersteps: usize,
-    sched: cyclops_engine::Sched,
-    sparse_cutoff: f64,
-    replicate_threshold: u32,
-    trace: Option<&TraceSink>,
-) -> CyclopsResult<f64, f64> {
-    run_cyclops_traced(
-        &CyclopsPageRank { epsilon },
-        graph,
-        partition,
-        &CyclopsConfig {
-            cluster: *cluster,
-            max_supersteps,
-            convergence: Convergence::ActiveVertices,
-            sched,
-            sparse_cutoff,
-            replicate_threshold,
-            ..Default::default()
-        },
-        trace,
-    )
-}
-
-/// [`run_cyclops_pagerank_tuned`] with superstep-boundary hot-vertex
-/// migration (see [`cyclops_engine::run_cyclops_migrated_traced`]): every
-/// `every` supersteps hot masters move off the most loaded worker and the
-/// plan is rewired incrementally. Ranks are bitwise identical to the
-/// unmigrated run — activation, the in-message fold order (the graph's
-/// in-edge order), and the superstep structure are all ownership-
-/// independent, and the program is aggregate-free.
-#[allow(clippy::too_many_arguments)]
-pub fn run_cyclops_pagerank_migrated(
-    graph: &Graph,
-    partition: &EdgeCutPartition,
-    cluster: &ClusterSpec,
-    epsilon: f64,
-    max_supersteps: usize,
-    sched: cyclops_engine::Sched,
-    sparse_cutoff: f64,
-    replicate_threshold: u32,
-    every: usize,
-    migration: cyclops_partition::MigrationConfig,
-    trace: Option<&TraceSink>,
-) -> (CyclopsResult<f64, f64>, cyclops_engine::MigrationReport) {
-    cyclops_engine::run_cyclops_migrated_traced(
-        &CyclopsPageRank { epsilon },
-        graph,
-        partition,
-        &CyclopsConfig {
-            cluster: *cluster,
-            max_supersteps,
-            convergence: Convergence::ActiveVertices,
-            sched,
-            sparse_cutoff,
-            replicate_threshold,
-            ..Default::default()
-        },
-        every,
-        migration,
-        trace,
-    )
-}
-
-/// Runs GAS (PowerGraph) PageRank.
-pub fn run_gas_pagerank(
-    graph: &Graph,
-    partition: &VertexCutPartition,
-    cluster: &ClusterSpec,
-    epsilon: f64,
-    max_supersteps: usize,
-) -> GasResult<f64> {
-    run_gas_pagerank_traced(graph, partition, cluster, epsilon, max_supersteps, None)
-}
-
-/// [`run_gas_pagerank`] with a superstep-trace sink attached.
-pub fn run_gas_pagerank_traced(
-    graph: &Graph,
-    partition: &VertexCutPartition,
-    cluster: &ClusterSpec,
-    epsilon: f64,
-    max_supersteps: usize,
-    trace: Option<&TraceSink>,
-) -> GasResult<f64> {
-    run_gas_traced(
-        &GasPageRank { epsilon },
-        graph,
-        partition,
-        &GasConfig {
-            cluster: *cluster,
-            max_supersteps,
-            ..Default::default()
-        },
-        trace,
-    )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use cyclops_graph::gen::erdos_renyi;
-    use cyclops_graph::reference;
-    use cyclops_partition::{
-        EdgeCutPartitioner, HashPartitioner, RandomVertexCut, VertexCutPartitioner,
-    };
+        };
+        run_bsp(&BspPageRank { epsilon }, g, p, &config)
+    }
 
     fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
         a.iter()
@@ -350,7 +190,7 @@ mod tests {
         let g = erdos_renyi(300, 1800, 7);
         let p = HashPartitioner.partition(&g, 4);
         // epsilon 0 keeps every vertex active until the cap.
-        let r = run_cyclops_pagerank(&g, &p, &ClusterSpec::flat(2, 2), 0.0, 20);
+        let r = cyclops(&g, &p, &ClusterSpec::flat(2, 2), 0.0, 20);
         let (expected, _) = reference::pagerank(&g, 0.0, 20);
         assert!(max_abs_diff(&r.values, &expected) < 1e-15);
     }
@@ -360,7 +200,7 @@ mod tests {
         let g = erdos_renyi(300, 1800, 7);
         let p = HashPartitioner.partition(&g, 4);
         // 21 supersteps = 1 seed + 20 updates.
-        let r = run_bsp_pagerank(&g, &p, &ClusterSpec::flat(2, 2), 0.0, 21);
+        let r = hama(&g, &p, &ClusterSpec::flat(2, 2), 0.0, 21);
         let (expected, _) = reference::pagerank(&g, 0.0, 20);
         // Message arrival order varies -> floating-point tolerance.
         assert!(max_abs_diff(&r.values, &expected) < 1e-12);
@@ -370,7 +210,12 @@ mod tests {
     fn gas_matches_reference_on_fixed_iterations() {
         let g = erdos_renyi(200, 1200, 9);
         let p = RandomVertexCut::default().partition(&g, 4);
-        let r = run_gas_pagerank(&g, &p, &ClusterSpec::flat(2, 2), 0.0, 20);
+        let config = GasConfig {
+            cluster: ClusterSpec::flat(2, 2),
+            max_supersteps: 20,
+            ..Default::default()
+        };
+        let r = run_gas(&GasPageRank { epsilon: 0.0 }, &g, &p, &config);
         let (expected, _) = reference::pagerank(&g, 0.0, 20);
         assert!(max_abs_diff(&r.values, &expected) < 1e-12);
     }
@@ -380,8 +225,8 @@ mod tests {
         let g = erdos_renyi(300, 2400, 11);
         let p = HashPartitioner.partition(&g, 4);
         let cluster = ClusterSpec::flat(2, 2);
-        let cy = run_cyclops_pagerank(&g, &p, &cluster, 1e-12, 500);
-        let bsp = run_bsp_pagerank(&g, &p, &cluster, 1e-12, 500);
+        let cy = cyclops(&g, &p, &cluster, 1e-12, 500);
+        let bsp = hama(&g, &p, &cluster, 1e-12, 500);
         assert!(max_abs_diff(&cy.values, &bsp.values) < 1e-8);
     }
 
@@ -390,8 +235,8 @@ mod tests {
         let g = erdos_renyi(400, 3200, 13);
         let p = HashPartitioner.partition(&g, 4);
         let cluster = ClusterSpec::flat(4, 1);
-        let cy = run_cyclops_pagerank(&g, &p, &cluster, 1e-10, 500);
-        let bsp = run_bsp_pagerank(&g, &p, &cluster, 1e-10, 500);
+        let cy = cyclops(&g, &p, &cluster, 1e-10, 500);
+        let bsp = hama(&g, &p, &cluster, 1e-10, 500);
         assert!(
             cy.counters.messages < bsp.counters.messages,
             "cyclops {} vs bsp {}",
@@ -405,8 +250,8 @@ mod tests {
         let g = erdos_renyi(400, 3200, 13);
         let p = HashPartitioner.partition(&g, 4);
         let cluster = ClusterSpec::flat(2, 2);
-        let cy = run_cyclops_pagerank(&g, &p, &cluster, 1e-8, 500);
-        let bsp = run_bsp_pagerank(&g, &p, &cluster, 1e-8, 500);
+        let cy = cyclops(&g, &p, &cluster, 1e-8, 500);
+        let bsp = hama(&g, &p, &cluster, 1e-8, 500);
         // Dynamic computation: vertices drop out as their local error
         // shrinks, so the total vertex activations are fewer...
         let cy_total: usize = cy.stats.iter().map(|s| s.active_vertices).sum();
@@ -432,19 +277,19 @@ mod tests {
             .collect();
         let p = EdgeCutPartition::new(4, assignment);
         let cluster = ClusterSpec::flat(4, 1);
-        let plain = run_cyclops_pagerank(&g, &p, &cluster, 1e-10, 500);
-        let (migrated, report) = run_cyclops_pagerank_migrated(
+        let plain = cyclops(&g, &p, &cluster, 1e-10, 500);
+        let config = CyclopsConfig {
+            cluster,
+            max_supersteps: 500,
+            ..Default::default()
+        };
+        let (migrated, report) = run_cyclops_migrated(
+            &CyclopsPageRank { epsilon: 1e-10 },
             &g,
             &p,
-            &cluster,
-            1e-10,
-            500,
-            cyclops_engine::Sched::default(),
-            CyclopsConfig::default().sparse_cutoff,
-            0,
+            &config,
             6,
-            cyclops_partition::MigrationConfig::default(),
-            None,
+            MigrationConfig::default(),
         );
         assert!(report.migrations_total > 0, "skew must trigger migration");
         assert_eq!(plain.values, migrated.values);
@@ -462,7 +307,7 @@ mod tests {
         }
         let g = b.build();
         let p = HashPartitioner.partition(&g, 4);
-        let r = run_cyclops_pagerank(&g, &p, &ClusterSpec::flat(2, 2), 1e-12, 1000);
+        let r = cyclops(&g, &p, &ClusterSpec::flat(2, 2), 1e-12, 1000);
         let total: f64 = r.values.iter().sum();
         assert!((total - 1.0).abs() < 1e-6, "sum {total}");
     }

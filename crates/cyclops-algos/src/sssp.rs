@@ -5,15 +5,16 @@
 //! still wins on communication (contention-free replica updates) and
 //! CyclopsMT on hierarchical locality.
 
-use cyclops_bsp::{run_bsp, BspConfig, BspContext, BspProgram, BspResult};
-use cyclops_engine::{CyclopsConfig, CyclopsContext, CyclopsProgram, CyclopsResult};
-use cyclops_gas::{run_gas, GasConfig, GasProgram, GasResult};
+use cyclops_bsp::{BspContext, BspProgram};
+use cyclops_engine::{CyclopsContext, CyclopsProgram};
+use cyclops_gas::GasProgram;
 use cyclops_graph::{Graph, VertexId};
-use cyclops_net::ClusterSpec;
-use cyclops_partition::{EdgeCutPartition, VertexCutPartition};
 
 /// BSP SSSP: classic Pregel push-mode Bellman–Ford. Vertices sleep and are
 /// woken by messages carrying candidate distances.
+///
+/// To run: defines `combine` (min), so set `use_combiner`; declares
+/// `priority`, so `bucket_width > 0` runs it delta-stepped.
 pub struct BspSssp {
     /// The source vertex.
     pub source: VertexId,
@@ -62,6 +63,10 @@ impl BspProgram for BspSssp {
 /// Cyclops SSSP: the source publishes distance 0 and activates its
 /// neighbors; an activated vertex pulls `min(in-neighbor distance + edge
 /// weight)` through the immutable view and propagates only on improvement.
+///
+/// To run: declares `priority`, so `bucket_width > 0` (see
+/// [`auto_bucket_width`]) drains one distance bucket per superstep instead
+/// of one hop; distances are bitwise identical at every width.
 pub struct CyclopsSssp {
     /// The source vertex.
     pub source: VertexId,
@@ -161,147 +166,14 @@ impl GasProgram for GasSssp {
     }
 }
 
-/// Runs BSP (Hama) SSSP from `source`.
-pub fn run_bsp_sssp(
-    graph: &Graph,
-    partition: &EdgeCutPartition,
-    cluster: &ClusterSpec,
-    source: VertexId,
-    max_supersteps: usize,
-) -> BspResult<f64, f64> {
-    run_bsp(
-        &BspSssp { source },
-        graph,
-        partition,
-        &BspConfig {
-            cluster: *cluster,
-            max_supersteps,
-            use_combiner: true,
-            ..Default::default()
-        },
-    )
-}
-
-/// Runs Cyclops SSSP from `source`.
-pub fn run_cyclops_sssp(
-    graph: &Graph,
-    partition: &EdgeCutPartition,
-    cluster: &ClusterSpec,
-    source: VertexId,
-    max_supersteps: usize,
-) -> CyclopsResult<f64, f64> {
-    run_cyclops_sssp_sched(
-        graph,
-        partition,
-        cluster,
-        source,
-        max_supersteps,
-        cyclops_engine::Sched::default(),
-        None,
-    )
-}
-
-/// [`run_cyclops_sssp`] with an explicit compute scheduler and an optional
-/// superstep-trace sink.
-pub fn run_cyclops_sssp_sched(
-    graph: &Graph,
-    partition: &EdgeCutPartition,
-    cluster: &ClusterSpec,
-    source: VertexId,
-    max_supersteps: usize,
-    sched: cyclops_engine::Sched,
-    trace: Option<&cyclops_net::trace::TraceSink>,
-) -> CyclopsResult<f64, f64> {
-    run_cyclops_sssp_tuned(
-        graph,
-        partition,
-        cluster,
-        source,
-        max_supersteps,
-        sched,
-        CyclopsConfig::default().sparse_cutoff,
-        0,
-        trace,
-    )
-}
-
-/// [`run_cyclops_sssp_sched`] with an explicit sparse-superstep cutoff
-/// (fraction of local masters; `0.0` disables the fast path) and hybrid
-/// replication degree threshold (`0` replicates every boundary vertex).
-#[allow(clippy::too_many_arguments)]
-pub fn run_cyclops_sssp_tuned(
-    graph: &Graph,
-    partition: &EdgeCutPartition,
-    cluster: &ClusterSpec,
-    source: VertexId,
-    max_supersteps: usize,
-    sched: cyclops_engine::Sched,
-    sparse_cutoff: f64,
-    replicate_threshold: u32,
-    trace: Option<&cyclops_net::trace::TraceSink>,
-) -> CyclopsResult<f64, f64> {
-    cyclops_engine::run_cyclops_traced(
-        &CyclopsSssp { source },
-        graph,
-        partition,
-        &CyclopsConfig {
-            cluster: *cluster,
-            max_supersteps,
-            sched,
-            sparse_cutoff,
-            replicate_threshold,
-            ..Default::default()
-        },
-        trace,
-    )
-}
-
-/// [`run_cyclops_sssp_tuned`] with superstep-boundary hot-vertex
-/// migration: every `every` supersteps the run pauses on a checkpoint
-/// boundary, the planner moves hot masters off the most loaded worker
-/// (decided from deterministic per-vertex compute counters, never
-/// wall-clock), and the plan is rewired incrementally. Distances are
-/// bitwise identical to the unmigrated run at every setting; the second
-/// return value reports what moved and how the measured compute imbalance
-/// changed.
-#[allow(clippy::too_many_arguments)]
-pub fn run_cyclops_sssp_migrated(
-    graph: &Graph,
-    partition: &EdgeCutPartition,
-    cluster: &ClusterSpec,
-    source: VertexId,
-    max_supersteps: usize,
-    sched: cyclops_engine::Sched,
-    sparse_cutoff: f64,
-    replicate_threshold: u32,
-    every: usize,
-    migration: cyclops_partition::MigrationConfig,
-    trace: Option<&cyclops_net::trace::TraceSink>,
-) -> (CyclopsResult<f64, f64>, cyclops_engine::MigrationReport) {
-    cyclops_engine::run_cyclops_migrated_traced(
-        &CyclopsSssp { source },
-        graph,
-        partition,
-        &CyclopsConfig {
-            cluster: *cluster,
-            max_supersteps,
-            sched,
-            sparse_cutoff,
-            replicate_threshold,
-            ..Default::default()
-        },
-        every,
-        migration,
-        trace,
-    )
-}
-
 /// Picks a bucket width for delta-stepping SSSP on `graph`: ~8x the mean
 /// edge weight. Wider buckets admit more vertices per superstep (fewer
 /// barriers — the win on high-diameter road networks) at the cost of some
 /// extra idempotent re-relaxation inside a bucket; 8x the mean keeps a
 /// road-network bucket a few hops deep. Unweighted graphs (weight 1.0
-/// everywhere) get width 8.0; an edgeless graph falls back to 1.0.
+/// everywhere) get width 8.0; an edgeless graph falls back to 1.0. A run
+/// seeded from this width usually also sets `bucket_adapt`, so the engine
+/// retunes it from live bucket occupancy instead of trusting the static seed.
 pub fn auto_bucket_width(graph: &Graph) -> f64 {
     let mut sum = 0.0f64;
     let mut n = 0u64;
@@ -316,108 +188,47 @@ pub fn auto_bucket_width(graph: &Graph) -> f64 {
     }
 }
 
-/// Runs Cyclops SSSP with the bucketed (delta-stepping) scheduler: each
-/// superstep drains one priority bucket of width `bucket_width` behind a
-/// single barrier pair, instead of one relaxation hop per barrier. Pass
-/// `bucket_width <= 0.0` to auto-tune via [`auto_bucket_width`]. Distances
-/// are bitwise identical to the unbucketed run.
-#[allow(clippy::too_many_arguments)]
-pub fn run_cyclops_sssp_bucketed(
-    graph: &Graph,
-    partition: &EdgeCutPartition,
-    cluster: &ClusterSpec,
-    source: VertexId,
-    max_supersteps: usize,
-    bucket_width: f64,
-    bucket_mode: cyclops_net::BucketMode,
-    replicate_threshold: u32,
-    trace: Option<&cyclops_net::trace::TraceSink>,
-) -> CyclopsResult<f64, f64> {
-    let width = if bucket_width > 0.0 {
-        bucket_width
-    } else {
-        auto_bucket_width(graph)
-    };
-    cyclops_engine::run_cyclops_traced(
-        &CyclopsSssp { source },
-        graph,
-        partition,
-        &CyclopsConfig {
-            cluster: *cluster,
-            max_supersteps,
-            bucket_width: width,
-            bucket_mode,
-            // `auto` no longer trusts the static 8x-mean seed: the engine
-            // retunes the width at bucket advances from live occupancy.
-            bucket_adapt: bucket_width <= 0.0,
-            replicate_threshold,
-            ..Default::default()
-        },
-        trace,
-    )
-}
-
-/// Runs BSP SSSP with the bucketed (delta-stepping) scheduler — the BSP
-/// counterpart of [`run_cyclops_sssp_bucketed`], mostly useful for
-/// cross-engine equivalence checks (the Figure 9 Hama baseline stays
-/// unbucketed). Pass `bucket_width <= 0.0` to auto-tune.
-pub fn run_bsp_sssp_bucketed(
-    graph: &Graph,
-    partition: &EdgeCutPartition,
-    cluster: &ClusterSpec,
-    source: VertexId,
-    max_supersteps: usize,
-    bucket_width: f64,
-    bucket_mode: cyclops_net::BucketMode,
-) -> BspResult<f64, f64> {
-    let width = if bucket_width > 0.0 {
-        bucket_width
-    } else {
-        auto_bucket_width(graph)
-    };
-    run_bsp(
-        &BspSssp { source },
-        graph,
-        partition,
-        &BspConfig {
-            cluster: *cluster,
-            max_supersteps,
-            use_combiner: true,
-            bucket_width: width,
-            bucket_mode,
-            ..Default::default()
-        },
-    )
-}
-
-/// Runs GAS (PowerGraph) SSSP from `source`.
-pub fn run_gas_sssp(
-    graph: &Graph,
-    partition: &VertexCutPartition,
-    cluster: &ClusterSpec,
-    source: VertexId,
-    max_supersteps: usize,
-) -> GasResult<f64> {
-    run_gas(
-        &GasSssp { source },
-        graph,
-        partition,
-        &GasConfig {
-            cluster: *cluster,
-            max_supersteps,
-            ..Default::default()
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cyclops_bsp::{run_bsp, BspConfig, BspResult};
+    use cyclops_engine::{run_cyclops, run_cyclops_migrated, CyclopsConfig, CyclopsResult};
+    use cyclops_gas::{run_gas, GasConfig};
     use cyclops_graph::gen::road_lattice;
     use cyclops_graph::reference;
+    use cyclops_net::{BucketMode, ClusterSpec};
     use cyclops_partition::{
-        EdgeCutPartitioner, HashPartitioner, RandomVertexCut, VertexCutPartitioner,
+        EdgeCutPartition, EdgeCutPartitioner, HashPartitioner, MigrationConfig, RandomVertexCut,
+        VertexCutPartitioner,
     };
+
+    /// SSSP from vertex 0 to quiescence; `bucketed` runs it delta-stepped at
+    /// the auto width, the engine retuning it.
+    fn cyclops(
+        g: &Graph,
+        p: &EdgeCutPartition,
+        cluster: ClusterSpec,
+        bucketed: Option<BucketMode>,
+    ) -> CyclopsResult<f64, f64> {
+        let config = CyclopsConfig {
+            cluster,
+            bucket_width: bucketed.map_or(0.0, |_| auto_bucket_width(g)),
+            bucket_mode: bucketed.unwrap_or_default(),
+            bucket_adapt: bucketed.is_some(),
+            ..Default::default()
+        };
+        run_cyclops(&CyclopsSssp { source: 0 }, g, p, &config)
+    }
+
+    fn hama(g: &Graph, p: &EdgeCutPartition, bucket_width: f64) -> BspResult<f64, f64> {
+        let config = BspConfig {
+            cluster: ClusterSpec::flat(2, 2),
+            use_combiner: true,
+            bucket_width,
+            ..Default::default()
+        };
+        run_bsp(&BspSssp { source: 0 }, g, p, &config)
+    }
 
     fn assert_distances_match(actual: &[f64], expected: &[f64]) {
         for (i, (a, e)) in actual.iter().zip(expected).enumerate() {
@@ -433,7 +244,7 @@ mod tests {
     fn bsp_matches_dijkstra_on_road() {
         let g = road_lattice(12, 12, 0.9, 0.1, 3);
         let p = HashPartitioner.partition(&g, 4);
-        let r = run_bsp_sssp(&g, &p, &ClusterSpec::flat(2, 2), 0, 10_000);
+        let r = hama(&g, &p, 0.0);
         assert_distances_match(&r.values, &reference::sssp(&g, 0));
     }
 
@@ -441,7 +252,7 @@ mod tests {
     fn cyclops_matches_dijkstra_on_road() {
         let g = road_lattice(12, 12, 0.9, 0.1, 3);
         let p = HashPartitioner.partition(&g, 4);
-        let r = run_cyclops_sssp(&g, &p, &ClusterSpec::flat(2, 2), 0, 10_000);
+        let r = cyclops(&g, &p, ClusterSpec::flat(2, 2), None);
         assert_distances_match(&r.values, &reference::sssp(&g, 0));
     }
 
@@ -449,7 +260,11 @@ mod tests {
     fn gas_matches_dijkstra_on_road() {
         let g = road_lattice(10, 10, 0.9, 0.1, 5);
         let p = RandomVertexCut::default().partition(&g, 4);
-        let r = run_gas_sssp(&g, &p, &ClusterSpec::flat(2, 2), 0, 10_000);
+        let config = GasConfig {
+            cluster: ClusterSpec::flat(2, 2),
+            ..Default::default()
+        };
+        let r = run_gas(&GasSssp { source: 0 }, &g, &p, &config);
         assert_distances_match(&r.values, &reference::sssp(&g, 0));
     }
 
@@ -457,7 +272,7 @@ mod tests {
     fn cyclops_mt_matches_dijkstra() {
         let g = road_lattice(12, 12, 1.0, 0.0, 7);
         let p = HashPartitioner.partition(&g, 3);
-        let r = run_cyclops_sssp(&g, &p, &ClusterSpec::mt(3, 4, 2), 0, 10_000);
+        let r = cyclops(&g, &p, ClusterSpec::mt(3, 4, 2), None);
         assert_distances_match(&r.values, &reference::sssp(&g, 0));
     }
 
@@ -468,7 +283,7 @@ mod tests {
         b.add_weighted_edge(2, 3, 1.0);
         let g = b.build();
         let p = HashPartitioner.partition(&g, 2);
-        let r = run_cyclops_sssp(&g, &p, &ClusterSpec::flat(2, 1), 0, 100);
+        let r = cyclops(&g, &p, ClusterSpec::flat(2, 1), None);
         assert!(r.values[2].is_infinite());
         assert!(r.values[3].is_infinite());
         assert_eq!(r.values[1], 1.0);
@@ -484,19 +299,18 @@ mod tests {
             .collect();
         let p = EdgeCutPartition::new(4, assignment);
         let cluster = ClusterSpec::flat(4, 1);
-        let plain = run_cyclops_sssp(&g, &p, &cluster, 0, 10_000);
-        let (migrated, report) = run_cyclops_sssp_migrated(
+        let plain = cyclops(&g, &p, cluster, None);
+        let config = CyclopsConfig {
+            cluster,
+            ..Default::default()
+        };
+        let (migrated, report) = run_cyclops_migrated(
+            &CyclopsSssp { source: 0 },
             &g,
             &p,
-            &cluster,
-            0,
-            10_000,
-            cyclops_engine::Sched::default(),
-            CyclopsConfig::default().sparse_cutoff,
-            0,
+            &config,
             8,
-            cyclops_partition::MigrationConfig::default(),
-            None,
+            MigrationConfig::default(),
         );
         assert!(report.migrations_total > 0, "skew must trigger migration");
         assert_eq!(plain.values, migrated.values);
@@ -524,10 +338,9 @@ mod tests {
         let g = road_lattice(12, 12, 0.9, 0.1, 3);
         let p = HashPartitioner.partition(&g, 4);
         let cluster = ClusterSpec::flat(2, 2);
-        let flat = run_cyclops_sssp(&g, &p, &cluster, 0, 10_000);
-        for mode in [cyclops_net::BucketMode::Det, cyclops_net::BucketMode::Fast] {
-            let bucketed =
-                run_cyclops_sssp_bucketed(&g, &p, &cluster, 0, 10_000, 0.0, mode, 0, None);
+        let flat = cyclops(&g, &p, cluster, None);
+        for mode in [BucketMode::Det, BucketMode::Fast] {
+            let bucketed = cyclops(&g, &p, cluster, Some(mode));
             assert_eq!(flat.values, bucketed.values, "mode {mode:?}");
             assert!(
                 bucketed.supersteps < flat.supersteps,
@@ -543,9 +356,8 @@ mod tests {
     fn bucketed_bsp_matches_unbucketed_with_fewer_supersteps() {
         let g = road_lattice(12, 12, 0.9, 0.1, 3);
         let p = HashPartitioner.partition(&g, 4);
-        let cluster = ClusterSpec::flat(2, 2);
-        let flat = run_bsp_sssp(&g, &p, &cluster, 0, 10_000);
-        let bucketed = run_bsp_sssp_bucketed(&g, &p, &cluster, 0, 10_000, 0.0, Default::default());
+        let flat = hama(&g, &p, 0.0);
+        let bucketed = hama(&g, &p, auto_bucket_width(&g));
         assert_eq!(flat.values, bucketed.values);
         assert!(
             bucketed.supersteps < flat.supersteps,
@@ -560,17 +372,7 @@ mod tests {
     fn bucketed_cyclops_mt_matches_dijkstra() {
         let g = road_lattice(12, 12, 1.0, 0.0, 7);
         let p = HashPartitioner.partition(&g, 3);
-        let r = run_cyclops_sssp_bucketed(
-            &g,
-            &p,
-            &ClusterSpec::mt(3, 4, 2),
-            0,
-            10_000,
-            0.0,
-            cyclops_net::BucketMode::Det,
-            0,
-            None,
-        );
+        let r = cyclops(&g, &p, ClusterSpec::mt(3, 4, 2), Some(BucketMode::Det));
         assert_distances_match(&r.values, &reference::sssp(&g, 0));
     }
 
@@ -594,7 +396,7 @@ mod tests {
     fn push_mode_activity_is_sparse() {
         let g = road_lattice(20, 20, 1.0, 0.0, 9);
         let p = HashPartitioner.partition(&g, 4);
-        let r = run_cyclops_sssp(&g, &p, &ClusterSpec::flat(2, 2), 0, 10_000);
+        let r = cyclops(&g, &p, ClusterSpec::flat(2, 2), None);
         // The frontier is a wavefront: far fewer than all vertices active.
         assert_eq!(r.stats[0].active_vertices, 1);
         let max_active = r.stats.iter().map(|s| s.active_vertices).max().unwrap();

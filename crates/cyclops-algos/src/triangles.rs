@@ -11,11 +11,9 @@
 //! Graphs must be symmetric (use [`crate::cc::symmetrize`]); triangles are
 //! counted once each.
 
-use cyclops_bsp::{run_bsp, BspConfig, BspContext, BspProgram, BspResult};
-use cyclops_engine::{run_cyclops, CyclopsConfig, CyclopsContext, CyclopsProgram, CyclopsResult};
+use cyclops_bsp::{BspContext, BspProgram};
+use cyclops_engine::{CyclopsContext, CyclopsProgram};
 use cyclops_graph::{Graph, VertexId};
-use cyclops_net::ClusterSpec;
-use cyclops_partition::EdgeCutPartition;
 
 /// Sorted, deduplicated neighbors of `v` strictly greater than `v`.
 fn forward_list(g: &Graph, v: VertexId) -> Vec<u32> {
@@ -49,6 +47,10 @@ fn intersect_count(a: &[u32], b: &[u32]) -> u64 {
 
 /// Cyclops triangle counting: one superstep, zero algorithmic messages
 /// beyond the replica syncs of the initial publications.
+///
+/// To run: on a symmetrized graph; the values are per-vertex counts (sum
+/// them for the global count) and are final after superstep 0, so a small
+/// `max_supersteps` (the callers here use 4) is only a safety cap.
 pub struct CyclopsTriangles;
 
 impl CyclopsProgram for CyclopsTriangles {
@@ -86,6 +88,9 @@ impl CyclopsProgram for CyclopsTriangles {
 
 /// BSP triangle counting: superstep 0 broadcasts `(sender, forward list)`;
 /// superstep 1 intersects.
+///
+/// To run: on a symmetrized graph; two supersteps, so `max_supersteps >= 2`;
+/// no `combine` (every list is needed whole).
 pub struct BspTriangles;
 
 impl BspProgram for BspTriangles {
@@ -120,50 +125,29 @@ impl BspProgram for BspTriangles {
     }
 }
 
-/// Runs Cyclops triangle counting; returns the per-vertex counts and the
-/// total in the result's values (sum them for the global count).
-pub fn run_cyclops_triangles(
-    graph: &Graph,
-    partition: &EdgeCutPartition,
-    cluster: &ClusterSpec,
-) -> CyclopsResult<u64, Vec<u32>> {
-    run_cyclops(
-        &CyclopsTriangles,
-        graph,
-        partition,
-        &CyclopsConfig {
-            cluster: *cluster,
-            max_supersteps: 4,
-            ..Default::default()
-        },
-    )
-}
-
-/// Runs BSP triangle counting.
-pub fn run_bsp_triangles(
-    graph: &Graph,
-    partition: &EdgeCutPartition,
-    cluster: &ClusterSpec,
-) -> BspResult<u64, Vec<u32>> {
-    run_bsp(
-        &BspTriangles,
-        graph,
-        partition,
-        &BspConfig {
-            cluster: *cluster,
-            max_supersteps: 4,
-            ..Default::default()
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cc::symmetrize;
+    use cyclops_bsp::{run_bsp, BspConfig};
+    use cyclops_engine::{run_cyclops, CyclopsConfig, CyclopsResult};
     use cyclops_graph::gen::erdos_renyi;
     use cyclops_graph::reference;
-    use cyclops_partition::{EdgeCutPartitioner, HashPartitioner};
+    use cyclops_net::ClusterSpec;
+    use cyclops_partition::{EdgeCutPartition, EdgeCutPartitioner, HashPartitioner};
+
+    fn cyclops(
+        g: &Graph,
+        p: &EdgeCutPartition,
+        cluster: ClusterSpec,
+    ) -> CyclopsResult<u64, Vec<u32>> {
+        let config = CyclopsConfig {
+            cluster,
+            max_supersteps: 4,
+            ..Default::default()
+        };
+        run_cyclops(&CyclopsTriangles, g, p, &config)
+    }
 
     fn total(values: &[u64]) -> usize {
         values.iter().sum::<u64>() as usize
@@ -173,7 +157,7 @@ mod tests {
     fn cyclops_counts_er_triangles() {
         let g = symmetrize(&erdos_renyi(120, 900, 3));
         let p = HashPartitioner.partition(&g, 4);
-        let r = run_cyclops_triangles(&g, &p, &ClusterSpec::flat(2, 2));
+        let r = cyclops(&g, &p, ClusterSpec::flat(2, 2));
         assert_eq!(total(&r.values), reference::triangle_count(&g));
     }
 
@@ -181,7 +165,12 @@ mod tests {
     fn bsp_counts_er_triangles() {
         let g = symmetrize(&erdos_renyi(120, 900, 3));
         let p = HashPartitioner.partition(&g, 4);
-        let r = run_bsp_triangles(&g, &p, &ClusterSpec::flat(2, 2));
+        let config = BspConfig {
+            cluster: ClusterSpec::flat(2, 2),
+            max_supersteps: 4,
+            ..Default::default()
+        };
+        let r = run_bsp(&BspTriangles, &g, &p, &config);
         assert_eq!(total(&r.values), reference::triangle_count(&g));
     }
 
@@ -193,7 +182,7 @@ mod tests {
         b.add_undirected_edge(2, 0);
         let g = b.build();
         let p = HashPartitioner.partition(&g, 3);
-        let r = run_cyclops_triangles(&g, &p, &ClusterSpec::flat(3, 1));
+        let r = cyclops(&g, &p, ClusterSpec::flat(3, 1));
         assert_eq!(total(&r.values), 1);
         // Counted exactly once across all vertices.
         assert_eq!(r.values.iter().filter(|&&c| c > 0).count(), 1);
@@ -203,7 +192,7 @@ mod tests {
     fn cyclops_finishes_in_one_superstep_plus_drain() {
         let g = symmetrize(&erdos_renyi(80, 300, 5));
         let p = HashPartitioner.partition(&g, 2);
-        let r = run_cyclops_triangles(&g, &p, &ClusterSpec::flat(2, 1));
+        let r = cyclops(&g, &p, ClusterSpec::flat(2, 1));
         assert!(r.supersteps <= 2, "supersteps {}", r.supersteps);
     }
 
@@ -211,8 +200,8 @@ mod tests {
     fn mt_agrees_with_flat() {
         let g = symmetrize(&erdos_renyi(150, 700, 7));
         let p = HashPartitioner.partition(&g, 3);
-        let a = run_cyclops_triangles(&g, &p, &ClusterSpec::flat(3, 1));
-        let b = run_cyclops_triangles(&g, &p, &ClusterSpec::mt(3, 3, 2));
+        let a = cyclops(&g, &p, ClusterSpec::flat(3, 1));
+        let b = cyclops(&g, &p, ClusterSpec::mt(3, 3, 2));
         assert_eq!(a.values, b.values);
     }
 }

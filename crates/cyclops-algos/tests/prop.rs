@@ -2,10 +2,12 @@
 //! the sequential references on arbitrary graphs, partitions, and cluster
 //! shapes.
 
-use cyclops_algos::cc::{run_cyclops_cc, symmetrize};
-use cyclops_algos::pagerank::{run_bsp_pagerank, run_cyclops_pagerank};
-use cyclops_algos::sssp::{run_bsp_sssp, run_cyclops_sssp};
-use cyclops_algos::triangles::run_cyclops_triangles;
+use cyclops_algos::cc::{symmetrize, CyclopsComponents};
+use cyclops_algos::pagerank::{BspPageRank, CyclopsPageRank};
+use cyclops_algos::sssp::{BspSssp, CyclopsSssp};
+use cyclops_algos::triangles::CyclopsTriangles;
+use cyclops_bsp::{run_bsp, BspConfig};
+use cyclops_engine::{run_cyclops, CyclopsConfig};
 use cyclops_graph::{reference, Graph, GraphBuilder};
 use cyclops_net::ClusterSpec;
 use cyclops_partition::EdgeCutPartition;
@@ -43,6 +45,26 @@ fn pseudo_partition(g: &Graph, k: usize, seed: u64) -> EdgeCutPartition {
     EdgeCutPartition::new(k, assignment)
 }
 
+/// `k` single-worker machines, capped at `max_supersteps`.
+fn cyclops_config(k: usize, max_supersteps: usize) -> CyclopsConfig {
+    CyclopsConfig {
+        cluster: ClusterSpec::flat(k, 1),
+        max_supersteps,
+        ..Default::default()
+    }
+}
+
+/// The same cluster on the BSP baseline; both programs run here define
+/// `combine`.
+fn bsp_config(k: usize, max_supersteps: usize) -> BspConfig {
+    BspConfig {
+        cluster: ClusterSpec::flat(k, 1),
+        max_supersteps,
+        use_combiner: true,
+        ..Default::default()
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -54,7 +76,7 @@ proptest! {
         iters in 1usize..12,
     ) {
         let p = pseudo_partition(&g, k, seed);
-        let r = run_cyclops_pagerank(&g, &p, &ClusterSpec::flat(k, 1), 0.0, iters);
+        let r = run_cyclops(&CyclopsPageRank { epsilon: 0.0 }, &g, &p, &cyclops_config(k, iters));
         let (expected, _) = reference::pagerank(&g, 0.0, iters);
         for (a, e) in r.values.iter().zip(&expected) {
             prop_assert!((a - e).abs() < 1e-12, "{a} vs {e}");
@@ -69,7 +91,8 @@ proptest! {
         iters in 1usize..10,
     ) {
         let p = pseudo_partition(&g, k, seed);
-        let r = run_bsp_pagerank(&g, &p, &ClusterSpec::flat(k, 1), 0.0, iters + 1);
+        let config = BspConfig { track_redundant: true, ..bsp_config(k, iters + 1) };
+        let r = run_bsp(&BspPageRank { epsilon: 0.0 }, &g, &p, &config);
         let (expected, _) = reference::pagerank(&g, 0.0, iters);
         for (a, e) in r.values.iter().zip(&expected) {
             prop_assert!((a - e).abs() < 1e-10, "{a} vs {e}");
@@ -87,8 +110,8 @@ proptest! {
         let p = pseudo_partition(&g, k, seed);
         let expected = reference::sssp(&g, source);
         for values in [
-            run_cyclops_sssp(&g, &p, &ClusterSpec::flat(k, 1), source, 100_000).values,
-            run_bsp_sssp(&g, &p, &ClusterSpec::flat(k, 1), source, 100_000).values,
+            run_cyclops(&CyclopsSssp { source }, &g, &p, &cyclops_config(k, 100_000)).values,
+            run_bsp(&BspSssp { source }, &g, &p, &bsp_config(k, 100_000)).values,
         ] {
             for (i, (a, e)) in values.iter().zip(&expected).enumerate() {
                 if e.is_finite() {
@@ -108,7 +131,7 @@ proptest! {
     ) {
         let sym = symmetrize(&g);
         let p = pseudo_partition(&sym, k, seed);
-        let r = run_cyclops_cc(&sym, &p, &ClusterSpec::flat(k, 1));
+        let r = run_cyclops(&CyclopsComponents, &sym, &p, &cyclops_config(k, 100_000));
         prop_assert_eq!(r.values, reference::connected_components(&sym));
     }
 
@@ -120,7 +143,7 @@ proptest! {
     ) {
         let sym = symmetrize(&g);
         let p = pseudo_partition(&sym, k, seed);
-        let r = run_cyclops_triangles(&sym, &p, &ClusterSpec::flat(k, 1));
+        let r = run_cyclops(&CyclopsTriangles, &sym, &p, &cyclops_config(k, 4));
         prop_assert_eq!(
             r.values.iter().sum::<u64>() as usize,
             reference::triangle_count(&sym)

@@ -13,18 +13,17 @@
 //!    balance),
 //! 7. **inbox discipline** — Hama with its own GlobalQueue inbox vs
 //!    Cyclops' sharded per-sender lanes grafted on,
-//! 8. **send-buffer pool** — per-lane reusable encode buffers vs a fresh
-//!    allocation per batch (the Table 2 allocation story),
-//! 9. **adaptive wire format** — the self-selecting sparse/dense
+//! 8. **adaptive wire format** — the self-selecting sparse/dense
 //!    `ReplicaBatch` framing vs the legacy per-update tuple framing it
 //!    replaced (the encoder computes both sizes exactly, so one run
 //!    reports both),
-//! 10. **bucketed execution** — delta-stepping priority buckets vs one
-//!     barrier per hop on the high-diameter SSSP workload,
-//! 11. **hybrid replication** — full boundary replication vs the degree
+//! 9. **bucketed execution** — delta-stepping priority buckets vs one
+//!    barrier per hop on the high-diameter SSSP workload,
+//! 10. **hybrid replication** — full boundary replication vs the degree
 //!     threshold that messages cold boundary vertices directly.
 
 use cyclops_algos::pagerank::{BspPageRank, CyclopsPageRank};
+use cyclops_algos::sssp::{auto_bucket_width, CyclopsSssp};
 use cyclops_bench::report::{self, Table};
 use cyclops_bench::workloads;
 use cyclops_bsp::{run_bsp, BspConfig};
@@ -324,35 +323,7 @@ fn main() {
     table.print();
     println!("  (sharded lanes remove enqueue contention even under Hama's semantics)");
 
-    // ---- 8. Send-buffer pool. ----
-    report::subheading("send path: pooled per-lane encode buffers vs fresh allocation per batch");
-    let mut table = Table::new(&["send path", "wire bytes", "bytes allocated", "time (s)"]);
-    for (name, pooled) in [("pooled", true), ("fresh", false)] {
-        let r = run_cyclops(
-            &CyclopsPageRank { epsilon: 1e-7 },
-            &g,
-            &p,
-            &CyclopsConfig {
-                cluster,
-                max_supersteps: 100,
-                pooled,
-                ..Default::default()
-            },
-        );
-        table.row(vec![
-            name.into(),
-            report::count(r.counters.bytes),
-            report::count(r.counters.message_bytes_allocated as usize),
-            report::secs(r.elapsed),
-        ]);
-    }
-    table.print();
-    println!(
-        "  (pooled allocation is a per-lane warm-up constant; fresh allocation\n\
-         \x20 equals the wire volume — O(messages) vs O(destinations))"
-    );
-
-    // ---- 9. Adaptive wire format vs legacy framing. ----
+    // ---- 8. Adaptive wire format vs legacy framing. ----
     report::subheading("wire format: adaptive sparse/dense ReplicaBatch vs legacy tuple framing");
     let road = workloads::gen_graph(Dataset::RoadCa, fraction);
     let proad = HashPartitioner.partition(&road, cluster.num_workers());
@@ -366,13 +337,15 @@ fn main() {
             ..Default::default()
         },
     );
-    let sssp = cyclops_algos::sssp::run_cyclops_sssp(
-        &road,
-        &proad,
-        &cluster,
-        workloads::SSSP_SOURCE,
-        100_000,
-    );
+    let sssp_program = CyclopsSssp {
+        source: workloads::SSSP_SOURCE,
+    };
+    let per_hop = CyclopsConfig {
+        cluster,
+        max_supersteps: 100_000,
+        ..Default::default()
+    };
+    let sssp = run_cyclops(&sssp_program, &road, &proad, &per_hop);
     let mut table = Table::new(&[
         "workload",
         "wire bytes",
@@ -399,19 +372,18 @@ fn main() {
          \x20 sparse convergence tail, the SSSP wavefront stays sparse throughout)"
     );
 
-    // ---- 10. Bucketed delta-stepping vs barrier-per-hop SSSP. ----
+    // ---- 9. Bucketed delta-stepping vs barrier-per-hop SSSP. ----
     report::subheading("bucketed execution: delta-stepping buckets vs one barrier per hop");
-    let width = cyclops_algos::sssp::auto_bucket_width(&road);
-    let bucketed = cyclops_algos::sssp::run_cyclops_sssp_bucketed(
+    let width = auto_bucket_width(&road);
+    let bucketed = run_cyclops(
+        &sssp_program,
         &road,
         &proad,
-        &cluster,
-        workloads::SSSP_SOURCE,
-        100_000,
-        width,
-        cyclops_net::BucketMode::Det,
-        0,
-        None,
+        &CyclopsConfig {
+            bucket_width: width,
+            bucket_mode: cyclops_net::BucketMode::Det,
+            ..per_hop
+        },
     );
     assert_eq!(
         sssp.values, bucketed.values,
@@ -448,7 +420,7 @@ fn main() {
          \x20 are bitwise identical — asserted above)"
     );
 
-    // ---- 11. Hybrid replication degree threshold. ----
+    // ---- 10. Hybrid replication degree threshold. ----
     // Convergence epsilon, not the quick-mode one: a messaged vertex trades
     // standing per-superstep replica costs for a one-shot direct frame, so
     // the byte balance only settles once the run is long enough to amortize
@@ -478,11 +450,12 @@ fn main() {
         ("8".to_string(), 8),
         (format!("auto ({auto})"), auto),
     ] {
-        let r = workloads::run_on_cyclops_threshold(
+        let r = workloads::run_on_cyclops(
             &pr_workload,
             &g,
             &p,
             &cluster,
+            fraction,
             t,
             workloads::PR_CONVERGENCE_EPSILON,
         );

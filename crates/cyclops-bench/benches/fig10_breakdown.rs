@@ -63,7 +63,7 @@ fn main() {
             &total_phases(&hama),
             hama_total,
         ));
-        let cy = run_on_cyclops(&w, &g, &p48, &flat, fraction);
+        let cy = run_on_cyclops(&w, &g, &p48, &flat, fraction, 0, workloads::PR_EPSILON);
         table.row(phase_row(
             label.clone(),
             "Cyclops",
@@ -72,7 +72,7 @@ fn main() {
         ));
         let mt_cluster = workloads::paper_cluster_mt(48);
         let p6 = HashPartitioner.partition(&g, mt_cluster.num_workers());
-        let mt = run_on_cyclops(&w, &g, &p6, &mt_cluster, fraction);
+        let mt = run_on_cyclops(&w, &g, &p6, &mt_cluster, fraction, 0, workloads::PR_EPSILON);
         table.row(phase_row(
             label,
             "CyclopsMT",
@@ -92,7 +92,7 @@ fn main() {
     let flat = workloads::paper_cluster(48);
     let p = HashPartitioner.partition(&g, 48);
     let hama = run_on_hama(&w, &g, &p, &flat, fraction);
-    let cy = run_on_cyclops(&w, &g, &p, &flat, fraction);
+    let cy = run_on_cyclops(&w, &g, &p, &flat, fraction, 0, workloads::PR_EPSILON);
 
     report::subheading("Fig 10(2): active vertices per superstep (PR on GWeb)");
     let mut table = Table::new(&["superstep", "Hama", "Cyclops"]);

@@ -70,10 +70,10 @@ fn main() {
         let flat = workloads::paper_cluster(48);
         let p48 = metis.partition(&g, 48);
         let hama = run_on_hama(&w, &g, &p48, &flat, fraction);
-        let cy = run_on_cyclops(&w, &g, &p48, &flat, fraction);
+        let cy = run_on_cyclops(&w, &g, &p48, &flat, fraction, 0, workloads::PR_EPSILON);
         let mt_cluster = workloads::paper_cluster_mt(48);
         let p6 = metis.partition(&g, mt_cluster.num_workers());
-        let mt = run_on_cyclops(&w, &g, &p6, &mt_cluster, fraction);
+        let mt = run_on_cyclops(&w, &g, &p6, &mt_cluster, fraction, 0, workloads::PR_EPSILON);
         table.row(vec![
             format!("{} {}", w.algo, w.dataset),
             report::secs(hama.elapsed),

@@ -47,7 +47,7 @@ fn main() {
     ]);
     for spec in configs {
         let p = HashPartitioner.partition(&g, spec.num_workers());
-        let out = run_on_cyclops(&w, &g, &p, &spec, fraction);
+        let out = run_on_cyclops(&w, &g, &p, &spec, fraction, 0, workloads::PR_EPSILON);
         let phases = out
             .stats
             .iter()

@@ -7,9 +7,11 @@
 //! 3. L1-norm distance to the converged PageRank result over execution
 //!    time for Hama, Cyclops and CyclopsMT on GWeb.
 
+use cyclops_algos::pagerank::{BspPageRank, CyclopsPageRank};
 use cyclops_bench::report::{self, Table};
 use cyclops_bench::workloads::{self, run_on_cyclops, run_on_hama};
-use cyclops_engine::CyclopsPlan;
+use cyclops_bsp::{run_bsp, BspConfig};
+use cyclops_engine::{run_cyclops, CyclopsConfig, CyclopsPlan};
 use cyclops_graph::{reference, Dataset};
 use cyclops_partition::{EdgeCutPartitioner, HashPartitioner};
 use std::time::Instant;
@@ -87,7 +89,7 @@ fn main() {
         let w = workloads::paper_workloads()[4];
         let mt = workloads::paper_cluster_mt(48);
         let p = HashPartitioner.partition(&g, mt.num_workers());
-        let out = run_on_cyclops(&w, &g, &p, &mt, f);
+        let out = run_on_cyclops(&w, &g, &p, &mt, f, 0, workloads::PR_EPSILON);
         table.row(vec![
             report::count(g.num_edges()),
             report::secs(out.elapsed),
@@ -106,14 +108,32 @@ fn main() {
         // measure distance of the partial result to the converged ranks.
         let flat = workloads::paper_cluster(48);
         let p48 = HashPartitioner.partition(&g, 48);
-        let hama = cyclops_algos::pagerank::run_bsp_pagerank(&g, &p48, &flat, 0.0, k + 1);
+        // Hama's superstep 0 only seeds, so k updates take k + 1.
+        let hama = run_bsp(
+            &BspPageRank { epsilon: 0.0 },
+            &g,
+            &p48,
+            &BspConfig {
+                cluster: flat,
+                max_supersteps: k + 1,
+                use_combiner: true,
+                track_redundant: true,
+                ..Default::default()
+            },
+        );
         table.row(vec![
             k.to_string(),
             "Hama".into(),
             report::secs(hama.elapsed),
             format!("{:.2e}", reference::l1_distance(&hama.values, &final_ranks)),
         ]);
-        let cy = cyclops_algos::pagerank::run_cyclops_pagerank(&g, &p48, &flat, 0.0, k);
+        let capped = |cluster| CyclopsConfig {
+            cluster,
+            max_supersteps: k,
+            ..Default::default()
+        };
+        let pagerank = CyclopsPageRank { epsilon: 0.0 };
+        let cy = run_cyclops(&pagerank, &g, &p48, &capped(flat));
         table.row(vec![
             k.to_string(),
             "Cyclops".into(),
@@ -122,7 +142,7 @@ fn main() {
         ]);
         let mt_cluster = workloads::paper_cluster_mt(48);
         let p6 = HashPartitioner.partition(&g, mt_cluster.num_workers());
-        let mt = cyclops_algos::pagerank::run_cyclops_pagerank(&g, &p6, &mt_cluster, 0.0, k);
+        let mt = run_cyclops(&pagerank, &g, &p6, &capped(mt_cluster));
         table.row(vec![
             k.to_string(),
             "CyclopsMT".into(),

@@ -7,12 +7,33 @@
 //!    reached, plus the GWeb-vs-Amazon converged-proportion mismatch the
 //!    paper quotes (94.9% vs 87.7% at the same bound, §2.2.3).
 
+use cyclops_algos::pagerank::BspPageRank;
 use cyclops_bench::report::{self, Table};
 use cyclops_bench::workloads;
-use cyclops_graph::{reference, Dataset};
-use cyclops_partition::{EdgeCutPartitioner, HashPartitioner};
+use cyclops_bsp::{run_bsp, BspConfig, BspResult};
+use cyclops_graph::{reference, Dataset, Graph};
+use cyclops_net::ClusterSpec;
+use cyclops_partition::{EdgeCutPartition, EdgeCutPartitioner, HashPartitioner};
 
 const EPSILON: f64 = 1e-10;
+
+/// Hama PageRank to a global error of [`EPSILON`], combining, with the
+/// redundant re-broadcasts panel 2 plots counted.
+fn hama_pagerank(
+    g: &Graph,
+    p: &EdgeCutPartition,
+    cluster: ClusterSpec,
+    max_supersteps: usize,
+) -> BspResult<f64, f64> {
+    let config = BspConfig {
+        cluster,
+        max_supersteps,
+        use_combiner: true,
+        track_redundant: true,
+        ..Default::default()
+    };
+    run_bsp(&BspPageRank { epsilon: EPSILON }, g, p, &config)
+}
 
 fn main() {
     let fraction = workloads::scale();
@@ -65,7 +86,7 @@ fn main() {
     report::subheading("Fig 3(2): ratio of redundant messages per superstep (BSP)");
     let cluster = workloads::paper_cluster(12);
     let p = HashPartitioner.partition(&g, cluster.num_workers());
-    let r = cyclops_algos::pagerank::run_bsp_pagerank(&g, &p, &cluster, EPSILON, 60);
+    let r = hama_pagerank(&g, &p, cluster, 60);
     let mut table = Table::new(&["superstep", "messages", "redundant", "ratio"]);
     for s in r
         .stats
@@ -111,7 +132,7 @@ fn main() {
     for ds in [Dataset::GWeb, Dataset::Amazon] {
         let g = workloads::gen_graph(ds, fraction);
         let p = HashPartitioner.partition(&g, cluster.num_workers());
-        let r = cyclops_algos::pagerank::run_bsp_pagerank(&g, &p, &cluster, EPSILON, 400);
+        let r = hama_pagerank(&g, &p, cluster, 400);
         let errors = final_errors(&g, &r.values);
         let converged = errors.iter().filter(|&&e| e <= EPSILON).count();
         let prop = 100.0 * converged as f64 / g.num_vertices() as f64;

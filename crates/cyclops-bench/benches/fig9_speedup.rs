@@ -41,10 +41,10 @@ fn main() {
         let flat = workloads::paper_cluster(48);
         let p48 = HashPartitioner.partition(&g, 48);
         let hama = run_on_hama(&w, &g, &p48, &flat, fraction);
-        let cy = run_on_cyclops(&w, &g, &p48, &flat, fraction);
+        let cy = run_on_cyclops(&w, &g, &p48, &flat, fraction, 0, workloads::PR_EPSILON);
         let mt_cluster = workloads::paper_cluster_mt(48);
         let p6 = HashPartitioner.partition(&g, mt_cluster.num_workers());
-        let mt = run_on_cyclops(&w, &g, &p6, &mt_cluster, fraction);
+        let mt = run_on_cyclops(&w, &g, &p6, &mt_cluster, fraction, 0, workloads::PR_EPSILON);
         table.row(vec![
             format!("{} {}", w.algo, w.dataset),
             report::secs(hama.elapsed),
@@ -72,8 +72,9 @@ fn main() {
             ("cyclops_bytes", cy.counters.bytes.into()),
             ("cyclops_replication_factor", cy.replication_factor.into()),
         ];
-        // Hybrid replication at the auto threshold — PageRank and SSSP have
-        // tuned entry points. Both sides run at the convergence epsilon
+        // Hybrid replication at the auto threshold, on the PageRank and SSSP
+        // rows — the ones the committed `BENCH_fig9.json` carries hybrid
+        // columns for. Both sides run at the convergence epsilon
         // (messaging a cold vertex trades standing per-superstep replica
         // costs for a one-shot direct frame, so the byte balance is a
         // steady-state property): `hybrid_bytes` counts replica updates AND
@@ -82,8 +83,8 @@ fn main() {
         if matches!(w.algo, workloads::Algo::PageRank | workloads::Algo::Sssp) {
             let eps = workloads::PR_CONVERGENCE_EPSILON;
             let auto = p48.auto_replicate_threshold(&g);
-            let full = workloads::run_on_cyclops_threshold(&w, &g, &p48, &flat, 0, eps);
-            let hy = workloads::run_on_cyclops_threshold(&w, &g, &p48, &flat, auto, eps);
+            let full = run_on_cyclops(&w, &g, &p48, &flat, fraction, 0, eps);
+            let hy = run_on_cyclops(&w, &g, &p48, &flat, fraction, auto, eps);
             if let Some(v) = (full.values_f64.as_ref()).zip(hy.values_f64.as_ref()) {
                 assert_eq!(v.0, v.1, "hybrid results must be bitwise identical");
             }
@@ -188,10 +189,18 @@ fn main() {
             let flat = workloads::paper_cluster(workers);
             let p = HashPartitioner.partition(&g, workers);
             let hama = run_on_hama(&w, &g, &p, &flat, fraction);
-            let cy = run_on_cyclops(&w, &g, &p, &flat, fraction);
+            let cy = run_on_cyclops(&w, &g, &p, &flat, fraction, 0, workloads::PR_EPSILON);
             let mt_cluster = workloads::paper_cluster_mt(workers);
             let pmt = HashPartitioner.partition(&g, mt_cluster.num_workers());
-            let mt = run_on_cyclops(&w, &g, &pmt, &mt_cluster, fraction);
+            let mt = run_on_cyclops(
+                &w,
+                &g,
+                &pmt,
+                &mt_cluster,
+                fraction,
+                0,
+                workloads::PR_EPSILON,
+            );
             let base = *hama6.get_or_insert(hama.elapsed.as_secs_f64());
             table.row(vec![
                 format!("{} {}", w.algo, w.dataset),

@@ -10,11 +10,13 @@
 //! compute imbalance (max/mean per-worker epoch load) actually drops —
 //! both columns are printed side by side.
 
-use cyclops_algos::pagerank::{run_cyclops_pagerank, run_cyclops_pagerank_migrated};
-use cyclops_algos::sssp::{run_cyclops_sssp, run_cyclops_sssp_migrated};
+use cyclops_algos::pagerank::CyclopsPageRank;
+use cyclops_algos::sssp::CyclopsSssp;
 use cyclops_bench::report::{self, Table};
 use cyclops_bench::workloads;
-use cyclops_engine::{CyclopsResult, MigrationReport, Sched};
+use cyclops_engine::{
+    run_cyclops, run_cyclops_migrated, CyclopsConfig, CyclopsResult, MigrationReport,
+};
 use cyclops_graph::{Dataset, Graph};
 use cyclops_partition::{EdgeCutPartition, EdgeCutPartitioner, HashPartitioner, MigrationConfig};
 
@@ -87,7 +89,15 @@ fn main() {
     report::subheading("SSSP RoadCA, 12 workers, 60% of masters piled on worker 0");
     let road = workloads::gen_graph(Dataset::RoadCa, fraction);
     let p = skewed(&road, cluster.num_workers());
-    let baseline = run_cyclops_sssp(&road, &p, &cluster, workloads::SSSP_SOURCE, 100_000);
+    let sssp = CyclopsSssp {
+        source: workloads::SSSP_SOURCE,
+    };
+    let config = CyclopsConfig {
+        cluster,
+        max_supersteps: 100_000,
+        ..Default::default()
+    };
+    let baseline = run_cyclops(&sssp, &road, &p, &config);
     let mut table = Table::new(&headers);
     row(
         &mut table,
@@ -97,19 +107,8 @@ fn main() {
         &baseline,
     );
     for every in [4usize, 8, 16] {
-        let (r, m) = run_cyclops_sssp_migrated(
-            &road,
-            &p,
-            &cluster,
-            workloads::SSSP_SOURCE,
-            100_000,
-            Sched::Dynamic,
-            0.015,
-            0,
-            every,
-            MigrationConfig::default(),
-            None,
-        );
+        let (r, m) =
+            run_cyclops_migrated(&sssp, &road, &p, &config, every, MigrationConfig::default());
         row(
             &mut table,
             &format!("migrate every {every}"),
@@ -124,13 +123,15 @@ fn main() {
     report::subheading("PageRank GWeb, 12 workers, 60% of masters piled on worker 0");
     let web = workloads::gen_graph(Dataset::GWeb, fraction);
     let p = skewed(&web, cluster.num_workers());
-    let baseline = run_cyclops_pagerank(
-        &web,
-        &p,
-        &cluster,
-        workloads::PR_CONVERGENCE_EPSILON,
-        workloads::PR_MAX_SUPERSTEPS,
-    );
+    let pagerank = CyclopsPageRank {
+        epsilon: workloads::PR_CONVERGENCE_EPSILON,
+    };
+    let config = CyclopsConfig {
+        cluster,
+        max_supersteps: workloads::PR_MAX_SUPERSTEPS,
+        ..Default::default()
+    };
+    let baseline = run_cyclops(&pagerank, &web, &p, &config);
     let mut table = Table::new(&headers);
     row(
         &mut table,
@@ -140,18 +141,13 @@ fn main() {
         &baseline,
     );
     for every in [4usize, 8] {
-        let (r, m) = run_cyclops_pagerank_migrated(
+        let (r, m) = run_cyclops_migrated(
+            &pagerank,
             &web,
             &p,
-            &cluster,
-            workloads::PR_CONVERGENCE_EPSILON,
-            workloads::PR_MAX_SUPERSTEPS,
-            Sched::Dynamic,
-            0.015,
-            0,
+            &config,
             every,
             MigrationConfig::default(),
-            None,
         );
         row(
             &mut table,

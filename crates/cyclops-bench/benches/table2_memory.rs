@@ -50,7 +50,7 @@ fn main() {
     ]);
 
     // Cyclops with 48 workers.
-    let cy = run_on_cyclops(&w, &g, &p48, &flat, fraction);
+    let cy = run_on_cyclops(&w, &g, &p48, &flat, fraction, 0, workloads::PR_EPSILON);
     let cy_replicas = cy.ingress.map(|i| i.total_replicas).unwrap_or(0);
     table.row(vec![
         "Cyclops/48".into(),
@@ -65,7 +65,7 @@ fn main() {
     // CyclopsMT 6x8.
     let mt_cluster = workloads::paper_cluster_mt(48);
     let p6 = HashPartitioner.partition(&g, mt_cluster.num_workers());
-    let mt = run_on_cyclops(&w, &g, &p6, &mt_cluster, fraction);
+    let mt = run_on_cyclops(&w, &g, &p6, &mt_cluster, fraction, 0, workloads::PR_EPSILON);
     let mt_replicas = mt.ingress.map(|i| i.total_replicas).unwrap_or(0);
     table.row(vec![
         "CyclopsMT/6x8".into(),

@@ -49,7 +49,15 @@ fn main() {
             } else {
                 HashPartitioner.partition(&g, mt_cluster.num_workers())
             };
-            let cy = run_on_cyclops(w, &g, &edge_cut, &mt_cluster, fraction);
+            let cy = run_on_cyclops(
+                w,
+                &g,
+                &edge_cut,
+                &mt_cluster,
+                fraction,
+                0,
+                workloads::PR_EPSILON,
+            );
 
             // PowerGraph runs one process per machine: the vertex-cut has 6
             // parts, like the paper's 6-machine deployment.

@@ -1,17 +1,18 @@
 //! The paper's seven benchmark workloads (Table 1), runnable on every
 //! engine with one call.
 
-use cyclops_algos::als::{run_bsp_als, run_cyclops_als, AlsParams};
-use cyclops_algos::cd::{run_bsp_cd, run_cyclops_cd};
-use cyclops_algos::pagerank::{
-    run_bsp_pagerank, run_cyclops_pagerank, run_cyclops_pagerank_tuned, run_gas_pagerank,
-};
-use cyclops_algos::sssp::{run_bsp_sssp, run_cyclops_sssp_bucketed, run_gas_sssp};
-use cyclops_engine::IngressStats;
+use cyclops_algos::als::{AlsParams, BspAls, CyclopsAls};
+use cyclops_algos::cd::{BspCommunityDetection, CyclopsCommunityDetection};
+use cyclops_algos::pagerank::{BspPageRank, CyclopsPageRank, GasPageRank};
+use cyclops_algos::sssp::{auto_bucket_width, BspSssp, CyclopsSssp, GasSssp};
+use cyclops_bsp::{run_bsp, BspConfig, BspResult};
+use cyclops_engine::{run_cyclops, CyclopsConfig, CyclopsResult, IngressStats};
+use cyclops_gas::{run_gas, GasConfig, GasResult};
 use cyclops_graph::{Dataset, Graph};
 use cyclops_net::metrics::CounterSnapshot;
-use cyclops_net::{ClusterSpec, SuperstepStats};
+use cyclops_net::{BucketMode, ClusterSpec, SuperstepStats};
 use cyclops_partition::{EdgeCutPartition, VertexCutPartition};
+use std::any::Any;
 use std::time::Duration;
 
 /// PageRank local/global error threshold used across the experiments.
@@ -158,12 +159,65 @@ pub struct Outcome {
     pub direct_messages: usize,
     /// Ingress breakdown (Cyclops engines only).
     pub ingress: Option<IngressStats>,
-    /// Final values as f64 when the algorithm is PageRank/SSSP (for
-    /// convergence-quality comparisons).
+    /// Final values when the program's values are `f64` (PageRank, SSSP),
+    /// for convergence-quality comparisons.
     pub values_f64: Option<Vec<f64>>,
 }
 
-/// Runs `workload` on the Hama baseline.
+/// `values` itself when `V` is `f64`, `None` for every other value type.
+fn values_f64<V: 'static>(values: Vec<V>) -> Option<Vec<f64>> {
+    let values: Box<dyn Any> = Box::new(values);
+    values.downcast().ok().map(|v| *v)
+}
+
+impl<V: 'static, M> From<CyclopsResult<V, M>> for Outcome {
+    fn from(r: CyclopsResult<V, M>) -> Self {
+        Outcome {
+            elapsed: r.elapsed,
+            supersteps: r.supersteps,
+            counters: r.counters,
+            stats: r.stats,
+            replication_factor: r.replication_factor,
+            direct_messages: r.direct_messages,
+            ingress: Some(r.ingress),
+            values_f64: values_f64(r.values),
+        }
+    }
+}
+
+impl<V: 'static, M> From<BspResult<V, M>> for Outcome {
+    fn from(r: BspResult<V, M>) -> Self {
+        Outcome {
+            elapsed: r.elapsed,
+            supersteps: r.supersteps,
+            counters: r.counters,
+            stats: r.stats,
+            replication_factor: 0.0,
+            direct_messages: 0,
+            ingress: None,
+            values_f64: values_f64(r.values),
+        }
+    }
+}
+
+impl<V: 'static> From<GasResult<V>> for Outcome {
+    fn from(r: GasResult<V>) -> Self {
+        Outcome {
+            elapsed: r.elapsed,
+            supersteps: r.supersteps,
+            counters: r.counters,
+            stats: r.stats,
+            replication_factor: r.replication_factor,
+            direct_messages: 0,
+            ingress: None,
+            values_f64: values_f64(r.values),
+        }
+    }
+}
+
+/// Runs `workload` on the Hama baseline: its BSP program, the superstep cap
+/// that program needs (one more than its Cyclops twin where superstep 0 only
+/// seeds), and the combiner where the program defines one.
 pub fn run_on_hama(
     workload: &Workload,
     graph: &Graph,
@@ -171,233 +225,168 @@ pub fn run_on_hama(
     cluster: &ClusterSpec,
     fraction: f64,
 ) -> Outcome {
+    let config = |max_supersteps| BspConfig {
+        cluster: *cluster,
+        max_supersteps,
+        ..Default::default()
+    };
     match workload.algo {
-        Algo::PageRank => {
-            let r = run_bsp_pagerank(graph, partition, cluster, PR_EPSILON, PR_MAX_SUPERSTEPS);
-            Outcome {
-                elapsed: r.elapsed,
-                supersteps: r.supersteps,
-                counters: r.counters,
-                stats: r.stats,
-                replication_factor: 0.0,
-                direct_messages: 0,
-                ingress: None,
-                values_f64: Some(r.values),
-            }
-        }
-        Algo::Als => {
-            let r = run_bsp_als(graph, partition, cluster, als_params(fraction), ALS_ITERS);
-            Outcome {
-                elapsed: r.elapsed,
-                supersteps: r.supersteps,
-                counters: r.counters,
-                stats: r.stats,
-                replication_factor: 0.0,
-                direct_messages: 0,
-                ingress: None,
-                values_f64: None,
-            }
-        }
-        Algo::Cd => {
-            let r = run_bsp_cd(graph, partition, cluster, CD_SWEEPS + 1);
-            Outcome {
-                elapsed: r.elapsed,
-                supersteps: r.supersteps,
-                counters: r.counters,
-                stats: r.stats,
-                replication_factor: 0.0,
-                direct_messages: 0,
-                ingress: None,
-                values_f64: None,
-            }
-        }
-        Algo::Sssp => {
-            let r = run_bsp_sssp(graph, partition, cluster, SSSP_SOURCE, 100_000);
-            Outcome {
-                elapsed: r.elapsed,
-                supersteps: r.supersteps,
-                counters: r.counters,
-                stats: r.stats,
-                replication_factor: 0.0,
-                direct_messages: 0,
-                ingress: None,
-                values_f64: Some(r.values),
-            }
-        }
+        Algo::PageRank => run_bsp(
+            &BspPageRank {
+                epsilon: PR_EPSILON,
+            },
+            graph,
+            partition,
+            &BspConfig {
+                use_combiner: true,
+                track_redundant: true,
+                ..config(PR_MAX_SUPERSTEPS)
+            },
+        )
+        .into(),
+        Algo::Als => run_bsp(
+            &BspAls {
+                params: als_params(fraction),
+            },
+            graph,
+            partition,
+            &BspConfig {
+                track_redundant: true,
+                ..config(ALS_ITERS * 2 + 1)
+            },
+        )
+        .into(),
+        Algo::Cd => run_bsp(
+            &BspCommunityDetection,
+            graph,
+            partition,
+            &BspConfig {
+                track_redundant: true,
+                ..config(CD_SWEEPS + 1)
+            },
+        )
+        .into(),
+        Algo::Sssp => run_bsp(
+            &BspSssp {
+                source: SSSP_SOURCE,
+            },
+            graph,
+            partition,
+            &BspConfig {
+                use_combiner: true,
+                ..config(100_000)
+            },
+        )
+        .into(),
     }
 }
 
-/// Runs `workload` on Cyclops (flat) or CyclopsMT, depending on `cluster`.
+/// Runs `workload` on Cyclops (flat) or CyclopsMT, depending on `cluster`,
+/// at hybrid replication degree threshold `replicate_threshold` (`0`: full
+/// replication).
+///
+/// `pr_epsilon` is PageRank's local-error threshold (the other programs
+/// ignore it): [`PR_EPSILON`] for the figures, [`PR_CONVERGENCE_EPSILON`] on
+/// both sides of a hybrid comparison — messaging a cold vertex trades a
+/// replica's *standing* costs (its presence bit in every dense batch, all
+/// run) for a one-shot direct frame, so the byte balance is a steady-state
+/// property, and the quick-mode epsilon stops after a handful of supersteps,
+/// before the standing savings amortize the direct frame's fixed bytes.
 pub fn run_on_cyclops(
     workload: &Workload,
     graph: &Graph,
     partition: &EdgeCutPartition,
     cluster: &ClusterSpec,
     fraction: f64,
-) -> Outcome {
-    match workload.algo {
-        Algo::PageRank => {
-            let r = run_cyclops_pagerank(graph, partition, cluster, PR_EPSILON, PR_MAX_SUPERSTEPS);
-            Outcome {
-                elapsed: r.elapsed,
-                supersteps: r.supersteps,
-                counters: r.counters,
-                stats: r.stats,
-                replication_factor: r.replication_factor,
-                direct_messages: r.direct_messages,
-                ingress: Some(r.ingress),
-                values_f64: Some(r.values),
-            }
-        }
-        Algo::Als => {
-            let r = run_cyclops_als(graph, partition, cluster, als_params(fraction), ALS_ITERS);
-            Outcome {
-                elapsed: r.elapsed,
-                supersteps: r.supersteps,
-                counters: r.counters,
-                stats: r.stats,
-                replication_factor: r.replication_factor,
-                direct_messages: r.direct_messages,
-                ingress: Some(r.ingress),
-                values_f64: None,
-            }
-        }
-        Algo::Cd => {
-            let r = run_cyclops_cd(graph, partition, cluster, CD_SWEEPS);
-            Outcome {
-                elapsed: r.elapsed,
-                supersteps: r.supersteps,
-                counters: r.counters,
-                stats: r.stats,
-                replication_factor: r.replication_factor,
-                direct_messages: r.direct_messages,
-                ingress: Some(r.ingress),
-                values_f64: None,
-            }
-        }
-        Algo::Sssp => {
-            // Bucketed delta-stepping with the auto-tuned width and the
-            // deterministic drain order: the high-diameter road workload is
-            // exactly what the fused-superstep scheduler exists for, and the
-            // distances stay bitwise identical to the unbucketed run (the
-            // Hama baseline above stays unbucketed, as in the paper).
-            let r = run_cyclops_sssp_bucketed(
-                graph,
-                partition,
-                cluster,
-                SSSP_SOURCE,
-                100_000,
-                0.0,
-                cyclops_net::BucketMode::Det,
-                0,
-                None,
-            );
-            Outcome {
-                elapsed: r.elapsed,
-                supersteps: r.supersteps,
-                counters: r.counters,
-                stats: r.stats,
-                replication_factor: r.replication_factor,
-                direct_messages: r.direct_messages,
-                ingress: Some(r.ingress),
-                values_f64: Some(r.values),
-            }
-        }
-    }
-}
-
-/// [`run_on_cyclops`] with a hybrid replication degree threshold (PageRank
-/// and SSSP — the workloads with tuned entry points; the hybrid ablations
-/// run on those, so others panic rather than silently ignoring the
-/// threshold).
-///
-/// `pr_epsilon` sets the PageRank convergence threshold (ignored by SSSP).
-/// Hybrid comparisons should run both sides at
-/// [`PR_CONVERGENCE_EPSILON`]: messaging a cold vertex trades a replica's
-/// *standing* costs (its presence bit in every dense batch, all run) for a
-/// one-shot direct frame, so the byte balance is a steady-state property —
-/// the quick-mode [`PR_EPSILON`] stops after a handful of supersteps,
-/// before the standing savings amortize the direct frame's fixed bytes.
-pub fn run_on_cyclops_threshold(
-    workload: &Workload,
-    graph: &Graph,
-    partition: &EdgeCutPartition,
-    cluster: &ClusterSpec,
-    threshold: u32,
+    replicate_threshold: u32,
     pr_epsilon: f64,
 ) -> Outcome {
-    let from_result = |r: cyclops_engine::CyclopsResult<f64, f64>| Outcome {
-        elapsed: r.elapsed,
-        supersteps: r.supersteps,
-        counters: r.counters,
-        stats: r.stats,
-        replication_factor: r.replication_factor,
-        direct_messages: r.direct_messages,
-        ingress: Some(r.ingress),
-        values_f64: Some(r.values),
+    let config = |max_supersteps| CyclopsConfig {
+        cluster: *cluster,
+        max_supersteps,
+        replicate_threshold,
+        ..Default::default()
     };
     match workload.algo {
-        Algo::PageRank => from_result(run_cyclops_pagerank_tuned(
+        Algo::PageRank => run_cyclops(
+            &CyclopsPageRank {
+                epsilon: pr_epsilon,
+            },
             graph,
             partition,
-            cluster,
-            pr_epsilon,
-            PR_MAX_SUPERSTEPS,
-            cyclops_engine::Sched::default(),
-            cyclops_engine::CyclopsConfig::default().sparse_cutoff,
-            threshold,
-            None,
-        )),
-        Algo::Sssp => from_result(run_cyclops_sssp_bucketed(
+            &config(PR_MAX_SUPERSTEPS),
+        )
+        .into(),
+        Algo::Als => run_cyclops(
+            &CyclopsAls {
+                params: als_params(fraction),
+            },
             graph,
             partition,
-            cluster,
-            SSSP_SOURCE,
-            100_000,
-            0.0,
-            cyclops_net::BucketMode::Det,
-            threshold,
-            None,
-        )),
-        _ => panic!("hybrid replication runs are wired for PageRank and SSSP only"),
+            &config(ALS_ITERS * 2),
+        )
+        .into(),
+        Algo::Cd => run_cyclops(
+            &CyclopsCommunityDetection,
+            graph,
+            partition,
+            &config(CD_SWEEPS),
+        )
+        .into(),
+        // Bucketed delta-stepping at the auto width (the engine retuning
+        // it) and the deterministic drain order: the high-diameter road
+        // workload is exactly what the fused-superstep scheduler exists
+        // for, and the distances stay bitwise identical to the unbucketed
+        // run (the Hama baseline above stays unbucketed, as in the paper).
+        Algo::Sssp => run_cyclops(
+            &CyclopsSssp {
+                source: SSSP_SOURCE,
+            },
+            graph,
+            partition,
+            &CyclopsConfig {
+                bucket_width: auto_bucket_width(graph),
+                bucket_mode: BucketMode::Det,
+                bucket_adapt: true,
+                ..config(100_000)
+            },
+        )
+        .into(),
     }
 }
 
 /// Runs the PowerGraph baseline (PageRank and SSSP only — the algorithms
-/// the paper compares on it).
+/// the paper compares on it, and the only ones with a GAS program).
 pub fn run_on_gas(
     workload: &Workload,
     graph: &Graph,
     partition: &VertexCutPartition,
     cluster: &ClusterSpec,
 ) -> Outcome {
+    let config = |max_supersteps| GasConfig {
+        cluster: *cluster,
+        max_supersteps,
+        ..Default::default()
+    };
     match workload.algo {
-        Algo::PageRank => {
-            let r = run_gas_pagerank(graph, partition, cluster, PR_EPSILON, PR_MAX_SUPERSTEPS);
-            Outcome {
-                elapsed: r.elapsed,
-                supersteps: r.supersteps,
-                counters: r.counters,
-                stats: r.stats,
-                replication_factor: r.replication_factor,
-                direct_messages: 0,
-                ingress: None,
-                values_f64: Some(r.values),
-            }
-        }
-        Algo::Sssp => {
-            let r = run_gas_sssp(graph, partition, cluster, SSSP_SOURCE, 100_000);
-            Outcome {
-                elapsed: r.elapsed,
-                supersteps: r.supersteps,
-                counters: r.counters,
-                stats: r.stats,
-                replication_factor: r.replication_factor,
-                direct_messages: 0,
-                ingress: None,
-                values_f64: Some(r.values),
-            }
-        }
+        Algo::PageRank => run_gas(
+            &GasPageRank {
+                epsilon: PR_EPSILON,
+            },
+            graph,
+            partition,
+            &config(PR_MAX_SUPERSTEPS),
+        )
+        .into(),
+        Algo::Sssp => run_gas(
+            &GasSssp {
+                source: SSSP_SOURCE,
+            },
+            graph,
+            partition,
+            &config(100_000),
+        )
+        .into(),
         _ => panic!("the GAS baseline runs PageRank and SSSP only"),
     }
 }
@@ -415,7 +404,7 @@ mod tests {
             let cluster = ClusterSpec::flat(2, 2);
             let p = HashPartitioner.partition(&g, 4);
             let hama = run_on_hama(&w, &g, &p, &cluster, fraction);
-            let cy = run_on_cyclops(&w, &g, &p, &cluster, fraction);
+            let cy = run_on_cyclops(&w, &g, &p, &cluster, fraction, 0, PR_EPSILON);
             assert!(hama.supersteps > 0, "{w:?}");
             assert!(cy.supersteps > 0, "{w:?}");
             if let (Some(a), Some(b)) = (&hama.values_f64, &cy.values_f64) {

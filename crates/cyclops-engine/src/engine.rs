@@ -150,10 +150,6 @@ pub struct CyclopsConfig {
     pub checkpoint_every: Option<usize>,
     /// Cost model for cross-machine traffic (default: ideal / zero delay).
     pub network: cyclops_net::NetworkModel,
-    /// Reuse per-lane encode buffers for cross-machine batches (default
-    /// true). Off only in the ablation bench, which quantifies the
-    /// allocation cost the pool removes (Table 2).
-    pub pooled: bool,
     /// Sparse-superstep fast path threshold, as a fraction of a worker's
     /// local masters: when a worker's frontier falls below
     /// `sparse_cutoff × num_masters`, the superstep runs on a single
@@ -219,7 +215,6 @@ impl Default for CyclopsConfig {
             convergence: Convergence::ActiveVertices,
             checkpoint_every: None,
             network: cyclops_net::NetworkModel::ideal(),
-            pooled: true,
             sparse_cutoff: 0.015,
             bucket_width: 0.0,
             bucket_mode: BucketMode::Det,
@@ -550,7 +545,7 @@ pub fn run_cyclops_with_plan_traced<P: CyclopsProgram>(
         threads,
         receivers: spec.receivers_per_worker.min(threads),
         shared,
-        transport: Transport::with_pooling(spec, InboxMode::Sharded, config.network, config.pooled),
+        transport: Transport::with_network(spec, InboxMode::Sharded, config.network),
         direct_messages: AtomicUsize::new(0),
         barrier: HierarchicalBarrier::new(num_workers, threads),
         stop: AtomicBool::new(false),

@@ -207,9 +207,8 @@ impl RunCounters {
         self.bytes.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Adds to the message-buffer allocation accounting (Table 2). Pooled
-    /// send paths charge only the capacity-growth delta of the reused
-    /// buffer; unpooled paths charge the full fresh allocation.
+    /// Adds to the message-buffer allocation accounting (Table 2): the send
+    /// path charges only the capacity-growth delta of the reused buffer.
     #[inline]
     pub fn add_alloc(&self, n: usize) {
         self.message_bytes_allocated

@@ -128,9 +128,6 @@ pub struct Transport<M> {
     /// O(messages). Each lane has exactly one sending thread, so the lock
     /// is uncontended.
     pool: Vec<Mutex<BytesMut>>,
-    /// Whether sends use the buffer pool (the ablation dial; `true`
-    /// everywhere outside the ablation bench).
-    pooled: bool,
     network: NetworkModel,
     counters: RunCounters,
     /// Registry handles resolved once at construction; `None` (no global
@@ -161,9 +158,8 @@ struct TransportObs {
     /// `cyclops_inbox_lane_depth{mode}` — messages per lane at drain time.
     lane_depth: Arc<LogLinearHistogram>,
     /// `cyclops_send_alloc_bytes{mode}` — bytes *allocated* per
-    /// cross-machine batch (capacity growth of the pooled buffer, or the
-    /// full fresh allocation when pooling is off). A healthy pooled run
-    /// records almost all zeros.
+    /// cross-machine batch: the capacity growth of the sender lane's pooled
+    /// buffer. A warm run records almost all zeros.
     send_alloc_bytes: Arc<LogLinearHistogram>,
     /// `cyclops_wire_mode_batches{mode,wire_mode}` — cross-machine batches
     /// per adaptive encoding mode (`legacy` / `sparse` / `dense`), indexed
@@ -286,18 +282,6 @@ impl<M: WireFormat + Send> Transport<M> {
     /// cross-machine batch: the sending thread sleeps for the modeled
     /// transmission time, exactly like a sender blocked on a saturated NIC.
     pub fn with_network(spec: ClusterSpec, mode: InboxMode, network: NetworkModel) -> Self {
-        Self::with_pooling(spec, mode, network, true)
-    }
-
-    /// Like [`Self::with_network`] with explicit control over send-buffer
-    /// pooling. Pooling is on everywhere except the ablation bench, which
-    /// turns it off to quantify the allocation cost it removes.
-    pub fn with_pooling(
-        spec: ClusterSpec,
-        mode: InboxMode,
-        network: NetworkModel,
-        pooled: bool,
-    ) -> Self {
         let w = spec.num_workers();
         let lanes_per_receiver = match mode {
             InboxMode::GlobalQueue => 1,
@@ -338,7 +322,6 @@ impl<M: WireFormat + Send> Transport<M> {
             lanes: [make(), make()],
             dirty: [make_dirty(), make_dirty()],
             pool,
-            pooled,
             network,
             counters: RunCounters::default(),
             obs: TransportObs::resolve(mode),
@@ -388,37 +371,24 @@ impl<M: WireFormat + Send> Transport<M> {
         let count = msgs.len();
         self.counters.add_messages(count);
         let (payload, receipt, alloc, saved) = if self.spec.crosses_machines(from_worker, to) {
-            // Encode-buffer growth (and the ablation baseline's fresh
-            // buffers) are send-pool bytes for the tracking allocator.
+            // Encode-buffer growth is send-pool bytes for the tracking
+            // allocator.
             let _mem = MemScope::enter(Component::SendPool);
             let mut msgs = msgs;
-            let (decoded, stats, bytes, alloc) = if self.pooled {
-                // Serialize into this sender lane's pooled buffer: only
-                // capacity *growth* is a real allocation, and a warm buffer
-                // never grows again. Decoding runs over a borrowed slice so
-                // the pooled allocation survives for the next batch.
-                let mut buf = self.pool[from].lock();
-                let stats = M::wire_encode_batch_into(&mut buf, &mut msgs);
-                let bytes = buf.len();
-                self.wire_delay(msgs.len(), bytes);
-                drop(msgs);
-                // The checked decoder turns a framing bug into a diagnosable
-                // panic instead of an out-of-bounds read deep in the codec.
-                let decoded = M::wire_try_decode_batch(&mut &buf[..])
-                    .expect("simulated wire corrupted: the frame just encoded did not decode");
-                (decoded, stats, bytes, stats.grown)
-            } else {
-                // Unpooled (ablation baseline): every batch is a fresh
-                // allocation, charged in full.
-                let mut buf = BytesMut::new();
-                let stats = M::wire_encode_batch_into(&mut buf, &mut msgs);
-                let bytes = buf.len();
-                self.wire_delay(msgs.len(), bytes);
-                drop(msgs);
-                let decoded = M::wire_try_decode_batch(&mut &buf[..])
-                    .expect("simulated wire corrupted: the frame just encoded did not decode");
-                (decoded, stats, bytes, bytes)
-            };
+            // Serialize into this sender lane's pooled buffer: only capacity
+            // *growth* is a real allocation, and a warm buffer never grows
+            // again. Decoding runs over a borrowed slice so the pooled
+            // allocation survives for the next batch.
+            let mut buf = self.pool[from].lock();
+            let stats = M::wire_encode_batch_into(&mut buf, &mut msgs);
+            let (bytes, alloc) = (buf.len(), stats.grown);
+            self.wire_delay(msgs.len(), bytes);
+            drop(msgs);
+            // The checked decoder turns a framing bug into a diagnosable
+            // panic instead of an out-of-bounds read deep in the codec.
+            let decoded = M::wire_try_decode_batch(&mut &buf[..])
+                .expect("simulated wire corrupted: the frame just encoded did not decode");
+            drop(buf);
             self.counters.add_bytes(bytes);
             if alloc > 0 {
                 self.counters.add_alloc(alloc);
@@ -684,22 +654,6 @@ mod tests {
             snap.bytes
         );
         assert!(snap.message_bytes_allocated > 0, "cold buffer did allocate");
-    }
-
-    #[test]
-    fn unpooled_sends_allocate_every_batch() {
-        let t: Transport<(u32, f64)> =
-            Transport::with_pooling(spec(), InboxMode::Sharded, NetworkModel::ideal(), false);
-        let batch: Vec<(u32, f64)> = (0..64).map(|i| (i, i as f64)).collect();
-        for epoch in 0..10 {
-            t.send(0, 2, batch.clone(), epoch);
-            t.drain(2, epoch + 1);
-        }
-        let snap = t.counters().snapshot();
-        assert_eq!(
-            snap.message_bytes_allocated as usize, snap.bytes,
-            "unpooled path allocates exactly its wire bytes"
-        );
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! visible.
 
 use cyclops::prelude::*;
-use cyclops_algos::cd::run_cyclops_cd;
+use cyclops_algos::cd::CyclopsCommunityDetection;
 
 fn main() {
     let graph = Dataset::Dblp.generate_scaled(0.3, Dataset::Dblp.default_seed());
@@ -30,7 +30,13 @@ fn main() {
             .replication_factor(&graph)
     );
 
-    let result = run_cyclops_cd(&graph, &partition, &cluster, 30);
+    // One label-propagation sweep per superstep: at most 30 sweeps.
+    let config = CyclopsConfig {
+        cluster,
+        max_supersteps: 30,
+        ..Default::default()
+    };
+    let result = run_cyclops(&CyclopsCommunityDetection, &graph, &partition, &config);
 
     println!("\nactivity per superstep (dynamic computation):");
     for s in &result.stats {

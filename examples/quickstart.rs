@@ -10,7 +10,6 @@
 //! communication statistics.
 
 use cyclops::prelude::*;
-use cyclops_algos::pagerank::run_cyclops_pagerank;
 
 fn main() {
     // A small directed web graph: vertex ids are "pages", edges are links.
@@ -35,8 +34,19 @@ fn main() {
     let cluster = ClusterSpec::flat(3, 1);
     let partition = HashPartitioner.partition(&graph, cluster.num_workers());
 
-    // Run to a per-vertex error of 1e-9 (at most 200 supersteps).
-    let result = run_cyclops_pagerank(&graph, &partition, &cluster, 1e-9, 200);
+    // A run is a program and the engine's one config, handed to the engine:
+    // PageRank to a per-vertex error of 1e-9, at most 200 supersteps.
+    let config = CyclopsConfig {
+        cluster,
+        max_supersteps: 200,
+        ..Default::default()
+    };
+    let result = run_cyclops(
+        &CyclopsPageRank { epsilon: 1e-9 },
+        &graph,
+        &partition,
+        &config,
+    );
 
     println!("PageRank over {} supersteps:", result.supersteps);
     let mut ranked: Vec<(u32, f64)> = result

@@ -10,7 +10,7 @@
 //! prints recommendations for one user.
 
 use cyclops::prelude::*;
-use cyclops_algos::als::{rating_rmse, run_cyclops_als, AlsParams};
+use cyclops_algos::als::{rating_rmse, AlsParams, CyclopsAls};
 use cyclops_algos::linalg::dot;
 use cyclops_graph::gen::bipartite_ratings;
 
@@ -34,7 +34,13 @@ fn main() {
     let mut factors = Vec::new();
     for iters in [1usize, 2, 4, 8] {
         let partition = HashPartitioner.partition(&graph, cluster.num_workers());
-        let result = run_cyclops_als(&graph, &partition, &cluster, params, iters);
+        // One ALS iteration is two supersteps: users solve, then movies.
+        let config = CyclopsConfig {
+            cluster,
+            max_supersteps: iters * 2,
+            ..Default::default()
+        };
+        let result = run_cyclops(&CyclopsAls { params }, &graph, &partition, &config);
         let rmse = rating_rmse(&graph, &result.values);
         println!("{iters:<10} {rmse:>8.4}");
         factors = result.values;

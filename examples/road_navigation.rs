@@ -6,7 +6,7 @@
 //! ```
 
 use cyclops::prelude::*;
-use cyclops_algos::sssp::run_cyclops_sssp;
+use cyclops_algos::sssp::CyclopsSssp;
 use cyclops_graph::gen::road_lattice;
 use cyclops_graph::reference;
 
@@ -22,7 +22,13 @@ fn main() {
     let cluster = ClusterSpec::flat(4, 2);
     let partition = MultilevelPartitioner::default().partition(&graph, cluster.num_workers());
     let source = 0;
-    let result = run_cyclops_sssp(&graph, &partition, &cluster, source, 100_000);
+    // To quiescence: the cap is far above the grid's diameter.
+    let config = CyclopsConfig {
+        cluster,
+        max_supersteps: 100_000,
+        ..Default::default()
+    };
+    let result = run_cyclops(&CyclopsSssp { source }, &graph, &partition, &config);
 
     // The push-mode frontier: a wave expanding from the source.
     println!("\nfrontier size per superstep (first 30):");

@@ -11,7 +11,9 @@
 //! and no 5-message GAS round-trips).
 
 use cyclops::prelude::*;
-use cyclops_algos::pagerank::{run_bsp_pagerank, run_cyclops_pagerank, run_gas_pagerank};
+use cyclops_algos::pagerank::{BspPageRank, GasPageRank};
+use cyclops_bsp::{run_bsp, BspConfig};
+use cyclops_gas::{run_gas, GasConfig};
 use cyclops_partition::{RandomVertexCut, VertexCutPartitioner};
 
 fn main() {
@@ -27,9 +29,42 @@ fn main() {
     let edge_cut = HashPartitioner.partition(&graph, cluster.num_workers());
     let vertex_cut = RandomVertexCut::default().partition(&graph, cluster.num_workers());
 
-    let hama = run_bsp_pagerank(&graph, &edge_cut, &cluster, epsilon, 300);
-    let cyclops = run_cyclops_pagerank(&graph, &edge_cut, &cluster, epsilon, 300);
-    let gas = run_gas_pagerank(&graph, &vertex_cut, &cluster, epsilon, 300);
+    // The same program on each engine, each with that engine's one config.
+    // Hama's PageRank combines rank shares bound for one vertex, and its
+    // redundant re-broadcasts are counted (Figure 3).
+    let max_supersteps = 300;
+    let hama = run_bsp(
+        &BspPageRank { epsilon },
+        &graph,
+        &edge_cut,
+        &BspConfig {
+            cluster,
+            max_supersteps,
+            use_combiner: true,
+            track_redundant: true,
+            ..Default::default()
+        },
+    );
+    let cyclops = run_cyclops(
+        &CyclopsPageRank { epsilon },
+        &graph,
+        &edge_cut,
+        &CyclopsConfig {
+            cluster,
+            max_supersteps,
+            ..Default::default()
+        },
+    );
+    let gas = run_gas(
+        &GasPageRank { epsilon },
+        &graph,
+        &vertex_cut,
+        &GasConfig {
+            cluster,
+            max_supersteps,
+            ..Default::default()
+        },
+    );
 
     println!(
         "\n{:<12} {:>10} {:>12} {:>14} {:>10}",

@@ -1,98 +1,23 @@
 //! `cyclops` — command-line driver for the graph engines.
 //!
-//! ```text
-//! cyclops <command> [options]
+//! `cyclops help` prints the manual — [`HELP`], at the end of this file:
+//! every command, flag and default, and which flag is refused where and why.
 //!
-//! commands:
-//!   pagerank    PageRank ranks
-//!   sssp        single-source shortest paths (needs weights or unit)
-//!   bfs         hop levels from a source
-//!   cc          weakly connected components
-//!   cd          community detection (label propagation)
-//!   triangles   triangle count
-//!   gen         generate a dataset stand-in as an edge list
-//!   info        graph statistics
-//!   trace-diff  compare two superstep traces: `trace-diff A B [--values]`
-//!   metrics     summarize a trace: per-phase p50/p90/p99 + sparklines
-//!   top         live dashboard tailing a streaming trace file
-//!   why-slow    critical-path profile of a trace: straggler attribution,
-//!               hot-vertex table, per-superstep spans (`--json` for machines)
-//!   timeline    span-level timeline of a trace; `--chrome OUT.json` exports
-//!               Chrome trace-event JSON (chrome://tracing, Perfetto)
-//!   comm        worker-pair communication matrix: heatmap + row-sum check
-//!   mem         per-worker/per-component peak-memory table from a `--mem`
-//!               trace (`--json` for machines)
+//! Six commands run a vertex program (`pagerank`, `sssp`, `bfs`, `cc`, `cd`,
+//! `triangles`) on `--engine cyclops|hama`; `gen` and `info` make and
+//! describe graphs; `trace-diff`, `metrics`, `top`, `why-slow`, `timeline`,
+//! `comm` and `mem` read the trace file a run wrote with `--trace`.
 //!
-//! input (choose one):
-//!   --input FILE          edge-list file ("src dst [weight]" per line)
-//!   --dataset NAME        Amazon|GWeb|LJournal|Wiki|SYN-GL|DBLP|RoadCA
-//!   --scale F             dataset scale fraction (default 0.1)
-//!
-//! execution:
-//!   --engine E            cyclops (default) | hama
-//!   --machines M          simulated machines (default 2)
-//!   --workers W           workers per machine (default 2)
-//!   --threads T           compute threads per worker (default 1)
-//!   --receivers R         receiver threads per worker (default 1)
-//!   --partitioner P       hash (default) | metis
-//!   --inbox MODE          hama inbox: global (default) | sharded
-//!   --sched S             cyclops compute scheduler: static |
-//!                         dynamic (default, degree-weighted chunk claiming)
-//!   --sparse-cutoff F     sparse-superstep fast path: engage when the
-//!                         frontier is below F of local masters
-//!                         (default 0.015; 0 disables; results identical)
-//!   --bucket-width D      bucketed (delta-stepping) sssp or hop-ring
-//!                         bfs: drain one priority bucket of width D per
-//!                         superstep (`auto` tunes from the mean edge
-//!                         weight; default 0 = off; results identical)
-//!   --bucket-mode M       bucket drain order: det (default, reproducible
-//!                         schedule) | fast (arrival order)
-//!   --replicate-threshold N|auto  hybrid replication: boundary vertices
-//!                         with combined degree below N get no replica —
-//!                         their cross-worker edges are messaged directly
-//!                         (`auto` picks the threshold minimizing modeled
-//!                         update traffic; default 0 = replicate every
-//!                         boundary vertex; results identical)
-//!   --migrate off|K|auto  runtime hot-vertex migration (cyclops engine,
-//!                         pagerank/sssp): every K supersteps move hot
-//!                         masters off the most loaded worker and rewire
-//!                         the plan incrementally, decided from
-//!                         deterministic compute counters (`auto` = every
-//!                         8; default off; results bitwise identical)
-//!   --skew F              pile the first F-fraction of the vertices onto
-//!                         worker 0 before running — a deterministic way
-//!                         to manufacture the imbalance --migrate repairs
-//!
-//! algorithm:
-//!   --epsilon F           convergence threshold (pagerank; default 1e-9)
-//!   --max-supersteps N    superstep cap (default 10000)
-//!   --source V            source vertex (sssp/bfs; default 0)
-//!   --sweeps N            label-propagation sweeps (cd; default 30)
-//!
-//! output:
-//!   --output FILE         write per-vertex results ("vertex value" lines)
-//!   --top N               print the N best-ranked vertices (default 10)
-//!   --seed N              generator seed (gen; default dataset seed)
-//!   --stats               print per-superstep statistics
-//!   --trace FILE          write a superstep trace (JSON lines;
-//!                         pagerank, and sssp/cc on the cyclops engine)
-//!   --stream              stream the trace to FILE mid-run (no ring cap)
-//!   --values              capture/compare per-publication value digests
-//!   --prom FILE           write Prometheus metrics exposition after the run
-//!   --listen ADDR         serve GET /metrics + /healthz live during the run
-//!   --hot K               per-worker hot-vertex top-K sketch in the trace
-//!   --flight              record flight-recorder spans during the run and
-//!                         append them to the trace file (needs --trace)
-//!   --mem                 arm the tracking allocator and append per-superstep
-//!                         memory samples to the trace file (needs --trace;
-//!                         results and trace records stay identical)
-//!   --chrome FILE         timeline: write Chrome trace-event JSON to FILE
-//!   --json                why-slow: emit the report as JSON
-//!   --once                top: render one frame and exit
-//!   --refresh-ms N        top: refresh interval (default 500)
-//! ```
+//! There is one way a command runs: `run` maps [`Options`] to each engine's
+//! one config once, the command adds its program and its superstep cap, and
+//! [`drive_cyclops`] / [`drive_hama`] do the rest (sink, run, report lines),
+//! so an execution flag reaches every command on every engine that has the
+//! dial, and what is refused is an error with a reason, never a dropped flag.
 
 use cyclops::prelude::*;
+use cyclops_bsp::{run_bsp_traced, BspConfig, BspProgram};
+use cyclops_engine::{run_cyclops_migrated_traced, run_cyclops_traced, CyclopsProgram};
+use cyclops_net::SuperstepStats;
 use cyclops_partition::EdgeCutPartition;
 use std::io::Write;
 use std::process::ExitCode;
@@ -116,7 +41,8 @@ struct Options {
     receivers: usize,
     partitioner: String,
     epsilon: f64,
-    max_supersteps: usize,
+    /// `--max-supersteps`; absent, each command keeps its own cap.
+    max_supersteps: Option<usize>,
     source: u32,
     sweeps: usize,
     output: Option<String>,
@@ -165,7 +91,7 @@ impl Default for Options {
             receivers: 1,
             partitioner: "hash".into(),
             epsilon: 1e-9,
-            max_supersteps: 10_000,
+            max_supersteps: None,
             source: 0,
             sweeps: 30,
             output: None,
@@ -206,6 +132,14 @@ impl Default for Options {
     }
 }
 
+/// Parses one flag's value, naming the flag in the error.
+fn parsed<T: std::str::FromStr>(flag: &str, value: String) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value.parse().map_err(|e| format!("{flag}: {e}"))
+}
+
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options::default();
     let mut it = args.iter();
@@ -214,140 +148,76 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         .ok_or_else(|| "missing command; try `cyclops help`".to_string())?
         .clone();
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
+        let mut value = || {
             it.next()
                 .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
+                .ok_or_else(|| format!("{flag} needs a value"))
         };
         match flag.as_str() {
-            "--input" => opts.input = Some(value("--input")?),
-            "--dataset" => opts.dataset = Some(value("--dataset")?),
-            "--scale" => {
-                opts.scale = value("--scale")?
-                    .parse()
-                    .map_err(|e| format!("--scale: {e}"))?
-            }
-            "--engine" => opts.engine = value("--engine")?,
-            "--machines" => {
-                opts.machines = value("--machines")?
-                    .parse()
-                    .map_err(|e| format!("--machines: {e}"))?
-            }
-            "--workers" => {
-                opts.workers = value("--workers")?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?
-            }
-            "--threads" => {
-                opts.threads = value("--threads")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?
-            }
-            "--receivers" => {
-                opts.receivers = value("--receivers")?
-                    .parse()
-                    .map_err(|e| format!("--receivers: {e}"))?
-            }
-            "--partitioner" => opts.partitioner = value("--partitioner")?,
-            "--epsilon" => {
-                opts.epsilon = value("--epsilon")?
-                    .parse()
-                    .map_err(|e| format!("--epsilon: {e}"))?
-            }
-            "--max-supersteps" => {
-                opts.max_supersteps = value("--max-supersteps")?
-                    .parse()
-                    .map_err(|e| format!("--max-supersteps: {e}"))?
-            }
-            "--source" => {
-                opts.source = value("--source")?
-                    .parse()
-                    .map_err(|e| format!("--source: {e}"))?
-            }
-            "--sweeps" => {
-                opts.sweeps = value("--sweeps")?
-                    .parse()
-                    .map_err(|e| format!("--sweeps: {e}"))?
-            }
-            "--output" => opts.output = Some(value("--output")?),
-            "--top" => opts.top = value("--top")?.parse().map_err(|e| format!("--top: {e}"))?,
-            "--seed" => {
-                opts.seed = Some(
-                    value("--seed")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?,
-                )
-            }
+            "--input" => opts.input = Some(value()?),
+            "--dataset" => opts.dataset = Some(value()?),
+            "--scale" => opts.scale = parsed(flag, value()?)?,
+            "--engine" => opts.engine = value()?,
+            "--machines" => opts.machines = parsed(flag, value()?)?,
+            "--workers" => opts.workers = parsed(flag, value()?)?,
+            "--threads" => opts.threads = parsed(flag, value()?)?,
+            "--receivers" => opts.receivers = parsed(flag, value()?)?,
+            "--partitioner" => opts.partitioner = value()?,
+            "--epsilon" => opts.epsilon = parsed(flag, value()?)?,
+            "--max-supersteps" => opts.max_supersteps = Some(parsed(flag, value()?)?),
+            "--source" => opts.source = parsed(flag, value()?)?,
+            "--sweeps" => opts.sweeps = parsed(flag, value()?)?,
+            "--output" => opts.output = Some(value()?),
+            "--top" => opts.top = parsed(flag, value()?)?,
+            "--seed" => opts.seed = Some(parsed(flag, value()?)?),
             "--stats" => opts.stats = true,
-            "--trace" => opts.trace = Some(value("--trace")?),
+            "--trace" => opts.trace = Some(value()?),
             "--stream" => opts.stream = true,
             "--values" => opts.values = true,
             "--values-only" => opts.values_only = true,
-            "--inbox" => opts.inbox = value("--inbox")?,
-            "--sched" => opts.sched = value("--sched")?,
-            "--sparse-cutoff" => {
-                opts.sparse_cutoff = value("--sparse-cutoff")?
-                    .parse()
-                    .map_err(|e| format!("--sparse-cutoff: {e}"))?
-            }
+            "--inbox" => opts.inbox = value()?,
+            "--sched" => opts.sched = value()?,
+            "--sparse-cutoff" => opts.sparse_cutoff = parsed(flag, value()?)?,
+            // `auto` / `off` are kept beside a zeroed number, so a later
+            // explicit value overrides an earlier keyword and vice versa.
             "--bucket-width" => {
-                let v = value("--bucket-width")?;
-                if v == "auto" {
-                    opts.bucket_auto = true;
-                    opts.bucket_width = 0.0;
+                let v = value()?;
+                opts.bucket_auto = v == "auto";
+                opts.bucket_width = if opts.bucket_auto {
+                    0.0
                 } else {
-                    opts.bucket_auto = false;
-                    opts.bucket_width = v.parse().map_err(|e| format!("--bucket-width: {e}"))?;
-                }
+                    parsed(flag, v)?
+                };
             }
-            "--bucket-mode" => opts.bucket_mode = value("--bucket-mode")?,
+            "--bucket-mode" => opts.bucket_mode = value()?,
             "--replicate-threshold" => {
-                let v = value("--replicate-threshold")?;
-                if v == "auto" {
-                    opts.replicate_auto = true;
-                    opts.replicate_threshold = 0;
+                let v = value()?;
+                opts.replicate_auto = v == "auto";
+                opts.replicate_threshold = if opts.replicate_auto {
+                    0
                 } else {
-                    opts.replicate_auto = false;
-                    opts.replicate_threshold = v
-                        .parse()
-                        .map_err(|e| format!("--replicate-threshold: {e}"))?;
-                }
+                    parsed(flag, v)?
+                };
             }
             "--migrate" => {
-                let v = value("--migrate")?;
-                match v.as_str() {
-                    "off" => {
-                        opts.migrate_auto = false;
-                        opts.migrate_every = 0;
-                    }
-                    "auto" => {
-                        opts.migrate_auto = true;
-                        opts.migrate_every = 0;
-                    }
-                    _ => {
-                        opts.migrate_auto = false;
-                        opts.migrate_every = v.parse().map_err(|e| format!("--migrate: {e}"))?;
-                    }
-                }
+                let v = value()?;
+                opts.migrate_auto = v == "auto";
+                opts.migrate_every = if opts.migrate_auto || v == "off" {
+                    0
+                } else {
+                    parsed(flag, v)?
+                };
             }
-            "--skew" => {
-                opts.skew = value("--skew")?
-                    .parse()
-                    .map_err(|e| format!("--skew: {e}"))?
-            }
-            "--prom" => opts.prom = Some(value("--prom")?),
-            "--listen" => opts.listen = Some(value("--listen")?),
-            "--hot" => opts.hot = value("--hot")?.parse().map_err(|e| format!("--hot: {e}"))?,
+            "--skew" => opts.skew = parsed(flag, value()?)?,
+            "--prom" => opts.prom = Some(value()?),
+            "--listen" => opts.listen = Some(value()?),
+            "--hot" => opts.hot = parsed(flag, value()?)?,
             "--flight" => opts.flight = true,
             "--mem" => opts.mem = true,
-            "--chrome" => opts.chrome = Some(value("--chrome")?),
+            "--chrome" => opts.chrome = Some(value()?),
             "--json" => opts.json = true,
             "--once" => opts.once = true,
-            "--refresh-ms" => {
-                opts.refresh_ms = value("--refresh-ms")?
-                    .parse()
-                    .map_err(|e| format!("--refresh-ms: {e}"))?
-            }
+            "--refresh-ms" => opts.refresh_ms = parsed(flag, value()?)?,
             other if !other.starts_with('-') => opts.positional.push(other.to_string()),
             other => return Err(format!("unknown flag {other}")),
         }
@@ -413,19 +283,6 @@ fn build_cluster(opts: &Options) -> ClusterSpec {
     }
 }
 
-/// Resolves `--replicate-threshold` against the run's actual graph and
-/// partition (`auto` models replica-update vs direct-message traffic from
-/// the boundary degree histogram and picks the argmin).
-fn resolve_replicate_threshold(opts: &Options, g: &Graph, partition: &EdgeCutPartition) -> u32 {
-    if opts.replicate_auto {
-        let t = partition.auto_replicate_threshold(g);
-        println!("replicate-threshold: auto -> {t}");
-        t
-    } else {
-        opts.replicate_threshold
-    }
-}
-
 /// Prints the hybrid-replication summary line (stable `key=value` fields,
 /// greppable by CI) and publishes the replication-mode metrics to the
 /// global registry when one is installed.
@@ -467,18 +324,6 @@ fn build_partition(opts: &Options, g: &Graph, k: usize) -> Result<EdgeCutPartiti
         }
     }
     Ok(p)
-}
-
-/// Resolves `--migrate` to a concrete epoch length in supersteps (0 = off).
-/// `auto` re-plans every 8 supersteps — short enough to catch a drifting
-/// hot set, long enough that the per-epoch stop/replan cost amortizes.
-fn resolve_migrate_every(opts: &Options) -> usize {
-    if opts.migrate_auto {
-        println!("migrate: auto -> every 8");
-        8
-    } else {
-        opts.migrate_every
-    }
 }
 
 /// Prints the migration summary line (stable `key=value` fields, greppable
@@ -621,7 +466,7 @@ fn finish_sink(opts: &Options, sink: Option<cyclops_net::trace::TraceSink>) -> R
     Ok(())
 }
 
-fn print_stats(stats: &[cyclops_net::SuperstepStats]) {
+fn print_stats(stats: &[SuperstepStats]) {
     println!("superstep  active  messages  bytes");
     for s in stats {
         println!(
@@ -631,9 +476,108 @@ fn print_stats(stats: &[cyclops_net::SuperstepStats]) {
     }
 }
 
+/// What a run command's summary reads, whichever engine produced it.
+struct Ran<V> {
+    values: Vec<V>,
+    supersteps: usize,
+    messages: usize,
+    stats: Vec<SuperstepStats>,
+}
+
+impl<V: std::fmt::Display> Ran<V> {
+    /// `--stats` and `--output`, after the command's own summary lines.
+    fn finish(&self, opts: &Options) -> Result<(), String> {
+        if opts.stats {
+            print_stats(&self.stats);
+        }
+        if let Some(path) = &opts.output {
+            write_output(path, &self.values)?;
+        }
+        Ok(())
+    }
+}
+
+/// The one way a command runs on the Cyclops engine: resolve
+/// `--replicate-threshold` against the graph and partition the run really
+/// uses, build the trace sink, run plain or with `--migrate`, print the
+/// report lines, finish the sink. `config` arrives with everything else the
+/// flags and the command decided.
+fn drive_cyclops<P: CyclopsProgram>(
+    opts: &Options,
+    program: &P,
+    g: &Graph,
+    partition: &EdgeCutPartition,
+    config: CyclopsConfig,
+) -> Result<Ran<P::Value>, String> {
+    let sink = build_sink(opts, "cyclops", &config.cluster)?;
+    // `auto` models replica-update vs direct-message traffic from the
+    // boundary degree histogram and picks the argmin.
+    let replicate_threshold = if opts.replicate_auto {
+        let t = partition.auto_replicate_threshold(g);
+        println!("replicate-threshold: auto -> {t}");
+        t
+    } else {
+        opts.replicate_threshold
+    };
+    let config = CyclopsConfig {
+        replicate_threshold,
+        ..config
+    };
+    // `auto` re-plans every 8 supersteps — short enough to catch a drifting
+    // hot set, long enough that the per-epoch stop/replan cost amortizes.
+    let every = if opts.migrate_auto {
+        println!("migrate: auto -> every 8");
+        8
+    } else {
+        opts.migrate_every
+    };
+    let r = if every > 0 {
+        let (r, migration) = run_cyclops_migrated_traced(
+            program,
+            g,
+            partition,
+            &config,
+            every,
+            cyclops_partition::MigrationConfig::default(),
+            sink.as_ref(),
+        );
+        report_migration(&migration);
+        r
+    } else {
+        run_cyclops_traced(program, g, partition, &config, sink.as_ref())
+    };
+    report_hybrid(config.replicate_threshold, &r);
+    finish_sink(opts, sink)?;
+    Ok(Ran {
+        values: r.values,
+        supersteps: r.supersteps,
+        messages: r.counters.messages,
+        stats: r.stats,
+    })
+}
+
+/// The one way a command runs on the Hama baseline: build the sink, run,
+/// finish the sink. Hama has no replicas and no migration to report.
+fn drive_hama<P: BspProgram>(
+    opts: &Options,
+    program: &P,
+    g: &Graph,
+    partition: &EdgeCutPartition,
+    config: &BspConfig,
+) -> Result<Ran<P::Value>, String> {
+    let sink = build_sink(opts, "bsp", &config.cluster)?;
+    let r = run_bsp_traced(program, g, partition, config, sink.as_ref());
+    finish_sink(opts, sink)?;
+    Ok(Ran {
+        values: r.values,
+        supersteps: r.supersteps,
+        messages: r.counters.messages,
+        stats: r.stats,
+    })
+}
+
 fn run(opts: &Options) -> Result<(), String> {
     if opts.command == "help" || opts.command == "--help" || opts.command == "-h" {
-        // The module doc is the manual.
         print!("{}", HELP);
         return Ok(());
     }
@@ -874,12 +818,17 @@ fn run(opts: &Options) -> Result<(), String> {
         "dynamic" => cyclops_engine::Sched::Dynamic,
         other => return Err(format!("unknown scheduler {other} (static|dynamic)")),
     };
-    let hybrid_requested = opts.replicate_auto || opts.replicate_threshold > 0;
-    if hybrid_requested && use_hama {
+    let bucket_mode = match opts.bucket_mode.as_str() {
+        "fast" => cyclops_net::BucketMode::Fast,
+        _ => cyclops_net::BucketMode::Det,
+    };
+    // The restrictions below are the ones with a reason in an engine; every
+    // other execution flag reaches every command on every engine that has
+    // the dial.
+    let command = opts.command.as_str();
+    // Hama has no replicas to withhold.
+    if (opts.replicate_auto || opts.replicate_threshold > 0) && use_hama {
         return Err("--replicate-threshold needs --engine cyclops".into());
-    }
-    if hybrid_requested && !matches!(opts.command.as_str(), "pagerank" | "sssp" | "cc") {
-        return Err("--replicate-threshold applies to pagerank, sssp, and cc".into());
     }
     let migrate_requested = opts.migrate_auto || opts.migrate_every > 0;
     if migrate_requested && use_hama {
@@ -888,14 +837,52 @@ fn run(opts: &Options) -> Result<(), String> {
     // Aggregate-free programs only: migration regroups the per-worker float
     // reductions, so a program folding a global aggregate could see its
     // convergence decision drift (see `run_cyclops_migrated_traced`).
-    if migrate_requested && !matches!(opts.command.as_str(), "pagerank" | "sssp") {
+    if migrate_requested && !matches!(command, "pagerank" | "sssp") {
         return Err("--migrate applies to pagerank and sssp".into());
     }
+    let bucketed = opts.bucket_auto || opts.bucket_width > 0.0;
+    // `--bucket-width`, with `auto` resolved to the width the command's
+    // program suggests.
+    let bucket_width_or = |auto: f64| {
+        if opts.bucket_auto {
+            auto
+        } else {
+            opts.bucket_width
+        }
+    };
     // Migration pauses the classic loop on checkpoint epochs; the bucketed
     // settle has its own superstep structure.
-    if migrate_requested && (opts.bucket_auto || opts.bucket_width > 0.0) {
+    if migrate_requested && bucketed {
         return Err("--migrate and --bucket-width are mutually exclusive".into());
     }
+    // Buckets order activations by the program's `priority()`; without one
+    // every activation is due at once and a bucket degrades to fused
+    // asynchronous rounds — another schedule, and for the non-monotone
+    // programs (pagerank, cd) other results.
+    if bucketed && !matches!(command, "sssp" | "bfs") {
+        return Err(
+            "--bucket-width applies to sssp and bfs (the programs that declare a priority)".into(),
+        );
+    }
+    if bucketed && command == "bfs" && use_hama {
+        return Err("--bucket-width with bfs needs --engine cyclops".into());
+    }
+    // Each engine's one config, mapped from the flags once; a command adds
+    // its superstep cap and what only its program knows.
+    let cyclops_base = CyclopsConfig {
+        cluster,
+        sched,
+        sparse_cutoff: opts.sparse_cutoff,
+        bucket_mode,
+        ..Default::default()
+    };
+    let hama_base = BspConfig {
+        cluster,
+        inbox,
+        sparse_cutoff: opts.sparse_cutoff,
+        bucket_mode,
+        ..Default::default()
+    };
     // Install the global metrics registry *before* the engines construct
     // their transports/barriers, so instrumentation handles resolve.
     if opts.prom.is_some() || opts.listen.is_some() {
@@ -927,67 +914,32 @@ fn run(opts: &Options) -> Result<(), String> {
         ));
     }
 
-    match opts.command.as_str() {
+    match command {
         "pagerank" => {
-            let engine = if use_hama { "bsp" } else { "cyclops" };
-            let sink = build_sink(opts, engine, &cluster)?;
-            let (values, supersteps, messages, stats) = if use_hama {
-                let r = cyclops_bsp::run_bsp_traced(
-                    &cyclops_algos::pagerank::BspPageRank {
-                        epsilon: opts.epsilon,
-                    },
-                    &g,
-                    &partition,
-                    &cyclops_bsp::BspConfig {
-                        cluster,
-                        max_supersteps: opts.max_supersteps,
-                        use_combiner: true,
-                        track_redundant: true,
-                        inbox,
-                        sparse_cutoff: opts.sparse_cutoff,
-                        ..Default::default()
-                    },
-                    sink.as_ref(),
-                );
-                (r.values, r.supersteps, r.counters.messages, r.stats)
-            } else {
-                let threshold = resolve_replicate_threshold(opts, &g, &partition);
-                let every = resolve_migrate_every(opts);
-                let r = if every > 0 {
-                    let (r, migration) = cyclops_algos::pagerank::run_cyclops_pagerank_migrated(
-                        &g,
-                        &partition,
-                        &cluster,
-                        opts.epsilon,
-                        opts.max_supersteps,
-                        sched,
-                        opts.sparse_cutoff,
-                        threshold,
-                        every,
-                        cyclops_partition::MigrationConfig::default(),
-                        sink.as_ref(),
-                    );
-                    report_migration(&migration);
-                    r
-                } else {
-                    cyclops_algos::pagerank::run_cyclops_pagerank_tuned(
-                        &g,
-                        &partition,
-                        &cluster,
-                        opts.epsilon,
-                        opts.max_supersteps,
-                        sched,
-                        opts.sparse_cutoff,
-                        threshold,
-                        sink.as_ref(),
-                    )
+            use cyclops_algos::pagerank::{BspPageRank, CyclopsPageRank};
+            let max_supersteps = opts.max_supersteps.unwrap_or(10_000);
+            let epsilon = opts.epsilon;
+            let ran = if use_hama {
+                let config = BspConfig {
+                    max_supersteps,
+                    use_combiner: true,
+                    track_redundant: true,
+                    ..hama_base
                 };
-                report_hybrid(threshold, &r);
-                (r.values, r.supersteps, r.counters.messages, r.stats)
+                drive_hama(opts, &BspPageRank { epsilon }, &g, &partition, &config)?
+            } else {
+                let config = CyclopsConfig {
+                    max_supersteps,
+                    ..cyclops_base
+                };
+                drive_cyclops(opts, &CyclopsPageRank { epsilon }, &g, &partition, config)?
             };
-            finish_sink(opts, sink)?;
-            println!("pagerank: {supersteps} supersteps, {messages} messages");
-            let mut ranked: Vec<(u32, f64)> = values
+            println!(
+                "pagerank: {} supersteps, {} messages",
+                ran.supersteps, ran.messages
+            );
+            let mut ranked: Vec<(u32, f64)> = ran
+                .values
                 .iter()
                 .enumerate()
                 .map(|(v, &r)| (v as u32, r))
@@ -996,226 +948,160 @@ fn run(opts: &Options) -> Result<(), String> {
             for (v, r) in ranked.iter().take(opts.top) {
                 println!("  {v} {r:.6e}");
             }
-            if opts.stats {
-                print_stats(&stats);
-            }
-            if let Some(path) = &opts.output {
-                write_output(path, &values)?;
-            }
+            ran.finish(opts)?;
         }
         "sssp" => {
-            if opts.trace.is_some() && use_hama {
-                return Err("--trace with sssp needs --engine cyclops".into());
-            }
-            let sink = if use_hama {
-                None
-            } else {
-                build_sink(opts, "cyclops", &cluster)?
-            };
-            // `auto` reaches the runners as width 0, which they resolve from
-            // the mean edge weight; an explicit positive width passes through.
-            let bucketed = opts.bucket_auto || opts.bucket_width > 0.0;
-            let bucket_mode = match opts.bucket_mode.as_str() {
-                "fast" => cyclops_net::BucketMode::Fast,
-                _ => cyclops_net::BucketMode::Det,
-            };
-            let (values, supersteps) = if use_hama {
-                let r = if bucketed {
-                    cyclops_algos::sssp::run_bsp_sssp_bucketed(
-                        &g,
-                        &partition,
-                        &cluster,
-                        opts.source,
-                        opts.max_supersteps,
-                        opts.bucket_width,
-                        bucket_mode,
-                    )
-                } else {
-                    cyclops_algos::sssp::run_bsp_sssp(
-                        &g,
-                        &partition,
-                        &cluster,
-                        opts.source,
-                        opts.max_supersteps,
-                    )
+            use cyclops_algos::sssp::{auto_bucket_width, BspSssp, CyclopsSssp};
+            let max_supersteps = opts.max_supersteps.unwrap_or(10_000);
+            let source = opts.source;
+            // `auto` seeds the width from the mean edge weight; on Cyclops
+            // the engine then retunes it from live bucket occupancy.
+            let bucket_width = bucket_width_or(auto_bucket_width(&g));
+            let ran = if use_hama {
+                let config = BspConfig {
+                    max_supersteps,
+                    use_combiner: true,
+                    bucket_width,
+                    ..hama_base
                 };
-                (r.values, r.supersteps)
-            } else if bucketed {
-                let threshold = resolve_replicate_threshold(opts, &g, &partition);
-                let r = cyclops_algos::sssp::run_cyclops_sssp_bucketed(
-                    &g,
-                    &partition,
-                    &cluster,
-                    opts.source,
-                    opts.max_supersteps,
-                    opts.bucket_width,
-                    bucket_mode,
-                    threshold,
-                    sink.as_ref(),
-                );
-                report_hybrid(threshold, &r);
-                (r.values, r.supersteps)
+                drive_hama(opts, &BspSssp { source }, &g, &partition, &config)?
             } else {
-                let threshold = resolve_replicate_threshold(opts, &g, &partition);
-                let every = resolve_migrate_every(opts);
-                let r = if every > 0 {
-                    let (r, migration) = cyclops_algos::sssp::run_cyclops_sssp_migrated(
-                        &g,
-                        &partition,
-                        &cluster,
-                        opts.source,
-                        opts.max_supersteps,
-                        sched,
-                        opts.sparse_cutoff,
-                        threshold,
-                        every,
-                        cyclops_partition::MigrationConfig::default(),
-                        sink.as_ref(),
-                    );
-                    report_migration(&migration);
-                    r
-                } else {
-                    cyclops_algos::sssp::run_cyclops_sssp_tuned(
-                        &g,
-                        &partition,
-                        &cluster,
-                        opts.source,
-                        opts.max_supersteps,
-                        sched,
-                        opts.sparse_cutoff,
-                        threshold,
-                        sink.as_ref(),
-                    )
+                let config = CyclopsConfig {
+                    max_supersteps,
+                    bucket_width,
+                    bucket_adapt: opts.bucket_auto,
+                    ..cyclops_base
                 };
-                report_hybrid(threshold, &r);
-                (r.values, r.supersteps)
+                drive_cyclops(opts, &CyclopsSssp { source }, &g, &partition, config)?
             };
-            finish_sink(opts, sink)?;
-            let reachable = values.iter().filter(|d| d.is_finite()).count();
+            let reachable = ran.values.iter().filter(|d| d.is_finite()).count();
             println!(
-                "sssp from {}: {supersteps} supersteps, {reachable}/{} reachable",
+                "sssp from {}: {} supersteps, {reachable}/{} reachable",
                 opts.source,
+                ran.supersteps,
                 g.num_vertices()
             );
-            if let Some(path) = &opts.output {
-                write_output(path, &values)?;
-            }
+            ran.finish(opts)?;
         }
         "bfs" => {
-            let bucketed = opts.bucket_auto || opts.bucket_width > 0.0;
-            if bucketed && use_hama {
-                return Err("--bucket-width with bfs needs --engine cyclops".into());
-            }
-            let (values, supersteps) = if use_hama {
-                let r = cyclops_algos::bfs::run_bsp_bfs(&g, &partition, &cluster, opts.source);
-                (r.values, r.supersteps)
-            } else if bucketed {
-                // `auto` reaches the runner as width 0, which it resolves
-                // to one hop ring per bucket.
-                let bucket_mode = match opts.bucket_mode.as_str() {
-                    "fast" => cyclops_net::BucketMode::Fast,
-                    _ => cyclops_net::BucketMode::Det,
+            use cyclops_algos::bfs::{BspBfs, CyclopsBfs, UNREACHED};
+            let max_supersteps = opts.max_supersteps.unwrap_or(1_000_000);
+            let source = opts.source;
+            let ran = if use_hama {
+                let config = BspConfig {
+                    max_supersteps,
+                    use_combiner: true,
+                    ..hama_base
                 };
-                let r = cyclops_algos::bfs::run_cyclops_bfs_bucketed(
-                    &g,
-                    &partition,
-                    &cluster,
-                    opts.source,
-                    opts.bucket_width,
-                    bucket_mode,
-                );
-                (r.values, r.supersteps)
+                drive_hama(opts, &BspBfs { source }, &g, &partition, &config)?
             } else {
-                let r = cyclops_algos::bfs::run_cyclops_bfs(&g, &partition, &cluster, opts.source);
-                (r.values, r.supersteps)
+                let config = CyclopsConfig {
+                    max_supersteps,
+                    // `auto` is one hop ring per bucket.
+                    bucket_width: bucket_width_or(1.0),
+                    ..cyclops_base
+                };
+                drive_cyclops(opts, &CyclopsBfs { source }, &g, &partition, config)?
             };
-            let reached = values.iter().filter(|&&l| l != u32::MAX).count();
-            let depth = values
+            let reached = ran.values.iter().filter(|&&l| l != UNREACHED).count();
+            let depth = ran
+                .values
                 .iter()
-                .filter(|&&l| l != u32::MAX)
+                .filter(|&&l| l != UNREACHED)
                 .max()
                 .copied()
                 .unwrap_or(0);
             println!(
-                "bfs from {}: {supersteps} supersteps, {reached}/{} reached, depth {depth}",
+                "bfs from {}: {} supersteps, {reached}/{} reached, depth {depth}",
                 opts.source,
+                ran.supersteps,
                 g.num_vertices()
             );
-            if let Some(path) = &opts.output {
-                write_output(path, &values)?;
-            }
+            ran.finish(opts)?;
         }
         "cc" => {
-            if opts.trace.is_some() && use_hama {
-                return Err("--trace with cc needs --engine cyclops".into());
-            }
-            let sym = cyclops_algos::cc::symmetrize(&g);
-            let partition = build_partition(opts, &sym, cluster.num_workers())?;
-            let sink = if use_hama {
-                None
+            use cyclops_algos::cc::{symmetrize, BspComponents, CyclopsComponents};
+            let max_supersteps = opts.max_supersteps.unwrap_or(100_000);
+            // Weak components: the run partitions, replicates and resolves
+            // `--replicate-threshold auto` against the symmetrized graph.
+            let g = symmetrize(&g);
+            let partition = build_partition(opts, &g, cluster.num_workers())?;
+            let ran = if use_hama {
+                let config = BspConfig {
+                    max_supersteps,
+                    use_combiner: true,
+                    ..hama_base
+                };
+                drive_hama(opts, &BspComponents, &g, &partition, &config)?
             } else {
-                build_sink(opts, "cyclops", &cluster)?
+                let config = CyclopsConfig {
+                    max_supersteps,
+                    ..cyclops_base
+                };
+                drive_cyclops(opts, &CyclopsComponents, &g, &partition, config)?
             };
-            let values = if use_hama {
-                cyclops_algos::cc::run_bsp_cc(&sym, &partition, &cluster).values
-            } else {
-                // Resolved against the symmetrized graph — the one the run
-                // actually partitions and replicates.
-                let threshold = resolve_replicate_threshold(opts, &sym, &partition);
-                let r = cyclops_algos::cc::run_cyclops_cc_tuned(
-                    &sym,
-                    &partition,
-                    &cluster,
-                    sched,
-                    opts.sparse_cutoff,
-                    threshold,
-                    sink.as_ref(),
-                );
-                report_hybrid(threshold, &r);
-                r.values
-            };
-            finish_sink(opts, sink)?;
-            let mut labels = values.clone();
+            let mut labels = ran.values.clone();
             labels.sort_unstable();
             labels.dedup();
             println!("cc: {} components", labels.len());
-            if let Some(path) = &opts.output {
-                write_output(path, &values)?;
-            }
+            ran.finish(opts)?;
         }
         "cd" => {
-            let values = if use_hama {
-                cyclops_algos::cd::run_bsp_cd(&g, &partition, &cluster, opts.sweeps + 1).values
+            use cyclops_algos::cd::{BspCommunityDetection, CyclopsCommunityDetection};
+            // One sweep per superstep; Hama's superstep 0 only seeds.
+            let seed = usize::from(use_hama);
+            let max_supersteps = opts.max_supersteps.unwrap_or(opts.sweeps + seed);
+            let ran = if use_hama {
+                let config = BspConfig {
+                    max_supersteps,
+                    track_redundant: true,
+                    ..hama_base
+                };
+                drive_hama(opts, &BspCommunityDetection, &g, &partition, &config)?
             } else {
-                cyclops_algos::cd::run_cyclops_cd(&g, &partition, &cluster, opts.sweeps).values
+                let config = CyclopsConfig {
+                    max_supersteps,
+                    ..cyclops_base
+                };
+                drive_cyclops(opts, &CyclopsCommunityDetection, &g, &partition, config)?
             };
             let mut sizes: std::collections::HashMap<u32, usize> = std::collections::HashMap::new();
-            for &l in &values {
+            for &l in &ran.values {
                 *sizes.entry(l).or_insert(0) += 1;
             }
             println!(
                 "cd: {} communities after {} sweeps",
                 sizes.len(),
-                opts.sweeps
+                max_supersteps.saturating_sub(seed)
             );
             let mut by_size: Vec<(u32, usize)> = sizes.into_iter().collect();
-            by_size.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
+            // Ties by label, so the listing does not follow the hasher.
+            by_size.sort_by_key(|&(label, n)| (std::cmp::Reverse(n), label));
             for (label, n) in by_size.iter().take(opts.top) {
                 println!("  community {label}: {n} members");
             }
-            if let Some(path) = &opts.output {
-                write_output(path, &values)?;
-            }
+            ran.finish(opts)?;
         }
         "triangles" => {
-            let sym = cyclops_algos::cc::symmetrize(&g);
-            let partition = build_partition(opts, &sym, cluster.num_workers())?;
-            let values = if use_hama {
-                cyclops_algos::triangles::run_bsp_triangles(&sym, &partition, &cluster).values
+            use cyclops_algos::triangles::{BspTriangles, CyclopsTriangles};
+            let max_supersteps = opts.max_supersteps.unwrap_or(4);
+            let g = cyclops_algos::cc::symmetrize(&g);
+            let partition = build_partition(opts, &g, cluster.num_workers())?;
+            let ran = if use_hama {
+                let config = BspConfig {
+                    max_supersteps,
+                    ..hama_base
+                };
+                drive_hama(opts, &BspTriangles, &g, &partition, &config)?
             } else {
-                cyclops_algos::triangles::run_cyclops_triangles(&sym, &partition, &cluster).values
+                let config = CyclopsConfig {
+                    max_supersteps,
+                    ..cyclops_base
+                };
+                drive_cyclops(opts, &CyclopsTriangles, &g, &partition, config)?
             };
-            println!("triangles: {}", values.iter().sum::<u64>());
+            println!("triangles: {}", ran.values.iter().sum::<u64>());
+            ran.finish(opts)?;
         }
         other => return Err(format!("unknown command {other}; try `cyclops help`")),
     }
@@ -1256,23 +1142,42 @@ execution:   --engine cyclops|hama  --machines M --workers W
              --bucket-mode det|fast  det (default) fixes the in-bucket
              drain order for reproducible traces; fast keeps arrival
              order
-             --replicate-threshold N|auto  hybrid replication (cyclops
-             pagerank/sssp/cc): boundary vertices with combined degree
-             below N get no replica — their cross-worker edges receive
-             direct messages instead (auto = modeled-traffic argmin;
-             default 0 = replicate every boundary vertex; results
-             bitwise identical at every threshold)
-             --migrate off|K|auto  runtime hot-vertex migration (cyclops
-             pagerank/sssp): every K supersteps move hot masters off the
-             most loaded worker and rewire the plan incrementally,
-             decided from deterministic compute counters — never clocks
-             (auto = every 8; default off; results bitwise identical)
+             --replicate-threshold N|auto  hybrid replication: boundary
+             vertices with combined degree below N get no replica —
+             their cross-worker edges receive direct messages instead
+             (auto = modeled-traffic argmin; default 0 = replicate every
+             boundary vertex; results bitwise identical at every
+             threshold, on every command)
+             --migrate off|K|auto  runtime hot-vertex migration: every K
+             supersteps move hot masters off the most loaded worker and
+             rewire the plan incrementally, decided from deterministic
+             compute counters — never clocks (auto = every 8; default
+             off; results bitwise identical)
              --skew F  pile the first F-fraction of the vertices onto
              worker 0 before running (deterministic imbalance for
              migration experiments; F in [0, 1))
-algorithm:   --epsilon F  --max-supersteps N  --source V  --sweeps N
-output:      --output FILE  --top N  --stats
-tracing:     --trace FILE (pagerank; sssp/cc on cyclops)  --stream  --values
+             Every execution flag reaches every run command on every
+             engine that has the dial. What is refused, and why:
+               --migrate            cyclops only; pagerank and sssp only
+                                    (migration regroups the per-worker
+                                    float reductions, so a program must
+                                    be aggregate-free, and these two are
+                                    pinned bitwise equal under it); not
+                                    with --bucket-width (the bucketed
+                                    loop has no checkpoint epochs to
+                                    pause on)
+               --bucket-width       sssp on both engines, bfs on cyclops
+                                    (buckets order activations by the
+                                    program's priority(); no other
+                                    program declares one)
+               --replicate-threshold  cyclops only (hama has no replicas)
+algorithm:   --epsilon F  --source V  --sweeps N
+             --max-supersteps N  hard superstep cap on every command
+             (default: pagerank/sssp 10000, bfs 1000000, cc 100000,
+             triangles 4, cd one per --sweeps plus hama's seed superstep)
+output:      --output FILE  --top N  --stats  (every run command)
+tracing:     --trace FILE (every run command, both engines)  --stream
+             --values
              --hot K  per-worker hot-vertex top-K sketch in the trace
              --prom FILE  writes Prometheus metrics after the run
              --listen ADDR  serves GET /metrics + /healthz live during
@@ -1361,7 +1266,7 @@ mod tests {
         assert_eq!(o.receivers, 2);
         assert_eq!(o.partitioner, "metis");
         assert_eq!(o.epsilon, 1e-6);
-        assert_eq!(o.max_supersteps, 50);
+        assert_eq!(o.max_supersteps, Some(50));
         assert_eq!(o.top, 3);
         assert!(o.stats);
     }

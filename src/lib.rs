@@ -39,7 +39,13 @@
 //! // Run PageRank on the Cyclops engine over a simulated 2-machine cluster.
 //! let cluster = ClusterSpec::flat(2, 1);
 //! let partition = HashPartitioner.partition(&graph, cluster.num_workers());
-//! let result = run_cyclops_pagerank(&graph, &partition, &cluster, 1e-9, 100);
+//! // A run is a program and the engine's one config, handed to the engine.
+//! let config = CyclopsConfig {
+//!     cluster,
+//!     max_supersteps: 100,
+//!     ..Default::default()
+//! };
+//! let result = run_cyclops(&CyclopsPageRank { epsilon: 1e-9 }, &graph, &partition, &config);
 //! assert!((result.values.iter().sum::<f64>() - 1.0).abs() < 1e-6);
 //! ```
 
@@ -55,7 +61,8 @@ pub mod obs;
 
 /// Convenience re-exports covering the common experiment workflow.
 pub mod prelude {
-    pub use cyclops_algos::pagerank::run_cyclops_pagerank;
+    pub use cyclops_algos::pagerank::CyclopsPageRank;
+    pub use cyclops_engine::{run_cyclops, CyclopsConfig};
     pub use cyclops_graph::{Dataset, Graph, GraphBuilder, VertexId};
     pub use cyclops_net::cluster::ClusterSpec;
     pub use cyclops_partition::{EdgeCutPartitioner, HashPartitioner, MultilevelPartitioner};

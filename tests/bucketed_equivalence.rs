@@ -8,13 +8,39 @@
 //! mode's trace against itself across thread counts.
 
 use cyclops::prelude::*;
-use cyclops_algos::sssp::{
-    run_bsp_sssp_bucketed, run_cyclops_sssp, run_cyclops_sssp_bucketed, run_cyclops_sssp_tuned,
-};
-use cyclops_engine::Sched;
+use cyclops_algos::sssp::{auto_bucket_width, BspSssp, CyclopsSssp};
+use cyclops_bsp::{run_bsp, BspConfig};
+use cyclops_engine::run_cyclops_traced;
 use cyclops_net::trace::{diff, read_jsonl, RunTrace, TraceSink};
 use cyclops_net::BucketMode;
 use proptest::prelude::*;
+
+const SOURCE: CyclopsSssp = CyclopsSssp { source: 0 };
+
+/// Per-hop SSSP to quiescence at a hybrid-replication threshold.
+fn per_hop(cluster: ClusterSpec, replicate_threshold: u32) -> CyclopsConfig {
+    CyclopsConfig {
+        cluster,
+        max_supersteps: 100_000,
+        replicate_threshold,
+        ..Default::default()
+    }
+}
+
+/// [`per_hop`] on the bucketed scheduler; width 0.0 is `auto`: seeded from
+/// the mean edge weight, then retuned by the engine.
+fn bucketed(g: &Graph, width: f64, bucket_mode: BucketMode, base: CyclopsConfig) -> CyclopsConfig {
+    CyclopsConfig {
+        bucket_width: if width > 0.0 {
+            width
+        } else {
+            auto_bucket_width(g)
+        },
+        bucket_mode,
+        bucket_adapt: width <= 0.0,
+        ..base
+    }
+}
 
 /// A random directed weighted graph: vertex count, edge list, and a bucket
 /// width (0.0 = auto-tune from the mean edge weight).
@@ -48,35 +74,44 @@ proptest! {
     fn bucketed_sssp_matches_barrier_per_superstep((g, width) in arb_graph_and_width()) {
         let p = HashPartitioner.partition(&g, 3);
         let flat = ClusterSpec::flat(3, 1);
-        let oracle = run_cyclops_sssp(&g, &p, &flat, 0, 100_000);
+        let oracle = run_cyclops(&SOURCE, &g, &p, &per_hop(flat, 0));
 
         // Threshold 0 is full replication; 2 messages the leaves; u32::MAX
         // messages the whole boundary, so every cross-worker publication of
         // the settle travels as a direct message.
         for threshold in [0, 2, u32::MAX] {
-            let bucketed = |cluster: &ClusterSpec, mode| {
-                run_cyclops_sssp_bucketed(&g, &p, cluster, 0, 100_000, width, mode, threshold, None)
+            let run = |cluster, mode| {
+                run_cyclops(&SOURCE, &g, &p, &bucketed(&g, width, mode, per_hop(cluster, threshold)))
             };
-            let flat_det = bucketed(&flat, BucketMode::Det);
+            let flat_det = run(flat, BucketMode::Det);
             prop_assert_eq!(&oracle.values, &flat_det.values, "flat det, t={}", threshold);
-            let flat_fast = bucketed(&flat, BucketMode::Fast);
+            let flat_fast = run(flat, BucketMode::Fast);
             prop_assert_eq!(&oracle.values, &flat_fast.values, "flat fast, t={}", threshold);
-            let mt = bucketed(&ClusterSpec::mt(3, 2, 2), BucketMode::Det);
+            let mt = run(ClusterSpec::mt(3, 2, 2), BucketMode::Det);
             prop_assert_eq!(&oracle.values, &mt.values, "cyclops-mt det, t={}", threshold);
 
             // The direct path is really taken: whenever the barrier-per-hop
             // run at this threshold sends direct messages, so does each
             // settle (fusing rounds dedups messages, it never drops a path).
-            let per_hop = run_cyclops_sssp_tuned(
-                &g, &p, &flat, 0, 100_000, Sched::Dynamic, 0.015, threshold, None,
-            );
-            prop_assert_eq!(&oracle.values, &per_hop.values, "per-hop, t={}", threshold);
+            let hop = run_cyclops(&SOURCE, &g, &p, &per_hop(flat, threshold));
+            prop_assert_eq!(&oracle.values, &hop.values, "per-hop, t={}", threshold);
             for r in [&flat_det, &flat_fast, &mt] {
-                prop_assert_eq!(r.direct_messages > 0, per_hop.direct_messages > 0, "t={}", threshold);
+                prop_assert_eq!(r.direct_messages > 0, hop.direct_messages > 0, "t={}", threshold);
             }
         }
 
-        let bsp = run_bsp_sssp_bucketed(&g, &p, &flat, 0, 100_000, width, BucketMode::Det);
+        let bsp = run_bsp(
+            &BspSssp { source: 0 },
+            &g,
+            &p,
+            &BspConfig {
+                cluster: flat,
+                max_supersteps: 100_000,
+                use_combiner: true,
+                bucket_width: if width > 0.0 { width } else { auto_bucket_width(&g) },
+                ..Default::default()
+            },
+        );
         prop_assert_eq!(&oracle.values, &bsp.values, "bsp det");
     }
 }
@@ -93,17 +128,9 @@ fn det_bucket_trace_is_stable_across_thread_counts() {
 
     let run = |cluster: ClusterSpec, name: &str| {
         let sink = TraceSink::with_values("cyclops", &cluster);
-        let r = run_cyclops_sssp_bucketed(
-            &g,
-            &p,
-            &cluster,
-            0,
-            100_000,
-            0.0, // auto width
-            BucketMode::Det,
-            0,
-            Some(&sink),
-        );
+        // Width 0.0: auto.
+        let config = bucketed(&g, 0.0, BucketMode::Det, per_hop(cluster, 0));
+        let r = run_cyclops_traced(&SOURCE, &g, &p, &config, Some(&sink));
         let mut sink = sink;
         assert_eq!(sink.dropped_records(), 0, "ring buffer overflowed");
         // Round-trip through JSONL so the comparison covers exactly what

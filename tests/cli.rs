@@ -768,3 +768,134 @@ fn migrate_flag_combinations_are_validated() {
     assert!(!ok);
     assert!(stderr.contains("--skew"), "{stderr}");
 }
+
+const RUN_COMMANDS: [&str; 6] = ["pagerank", "sssp", "bfs", "cc", "cd", "triangles"];
+
+/// Runs `command` on `engine` over a small road graph with `--trace` (plus
+/// `extra`), checks the trace file is a header and at least one record that
+/// `trace-diff` accepts, and returns the superstep count `trace-diff` saw.
+/// `test` keeps concurrently running tests off each other's files.
+fn traced_supersteps(test: &str, command: &str, engine: &str, extra: &[&str]) -> u64 {
+    let trace = temp_path(&format!("{test}-{command}-{engine}.jsonl"));
+    let trace = trace.to_str().unwrap();
+    let mut args = vec![
+        command,
+        "--dataset",
+        "RoadCA",
+        "--scale",
+        "0.02",
+        "--engine",
+        engine,
+        "--trace",
+        trace,
+    ];
+    args.extend_from_slice(extra);
+    let (ok, stdout, stderr) = cyclops(&args);
+    assert!(ok, "{command} on {engine}: {stderr}");
+    assert!(
+        stdout.contains(&format!("trace written to {trace}")),
+        "{command} on {engine}: {stdout}"
+    );
+    let raw = std::fs::read_to_string(trace)
+        .unwrap_or_else(|e| panic!("{command} on {engine} wrote no trace: {e}"));
+    let mut lines = raw.lines();
+    let header = lines.next().expect("trace header");
+    assert!(
+        header.contains("\"engine\":") && header.contains("\"workers\":4"),
+        "{command} on {engine}: header {header}"
+    );
+    assert!(
+        lines.any(|l| l.contains("\"superstep\":0")),
+        "{command} on {engine}: no superstep-0 record"
+    );
+    let (ok, stdout, stderr) = cyclops(&["trace-diff", trace, trace]);
+    assert!(ok, "{command} on {engine}: {stdout} {stderr}");
+    let rest = stdout
+        .split("traces agree: ")
+        .nth(1)
+        .unwrap_or_else(|| panic!("{command} on {engine}: {stdout}"));
+    rest.split(' ').next().unwrap().parse().unwrap()
+}
+
+/// One driver per engine builds and finishes the sink, so `--trace` (and
+/// what rides on it) reaches every run command on both engines. At the
+/// parent commit bfs, cd and triangles exited 0 without writing the file
+/// and Hama refused sssp and cc.
+#[test]
+fn every_run_command_writes_its_trace() {
+    for command in RUN_COMMANDS {
+        for engine in ["cyclops", "hama"] {
+            assert!(traced_supersteps("every", command, engine, &[]) >= 1);
+        }
+    }
+}
+
+/// An explicit `--max-supersteps` is a hard cap on every command, not only
+/// on the two whose runner happened to take one.
+#[test]
+fn max_supersteps_caps_every_run_command() {
+    for command in RUN_COMMANDS {
+        for engine in ["cyclops", "hama"] {
+            let ran = traced_supersteps("capped", command, engine, &["--max-supersteps", "2"]);
+            // Cyclops counts triangles in one superstep; everything else
+            // here runs well past two when uncapped.
+            if (command, engine) == ("triangles", "cyclops") {
+                assert!(ran <= 2, "{command} on {engine} ran {ran}");
+            } else {
+                assert_eq!(ran, 2, "{command} on {engine}");
+            }
+        }
+    }
+}
+
+/// The restrictions that survive the one driver each have a reason in an
+/// engine, and each is an error rather than a silently dropped flag (the
+/// `--migrate` ones are in `migrate_flag_combinations_are_validated`).
+#[test]
+fn surviving_restrictions_are_errors() {
+    let road = ["--dataset", "RoadCA", "--scale", "0.02"];
+    for (args, expected) in [
+        // Buckets order activations by the program's priority().
+        (
+            vec!["pagerank", "--bucket-width", "2"],
+            "--bucket-width applies to sssp and bfs",
+        ),
+        (
+            vec!["cc", "--bucket-width", "auto"],
+            "--bucket-width applies to sssp and bfs",
+        ),
+        // BspBfs declares no priority.
+        (
+            vec!["bfs", "--engine", "hama", "--bucket-width", "auto"],
+            "--bucket-width with bfs needs --engine cyclops",
+        ),
+        // Hama has no replicas.
+        (
+            vec!["cc", "--engine", "hama", "--replicate-threshold", "4"],
+            "--replicate-threshold needs --engine cyclops",
+        ),
+        (
+            vec!["sssp", "--engine", "hama", "--replicate-threshold", "auto"],
+            "--replicate-threshold needs --engine cyclops",
+        ),
+    ] {
+        let mut full = args.clone();
+        full.extend_from_slice(&road);
+        let (ok, _, stderr) = cyclops(&full);
+        assert!(!ok, "{args:?} must fail");
+        assert!(stderr.contains(expected), "{args:?}: {stderr}");
+    }
+    // What is not restricted any more: the threshold on a command that had
+    // no tuned runner, bucketed sssp on Hama, bucketed bfs on Cyclops.
+    for args in [
+        vec!["triangles", "--replicate-threshold", "4"],
+        vec!["cd", "--replicate-threshold", "auto", "--sweeps", "3"],
+        vec!["sssp", "--engine", "hama", "--bucket-width", "auto"],
+        vec!["bfs", "--bucket-width", "auto"],
+    ] {
+        let mut full = args.clone();
+        full.extend_from_slice(&road);
+        let (ok, _, stderr) = cyclops(&full);
+        assert!(ok, "{args:?}: {stderr}");
+    }
+}

@@ -3,14 +3,51 @@
 //! cluster shapes and partitioners.
 
 use cyclops::prelude::*;
-use cyclops_algos::als::{reference_als, run_bsp_als, run_cyclops_als, AlsParams};
-use cyclops_algos::cd::{run_bsp_cd, run_cyclops_cd};
-use cyclops_algos::pagerank::{run_bsp_pagerank, run_cyclops_pagerank, run_gas_pagerank};
-use cyclops_algos::sssp::{run_bsp_sssp, run_cyclops_sssp, run_gas_sssp};
+use cyclops_algos::als::{reference_als, AlsParams, BspAls, CyclopsAls};
+use cyclops_algos::cd::{BspCommunityDetection, CyclopsCommunityDetection};
+use cyclops_algos::pagerank::{BspPageRank, GasPageRank};
+use cyclops_algos::sssp::{BspSssp, CyclopsSssp, GasSssp};
+use cyclops_bsp::{run_bsp, BspConfig};
+use cyclops_gas::{run_gas, GasConfig};
 use cyclops_graph::reference;
 use cyclops_partition::{
     GreedyVertexCut, MultilevelPartitioner, RandomVertexCut, VertexCutPartitioner,
 };
+
+fn cyclops_config(cluster: ClusterSpec, max_supersteps: usize) -> CyclopsConfig {
+    CyclopsConfig {
+        cluster,
+        max_supersteps,
+        ..Default::default()
+    }
+}
+
+/// The BSP config of the programs that define no combiner (CD, ALS) and
+/// whose redundant broadcasts Figure 3 counts.
+fn bsp_config(cluster: ClusterSpec, max_supersteps: usize) -> BspConfig {
+    BspConfig {
+        cluster,
+        max_supersteps,
+        track_redundant: true,
+        ..Default::default()
+    }
+}
+
+/// [`bsp_config`] for the programs that combine (PageRank, SSSP).
+fn bsp_combining(cluster: ClusterSpec, max_supersteps: usize) -> BspConfig {
+    BspConfig {
+        use_combiner: true,
+        ..bsp_config(cluster, max_supersteps)
+    }
+}
+
+fn gas_config(cluster: ClusterSpec, max_supersteps: usize) -> GasConfig {
+    GasConfig {
+        cluster,
+        max_supersteps,
+        ..Default::default()
+    }
+}
 
 fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
     a.iter()
@@ -27,14 +64,18 @@ fn pagerank_all_engines_match_reference_on_gweb() {
     let cluster = ClusterSpec::flat(3, 2);
 
     let edge_cut = HashPartitioner.partition(&g, 6);
-    let cy = run_cyclops_pagerank(&g, &edge_cut, &cluster, 0.0, 25);
+    let pagerank = CyclopsPageRank { epsilon: 0.0 };
+    let cy = run_cyclops(&pagerank, &g, &edge_cut, &cyclops_config(cluster, 25));
     assert!(max_abs_diff(&cy.values, &expected) < 1e-14, "cyclops");
 
-    let bsp = run_bsp_pagerank(&g, &edge_cut, &cluster, 0.0, 26);
+    // 26 supersteps = 1 seed + 25 updates.
+    let pagerank = BspPageRank { epsilon: 0.0 };
+    let bsp = run_bsp(&pagerank, &g, &edge_cut, &bsp_combining(cluster, 26));
     assert!(max_abs_diff(&bsp.values, &expected) < 1e-11, "bsp");
 
     let vertex_cut = RandomVertexCut::default().partition(&g, 6);
-    let gas = run_gas_pagerank(&g, &vertex_cut, &cluster, 0.0, 25);
+    let pagerank = GasPageRank { epsilon: 0.0 };
+    let gas = run_gas(&pagerank, &g, &vertex_cut, &gas_config(cluster, 25));
     assert!(max_abs_diff(&gas.values, &expected) < 1e-11, "gas");
 }
 
@@ -44,8 +85,9 @@ fn pagerank_partitioner_does_not_change_cyclops_results() {
     let cluster = ClusterSpec::flat(2, 2);
     let hash = HashPartitioner.partition(&g, 4);
     let metis = MultilevelPartitioner::default().partition(&g, 4);
-    let a = run_cyclops_pagerank(&g, &hash, &cluster, 0.0, 30);
-    let b = run_cyclops_pagerank(&g, &metis, &cluster, 0.0, 30);
+    let pagerank = CyclopsPageRank { epsilon: 0.0 };
+    let a = run_cyclops(&pagerank, &g, &hash, &cyclops_config(cluster, 30));
+    let b = run_cyclops(&pagerank, &g, &metis, &cyclops_config(cluster, 30));
     // Same deterministic synchronous iteration: identical results.
     assert_eq!(a.values, b.values);
     // But Metis needs fewer replicas and messages.
@@ -58,24 +100,42 @@ fn sssp_all_engines_match_dijkstra_on_road() {
     let expected = reference::sssp(&g, 0);
     let cluster = ClusterSpec::flat(3, 2);
     let edge_cut = HashPartitioner.partition(&g, 6);
+    let vertex_cut = GreedyVertexCut::default().partition(&g, 6);
+    let cap = 100_000;
 
     for (name, values) in [
         (
             "cyclops",
-            run_cyclops_sssp(&g, &edge_cut, &cluster, 0, 100_000).values,
+            run_cyclops(
+                &CyclopsSssp { source: 0 },
+                &g,
+                &edge_cut,
+                &cyclops_config(cluster, cap),
+            )
+            .values,
         ),
         (
             "bsp",
-            run_bsp_sssp(&g, &edge_cut, &cluster, 0, 100_000).values,
+            run_bsp(
+                &BspSssp { source: 0 },
+                &g,
+                &edge_cut,
+                &BspConfig {
+                    cluster,
+                    max_supersteps: cap,
+                    use_combiner: true,
+                    ..Default::default()
+                },
+            )
+            .values,
         ),
         (
             "gas",
-            run_gas_sssp(
+            run_gas(
+                &GasSssp { source: 0 },
                 &g,
-                &GreedyVertexCut::default().partition(&g, 6),
-                &cluster,
-                0,
-                100_000,
+                &vertex_cut,
+                &gas_config(cluster, cap),
             )
             .values,
         ),
@@ -97,9 +157,20 @@ fn cd_engines_match_reference_on_dblp() {
     let expected = reference::label_propagation(&g, sweeps);
     let cluster = ClusterSpec::flat(2, 3);
     let p = HashPartitioner.partition(&g, 6);
-    let cy = run_cyclops_cd(&g, &p, &cluster, sweeps);
+    let cy = run_cyclops(
+        &CyclopsCommunityDetection,
+        &g,
+        &p,
+        &cyclops_config(cluster, sweeps),
+    );
     assert_eq!(cy.values, expected, "cyclops");
-    let bsp = run_bsp_cd(&g, &p, &cluster, sweeps + 1);
+    // One more superstep on BSP: superstep 0 only seeds.
+    let bsp = run_bsp(
+        &BspCommunityDetection,
+        &g,
+        &p,
+        &bsp_config(cluster, sweeps + 1),
+    );
     assert_eq!(bsp.values, expected, "bsp");
 }
 
@@ -114,8 +185,9 @@ fn als_engines_match_reference_on_syn_gl() {
     let expected = reference_als(&g, params, 2);
     let cluster = ClusterSpec::flat(2, 2);
     let p = HashPartitioner.partition(&g, 4);
-    let cy = run_cyclops_als(&g, &p, &cluster, params, 2);
-    let bsp = run_bsp_als(&g, &p, &cluster, params, 2);
+    // Two supersteps per iteration; BSP seeds in one more.
+    let cy = run_cyclops(&CyclopsAls { params }, &g, &p, &cyclops_config(cluster, 4));
+    let bsp = run_bsp(&BspAls { params }, &g, &p, &bsp_config(cluster, 5));
     for (v, exp) in expected.iter().enumerate() {
         for (d, e) in exp.iter().enumerate() {
             assert!((cy.values[v][d] - e).abs() < 1e-9, "cyclops v{v}");
@@ -130,7 +202,13 @@ fn cyclops_mt_configs_agree_with_flat() {
     // configurations must produce identical results.
     let g = Dataset::GWeb.generate_scaled(0.03, 6);
     let p = HashPartitioner.partition(&g, 4);
-    let base = run_cyclops_pagerank(&g, &p, &ClusterSpec::flat(4, 1), 0.0, 20);
+    let pagerank = CyclopsPageRank { epsilon: 0.0 };
+    let base = run_cyclops(
+        &pagerank,
+        &g,
+        &p,
+        &cyclops_config(ClusterSpec::flat(4, 1), 20),
+    );
     for spec in [
         ClusterSpec::mt(4, 2, 1),
         ClusterSpec::mt(4, 4, 2),
@@ -142,7 +220,7 @@ fn cyclops_mt_configs_agree_with_flat() {
             receivers_per_worker: 2,
         },
     ] {
-        let r = run_cyclops_pagerank(&g, &p, &spec, 0.0, 20);
+        let r = run_cyclops(&pagerank, &g, &p, &cyclops_config(spec, 20));
         assert_eq!(r.values, base.values, "config {spec}");
     }
 }
@@ -152,25 +230,15 @@ fn network_model_changes_time_not_results() {
     let g = Dataset::Amazon.generate_scaled(0.05, 9);
     let cluster = ClusterSpec::flat(3, 1);
     let p = HashPartitioner.partition(&g, 3);
-    let ideal = cyclops_engine::run_cyclops(
-        &cyclops_algos::pagerank::CyclopsPageRank { epsilon: 0.0 },
+    let pagerank = CyclopsPageRank { epsilon: 0.0 };
+    let ideal = run_cyclops(&pagerank, &g, &p, &cyclops_config(cluster, 10));
+    let modeled = run_cyclops(
+        &pagerank,
         &g,
         &p,
-        &cyclops_engine::CyclopsConfig {
-            cluster,
-            max_supersteps: 10,
-            ..Default::default()
-        },
-    );
-    let modeled = cyclops_engine::run_cyclops(
-        &cyclops_algos::pagerank::CyclopsPageRank { epsilon: 0.0 },
-        &g,
-        &p,
-        &cyclops_engine::CyclopsConfig {
-            cluster,
-            max_supersteps: 10,
+        &CyclopsConfig {
             network: cyclops_net::NetworkModel::gigabit(),
-            ..Default::default()
+            ..cyclops_config(cluster, 10)
         },
     );
     assert_eq!(ideal.values, modeled.values);
@@ -185,8 +253,18 @@ fn message_counts_follow_the_papers_ordering() {
     let cluster = ClusterSpec::flat(3, 2);
     let edge_cut = HashPartitioner.partition(&g, 6);
     let eps = 1e-6;
-    let hama = run_bsp_pagerank(&g, &edge_cut, &cluster, eps, 200);
-    let cy = run_cyclops_pagerank(&g, &edge_cut, &cluster, eps, 200);
+    let hama = run_bsp(
+        &BspPageRank { epsilon: eps },
+        &g,
+        &edge_cut,
+        &bsp_combining(cluster, 200),
+    );
+    let cy = run_cyclops(
+        &CyclopsPageRank { epsilon: eps },
+        &g,
+        &edge_cut,
+        &cyclops_config(cluster, 200),
+    );
     assert!(
         (cy.counters.messages as f64) < 0.8 * hama.counters.messages as f64,
         "cyclops {} vs hama {}",
@@ -194,7 +272,12 @@ fn message_counts_follow_the_papers_ordering() {
         hama.counters.messages
     );
     let vertex_cut = RandomVertexCut::default().partition(&g, 6);
-    let gas = run_gas_pagerank(&g, &vertex_cut, &cluster, eps, 200);
+    let gas = run_gas(
+        &GasPageRank { epsilon: eps },
+        &g,
+        &vertex_cut,
+        &gas_config(cluster, 200),
+    );
     assert!(
         gas.counters.messages > cy.counters.messages * 3,
         "gas {} vs cyclops {}",

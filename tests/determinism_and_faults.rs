@@ -6,18 +6,26 @@
 //! same answer after a simulated crash at any checkpoint.
 
 use cyclops::prelude::*;
-use cyclops_algos::pagerank::{run_cyclops_pagerank, CyclopsPageRank};
-use cyclops_algos::sssp::run_cyclops_sssp;
+use cyclops_algos::sssp::CyclopsSssp;
 use cyclops_bsp::{run_bsp, run_bsp_from_checkpoint, BspConfig};
-use cyclops_engine::{run_cyclops, run_cyclops_from_checkpoint, CyclopsConfig};
+use cyclops_engine::run_cyclops_from_checkpoint;
+
+fn capped(cluster: ClusterSpec, max_supersteps: usize) -> CyclopsConfig {
+    CyclopsConfig {
+        cluster,
+        max_supersteps,
+        ..Default::default()
+    }
+}
 
 #[test]
 fn cyclops_runs_are_bitwise_deterministic() {
     let g = Dataset::GWeb.generate_scaled(0.05, 1);
     let p = HashPartitioner.partition(&g, 3);
     let cluster = ClusterSpec::mt(3, 2, 2);
+    let pagerank = CyclopsPageRank { epsilon: 1e-8 };
     let runs: Vec<Vec<f64>> = (0..3)
-        .map(|_| run_cyclops_pagerank(&g, &p, &cluster, 1e-8, 300).values)
+        .map(|_| run_cyclops(&pagerank, &g, &p, &capped(cluster, 300)).values)
         .collect();
     assert_eq!(runs[0], runs[1]);
     assert_eq!(runs[1], runs[2]);
@@ -27,10 +35,11 @@ fn cyclops_runs_are_bitwise_deterministic() {
 fn sssp_deterministic_across_thread_counts() {
     let g = Dataset::RoadCa.generate_scaled(0.05, 2);
     let p = HashPartitioner.partition(&g, 4);
-    let a = run_cyclops_sssp(&g, &p, &ClusterSpec::flat(4, 1), 0, 100_000);
+    let sssp = CyclopsSssp { source: 0 };
+    let a = run_cyclops(&sssp, &g, &p, &capped(ClusterSpec::flat(4, 1), 100_000));
     // Same 4 workers (and the same partition), but 3 compute threads and 2
     // receivers inside each.
-    let b = run_cyclops_sssp(&g, &p, &ClusterSpec::mt(4, 3, 2), 0, 100_000);
+    let b = run_cyclops(&sssp, &g, &p, &capped(ClusterSpec::mt(4, 3, 2), 100_000));
     assert_eq!(a.values, b.values);
 }
 
@@ -150,6 +159,11 @@ fn replica_invariant_holds_under_thread_stress() {
     let g = Dataset::Wiki.generate_scaled(0.02, 6);
     let p = HashPartitioner.partition(&g, 3);
     let cluster = ClusterSpec::mt(3, 4, 4);
-    let r = run_cyclops_pagerank(&g, &p, &cluster, 0.0, 15);
+    let r = run_cyclops(
+        &CyclopsPageRank { epsilon: 0.0 },
+        &g,
+        &p,
+        &capped(cluster, 15),
+    );
     assert_eq!(r.supersteps, 15);
 }

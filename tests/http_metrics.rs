@@ -15,7 +15,7 @@
 
 use cyclops::obs::{install_global, render_prometheus, MetricsServer};
 use cyclops::prelude::*;
-use cyclops_algos::pagerank::run_cyclops_pagerank_traced;
+use cyclops_engine::run_cyclops_traced;
 use cyclops_net::trace::TraceSink;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -51,7 +51,18 @@ fn scraping_metrics_matches_the_prom_file_exposition() {
     let cluster = ClusterSpec::flat(2, 2);
     let p = HashPartitioner.partition(&g, 4);
     let sink = TraceSink::new("cyclops", &cluster).with_hot_k(4);
-    run_cyclops_pagerank_traced(&g, &p, &cluster, 0.0, 6, Some(&sink));
+    let config = CyclopsConfig {
+        cluster,
+        max_supersteps: 6,
+        ..Default::default()
+    };
+    run_cyclops_traced(
+        &CyclopsPageRank { epsilon: 0.0 },
+        &g,
+        &p,
+        &config,
+        Some(&sink),
+    );
 
     let mut server = MetricsServer::start("127.0.0.1:0", registry).expect("bind scrape endpoint");
     let addr = server.addr();

@@ -8,20 +8,70 @@
 //! threshold, on every engine topology, under every scheduler. These tests
 //! pin that for PageRank/SSSP/CC on an R-MAT power-law graph and a path
 //! graph, across thresholds {0, 2, 8, auto} × flat Cyclops and CyclopsMT,
-//! down to the values-mode trace.
+//! down to the values-mode trace — and, since the threshold is a field of
+//! the engine's config and not of an algorithm's runner, for every program
+//! the repo ships (`every_program_is_threshold_invariant`).
 
 use cyclops::prelude::*;
-use cyclops_algos::cc::{run_cyclops_cc_tuned, symmetrize};
-use cyclops_algos::pagerank::run_cyclops_pagerank_tuned;
-use cyclops_algos::sssp::run_cyclops_sssp_tuned;
+use cyclops_algos::als::{AlsParams, CyclopsAls};
+use cyclops_algos::bfs::CyclopsBfs;
+use cyclops_algos::cc::{symmetrize, CyclopsComponents};
+use cyclops_algos::cd::CyclopsCommunityDetection;
+use cyclops_algos::kcore::CyclopsKCore;
+use cyclops_algos::sssp::CyclopsSssp;
 use cyclops_algos::triangles::CyclopsTriangles;
-use cyclops_engine::{run_cyclops, CyclopsConfig, Sched};
+use cyclops_engine::{run_cyclops_traced, CyclopsProgram, CyclopsResult, Sched};
 use cyclops_net::trace::{diff, RunTrace, TraceSink};
 use cyclops_partition::EdgeCutPartition;
 
-/// Default sparse-superstep cutoff (the tuned entry points take it
-/// explicitly).
-const SPARSE: f64 = 0.015;
+/// The one knob these tests turn, beside the scheduler some of them pin.
+fn config(
+    cluster: ClusterSpec,
+    max_supersteps: usize,
+    sched: Sched,
+    replicate_threshold: u32,
+) -> CyclopsConfig {
+    CyclopsConfig {
+        cluster,
+        max_supersteps,
+        sched,
+        replicate_threshold,
+        ..Default::default()
+    }
+}
+
+/// PageRank to a local error of 1e-8 (at most 60 supersteps), traced.
+fn pagerank(
+    g: &Graph,
+    p: &EdgeCutPartition,
+    cluster: ClusterSpec,
+    sched: Sched,
+    threshold: u32,
+    sink: &TraceSink,
+) -> CyclopsResult<f64, f64> {
+    run_cyclops_traced(
+        &CyclopsPageRank { epsilon: 1e-8 },
+        g,
+        p,
+        &config(cluster, 60, sched, threshold),
+        Some(sink),
+    )
+}
+
+/// SSSP from vertex 0 under the static scheduler.
+fn sssp(
+    g: &Graph,
+    p: &EdgeCutPartition,
+    cluster: ClusterSpec,
+    threshold: u32,
+) -> CyclopsResult<f64, f64> {
+    run_cyclops(
+        &CyclopsSssp { source: 0 },
+        g,
+        p,
+        &config(cluster, 10_000, Sched::Static, threshold),
+    )
+}
 
 fn finish(mut sink: TraceSink) -> RunTrace {
     assert_eq!(sink.dropped_records(), 0, "ring buffer overflowed");
@@ -69,32 +119,12 @@ fn pagerank_hybrid_matches_full_replication_on_rmat() {
     for cluster in clusters() {
         let p = HashPartitioner.partition(&g, cluster.num_workers());
         let sink0 = TraceSink::with_values("cyclops", &cluster);
-        let full = run_cyclops_pagerank_tuned(
-            &g,
-            &p,
-            &cluster,
-            1e-8,
-            60,
-            Sched::Static,
-            SPARSE,
-            0,
-            Some(&sink0),
-        );
+        let full = pagerank(&g, &p, cluster, Sched::Static, 0, &sink0);
         assert_eq!(full.direct_messages, 0, "threshold 0 sends no directs");
         let base = finish(sink0);
         for (name, t) in thresholds(&g, &p) {
             let sink = TraceSink::with_values("cyclops", &cluster);
-            let hy = run_cyclops_pagerank_tuned(
-                &g,
-                &p,
-                &cluster,
-                1e-8,
-                60,
-                Sched::Static,
-                SPARSE,
-                t,
-                Some(&sink),
-            );
+            let hy = pagerank(&g, &p, cluster, Sched::Static, t, &sink);
             assert_eq!(hy.supersteps, full.supersteps, "{cluster:?} {name}");
             for (v, (a, b)) in full.values.iter().zip(&hy.values).enumerate() {
                 assert_eq!(a.to_bits(), b.to_bits(), "{cluster:?} {name} vertex {v}");
@@ -125,20 +155,9 @@ fn sssp_hybrid_matches_full_replication_on_rmat_and_path() {
     for g in [&rmat, &path] {
         for cluster in clusters() {
             let p = HashPartitioner.partition(g, cluster.num_workers());
-            let full =
-                run_cyclops_sssp_tuned(g, &p, &cluster, 0, 10_000, Sched::Static, SPARSE, 0, None);
+            let full = sssp(g, &p, cluster, 0);
             for (name, t) in thresholds(g, &p) {
-                let hy = run_cyclops_sssp_tuned(
-                    g,
-                    &p,
-                    &cluster,
-                    0,
-                    10_000,
-                    Sched::Static,
-                    SPARSE,
-                    t,
-                    None,
-                );
+                let hy = sssp(g, &p, cluster, t);
                 assert_eq!(hy.supersteps, full.supersteps, "{cluster:?} {name}");
                 for (v, (a, b)) in full.values.iter().zip(&hy.values).enumerate() {
                     assert_eq!(a.to_bits(), b.to_bits(), "{cluster:?} {name} vertex {v}");
@@ -149,17 +168,7 @@ fn sssp_hybrid_matches_full_replication_on_rmat_and_path() {
     // The path graph's boundary is all degree ≤ 2: threshold 8 replicates
     // nothing and runs entirely on direct messages.
     let p = HashPartitioner.partition(&path, 6);
-    let all_direct = run_cyclops_sssp_tuned(
-        &path,
-        &p,
-        &ClusterSpec::flat(3, 2),
-        0,
-        10_000,
-        Sched::Static,
-        SPARSE,
-        8,
-        None,
-    );
+    let all_direct = sssp(&path, &p, ClusterSpec::flat(3, 2), 8);
     assert_eq!(all_direct.ingress.replicated_boundary, 0);
     assert!(all_direct.direct_messages > 0);
     assert_eq!(all_direct.replication_factor, 0.0);
@@ -170,9 +179,17 @@ fn cc_hybrid_matches_full_replication_on_rmat() {
     let g = symmetrize(&Dataset::Amazon.generate_scaled(0.05, 17));
     for cluster in clusters() {
         let p = HashPartitioner.partition(&g, cluster.num_workers());
-        let full = run_cyclops_cc_tuned(&g, &p, &cluster, Sched::Static, SPARSE, 0, None);
+        let cc = |t| {
+            run_cyclops(
+                &CyclopsComponents,
+                &g,
+                &p,
+                &config(cluster, 100_000, Sched::Static, t),
+            )
+        };
+        let full = cc(0);
         for (name, t) in thresholds(&g, &p) {
-            let hy = run_cyclops_cc_tuned(&g, &p, &cluster, Sched::Static, SPARSE, t, None);
+            let hy = cc(t);
             assert_eq!(hy.values, full.values, "{cluster:?} {name}");
             assert_eq!(hy.supersteps, full.supersteps, "{cluster:?} {name}");
         }
@@ -195,14 +212,13 @@ fn triangles_gather_with_sources_through_every_slot_range() {
     assert!(expected > 0);
     for cluster in [ClusterSpec::flat(3, 1), ClusterSpec::mt(2, 3, 2)] {
         let p = HashPartitioner.partition(&g, cluster.num_workers());
-        let run = |replicate_threshold| {
-            let config = CyclopsConfig {
-                cluster,
-                max_supersteps: 4,
-                replicate_threshold,
-                ..Default::default()
-            };
-            run_cyclops(&CyclopsTriangles, &g, &p, &config)
+        let run = |t| {
+            run_cyclops(
+                &CyclopsTriangles,
+                &g,
+                &p,
+                &config(cluster, 4, Sched::default(), t),
+            )
         };
         let full = run(0);
         assert_eq!(full.values.iter().sum::<u64>() as usize, expected);
@@ -241,29 +257,9 @@ fn hybrid_dynamic_sched_trace_is_stable_across_thread_counts() {
     let t = p.auto_replicate_threshold(&g);
 
     let sink_n = TraceSink::with_values("cyclops", &narrow);
-    let rn = run_cyclops_pagerank_tuned(
-        &g,
-        &p,
-        &narrow,
-        1e-8,
-        60,
-        Sched::Dynamic,
-        SPARSE,
-        t,
-        Some(&sink_n),
-    );
+    let rn = pagerank(&g, &p, narrow, Sched::Dynamic, t, &sink_n);
     let sink_w = TraceSink::with_values("cyclops", &wide);
-    let rw = run_cyclops_pagerank_tuned(
-        &g,
-        &p,
-        &wide,
-        1e-8,
-        60,
-        Sched::Dynamic,
-        SPARSE,
-        t,
-        Some(&sink_w),
-    );
+    let rw = pagerank(&g, &p, wide, Sched::Dynamic, t, &sink_w);
     for (v, (a, b)) in rn.values.iter().zip(&rw.values).enumerate() {
         assert_eq!(a.to_bits(), b.to_bits(), "vertex {v}");
     }
@@ -274,4 +270,71 @@ fn hybrid_dynamic_sched_trace_is_stable_across_thread_counts() {
         None,
         "hybrid dynamic-sched trace must not depend on thread count"
     );
+}
+
+/// `replicate_threshold` is a field of the engine's config, so its promise —
+/// bitwise-equal values at every threshold — is a promise about every
+/// program, not about the ones somebody wired a runner for. One generic
+/// helper, every program the repo ships: thresholds 0 (full replication),
+/// 2 and `u32::MAX` (no replica at all) on a flat and an MT cluster, each
+/// compared with the threshold-0 run of the same shape.
+fn assert_threshold_invariant<P: CyclopsProgram>(
+    name: &str,
+    program: &P,
+    g: &Graph,
+    max_supersteps: usize,
+) where
+    P::Value: std::fmt::Debug,
+{
+    for cluster in [ClusterSpec::flat(3, 1), ClusterSpec::mt(2, 3, 2)] {
+        let p = HashPartitioner.partition(g, cluster.num_workers());
+        let run = |t| {
+            run_cyclops(
+                program,
+                g,
+                &p,
+                &config(cluster, max_supersteps, Sched::default(), t),
+            )
+        };
+        let full = run(0);
+        assert!(full.supersteps > 0, "{name} {cluster:?}: nothing ran");
+        for t in [2, u32::MAX] {
+            let hy = run(t);
+            assert_eq!(hy.supersteps, full.supersteps, "{name} {cluster:?} t={t}");
+            for (v, (a, b)) in full.values.iter().zip(&hy.values).enumerate() {
+                // `Debug` of a float is its shortest round-trip form, so
+                // equal text is equal bits (and -0.0 is not 0.0) for every
+                // value type the programs use.
+                assert_eq!(
+                    format!("{a:?}"),
+                    format!("{b:?}"),
+                    "{name} {cluster:?} t={t} vertex {v}"
+                );
+            }
+            if t == u32::MAX {
+                assert_eq!(hy.ingress.total_replicas, 0, "{name} {cluster:?}");
+            }
+        }
+    }
+}
+
+#[test]
+fn every_program_is_threshold_invariant() {
+    let web = Dataset::GWeb.generate_scaled(0.03, 23);
+    let sym = symmetrize(&web);
+    let ratings = Dataset::SynGl.generate_scaled(0.03, 29);
+    let params = AlsParams {
+        users: Dataset::SynGl.bipartite_users_at(0.03).unwrap(),
+        dim: 4,
+        lambda: 0.1,
+    };
+    assert_threshold_invariant("pagerank", &CyclopsPageRank { epsilon: 1e-8 }, &web, 60);
+    assert_threshold_invariant("sssp", &CyclopsSssp { source: 0 }, &web, 10_000);
+    assert_threshold_invariant("bfs", &CyclopsBfs { source: 0 }, &web, 1_000_000);
+    assert_threshold_invariant("cc", &CyclopsComponents, &sym, 100_000);
+    assert_threshold_invariant("cd", &CyclopsCommunityDetection, &web, 10);
+    // Two supersteps per ALS iteration.
+    assert_threshold_invariant("als", &CyclopsAls { params }, &ratings, 4);
+    assert_threshold_invariant("kcore", &CyclopsKCore, &sym, 100_000);
+    assert_threshold_invariant("triangles", &CyclopsTriangles, &sym, 4);
 }

@@ -11,13 +11,51 @@
 //! counts.
 
 use cyclops::prelude::*;
-use cyclops_algos::pagerank::{run_cyclops_pagerank_migrated, run_cyclops_pagerank_tuned};
-use cyclops_algos::sssp::{run_cyclops_sssp_migrated, run_cyclops_sssp_tuned};
-use cyclops_engine::{CyclopsResult, MigrationReport, Sched};
+use cyclops_algos::sssp::CyclopsSssp;
+use cyclops_engine::{
+    run_cyclops_migrated_traced, run_cyclops_traced, CyclopsProgram, CyclopsResult, MigrationReport,
+};
 use cyclops_net::trace::{diff, RunTrace, TraceSink};
 use cyclops_partition::{EdgeCutPartition, MigrationConfig};
 
-const SPARSE: f64 = 0.015;
+fn capped(cluster: ClusterSpec, max_supersteps: usize) -> CyclopsConfig {
+    CyclopsConfig {
+        cluster,
+        max_supersteps,
+        ..Default::default()
+    }
+}
+
+/// The static run and its values-mode trace.
+fn run_static<P: CyclopsProgram>(
+    program: &P,
+    g: &Graph,
+    p: &EdgeCutPartition,
+    config: &CyclopsConfig,
+) -> (CyclopsResult<P::Value, P::Message>, RunTrace) {
+    let sink = TraceSink::with_values("cyclops", &config.cluster);
+    let r = run_cyclops_traced(program, g, p, config, Some(&sink));
+    (r, finish(sink))
+}
+
+/// The same run migrating every `every` supersteps, and its trace.
+fn run_migrated<P: CyclopsProgram>(
+    program: &P,
+    g: &Graph,
+    p: &EdgeCutPartition,
+    config: &CyclopsConfig,
+    every: usize,
+) -> (
+    CyclopsResult<P::Value, P::Message>,
+    MigrationReport,
+    RunTrace,
+) {
+    let sink = TraceSink::with_values("cyclops", &config.cluster);
+    let migration = MigrationConfig::default();
+    let (r, report) =
+        run_cyclops_migrated_traced(program, g, p, config, every, migration, Some(&sink));
+    (r, report, finish(sink))
+}
 
 fn finish(mut sink: TraceSink) -> RunTrace {
     assert_eq!(sink.dropped_records(), 0, "ring buffer overflowed");
@@ -75,41 +113,18 @@ fn migrated_pagerank_matches_static_across_topologies() {
     let mut per_cluster: Vec<CyclopsResult<f64, f64>> = Vec::new();
     for cluster in clusters() {
         let p = skewed(&g, cluster.num_workers());
-        let sink0 = TraceSink::with_values("cyclops", &cluster);
-        let base = run_cyclops_pagerank_tuned(
-            &g,
-            &p,
-            &cluster,
-            1e-8,
-            200,
-            Sched::Dynamic,
-            SPARSE,
-            0,
-            Some(&sink0),
-        );
-        let base_trace = finish(sink0);
+        let pagerank = CyclopsPageRank { epsilon: 1e-8 };
+        let config = capped(cluster, 200);
+        let (base, base_trace) = run_static(&pagerank, &g, &p, &config);
         for every in [4usize, 8] {
-            let sink = TraceSink::with_values("cyclops", &cluster);
-            let (migrated, report) = run_cyclops_pagerank_migrated(
-                &g,
-                &p,
-                &cluster,
-                1e-8,
-                200,
-                Sched::Dynamic,
-                SPARSE,
-                0,
-                every,
-                MigrationConfig::default(),
-                Some(&sink),
-            );
+            let (migrated, report, trace) = run_migrated(&pagerank, &g, &p, &config, every);
             assert_matches_static(
                 &format!("{cluster:?} every={every}"),
                 &report,
                 &base,
                 &migrated,
                 &base_trace,
-                &finish(sink),
+                &trace,
             );
             if every == 8 {
                 per_cluster.push(migrated);
@@ -132,35 +147,11 @@ fn migrated_sssp_matches_static_across_topologies() {
     let mut traces: Vec<RunTrace> = Vec::new();
     for cluster in clusters() {
         let p = skewed(&g, cluster.num_workers());
-        let sink0 = TraceSink::with_values("cyclops", &cluster);
-        let base = run_cyclops_sssp_tuned(
-            &g,
-            &p,
-            &cluster,
-            0,
-            100_000,
-            Sched::Dynamic,
-            SPARSE,
-            0,
-            Some(&sink0),
-        );
-        let base_trace = finish(sink0);
+        let sssp = CyclopsSssp { source: 0 };
+        let config = capped(cluster, 100_000);
+        let (base, base_trace) = run_static(&sssp, &g, &p, &config);
         for every in [4usize, 8] {
-            let sink = TraceSink::with_values("cyclops", &cluster);
-            let (migrated, report) = run_cyclops_sssp_migrated(
-                &g,
-                &p,
-                &cluster,
-                0,
-                100_000,
-                Sched::Dynamic,
-                SPARSE,
-                0,
-                every,
-                MigrationConfig::default(),
-                Some(&sink),
-            );
-            let trace = finish(sink);
+            let (migrated, report, trace) = run_migrated(&sssp, &g, &p, &config, every);
             assert_matches_static(
                 &format!("{cluster:?} every={every}"),
                 &report,

@@ -1,21 +1,20 @@
 //! Regression tests for PR 3: skew-aware compute scheduling and the
 //! zero-allocation send path.
 //!
-//! Three properties: (1) the static and dynamic schedulers produce
+//! Two properties: (1) the static and dynamic schedulers produce
 //! bitwise-identical results *and* bitwise-identical values-mode traces for
 //! PageRank, SSSP, and connected components — the determinism story that
-//! makes the dynamic scheduler a pure performance dial; (2) with send-buffer
-//! pooling, steady-state supersteps allocate nothing: total send allocation
-//! is a warm-up constant in the number of lanes × destinations, not a
-//! function of message count (the Table 2 story); (3) pooling itself does
-//! not change results or wire bytes.
+//! makes the dynamic scheduler a pure performance dial; (2) the send path
+//! pools its encode buffers, so steady-state supersteps allocate nothing:
+//! total send allocation is a warm-up constant in the number of lanes ×
+//! destinations, not a function of message count (the Table 2 story).
 
 use cyclops::prelude::*;
-use cyclops_algos::cc::{run_cyclops_cc_sched, symmetrize};
-use cyclops_algos::pagerank::run_cyclops_pagerank_sched;
-use cyclops_algos::sssp::run_cyclops_sssp_sched;
-use cyclops_engine::Sched;
+use cyclops_algos::cc::{symmetrize, CyclopsComponents};
+use cyclops_algos::sssp::CyclopsSssp;
+use cyclops_engine::{run_cyclops_traced, CyclopsProgram, CyclopsResult, Sched};
 use cyclops_net::trace::{diff, RunTrace, TraceSink};
+use cyclops_partition::EdgeCutPartition;
 
 fn finish(mut sink: TraceSink) -> RunTrace {
     assert_eq!(sink.dropped_records(), 0, "ring buffer overflowed");
@@ -25,6 +24,26 @@ fn finish(mut sink: TraceSink) -> RunTrace {
         meta: sink.meta().clone(),
         records: sink.take_records(),
     }
+}
+
+/// `program` under one scheduler, with its values-mode trace.
+fn traced<P: CyclopsProgram>(
+    program: &P,
+    g: &Graph,
+    p: &EdgeCutPartition,
+    cluster: ClusterSpec,
+    max_supersteps: usize,
+    sched: Sched,
+) -> (CyclopsResult<P::Value, P::Message>, RunTrace) {
+    let config = CyclopsConfig {
+        cluster,
+        max_supersteps,
+        sched,
+        ..Default::default()
+    };
+    let sink = TraceSink::with_values("cyclops", &cluster);
+    let r = run_cyclops_traced(program, g, p, &config, Some(&sink));
+    (r, finish(sink))
 }
 
 /// Static and dynamic scheduling must be observationally equivalent down to
@@ -37,17 +56,16 @@ fn schedulers_produce_identical_pagerank_traces() {
     let cluster = ClusterSpec::mt(2, 3, 1);
     let p = HashPartitioner.partition(&g, cluster.num_workers());
 
-    let sink_s = TraceSink::with_values("cyclops", &cluster);
-    let rs = run_cyclops_pagerank_sched(&g, &p, &cluster, 1e-9, 60, Sched::Static, Some(&sink_s));
-    let sink_d = TraceSink::with_values("cyclops", &cluster);
-    let rd = run_cyclops_pagerank_sched(&g, &p, &cluster, 1e-9, 60, Sched::Dynamic, Some(&sink_d));
+    let pagerank = CyclopsPageRank { epsilon: 1e-9 };
+    let (rs, ts) = traced(&pagerank, &g, &p, cluster, 60, Sched::Static);
+    let (rd, td) = traced(&pagerank, &g, &p, cluster, 60, Sched::Dynamic);
 
     assert_eq!(rs.supersteps, rd.supersteps);
     for (v, (a, b)) in rs.values.iter().zip(&rd.values).enumerate() {
         assert_eq!(a.to_bits(), b.to_bits(), "vertex {v}: {a} vs {b}");
     }
     assert_eq!(
-        diff::first_divergence(&finish(sink_s), &finish(sink_d), true),
+        diff::first_divergence(&ts, &td, true),
         None,
         "static and dynamic traces must be indistinguishable"
     );
@@ -59,19 +77,15 @@ fn schedulers_produce_identical_sssp_traces() {
     let cluster = ClusterSpec::mt(2, 2, 1);
     let p = HashPartitioner.partition(&g, cluster.num_workers());
 
-    let sink_s = TraceSink::with_values("cyclops", &cluster);
-    let rs = run_cyclops_sssp_sched(&g, &p, &cluster, 0, 10_000, Sched::Static, Some(&sink_s));
-    let sink_d = TraceSink::with_values("cyclops", &cluster);
-    let rd = run_cyclops_sssp_sched(&g, &p, &cluster, 0, 10_000, Sched::Dynamic, Some(&sink_d));
+    let sssp = CyclopsSssp { source: 0 };
+    let (rs, ts) = traced(&sssp, &g, &p, cluster, 10_000, Sched::Static);
+    let (rd, td) = traced(&sssp, &g, &p, cluster, 10_000, Sched::Dynamic);
 
     assert_eq!(rs.supersteps, rd.supersteps);
     for (v, (a, b)) in rs.values.iter().zip(&rd.values).enumerate() {
         assert_eq!(a.to_bits(), b.to_bits(), "vertex {v}: {a} vs {b}");
     }
-    assert_eq!(
-        diff::first_divergence(&finish(sink_s), &finish(sink_d), true),
-        None
-    );
+    assert_eq!(diff::first_divergence(&ts, &td, true), None);
 }
 
 #[test]
@@ -80,20 +94,15 @@ fn schedulers_produce_identical_cc_traces() {
     let cluster = ClusterSpec::mt(2, 3, 1);
     let p = HashPartitioner.partition(&g, cluster.num_workers());
 
-    let sink_s = TraceSink::with_values("cyclops", &cluster);
-    let rs = run_cyclops_cc_sched(&g, &p, &cluster, Sched::Static, Some(&sink_s));
-    let sink_d = TraceSink::with_values("cyclops", &cluster);
-    let rd = run_cyclops_cc_sched(&g, &p, &cluster, Sched::Dynamic, Some(&sink_d));
+    let (rs, ts) = traced(&CyclopsComponents, &g, &p, cluster, 100_000, Sched::Static);
+    let (rd, td) = traced(&CyclopsComponents, &g, &p, cluster, 100_000, Sched::Dynamic);
 
     assert_eq!(rs.supersteps, rd.supersteps);
     assert_eq!(rs.values, rd.values);
-    assert_eq!(
-        diff::first_divergence(&finish(sink_s), &finish(sink_d), true),
-        None
-    );
+    assert_eq!(diff::first_divergence(&ts, &td, true), None);
 }
 
-/// The Table 2 claim: with pooled send buffers, allocation is a one-time
+/// The Table 2 claim: send buffers are pooled, so allocation is a one-time
 /// warm-up cost — doubling the superstep count roughly doubles the wire
 /// bytes but adds *zero* new allocation, i.e. per-superstep allocation is
 /// O(destination machines), not O(messages).
@@ -105,8 +114,15 @@ fn pooled_send_path_stops_allocating_after_warmup() {
 
     // epsilon = 0 keeps every vertex active, so every superstep ships the
     // same full frontier and steady-state batch sizes are constant.
-    let short = run_cyclops_pagerank_sched(&g, &p, &cluster, 0.0, 10, Sched::Dynamic, None);
-    let long = run_cyclops_pagerank_sched(&g, &p, &cluster, 0.0, 20, Sched::Dynamic, None);
+    let run = |max_supersteps| {
+        let config = CyclopsConfig {
+            cluster,
+            max_supersteps,
+            ..Default::default()
+        };
+        run_cyclops(&CyclopsPageRank { epsilon: 0.0 }, &g, &p, &config)
+    };
+    let (short, long) = (run(10), run(20));
 
     assert!(
         short.counters.message_bytes_allocated > 0,
@@ -132,37 +148,4 @@ fn pooled_send_path_stops_allocating_after_warmup() {
         long.counters.message_bytes_allocated,
         long.counters.bytes
     );
-}
-
-/// Turning the pool off must change allocation accounting only — results,
-/// message counts, and wire bytes are identical.
-#[test]
-fn pooling_is_invisible_except_to_the_allocator() {
-    use cyclops_algos::pagerank::CyclopsPageRank;
-    use cyclops_engine::{run_cyclops, Convergence, CyclopsConfig};
-
-    let g = Dataset::Amazon.generate_scaled(0.05, 5);
-    let cluster = ClusterSpec::flat(2, 2);
-    let p = HashPartitioner.partition(&g, cluster.num_workers());
-    let config = |pooled| CyclopsConfig {
-        cluster,
-        max_supersteps: 12,
-        convergence: Convergence::ActiveVertices,
-        pooled,
-        ..Default::default()
-    };
-
-    let pooled = run_cyclops(&CyclopsPageRank { epsilon: 0.0 }, &g, &p, &config(true));
-    let fresh = run_cyclops(&CyclopsPageRank { epsilon: 0.0 }, &g, &p, &config(false));
-
-    assert_eq!(pooled.values, fresh.values);
-    assert_eq!(pooled.counters.messages, fresh.counters.messages);
-    assert_eq!(pooled.counters.bytes, fresh.counters.bytes);
-    // Unpooled: every batch is a fresh allocation, so accounting equals the
-    // wire. Pooled: a small warm-up fraction.
-    assert_eq!(
-        fresh.counters.message_bytes_allocated,
-        fresh.counters.bytes as u64
-    );
-    assert!(pooled.counters.message_bytes_allocated < fresh.counters.message_bytes_allocated / 4);
 }

@@ -8,16 +8,69 @@
 //! under `InboxMode::Sharded` with R > 1 receiver lanes.
 
 use cyclops::prelude::*;
-use cyclops_algos::pagerank::{
-    run_bsp_pagerank_traced, run_cyclops_pagerank_traced, run_gas_pagerank_traced, CyclopsPageRank,
-};
+use cyclops_algos::pagerank::{BspPageRank, CyclopsPageRank, GasPageRank};
+use cyclops_algos::sssp::{auto_bucket_width, CyclopsSssp};
+use cyclops_bsp::{run_bsp_traced, BspConfig, BspResult};
 use cyclops_engine::{
     run_cyclops, run_cyclops_from_checkpoint, run_cyclops_traced, Convergence, CyclopsConfig,
-    CyclopsContext, CyclopsProgram,
+    CyclopsContext, CyclopsProgram, CyclopsResult,
 };
+use cyclops_gas::{run_gas_traced, GasConfig, GasResult};
 use cyclops_net::trace::{diff, read_jsonl, RunTrace, TraceSink};
 use cyclops_net::{InboxMode, Transport};
-use cyclops_partition::{RandomVertexCut, VertexCutPartitioner};
+use cyclops_partition::{
+    EdgeCutPartition, RandomVertexCut, VertexCutPartition, VertexCutPartitioner,
+};
+
+// PageRank with every vertex kept active (epsilon 0), so each engine runs
+// exactly `supersteps`; one traced run per engine.
+
+fn cyclops_pagerank(
+    g: &Graph,
+    p: &EdgeCutPartition,
+    cluster: ClusterSpec,
+    supersteps: usize,
+    sink: &TraceSink,
+) -> CyclopsResult<f64, f64> {
+    let config = CyclopsConfig {
+        cluster,
+        max_supersteps: supersteps,
+        ..Default::default()
+    };
+    run_cyclops_traced(&CyclopsPageRank { epsilon: 0.0 }, g, p, &config, Some(sink))
+}
+
+fn bsp_pagerank(
+    g: &Graph,
+    p: &EdgeCutPartition,
+    cluster: ClusterSpec,
+    supersteps: usize,
+    sink: &TraceSink,
+) -> BspResult<f64, f64> {
+    let config = BspConfig {
+        cluster,
+        max_supersteps: supersteps,
+        use_combiner: true,
+        track_redundant: true,
+        ..Default::default()
+    };
+    run_bsp_traced(&BspPageRank { epsilon: 0.0 }, g, p, &config, Some(sink))
+}
+
+fn gas_pagerank(
+    g: &Graph,
+    p: &VertexCutPartition,
+    cluster: ClusterSpec,
+    supersteps: usize,
+    sink: &TraceSink,
+) -> GasResult<f64> {
+    let config = GasConfig {
+        cluster,
+        max_supersteps: supersteps,
+        ..Default::default()
+    };
+    run_gas_traced(&GasPageRank { epsilon: 0.0 }, g, p, &config, Some(sink))
+}
 
 fn finish(mut sink: TraceSink) -> RunTrace {
     assert_eq!(sink.dropped_records(), 0, "ring buffer overflowed");
@@ -40,11 +93,11 @@ fn engines_emit_identical_superstep_counts_for_the_same_run() {
     // epsilon = 0 keeps every vertex active, so each engine runs its full
     // fixed budget and the traces must agree on the superstep count.
     let cy_sink = TraceSink::new("cyclops", &cluster);
-    let cy = run_cyclops_pagerank_traced(&g, &edge_cut, &cluster, 0.0, supersteps, Some(&cy_sink));
+    let cy = cyclops_pagerank(&g, &edge_cut, cluster, supersteps, &cy_sink);
     let bsp_sink = TraceSink::new("bsp", &cluster);
-    let bsp = run_bsp_pagerank_traced(&g, &edge_cut, &cluster, 0.0, supersteps, Some(&bsp_sink));
+    let bsp = bsp_pagerank(&g, &edge_cut, cluster, supersteps, &bsp_sink);
     let gas_sink = TraceSink::new("gas", &cluster);
-    let gas = run_gas_pagerank_traced(&g, &vertex_cut, &cluster, 0.0, supersteps, Some(&gas_sink));
+    let gas = gas_pagerank(&g, &vertex_cut, cluster, supersteps, &gas_sink);
 
     for (name, trace, ran) in [
         ("cyclops", finish(cy_sink), cy.supersteps),
@@ -263,11 +316,11 @@ fn comm_matrix_rows_sum_to_sent_counters_across_engines() {
     let supersteps = 6;
 
     let cy_sink = TraceSink::new("cyclops", &cluster);
-    run_cyclops_pagerank_traced(&g, &edge_cut, &cluster, 0.0, supersteps, Some(&cy_sink));
+    cyclops_pagerank(&g, &edge_cut, cluster, supersteps, &cy_sink);
     let bsp_sink = TraceSink::new("bsp", &cluster);
-    run_bsp_pagerank_traced(&g, &edge_cut, &cluster, 0.0, supersteps, Some(&bsp_sink));
+    bsp_pagerank(&g, &edge_cut, cluster, supersteps, &bsp_sink);
     let gas_sink = TraceSink::new("gas", &cluster);
-    run_gas_pagerank_traced(&g, &vertex_cut, &cluster, 0.0, supersteps, Some(&gas_sink));
+    gas_pagerank(&g, &vertex_cut, cluster, supersteps, &gas_sink);
 
     for (name, trace) in [
         ("cyclops", finish(cy_sink)),
@@ -344,17 +397,7 @@ fn comm_matrix_is_identical_across_thread_counts() {
     for threads in [1usize, 2, 4] {
         let cluster = ClusterSpec::mt(2, threads, 1);
         let sink = TraceSink::new("cyclops", &cluster);
-        cyclops_algos::pagerank::run_cyclops_pagerank_tuned(
-            &g,
-            &p,
-            &cluster,
-            0.0,
-            8,
-            cyclops_engine::Sched::Dynamic,
-            0.015,
-            0,
-            Some(&sink),
-        );
+        cyclops_pagerank(&g, &p, cluster, 8, &sink);
         let trace = finish(sink);
         match &base {
             None => base = Some(trace),
@@ -380,17 +423,16 @@ fn comm_matrix_is_identical_across_thread_counts() {
     for threads in [1usize, 3] {
         let cluster = ClusterSpec::mt(2, threads, 1);
         let sink = TraceSink::new("cyclops", &cluster);
-        cyclops_algos::sssp::run_cyclops_sssp_bucketed(
-            &g,
-            &p,
-            &cluster,
-            0,
-            100_000,
-            0.0, // auto width
-            cyclops_net::BucketMode::Det,
-            0,
-            Some(&sink),
-        );
+        // The auto width, retuned by the engine; det drain order.
+        let config = CyclopsConfig {
+            cluster,
+            max_supersteps: 100_000,
+            bucket_width: auto_bucket_width(&g),
+            bucket_mode: cyclops_net::BucketMode::Det,
+            bucket_adapt: true,
+            ..Default::default()
+        };
+        run_cyclops_traced(&CyclopsSssp { source: 0 }, &g, &p, &config, Some(&sink));
         let trace = finish(sink);
         match &base {
             None => base = Some(trace),
@@ -424,11 +466,11 @@ fn hot_vertex_capture_works_across_all_three_engines() {
     let k = 4usize;
 
     let cy_sink = TraceSink::new("cyclops", &cluster).with_hot_k(k);
-    run_cyclops_pagerank_traced(&g, &edge_cut, &cluster, 0.0, supersteps, Some(&cy_sink));
+    cyclops_pagerank(&g, &edge_cut, cluster, supersteps, &cy_sink);
     let bsp_sink = TraceSink::new("bsp", &cluster).with_hot_k(k);
-    run_bsp_pagerank_traced(&g, &edge_cut, &cluster, 0.0, supersteps, Some(&bsp_sink));
+    bsp_pagerank(&g, &edge_cut, cluster, supersteps, &bsp_sink);
     let gas_sink = TraceSink::new("gas", &cluster).with_hot_k(k);
-    run_gas_pagerank_traced(&g, &vertex_cut, &cluster, 0.0, supersteps, Some(&gas_sink));
+    gas_pagerank(&g, &vertex_cut, cluster, supersteps, &gas_sink);
 
     for (name, trace) in [
         ("cyclops", finish(cy_sink)),
@@ -452,7 +494,7 @@ fn hot_vertex_capture_works_across_all_three_engines() {
 
     // Disabled path: no sketches, no hot content in any record.
     let off_sink = TraceSink::new("cyclops", &cluster);
-    run_cyclops_pagerank_traced(&g, &edge_cut, &cluster, 0.0, supersteps, Some(&off_sink));
+    cyclops_pagerank(&g, &edge_cut, cluster, supersteps, &off_sink);
     let off = finish(off_sink);
     assert!(off.records.iter().all(|r| r.hot.is_empty()));
 }
