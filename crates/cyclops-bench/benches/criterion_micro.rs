@@ -11,15 +11,15 @@
 //! hybrid plan
 //! construction against the full-replication build it extends, the two
 //! per-edge operations of the view (a frontier mark, first vs repeated, and a
-//! gather through `in_messages`), and the tracking allocator's malloc/free
-//! overhead disarmed vs armed.
+//! gather through `in_messages`), the frontier's per-superstep snapshot across
+//! densities, and the tracking allocator's malloc/free overhead disarmed vs
+//! armed.
 
 use bytes::BytesMut;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use cyclops_algos::linalg::cholesky_solve;
 use cyclops_engine::{
-    run_cyclops_with_plan, CyclopsConfig, CyclopsContext, CyclopsPlan, CyclopsProgram,
-    ShardedFrontier,
+    run_cyclops_with_plan, CyclopsConfig, CyclopsContext, CyclopsPlan, CyclopsProgram, Frontier,
 };
 use cyclops_graph::gen::{rmat, RmatConfig};
 use cyclops_graph::{Dataset, Graph, VertexId};
@@ -627,42 +627,67 @@ fn bench_plan_build_hub(c: &mut Criterion) {
     group.finish();
 }
 
-/// The tracking allocator's bargain: a disarmed `--mem` machinery must
-/// cost a single relaxed bool load per malloc/free, and the armed path's
-/// price (scope lookup, sharded side table, peak maintenance) is what a
-/// `--mem` run pays. Measured on the same allocate-and-free loop before
-/// and after the one-way `arm()`, plus the `MemScope::enter` guard itself.
 /// The wake-up's two cases, per mark, uncontended: the first mark of an
-/// index in a parity epoch (bit swap, owner lookup, shard-list push) against
-/// re-marking an index whose bit is already set — all but one of a reader's
-/// wake-ups in a pull-mode superstep. One shard is every single-threaded
-/// worker; two adds the owner division to the first mark.
+/// index in a parity epoch (a load, then a `fetch_or` on the index's word)
+/// against re-marking an index whose bit is already set (the load alone) —
+/// all but one of a reader's wake-ups in a pull-mode superstep.
 fn bench_frontier_mark(c: &mut Criterion) {
     const N: usize = 4096;
     let mut group = c.benchmark_group("frontier_mark");
     group.throughput(Throughput::Elements(N as u64));
-    for shards in [1usize, 2] {
-        group.bench_function(&format!("first_mark_{shards}_shard"), |b| {
-            b.iter_batched(
-                || ShardedFrontier::new(N, shards),
-                |f| {
-                    for li in 0..N {
-                        f.mark(0, li);
-                    }
-                    f
-                },
-                BatchSize::SmallInput,
-            )
-        });
-        let marked = ShardedFrontier::new(N, shards);
-        for li in 0..N {
-            marked.mark(0, li);
-        }
-        group.bench_function(&format!("remark_set_bit_{shards}_shard"), |b| {
-            b.iter(|| {
+    group.bench_function("first_mark", |b| {
+        b.iter_batched(
+            || Frontier::new(N, 1),
+            |f| {
                 for li in 0..N {
-                    marked.mark(0, li);
+                    f.mark(0, li);
                 }
+                f
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    let marked = Frontier::new(N, 1);
+    for li in 0..N {
+        marked.mark(0, li);
+    }
+    group.bench_function("remark_set_bit", |b| {
+        b.iter(|| {
+            for li in 0..N {
+                marked.mark(0, li);
+            }
+        })
+    });
+    group.finish();
+}
+
+/// One superstep of frontier work for a worker of `sssp-road-hop`'s size
+/// (61 250 masters, 958 words a parity) at five densities: mark the active
+/// set in scrambled order, then snapshot it into reused `flat` / `ends`. The
+/// 0 % row is what a superstep that woke nobody pays to find that out — the
+/// number a summary level over the words would have to beat.
+fn bench_frontier_snapshot(c: &mut Criterion) {
+    const N: usize = 61_250;
+    // Odd and free of N's prime factors (2, 5, 7): `i * STRIDE % N` is a
+    // permutation, so its first `count` values are distinct and scattered.
+    const STRIDE: usize = 40_503;
+    let mut group = c.benchmark_group("frontier_snapshot");
+    let f = Frontier::new(N, 1);
+    let (mut flat, mut ends) = (Vec::new(), Vec::new());
+    for (density, count) in [
+        ("0", 0),
+        ("0.01pct", N / 10_000),
+        ("1pct", N / 100),
+        ("10pct", N / 10),
+        ("100pct", N),
+    ] {
+        group.bench_function(&format!("mark_then_snapshot_{density}"), |b| {
+            b.iter(|| {
+                for i in 0..count {
+                    f.mark(0, i * STRIDE % N);
+                }
+                f.snapshot(0, &mut flat, &mut ends);
+                assert_eq!(flat.len(), count);
             })
         });
     }
@@ -719,6 +744,12 @@ fn bench_view_gather(c: &mut Criterion) {
     group.finish();
 }
 
+/// The tracking allocator's bargain: a disarmed `--mem` machinery must
+/// cost a single relaxed bool load per malloc/free, and the armed path's
+/// price (scope lookup, sharded side table, peak maintenance) is what a
+/// `--mem` run pays. Measured on the same allocate-and-free loop before
+/// and after the one-way `arm()`, plus the `MemScope::enter` guard itself.
+///
 /// This group MUST stay last in `criterion_group!`: arming is process-
 /// global and irreversible, and every other group's numbers assume the
 /// disarmed pass-through.
@@ -771,6 +802,7 @@ criterion_group!(
     bench_plan_build_hybrid,
     bench_plan_build_hub,
     bench_frontier_mark,
+    bench_frontier_snapshot,
     bench_view_gather,
     bench_mem_tracking
 );

@@ -65,7 +65,7 @@
 //! barrier.
 
 use crate::checkpoint::CyclopsCheckpoint;
-use crate::frontier::ShardedFrontier;
+use crate::frontier::Frontier;
 use crate::plan::{CyclopsPlan, WorkerPlan};
 use crate::program::{CyclopsContext, CyclopsProgram};
 use cyclops_graph::Graph;
@@ -310,11 +310,10 @@ struct WorkerShared<V, M> {
     /// Master publications produced this superstep, made visible at the copy
     /// phase.
     msg_next: DisjointSlots<Option<M>>,
-    /// Owner-sharded double-buffered activation frontier: activations route
-    /// to the owning thread's shard list, so snapshotting is O(frontier)
-    /// with no scan-and-skip and no single contended list.
-    frontier: ShardedFrontier,
-    /// This superstep's snapshot: the globally sorted flat frontier...
+    /// Double-buffered activation bitmap: an activation is one bit, and the
+    /// snapshot is an ordered scan of the words.
+    frontier: Frontier,
+    /// This superstep's snapshot: the ascending flat frontier...
     flat: parking_lot::RwLock<Vec<u32>>,
     /// ...and its chunk end offsets — shard ends under [`Sched::Static`],
     /// equal-work-mass ends under [`Sched::Dynamic`]. Chunk `c` is
@@ -469,7 +468,7 @@ pub fn run_cyclops_with_plan_traced<P: CyclopsProgram>(
         let mut msgs: Vec<Option<P::Message>> = Vec::with_capacity(n);
         let frontier = {
             let _mem = MemScope::enter(Component::Frontier);
-            ShardedFrontier::new(n, threads)
+            Frontier::new(n, threads)
         };
         for (li, &v) in wp.masters.iter().enumerate() {
             if let Some(Some((_, value, publication, active))) = restored.get(v as usize) {
@@ -1091,16 +1090,14 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
         times.add(Phase::Sync, wait_start.elapsed());
         // Snapshot the frontier: everything activated for this superstep by
         // last superstep's local activations plus this superstep's replica
-        // messages. The shard lists drain in shard order, each sorted, so
-        // `flat` is globally sorted — compute walks the CSR in index order
-        // and chunk contents (hence float reduction groups) are independent
-        // of activation interleaving. O(frontier log(frontier/T)), no
-        // scan-and-skip.
+        // messages, ascending — compute walks the CSR in index order and
+        // chunk contents (hence float reduction groups) are independent of
+        // activation interleaving. The snapshot clears the parity.
         if t == 0 {
             let snap_start = Instant::now();
             let mut flat = ws.flat.write();
             let mut ends = ws.ends.write();
-            ws.frontier.drain_sorted(cur_parity, &mut flat, &mut ends);
+            ws.frontier.snapshot(cur_parity, &mut flat, &mut ends);
             frontier_len = flat.len();
             if sched == Sched::Dynamic {
                 // Replace the shard ends with equal-work-mass chunk ends.
@@ -1153,9 +1150,6 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
                 acc.part = ChunkPartial::default();
                 for &li in &flat[lo..hi] {
                     let li = li as usize;
-                    // Consume the activation so the parity slot can be
-                    // reused two supersteps from now.
-                    ws.frontier.consume(cur_parity, li);
                     if let Some(ledger) = &run.config.load_ledger {
                         // Same cost proxy as the hot sketch; relaxed integer
                         // adds commute, so the ledger — and every migration

@@ -1,135 +1,115 @@
-//! Owner-sharded double-buffered frontiers.
+//! The double-buffered activation frontier: one bit per master per parity.
 //!
-//! The original engine kept one shared activation list per parity; every
-//! compute thread then scanned the *entire* frontier and skipped vertices
-//! outside its contiguous chunk — an O(frontier × threads) scan per
-//! superstep. [`ShardedFrontier`] routes each activation to the owning
-//! thread's shard list at activation time instead, so the snapshot step
-//! touches every frontier entry exactly once and activation pushes spread
-//! over `shards` locks instead of contending on one.
+//! An activation is a bit. A parity is `⌈masters/64⌉` atomic words; `mark`
+//! sets a bit with no list push, no lock and no owner lookup, and the
+//! snapshot walks the words in order, so the active set comes out ascending
+//! with no sort — snapshot order (hence chunk contents, reduction order and
+//! float results) is independent of activation interleaving, and compute
+//! walks the CSR in index order.
 //!
-//! Shard `t` owns the local-index range `[⌈t·n/T⌉, ⌈(t+1)·n/T⌉)`; with
-//! ceiling boundaries the owner of index `li` is exactly
-//! `⌊li·T/n⌋` — an O(1) integer inverse, no search. Deduplication still
-//! comes from the per-vertex activation bit: the first `mark` of a parity
-//! epoch wins the push, so every activated master lands in **exactly one**
-//! shard **exactly once** (the property test below pins this).
+//! Who may call what, per worker and parity `p`:
+//!
+//! * `mark(p, _)` — INIT, before the threads start; then any thread of the
+//!   worker, in CMP of a superstep of the other parity (local activations
+//!   for the next superstep) and in PRS of a superstep of parity `p` (remote
+//!   activations for this one).
+//! * `is_marked(p, _)` — after PRS's barrier and before the snapshot
+//!   (checkpoint capture, bucket seeding).
+//! * `snapshot(p, ..)` — the worker leader alone, between the barrier that
+//!   ends PRS and the one that opens CMP. It clears the words as it reads
+//!   them: the next `mark(p, _)` is in CMP of the *following* superstep, a
+//!   full superstep and several barriers later, so nothing marks a parity
+//!   while it is being cleared and no per-vertex re-arm is needed.
+//! * `len(p)` — the worker leader, after the barrier that ends the CMP which
+//!   marked `p`.
+//!
+//! Every access is `Relaxed`: a bit publishes nothing but itself, and each
+//! hand-over above crosses one of the worker's barriers, which orders it.
 
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// A double-buffered activation frontier partitioned by owning shard.
-///
-/// `parity` selects which of the two superstep buffers a call touches; the
-/// engine marks into `next` while consuming `cur`, exactly like the old
-/// bit-array + shared-list pair this replaces.
-pub struct ShardedFrontier {
+/// A double-buffered activation bitmap. `parity` selects which of the two
+/// superstep buffers a call touches; the engine marks into `next` while it
+/// computes the snapshot of `cur`.
+pub struct Frontier {
     num_masters: usize,
     shards: usize,
-    /// Per-parity activation bits — the dedup authority.
-    active: [Vec<AtomicBool>; 2],
-    /// Per-parity, per-shard activation lists. Entries are unique (the bit
-    /// gates the push) but unordered: list order depends on thread
-    /// interleaving, so consumers sort before any order-sensitive use.
-    lists: [Vec<Mutex<Vec<u32>>>; 2],
+    words: [Vec<AtomicU64>; 2],
 }
 
-impl ShardedFrontier {
-    /// Creates an empty frontier over `num_masters` vertices split across
-    /// `shards` owner lists (normally one per compute thread).
+impl Frontier {
+    /// Creates an empty frontier over `num_masters` vertices whose snapshot
+    /// is cut into `shards` contiguous ranges (normally one per compute
+    /// thread).
     pub fn new(num_masters: usize, shards: usize) -> Self {
-        let shards = shards.max(1);
-        let bits = || (0..num_masters).map(|_| AtomicBool::new(false)).collect();
-        let lists = || (0..shards).map(|_| Mutex::new(Vec::new())).collect();
-        ShardedFrontier {
+        let words = || {
+            (0..num_masters.div_ceil(64))
+                .map(|_| AtomicU64::new(0))
+                .collect()
+        };
+        Frontier {
             num_masters,
-            shards,
-            active: [bits(), bits()],
-            lists: [lists(), lists()],
+            shards: shards.max(1),
+            words: [words(), words()],
         }
     }
 
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// The shard owning local index `li`: `⌊li·T/n⌋`, the exact inverse of
-    /// the ceiling-boundary shard ranges. One shard owns everything, and
-    /// says so without the 64-bit division — every first mark of a
-    /// single-threaded worker comes through here.
-    #[inline]
-    pub fn owner(&self, li: usize) -> usize {
-        if self.shards == 1 || self.num_masters == 0 {
-            return 0;
-        }
-        (li as u64 * self.shards as u64 / self.num_masters as u64) as usize
-    }
-
-    /// Activates master `li` for the given parity. The activation bit
-    /// deduplicates: only the first mark of an epoch pushes onto the
-    /// owner's shard list.
+    /// Activates master `li` for the given parity.
     #[inline]
     pub fn mark(&self, parity: usize, li: usize) {
+        debug_assert!(li < self.num_masters);
         // `& 1`: a parity by construction. Saying so here keeps the buffer
         // bounds check out of the engine's hottest call (once per edge of
         // every publishing vertex) however a caller derives the value.
-        let parity = parity & 1;
-        let bit = &self.active[parity][li];
+        let word = &self.words[parity & 1][li / 64];
+        let bit = 1u64 << (li % 64);
         // Re-marking an already active reader is the common case (in a
         // pull-mode superstep all but the first of a vertex's in-edges), so
-        // test before the locked read-modify-write. The swap still
-        // arbitrates racing first marks: exactly one of them reads clear.
-        // A stale `false` only sends a re-mark to the swap; a `true` is
-        // final until this parity's compute consumes the bit, which a
-        // barrier separates from every mark.
-        if !bit.load(Ordering::Relaxed) && !bit.swap(true, Ordering::Relaxed) {
-            self.lists[parity][self.owner(li)].lock().push(li as u32);
+        // test before the locked read-modify-write. A stale clear bit only
+        // sends a re-mark to the `fetch_or`, which is idempotent.
+        if word.load(Ordering::Relaxed) & bit == 0 {
+            word.fetch_or(bit, Ordering::Relaxed);
         }
     }
 
-    /// Clears `li`'s activation bit — called as compute consumes the entry,
-    /// re-arming the dedup for the next same-parity epoch.
-    #[inline]
-    pub fn consume(&self, parity: usize, li: usize) {
-        self.active[parity][li].store(false, Ordering::Relaxed);
-    }
-
-    /// Whether `li` is currently marked for `parity`. Checkpoint capture
-    /// reads this between the parse and compute phases.
+    /// Whether `li` is currently marked for `parity`.
     #[inline]
     pub fn is_marked(&self, parity: usize, li: usize) -> bool {
-        self.active[parity][li].load(Ordering::Relaxed)
+        self.words[parity & 1][li / 64].load(Ordering::Relaxed) & (1 << (li % 64)) != 0
     }
 
-    /// Total queued activations for `parity`. Leader-only (called between
-    /// barriers, racing with no pushes to that parity).
+    /// Number of masters marked for `parity`.
     pub fn len(&self, parity: usize) -> usize {
-        self.lists[parity].iter().map(|l| l.lock().len()).sum()
+        self.words[parity & 1]
+            .iter()
+            .map(|w| w.load(Ordering::Relaxed).count_ones() as usize)
+            .sum()
     }
 
-    /// Whether `parity` has no queued activations.
-    pub fn is_empty(&self, parity: usize) -> bool {
-        self.len(parity) == 0
-    }
-
-    /// Drains every shard list — in shard order, each shard sorted
-    /// ascending — into `flat`, pushing each shard's cumulative end offset
-    /// onto `ends` (so `flat[ends[t-1]..ends[t]]` is shard `t`). Because
-    /// shard ranges are contiguous and ascending, `flat` comes out globally
-    /// sorted: snapshot order (and hence chunk contents, reduction order,
-    /// and float results) is independent of activation interleaving, and
-    /// compute walks the CSR in index order. Leader-only, between barriers.
-    pub fn drain_sorted(&self, parity: usize, flat: &mut Vec<u32>, ends: &mut Vec<u32>) {
+    /// Moves the parity's marked masters into `flat`, ascending, and leaves
+    /// the parity empty. `ends` gets each shard's cumulative end offset, so
+    /// `flat[ends[t-1]..ends[t]]` is the part of `flat` inside shard `t`'s
+    /// range `[⌈t·n/T⌉, ⌈(t+1)·n/T⌉)`. Reads every word whatever the parity
+    /// holds: `⌈n/64⌉` loads for an empty frontier.
+    pub fn snapshot(&self, parity: usize, flat: &mut Vec<u32>, ends: &mut Vec<u32>) {
         flat.clear();
         ends.clear();
-        for shard in &self.lists[parity] {
-            let start = flat.len();
-            flat.append(&mut shard.lock());
-            flat[start..].sort_unstable();
-            ends.push(flat.len() as u32);
+        for (i, word) in self.words[parity & 1].iter().enumerate() {
+            let mut bits = word.load(Ordering::Relaxed);
+            if bits == 0 {
+                continue;
+            }
+            word.store(0, Ordering::Relaxed);
+            while bits != 0 {
+                flat.push((i * 64) as u32 + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
         }
-        debug_assert!(flat.windows(2).all(|w| w[0] < w[1]));
+        let (n, shards) = (self.num_masters, self.shards);
+        ends.extend((1..=shards).map(|t| {
+            let bound = (t * n).div_ceil(shards);
+            flat.partition_point(|&li| (li as usize) < bound) as u32
+        }));
     }
 }
 
@@ -139,49 +119,11 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn owner_is_exact_inverse_of_shard_ranges() {
-        // ⌊li·T/n⌋ must map li to the shard whose ceiling-boundary range
-        // contains it, for every (n, T) shape including T > n.
-        for n in 1..=40usize {
-            for t in 1..=8usize {
-                let f = ShardedFrontier::new(n, t);
-                let ceil = |shard: usize| (shard * n).div_ceil(t);
-                for li in 0..n {
-                    let s = f.owner(li);
-                    assert!(
-                        ceil(s) <= li && li < ceil(s + 1),
-                        "n={n} T={t} li={li}: owner {s} range [{}, {})",
-                        ceil(s),
-                        ceil(s + 1)
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn mark_deduplicates_within_a_parity() {
-        let f = ShardedFrontier::new(10, 3);
-        f.mark(0, 4);
-        f.mark(0, 4);
-        f.mark(0, 4);
-        f.mark(1, 4); // other parity is independent
-        assert_eq!(f.len(0), 1);
-        assert_eq!(f.len(1), 1);
-        f.consume(0, 4);
-        assert!(!f.is_marked(0, 4));
-        assert!(f.is_marked(1, 4));
-        // After consume, the same parity accepts the vertex again.
-        f.mark(0, 4);
-        assert_eq!(f.len(0), 2);
-    }
-
-    #[test]
     fn contended_remarks_push_each_index_exactly_once() {
         // Four threads, released together, hammer the same eight indices:
         // every mark after an index's first takes the load-only path while
-        // first marks race on the swap. Each index must be drained once.
-        let f = ShardedFrontier::new(64, 2);
+        // first marks race on the `fetch_or`. Each index must be drained once.
+        let f = Frontier::new(64, 2);
         let indices = [0usize, 7, 8, 31, 32, 33, 62, 63];
         let start = std::sync::Barrier::new(4);
         std::thread::scope(|s| {
@@ -197,70 +139,64 @@ mod tests {
             }
         });
         let (mut flat, mut ends) = (Vec::new(), Vec::new());
-        f.drain_sorted(1, &mut flat, &mut ends);
+        f.snapshot(1, &mut flat, &mut ends);
         let expected: Vec<u32> = indices.iter().map(|&li| li as u32).collect();
         assert_eq!(flat, expected);
         assert_eq!(ends, vec![4, 8]);
-        assert!(f.is_empty(0), "the other parity saw nothing");
-    }
-
-    #[test]
-    fn drain_sorted_yields_sorted_flat_and_shard_ends() {
-        let f = ShardedFrontier::new(12, 3); // shards: [0,4) [4,8) [8,12)
-        for li in [9, 1, 5, 0, 11, 6] {
-            f.mark(0, li);
-        }
-        let (mut flat, mut ends) = (vec![99], vec![99]);
-        f.drain_sorted(0, &mut flat, &mut ends);
-        assert_eq!(flat, vec![0, 1, 5, 6, 9, 11]);
-        assert_eq!(ends, vec![2, 4, 6]);
-        assert_eq!(f.len(0), 0, "drain empties the lists");
-        // Bits are untouched by drain; compute consumes them.
-        assert!(f.is_marked(0, 9));
+        assert_eq!(f.len(0), 0, "the other parity saw nothing");
     }
 
     proptest! {
-        /// The satellite property: under concurrent random activation
-        /// patterns (with duplicates), every activated master appears in
-        /// exactly one shard's list exactly once — no drops, no duplicates,
-        /// always in its owner's shard.
+        /// The frontier against its model, a sorted set: concurrent marks
+        /// with duplicates, word-boundary sizes, more shards than masters.
         #[test]
-        fn every_activation_lands_in_exactly_one_shard_once(
-            n in 1usize..200,
+        fn snapshot_is_the_sorted_set_of_marks_cut_at_the_shard_ranges(
+            n in (0usize..8, 1usize..300)
+                .prop_map(|(edge, n)| [63, 64, 65, 128].get(edge).copied().unwrap_or(n)),
             shards in 1usize..9,
             threads in 1usize..5,
             marks in proptest::collection::vec(any::<u32>(), 0..400),
+            parity in 0usize..2,
         ) {
-            let f = ShardedFrontier::new(n, shards);
+            let f = Frontier::new(n, shards);
+            f.mark(parity ^ 1, n - 1);
             let marks: Vec<usize> = marks.iter().map(|&m| m as usize % n).collect();
-            let per = marks.len().div_ceil(threads).max(1);
-            std::thread::scope(|s| {
-                for chunk in marks.chunks(per) {
-                    let f = &f;
-                    s.spawn(move || {
-                        for &li in chunk {
-                            f.mark(0, li);
-                        }
-                    });
-                }
-            });
             let mut expected: Vec<u32> = marks.iter().map(|&li| li as u32).collect();
             expected.sort_unstable();
             expected.dedup();
-            // Collect shard contents, checking ownership.
-            let (mut flat, mut ends) = (Vec::new(), Vec::new());
-            f.drain_sorted(0, &mut flat, &mut ends);
-            let mut start = 0usize;
-            for (shard, &end) in ends.iter().enumerate() {
-                for &li in &flat[start..end as usize] {
-                    prop_assert_eq!(
-                        f.owner(li as usize), shard,
-                        "vertex {} drained from shard {}", li, shard
-                    );
-                }
-                start = end as usize;
+            // The ceiling shard ranges: shard t is [⌈t·n/T⌉, ⌈(t+1)·n/T⌉).
+            let expected_ends: Vec<u32> = (1..=shards)
+                .map(|t| {
+                    let bound = ((t * n).div_ceil(shards)) as u32;
+                    expected.iter().filter(|&&li| li < bound).count() as u32
+                })
+                .collect();
+            let (mut flat, mut ends) = (vec![99], vec![99]);
+            // Twice: a snapshot re-arms its parity for the same indices.
+            for round in 0..2 {
+                let per = marks.len().div_ceil(threads).max(1);
+                std::thread::scope(|s| {
+                    for chunk in marks.chunks(per) {
+                        let f = &f;
+                        s.spawn(move || {
+                            for &li in chunk {
+                                f.mark(parity, li);
+                            }
+                        });
+                    }
+                });
+                prop_assert_eq!(f.len(parity), expected.len(), "round {}", round);
+                prop_assert!(expected.iter().all(|&li| f.is_marked(parity, li as usize)));
+                f.snapshot(parity, &mut flat, &mut ends);
+                prop_assert_eq!(&flat, &expected, "round {}", round);
+                prop_assert_eq!(&ends, &expected_ends, "round {}", round);
+                prop_assert_eq!(f.len(parity), 0);
+                prop_assert!((0..n).all(|li| !f.is_marked(parity, li)));
+                prop_assert!(
+                    f.len(parity ^ 1) == 1 && f.is_marked(parity ^ 1, n - 1),
+                    "the other parity is untouched"
+                );
             }
-            prop_assert_eq!(flat, expected);
         }
     }
 }

@@ -90,10 +90,6 @@ pub struct WorkerPlan {
     /// in-degree + local activation fan-out + remote fan-out + 1 (the
     /// publication itself). Derived from the CSRs above once at plan build.
     pub work_mass: Vec<u32>,
-    /// Prefix sums over `work_mass` (`num_masters + 1` entries) so a
-    /// frontier's total mass and equal-mass chunk boundaries come from
-    /// O(1) subtractions / binary searches.
-    pub work_mass_prefix: Vec<u64>,
 }
 
 impl WorkerPlan {
@@ -184,12 +180,6 @@ impl WorkerPlan {
         }
     }
 
-    /// Total work mass across all masters on this worker.
-    #[inline]
-    pub fn total_work_mass(&self) -> u64 {
-        self.work_mass_prefix.last().copied().unwrap_or(0)
-    }
-
     /// Exact heap bytes of this worker's slice of the immutable view, from
     /// vector capacities (see [`MemoryBreakdown`]).
     pub fn memory_breakdown(&self) -> MemoryBreakdown {
@@ -200,8 +190,7 @@ impl WorkerPlan {
                 + vec_bytes(&self.in_weights)
                 + vec_bytes(&self.local_out_offsets)
                 + vec_bytes(&self.local_out)
-                + vec_bytes(&self.work_mass)
-                + vec_bytes(&self.work_mass_prefix),
+                + vec_bytes(&self.work_mass),
             replicas: vec_bytes(&self.replicas)
                 + vec_bytes(&self.mirror_offsets)
                 + vec_bytes(&self.mirrors)
@@ -482,7 +471,6 @@ pub(crate) mod tests {
             assert_eq!(x.direct_source, y.direct_source);
             assert_eq!(x.direct_target, y.direct_target);
             assert_eq!(x.work_mass, y.work_mass);
-            assert_eq!(x.work_mass_prefix, y.work_mass_prefix);
         }
         assert_eq!(a.memory_breakdown(), b.memory_breakdown());
     }
@@ -673,20 +661,11 @@ pub(crate) mod tests {
         let plan = build(&g, &p, 0);
         for wp in &plan.workers {
             assert_eq!(wp.work_mass.len(), wp.num_masters());
-            assert_eq!(wp.work_mass_prefix.len(), wp.num_masters() + 1);
             for li in 0..wp.num_masters() {
                 let (s, e) = wp.in_ref_range(li);
                 let expect = (e - s) + wp.local_out(li).len() + wp.mirrors(li).len() + 1;
                 assert_eq!(wp.work_mass[li] as usize, expect);
-                assert_eq!(
-                    wp.work_mass_prefix[li + 1] - wp.work_mass_prefix[li],
-                    wp.work_mass[li] as u64
-                );
             }
-            assert_eq!(
-                wp.total_work_mass(),
-                wp.work_mass.iter().map(|&m| m as u64).sum::<u64>()
-            );
         }
         // Vertex 0 (worker 0, local 0): in-edge from 1, local out {1},
         // mirror on worker 1, plus itself = 4.

@@ -227,20 +227,14 @@ fn wire_rep_out(
     (ro_off, ro)
 }
 
-/// Fills `work_mass` / `work_mass_prefix` from the already-built CSRs.
+/// Fills `work_mass` from the already-built CSRs.
 fn compute_work_mass(wp: &mut WorkerPlan) {
-    let n = wp.num_masters();
-    let mut mass = Vec::with_capacity(n);
-    let mut prefix = Vec::with_capacity(n + 1);
-    prefix.push(0u64);
-    for li in 0..n {
-        let (s, e) = wp.in_ref_range(li);
-        let m = (e - s) + wp.local_out(li).len() + wp.mirrors(li).len() + 1;
-        mass.push(m as u32);
-        prefix.push(prefix[li] + m as u64);
-    }
-    wp.work_mass = mass;
-    wp.work_mass_prefix = prefix;
+    wp.work_mass = (0..wp.num_masters())
+        .map(|li| {
+            let (s, e) = wp.in_ref_range(li);
+            ((e - s) + wp.local_out(li).len() + wp.mirrors(li).len() + 1) as u32
+        })
+        .collect();
 }
 
 /// Re-materializes `v` at exact capacity under `component`'s scope, so the
@@ -370,7 +364,6 @@ impl CyclopsPlan {
             settle(&mut w.local_out_offsets, Component::Plan);
             settle(&mut w.local_out, Component::Plan);
             settle(&mut w.work_mass, Component::Plan);
-            settle(&mut w.work_mass_prefix, Component::Plan);
             settle(&mut w.replicas, Component::Replicas);
             settle(&mut w.mirror_offsets, Component::Replicas);
             settle(&mut w.mirrors, Component::Replicas);

@@ -498,8 +498,6 @@ pub(crate) fn wire_outbound(
     let mut local_out = exact(Component::Plan, num_local as usize);
     let mut mirrors: Vec<(u32, u32)> = exact(Component::Replicas, num_remote as usize);
     let mut work_mass = exact(Component::Plan, m);
-    let mut work_mass_prefix = exact(Component::Plan, m + 1);
-    work_mass_prefix.push(0u64);
     for (li, &u) in masters.iter().enumerate() {
         let cold = below_threshold(graph, u, threshold);
         let tag = li as u32 + 1;
@@ -528,7 +526,6 @@ pub(crate) fn wire_outbound(
             + (mirror_offsets[li + 1] - mirror_offsets[li])
             + 1;
         work_mass.push(mass);
-        work_mass_prefix.push(work_mass_prefix[li] + mass as u64);
     }
 
     wp.local_out_offsets = local_out_offsets;
@@ -536,5 +533,4 @@ pub(crate) fn wire_outbound(
     wp.mirror_offsets = mirror_offsets;
     wp.mirrors = mirrors;
     wp.work_mass = work_mass;
-    wp.work_mass_prefix = work_mass_prefix;
 }

@@ -177,7 +177,6 @@ fn exactly_sized(plan: &CyclopsPlan) -> Result<(), String> {
         check!(w.direct_source, "direct_source");
         check!(w.direct_target, "direct_target");
         check!(w.work_mass, "work_mass");
-        check!(w.work_mass_prefix, "work_mass_prefix");
     }
     Ok(())
 }
@@ -314,7 +313,6 @@ fn plans_equal(a: &CyclopsPlan, b: &CyclopsPlan) -> Result<(), String> {
         check!(x.direct_source, y.direct_source, "direct_source");
         check!(x.direct_target, y.direct_target, "direct_target");
         check!(x.work_mass, y.work_mass, "work_mass");
-        check!(x.work_mass_prefix, y.work_mass_prefix, "work_mass_prefix");
     }
     Ok(())
 }

@@ -561,10 +561,11 @@ pub fn batch_reservation(count: usize, remaining: usize) -> usize {
 /// The view-update framing (tags `0x02`–`0x04` and `0x80 | id` of the table
 /// above).
 ///
-/// The encoder first sorts the batch by id (stable), making the bytes — and
-/// therefore the mode choice and every byte counter downstream — a pure
-/// function of the batch *set*, independent of the outbox merge order a
-/// multi-threaded sender produced. One update takes a one-update frame.
+/// The encoder first puts the batch in id order (a stable sort, skipped when
+/// the batch already is), making the bytes — and therefore the mode choice
+/// and every byte counter downstream — a pure function of the batch *set*,
+/// independent of the outbox merge order a multi-threaded sender produced.
+/// One update takes a one-update frame.
 /// Otherwise both encoded sizes are computed exactly and the smaller wins
 /// (ties favor sparse): dense once the updating fraction of the `[min, max]`
 /// id range crosses the bitmap break-even density (~1 bit vs ~1–2 varint
@@ -581,7 +582,11 @@ impl<M: Codec> WireFormat for ReplicaUpdate<M> {
             msgs.iter().all(|m| m.activate),
             "the wire carries no activation bits: every update activates"
         );
-        msgs.sort_by_key(|m| m.replica);
+        // A one-thread sender's outbox is already ascending, and the stable
+        // sort allocates a scratch the size of the batch before it looks.
+        if !msgs.is_sorted_by_key(|m| m.replica) {
+            msgs.sort_by_key(|m| m.replica);
+        }
         let count = msgs.len();
         let payload_len: usize = msgs.iter().map(|m| m.payload.encoded_len()).sum();
         // Legacy framing: u32 count + (u32 id + payload + bool) each.

@@ -70,7 +70,7 @@ pub enum Component {
     SendPool,
     /// The transport's double-buffered inbox lanes.
     Inbox,
-    /// Frontier structures (sharded frontiers, drain scratch).
+    /// Frontier structures (the per-worker activation bitmaps).
     Frontier,
     /// Trace sink rings, flight rings, and sampling overhead.
     Trace,

@@ -134,3 +134,43 @@ fn samples_round_trip_through_the_trace_file() {
     assert_eq!(rec.live, orig.live);
     assert_eq!(rec.peak, orig.peak);
 }
+
+/// The zero-allocation send contract, held by the allocator and not by the
+/// pooled buffer's own growth counter: a one-thread worker's outbox is
+/// already in id order, and encoding it into a warm buffer allocates nothing
+/// — std's stable sort would take a scratch the size of the batch (4 096 ×
+/// 16 B) before looking at the data. A batch that does need the sort still
+/// encodes to the bytes of its sorted copy.
+#[test]
+fn presorted_batch_encodes_into_a_warm_buffer_without_allocating() {
+    use cyclops::net::codec::{encode_batch, ReplicaUpdate, WireFormat};
+    let _guard = LOCK.lock().unwrap();
+    mem::arm();
+    let sorted: Vec<ReplicaUpdate<f64>> = (0..4096u32)
+        .map(|i| ReplicaUpdate::new(i * 3, i as f64, true))
+        .collect();
+    // An empty legacy batch is the facade's way to a pooled buffer.
+    let mut buf = encode_batch::<f64>(&[]);
+    let mut batch = sorted.clone();
+    ReplicaUpdate::wire_encode_batch_into(&mut buf, &mut batch); // warm-up
+    let want = buf.to_vec();
+    {
+        let _scope = mem::MemScope::enter(Component::SendPool);
+        mem::reset_peaks();
+        let before = mem::peak_bytes(Component::SendPool);
+        let stats = ReplicaUpdate::wire_encode_batch_into(&mut buf, &mut batch);
+        assert_eq!(stats.grown, 0, "warm buffer grew");
+        assert_eq!(
+            mem::peak_bytes(Component::SendPool),
+            before,
+            "encoding a presorted batch allocated"
+        );
+    }
+    assert_eq!(&buf[..], &want[..]);
+
+    let mut unsorted = sorted;
+    unsorted.reverse();
+    unsorted.swap(7, 2000);
+    ReplicaUpdate::wire_encode_batch_into(&mut buf, &mut unsorted);
+    assert_eq!(&buf[..], &want[..], "bytes depend on batch order");
+}
