@@ -10,16 +10,18 @@
 //! scheduler's frontier-dispatch strategies on a skewed R-MAT frontier,
 //! hybrid plan
 //! construction against the full-replication build it extends, the two
-//! per-edge operations of the view (a frontier mark, first vs repeated, and a
-//! gather through `in_messages`), the frontier's per-superstep snapshot across
-//! densities, and the tracking allocator's malloc/free overhead disarmed vs
-//! armed.
+//! per-edge operations of the view (a frontier mark — first, repeated, and
+//! repeated through a real plan's reader lists — and a gather through
+//! `in_messages`), the frontier's per-superstep snapshot across densities, a
+//! dense superstep's activation pushed against pulled, and the tracking
+//! allocator's malloc/free overhead disarmed vs armed.
 
 use bytes::BytesMut;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use cyclops_algos::linalg::cholesky_solve;
 use cyclops_engine::{
-    run_cyclops_with_plan, CyclopsConfig, CyclopsContext, CyclopsPlan, CyclopsProgram, Frontier,
+    run_cyclops_with_plan, CyclopsConfig, CyclopsContext, CyclopsPlan, CyclopsProgram, FreshSlots,
+    Frontier,
 };
 use cyclops_graph::gen::{rmat, RmatConfig};
 use cyclops_graph::{Dataset, Graph, VertexId};
@@ -627,10 +629,21 @@ fn bench_plan_build_hub(c: &mut Criterion) {
     group.finish();
 }
 
-/// The wake-up's two cases, per mark, uncontended: the first mark of an
-/// index in a parity epoch (a load, then a `fetch_or` on the index's word)
-/// against re-marking an index whose bit is already set (the load alone) —
-/// all but one of a reader's wake-ups in a pull-mode superstep.
+/// Worker 0 of `pr-wiki`'s plan (Wiki × 1, hash cut over two workers): the
+/// reader lists a dense superstep's activation walks.
+fn wiki_worker_plan() -> cyclops_engine::plan::WorkerPlan {
+    let g = Dataset::Wiki.generate_scaled(1.0, Dataset::Wiki.default_seed());
+    let p = HashPartitioner.partition(&g, 2);
+    CyclopsPlan::build_parallel(&g, &p).workers.swap_remove(0)
+}
+
+/// The wake-up's cases, per mark, uncontended: the first mark of an index in
+/// a parity epoch (a load, then a `fetch_or` on the index's word) against
+/// re-marking an index whose bit is already set (the load alone) — all but
+/// one of a reader's wake-ups in a pull-mode superstep — first with the
+/// index a loop counter, then in situ: every reader entry of
+/// [`wiki_worker_plan`], in the order a superstep that rewrote every slot
+/// walks them, which adds the entry's load and the scattered word.
 fn bench_frontier_mark(c: &mut Criterion) {
     const N: usize = 4096;
     let mut group = c.benchmark_group("frontier_mark");
@@ -658,6 +671,77 @@ fn bench_frontier_mark(c: &mut Criterion) {
             }
         })
     });
+    let wp = wiki_worker_plan();
+    let marked = Frontier::new(wp.num_masters(), 1);
+    let entries: usize = (0..wp.num_view_slots()).map(|s| wp.readers(s).len()).sum();
+    for li in (0..wp.num_view_slots()).flat_map(|s| wp.readers(s)) {
+        marked.mark(0, *li as usize);
+    }
+    group.throughput(Throughput::Elements(entries as u64));
+    group.bench_function("remark_scattered", |b| {
+        b.iter(|| {
+            for slot in 0..wp.num_view_slots() {
+                for &li in wp.readers(slot) {
+                    marked.mark(0, li as usize);
+                }
+            }
+        })
+    });
+    group.finish();
+}
+
+/// One superstep's activation on [`wiki_worker_plan`], cut two ways, with a
+/// scattered 1 %, 10 %, 50 % and 100 % of the view slots written: *push*
+/// walks `readers(slot)` of every written slot and marks each entry, *pull*
+/// sets the slot's fresh bit and has `fill_from` scan each master's in-edge
+/// references for one. Both end in the snapshot (equal on the two sides, and
+/// what re-arms the parity), and both wake the same masters. Time is per
+/// superstep: where the two rows cross is what the engine's `pull_wins`
+/// estimates from counts.
+fn bench_activation_dense(c: &mut Criterion) {
+    let wp = wiki_worker_plan();
+    let slots = wp.num_view_slots();
+    let frontier = Frontier::new(wp.num_masters(), 1);
+    let fresh = FreshSlots::new(slots);
+    let (mut flat, mut ends) = (Vec::new(), Vec::new());
+    let mut group = c.benchmark_group("activation_dense");
+    for percent in [1usize, 10, 50, 100] {
+        // 40 503 is odd and not a multiple of 5, so `s * 40_503 % 100` runs
+        // through every residue: the written slots are `percent` in 100.
+        let written: Vec<usize> = (0..slots).filter(|s| s * 40_503 % 100 < percent).collect();
+        let mut woken = [0usize; 2];
+        group.bench_function(&format!("push_{percent}pct"), |b| {
+            b.iter(|| {
+                for &slot in &written {
+                    for &li in wp.readers(slot) {
+                        frontier.mark(0, li as usize);
+                    }
+                }
+                frontier.snapshot(0, &mut flat, &mut ends);
+                woken[0] = flat.len();
+            })
+        });
+        group.bench_function(&format!("pull_{percent}pct"), |b| {
+            b.iter(|| {
+                let mut writer = fresh.writer();
+                for &slot in &written {
+                    writer.set(slot);
+                }
+                drop(writer);
+                frontier.fill_from(0, &wp, &fresh, (0, 1));
+                fresh.clear();
+                frontier.snapshot(0, &mut flat, &mut ends);
+                woken[1] = flat.len();
+            })
+        });
+        assert_eq!(woken[0], woken[1], "push and pull wake the same masters");
+        println!(
+            "activation_dense/{percent}pct: {} of {slots} slots written wake {} of {} masters",
+            written.len(),
+            woken[0],
+            wp.num_masters()
+        );
+    }
     group.finish();
 }
 
@@ -803,6 +887,7 @@ criterion_group!(
     bench_plan_build_hub,
     bench_frontier_mark,
     bench_frontier_snapshot,
+    bench_activation_dense,
     bench_view_gather,
     bench_mem_tracking
 );

@@ -30,10 +30,15 @@
 //!   `Run::checkpoint_due` / `Worker::capture_checkpoint` are the checkpoint
 //!   cadence and capture.
 //!
-//! They vary in one thing only, decided by what the caller holds: *how a
-//! reader is woken* is a closure over `(reader local indices, &payload)` — the
-//! per-barrier driver marks the frontier's parity bit, the bucket settle parks
-//! the reader at the priority the payload proposes. There is one kind of view
+//! They vary in one thing only, decided by what the caller holds: *how the
+//! readers of a written view slot are woken* is a closure over
+//! `(slot, &payload)`, the readers being [`WorkerPlan::readers`]`(slot)`. The
+//! bucket settle parks them at the priority the payload proposes. The
+//! per-barrier driver takes whichever direction is cheaper for the superstep
+//! (`pull_wins`): it *pushes* — walks the readers and marks each one's
+//! frontier parity bit — or it sets the slot's bit in the worker's
+//! [`FreshSlots`] and walks nothing, and the readers *pull* their wake-up
+//! afterwards ([`Frontier::fill_from`]). There is one kind of view
 //! update from publish to apply: mirroring and messaging are one mechanism with
 //! a degree cutoff (Yan et al., arXiv:1503.00626), so a destination's outbox is
 //! a `Vec<ReplicaUpdate>`, the run has one [`Transport`], and an update's id is
@@ -59,13 +64,17 @@
 //! `msg_next` in `Worker::compute_vertex`; the view's master range in
 //! `Worker::publish_local` (SND, by the stream that computed the master); the
 //! view's replica and direct ranges in `apply_batches` (PRS, by the receiver
-//! that drained the slot's lane). The two view writers never overlap in range
-//! or in phase, and no gather runs during either, so one argument covers the
-//! array: within an epoch every slot has one writer, and readers are behind a
-//! barrier.
+//! that drained the slot's lane; the decoded remote slot is range-checked by
+//! an explicit `assert!` there, not by the reader lookup, because a pulled
+//! superstep looks no readers up). The two view writers never overlap in
+//! range or in phase, and no gather runs during either, so one argument
+//! covers the array: within an epoch every slot has one writer, and readers
+//! are behind a barrier. The activation bitmaps (`Frontier`, `FreshSlots`)
+//! are atomics and need no such argument; who may touch them when is the
+//! table at the top of `frontier.rs`.
 
 use crate::checkpoint::CyclopsCheckpoint;
-use crate::frontier::Frontier;
+use crate::frontier::{FreshSlots, Frontier};
 use crate::plan::{CyclopsPlan, WorkerPlan};
 use crate::program::{CyclopsContext, CyclopsProgram};
 use cyclops_graph::Graph;
@@ -313,6 +322,13 @@ struct WorkerShared<V, M> {
     /// Double-buffered activation bitmap: an activation is one bit, and the
     /// snapshot is an ordered scan of the words.
     frontier: Frontier,
+    /// The view slots written by a pulled superstep's CMP and the PRS after
+    /// it, until that PRS's fill has read them.
+    fresh: FreshSlots,
+    /// Whether this superstep's publications wake their readers by pull —
+    /// the local ones in its CMP, the remote ones in the next superstep's
+    /// PRS on this worker. Decided with `fast_path`, read like it.
+    pull: AtomicBool,
     /// This superstep's snapshot: the ascending flat frontier...
     flat: parking_lot::RwLock<Vec<u32>>,
     /// ...and its chunk end offsets — shard ends under [`Sched::Static`],
@@ -350,6 +366,7 @@ struct Run<'a, P: CyclopsProgram> {
     graph: &'a Graph,
     plan: &'a CyclopsPlan,
     config: &'a CyclopsConfig,
+    force_pull: Option<bool>,
     trace: Option<&'a TraceSink>,
     phase_hists: Option<PhaseHists>,
     sched_obs: Option<SchedObs>,
@@ -439,6 +456,23 @@ pub fn run_cyclops_with_plan_traced<P: CyclopsProgram>(
     resume: Option<&CyclopsCheckpoint<P::Value, P::Message>>,
     trace: Option<&TraceSink>,
 ) -> CyclopsResult<P::Value, P::Message> {
+    run_with_activation(program, graph, plan, config, resume, trace, None)
+}
+
+/// The one run function behind every entry point. `force_pull` overrides the
+/// per-barrier driver's choice of activation direction ([`pull_wins`], per
+/// worker and superstep) with always-pull or always-push; every public entry
+/// point passes `None`, and tests force it to hold the two directions equal
+/// on runs the rule would send one way only.
+fn run_with_activation<P: CyclopsProgram>(
+    program: &P,
+    graph: &Graph,
+    plan: &CyclopsPlan,
+    config: &CyclopsConfig,
+    resume: Option<&CyclopsCheckpoint<P::Value, P::Message>>,
+    trace: Option<&TraceSink>,
+    force_pull: Option<bool>,
+) -> CyclopsResult<P::Value, P::Message> {
     let spec = config.cluster;
     let num_workers = spec.num_workers();
     let threads = spec.threads_per_worker;
@@ -466,9 +500,12 @@ pub fn run_cyclops_with_plan_traced<P: CyclopsProgram>(
         let n = wp.num_masters();
         let mut values: Vec<P::Value> = Vec::with_capacity(n);
         let mut msgs: Vec<Option<P::Message>> = Vec::with_capacity(n);
-        let frontier = {
+        let (frontier, fresh) = {
             let _mem = MemScope::enter(Component::Frontier);
-            Frontier::new(n, threads)
+            (
+                Frontier::new(n, threads),
+                FreshSlots::new(wp.num_view_slots()),
+            )
         };
         for (li, &v) in wp.masters.iter().enumerate() {
             if let Some(Some((_, value, publication, active))) = restored.get(v as usize) {
@@ -500,6 +537,8 @@ pub fn run_cyclops_with_plan_traced<P: CyclopsProgram>(
             view: DisjointSlots::new(Vec::new()), // filled below
             msg_next: DisjointSlots::new(msgs),
             frontier,
+            fresh,
+            pull: AtomicBool::new(false),
             flat: parking_lot::RwLock::new(Vec::new()),
             ends: parking_lot::RwLock::new(Vec::new()),
             cursor: AtomicUsize::new(0),
@@ -538,6 +577,7 @@ pub fn run_cyclops_with_plan_traced<P: CyclopsProgram>(
         graph,
         plan,
         config,
+        force_pull,
         trace,
         phase_hists: PhaseHists::resolve("cyclops"),
         sched_obs: SchedObs::resolve("cyclops"),
@@ -720,37 +760,41 @@ impl<'r, P: CyclopsProgram> Run<'r, P> {
 
 /// PRS core: writes every update of `batches` into its view slot — the
 /// worker's master count plus the update's remote slot — and wakes the slot's
-/// readers: a replica's local out-neighbors, a direct slot's one target.
-/// Returns the number of updates applied.
+/// readers (`wake(slot, &payload)`): a replica's local out-neighbors, a
+/// direct slot's one target. Returns the number of updates applied.
 #[inline]
 fn apply_batches<M>(
     batches: Vec<(usize, Vec<ReplicaUpdate<M>>)>,
     view: &DisjointSlots<Option<M>>,
     wp: &WorkerPlan,
-    wake: &mut impl FnMut(&[u32], &M),
+    wake: &mut impl FnMut(usize, &M),
 ) -> u64 {
-    let (base, num_replicas) = (wp.replica_base(), wp.num_replicas());
+    let base = wp.replica_base();
+    let remote_slots = wp.num_view_slots() - base;
     let mut applied = 0u64;
     for (_, batch) in batches {
         applied += batch.len() as u64;
         for upd in batch {
             let id = upd.replica as usize;
-            let readers = match id.checked_sub(num_replicas) {
-                None => wp.rep_out(id),
-                Some(slot) => std::slice::from_ref(&wp.direct_target[slot]),
-            };
-            wake(readers, &upd.payload);
+            // A decoded id is checked here, once, for both wake directions:
+            // pushing would bounds-check it in the reader lookup, pulling
+            // looks nothing up, and a fresh bit past the last slot would sit
+            // unseen in the bitmap's last word.
+            assert!(
+                id < remote_slots,
+                "update for remote slot {id}, worker has {remote_slots}"
+            );
+            wake(base + id, &upd.payload);
             // SAFETY: each slot has one source master (a replica's master,
             // a direct slot's cross edge) whose `mirrors` entries hold this
-            // id, and the reader lookup above has bounds-checked it, so
-            // `base + id` stays inside the replica and direct ranges; a
-            // master reaches a slot at most once per epoch (one update per
-            // remote copy per superstep; the settle's dirty list dedups a
-            // round's republications), and lanes touching the same slot are
-            // drained by one receiver — so within an epoch no slot is
-            // written twice, the master range is written in another phase,
-            // and readers are behind a barrier (or, in the settle, on this
-            // same thread).
+            // id, and the assert above keeps `base + id` inside the replica
+            // and direct ranges; a master reaches a slot at most once per
+            // epoch (one update per remote copy per superstep; the settle's
+            // dirty list dedups a round's republications), and lanes
+            // touching the same slot are drained by one receiver — so within
+            // an epoch no slot is written twice, the master range is written
+            // in another phase, and readers are behind a barrier (or, in the
+            // settle, on this same thread).
             unsafe { view.write(base + id, Some(upd.payload)) };
         }
     }
@@ -768,13 +812,13 @@ impl<'r, P: CyclopsProgram> Worker<'r, P> {
 
     /// PRS: drains receiver `part` of `parts`' share of this worker's
     /// inbound lanes for `epoch` and applies them to the view.
-    /// `wake(readers, &payload)` is how the caller activates the local
-    /// masters that read an updated slot.
+    /// `wake(slot, &payload)` is how the caller activates the local masters
+    /// that read an updated slot.
     fn apply_inbound(
         &self,
         epoch: usize,
         (part, parts): (usize, usize),
-        mut wake: impl FnMut(&[u32], &P::Message),
+        mut wake: impl FnMut(usize, &P::Message),
     ) {
         let transport = &self.run.transport;
         let batches = transport.drain_lanes_partitioned(self.w, epoch, part, parts);
@@ -788,9 +832,10 @@ impl<'r, P: CyclopsProgram> Worker<'r, P> {
     /// immutable view and does everything a computed vertex owes — the
     /// stream's counters and float partial, the `converged` flag, the
     /// values-mode digest, storing the publication in `msg_next`, and
-    /// waking the same-worker readers (`wake(local_out, &publication)`, a
-    /// lock-free bit test in the per-barrier loop, §5). Returns the stored
-    /// publication, if the vertex published, for the caller to fan out.
+    /// waking the same-worker readers (`wake(li, &publication)`: the master's
+    /// own view slot; lock-free bit operations in the per-barrier loop, §5).
+    /// Returns the stored publication, if the vertex published, for the
+    /// caller to fan out.
     #[inline]
     fn compute_vertex(
         &self,
@@ -798,7 +843,7 @@ impl<'r, P: CyclopsProgram> Worker<'r, P> {
         superstep: usize,
         agg_in: Option<AggregateStats>,
         acc: &mut CmpAcc,
-        mut wake: impl FnMut(&[u32], &P::Message),
+        mut wake: impl FnMut(usize, &P::Message),
     ) -> Option<&'r P::Message> {
         let (ws, wp) = (self.ws, self.wp);
         acc.part.computed += 1;
@@ -845,13 +890,40 @@ impl<'r, P: CyclopsProgram> Worker<'r, P> {
             m.encode(&mut acc.digest_buf);
             tr.record_publication(wp.masters[li], digest_bytes(&acc.digest_buf));
         }
-        wake(wp.local_out(li), &m);
+        wake(li, &m);
         // SAFETY: one write per master per epoch, by the one stream that
         // computed it (see above); `msg_next` has no reader until
         // `publish_local`.
         unsafe { ws.msg_next.write(li, Some(m)) };
         acc.updated.push(li as u32);
         ws.msg_next.read(li).as_ref()
+    }
+
+    /// CMP of the per-barrier loop's unit of work: computes the masters of
+    /// `chunk` in order and queues each publication's remote fan-out in
+    /// `out`.
+    fn compute_chunk(
+        &self,
+        chunk: &[u32],
+        superstep: usize,
+        agg_in: Option<AggregateStats>,
+        acc: &mut CmpAcc,
+        out: &mut [Vec<ReplicaUpdate<P::Message>>],
+        mut wake: impl FnMut(usize, &P::Message),
+    ) {
+        for &li in chunk {
+            let li = li as usize;
+            if let Some(ledger) = &self.run.config.load_ledger {
+                // Same cost proxy as the hot sketch; relaxed integer adds
+                // commute, so the ledger — and every migration decision read
+                // from it — is independent of thread count and chunk claim
+                // order.
+                ledger.record(self.wp.masters[li], self.wp.work_mass[li].max(1) as u64);
+            }
+            if let Some(m) = self.compute_vertex(li, superstep, agg_in, acc, &mut wake) {
+                acc.part.direct += self.fan_out(li, m, out);
+            }
+        }
     }
 
     /// Makes the stream's stored publications visible to readers (`msg_next`
@@ -1025,13 +1097,30 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
         Sched::Dynamic => run.threads * CHUNKS_PER_THREAD,
     };
 
-    // How this driver wakes readers: a lock-free frontier bit (§5), in the
-    // parity of the superstep that will compute them.
+    // How this driver wakes the readers of a written slot, for the parity of
+    // the superstep that will compute them: push a lock-free frontier bit to
+    // each (§5), or leave one fresh bit for `fill_from` to pull them by. Two
+    // closures, picked per phase, so neither loop tests the direction.
+    let push_into = |parity: usize| {
+        move |slot: usize, _: &P::Message| {
+            for &lo in wp.readers(slot) {
+                ws.frontier.mark(parity, lo as usize);
+            }
+        }
+    };
+    let pull_fresh = || {
+        let mut fresh = ws.fresh.writer();
+        move |slot: usize, _: &P::Message| fresh.set(slot)
+    };
+    let fill_share = (t, run.threads);
 
     let mut superstep = run.start_superstep;
     let mut out = outboxes(num_workers);
     let mut flush = outboxes(num_workers);
     let mut acc = CmpAcc::new(run.trace);
+    // The direction the previous superstep's leader chose, which this
+    // superstep's PRS still owes its remote activations.
+    let mut pull_inbound = false;
 
     loop {
         let mut times = PhaseTimes::default();
@@ -1052,11 +1141,12 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
         let apply_start = Instant::now();
         let prs_span = flight.map(|r| r.now_ns());
         if t < run.receivers {
-            wk.apply_inbound(superstep, (t, run.receivers), |los, _| {
-                for &lo in los {
-                    ws.frontier.mark(cur_parity, lo as usize);
-                }
-            });
+            let share = (t, run.receivers);
+            if pull_inbound {
+                wk.apply_inbound(superstep, share, pull_fresh());
+            } else {
+                wk.apply_inbound(superstep, share, push_into(cur_parity));
+            }
         }
         // Only the drain/apply above is parse work; the barrier waits (and
         // the optional checkpoint they bracket) are coordination time and
@@ -1064,8 +1154,20 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
         // column by a full barrier interval per superstep.
         times.add(Phase::Parse, apply_start.elapsed());
         end_span(flight, prs_span, SpanKind::Parse, [step, 0, 0]);
-        let wait_start = Instant::now();
+        let mut wait_start = Instant::now();
         ws.local.wait();
+        if pull_inbound {
+            // The second fill: the replica and direct bits are in, on top of
+            // the master bits the first fill already used. Its time is the
+            // marking PRS did not do; its barrier is paid by pulled
+            // supersteps only.
+            times.add(Phase::Sync, wait_start.elapsed());
+            let fill_start = Instant::now();
+            ws.frontier.fill_from(cur_parity, wp, &ws.fresh, fill_share);
+            times.add(Phase::Parse, fill_start.elapsed());
+            wait_start = Instant::now();
+            ws.local.wait();
+        }
         // Value-only checkpoint (no replicas, no messages — §3.6), taken on
         // the post-apply consistent cut: remote activations delivered this
         // superstep are reflected in the activation flags, and every replica
@@ -1095,6 +1197,11 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
         // activation interleaving. The snapshot clears the parity.
         if t == 0 {
             let snap_start = Instant::now();
+            if pull_inbound {
+                // Both fills have read the bits; the next writer is this
+                // superstep's CMP, behind the barrier below.
+                ws.fresh.clear();
+            }
             let mut flat = ws.flat.write();
             let mut ends = ws.ends.write();
             ws.frontier.snapshot(cur_parity, &mut flat, &mut ends);
@@ -1111,6 +1218,11 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
             let fast = run.config.sparse_cutoff > 0.0
                 && (frontier_len as f64) < run.config.sparse_cutoff * wp.num_masters() as f64;
             ws.fast_path.store(fast, Ordering::Relaxed);
+            let pull = run.force_pull.unwrap_or_else(|| pull_wins(&flat, wp));
+            ws.pull.store(pull, Ordering::Relaxed);
+            if let Some(so) = &run.sched_obs {
+                so.record_activation(pull);
+            }
             times.add(Phase::Parse, snap_start.elapsed());
         }
         let wait_start = Instant::now();
@@ -1119,6 +1231,7 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
 
         // ---- Compute phase (CMP). ----
         let fast = ws.fast_path.load(Ordering::Relaxed);
+        let pull = ws.pull.load(Ordering::Relaxed);
         let compute_start = Instant::now();
         let cmp_span = flight.map(|r| r.now_ns());
         {
@@ -1148,23 +1261,14 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
                     .filter(|_| sched == Sched::Dynamic && !fast)
                     .map(|r| r.now_ns());
                 acc.part = ChunkPartial::default();
-                for &li in &flat[lo..hi] {
-                    let li = li as usize;
-                    if let Some(ledger) = &run.config.load_ledger {
-                        // Same cost proxy as the hot sketch; relaxed integer
-                        // adds commute, so the ledger — and every migration
-                        // decision read from it — is independent of thread
-                        // count and chunk claim order.
-                        ledger.record(wp.masters[li], wp.work_mass[li].max(1) as u64);
-                    }
-                    let published = wk.compute_vertex(li, superstep, agg_in, &mut acc, |los, _| {
-                        for &lo in los {
-                            ws.frontier.mark(next_parity, lo as usize);
-                        }
-                    });
-                    if let Some(m) = published {
-                        acc.part.direct += wk.fan_out(li, m, &mut out);
-                    }
+                let chunk = &flat[lo..hi];
+                if pull {
+                    // The writer drops with the call, which puts the chunk's
+                    // last fresh bits in.
+                    wk.compute_chunk(chunk, superstep, agg_in, &mut acc, &mut out, pull_fresh());
+                } else {
+                    let wake = push_into(next_parity);
+                    wk.compute_chunk(chunk, superstep, agg_in, &mut acc, &mut out, wake);
                 }
                 // Publish the chunk's float partial into its slot; the
                 // worker leader reduces slots in chunk-index order, so claim
@@ -1199,6 +1303,16 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
         let wait_start = Instant::now();
         ws.local.wait();
         times.add(Phase::Sync, wait_start.elapsed());
+        if pull {
+            // The first fill: only master bits are fresh, so the parity gets
+            // exactly the local activations CMP's marks would have made, and
+            // the leader's count below is the count it has always been. Its
+            // time is the marking CMP did not do.
+            let fill_start = Instant::now();
+            ws.frontier
+                .fill_from(next_parity, wp, &ws.fresh, fill_share);
+            times.add(Phase::Compute, fill_start.elapsed());
+        }
 
         // ---- Publish & send phase (SND). ----
         let send_start = Instant::now();
@@ -1225,6 +1339,13 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
 
         // ---- Publish this thread's sketch; reduce the worker's partials. ----
         wk.trace_hot(t, &mut acc);
+        if pull {
+            // Every thread's share of the first fill, before the leader
+            // counts the parity.
+            let wait_start = Instant::now();
+            ws.local.wait();
+            times.add(Phase::Sync, wait_start.elapsed());
+        }
         let mut reduced = ChunkPartial::default();
         if t == 0 {
             if let (Some(tr), true) = (wk.tr, fast) {
@@ -1268,7 +1389,49 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
             return;
         }
         superstep += 1;
+        pull_inbound = pull;
     }
+}
+
+/// Whether a superstep computing the ascending frontier `flat` should wake
+/// its readers by pull. Both directions find the same masters (see
+/// [`WorkerPlan::readers`]); this compares what each would walk, from counts
+/// only — never a clock — so every run of the same input decides alike.
+///
+/// With `out_f` and `in_f` the frontier's summed `local_out` lengths and
+/// in-degrees: pushing walks `out_f` local reader entries in CMP, and the
+/// remote updates of the next PRS are taken to wake in the same proportion,
+/// so it walks about `out_f / |local_out|` of all `|in_refs|` reader entries.
+/// Pulling scans the in-edges of the masters that do not get woken early:
+/// those outside the frontier are taken to find nothing and be scanned in
+/// full, `|in_refs| − in_f`, those inside it to find a fresh slot within two
+/// probes, `2·|flat|`. Pull iff the first exceeds the second, cross-multiplied
+/// to stay in integers — which also makes a worker with no local out-edges
+/// (`0 > 0`) push. Three regimes:
+///
+/// * dense and stationary (PageRank while most ranks still move): `out_f` and
+///   `in_f` near their totals, so push walks every reader entry and pull two
+///   probes per master — pull, whenever the mean in-degree exceeds two;
+/// * dense but alternating (ALS on a bipartite graph): the frontier is one
+///   side, its readers the other, so nobody about to be woken is in `flat`
+///   and pull would scan the readers' in-edges in full — exactly the entries
+///   push walks — plus the two probes: push;
+/// * sparse (an SSSP wavefront): pull rescans nearly every in-edge to find a
+///   few readers — push; below a quarter of the masters the sums are not
+///   even taken, so a sparse superstep pays one compare.
+fn pull_wins(flat: &[u32], wp: &WorkerPlan) -> bool {
+    if flat.len() < wp.num_masters() / 4 {
+        return false;
+    }
+    let (mut out_f, mut in_f) = (0u64, 0u64);
+    for &li in flat {
+        let (start, end) = wp.in_ref_range(li as usize);
+        out_f += wp.local_out(li as usize).len() as u64;
+        in_f += (end - start) as u64;
+    }
+    let (readers, in_refs) = (wp.local_out.len() as u128, wp.in_refs.len() as u128);
+    let pull_walk = in_refs - in_f as u128 + 2 * flat.len() as u128;
+    out_f as u128 * in_refs > pull_walk * readers
 }
 
 /// Re-cuts a sorted frontier into `chunks` contiguous ranges of roughly
@@ -1512,7 +1675,8 @@ fn settle_bucket<P: CyclopsProgram>(
             let wk = run.worker(w);
             let t0 = Instant::now();
             wk.begin_epoch();
-            let wake = |readers: &[u32], m: &P::Message| sched.parked.mark(w, readers, key_of(m));
+            let wake =
+                |slot: usize, m: &P::Message| sched.parked.mark(w, wk.wp.readers(slot), key_of(m));
             wk.apply_inbound(sched.epoch, (0, 1), wake);
             t.add(Phase::Parse, t0.elapsed());
         }
@@ -1560,7 +1724,9 @@ fn settle_bucket<P: CyclopsProgram>(
                         sched.sel_gen[w][li] = gen;
                         occupancy[w] += 1;
                     }
-                    let wake = |los: &[u32], m: &P::Message| sched.parked.mark(w, los, key_of(m));
+                    let wake = |slot: usize, m: &P::Message| {
+                        sched.parked.mark(w, wk.wp.readers(slot), key_of(m))
+                    };
                     let published = wk.compute_vertex(li, pass_superstep, agg_in, acc, wake);
                     if published.is_some() && sched.dirty_gen[w][li] != rgen {
                         sched.dirty_gen[w][li] = rgen;
@@ -1717,7 +1883,7 @@ fn retune_delta(
 mod tests {
     use super::*;
     use cyclops_graph::{GraphBuilder, VertexId};
-    use cyclops_partition::{EdgeCutPartitioner, HashPartitioner};
+    use cyclops_partition::{EdgeCutPartition, EdgeCutPartitioner, HashPartitioner};
 
     /// Pull-mode max propagation: each vertex's value becomes the max of
     /// its own value and its in-neighbors' publications; it re-publishes
@@ -2334,6 +2500,286 @@ mod tests {
             &full.checkpoints[0],
         );
         assert_eq!(full.values, resumed.values);
+    }
+
+    /// PageRank as `cyclops-algos` writes it (this crate cannot depend on
+    /// it): republish while the local error exceeds `epsilon`.
+    struct Rank {
+        epsilon: f64,
+    }
+    impl CyclopsProgram for Rank {
+        type Value = f64;
+        type Message = f64;
+        fn init(&self, _v: VertexId, g: &Graph) -> f64 {
+            1.0 / g.num_vertices() as f64
+        }
+        fn init_message(&self, v: VertexId, g: &Graph, value: &f64) -> Option<f64> {
+            Some(*value / g.out_degree(v).max(1) as f64)
+        }
+        fn compute(&self, ctx: &mut CyclopsContext<'_, f64, f64>) {
+            let last = *ctx.value();
+            let sum: f64 = ctx.in_messages().map(|(m, _)| *m).sum();
+            let value = 0.15 / ctx.num_vertices() as f64 + 0.85 * sum;
+            ctx.set_value(value);
+            let error = (value - last).abs();
+            ctx.report_error(error);
+            if error > self.epsilon {
+                ctx.activate_neighbors(value / ctx.out_degree().max(1) as f64);
+            }
+        }
+    }
+
+    /// Everything a run lets an observer see except its clocks: the result,
+    /// every per-superstep count, every checkpoint (vertices by id — workers
+    /// append their share in arrival order) and the values-mode trace.
+    fn observed<V: Clone + std::fmt::Debug, M: Clone + std::fmt::Debug>(
+        r: &CyclopsResult<V, M>,
+        sink: &mut TraceSink,
+    ) -> String {
+        let stats: Vec<_> = (r.stats.iter())
+            .map(|s| {
+                (
+                    s.superstep,
+                    s.active_vertices,
+                    s.messages_sent,
+                    s.bytes_sent,
+                    s.redundant_messages,
+                )
+            })
+            .collect();
+        let mut checkpoints = r.checkpoints.clone();
+        for cp in &mut checkpoints {
+            cp.vertices.sort_by_key(|entry| entry.0);
+        }
+        let mut records = sink.take_records();
+        for rec in &mut records {
+            (rec.parse_ns, rec.compute_ns, rec.send_ns, rec.sync_ns) = (0, 0, 0, 0);
+        }
+        // The queue peaks and allocation totals depend on thread timing.
+        let c = &r.counters;
+        let traffic = (
+            c.messages,
+            c.bytes,
+            c.wire_dense_batches,
+            c.wire_sparse_batches,
+        );
+        format!(
+            "{:?}\n{:?}\n{} {traffic:?} {}\n{stats:?}\n{checkpoints:?}\n{records:?}",
+            r.values, r.publications, r.supersteps, r.direct_messages,
+        )
+    }
+
+    /// Runs `program` once per activation policy — always push, always pull,
+    /// the rule — and holds the three observably equal.
+    fn assert_directions_agree<P: CyclopsProgram>(
+        program: &P,
+        g: &Graph,
+        config: &CyclopsConfig,
+        label: &str,
+    ) where
+        P::Value: std::fmt::Debug,
+        P::Message: std::fmt::Debug,
+    {
+        let p = HashPartitioner.partition(g, config.cluster.num_workers());
+        let plan = CyclopsPlan::build_parallel_with_threshold(g, &p, config.replicate_threshold);
+        let run = |force_pull| {
+            let mut sink = TraceSink::with_values("cyclops", &config.cluster);
+            let r = run_with_activation(program, g, &plan, config, None, Some(&sink), force_pull);
+            assert!(!r.checkpoints.is_empty(), "{label}: no checkpoint captured");
+            (r.supersteps, observed(&r, &mut sink))
+        };
+        let pulled = cyclops_obs::install_global().counter(
+            "cyclops_activation_supersteps",
+            &[("engine", "cyclops"), ("mode", "pull")],
+        );
+        let (before, (supersteps, pull)) = (pulled.get(), run(Some(true)));
+        // Other tests of this binary may be counting too, so at least:
+        let expected = (supersteps * plan.workers.len()) as u64;
+        assert!(
+            pulled.get() - before >= expected,
+            "{label}: pull not forced"
+        );
+        let (_, push) = run(Some(false));
+        assert_same(&push, &pull, &format!("{label}: push vs pull"));
+        assert_same(&push, &run(None).1, &format!("{label}: push vs the rule"));
+    }
+
+    /// `assert_eq!` for two long dumps: shows where they part, not all of both.
+    fn assert_same(a: &str, b: &str, label: &str) {
+        let Some(at) = (a.bytes().zip(b.bytes())).position(|(x, y)| x != y) else {
+            return assert_eq!(a.len(), b.len(), "{label}: one dump is a prefix");
+        };
+        let shown = |s: &str| s[at.saturating_sub(300)..(at + 100).min(s.len())].to_owned();
+        panic!("{label}: diverge at byte {at}\n{}\n{}", shown(a), shown(b));
+    }
+
+    #[test]
+    fn pushed_and_pulled_activation_are_one_run() {
+        // A multigraph with hubs and self-loops for the pull-mode programs,
+        // a weighted lattice for the wavefront.
+        let web = cyclops_graph::gen::rmat(
+            cyclops_graph::gen::RmatConfig {
+                scale: 9,
+                edges: 4000,
+                simple: false,
+                ..Default::default()
+            },
+            11,
+        );
+        let road = cyclops_graph::gen::road_lattice(12, 12, 0.9, 0.1, 3);
+        for cluster in [ClusterSpec::flat(3, 1), ClusterSpec::mt(2, 3, 2)] {
+            for replicate_threshold in [0, 2] {
+                for sched in [Sched::Static, Sched::Dynamic] {
+                    let config = CyclopsConfig {
+                        cluster,
+                        sched,
+                        replicate_threshold,
+                        max_supersteps: 14,
+                        checkpoint_every: Some(3),
+                        ..Default::default()
+                    };
+                    let label = |name: &str| {
+                        format!("{name} on {cluster:?}, threshold {replicate_threshold}, {sched:?}")
+                    };
+                    assert_directions_agree(&Rank { epsilon: 0.0 }, &web, &config, &label("PR"));
+                    let rank = Rank { epsilon: 1e-4 };
+                    assert_directions_agree(&rank, &web, &config, &label("PR 1e-4"));
+                    assert_directions_agree(&MaxPull, &web, &config, &label("CC"));
+                    let sssp = MinDist { source: 0 };
+                    assert_directions_agree(&sssp, &road, &config, &label("SSSP"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pulled_supersteps_survive_the_sparse_fast_path_and_a_resume() {
+        // The two schedules the matrix above does not reach: every superstep
+        // on the leader alone (cutoff 2.0) while every one is pulled, and a
+        // run resumed from a checkpoint that a pulled PRS filled.
+        let g = ring(48);
+        let config = CyclopsConfig {
+            cluster: ClusterSpec::mt(2, 3, 2),
+            sparse_cutoff: 2.0,
+            checkpoint_every: Some(5),
+            ..Default::default()
+        };
+        assert_directions_agree(&MaxPull, &g, &config, "fast path");
+        let p = HashPartitioner.partition(&g, 2);
+        let plan = CyclopsPlan::build_parallel(&g, &p);
+        let full = run_with_activation(&MaxPull, &g, &plan, &config, None, None, Some(true));
+        let cp = &full.checkpoints[1];
+        for force_pull in [Some(true), Some(false)] {
+            let resumed =
+                run_with_activation(&MaxPull, &g, &plan, &config, Some(cp), None, force_pull);
+            assert_eq!(full.values, resumed.values);
+            assert_eq!(full.supersteps, resumed.supersteps);
+        }
+    }
+
+    /// Worker 0's plan of `dataset` cut by hash over two workers.
+    fn worker_plan(dataset: cyclops_graph::Dataset, scale: f64) -> WorkerPlan {
+        let g = dataset.generate_scaled(scale, dataset.default_seed());
+        let p = HashPartitioner.partition(&g, 2);
+        CyclopsPlan::build_parallel(&g, &p).workers.swap_remove(0)
+    }
+
+    #[test]
+    fn pull_wins_on_dense_stationary_frontiers_only() {
+        use cyclops_graph::Dataset;
+        // Dense and stationary: every master of a power-law graph computes
+        // and will again — PageRank's bulk phase.
+        let wiki = worker_plan(Dataset::Wiki, 0.25);
+        let all: Vec<u32> = (0..wiki.num_masters() as u32).collect();
+        assert!(pull_wins(&all, &wiki));
+        // The same plan, a fifth of it: below the quarter, not even summed.
+        assert!(!pull_wins(&all[..all.len() / 5], &wiki));
+
+        // Dense but alternating: ALS's user side is nine tenths of the
+        // masters, and everyone it wakes is on the item side.
+        let syn = worker_plan(Dataset::SynGl, 1.0);
+        let users = Dataset::SynGl.bipartite_users_at(1.0).unwrap() as u32;
+        let user_side: Vec<u32> = (0..syn.num_masters() as u32)
+            .filter(|&li| syn.masters[li as usize] < users)
+            .collect();
+        assert!(user_side.len() > syn.num_masters() * 3 / 4);
+        assert!(!pull_wins(&user_side, &syn));
+        let item_side: Vec<u32> = (0..syn.num_masters() as u32)
+            .filter(|&li| syn.masters[li as usize] >= users)
+            .collect();
+        assert!(!pull_wins(&item_side, &syn));
+
+        // Sparse: a wavefront over a fifth of a road network — and, were it
+        // wider, degree-3 vertices still make marking cheaper than scanning.
+        let road = worker_plan(Dataset::RoadCa, 0.25);
+        let n = road.num_masters() as u32;
+        let wavefront: Vec<u32> = (n / 3..n / 3 + n / 5).collect();
+        assert!(!pull_wins(&wavefront, &road));
+        let wide: Vec<u32> = (n / 3..n / 3 + n / 2).collect();
+        assert!(!pull_wins(&wide, &road));
+
+        // No local out-edge at all (a bipartite graph cut by side): nothing
+        // to divide by, and pushing walks nothing in CMP.
+        let mut b = GraphBuilder::new(8);
+        for v in 0..4 {
+            b.add_edge(v, v + 4);
+            b.add_edge(v + 4, (v + 1) % 4);
+        }
+        let g = b.build();
+        let p = EdgeCutPartition::new(2, vec![0, 0, 0, 0, 1, 1, 1, 1]);
+        let plan = CyclopsPlan::build_parallel(&g, &p);
+        for wp in &plan.workers {
+            assert!(wp.local_out.is_empty() && !wp.in_refs.is_empty());
+            assert!(!pull_wins(&[0, 1, 2, 3], wp));
+        }
+        assert!(!pull_wins(&[], &WorkerPlan::default()));
+    }
+
+    #[test]
+    fn an_out_of_range_remote_slot_is_a_clean_panic_in_both_directions() {
+        // Figure-6-sized worker: 2 masters, remote slots for ids 0 and 1 —
+        // 4 view slots, so the fresh bitmap's one word has 60 spare bits an
+        // unchecked id could land in.
+        let mut b = GraphBuilder::new(4);
+        b.add_edge(2, 0);
+        b.add_edge(3, 1);
+        let g = b.build();
+        let p = EdgeCutPartition::new(2, vec![0, 0, 1, 1]);
+        let plan = CyclopsPlan::build_parallel(&g, &p);
+        let wp = &plan.workers[0];
+        assert_eq!((wp.num_masters(), wp.num_view_slots()), (2, 4));
+        let frontier = Frontier::new(2, 1);
+        let fresh = FreshSlots::new(4);
+        for pull in [false, true] {
+            for bad in [2u32, 61, 64, u32::MAX] {
+                let view = DisjointSlots::new(vec![None::<u32>; 4]);
+                let batch = vec![
+                    ReplicaUpdate::new(1, 7, true),
+                    ReplicaUpdate::new(bad, 8, true),
+                ];
+                let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let mut writer = fresh.writer();
+                    let mut wake = |slot: usize, _: &u32| {
+                        if pull {
+                            return writer.set(slot);
+                        }
+                        for &li in wp.readers(slot) {
+                            frontier.mark(0, li as usize);
+                        }
+                    };
+                    apply_batches(vec![(0, batch)], &view, wp, &mut wake)
+                }));
+                assert!(refused.is_err(), "id {bad}, pull {pull}");
+                // The good update before it landed; the bad one left no
+                // trace in the view, the frontier or the bitmap.
+                assert_eq!(view.into_inner(), vec![None, None, None, Some(7)]);
+                frontier.fill_from(0, wp, &fresh, (0, 1));
+                assert_eq!(fresh.count(), pull as usize);
+                assert_eq!((frontier.len(0), frontier.is_marked(0, 1)), (1, true));
+                fresh.clear();
+                frontier.snapshot(0, &mut Vec::new(), &mut Vec::new());
+            }
+        }
     }
 
     #[test]

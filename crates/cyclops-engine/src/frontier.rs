@@ -1,4 +1,5 @@
-//! The double-buffered activation frontier: one bit per master per parity.
+//! The double-buffered activation frontier: one bit per master per parity —
+//! and the fresh-slot bitmap a dense superstep fills it from.
 //!
 //! An activation is a bit. A parity is `⌈masters/64⌉` atomic words; `mark`
 //! sets a bit with no list push, no lock and no owner lookup, and the
@@ -7,26 +8,64 @@
 //! float results) is independent of activation interleaving, and compute
 //! walks the CSR in index order.
 //!
+//! A parity is filled from one of two sides, chosen per superstep by the
+//! engine (`pull_wins`): *push* — whoever writes a view slot marks the slot's
+//! readers, a bit test per reader entry — or *pull* — the writer sets the
+//! slot's bit in [`FreshSlots`] and walks nothing, and [`Frontier::fill_from`]
+//! later has each still-unmarked master scan its in-edge references for one
+//! fresh slot. The reader tables are the inverse of `in_refs`, so both sides
+//! produce the same set; which is cheaper depends on how much of the view
+//! changed.
+//!
 //! Who may call what, per worker and parity `p`:
 //!
 //! * `mark(p, _)` — INIT, before the threads start; then any thread of the
 //!   worker, in CMP of a superstep of the other parity (local activations
 //!   for the next superstep) and in PRS of a superstep of parity `p` (remote
-//!   activations for this one).
-//! * `is_marked(p, _)` — after PRS's barrier and before the snapshot
-//!   (checkpoint capture, bucket seeding).
+//!   activations for this one) — of a pushed superstep.
+//! * `FreshSlots::writer().set(_)` — the same two sites of a pulled
+//!   superstep, in `mark`'s place: master slots in CMP, replica and direct
+//!   slots in the next PRS.
+//! * `fill_from(p, ..)` — every thread of the worker, each on its own word
+//!   range, at the two fill sites of a pulled superstep: after the barrier
+//!   that ends the CMP which set master bits (so `len(p)` below sees exactly
+//!   the local activations `mark` would have made), and after the barrier
+//!   that ends the following PRS, when the replica and direct bits are in
+//!   too (before `is_marked` and the snapshot). Nothing marks `p` or sets a
+//!   fresh bit during a fill: both writers are behind the barrier it follows.
+//! * `FreshSlots::clear()` — the worker leader, after the barrier that ends
+//!   the second fill and before the one that opens CMP: every reader of the
+//!   bits (the two fills) is behind the first, the next writer (a pulled CMP)
+//!   beyond the second. The master bits are not cleared between the fills;
+//!   the second re-tests them, which changes nothing — a master the first
+//!   fill left unmarked has no fresh master reference.
+//! * `is_marked(p, _)` — after PRS's barrier (and a pulled superstep's second
+//!   fill) and before the snapshot (checkpoint capture, bucket seeding).
 //! * `snapshot(p, ..)` — the worker leader alone, between the barrier that
 //!   ends PRS and the one that opens CMP. It clears the words as it reads
 //!   them: the next `mark(p, _)` is in CMP of the *following* superstep, a
 //!   full superstep and several barriers later, so nothing marks a parity
 //!   while it is being cleared and no per-vertex re-arm is needed.
 //! * `len(p)` — the worker leader, after the barrier that ends the CMP which
-//!   marked `p`.
+//!   marked `p` (and a pulled superstep's first fill).
 //!
 //! Every access is `Relaxed`: a bit publishes nothing but itself, and each
 //! hand-over above crosses one of the worker's barriers, which orders it.
 
+use crate::plan::WorkerPlan;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// An all-clear bitmap of `bits` bits.
+fn clear_words(bits: usize) -> Vec<AtomicU64> {
+    (0..bits.div_ceil(64)).map(|_| AtomicU64::new(0)).collect()
+}
+
+/// Number of set bits.
+fn count_ones(words: &[AtomicU64]) -> usize {
+    (words.iter())
+        .map(|w| w.load(Ordering::Relaxed).count_ones() as usize)
+        .sum()
+}
 
 /// A double-buffered activation bitmap. `parity` selects which of the two
 /// superstep buffers a call touches; the engine marks into `next` while it
@@ -42,15 +81,10 @@ impl Frontier {
     /// is cut into `shards` contiguous ranges (normally one per compute
     /// thread).
     pub fn new(num_masters: usize, shards: usize) -> Self {
-        let words = || {
-            (0..num_masters.div_ceil(64))
-                .map(|_| AtomicU64::new(0))
-                .collect()
-        };
         Frontier {
             num_masters,
             shards: shards.max(1),
-            words: [words(), words()],
+            words: [clear_words(num_masters), clear_words(num_masters)],
         }
     }
 
@@ -80,10 +114,46 @@ impl Frontier {
 
     /// Number of masters marked for `parity`.
     pub fn len(&self, parity: usize) -> usize {
-        self.words[parity & 1]
-            .iter()
-            .map(|w| w.load(Ordering::Relaxed).count_ones() as usize)
-            .sum()
+        count_ones(&self.words[parity & 1])
+    }
+
+    /// The pull side of activation: marks, for `parity`, every master with an
+    /// in-edge reference to a fresh slot — what marking the readers of every
+    /// fresh slot gives, because the plan's reader tables are the inverse of
+    /// `in_refs`. A master already marked is skipped, an unmarked one scans
+    /// its references until the first fresh slot, and a word's new bits go in
+    /// with one `fetch_or`. A call covers share `part` of `parts` of the
+    /// words, so a worker's threads can split a fill without sharing one.
+    pub fn fill_from(
+        &self,
+        parity: usize,
+        wp: &WorkerPlan,
+        fresh: &FreshSlots,
+        (part, parts): (usize, usize),
+    ) {
+        debug_assert_eq!(wp.num_masters(), self.num_masters);
+        let words = &self.words[parity & 1];
+        let first = part * words.len() / parts;
+        let last = (part + 1) * words.len() / parts;
+        for (i, word) in words.iter().enumerate().take(last).skip(first) {
+            // The last word's bits past `num_masters` name no master.
+            let in_range = match self.num_masters - i * 64 {
+                n if n < 64 => (1u64 << n) - 1,
+                _ => u64::MAX,
+            };
+            let mut unmarked = !word.load(Ordering::Relaxed) & in_range;
+            let mut woken = 0u64;
+            while unmarked != 0 {
+                let bit = unmarked.trailing_zeros();
+                unmarked &= unmarked - 1;
+                let (start, end) = wp.in_ref_range(i * 64 + bit as usize);
+                let refs = &wp.in_refs[start..end];
+                woken |= (refs.iter().any(|&slot| fresh.is_set(slot as usize)) as u64) << bit;
+            }
+            if woken != 0 {
+                word.fetch_or(woken, Ordering::Relaxed);
+            }
+        }
     }
 
     /// Moves the parity's marked masters into `flat`, ascending, and leaves
@@ -110,6 +180,90 @@ impl Frontier {
             let bound = (t * n).div_ceil(shards);
             flat.partition_point(|&li| (li as usize) < bound) as u32
         }));
+    }
+}
+
+/// Which of a worker's view slots were written since the last
+/// [`Self::clear`]: one bit per slot of `[masters | replicas | direct slots]`,
+/// the bitmap [`Frontier::fill_from`] pulls activations from.
+pub struct FreshSlots {
+    num_slots: usize,
+    words: Vec<AtomicU64>,
+}
+
+impl FreshSlots {
+    /// An all-clear bitmap over `num_slots` view slots.
+    pub fn new(num_slots: usize) -> Self {
+        FreshSlots {
+            num_slots,
+            words: clear_words(num_slots),
+        }
+    }
+
+    /// A writer that batches the bits of one word into one `fetch_or`. Any
+    /// number of writers may run at once; a writer's bits are in the bitmap
+    /// once it is dropped.
+    pub fn writer(&self) -> FreshWriter<'_> {
+        FreshWriter {
+            fresh: self,
+            word: 0,
+            bits: 0,
+        }
+    }
+
+    /// Whether `slot` was written since the last clear.
+    #[inline]
+    pub fn is_set(&self, slot: usize) -> bool {
+        self.words[slot / 64].load(Ordering::Relaxed) >> (slot % 64) & 1 != 0
+    }
+
+    /// Number of fresh slots.
+    pub fn count(&self) -> usize {
+        count_ones(&self.words)
+    }
+
+    /// Marks every slot stale again.
+    pub fn clear(&self) {
+        for word in &self.words {
+            word.store(0, Ordering::Relaxed);
+        }
+    }
+}
+
+/// Sets bits of a [`FreshSlots`], holding back those of the word it last
+/// touched: a compute chunk's masters and a batch's remote slots ascend, so
+/// a word's bits usually go in with one locked operation instead of one each.
+pub struct FreshWriter<'a> {
+    fresh: &'a FreshSlots,
+    word: usize,
+    bits: u64,
+}
+
+impl FreshWriter<'_> {
+    /// Records that `slot` was written. Panics on a slot past the bitmap's
+    /// range — here, not in the deferred flush, and in release builds too:
+    /// the last word has spare bits an unchecked slot could land in.
+    #[inline]
+    pub fn set(&mut self, slot: usize) {
+        assert!(slot < self.fresh.num_slots, "slot {slot} out of range");
+        if slot / 64 != self.word {
+            self.flush();
+            self.word = slot / 64;
+        }
+        self.bits |= 1 << (slot % 64);
+    }
+
+    fn flush(&mut self) {
+        if self.bits != 0 {
+            self.fresh.words[self.word].fetch_or(self.bits, Ordering::Relaxed);
+            self.bits = 0;
+        }
+    }
+}
+
+impl Drop for FreshWriter<'_> {
+    fn drop(&mut self) {
+        self.flush();
     }
 }
 
@@ -146,7 +300,130 @@ mod tests {
         assert_eq!(f.len(0), 0, "the other parity saw nothing");
     }
 
+    #[test]
+    fn fresh_writer_batches_a_word_and_lands_on_drop() {
+        let fresh = FreshSlots::new(130);
+        let mut w = fresh.writer();
+        for slot in [3, 9, 63, 64, 129, 5] {
+            w.set(slot); // 5 goes back a word: flushed like any other change
+        }
+        assert!(
+            fresh.is_set(3) && fresh.is_set(64) && fresh.is_set(129),
+            "left words are in"
+        );
+        assert!(!fresh.is_set(5), "the held word is not, until the drop");
+        drop(w);
+        assert_eq!(fresh.count(), 6);
+        assert!((0..130).all(|s| fresh.is_set(s) == [3, 5, 9, 63, 64, 129].contains(&s)));
+        fresh.clear();
+        assert_eq!(fresh.count(), 0);
+    }
+
+    #[test]
+    fn fresh_writer_refuses_the_last_words_spare_bits() {
+        // 70 slots are two words; slot 70 has a bit in the second but names
+        // nothing. A clean panic at the call, nothing set, nothing deferred
+        // to the drop.
+        let fresh = FreshSlots::new(70);
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut w = fresh.writer();
+            w.set(69);
+            w.set(70);
+        }));
+        assert!(refused.is_err());
+        assert!(
+            fresh.is_set(69) && fresh.count() == 1,
+            "slot 69 landed during the unwind"
+        );
+    }
+
+    /// A worker plan with nothing but an in-edge CSR: what `fill_from` reads.
+    fn plan_of_in_refs(in_refs: &[Vec<u32>]) -> WorkerPlan {
+        let mut wp = WorkerPlan {
+            masters: (0..in_refs.len() as u32).collect(),
+            in_ref_offsets: vec![0],
+            ..Default::default()
+        };
+        for refs in in_refs {
+            wp.in_refs.extend(refs);
+            wp.in_ref_offsets.push(wp.in_refs.len() as u32);
+        }
+        wp
+    }
+
     proptest! {
+        /// `fill_from` against its model: afterwards the parity holds the
+        /// pre-marks plus every master with a fresh in-edge reference —
+        /// what marking `readers(s)` of every fresh `s` gives, the reader
+        /// lists being the inverse of `in_refs` — however the words are
+        /// shared out, and the other parity is untouched.
+        #[test]
+        fn fill_from_marks_exactly_the_masters_reading_a_fresh_slot(
+            n in (0usize..8, 1usize..200)
+                .prop_map(|(edge, n)| [63, 64, 65, 128].get(edge).copied().unwrap_or(n)),
+            extra_slots in 0usize..70,
+            refs in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..500),
+            fresh_picks in proptest::collection::vec(any::<u32>(), 0..60),
+            premarks in proptest::collection::vec(any::<u32>(), 0..20),
+            parts in 1usize..5,
+            parity in 0usize..2,
+        ) {
+            let slots = n + extra_slots;
+            let mut in_refs = vec![Vec::new(); n];
+            for (li, slot) in refs {
+                in_refs[li as usize % n].push(slot % slots as u32);
+            }
+            let wp = plan_of_in_refs(&in_refs);
+            let fresh = FreshSlots::new(slots);
+            let f = Frontier::new(n, 1);
+            f.mark(parity ^ 1, n - 1);
+            let premarks: Vec<usize> = premarks.iter().map(|&m| m as usize % n).collect();
+            for &li in &premarks {
+                f.mark(parity, li);
+            }
+            let marked = |f: &Frontier| -> Vec<usize> {
+                (0..n).filter(|&li| f.is_marked(parity, li)).collect()
+            };
+
+            // An all-clear bitmap changes nothing.
+            for part in 0..parts {
+                f.fill_from(parity, &wp, &fresh, (part, parts));
+            }
+            let mut expected = premarks.clone();
+            expected.sort_unstable();
+            expected.dedup();
+            prop_assert_eq!(marked(&f), expected);
+
+            let mut writer = fresh.writer();
+            for &s in &fresh_picks {
+                writer.set(s as usize % slots);
+            }
+            drop(writer);
+            let expected: Vec<usize> = (0..n)
+                .filter(|li| {
+                    premarks.contains(li)
+                        || in_refs[*li].iter().any(|&s| fresh.is_set(s as usize))
+                })
+                .collect();
+            // The shares are disjoint word ranges: run them side by side.
+            std::thread::scope(|s| {
+                for part in 0..parts {
+                    let (f, wp, fresh) = (&f, &wp, &fresh);
+                    s.spawn(move || f.fill_from(parity, wp, fresh, (part, parts)));
+                }
+            });
+            prop_assert_eq!(marked(&f), expected.clone());
+            prop_assert_eq!(f.len(parity), expected.len());
+            // A second fill from the same bits (the engine's PRS fill re-reads
+            // the master bits of its CMP fill) adds nothing.
+            f.fill_from(parity, &wp, &fresh, (0, 1));
+            prop_assert_eq!(marked(&f), expected);
+            prop_assert!(
+                f.len(parity ^ 1) == 1 && f.is_marked(parity ^ 1, n - 1),
+                "the other parity is untouched"
+            );
+        }
+
         /// The frontier against its model, a sorted set: concurrent marks
         /// with duplicates, word-boundary sizes, more shards than masters.
         #[test]

@@ -49,7 +49,7 @@ pub use engine::{
     run_cyclops, run_cyclops_from_checkpoint, run_cyclops_traced, run_cyclops_with_plan,
     run_cyclops_with_plan_traced, Convergence, CyclopsConfig, CyclopsResult, Sched,
 };
-pub use frontier::Frontier;
+pub use frontier::{FreshSlots, Frontier};
 pub use migrate::{
     apply_migration, run_cyclops_migrated, run_cyclops_migrated_traced, MigrationEvent,
     MigrationReport,

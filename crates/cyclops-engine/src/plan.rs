@@ -142,6 +142,25 @@ impl WorkerPlan {
         &self.rep_out[self.rep_out_offsets[rep] as usize..self.rep_out_offsets[rep + 1] as usize]
     }
 
+    /// The local masters that read view slot `slot`, i.e. whom a write to it
+    /// wakes: a master slot's same-worker out-neighbors, a replica slot's
+    /// local out-neighbors, a direct slot's one target. Over all slots these
+    /// lists are the inverse of `in_refs` — `(slot, li)` is here exactly when
+    /// master `li` has an in-edge reference to `slot` (once per pair: runs of
+    /// parallel edges collapse, waking being idempotent) — which is what lets
+    /// [`Frontier::fill_from`](crate::Frontier::fill_from) find the same
+    /// masters from the reading side.
+    #[inline]
+    pub fn readers(&self, slot: usize) -> &[u32] {
+        match slot.checked_sub(self.replica_base()) {
+            None => self.local_out(slot),
+            Some(id) => match id.checked_sub(self.num_replicas()) {
+                None => self.rep_out(id),
+                Some(direct) => std::slice::from_ref(&self.direct_target[direct]),
+            },
+        }
+    }
+
     /// Number of direct-message slots on this worker.
     #[inline]
     pub fn num_direct_slots(&self) -> usize {

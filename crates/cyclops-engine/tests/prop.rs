@@ -262,6 +262,41 @@ fn mirrors_name_their_master(plan: &CyclopsPlan, g: &Graph) -> Result<(), String
     }
 }
 
+/// What lets a superstep's activation run in either direction: on every
+/// worker the reader lists are the inverse of the in-edge references. Every
+/// pair `(slot, li)` with `li` in `readers(slot)` is there once, and the pairs
+/// are exactly the distinct `(in_refs[i], li)` — a run of parallel edges
+/// refers to a master or replica slot once per edge and is woken by it once
+/// (waking is idempotent; a direct slot is per edge on both sides). So
+/// marking the readers of every written slot and scanning every master's
+/// references for a written slot find the same masters.
+fn readers_invert_in_refs(plan: &CyclopsPlan) -> Result<(), String> {
+    for (w, wp) in plan.workers.iter().enumerate() {
+        let mut woken_by: Vec<(u32, u32)> = (0..wp.num_view_slots())
+            .flat_map(|slot| wp.readers(slot).iter().map(move |&li| (slot as u32, li)))
+            .collect();
+        woken_by.sort_unstable();
+        let mut refers_to: Vec<(u32, u32)> = (0..wp.num_masters())
+            .flat_map(|li| {
+                let (s, e) = wp.in_ref_range(li);
+                wp.in_refs[s..e].iter().map(move |&slot| (slot, li as u32))
+            })
+            .collect();
+        refers_to.sort_unstable();
+        refers_to.dedup();
+        if let Some(i) =
+            (0..woken_by.len().max(refers_to.len())).find(|&i| woken_by.get(i) != refers_to.get(i))
+        {
+            return Err(format!(
+                "worker {w}: reader pair {:?} vs in-ref pair {:?} at {i}",
+                woken_by.get(i),
+                refers_to.get(i)
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Field-by-field structural equality of two plans — the contract
 /// [`apply_migration`] promises against a from-scratch build.
 fn plans_equal(a: &CyclopsPlan, b: &CyclopsPlan) -> Result<(), String> {
@@ -436,6 +471,38 @@ proptest! {
             }
         }
         if let Err(e) = both_sides(&plan) {
+            prop_assert!(false, "after the last batch: {e}");
+        }
+    }
+
+    #[test]
+    fn reader_lists_are_the_inverse_of_in_refs(
+        g in arb_hub_graph(),
+        seed in 0u64..1_000,
+        workers_idx in 0usize..3,
+        threshold_idx in 0usize..3,
+        picks in prop::collection::vec((0usize..64, 0u32..5), 1..8),
+    ) {
+        // On the serial reference build, on the production build, and after
+        // each of a chain of arbitrary migration batches; multigraphs with
+        // self-loops, hot and cold boundary vertices.
+        let workers = [1usize, 2, 5][workers_idx];
+        let threshold = [0u32, 2, u32::MAX][threshold_idx];
+        let p = arb_partition(&g, workers, seed);
+        if let Err(e) = readers_invert_in_refs(&CyclopsPlan::build_with_threshold(&g, &p, threshold)) {
+            prop_assert!(false, "reference build: {e}");
+        }
+        let mut plan = CyclopsPlan::build_parallel_with_threshold(&g, &p, threshold);
+        for round in 0..picks.len() {
+            if let Err(e) = readers_invert_in_refs(&plan) {
+                prop_assert!(false, "before batch {round}: {e}");
+            }
+            let moves = moves_from_picks(&plan, &picks, round);
+            if !moves.is_empty() {
+                apply_migration(&mut plan, &g, &MigrationBatch { moves }, threshold);
+            }
+        }
+        if let Err(e) = readers_invert_in_refs(&plan) {
             prop_assert!(false, "after the last batch: {e}");
         }
     }

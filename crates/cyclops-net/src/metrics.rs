@@ -8,7 +8,7 @@
 //! types here collect all of that.
 
 use crate::codec::WireMode;
-use cyclops_obs::{Gauge, LogLinearHistogram};
+use cyclops_obs::{Counter, Gauge, LogLinearHistogram};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -330,16 +330,24 @@ impl PhaseHists {
     }
 }
 
-/// Pre-resolved handle for the compute-imbalance histogram
-/// `cyclops_compute_imbalance{engine}`.
+/// Pre-resolved handles for what a worker leader observes about its
+/// superstep's schedule, same resolve-once `Option` discipline as
+/// [`PhaseHists`]:
 ///
-/// Records, once per superstep per worker leader, the ratio of the slowest
-/// compute thread to the mean compute thread in **permille** (1000 = all
-/// threads finished together; 2000 = the straggler took twice the mean).
-/// This is the skew the degree-weighted dynamic scheduler exists to
-/// flatten; same resolve-once `Option` discipline as [`PhaseHists`].
+/// - `cyclops_compute_imbalance{engine}` histogram — once per superstep per
+///   worker leader, the ratio of the slowest compute thread to the mean
+///   compute thread in **permille** (1000 = all threads finished together;
+///   2000 = the straggler took twice the mean). This is the skew the
+///   degree-weighted dynamic scheduler exists to flatten.
+/// - `cyclops_activation_supersteps{engine,mode}` counters, `mode` one of
+///   `push`, `pull` — worker-supersteps whose publications woke their readers
+///   in that direction. Both are registered at resolve, so each line exists
+///   from the first scrape; an engine that never chooses a direction (BSP,
+///   GAS) leaves both at 0.
 pub struct SchedObs {
     imbalance: Arc<LogLinearHistogram>,
+    pushed: Arc<Counter>,
+    pulled: Arc<Counter>,
 }
 
 impl SchedObs {
@@ -347,9 +355,24 @@ impl SchedObs {
     /// registry is installed.
     pub fn resolve(engine: &str) -> Option<SchedObs> {
         let reg = cyclops_obs::global()?;
+        let activation = |mode: &str| {
+            reg.counter(
+                "cyclops_activation_supersteps",
+                &[("engine", engine), ("mode", mode)],
+            )
+        };
         Some(SchedObs {
             imbalance: reg.histogram("cyclops_compute_imbalance", &[("engine", engine)]),
+            pushed: activation("push"),
+            pulled: activation("pull"),
         })
+    }
+
+    /// Counts one worker-superstep under the activation direction chosen
+    /// for it.
+    #[inline]
+    pub fn record_activation(&self, pull: bool) {
+        if pull { &self.pulled } else { &self.pushed }.inc(1);
     }
 
     /// Records one superstep's max/mean thread-CMP-time ratio from the
