@@ -6,20 +6,34 @@
 //! (SYN). Messages go through [`Transport`] in
 //! [`InboxMode::GlobalQueue`] — one locked queue per worker, exactly Hama's
 //! contended design (§4.1).
+//!
+//! Where each phase lives: a [`Run`] is what every thread borrows, a
+//! [`Worker`] one thread's partition plus what it resolved once, and each
+//! phase is one method — [`Worker::parse`] (PRS), [`Worker::compute_vertex`]
+//! between [`Worker::begin_compute`] and [`Worker::end_compute`] (CMP),
+//! [`Worker::send`] (SND), [`Run::checkpoint_due`] with
+//! [`Worker::capture_checkpoint`], and [`Worker::sync`] (SYN), whose leader
+//! calls [`Run::publish_aggregate`] and [`Run::close_superstep`] and which
+//! [`Worker::commit_superstep`] follows for the observers. The two drivers
+//! keep what is theirs alone: [`worker_loop`] the awake list and the sparse
+//! walk, [`bucketed_worker_loop`] bucket selection, the parked minimum, the
+//! verdict protocol and the per-bucket counts.
 
 use crate::checkpoint::Checkpoint;
 use crate::program::{BspContext, BspProgram};
 use cyclops_graph::{Graph, VertexId};
 use cyclops_net::metrics::CounterSnapshot;
-use cyclops_net::trace::TraceSink;
+use cyclops_net::trace::{digest_bytes, SpaceSaving, TraceSink};
 use cyclops_net::{
     priority_key, priority_key_inv, AggregateStats, BucketMode, ClusterSpec, FlatBarrier,
-    InboxMode, Phase, PhaseTimes, SuperstepStats, Transport, IMMEDIATE_KEY,
+    InboxMode, Phase, PhaseHists, PhaseTimes, SchedObs, SuperstepStats, Transport, WorkerTracer,
+    IMMEDIATE_KEY,
 };
-use cyclops_obs::SpanKind;
+use cyclops_obs::{MemScope, SpanKind, SpanRing};
 use cyclops_partition::EdgeCutPartition;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Engine configuration.
@@ -118,6 +132,49 @@ struct WorkerState<V, M> {
     last_sent: Vec<u64>,
 }
 
+impl<V, M> WorkerState<V, M> {
+    /// Local indices of the un-halted vertices, ascending — what a driver
+    /// seeds its pending list from, so a checkpoint resume starts right.
+    fn unhalted(&self) -> Vec<u32> {
+        let awake = (0..self.locals.len()).filter(|&li| !self.halted[li]);
+        awake.map(|li| li as u32).collect()
+    }
+}
+
+/// Run-scoped state, built once and borrowed by every worker thread; a
+/// thread is this plus its [`Worker`].
+struct Run<'r, P: BspProgram> {
+    program: &'r P,
+    graph: &'r Graph,
+    partition: &'r EdgeCutPartition,
+    config: &'r BspConfig,
+    trace: Option<&'r TraceSink>,
+    phase_hists: Option<PhaseHists>,
+    sched_obs: Option<SchedObs>,
+    /// Per-worker CMP nanoseconds for the imbalance histogram (BSP has one
+    /// compute thread per worker, so skew shows up *across* workers).
+    cmp_ns: Vec<AtomicU64>,
+    /// Global vertex -> local index on its owner.
+    local_index: Vec<u32>,
+    transport: Transport<(VertexId, P::Message)>,
+    barrier: FlatBarrier,
+    stop: AtomicBool,
+    active_total: AtomicUsize,
+    /// The aggregate pair: this superstep's contributions, and last
+    /// superstep's total as programs read it.
+    aggregate_acc: Mutex<AggregateStats>,
+    prev_aggregate: Mutex<Option<AggregateStats>>,
+    /// The stats ledger: closed entries, the entry of the superstep in
+    /// flight, and the counters as of the last close.
+    history: Mutex<Vec<SuperstepStats>>,
+    current: Mutex<SuperstepStats>,
+    last_counters: Mutex<CounterSnapshot>,
+    supersteps_done: AtomicUsize,
+    checkpoints: Mutex<Vec<Checkpoint<P::Value, P::Message>>>,
+    bucket: BucketShared,
+    start_superstep: usize,
+}
+
 /// Runs `program` on `graph` over the simulated cluster described by
 /// `config`, starting from freshly initialized vertex values.
 pub fn run_bsp<P: BspProgram>(
@@ -171,148 +228,105 @@ fn run_bsp_inner<P: BspProgram>(
     assert_eq!(partition.assignment.len(), graph.num_vertices());
 
     // ---- Ingress: build per-worker state. ----
-    let mut states: Vec<WorkerState<P::Value, P::Message>> = (0..num_workers)
-        .map(|_| WorkerState {
-            locals: Vec::new(),
-            values: Vec::new(),
-            halted: Vec::new(),
-            mailbox: Vec::new(),
-            last_sent: Vec::new(),
-        })
-        .collect();
+    let mut locals: Vec<Vec<VertexId>> = vec![Vec::new(); num_workers];
     for v in graph.vertices() {
-        states[partition.part_of(v) as usize].locals.push(v);
+        locals[partition.part_of(v) as usize].push(v);
     }
-    // Global vertex -> local index on its owner.
     let mut local_index = vec![0u32; graph.num_vertices()];
-    for st in &mut states {
-        for (i, &v) in st.locals.iter().enumerate() {
+    let build = |locals: Vec<VertexId>| {
+        for (i, &v) in locals.iter().enumerate() {
             local_index[v as usize] = i as u32;
         }
-        st.values = st.locals.iter().map(|&v| program.init(v, graph)).collect();
-        st.halted = vec![false; st.locals.len()];
-        st.mailbox = (0..st.locals.len()).map(|_| Vec::new()).collect();
-        st.last_sent = vec![0; st.locals.len()];
-    }
+        WorkerState {
+            values: locals.iter().map(|&v| program.init(v, graph)).collect(),
+            halted: vec![false; locals.len()],
+            mailbox: locals.iter().map(|_| Vec::new()).collect(),
+            last_sent: vec![0; locals.len()],
+            locals,
+        }
+    };
+    let mut states: Vec<WorkerState<P::Value, P::Message>> =
+        locals.into_iter().map(build).collect();
 
     let transport: Transport<(VertexId, P::Message)> =
         Transport::with_network(config.cluster, config.inbox, config.network);
-    let barrier = FlatBarrier::new(num_workers);
-
-    let start_superstep = match resume {
-        Some(cp) => {
-            for (v, value) in &cp.values {
-                let w = partition.part_of(*v) as usize;
-                let li = local_index[*v as usize] as usize;
-                states[w].values[li] = value.clone();
-            }
-            for (v, halted) in &cp.halted {
-                let w = partition.part_of(*v) as usize;
-                let li = local_index[*v as usize] as usize;
-                states[w].halted[li] = *halted;
-            }
-            // Reinject in-flight messages; they will be parsed in the first
-            // resumed superstep's PRS phase.
-            for (dest, msg) in &cp.messages {
-                let w = partition.part_of(*dest) as usize;
-                transport.inject(w, vec![(*dest, msg.clone())], cp.superstep);
-            }
-            cp.superstep
+    if let Some(cp) = resume {
+        let owner = |v: VertexId| partition.part_of(v) as usize;
+        let slot = |v: VertexId| local_index[v as usize] as usize;
+        for (v, value) in &cp.values {
+            states[owner(*v)].values[slot(*v)] = value.clone();
         }
-        None => 0,
+        for (v, halted) in &cp.halted {
+            states[owner(*v)].halted[slot(*v)] = *halted;
+        }
+        // Reinject in-flight messages; they will be parsed in the first
+        // resumed superstep's PRS phase.
+        for (dest, msg) in &cp.messages {
+            transport.inject(owner(*dest), vec![(*dest, msg.clone())], cp.superstep);
+        }
+    }
+    let start_superstep = resume.map_or(0, |cp| cp.superstep);
+
+    let run = Run {
+        program,
+        graph,
+        partition,
+        config,
+        trace,
+        phase_hists: PhaseHists::resolve("bsp"),
+        sched_obs: SchedObs::resolve("bsp"),
+        cmp_ns: (0..num_workers).map(|_| AtomicU64::new(0)).collect(),
+        local_index,
+        transport,
+        barrier: FlatBarrier::new(num_workers),
+        stop: AtomicBool::new(false),
+        active_total: AtomicUsize::new(0),
+        aggregate_acc: Mutex::new(AggregateStats::default()),
+        prev_aggregate: Mutex::new(resume.and_then(|cp| cp.aggregate)),
+        history: Mutex::new(Vec::new()),
+        current: Mutex::new(SuperstepStats::default()),
+        last_counters: Mutex::new(CounterSnapshot::default()),
+        supersteps_done: AtomicUsize::new(start_superstep),
+        checkpoints: Mutex::new(Vec::new()),
+        bucket: BucketShared::new(),
+        start_superstep,
     };
-
-    // ---- Shared coordination state. ----
-    let stop = AtomicBool::new(false);
-    let active_total = AtomicUsize::new(0);
-    let aggregate_acc: Mutex<AggregateStats> = Mutex::new(AggregateStats::default());
-    let prev_aggregate: Mutex<Option<AggregateStats>> =
-        Mutex::new(resume.and_then(|cp| cp.aggregate));
-    let history: Mutex<Vec<SuperstepStats>> = Mutex::new(Vec::new());
-    let current: Mutex<SuperstepStats> = Mutex::new(SuperstepStats::default());
-    let checkpoints: Mutex<Vec<Checkpoint<P::Value, P::Message>>> = Mutex::new(Vec::new());
-    let last_counters = Mutex::new(CounterSnapshot::default());
-    let supersteps_done = AtomicUsize::new(start_superstep);
-    let bucket_shared = BucketShared::new();
-
-    let phase_hists = cyclops_net::metrics::PhaseHists::resolve("bsp");
-    let sched_obs = cyclops_net::metrics::SchedObs::resolve("bsp");
-    // Per-worker CMP nanoseconds for the imbalance histogram (BSP has one
-    // compute thread per worker, so skew shows up *across* workers).
-    let cmp_ns: Vec<std::sync::atomic::AtomicU64> = (0..num_workers)
-        .map(|_| std::sync::atomic::AtomicU64::new(0))
-        .collect();
 
     let loop_start = Instant::now();
     // With the cap at or below the resume point there is no superstep left
     // to run (max_supersteps is a global cap, not a budget from the resume).
-    let budget_left = start_superstep < config.max_supersteps;
-    if budget_left {
+    if start_superstep < config.max_supersteps {
         std::thread::scope(|scope| {
             for (me, st) in states.iter_mut().enumerate() {
-                let transport = &transport;
-                let barrier = &barrier;
-                let stop = &stop;
-                let active_total = &active_total;
-                let aggregate_acc = &aggregate_acc;
-                let prev_aggregate = &prev_aggregate;
-                let history = &history;
-                let current = &current;
-                let checkpoints = &checkpoints;
-                let last_counters = &last_counters;
-                let supersteps_done = &supersteps_done;
-                let local_index = &local_index;
-                let phase_hists = phase_hists.as_ref();
-                let sched_obs = sched_obs.as_ref();
-                let cmp_ns = &cmp_ns;
-                let bucket_shared = &bucket_shared;
+                let run = &run;
                 scope.spawn(move || {
-                    worker_loop(
-                        me,
-                        trace,
-                        phase_hists,
-                        sched_obs,
-                        cmp_ns,
-                        program,
-                        graph,
-                        partition,
-                        config,
-                        st,
-                        local_index,
-                        transport,
-                        barrier,
-                        stop,
-                        active_total,
-                        aggregate_acc,
-                        prev_aggregate,
-                        history,
-                        current,
-                        checkpoints,
-                        last_counters,
-                        supersteps_done,
-                        start_superstep,
-                        bucket_shared,
-                    );
+                    // Built on its own thread: the memory tag is thread-local.
+                    let worker = run.worker(me, st);
+                    if config.bucket_width > 0.0 {
+                        bucketed_worker_loop(run, worker);
+                    } else {
+                        worker_loop(run, worker);
+                    }
                 });
             }
         });
     }
     let elapsed = loop_start.elapsed();
 
-    // ---- Assemble global values. ----
-    let mut values: Vec<Option<P::Value>> = vec![None; graph.num_vertices()];
-    for st in states {
-        for (v, value) in st.locals.into_iter().zip(st.values) {
-            values[v as usize] = Some(value);
-        }
-    }
+    // ---- Assemble global values: every worker's locals ascend, so walking
+    // the vertices in id order takes each worker's values in order. ----
+    let mut per_worker: Vec<_> = states.into_iter().map(|st| st.values.into_iter()).collect();
+    let mut owned = |v: VertexId| {
+        let value = per_worker[partition.part_of(v) as usize].next();
+        value.expect("a worker holds one value per vertex the partition assigns it")
+    };
     BspResult {
-        values: values.into_iter().map(Option::unwrap).collect(),
-        supersteps: supersteps_done.load(Ordering::Acquire),
-        stats: history.into_inner(),
-        counters: transport.counters().snapshot(),
+        values: graph.vertices().map(&mut owned).collect(),
+        supersteps: run.supersteps_done.load(Ordering::Acquire),
+        stats: run.history.into_inner(),
+        counters: run.transport.counters().snapshot(),
         elapsed,
-        checkpoints: checkpoints.into_inner(),
+        checkpoints: run.checkpoints.into_inner(),
     }
 }
 
@@ -325,137 +339,356 @@ fn fingerprint<M: cyclops_net::Codec>(buf: &mut bytes::BytesMut, msgs: &[(Vertex
         d.encode(buf);
         m.encode(buf);
     }
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in buf.iter() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
     // Avoid the empty-outbox fingerprint colliding with "never sent".
-    h | 1
+    digest_bytes(buf) | 1
 }
 
-#[allow(clippy::too_many_arguments)]
-fn worker_loop<P: BspProgram>(
+/// One worker thread's side of a run: its partition, what it resolves once
+/// rather than per superstep or per send, and the superstep's bookkeeping.
+struct Worker<'r, P: BspProgram> {
+    run: &'r Run<'r, P>,
     me: usize,
-    trace: Option<&TraceSink>,
-    phase_hists: Option<&cyclops_net::metrics::PhaseHists>,
-    sched_obs: Option<&cyclops_net::metrics::SchedObs>,
-    cmp_ns: &[std::sync::atomic::AtomicU64],
-    program: &P,
-    graph: &Graph,
-    partition: &EdgeCutPartition,
-    config: &BspConfig,
-    st: &mut WorkerState<P::Value, P::Message>,
-    local_index: &[u32],
-    transport: &Transport<(VertexId, P::Message)>,
-    barrier: &FlatBarrier,
-    stop: &AtomicBool,
-    active_total: &AtomicUsize,
-    aggregate_acc: &Mutex<AggregateStats>,
-    prev_aggregate: &Mutex<Option<AggregateStats>>,
-    history: &Mutex<Vec<SuperstepStats>>,
-    current: &Mutex<SuperstepStats>,
-    checkpoints: &Mutex<Vec<Checkpoint<P::Value, P::Message>>>,
-    last_counters: &Mutex<CounterSnapshot>,
-    supersteps_done: &AtomicUsize,
-    start_superstep: usize,
-    bucket_shared: &BucketShared,
-) {
-    if config.bucket_width > 0.0 {
-        return bucketed_worker_loop(
+    st: &'r mut WorkerState<P::Value, P::Message>,
+    tracer: Option<&'r WorkerTracer>,
+    /// Per-worker flight-recorder ring (BSP workers are single-threaded);
+    /// absent a recorder each span site is one `Option` check.
+    flight: Option<Arc<SpanRing>>,
+    /// Hot-vertex capture; disabled it costs one `Option` check per computed
+    /// vertex. BSP has no degree plan, so the cost proxy is the message
+    /// volume through the vertex: 1 + inbox + outbox.
+    hot: Option<SpaceSaving>,
+    /// Messages held per destination worker until SND.
+    outboxes: Vec<Vec<(VertexId, P::Message)>>,
+    vertex_outbox: Vec<(VertexId, P::Message)>,
+    /// Encode buffer of the redundant-message fingerprint, reused across
+    /// vertices and supersteps.
+    fp_buf: bytes::BytesMut,
+    /// The last superstep's (or fused round's) aggregate, as this one's
+    /// programs and checkpoint see it; a driver reloads it as it loops.
+    agg_in: Option<AggregateStats>,
+    /// This round's phase times, aggregate contributions and redundant
+    /// messages (a classic superstep is one round, a bucket several), which
+    /// [`Self::sync`] folds into the superstep's; those, with the checkpoint
+    /// flag, [`Self::commit_superstep`] hands the observers and resets.
+    round: PhaseTimes,
+    round_agg: AggregateStats,
+    redundant: usize,
+    times: PhaseTimes,
+    agg: AggregateStats,
+    checkpointed: bool,
+    /// Worker-slot tag for the tracking allocator (two thread-local writes).
+    _mem_tag: MemScope,
+}
+
+impl<'r, P: BspProgram> Run<'r, P> {
+    fn worker(&'r self, me: usize, st: &'r mut WorkerState<P::Value, P::Message>) -> Worker<'r, P> {
+        let hot_k = self.trace.map_or(0, |s| s.hot_k());
+        Worker {
+            run: self,
             me,
-            trace,
-            phase_hists,
-            sched_obs,
-            cmp_ns,
-            program,
-            graph,
-            partition,
-            config,
             st,
-            local_index,
-            transport,
-            barrier,
-            aggregate_acc,
-            prev_aggregate,
-            history,
-            current,
-            checkpoints,
-            last_counters,
-            supersteps_done,
-            start_superstep,
-            bucket_shared,
-        );
+            tracer: self.trace.map(|s| s.worker(me)),
+            flight: cyclops_obs::flight().map(|fr| fr.ring(me as u32, 0)),
+            hot: (hot_k > 0).then(|| SpaceSaving::new(hot_k)),
+            outboxes: (0..self.partition.num_parts).map(|_| Vec::new()).collect(),
+            vertex_outbox: Vec::new(),
+            fp_buf: bytes::BytesMut::new(),
+            agg_in: None,
+            round: PhaseTimes::default(),
+            round_agg: AggregateStats::default(),
+            redundant: 0,
+            times: PhaseTimes::default(),
+            agg: AggregateStats::default(),
+            checkpointed: false,
+            _mem_tag: MemScope::worker(me),
+        }
     }
-    let num_workers = partition.num_parts;
-    let mut superstep = start_superstep;
-    let mut outboxes: Vec<Vec<(VertexId, P::Message)>> =
-        (0..num_workers).map(|_| Vec::new()).collect();
-    let mut vertex_outbox: Vec<(VertexId, P::Message)> = Vec::new();
-    // Reused across vertices and supersteps: the redundant-message
-    // fingerprint used to allocate a fresh encode buffer per vertex.
-    let mut fp_buf = bytes::BytesMut::new();
-    let tracer = trace.map(|s| s.worker(me));
-    // Worker-slot tag for the tracking allocator (two thread-local writes).
-    let _mem_tag = cyclops_obs::mem::MemScope::worker(me);
-    // Per-worker flight-recorder ring (BSP workers are single-threaded),
-    // resolved once; absent a recorder each span site is one Option check.
-    let flight = cyclops_obs::flight().map(|fr| fr.ring(me as u32, 0));
-    // Hot-vertex capture, resolved once; disabled it costs one Option check
-    // per computed vertex. BSP has no degree plan, so the cost proxy is the
-    // message volume through the vertex: 1 + inbox + outbox.
-    let hot_k = trace.map(|s| s.hot_k()).unwrap_or(0);
-    let mut hot_local = (hot_k > 0).then(|| cyclops_net::trace::SpaceSaving::new(hot_k));
-    // Sorted local indices of un-halted vertices, maintained incrementally:
-    // rebuilt from the ascending compute walk each superstep, extended by
-    // message reactivations in PRS. Seeded from the halted flags so a
-    // checkpoint resume starts from the right set.
-    let mut awake: Vec<u32> = (0..st.locals.len())
-        .filter(|&li| !st.halted[li])
-        .map(|li| li as u32)
-        .collect();
-    let mut next_awake: Vec<u32> = Vec::new();
 
-    loop {
-        let mut times = PhaseTimes::default();
-        let agg_in = *prev_aggregate.lock();
+    /// Whether superstep `superstep` opens with a checkpoint capture — a
+    /// pure function of the superstep index, so every worker agrees without
+    /// communicating.
+    fn checkpoint_due(&self, superstep: usize) -> bool {
+        self.config.checkpoint_every.is_some_and(|every| {
+            every > 0
+                && superstep > self.start_superstep
+                && (superstep - self.start_superstep).is_multiple_of(every)
+        })
+    }
 
-        // ---- PRS: parse received messages into per-vertex mailboxes. ----
-        let prs_span = flight.as_ref().map(|r| r.now_ns());
-        let received = times.time(Phase::Parse, || {
-            let msgs = transport.drain(me, superstep);
+    /// SYN, leader only: hands the contributions every worker merged before
+    /// the barrier to the next superstep (or fused round).
+    fn publish_aggregate(&self) {
+        let mut acc = self.aggregate_acc.lock();
+        *self.prev_aggregate.lock() = (!acc.is_empty()).then_some(*acc);
+        *acc = AggregateStats::default();
+    }
+
+    /// SYN, leader only: records the superstep's CMP skew across workers,
+    /// closes its [`SuperstepStats`] entry with the messages and bytes the
+    /// counters gained since the last close, and publishes it done.
+    fn close_superstep(&self, superstep: usize) {
+        if let Some(so) = &self.sched_obs {
+            so.record_threads(self.cmp_ns.iter().map(|a| a.load(Ordering::Relaxed)));
+        }
+        let snap = self.transport.counters().snapshot();
+        let mut last = self.last_counters.lock();
+        let mut cur = self.current.lock();
+        cur.superstep = superstep;
+        cur.messages_sent = snap.messages - last.messages;
+        cur.bytes_sent = snap.bytes - last.bytes;
+        self.history.lock().push(std::mem::take(&mut cur));
+        *last = snap;
+        self.supersteps_done.store(superstep + 1, Ordering::Release);
+    }
+}
+
+impl<'r, P: BspProgram> Worker<'r, P> {
+    fn span_start(&self) -> Option<u64> {
+        self.flight.as_ref().map(|r| r.now_ns())
+    }
+
+    fn span_end(&self, start: Option<u64>, kind: SpanKind, args: [u64; 3]) {
+        if let (Some(r), Some(start)) = (&self.flight, start) {
+            r.record(kind, start, args[0], args[1], args[2]);
+        }
+    }
+
+    /// PRS: drains transport epoch `epoch` into the per-vertex mailboxes.
+    /// `wake` is how an arrival wakes its vertex — it sees the local index,
+    /// the halted flag and the message, and says whether the vertex thereby
+    /// joined `pending` (only that transition pushes, so entries stay
+    /// unique). Arrivals come in message order; `sort` restores ascending
+    /// order. Returns the number of messages drained.
+    fn parse(
+        &mut self,
+        (epoch, superstep): (usize, usize),
+        (pending, sort): (&mut Vec<u32>, bool),
+        mut wake: impl FnMut(usize, &mut bool, &P::Message) -> bool,
+    ) -> usize {
+        let span = self.span_start();
+        let (run, me) = (self.run, self.me);
+        let st = &mut *self.st;
+        let received = self.round.time(Phase::Parse, || {
+            let msgs = run.transport.drain(me, epoch);
             let count = msgs.len();
             for (dest, msg) in msgs {
-                let li = local_index[dest as usize] as usize;
-                debug_assert_eq!(partition.part_of(dest) as usize, me);
-                // A message reactivates a halted vertex (Pregel semantics).
-                // Only the halted->awake transition joins the awake list, so
-                // entries stay unique.
-                if st.halted[li] {
-                    st.halted[li] = false;
-                    awake.push(li as u32);
+                let li = run.local_index[dest as usize] as usize;
+                debug_assert_eq!(run.partition.part_of(dest) as usize, me);
+                if wake(li, &mut st.halted[li], &msg) {
+                    pending.push(li as u32);
                 }
                 st.mailbox[li].push(msg);
             }
-            // Reactivations arrive in message order; restore ascending order.
-            awake.sort_unstable();
+            if sort {
+                pending.sort_unstable();
+            }
             count
         });
-        if let (Some(r), Some(start)) = (&flight, prs_span) {
-            r.record(SpanKind::Parse, start, superstep as u64, 0, 0);
-        }
+        self.span_end(span, SpanKind::Parse, [superstep as u64, 0, 0]);
+        received
+    }
 
-        // ---- Checkpoint (post-parse state is a consistent cut). ----
-        let mut checkpointed = false;
-        if let Some(every) = config.checkpoint_every {
-            if every > 0
-                && superstep > start_superstep
-                && (superstep - start_superstep).is_multiple_of(every)
-            {
-                let mut cp = checkpoints.lock();
-                capture_checkpoint(&mut cp, st, superstep, config.checkpoint_every, agg_in);
-                checkpointed = true;
+    /// Captures this worker's slice of superstep `superstep`'s checkpoint
+    /// (cooperative: the first worker to arrive creates the entry). Taken
+    /// where mailboxes are the only in-flight state, which go in as the
+    /// checkpoint's messages.
+    fn capture_checkpoint(&mut self, superstep: usize) {
+        self.checkpointed = true;
+        let mut cps = self.run.checkpoints.lock();
+        if cps.last().map(|c| c.superstep) != Some(superstep) {
+            cps.push(Checkpoint {
+                superstep,
+                values: Vec::new(),
+                halted: Vec::new(),
+                messages: Vec::new(),
+                aggregate: self.agg_in,
+            });
+        }
+        let cp = cps
+            .last_mut()
+            .expect("the first capture of a superstep pushes the entry the others append to");
+        let st = &*self.st;
+        for (i, &v) in st.locals.iter().enumerate() {
+            cp.values.push((v, st.values[i].clone()));
+            cp.halted.push((v, st.halted[i]));
+            for m in &st.mailbox[i] {
+                cp.messages.push((v, m.clone()));
             }
+        }
+    }
+
+    /// Opens CMP: the flight span and the clock [`Self::end_compute`] closes.
+    fn begin_compute(&self) -> (Option<u64>, Instant) {
+        (self.span_start(), Instant::now())
+    }
+
+    /// CMP for one local vertex: runs the program over its mailbox as
+    /// superstep `superstep`, records its cost in the hot sketch,
+    /// fingerprints its broadcast against last superstep's, and routes its
+    /// messages to the per-destination outboxes. Returns whether the vertex
+    /// voted to halt.
+    #[inline]
+    fn compute_vertex(&mut self, li: usize, superstep: usize) -> bool {
+        let run = self.run;
+        let st = &mut *self.st;
+        let vertex = st.locals[li];
+        self.vertex_outbox.clear();
+        let msgs = std::mem::take(&mut st.mailbox[li]);
+        let mut halted = false;
+        let mut ctx = BspContext {
+            vertex,
+            superstep,
+            graph: run.graph,
+            value: &mut st.values[li],
+            halted: &mut halted,
+            outbox: &mut self.vertex_outbox,
+            aggregate: &mut self.round_agg,
+            prev_aggregate: self.agg_in,
+        };
+        run.program.compute(&mut ctx, &msgs);
+        st.halted[li] = halted;
+        let sent = self.vertex_outbox.len();
+        if let Some(hs) = self.hot.as_mut() {
+            hs.record(vertex, (1 + msgs.len() + sent) as u64);
+        }
+        if run.config.track_redundant && sent > 0 {
+            let fp = fingerprint(&mut self.fp_buf, &self.vertex_outbox);
+            if fp == st.last_sent[li] {
+                self.redundant += sent;
+            }
+            st.last_sent[li] = fp;
+        }
+        for (dest, msg) in self.vertex_outbox.drain(..) {
+            self.outboxes[run.partition.part_of(dest) as usize].push((dest, msg));
+        }
+        halted
+    }
+
+    /// Closes the CMP pass `begun` opened, `[received, computed, activated]`
+    /// being the arrivals it followed, the vertices it computed and those of
+    /// them still un-halted: its time joins the imbalance histogram's input
+    /// (CMP so far this superstep), its aggregate contributions the run's
+    /// and the superstep's, its counts the tracer's.
+    fn end_compute(&mut self, begun: (Option<u64>, Instant), superstep: usize, counts: [usize; 3]) {
+        self.round.add(Phase::Compute, begun.1.elapsed());
+        self.span_end(begun.0, SpanKind::Compute, [superstep as u64, 0, 0]);
+        let cmp = self.times.compute + self.round.compute;
+        self.run.cmp_ns[self.me].store(cmp.as_nanos() as u64, Ordering::Relaxed);
+        let agg = std::mem::take(&mut self.round_agg);
+        if !agg.is_empty() {
+            self.run.aggregate_acc.lock().merge(&agg);
+            self.agg.merge(&agg);
+        }
+        if let Some(tr) = self.tracer {
+            tr.add_drained(counts[0] as u64);
+            tr.add_computed(counts[1] as u64);
+            tr.add_activated(counts[2] as u64);
+        }
+    }
+
+    /// SND: combines and transmits every nonempty outbox in transport epoch
+    /// `epoch`.
+    fn send(&mut self, (epoch, superstep): (usize, usize)) {
+        let span = self.span_start();
+        let (run, me, tracer) = (self.run, self.me, self.tracer);
+        self.round.time(Phase::Send, || {
+            for (dest_worker, outbox) in self.outboxes.iter_mut().enumerate() {
+                let mut batch = std::mem::take(outbox);
+                if batch.is_empty() {
+                    continue;
+                }
+                if run.config.use_combiner {
+                    combine_batch(run.program, &mut batch);
+                }
+                let sent = batch.len();
+                // Sender lanes are global thread indices; a BSP worker's
+                // single compute thread owns lane `me * threads_per_worker`.
+                let lane = me * run.config.cluster.threads_per_worker;
+                let receipt = run.transport.send(lane, dest_worker, batch, epoch);
+                if let Some(tr) = tracer {
+                    tr.add_sent_to(dest_worker, sent as u64, receipt.bytes as u64);
+                }
+            }
+        });
+        self.span_end(span, SpanKind::Send, [superstep as u64, 0, 0]);
+    }
+
+    /// SYN: adds this round's `computed` vertices, redundant messages and
+    /// PRS / CMP / SND times to the open stats entry, meets the barrier
+    /// twice with `leader` run by one worker in between, and charges the
+    /// wait — to the *next* stats entry (`leader` may have published this
+    /// one; summed over workers like the compute phases, the scheme the
+    /// Cyclops engine uses) and to this superstep's times, which the trace
+    /// record and the phase histograms attribute to the superstep that ran.
+    fn sync(&mut self, epoch: usize, computed: usize, leader: impl FnOnce()) {
+        let run = self.run;
+        {
+            let mut cur = run.current.lock();
+            cur.active_vertices += computed;
+            cur.redundant_messages += std::mem::take(&mut self.redundant);
+            cur.phase_times = cur.phase_times.merge(&self.round);
+        }
+        let flight = self.flight.as_deref();
+        let sync_start = Instant::now();
+        if run.barrier.wait_traced(flight, epoch as u64) {
+            leader();
+        }
+        run.barrier.wait();
+        let wait = sync_start.elapsed();
+        run.current.lock().phase_times.add(Phase::Sync, wait);
+        self.round.add(Phase::Sync, wait);
+        self.times = self.times.merge(&std::mem::take(&mut self.round));
+    }
+
+    /// Closes this worker's superstep for the observers: the phase-latency
+    /// histograms, the trace record (its aggregate and hot sketch in slot 0
+    /// — BSP workers have one thread; `frontier` is the active-vertex count
+    /// entering compute), and the memory sample (no-op unless `--mem`).
+    fn commit_superstep(&mut self, superstep: usize, frontier: usize) {
+        let times = std::mem::take(&mut self.times);
+        let agg = std::mem::take(&mut self.agg);
+        let checkpointed = std::mem::take(&mut self.checkpointed);
+        if let Some(ph) = &self.run.phase_hists {
+            ph.record(&times);
+            if self.me == 0 {
+                ph.set_supersteps(superstep + 1);
+            }
+        }
+        if let Some(tr) = self.tracer {
+            if !agg.is_empty() {
+                tr.set_thread_agg(0, agg);
+            }
+            if let Some(hs) = self.hot.as_mut() {
+                tr.set_thread_hot(0, hs);
+                hs.clear();
+            }
+            tr.commit(superstep, self.me, frontier, &times, checkpointed);
+        }
+        cyclops_obs::mem::sample(superstep as u64, self.me as u32);
+    }
+}
+
+/// The classic loop: one relaxation round per superstep.
+fn worker_loop<P: BspProgram>(run: &Run<'_, P>, mut wk: Worker<'_, P>) {
+    let config = run.config;
+    let mut superstep = run.start_superstep;
+    // Sorted local indices of un-halted vertices, maintained incrementally:
+    // rebuilt from the ascending compute walk each superstep, extended by
+    // message reactivations in PRS.
+    let mut awake = wk.st.unhalted();
+    let mut next_awake: Vec<u32> = Vec::new();
+
+    loop {
+        wk.agg_in = *run.prev_aggregate.lock();
+
+        // ---- PRS: a message reactivates a halted vertex (Pregel
+        // semantics); only the halted->awake transition joins the list. ----
+        let wake = |_, halted: &mut bool, _: &P::Message| std::mem::replace(halted, false);
+        let epochs = (superstep, superstep);
+        let received = wk.parse(epochs, (&mut awake, true), wake);
+        // The post-parse state is a consistent cut.
+        if run.checkpoint_due(superstep) {
+            wk.capture_checkpoint(superstep);
         }
 
         // ---- CMP: run compute on active vertices. ----
@@ -463,214 +696,55 @@ fn worker_loop<P: BspProgram>(
         // every local for the halted flag. Both walks visit the same
         // vertices in the same ascending order, so results and traffic are
         // bitwise identical; only the O(|locals|) scan is saved.
+        let num_locals = wk.st.locals.len();
         let fast = config.sparse_cutoff > 0.0
-            && (awake.len() as f64) < config.sparse_cutoff * st.locals.len() as f64;
-        let mut local_active = 0usize;
-        let mut local_activated = 0usize;
-        let mut local_agg = AggregateStats::default();
-        let mut redundant = 0usize;
-        let cmp_span = flight.as_ref().map(|r| r.now_ns());
-        times.time(Phase::Compute, || {
-            next_awake.clear();
-            let mut body = |li: usize| {
-                if st.halted[li] {
-                    return;
-                }
-                local_active += 1;
-                let vertex = st.locals[li];
-                vertex_outbox.clear();
-                let inbox_len = st.mailbox[li].len();
-                let mut halted = false;
-                {
-                    let mut ctx = BspContext {
-                        vertex,
-                        superstep,
-                        graph,
-                        value: &mut st.values[li],
-                        halted: &mut halted,
-                        outbox: &mut vertex_outbox,
-                        aggregate: &mut local_agg,
-                        prev_aggregate: agg_in,
-                    };
-                    let msgs = std::mem::take(&mut st.mailbox[li]);
-                    program.compute(&mut ctx, &msgs);
-                }
-                st.halted[li] = halted;
-                if !halted {
-                    local_activated += 1;
-                    next_awake.push(li as u32);
-                }
-                if let Some(hs) = hot_local.as_mut() {
-                    hs.record(vertex, 1 + inbox_len as u64 + vertex_outbox.len() as u64);
-                }
-                if config.track_redundant && !vertex_outbox.is_empty() {
-                    let fp = fingerprint(&mut fp_buf, &vertex_outbox);
-                    if fp == st.last_sent[li] {
-                        redundant += vertex_outbox.len();
-                    }
-                    st.last_sent[li] = fp;
-                }
-                for (dest, msg) in vertex_outbox.drain(..) {
-                    outboxes[partition.part_of(dest) as usize].push((dest, msg));
-                }
-            };
-            if fast {
-                for &li in &awake {
-                    body(li as usize);
-                }
-            } else {
-                for li in 0..st.locals.len() {
-                    body(li);
-                }
+            && (awake.len() as f64) < config.sparse_cutoff * num_locals as f64;
+        let mut computed = 0usize;
+        let cmp = wk.begin_compute();
+        next_awake.clear();
+        let mut body = |li: usize| {
+            if wk.st.halted[li] {
+                return;
             }
-        });
-        if let (Some(r), Some(start)) = (&flight, cmp_span) {
-            r.record(SpanKind::Compute, start, superstep as u64, 0, 0);
+            computed += 1;
+            if !wk.compute_vertex(li, superstep) {
+                next_awake.push(li as u32);
+            }
+        };
+        if fast {
+            for &li in &awake {
+                body(li as usize);
+            }
+        } else {
+            for li in 0..num_locals {
+                body(li);
+            }
         }
+        wk.end_compute(cmp, superstep, [received, computed, next_awake.len()]);
         // The ascending compute walk rebuilt the un-halted set in order.
         std::mem::swap(&mut awake, &mut next_awake);
-        active_total.fetch_add(local_active, Ordering::Relaxed);
-        cmp_ns[me].store(times.compute.as_nanos() as u64, Ordering::Relaxed);
-        if !local_agg.is_empty() {
-            aggregate_acc.lock().merge(&local_agg);
-        }
-        if let Some(tr) = tracer {
-            if fast {
-                tr.mark_sparse_fast_path();
-            }
-            tr.add_drained(received as u64);
-            tr.add_computed(local_active as u64);
-            tr.add_activated(local_activated as u64);
-            if !local_agg.is_empty() {
-                tr.set_thread_agg(0, local_agg);
-            }
-            if let Some(hs) = hot_local.as_mut() {
-                tr.set_thread_hot(0, hs);
-                hs.clear();
-            }
+        run.active_total.fetch_add(computed, Ordering::Relaxed);
+        if let (Some(tr), true) = (wk.tracer, fast) {
+            tr.mark_sparse_fast_path();
         }
 
-        // ---- SND: combine and transmit. ----
-        let snd_span = flight.as_ref().map(|r| r.now_ns());
-        times.time(Phase::Send, || {
-            for (dest_worker, outbox) in outboxes.iter_mut().enumerate() {
-                let mut batch = std::mem::take(outbox);
-                if batch.is_empty() {
-                    continue;
-                }
-                if config.use_combiner {
-                    combine_batch(program, &mut batch);
-                }
-                let sent = batch.len();
-                // Sender lanes are global thread indices; a BSP worker's
-                // single compute thread owns lane `me * threads_per_worker`.
-                let lane = me * config.cluster.threads_per_worker;
-                let receipt = transport.send(lane, dest_worker, batch, superstep);
-                if let Some(tr) = tracer {
-                    tr.add_sent_to(dest_worker, sent as u64, receipt.bytes as u64);
-                }
-            }
-        });
-        if let (Some(r), Some(start)) = (&flight, snd_span) {
-            r.record(SpanKind::Send, start, superstep as u64, 0, 0);
-        }
+        wk.send(epochs);
 
-        // ---- SYN: barrier + leader bookkeeping. ----
-        let _ = received;
-        {
-            let mut cur = current.lock();
-            cur.active_vertices += local_active;
-            cur.redundant_messages += redundant;
-            cur.phase_times = cur.phase_times.merge(&times);
-        }
-        let sync_start = Instant::now();
-        let leader = barrier.wait_traced(flight.as_deref(), superstep as u64);
-        if leader {
-            let total_active = active_total.swap(0, Ordering::Relaxed);
-            if let Some(so) = sched_obs {
-                so.record_threads(cmp_ns.iter().map(|a| a.load(Ordering::Relaxed)));
-            }
-            // Publish the aggregate for the next superstep.
-            let mut acc = aggregate_acc.lock();
-            *prev_aggregate.lock() = if acc.is_empty() { None } else { Some(*acc) };
-            *acc = AggregateStats::default();
-            // Record superstep statistics.
-            let snap = transport.counters().snapshot();
-            let mut last = last_counters.lock();
-            let mut cur = current.lock();
-            cur.superstep = superstep;
-            cur.messages_sent = snap.messages - last.messages;
-            cur.bytes_sent = snap.bytes - last.bytes;
-            history.lock().push(std::mem::take(&mut cur));
-            *last = snap;
-            supersteps_done.store(superstep + 1, Ordering::Release);
+        wk.sync(superstep, computed, || {
+            let total_active = run.active_total.swap(0, Ordering::Relaxed);
+            run.publish_aggregate();
+            run.close_superstep(superstep);
             // Termination: nothing active and nothing in flight, or the
             // global superstep cap is hit (a resume does not reset it).
-            let halt = (total_active == 0 && transport.all_empty())
+            let halt = (total_active == 0 && run.transport.all_empty())
                 || superstep + 1 >= config.max_supersteps;
-            stop.store(halt, Ordering::Release);
-        }
-        barrier.wait();
-        // Every worker charges its barrier wait to the *next* superstep's
-        // record (this superstep's entry was already published above) —
-        // summed over workers, like the compute phases, and the same scheme
-        // the Cyclops engine uses.
-        let sync_elapsed = sync_start.elapsed();
-        current.lock().phase_times.add(Phase::Sync, sync_elapsed);
-        // The trace record and the phase histograms, in contrast, attribute
-        // this barrier wait to the superstep that just ran: the per-worker
-        // frontier for BSP is the active-vertex count entering compute.
-        times.add(Phase::Sync, sync_elapsed);
-        if let Some(ph) = phase_hists {
-            ph.record(&times);
-            if me == 0 {
-                ph.set_supersteps(superstep + 1);
-            }
-        }
-        if let Some(tr) = tracer {
-            tr.commit(superstep, me, local_active, &times, checkpointed);
-        }
-        // Per-superstep memory sample (no-op unless `--mem` is armed).
-        cyclops_obs::mem::sample(superstep as u64, me as u32);
-        if stop.load(Ordering::Acquire) {
+            run.stop.store(halt, Ordering::Release);
+        });
+        wk.commit_superstep(superstep, computed);
+        if run.stop.load(Ordering::Acquire) {
             return;
         }
         superstep += 1;
-    }
-}
-
-/// Captures this worker's slice of a checkpoint (called under the shared
-/// lock; the checkpoint for superstep `s` is assembled cooperatively).
-fn capture_checkpoint<V: Clone, M: Clone>(
-    cps: &mut Vec<Checkpoint<V, M>>,
-    st: &WorkerState<V, M>,
-    superstep: usize,
-    interval: Option<usize>,
-    aggregate: Option<AggregateStats>,
-) {
-    if cps.last().map(|c| c.superstep) != Some(superstep) {
-        cps.push(Checkpoint {
-            superstep,
-            values: Vec::new(),
-            halted: Vec::new(),
-            messages: Vec::new(),
-            aggregate,
-        });
-    }
-    // The push above guarantees an entry for this superstep; an empty store
-    // here would mean the capture trigger and the store went out of sync.
-    let cp = cps.last_mut().unwrap_or_else(|| {
-        panic!(
-            "checkpoint store empty at superstep {superstep} despite a capture trigger \
-             (checkpoint_every = {interval:?})"
-        )
-    });
-    for (i, &v) in st.locals.iter().enumerate() {
-        cp.values.push((v, st.values[i].clone()));
-        cp.halted.push((v, st.halted[i]));
-        for m in &st.mailbox[i] {
-            cp.messages.push((v, m.clone()));
-        }
     }
 }
 
@@ -757,119 +831,52 @@ impl BucketShared {
 /// round, the next bucket starts, or the run is done. One trace record and
 /// one [`SuperstepStats`] entry cover each bucket, with the round count in
 /// the record's `fused` field.
-#[allow(clippy::too_many_arguments)]
-fn bucketed_worker_loop<P: BspProgram>(
-    me: usize,
-    trace: Option<&TraceSink>,
-    phase_hists: Option<&cyclops_net::metrics::PhaseHists>,
-    sched_obs: Option<&cyclops_net::metrics::SchedObs>,
-    cmp_ns: &[std::sync::atomic::AtomicU64],
-    program: &P,
-    graph: &Graph,
-    partition: &EdgeCutPartition,
-    config: &BspConfig,
-    st: &mut WorkerState<P::Value, P::Message>,
-    local_index: &[u32],
-    transport: &Transport<(VertexId, P::Message)>,
-    barrier: &FlatBarrier,
-    aggregate_acc: &Mutex<AggregateStats>,
-    prev_aggregate: &Mutex<Option<AggregateStats>>,
-    history: &Mutex<Vec<SuperstepStats>>,
-    current: &Mutex<SuperstepStats>,
-    checkpoints: &Mutex<Vec<Checkpoint<P::Value, P::Message>>>,
-    last_counters: &Mutex<CounterSnapshot>,
-    supersteps_done: &AtomicUsize,
-    start_superstep: usize,
-    bucket_shared: &BucketShared,
-) {
-    let num_workers = partition.num_parts;
+fn bucketed_worker_loop<P: BspProgram>(run: &Run<'_, P>, mut wk: Worker<'_, P>) {
+    let (config, shared) = (run.config, &run.bucket);
     let delta = config.bucket_width;
-    let mut superstep = start_superstep;
+    let mut superstep = run.start_superstep;
     // Transport epoch: one per fused round, advanced in lockstep — a round's
     // sends are drained by the next round, exactly like classic supersteps.
-    let mut epoch = start_superstep;
+    let mut epoch = run.start_superstep;
     let mut bucket: u64 = 0;
-    let mut outboxes: Vec<Vec<(VertexId, P::Message)>> =
-        (0..num_workers).map(|_| Vec::new()).collect();
-    let mut vertex_outbox: Vec<(VertexId, P::Message)> = Vec::new();
-    let mut fp_buf = bytes::BytesMut::new();
-    let tracer = trace.map(|s| s.worker(me));
-    // Worker-slot tag for the tracking allocator (two thread-local writes).
-    let _mem_tag = cyclops_obs::mem::MemScope::worker(me);
-    // Per-worker flight-recorder ring (BSP workers are single-threaded),
-    // resolved once; absent a recorder each span site is one Option check.
-    let flight = cyclops_obs::flight().map(|fr| fr.ring(me as u32, 0));
-    let hot_k = trace.map(|s| s.hot_k()).unwrap_or(0);
-    let mut hot_local = (hot_k > 0).then(|| cyclops_net::trace::SpaceSaving::new(hot_k));
     // Pending set: `awake` holds exactly the locals with `prio != u64::MAX`
     // (kept unique by only pushing on that transition). A parked vertex
     // keeps its mailbox until selected, so deferred arrivals batch into one
-    // compute. Seeded from the halted flags so a resume starts right.
-    let mut prio: Vec<u64> = vec![u64::MAX; st.locals.len()];
-    let mut awake: Vec<u32> = (0..st.locals.len())
-        .filter(|&li| !st.halted[li])
-        .map(|li| li as u32)
-        .collect();
+    // compute. A resume re-seeds every un-halted vertex as immediately due.
+    let mut prio: Vec<u64> = vec![u64::MAX; wk.st.locals.len()];
+    let mut awake = wk.st.unhalted();
     for &li in &awake {
         prio[li as usize] = IMMEDIATE_KEY;
     }
     let mut due: Vec<u32> = Vec::new();
     // Per-bucket accumulators, reset on every bucket advance.
     let mut rounds: u64 = 0;
-    let mut bucket_times = PhaseTimes::default();
-    let mut bucket_agg = AggregateStats::default();
     let mut occupancy = 0usize;
-    let mut sel_gen: Vec<u64> = vec![0; st.locals.len()];
-    let mut cmp_acc = 0u64;
-    let mut checkpointed = false;
+    let mut sel_gen: Vec<u64> = vec![0; wk.st.locals.len()];
 
     loop {
-        let mut times = PhaseTimes::default();
-        let agg_in = *prev_aggregate.lock();
-        let round_span = flight.as_ref().map(|r| r.now_ns());
+        wk.agg_in = *run.prev_aggregate.lock();
+        let round_span = wk.span_start();
 
         // ---- Checkpoint at bucket start: the previous bucket settled, so
         // the transport is empty and parked mailboxes are the only in-flight
-        // state — captured as the checkpoint's messages. A resume re-seeds
-        // every un-halted vertex as immediately due, which costs at most one
-        // extra (idempotent) relaxation per parked vertex. ----
-        if rounds == 0 {
-            if let Some(every) = config.checkpoint_every {
-                if every > 0
-                    && superstep > start_superstep
-                    && (superstep - start_superstep).is_multiple_of(every)
-                {
-                    let mut cp = checkpoints.lock();
-                    capture_checkpoint(&mut cp, st, superstep, config.checkpoint_every, agg_in);
-                    checkpointed = true;
-                }
-            }
+        // state. A resume costs at most one extra (idempotent) relaxation
+        // per parked vertex. ----
+        if rounds == 0 && run.checkpoint_due(superstep) {
+            wk.capture_checkpoint(superstep);
         }
 
-        // ---- PRS: drain this round's messages, wake or park by priority. ----
-        let prs_span = flight.as_ref().map(|r| r.now_ns());
-        let received = times.time(Phase::Parse, || {
-            let msgs = transport.drain(me, epoch);
-            let count = msgs.len();
-            for (dest, msg) in msgs {
-                let li = local_index[dest as usize] as usize;
-                debug_assert_eq!(partition.part_of(dest) as usize, me);
-                let key = program.priority(&msg).map_or(IMMEDIATE_KEY, priority_key);
-                if prio[li] == u64::MAX {
-                    awake.push(li as u32);
-                }
-                prio[li] = prio[li].min(key);
-                st.halted[li] = false;
-                st.mailbox[li].push(msg);
-            }
-            if config.bucket_mode == BucketMode::Det {
-                awake.sort_unstable();
-            }
-            count
-        });
-        if let (Some(r), Some(start)) = (&flight, prs_span) {
-            r.record(SpanKind::Parse, start, superstep as u64, 0, 0);
-        }
+        // ---- PRS: an arrival parks its vertex at the lowest priority key
+        // any of its messages proposed. ----
+        let sort = config.bucket_mode == BucketMode::Det;
+        let wake = |li: usize, halted: &mut bool, msg: &P::Message| {
+            let key = run.program.priority(msg);
+            let joins = prio[li] == u64::MAX;
+            prio[li] = prio[li].min(key.map_or(IMMEDIATE_KEY, priority_key));
+            *halted = false;
+            joins
+        };
+        let received = wk.parse((epoch, superstep), (&mut awake, sort), wake);
 
         // ---- CMP: select the in-bucket pending vertices and compute them.
         // `IMMEDIATE_KEY` compares below every non-negative priority, so
@@ -887,209 +894,86 @@ fn bucketed_worker_loop<P: BspProgram>(
                 true
             }
         });
-        let mut local_activated = 0usize;
-        let mut local_agg = AggregateStats::default();
-        let mut redundant = 0usize;
-        let cmp_span = flight.as_ref().map(|r| r.now_ns());
-        times.time(Phase::Compute, || {
-            let gen = superstep as u64 + 1;
-            for &li32 in &due {
-                let li = li32 as usize;
-                if sel_gen[li] != gen {
-                    sel_gen[li] = gen;
-                    occupancy += 1;
-                }
-                let vertex = st.locals[li];
-                vertex_outbox.clear();
-                let inbox_len = st.mailbox[li].len();
-                let mut halted = false;
-                {
-                    // Programs see the logical relaxation round (the
-                    // lockstep epoch) as their superstep — one round does
-                    // one classic superstep's work, so e.g. "superstep 0"
-                    // initialization branches fire exactly once even though
-                    // the whole bucket shares one barrier-visible superstep.
-                    let mut ctx = BspContext {
-                        vertex,
-                        superstep: epoch,
-                        graph,
-                        value: &mut st.values[li],
-                        halted: &mut halted,
-                        outbox: &mut vertex_outbox,
-                        aggregate: &mut local_agg,
-                        prev_aggregate: agg_in,
-                    };
-                    let msgs = std::mem::take(&mut st.mailbox[li]);
-                    program.compute(&mut ctx, &msgs);
-                }
-                st.halted[li] = halted;
-                if halted {
-                    prio[li] = u64::MAX;
-                } else {
-                    // Still active with no pending message: due next round,
-                    // whatever the bucket (classic BSP semantics).
-                    prio[li] = IMMEDIATE_KEY;
-                    awake.push(li32);
-                    local_activated += 1;
-                }
-                if let Some(hs) = hot_local.as_mut() {
-                    hs.record(vertex, 1 + inbox_len as u64 + vertex_outbox.len() as u64);
-                }
-                if config.track_redundant && !vertex_outbox.is_empty() {
-                    let fp = fingerprint(&mut fp_buf, &vertex_outbox);
-                    if fp == st.last_sent[li] {
-                        redundant += vertex_outbox.len();
-                    }
-                    st.last_sent[li] = fp;
-                }
-                for (dest, msg) in vertex_outbox.drain(..) {
-                    outboxes[partition.part_of(dest) as usize].push((dest, msg));
-                }
+        let mut activated = 0usize;
+        let cmp = wk.begin_compute();
+        let gen = superstep as u64 + 1;
+        for &li32 in &due {
+            let li = li32 as usize;
+            if sel_gen[li] != gen {
+                sel_gen[li] = gen;
+                occupancy += 1;
             }
-        });
-        if let (Some(r), Some(start)) = (&flight, cmp_span) {
-            r.record(SpanKind::Compute, start, superstep as u64, 0, 0);
+            // Programs see the logical relaxation round (the lockstep epoch)
+            // as their superstep — one round does one classic superstep's
+            // work, so e.g. "superstep 0" initialization branches fire
+            // exactly once even though the whole bucket shares one
+            // barrier-visible superstep.
+            if wk.compute_vertex(li, epoch) {
+                prio[li] = u64::MAX;
+            } else {
+                // Still active with no pending message: due next round,
+                // whatever the bucket (classic BSP semantics).
+                prio[li] = IMMEDIATE_KEY;
+                awake.push(li32);
+                activated += 1;
+            }
         }
-        cmp_acc += times.compute.as_nanos() as u64;
-        cmp_ns[me].store(cmp_acc, Ordering::Relaxed);
-        if !local_agg.is_empty() {
-            aggregate_acc.lock().merge(&local_agg);
-            bucket_agg.merge(&local_agg);
-        }
-        if let Some(tr) = tracer {
-            tr.add_drained(received as u64);
-            tr.add_computed(due.len() as u64);
-            tr.add_activated(local_activated as u64);
-        }
+        wk.end_compute(cmp, superstep, [received, due.len(), activated]);
 
-        // ---- SND: combine and transmit, as in the classic loop. ----
-        let snd_span = flight.as_ref().map(|r| r.now_ns());
-        times.time(Phase::Send, || {
-            for (dest_worker, outbox) in outboxes.iter_mut().enumerate() {
-                let mut batch = std::mem::take(outbox);
-                if batch.is_empty() {
-                    continue;
-                }
-                if config.use_combiner {
-                    combine_batch(program, &mut batch);
-                }
-                let sent = batch.len();
-                let lane = me * config.cluster.threads_per_worker;
-                let receipt = transport.send(lane, dest_worker, batch, epoch);
-                if let Some(tr) = tracer {
-                    tr.add_sent_to(dest_worker, sent as u64, receipt.bytes as u64);
-                }
-            }
-        });
-        if let (Some(r), Some(start)) = (&flight, snd_span) {
-            r.record(SpanKind::Send, start, superstep as u64, 0, 0);
-        }
+        wk.send((epoch, superstep));
 
         // ---- SYN: contribute round state, barrier, leader verdict. ----
-        bucket_shared
-            .round_selected
-            .fetch_add(due.len(), Ordering::Relaxed);
+        let selected = due.len();
+        shared.round_selected.fetch_add(selected, Ordering::Relaxed);
         if parked_local != u64::MAX {
-            bucket_shared
-                .parked_min
-                .fetch_min(parked_local, Ordering::Relaxed);
+            shared.parked_min.fetch_min(parked_local, Ordering::Relaxed);
         }
-        {
-            let mut cur = current.lock();
-            cur.active_vertices += due.len();
-            cur.redundant_messages += redundant;
-            cur.phase_times = cur.phase_times.merge(&times);
-        }
-        let sync_start = Instant::now();
-        let leader = barrier.wait_traced(flight.as_deref(), epoch as u64);
-        if leader {
-            let sel = bucket_shared.round_selected.swap(0, Ordering::Relaxed);
-            let parked = bucket_shared.parked_min.swap(u64::MAX, Ordering::Relaxed);
-            let total_rounds = bucket_shared.rounds_total.fetch_add(1, Ordering::Relaxed) + 1;
-            // Publish the aggregate for the next round.
-            let mut acc = aggregate_acc.lock();
-            *prev_aggregate.lock() = if acc.is_empty() { None } else { Some(*acc) };
-            *acc = AggregateStats::default();
-            drop(acc);
-            let settled = sel == 0 && transport.all_empty();
+        wk.sync(epoch, selected, || {
+            let sel = shared.round_selected.swap(0, Ordering::Relaxed);
+            let parked = shared.parked_min.swap(u64::MAX, Ordering::Relaxed);
+            let total_rounds = shared.rounds_total.fetch_add(1, Ordering::Relaxed) + 1;
+            run.publish_aggregate();
+            let settled = sel == 0 && run.transport.all_empty();
             let capped = total_rounds >= config.max_supersteps;
-            if settled || capped {
+            let verdict = if !(settled || capped) {
+                VERDICT_CONTINUE
+            } else {
                 // The bucket (superstep) ends: record its statistics.
-                if let Some(so) = sched_obs {
-                    so.record_threads(cmp_ns.iter().map(|a| a.load(Ordering::Relaxed)));
-                }
-                let snap = transport.counters().snapshot();
-                let mut last = last_counters.lock();
-                let mut cur = current.lock();
-                cur.superstep = superstep;
-                cur.messages_sent = snap.messages - last.messages;
-                cur.bytes_sent = snap.bytes - last.bytes;
-                history.lock().push(std::mem::take(&mut cur));
-                *last = snap;
-                supersteps_done.store(superstep + 1, Ordering::Release);
-                let done = capped || parked == u64::MAX || superstep + 1 >= config.max_supersteps;
-                if done {
-                    bucket_shared.verdict.store(VERDICT_STOP, Ordering::Release);
+                run.close_superstep(superstep);
+                if capped || parked == u64::MAX || superstep + 1 >= config.max_supersteps {
+                    VERDICT_STOP
                 } else {
                     let next = ((priority_key_inv(parked) / delta) as u64).max(bucket + 1);
-                    bucket_shared.bucket.store(next, Ordering::Relaxed);
-                    bucket_shared.verdict.store(VERDICT_NEXT, Ordering::Release);
+                    shared.bucket.store(next, Ordering::Relaxed);
+                    VERDICT_NEXT
                 }
-            } else {
-                bucket_shared
-                    .verdict
-                    .store(VERDICT_CONTINUE, Ordering::Release);
-            }
-        }
-        barrier.wait();
-        // Barrier waits are charged exactly as in the classic loop: to the
-        // *next* stats record (the settled bucket's entry is already
-        // published) and to this bucket's trace record and histograms.
-        let sync_elapsed = sync_start.elapsed();
-        current.lock().phase_times.add(Phase::Sync, sync_elapsed);
-        times.add(Phase::Sync, sync_elapsed);
-        bucket_times = bucket_times.merge(&times);
+            };
+            shared.verdict.store(verdict, Ordering::Release);
+        });
         rounds += 1;
         epoch += 1;
-        if let (Some(r), Some(start)) = (&flight, round_span) {
-            r.record(SpanKind::Round, start, bucket, rounds, due.len() as u64);
-        }
-        let verdict = bucket_shared.verdict.load(Ordering::Acquire);
+        wk.span_end(
+            round_span,
+            SpanKind::Round,
+            [bucket, rounds, selected as u64],
+        );
+        let verdict = shared.verdict.load(Ordering::Acquire);
         if verdict == VERDICT_CONTINUE {
             continue;
         }
         // The bucket settled (or the run was capped mid-bucket): one trace
         // record covers all its fused rounds.
-        if let Some(ph) = phase_hists {
-            ph.record(&bucket_times);
-            if me == 0 {
-                ph.set_supersteps(superstep + 1);
-            }
-        }
-        if let Some(tr) = tracer {
-            if !bucket_agg.is_empty() {
-                tr.set_thread_agg(0, bucket_agg);
-            }
-            if let Some(hs) = hot_local.as_mut() {
-                tr.set_thread_hot(0, hs);
-                hs.clear();
-            }
+        if let Some(tr) = wk.tracer {
             tr.set_bucket(bucket, rounds, occupancy as u64);
-            tr.commit(superstep, me, occupancy, &bucket_times, checkpointed);
         }
-        // Per-superstep memory sample (no-op unless `--mem` is armed).
-        cyclops_obs::mem::sample(superstep as u64, me as u32);
+        wk.commit_superstep(superstep, occupancy);
         if verdict == VERDICT_STOP {
             return;
         }
         superstep += 1;
-        bucket = bucket_shared.bucket.load(Ordering::Relaxed);
+        bucket = shared.bucket.load(Ordering::Relaxed);
         rounds = 0;
-        bucket_times = PhaseTimes::default();
-        bucket_agg = AggregateStats::default();
         occupancy = 0;
-        cmp_acc = 0;
-        checkpointed = false;
     }
 }
 

@@ -7,20 +7,31 @@
 //! plus batched mirror→master activation digests. All incoming messages
 //! funnel through a locked global queue per worker, reproducing the
 //! master-side contention of PowerGraph's Gather/Scatter phases (§2.3).
+//!
+//! Where each phase lives: a [`Run`] is what every thread borrows, a
+//! [`Worker`] one thread's part plus what it resolved once, and
+//! [`gas_worker`] runs the four phases in order, their bodies inline —
+//! activation and gather requests (PRS, SND), mirrors' partial gathers,
+//! apply and broadcast, scatter (CMP, each followed by [`Worker::flush`]).
+//! SYN's leader half is [`Run::close_superstep`], its observer half
+//! [`Worker::commit_superstep`]; a message outside its phase dies in
+//! [`out_of_phase`].
 
 use crate::program::GasProgram;
 use bytes::{Buf, BufMut, BytesMut};
 use cyclops_graph::{Graph, VertexId};
-use cyclops_net::metrics::{CounterSnapshot, PhaseHists};
-use cyclops_net::trace::{digest_bytes, TraceSink};
+use cyclops_net::metrics::{CounterSnapshot, PhaseHists, SchedObs};
+use cyclops_net::trace::{digest_bytes, SpaceSaving, TraceSink};
 use cyclops_net::{
     ClusterSpec, Codec, FlatBarrier, InboxMode, Phase, PhaseTimes, SuperstepStats, Transport,
+    WorkerTracer,
 };
-use cyclops_obs::SpanKind;
+use cyclops_obs::{MemScope, SpanKind, SpanRing};
 use cyclops_partition::VertexCutPartition;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Engine configuration.
@@ -86,6 +97,22 @@ enum GasMsg<V, G> {
     Activate { vertices: Vec<u32> },
 }
 
+/// Every message is drained in the phase after the one that sent it, in
+/// transport epoch `4 × superstep + phase`, so each phase sees only the tags
+/// the previous one emits; anything else means a sender and a receiver
+/// disagree on the epoch.
+fn out_of_phase<V, G>(phase: &str, msg: &GasMsg<V, G>) -> ! {
+    let tag = match msg {
+        GasMsg::GatherReq { .. } => "GatherReq",
+        GasMsg::GatherResp { .. } => "GatherResp",
+        GasMsg::Apply { .. } => "Apply",
+        GasMsg::ScatterReq { .. } => "ScatterReq",
+        GasMsg::ScatterResp { .. } => "ScatterResp",
+        GasMsg::Activate { .. } => "Activate",
+    };
+    panic!("{tag} drained in the {phase} phase")
+}
+
 impl<V: Codec, G: Codec> Codec for GasMsg<V, G> {
     fn encode(&self, buf: &mut BytesMut) {
         match self {
@@ -133,10 +160,10 @@ impl<V: Codec, G: Codec> Codec for GasMsg<V, G> {
             },
             1 => {
                 let local = u32::decode(buf);
-                let acc = if buf.get_u8() == 1 {
-                    Some(G::decode(buf))
-                } else {
-                    None
+                let acc = match buf.get_u8() {
+                    0 => None,
+                    1 => Some(G::decode(buf)),
+                    b => panic!("corrupt GatherResp presence byte {b}"),
                 };
                 GasMsg::GatherResp { local, acc }
             }
@@ -168,10 +195,13 @@ impl<V: Codec, G: Codec> Codec for GasMsg<V, G> {
             },
             1 => {
                 let local = u32::try_decode(buf)?;
-                let acc = if bool::try_decode(buf)? {
-                    Some(G::try_decode(buf)?)
-                } else {
-                    None
+                // The presence byte is exactly what `encode` writes: any
+                // other value would decode to a message that re-encodes to
+                // different bytes.
+                let acc = match buf.has_remaining().then(|| buf.get_u8())? {
+                    0 => None,
+                    1 => Some(G::try_decode(buf)?),
+                    _ => return None,
                 };
                 GasMsg::GatherResp { local, acc }
             }
@@ -205,6 +235,48 @@ impl<V: Codec, G: Codec> Codec for GasMsg<V, G> {
     }
 }
 
+/// A part's local edges in one direction, CSR by local vertex: row `li` is
+/// `nbr[off[li]..off[li + 1]]` (local indices), with weights parallel to it.
+struct Csr {
+    off: Vec<u32>,
+    nbr: Vec<u32>,
+    /// Empty on an unweighted graph: every edge weighs 1.
+    w: Vec<f64>,
+}
+
+impl Csr {
+    /// Builds the `rows`-row CSR of `adj`'s `(row, neighbour, weight)` edges.
+    fn build(mut adj: Vec<(u32, u32, f64)>, rows: usize, weighted: bool) -> Csr {
+        adj.sort_unstable_by_key(|&(a, b, _)| (a, b));
+        let mut off = vec![0u32; rows + 1];
+        for &(a, ..) in &adj {
+            off[a as usize + 1] += 1;
+        }
+        for i in 0..rows {
+            off[i + 1] += off[i];
+        }
+        let w = if weighted {
+            adj.iter().map(|e| e.2).collect()
+        } else {
+            Vec::new()
+        };
+        let nbr = adj.into_iter().map(|e| e.1).collect();
+        Csr { off, nbr, w }
+    }
+
+    fn row(&self, li: usize) -> impl Iterator<Item = (u32, f64)> + '_ {
+        let (s, e) = (self.off[li] as usize, self.off[li + 1] as usize);
+        let weight = move |i: usize| {
+            if self.w.is_empty() {
+                1.0
+            } else {
+                self.w[s + i]
+            }
+        };
+        (self.nbr[s..e].iter().enumerate()).map(move |(i, &n)| (n, weight(i)))
+    }
+}
+
 /// One worker's share of the vertex-cut.
 struct PartState<V> {
     /// Global ids of the vertices replicated on this worker, ascending.
@@ -216,51 +288,171 @@ struct PartState<V> {
     data: Vec<V>,
     /// Active flags (meaningful for masters only).
     active: Vec<bool>,
-    /// Local in-edge CSR: offsets per local vertex into `(in_src, in_w)`.
-    in_off: Vec<u32>,
-    in_src: Vec<u32>,
-    in_w: Vec<f64>,
-    /// Local out-edge CSR.
-    out_off: Vec<u32>,
-    out_dst: Vec<u32>,
-    out_w: Vec<f64>,
+    /// Local in- and out-edges.
+    in_edges: Csr,
+    out_edges: Csr,
     /// Mirror workers per local vertex (masters only; empty otherwise).
     mirror_off: Vec<u32>,
     mirrors: Vec<u32>,
 }
 
+/// Index of `v` in a part's ascending `local_vertices`. Edges and messages
+/// reach a part only for vertices the cut replicated on it.
+fn local_index(local_vertices: &[VertexId], v: VertexId) -> u32 {
+    let li = local_vertices.binary_search(&v);
+    li.unwrap_or_else(|_| panic!("vertex {v} has no replica on this part")) as u32
+}
+
 impl<V> PartState<V> {
     fn local_index(&self, v: VertexId) -> u32 {
-        self.local_vertices.binary_search(&v).expect("local vertex") as u32
+        local_index(&self.local_vertices, v)
     }
     fn mirrors_of(&self, li: usize) -> &[u32] {
         &self.mirrors[self.mirror_off[li] as usize..self.mirror_off[li + 1] as usize]
     }
-    fn in_edges(&self, li: usize) -> impl Iterator<Item = (u32, f64)> + '_ {
-        let (s, e) = (self.in_off[li] as usize, self.in_off[li + 1] as usize);
-        self.in_src[s..e].iter().enumerate().map(move |(i, &src)| {
-            (
-                src,
-                if self.in_w.is_empty() {
-                    1.0
-                } else {
-                    self.in_w[s + i]
-                },
-            )
-        })
+}
+
+/// Run-scoped state, built once and borrowed by every worker thread; a
+/// thread is this plus its [`Worker`].
+struct Run<'r, P: GasProgram> {
+    program: &'r P,
+    graph: &'r Graph,
+    partition: &'r VertexCutPartition,
+    config: &'r GasConfig,
+    trace: Option<&'r TraceSink>,
+    phase_hists: Option<PhaseHists>,
+    sched_obs: Option<SchedObs>,
+    /// Per-worker CMP nanoseconds for the imbalance histogram (like BSP,
+    /// PowerGraph-style workers are single-threaded — skew is cross-worker).
+    cmp_ns: Vec<AtomicU64>,
+    transport: Transport<GasMsg<P::Value, P::Gather>>,
+    barrier: FlatBarrier,
+    stop: AtomicBool,
+    active_total: AtomicUsize,
+    /// The stats ledger: closed entries, the entry of the superstep in
+    /// flight, and the counters as of the last close.
+    history: Mutex<Vec<SuperstepStats>>,
+    current: Mutex<SuperstepStats>,
+    last_counters: Mutex<CounterSnapshot>,
+    supersteps_done: AtomicUsize,
+}
+
+/// One worker thread's side of a run: its part, and what it resolves once
+/// rather than per superstep or per send.
+struct Worker<'r, P: GasProgram> {
+    run: &'r Run<'r, P>,
+    me: usize,
+    part: &'r mut PartState<P::Value>,
+    tracer: Option<&'r WorkerTracer>,
+    /// Per-worker flight-recorder ring (GAS asserts one thread per worker);
+    /// absent a recorder each span site is one `Option` check.
+    flight: Option<Arc<SpanRing>>,
+    /// Whether the sink digests applied values (values mode).
+    capture_values: bool,
+    /// Hot-vertex capture; disabled it costs one `Option` check per applied
+    /// vertex. The GAS cost proxy is the replication factor: 1 + mirror
+    /// fan-out, the traffic an apply broadcast generates.
+    hot: Option<SpaceSaving>,
+    /// Messages held per destination worker until the phase's flush.
+    outboxes: Vec<Vec<GasMsg<P::Value, P::Gather>>>,
+    /// Encode buffer of the values-mode digest, reused across publications
+    /// and supersteps.
+    digest_buf: BytesMut,
+    /// Worker-slot tag for the tracking allocator (two thread-local writes).
+    _mem_tag: MemScope,
+}
+
+impl<'r, P: GasProgram> Run<'r, P> {
+    /// SYN, leader only, `sync` into the closing barrier: records the
+    /// superstep's CMP skew across workers, closes its [`SuperstepStats`]
+    /// entry with the messages and bytes the counters gained since the last
+    /// close, and publishes it done.
+    fn close_superstep(&self, superstep: usize, sync: Duration) {
+        if let Some(so) = &self.sched_obs {
+            so.record_threads(self.cmp_ns.iter().map(|a| a.load(Ordering::Relaxed)));
+        }
+        let snap = self.transport.counters().snapshot();
+        let mut last = self.last_counters.lock();
+        let mut cur = self.current.lock();
+        cur.superstep = superstep;
+        cur.messages_sent = snap.messages - last.messages;
+        cur.bytes_sent = snap.bytes - last.bytes;
+        cur.phase_times.add(Phase::Sync, sync);
+        self.history.lock().push(std::mem::take(&mut cur));
+        *last = snap;
+        self.supersteps_done.store(superstep + 1, Ordering::Release);
     }
-    fn out_edges(&self, li: usize) -> impl Iterator<Item = (u32, f64)> + '_ {
-        let (s, e) = (self.out_off[li] as usize, self.out_off[li + 1] as usize);
-        self.out_dst[s..e].iter().enumerate().map(move |(i, &dst)| {
-            (
-                dst,
-                if self.out_w.is_empty() {
-                    1.0
-                } else {
-                    self.out_w[s + i]
-                },
-            )
-        })
+
+    fn worker(&'r self, me: usize, part: &'r mut PartState<P::Value>) -> Worker<'r, P> {
+        let hot_k = self.trace.map_or(0, |s| s.hot_k());
+        Worker {
+            run: self,
+            me,
+            part,
+            tracer: self.trace.map(|s| s.worker(me)),
+            flight: cyclops_obs::flight().map(|fr| fr.ring(me as u32, 0)),
+            capture_values: self.trace.is_some_and(|s| s.captures_values()),
+            hot: (hot_k > 0).then(|| SpaceSaving::new(hot_k)),
+            outboxes: (0..self.partition.num_parts).map(|_| Vec::new()).collect(),
+            digest_buf: BytesMut::new(),
+            _mem_tag: MemScope::worker(me),
+        }
+    }
+}
+
+impl<'r, P: GasProgram> Worker<'r, P> {
+    /// Closes this worker's superstep for the observers: the phase-latency
+    /// histograms, the trace record (its hot sketch in slot 0 — GAS workers
+    /// have one thread), and the memory sample (no-op unless `--mem`).
+    fn commit_superstep(&mut self, superstep: usize, frontier: usize, times: &PhaseTimes) {
+        if let Some(ph) = &self.run.phase_hists {
+            ph.record(times);
+            if self.me == 0 {
+                ph.set_supersteps(superstep + 1);
+            }
+        }
+        if let Some(tr) = self.tracer {
+            if let Some(hs) = self.hot.as_mut() {
+                tr.set_thread_hot(0, hs);
+                hs.clear();
+            }
+            tr.commit(superstep, self.me, frontier, times, false);
+        }
+        cyclops_obs::mem::sample(superstep as u64, self.me as u32);
+    }
+
+    fn span_start(&self) -> Option<u64> {
+        self.flight.as_ref().map(|r| r.now_ns())
+    }
+
+    /// Ends a span of superstep `superstep`; `phase` tells the three CMP
+    /// spans of one superstep apart.
+    fn span_end(&self, start: Option<u64>, kind: SpanKind, superstep: usize, phase: u64) {
+        if let (Some(r), Some(start)) = (&self.flight, start) {
+            r.record(kind, start, superstep as u64, phase, 0);
+        }
+    }
+
+    /// A barrier wait under a flight span; `true` on the wait's one leader.
+    fn barrier(&self, superstep: usize) -> bool {
+        let flight = self.flight.as_deref();
+        self.run.barrier.wait_traced(flight, superstep as u64)
+    }
+
+    /// Sends every nonempty outbox in transport epoch `epoch`.
+    fn flush(&mut self, epoch: usize) {
+        for (dest, batch) in self.outboxes.iter_mut().enumerate() {
+            if !batch.is_empty() {
+                let sent = batch.len();
+                let receipt = self
+                    .run
+                    .transport
+                    .send(self.me, dest, std::mem::take(batch), epoch);
+                if let Some(tr) = self.tracer {
+                    tr.add_sent_to(dest, sent as u64, receipt.bytes as u64);
+                }
+            }
+        }
     }
 }
 
@@ -294,255 +486,118 @@ pub fn run_gas_traced<P: GasProgram>(
         "the GAS engine uses single-threaded workers"
     );
 
-    // ---- Ingress: build per-part state. ----
-    let mut parts: Vec<PartState<P::Value>> = (0..num_workers)
-        .map(|_| PartState {
-            local_vertices: Vec::new(),
-            is_master: Vec::new(),
-            data: Vec::new(),
-            active: Vec::new(),
-            in_off: Vec::new(),
-            in_src: Vec::new(),
-            in_w: Vec::new(),
-            out_off: Vec::new(),
-            out_dst: Vec::new(),
-            out_w: Vec::new(),
-            mirror_off: Vec::new(),
-            mirrors: Vec::new(),
-        })
-        .collect();
+    // ---- Ingress: per part, its replicas (ascending: the loop is over v),
+    // its edges in local indices, then its state. ----
+    let mut locals: Vec<Vec<VertexId>> = vec![Vec::new(); num_workers];
     for (v, reps) in partition.replicas.iter().enumerate() {
         for &p in reps {
-            parts[p as usize].local_vertices.push(v as VertexId);
+            locals[p as usize].push(v as VertexId);
         }
+    }
+    let mut in_adj: Vec<Vec<(u32, u32, f64)>> = vec![Vec::new(); num_workers]; // (dst_li, src_li, w)
+    let mut out_adj: Vec<Vec<(u32, u32, f64)>> = vec![Vec::new(); num_workers];
+    for (e, (u, x, w)) in graph.edges().enumerate() {
+        let p = partition.edge_assignment[e] as usize;
+        let (ul, xl) = (local_index(&locals[p], u), local_index(&locals[p], x));
+        in_adj[p].push((xl, ul, w));
+        out_adj[p].push((ul, xl, w));
     }
     let weighted = graph.is_weighted();
-    for (p, part) in parts.iter_mut().enumerate() {
-        // local_vertices is ascending already (outer loop over v).
-        let nl = part.local_vertices.len();
-        part.is_master = part
-            .local_vertices
-            .iter()
+    let mut parts: Vec<PartState<P::Value>> = Vec::with_capacity(num_workers);
+    for (p, local_vertices) in locals.into_iter().enumerate() {
+        let nl = local_vertices.len();
+        let is_master: Vec<bool> = (local_vertices.iter())
             .map(|&v| partition.masters[v as usize] == p as u32)
             .collect();
-        part.data = part
-            .local_vertices
-            .iter()
-            .map(|&v| program.init(v, graph))
-            .collect();
-        part.active = part
-            .local_vertices
-            .iter()
-            .zip(&part.is_master)
-            .map(|(&v, &m)| m && program.initially_active(v, graph))
-            .collect();
-        part.mirror_off = vec![0; nl + 1];
+        let mut mirror_off = vec![0; nl + 1];
         let mut mirrors = Vec::new();
-        for (li, &v) in part.local_vertices.iter().enumerate() {
-            if part.is_master[li] {
-                for &mp in &partition.replicas[v as usize] {
-                    if mp != p as u32 {
-                        mirrors.push(mp);
-                    }
-                }
+        for (li, &v) in local_vertices.iter().enumerate() {
+            if is_master[li] {
+                let replicas = partition.replicas[v as usize].iter();
+                mirrors.extend(replicas.filter(|&&mp| mp != p as u32));
             }
-            part.mirror_off[li + 1] = mirrors.len() as u32;
+            mirror_off[li + 1] = mirrors.len() as u32;
         }
-        part.mirrors = mirrors;
-    }
-    // Local edge CSRs: bucket edges per part, then build.
-    {
-        let mut in_adj: Vec<Vec<(u32, u32, f64)>> = vec![Vec::new(); num_workers]; // (dst_li, src_li, w)
-        let mut out_adj: Vec<Vec<(u32, u32, f64)>> = vec![Vec::new(); num_workers];
-        for (e, (u, x, w)) in graph.edges().enumerate() {
-            let p = partition.edge_assignment[e] as usize;
-            let part = &parts[p];
-            let ul = part.local_index(u);
-            let xl = part.local_index(x);
-            in_adj[p].push((xl, ul, w));
-            out_adj[p].push((ul, xl, w));
-        }
-        for (p, part) in parts.iter_mut().enumerate() {
-            let nl = part.local_vertices.len();
-            let build = |adj: &mut Vec<(u32, u32, f64)>| {
-                adj.sort_unstable_by_key(|&(a, b, _)| (a, b));
-                let mut off = vec![0u32; nl + 1];
-                let mut nbr = Vec::with_capacity(adj.len());
-                let mut ws = if weighted {
-                    Vec::with_capacity(adj.len())
-                } else {
-                    Vec::new()
-                };
-                for &(a, b, w) in adj.iter() {
-                    off[a as usize + 1] += 1;
-                    nbr.push(b);
-                    if weighted {
-                        ws.push(w);
-                    }
-                }
-                for i in 0..nl {
-                    off[i + 1] += off[i];
-                }
-                (off, nbr, ws)
-            };
-            let (in_off, in_src, in_w) = build(&mut in_adj[p]);
-            part.in_off = in_off;
-            part.in_src = in_src;
-            part.in_w = in_w;
-            let (out_off, out_dst, out_w) = build(&mut out_adj[p]);
-            part.out_off = out_off;
-            part.out_dst = out_dst;
-            part.out_w = out_w;
-        }
+        parts.push(PartState {
+            data: (local_vertices.iter())
+                .map(|&v| program.init(v, graph))
+                .collect(),
+            active: (local_vertices.iter().zip(&is_master))
+                .map(|(&v, &m)| m && program.initially_active(v, graph))
+                .collect(),
+            is_master,
+            in_edges: Csr::build(std::mem::take(&mut in_adj[p]), nl, weighted),
+            out_edges: Csr::build(std::mem::take(&mut out_adj[p]), nl, weighted),
+            mirror_off,
+            mirrors,
+            local_vertices,
+        });
     }
 
-    let transport: Transport<GasMsg<P::Value, P::Gather>> =
-        Transport::with_network(config.cluster, InboxMode::GlobalQueue, config.network);
-    let barrier = FlatBarrier::new(num_workers);
-    let stop = AtomicBool::new(false);
-    let active_total = AtomicUsize::new(0);
-    let history: Mutex<Vec<SuperstepStats>> = Mutex::new(Vec::new());
-    let current: Mutex<SuperstepStats> = Mutex::new(SuperstepStats::default());
-    let last_counters = Mutex::new(CounterSnapshot::default());
-    let supersteps_done = AtomicUsize::new(0);
-
-    let phase_hists = PhaseHists::resolve("gas");
-    let sched_obs = cyclops_net::metrics::SchedObs::resolve("gas");
-    // Per-worker CMP nanoseconds for the imbalance histogram (like BSP,
-    // PowerGraph-style workers are single-threaded — skew is cross-worker).
-    let cmp_ns: Vec<std::sync::atomic::AtomicU64> = (0..partition.num_parts)
-        .map(|_| std::sync::atomic::AtomicU64::new(0))
-        .collect();
+    let run = Run {
+        program,
+        graph,
+        partition,
+        config,
+        trace,
+        phase_hists: PhaseHists::resolve("gas"),
+        sched_obs: SchedObs::resolve("gas"),
+        cmp_ns: (0..num_workers).map(|_| AtomicU64::new(0)).collect(),
+        transport: Transport::with_network(config.cluster, InboxMode::GlobalQueue, config.network),
+        barrier: FlatBarrier::new(num_workers),
+        stop: AtomicBool::new(false),
+        active_total: AtomicUsize::new(0),
+        history: Mutex::new(Vec::new()),
+        current: Mutex::new(SuperstepStats::default()),
+        last_counters: Mutex::new(CounterSnapshot::default()),
+        supersteps_done: AtomicUsize::new(0),
+    };
 
     let loop_start = Instant::now();
     std::thread::scope(|scope| {
         for (me, part) in parts.iter_mut().enumerate() {
-            let transport = &transport;
-            let barrier = &barrier;
-            let stop = &stop;
-            let active_total = &active_total;
-            let history = &history;
-            let current = &current;
-            let last_counters = &last_counters;
-            let supersteps_done = &supersteps_done;
-            let phase_hists = phase_hists.as_ref();
-            let sched_obs = sched_obs.as_ref();
-            let cmp_ns = &cmp_ns;
-            scope.spawn(move || {
-                gas_worker(
-                    me,
-                    trace,
-                    phase_hists,
-                    sched_obs,
-                    cmp_ns,
-                    program,
-                    graph,
-                    partition,
-                    config,
-                    part,
-                    transport,
-                    barrier,
-                    stop,
-                    active_total,
-                    history,
-                    current,
-                    last_counters,
-                    supersteps_done,
-                );
-            });
+            let run = &run;
+            // Built on its own thread: the memory tag is thread-local.
+            scope.spawn(move || gas_worker(run, run.worker(me, part)));
         }
     });
     let elapsed = loop_start.elapsed();
 
-    let mut values: Vec<Option<P::Value>> = vec![None; graph.num_vertices()];
-    for (p, part) in parts.into_iter().enumerate() {
-        for (li, v) in part.local_vertices.into_iter().enumerate() {
-            if partition.masters[v as usize] == p as u32 {
-                values[v as usize] = Some(part.data[li].clone());
-            }
-        }
-    }
+    // A vertex's value is its master's replica.
+    let master_value = |v: VertexId| {
+        let part = &parts[partition.masters[v as usize] as usize];
+        part.data[part.local_index(v) as usize].clone()
+    };
     GasResult {
-        values: values.into_iter().map(Option::unwrap).collect(),
-        supersteps: supersteps_done.load(Ordering::Acquire),
-        stats: history.into_inner(),
-        counters: transport.counters().snapshot(),
+        values: graph.vertices().map(master_value).collect(),
+        supersteps: run.supersteps_done.load(Ordering::Acquire),
+        stats: run.history.into_inner(),
+        counters: run.transport.counters().snapshot(),
         elapsed,
         replication_factor: partition.replication_factor(),
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn gas_worker<P: GasProgram>(
-    me: usize,
-    trace: Option<&TraceSink>,
-    phase_hists: Option<&PhaseHists>,
-    sched_obs: Option<&cyclops_net::metrics::SchedObs>,
-    cmp_ns: &[std::sync::atomic::AtomicU64],
-    program: &P,
-    graph: &Graph,
-    partition: &VertexCutPartition,
-    config: &GasConfig,
-    part: &mut PartState<P::Value>,
-    transport: &Transport<GasMsg<P::Value, P::Gather>>,
-    barrier: &FlatBarrier,
-    stop: &AtomicBool,
-    active_total: &AtomicUsize,
-    history: &Mutex<Vec<SuperstepStats>>,
-    current: &Mutex<SuperstepStats>,
-    last_counters: &Mutex<CounterSnapshot>,
-    supersteps_done: &AtomicUsize,
-) {
+fn gas_worker<P: GasProgram>(run: &Run<'_, P>, mut wk: Worker<'_, P>) {
+    let (program, graph, config) = (run.program, run.graph, run.config);
+    let partition = run.partition;
+    let (me, tracer) = (wk.me, wk.tracer);
     let num_workers = partition.num_parts;
     let mut superstep = 0usize;
-    let mut outboxes: Vec<Vec<GasMsg<P::Value, P::Gather>>> =
-        (0..num_workers).map(|_| Vec::new()).collect();
     // Gather accumulators pending per active master.
     let mut pending: HashMap<u32, Option<P::Gather>> = HashMap::new();
     // Old values of vertices applied this superstep (for scatter).
     let mut old_values: HashMap<u32, P::Value> = HashMap::new();
     // Which local vertices were activated by local scatter this superstep.
     let mut locally_activated: Vec<u32> = Vec::new();
-    // Reused across publications and supersteps: the values-mode trace
-    // digest used to allocate a fresh encode buffer per applied vertex.
-    let mut digest_buf = BytesMut::new();
-
-    let tracer = trace.map(|s| s.worker(me));
-    // Worker-slot tag for the tracking allocator (two thread-local writes).
-    let _mem_tag = cyclops_obs::mem::MemScope::worker(me);
-    // Per-worker flight-recorder ring (GAS asserts one thread per worker),
-    // resolved once; absent a recorder each span site is one Option check.
-    let flight = cyclops_obs::flight().map(|fr| fr.ring(me as u32, 0));
-    let capture_values = trace.map(|s| s.captures_values()).unwrap_or(false);
-    // Hot-vertex capture, resolved once; disabled it costs one Option check
-    // per applied vertex. The GAS cost proxy is the replication factor:
-    // 1 + mirror fan-out, the traffic an apply broadcast generates.
-    let hot_k = trace.map(|s| s.hot_k()).unwrap_or(0);
-    let mut hot_local = (hot_k > 0).then(|| cyclops_net::trace::SpaceSaving::new(hot_k));
-
-    let flush = |outboxes: &mut Vec<Vec<GasMsg<P::Value, P::Gather>>>, epoch: usize| {
-        for (dest, batch) in outboxes.iter_mut().enumerate() {
-            if !batch.is_empty() {
-                let sent = batch.len();
-                let receipt = transport.send(me, dest, std::mem::take(batch), epoch);
-                if let Some(tr) = tracer {
-                    tr.add_sent_to(dest, sent as u64, receipt.bytes as u64);
-                }
-            }
-        }
-    };
 
     // Sorted local indices of active masters, maintained incrementally at
     // every `part.active` mutation site so the sparse fast path can skip the
     // O(|replicas|) flag scans.
-    let mut active_list: Vec<u32> = part
-        .active
-        .iter()
-        .enumerate()
-        .filter(|&(_, &a)| a)
-        .map(|(li, _)| li as u32)
+    let mut active_list: Vec<u32> = (0..wk.part.active.len() as u32)
+        .filter(|&li| wk.part.active[li as usize])
         .collect();
-    let num_masters = part.is_master.iter().filter(|&&m| m).count();
+    let num_masters = wk.part.is_master.iter().filter(|&&m| m).count();
 
     loop {
         let mut times = PhaseTimes::default();
@@ -550,9 +605,10 @@ fn gas_worker<P: GasProgram>(
         let mut drained = 0u64;
 
         // ---- Phase 0: absorb activations, decide the active set. ----
-        let prs_span = flight.as_ref().map(|r| r.now_ns());
+        let prs_span = wk.span_start();
         times.time(Phase::Parse, || {
-            let msgs = transport.drain(me, base);
+            let part = &mut *wk.part;
+            let msgs = run.transport.drain(me, base);
             drained += msgs.len() as u64;
             for msg in msgs {
                 match msg {
@@ -569,61 +625,50 @@ fn gas_worker<P: GasProgram>(
                         }
                     }
                     GasMsg::ScatterResp { .. } => {} // ack only
-                    _ => unreachable!("unexpected message in activation phase"),
+                    other => out_of_phase("activation", &other),
                 }
             }
             // Activations arrive in message order; restore ascending order.
             active_list.sort_unstable();
         });
-        if let (Some(r), Some(start)) = (&flight, prs_span) {
-            r.record(SpanKind::Parse, start, superstep as u64, 0, 0);
-        }
+        wk.span_end(prs_span, SpanKind::Parse, superstep, 0);
         let my_active = active_list.len();
-        debug_assert_eq!(my_active, part.active.iter().filter(|&&a| a).count());
+        debug_assert_eq!(my_active, wk.part.active.iter().filter(|&&a| a).count());
         // Below the sparse cutoff, walk the active list instead of scanning
         // every replica's flag. Same masters in the same ascending order —
         // results and traffic are bitwise identical to the dense scan.
         let fast = config.sparse_cutoff > 0.0
             && (active_list.len() as f64) < config.sparse_cutoff * num_masters as f64;
-        active_total.fetch_add(my_active, Ordering::Relaxed);
+        run.active_total.fetch_add(my_active, Ordering::Relaxed);
         let sync_start = Instant::now();
-        if barrier.wait_traced(flight.as_deref(), superstep as u64) {
-            let total = active_total.swap(0, Ordering::Relaxed);
-            stop.store(
-                total == 0 || superstep >= config.max_supersteps,
-                Ordering::Release,
-            );
+        if wk.barrier(superstep) {
+            let total = run.active_total.swap(0, Ordering::Relaxed);
+            let stop = total == 0 || superstep >= config.max_supersteps;
+            run.stop.store(stop, Ordering::Release);
         }
-        barrier.wait();
+        run.barrier.wait();
         times.add(Phase::Sync, sync_start.elapsed());
-        if stop.load(Ordering::Acquire) {
+        if run.stop.load(Ordering::Acquire) {
             // Record nothing for the would-be superstep; exit.
-            if me == 0 {
-                supersteps_done.store(superstep, Ordering::Release);
-            }
             return;
         }
 
         // ---- Phase 0 (send): gather requests to mirrors. ----
         pending.clear();
-        let snd_span = flight.as_ref().map(|r| r.now_ns());
+        let snd_span = wk.span_start();
         times.time(Phase::Send, || {
+            let (part, outboxes) = (&*wk.part, &mut wk.outboxes);
             let mut request_for = |li: usize| {
                 if !part.active[li] {
                     return;
                 }
                 pending.insert(li as u32, None);
                 for &mp in part.mirrors_of(li) {
+                    // The mirror resolves the replica by global id.
                     outboxes[mp as usize].push(GasMsg::GatherReq {
-                        local: 0, // resolved below via global id
+                        local: part.local_vertices[li],
                         reply: li as u32,
                     });
-                    // The mirror resolves by global id; patch the request.
-                    let v = part.local_vertices[li];
-                    if let Some(GasMsg::GatherReq { local, .. }) = outboxes[mp as usize].last_mut()
-                    {
-                        *local = v;
-                    }
                 }
             };
             if fast {
@@ -635,18 +680,17 @@ fn gas_worker<P: GasProgram>(
                     request_for(li);
                 }
             }
-            flush(&mut outboxes, base);
+            wk.flush(base);
         });
-        if let (Some(r), Some(start)) = (&flight, snd_span) {
-            r.record(SpanKind::Send, start, superstep as u64, 0, 0);
-        }
-        barrier.wait_traced(flight.as_deref(), superstep as u64);
+        wk.span_end(snd_span, SpanKind::Send, superstep, 0);
+        wk.barrier(superstep);
 
         // ---- Phase 1: mirrors answer gather requests; master's own
         //      partial. ----
-        let cmp_span = flight.as_ref().map(|r| r.now_ns());
+        let cmp_span = wk.span_start();
         times.time(Phase::Compute, || {
-            let msgs = transport.drain(me, base + 1);
+            let (part, outboxes) = (&*wk.part, &mut wk.outboxes);
+            let msgs = run.transport.drain(me, base + 1);
             drained += msgs.len() as u64;
             for msg in msgs {
                 if let GasMsg::GatherReq { local: v, reply } = msg {
@@ -655,27 +699,23 @@ fn gas_worker<P: GasProgram>(
                     let master = partition.masters[v as usize] as usize;
                     outboxes[master].push(GasMsg::GatherResp { local: reply, acc });
                 } else {
-                    unreachable!("unexpected message in gather phase");
+                    out_of_phase("gather", &msg);
                 }
             }
             // Master's own partial gather.
-            let actives: Vec<u32> = pending.keys().copied().collect();
-            for li in actives {
-                let acc = local_gather(program, graph, part, li as usize);
-                merge_pending(program, &mut pending, li, acc);
+            for (&li, slot) in pending.iter_mut() {
+                *slot = local_gather(program, graph, part, li as usize);
             }
         });
-        if let (Some(r), Some(start)) = (&flight, cmp_span) {
-            r.record(SpanKind::Compute, start, superstep as u64, 1, 0);
-        }
-        times.time(Phase::Send, || flush(&mut outboxes, base + 1));
-        barrier.wait_traced(flight.as_deref(), superstep as u64);
+        wk.span_end(cmp_span, SpanKind::Compute, superstep, 1);
+        times.time(Phase::Send, || wk.flush(base + 1));
+        wk.barrier(superstep);
 
         // ---- Phase 2: apply at masters, broadcast new values. ----
         old_values.clear();
-        let cmp_span = flight.as_ref().map(|r| r.now_ns());
+        let cmp_span = wk.span_start();
         times.time(Phase::Compute, || {
-            let msgs = transport.drain(me, base + 2);
+            let msgs = run.transport.drain(me, base + 2);
             drained += msgs.len() as u64;
             for msg in msgs {
                 if let GasMsg::GatherResp { local, acc } = msg {
@@ -683,89 +723,85 @@ fn gas_worker<P: GasProgram>(
                         merge_pending(program, &mut pending, local, Some(a));
                     }
                 } else {
-                    unreachable!("unexpected message in apply phase");
+                    out_of_phase("apply", &msg);
                 }
             }
-            let mut actives: Vec<u32> = pending.keys().copied().collect();
-            actives.sort_unstable();
-            for li in actives {
+            let part = &mut *wk.part;
+            let mut actives: Vec<(u32, Option<P::Gather>)> = pending.drain().collect();
+            actives.sort_unstable_by_key(|&(li, _)| li);
+            for (li, acc) in actives {
                 let liu = li as usize;
                 let v = part.local_vertices[liu];
-                let acc = pending.remove(&li).unwrap();
                 let old = part.data[liu].clone();
                 let new = program.apply(graph, v, &old, acc);
                 // Digest the applied value exactly as it goes on the wire
                 // to mirrors (values mode only) so `trace-diff --values`
                 // can name the first divergent vertex across engines.
-                if capture_values {
-                    if let Some(tr) = tracer {
-                        digest_buf.clear();
-                        new.encode(&mut digest_buf);
-                        tr.record_publication(v, digest_bytes(&digest_buf));
-                    }
+                if let (true, Some(tr)) = (wk.capture_values, tracer) {
+                    wk.digest_buf.clear();
+                    new.encode(&mut wk.digest_buf);
+                    tr.record_publication(v, digest_bytes(&wk.digest_buf));
                 }
                 part.data[liu] = new.clone();
                 old_values.insert(li, old);
                 part.active[liu] = false; // deactivate; scatter may re-activate
-                if let Some(hs) = hot_local.as_mut() {
+                if let Some(hs) = wk.hot.as_mut() {
                     hs.record(v, 1 + part.mirrors_of(liu).len() as u64);
                 }
                 for &mp in part.mirrors_of(liu) {
-                    outboxes[mp as usize].push(GasMsg::Apply {
+                    wk.outboxes[mp as usize].push(GasMsg::Apply {
                         local: v,
                         value: new.clone(),
                     });
-                    outboxes[mp as usize].push(GasMsg::ScatterReq { local: v });
+                    wk.outboxes[mp as usize].push(GasMsg::ScatterReq { local: v });
                 }
             }
             // Every applied master was deactivated above; drop them from the
             // list (phase 3 scatter may re-add some).
             active_list.retain(|&li| part.active[li as usize]);
         });
-        if let (Some(r), Some(start)) = (&flight, cmp_span) {
-            r.record(SpanKind::Compute, start, superstep as u64, 2, 0);
-        }
-        times.time(Phase::Send, || flush(&mut outboxes, base + 2));
-        barrier.wait_traced(flight.as_deref(), superstep as u64);
+        wk.span_end(cmp_span, SpanKind::Compute, superstep, 2);
+        times.time(Phase::Send, || wk.flush(base + 2));
+        wk.barrier(superstep);
 
         // ---- Phase 3: scatter at mirrors and at the master. ----
         locally_activated.clear();
         let computed = old_values.len();
-        let cmp_span = flight.as_ref().map(|r| r.now_ns());
+        let cmp_span = wk.span_start();
         times.time(Phase::Compute, || {
+            let (part, outboxes) = (&mut *wk.part, &mut wk.outboxes);
             let mut mirror_old: HashMap<u32, P::Value> = HashMap::new();
-            let msgs = transport.drain(me, base + 3);
+            let msgs = run.transport.drain(me, base + 3);
             drained += msgs.len() as u64;
             for msg in msgs {
                 match msg {
                     GasMsg::Apply { local: v, value } => {
                         let li = part.local_index(v) as usize;
-                        mirror_old.insert(v, part.data[li].clone());
-                        part.data[li] = value;
+                        mirror_old.insert(v, std::mem::replace(&mut part.data[li], value));
                     }
                     GasMsg::ScatterReq { local: v } => {
                         let li = part.local_index(v) as usize;
-                        let old = mirror_old.get(&v).expect("Apply precedes ScatterReq");
-                        let new = part.data[li].clone();
-                        scatter_local(program, graph, part, li, old, &new, &mut locally_activated);
+                        // A master queues the pair in one batch, Apply first.
+                        let old = mirror_old.get(&v);
+                        let old = old.unwrap_or_else(|| panic!("ScatterReq {v} before its Apply"));
+                        let new = &part.data[li];
+                        scatter_local(program, graph, part, li, old, new, &mut locally_activated);
                         let master = partition.masters[v as usize] as usize;
                         outboxes[master].push(GasMsg::ScatterResp { local: v });
                     }
-                    _ => unreachable!("unexpected message in scatter phase"),
+                    other => out_of_phase("scatter", &other),
                 }
             }
             // Master scatters its own local out-edges.
-            let applied: Vec<u32> = old_values.keys().copied().collect();
-            for li in applied {
-                let old = old_values.get(&li).unwrap().clone();
-                let new = part.data[li as usize].clone();
+            for (&li, old) in &old_values {
+                let new = &part.data[li as usize];
                 scatter_local(
                     program,
                     graph,
                     part,
                     li as usize,
-                    &old,
-                    &new,
+                    old,
+                    new,
                     &mut locally_activated,
                 );
             }
@@ -791,41 +827,22 @@ fn gas_worker<P: GasProgram>(
                 }
             }
         });
-        if let (Some(r), Some(start)) = (&flight, cmp_span) {
-            r.record(SpanKind::Compute, start, superstep as u64, 3, 0);
-        }
-        times.time(Phase::Send, || flush(&mut outboxes, base + 3));
+        wk.span_end(cmp_span, SpanKind::Compute, superstep, 3);
+        times.time(Phase::Send, || wk.flush(base + 3));
 
+        // ---- SYN: the superstep's stats entry, then the observers. ----
         {
-            let mut cur = current.lock();
+            let mut cur = run.current.lock();
             cur.active_vertices += computed;
             cur.phase_times = cur.phase_times.merge(&times);
         }
-        cmp_ns[me].store(times.compute.as_nanos() as u64, Ordering::Relaxed);
+        run.cmp_ns[me].store(times.compute.as_nanos() as u64, Ordering::Relaxed);
         let sync_start = Instant::now();
-        if barrier.wait_traced(flight.as_deref(), superstep as u64) {
-            if let Some(so) = sched_obs {
-                so.record_threads(cmp_ns.iter().map(|a| a.load(Ordering::Relaxed)));
-            }
-            let snap = transport.counters().snapshot();
-            let mut last = last_counters.lock();
-            let mut cur = current.lock();
-            cur.superstep = superstep;
-            cur.messages_sent = snap.messages - last.messages;
-            cur.bytes_sent = snap.bytes - last.bytes;
-            cur.phase_times.add(Phase::Sync, sync_start.elapsed());
-            history.lock().push(std::mem::take(&mut cur));
-            *last = snap;
-            supersteps_done.store(superstep + 1, Ordering::Release);
+        if wk.barrier(superstep) {
+            run.close_superstep(superstep, sync_start.elapsed());
         }
-        barrier.wait();
+        run.barrier.wait();
         times.add(Phase::Sync, sync_start.elapsed());
-        if let Some(ph) = phase_hists {
-            ph.record(&times);
-            if me == 0 {
-                ph.set_supersteps(superstep + 1);
-            }
-        }
         if let Some(tr) = tracer {
             if fast {
                 tr.mark_sparse_fast_path();
@@ -833,16 +850,9 @@ fn gas_worker<P: GasProgram>(
             tr.add_drained(drained);
             tr.add_computed(computed as u64);
             tr.add_activated(locally_activated.len() as u64);
-            if let Some(hs) = hot_local.as_mut() {
-                tr.set_thread_hot(0, hs);
-                hs.clear();
-            }
-            // GAS workers are single-threaded, so each worker is its own
-            // leader; the frontier is the active set entering the superstep.
-            tr.commit(superstep, me, my_active, &times, false);
         }
-        // Per-superstep memory sample (no-op unless `--mem` is armed).
-        cyclops_obs::mem::sample(superstep as u64, me as u32);
+        // The frontier is the active set entering the superstep.
+        wk.commit_superstep(superstep, my_active, &times);
         superstep += 1;
     }
 }
@@ -856,7 +866,7 @@ fn local_gather<P: GasProgram>(
 ) -> Option<P::Gather> {
     let dst = part.local_vertices[li];
     let mut acc: Option<P::Gather> = None;
-    for (src_li, w) in part.in_edges(li) {
+    for (src_li, w) in part.in_edges.row(li) {
         let src = part.local_vertices[src_li as usize];
         let g = program.gather(graph, src, &part.data[src_li as usize], w, dst);
         acc = Some(match acc {
@@ -892,7 +902,7 @@ fn scatter_local<P: GasProgram>(
     activated: &mut Vec<u32>,
 ) {
     let src = part.local_vertices[li];
-    for (dst_li, w) in part.out_edges(li) {
+    for (dst_li, w) in part.out_edges.row(li) {
         let dst = part.local_vertices[dst_li as usize];
         if program.scatter_activates(graph, src, old, new, w, dst) {
             activated.push(dst_li);
@@ -1128,6 +1138,79 @@ mod tests {
         let records = sink.take_records();
         assert!(!records.is_empty());
         assert!(records.iter().all(|rec| rec.sparse_fast_path));
+    }
+
+    /// `None`, or a message whose encoding is exactly the bytes consumed.
+    fn assert_rejected_or_canonical(bytes: &[u8]) {
+        let mut read = bytes;
+        if let Some(msg) = GasMsg::<f64, f64>::try_decode(&mut read) {
+            let consumed = &bytes[..bytes.len() - read.remaining()];
+            let mut again = BytesMut::new();
+            msg.encode(&mut again);
+            assert_eq!(&again[..], consumed, "decoded from {bytes:?}");
+            assert_eq!(msg.encoded_len(), consumed.len());
+        }
+    }
+
+    #[test]
+    fn gas_msg_decoders_accept_only_what_the_encoder_emits() {
+        let one_of_each: [GasMsg<f64, f64>; 7] = [
+            GasMsg::GatherReq { local: 7, reply: 3 },
+            GasMsg::GatherResp {
+                local: 9,
+                acc: Some(0.25),
+            },
+            GasMsg::GatherResp {
+                local: 9,
+                acc: None,
+            },
+            GasMsg::Apply {
+                local: 4,
+                value: -1.5,
+            },
+            GasMsg::ScatterReq { local: 11 },
+            GasMsg::ScatterResp { local: 12 },
+            GasMsg::Activate {
+                vertices: vec![1, 2, 300],
+            },
+        ];
+        for msg in one_of_each {
+            let mut buf = BytesMut::new();
+            msg.encode(&mut buf);
+            let bytes = buf.to_vec();
+            assert_eq!(bytes.len(), msg.encoded_len());
+            // The two decoders agree on what the encoder emits.
+            let mut read = &bytes[..];
+            let checked = GasMsg::<f64, f64>::try_decode(&mut read).expect("well-formed");
+            assert!(read.is_empty());
+            let mut again = BytesMut::new();
+            checked.encode(&mut again);
+            GasMsg::<f64, f64>::decode(&mut &bytes[..]).encode(&mut again);
+            assert_eq!(&again[..], [&bytes[..], &bytes[..]].concat());
+            // Every truncation, every single-bit flip, every other tag byte.
+            for cut in 0..bytes.len() {
+                assert_rejected_or_canonical(&bytes[..cut]);
+            }
+            for bit in 0..bytes.len() * 8 {
+                let mut flipped = bytes.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                assert_rejected_or_canonical(&flipped);
+            }
+            for tag in 6..=255u8 {
+                let mut retagged = bytes.clone();
+                retagged[0] = tag;
+                let decoded = GasMsg::<f64, f64>::try_decode(&mut &retagged[..]);
+                assert!(decoded.is_none(), "tag {tag}");
+            }
+        }
+        // The byte the two decoders used to read differently: `2` was absent
+        // to `decode` and present to `try_decode`.
+        let presence_two = [1, 9, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0];
+        assert!(GasMsg::<f64, f64>::try_decode(&mut &presence_two[..]).is_none());
+        let decoded = std::panic::catch_unwind(|| {
+            GasMsg::<f64, f64>::decode(&mut &presence_two[..]);
+        });
+        assert!(decoded.is_err(), "decode must not read 2 as absent");
     }
 
     #[test]

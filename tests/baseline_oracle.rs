@@ -1,0 +1,565 @@
+//! Cross-commit oracle for the two baseline engines (`cyclops-bsp`, the Hama
+//! stand-in, and `cyclops-gas`, the PowerGraph stand-in).
+//!
+//! The twin of `tests/engine_oracle.rs`: every other baseline gate compares
+//! setting A with setting B at one commit, so a refactor that moves both
+//! sides alike passes them all. This one is absolute. Each cell runs a
+//! program traced in values mode with hot-vertex capture on, folds every
+//! deterministic column of every trace record (all fields but `*_ns`), the
+//! run's `supersteps`, every [`SuperstepStats`] count, the schedule-free
+//! [`CounterSnapshot`] fields and the final values into one FNV-1a digest,
+//! and compares it with [`EXPECTED`]. The constants were captured, in debug
+//! and release, at the commit before the baselines got one run struct and
+//! one set of phases (`0b744c5`).
+//!
+//! Cells. `run_bsp_traced` × {SSSP, CC, PageRank} × {`flat(2,1)`,
+//! `flat(3,1)`, `flat(4,1)`} × {classic, classic with `sparse_cutoff: 0`,
+//! combiner, `track_redundant`, bucketed `Det`, bucketed `Fast`,
+//! checkpoint-every-k + `run_bsp_from_checkpoint` (classic and bucketed)} ×
+//! inbox; `run_gas_traced` × {PageRank, SSSP} × {random, greedy cut} ×
+//! `sparse_cutoff` {0, default} × {`flat(2,1)`, `flat(3,1)`}, PageRank on
+//! `flat(2,1)` only.
+//!
+//! What is deliberately left out, because the parent does not repeat it from
+//! run to run: PageRank under [`InboxMode::GlobalQueue`] (arrival order moves
+//! the float sums' last ulp, so PageRank cells are `Sharded` only; SSSP and
+//! CC fold min, so they run under both inboxes); GAS PageRank on three
+//! workers (GAS has the global queue only, and a master with two mirrors sums
+//! their partials in arrival order — 12 of 12 runs differed); the trace of a
+//! [`BucketMode::Fast`] cell (its drain order is arrival order — values and
+//! counts only); and the [`CounterSnapshot`] fields that measure thread
+//! timing (`lock_contentions`, the queue peaks, allocation growth).
+//!
+//! To re-capture after an intended behaviour change, run the test and paste
+//! the table it prints.
+
+use cyclops::prelude::*;
+use cyclops_algos::cc::{symmetrize, BspComponents};
+use cyclops_algos::pagerank::{BspPageRank, GasPageRank};
+use cyclops_algos::sssp::{auto_bucket_width, BspSssp, GasSssp};
+use cyclops_bsp::{
+    run_bsp_from_checkpoint, run_bsp_traced, BspConfig, BspProgram, BspResult, Checkpoint,
+};
+use cyclops_gas::{run_gas_traced, GasConfig, GasProgram};
+use cyclops_net::metrics::CounterSnapshot;
+use cyclops_net::trace::{digest_bytes, TraceRecord, TraceSink};
+use cyclops_net::{BucketMode, InboxMode, SuperstepStats};
+use cyclops_partition::{
+    GreedyVertexCut, RandomVertexCut, VertexCutPartition, VertexCutPartitioner,
+};
+
+/// Hot-vertex sketch capacity of every traced cell.
+const HOT_K: usize = 4;
+
+/// The words of one cell, little-endian, digested with the trace's own
+/// FNV-1a ([`digest_bytes`]) once the cell is complete.
+#[derive(Default)]
+struct Fold(Vec<u8>);
+
+impl Fold {
+    fn word(&mut self, x: u64) {
+        self.0.extend_from_slice(&x.to_le_bytes());
+    }
+
+    fn words(&mut self, xs: impl IntoIterator<Item = u64>) {
+        for x in xs {
+            self.word(x);
+        }
+    }
+
+    /// Every deterministic column of one record; `*_ns` are excluded.
+    fn record(&mut self, r: &TraceRecord) {
+        self.words([
+            r.superstep,
+            r.worker,
+            r.frontier,
+            r.computed,
+            r.activated,
+            r.converged_delta as u64,
+            r.drained,
+            r.messages,
+            r.bytes,
+            u64::from(r.checkpoint),
+            u64::from(r.sparse_fast_path),
+            r.wire_dense,
+            r.wire_sparse,
+            r.direct_messages,
+            r.direct_bytes,
+            r.migrated,
+            r.fused,
+            r.bucket,
+            r.bucket_occupancy,
+        ]);
+        match &r.agg {
+            Some(a) => self.words([
+                1,
+                a.sum.to_bits(),
+                a.count as u64,
+                a.min.to_bits(),
+                a.max.to_bits(),
+            ]),
+            None => self.word(0),
+        }
+        for pairs in [&r.pubs, &r.hot] {
+            self.word(pairs.len() as u64);
+            for &(v, x) in pairs {
+                self.words([u64::from(v), x]);
+            }
+        }
+        self.word(r.comm.len() as u64);
+        for c in &r.comm {
+            self.words([
+                u64::from(c.dst),
+                c.messages,
+                c.bytes,
+                c.wire_dense,
+                c.wire_sparse,
+            ]);
+        }
+    }
+
+    fn trace(&mut self, mut sink: TraceSink) {
+        assert_eq!(sink.dropped_records(), 0, "trace ring overflowed");
+        let records = sink.take_records();
+        self.word(records.len() as u64);
+        for rec in &records {
+            self.record(rec);
+        }
+    }
+
+    /// What every engine result carries: the superstep count, each
+    /// superstep's counts, the whole-run counters and the final values.
+    fn outcome<V: Bits>(
+        &mut self,
+        supersteps: usize,
+        stats: &[SuperstepStats],
+        counters: &CounterSnapshot,
+        values: &[V],
+    ) {
+        self.word(supersteps as u64);
+        self.word(stats.len() as u64);
+        for s in stats {
+            self.words(
+                [
+                    s.superstep,
+                    s.active_vertices,
+                    s.messages_sent,
+                    s.bytes_sent,
+                    s.redundant_messages,
+                ]
+                .map(|x| x as u64),
+            );
+        }
+        self.words(
+            [
+                counters.messages,
+                counters.bytes,
+                counters.wire_dense_batches,
+                counters.wire_sparse_batches,
+                counters.wire_legacy_batches,
+                counters.wire_saved_bytes,
+            ]
+            .map(|x| x as u64),
+        );
+        for v in values {
+            self.word(v.bits());
+        }
+    }
+}
+
+/// Bit pattern of a final vertex value, for the digest.
+trait Bits {
+    fn bits(&self) -> u64;
+}
+
+impl Bits for f64 {
+    fn bits(&self) -> u64 {
+        self.to_bits()
+    }
+}
+
+impl Bits for u32 {
+    fn bits(&self) -> u64 {
+        u64::from(*self)
+    }
+}
+
+/// One BSP run folded into `h`: the trace when `traced`, the outcome, and
+/// the shape of every checkpoint (their message *order* follows arrival
+/// order under the global queue; their counts do not).
+fn bsp_folded<P: BspProgram>(
+    h: &mut Fold,
+    program: &P,
+    graph: &Graph,
+    config: &BspConfig,
+    traced: bool,
+    resume: Option<&Checkpoint<P::Value, P::Message>>,
+) -> BspResult<P::Value, P::Message>
+where
+    P::Value: Bits,
+{
+    let partition = HashPartitioner.partition(graph, config.cluster.num_workers());
+    let r = match resume {
+        Some(cp) => run_bsp_from_checkpoint(program, graph, &partition, config, cp),
+        None => {
+            let sink = TraceSink::with_values("bsp", &config.cluster).with_hot_k(HOT_K);
+            let r = run_bsp_traced(program, graph, &partition, config, Some(&sink));
+            if traced {
+                h.trace(sink);
+            }
+            r
+        }
+    };
+    h.outcome(r.supersteps, &r.stats, &r.counters, &r.values);
+    h.word(r.checkpoints.len() as u64);
+    for cp in &r.checkpoints {
+        h.words(
+            [
+                cp.superstep,
+                cp.values.len(),
+                cp.halted.len(),
+                cp.messages.len(),
+            ]
+            .map(|x| x as u64),
+        );
+    }
+    r
+}
+
+const BSP_VARIANTS: [&str; 7] = [
+    "classic",
+    "dense-walk",
+    "combiner",
+    "redundant",
+    "bucket-det",
+    "bucket-fast",
+    "checkpoint",
+];
+
+fn bsp_cell<P: BspProgram>(
+    program: &P,
+    graph: &Graph,
+    base: BspConfig,
+    variant: &str,
+    every: usize,
+) -> u64
+where
+    P::Value: Bits,
+{
+    let mut h = Fold::default();
+    let width = auto_bucket_width(graph);
+    let mut one = |config: BspConfig, traced: bool| {
+        bsp_folded(&mut h, program, graph, &config, traced, None);
+    };
+    match variant {
+        "classic" => one(base, true),
+        "dense-walk" => one(
+            BspConfig {
+                sparse_cutoff: 0.0,
+                ..base
+            },
+            true,
+        ),
+        "combiner" => one(
+            BspConfig {
+                use_combiner: true,
+                ..base
+            },
+            true,
+        ),
+        "redundant" => one(
+            BspConfig {
+                track_redundant: true,
+                ..base
+            },
+            true,
+        ),
+        "bucket-det" => one(
+            BspConfig {
+                bucket_width: width,
+                bucket_mode: BucketMode::Det,
+                ..base
+            },
+            true,
+        ),
+        "bucket-fast" => one(
+            BspConfig {
+                bucket_width: width,
+                bucket_mode: BucketMode::Fast,
+                ..base
+            },
+            false,
+        ),
+        "checkpoint" => {
+            // Both loops' capture triggers, and a resume from the middle
+            // checkpoint of each run that captured one (a program without
+            // priorities settles in one bucket and captures nothing).
+            for (bucket_width, every) in [(0.0, every), (width / 4.0, 2)] {
+                let config = BspConfig {
+                    bucket_width,
+                    checkpoint_every: Some(every),
+                    ..base.clone()
+                };
+                let full = bsp_folded(&mut h, program, graph, &config, true, None);
+                if let Some(cp) = full.checkpoints.get(full.checkpoints.len() / 2) {
+                    let rest = BspConfig {
+                        checkpoint_every: None,
+                        ..config
+                    };
+                    bsp_folded(&mut h, program, graph, &rest, false, Some(cp));
+                }
+            }
+        }
+        other => unreachable!("unknown variant {other}"),
+    }
+    digest_bytes(&h.0)
+}
+
+fn gas_cell<P: GasProgram>(
+    program: &P,
+    graph: &Graph,
+    cut: &VertexCutPartition,
+    config: &GasConfig,
+) -> u64
+where
+    P::Value: Bits,
+{
+    let mut h = Fold::default();
+    let sink = TraceSink::with_values("gas", &config.cluster).with_hot_k(HOT_K);
+    let r = run_gas_traced(program, graph, cut, config, Some(&sink));
+    h.trace(sink);
+    h.outcome(r.supersteps, &r.stats, &r.counters, &r.values);
+    digest_bytes(&h.0)
+}
+
+fn cells() -> Vec<(String, u64)> {
+    let rmat = Dataset::GWeb.generate_scaled(0.02, 11);
+    let road = Dataset::RoadCa.generate_scaled(0.02, 7);
+    let sym = symmetrize(&rmat);
+    let both = [
+        ("global", InboxMode::GlobalQueue),
+        ("sharded", InboxMode::Sharded),
+    ];
+    let mut out = Vec::new();
+    for workers in [2, 3, 4] {
+        let cluster = ClusterSpec::flat(workers, 1);
+        for variant in BSP_VARIANTS {
+            for (iname, inbox) in both {
+                let name = |p: &str| format!("bsp/{p}/flat({workers},1)/{variant}/{iname}");
+                let base = BspConfig {
+                    cluster,
+                    inbox,
+                    ..Default::default()
+                };
+                let sssp = BspSssp { source: 0 };
+                out.push((
+                    name("sssp"),
+                    bsp_cell(&sssp, &road, base.clone(), variant, 40),
+                ));
+                out.push((
+                    name("cc"),
+                    bsp_cell(&BspComponents, &sym, base.clone(), variant, 3),
+                ));
+                if inbox == InboxMode::Sharded {
+                    let config = BspConfig {
+                        max_supersteps: 25,
+                        ..base
+                    };
+                    let pr = BspPageRank { epsilon: 1e-7 };
+                    out.push((name("pr"), bsp_cell(&pr, &rmat, config, variant, 7)));
+                }
+            }
+        }
+    }
+    for workers in [2, 3] {
+        let cluster = ClusterSpec::flat(workers, 1);
+        let cuts = [
+            (
+                "random",
+                RandomVertexCut::default().partition(&rmat, workers),
+            ),
+            (
+                "greedy",
+                GreedyVertexCut::default().partition(&rmat, workers),
+            ),
+        ];
+        let road_cuts = [
+            (
+                "random",
+                RandomVertexCut::default().partition(&road, workers),
+            ),
+            (
+                "greedy",
+                GreedyVertexCut::default().partition(&road, workers),
+            ),
+        ];
+        for (cutoff_name, sparse_cutoff) in [("dense-walk", 0.0), ("default", 0.015)] {
+            let name =
+                |p: &str, cut: &str| format!("gas/{p}/flat({workers},1)/{cut}/{cutoff_name}");
+            let config = GasConfig {
+                cluster,
+                sparse_cutoff,
+                ..Default::default()
+            };
+            // Two mirrors answer one master in arrival order, so PageRank's
+            // gather sum repeats only where a vertex has at most one mirror.
+            for (cname, cut) in cuts.iter().filter(|_| workers == 2) {
+                let config = GasConfig {
+                    max_supersteps: 20,
+                    ..config
+                };
+                let pr = GasPageRank { epsilon: 1e-7 };
+                out.push((name("pr", cname), gas_cell(&pr, &rmat, cut, &config)));
+            }
+            for (cname, cut) in &road_cuts {
+                let sssp = GasSssp { source: 0 };
+                out.push((name("sssp", cname), gas_cell(&sssp, &road, cut, &config)));
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn baseline_behaviour_matches_the_parent_commit() {
+    let actual = cells();
+    let matches = actual.len() == EXPECTED.len()
+        && actual
+            .iter()
+            .zip(EXPECTED)
+            .all(|((name, digest), (ename, expected))| name == ename && digest == expected);
+    if !matches {
+        let mut table = String::new();
+        for (name, digest) in &actual {
+            let moved = match EXPECTED.iter().find(|(n, _)| n == name) {
+                Some((_, d)) if d != digest => " // CHANGED",
+                Some(_) => "",
+                None => " // new",
+            };
+            table.push_str(&format!("    (\"{name}\", {digest:#018x}),{moved}\n"));
+        }
+        panic!("baseline digests diverge from the captured constants; actual table:\n{table}");
+    }
+}
+
+/// `(cell, digest)`; see the module docs for where they were captured.
+#[rustfmt::skip] // one cell per line, as the failing test prints them
+const EXPECTED: &[(&str, u64)] = &[
+    ("bsp/sssp/flat(2,1)/classic/global", 0x376019016c60a128),
+    ("bsp/cc/flat(2,1)/classic/global", 0x568ead8ff3653f04),
+    ("bsp/sssp/flat(2,1)/classic/sharded", 0x376019016c60a128),
+    ("bsp/cc/flat(2,1)/classic/sharded", 0x568ead8ff3653f04),
+    ("bsp/pr/flat(2,1)/classic/sharded", 0xa2ae841ff452b8ac),
+    ("bsp/sssp/flat(2,1)/dense-walk/global", 0xe0b4d8e61665d9a9),
+    ("bsp/cc/flat(2,1)/dense-walk/global", 0xac6214c8fe5ffe19),
+    ("bsp/sssp/flat(2,1)/dense-walk/sharded", 0xe0b4d8e61665d9a9),
+    ("bsp/cc/flat(2,1)/dense-walk/sharded", 0xac6214c8fe5ffe19),
+    ("bsp/pr/flat(2,1)/dense-walk/sharded", 0xa2ae841ff452b8ac),
+    ("bsp/sssp/flat(2,1)/combiner/global", 0xff251977c517dfe3),
+    ("bsp/cc/flat(2,1)/combiner/global", 0x7ba3f5d94fcd57c9),
+    ("bsp/sssp/flat(2,1)/combiner/sharded", 0xff251977c517dfe3),
+    ("bsp/cc/flat(2,1)/combiner/sharded", 0x7ba3f5d94fcd57c9),
+    ("bsp/pr/flat(2,1)/combiner/sharded", 0x89a5b34bc98df420),
+    ("bsp/sssp/flat(2,1)/redundant/global", 0x376019016c60a128),
+    ("bsp/cc/flat(2,1)/redundant/global", 0x568ead8ff3653f04),
+    ("bsp/sssp/flat(2,1)/redundant/sharded", 0x376019016c60a128),
+    ("bsp/cc/flat(2,1)/redundant/sharded", 0x568ead8ff3653f04),
+    ("bsp/pr/flat(2,1)/redundant/sharded", 0x85532defbfad215b),
+    ("bsp/sssp/flat(2,1)/bucket-det/global", 0x0148b84037ee5968),
+    ("bsp/cc/flat(2,1)/bucket-det/global", 0x79b7abeb650b4a19),
+    ("bsp/sssp/flat(2,1)/bucket-det/sharded", 0x0148b84037ee5968),
+    ("bsp/cc/flat(2,1)/bucket-det/sharded", 0x79b7abeb650b4a19),
+    ("bsp/pr/flat(2,1)/bucket-det/sharded", 0x4fee422ed951bcbe),
+    ("bsp/sssp/flat(2,1)/bucket-fast/global", 0x8b95ffd291f2ccbc),
+    ("bsp/cc/flat(2,1)/bucket-fast/global", 0xd8b318fdc36631c4),
+    ("bsp/sssp/flat(2,1)/bucket-fast/sharded", 0x8b95ffd291f2ccbc),
+    ("bsp/cc/flat(2,1)/bucket-fast/sharded", 0xd8b318fdc36631c4),
+    ("bsp/pr/flat(2,1)/bucket-fast/sharded", 0x4c755df136f33d8e),
+    ("bsp/sssp/flat(2,1)/checkpoint/global", 0x5b966661c46eb92d),
+    ("bsp/cc/flat(2,1)/checkpoint/global", 0x0f2640d03a26e459),
+    ("bsp/sssp/flat(2,1)/checkpoint/sharded", 0x5b966661c46eb92d),
+    ("bsp/cc/flat(2,1)/checkpoint/sharded", 0x0f2640d03a26e459),
+    ("bsp/pr/flat(2,1)/checkpoint/sharded", 0x2394d4ca294418bd),
+    ("bsp/sssp/flat(3,1)/classic/global", 0xe1d2919cad8f98cd),
+    ("bsp/cc/flat(3,1)/classic/global", 0xce4a61e881f18417),
+    ("bsp/sssp/flat(3,1)/classic/sharded", 0xe1d2919cad8f98cd),
+    ("bsp/cc/flat(3,1)/classic/sharded", 0xce4a61e881f18417),
+    ("bsp/pr/flat(3,1)/classic/sharded", 0xb30175f3b492ae01),
+    ("bsp/sssp/flat(3,1)/dense-walk/global", 0x7be3d45c44328251),
+    ("bsp/cc/flat(3,1)/dense-walk/global", 0x02936420e3e82556),
+    ("bsp/sssp/flat(3,1)/dense-walk/sharded", 0x7be3d45c44328251),
+    ("bsp/cc/flat(3,1)/dense-walk/sharded", 0x02936420e3e82556),
+    ("bsp/pr/flat(3,1)/dense-walk/sharded", 0xb30175f3b492ae01),
+    ("bsp/sssp/flat(3,1)/combiner/global", 0xc6528cd9c238648b),
+    ("bsp/cc/flat(3,1)/combiner/global", 0xe0d90d4b7ad0f77e),
+    ("bsp/sssp/flat(3,1)/combiner/sharded", 0xc6528cd9c238648b),
+    ("bsp/cc/flat(3,1)/combiner/sharded", 0xe0d90d4b7ad0f77e),
+    ("bsp/pr/flat(3,1)/combiner/sharded", 0xdf95053bd93d3bcd),
+    ("bsp/sssp/flat(3,1)/redundant/global", 0xe1d2919cad8f98cd),
+    ("bsp/cc/flat(3,1)/redundant/global", 0xce4a61e881f18417),
+    ("bsp/sssp/flat(3,1)/redundant/sharded", 0xe1d2919cad8f98cd),
+    ("bsp/cc/flat(3,1)/redundant/sharded", 0xce4a61e881f18417),
+    ("bsp/pr/flat(3,1)/redundant/sharded", 0xfc25f3615086f9fa),
+    ("bsp/sssp/flat(3,1)/bucket-det/global", 0x0f417ef373b09838),
+    ("bsp/cc/flat(3,1)/bucket-det/global", 0x050c0d53991d8a71),
+    ("bsp/sssp/flat(3,1)/bucket-det/sharded", 0x0f417ef373b09838),
+    ("bsp/cc/flat(3,1)/bucket-det/sharded", 0x050c0d53991d8a71),
+    ("bsp/pr/flat(3,1)/bucket-det/sharded", 0x97721e4c59301fc9),
+    ("bsp/sssp/flat(3,1)/bucket-fast/global", 0xff255353e55c5d63),
+    ("bsp/cc/flat(3,1)/bucket-fast/global", 0xaedab4cc777e89b9),
+    ("bsp/sssp/flat(3,1)/bucket-fast/sharded", 0xff255353e55c5d63),
+    ("bsp/cc/flat(3,1)/bucket-fast/sharded", 0xaedab4cc777e89b9),
+    ("bsp/pr/flat(3,1)/bucket-fast/sharded", 0xe5ffc5c47928c33b),
+    ("bsp/sssp/flat(3,1)/checkpoint/global", 0x51e77ee074a9cbac),
+    ("bsp/cc/flat(3,1)/checkpoint/global", 0xfe9dab656e4c1542),
+    ("bsp/sssp/flat(3,1)/checkpoint/sharded", 0x51e77ee074a9cbac),
+    ("bsp/cc/flat(3,1)/checkpoint/sharded", 0xfe9dab656e4c1542),
+    ("bsp/pr/flat(3,1)/checkpoint/sharded", 0x7231b46cef4e2597),
+    ("bsp/sssp/flat(4,1)/classic/global", 0x71d4ae3ae0cc87a4),
+    ("bsp/cc/flat(4,1)/classic/global", 0x5020b87312d0e402),
+    ("bsp/sssp/flat(4,1)/classic/sharded", 0x71d4ae3ae0cc87a4),
+    ("bsp/cc/flat(4,1)/classic/sharded", 0x5020b87312d0e402),
+    ("bsp/pr/flat(4,1)/classic/sharded", 0x98617869f9bd7ebd),
+    ("bsp/sssp/flat(4,1)/dense-walk/global", 0x10664fba6e4b2748),
+    ("bsp/cc/flat(4,1)/dense-walk/global", 0xca58e52c51b5de3f),
+    ("bsp/sssp/flat(4,1)/dense-walk/sharded", 0x10664fba6e4b2748),
+    ("bsp/cc/flat(4,1)/dense-walk/sharded", 0xca58e52c51b5de3f),
+    ("bsp/pr/flat(4,1)/dense-walk/sharded", 0x98617869f9bd7ebd),
+    ("bsp/sssp/flat(4,1)/combiner/global", 0x7c09c3ed64be572b),
+    ("bsp/cc/flat(4,1)/combiner/global", 0x3809a677b0b13522),
+    ("bsp/sssp/flat(4,1)/combiner/sharded", 0x7c09c3ed64be572b),
+    ("bsp/cc/flat(4,1)/combiner/sharded", 0x3809a677b0b13522),
+    ("bsp/pr/flat(4,1)/combiner/sharded", 0xe4c23f0f6c47fc14),
+    ("bsp/sssp/flat(4,1)/redundant/global", 0x71d4ae3ae0cc87a4),
+    ("bsp/cc/flat(4,1)/redundant/global", 0x5020b87312d0e402),
+    ("bsp/sssp/flat(4,1)/redundant/sharded", 0x71d4ae3ae0cc87a4),
+    ("bsp/cc/flat(4,1)/redundant/sharded", 0x5020b87312d0e402),
+    ("bsp/pr/flat(4,1)/redundant/sharded", 0x3155e9c3a81a314a),
+    ("bsp/sssp/flat(4,1)/bucket-det/global", 0x170216662b297ed2),
+    ("bsp/cc/flat(4,1)/bucket-det/global", 0x461cd7d180005196),
+    ("bsp/sssp/flat(4,1)/bucket-det/sharded", 0x170216662b297ed2),
+    ("bsp/cc/flat(4,1)/bucket-det/sharded", 0x461cd7d180005196),
+    ("bsp/pr/flat(4,1)/bucket-det/sharded", 0xf11c5b49feeece98),
+    ("bsp/sssp/flat(4,1)/bucket-fast/global", 0x76bcbb1014d90c58),
+    ("bsp/cc/flat(4,1)/bucket-fast/global", 0x52fd30a25ebb1a20),
+    ("bsp/sssp/flat(4,1)/bucket-fast/sharded", 0x76bcbb1014d90c58),
+    ("bsp/cc/flat(4,1)/bucket-fast/sharded", 0x52fd30a25ebb1a20),
+    ("bsp/pr/flat(4,1)/bucket-fast/sharded", 0x4ce6fe5eaba30786),
+    ("bsp/sssp/flat(4,1)/checkpoint/global", 0xceb958b1b8c6d800),
+    ("bsp/cc/flat(4,1)/checkpoint/global", 0x7a8e079ce5c67cb6),
+    ("bsp/sssp/flat(4,1)/checkpoint/sharded", 0xceb958b1b8c6d800),
+    ("bsp/cc/flat(4,1)/checkpoint/sharded", 0x7a8e079ce5c67cb6),
+    ("bsp/pr/flat(4,1)/checkpoint/sharded", 0xcb56c101a79ff862),
+    ("gas/pr/flat(2,1)/random/dense-walk", 0x2f57bb85eccde00f),
+    ("gas/pr/flat(2,1)/greedy/dense-walk", 0x04b3fdfa1fb6616e),
+    ("gas/sssp/flat(2,1)/random/dense-walk", 0x2f11f62585cb6f0d),
+    ("gas/sssp/flat(2,1)/greedy/dense-walk", 0x5ddade972879cee0),
+    ("gas/pr/flat(2,1)/random/default", 0x2f57bb85eccde00f),
+    ("gas/pr/flat(2,1)/greedy/default", 0x04b3fdfa1fb6616e),
+    ("gas/sssp/flat(2,1)/random/default", 0x4cceed9dbf4b2ba4),
+    ("gas/sssp/flat(2,1)/greedy/default", 0x140738202c185298),
+    ("gas/sssp/flat(3,1)/random/dense-walk", 0xfdfa35eb8c5d78ea),
+    ("gas/sssp/flat(3,1)/greedy/dense-walk", 0xa9b0e8400a9c304a),
+    ("gas/sssp/flat(3,1)/random/default", 0x54348baf08ec795a),
+    ("gas/sssp/flat(3,1)/greedy/default", 0x0ce0a19dcb64895a),
+];
