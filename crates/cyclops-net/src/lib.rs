@@ -30,8 +30,8 @@
 //!   protection" write path that Cyclops' at-most-one-message-per-replica
 //!   guarantee makes safe (§3.4, Table 3),
 //! * [`trace`] — structured superstep-trace observability shared by every
-//!   engine (per-superstep × worker counter records, buffered and
-//!   **streaming** JSONL sinks, and [`trace::diff`] for root-causing run
+//!   engine (per-superstep × worker counter records kept in memory or
+//!   streamed to a JSONL file, and [`trace::diff`] for root-causing run
 //!   divergence).
 //!
 //! The transport and both barriers are additionally instrumented against
@@ -57,5 +57,5 @@ pub use codec::{
 };
 pub use metrics::{AggregateStats, Phase, PhaseHists, PhaseTimes, SchedObs, SuperstepStats};
 pub use slots::DisjointSlots;
-pub use trace::{RunTrace, StreamSummary, TraceRecord, TraceSink, WorkerTracer};
+pub use trace::{RunTrace, StreamSummary, TraceLine, TraceRecord, TraceSink, WorkerTracer};
 pub use transport::{InboxMode, NetworkModel, SendReceipt, Transport};

@@ -3,58 +3,52 @@
 //! A [`TraceSink`] collects one [`TraceRecord`] per superstep × worker:
 //! phase durations, frontier size, computed / activated / converged counts,
 //! messages and bytes sent and drained, the worker's aggregate contribution,
-//! and checkpoint captures. Records land in preallocated per-worker ring
-//! buffers with no locks on the hot path: worker threads accumulate into
-//! relaxed per-worker atomics, and only the worker leader commits a record
-//! (one writer per ring). When no sink is installed, engines skip every
+//! and checkpoint captures. Worker threads accumulate into relaxed
+//! per-worker atomics and only the worker leader commits a record, so the
+//! hot path takes no lock. When no sink is installed, engines skip every
 //! trace call — the observability layer costs nothing unless asked for.
 //!
-//! Traces serialize to JSON lines (hand-written; no external dependencies)
-//! via [`TraceSink::write_jsonl`] and load back with [`read_jsonl`]. The
-//! [`diff`] module compares two runs and reports the first divergent
-//! superstep, worker, and counter — and, when publication digests were
-//! captured ([`TraceSink::with_values`]), the first divergent vertex —
+//! A sink has one of two destinations, and every committed record reaches
+//! it. A **memory** sink ([`TraceSink::new`], [`TraceSink::with_values`])
+//! has each worker leader push onto its own `Vec`, read after the run with
+//! [`TraceSink::take_records`]. A **file** sink ([`TraceSink::create`])
+//! hands each record to a writer thread over a bounded channel, which
+//! appends it to the file as one JSON line; a leader never blocks on I/O —
+//! when the channel is full the record parks in a leader-owned backlog,
+//! retried at the next commit. [`TraceSink::finish`] is the one close: it
+//! flushes the backlogs, joins the writer, and appends the flight-recorder
+//! spans and memory samples. Dropping an unfinished file sink runs the same
+//! close, best-effort, so a panicking run still leaves the supersteps that
+//! explain it. A live file can be tailed mid-run (`cyclops top`): the
+//! writer flushes whenever it catches up with the channel.
+//!
+//! Every line of a trace file is one [`TraceLine`] — the header, a record,
+//! a flight span or a memory sample — written by its `to_json` and read
+//! back by [`TraceLine::parse`] (hand-written; no external dependencies);
+//! [`read_jsonl`] loads a whole file. The [`diff`] module compares two runs
+//! and reports the first divergent superstep, worker, and counter — and,
+//! when publication digests were captured, the first divergent vertex —
 //! which is how a nondeterministic run is root-caused to the superstep
 //! where it forked.
-//!
-//! Two sink flavours exist. The **buffered** sink ([`TraceSink::new`])
-//! keeps records in the rings and serializes after the run; rings overwrite
-//! their oldest entries past [`DEFAULT_RING_CAPACITY`] supersteps, so very
-//! long runs lose their head (reported via
-//! [`TraceSink::dropped_records`]). The **streaming** sink
-//! ([`TraceSink::streaming`]) instead hands each committed record to a
-//! dedicated writer thread over a bounded channel and appends JSONL
-//! incrementally, covering runs of any length with bounded memory. The hot
-//! path stays lock-free: a worker leader never blocks on I/O — when the
-//! channel is momentarily full the record parks in a leader-owned backlog
-//! (retried at the next commit, counted by
-//! [`TraceSink::records_deferred`]), and [`TraceSink::finish`] flushes
-//! everything, so no record is ever dropped. A live streaming file can be
-//! tailed mid-run (`cyclops top`); the writer flushes whenever it catches
-//! up with the channel.
 
 use crate::cluster::ClusterSpec;
 use crate::metrics::{AggregateStats, HotObs, PhaseTimes};
 pub use cyclops_obs::SpaceSaving;
-pub use cyclops_obs::{FlightSpan, SpanKind};
+pub use cyclops_obs::{FlightSpan, MemSample, SpanKind};
 use parking_lot::Mutex;
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
-use std::io::{BufRead, BufWriter, Write};
+use std::fs::File;
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::thread::JoinHandle;
 
-/// Default per-worker ring capacity (records). A record is ~150 bytes
-/// without digests, so the default bounds a worker's trace memory at a few
-/// hundred KiB while holding far more supersteps than any workload here
-/// runs.
-pub const DEFAULT_RING_CAPACITY: usize = 4096;
-
-/// Default bound of the streaming sink's record channel. Deep enough that
-/// the writer thread absorbs bursts from every worker committing at one
-/// barrier; when it still fills, records defer to the committing leader's
-/// backlog rather than blocking the barrier.
-pub const STREAM_CHANNEL_CAPACITY: usize = 1024;
+/// Bound of a file sink's record channel. Deep enough that the writer
+/// thread absorbs bursts from every worker committing at one barrier; when
+/// it still fills, records defer to the committing leader's backlog rather
+/// than blocking the barrier.
+const CHANNEL_CAPACITY: usize = 1024;
 
 /// One superstep on one worker.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -179,47 +173,23 @@ struct CommCell {
     wire_sparse: AtomicU64,
 }
 
-/// Fixed-capacity ring of records; overwrites the oldest when full.
-struct Ring {
-    buf: Vec<TraceRecord>,
-    cap: usize,
-    start: usize,
-    /// Count of records dropped to overwriting.
-    dropped: u64,
-}
-
-impl Ring {
-    fn new(cap: usize) -> Self {
-        Ring {
-            buf: Vec::with_capacity(cap),
-            cap: cap.max(1),
-            start: 0,
-            dropped: 0,
-        }
-    }
-
-    fn push(&mut self, r: TraceRecord) {
-        if self.buf.len() < self.cap {
-            self.buf.push(r);
-        } else {
-            self.buf[self.start] = r;
-            self.start = (self.start + 1) % self.cap;
-            self.dropped += 1;
-        }
-    }
-
-    fn drain_in_order(&mut self) -> Vec<TraceRecord> {
-        let mut out = Vec::with_capacity(self.buf.len());
-        out.extend_from_slice(&self.buf[self.start..]);
-        out.extend_from_slice(&self.buf[..self.start]);
-        self.buf.clear();
-        self.start = 0;
-        out
-    }
+/// Where one worker leader's committed records go.
+enum Dest {
+    /// Kept, every one, until [`TraceSink::take_records`].
+    Memory(Vec<TraceRecord>),
+    /// Handed to the sink's writer thread.
+    File {
+        tx: SyncSender<TraceRecord>,
+        /// Records the channel could not take at commit, retried
+        /// oldest-first at later commits and flushed by the close.
+        backlog: VecDeque<TraceRecord>,
+        /// Records that were deferred at least once.
+        deferred: u64,
+    },
 }
 
 /// Per-worker trace accumulator. Threads of the worker add into relaxed
-/// atomics; the worker leader alone commits records into the ring.
+/// atomics; the worker leader alone commits records to the destination.
 pub struct WorkerTracer {
     computed: AtomicU64,
     activated: AtomicU64,
@@ -265,31 +235,17 @@ pub struct WorkerTracer {
     /// Resolved gauges for live hot-vertex exposition (None without a
     /// global registry).
     hot_obs: Option<HotObs>,
-    ring: UnsafeCell<Ring>,
-    /// Streaming mode: committed records go to the writer thread instead of
-    /// the ring.
-    stream: Option<SyncSender<TraceRecord>>,
-    /// Records the channel could not take immediately, retried oldest-first
-    /// at subsequent commits and flushed synchronously by
-    /// [`TraceSink::finish`]. Leader-owned, like the ring.
-    deferred: UnsafeCell<VecDeque<TraceRecord>>,
-    /// How many records were deferred at least once (backpressure events).
-    deferred_events: AtomicU64,
+    dest: UnsafeCell<Dest>,
 }
 
-// SAFETY: the ring and the deferred backlog are written only by the
-// worker-leader thread (commit) and read only after the run's threads have
-// joined (take_records / finish on an exclusive TraceSink) — the same
-// single-writer discipline DisjointSlots relies on.
+// SAFETY: the destination is written only by the worker-leader thread
+// (commit) and read only after the run's threads have joined (take_records
+// and the close, on an exclusive TraceSink) — the same single-writer
+// discipline DisjointSlots relies on.
 unsafe impl Sync for WorkerTracer {}
 
 impl WorkerTracer {
-    fn new(
-        threads: usize,
-        workers: usize,
-        cap: usize,
-        stream: Option<SyncSender<TraceRecord>>,
-    ) -> Self {
+    fn new(threads: usize, workers: usize, dest: Dest) -> Self {
         WorkerTracer {
             computed: AtomicU64::new(0),
             activated: AtomicU64::new(0),
@@ -313,10 +269,7 @@ impl WorkerTracer {
             thread_hot: Vec::new(),
             hot_k: 0,
             hot_obs: None,
-            ring: UnsafeCell::new(Ring::new(cap)),
-            stream,
-            deferred: UnsafeCell::new(VecDeque::new()),
-            deferred_events: AtomicU64::new(0),
+            dest: UnsafeCell::new(dest),
         }
     }
 
@@ -460,7 +413,7 @@ impl WorkerTracer {
         }
     }
 
-    /// Commits the accumulated superstep into the ring and resets the
+    /// Commits the accumulated superstep to the destination and resets the
     /// accumulators. Must be called by exactly one thread per worker (the
     /// worker leader), after this worker's threads have published their
     /// counts for the superstep.
@@ -547,40 +500,41 @@ impl WorkerTracer {
             hot,
             comm,
         };
-        if let Some(tx) = &self.stream {
-            // SAFETY: single committer per worker (see the Sync impl above).
-            let backlog = unsafe { &mut *self.deferred.get() };
-            // Retry deferred records oldest-first so the file stays close to
-            // superstep order even across backpressure episodes.
-            while let Some(r) = backlog.pop_front() {
-                match tx.try_send(r) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(r)) => {
-                        backlog.push_front(r);
-                        break;
-                    }
-                    Err(TrySendError::Disconnected(_)) => {
-                        // Writer died on an I/O error; finish() surfaces it.
-                        backlog.clear();
-                        break;
-                    }
+        // SAFETY: single committer per worker (see the Sync impl above).
+        let (tx, backlog, deferred) = match unsafe { &mut *self.dest.get() } {
+            Dest::Memory(kept) => return kept.push(record),
+            Dest::File {
+                tx,
+                backlog,
+                deferred,
+            } => (tx, backlog, deferred),
+        };
+        // Retry deferred records oldest-first so the file stays close to
+        // superstep order even across backpressure episodes.
+        while let Some(r) = backlog.pop_front() {
+            match tx.try_send(r) {
+                Ok(()) => {}
+                Err(TrySendError::Full(r)) => {
+                    backlog.push_front(r);
+                    break;
+                }
+                Err(TrySendError::Disconnected(_)) => {
+                    // Writer died on an I/O error; the close surfaces it.
+                    backlog.clear();
+                    break;
                 }
             }
-            let record = if backlog.is_empty() {
-                match tx.try_send(record) {
-                    Ok(()) => return,
-                    Err(TrySendError::Full(r)) => r,
-                    Err(TrySendError::Disconnected(_)) => return,
-                }
-            } else {
-                record
-            };
-            backlog.push_back(record);
-            self.deferred_events.fetch_add(1, Ordering::Relaxed);
-            return;
         }
-        // SAFETY: single committer per worker (see the Sync impl above).
-        unsafe { (*self.ring.get()).push(record) };
+        let record = if backlog.is_empty() {
+            match tx.try_send(record) {
+                Ok(()) | Err(TrySendError::Disconnected(_)) => return,
+                Err(TrySendError::Full(r)) => r,
+            }
+        } else {
+            record
+        };
+        backlog.push_back(record);
+        *deferred += 1;
     }
 }
 
@@ -597,7 +551,19 @@ pub struct TraceMeta {
     pub values: bool,
 }
 
-/// Result of closing a streaming sink with [`TraceSink::finish`].
+impl TraceMeta {
+    /// Appends the header as a single JSON object (no trailing newline).
+    pub fn to_json(&self, out: &mut String) {
+        use std::fmt::Write as _;
+        let _ = write!(
+            out,
+            "{{\"engine\":\"{}\",\"cluster\":\"{}\",\"workers\":{},\"values\":{}}}",
+            self.engine, self.cluster, self.workers, self.values
+        );
+    }
+}
+
+/// What closing a file sink with [`TraceSink::finish`] wrote.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StreamSummary {
     /// Records the writer thread appended to the file.
@@ -607,68 +573,88 @@ pub struct StreamSummary {
     /// `records_written`; nonzero means the writer briefly fell behind, not
     /// that anything was lost.
     pub records_deferred: u64,
+    /// Flight-recorder spans appended after the records (0 without an
+    /// installed recorder).
+    pub spans: u64,
+    /// Spans the flight recorder lost to ring wraparound during the run.
+    pub spans_dropped: u64,
+    /// Memory samples appended after the spans (0 unless the tracking
+    /// allocator was armed).
+    pub mem_samples: u64,
 }
 
-/// Streaming machinery owned by a [`TraceSink`] in streaming mode.
-struct StreamState {
-    handle: std::thread::JoinHandle<std::io::Result<u64>>,
-}
+/// A file sink's writer thread: it hands the file back once every sender
+/// is gone, for the close to append spans and samples to.
+type Writer = JoinHandle<io::Result<(u64, BufWriter<File>)>>;
 
 /// Shared trace collector for one engine run.
 pub struct TraceSink {
     meta: TraceMeta,
-    capture_values: bool,
     hot_k: usize,
     workers: Vec<WorkerTracer>,
-    stream: Option<StreamState>,
-    /// When set, dropping the sink without [`TraceSink::write_jsonl`] /
-    /// [`TraceSink::finish`] flushes the buffered tail to this path — so a
-    /// panicking run still writes the supersteps that would explain it.
-    flush_path: Option<String>,
+    /// `Some` on a file sink until its close.
+    writer: Option<Writer>,
 }
 
 impl TraceSink {
-    /// A sink for `engine` on `spec`, counters only.
+    /// A memory sink for `engine` on `spec`, counters only.
     pub fn new(engine: &str, spec: &ClusterSpec) -> Self {
-        Self::build(engine, spec, false, DEFAULT_RING_CAPACITY)
+        Self::build(engine, spec, false, None)
     }
 
-    /// A sink that additionally captures per-publication value digests —
-    /// heavier (hashes every publication, locks a per-worker vec) but lets
-    /// [`diff`] name the first divergent vertex.
+    /// A memory sink that additionally captures per-publication value
+    /// digests — heavier (hashes every publication, locks a per-worker vec)
+    /// but lets [`diff`] name the first divergent vertex.
     pub fn with_values(engine: &str, spec: &ClusterSpec) -> Self {
-        Self::build(engine, spec, true, DEFAULT_RING_CAPACITY)
+        Self::build(engine, spec, true, None)
     }
 
-    /// A streaming sink appending JSONL to `path` as the run progresses.
-    /// Ring capacity no longer caps coverage; close with
-    /// [`TraceSink::finish`] to flush and collect the [`StreamSummary`].
-    pub fn streaming(engine: &str, spec: &ClusterSpec, path: &str) -> std::io::Result<Self> {
-        Self::build_streaming(engine, spec, false, path, STREAM_CHANNEL_CAPACITY)
+    /// A file sink: truncates `path`, writes the header line, and appends
+    /// each record as the run commits it; `values` captures publication
+    /// digests as [`TraceSink::with_values`] does. Close it with
+    /// [`TraceSink::finish`].
+    pub fn create(engine: &str, spec: &ClusterSpec, path: &str, values: bool) -> io::Result<Self> {
+        Self::open(engine, spec, path, values, CHANNEL_CAPACITY)
     }
 
-    /// A streaming sink that also captures publication digests.
-    pub fn streaming_with_values(
+    /// [`TraceSink::create`] with an explicit channel bound, so tests can
+    /// force backpressure with a tiny one.
+    fn open(
         engine: &str,
         spec: &ClusterSpec,
         path: &str,
-    ) -> std::io::Result<Self> {
-        Self::build_streaming(engine, spec, true, path, STREAM_CHANNEL_CAPACITY)
-    }
-
-    /// [`TraceSink::streaming`] with an explicit channel bound — exposed so
-    /// tests can force backpressure deterministically with a tiny bound.
-    pub fn streaming_with_channel_capacity(
-        engine: &str,
-        spec: &ClusterSpec,
-        path: &str,
+        values: bool,
         channel_capacity: usize,
-    ) -> std::io::Result<Self> {
-        Self::build_streaming(engine, spec, false, path, channel_capacity)
+    ) -> io::Result<Self> {
+        let (tx, rx) = sync_channel(channel_capacity.max(1));
+        let mut sink = Self::build(engine, spec, values, Some(tx));
+        let mut f = BufWriter::new(File::create(path)?);
+        let header = TraceLine::Meta(sink.meta.clone());
+        write_line(&mut f, &mut String::new(), &header)?;
+        f.flush()?;
+        sink.writer = Some(
+            std::thread::Builder::new()
+                .name("cyclops-trace-writer".to_string())
+                .spawn(move || write_records(rx, f))?,
+        );
+        Ok(sink)
     }
 
-    fn build(engine: &str, spec: &ClusterSpec, values: bool, cap: usize) -> Self {
+    fn build(
+        engine: &str,
+        spec: &ClusterSpec,
+        values: bool,
+        tx: Option<SyncSender<TraceRecord>>,
+    ) -> Self {
         let workers = spec.num_workers();
+        let dest = || match &tx {
+            Some(tx) => Dest::File {
+                tx: tx.clone(),
+                backlog: VecDeque::new(),
+                deferred: 0,
+            },
+            None => Dest::Memory(Vec::new()),
+        };
         TraceSink {
             meta: TraceMeta {
                 engine: engine.to_string(),
@@ -676,61 +662,12 @@ impl TraceSink {
                 workers: workers as u64,
                 values,
             },
-            capture_values: values,
             hot_k: 0,
             workers: (0..workers)
-                .map(|_| WorkerTracer::new(spec.threads_per_worker, workers, cap, None))
+                .map(|_| WorkerTracer::new(spec.threads_per_worker, workers, dest()))
                 .collect(),
-            stream: None,
-            flush_path: None,
+            writer: None,
         }
-    }
-
-    fn build_streaming(
-        engine: &str,
-        spec: &ClusterSpec,
-        values: bool,
-        path: &str,
-        channel_capacity: usize,
-    ) -> std::io::Result<Self> {
-        let workers = spec.num_workers();
-        let meta = TraceMeta {
-            engine: engine.to_string(),
-            cluster: spec.label(),
-            workers: workers as u64,
-            values,
-        };
-        let mut f = BufWriter::new(std::fs::File::create(path)?);
-        write_header(&mut f, &meta)?;
-        f.flush()?;
-        let (tx, rx) = sync_channel(channel_capacity.max(1));
-        let handle = std::thread::Builder::new()
-            .name("cyclops-trace-writer".to_string())
-            .spawn(move || stream_writer_loop(rx, f))?;
-        Ok(TraceSink {
-            capture_values: values,
-            hot_k: 0,
-            workers: (0..workers)
-                // Streamed records bypass the ring; capacity 1 keeps the
-                // preallocation negligible.
-                .map(|_| WorkerTracer::new(spec.threads_per_worker, workers, 1, Some(tx.clone())))
-                .collect(),
-            meta,
-            stream: Some(StreamState { handle }),
-            flush_path: None,
-        })
-    }
-
-    /// Arms the panic-safety guard: if this sink is dropped without a
-    /// [`TraceSink::write_jsonl`] / [`TraceSink::finish`] — a panic
-    /// unwinding the run being the interesting case — the buffered records,
-    /// any flight-recorder spans, and any memory samples are best-effort
-    /// flushed to `path` so the trace tail that would explain the crash
-    /// survives. Normal completion paths disarm the guard, so nothing is
-    /// written twice.
-    pub fn flush_on_drop(mut self, path: &str) -> Self {
-        self.flush_path = Some(path.to_string());
-        self
     }
 
     /// Enables hot-vertex capture: every compute thread keeps a
@@ -759,60 +696,73 @@ impl TraceSink {
         self.hot_k
     }
 
-    /// Whether this sink streams records to a file as they commit.
-    pub fn is_streaming(&self) -> bool {
-        self.stream.is_some()
+    /// Closes a file sink after the run's threads have joined: flushes
+    /// every leader backlog, joins the writer thread, then appends the
+    /// flight-recorder spans and memory samples the run collected. A memory
+    /// sink has no file to close: `InvalidInput` (read its records with
+    /// [`TraceSink::take_records`]).
+    pub fn finish(mut self) -> io::Result<StreamSummary> {
+        self.close()
     }
 
-    /// Total backpressure deferrals across workers (streaming mode; 0
-    /// otherwise). See [`StreamSummary::records_deferred`].
-    pub fn records_deferred(&self) -> u64 {
-        self.workers
-            .iter()
-            .map(|w| w.deferred_events.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Closes a streaming sink: synchronously flushes every deferred
-    /// record, disconnects the channel, joins the writer thread, and
-    /// returns what was written. Call after the run's threads have joined.
-    ///
-    /// Panics on a buffered sink (use [`TraceSink::write_jsonl`] there).
-    pub fn finish(mut self) -> std::io::Result<StreamSummary> {
-        self.flush_path = None; // normal completion: disarm the Drop guard
-        let state = self
-            .stream
-            .take()
-            .expect("finish() called on a buffered TraceSink; use write_jsonl");
-        let mut deferred = 0;
+    /// The one close, shared by [`TraceSink::finish`] and `Drop`.
+    fn close(&mut self) -> io::Result<StreamSummary> {
+        let Some(writer) = self.writer.take() else {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "finish() on a memory TraceSink; read its records with take_records()",
+            ));
+        };
+        let mut records_deferred = 0;
         for w in &mut self.workers {
-            deferred += w.deferred_events.load(Ordering::Relaxed);
-            if let Some(tx) = w.stream.take() {
-                for r in w.deferred.get_mut().drain(..) {
-                    // A blocking send is fine here: the run is over and the
-                    // writer drains continuously until disconnect.
+            let dest = std::mem::replace(w.dest.get_mut(), Dest::Memory(Vec::new()));
+            if let Dest::File {
+                tx,
+                backlog,
+                deferred,
+            } = dest
+            {
+                records_deferred += deferred;
+                // A blocking send is fine here: the run is over and the
+                // writer drains until every worker's `tx` is gone.
+                for r in backlog {
                     if tx.send(r).is_err() {
                         break;
                     }
                 }
-                // `tx` drops here; once every worker's clone is gone the
-                // writer sees the disconnect and exits.
             }
         }
-        let written = state
-            .handle
+        let (records_written, mut f) = writer
             .join()
-            .map_err(|_| std::io::Error::other("trace writer thread panicked"))??;
-        Ok(StreamSummary {
-            records_written: written,
-            records_deferred: deferred,
-        })
+            .map_err(|_| io::Error::other("trace writer thread panicked"))??;
+        // Every flight ring and every barrier sample is complete now that
+        // the run's threads have joined.
+        let mut line = String::with_capacity(256);
+        let mut summary = StreamSummary {
+            records_written,
+            records_deferred,
+            ..StreamSummary::default()
+        };
+        if let Some(fr) = cyclops_obs::flight() {
+            let dump = fr.drain();
+            summary.spans = dump.spans.len() as u64;
+            summary.spans_dropped = dump.dropped;
+            for s in dump.spans {
+                write_line(&mut f, &mut line, &TraceLine::Span(s.into()))?;
+            }
+        }
+        for s in cyclops_obs::mem::take_samples() {
+            write_line(&mut f, &mut line, &TraceLine::Mem(s))?;
+            summary.mem_samples += 1;
+        }
+        f.flush()?;
+        Ok(summary)
     }
 
     /// Whether publication digests should be recorded.
     #[inline]
     pub fn captures_values(&self) -> bool {
-        self.capture_values
+        self.meta.values
     }
 
     /// The tracer for worker `w`.
@@ -826,140 +776,57 @@ impl TraceSink {
         &self.meta
     }
 
-    /// Extracts all committed records ordered by `(superstep, worker)`.
-    /// Requires `&mut self`: the run's threads must have finished.
+    /// Extracts a memory sink's records ordered by `(superstep, worker)`
+    /// (empty on a file sink: its records are in the file). Requires
+    /// `&mut self`: the run's threads must have finished.
     pub fn take_records(&mut self) -> Vec<TraceRecord> {
         let mut out = Vec::new();
         for w in &mut self.workers {
-            out.append(&mut w.ring.get_mut().drain_in_order());
+            if let Dest::Memory(kept) = w.dest.get_mut() {
+                out.append(kept);
+            }
         }
         out.sort_by_key(|r| (r.superstep, r.worker));
         out
-    }
-
-    /// Total records overwritten by ring wraparound, across workers.
-    pub fn dropped_records(&self) -> u64 {
-        // SAFETY: read-only scan; callers invoke this between supersteps or
-        // after the run, and a racing u64 read of `dropped` is harmless for
-        // a diagnostic count.
-        self.workers
-            .iter()
-            .map(|w| unsafe { (*w.ring.get()).dropped })
-            .sum()
-    }
-
-    /// Writes the trace as JSON lines: one metadata line, then one line per
-    /// record ordered by `(superstep, worker)`. Buffered sinks only — a
-    /// streaming sink already wrote its file; close it with
-    /// [`TraceSink::finish`] instead.
-    pub fn write_jsonl(&mut self, path: &str) -> std::io::Result<()> {
-        if self.is_streaming() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "write_jsonl on a streaming TraceSink; use finish()",
-            ));
-        }
-        self.flush_path = None; // normal completion: disarm the Drop guard
-        let records = self.take_records();
-        let mut f = BufWriter::new(std::fs::File::create(path)?);
-        write_header(&mut f, &self.meta)?;
-        let mut line = String::with_capacity(256);
-        for r in &records {
-            line.clear();
-            r.to_json(&mut line);
-            writeln!(f, "{line}")?;
-        }
-        f.flush()
     }
 }
 
 impl Drop for TraceSink {
     fn drop(&mut self) {
-        // Only an armed guard (flush_on_drop without a completing
-        // write_jsonl/finish) does anything; every write is best-effort —
-        // this runs during panic unwinding, where a second panic aborts.
-        let Some(path) = self.flush_path.take() else {
-            return;
-        };
-        if let Some(state) = self.stream.take() {
-            // Streaming: the writer thread already appended everything that
-            // reached the channel; push the deferred backlog through and
-            // join it, exactly as finish() would.
-            for w in &mut self.workers {
-                if let Some(tx) = w.stream.take() {
-                    for r in w.deferred.get_mut().drain(..) {
-                        if tx.send(r).is_err() {
-                            break;
-                        }
-                    }
-                }
-            }
-            let _ = state.handle.join();
-        } else {
-            let mut buffered = self.take_records();
-            buffered.sort_by_key(|r| (r.superstep, r.worker));
-            let write = || -> std::io::Result<()> {
-                let mut f = BufWriter::new(std::fs::File::create(&path)?);
-                write_header(&mut f, &self.meta)?;
-                let mut line = String::with_capacity(256);
-                for r in &buffered {
-                    line.clear();
-                    r.to_json(&mut line);
-                    writeln!(f, "{line}")?;
-                }
-                f.flush()
-            };
-            if write().is_err() {
-                return;
-            }
-        }
-        // Flight spans and memory samples survive the crash too.
-        if let Some(fr) = cyclops_obs::flight() {
-            let dump = fr.drain();
-            if !dump.spans.is_empty() {
-                let _ = append_spans_jsonl(&path, &dump.spans);
-            }
-        }
-        let samples = cyclops_obs::mem::take_samples();
-        if !samples.is_empty() {
-            let _ = append_mem_jsonl(&path, &samples);
+        // A file sink dropped unfinished — a panic unwinding the run is the
+        // case that matters — closes the same way, best-effort, so the
+        // supersteps that would explain the crash reach the file.
+        if self.writer.is_some() {
+            let _ = self.close();
         }
     }
 }
 
-fn write_header(f: &mut impl Write, meta: &TraceMeta) -> std::io::Result<()> {
-    writeln!(
-        f,
-        "{{\"engine\":\"{}\",\"cluster\":\"{}\",\"workers\":{},\"values\":{}}}",
-        meta.engine, meta.cluster, meta.workers, meta.values
-    )
+/// Appends `line` to `f` as one JSONL line, serialized through `buf`.
+fn write_line(f: &mut impl Write, buf: &mut String, line: &TraceLine) -> io::Result<()> {
+    buf.clear();
+    line.to_json(buf);
+    writeln!(f, "{buf}")
 }
 
-/// Body of the streaming sink's writer thread: append each record as one
-/// JSONL line, flushing whenever the channel is momentarily drained so a
-/// live tail (`cyclops top`) sees records promptly without paying one
-/// syscall per record under load.
-fn stream_writer_loop(
+/// Body of a file sink's writer thread: append each record as one JSONL
+/// line, flushing whenever the channel is momentarily drained so a live
+/// tail (`cyclops top`) sees records promptly without paying one syscall
+/// per record under load.
+fn write_records(
     rx: Receiver<TraceRecord>,
-    mut f: BufWriter<std::fs::File>,
-) -> std::io::Result<u64> {
+    mut f: BufWriter<File>,
+) -> io::Result<(u64, BufWriter<File>)> {
     let mut written = 0u64;
-    let mut line = String::with_capacity(256);
+    let mut buf = String::with_capacity(256);
     while let Ok(first) = rx.recv() {
-        line.clear();
-        first.to_json(&mut line);
-        writeln!(f, "{line}")?;
-        written += 1;
-        while let Ok(r) = rx.try_recv() {
-            line.clear();
-            r.to_json(&mut line);
-            writeln!(f, "{line}")?;
+        for r in std::iter::once(first).chain(rx.try_iter()) {
+            write_line(&mut f, &mut buf, &TraceLine::Record(r))?;
             written += 1;
         }
         f.flush()?;
     }
-    f.flush()?;
-    Ok(written)
+    Ok((written, f))
 }
 
 impl TraceRecord {
@@ -1135,95 +1002,22 @@ impl SpanRecord {
     }
 }
 
-/// Parses one span line of a JSONL trace. Returns `None` when the line is
-/// not a span line (record lines and garbage alike).
-pub fn parse_span_line(line: &str) -> Option<SpanRecord> {
-    let kind = SpanKind::parse(&string_field(line, "span")?)?;
-    Some(SpanRecord {
-        worker: num(line, "worker")?,
-        thread: num(line, "thread")?,
-        kind,
-        start_ns: num(line, "start_ns")?,
-        dur_ns: num(line, "dur_ns")?,
-        a: num(line, "a")?,
-        b: num(line, "b")?,
-        c: num(line, "c")?,
-    })
-}
-
-/// Appends flight-recorder spans to an existing trace file (one JSONL line
-/// per span), as the CLI does after a `--flight` run finishes. Returns the
-/// number of lines written.
-pub fn append_spans_jsonl(path: &str, spans: &[FlightSpan]) -> std::io::Result<u64> {
-    let f = std::fs::OpenOptions::new().append(true).open(path)?;
-    let mut f = BufWriter::new(f);
-    let mut line = String::with_capacity(128);
-    for &s in spans {
-        line.clear();
-        SpanRecord::from(s).to_json(&mut line);
-        writeln!(f, "{line}")?;
+/// Appends a memory sample as a single JSON object (no trailing newline).
+fn mem_to_json(m: &MemSample, out: &mut String) {
+    use std::fmt::Write as _;
+    let _ = write!(
+        out,
+        "{{\"mem\":1,\"superstep\":{},\"worker\":{},\"live\":[",
+        m.superstep, m.worker
+    );
+    for (i, v) in m.live.iter().enumerate() {
+        let _ = write!(out, "{}{v}", if i > 0 { "," } else { "" });
     }
-    f.flush()?;
-    Ok(spans.len() as u64)
-}
-
-/// One memory sample as stored in trace JSONL: mem lines sit after the
-/// records (appended once the run's threads have joined, like flight
-/// spans) and are keyed by a leading `"mem"` field so record parsers and
-/// older traces are unaffected. Byte counts are allocator-tracked and
-/// inherently nondeterministic — mem lines are never part of the [`diff`]
-/// contract.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MemRecord {
-    /// Superstep the sample's barrier closed.
-    pub superstep: u64,
-    /// Worker id, or `u32::MAX` for the untagged (main-thread) slot.
-    pub worker: u32,
-    /// Live bytes per component, [`cyclops_obs::Component::ALL`] order.
-    pub live: [i64; cyclops_obs::NUM_COMPONENTS],
-    /// Peak bytes per component, [`cyclops_obs::Component::ALL`] order.
-    pub peak: [u64; cyclops_obs::NUM_COMPONENTS],
-    /// `/proc/self/status` VmRSS in kB (0 = absent or not sampled here).
-    pub rss_kb: u64,
-    /// `/proc/self/status` VmHWM in kB (0 = absent or not sampled here).
-    pub hwm_kb: u64,
-}
-
-impl From<cyclops_obs::MemSample> for MemRecord {
-    fn from(s: cyclops_obs::MemSample) -> Self {
-        MemRecord {
-            superstep: s.superstep,
-            worker: s.worker,
-            live: s.live,
-            peak: s.peak,
-            rss_kb: s.rss_kb,
-            hwm_kb: s.hwm_kb,
-        }
+    out.push_str("],\"peak\":[");
+    for (i, v) in m.peak.iter().enumerate() {
+        let _ = write!(out, "{}{v}", if i > 0 { "," } else { "" });
     }
-}
-
-impl MemRecord {
-    /// Appends this sample as a single JSON object (no trailing newline).
-    pub fn to_json(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        let _ = write!(
-            out,
-            "{{\"mem\":1,\"superstep\":{},\"worker\":{},\"live\":[",
-            self.superstep, self.worker
-        );
-        for (i, v) in self.live.iter().enumerate() {
-            let _ = write!(out, "{}{v}", if i > 0 { "," } else { "" });
-        }
-        out.push_str("],\"peak\":[");
-        for (i, v) in self.peak.iter().enumerate() {
-            let _ = write!(out, "{}{v}", if i > 0 { "," } else { "" });
-        }
-        let _ = write!(
-            out,
-            "],\"rss_kb\":{},\"hwm_kb\":{}}}",
-            self.rss_kb, self.hwm_kb
-        );
-    }
+    let _ = write!(out, "],\"rss_kb\":{},\"hwm_kb\":{}}}", m.rss_kb, m.hwm_kb);
 }
 
 /// Parses a fixed-length numeric array like `[1,2,3]` into `N` slots.
@@ -1246,36 +1040,6 @@ fn parse_array<T: std::str::FromStr + Copy + Default, const N: usize>(raw: &str)
     Some(out)
 }
 
-/// Parses one mem line of a JSONL trace. Returns `None` when the line is
-/// not a mem line (record lines and garbage alike).
-pub fn parse_mem_line(line: &str) -> Option<MemRecord> {
-    field(line, "mem")?;
-    Some(MemRecord {
-        superstep: num(line, "superstep")?,
-        worker: num(line, "worker")?,
-        live: parse_array(field(line, "live")?)?,
-        peak: parse_array(field(line, "peak")?)?,
-        rss_kb: num(line, "rss_kb").unwrap_or(0),
-        hwm_kb: num(line, "hwm_kb").unwrap_or(0),
-    })
-}
-
-/// Appends memory samples to an existing trace file (one JSONL line per
-/// sample), as the CLI does after a `--mem` run finishes. Returns the
-/// number of lines written.
-pub fn append_mem_jsonl(path: &str, samples: &[cyclops_obs::MemSample]) -> std::io::Result<u64> {
-    let f = std::fs::OpenOptions::new().append(true).open(path)?;
-    let mut f = BufWriter::new(f);
-    let mut line = String::with_capacity(256);
-    for &s in samples {
-        line.clear();
-        MemRecord::from(s).to_json(&mut line);
-        writeln!(f, "{line}")?;
-    }
-    f.flush()?;
-    Ok(samples.len() as u64)
-}
-
 /// A loaded trace: metadata plus records ordered by `(superstep, worker)`.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunTrace {
@@ -1288,7 +1052,7 @@ pub struct RunTrace {
     pub spans: Vec<SpanRecord>,
     /// Memory samples, ordered by `(superstep, worker)`; empty unless the
     /// run recorded with `--mem`. Like spans, never part of [`diff`].
-    pub mem: Vec<MemRecord>,
+    pub mem: Vec<MemSample>,
 }
 
 impl RunTrace {
@@ -1338,24 +1102,70 @@ fn string_field(line: &str, key: &str) -> Option<String> {
     Some(raw.trim_matches('"').to_string())
 }
 
-/// Parses the header (first) line of a JSONL trace. Returns `None` when
-/// the line is not a trace header.
-pub fn parse_meta_line(line: &str) -> Option<TraceMeta> {
-    Some(TraceMeta {
-        engine: string_field(line, "engine")?,
-        cluster: string_field(line, "cluster").unwrap_or_default(),
-        workers: num(line, "workers")?,
-        values: field(line, "values")
-            .map(|v| v.trim() == "true")
-            .unwrap_or(false),
-    })
+/// One line of a JSONL trace file, by kind.
+#[derive(Clone, Debug, PartialEq)]
+pub enum TraceLine {
+    /// The header, always the first line.
+    Meta(TraceMeta),
+    /// One superstep on one worker.
+    Record(TraceRecord),
+    /// A flight-recorder span, appended after the records.
+    Span(SpanRecord),
+    /// A memory sample, appended after the spans. Byte counts are
+    /// allocator-tracked and nondeterministic — never part of [`diff`].
+    Mem(MemSample),
 }
 
-/// Parses one record line of a JSONL trace (anything after the header).
-/// Exposed so incremental readers (`cyclops top`) can tail a live file
-/// without re-reading it from the start.
-pub fn parse_record_line(line: &str) -> Option<TraceRecord> {
-    parse_record(line)
+/// The first key of a JSON object line — `engine`, `superstep`, `span` or
+/// `mem` on the lines this module writes.
+fn leading_key(line: &str) -> Option<&str> {
+    line.trim_start().strip_prefix("{\"")?.split('"').next()
+}
+
+impl TraceLine {
+    /// Parses one line, dispatching on its leading key. `None` for a line
+    /// of another kind or a malformed one; [`read_jsonl`] makes that an
+    /// error, a live tail skips it.
+    pub fn parse(line: &str) -> Option<TraceLine> {
+        Some(match leading_key(line)? {
+            "engine" => TraceLine::Meta(TraceMeta {
+                engine: string_field(line, "engine")?,
+                cluster: string_field(line, "cluster").unwrap_or_default(),
+                workers: num(line, "workers")?,
+                values: field(line, "values").is_some_and(|v| v.trim() == "true"),
+            }),
+            "superstep" => TraceLine::Record(parse_record(line)?),
+            "span" => TraceLine::Span(SpanRecord {
+                kind: SpanKind::parse(&string_field(line, "span")?)?,
+                worker: num(line, "worker")?,
+                thread: num(line, "thread")?,
+                start_ns: num(line, "start_ns")?,
+                dur_ns: num(line, "dur_ns")?,
+                a: num(line, "a")?,
+                b: num(line, "b")?,
+                c: num(line, "c")?,
+            }),
+            "mem" => TraceLine::Mem(MemSample {
+                superstep: num(line, "superstep")?,
+                worker: num(line, "worker")?,
+                live: parse_array(field(line, "live")?)?,
+                peak: parse_array(field(line, "peak")?)?,
+                rss_kb: num(line, "rss_kb").unwrap_or(0),
+                hwm_kb: num(line, "hwm_kb").unwrap_or(0),
+            }),
+            _ => return None,
+        })
+    }
+
+    /// Appends the line as a single JSON object (no trailing newline).
+    pub fn to_json(&self, out: &mut String) {
+        match self {
+            TraceLine::Meta(m) => m.to_json(out),
+            TraceLine::Record(r) => r.to_json(out),
+            TraceLine::Span(s) => s.to_json(out),
+            TraceLine::Mem(m) => mem_to_json(m, out),
+        }
+    }
 }
 
 fn parse_record(line: &str) -> Option<TraceRecord> {
@@ -1448,52 +1258,48 @@ fn parse_comm(raw: &str) -> Option<Vec<CommEntry>> {
     Some(out)
 }
 
-/// Loads a trace written by [`TraceSink::write_jsonl`].
-pub fn read_jsonl(path: &str) -> std::io::Result<RunTrace> {
-    let corrupt = |what: String| std::io::Error::new(std::io::ErrorKind::InvalidData, what);
-    let f = std::io::BufReader::new(std::fs::File::open(path)?);
-    let mut lines = f.lines();
+/// Loads a trace file: the header, then records, spans and mem lines in
+/// any order. Strict: a missing header or any later line that is not one
+/// of the three is `InvalidData`, naming the path and the line.
+pub fn read_jsonl(path: &str) -> io::Result<RunTrace> {
+    let corrupt =
+        |what: String| io::Error::new(io::ErrorKind::InvalidData, format!("{path}: {what}"));
+    let mut lines = BufReader::new(File::open(path)?).lines();
     let header = lines
         .next()
-        .ok_or_else(|| corrupt(format!("{path}: empty trace")))??;
-    let meta =
-        parse_meta_line(&header).ok_or_else(|| corrupt(format!("{path}: bad trace header")))?;
-    let mut records = Vec::new();
-    let mut spans = Vec::new();
-    let mut mem = Vec::new();
+        .ok_or_else(|| corrupt("empty trace".into()))??;
+    let Some(TraceLine::Meta(meta)) = TraceLine::parse(&header) else {
+        return Err(corrupt("bad trace header".into()));
+    };
+    let mut trace = RunTrace {
+        meta,
+        ..RunTrace::default()
+    };
     for (i, line) in lines.enumerate() {
         let line = line?;
         if line.trim().is_empty() {
             continue;
         }
-        if line.trim_start().starts_with("{\"span\"") {
-            spans.push(
-                parse_span_line(&line)
-                    .ok_or_else(|| corrupt(format!("{path}: bad span on line {}", i + 2)))?,
-            );
-            continue;
+        match TraceLine::parse(&line) {
+            Some(TraceLine::Record(r)) => trace.records.push(r),
+            Some(TraceLine::Span(s)) => trace.spans.push(s),
+            Some(TraceLine::Mem(m)) => trace.mem.push(m),
+            _ => {
+                let what = match leading_key(&line) {
+                    Some("span") => "span",
+                    Some("mem") => "mem line",
+                    _ => "record",
+                };
+                return Err(corrupt(format!("bad {what} on line {}", i + 2)));
+            }
         }
-        if line.trim_start().starts_with("{\"mem\"") {
-            mem.push(
-                parse_mem_line(&line)
-                    .ok_or_else(|| corrupt(format!("{path}: bad mem line on line {}", i + 2)))?,
-            );
-            continue;
-        }
-        records.push(
-            parse_record(&line)
-                .ok_or_else(|| corrupt(format!("{path}: bad record on line {}", i + 2)))?,
-        );
     }
-    records.sort_by_key(|r| (r.superstep, r.worker));
-    spans.sort_by_key(|s| (s.start_ns, s.worker, s.thread));
-    mem.sort_by_key(|m| (m.superstep, m.worker));
-    Ok(RunTrace {
-        meta,
-        records,
-        spans,
-        mem,
-    })
+    trace.records.sort_by_key(|r| (r.superstep, r.worker));
+    trace
+        .spans
+        .sort_by_key(|s| (s.start_ns, s.worker, s.thread));
+    trace.mem.sort_by_key(|m| (m.superstep, m.worker));
+    Ok(trace)
 }
 
 /// Comparing two traces: find where runs diverge.
@@ -1781,30 +1587,29 @@ mod tests {
         t.commit(superstep, w, 12, &PhaseTimes::default(), superstep == 2);
     }
 
+    fn tmp(name: &str) -> String {
+        let path =
+            std::env::temp_dir().join(format!("cyclops-trace-{}-{name}.jsonl", std::process::id()));
+        path.to_str().unwrap().to_string()
+    }
+
     #[test]
     fn records_round_trip_through_jsonl() {
-        let mut sink = TraceSink::with_values("cyclops", &spec());
+        let path = tmp("roundtrip");
+        // The same commits into a memory sink and a file sink.
+        let mut memory = TraceSink::with_values("cyclops", &spec());
+        let file = TraceSink::create("cyclops", &spec(), &path, true).unwrap();
         for s in 0..3 {
             for w in 0..2 {
-                sink.worker(w)
-                    .record_publication(7 + w as u32, 0xdead + s as u64);
-                committed(&sink, w, s);
+                for sink in [&memory, &file] {
+                    sink.worker(w)
+                        .record_publication(7 + w as u32, 0xdead + s as u64);
+                    committed(sink, w, s);
+                }
             }
         }
-        let path = std::env::temp_dir().join("cyclops-trace-roundtrip.jsonl");
-        let path = path.to_str().unwrap().to_string();
-        // take_records consumes; serialize a clone through a second sink run.
-        let mut sink2 = TraceSink::with_values("cyclops", &spec());
-        for s in 0..3 {
-            for w in 0..2 {
-                sink2
-                    .worker(w)
-                    .record_publication(7 + w as u32, 0xdead + s as u64);
-                committed(&sink2, w, s);
-            }
-        }
-        let records = sink.take_records();
-        sink2.write_jsonl(&path).unwrap();
+        let records = memory.take_records();
+        assert_eq!(file.finish().unwrap().records_written, 6);
         let loaded = read_jsonl(&path).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(loaded.meta.engine, "cyclops");
@@ -1830,16 +1635,15 @@ mod tests {
     }
 
     #[test]
-    fn ring_overwrites_oldest() {
-        let mut sink = TraceSink::build("gas", &spec(), false, 2);
-        for s in 0..5 {
+    fn memory_sink_keeps_every_record() {
+        let mut sink = TraceSink::new("gas", &spec());
+        for s in 0..5000 {
             sink.worker(0)
                 .commit(s, 0, 0, &PhaseTimes::default(), false);
         }
-        assert_eq!(sink.dropped_records(), 3);
-        let records = sink.take_records();
-        let steps: Vec<u64> = records.iter().map(|r| r.superstep).collect();
-        assert_eq!(steps, vec![3, 4]);
+        let steps: Vec<u64> = sink.take_records().iter().map(|r| r.superstep).collect();
+        assert_eq!(steps, (0..5000).collect::<Vec<u64>>());
+        assert!(sink.take_records().is_empty(), "taken records are gone");
     }
 
     #[test]
@@ -1929,7 +1733,7 @@ mod tests {
         r.to_json(&mut line);
         assert!(line.contains("\"direct_messages\":7"));
         assert!(line.contains("\"direct_bytes\":120"));
-        assert_eq!(parse_record_line(&line), Some(r.clone()));
+        assert_eq!(TraceLine::parse(&line), Some(TraceLine::Record(r.clone())));
         r.direct_messages = 0;
         r.direct_bytes = 0;
         line.clear();
@@ -1986,7 +1790,7 @@ mod tests {
         let mut line = String::new();
         r.to_json(&mut line);
         assert!(line.contains("\"migrated\":2"));
-        assert_eq!(parse_record_line(&line), Some(r.clone()));
+        assert_eq!(TraceLine::parse(&line), Some(TraceLine::Record(r.clone())));
         r.migrated = 0;
         line.clear();
         r.to_json(&mut line);
@@ -2078,17 +1882,14 @@ mod tests {
     }
 
     #[test]
-    fn streaming_sink_appends_every_commit() {
-        let path = std::env::temp_dir().join("cyclops-trace-streaming-basic.jsonl");
-        let path = path.to_str().unwrap().to_string();
-        let sink = TraceSink::streaming("cyclops", &spec(), &path).unwrap();
-        assert!(sink.is_streaming());
+    fn file_sink_appends_every_commit() {
+        let path = tmp("file-basic");
+        let sink = TraceSink::create("cyclops", &spec(), &path, false).unwrap();
         for s in 0..10 {
             for w in 0..2 {
                 committed(&sink, w, s);
             }
         }
-        assert_eq!(sink.dropped_records(), 0);
         let summary = sink.finish().unwrap();
         assert_eq!(summary.records_written, 20);
         let loaded = read_jsonl(&path).unwrap();
@@ -2096,16 +1897,15 @@ mod tests {
         assert_eq!(loaded.meta.engine, "cyclops");
         assert_eq!(loaded.records.len(), 20);
         assert_eq!(loaded.supersteps(), 10);
-        // Streaming preserves the same record contents a buffered sink sees.
+        // The file holds the same record contents a memory sink keeps.
         assert_eq!(loaded.records[3].computed, 11);
     }
 
     #[test]
-    fn streaming_backpressure_defers_but_never_drops() {
-        let path = std::env::temp_dir().join("cyclops-trace-streaming-bp.jsonl");
-        let path = path.to_str().unwrap().to_string();
+    fn file_sink_backpressure_defers_but_never_drops() {
+        let path = tmp("file-bp");
         // A 1-slot channel makes commit bursts outpace the writer.
-        let sink = TraceSink::streaming_with_channel_capacity("bsp", &spec(), &path, 1).unwrap();
+        let sink = TraceSink::open("bsp", &spec(), &path, false, 1).unwrap();
         let n = 5000;
         for s in 0..n {
             for w in 0..2 {
@@ -2125,39 +1925,78 @@ mod tests {
     }
 
     #[test]
-    fn write_jsonl_rejects_streaming_sinks() {
-        let path = std::env::temp_dir().join("cyclops-trace-streaming-guard.jsonl");
-        let path = path.to_str().unwrap().to_string();
-        let mut sink = TraceSink::streaming("gas", &spec(), &path).unwrap();
-        let err = sink.write_jsonl(&path).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
-        let _ = sink.finish().unwrap();
+    fn dropping_an_unfinished_file_sink_closes_it() {
+        let path = tmp("file-drop");
+        // A 1-slot channel leaves records in the leader backlogs for the
+        // close to flush.
+        let sink = TraceSink::open("cyclops", &spec(), &path, false, 1).unwrap();
+        for s in 0..500 {
+            for w in 0..2 {
+                committed(&sink, w, s);
+            }
+        }
+        drop(sink);
+        let loaded = read_jsonl(&path).unwrap();
         std::fs::remove_file(&path).ok();
+        assert_eq!(loaded.records.len(), 1000);
+        assert_eq!(loaded.supersteps(), 500);
     }
 
     #[test]
-    fn parse_helpers_read_sink_output_line_by_line() {
-        let mut line = String::new();
-        let r = TraceRecord {
-            superstep: 3,
-            worker: 1,
-            computed: 7,
-            pubs: vec![(4, 99)],
-            ..Default::default()
-        };
-        r.to_json(&mut line);
-        assert_eq!(parse_record_line(&line), Some(r));
-        assert_eq!(parse_record_line("not json"), None);
-        let mut header = Vec::new();
-        let meta = TraceMeta {
-            engine: "bsp".into(),
-            cluster: "1x2x1".into(),
-            workers: 2,
-            values: false,
-        };
-        write_header(&mut header, &meta).unwrap();
-        let parsed = parse_meta_line(std::str::from_utf8(&header).unwrap().trim()).unwrap();
-        assert_eq!(parsed, meta);
+    fn finish_on_a_memory_sink_is_invalid_input() {
+        let err = TraceSink::new("gas", &spec()).finish().unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    }
+
+    #[test]
+    fn trace_line_dispatches_on_the_leading_key() {
+        let lines = [
+            TraceLine::Meta(TraceMeta {
+                engine: "bsp".into(),
+                cluster: "1x2x1".into(),
+                workers: 2,
+                values: false,
+            }),
+            TraceLine::Record(TraceRecord {
+                superstep: 3,
+                worker: 1,
+                computed: 7,
+                pubs: vec![(4, 99)],
+                ..Default::default()
+            }),
+            TraceLine::Span(SpanRecord {
+                worker: 1,
+                thread: 0,
+                kind: SpanKind::Barrier,
+                start_ns: 5,
+                dur_ns: 6,
+                a: 7,
+                b: 0,
+                c: 0,
+            }),
+            TraceLine::Mem(MemSample {
+                superstep: 3,
+                worker: u32::MAX,
+                live: [-1; cyclops_obs::NUM_COMPONENTS],
+                peak: [2; cyclops_obs::NUM_COMPONENTS],
+                rss_kb: 9,
+                hwm_kb: 10,
+            }),
+        ];
+        for l in lines {
+            let mut json = String::new();
+            l.to_json(&mut json);
+            assert_eq!(TraceLine::parse(&json), Some(l), "{json}");
+        }
+        for garbage in [
+            "not json",
+            "",
+            "{}",
+            "{\"nope\":1}",
+            "{\"superstep\":0,\"worker\"",
+        ] {
+            assert_eq!(TraceLine::parse(garbage), None, "{garbage}");
+        }
     }
 
     #[test]
@@ -2185,7 +2024,10 @@ mod tests {
         // JSONL round-trip preserves the hot list.
         let mut line = String::new();
         records[0].to_json(&mut line);
-        assert_eq!(parse_record_line(&line).unwrap(), records[0]);
+        assert_eq!(
+            TraceLine::parse(&line),
+            Some(TraceLine::Record(records[0].clone()))
+        );
     }
 
     #[test]
@@ -2222,14 +2064,20 @@ mod tests {
         let mut line = String::new();
         records[0].to_json(&mut line);
         assert!(line.contains("\"sparse_fast_path\":true"));
-        assert_eq!(parse_record_line(&line), Some(records[0].clone()));
+        assert_eq!(
+            TraceLine::parse(&line),
+            Some(TraceLine::Record(records[0].clone()))
+        );
         // A record without the new fields omits them entirely (old readers
         // keep working) and parses back with defaults.
         let mut plain = String::new();
         records[1].to_json(&mut plain);
         assert!(!plain.contains("sparse_fast_path"));
         assert!(!plain.contains("wire_"));
-        assert_eq!(parse_record_line(&plain), Some(records[1].clone()));
+        assert_eq!(
+            TraceLine::parse(&plain),
+            Some(TraceLine::Record(records[1].clone()))
+        );
         // diff must treat fast-path and legacy-path runs of the same
         // workload as identical: the fields are schedule, not results.
         let mk = |fast: bool, dense: u64| RunTrace {
@@ -2269,14 +2117,20 @@ mod tests {
         let mut line = String::new();
         records[0].to_json(&mut line);
         assert!(line.contains("\"fused\":12"));
-        assert_eq!(parse_record_line(&line), Some(records[0].clone()));
+        assert_eq!(
+            TraceLine::parse(&line),
+            Some(TraceLine::Record(records[0].clone()))
+        );
         // Bucket-off records omit the fields entirely, so pre-bucketing
         // traces stay byte-identical and parse back with defaults.
         let mut plain = String::new();
         records[1].to_json(&mut plain);
         assert!(!plain.contains("fused"));
         assert!(!plain.contains("bucket"));
-        assert_eq!(parse_record_line(&plain), Some(records[1].clone()));
+        assert_eq!(
+            TraceLine::parse(&plain),
+            Some(TraceLine::Record(records[1].clone()))
+        );
         // Unlike the fast-path flag, bucket accounting is part of the
         // deterministic-mode contract: trace-diff must flag a fused-round
         // divergence.
@@ -2338,13 +2192,19 @@ mod tests {
         let mut line = String::new();
         records[0].to_json(&mut line);
         assert!(line.contains("\"comm\":[[0,5,0,0,0],[1,3,120,1,2]]"));
-        assert_eq!(parse_record_line(&line), Some(records[0].clone()));
+        assert_eq!(
+            TraceLine::parse(&line),
+            Some(TraceLine::Record(records[0].clone()))
+        );
         // Matrix-off records omit the field entirely, so pre-matrix traces
         // stay byte-identical and parse back with defaults.
         let mut plain = String::new();
         records[1].to_json(&mut plain);
         assert!(!plain.contains("comm"));
-        assert_eq!(parse_record_line(&plain), Some(records[1].clone()));
+        assert_eq!(
+            TraceLine::parse(&plain),
+            Some(TraceLine::Record(records[1].clone()))
+        );
         // The (dst, messages, bytes) portion is part of the determinism
         // contract: trace-diff must flag a divergent row...
         let mk = |bytes: u64, dense: u64| RunTrace {
@@ -2422,21 +2282,30 @@ mod tests {
             "{\"span\":\"flush\",\"worker\":1,\"thread\":2,\"start_ns\":1000,\
              \"dur_ns\":250,\"a\":3,\"b\":4096,\"c\":2}"
         );
-        assert_eq!(parse_span_line(&line), Some(span));
-        assert_eq!(parse_span_line("{\"span\":\"nope\"}"), None);
-        // A trace file with spans appended after the records loads both.
-        let path = std::env::temp_dir().join("cyclops-trace-spans.jsonl");
-        let path = path.to_str().unwrap().to_string();
-        let mut sink = TraceSink::new("cyclops", &spec());
-        committed(&sink, 0, 0);
-        sink.write_jsonl(&path).unwrap();
+        assert_eq!(TraceLine::parse(&line), Some(TraceLine::Span(span)));
+        assert_eq!(TraceLine::parse("{\"span\":\"nope\"}"), None);
+        // A trace file with spans after the records loads both.
+        let path = tmp("spans");
         let fr = cyclops_obs::FlightRecorder::new(8);
         let ring = fr.ring(0, 0);
         let t0 = ring.now_ns();
         ring.record(SpanKind::Parse, t0, 0, 0, 0);
         ring.record(SpanKind::Barrier, ring.now_ns(), 0, 0, 0);
-        let dump = fr.drain();
-        assert_eq!(append_spans_jsonl(&path, &dump.spans).unwrap(), 2);
+        let mut file = String::new();
+        let lines = [
+            TraceLine::Meta(TraceSink::new("cyclops", &spec()).meta().clone()),
+            TraceLine::Record(TraceRecord::default()),
+        ];
+        let spans = fr
+            .drain()
+            .spans
+            .into_iter()
+            .map(|s| TraceLine::Span(s.into()));
+        for l in lines.into_iter().chain(spans) {
+            l.to_json(&mut file);
+            file.push('\n');
+        }
+        std::fs::write(&path, file).unwrap();
         let loaded = read_jsonl(&path).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(loaded.records.len(), 1);

@@ -129,7 +129,7 @@ pub struct SpanRing {
 // (engines resolve a ring per worker thread; the transport one per sender
 // lane, each lane having exactly one sending thread) and read only by
 // `FlightRecorder::drain` after those threads have joined — the same
-// single-writer discipline the superstep tracer's ring uses.
+// single-writer discipline the superstep tracer's per-worker records use.
 unsafe impl Sync for SpanRing {}
 unsafe impl Send for SpanRing {}
 

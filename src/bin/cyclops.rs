@@ -50,7 +50,6 @@ struct Options {
     seed: Option<u64>,
     stats: bool,
     trace: Option<String>,
-    stream: bool,
     values: bool,
     values_only: bool,
     inbox: String,
@@ -99,7 +98,6 @@ impl Default for Options {
             seed: None,
             stats: false,
             trace: None,
-            stream: false,
             values: false,
             values_only: false,
             inbox: "global".into(),
@@ -172,7 +170,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--seed" => opts.seed = Some(parsed(flag, value()?)?),
             "--stats" => opts.stats = true,
             "--trace" => opts.trace = Some(value()?),
-            "--stream" => opts.stream = true,
             "--values" => opts.values = true,
             "--values-only" => opts.values_only = true,
             "--inbox" => opts.inbox = value()?,
@@ -378,90 +375,56 @@ fn write_output<T: std::fmt::Display>(path: &str, values: &[T]) -> Result<(), St
     Ok(())
 }
 
-/// Builds the optional superstep-trace sink for a run command, honoring
-/// `--stream`, `--values` and `--hot`. Call after `install_global` so the
-/// hot-vertex gauges resolve.
+/// Opens the run's trace file when `--trace` asks for one, honoring
+/// `--values` and `--hot`. Call after `install_global` so the hot-vertex
+/// gauges resolve. If the run dies before `finish_sink`, dropping the sink
+/// still closes the file.
 fn build_sink(
     opts: &Options,
     engine: &str,
     cluster: &ClusterSpec,
 ) -> Result<Option<cyclops_net::trace::TraceSink>, String> {
-    use cyclops_net::trace::TraceSink;
-    if opts.stream && opts.trace.is_none() {
-        return Err("--stream needs --trace FILE".into());
-    }
-    if opts.hot > 0 && opts.trace.is_none() {
+    let Some(path) = &opts.trace else {
         // Hot-vertex sketches ride on the trace sink; without one they
         // would be silently dropped.
-        return Err("--hot needs --trace FILE".into());
-    }
-    let _mem = cyclops::obs::mem::MemScope::enter(cyclops::obs::Component::Trace);
-    let mut sink = match &opts.trace {
-        Some(path) if opts.stream => Some(
-            if opts.values {
-                TraceSink::streaming_with_values(engine, cluster, path)
-            } else {
-                TraceSink::streaming(engine, cluster, path)
-            }
-            .map_err(|e| format!("opening trace {path}: {e}"))?,
-        ),
-        Some(_) if opts.values => Some(TraceSink::with_values(engine, cluster)),
-        Some(_) => Some(TraceSink::new(engine, cluster)),
-        None => None,
+        if opts.hot > 0 {
+            return Err("--hot needs --trace FILE".into());
+        }
+        return Ok(None);
     };
-    if opts.hot > 0 {
-        sink = sink.map(|s| s.with_hot_k(opts.hot));
-    }
-    // Panic safety: if the run dies before `finish_sink`, the sink's Drop
-    // guard still writes the buffered trace tail (plus any flight spans and
-    // memory samples) to the trace path.
-    if let Some(path) = &opts.trace {
-        sink = sink.map(|s| s.flush_on_drop(path));
-    }
-    Ok(sink)
+    let _mem = cyclops::obs::mem::MemScope::enter(cyclops::obs::Component::Trace);
+    let sink = cyclops_net::trace::TraceSink::create(engine, cluster, path, opts.values)
+        .map_err(|e| format!("opening trace {path}: {e}"))?;
+    Ok(Some(match opts.hot {
+        0 => sink,
+        k => sink.with_hot_k(k),
+    }))
 }
 
-/// Writes (buffered) or closes (streaming) the trace after the run.
+/// Closes the trace file after the run; the sink appends the flight spans
+/// and memory samples itself.
 fn finish_sink(opts: &Options, sink: Option<cyclops_net::trace::TraceSink>) -> Result<(), String> {
-    let (Some(path), Some(mut sink)) = (&opts.trace, sink) else {
+    let (Some(path), Some(sink)) = (&opts.trace, sink) else {
         return Ok(());
     };
-    if sink.is_streaming() {
-        let summary = sink
-            .finish()
-            .map_err(|e| format!("closing trace {path}: {e}"))?;
-        println!(
-            "trace streamed to {path}: {} records ({} deferred)",
-            summary.records_written, summary.records_deferred
-        );
-    } else {
-        sink.write_jsonl(path)
-            .map_err(|e| format!("writing trace {path}: {e}"))?;
-        println!("trace written to {path}");
-    }
-    // Spans drain only after the engine's scoped threads have joined (the
-    // run returned), so every ring is quiescent here.
+    let summary = sink
+        .finish()
+        .map_err(|e| format!("closing trace {path}: {e}"))?;
+    println!(
+        "trace written to {path}: {} records ({} deferred)",
+        summary.records_written, summary.records_deferred
+    );
     if opts.flight {
-        if let Some(fr) = cyclops::obs::flight() {
-            let dump = fr.drain();
-            let n = cyclops_net::trace::append_spans_jsonl(path, &dump.spans)
-                .map_err(|e| format!("appending spans to {path}: {e}"))?;
-            if dump.dropped > 0 {
-                eprintln!(
-                    "warning: flight recorder dropped {} spans to ring wraparound",
-                    dump.dropped
-                );
-            }
-            println!("{n} flight-recorder spans appended to {path}");
+        if summary.spans_dropped > 0 {
+            eprintln!(
+                "warning: flight recorder dropped {} spans to ring wraparound",
+                summary.spans_dropped
+            );
         }
+        println!("{} flight-recorder spans appended to {path}", summary.spans);
     }
-    // Memory samples drain the same way: the engine threads have joined, so
-    // the per-barrier samples are complete.
     if opts.mem {
-        let samples = cyclops::obs::mem::take_samples();
-        let n = cyclops_net::trace::append_mem_jsonl(path, &samples)
-            .map_err(|e| format!("appending memory samples to {path}: {e}"))?;
-        println!("{n} memory samples appended to {path}");
+        println!("{} memory samples appended to {path}", summary.mem_samples);
     }
     Ok(())
 }
@@ -740,10 +703,7 @@ fn run(opts: &Options) -> Result<(), String> {
         // follower — an empty or mid-write file just means "no data yet".
         if opts.once {
             let trace = load_trace(path)?;
-            let mut stats = cyclops::obs::TraceStats::new();
-            for r in &trace.records {
-                stats.add(r);
-            }
+            let stats = cyclops::obs::TraceStats::from_trace(&trace);
             print!("{}", cyclops::obs::top_frame(Some(&trace.meta), &stats, 64));
             return Ok(());
         }
@@ -1176,7 +1136,8 @@ algorithm:   --epsilon F  --source V  --sweeps N
              (default: pagerank/sssp 10000, bfs 1000000, cc 100000,
              triangles 4, cd one per --sweeps plus hama's seed superstep)
 output:      --output FILE  --top N  --stats  (every run command)
-tracing:     --trace FILE (every run command, both engines)  --stream
+tracing:     --trace FILE (every run command, both engines): every record
+             streams to the file as it commits; `top` tails it live
              --values
              --hot K  per-worker hot-vertex top-K sketch in the trace
              --prom FILE  writes Prometheus metrics after the run
@@ -1217,7 +1178,7 @@ examples:
   cyclops cc --input wiki.txt --engine hama
   cyclops pagerank --dataset Amazon --trace run-a.jsonl --values
   cyclops trace-diff run-a.jsonl run-b.jsonl --values
-  cyclops pagerank --dataset Amazon --trace run.jsonl --stream --prom run.prom
+  cyclops pagerank --dataset Amazon --trace run.jsonl --prom run.prom
   cyclops pagerank --dataset GWeb --trace run.jsonl --hot 8 --listen 127.0.0.1:9184
   cyclops metrics run.jsonl
   cyclops top run.jsonl --once
@@ -1292,12 +1253,13 @@ mod tests {
     #[test]
     fn parses_metrics_flags() {
         let o = parse_args(&args(
-            "pagerank --dataset GWeb --trace out.jsonl --stream --prom out.prom \
+            "pagerank --dataset GWeb --trace out.jsonl --prom out.prom \
              --engine hama --inbox sharded",
         ))
         .unwrap();
-        assert!(o.stream);
         assert_eq!(o.prom.as_deref(), Some("out.prom"));
+        // Every trace streams; the flag that asked for it is gone.
+        assert!(parse_args(&args("pagerank --trace out.jsonl --stream")).is_err());
         assert_eq!(o.inbox, "sharded");
         let o = parse_args(&args("pagerank --dataset GWeb --sched static")).unwrap();
         assert_eq!(o.sched, "static");

@@ -3,8 +3,8 @@
 //!
 //! This module turns superstep traces (see [`cyclops_net::trace`]) into the
 //! human-facing reports behind `cyclops metrics` (post-hoc summary of a
-//! trace file) and `cyclops top` (live dashboard tailing a *streaming*
-//! trace while the run is still writing it). Latencies are accumulated into
+//! trace file) and `cyclops top` (live dashboard tailing a trace while the
+//! run is still writing it). Latencies are accumulated into
 //! the same log-linear histograms the engines feed
 //! ([`cyclops_obs::LogLinearHistogram`], ≤ 12.5 % relative bucket error),
 //! so quantiles here and quantiles from the in-process registry agree.
@@ -16,9 +16,7 @@ pub use cyclops_obs::{
     SpaceSaving, NUM_COMPONENTS,
 };
 
-use cyclops_net::trace::{
-    parse_meta_line, parse_record_line, RunTrace, SpanRecord, TraceMeta, TraceRecord,
-};
+use cyclops_net::trace::{RunTrace, SpanRecord, TraceLine, TraceMeta, TraceRecord};
 use cyclops_obs::SpanKind;
 use std::fmt::Write as _;
 use std::io::{Read, Seek, SeekFrom};
@@ -1267,11 +1265,11 @@ pub fn why_slow_json(trace: &RunTrace) -> String {
     out
 }
 
-/// Tails a streaming trace file incrementally: each [`TraceFollower::poll`]
-/// reads only the bytes appended since the previous poll and yields the
-/// newly completed records. A partially written last line (the writer
-/// flushes whole lines, but a poll can still race the OS) is buffered until
-/// its newline arrives.
+/// Tails a trace file incrementally: each [`TraceFollower::poll`] reads
+/// only the bytes appended since the previous poll and yields the newly
+/// completed records. A partially written last line (the writer flushes
+/// whole lines, but a poll can still race the OS) is buffered until its
+/// newline arrives.
 pub struct TraceFollower {
     path: String,
     offset: u64,
@@ -1302,8 +1300,9 @@ impl TraceFollower {
     }
 
     /// Reads newly appended bytes and parses the completed lines. Returns
-    /// the new records (the header line, when first seen, lands in
-    /// [`TraceFollower::meta`] instead).
+    /// the new records; the header, when first seen, lands in
+    /// [`TraceFollower::meta`], and span, mem and unparsable lines are
+    /// skipped — a live file may still be starting.
     pub fn poll(&mut self) -> std::io::Result<Vec<TraceRecord>> {
         let mut f = std::fs::File::open(&self.path)?;
         let len = f.metadata()?.len();
@@ -1324,18 +1323,10 @@ impl TraceFollower {
         let mut records = Vec::new();
         while let Some(nl) = self.partial.find('\n') {
             let line: String = self.partial.drain(..=nl).collect();
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            if self.meta.is_none() {
-                if let Some(meta) = parse_meta_line(line) {
-                    self.meta = Some(meta);
-                    continue;
-                }
-            }
-            if let Some(r) = parse_record_line(line) {
-                records.push(r);
+            match TraceLine::parse(&line) {
+                Some(TraceLine::Meta(meta)) if self.meta.is_none() => self.meta = Some(meta),
+                Some(TraceLine::Record(r)) => records.push(r),
+                _ => {}
             }
         }
         Ok(records)
@@ -1405,7 +1396,7 @@ mod tests {
         let path = dir.join("follow.jsonl");
         let path_s = path.to_str().unwrap();
 
-        // Exactly the lines the streaming sink writes (header + records).
+        // Exactly the lines a file sink writes (header + records).
         let header = r#"{"engine":"cyclops","cluster":"2x1","workers":2,"values":false}"#;
         let line = |s: u64, w: u64| {
             let mut out = String::new();

@@ -127,17 +127,16 @@ fn det_bucket_trace_is_stable_across_thread_counts() {
     std::fs::create_dir_all(&dir).unwrap();
 
     let run = |cluster: ClusterSpec, name: &str| {
-        let sink = TraceSink::with_values("cyclops", &cluster);
-        // Width 0.0: auto.
-        let config = bucketed(&g, 0.0, BucketMode::Det, per_hop(cluster, 0));
-        let r = run_cyclops_traced(&SOURCE, &g, &p, &config, Some(&sink));
-        let mut sink = sink;
-        assert_eq!(sink.dropped_records(), 0, "ring buffer overflowed");
         // Round-trip through JSONL so the comparison covers exactly what
         // the CLI's trace-diff sees.
         let path = dir.join(name);
-        sink.write_jsonl(path.to_str().unwrap()).unwrap();
-        (r, read_jsonl(path.to_str().unwrap()).unwrap())
+        let path = path.to_str().unwrap();
+        let sink = TraceSink::create("cyclops", &cluster, path, true).unwrap();
+        // Width 0.0: auto.
+        let config = bucketed(&g, 0.0, BucketMode::Det, per_hop(cluster, 0));
+        let r = run_cyclops_traced(&SOURCE, &g, &p, &config, Some(&sink));
+        sink.finish().unwrap();
+        (r, read_jsonl(path).unwrap())
     };
 
     // Same 4 workers and the same partition; 1 thread vs 3 compute threads

@@ -899,3 +899,116 @@ fn surviving_restrictions_are_errors() {
         assert!(ok, "{args:?}: {stderr}");
     }
 }
+
+/// A trace keeps its first supersteps: a run longer than 4 096 supersteps
+/// writes every record, so `metrics` counts supersteps x workers and two
+/// identical runs diff clean from superstep 0.
+#[test]
+fn a_long_run_keeps_every_trace_record() {
+    let ring = temp_path("ring8.txt");
+    let edges: String = (0..8).map(|v| format!("{v} {}\n", (v + 1) % 8)).collect();
+    std::fs::write(&ring, edges).unwrap();
+    let ring = ring.to_str().unwrap();
+    let (a, b) = (temp_path("ring8-a.jsonl"), temp_path("ring8-b.jsonl"));
+    let traces = [a.to_str().unwrap(), b.to_str().unwrap()];
+    for trace in traces {
+        let (ok, stdout, stderr) = cyclops(&[
+            "pagerank",
+            "--input",
+            ring,
+            "--epsilon",
+            "-1",
+            "--max-supersteps",
+            "4200",
+            "--machines",
+            "1",
+            "--workers",
+            "2",
+            "--trace",
+            trace,
+        ]);
+        assert!(ok, "stderr: {stderr}");
+        assert!(
+            stdout.contains(&format!("trace written to {trace}: 8400 records")),
+            "{stdout}"
+        );
+        let (ok, stdout, stderr) = cyclops(&["metrics", trace]);
+        assert!(ok, "stderr: {stderr}");
+        assert!(
+            stdout.contains("8400 records over 4200 supersteps"),
+            "{stdout}"
+        );
+    }
+    let (ok, stdout, stderr) = cyclops(&["trace-diff", traces[0], traces[1]]);
+    assert!(ok, "{stdout} {stderr}");
+    assert!(
+        stdout.contains("traces agree: 4200 supersteps x 2 workers"),
+        "{stdout}"
+    );
+}
+
+/// Every line a `--flight --mem --values` run writes — header, records,
+/// spans and memory samples — re-serializes byte for byte through the one
+/// reader, and a live tail sees the header and records the strict loader
+/// sees, whether it reads the file in one poll or one appended line at a
+/// time.
+#[test]
+fn every_trace_line_round_trips_and_the_follower_agrees_with_the_loader() {
+    use cyclops::net::trace::{read_jsonl, TraceLine, TraceRecord};
+    use cyclops::obs::TraceFollower;
+    use std::io::Write;
+    let trace = temp_path("round-trip.jsonl");
+    let trace = trace.to_str().unwrap();
+    let (ok, _, stderr) = cyclops(&[
+        "pagerank",
+        "--dataset",
+        "Amazon",
+        "--scale",
+        "0.03",
+        "--max-supersteps",
+        "6",
+        "--trace",
+        trace,
+        "--flight",
+        "--mem",
+        "--values",
+    ]);
+    assert!(ok, "stderr: {stderr}");
+    let raw = std::fs::read_to_string(trace).unwrap();
+    let mut kinds = [0usize; 4];
+    for line in raw.lines() {
+        let parsed = TraceLine::parse(line).unwrap_or_else(|| panic!("unparsable: {line}"));
+        kinds[match parsed {
+            TraceLine::Meta(_) => 0,
+            TraceLine::Record(_) => 1,
+            TraceLine::Span(_) => 2,
+            TraceLine::Mem(_) => 3,
+        }] += 1;
+        let mut again = String::new();
+        parsed.to_json(&mut again);
+        assert_eq!(again, line);
+    }
+    assert_eq!(kinds[0], 1, "one header: {kinds:?}");
+    assert!(kinds.iter().all(|&n| n > 0), "every line kind: {kinds:?}");
+
+    let loaded = read_jsonl(trace).unwrap();
+    let sorted = |mut r: Vec<TraceRecord>| {
+        r.sort_by_key(|r| (r.superstep, r.worker));
+        r
+    };
+    let mut whole = TraceFollower::new(trace);
+    let records = sorted(whole.poll().unwrap());
+    assert_eq!(whole.meta(), Some(&loaded.meta));
+    assert_eq!(records, loaded.records, "one poll");
+
+    let tail = temp_path("round-trip-tail.jsonl");
+    let mut f = std::fs::File::create(&tail).unwrap();
+    let mut follower = TraceFollower::new(tail.to_str().unwrap());
+    let mut records = Vec::new();
+    for line in raw.lines() {
+        writeln!(f, "{line}").unwrap();
+        records.extend(follower.poll().unwrap());
+    }
+    assert_eq!(follower.meta(), Some(&loaded.meta));
+    assert_eq!(sorted(records), loaded.records, "one line per poll");
+}

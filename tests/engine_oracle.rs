@@ -142,7 +142,6 @@ where
 {
     let mut sink = TraceSink::with_values("cyclops", &config.cluster);
     let r = run_cyclops_with_plan_traced(program, graph, plan, config, resume, Some(&sink));
-    assert_eq!(sink.dropped_records(), 0, "trace ring overflowed");
     let records = sink.take_records();
     h.value(records.len() as u64);
     for rec in &records {

@@ -8,6 +8,8 @@
 //! process flow through the tracker.
 
 use cyclops::engine::CyclopsPlan;
+use cyclops::net::metrics::PhaseTimes;
+use cyclops::net::trace::{read_jsonl, TraceSink};
 use cyclops::obs::mem::{self, Component};
 use cyclops::prelude::*;
 use std::sync::Mutex;
@@ -98,41 +100,77 @@ fn serial_build_attributes_and_threshold_shrinks_replicas() {
     );
 }
 
-/// Memory samples survive the JSONL round trip: `sample` → `take_samples`
-/// → `append_mem_jsonl` → `read_jsonl` yields the same values, parked in
+fn temp_trace(name: &str) -> String {
+    let dir = std::env::temp_dir().join(format!("cyclops-memobs-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir.join(name).to_str().unwrap().to_string()
+}
+
+/// Memory samples survive the JSONL round trip: `sample` → a file sink's
+/// `finish` → `read_jsonl` yields the bytes the tracker held, parked in
 /// `RunTrace::mem` away from the record stream (the trace-diff contract).
 #[test]
 fn samples_round_trip_through_the_trace_file() {
     let _guard = LOCK.lock().unwrap();
     mem::arm();
-    let dir = std::env::temp_dir().join(format!("cyclops-memobs-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("roundtrip.jsonl");
-    let path = path.to_str().unwrap();
-    std::fs::write(
-        path,
-        "{\"engine\":\"cyclops\",\"cluster\":\"1x1x1\",\"workers\":1,\"values\":false}\n\
-         {\"superstep\":0,\"worker\":0,\"parse_ns\":1,\"compute_ns\":1,\"send_ns\":1,\
-         \"sync_ns\":1,\"frontier\":1,\"computed\":1,\"activated\":0,\"converged_delta\":0,\
-         \"drained\":0,\"messages\":0,\"bytes\":0,\"checkpoint\":false}\n",
-    )
-    .unwrap();
+    let path = temp_trace("roundtrip.jsonl");
+    let sink = TraceSink::create("cyclops", &ClusterSpec::flat(1, 1), &path, false).unwrap();
+    sink.worker(0)
+        .commit(0, 0, 1, &PhaseTimes::default(), false);
 
+    // Something live on worker 0's slot, so the sample is not all zeros.
+    let held = {
+        let _worker = mem::MemScope::worker(0);
+        vec![1u8; 4096]
+    };
     mem::take_samples(); // discard anything a previous test parked
     mem::sample(7, 0);
-    let samples = mem::take_samples();
-    assert!(!samples.is_empty(), "armed sample() must record");
-    let n = cyclops::net::trace::append_mem_jsonl(path, &samples).unwrap();
-    assert_eq!(n as usize, samples.len());
+    let live: Vec<i64> = Component::ALL
+        .iter()
+        .map(|&c| mem::worker_live_bytes(Some(0), c))
+        .collect();
+    let peak: Vec<u64> = Component::ALL
+        .iter()
+        .map(|&c| mem::worker_peak_bytes(Some(0), c))
+        .collect();
+    let summary = sink.finish().unwrap();
+    assert_eq!(summary.mem_samples, 2, "worker 0 adds the untagged slot");
 
-    let trace = cyclops::net::trace::read_jsonl(path).unwrap();
-    assert_eq!(trace.mem.len(), samples.len());
+    let trace = read_jsonl(&path).unwrap();
+    assert_eq!(trace.mem.len(), 2);
     assert_eq!(trace.records.len(), 1, "mem lines must not enter records");
     let rec = trace.mem.iter().find(|m| m.worker == 0).unwrap();
     assert_eq!(rec.superstep, 7);
-    let orig = samples.iter().find(|s| s.worker == 0).unwrap();
-    assert_eq!(rec.live, orig.live);
-    assert_eq!(rec.peak, orig.peak);
+    assert_eq!(rec.live.to_vec(), live);
+    assert_eq!(rec.peak.to_vec(), peak);
+    drop(held);
+}
+
+/// A run that panics drops its file sink unfinished; the drop runs the same
+/// close, so every committed record and every sample still reaches the
+/// file.
+#[test]
+fn a_panicking_run_still_writes_every_record_and_sample() {
+    let _guard = LOCK.lock().unwrap();
+    mem::arm();
+    let path = temp_trace("panicked.jsonl");
+    mem::take_samples();
+    let died = std::panic::catch_unwind(|| {
+        let sink = TraceSink::create("cyclops", &ClusterSpec::flat(1, 2), &path, false).unwrap();
+        for s in 0..50 {
+            for w in 0..2 {
+                sink.worker(w)
+                    .commit(s, w, 1, &PhaseTimes::default(), false);
+                mem::sample(s as u64, w as u32);
+            }
+        }
+        panic!("the run dies after superstep 49");
+    });
+    assert!(died.is_err());
+    let trace = read_jsonl(&path).unwrap();
+    assert_eq!(trace.records.len(), 100);
+    assert_eq!(trace.supersteps(), 50);
+    assert_eq!(trace.mem.len(), 150, "worker 0 adds the untagged slot");
 }
 
 /// The zero-allocation send contract, held by the allocator and not by the

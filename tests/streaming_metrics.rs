@@ -1,10 +1,10 @@
 //! Acceptance tests for the streaming-metrics subsystem.
 //!
-//! Covers the PR's headline guarantees: (1) the buffered ring sink drops
-//! records past [`DEFAULT_RING_CAPACITY`] while the streaming sink keeps
-//! every one, byte-identically; (2) a real >4096-superstep PageRank streams
-//! a complete trace whose log-linear quantiles stay within the histogram's
-//! 12.5 % bucket-error bound of the exact sorted percentiles; (3) the
+//! Covers: (1) a memory sink and a file sink both keep every record of a
+//! run longer than 4 096 supersteps, byte-identically; (2) a real PageRank
+//! run past 4 096 supersteps streams a complete trace whose log-linear
+//! quantiles stay within the histogram's 12.5 % bucket-error bound of the
+//! exact sorted percentiles; (3) the
 //! Prometheus exposition is golden-file stable; (4) GAS apply-phase
 //! publication digests let `trace-diff --values` name the divergent vertex;
 //! (5) the BSP inbox ablation (`InboxMode::Sharded`) reproduces GlobalQueue
@@ -18,12 +18,9 @@ use cyclops_bsp::{run_bsp, run_bsp_from_checkpoint, BspConfig};
 use cyclops_engine::{run_cyclops, run_cyclops_from_checkpoint, run_cyclops_traced, CyclopsConfig};
 use cyclops_gas::{run_gas_traced, GasConfig, GasProgram};
 use cyclops_net::metrics::PhaseTimes;
-use cyclops_net::trace::{
-    diff, read_jsonl, RunTrace, TraceRecord, TraceSink, DEFAULT_RING_CAPACITY,
-};
+use cyclops_net::trace::{diff, read_jsonl, RunTrace, TraceSink};
 use cyclops_net::InboxMode;
 use cyclops_partition::{RandomVertexCut, VertexCutPartitioner};
-use std::collections::HashMap;
 
 /// A process-unique temp path for one test's trace file.
 fn tmp_path(name: &str) -> String {
@@ -48,7 +45,6 @@ fn ring(n: usize) -> Graph {
 }
 
 fn finish(mut sink: TraceSink) -> RunTrace {
-    assert_eq!(sink.dropped_records(), 0, "ring buffer overflowed");
     RunTrace {
         spans: Vec::new(),
         mem: Vec::new(),
@@ -57,75 +53,58 @@ fn finish(mut sink: TraceSink) -> RunTrace {
     }
 }
 
-/// The buffered ring sink silently forgets the oldest supersteps past its
-/// capacity; the streaming sink writes every record, and the records both
-/// sinks retain are byte-identical JSONL.
+/// Both destinations keep every record — past the 4 096 supersteps a
+/// per-worker ring once held, where the oldest records were overwritten
+/// without a word — and agree byte for byte.
 #[test]
-fn ring_overflow_drops_while_streaming_keeps_every_record() {
+fn memory_and_file_sinks_keep_every_record_past_4096_supersteps() {
     let spec = ClusterSpec::flat(1, 2);
     let workers = 2usize;
-    let n = DEFAULT_RING_CAPACITY + 100;
+    let n = 4096 + 100;
     let times = PhaseTimes::default();
+    let path = tmp_path("every-record");
 
-    let mut buffered = TraceSink::new("synthetic", &spec);
+    let mut memory = TraceSink::new("synthetic", &spec);
+    let file = TraceSink::create("synthetic", &spec, &path, false).unwrap();
     for s in 0..n {
         for w in 0..workers {
-            buffered.worker(w).commit(s, w, s + w, &times, false);
+            for sink in [&memory, &file] {
+                sink.worker(w).commit(s, w, s + w, &times, false);
+            }
         }
     }
-    assert!(
-        buffered.dropped_records() > 0,
-        "the buffered ring must overflow past DEFAULT_RING_CAPACITY"
-    );
-    let survivors = buffered.take_records();
-    assert!(survivors.len() < n * workers, "overflow must lose records");
-
-    let path = tmp_path("overflow");
-    let sink = TraceSink::streaming("synthetic", &spec, &path).unwrap();
-    for s in 0..n {
-        for w in 0..workers {
-            sink.worker(w).commit(s, w, s + w, &times, false);
-        }
-    }
-    let summary = sink.finish().unwrap();
+    let kept = memory.take_records();
+    assert_eq!(kept.len(), n * workers, "a memory sink keeps every record");
+    let summary = file.finish().unwrap();
     assert_eq!(summary.records_written, (n * workers) as u64);
 
     let streamed = read_jsonl(&path).unwrap();
     assert_eq!(streamed.records.len(), n * workers);
-    // Exactly-once coverage of every (superstep, worker).
-    for (i, r) in streamed.records.iter().enumerate() {
-        assert_eq!(r.superstep as usize, i / workers);
-        assert_eq!(r.worker as usize, i % workers);
-    }
-    // The window the ring did keep must match the stream byte-for-byte.
-    let by_key: HashMap<(u64, u64), &TraceRecord> = streamed
-        .records
-        .iter()
-        .map(|r| ((r.superstep, r.worker), r))
-        .collect();
-    for kept in &survivors {
-        let full = by_key[&(kept.superstep, kept.worker)];
-        let (mut a, mut b) = (String::new(), String::new());
-        kept.to_json(&mut a);
-        full.to_json(&mut b);
-        assert_eq!(a, b, "ring and stream disagree on a surviving record");
+    // Exactly-once coverage of every (superstep, worker), the same lines.
+    for (i, (a, b)) in kept.iter().zip(&streamed.records).enumerate() {
+        assert_eq!(a.superstep as usize, i / workers);
+        assert_eq!(a.worker as usize, i % workers);
+        let (mut ja, mut jb) = (String::new(), String::new());
+        a.to_json(&mut ja);
+        b.to_json(&mut jb);
+        assert_eq!(ja, jb, "memory and file sinks disagree on record {i}");
     }
     std::fs::remove_file(&path).ok();
 }
 
-/// A real PageRank run past the ring capacity: `epsilon = -1.0` never
+/// A real PageRank run past 4 096 supersteps: `epsilon = -1.0` never
 /// converges (every per-vertex error exceeds it), so the engine executes
 /// exactly `max_supersteps` supersteps and the streamed trace must cover
 /// all of them. The log-linear phase quantiles must agree with the exact
 /// nearest-rank percentiles within the histogram's 12.5 % bucket error.
 #[test]
 fn streaming_pagerank_past_ring_capacity_is_complete_and_quantile_accurate() {
-    let supersteps = DEFAULT_RING_CAPACITY + 64;
+    let supersteps = 4096 + 64;
     let g = ring(8);
     let cluster = ClusterSpec::flat(1, 2);
     let p = HashPartitioner.partition(&g, 2);
     let path = tmp_path("pagerank");
-    let sink = TraceSink::streaming("cyclops", &cluster, &path).unwrap();
+    let sink = TraceSink::create("cyclops", &cluster, &path, false).unwrap();
     let config = CyclopsConfig {
         cluster,
         max_supersteps: supersteps,
@@ -139,11 +118,6 @@ fn streaming_pagerank_past_ring_capacity_is_complete_and_quantile_accurate() {
         Some(&sink),
     );
     assert_eq!(r.supersteps, supersteps, "epsilon < 0 must never converge");
-    assert_eq!(
-        sink.dropped_records(),
-        0,
-        "streaming mode bypasses the ring"
-    );
     let summary = sink.finish().unwrap();
     let workers = cluster.num_workers();
     assert_eq!(

@@ -73,7 +73,6 @@ fn gas_pagerank(
 }
 
 fn finish(mut sink: TraceSink) -> RunTrace {
-    assert_eq!(sink.dropped_records(), 0, "ring buffer overflowed");
     RunTrace {
         spans: Vec::new(),
         mem: Vec::new(),
@@ -167,7 +166,15 @@ fn trace_diff_pinpoints_a_seeded_single_vertex_perturbation() {
         ..Default::default()
     };
 
-    let base_sink = TraceSink::with_values("cyclops", &cluster);
+    // Both runs write the JSONL files the CLI's trace-diff consumes, so the
+    // test covers exactly what `cyclops trace-diff` sees.
+    let dir = std::env::temp_dir().join(format!("cyclops-trace-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path_a = dir.join("base.jsonl");
+    let path_b = dir.join("perturbed.jsonl");
+    let (path_a, path_b) = (path_a.to_str().unwrap(), path_b.to_str().unwrap());
+
+    let base_sink = TraceSink::create("cyclops", &cluster, path_a, true).unwrap();
     run_cyclops_traced(
         &CyclopsPageRank { epsilon: 0.0 },
         &g,
@@ -175,7 +182,7 @@ fn trace_diff_pinpoints_a_seeded_single_vertex_perturbation() {
         &config,
         Some(&base_sink),
     );
-    let perturbed_sink = TraceSink::with_values("cyclops", &cluster);
+    let perturbed_sink = TraceSink::create("cyclops", &cluster, path_b, true).unwrap();
     run_cyclops_traced(
         &PerturbedPageRank {
             inner: CyclopsPageRank { epsilon: 0.0 },
@@ -187,17 +194,10 @@ fn trace_diff_pinpoints_a_seeded_single_vertex_perturbation() {
         &config,
         Some(&perturbed_sink),
     );
-
-    // Round-trip both traces through the JSONL files the CLI's trace-diff
-    // consumes, so the test covers exactly what `cyclops trace-diff` sees.
-    let dir = std::env::temp_dir().join(format!("cyclops-trace-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path_a = dir.join("base.jsonl");
-    let path_b = dir.join("perturbed.jsonl");
-    finish_to(base_sink, path_a.to_str().unwrap());
-    finish_to(perturbed_sink, path_b.to_str().unwrap());
-    let a = read_jsonl(path_a.to_str().unwrap()).unwrap();
-    let b = read_jsonl(path_b.to_str().unwrap()).unwrap();
+    base_sink.finish().unwrap();
+    perturbed_sink.finish().unwrap();
+    let a = read_jsonl(path_a).unwrap();
+    let b = read_jsonl(path_b).unwrap();
 
     // Overwriting one publication changes no deterministic counter (same
     // message counts, same byte volume, same activation with epsilon = 0),
@@ -216,11 +216,6 @@ fn trace_diff_pinpoints_a_seeded_single_vertex_perturbation() {
     assert_eq!(d.vertex, Some(victim), "first divergent vertex");
 
     std::fs::remove_dir_all(&dir).ok();
-}
-
-fn finish_to(mut sink: TraceSink, path: &str) {
-    assert_eq!(sink.dropped_records(), 0, "ring buffer overflowed");
-    sink.write_jsonl(path).unwrap();
 }
 
 #[test]
