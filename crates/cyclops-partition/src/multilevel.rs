@@ -7,12 +7,24 @@
 //!
 //! 1. **Coarsening** — repeated heavy-edge matching collapses matched vertex
 //!    pairs, preserving cut structure while shrinking the graph,
-//! 2. **Initial partition** — greedy BFS region growing on the coarsest graph
+//! 2. **Initial partition** — greedy region growing on the coarsest graph
 //!    produces `k` roughly weight-balanced regions,
 //! 3. **Uncoarsening + refinement** — the assignment is projected back level
 //!    by level, with boundary Fiduccia–Mattheyses-style passes moving
 //!    vertices to the adjacent part with the highest cut gain subject to a
 //!    balance constraint.
+//!
+//! Every level is one flat CSR graph (Metis' `xadj` / `adjncy` / `adjwgt`),
+//! appended a vertex at a time: level 0 merges the input's sorted out- and
+//! in-neighbour slices, a coarse vertex sorts its members' gathered lists.
+//! FM keeps each vertex's count of neighbours outside its part up to date,
+//! so a pass reads the adjacency of boundary vertices only.
+//!
+//! The assignment equals, bit for bit, that of the per-vertex `Vec` oracle in
+//! `reference.rs`, because both draw the same random stream (every pass
+//! shuffles all of its level's vertices, interior ones included) and every
+//! neighbour list is sorted by id, which fixes the order in which matching,
+//! growing and FM's first-best tie-break meet neighbours.
 
 use crate::edge_cut::{EdgeCutPartition, EdgeCutPartitioner};
 use cyclops_graph::Graph;
@@ -58,62 +70,43 @@ impl EdgeCutPartitioner for MultilevelPartitioner {
         }
         let mut rng = StdRng::seed_from_u64(self.seed);
 
-        // Build the undirected weighted working graph.
-        let mut levels = vec![WorkGraph::from_graph(g)];
-        let mut maps: Vec<Vec<u32>> = Vec::new();
-
-        // Coarsen until small or stuck. Cap coarse-vertex weight so no
+        // Coarsen until small or stuck, keeping every finer level with its
+        // fine-to-coarse map for the way back. Cap coarse-vertex weight so no
         // super-vertex alone busts the balance constraint (Metis does the
         // same): a part's target is total/k, so limit to a third of that.
+        let mut graph = WorkGraph::from_graph(g);
+        let mut finer: Vec<(WorkGraph, Vec<u32>)> = Vec::new();
         let stop_at = (25 * k).max(128);
-        let max_vwgt = (levels[0].total_weight() / (3 * k as u64)).max(1);
-        while levels.last().unwrap().len() > stop_at {
-            let (coarse, map) = levels.last().unwrap().coarsen(&mut rng, max_vwgt);
-            if coarse.len() as f64 > 0.95 * levels.last().unwrap().len() as f64 {
+        let max_vwgt = (graph.total_weight() / (3 * k as u64)).max(1);
+        while graph.len() > stop_at {
+            let (coarse, map) = graph.coarsen(&mut rng, max_vwgt);
+            if coarse.len() as f64 > 0.95 * graph.len() as f64 {
                 break; // matching made no progress (e.g., star graphs)
             }
-            levels.push(coarse);
-            maps.push(map);
+            finer.push((std::mem::replace(&mut graph, coarse), map));
         }
 
         // Initial partition on the coarsest level: several randomized
         // region-growing trials, keeping the lowest refined cut (cheap at
         // coarsest size, and the quality carries down through projection).
-        let coarsest = levels.last().unwrap();
         let mut assignment = Vec::new();
         let mut best_cut = u64::MAX;
         for _ in 0..self.initial_trials.max(1) {
-            let mut candidate = coarsest.grow_regions(k, &mut rng);
-            coarsest.refine(
-                &mut candidate,
-                k,
-                self.imbalance,
-                self.refine_passes,
-                &mut rng,
-            );
-            let cut = coarsest.cut(&candidate);
+            let mut candidate = graph.grow_regions(k, &mut rng);
+            graph.refine(&mut candidate, k, self, &mut rng);
+            let cut = graph.cut(&candidate);
             if cut < best_cut {
                 best_cut = cut;
                 assignment = candidate;
             }
         }
 
-        // Uncoarsen with refinement at every level.
-        for level in (0..maps.len()).rev() {
-            let fine = &levels[level];
-            let map = &maps[level];
-            let mut fine_assignment = vec![0u32; fine.len()];
-            for v in 0..fine.len() {
-                fine_assignment[v] = assignment[map[v] as usize];
-            }
-            fine.refine(
-                &mut fine_assignment,
-                k,
-                self.imbalance,
-                self.refine_passes,
-                &mut rng,
-            );
-            assignment = fine_assignment;
+        // Uncoarsen with refinement at every level; each level is freed once
+        // the next finer one holds its projection.
+        while let Some((level, map)) = finer.pop() {
+            let mut projected: Vec<u32> = map.iter().map(|&c| assignment[c as usize]).collect();
+            level.refine(&mut projected, k, self, &mut rng);
+            assignment = projected;
         }
 
         EdgeCutPartition::new(k, assignment)
@@ -124,16 +117,33 @@ impl EdgeCutPartitioner for MultilevelPartitioner {
     }
 }
 
-/// Undirected weighted graph used internally across coarsening levels.
+/// Undirected weighted graph used internally across coarsening levels, in
+/// CSR form: `v`'s neighbours are `adjncy[xadj[v]..xadj[v + 1]]`, sorted by
+/// id, with parallel edges merged into one `adjwgt` and self-loops dropped.
 struct WorkGraph {
     /// Vertex weights (number of original vertices collapsed into each).
     vwgt: Vec<u64>,
-    /// Adjacency: per vertex, `(neighbor, edge weight)` with parallel edges
-    /// merged and self-loops dropped. Sorted by neighbor id.
-    adj: Vec<Vec<(u32, u64)>>,
+    /// Offsets into `adjncy` / `adjwgt`, one per vertex plus one.
+    xadj: Vec<usize>,
+    /// Neighbour ids, vertex after vertex.
+    adjncy: Vec<u32>,
+    /// Edge weights, aligned with `adjncy`.
+    adjwgt: Vec<u64>,
 }
 
 impl WorkGraph {
+    /// An empty graph with room for `n` vertices and `entries` list entries.
+    fn with_capacity(n: usize, entries: usize) -> Self {
+        let mut xadj = Vec::with_capacity(n + 1);
+        xadj.push(0);
+        WorkGraph {
+            vwgt: Vec::with_capacity(n),
+            xadj,
+            adjncy: Vec::with_capacity(entries),
+            adjwgt: Vec::with_capacity(entries),
+        }
+    }
+
     fn len(&self) -> usize {
         self.vwgt.len()
     }
@@ -142,23 +152,41 @@ impl WorkGraph {
         self.vwgt.iter().sum()
     }
 
-    fn from_graph(g: &Graph) -> Self {
-        let n = g.num_vertices();
-        let mut adj: Vec<Vec<(u32, u64)>> = vec![Vec::new(); n];
-        for (s, t, _) in g.edges() {
-            if s == t {
-                continue;
+    /// `v`'s `(neighbour, edge weight)` pairs in id order.
+    fn edges(&self, v: usize) -> impl Iterator<Item = (u32, u64)> + '_ {
+        let range = self.xadj[v]..self.xadj[v + 1];
+        let wgts = self.adjwgt[range.clone()].iter().copied();
+        self.adjncy[range].iter().copied().zip(wgts)
+    }
+
+    /// Appends the next vertex, of weight `vwgt`, from `(neighbour, weight)`
+    /// pairs sorted by neighbour: self-loops are dropped and parallel edges
+    /// summed.
+    fn push_vertex(&mut self, vwgt: u64, sorted: impl IntoIterator<Item = (u32, u64)>) {
+        let v = self.len() as u32;
+        let start = self.adjncy.len();
+        for (u, w) in sorted.into_iter().filter(|&(u, _)| u != v) {
+            match (self.adjncy[start..].last(), self.adjwgt.last_mut()) {
+                (Some(&last), Some(sum)) if last == u => *sum += w,
+                _ => {
+                    self.adjncy.push(u);
+                    self.adjwgt.push(w);
+                }
             }
-            adj[s as usize].push((t, 1));
-            adj[t as usize].push((s, 1));
         }
-        for list in &mut adj {
-            merge_parallel(list);
+        self.xadj.push(self.adjncy.len());
+        self.vwgt.push(vwgt);
+    }
+
+    /// Level 0: each directed edge weighs 1 at both of its endpoints, so an
+    /// edge each way between two vertices weighs 2.
+    fn from_graph(g: &Graph) -> Self {
+        let mut graph = WorkGraph::with_capacity(g.num_vertices(), 2 * g.num_edges());
+        for v in g.vertices() {
+            let merged = merge_sorted(g.out_neighbors(v), g.in_neighbors(v));
+            graph.push_vertex(1, merged.map(|u| (u, 1)));
         }
-        WorkGraph {
-            vwgt: vec![1; n],
-            adj,
-        }
+        graph
     }
 
     /// One round of heavy-edge matching; returns the coarse graph and the
@@ -175,16 +203,16 @@ impl WorkGraph {
                 continue;
             }
             // Heaviest unmatched neighbor within the weight cap.
-            let best = self.adj[v]
-                .iter()
-                .filter(|&&(u, _)| {
+            let best = self
+                .edges(v)
+                .filter(|&(u, _)| {
                     mate[u as usize] == u32::MAX
                         && u as usize != v
                         && self.vwgt[v] + self.vwgt[u as usize] <= max_vwgt
                 })
-                .max_by_key(|&&(u, w)| (w, u));
+                .max_by_key(|&(u, w)| (w, u));
             match best {
-                Some(&(u, _)) => {
+                Some((u, _)) => {
                     mate[v] = u;
                     mate[u as usize] = v as u32;
                 }
@@ -192,54 +220,53 @@ impl WorkGraph {
             }
         }
 
-        // Assign coarse ids.
-        let mut map = vec![u32::MAX; n];
-        let mut next = 0u32;
-        for v in 0..n {
-            if map[v] != u32::MAX {
-                continue;
-            }
-            map[v] = next;
-            let m = mate[v] as usize;
-            if m != v && map[m] == u32::MAX {
-                map[m] = next;
-            }
-            next += 1;
+        // Coarse ids in order of each pair's lower member, the `v` with
+        // `mate[v] >= v` (a singleton is its own mate).
+        let firsts: Vec<usize> = (0..n).filter(|&v| mate[v] as usize >= v).collect();
+        let mut map = vec![0u32; n];
+        for (c, &v) in firsts.iter().enumerate() {
+            (map[v], map[mate[v] as usize]) = (c as u32, c as u32);
         }
 
-        // Build coarse graph.
-        let cn = next as usize;
-        let mut vwgt = vec![0u64; cn];
-        for v in 0..n {
-            vwgt[map[v] as usize] += self.vwgt[v];
-        }
-        let mut adj: Vec<Vec<(u32, u64)>> = vec![Vec::new(); cn];
-        for v in 0..n {
-            let cv = map[v];
-            for &(u, w) in &self.adj[v] {
-                let cu = map[u as usize];
-                if cu != cv {
-                    adj[cv as usize].push((cu, w));
-                }
+        // Build the coarse graph one coarse vertex at a time.
+        let mut coarse = WorkGraph::with_capacity(firsts.len(), self.adjncy.len());
+        let mut gathered: Vec<(u32, u64)> = Vec::new();
+        for &v in &firsts {
+            let m = mate[v] as usize;
+            gathered.clear();
+            gathered.extend(self.edges(v).map(|(u, w)| (map[u as usize], w)));
+            let mut vwgt = self.vwgt[v];
+            if m != v {
+                gathered.extend(self.edges(m).map(|(u, w)| (map[u as usize], w)));
+                vwgt += self.vwgt[m];
             }
+            gathered.sort_unstable_by_key(|&(cu, _)| cu);
+            coarse.push_vertex(vwgt, gathered.iter().copied());
         }
-        for list in &mut adj {
-            merge_parallel(list);
-        }
-        (WorkGraph { vwgt, adj }, map)
+        (coarse, map)
+    }
+
+    /// `v`'s edges to neighbours outside its part.
+    fn crossing<'a>(
+        &'a self,
+        assignment: &'a [u32],
+        v: usize,
+    ) -> impl Iterator<Item = (u32, u64)> + 'a {
+        self.edges(v)
+            .filter(move |&(u, _)| assignment[u as usize] != assignment[v])
     }
 
     /// Total weight of edges whose endpoints sit in different parts.
     fn cut(&self, assignment: &[u32]) -> u64 {
-        let mut cut = 0u64;
-        for v in 0..self.len() {
-            for &(u, w) in &self.adj[v] {
-                if assignment[v] != assignment[u as usize] {
-                    cut += w;
-                }
-            }
-        }
-        cut / 2 // each undirected edge seen from both sides
+        let crossing = (0..self.len()).flat_map(|v| self.crossing(assignment, v));
+        crossing.map(|(_, w)| w).sum::<u64>() / 2 // each edge seen from both sides
+    }
+
+    /// Per vertex, how many of its neighbours sit outside its part.
+    fn external_degrees(&self, assignment: &[u32]) -> Vec<u32> {
+        (0..self.len())
+            .map(|v| self.crossing(assignment, v).count() as u32)
+            .collect()
     }
 
     /// Greedy gain-guided region growing: grow `k` regions to the target
@@ -299,7 +326,7 @@ impl WorkGraph {
                 }
                 assignment[v] = part;
                 weight += self.vwgt[v];
-                for &(u, w) in &self.adj[v] {
+                for (u, w) in self.edges(v) {
                     let u = u as usize;
                     if assignment[u] == u32::MAX {
                         if stamp[u] != generation {
@@ -312,7 +339,7 @@ impl WorkGraph {
                 }
             }
         }
-        // Any leftovers go to the lightest part.
+        // Any leftovers go to the lightest part (the first on a tie).
         let mut weights = vec![0u64; k];
         for v in 0..n {
             if assignment[v] != u32::MAX {
@@ -321,7 +348,7 @@ impl WorkGraph {
         }
         for (v, a) in assignment.iter_mut().enumerate() {
             if *a == u32::MAX {
-                let lightest = (0..k).min_by_key(|&p| weights[p]).unwrap();
+                let lightest = (1..k).fold(0, |l, p| if weights[p] < weights[l] { p } else { l });
                 *a = lightest as u32;
                 weights[lightest] += self.vwgt[v];
             }
@@ -335,35 +362,35 @@ impl WorkGraph {
         &self,
         assignment: &mut [u32],
         k: usize,
-        imbalance: f64,
-        passes: usize,
+        ml: &MultilevelPartitioner,
         rng: &mut StdRng,
     ) {
         let n = self.len();
         let total = self.total_weight();
-        let max_weight = ((total as f64 / k as f64) * (1.0 + imbalance)).ceil() as u64;
+        let max_weight = ((total as f64 / k as f64) * (1.0 + ml.imbalance)).ceil() as u64;
         let mut weights = vec![0u64; k];
         for v in 0..n {
             weights[assignment[v] as usize] += self.vwgt[v];
         }
         let mut order: Vec<u32> = (0..n as u32).collect();
-        let mut conn = vec![0u64; k]; // scratch: weight to each part
+        // Scratch: weight to each part; all zero between vertices.
+        let mut conn = vec![0u64; k];
+        // ext[v]: neighbours outside v's part. Only where it is nonzero has
+        // v a part to move to.
+        let mut ext = self.external_degrees(assignment);
 
-        for _ in 0..passes {
+        for _ in 0..ml.refine_passes {
             order.shuffle(rng);
             let mut moved = 0usize;
             for &v in &order {
                 let v = v as usize;
-                let home = assignment[v] as usize;
-                if self.adj[v].is_empty() {
+                if ext[v] == 0 {
                     continue;
                 }
+                let home = assignment[v] as usize;
                 // Connectivity of v to each adjacent part.
-                for c in conn.iter_mut() {
-                    *c = 0;
-                }
                 let mut internal = 0u64;
-                for &(u, w) in &self.adj[v] {
+                for (u, w) in self.edges(v) {
                     let p = assignment[u as usize] as usize;
                     if p == home {
                         internal += w;
@@ -373,7 +400,7 @@ impl WorkGraph {
                 }
                 // Best destination by gain, then by resulting balance.
                 let mut best: Option<(usize, i64)> = None;
-                for &(u, _) in &self.adj[v] {
+                for (u, _) in self.edges(v) {
                     let p = assignment[u as usize] as usize;
                     if p == home || conn[p] == 0 {
                         continue;
@@ -394,8 +421,21 @@ impl WorkGraph {
                     weights[dest] += self.vwgt[v];
                     assignment[v] = dest as u32;
                     moved += 1;
+                    // v's old part gains an outside neighbour, its new part
+                    // loses one; v itself is recounted.
+                    ext[v] = 0;
+                    for (u, _) in self.edges(v) {
+                        let p = assignment[u as usize] as usize;
+                        if p == home {
+                            ext[u as usize] += 1;
+                        } else if p == dest {
+                            ext[u as usize] -= 1;
+                        }
+                        ext[v] += u32::from(p != dest);
+                    }
                 }
             }
+            debug_assert_eq!(ext, self.external_degrees(assignment));
             if moved == 0 {
                 break;
             }
@@ -422,7 +462,7 @@ impl WorkGraph {
                 for c in conn.iter_mut() {
                     *c = 0;
                 }
-                for &(u, w) in &self.adj[v] {
+                for (u, w) in self.edges(v) {
                     let p = assignment[u as usize] as usize;
                     if p != home {
                         conn[p] += w;
@@ -445,26 +485,214 @@ impl WorkGraph {
     }
 }
 
-/// Sorts an adjacency list by neighbor and sums weights of parallel edges.
-fn merge_parallel(list: &mut Vec<(u32, u64)>) {
-    list.sort_unstable_by_key(|&(u, _)| u);
-    let mut out = 0usize;
-    for i in 0..list.len() {
-        if out > 0 && list[out - 1].0 == list[i].0 {
-            list[out - 1].1 += list[i].1;
-        } else {
-            list[out] = list[i];
-            out += 1;
-        }
-    }
-    list.truncate(out);
+/// The ids of two sorted slices, merged into one sorted stream.
+fn merge_sorted<'a>(mut a: &'a [u32], mut b: &'a [u32]) -> impl Iterator<Item = u32> + 'a {
+    debug_assert!(a.windows(2).all(|w| w[0] <= w[1]) && b.windows(2).all(|w| w[0] <= w[1]));
+    std::iter::from_fn(move || {
+        let from = match (a.first(), b.first()) {
+            (Some(x), y) if y.is_none_or(|y| x <= y) => &mut a,
+            _ => &mut b,
+        };
+        let (&head, rest) = from.split_first()?;
+        *from = rest;
+        Some(head)
+    })
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cyclops_graph::gen::{erdos_renyi, rmat, road_lattice, RmatConfig};
-    use cyclops_graph::{GraphBuilder, VertexId};
+    use cyclops_graph::{Dataset, GraphBuilder, VertexId};
+    use proptest::prelude::*;
+
+    /// FNV-1a over the assignment's little-endian bytes.
+    fn digest(assignment: &[u32]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for b in assignment.iter().flat_map(|p| p.to_le_bytes()) {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    const KS: [usize; 4] = [2, 3, 8, 48];
+
+    /// `(dataset, scale, above 100 k vertices, digest at each of KS)` of the
+    /// default partitioner on `generate_scaled(scale, default_seed())`,
+    /// captured from the per-vertex `Vec` layout before the CSR rewrite.
+    const DIGESTS: [(Dataset, f64, bool, [u64; 4]); 7] = [
+        (
+            Dataset::Wiki,
+            1.0,
+            false,
+            [
+                0xc0519b90522eb2b5,
+                0x6ff7f37058104b14,
+                0x98c3ba0d5fe13f66,
+                0x5baabc5ceeb4a99e,
+            ],
+        ),
+        (
+            Dataset::GWeb,
+            2.0,
+            false,
+            [
+                0xcef473780cfc5065,
+                0xb8151444d140a827,
+                0x08db28d820dee9d2,
+                0x1a2996ae7c52ee92,
+            ],
+        ),
+        (
+            Dataset::Dblp,
+            4.0,
+            false,
+            [
+                0x56d26fcc191bbae4,
+                0x719c24cf4b0823e7,
+                0x0cbac3303210cab7,
+                0x37e958bf80b87a0a,
+            ],
+        ),
+        (
+            Dataset::SynGl,
+            2.0,
+            false,
+            [
+                0xb714816ad9f22644,
+                0xa0944f5ed20e8195,
+                0x5aec94181d40dbd0,
+                0x09dd03977cac9617,
+            ],
+        ),
+        (
+            Dataset::Amazon,
+            1.0,
+            false,
+            [
+                0xf085ce2d32eb58e4,
+                0xc7eaae989001c0f5,
+                0x385a113fa6dd5705,
+                0x6b3bd3645257991f,
+            ],
+        ),
+        (
+            Dataset::RoadCa,
+            1.0,
+            false,
+            [
+                0xd8f1e222353c87d5,
+                0x64d0d313ed7c4607,
+                0x8e174cd21148eb80,
+                0x78cee2fe0d92d063,
+            ],
+        ),
+        (
+            Dataset::RoadCa,
+            8.0,
+            true,
+            [
+                0x088005e063265cf4,
+                0x06402f9207b77df4,
+                0x4a317737eed70bc6,
+                0x0eb0db99f088f459,
+            ],
+        ),
+    ];
+
+    fn check_digest_cells(large: bool) {
+        for (d, scale, above_100k, digests) in DIGESTS {
+            if above_100k != large {
+                continue;
+            }
+            let g = d.generate_scaled(scale, d.default_seed());
+            assert_eq!(g.num_vertices() > 100_000, above_100k, "{d} x{scale}");
+            for (k, want) in KS.into_iter().zip(digests) {
+                let p = MultilevelPartitioner::default().partition(&g, k);
+                assert_eq!(digest(&p.assignment), want, "{d} x{scale}, k = {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn multilevel_assignments_match_the_parent() {
+        check_digest_cells(false);
+    }
+
+    /// RoadCA x8 at k = 2 is the `sssp-road-bucket` benchmark's own cut.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore)]
+    fn multilevel_assignments_match_the_parent_above_100k_vertices() {
+        check_digest_cells(true);
+    }
+
+    /// Graphs with self-loops, parallel edges and isolated vertices, from a
+    /// handful of vertices (fewer than k) to enough to coarsen twice.
+    fn arb_multigraph() -> impl Strategy<Value = Graph> {
+        (0usize..3)
+            .prop_flat_map(|size| [1usize..12, 12..400, 400..1500][size].clone())
+            .prop_flat_map(|n| {
+                prop::collection::vec((0..n as u32, 0..n as u32, 0u8..6), 0..3 * n).prop_map(
+                    move |edges| {
+                        let mut b = GraphBuilder::new(n);
+                        for (s, t, kind) in edges {
+                            match kind {
+                                0 => b.add_edge(s, s),
+                                1 => {
+                                    b.add_edge(s, t);
+                                    b.add_edge(s, t);
+                                }
+                                2 => b.add_undirected_edge(s, t),
+                                _ => b.add_edge(s, t),
+                            }
+                        }
+                        b.build()
+                    },
+                )
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn multilevel_matches_the_reference(
+            g in arb_multigraph(),
+            k in 1usize..9,
+            (seed, imbalance, refine_passes, initial_trials) in
+                (any::<u64>(), 0.0f64..0.3, 0usize..8, 0usize..5),
+        ) {
+            let ml = MultilevelPartitioner { imbalance, seed, refine_passes, initial_trials };
+            prop_assert_eq!(ml.partition(&g, k), reference::partition(&ml, &g, k));
+        }
+    }
+
+    #[test]
+    fn work_graph_cut_counts_the_graphs_cut_edges() {
+        let mut b = GraphBuilder::new(40);
+        for v in 0..40 {
+            b.add_edge(v, (v * 7 + 3) % 40);
+            b.add_edge(v, (v * 7 + 3) % 40); // parallel
+            b.add_undirected_edge(v, (v + 1) % 40);
+        }
+        b.add_edge(5, 5); // self-loop
+        let graphs = [
+            b.build(),
+            erdos_renyi(500, 3000, 2),
+            road_lattice(30, 30, 0.75, 0.05, 4),
+        ];
+        for g in &graphs {
+            for k in [2, 5] {
+                let p = MultilevelPartitioner::default().partition(g, k);
+                let cut = WorkGraph::from_graph(g).cut(&p.assignment);
+                assert_eq!(cut, p.edge_cut(g) as u64, "k = {k}");
+            }
+        }
+    }
 
     #[test]
     fn two_cliques_split_cleanly() {
@@ -540,13 +768,6 @@ mod tests {
         let p = MultilevelPartitioner::default().partition(&g, 1);
         assert_eq!(p.edge_cut(&g), 0);
         assert_eq!(p.part_sizes(), vec![100]);
-    }
-
-    #[test]
-    fn deterministic_for_fixed_seed() {
-        let g = erdos_renyi(500, 3000, 2);
-        let ml = MultilevelPartitioner::default();
-        assert_eq!(ml.partition(&g, 4), ml.partition(&g, 4));
     }
 
     #[test]

@@ -49,8 +49,8 @@ proptest! {
     }
 
     #[test]
-    fn multilevel_never_loses_to_itself_under_projection(g in arb_graph(), k in 2usize..5) {
-        // Determinism: the same seed gives the same partition.
+    fn multilevel_is_deterministic(g in arb_graph(), k in 2usize..5) {
+        // The same seed gives the same partition.
         let a = MultilevelPartitioner::default().partition(&g, k);
         let b = MultilevelPartitioner::default().partition(&g, k);
         prop_assert_eq!(a, b);
