@@ -8,28 +8,23 @@
 //! 4. **incremental vs cold restart** under topology mutation (the §8
 //!    extension): recomputation cost of absorbing an edge insertion,
 //! 5. **network model** — ideal wire vs modeled 1 GigE,
-//! 6. **compute scheduler** — static frontier shards vs degree-weighted
-//!    dynamic chunk claiming (bitwise-identical results, different CMP
-//!    balance),
-//! 7. **inbox discipline** — Hama with its own GlobalQueue inbox vs
+//! 6. **inbox discipline** — Hama with its own GlobalQueue inbox vs
 //!    Cyclops' sharded per-sender lanes grafted on,
-//! 8. **adaptive wire format** — the self-selecting sparse/dense
+//! 7. **adaptive wire format** — the self-selecting sparse/dense
 //!    `ReplicaBatch` framing vs the legacy per-update tuple framing it
 //!    replaced (the encoder computes both sizes exactly, so one run
 //!    reports both),
-//! 9. **bucketed execution** — delta-stepping priority buckets vs one
+//! 8. **bucketed execution** — delta-stepping priority buckets vs one
 //!    barrier per hop on the high-diameter SSSP workload,
-//! 10. **hybrid replication** — full boundary replication vs the degree
-//!     threshold that messages cold boundary vertices directly.
+//! 9. **hybrid replication** — full boundary replication vs the degree
+//!    threshold that messages cold boundary vertices directly.
 
 use cyclops_algos::pagerank::{BspPageRank, CyclopsPageRank};
 use cyclops_algos::sssp::{auto_bucket_width, CyclopsSssp};
 use cyclops_bench::report::{self, Table};
 use cyclops_bench::workloads;
 use cyclops_bsp::{run_bsp, BspConfig};
-use cyclops_engine::{
-    run_cyclops, run_cyclops_evolving, CyclopsConfig, MutationBatch, Sched, WarmStart,
-};
+use cyclops_engine::{run_cyclops, run_cyclops_evolving, CyclopsConfig, MutationBatch, WarmStart};
 use cyclops_graph::Dataset;
 use cyclops_net::NetworkModel;
 use cyclops_partition::{EdgeCutPartitioner, HashPartitioner};
@@ -253,48 +248,7 @@ fn main() {
          \x20 on the paper's real cluster both effects stack)"
     );
 
-    // ---- 6. Compute scheduler: static shards vs dynamic claiming. ----
-    report::subheading("compute scheduler: static shards vs degree-weighted dynamic (CyclopsMT)");
-    let mt = workloads::paper_cluster_mt(12);
-    let pmt = HashPartitioner.partition(&g, mt.num_workers());
-    let mut table = Table::new(&["scheduler", "supersteps", "vertex computes", "time (s)"]);
-    let mut results = Vec::new();
-    for (name, sched) in [("static", Sched::Static), ("dynamic", Sched::Dynamic)] {
-        let r = run_cyclops(
-            &CyclopsPageRank { epsilon: 1e-7 },
-            &g,
-            &pmt,
-            &CyclopsConfig {
-                cluster: mt,
-                max_supersteps: 100,
-                sched,
-                ..Default::default()
-            },
-        );
-        table.row(vec![
-            name.into(),
-            r.supersteps.to_string(),
-            report::count(r.stats.iter().map(|s| s.active_vertices).sum()),
-            report::secs(r.elapsed),
-        ]);
-        results.push(r);
-    }
-    table.print();
-    let bitwise_equal = results[0]
-        .values
-        .iter()
-        .zip(&results[1].values)
-        .all(|(a, b)| a.to_bits() == b.to_bits());
-    println!(
-        "  (chunk-ordered reduction keeps the schedulers bitwise identical: {})",
-        if bitwise_equal {
-            "verified"
-        } else {
-            "VIOLATED"
-        }
-    );
-
-    // ---- 7. Inbox discipline on the Hama baseline. ----
+    // ---- 6. Inbox discipline on the Hama baseline. ----
     report::subheading("Hama inbox: GlobalQueue (one locked queue) vs Sharded sender lanes");
     let mut table = Table::new(&["inbox", "messages", "lock contentions", "time (s)"]);
     for (name, inbox) in [
@@ -323,7 +277,7 @@ fn main() {
     table.print();
     println!("  (sharded lanes remove enqueue contention even under Hama's semantics)");
 
-    // ---- 8. Adaptive wire format vs legacy framing. ----
+    // ---- 7. Adaptive wire format vs legacy framing. ----
     report::subheading("wire format: adaptive sparse/dense ReplicaBatch vs legacy tuple framing");
     let road = workloads::gen_graph(Dataset::RoadCa, fraction);
     let proad = HashPartitioner.partition(&road, cluster.num_workers());
@@ -372,7 +326,7 @@ fn main() {
          \x20 sparse convergence tail, the SSSP wavefront stays sparse throughout)"
     );
 
-    // ---- 9. Bucketed delta-stepping vs barrier-per-hop SSSP. ----
+    // ---- 8. Bucketed delta-stepping vs barrier-per-hop SSSP. ----
     report::subheading("bucketed execution: delta-stepping buckets vs one barrier per hop");
     let width = auto_bucket_width(&road);
     let bucketed = run_cyclops(
@@ -420,7 +374,7 @@ fn main() {
          \x20 are bitwise identical — asserted above)"
     );
 
-    // ---- 10. Hybrid replication degree threshold. ----
+    // ---- 9. Hybrid replication degree threshold. ----
     // Convergence epsilon, not the quick-mode one: a messaged vertex trades
     // standing per-superstep replica costs for a one-shot direct frame, so
     // the byte balance only settles once the run is long enough to amortize

@@ -6,9 +6,7 @@
 //! check), hot-vertex top-K capture (Space-Saving record vs the disabled
 //! Option check), the flight recorder's span hot path (ring write vs the
 //! disabled Option check), the communication matrix's per-flush accounting
-//! (per-destination cells vs the aggregate counters), the compute
-//! scheduler's frontier-dispatch strategies on a skewed R-MAT frontier,
-//! hybrid plan
+//! (per-destination cells vs the aggregate counters), hybrid plan
 //! construction against the full-replication build it extends, the two
 //! per-edge operations of the view (a frontier mark — first, repeated, and
 //! repeated through a real plan's reader lists — and a gather through
@@ -397,133 +395,6 @@ fn bench_comm_matrix(c: &mut Criterion) {
     group.finish();
 }
 
-/// The PR 3 scheduling dial, isolated from the engine: dispatch a skewed
-/// R-MAT frontier to T compute threads three ways and measure the aggregate
-/// CPU cost of the dispatch + per-vertex work.
-///
-/// * `static_full_scan` — the pre-PR engine loop: every thread walks the
-///   *entire* frontier and skips entries outside its vertex range, an
-///   O(frontier × threads) scan.
-/// * `static_shards` — owner-sharded sub-frontiers: each thread walks only
-///   its contiguous slice, O(frontier) total but chunk mass as skewed as
-///   the degree distribution.
-/// * `dynamic_mass_chunks` — equal out-degree-mass chunks claimed off an
-///   atomic cursor, O(frontier) total *and* balanced mass per claim.
-///
-/// Threads are simulated sequentially (single accumulated cost), so the
-/// numbers compare total work, not parallel wall-clock: the full-scan
-/// variant loses by the scan factor here, and on real multicore the
-/// static-shards variant additionally loses wall-clock to mass skew —
-/// visible in the `cyclops_compute_imbalance` histogram, not this bench.
-fn bench_scheduling(c: &mut Criterion) {
-    const THREADS: usize = 4;
-    let g = rmat(
-        RmatConfig {
-            scale: 13,
-            edges: 60_000,
-            ..Default::default()
-        },
-        7,
-    );
-    let n = g.num_vertices();
-    // Full frontier, in vertex order — what the sorted-flat drain produces.
-    let frontier: Vec<u32> = (0..n as u32).collect();
-    // Work mass per frontier entry = in-degree + 1, mirroring the engine's
-    // degree-weighted chunk cuts.
-    let mass: Vec<u64> = frontier
-        .iter()
-        .map(|&v| g.in_neighbors(v).len() as u64 + 1)
-        .collect();
-
-    // Per-vertex compute: fold the in-neighborhood, the same memory access
-    // pattern as a PageRank gather.
-    let work = |v: u32| -> u64 {
-        let mut acc = v as u64;
-        for &u in g.in_neighbors(v) {
-            acc = acc.wrapping_add(u as u64);
-        }
-        acc
-    };
-
-    // Equal-mass chunk boundaries by cross-multiplied prefix sums —
-    // mirrors cyclops-engine's build_mass_chunks.
-    let mass_chunk_ends = |chunks: usize| -> Vec<usize> {
-        let total: u64 = mass.iter().sum();
-        let mut ends = Vec::with_capacity(chunks);
-        let mut cum = 0u64;
-        let mut next = 1u64;
-        for (i, m) in mass.iter().enumerate() {
-            cum += m;
-            while next <= chunks as u64 && cum * chunks as u64 >= next * total {
-                ends.push(i + 1);
-                next += 1;
-            }
-        }
-        while ends.len() < chunks {
-            ends.push(frontier.len());
-        }
-        ends
-    };
-
-    let mut group = c.benchmark_group("scheduling_skewed_frontier");
-    group.throughput(Throughput::Elements(frontier.len() as u64));
-
-    group.bench_function("static_full_scan", |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            for t in 0..THREADS {
-                // Ceil-based shard bounds on the *vertex id* space, as the
-                // old engine sharded masters.
-                let lo = (t * n).div_ceil(THREADS) as u32;
-                let hi = ((t + 1) * n).div_ceil(THREADS) as u32;
-                for &v in &frontier {
-                    if v < lo || v >= hi {
-                        continue; // the scan-and-skip tax
-                    }
-                    acc = acc.wrapping_add(work(v));
-                }
-            }
-            std::hint::black_box(acc)
-        })
-    });
-
-    group.bench_function("static_shards", |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            for t in 0..THREADS {
-                let lo = (t * frontier.len()).div_ceil(THREADS);
-                let hi = ((t + 1) * frontier.len()).div_ceil(THREADS);
-                for &v in &frontier[lo..hi] {
-                    acc = acc.wrapping_add(work(v));
-                }
-            }
-            std::hint::black_box(acc)
-        })
-    });
-
-    let ends = mass_chunk_ends(THREADS * 4);
-    group.bench_function("dynamic_mass_chunks", |b| {
-        b.iter(|| {
-            let cursor = std::sync::atomic::AtomicUsize::new(0);
-            let mut acc = 0u64;
-            for _t in 0..THREADS {
-                loop {
-                    let c = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if c >= ends.len() {
-                        break;
-                    }
-                    let lo = if c == 0 { 0 } else { ends[c - 1] };
-                    for &v in &frontier[lo..ends[c]] {
-                        acc = acc.wrapping_add(work(v));
-                    }
-                }
-            }
-            std::hint::black_box(acc)
-        })
-    });
-    group.finish();
-}
-
 /// Ingress cost of hybrid plan construction: rewiring cold boundary
 /// vertices to direct-message tables happens once at plan build, and this
 /// pins its price against the threshold-0 build it replaces.
@@ -650,7 +521,7 @@ fn bench_frontier_mark(c: &mut Criterion) {
     group.throughput(Throughput::Elements(N as u64));
     group.bench_function("first_mark", |b| {
         b.iter_batched(
-            || Frontier::new(N, 1),
+            || Frontier::new(N),
             |f| {
                 for li in 0..N {
                     f.mark(0, li);
@@ -660,7 +531,7 @@ fn bench_frontier_mark(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
-    let marked = Frontier::new(N, 1);
+    let marked = Frontier::new(N);
     for li in 0..N {
         marked.mark(0, li);
     }
@@ -672,7 +543,7 @@ fn bench_frontier_mark(c: &mut Criterion) {
         })
     });
     let wp = wiki_worker_plan();
-    let marked = Frontier::new(wp.num_masters(), 1);
+    let marked = Frontier::new(wp.num_masters());
     let entries: usize = (0..wp.num_view_slots()).map(|s| wp.readers(s).len()).sum();
     for li in (0..wp.num_view_slots()).flat_map(|s| wp.readers(s)) {
         marked.mark(0, *li as usize);
@@ -701,9 +572,9 @@ fn bench_frontier_mark(c: &mut Criterion) {
 fn bench_activation_dense(c: &mut Criterion) {
     let wp = wiki_worker_plan();
     let slots = wp.num_view_slots();
-    let frontier = Frontier::new(wp.num_masters(), 1);
+    let frontier = Frontier::new(wp.num_masters());
     let fresh = FreshSlots::new(slots);
-    let (mut flat, mut ends) = (Vec::new(), Vec::new());
+    let mut flat = Vec::new();
     let mut group = c.benchmark_group("activation_dense");
     for percent in [1usize, 10, 50, 100] {
         // 40 503 is odd and not a multiple of 5, so `s * 40_503 % 100` runs
@@ -717,7 +588,7 @@ fn bench_activation_dense(c: &mut Criterion) {
                         frontier.mark(0, li as usize);
                     }
                 }
-                frontier.snapshot(0, &mut flat, &mut ends);
+                frontier.snapshot(0, &mut flat);
                 woken[0] = flat.len();
             })
         });
@@ -730,7 +601,7 @@ fn bench_activation_dense(c: &mut Criterion) {
                 drop(writer);
                 frontier.fill_from(0, &wp, &fresh, (0, 1));
                 fresh.clear();
-                frontier.snapshot(0, &mut flat, &mut ends);
+                frontier.snapshot(0, &mut flat);
                 woken[1] = flat.len();
             })
         });
@@ -747,7 +618,7 @@ fn bench_activation_dense(c: &mut Criterion) {
 
 /// One superstep of frontier work for a worker of `sssp-road-hop`'s size
 /// (61 250 masters, 958 words a parity) at five densities: mark the active
-/// set in scrambled order, then snapshot it into reused `flat` / `ends`. The
+/// set in scrambled order, then snapshot it into a reused `flat`. The
 /// 0 % row is what a superstep that woke nobody pays to find that out — the
 /// number a summary level over the words would have to beat.
 fn bench_frontier_snapshot(c: &mut Criterion) {
@@ -756,8 +627,8 @@ fn bench_frontier_snapshot(c: &mut Criterion) {
     // permutation, so its first `count` values are distinct and scattered.
     const STRIDE: usize = 40_503;
     let mut group = c.benchmark_group("frontier_snapshot");
-    let f = Frontier::new(N, 1);
-    let (mut flat, mut ends) = (Vec::new(), Vec::new());
+    let f = Frontier::new(N);
+    let mut flat = Vec::new();
     for (density, count) in [
         ("0", 0),
         ("0.01pct", N / 10_000),
@@ -770,7 +641,7 @@ fn bench_frontier_snapshot(c: &mut Criterion) {
                 for i in 0..count {
                     f.mark(0, i * STRIDE % N);
                 }
-                f.snapshot(0, &mut flat, &mut ends);
+                f.snapshot(0, &mut flat);
                 assert_eq!(flat.len(), count);
             })
         });
@@ -882,7 +753,6 @@ criterion_group!(
     bench_hot_vertex,
     bench_span_event,
     bench_comm_matrix,
-    bench_scheduling,
     bench_plan_build_hybrid,
     bench_plan_build_hub,
     bench_frontier_mark,

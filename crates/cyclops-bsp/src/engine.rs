@@ -15,8 +15,8 @@
 //! [`Worker::capture_checkpoint`], and [`Worker::sync`] (SYN), whose leader
 //! calls [`Run::publish_aggregate`] and [`Run::close_superstep`] and which
 //! [`Worker::commit_superstep`] follows for the observers. The two drivers
-//! keep what is theirs alone: [`worker_loop`] the awake list and the sparse
-//! walk, [`bucketed_worker_loop`] bucket selection, the parked minimum, the
+//! keep what is theirs alone: [`worker_loop`] the awake list it walks,
+//! [`bucketed_worker_loop`] bucket selection, the parked minimum, the
 //! verdict protocol and the per-bucket counts.
 
 use crate::checkpoint::Checkpoint;
@@ -61,20 +61,13 @@ pub struct BspConfig {
     /// the default; [`InboxMode::Sharded`] swaps in Cyclops' contention-free
     /// per-sender lanes for an apples-to-apples inbox ablation.
     pub inbox: InboxMode,
-    /// Sparse-superstep fast path: when the fraction of un-halted local
-    /// vertices drops below this cutoff, the worker walks its sorted awake
-    /// list instead of scanning every local for the halted flag. Same
-    /// vertices in the same ascending order — results, message counts and
-    /// bytes are bitwise identical to the dense scan. `0.0` disables.
-    pub sparse_cutoff: f64,
     /// Bucketed (delta-stepping) execution: when `> 0.0`, activations carry
     /// a priority ([`BspProgram::priority`]) and each superstep drains one
     /// priority bucket of width `bucket_width` to a fixpoint through fused
     /// lockstep rounds — deferring out-of-bucket vertices with their
     /// mailboxes intact — instead of running exactly one relaxation round
     /// per superstep. `0.0` (the default) disables bucketing and leaves the
-    /// classic loop untouched; the bucketed path always walks the pending
-    /// list, so `sparse_cutoff` does not apply to it.
+    /// classic loop untouched.
     pub bucket_width: f64,
     /// Drain discipline of the bucketed scheduler (ignored when
     /// `bucket_width` is `0.0`). [`BucketMode::Det`] keeps each round's
@@ -93,7 +86,6 @@ impl Default for BspConfig {
             checkpoint_every: None,
             network: cyclops_net::NetworkModel::ideal(),
             inbox: InboxMode::GlobalQueue,
-            sparse_cutoff: 0.015,
             bucket_width: 0.0,
             bucket_mode: BucketMode::Det,
         }
@@ -691,42 +683,20 @@ fn worker_loop<P: BspProgram>(run: &Run<'_, P>, mut wk: Worker<'_, P>) {
             wk.capture_checkpoint(superstep);
         }
 
-        // ---- CMP: run compute on active vertices. ----
-        // Below the sparse cutoff, walk the awake list instead of scanning
-        // every local for the halted flag. Both walks visit the same
-        // vertices in the same ascending order, so results and traffic are
-        // bitwise identical; only the O(|locals|) scan is saved.
-        let num_locals = wk.st.locals.len();
-        let fast = config.sparse_cutoff > 0.0
-            && (awake.len() as f64) < config.sparse_cutoff * num_locals as f64;
-        let mut computed = 0usize;
+        // ---- CMP: run compute on the awake list — every un-halted
+        // vertex, ascending. ----
+        let computed = awake.len();
         let cmp = wk.begin_compute();
         next_awake.clear();
-        let mut body = |li: usize| {
-            if wk.st.halted[li] {
-                return;
-            }
-            computed += 1;
-            if !wk.compute_vertex(li, superstep) {
-                next_awake.push(li as u32);
-            }
-        };
-        if fast {
-            for &li in &awake {
-                body(li as usize);
-            }
-        } else {
-            for li in 0..num_locals {
-                body(li);
+        for &li in &awake {
+            if !wk.compute_vertex(li as usize, superstep) {
+                next_awake.push(li);
             }
         }
         wk.end_compute(cmp, superstep, [received, computed, next_awake.len()]);
         // The ascending compute walk rebuilt the un-halted set in order.
         std::mem::swap(&mut awake, &mut next_awake);
         run.active_total.fetch_add(computed, Ordering::Relaxed);
-        if let (Some(tr), true) = (wk.tracer, fast) {
-            tr.mark_sparse_fast_path();
-        }
 
         wk.send(epochs);
 
@@ -1106,61 +1076,6 @@ mod tests {
             cp,
         );
         assert_eq!(resumed.values, full.values);
-    }
-
-    #[test]
-    fn sparse_fast_path_is_result_and_counter_invariant() {
-        // MaxFlood on a ring has a 1-2 vertex frontier after superstep 0, so
-        // a generous cutoff keeps the awake-list walk engaged for nearly the
-        // whole run. Everything observable must match the dense scan.
-        let g = ring(96);
-        let p = HashPartitioner.partition(&g, 4);
-        let run = |cutoff: f64| {
-            run_bsp(
-                &MaxFlood,
-                &g,
-                &p,
-                &BspConfig {
-                    cluster: ClusterSpec::flat(4, 1),
-                    sparse_cutoff: cutoff,
-                    ..Default::default()
-                },
-            )
-        };
-        let dense = run(0.0);
-        let sparse = run(2.0);
-        assert_eq!(dense.values, sparse.values);
-        assert_eq!(dense.supersteps, sparse.supersteps);
-        assert_eq!(dense.counters.messages, sparse.counters.messages);
-        assert_eq!(dense.counters.bytes, sparse.counters.bytes);
-        assert!(dense.counters.bytes > 0);
-        for (a, b) in dense.stats.iter().zip(&sparse.stats) {
-            assert_eq!(a.active_vertices, b.active_vertices);
-            assert_eq!(a.messages_sent, b.messages_sent);
-        }
-    }
-
-    #[test]
-    fn fast_path_supersteps_are_flagged_in_traces() {
-        let g = ring(64);
-        let cluster = ClusterSpec::flat(2, 1);
-        let p = HashPartitioner.partition(&g, 2);
-        let mut sink = cyclops_net::trace::TraceSink::new("bsp", &cluster);
-        let r = run_bsp_traced(
-            &MaxFlood,
-            &g,
-            &p,
-            &BspConfig {
-                cluster,
-                sparse_cutoff: 2.0,
-                ..Default::default()
-            },
-            Some(&sink),
-        );
-        assert!(r.supersteps > 2);
-        let records = sink.take_records();
-        assert!(!records.is_empty());
-        assert!(records.iter().all(|rec| rec.sparse_fast_path));
     }
 
     #[test]

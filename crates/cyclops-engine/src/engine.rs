@@ -48,10 +48,10 @@
 //!
 //! `thread_loop` runs one barrier pair per relaxation round and owns the
 //! intra-worker barrier choreography, the frontier snapshot and its mass
-//! chunks, chunk claiming, the `[dest][thread]` deposit/merge, and the sparse
-//! fast path's "leader does it all". `settle_bucket` runs one barrier pair per
-//! priority bucket, on the global leader alone, and owns bucket selection, the
-//! per-round dirty-list dedup, fast-mode chaining and Δ retuning.
+//! chunks, chunk claiming and the `[dest][thread]` deposit/merge.
+//! `settle_bucket` runs one barrier pair per priority bucket, on the global
+//! leader alone, and owns bucket selection, the per-round dirty-list dedup,
+//! fast-mode chaining and Δ retuning.
 //!
 //! # Safety
 //!
@@ -93,9 +93,15 @@ use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicU64, AtomicUsize, Orderin
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
-/// How many work-mass chunks the dynamic scheduler cuts per compute thread.
-/// More chunks → finer rebalancing but more claim/reduce overhead; 4 keeps
-/// the straggler window at ~25 % of a thread's share.
+/// How many chunks of the frontier CMP cuts per compute thread. The chunks
+/// are contiguous spans of roughly equal *work mass* (in-edges + activation
+/// fan-out + mirrors, prefix-summed once at plan build, see
+/// [`build_mass_chunks`]) and threads claim them through an atomic cursor, so
+/// a skewed span cannot serialize the superstep behind one thread; per-chunk
+/// float partials are reduced in chunk-index order, so the claim order never
+/// shows in the results. More chunks → finer rebalancing but more
+/// claim/reduce overhead; 4 keeps the straggler window at ~25 % of a thread's
+/// share.
 const CHUNKS_PER_THREAD: usize = 4;
 
 /// Convergence detection scheme (§4.4).
@@ -123,31 +129,11 @@ pub enum Convergence {
     },
 }
 
-/// Compute-phase scheduling policy (the CLI's `--sched` dial).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Sched {
-    /// Each compute thread processes exactly its own frontier shard —
-    /// no scan-and-skip, but degree skew can leave one thread the
-    /// straggler. Kept as the ablation baseline.
-    Static,
-    /// The frontier is cut into [`CHUNKS_PER_THREAD`]`×T` spans of roughly
-    /// equal *work mass* (in-edges + activation fan-out + mirrors,
-    /// prefix-summed once at plan build) and threads claim spans through an
-    /// atomic cursor, so a skewed span cannot serialize the superstep
-    /// behind one thread. Per-chunk float partials are reduced in
-    /// chunk-index order, keeping results bitwise deterministic regardless
-    /// of claim order. The default.
-    #[default]
-    Dynamic,
-}
-
 /// Engine configuration.
 #[derive(Clone, Debug)]
 pub struct CyclopsConfig {
     /// Cluster topology; decides flat Cyclops vs CyclopsMT.
     pub cluster: ClusterSpec,
-    /// Compute-phase scheduling policy.
-    pub sched: Sched,
     /// Global hard cap on the superstep index: no superstep with index
     /// `>= max_supersteps` ever executes, and a checkpoint-resume continues
     /// toward the *same* cap (it does not get a fresh budget from the
@@ -159,15 +145,6 @@ pub struct CyclopsConfig {
     pub checkpoint_every: Option<usize>,
     /// Cost model for cross-machine traffic (default: ideal / zero delay).
     pub network: cyclops_net::NetworkModel,
-    /// Sparse-superstep fast path threshold, as a fraction of a worker's
-    /// local masters: when a worker's frontier falls below
-    /// `sparse_cutoff × num_masters`, the superstep runs on a single
-    /// compute thread with direct lane sends — skipping chunk claiming and
-    /// the per-thread outbox fan-out whose fixed cost dominates sparse
-    /// high-diameter workloads (SSSP on road networks). `0.0` disables the
-    /// fast path. Results are identical either way; only the schedule
-    /// changes.
-    pub sparse_cutoff: f64,
     /// Priority-bucket width Δ of the bucketed (delta-stepping) scheduler.
     /// `0.0` (the default) disables bucketing: the engine runs the classic
     /// one-relaxation-round-per-barrier loop. With Δ > 0, each superstep
@@ -202,7 +179,7 @@ pub struct CyclopsConfig {
     pub stop_at_checkpoint: bool,
     /// Deterministic per-vertex compute-cost ledger fed by the compute
     /// loop: each computed master is charged its static work mass (the
-    /// same proxy the dynamic scheduler balances). `None` (the default)
+    /// same proxy the compute chunks balance). `None` (the default)
     /// records nothing. Counters, not clocks — the ledger's totals are
     /// bitwise identical across thread counts.
     pub load_ledger: Option<std::sync::Arc<cyclops_partition::LoadLedger>>,
@@ -219,12 +196,10 @@ impl Default for CyclopsConfig {
     fn default() -> Self {
         CyclopsConfig {
             cluster: ClusterSpec::flat(2, 2),
-            sched: Sched::Dynamic,
             max_supersteps: 10_000,
             convergence: Convergence::ActiveVertices,
             checkpoint_every: None,
             network: cyclops_net::NetworkModel::ideal(),
-            sparse_cutoff: 0.015,
             bucket_width: 0.0,
             bucket_mode: BucketMode::Det,
             replicate_threshold: 0,
@@ -268,8 +243,8 @@ pub struct CyclopsResult<V, M> {
 /// What one compute chunk (or, reduced, one worker's superstep, or the whole
 /// superstep) reports to the leader. Addition order cannot change the
 /// integer counts, but the float sums are reduced in a fixed order — chunks
-/// within a worker, then workers — so the dynamic scheduler's claim order
-/// never shows in the results.
+/// within a worker, then workers — so the chunk claim order never shows in
+/// the results.
 #[derive(Clone, Copy, Default)]
 struct ChunkPartial {
     agg: AggregateStats,
@@ -327,15 +302,15 @@ struct WorkerShared<V, M> {
     fresh: FreshSlots,
     /// Whether this superstep's publications wake their readers by pull —
     /// the local ones in its CMP, the remote ones in the next superstep's
-    /// PRS on this worker. Decided with `fast_path`, read like it.
+    /// PRS on this worker. Decided by the worker leader at the frontier
+    /// snapshot, read by every thread after the barrier that follows it.
     pull: AtomicBool,
     /// This superstep's snapshot: the ascending flat frontier...
     flat: parking_lot::RwLock<Vec<u32>>,
-    /// ...and its chunk end offsets — shard ends under [`Sched::Static`],
-    /// equal-work-mass ends under [`Sched::Dynamic`]. Chunk `c` is
+    /// ...and its equal-work-mass chunk end offsets: chunk `c` is
     /// `flat[ends[c-1]..ends[c]]`.
     ends: parking_lot::RwLock<Vec<u32>>,
-    /// Next unclaimed chunk index (dynamic scheduling).
+    /// Next unclaimed chunk index.
     cursor: AtomicUsize,
     /// Per-chunk float partials, written by whichever thread computed the
     /// chunk and reduced in chunk-index order by the worker leader.
@@ -347,12 +322,8 @@ struct WorkerShared<V, M> {
     /// destination publications at the end of CMP; flush threads merge the
     /// thread slots in thread order and send **one batch per destination**
     /// per superstep, so the batch count (and its wire framing) stays
-    /// deterministic under dynamic chunk claiming.
+    /// deterministic whatever chunks a thread claimed.
     deposits: Vec<Vec<Mutex<Vec<ReplicaUpdate<M>>>>>,
-    /// Whether this superstep runs on the sparse fast path (decided by the
-    /// worker leader at frontier snapshot, read by every thread after the
-    /// post-snapshot barrier).
-    fast_path: AtomicBool,
     /// Per-master converged flags (Proportion mode).
     converged: Vec<AtomicBool>,
     /// Intra-worker phase barrier (T participants).
@@ -502,10 +473,7 @@ fn run_with_activation<P: CyclopsProgram>(
         let mut msgs: Vec<Option<P::Message>> = Vec::with_capacity(n);
         let (frontier, fresh) = {
             let _mem = MemScope::enter(Component::Frontier);
-            (
-                Frontier::new(n, threads),
-                FreshSlots::new(wp.num_view_slots()),
-            )
+            (Frontier::new(n), FreshSlots::new(wp.num_view_slots()))
         };
         for (li, &v) in wp.masters.iter().enumerate() {
             if let Some(Some((_, value, publication, active))) = restored.get(v as usize) {
@@ -547,7 +515,6 @@ fn run_with_activation<P: CyclopsProgram>(
                 .collect(),
             cmp_ns: (0..threads).map(|_| AtomicU64::new(0)).collect(),
             deposits: (0..num_workers).map(thread_slots).collect(),
-            fast_path: AtomicBool::new(false),
             converged: (0..n).map(|_| AtomicBool::new(false)).collect(),
             local: Barrier::new(threads),
         });
@@ -849,7 +816,7 @@ impl<'r, P: CyclopsProgram> Worker<'r, P> {
         acc.part.computed += 1;
         if let Some(hs) = acc.hot.as_mut() {
             // Degree-derived work mass is the per-vertex cost proxy — the
-            // same estimate the dynamic scheduler balances on.
+            // same estimate the compute chunks balance on.
             hs.record(wp.masters[li], wp.work_mass[li].max(1) as u64);
         }
         let (mut publish, mut reported) = (None, None);
@@ -1087,15 +1054,9 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
     let (ws, wp) = (wk.ws, wk.wp);
     let lane = w * run.threads + t;
     let num_workers = run.plan.workers.len();
-    let sched = run.config.sched;
-    // Number of compute chunks per superstep: the thread shards themselves
-    // (static) or finer equal-work-mass spans claimed via the cursor
-    // (dynamic). Fixed per run, so every partial slot in `0..chunks` is
-    // written every superstep — no stale-slot hazard.
-    let chunks = match sched {
-        Sched::Static => run.threads,
-        Sched::Dynamic => run.threads * CHUNKS_PER_THREAD,
-    };
+    // Compute chunks per superstep. Fixed per run, so every partial slot in
+    // `0..chunks` is written every superstep — no stale-slot hazard.
+    let chunks = run.threads * CHUNKS_PER_THREAD;
 
     // How this driver wakes the readers of a written slot, for the parity of
     // the superstep that will compute them: push a lock-free frontier bit to
@@ -1203,21 +1164,10 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
                 ws.fresh.clear();
             }
             let mut flat = ws.flat.write();
-            let mut ends = ws.ends.write();
-            ws.frontier.snapshot(cur_parity, &mut flat, &mut ends);
+            ws.frontier.snapshot(cur_parity, &mut flat);
             frontier_len = flat.len();
-            if sched == Sched::Dynamic {
-                // Replace the shard ends with equal-work-mass chunk ends.
-                build_mass_chunks(&flat, &mut ends, &wp.work_mass, chunks);
-            }
+            build_mass_chunks(&flat, &mut ws.ends.write(), &wp.work_mass, chunks);
             ws.cursor.store(0, Ordering::Relaxed);
-            // Sparse fast path: below the cutoff the whole frontier runs on
-            // this thread, walking the same chunk boundaries in chunk order
-            // (identical float-reduction grouping), while the other threads
-            // sit out the claim loop and the outbox fan-out is bypassed.
-            let fast = run.config.sparse_cutoff > 0.0
-                && (frontier_len as f64) < run.config.sparse_cutoff * wp.num_masters() as f64;
-            ws.fast_path.store(fast, Ordering::Relaxed);
             let pull = run.force_pull.unwrap_or_else(|| pull_wins(&flat, wp));
             ws.pull.store(pull, Ordering::Relaxed);
             if let Some(so) = &run.sched_obs {
@@ -1230,36 +1180,19 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
         times.add(Phase::Sync, wait_start.elapsed());
 
         // ---- Compute phase (CMP). ----
-        let fast = ws.fast_path.load(Ordering::Relaxed);
         let pull = ws.pull.load(Ordering::Relaxed);
         let compute_start = Instant::now();
         let cmp_span = flight.map(|r| r.now_ns());
         {
             let flat = ws.flat.read();
             let ends = ws.ends.read();
-            // Claim the next chunk: statically this thread's own shard,
-            // dynamically whatever the cursor hands out — or, on the fast
-            // path, every chunk in index order on the leader alone (same
-            // chunk grouping, so the chunk-ordered float reduction is
-            // bitwise identical to the parallel schedule).
-            let mut own = match (fast, t) {
-                (true, 0) => 0..chunks,
-                (true, _) => 0..0,
-                (false, _) => t..t + 1,
-            };
-            let mut claim = || match sched {
-                Sched::Dynamic if !fast => Some(ws.cursor.fetch_add(1, Ordering::Relaxed)),
-                _ => own.next(),
-            };
-            while let Some(c) = claim().filter(|&c| c < chunks) {
+            // Claim whatever chunk the cursor hands out next.
+            let claim = || Some(ws.cursor.fetch_add(1, Ordering::Relaxed)).filter(|&c| c < chunks);
+            while let Some(c) = claim() {
                 let lo = if c == 0 { 0 } else { ends[c - 1] as usize };
                 let hi = ends[c] as usize;
-                // Dynamic claims are the events worth their own timeline
-                // rows; static shards and fast-path walks are already the
-                // compute span.
-                let chunk_span = flight
-                    .filter(|_| sched == Sched::Dynamic && !fast)
-                    .map(|r| r.now_ns());
+                // Each claim is an event worth its own timeline row.
+                let chunk_span = flight.map(|r| r.now_ns());
                 acc.part = ChunkPartial::default();
                 let chunk = &flat[lo..hi];
                 if pull {
@@ -1288,18 +1221,14 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
         end_span(flight, cmp_span, SpanKind::Compute, [step, 0, 0]);
         // Deposit this thread's outboxes into the worker's `deposits` slots
         // (swaps — the slot left empty by last superstep's flush trades
-        // places with the filled local outbox, so capacities recycle). The
-        // fast path skips the fan-out entirely: the leader holds every
-        // message already and sends directly after the barrier.
-        if !fast {
-            let deposit_start = Instant::now();
-            for (dest, ob) in out.iter_mut().enumerate() {
-                if !ob.is_empty() {
-                    std::mem::swap(&mut *ws.deposits[dest][t].lock(), ob);
-                }
+        // places with the filled local outbox, so capacities recycle).
+        let deposit_start = Instant::now();
+        for (dest, ob) in out.iter_mut().enumerate() {
+            if !ob.is_empty() {
+                std::mem::swap(&mut *ws.deposits[dest][t].lock(), ob);
             }
-            times.add(Phase::Send, deposit_start.elapsed());
         }
+        times.add(Phase::Send, deposit_start.elapsed());
         let wait_start = Instant::now();
         ws.local.wait();
         times.add(Phase::Sync, wait_start.elapsed());
@@ -1323,17 +1252,13 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
         // `deposits`; the adaptive wire format canonicalizes each batch by
         // slot id, so the *bytes* are order-independent too) into `flush`,
         // not `out` — the send gives the buffer away, and the deposit slots
-        // and local outboxes keep the capacities they trade. On the fast
-        // path nothing was deposited: the leader's outboxes go out as they
-        // are on its own lane — same one-batch-per-destination framing, no
-        // merge — and the other threads' are empty.
-        let mine = if fast { 0..0 } else { t..num_workers };
-        for dest in mine.step_by(run.threads) {
+        // and local outboxes keep the capacities they trade.
+        for dest in (t..num_workers).step_by(run.threads) {
             for slot in &ws.deposits[dest] {
                 flush[dest].append(&mut slot.lock());
             }
         }
-        wk.send_outboxes(lane, superstep, if fast { &mut out } else { &mut flush });
+        wk.send_outboxes(lane, superstep, &mut flush);
         times.add(Phase::Send, send_start.elapsed());
         end_span(flight, snd_span, SpanKind::Send, [step, 0, 0]);
 
@@ -1348,24 +1273,17 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
         }
         let mut reduced = ChunkPartial::default();
         if t == 0 {
-            if let (Some(tr), true) = (wk.tr, fast) {
-                tr.mark_sparse_fast_path();
-            }
             // Worker-leader reduction: fold the chunk partials in chunk-index
             // order — a fixed order regardless of which thread computed which
             // chunk — so floating-point aggregation stays bitwise
-            // deterministic under dynamic claiming.
-            for slot in &ws.partials[..chunks] {
+            // deterministic.
+            for slot in &ws.partials {
                 reduced.merge(&slot.lock());
             }
             // All compute-phase local activations are in.
             reduced.next_active = ws.frontier.len(next_parity);
             if let Some(so) = &run.sched_obs {
-                // Fast-path supersteps are single-threaded by design; their
-                // max/mean ratio is not scheduler skew, so don't record it.
-                if !fast {
-                    so.record_threads(ws.cmp_ns.iter().map(|a| a.load(Ordering::Relaxed)));
-                }
+                so.record_threads(ws.cmp_ns.iter().map(|a| a.load(Ordering::Relaxed)));
             }
             *run.worker_partials[w].lock() = reduced;
             let mut cur = run.current.lock();
@@ -2194,66 +2112,6 @@ mod tests {
     }
 
     #[test]
-    fn sparse_fast_path_is_result_and_counter_invariant() {
-        // Force the fast path on every superstep (cutoff 2.0 > any
-        // frontier fraction) and compare against a run with it disabled:
-        // values, superstep count, message count, and wire bytes must all
-        // be bitwise identical — the fast path is a schedule change only.
-        let g = ring(48);
-        let run = |cutoff: f64, cluster: ClusterSpec| {
-            let p = HashPartitioner.partition(&g, cluster.num_workers());
-            run_cyclops(
-                &MaxPull,
-                &g,
-                &p,
-                &CyclopsConfig {
-                    cluster,
-                    sparse_cutoff: cutoff,
-                    ..Default::default()
-                },
-            )
-        };
-        for cluster in [ClusterSpec::flat(4, 1), ClusterSpec::mt(2, 3, 2)] {
-            let slow = run(0.0, cluster);
-            let fast = run(2.0, cluster);
-            assert_eq!(slow.values, fast.values);
-            assert_eq!(slow.supersteps, fast.supersteps);
-            assert_eq!(slow.counters.messages, fast.counters.messages);
-            assert_eq!(slow.counters.bytes, fast.counters.bytes);
-            assert!(fast.counters.bytes > 0, "cross-machine traffic expected");
-        }
-    }
-
-    #[test]
-    fn fast_path_supersteps_are_flagged_in_traces() {
-        let g = ring(48);
-        let cluster = ClusterSpec::flat(2, 2);
-        let p = HashPartitioner.partition(&g, cluster.num_workers());
-        let mut sink = TraceSink::new("cyclops", &cluster);
-        run_cyclops_traced(
-            &MaxPull,
-            &g,
-            &p,
-            &CyclopsConfig {
-                cluster,
-                sparse_cutoff: 2.0,
-                ..Default::default()
-            },
-            Some(&sink),
-        );
-        let records = sink.take_records();
-        assert!(!records.is_empty());
-        assert!(
-            records.iter().all(|r| r.sparse_fast_path),
-            "cutoff 2.0 must put every superstep on the fast path"
-        );
-        assert!(
-            records.iter().any(|r| r.wire_dense + r.wire_sparse > 0),
-            "cross-machine batches should be counted by wire mode"
-        );
-    }
-
-    #[test]
     fn max_supersteps_caps() {
         let g = ring(16);
         let p = HashPartitioner.partition(&g, 2);
@@ -2629,42 +2487,35 @@ mod tests {
         let road = cyclops_graph::gen::road_lattice(12, 12, 0.9, 0.1, 3);
         for cluster in [ClusterSpec::flat(3, 1), ClusterSpec::mt(2, 3, 2)] {
             for replicate_threshold in [0, 2] {
-                for sched in [Sched::Static, Sched::Dynamic] {
-                    let config = CyclopsConfig {
-                        cluster,
-                        sched,
-                        replicate_threshold,
-                        max_supersteps: 14,
-                        checkpoint_every: Some(3),
-                        ..Default::default()
-                    };
-                    let label = |name: &str| {
-                        format!("{name} on {cluster:?}, threshold {replicate_threshold}, {sched:?}")
-                    };
-                    assert_directions_agree(&Rank { epsilon: 0.0 }, &web, &config, &label("PR"));
-                    let rank = Rank { epsilon: 1e-4 };
-                    assert_directions_agree(&rank, &web, &config, &label("PR 1e-4"));
-                    assert_directions_agree(&MaxPull, &web, &config, &label("CC"));
-                    let sssp = MinDist { source: 0 };
-                    assert_directions_agree(&sssp, &road, &config, &label("SSSP"));
-                }
+                let config = CyclopsConfig {
+                    cluster,
+                    replicate_threshold,
+                    max_supersteps: 14,
+                    checkpoint_every: Some(3),
+                    ..Default::default()
+                };
+                let label =
+                    |name: &str| format!("{name} on {cluster:?}, threshold {replicate_threshold}");
+                assert_directions_agree(&Rank { epsilon: 0.0 }, &web, &config, &label("PR"));
+                let rank = Rank { epsilon: 1e-4 };
+                assert_directions_agree(&rank, &web, &config, &label("PR 1e-4"));
+                assert_directions_agree(&MaxPull, &web, &config, &label("CC"));
+                let sssp = MinDist { source: 0 };
+                assert_directions_agree(&sssp, &road, &config, &label("SSSP"));
             }
         }
     }
 
     #[test]
-    fn pulled_supersteps_survive_the_sparse_fast_path_and_a_resume() {
-        // The two schedules the matrix above does not reach: every superstep
-        // on the leader alone (cutoff 2.0) while every one is pulled, and a
-        // run resumed from a checkpoint that a pulled PRS filled.
+    fn pulled_supersteps_survive_a_resume() {
+        // The schedule the matrix above does not reach: a run resumed from a
+        // checkpoint that a pulled PRS filled, continued in either direction.
         let g = ring(48);
         let config = CyclopsConfig {
             cluster: ClusterSpec::mt(2, 3, 2),
-            sparse_cutoff: 2.0,
             checkpoint_every: Some(5),
             ..Default::default()
         };
-        assert_directions_agree(&MaxPull, &g, &config, "fast path");
         let p = HashPartitioner.partition(&g, 2);
         let plan = CyclopsPlan::build_parallel(&g, &p);
         let full = run_with_activation(&MaxPull, &g, &plan, &config, None, None, Some(true));
@@ -2748,7 +2599,7 @@ mod tests {
         let plan = CyclopsPlan::build_parallel(&g, &p);
         let wp = &plan.workers[0];
         assert_eq!((wp.num_masters(), wp.num_view_slots()), (2, 4));
-        let frontier = Frontier::new(2, 1);
+        let frontier = Frontier::new(2);
         let fresh = FreshSlots::new(4);
         for pull in [false, true] {
             for bad in [2u32, 61, 64, u32::MAX] {
@@ -2777,7 +2628,7 @@ mod tests {
                 assert_eq!(fresh.count(), pull as usize);
                 assert_eq!((frontier.len(0), frontier.is_marked(0, 1)), (1, true));
                 fresh.clear();
-                frontier.snapshot(0, &mut Vec::new(), &mut Vec::new());
+                frontier.snapshot(0, &mut Vec::new());
             }
         }
     }

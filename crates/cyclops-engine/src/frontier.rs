@@ -72,18 +72,14 @@ fn count_ones(words: &[AtomicU64]) -> usize {
 /// computes the snapshot of `cur`.
 pub struct Frontier {
     num_masters: usize,
-    shards: usize,
     words: [Vec<AtomicU64>; 2],
 }
 
 impl Frontier {
-    /// Creates an empty frontier over `num_masters` vertices whose snapshot
-    /// is cut into `shards` contiguous ranges (normally one per compute
-    /// thread).
-    pub fn new(num_masters: usize, shards: usize) -> Self {
+    /// Creates an empty frontier over `num_masters` vertices.
+    pub fn new(num_masters: usize) -> Self {
         Frontier {
             num_masters,
-            shards: shards.max(1),
             words: [clear_words(num_masters), clear_words(num_masters)],
         }
     }
@@ -157,13 +153,10 @@ impl Frontier {
     }
 
     /// Moves the parity's marked masters into `flat`, ascending, and leaves
-    /// the parity empty. `ends` gets each shard's cumulative end offset, so
-    /// `flat[ends[t-1]..ends[t]]` is the part of `flat` inside shard `t`'s
-    /// range `[⌈t·n/T⌉, ⌈(t+1)·n/T⌉)`. Reads every word whatever the parity
-    /// holds: `⌈n/64⌉` loads for an empty frontier.
-    pub fn snapshot(&self, parity: usize, flat: &mut Vec<u32>, ends: &mut Vec<u32>) {
+    /// the parity empty. Reads every word whatever the parity holds:
+    /// `⌈n/64⌉` loads for an empty frontier.
+    pub fn snapshot(&self, parity: usize, flat: &mut Vec<u32>) {
         flat.clear();
-        ends.clear();
         for (i, word) in self.words[parity & 1].iter().enumerate() {
             let mut bits = word.load(Ordering::Relaxed);
             if bits == 0 {
@@ -175,11 +168,6 @@ impl Frontier {
                 bits &= bits - 1;
             }
         }
-        let (n, shards) = (self.num_masters, self.shards);
-        ends.extend((1..=shards).map(|t| {
-            let bound = (t * n).div_ceil(shards);
-            flat.partition_point(|&li| (li as usize) < bound) as u32
-        }));
     }
 }
 
@@ -277,7 +265,7 @@ mod tests {
         // Four threads, released together, hammer the same eight indices:
         // every mark after an index's first takes the load-only path while
         // first marks race on the `fetch_or`. Each index must be drained once.
-        let f = Frontier::new(64, 2);
+        let f = Frontier::new(64);
         let indices = [0usize, 7, 8, 31, 32, 33, 62, 63];
         let start = std::sync::Barrier::new(4);
         std::thread::scope(|s| {
@@ -292,11 +280,10 @@ mod tests {
                 });
             }
         });
-        let (mut flat, mut ends) = (Vec::new(), Vec::new());
-        f.snapshot(1, &mut flat, &mut ends);
+        let mut flat = Vec::new();
+        f.snapshot(1, &mut flat);
         let expected: Vec<u32> = indices.iter().map(|&li| li as u32).collect();
         assert_eq!(flat, expected);
-        assert_eq!(ends, vec![4, 8]);
         assert_eq!(f.len(0), 0, "the other parity saw nothing");
     }
 
@@ -375,7 +362,7 @@ mod tests {
             }
             let wp = plan_of_in_refs(&in_refs);
             let fresh = FreshSlots::new(slots);
-            let f = Frontier::new(n, 1);
+            let f = Frontier::new(n);
             f.mark(parity ^ 1, n - 1);
             let premarks: Vec<usize> = premarks.iter().map(|&m| m as usize % n).collect();
             for &li in &premarks {
@@ -425,30 +412,22 @@ mod tests {
         }
 
         /// The frontier against its model, a sorted set: concurrent marks
-        /// with duplicates, word-boundary sizes, more shards than masters.
+        /// with duplicates, word-boundary sizes.
         #[test]
-        fn snapshot_is_the_sorted_set_of_marks_cut_at_the_shard_ranges(
+        fn snapshot_is_the_sorted_set_of_marks(
             n in (0usize..8, 1usize..300)
                 .prop_map(|(edge, n)| [63, 64, 65, 128].get(edge).copied().unwrap_or(n)),
-            shards in 1usize..9,
             threads in 1usize..5,
             marks in proptest::collection::vec(any::<u32>(), 0..400),
             parity in 0usize..2,
         ) {
-            let f = Frontier::new(n, shards);
+            let f = Frontier::new(n);
             f.mark(parity ^ 1, n - 1);
             let marks: Vec<usize> = marks.iter().map(|&m| m as usize % n).collect();
             let mut expected: Vec<u32> = marks.iter().map(|&li| li as u32).collect();
             expected.sort_unstable();
             expected.dedup();
-            // The ceiling shard ranges: shard t is [⌈t·n/T⌉, ⌈(t+1)·n/T⌉).
-            let expected_ends: Vec<u32> = (1..=shards)
-                .map(|t| {
-                    let bound = ((t * n).div_ceil(shards)) as u32;
-                    expected.iter().filter(|&&li| li < bound).count() as u32
-                })
-                .collect();
-            let (mut flat, mut ends) = (vec![99], vec![99]);
+            let mut flat = vec![99];
             // Twice: a snapshot re-arms its parity for the same indices.
             for round in 0..2 {
                 let per = marks.len().div_ceil(threads).max(1);
@@ -464,9 +443,8 @@ mod tests {
                 });
                 prop_assert_eq!(f.len(parity), expected.len(), "round {}", round);
                 prop_assert!(expected.iter().all(|&li| f.is_marked(parity, li as usize)));
-                f.snapshot(parity, &mut flat, &mut ends);
+                f.snapshot(parity, &mut flat);
                 prop_assert_eq!(&flat, &expected, "round {}", round);
-                prop_assert_eq!(&ends, &expected_ends, "round {}", round);
                 prop_assert_eq!(f.len(parity), 0);
                 prop_assert!((0..n).all(|li| !f.is_marked(parity, li)));
                 prop_assert!(

@@ -47,7 +47,7 @@ pub mod program;
 pub use checkpoint::CyclopsCheckpoint;
 pub use engine::{
     run_cyclops, run_cyclops_from_checkpoint, run_cyclops_traced, run_cyclops_with_plan,
-    run_cyclops_with_plan_traced, Convergence, CyclopsConfig, CyclopsResult, Sched,
+    run_cyclops_with_plan_traced, Convergence, CyclopsConfig, CyclopsResult,
 };
 pub use frontier::{FreshSlots, Frontier};
 pub use migrate::{

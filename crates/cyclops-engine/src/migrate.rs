@@ -334,7 +334,7 @@ pub fn run_cyclops_migrated_traced<P: CyclopsProgram>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{run_cyclops, Sched};
+    use crate::engine::run_cyclops;
     use crate::plan::tests::assert_plans_equal;
     use crate::program::{CyclopsContext, CyclopsProgram};
     use cyclops_graph::GraphBuilder;
@@ -484,7 +484,6 @@ mod tests {
         for cluster in [ClusterSpec::flat(3, 1), ClusterSpec::mt(3, 2, 1)] {
             let config = CyclopsConfig {
                 cluster,
-                sched: Sched::Dynamic,
                 ..Default::default()
             };
             let plain = run_cyclops(&MaxPull, &g, &partition, &config);

@@ -43,12 +43,6 @@ pub struct GasConfig {
     pub max_supersteps: usize,
     /// Cost model for cross-machine traffic (default: ideal / zero delay).
     pub network: cyclops_net::NetworkModel,
-    /// Sparse-superstep fast path: when the fraction of active local masters
-    /// drops below this cutoff, the worker walks its sorted active list
-    /// instead of scanning every replica's active flag. Same vertices in the
-    /// same ascending order — results and traffic are bitwise identical to
-    /// the dense scan. `0.0` disables.
-    pub sparse_cutoff: f64,
 }
 
 impl Default for GasConfig {
@@ -57,7 +51,6 @@ impl Default for GasConfig {
             cluster: ClusterSpec::flat(2, 2),
             max_supersteps: 10_000,
             network: cyclops_net::NetworkModel::ideal(),
-            sparse_cutoff: 0.015,
         }
     }
 }
@@ -592,12 +585,11 @@ fn gas_worker<P: GasProgram>(run: &Run<'_, P>, mut wk: Worker<'_, P>) {
     let mut locally_activated: Vec<u32> = Vec::new();
 
     // Sorted local indices of active masters, maintained incrementally at
-    // every `part.active` mutation site so the sparse fast path can skip the
-    // O(|replicas|) flag scans.
+    // every `part.active` mutation site, so gather requests go out without a
+    // scan of every replica's flag.
     let mut active_list: Vec<u32> = (0..wk.part.active.len() as u32)
         .filter(|&li| wk.part.active[li as usize])
         .collect();
-    let num_masters = wk.part.is_master.iter().filter(|&&m| m).count();
 
     loop {
         let mut times = PhaseTimes::default();
@@ -634,11 +626,6 @@ fn gas_worker<P: GasProgram>(run: &Run<'_, P>, mut wk: Worker<'_, P>) {
         wk.span_end(prs_span, SpanKind::Parse, superstep, 0);
         let my_active = active_list.len();
         debug_assert_eq!(my_active, wk.part.active.iter().filter(|&&a| a).count());
-        // Below the sparse cutoff, walk the active list instead of scanning
-        // every replica's flag. Same masters in the same ascending order —
-        // results and traffic are bitwise identical to the dense scan.
-        let fast = config.sparse_cutoff > 0.0
-            && (active_list.len() as f64) < config.sparse_cutoff * num_masters as f64;
         run.active_total.fetch_add(my_active, Ordering::Relaxed);
         let sync_start = Instant::now();
         if wk.barrier(superstep) {
@@ -653,31 +640,20 @@ fn gas_worker<P: GasProgram>(run: &Run<'_, P>, mut wk: Worker<'_, P>) {
             return;
         }
 
-        // ---- Phase 0 (send): gather requests to mirrors. ----
+        // ---- Phase 0 (send): gather requests to mirrors, one active master
+        //      at a time, ascending. ----
         pending.clear();
         let snd_span = wk.span_start();
         times.time(Phase::Send, || {
             let (part, outboxes) = (&*wk.part, &mut wk.outboxes);
-            let mut request_for = |li: usize| {
-                if !part.active[li] {
-                    return;
-                }
-                pending.insert(li as u32, None);
-                for &mp in part.mirrors_of(li) {
+            for &li in &active_list {
+                pending.insert(li, None);
+                for &mp in part.mirrors_of(li as usize) {
                     // The mirror resolves the replica by global id.
                     outboxes[mp as usize].push(GasMsg::GatherReq {
-                        local: part.local_vertices[li],
-                        reply: li as u32,
+                        local: part.local_vertices[li as usize],
+                        reply: li,
                     });
-                }
-            };
-            if fast {
-                for &li in &active_list {
-                    request_for(li as usize);
-                }
-            } else {
-                for li in 0..part.local_vertices.len() {
-                    request_for(li);
                 }
             }
             wk.flush(base);
@@ -844,9 +820,6 @@ fn gas_worker<P: GasProgram>(run: &Run<'_, P>, mut wk: Worker<'_, P>) {
         run.barrier.wait();
         times.add(Phase::Sync, sync_start.elapsed());
         if let Some(tr) = tracer {
-            if fast {
-                tr.mark_sparse_fast_path();
-            }
             tr.add_drained(drained);
             tr.add_computed(computed as u64);
             tr.add_activated(locally_activated.len() as u64);
@@ -1084,60 +1057,6 @@ mod tests {
         );
         assert_eq!(r.stats[0].active_vertices, 1);
         assert!(r.values.iter().all(|&v| v == 100));
-    }
-
-    #[test]
-    fn sparse_fast_path_is_result_and_counter_invariant() {
-        // MaxGas on a ring keeps a small moving frontier, so a generous
-        // cutoff engages the active-list walk for nearly the whole run.
-        let g = ring(96);
-        let p = RandomVertexCut::default().partition(&g, 4);
-        let run = |cutoff: f64| {
-            run_gas(
-                &MaxGas,
-                &g,
-                &p,
-                &GasConfig {
-                    cluster: ClusterSpec::flat(4, 1),
-                    sparse_cutoff: cutoff,
-                    ..Default::default()
-                },
-            )
-        };
-        let dense = run(0.0);
-        let sparse = run(2.0);
-        assert_eq!(dense.values, sparse.values);
-        assert_eq!(dense.supersteps, sparse.supersteps);
-        assert_eq!(dense.counters.messages, sparse.counters.messages);
-        assert_eq!(dense.counters.bytes, sparse.counters.bytes);
-        assert!(dense.counters.bytes > 0);
-        for (a, b) in dense.stats.iter().zip(&sparse.stats) {
-            assert_eq!(a.active_vertices, b.active_vertices);
-            assert_eq!(a.messages_sent, b.messages_sent);
-        }
-    }
-
-    #[test]
-    fn fast_path_supersteps_are_flagged_in_traces() {
-        let g = ring(64);
-        let cluster = ClusterSpec::flat(2, 1);
-        let p = RandomVertexCut::default().partition(&g, 2);
-        let mut sink = cyclops_net::trace::TraceSink::new("gas", &cluster);
-        let r = run_gas_traced(
-            &MaxGas,
-            &g,
-            &p,
-            &GasConfig {
-                cluster,
-                sparse_cutoff: 2.0,
-                ..Default::default()
-            },
-            Some(&sink),
-        );
-        assert!(r.supersteps > 2);
-        let records = sink.take_records();
-        assert!(!records.is_empty());
-        assert!(records.iter().all(|rec| rec.sparse_fast_path));
     }
 
     /// `None`, or a message whose encoding is exactly the bytes consumed.

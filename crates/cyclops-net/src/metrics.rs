@@ -334,11 +334,12 @@ impl PhaseHists {
 /// superstep's schedule, same resolve-once `Option` discipline as
 /// [`PhaseHists`]:
 ///
-/// - `cyclops_compute_imbalance{engine}` histogram — once per superstep per
-///   worker leader, the ratio of the slowest compute thread to the mean
+/// - `cyclops_compute_imbalance{engine}` histogram — every superstep, once
+///   per worker leader, the ratio of the slowest compute thread to the mean
 ///   compute thread in **permille** (1000 = all threads finished together;
 ///   2000 = the straggler took twice the mean). This is the skew the
-///   degree-weighted dynamic scheduler exists to flatten.
+///   degree-weighted compute chunks exist to flatten; a superstep whose
+///   frontier fills fewer chunks than there are threads shows here too.
 /// - `cyclops_activation_supersteps{engine,mode}` counters, `mode` one of
 ///   `push`, `pull` — worker-supersteps whose publications woke their readers
 ///   in that direction. Both are registered at resolve, so each line exists

@@ -82,10 +82,12 @@ pub struct TraceRecord {
     pub bytes: u64,
     /// Whether a checkpoint was captured this superstep.
     pub checkpoint: bool,
-    /// Whether this worker ran the superstep on the sparse fast path
-    /// (single compute thread, direct lane sends). Diagnostic: deliberately
-    /// excluded from [`diff`]'s counter comparison, because the fast path
-    /// changes the schedule, never the results.
+    /// Whether this worker ran the superstep on the sparse fast path, in
+    /// traces written while the engines had one (a single compute thread
+    /// below a frontier cutoff). No run records it any more; the column is
+    /// read and re-serialized so older trace files keep loading, and
+    /// excluded from [`diff`]'s comparison, because it was the schedule,
+    /// never the results.
     pub sparse_fast_path: bool,
     /// Cross-machine batches this worker sent in the dense wire mode.
     /// Deterministic for a deterministic schedule, but excluded from
@@ -197,9 +199,6 @@ pub struct WorkerTracer {
     drained: AtomicU64,
     messages: AtomicU64,
     bytes: AtomicU64,
-    /// Set when this superstep ran on the sparse fast path (swapped to
-    /// `false` at commit, like the counters).
-    fast_path: std::sync::atomic::AtomicBool,
     /// Cross-machine batches sent in the dense / sparse wire modes this
     /// superstep.
     wire_dense: AtomicU64,
@@ -253,7 +252,6 @@ impl WorkerTracer {
             drained: AtomicU64::new(0),
             messages: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
-            fast_path: std::sync::atomic::AtomicBool::new(false),
             wire_dense: AtomicU64::new(0),
             wire_sparse: AtomicU64::new(0),
             direct_messages: AtomicU64::new(0),
@@ -321,12 +319,6 @@ impl WorkerTracer {
             cell.messages.fetch_add(messages, Ordering::Relaxed);
             cell.bytes.fetch_add(bytes, Ordering::Relaxed);
         }
-    }
-
-    /// Marks this superstep as having run on the sparse fast path.
-    #[inline]
-    pub fn mark_sparse_fast_path(&self) {
-        self.fast_path.store(true, Ordering::Relaxed);
     }
 
     /// Adds cross-machine batches sent in the dense / sparse wire modes by
@@ -486,7 +478,7 @@ impl WorkerTracer {
             messages: self.messages.swap(0, Ordering::Relaxed),
             bytes: self.bytes.swap(0, Ordering::Relaxed),
             checkpoint,
-            sparse_fast_path: self.fast_path.swap(false, Ordering::Relaxed),
+            sparse_fast_path: false,
             wire_dense: self.wire_dense.swap(0, Ordering::Relaxed),
             wire_sparse: self.wire_sparse.swap(0, Ordering::Relaxed),
             direct_messages: self.direct_messages.swap(0, Ordering::Relaxed),
@@ -2047,27 +2039,27 @@ mod tests {
     #[test]
     fn fast_path_and_wire_mode_fields_round_trip_but_never_diff() {
         let sink = TraceSink::new("cyclops", &spec());
-        sink.worker(0).mark_sparse_fast_path();
         sink.worker(0).add_wire_batches(3, 2);
         sink.worker(0)
             .commit(0, 0, 4, &PhaseTimes::default(), false);
-        // Flags reset at commit, like the counters.
+        // Counts reset at commit.
         sink.worker(0)
             .commit(1, 0, 0, &PhaseTimes::default(), false);
         let mut sink = sink;
         let records = sink.take_records();
-        assert!(records[0].sparse_fast_path);
         assert_eq!(records[0].wire_dense, 3);
         assert_eq!(records[0].wire_sparse, 2);
-        assert!(!records[1].sparse_fast_path);
         assert_eq!(records[1].wire_dense, 0);
+        assert!(!records[0].sparse_fast_path, "no run writes the column");
+        // An older trace's fast-path record still loads and re-serializes.
+        let old = TraceRecord {
+            sparse_fast_path: true,
+            ..records[0].clone()
+        };
         let mut line = String::new();
-        records[0].to_json(&mut line);
+        old.to_json(&mut line);
         assert!(line.contains("\"sparse_fast_path\":true"));
-        assert_eq!(
-            TraceLine::parse(&line),
-            Some(TraceLine::Record(records[0].clone()))
-        );
+        assert_eq!(TraceLine::parse(&line), Some(TraceLine::Record(old)));
         // A record without the new fields omits them entirely (old readers
         // keep working) and parses back with defaults.
         let mut plain = String::new();

@@ -53,8 +53,6 @@ struct Options {
     values: bool,
     values_only: bool,
     inbox: String,
-    sched: String,
-    sparse_cutoff: f64,
     bucket_width: f64,
     bucket_auto: bool,
     bucket_mode: String,
@@ -101,9 +99,6 @@ impl Default for Options {
             values: false,
             values_only: false,
             inbox: "global".into(),
-            sched: "dynamic".into(),
-            // Matches the engines' config defaults.
-            sparse_cutoff: 0.015,
             // 0 = bucketing off, keeping default traces/output unchanged.
             bucket_width: 0.0,
             bucket_auto: false,
@@ -173,8 +168,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--values" => opts.values = true,
             "--values-only" => opts.values_only = true,
             "--inbox" => opts.inbox = value()?,
-            "--sched" => opts.sched = value()?,
-            "--sparse-cutoff" => opts.sparse_cutoff = parsed(flag, value()?)?,
             // `auto` / `off` are kept beside a zeroed number, so a later
             // explicit value overrides an earlier keyword and vice versa.
             "--bucket-width" => {
@@ -221,9 +214,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     }
     if opts.machines == 0 || opts.workers == 0 || opts.threads == 0 || opts.receivers == 0 {
         return Err("cluster dimensions must be positive".into());
-    }
-    if !opts.sparse_cutoff.is_finite() || opts.sparse_cutoff < 0.0 || opts.sparse_cutoff > 1e6 {
-        return Err("--sparse-cutoff must be a finite fraction in [0, 1e6]".into());
     }
     if !opts.bucket_auto
         && (!opts.bucket_width.is_finite() || opts.bucket_width < 0.0 || opts.bucket_width > 1e18)
@@ -773,11 +763,6 @@ fn run(opts: &Options) -> Result<(), String> {
         "sharded" => cyclops_net::InboxMode::Sharded,
         other => return Err(format!("unknown inbox mode {other} (global|sharded)")),
     };
-    let sched = match opts.sched.as_str() {
-        "static" => cyclops_engine::Sched::Static,
-        "dynamic" => cyclops_engine::Sched::Dynamic,
-        other => return Err(format!("unknown scheduler {other} (static|dynamic)")),
-    };
     let bucket_mode = match opts.bucket_mode.as_str() {
         "fast" => cyclops_net::BucketMode::Fast,
         _ => cyclops_net::BucketMode::Det,
@@ -831,15 +816,12 @@ fn run(opts: &Options) -> Result<(), String> {
     // its superstep cap and what only its program knows.
     let cyclops_base = CyclopsConfig {
         cluster,
-        sched,
-        sparse_cutoff: opts.sparse_cutoff,
         bucket_mode,
         ..Default::default()
     };
     let hama_base = BspConfig {
         cluster,
         inbox,
-        sparse_cutoff: opts.sparse_cutoff,
         bucket_mode,
         ..Default::default()
     };
@@ -1088,11 +1070,6 @@ input:       --input FILE | --dataset NAME [--scale F] [--seed N]
 execution:   --engine cyclops|hama  --machines M --workers W
              --threads T --receivers R  --partitioner hash|metis
              --inbox global|sharded (hama)
-             --sched static|dynamic (cyclops; dynamic = degree-weighted
-             chunk claiming, bitwise-identical results to static)
-             --sparse-cutoff F  sparse-superstep fast path when the
-             frontier is below F of local masters (default 0.015;
-             0 disables; results bitwise identical either way)
              --bucket-width D|auto  bucketed (delta-stepping) sssp
              or hop-ring bfs: each superstep drains one priority
              bucket of width D, fusing the relaxation rounds behind a
@@ -1261,19 +1238,6 @@ mod tests {
         // Every trace streams; the flag that asked for it is gone.
         assert!(parse_args(&args("pagerank --trace out.jsonl --stream")).is_err());
         assert_eq!(o.inbox, "sharded");
-        let o = parse_args(&args("pagerank --dataset GWeb --sched static")).unwrap();
-        assert_eq!(o.sched, "static");
-        let o = parse_args(&args("pagerank --dataset GWeb")).unwrap();
-        assert_eq!(o.sched, "dynamic");
-        assert_eq!(o.sparse_cutoff, 0.015);
-        let o = parse_args(&args("sssp --dataset RoadCA --sparse-cutoff 0.05")).unwrap();
-        assert_eq!(o.sparse_cutoff, 0.05);
-        let o = parse_args(&args("sssp --dataset RoadCA --sparse-cutoff 0")).unwrap();
-        assert_eq!(o.sparse_cutoff, 0.0);
-        assert!(parse_args(&args("sssp --sparse-cutoff -1")).is_err());
-        assert!(parse_args(&args("sssp --sparse-cutoff nope")).is_err());
-        assert!(parse_args(&args("sssp --sparse-cutoff inf")).is_err());
-        assert!(parse_args(&args("sssp --sparse-cutoff 1e9")).is_err());
         let o = parse_args(&args("top run.jsonl --once --refresh-ms 100")).unwrap();
         assert_eq!(o.command, "top");
         assert_eq!(o.positional, vec!["run.jsonl"]);

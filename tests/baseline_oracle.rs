@@ -9,16 +9,18 @@
 //! run's `supersteps`, every [`SuperstepStats`] count, the schedule-free
 //! [`CounterSnapshot`] fields and the final values into one FNV-1a digest,
 //! and compares it with [`EXPECTED`]. The constants were captured, in debug
-//! and release, at the commit before the baselines got one run struct and
-//! one set of phases (`0b744c5`).
+//! and release, at the commit before the sparse-superstep fast path was
+//! deleted (`90b3c94`) with the read-only `sparse_fast_path` column taken out
+//! of the fold; there every cell equalled its twin with the fast path forced
+//! off. The table before them was captured at the commit before the
+//! baselines got one run struct and one set of phases (`0b744c5`).
 //!
 //! Cells. `run_bsp_traced` × {SSSP, CC, PageRank} × {`flat(2,1)`,
-//! `flat(3,1)`, `flat(4,1)`} × {classic, classic with `sparse_cutoff: 0`,
-//! combiner, `track_redundant`, bucketed `Det`, bucketed `Fast`,
-//! checkpoint-every-k + `run_bsp_from_checkpoint` (classic and bucketed)} ×
-//! inbox; `run_gas_traced` × {PageRank, SSSP} × {random, greedy cut} ×
-//! `sparse_cutoff` {0, default} × {`flat(2,1)`, `flat(3,1)`}, PageRank on
-//! `flat(2,1)` only.
+//! `flat(3,1)`, `flat(4,1)`} × {classic, combiner, `track_redundant`,
+//! bucketed `Det`, bucketed `Fast`, checkpoint-every-k +
+//! `run_bsp_from_checkpoint` (classic and bucketed)} × inbox;
+//! `run_gas_traced` × {PageRank, SSSP} × {random, greedy cut} ×
+//! {`flat(2,1)`, `flat(3,1)`}, PageRank on `flat(2,1)` only.
 //!
 //! What is deliberately left out, because the parent does not repeat it from
 //! run to run: PageRank under [`InboxMode::GlobalQueue`] (arrival order moves
@@ -80,7 +82,6 @@ impl Fold {
             r.messages,
             r.bytes,
             u64::from(r.checkpoint),
-            u64::from(r.sparse_fast_path),
             r.wire_dense,
             r.wire_sparse,
             r.direct_messages,
@@ -225,9 +226,8 @@ where
     r
 }
 
-const BSP_VARIANTS: [&str; 7] = [
+const BSP_VARIANTS: [&str; 6] = [
     "classic",
-    "dense-walk",
     "combiner",
     "redundant",
     "bucket-det",
@@ -252,13 +252,6 @@ where
     };
     match variant {
         "classic" => one(base, true),
-        "dense-walk" => one(
-            BspConfig {
-                sparse_cutoff: 0.0,
-                ..base
-            },
-            true,
-        ),
         "combiner" => one(
             BspConfig {
                 use_combiner: true,
@@ -392,28 +385,24 @@ fn cells() -> Vec<(String, u64)> {
                 GreedyVertexCut::default().partition(&road, workers),
             ),
         ];
-        for (cutoff_name, sparse_cutoff) in [("dense-walk", 0.0), ("default", 0.015)] {
-            let name =
-                |p: &str, cut: &str| format!("gas/{p}/flat({workers},1)/{cut}/{cutoff_name}");
+        let name = |p: &str, cut: &str| format!("gas/{p}/flat({workers},1)/{cut}");
+        let config = GasConfig {
+            cluster,
+            ..Default::default()
+        };
+        // Two mirrors answer one master in arrival order, so PageRank's
+        // gather sum repeats only where a vertex has at most one mirror.
+        for (cname, cut) in cuts.iter().filter(|_| workers == 2) {
             let config = GasConfig {
-                cluster,
-                sparse_cutoff,
-                ..Default::default()
+                max_supersteps: 20,
+                ..config
             };
-            // Two mirrors answer one master in arrival order, so PageRank's
-            // gather sum repeats only where a vertex has at most one mirror.
-            for (cname, cut) in cuts.iter().filter(|_| workers == 2) {
-                let config = GasConfig {
-                    max_supersteps: 20,
-                    ..config
-                };
-                let pr = GasPageRank { epsilon: 1e-7 };
-                out.push((name("pr", cname), gas_cell(&pr, &rmat, cut, &config)));
-            }
-            for (cname, cut) in &road_cuts {
-                let sssp = GasSssp { source: 0 };
-                out.push((name("sssp", cname), gas_cell(&sssp, &road, cut, &config)));
-            }
+            let pr = GasPageRank { epsilon: 1e-7 };
+            out.push((name("pr", cname), gas_cell(&pr, &rmat, cut, &config)));
+        }
+        for (cname, cut) in &road_cuts {
+            let sssp = GasSssp { source: 0 };
+            out.push((name("sssp", cname), gas_cell(&sssp, &road, cut, &config)));
         }
     }
     out
@@ -444,121 +433,100 @@ fn baseline_behaviour_matches_the_parent_commit() {
 /// `(cell, digest)`; see the module docs for where they were captured.
 #[rustfmt::skip] // one cell per line, as the failing test prints them
 const EXPECTED: &[(&str, u64)] = &[
-    ("bsp/sssp/flat(2,1)/classic/global", 0x376019016c60a128),
-    ("bsp/cc/flat(2,1)/classic/global", 0x568ead8ff3653f04),
-    ("bsp/sssp/flat(2,1)/classic/sharded", 0x376019016c60a128),
-    ("bsp/cc/flat(2,1)/classic/sharded", 0x568ead8ff3653f04),
-    ("bsp/pr/flat(2,1)/classic/sharded", 0xa2ae841ff452b8ac),
-    ("bsp/sssp/flat(2,1)/dense-walk/global", 0xe0b4d8e61665d9a9),
-    ("bsp/cc/flat(2,1)/dense-walk/global", 0xac6214c8fe5ffe19),
-    ("bsp/sssp/flat(2,1)/dense-walk/sharded", 0xe0b4d8e61665d9a9),
-    ("bsp/cc/flat(2,1)/dense-walk/sharded", 0xac6214c8fe5ffe19),
-    ("bsp/pr/flat(2,1)/dense-walk/sharded", 0xa2ae841ff452b8ac),
-    ("bsp/sssp/flat(2,1)/combiner/global", 0xff251977c517dfe3),
-    ("bsp/cc/flat(2,1)/combiner/global", 0x7ba3f5d94fcd57c9),
-    ("bsp/sssp/flat(2,1)/combiner/sharded", 0xff251977c517dfe3),
-    ("bsp/cc/flat(2,1)/combiner/sharded", 0x7ba3f5d94fcd57c9),
-    ("bsp/pr/flat(2,1)/combiner/sharded", 0x89a5b34bc98df420),
-    ("bsp/sssp/flat(2,1)/redundant/global", 0x376019016c60a128),
-    ("bsp/cc/flat(2,1)/redundant/global", 0x568ead8ff3653f04),
-    ("bsp/sssp/flat(2,1)/redundant/sharded", 0x376019016c60a128),
-    ("bsp/cc/flat(2,1)/redundant/sharded", 0x568ead8ff3653f04),
-    ("bsp/pr/flat(2,1)/redundant/sharded", 0x85532defbfad215b),
-    ("bsp/sssp/flat(2,1)/bucket-det/global", 0x0148b84037ee5968),
-    ("bsp/cc/flat(2,1)/bucket-det/global", 0x79b7abeb650b4a19),
-    ("bsp/sssp/flat(2,1)/bucket-det/sharded", 0x0148b84037ee5968),
-    ("bsp/cc/flat(2,1)/bucket-det/sharded", 0x79b7abeb650b4a19),
-    ("bsp/pr/flat(2,1)/bucket-det/sharded", 0x4fee422ed951bcbe),
+    ("bsp/sssp/flat(2,1)/classic/global", 0xa05d81e7ef69b369),
+    ("bsp/cc/flat(2,1)/classic/global", 0xe2adeb113e29fd99),
+    ("bsp/sssp/flat(2,1)/classic/sharded", 0xa05d81e7ef69b369),
+    ("bsp/cc/flat(2,1)/classic/sharded", 0xe2adeb113e29fd99),
+    ("bsp/pr/flat(2,1)/classic/sharded", 0x67437bd153e02f6c),
+    ("bsp/sssp/flat(2,1)/combiner/global", 0x45772cf75ac8204e),
+    ("bsp/cc/flat(2,1)/combiner/global", 0xe425a1e666a0d764),
+    ("bsp/sssp/flat(2,1)/combiner/sharded", 0x45772cf75ac8204e),
+    ("bsp/cc/flat(2,1)/combiner/sharded", 0xe425a1e666a0d764),
+    ("bsp/pr/flat(2,1)/combiner/sharded", 0x4ae55b1f1fe37da0),
+    ("bsp/sssp/flat(2,1)/redundant/global", 0xa05d81e7ef69b369),
+    ("bsp/cc/flat(2,1)/redundant/global", 0xe2adeb113e29fd99),
+    ("bsp/sssp/flat(2,1)/redundant/sharded", 0xa05d81e7ef69b369),
+    ("bsp/cc/flat(2,1)/redundant/sharded", 0xe2adeb113e29fd99),
+    ("bsp/pr/flat(2,1)/redundant/sharded", 0x43c1c7ee19d3391b),
+    ("bsp/sssp/flat(2,1)/bucket-det/global", 0x6472c6cf32bd0608),
+    ("bsp/cc/flat(2,1)/bucket-det/global", 0xc07c376950d3e599),
+    ("bsp/sssp/flat(2,1)/bucket-det/sharded", 0x6472c6cf32bd0608),
+    ("bsp/cc/flat(2,1)/bucket-det/sharded", 0xc07c376950d3e599),
+    ("bsp/pr/flat(2,1)/bucket-det/sharded", 0xf9342ddd2acf477e),
     ("bsp/sssp/flat(2,1)/bucket-fast/global", 0x8b95ffd291f2ccbc),
     ("bsp/cc/flat(2,1)/bucket-fast/global", 0xd8b318fdc36631c4),
     ("bsp/sssp/flat(2,1)/bucket-fast/sharded", 0x8b95ffd291f2ccbc),
     ("bsp/cc/flat(2,1)/bucket-fast/sharded", 0xd8b318fdc36631c4),
     ("bsp/pr/flat(2,1)/bucket-fast/sharded", 0x4c755df136f33d8e),
-    ("bsp/sssp/flat(2,1)/checkpoint/global", 0x5b966661c46eb92d),
-    ("bsp/cc/flat(2,1)/checkpoint/global", 0x0f2640d03a26e459),
-    ("bsp/sssp/flat(2,1)/checkpoint/sharded", 0x5b966661c46eb92d),
-    ("bsp/cc/flat(2,1)/checkpoint/sharded", 0x0f2640d03a26e459),
-    ("bsp/pr/flat(2,1)/checkpoint/sharded", 0x2394d4ca294418bd),
-    ("bsp/sssp/flat(3,1)/classic/global", 0xe1d2919cad8f98cd),
-    ("bsp/cc/flat(3,1)/classic/global", 0xce4a61e881f18417),
-    ("bsp/sssp/flat(3,1)/classic/sharded", 0xe1d2919cad8f98cd),
-    ("bsp/cc/flat(3,1)/classic/sharded", 0xce4a61e881f18417),
-    ("bsp/pr/flat(3,1)/classic/sharded", 0xb30175f3b492ae01),
-    ("bsp/sssp/flat(3,1)/dense-walk/global", 0x7be3d45c44328251),
-    ("bsp/cc/flat(3,1)/dense-walk/global", 0x02936420e3e82556),
-    ("bsp/sssp/flat(3,1)/dense-walk/sharded", 0x7be3d45c44328251),
-    ("bsp/cc/flat(3,1)/dense-walk/sharded", 0x02936420e3e82556),
-    ("bsp/pr/flat(3,1)/dense-walk/sharded", 0xb30175f3b492ae01),
-    ("bsp/sssp/flat(3,1)/combiner/global", 0xc6528cd9c238648b),
-    ("bsp/cc/flat(3,1)/combiner/global", 0xe0d90d4b7ad0f77e),
-    ("bsp/sssp/flat(3,1)/combiner/sharded", 0xc6528cd9c238648b),
-    ("bsp/cc/flat(3,1)/combiner/sharded", 0xe0d90d4b7ad0f77e),
-    ("bsp/pr/flat(3,1)/combiner/sharded", 0xdf95053bd93d3bcd),
-    ("bsp/sssp/flat(3,1)/redundant/global", 0xe1d2919cad8f98cd),
-    ("bsp/cc/flat(3,1)/redundant/global", 0xce4a61e881f18417),
-    ("bsp/sssp/flat(3,1)/redundant/sharded", 0xe1d2919cad8f98cd),
-    ("bsp/cc/flat(3,1)/redundant/sharded", 0xce4a61e881f18417),
-    ("bsp/pr/flat(3,1)/redundant/sharded", 0xfc25f3615086f9fa),
-    ("bsp/sssp/flat(3,1)/bucket-det/global", 0x0f417ef373b09838),
-    ("bsp/cc/flat(3,1)/bucket-det/global", 0x050c0d53991d8a71),
-    ("bsp/sssp/flat(3,1)/bucket-det/sharded", 0x0f417ef373b09838),
-    ("bsp/cc/flat(3,1)/bucket-det/sharded", 0x050c0d53991d8a71),
-    ("bsp/pr/flat(3,1)/bucket-det/sharded", 0x97721e4c59301fc9),
+    ("bsp/sssp/flat(2,1)/checkpoint/global", 0xd9e09744e42e0888),
+    ("bsp/cc/flat(2,1)/checkpoint/global", 0x3f08a0ecb406c448),
+    ("bsp/sssp/flat(2,1)/checkpoint/sharded", 0xd9e09744e42e0888),
+    ("bsp/cc/flat(2,1)/checkpoint/sharded", 0x3f08a0ecb406c448),
+    ("bsp/pr/flat(2,1)/checkpoint/sharded", 0x3106479cbae7429d),
+    ("bsp/sssp/flat(3,1)/classic/global", 0x33e6dd54d41c7f91),
+    ("bsp/cc/flat(3,1)/classic/global", 0x983e466ba513f2b6),
+    ("bsp/sssp/flat(3,1)/classic/sharded", 0x33e6dd54d41c7f91),
+    ("bsp/cc/flat(3,1)/classic/sharded", 0x983e466ba513f2b6),
+    ("bsp/pr/flat(3,1)/classic/sharded", 0x2b009023706999e1),
+    ("bsp/sssp/flat(3,1)/combiner/global", 0xb2d8172d79034b9b),
+    ("bsp/cc/flat(3,1)/combiner/global", 0xaaeef265ac32cc47),
+    ("bsp/sssp/flat(3,1)/combiner/sharded", 0xb2d8172d79034b9b),
+    ("bsp/cc/flat(3,1)/combiner/sharded", 0xaaeef265ac32cc47),
+    ("bsp/pr/flat(3,1)/combiner/sharded", 0x781de1c7b758fbed),
+    ("bsp/sssp/flat(3,1)/redundant/global", 0x33e6dd54d41c7f91),
+    ("bsp/cc/flat(3,1)/redundant/global", 0x983e466ba513f2b6),
+    ("bsp/sssp/flat(3,1)/redundant/sharded", 0x33e6dd54d41c7f91),
+    ("bsp/cc/flat(3,1)/redundant/sharded", 0x983e466ba513f2b6),
+    ("bsp/pr/flat(3,1)/redundant/sharded", 0x1d6db3561994045a),
+    ("bsp/sssp/flat(3,1)/bucket-det/global", 0xac7151bd7b677798),
+    ("bsp/cc/flat(3,1)/bucket-det/global", 0x55ff9c9a1bd00631),
+    ("bsp/sssp/flat(3,1)/bucket-det/sharded", 0xac7151bd7b677798),
+    ("bsp/cc/flat(3,1)/bucket-det/sharded", 0x55ff9c9a1bd00631),
+    ("bsp/pr/flat(3,1)/bucket-det/sharded", 0x2f9c25ca97857a69),
     ("bsp/sssp/flat(3,1)/bucket-fast/global", 0xff255353e55c5d63),
     ("bsp/cc/flat(3,1)/bucket-fast/global", 0xaedab4cc777e89b9),
     ("bsp/sssp/flat(3,1)/bucket-fast/sharded", 0xff255353e55c5d63),
     ("bsp/cc/flat(3,1)/bucket-fast/sharded", 0xaedab4cc777e89b9),
     ("bsp/pr/flat(3,1)/bucket-fast/sharded", 0xe5ffc5c47928c33b),
-    ("bsp/sssp/flat(3,1)/checkpoint/global", 0x51e77ee074a9cbac),
-    ("bsp/cc/flat(3,1)/checkpoint/global", 0xfe9dab656e4c1542),
-    ("bsp/sssp/flat(3,1)/checkpoint/sharded", 0x51e77ee074a9cbac),
-    ("bsp/cc/flat(3,1)/checkpoint/sharded", 0xfe9dab656e4c1542),
-    ("bsp/pr/flat(3,1)/checkpoint/sharded", 0x7231b46cef4e2597),
-    ("bsp/sssp/flat(4,1)/classic/global", 0x71d4ae3ae0cc87a4),
-    ("bsp/cc/flat(4,1)/classic/global", 0x5020b87312d0e402),
-    ("bsp/sssp/flat(4,1)/classic/sharded", 0x71d4ae3ae0cc87a4),
-    ("bsp/cc/flat(4,1)/classic/sharded", 0x5020b87312d0e402),
-    ("bsp/pr/flat(4,1)/classic/sharded", 0x98617869f9bd7ebd),
-    ("bsp/sssp/flat(4,1)/dense-walk/global", 0x10664fba6e4b2748),
-    ("bsp/cc/flat(4,1)/dense-walk/global", 0xca58e52c51b5de3f),
-    ("bsp/sssp/flat(4,1)/dense-walk/sharded", 0x10664fba6e4b2748),
-    ("bsp/cc/flat(4,1)/dense-walk/sharded", 0xca58e52c51b5de3f),
-    ("bsp/pr/flat(4,1)/dense-walk/sharded", 0x98617869f9bd7ebd),
-    ("bsp/sssp/flat(4,1)/combiner/global", 0x7c09c3ed64be572b),
-    ("bsp/cc/flat(4,1)/combiner/global", 0x3809a677b0b13522),
-    ("bsp/sssp/flat(4,1)/combiner/sharded", 0x7c09c3ed64be572b),
-    ("bsp/cc/flat(4,1)/combiner/sharded", 0x3809a677b0b13522),
-    ("bsp/pr/flat(4,1)/combiner/sharded", 0xe4c23f0f6c47fc14),
-    ("bsp/sssp/flat(4,1)/redundant/global", 0x71d4ae3ae0cc87a4),
-    ("bsp/cc/flat(4,1)/redundant/global", 0x5020b87312d0e402),
-    ("bsp/sssp/flat(4,1)/redundant/sharded", 0x71d4ae3ae0cc87a4),
-    ("bsp/cc/flat(4,1)/redundant/sharded", 0x5020b87312d0e402),
-    ("bsp/pr/flat(4,1)/redundant/sharded", 0x3155e9c3a81a314a),
-    ("bsp/sssp/flat(4,1)/bucket-det/global", 0x170216662b297ed2),
-    ("bsp/cc/flat(4,1)/bucket-det/global", 0x461cd7d180005196),
-    ("bsp/sssp/flat(4,1)/bucket-det/sharded", 0x170216662b297ed2),
-    ("bsp/cc/flat(4,1)/bucket-det/sharded", 0x461cd7d180005196),
-    ("bsp/pr/flat(4,1)/bucket-det/sharded", 0xf11c5b49feeece98),
+    ("bsp/sssp/flat(3,1)/checkpoint/global", 0x21768c53f7ca2a08),
+    ("bsp/cc/flat(3,1)/checkpoint/global", 0x14182b25bafb7e1b),
+    ("bsp/sssp/flat(3,1)/checkpoint/sharded", 0x21768c53f7ca2a08),
+    ("bsp/cc/flat(3,1)/checkpoint/sharded", 0x14182b25bafb7e1b),
+    ("bsp/pr/flat(3,1)/checkpoint/sharded", 0x010937eb146b2197),
+    ("bsp/sssp/flat(4,1)/classic/global", 0xb705199eac18ab48),
+    ("bsp/cc/flat(4,1)/classic/global", 0xefe08e5bb977bdbf),
+    ("bsp/sssp/flat(4,1)/classic/sharded", 0xb705199eac18ab48),
+    ("bsp/cc/flat(4,1)/classic/sharded", 0xefe08e5bb977bdbf),
+    ("bsp/pr/flat(4,1)/classic/sharded", 0xb62a687008c28e9d),
+    ("bsp/sssp/flat(4,1)/combiner/global", 0x5edb64c6ee1ccb27),
+    ("bsp/cc/flat(4,1)/combiner/global", 0x73d84ea14acaccd3),
+    ("bsp/sssp/flat(4,1)/combiner/sharded", 0x5edb64c6ee1ccb27),
+    ("bsp/cc/flat(4,1)/combiner/sharded", 0x73d84ea14acaccd3),
+    ("bsp/pr/flat(4,1)/combiner/sharded", 0x278de7739f32b994),
+    ("bsp/sssp/flat(4,1)/redundant/global", 0xb705199eac18ab48),
+    ("bsp/cc/flat(4,1)/redundant/global", 0xefe08e5bb977bdbf),
+    ("bsp/sssp/flat(4,1)/redundant/sharded", 0xb705199eac18ab48),
+    ("bsp/cc/flat(4,1)/redundant/sharded", 0xefe08e5bb977bdbf),
+    ("bsp/pr/flat(4,1)/redundant/sharded", 0x33c66c21eabcd22a),
+    ("bsp/sssp/flat(4,1)/bucket-det/global", 0xc07b796ad08dde32),
+    ("bsp/cc/flat(4,1)/bucket-det/global", 0x9c42c10daca6ce36),
+    ("bsp/sssp/flat(4,1)/bucket-det/sharded", 0xc07b796ad08dde32),
+    ("bsp/cc/flat(4,1)/bucket-det/sharded", 0x9c42c10daca6ce36),
+    ("bsp/pr/flat(4,1)/bucket-det/sharded", 0x12df38dc818618d8),
     ("bsp/sssp/flat(4,1)/bucket-fast/global", 0x76bcbb1014d90c58),
     ("bsp/cc/flat(4,1)/bucket-fast/global", 0x52fd30a25ebb1a20),
     ("bsp/sssp/flat(4,1)/bucket-fast/sharded", 0x76bcbb1014d90c58),
     ("bsp/cc/flat(4,1)/bucket-fast/sharded", 0x52fd30a25ebb1a20),
     ("bsp/pr/flat(4,1)/bucket-fast/sharded", 0x4ce6fe5eaba30786),
-    ("bsp/sssp/flat(4,1)/checkpoint/global", 0xceb958b1b8c6d800),
-    ("bsp/cc/flat(4,1)/checkpoint/global", 0x7a8e079ce5c67cb6),
-    ("bsp/sssp/flat(4,1)/checkpoint/sharded", 0xceb958b1b8c6d800),
-    ("bsp/cc/flat(4,1)/checkpoint/sharded", 0x7a8e079ce5c67cb6),
-    ("bsp/pr/flat(4,1)/checkpoint/sharded", 0xcb56c101a79ff862),
-    ("gas/pr/flat(2,1)/random/dense-walk", 0x2f57bb85eccde00f),
-    ("gas/pr/flat(2,1)/greedy/dense-walk", 0x04b3fdfa1fb6616e),
-    ("gas/sssp/flat(2,1)/random/dense-walk", 0x2f11f62585cb6f0d),
-    ("gas/sssp/flat(2,1)/greedy/dense-walk", 0x5ddade972879cee0),
-    ("gas/pr/flat(2,1)/random/default", 0x2f57bb85eccde00f),
-    ("gas/pr/flat(2,1)/greedy/default", 0x04b3fdfa1fb6616e),
-    ("gas/sssp/flat(2,1)/random/default", 0x4cceed9dbf4b2ba4),
-    ("gas/sssp/flat(2,1)/greedy/default", 0x140738202c185298),
-    ("gas/sssp/flat(3,1)/random/dense-walk", 0xfdfa35eb8c5d78ea),
-    ("gas/sssp/flat(3,1)/greedy/dense-walk", 0xa9b0e8400a9c304a),
-    ("gas/sssp/flat(3,1)/random/default", 0x54348baf08ec795a),
-    ("gas/sssp/flat(3,1)/greedy/default", 0x0ce0a19dcb64895a),
+    ("bsp/sssp/flat(4,1)/checkpoint/global", 0xdd5ca6903e063d44),
+    ("bsp/cc/flat(4,1)/checkpoint/global", 0x999c7e6eca8e72f7),
+    ("bsp/sssp/flat(4,1)/checkpoint/sharded", 0xdd5ca6903e063d44),
+    ("bsp/cc/flat(4,1)/checkpoint/sharded", 0x999c7e6eca8e72f7),
+    ("bsp/pr/flat(4,1)/checkpoint/sharded", 0x436d4c92084ca7c2),
+    ("gas/pr/flat(2,1)/random", 0x022b32b2f0652a2f),
+    ("gas/pr/flat(2,1)/greedy", 0x0e593108b39cf44e),
+    ("gas/sssp/flat(2,1)/random", 0xa686d38e3e7fbb4d),
+    ("gas/sssp/flat(2,1)/greedy", 0x29cfa9903c3be5e0),
+    ("gas/sssp/flat(3,1)/random", 0xee65ae93858dc4aa),
+    ("gas/sssp/flat(3,1)/greedy", 0x091e4453559dda6a),
 ];

@@ -37,6 +37,19 @@ fn unknown_command_fails_with_message() {
 }
 
 #[test]
+fn compute_schedule_has_no_flags() {
+    // One claim loop over equal-mass chunks on every superstep: the
+    // scheduler and sparse-cutoff dials are gone, not ignored.
+    for [flag, value] in [["--sched", "dynamic"], ["--sparse-cutoff", "0"]] {
+        let (ok, _, stderr) = cyclops(&["sssp", "--dataset", "RoadCA", flag, value]);
+        assert!(!ok, "{flag} {value} was accepted");
+        assert!(stderr.contains(&format!("unknown flag {flag}")), "{stderr}");
+    }
+    let (_, help, _) = cyclops(&["help"]);
+    assert!(!help.contains("--sched") && !help.contains("--sparse-cutoff"));
+}
+
+#[test]
 fn pagerank_on_dataset_prints_ranks() {
     let (ok, stdout, stderr) = cyclops(&[
         "pagerank",

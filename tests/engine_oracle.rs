@@ -3,26 +3,30 @@
 //! Every other engine gate in this repository is *relative* — setting A
 //! against setting B at the same commit — so a refactor that changes both
 //! sides the same way passes them all. This test is absolute: it runs
-//! PageRank (activity- and proportion-converged), SSSP, CC, `det`-bucketed SSSP (fixed and adaptive width) and a
-//! stop-at-checkpoint + resume pair on small fixed inputs over
-//! `{flat(2,1), flat(3,2), mt(2,3,2)}` × `Sched::{Static, Dynamic}` ×
-//! threshold `{0, 2, 8}` (2 messages the power-law input's leaves; only 8
-//! reaches a vertex SSSP or CC ever republishes), folds every deterministic
-//! column of every values-mode trace record plus the run's results into two
-//! FNV-1a digests per cell, and compares them with [`EXPECTED`]. Phase
-//! durations are the only columns left out.
+//! PageRank (activity- and proportion-converged), SSSP, CC, `det`-bucketed
+//! SSSP (fixed and adaptive width) and a stop-at-checkpoint + resume pair on
+//! small fixed inputs over `{flat(2,1), flat(3,2), mt(2,3,2)}` × threshold
+//! `{0, 2, 8}` (2 messages the power-law input's leaves; only 8 reaches a
+//! vertex SSSP or CC ever republishes), folds every deterministic column of
+//! every values-mode trace record plus the run's results into two FNV-1a
+//! digests per cell, and compares them with [`EXPECTED`]. Phase durations and
+//! the read-only `sparse_fast_path` column are the only columns left out.
+//! The two multi-threaded clusters are where compute threads race for
+//! chunks.
 //!
 //! The `values` digest covers everything a change of wire framing must leave
 //! alone: frontier, computed, activated, drained, message counts (per record,
 //! per destination and per superstep), `direct_messages`, checkpoint and
 //! bucket columns, aggregates, publication digests and the final values. Its
-//! constants were captured by running this file at the commit *before* view
-//! updates got one framing (`21f0a30`), where the single digest of all the
-//! words in their old order still equalled the table captured before the
-//! phases were unified (PR 12, `283582a`). The `traffic` digest covers what
-//! such a change moves — `bytes`, `wire_dense` and `wire_sparse` per record and
-//! per destination, `stats[].bytes_sent`, `counters.bytes` — and is captured at
-//! the commit that intends the move.
+//! constants were captured, in debug and release, at the commit before the
+//! sparse-superstep fast path was deleted (`90b3c94`) with that column taken
+//! out of the fold; there the cells agreed with the fast path on and forced
+//! off, under either compute scheduler, and the table before it went back
+//! through the framing change (`21f0a30`) to the phase unification
+//! (`283582a`). The `traffic` digest covers what such a change moves —
+//! `bytes`, `wire_dense` and `wire_sparse` per record and per destination,
+//! `stats[].bytes_sent`, `counters.bytes` — and is captured at the commit
+//! that intends the move.
 //!
 //! To re-capture after an intended behaviour change, run the test and paste
 //! the table it prints; a `VALUES CHANGED` mark is a change of results.
@@ -33,7 +37,7 @@ use cyclops_algos::pagerank::CyclopsPageRank;
 use cyclops_algos::sssp::{auto_bucket_width, CyclopsSssp};
 use cyclops_engine::{
     run_cyclops_with_plan_traced, Convergence, CyclopsConfig, CyclopsPlan, CyclopsProgram,
-    CyclopsResult, Sched,
+    CyclopsResult,
 };
 use cyclops_net::trace::{digest_bytes, TraceRecord, TraceSink};
 use cyclops_net::BucketMode;
@@ -73,7 +77,6 @@ impl Fold {
         }
         self.traffic(r.bytes);
         self.value(u64::from(r.checkpoint));
-        self.value(u64::from(r.sparse_fast_path));
         self.traffic(r.wire_dense);
         self.traffic(r.wire_sparse);
         self.value(r.direct_messages);
@@ -168,12 +171,10 @@ fn digest_cell(
     (rmat, road): (&Graph, &Graph),
     workload: &str,
     cluster: ClusterSpec,
-    sched: Sched,
     threshold: u32,
 ) -> [u64; 2] {
     let base = CyclopsConfig {
         cluster,
-        sched,
         replicate_threshold: threshold,
         ..Default::default()
     };
@@ -266,19 +267,16 @@ fn cells() -> Vec<(String, [u64; 2])> {
         ("flat(3,2)", ClusterSpec::flat(3, 2)),
         ("mt(2,3,2)", ClusterSpec::mt(2, 3, 2)),
     ];
-    let scheds = [("static", Sched::Static), ("dynamic", Sched::Dynamic)];
     let rmat = Dataset::GWeb.generate_scaled(0.02, 11);
     let road = Dataset::RoadCa.generate_scaled(0.02, 7);
     let mut out = Vec::new();
     for workload in WORKLOADS {
         for (cname, cluster) in clusters {
-            for (sname, sched) in scheds {
-                for threshold in [0u32, 2, 8] {
-                    out.push((
-                        format!("{workload}/{cname}/{sname}/t{threshold}"),
-                        digest_cell((&rmat, &road), workload, cluster, sched, threshold),
-                    ));
-                }
+            for threshold in [0u32, 2, 8] {
+                out.push((
+                    format!("{workload}/{cname}/t{threshold}"),
+                    digest_cell((&rmat, &road), workload, cluster, threshold),
+                ));
             }
         }
     }
@@ -315,130 +313,67 @@ fn engine_behaviour_matches_the_parent_commit() {
 /// captured where.
 #[rustfmt::skip] // one cell per line, as the failing test prints them
 const EXPECTED: &[(&str, u64, u64)] = &[
-    ("pr/flat(2,1)/static/t0", 0x2c08807de1a5a059, 0xc686141cf6451460),
-    ("pr/flat(2,1)/static/t2", 0xe7973bdb26d128d5, 0x3b070acf17730483),
-    ("pr/flat(2,1)/static/t8", 0x69c8cd9e61a055a4, 0x67f6809a63b7ba87),
-    ("pr/flat(2,1)/dynamic/t0", 0x2c08807de1a5a059, 0xc686141cf6451460),
-    ("pr/flat(2,1)/dynamic/t2", 0xe7973bdb26d128d5, 0x3b070acf17730483),
-    ("pr/flat(2,1)/dynamic/t8", 0x69c8cd9e61a055a4, 0x67f6809a63b7ba87),
-    ("pr/flat(3,2)/static/t0", 0x4aa46423476b3779, 0x07d49fcd3f38c7e1),
-    ("pr/flat(3,2)/static/t2", 0xea4df2db8709094f, 0x4b2802bf32f62d1a),
-    ("pr/flat(3,2)/static/t8", 0xff0ce88650082cfa, 0x5f8ecb32f2514088),
-    ("pr/flat(3,2)/dynamic/t0", 0x4aa46423476b3779, 0x07d49fcd3f38c7e1),
-    ("pr/flat(3,2)/dynamic/t2", 0xea4df2db8709094f, 0x4b2802bf32f62d1a),
-    ("pr/flat(3,2)/dynamic/t8", 0xff0ce88650082cfa, 0x5f8ecb32f2514088),
-    ("pr/mt(2,3,2)/static/t0", 0x2c08807de1a5a059, 0xc686141cf6451460),
-    ("pr/mt(2,3,2)/static/t2", 0xe7973bdb26d128d5, 0x3b070acf17730483),
-    ("pr/mt(2,3,2)/static/t8", 0x69c8cd9e61a055a4, 0x67f6809a63b7ba87),
-    ("pr/mt(2,3,2)/dynamic/t0", 0x2c08807de1a5a059, 0xc686141cf6451460),
-    ("pr/mt(2,3,2)/dynamic/t2", 0xe7973bdb26d128d5, 0x3b070acf17730483),
-    ("pr/mt(2,3,2)/dynamic/t8", 0x69c8cd9e61a055a4, 0x67f6809a63b7ba87),
-    ("pr-prop/flat(2,1)/static/t0", 0x6b67fa8fdbd60ccc, 0x1494d6437f9c1d4d),
-    ("pr-prop/flat(2,1)/static/t2", 0x10a3507013e4f8c8, 0x02f559ac485520a5),
-    ("pr-prop/flat(2,1)/static/t8", 0xf72478792dd71f31, 0x09daffedff76653f),
-    ("pr-prop/flat(2,1)/dynamic/t0", 0x6b67fa8fdbd60ccc, 0x1494d6437f9c1d4d),
-    ("pr-prop/flat(2,1)/dynamic/t2", 0x10a3507013e4f8c8, 0x02f559ac485520a5),
-    ("pr-prop/flat(2,1)/dynamic/t8", 0xf72478792dd71f31, 0x09daffedff76653f),
-    ("pr-prop/flat(3,2)/static/t0", 0x01cb2e299f6c10f3, 0x159d57789082fbe3),
-    ("pr-prop/flat(3,2)/static/t2", 0x62af03d64247e8bd, 0xb71ef6fc984a0a14),
-    ("pr-prop/flat(3,2)/static/t8", 0xf88fb2115a2d4e4e, 0xf7175a42639ccb87),
-    ("pr-prop/flat(3,2)/dynamic/t0", 0x01cb2e299f6c10f3, 0x159d57789082fbe3),
-    ("pr-prop/flat(3,2)/dynamic/t2", 0x62af03d64247e8bd, 0xb71ef6fc984a0a14),
-    ("pr-prop/flat(3,2)/dynamic/t8", 0xf88fb2115a2d4e4e, 0xf7175a42639ccb87),
-    ("pr-prop/mt(2,3,2)/static/t0", 0x6b67fa8fdbd60ccc, 0x1494d6437f9c1d4d),
-    ("pr-prop/mt(2,3,2)/static/t2", 0x10a3507013e4f8c8, 0x02f559ac485520a5),
-    ("pr-prop/mt(2,3,2)/static/t8", 0xf72478792dd71f31, 0x09daffedff76653f),
-    ("pr-prop/mt(2,3,2)/dynamic/t0", 0x6b67fa8fdbd60ccc, 0x1494d6437f9c1d4d),
-    ("pr-prop/mt(2,3,2)/dynamic/t2", 0x10a3507013e4f8c8, 0x02f559ac485520a5),
-    ("pr-prop/mt(2,3,2)/dynamic/t8", 0xf72478792dd71f31, 0x09daffedff76653f),
-    ("sssp/flat(2,1)/static/t0", 0x3c4f8494508a12a9, 0x2cdfdafa25514c34),
-    ("sssp/flat(2,1)/static/t2", 0x3c4f8494508a12a9, 0x2cdfdafa25514c34),
-    ("sssp/flat(2,1)/static/t8", 0x9c91e04fab28a0cd, 0x752d2c310f5380e5),
-    ("sssp/flat(2,1)/dynamic/t0", 0x3c4f8494508a12a9, 0x2cdfdafa25514c34),
-    ("sssp/flat(2,1)/dynamic/t2", 0x3c4f8494508a12a9, 0x2cdfdafa25514c34),
-    ("sssp/flat(2,1)/dynamic/t8", 0x9c91e04fab28a0cd, 0x752d2c310f5380e5),
-    ("sssp/flat(3,2)/static/t0", 0x49a5ce443c37a079, 0x829d6714ded08d0f),
-    ("sssp/flat(3,2)/static/t2", 0x49a5ce443c37a079, 0x829d6714ded08d0f),
-    ("sssp/flat(3,2)/static/t8", 0x2e794073fb1489a1, 0x41784d289fb1f4bd),
-    ("sssp/flat(3,2)/dynamic/t0", 0x49a5ce443c37a079, 0x829d6714ded08d0f),
-    ("sssp/flat(3,2)/dynamic/t2", 0x49a5ce443c37a079, 0x829d6714ded08d0f),
-    ("sssp/flat(3,2)/dynamic/t8", 0x2e794073fb1489a1, 0x41784d289fb1f4bd),
-    ("sssp/mt(2,3,2)/static/t0", 0x3c4f8494508a12a9, 0x2cdfdafa25514c34),
-    ("sssp/mt(2,3,2)/static/t2", 0x3c4f8494508a12a9, 0x2cdfdafa25514c34),
-    ("sssp/mt(2,3,2)/static/t8", 0x9c91e04fab28a0cd, 0x752d2c310f5380e5),
-    ("sssp/mt(2,3,2)/dynamic/t0", 0x3c4f8494508a12a9, 0x2cdfdafa25514c34),
-    ("sssp/mt(2,3,2)/dynamic/t2", 0x3c4f8494508a12a9, 0x2cdfdafa25514c34),
-    ("sssp/mt(2,3,2)/dynamic/t8", 0x9c91e04fab28a0cd, 0x752d2c310f5380e5),
-    ("cc/flat(2,1)/static/t0", 0x81b876d85cb65e63, 0x290ce93109ff48d6),
-    ("cc/flat(2,1)/static/t2", 0x81b876d85cb65e63, 0x290ce93109ff48d6),
-    ("cc/flat(2,1)/static/t8", 0x4903a36a33c62548, 0x664ed4279476229d),
-    ("cc/flat(2,1)/dynamic/t0", 0x81b876d85cb65e63, 0x290ce93109ff48d6),
-    ("cc/flat(2,1)/dynamic/t2", 0x81b876d85cb65e63, 0x290ce93109ff48d6),
-    ("cc/flat(2,1)/dynamic/t8", 0x4903a36a33c62548, 0x664ed4279476229d),
-    ("cc/flat(3,2)/static/t0", 0xe914ea9fc9a93ace, 0xdc8e8bd49c9458bc),
-    ("cc/flat(3,2)/static/t2", 0xe914ea9fc9a93ace, 0xdc8e8bd49c9458bc),
-    ("cc/flat(3,2)/static/t8", 0x5f276dc682207890, 0xf07ca833ca35c0a1),
-    ("cc/flat(3,2)/dynamic/t0", 0xe914ea9fc9a93ace, 0xdc8e8bd49c9458bc),
-    ("cc/flat(3,2)/dynamic/t2", 0xe914ea9fc9a93ace, 0xdc8e8bd49c9458bc),
-    ("cc/flat(3,2)/dynamic/t8", 0x5f276dc682207890, 0xf07ca833ca35c0a1),
-    ("cc/mt(2,3,2)/static/t0", 0x81b876d85cb65e63, 0x290ce93109ff48d6),
-    ("cc/mt(2,3,2)/static/t2", 0x81b876d85cb65e63, 0x290ce93109ff48d6),
-    ("cc/mt(2,3,2)/static/t8", 0x4903a36a33c62548, 0x664ed4279476229d),
-    ("cc/mt(2,3,2)/dynamic/t0", 0x81b876d85cb65e63, 0x290ce93109ff48d6),
-    ("cc/mt(2,3,2)/dynamic/t2", 0x81b876d85cb65e63, 0x290ce93109ff48d6),
-    ("cc/mt(2,3,2)/dynamic/t8", 0x4903a36a33c62548, 0x664ed4279476229d),
-    ("bucket/flat(2,1)/static/t0", 0xcc34634ddd5194b9, 0x9bb8207c48dbc899),
-    ("bucket/flat(2,1)/static/t2", 0xcc34634ddd5194b9, 0x9bb8207c48dbc899),
-    ("bucket/flat(2,1)/static/t8", 0x62b2841bcbdca8a7, 0x738519963775e260),
-    ("bucket/flat(2,1)/dynamic/t0", 0xcc34634ddd5194b9, 0x9bb8207c48dbc899),
-    ("bucket/flat(2,1)/dynamic/t2", 0xcc34634ddd5194b9, 0x9bb8207c48dbc899),
-    ("bucket/flat(2,1)/dynamic/t8", 0x62b2841bcbdca8a7, 0x738519963775e260),
-    ("bucket/flat(3,2)/static/t0", 0x8ed998bf42dcd078, 0x4e10f2d96dd09d89),
-    ("bucket/flat(3,2)/static/t2", 0x8ed998bf42dcd078, 0x4e10f2d96dd09d89),
-    ("bucket/flat(3,2)/static/t8", 0xb9721e0703b97427, 0xda178bb6a09b80a1),
-    ("bucket/flat(3,2)/dynamic/t0", 0x8ed998bf42dcd078, 0x4e10f2d96dd09d89),
-    ("bucket/flat(3,2)/dynamic/t2", 0x8ed998bf42dcd078, 0x4e10f2d96dd09d89),
-    ("bucket/flat(3,2)/dynamic/t8", 0xb9721e0703b97427, 0xda178bb6a09b80a1),
-    ("bucket/mt(2,3,2)/static/t0", 0xcc34634ddd5194b9, 0x9bb8207c48dbc899),
-    ("bucket/mt(2,3,2)/static/t2", 0xcc34634ddd5194b9, 0x9bb8207c48dbc899),
-    ("bucket/mt(2,3,2)/static/t8", 0x62b2841bcbdca8a7, 0x738519963775e260),
-    ("bucket/mt(2,3,2)/dynamic/t0", 0xcc34634ddd5194b9, 0x9bb8207c48dbc899),
-    ("bucket/mt(2,3,2)/dynamic/t2", 0xcc34634ddd5194b9, 0x9bb8207c48dbc899),
-    ("bucket/mt(2,3,2)/dynamic/t8", 0x62b2841bcbdca8a7, 0x738519963775e260),
-    ("bucket-adapt/flat(2,1)/static/t0", 0x9127ec9cd416dd84, 0x29fde6ab85c752de),
-    ("bucket-adapt/flat(2,1)/static/t2", 0x9127ec9cd416dd84, 0x29fde6ab85c752de),
-    ("bucket-adapt/flat(2,1)/static/t8", 0xddb8fc33ca71dcf2, 0x81336b076f50271b),
-    ("bucket-adapt/flat(2,1)/dynamic/t0", 0x9127ec9cd416dd84, 0x29fde6ab85c752de),
-    ("bucket-adapt/flat(2,1)/dynamic/t2", 0x9127ec9cd416dd84, 0x29fde6ab85c752de),
-    ("bucket-adapt/flat(2,1)/dynamic/t8", 0xddb8fc33ca71dcf2, 0x81336b076f50271b),
-    ("bucket-adapt/flat(3,2)/static/t0", 0x6358251f80636fb1, 0xa0dfd518c3ecd927),
-    ("bucket-adapt/flat(3,2)/static/t2", 0x6358251f80636fb1, 0xa0dfd518c3ecd927),
-    ("bucket-adapt/flat(3,2)/static/t8", 0xe5946e49e794a55b, 0x15819337f3471c51),
-    ("bucket-adapt/flat(3,2)/dynamic/t0", 0x6358251f80636fb1, 0xa0dfd518c3ecd927),
-    ("bucket-adapt/flat(3,2)/dynamic/t2", 0x6358251f80636fb1, 0xa0dfd518c3ecd927),
-    ("bucket-adapt/flat(3,2)/dynamic/t8", 0xe5946e49e794a55b, 0x15819337f3471c51),
-    ("bucket-adapt/mt(2,3,2)/static/t0", 0x9127ec9cd416dd84, 0x29fde6ab85c752de),
-    ("bucket-adapt/mt(2,3,2)/static/t2", 0x9127ec9cd416dd84, 0x29fde6ab85c752de),
-    ("bucket-adapt/mt(2,3,2)/static/t8", 0xddb8fc33ca71dcf2, 0x81336b076f50271b),
-    ("bucket-adapt/mt(2,3,2)/dynamic/t0", 0x9127ec9cd416dd84, 0x29fde6ab85c752de),
-    ("bucket-adapt/mt(2,3,2)/dynamic/t2", 0x9127ec9cd416dd84, 0x29fde6ab85c752de),
-    ("bucket-adapt/mt(2,3,2)/dynamic/t8", 0xddb8fc33ca71dcf2, 0x81336b076f50271b),
-    ("stop-resume/flat(2,1)/static/t0", 0x0630d390cdf8a71f, 0x20107e71fd32254d),
-    ("stop-resume/flat(2,1)/static/t2", 0xa23ec3453ef8a4ab, 0x88f6a3ed48d80739),
-    ("stop-resume/flat(2,1)/static/t8", 0x6a93c9c36f5d4ef6, 0x53bb96f75e11d68e),
-    ("stop-resume/flat(2,1)/dynamic/t0", 0x0630d390cdf8a71f, 0x20107e71fd32254d),
-    ("stop-resume/flat(2,1)/dynamic/t2", 0xa23ec3453ef8a4ab, 0x88f6a3ed48d80739),
-    ("stop-resume/flat(2,1)/dynamic/t8", 0x6a93c9c36f5d4ef6, 0x53bb96f75e11d68e),
-    ("stop-resume/flat(3,2)/static/t0", 0xcd245dd258701583, 0x90ba7a4d80a2b1aa),
-    ("stop-resume/flat(3,2)/static/t2", 0x8c7e022783cdb431, 0xba8e0b8e6df52d74),
-    ("stop-resume/flat(3,2)/static/t8", 0x839b2a5811757a63, 0xeec3476c7f1497fb),
-    ("stop-resume/flat(3,2)/dynamic/t0", 0xcd245dd258701583, 0x90ba7a4d80a2b1aa),
-    ("stop-resume/flat(3,2)/dynamic/t2", 0x8c7e022783cdb431, 0xba8e0b8e6df52d74),
-    ("stop-resume/flat(3,2)/dynamic/t8", 0x839b2a5811757a63, 0xeec3476c7f1497fb),
-    ("stop-resume/mt(2,3,2)/static/t0", 0x0630d390cdf8a71f, 0x20107e71fd32254d),
-    ("stop-resume/mt(2,3,2)/static/t2", 0xa23ec3453ef8a4ab, 0x88f6a3ed48d80739),
-    ("stop-resume/mt(2,3,2)/static/t8", 0x6a93c9c36f5d4ef6, 0x53bb96f75e11d68e),
-    ("stop-resume/mt(2,3,2)/dynamic/t0", 0x0630d390cdf8a71f, 0x20107e71fd32254d),
-    ("stop-resume/mt(2,3,2)/dynamic/t2", 0xa23ec3453ef8a4ab, 0x88f6a3ed48d80739),
-    ("stop-resume/mt(2,3,2)/dynamic/t8", 0x6a93c9c36f5d4ef6, 0x53bb96f75e11d68e),
+    ("pr/flat(2,1)/t0", 0xb181d43ae660c3b9, 0xc686141cf6451460),
+    ("pr/flat(2,1)/t2", 0x2f1836c56823cab5, 0x3b070acf17730483),
+    ("pr/flat(2,1)/t8", 0xf0ecfaf665ea8744, 0x67f6809a63b7ba87),
+    ("pr/flat(3,2)/t0", 0x777a8aaf1874cd39, 0x07d49fcd3f38c7e1),
+    ("pr/flat(3,2)/t2", 0x0a4ad64225f04fef, 0x4b2802bf32f62d1a),
+    ("pr/flat(3,2)/t8", 0x89aa771b8c5e61ba, 0x5f8ecb32f2514088),
+    ("pr/mt(2,3,2)/t0", 0xb181d43ae660c3b9, 0xc686141cf6451460),
+    ("pr/mt(2,3,2)/t2", 0x2f1836c56823cab5, 0x3b070acf17730483),
+    ("pr/mt(2,3,2)/t8", 0xf0ecfaf665ea8744, 0x67f6809a63b7ba87),
+    ("pr-prop/flat(2,1)/t0", 0xa77f669dc6d6362c, 0x1494d6437f9c1d4d),
+    ("pr-prop/flat(2,1)/t2", 0x3d206ed8c48e6f28, 0x02f559ac485520a5),
+    ("pr-prop/flat(2,1)/t8", 0xc3d1b397a45e3f31, 0x09daffedff76653f),
+    ("pr-prop/flat(3,2)/t0", 0xeec862281d2f0fd3, 0x159d57789082fbe3),
+    ("pr-prop/flat(3,2)/t2", 0xfb8749f72dfc3ffd, 0xb71ef6fc984a0a14),
+    ("pr-prop/flat(3,2)/t8", 0x7c04b33f11fd674e, 0xf7175a42639ccb87),
+    ("pr-prop/mt(2,3,2)/t0", 0xa77f669dc6d6362c, 0x1494d6437f9c1d4d),
+    ("pr-prop/mt(2,3,2)/t2", 0x3d206ed8c48e6f28, 0x02f559ac485520a5),
+    ("pr-prop/mt(2,3,2)/t8", 0xc3d1b397a45e3f31, 0x09daffedff76653f),
+    ("sssp/flat(2,1)/t0", 0xf69e83b9eebb88f4, 0x2cdfdafa25514c34),
+    ("sssp/flat(2,1)/t2", 0xf69e83b9eebb88f4, 0x2cdfdafa25514c34),
+    ("sssp/flat(2,1)/t8", 0x972bcea1efa14178, 0x752d2c310f5380e5),
+    ("sssp/flat(3,2)/t0", 0x406991ff14dc1b01, 0x829d6714ded08d0f),
+    ("sssp/flat(3,2)/t2", 0x406991ff14dc1b01, 0x829d6714ded08d0f),
+    ("sssp/flat(3,2)/t8", 0x52d37ff2f7eae809, 0x41784d289fb1f4bd),
+    ("sssp/mt(2,3,2)/t0", 0xf69e83b9eebb88f4, 0x2cdfdafa25514c34),
+    ("sssp/mt(2,3,2)/t2", 0xf69e83b9eebb88f4, 0x2cdfdafa25514c34),
+    ("sssp/mt(2,3,2)/t8", 0x972bcea1efa14178, 0x752d2c310f5380e5),
+    ("cc/flat(2,1)/t0", 0xd09afd8631fa7316, 0x290ce93109ff48d6),
+    ("cc/flat(2,1)/t2", 0xd09afd8631fa7316, 0x290ce93109ff48d6),
+    ("cc/flat(2,1)/t8", 0xf4c2436cb1ce4fc9, 0x664ed4279476229d),
+    ("cc/flat(3,2)/t0", 0x0cca519e8f2956ce, 0xdc8e8bd49c9458bc),
+    ("cc/flat(3,2)/t2", 0x0cca519e8f2956ce, 0xdc8e8bd49c9458bc),
+    ("cc/flat(3,2)/t8", 0x520d5e69a4327930, 0xf07ca833ca35c0a1),
+    ("cc/mt(2,3,2)/t0", 0xd09afd8631fa7316, 0x290ce93109ff48d6),
+    ("cc/mt(2,3,2)/t2", 0xd09afd8631fa7316, 0x290ce93109ff48d6),
+    ("cc/mt(2,3,2)/t8", 0xf4c2436cb1ce4fc9, 0x664ed4279476229d),
+    ("bucket/flat(2,1)/t0", 0x42e7d47c24fe5c99, 0x9bb8207c48dbc899),
+    ("bucket/flat(2,1)/t2", 0x42e7d47c24fe5c99, 0x9bb8207c48dbc899),
+    ("bucket/flat(2,1)/t8", 0x353978724aa2bc87, 0x738519963775e260),
+    ("bucket/flat(3,2)/t0", 0x87784b2600b729d8, 0x4e10f2d96dd09d89),
+    ("bucket/flat(3,2)/t2", 0x87784b2600b729d8, 0x4e10f2d96dd09d89),
+    ("bucket/flat(3,2)/t8", 0x7b2f130a16091507, 0xda178bb6a09b80a1),
+    ("bucket/mt(2,3,2)/t0", 0x42e7d47c24fe5c99, 0x9bb8207c48dbc899),
+    ("bucket/mt(2,3,2)/t2", 0x42e7d47c24fe5c99, 0x9bb8207c48dbc899),
+    ("bucket/mt(2,3,2)/t8", 0x353978724aa2bc87, 0x738519963775e260),
+    ("bucket-adapt/flat(2,1)/t0", 0x86d1bc4da825f3e4, 0x29fde6ab85c752de),
+    ("bucket-adapt/flat(2,1)/t2", 0x86d1bc4da825f3e4, 0x29fde6ab85c752de),
+    ("bucket-adapt/flat(2,1)/t8", 0x7ea76463fdff14f2, 0x81336b076f50271b),
+    ("bucket-adapt/flat(3,2)/t0", 0x4a4d6028998536f1, 0xa0dfd518c3ecd927),
+    ("bucket-adapt/flat(3,2)/t2", 0x4a4d6028998536f1, 0xa0dfd518c3ecd927),
+    ("bucket-adapt/flat(3,2)/t8", 0x0c4230170f2dccbb, 0x15819337f3471c51),
+    ("bucket-adapt/mt(2,3,2)/t0", 0x86d1bc4da825f3e4, 0x29fde6ab85c752de),
+    ("bucket-adapt/mt(2,3,2)/t2", 0x86d1bc4da825f3e4, 0x29fde6ab85c752de),
+    ("bucket-adapt/mt(2,3,2)/t8", 0x7ea76463fdff14f2, 0x81336b076f50271b),
+    ("stop-resume/flat(2,1)/t0", 0x5a91f1a69b71321f, 0x20107e71fd32254d),
+    ("stop-resume/flat(2,1)/t2", 0x7211eb9bb2a26c2b, 0x88f6a3ed48d80739),
+    ("stop-resume/flat(2,1)/t8", 0x1c9737e1768a0b76, 0x53bb96f75e11d68e),
+    ("stop-resume/flat(3,2)/t0", 0x87ad1ed6bb3613a3, 0x90ba7a4d80a2b1aa),
+    ("stop-resume/flat(3,2)/t2", 0x990fd0067e964971, 0xba8e0b8e6df52d74),
+    ("stop-resume/flat(3,2)/t8", 0x461b4f862eef1883, 0xeec3476c7f1497fb),
+    ("stop-resume/mt(2,3,2)/t0", 0x5a91f1a69b71321f, 0x20107e71fd32254d),
+    ("stop-resume/mt(2,3,2)/t2", 0x7211eb9bb2a26c2b, 0x88f6a3ed48d80739),
+    ("stop-resume/mt(2,3,2)/t8", 0x1c9737e1768a0b76, 0x53bb96f75e11d68e),
 ];

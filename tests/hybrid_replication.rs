@@ -5,9 +5,9 @@
 //! master's publication reaches every cross-worker reader exactly once per
 //! superstep, through a replica slot or a direct-message slot. Results must
 //! therefore be **bitwise identical** to full replication at every
-//! threshold, on every engine topology, under every scheduler. These tests
-//! pin that for PageRank/SSSP/CC on an R-MAT power-law graph and a path
-//! graph, across thresholds {0, 2, 8, auto} × flat Cyclops and CyclopsMT,
+//! threshold and on every engine topology. These tests pin that for
+//! PageRank/SSSP/CC on an R-MAT power-law graph and a path graph, across
+//! thresholds {0, 2, 8, auto} × flat Cyclops and CyclopsMT,
 //! down to the values-mode trace — and, since the threshold is a field of
 //! the engine's config and not of an algorithm's runner, for every program
 //! the repo ships (`every_program_is_threshold_invariant`).
@@ -20,21 +20,15 @@ use cyclops_algos::cd::CyclopsCommunityDetection;
 use cyclops_algos::kcore::CyclopsKCore;
 use cyclops_algos::sssp::CyclopsSssp;
 use cyclops_algos::triangles::CyclopsTriangles;
-use cyclops_engine::{run_cyclops_traced, CyclopsProgram, CyclopsResult, Sched};
+use cyclops_engine::{run_cyclops_traced, CyclopsProgram, CyclopsResult};
 use cyclops_net::trace::{diff, RunTrace, TraceSink};
 use cyclops_partition::EdgeCutPartition;
 
-/// The one knob these tests turn, beside the scheduler some of them pin.
-fn config(
-    cluster: ClusterSpec,
-    max_supersteps: usize,
-    sched: Sched,
-    replicate_threshold: u32,
-) -> CyclopsConfig {
+/// The one knob these tests turn.
+fn config(cluster: ClusterSpec, max_supersteps: usize, replicate_threshold: u32) -> CyclopsConfig {
     CyclopsConfig {
         cluster,
         max_supersteps,
-        sched,
         replicate_threshold,
         ..Default::default()
     }
@@ -45,7 +39,6 @@ fn pagerank(
     g: &Graph,
     p: &EdgeCutPartition,
     cluster: ClusterSpec,
-    sched: Sched,
     threshold: u32,
     sink: &TraceSink,
 ) -> CyclopsResult<f64, f64> {
@@ -53,12 +46,12 @@ fn pagerank(
         &CyclopsPageRank { epsilon: 1e-8 },
         g,
         p,
-        &config(cluster, 60, sched, threshold),
+        &config(cluster, 60, threshold),
         Some(sink),
     )
 }
 
-/// SSSP from vertex 0 under the static scheduler.
+/// SSSP from vertex 0.
 fn sssp(
     g: &Graph,
     p: &EdgeCutPartition,
@@ -69,7 +62,7 @@ fn sssp(
         &CyclopsSssp { source: 0 },
         g,
         p,
-        &config(cluster, 10_000, Sched::Static, threshold),
+        &config(cluster, 10_000, threshold),
     )
 }
 
@@ -118,12 +111,12 @@ fn pagerank_hybrid_matches_full_replication_on_rmat() {
     for cluster in clusters() {
         let p = HashPartitioner.partition(&g, cluster.num_workers());
         let sink0 = TraceSink::with_values("cyclops", &cluster);
-        let full = pagerank(&g, &p, cluster, Sched::Static, 0, &sink0);
+        let full = pagerank(&g, &p, cluster, 0, &sink0);
         assert_eq!(full.direct_messages, 0, "threshold 0 sends no directs");
         let base = finish(sink0);
         for (name, t) in thresholds(&g, &p) {
             let sink = TraceSink::with_values("cyclops", &cluster);
-            let hy = pagerank(&g, &p, cluster, Sched::Static, t, &sink);
+            let hy = pagerank(&g, &p, cluster, t, &sink);
             assert_eq!(hy.supersteps, full.supersteps, "{cluster:?} {name}");
             for (v, (a, b)) in full.values.iter().zip(&hy.values).enumerate() {
                 assert_eq!(a.to_bits(), b.to_bits(), "{cluster:?} {name} vertex {v}");
@@ -178,14 +171,7 @@ fn cc_hybrid_matches_full_replication_on_rmat() {
     let g = symmetrize(&Dataset::Amazon.generate_scaled(0.05, 17));
     for cluster in clusters() {
         let p = HashPartitioner.partition(&g, cluster.num_workers());
-        let cc = |t| {
-            run_cyclops(
-                &CyclopsComponents,
-                &g,
-                &p,
-                &config(cluster, 100_000, Sched::Static, t),
-            )
-        };
+        let cc = |t| run_cyclops(&CyclopsComponents, &g, &p, &config(cluster, 100_000, t));
         let full = cc(0);
         for (name, t) in thresholds(&g, &p) {
             let hy = cc(t);
@@ -211,14 +197,7 @@ fn triangles_gather_with_sources_through_every_slot_range() {
     assert!(expected > 0);
     for cluster in [ClusterSpec::flat(3, 1), ClusterSpec::mt(2, 3, 2)] {
         let p = HashPartitioner.partition(&g, cluster.num_workers());
-        let run = |t| {
-            run_cyclops(
-                &CyclopsTriangles,
-                &g,
-                &p,
-                &config(cluster, 4, Sched::default(), t),
-            )
-        };
+        let run = |t| run_cyclops(&CyclopsTriangles, &g, &p, &config(cluster, 4, t));
         let full = run(0);
         assert_eq!(full.values.iter().sum::<u64>() as usize, expected);
         assert_eq!(full.ingress.total_direct_slots, 0);
@@ -242,10 +221,9 @@ fn triangles_gather_with_sources_through_every_slot_range() {
     }
 }
 
-/// Under `--sched dynamic` the per-chunk reduction order is pinned, so the
-/// values-mode trace of a hybrid run must be identical across compute
-/// thread counts — the determinism story survives the second publication
-/// path.
+/// The per-chunk reduction order is pinned, so the values-mode trace of a
+/// hybrid run must be identical across compute thread counts — the
+/// determinism story survives the second publication path.
 #[test]
 fn hybrid_dynamic_sched_trace_is_stable_across_thread_counts() {
     let g = Dataset::GWeb.generate_scaled(0.04, 19);
@@ -256,9 +234,9 @@ fn hybrid_dynamic_sched_trace_is_stable_across_thread_counts() {
     let t = p.auto_replicate_threshold(&g);
 
     let sink_n = TraceSink::with_values("cyclops", &narrow);
-    let rn = pagerank(&g, &p, narrow, Sched::Dynamic, t, &sink_n);
+    let rn = pagerank(&g, &p, narrow, t, &sink_n);
     let sink_w = TraceSink::with_values("cyclops", &wide);
-    let rw = pagerank(&g, &p, wide, Sched::Dynamic, t, &sink_w);
+    let rw = pagerank(&g, &p, wide, t, &sink_w);
     for (v, (a, b)) in rn.values.iter().zip(&rw.values).enumerate() {
         assert_eq!(a.to_bits(), b.to_bits(), "vertex {v}");
     }
@@ -267,7 +245,7 @@ fn hybrid_dynamic_sched_trace_is_stable_across_thread_counts() {
     assert_eq!(
         diff::first_value_divergence(&finish(sink_n), &finish(sink_w)),
         None,
-        "hybrid dynamic-sched trace must not depend on thread count"
+        "hybrid trace must not depend on thread count"
     );
 }
 
@@ -287,14 +265,7 @@ fn assert_threshold_invariant<P: CyclopsProgram>(
 {
     for cluster in [ClusterSpec::flat(3, 1), ClusterSpec::mt(2, 3, 2)] {
         let p = HashPartitioner.partition(g, cluster.num_workers());
-        let run = |t| {
-            run_cyclops(
-                program,
-                g,
-                &p,
-                &config(cluster, max_supersteps, Sched::default(), t),
-            )
-        };
+        let run = |t| run_cyclops(program, g, &p, &config(cluster, max_supersteps, t));
         let full = run(0);
         assert!(full.supersteps > 0, "{name} {cluster:?}: nothing ran");
         for t in [2, u32::MAX] {
