@@ -8,9 +8,10 @@
 //! *epochs* at checkpoint boundaries (the engines' existing value-only
 //! checkpoints, §3.6), and between epochs a
 //! [`cyclops_partition::MigrationPlanner`] moves hot masters off the
-//! straggler worker. The plan is rewired **incrementally** — only the
-//! workers whose tables a move actually touches are rewired — and the moved
-//! vertices' state crosses the simulated wire in a dedicated
+//! straggler worker. The plan is **edited** at the boundary — only the
+//! entries an edge of a moved vertex derives are made again, the rest are
+//! translated — and the moved vertices' state crosses the simulated wire in
+//! a dedicated
 //! `MigrationBatch` framing so the transfer cost is accounted like any
 //! other traffic.
 //!
@@ -27,11 +28,13 @@
 
 use crate::checkpoint::CyclopsCheckpoint;
 use crate::engine::{run_cyclops_with_plan_traced, CyclopsConfig, CyclopsResult};
-use crate::plan::{wire, CyclopsPlan};
+use crate::plan::{edit, CyclopsPlan};
 use crate::program::CyclopsProgram;
 use bytes::BytesMut;
-use cyclops_graph::{Graph, VertexId};
-use cyclops_net::codec::{encode_migration_batch, try_decode_migration_batch, MigrationRecord};
+use cyclops_graph::Graph;
+use cyclops_net::codec::{
+    encode_migration_batch, try_decode_migration_batch, Codec, MigrationRecord,
+};
 use cyclops_net::TraceSink;
 use cyclops_partition::{
     compute_imbalance, EdgeCutPartition, LoadLedger, MigrationBatch, MigrationConfig,
@@ -42,28 +45,14 @@ use std::sync::Arc;
 /// Applies a [`MigrationBatch`] to a plan in place, producing exactly the
 /// plan a from-scratch build would produce for the post-move assignment.
 ///
-/// The rewrite is incremental: a move of `v` from worker `f` to worker `t`
-/// can only change the tables of `f`, `t`, the owners of `v`'s in-neighbors
-/// (their sender-side fan-out points at `v`'s replica/slot/local index),
-/// and the owners of `v`'s out-neighbors (they hold `v`'s replica or direct
-/// slots, and own the targets of `v`'s direct slots). Those *affected*
-/// workers are rewired from their master lists, in parallel, by the same
-/// two-phase routine the builder runs (`plan::wire`) — so equality
-/// with a rebuild holds by construction. Every *other* worker keeps its
-/// tables: no master of it neighbors a moved vertex, so what it reads and
-/// which workers it fans out to are unchanged. Its receiving index is read
-/// back from its tables for the affected senders, and its fan-out entries
-/// that name an affected worker are re-pointed in place (remote slots there
-/// may have shifted; a worker whose master or replica count changed is
-/// always affected, so no entry is left counting from a stale base).
-///
-/// Nothing scans the whole graph: whether a boundary vertex is cold is
-/// decided by its degree where an edge of it is met, and a vertex's
-/// classification can flip only when a boundary edge of it appears or
-/// disappears, i.e. when it or a neighbor moved — and then its owner and
-/// its readers are all in the affected set. The cost is the edges of the
-/// affected workers plus sequential passes over the owner map and table
-/// offsets.
+/// The plan is edited, not re-wired (`plan::edit`): every table entry
+/// derived from an edge with neither endpoint moved is copied through a
+/// per-worker translation of the view slot space, and only the entries of
+/// edges incident to a mover, and the movers' own rows, are derived again.
+/// The cost is the movers' degrees plus one pass over the tables of the
+/// workers the batch touches; a worker it does not touch keeps its tables
+/// and has only its fan-out entries into the others translated, in place.
+/// Ingress timings keep the original build's values.
 pub fn apply_migration(
     plan: &mut CyclopsPlan,
     graph: &Graph,
@@ -73,69 +62,7 @@ pub fn apply_migration(
     if batch.is_empty() {
         return;
     }
-    let k = plan.workers.len();
-    let n = graph.num_vertices();
-    let CyclopsPlan {
-        workers,
-        owner,
-        local_of,
-        ..
-    } = plan;
-
-    // 1. Ownership transfer.
-    for mv in &batch.moves {
-        assert_eq!(
-            owner[mv.vertex as usize], mv.from,
-            "move source must own the vertex"
-        );
-        assert!((mv.to as usize) < k, "destination worker out of range");
-        owner[mv.vertex as usize] = mv.to;
-    }
-
-    // 2. The affected worker set (under the new owner map; `from` and `to`
-    //    are added explicitly so the old owner rebuilds too).
-    let mut affected = vec![false; k];
-    let mut remaster = vec![false; k];
-    for mv in &batch.moves {
-        affected[mv.from as usize] = true;
-        affected[mv.to as usize] = true;
-        remaster[mv.from as usize] = true;
-        remaster[mv.to as usize] = true;
-        for &u in graph.in_neighbors(mv.vertex) {
-            affected[owner[u as usize] as usize] = true;
-        }
-        for &x in graph.out_neighbors(mv.vertex) {
-            affected[owner[x as usize] as usize] = true;
-        }
-    }
-
-    // 3. Master lists and local indices of the movers' endpoints, in
-    //    ascending vertex order exactly like the builder's LD pass.
-    wire::load_masters(owner, local_of, workers, |w| remaster[w]);
-    let (owner, local_of) = (&*owner, &*local_of);
-
-    // 4. Receiving halves: affected workers rewire; the rest only report
-    //    where remote vertices land on them.
-    let inbound = wire::par_workers(workers, |w, wp| {
-        if affected[w] {
-            wire::wire_inbound(graph, owner, local_of, threshold, k, w, wp)
-        } else {
-            wire::Inbound::of(wp, n)
-        }
-    });
-
-    // 5. Sending halves: affected workers rewire; the rest re-point the
-    //    entries that name an affected worker, in place.
-    wire::par_workers(workers, |w, wp| {
-        if affected[w] {
-            wire::wire_outbound(graph, owner, local_of, threshold, w, wp, &inbound);
-        } else {
-            wire::repoint_outbound(wp, &inbound, &affected);
-        }
-    });
-
-    // 6. Ingress size stats describe the *current* view; timings keep the
-    //    original build's values.
+    edit::move_masters(plan, graph, batch, threshold);
     plan.recount();
 }
 
@@ -228,43 +155,12 @@ pub fn run_cyclops_migrated_traced<P: CyclopsProgram>(
     let planner = MigrationPlanner::new(migration);
     let state_bytes = std::mem::size_of::<P::Value>() as u32;
 
-    let mut report = MigrationReport::default();
-    let mut merged: Option<CyclopsResult<P::Value, P::Message>> = None;
-    let mut resume: Option<CyclopsCheckpoint<P::Value, P::Message>> = None;
-    loop {
-        let mut result =
-            run_cyclops_with_plan_traced(program, graph, &plan, &cfg, resume.as_ref(), trace);
-        report.epochs += 1;
-        // A run stopped at a checkpoint exactly when its last checkpoint
-        // sits at the final superstep; a natural finish is always strictly
-        // past its last capture.
-        let stopped = result
-            .checkpoints
-            .last()
-            .is_some_and(|cp| cp.superstep == result.supersteps);
-        let boundary = if stopped {
-            result.checkpoints.pop()
-        } else {
-            None
-        };
-        merged = Some(match merged.take() {
-            None => result,
-            Some(mut acc) => {
-                acc.stats.extend(result.stats);
-                acc.counters = acc.counters.merge(&result.counters);
-                acc.direct_messages += result.direct_messages;
-                acc.elapsed += result.elapsed;
-                acc.barrier_protocol_messages += result.barrier_protocol_messages;
-                acc.values = result.values;
-                acc.publications = result.publications;
-                acc.supersteps = result.supersteps;
-                acc.replication_factor = result.replication_factor;
-                acc.checkpoints = result.checkpoints;
-                acc
-            }
-        });
-        let Some(mut cp) = boundary else { break };
-
+    let mut report = MigrationReport {
+        epochs: 1,
+        ..MigrationReport::default()
+    };
+    let mut merged = run_cyclops_with_plan_traced(program, graph, &plan, &cfg, None, trace);
+    while let Some(mut cp) = take_boundary(&mut merged) {
         // Plan the boundary from the deterministic counters.
         let totals = ledger.worker_totals(&plan.owner, num_workers);
         let imbalance_before = compute_imbalance(&totals);
@@ -277,42 +173,7 @@ pub fn run_cyclops_migrated_traced<P: CyclopsProgram>(
             imbalance_after: imbalance_before,
         };
         if !batch.is_empty() {
-            // Ship the moved masters' in-flight state over the wire: the
-            // decoded records (not the originals) patch the checkpoint, so
-            // the resume genuinely consumed what crossed the network.
-            let move_of: std::collections::HashMap<VertexId, usize> = batch
-                .moves
-                .iter()
-                .enumerate()
-                .map(|(i, mv)| (mv.vertex, i))
-                .collect();
-            let mut slots: Vec<Option<usize>> = vec![None; batch.moves.len()];
-            let mut records: Vec<MigrationRecord<P::Message>> =
-                Vec::with_capacity(batch.moves.len());
-            for (ci, (v, _, publication, active)) in cp.vertices.iter().enumerate() {
-                if let Some(&i) = move_of.get(v) {
-                    slots[i] = Some(ci);
-                    records.push(MigrationRecord {
-                        vertex: *v,
-                        from: batch.moves[i].from,
-                        to: batch.moves[i].to,
-                        active: *active,
-                        publication: publication.clone(),
-                        state_bytes,
-                    });
-                }
-            }
-            let mut buf = BytesMut::new();
-            encode_migration_batch(&mut buf, &records);
-            event.bytes = buf.len();
-            let decoded = try_decode_migration_batch::<P::Message>(&mut &buf[..])
-                .expect("migration batch round-trips");
-            for rec in &decoded {
-                let i = move_of[&rec.vertex];
-                let ci = slots[i].expect("moved vertex present in checkpoint");
-                cp.vertices[ci].2 = rec.publication.clone();
-                cp.vertices[ci].3 = rec.active;
-            }
+            event.bytes = ship_moved_state(&mut cp, &batch, state_bytes);
             apply_migration(&mut plan, graph, &batch, cfg.replicate_threshold);
             event.imbalance_after =
                 compute_imbalance(&ledger.worker_totals(&plan.owner, num_workers));
@@ -326,9 +187,78 @@ pub fn run_cyclops_migrated_traced<P: CyclopsProgram>(
         }
         report.events.push(event);
         ledger.reset();
-        resume = Some(cp);
+        let epoch = run_cyclops_with_plan_traced(program, graph, &plan, &cfg, Some(&cp), trace);
+        report.epochs += 1;
+        merged.stats.extend(epoch.stats);
+        merged.counters = merged.counters.merge(&epoch.counters);
+        merged.direct_messages += epoch.direct_messages;
+        merged.elapsed += epoch.elapsed;
+        merged.barrier_protocol_messages += epoch.barrier_protocol_messages;
+        merged.values = epoch.values;
+        merged.publications = epoch.publications;
+        merged.supersteps = epoch.supersteps;
+        merged.replication_factor = epoch.replication_factor;
+        merged.checkpoints = epoch.checkpoints;
     }
-    (merged.expect("at least one epoch ran"), report)
+    (merged, report)
+}
+
+/// The checkpoint an epoch stopped at, taken out of its result. A run
+/// stopped at a checkpoint exactly when its last checkpoint sits at the
+/// final superstep; a natural finish is always strictly past its last
+/// capture.
+fn take_boundary<V, M>(result: &mut CyclopsResult<V, M>) -> Option<CyclopsCheckpoint<V, M>> {
+    let stopped = result
+        .checkpoints
+        .last()
+        .is_some_and(|cp| cp.superstep == result.supersteps);
+    stopped.then(|| result.checkpoints.pop()).flatten()
+}
+
+/// Ships the moved masters' in-flight state over the wire and returns the
+/// frame's bytes. The decoded records, not the originals, patch the
+/// checkpoint, so the resume consumes what crossed the network: they come
+/// back in the order the checkpoint was scanned, so one pass pairs them
+/// with the entries they left. A release build that meets a frame that
+/// does not decode patches nothing, leaving the state it was encoded from;
+/// a debug build fails on it.
+fn ship_moved_state<V, M: Codec + Clone>(
+    cp: &mut CyclopsCheckpoint<V, M>,
+    batch: &MigrationBatch,
+    state_bytes: u32,
+) -> usize {
+    let mut moves = batch.moves.clone();
+    moves.sort_unstable_by_key(|mv| mv.vertex);
+    let mut records = Vec::with_capacity(moves.len());
+    let mut entries = Vec::with_capacity(moves.len());
+    for (ci, (v, _, publication, active)) in cp.vertices.iter().enumerate() {
+        if let Ok(i) = moves.binary_search_by_key(v, |mv| mv.vertex) {
+            entries.push(ci);
+            records.push(MigrationRecord {
+                vertex: *v,
+                from: moves[i].from,
+                to: moves[i].to,
+                active: *active,
+                publication: publication.clone(),
+                state_bytes,
+            });
+        }
+    }
+    let mut buf = BytesMut::new();
+    encode_migration_batch(&mut buf, &records);
+    let decoded = try_decode_migration_batch::<M>(&mut &buf[..]);
+    debug_assert!(
+        decoded.as_ref().is_some_and(|d| d.len() == entries.len()),
+        "a migration batch decodes to one record per moved entry"
+    );
+    for (rec, &ci) in decoded.into_iter().flatten().zip(&entries) {
+        let entry = &mut cp.vertices[ci];
+        debug_assert_eq!(entry.0, rec.vertex, "records come back in scan order");
+        if entry.0 == rec.vertex {
+            (entry.2, entry.3) = (rec.publication, rec.active);
+        }
+    }
+    buf.len()
 }
 
 #[cfg(test)]
@@ -337,7 +267,7 @@ mod tests {
     use crate::engine::run_cyclops;
     use crate::plan::tests::assert_plans_equal;
     use crate::program::{CyclopsContext, CyclopsProgram};
-    use cyclops_graph::GraphBuilder;
+    use cyclops_graph::{GraphBuilder, VertexId};
     use cyclops_net::ClusterSpec;
     use cyclops_partition::{EdgeCutPartitioner, HashPartitioner, VertexMove};
 
@@ -403,12 +333,12 @@ mod tests {
     }
 
     #[test]
-    fn unaffected_workers_are_repointed_in_place() {
+    fn untouched_workers_keep_their_tables_and_translate_only_mirrors() {
         // Vertex 0 (worker 0) and vertex 9 (worker 3) both reach into
         // worker 2, so 9's replica — or direct slot — there sits behind
         // 0's. Moving 0 onto worker 2 removes its entry and shifts 9's
-        // index down; worker 3 neighbors no moved vertex, so it must pick
-        // that up without being rewired.
+        // index down; worker 3 neighbors no moved vertex, so it keeps every
+        // table where it was and only its fan-out entry is translated.
         let mut b = GraphBuilder::new(10);
         b.add_edge(0, 6);
         b.add_edge(9, 5);
@@ -416,8 +346,16 @@ mod tests {
         let p = EdgeCutPartition::new(4, vec![0, 0, 1, 1, 1, 2, 2, 2, 3, 3]);
         for threshold in [0u32, u32::MAX] {
             let mut plan = CyclopsPlan::build_parallel_with_threshold(&g, &p, threshold);
-            let kept = plan.workers[3].local_out_offsets.as_ptr();
-            let before = plan.workers[3].mirrors.clone();
+            let w3 = &plan.workers[3];
+            let kept = [
+                w3.masters.as_ptr() as usize,
+                w3.in_refs.as_ptr() as usize,
+                w3.local_out_offsets.as_ptr() as usize,
+                w3.mirror_offsets.as_ptr() as usize,
+                w3.mirrors.as_ptr() as usize,
+                w3.work_mass.as_ptr() as usize,
+            ];
+            let before = w3.mirrors.clone();
             apply_migration(&mut plan, &g, &batch(&[(0, 0, 2)]), threshold);
             let fresh = CyclopsPlan::build_parallel_with_threshold(
                 &g,
@@ -425,9 +363,18 @@ mod tests {
                 threshold,
             );
             assert_plans_equal(&plan, &fresh);
-            assert_eq!(plan.workers[3].local_out_offsets.as_ptr(), kept);
+            let w3 = &plan.workers[3];
+            let now = [
+                w3.masters.as_ptr() as usize,
+                w3.in_refs.as_ptr() as usize,
+                w3.local_out_offsets.as_ptr() as usize,
+                w3.mirror_offsets.as_ptr() as usize,
+                w3.mirrors.as_ptr() as usize,
+                w3.work_mass.as_ptr() as usize,
+            ];
+            assert_eq!(now, kept, "threshold {threshold}: tables stay in place");
             assert_ne!(
-                before, plan.workers[3].mirrors,
+                before, w3.mirrors,
                 "threshold {threshold}: index must shift"
             );
         }

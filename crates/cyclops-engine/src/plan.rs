@@ -7,17 +7,18 @@
 //! [`CyclopsPlan::build_parallel_with_threshold`] performs the same
 //! construction and times its three phases — graph loading (LD), vertex
 //! replication (REP), and vertex initialization (INIT) — which Figure 13(1)
-//! reports. The wiring itself is the linear-time routine in `plan::wire`, shared
-//! with migration rewiring ([`crate::migrate::apply_migration`]) and the
-//! per-batch rebuilds of [`crate::mutation::run_cyclops_evolving`];
-//! [`CyclopsPlan::build_with_threshold`] is the serial reference
-//! construction tests compare it against.
+//! reports. The wiring itself is the linear-time routine in `plan::wire`, which
+//! the per-batch rebuilds of [`crate::mutation::run_cyclops_evolving`] reuse;
+//! a migration batch instead edits a built plan (`plan::edit`, behind
+//! [`crate::migrate::apply_migration`]). [`CyclopsPlan::build_with_threshold`]
+//! is the serial reference construction tests compare both against.
 
 use cyclops_graph::{Graph, VertexId};
 use cyclops_obs::mem::{Component, MemScope};
 use cyclops_partition::EdgeCutPartition;
 use std::time::{Duration, Instant};
 
+pub(crate) mod edit;
 mod reference;
 pub(crate) mod wire;
 
@@ -340,15 +341,15 @@ impl CyclopsPlan {
                 vec![WorkerPlan::default(); k],
             )
         };
-        wire::load_masters(&owner, &mut local_of, &mut workers, |_| true);
+        wire::load_masters(&owner, &mut local_of, &mut workers);
         let load = ld_start.elapsed();
 
         // ---- REP: create replicas and wire edges. ----
         let rep_start = Instant::now();
-        let inbound = wire::par_workers(&mut workers, |w, wp| {
+        let inbound = wire::par_workers(workers.iter_mut(), |w, wp| {
             wire::wire_inbound(graph, &owner, &local_of, threshold, k, w, wp)
         });
-        wire::par_workers(&mut workers, |w, wp| {
+        wire::par_workers(workers.iter_mut(), |w, wp| {
             wire::wire_outbound(graph, &owner, &local_of, threshold, w, wp, &inbound)
         });
         drop(inbound);

@@ -1,5 +1,5 @@
-//! Linear-time plan wiring: the one routine behind the parallel build,
-//! migration rewiring and mutation rebuilds.
+//! Linear-time plan wiring: the one routine behind the parallel build and
+//! mutation rebuilds.
 //!
 //! A worker's tables are wired in two halves, each a count pass followed by
 //! a fill pass into vectors allocated once at their final length:
@@ -15,9 +15,8 @@
 //!   fan-out table (`mirrors`) and work mass, resolving remote slots through
 //!   every worker's [`Inbound`].
 //!
-//! A third entry point, [`repoint_outbound`], serves migration: a worker no
-//! moved vertex neighbors keeps its tables and only has the remote slots in
-//! its fan-out entries refreshed, in place.
+//! Migration does not come here: `plan::edit` patches the tables a batch
+//! disturbs and shares only the helpers below.
 //!
 //! Nothing is searched, sorted or hashed per edge (a master's mirror
 //! workers, fewer than `k`, are put in order). Both halves lean on the
@@ -40,7 +39,7 @@ use std::sync::Mutex;
 /// An empty vector with room for exactly `len` elements, allocated under
 /// `component`'s scope so the memory ledger attributes it without a
 /// re-materializing copy.
-fn exact<T>(component: Component, len: usize) -> Vec<T> {
+pub(super) fn exact<T>(component: Component, len: usize) -> Vec<T> {
     let _scope = MemScope::enter(component);
     Vec::with_capacity(len)
 }
@@ -56,13 +55,13 @@ fn filled<T: Clone>(component: Component, len: usize, value: T) -> Vec<T> {
 /// through direct slots, not replicated). Threshold 0 is never below, and
 /// says so without touching the graph.
 #[inline]
-fn below_threshold(graph: &Graph, u: VertexId, threshold: u32) -> bool {
+pub(super) fn below_threshold(graph: &Graph, u: VertexId, threshold: u32) -> bool {
     threshold > 0 && ((graph.out_degree(u) + graph.in_degree(u)) as u64) < threshold as u64
 }
 
 /// A set of vertex ids as a bitmap with O(1) rank: the index of a member
 /// among the members in ascending order.
-struct RankSet {
+pub(super) struct RankSet {
     words: Vec<u64>,
     /// Members before each word; filled by [`Self::seal`].
     before: Vec<u32>,
@@ -71,7 +70,7 @@ struct RankSet {
 }
 
 impl RankSet {
-    fn new(num_vertices: usize) -> RankSet {
+    pub(super) fn new(num_vertices: usize) -> RankSet {
         RankSet {
             words: vec![0; num_vertices.div_ceil(64)],
             before: Vec::new(),
@@ -80,7 +79,7 @@ impl RankSet {
     }
 
     /// The sealed set of `members`.
-    fn of(num_vertices: usize, members: &[VertexId]) -> RankSet {
+    pub(super) fn of(num_vertices: usize, members: &[VertexId]) -> RankSet {
         let mut set = RankSet::new(num_vertices);
         for &v in members {
             set.insert_if(v, true);
@@ -92,17 +91,17 @@ impl RankSet {
     /// Inserts `v` if `wanted`, without branching on it: on a hash cut
     /// "is this neighbor remote" is a coin flip per edge.
     #[inline]
-    fn insert_if(&mut self, v: VertexId, wanted: bool) {
+    pub(super) fn insert_if(&mut self, v: VertexId, wanted: bool) {
         self.words[(v >> 6) as usize] |= (wanted as u64) << (v & 63);
     }
 
     #[inline]
-    fn contains(&self, v: VertexId) -> bool {
+    pub(super) fn contains(&self, v: VertexId) -> bool {
         self.words[(v >> 6) as usize] >> (v & 63) & 1 == 1
     }
 
     /// Ends the insert phase: computes the ranks and returns the size.
-    fn seal(&mut self) -> usize {
+    pub(super) fn seal(&mut self) -> usize {
         let mut total = 0u32;
         self.before = self
             .words
@@ -119,13 +118,13 @@ impl RankSet {
 
     /// Index of member `v` in ascending order (sealed sets only).
     #[inline]
-    fn rank(&self, v: VertexId) -> u32 {
+    pub(super) fn rank(&self, v: VertexId) -> u32 {
         let i = (v >> 6) as usize;
         self.before[i] + (self.words[i] & ((1u64 << (v & 63)) - 1)).count_ones()
     }
 
     /// Members in ascending order.
-    fn iter(&self) -> impl Iterator<Item = VertexId> + '_ {
+    pub(super) fn iter(&self) -> impl Iterator<Item = VertexId> + '_ {
         self.words.iter().enumerate().flat_map(|(i, &word)| {
             let mut rest = word;
             std::iter::from_fn(move || {
@@ -151,86 +150,54 @@ pub(crate) struct Inbound {
     slot_start: Vec<u32>,
 }
 
-impl Inbound {
-    /// The index of an already wired worker, read back from its tables.
-    pub(crate) fn of(wp: &WorkerPlan, num_vertices: usize) -> Inbound {
-        let replicas = RankSet::of(num_vertices, &wp.replicas);
-        let cold = RankSet::of(num_vertices, &wp.direct_source);
-        let mut slot_start = vec![0u32; cold.len];
-        // Walking backwards leaves each source's lowest slot.
-        for (slot, &u) in wp.direct_source.iter().enumerate().rev() {
-            slot_start[cold.rank(u) as usize] = slot as u32;
-        }
-        Inbound {
-            replicas,
-            cold,
-            slot_start,
-        }
-    }
-}
-
-/// LD: hands every vertex to its owner in ascending id order, rebuilding the
-/// master list and local indices of the workers `select` picks.
-pub(crate) fn load_masters(
-    owner: &[u32],
-    local_of: &mut [u32],
-    workers: &mut [WorkerPlan],
-    select: impl Fn(usize) -> bool,
-) {
+/// LD: hands every vertex to its owner in ascending id order, building the
+/// master lists and local indices.
+pub(crate) fn load_masters(owner: &[u32], local_of: &mut [u32], workers: &mut [WorkerPlan]) {
     let mut counts = vec![0usize; workers.len()];
     for &w in owner {
         counts[w as usize] += 1;
     }
-    for (w, wp) in workers.iter_mut().enumerate() {
-        if select(w) {
-            wp.masters = exact(Component::Plan, counts[w]);
-        }
+    for (wp, &count) in workers.iter_mut().zip(&counts) {
+        wp.masters = exact(Component::Plan, count);
     }
     for (v, &w) in owner.iter().enumerate() {
-        if select(w as usize) {
-            let masters = &mut workers[w as usize].masters;
-            local_of[v] = masters.len() as u32;
-            masters.push(v as VertexId);
-        }
+        let masters = &mut workers[w as usize].masters;
+        local_of[v] = masters.len() as u32;
+        masters.push(v as VertexId);
     }
 }
 
-/// Runs `f(w, &mut workers[w])` for every worker, on as many threads as the
-/// machine has cores (each thread takes the next unclaimed worker), and
-/// returns the results in worker order.
-pub(crate) fn par_workers<R: Send>(
-    workers: &mut [WorkerPlan],
-    f: impl Fn(usize, &mut WorkerPlan) -> R + Sync,
+/// Runs `f(w, job)` for every job `w` of `jobs` (a worker's tables, or any
+/// per-worker item), on as many threads as the machine has cores, the
+/// calling one included (each takes the next unclaimed job), and returns
+/// the results in job order.
+pub(crate) fn par_workers<T: Send, R: Send>(
+    jobs: impl ExactSizeIterator<Item = T> + Send,
+    f: impl Fn(usize, T) -> R + Sync,
 ) -> Vec<R> {
     let threads = std::thread::available_parallelism()
         .map_or(1, |n| n.get())
-        .min(workers.len());
+        .min(jobs.len());
     if threads <= 1 {
-        return workers
-            .iter_mut()
-            .enumerate()
-            .map(|(w, wp)| f(w, wp))
-            .collect();
+        return jobs.enumerate().map(|(w, job)| f(w, job)).collect();
     }
-    let queue = Mutex::new(workers.iter_mut().enumerate());
+    let queue = Mutex::new(jobs.enumerate());
+    let work = || {
+        let mut mine = Vec::new();
+        loop {
+            let next = queue.lock().expect("a plan build thread panicked").next();
+            let Some((w, wp)) = next else { break };
+            mine.push((w, f(w, wp)));
+        }
+        mine
+    };
     let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut mine = Vec::new();
-                    loop {
-                        let next = queue.lock().expect("a plan build thread panicked").next();
-                        let Some((w, wp)) = next else { break };
-                        mine.push((w, f(w, wp)));
-                    }
-                    mine
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("a plan build thread panicked"))
-            .collect()
+        let handles: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+        let mut done = work();
+        for handle in handles {
+            done.extend(handle.join().expect("a plan build thread panicked"));
+        }
+        done
     });
     done.sort_unstable_by_key(|&(w, _)| w);
     done.into_iter().map(|(_, r)| r).collect()
@@ -401,17 +368,14 @@ impl<'a> Pointer<'a> {
         }
     }
 
-    /// Resolves the entries of master `li` (vertex `u`) that name a worker
-    /// with `stale[p]` set. Where `u` is replicated the entry gets its
-    /// replica index; where it is messaged, the entries for that worker get
-    /// `u`'s direct slots there in edge order, past the worker's replicas.
-    fn point(&mut self, li: usize, u: VertexId, entries: &mut [(u32, u32)], stale: &[bool]) {
+    /// Resolves the entries of master `li` (vertex `u`). Where `u` is
+    /// replicated the entry gets its replica index; where it is messaged,
+    /// the entries for a worker get `u`'s direct slots there in edge order,
+    /// past the worker's replicas.
+    fn point(&mut self, li: usize, u: VertexId, entries: &mut [(u32, u32)]) {
         let tag = li as u32 + 1;
         for (p, slot) in entries {
             let p = *p as usize;
-            if !stale[p] {
-                continue;
-            }
             let to = &self.inbound[p];
             if to.replicas.contains(u) {
                 *slot = to.replicas.rank(u);
@@ -425,20 +389,6 @@ impl<'a> Pointer<'a> {
             *slot = self.next_slot[p];
             self.next_slot[p] += 1;
         }
-    }
-}
-
-/// Re-points worker `w`'s fan-out entries at the workers whose receiving
-/// half was rewired, in place. For a worker none of whose masters neighbors
-/// a moved vertex this is the whole update: which workers each master fans
-/// out to is unchanged, only slots there moved. Every worker whose master or
-/// replica count changed is rewired, so the direct-slot entries that count
-/// offsets are refreshed with the rest.
-pub(crate) fn repoint_outbound(wp: &mut WorkerPlan, inbound: &[Inbound], rewired: &[bool]) {
-    let mut pointer = Pointer::new(inbound);
-    for (li, &u) in wp.masters.iter().enumerate() {
-        let entries = wp.mirror_offsets[li] as usize..wp.mirror_offsets[li + 1] as usize;
-        pointer.point(li, u, &mut wp.mirrors[entries], rewired);
     }
 }
 
@@ -494,7 +444,6 @@ pub(crate) fn wire_outbound(
     // entries at their slots there.
     seen.fill(0);
     let mut pointer = Pointer::new(inbound);
-    let everywhere = vec![true; inbound.len()];
     let mut local_out = exact(Component::Plan, num_local as usize);
     let mut mirrors: Vec<(u32, u32)> = exact(Component::Replicas, num_remote as usize);
     let mut work_mass = exact(Component::Plan, m);
@@ -518,7 +467,7 @@ pub(crate) fn wire_outbound(
         if !cold {
             mirrors[first..].sort_unstable_by_key(|&(p, _)| p);
         }
-        pointer.point(li, u, &mut mirrors[first..], &everywhere);
+        pointer.point(li, u, &mut mirrors[first..]);
         // In-degree + local activation fan-out + remote fan-out + the
         // publication itself.
         let mass = wp.in_ref_offsets[li + 1] - wp.in_ref_offsets[li]

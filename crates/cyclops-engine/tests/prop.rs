@@ -149,6 +149,52 @@ fn moves_from_picks(plan: &CyclopsPlan, picks: &[(usize, u32)], round: usize) ->
         .collect()
 }
 
+/// Batches whose movers neighbour one another: each pick moves a vertex and
+/// one of its in- or out-neighbours, the vertex onto a worker that holds its
+/// replica or direct slots when one does. One move per vertex, no-op moves
+/// dropped.
+fn neighbouring_moves(
+    plan: &CyclopsPlan,
+    g: &Graph,
+    picks: &[(usize, usize, u32)],
+) -> Vec<VertexMove> {
+    let (n, k) = (plan.owner.len(), plan.workers.len() as u32);
+    let owner = |v: VertexId| plan.owner[v as usize];
+    let mut wanted = Vec::new();
+    for &(vi, hop, to) in picks {
+        let v = (vi % n) as VertexId;
+        let (ins, outs) = (g.in_neighbors(v), g.out_neighbors(v));
+        let holders: Vec<u32> = outs
+            .iter()
+            .map(|&x| owner(x))
+            .filter(|&p| p != owner(v))
+            .collect();
+        let dest = match holders.len() {
+            0 => to % k,
+            len => holders[to as usize % len],
+        };
+        wanted.push((v, dest));
+        let neighbour = match hop % 2 {
+            0 if !ins.is_empty() => Some(ins[hop % ins.len()]),
+            _ if !outs.is_empty() => Some(outs[hop % outs.len()]),
+            _ => None,
+        };
+        wanted.extend(neighbour.map(|u| (u, (to + 1) % k)));
+    }
+    let mut seen = std::collections::BTreeSet::new();
+    wanted
+        .into_iter()
+        .filter(|&(v, _)| seen.insert(v))
+        .map(|(vertex, to)| VertexMove {
+            vertex,
+            from: owner(vertex),
+            to,
+            cost: 1,
+        })
+        .filter(|mv| mv.from != mv.to)
+        .collect()
+}
+
 /// Every vector of the plan was allocated at its final length: capacity
 /// slack would inflate `memory_breakdown()` (and `plan_bytes`).
 fn exactly_sized(plan: &CyclopsPlan) -> Result<(), String> {
@@ -504,6 +550,55 @@ proptest! {
         }
         if let Err(e) = readers_invert_in_refs(&plan) {
             prop_assert!(false, "after the last batch: {e}");
+        }
+    }
+
+    #[test]
+    fn moves_of_neighbouring_vertices_equal_a_rebuild(
+        base in arb_graph(),
+        seed in 0u64..1_000,
+        workers_idx in 0usize..3,
+        threshold_idx in 0usize..3,
+        picks in prop::collection::vec((0usize..64, 0usize..64, 0u32..5), 1..6),
+    ) {
+        // Movers adjacent to movers, some with a self-loop or a doubled
+        // out-edge, cold at thresholds 2 and 3 on a sparse graph, and moved
+        // onto a worker that held their replica or direct slots; two chained
+        // batches, each held to the production and the reference builds.
+        let n = base.num_vertices();
+        let mut b = GraphBuilder::new(n);
+        for (s, t, _) in base.edges() {
+            b.add_edge(s, t);
+        }
+        for &(vi, hop, _) in &picks {
+            let v = (vi % n) as VertexId;
+            match (hop % 3, base.out_neighbors(v).first()) {
+                (0, _) => b.add_edge(v, v),
+                (1, Some(&x)) => b.add_edge(v, x),
+                _ => {}
+            }
+        }
+        let g = b.build();
+        let workers = [2usize, 3, 5][workers_idx];
+        let threshold = [0u32, 2, 3][threshold_idx];
+        let mut plan = CyclopsPlan::build_parallel_with_threshold(&g, &arb_partition(&g, workers, seed), threshold);
+        for round in 0..2 {
+            let moves = neighbouring_moves(&plan, &g, &picks[round.min(picks.len() - 1)..]);
+            if moves.is_empty() {
+                continue;
+            }
+            apply_migration(&mut plan, &g, &MigrationBatch { moves }, threshold);
+            let cut = EdgeCutPartition::new(workers, plan.owner.clone());
+            let fresh = CyclopsPlan::build_parallel_with_threshold(&g, &cut, threshold);
+            let reference = CyclopsPlan::build_with_threshold(&g, &cut, threshold);
+            let checked = plans_equal(&plan, &fresh)
+                .and_then(|_| plans_equal(&plan, &reference))
+                .and_then(|_| exactly_sized(&plan))
+                .and_then(|_| readers_invert_in_refs(&plan));
+            if let Err(e) = checked {
+                prop_assert!(false, "round {round}: {e}");
+            }
+            prop_assert_eq!(plan.memory_breakdown(), reference.memory_breakdown());
         }
     }
 

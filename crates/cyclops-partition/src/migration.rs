@@ -16,6 +16,8 @@
 //! counts and machines. Wall-clock never feeds the planner.
 
 use cyclops_graph::VertexId;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Deterministic per-vertex compute-cost accumulator for one migration
@@ -100,7 +102,7 @@ pub struct MigrationConfig {
     /// epoch load. Below the band the imbalance is noise, not skew.
     pub hysteresis: f64,
     /// Maximum vertices moved per epoch. Bounds both the state-transfer
-    /// burst and the incremental-rewire work behind one barrier.
+    /// burst and the plan-edit work behind one barrier.
     pub budget: usize,
 }
 
@@ -154,7 +156,7 @@ impl MigrationBatch {
 /// 1. Sum per-worker epoch totals. If the maximum does not exceed
 ///    `hysteresis × mean`, emit nothing (the hysteresis band).
 /// 2. The source is the most-loaded worker (lowest id on ties).
-/// 3. Its masters, sorted by (epoch cost descending, id ascending), are
+/// 3. Its masters, in (epoch cost descending, id ascending) order, are
 ///    offered to the currently least-loaded worker (lowest id on ties),
 ///    accepting a move only while it strictly lowers the pair maximum —
 ///    `dst + cost < src` — which cannot oscillate: the reverse move fails
@@ -198,17 +200,18 @@ impl MigrationPlanner {
         }
 
         // The straggler's masters, hottest first; ids break ties so the
-        // order is total.
-        let mut cand: Vec<(u64, VertexId)> = owner
+        // order is total. A heap is built in linear time and popped only as
+        // far as the batch reads, where sorting every candidate would pay
+        // for all of them.
+        let mut cand: BinaryHeap<(u64, Reverse<VertexId>)> = owner
             .iter()
             .enumerate()
             .filter(|&(_, &o)| o as usize == src)
-            .map(|(v, _)| (ledger.load(v as VertexId), v as VertexId))
+            .map(|(v, _)| (ledger.load(v as VertexId), Reverse(v as VertexId)))
             .filter(|&(c, _)| c > 0)
             .collect();
-        cand.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
 
-        for (cost, v) in cand {
+        while let Some((cost, Reverse(v))) = cand.pop() {
             if batch.len() >= self.config.budget || masters[src] <= 1 {
                 break;
             }
@@ -275,6 +278,93 @@ pub fn compute_imbalance(totals: &[u64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The planner as it was written first, sorting every candidate: the
+    /// oracle the heap-driven loop is held to.
+    fn plan_by_sorting(
+        config: MigrationConfig,
+        ledger: &LoadLedger,
+        owner: &[u32],
+        k: usize,
+    ) -> MigrationBatch {
+        let mut batch = MigrationBatch::default();
+        if k < 2 {
+            return batch;
+        }
+        let mut totals = vec![0u64; k];
+        let mut masters = vec![0usize; k];
+        for (v, &o) in owner.iter().enumerate() {
+            totals[o as usize] += ledger.load(v as VertexId);
+            masters[o as usize] += 1;
+        }
+        let sum: u64 = totals.iter().sum();
+        if sum == 0 {
+            return batch;
+        }
+        let src = argmax(&totals);
+        if totals[src] as f64 <= config.hysteresis * (sum as f64 / k as f64) {
+            return batch;
+        }
+        let mut cand: Vec<(u64, VertexId)> = owner
+            .iter()
+            .enumerate()
+            .filter(|&(_, &o)| o as usize == src)
+            .map(|(v, _)| (ledger.load(v as VertexId), v as VertexId))
+            .filter(|&(c, _)| c > 0)
+            .collect();
+        cand.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        for (cost, v) in cand {
+            if batch.len() >= config.budget || masters[src] <= 1 {
+                break;
+            }
+            let dst = argmin_except(&totals, src);
+            if totals[dst] + cost < totals[src] {
+                batch.moves.push(VertexMove {
+                    vertex: v,
+                    from: src as u32,
+                    to: dst as u32,
+                    cost,
+                });
+                totals[src] -= cost;
+                totals[dst] += cost;
+                masters[src] -= 1;
+                masters[dst] += 1;
+            }
+        }
+        batch
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn heap_planner_emits_the_sorted_planners_batch(
+            costs in prop::collection::vec(0u64..12, 1..120),
+            owners in prop::collection::vec(0u32..6, 120..121),
+            k in 2usize..6,
+            pile in 0usize..120,
+            budget in 0usize..12,
+            hysteresis_idx in 0usize..4,
+        ) {
+            // Small cost ranges give zero costs and many ties; a pile on
+            // worker 0 makes it the straggler often enough that batches
+            // read past candidates that fail the pair-maximum test.
+            let ledger = LoadLedger::new(costs.len());
+            for (v, &c) in costs.iter().enumerate() {
+                ledger.record(v as VertexId, c);
+            }
+            let owner: Vec<u32> = (0..costs.len())
+                .map(|v| if v < pile { 0 } else { owners[v] % k as u32 })
+                .collect();
+            let config = MigrationConfig {
+                hysteresis: [0.5, 1.0, 1.2, 2.0][hysteresis_idx],
+                budget,
+            };
+            let heap = MigrationPlanner::new(config).plan(&ledger, &owner, k);
+            prop_assert_eq!(heap, plan_by_sorting(config, &ledger, &owner, k));
+        }
+    }
 
     fn ledger_with(loads: &[u64]) -> LoadLedger {
         let l = LoadLedger::new(loads.len());

@@ -1087,7 +1087,7 @@ execution:   --engine cyclops|hama  --machines M --workers W
              threshold, on every command)
              --migrate off|K|auto  runtime hot-vertex migration: every K
              supersteps move hot masters off the most loaded worker and
-             rewire the plan incrementally, decided from deterministic
+             edit the plan in place, decided from deterministic
              compute counters — never clocks (auto = every 8; default
              off; results bitwise identical)
              --skew F  pile the first F-fraction of the vertices onto

@@ -2,7 +2,7 @@
 //!
 //! `--migrate` moves hot masters between workers at superstep boundaries,
 //! but the planner's inputs are deterministic compute-cost counters and
-//! the rewired plan preserves the immutable-view contract, so algorithm
+//! the edited plan preserves the immutable-view contract, so algorithm
 //! results must be **bitwise identical** to the static run at every epoch
 //! length, on every engine topology. These tests pin that for PageRank
 //! and SSSP on deliberately skewed partitions, across epoch lengths
