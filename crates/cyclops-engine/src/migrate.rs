@@ -45,24 +45,25 @@ use std::sync::Arc;
 /// Applies a [`MigrationBatch`] to a plan in place, producing exactly the
 /// plan a from-scratch build would produce for the post-move assignment.
 ///
-/// The plan is edited, not re-wired (`plan::edit`): every table entry
-/// derived from an edge with neither endpoint moved is copied through a
-/// per-worker translation of the view slot space, and only the entries of
-/// edges incident to a mover, and the movers' own rows, are derived again.
-/// The cost is the movers' degrees plus one pass over the tables of the
-/// workers the batch touches; a worker it does not touch keeps its tables
-/// and has only its fan-out entries into the others translated, in place.
-/// Ingress timings keep the original build's values.
+/// The plan is edited, not re-wired: each mover is re-seated on its new
+/// owner over the same graph (`plan::edit`, which also edits a plan across
+/// a mutation batch). Every table entry derived from an edge with neither
+/// endpoint moved is copied through a per-worker translation of the view
+/// slot space, and only the movers' own rows and their entries in their
+/// neighbours' rows are derived again. The cost is the movers' degrees plus
+/// one pass over the tables of the workers the batch touches; a worker it
+/// does not touch keeps its tables and has only its fan-out entries into
+/// the others translated, in place. A move onto its own worker changes
+/// nothing. Ingress timings keep the original build's values.
 pub fn apply_migration(
     plan: &mut CyclopsPlan,
     graph: &Graph,
     batch: &MigrationBatch,
     threshold: u32,
 ) {
-    if batch.is_empty() {
-        return;
-    }
-    edit::move_masters(plan, graph, batch, threshold);
+    let moves = batch.moves.iter().filter(|mv| mv.from != mv.to);
+    let seats = moves.map(|mv| (mv.vertex, Some(mv.from), mv.to));
+    edit::reseat(plan, graph, graph, seats, threshold);
     plan.recount();
 }
 

@@ -4,16 +4,23 @@
 //!
 //! This module adds it with *epoch semantics*: a computation runs to
 //! quiescence, a [`MutationBatch`] is applied (new vertices, added and
-//! removed edges), the distributed immutable view is rebuilt for the new
-//! topology (re-partitioned, then wired by the same linear-time routine as
-//! any other plan, at the configured replication threshold), and the
-//! computation resumes **warm** — values and publications
-//! carry over, and only the vertices whose neighborhood changed (plus any
-//! new vertices) are re-activated. Dynamic computation then propagates the
-//! disturbance exactly like any other activation wave, so self-correcting
-//! algorithms (PageRank, label propagation, max/min propagation, ALS)
-//! converge to the new graph's fixpoint while recomputing only what the
-//! mutation touched.
+//! removed edges), and the computation resumes **warm** — values and
+//! publications carry over, and only the vertices whose neighborhood changed
+//! (plus any new vertices) are re-activated. Dynamic computation then
+//! propagates the disturbance exactly like any other activation wave, so
+//! self-correcting algorithms (PageRank, label propagation, max/min
+//! propagation, ALS) converge to the new graph's fixpoint while recomputing
+//! only what the mutation touched.
+//!
+//! A batch edits the topology and the distributed immutable view; it
+//! rebuilds neither. [`apply_mutations`] splices the CSR rows the batch
+//! touches ([`Graph::with_edits`]). [`run_cyclops_evolving`] builds its plan
+//! once and edits it per batch (`plan::edit`): the endpoints of the batch's
+//! edges, its new vertices and every vertex the new cut gives another owner
+//! are re-seated — their rows and their entries in their neighbours' rows
+//! derived again from the new graph — and every other entry is translated.
+//! The edited plan equals a build on the new graph and cut, field for
+//! field, so a batch costs what it disturbs, not what the graph holds.
 //!
 //! Algorithms whose state encodes *paths* (e.g. SSSP under edge removal)
 //! are not self-correcting: a removed edge can strand a stale-but-small
@@ -23,10 +30,11 @@
 
 use crate::checkpoint::CyclopsCheckpoint;
 use crate::engine::{run_cyclops_with_plan, CyclopsConfig, CyclopsResult};
-use crate::plan::CyclopsPlan;
+use crate::plan::{edit, CyclopsPlan};
 use crate::program::CyclopsProgram;
-use cyclops_graph::{Graph, GraphBuilder, VertexId};
+use cyclops_graph::{Graph, VertexId};
 use cyclops_partition::EdgeCutPartition;
+use std::borrow::Cow;
 
 /// A batch of topology changes applied between computation epochs.
 #[derive(Clone, Debug, Default)]
@@ -36,7 +44,7 @@ pub struct MutationBatch {
     pub add_vertices: usize,
     /// Directed edges to add; weight `None` on an unweighted graph.
     pub add_edges: Vec<(VertexId, VertexId, Option<f64>)>,
-    /// Directed edges to remove (all parallel copies).
+    /// Directed edges to remove (all parallel copies the graph has).
     pub remove_edges: Vec<(VertexId, VertexId)>,
 }
 
@@ -57,34 +65,14 @@ impl MutationBatch {
     }
 }
 
-/// Applies a [`MutationBatch`] to a graph, producing the new topology.
+/// Applies a [`MutationBatch`] to a graph, producing the new topology by
+/// [`Graph::with_edits`]. Removals apply to the old graph only: a removed
+/// pair drops every copy `graph` has, never an edge the same batch adds,
+/// and a pair `graph` does not have removes nothing.
 /// Panics if an added edge references a vertex beyond the grown range, or
 /// mixes weighted edges into an unweighted graph.
 pub fn apply_mutations(graph: &Graph, batch: &MutationBatch) -> Graph {
-    let n = graph.num_vertices() + batch.add_vertices;
-    let weighted = graph.is_weighted();
-    let mut removed: Vec<(VertexId, VertexId)> = batch.remove_edges.clone();
-    removed.sort_unstable();
-    let mut b = GraphBuilder::new(n);
-    for (s, t, w) in graph.edges() {
-        if removed.binary_search(&(s, t)).is_ok() {
-            continue;
-        }
-        if weighted {
-            b.add_weighted_edge(s, t, w);
-        } else {
-            b.add_edge(s, t);
-        }
-    }
-    for &(s, t, w) in &batch.add_edges {
-        match (weighted, w) {
-            (true, Some(w)) => b.add_weighted_edge(s, t, w),
-            (true, None) => panic!("weighted graph needs edge weights"),
-            (false, None) => b.add_edge(s, t),
-            (false, Some(_)) => panic!("unweighted graph cannot take weighted edges"),
-        }
-    }
-    b.build()
+    graph.with_edits(batch.add_vertices, &batch.add_edges, &batch.remove_edges)
 }
 
 /// Warm-start policy for the epoch after a mutation batch.
@@ -99,11 +87,15 @@ pub enum WarmStart {
     Cold,
 }
 
-/// Result of an evolving run: the final topology plus every epoch's result.
+/// Result of an evolving run: the final topology and plan plus every
+/// epoch's result.
 #[derive(Debug)]
 pub struct EvolvingResult<V, M> {
     /// The graph after all mutation batches.
     pub graph: Graph,
+    /// The plan the last epoch ran on: built for the first epoch, edited
+    /// per batch, and equal to a build on `graph` and the last cut.
+    pub plan: CyclopsPlan,
     /// Per-epoch engine results (`batches.len() + 1` entries).
     pub epochs: Vec<CyclopsResult<V, M>>,
 }
@@ -111,7 +103,7 @@ pub struct EvolvingResult<V, M> {
 impl<V, M> EvolvingResult<V, M> {
     /// The final epoch's vertex values.
     pub fn final_values(&self) -> &[V] {
-        &self.epochs.last().expect("at least one epoch").values
+        self.epochs.last().map_or(&[], |e| &e.values)
     }
 
     /// Total supersteps across all epochs.
@@ -121,9 +113,11 @@ impl<V, M> EvolvingResult<V, M> {
 }
 
 /// Runs `program` over an evolving graph: an initial epoch on `graph`, then
-/// one epoch per `(batch, policy)` pair. `partition_fn` re-partitions each
-/// new topology (vertex additions change the vertex set, so the cut must be
-/// recomputed — pass a closure over your partitioner).
+/// one epoch per `(batch, policy)` pair. `partition_fn` cuts each topology
+/// (vertex additions change the vertex set, so the cut is asked again per
+/// batch — pass a closure over your partitioner); a vertex it gives a new
+/// owner moves with the batch's edit. Panics if `partition_fn` changes the
+/// number of parts or leaves a vertex out.
 pub fn run_cyclops_evolving<P, F>(
     program: &P,
     graph: &Graph,
@@ -135,73 +129,94 @@ where
     P: CyclopsProgram,
     F: Fn(&Graph) -> EdgeCutPartition,
 {
-    let mut current = graph.clone();
+    let threshold = config.replicate_threshold;
+    let mut plan =
+        CyclopsPlan::build_parallel_with_threshold(graph, &partition_fn(graph), threshold);
+    let mut last = run_cyclops_with_plan(program, graph, &plan, config, None);
     let mut epochs = Vec::with_capacity(batches.len() + 1);
-    let build = |graph: &Graph| {
-        CyclopsPlan::build_parallel_with_threshold(
-            graph,
-            &partition_fn(graph),
-            config.replicate_threshold,
-        )
-    };
-    let plan = build(&current);
-    epochs.push(run_cyclops_with_plan(
-        program, &current, &plan, config, None,
-    ));
-
+    let mut current = Cow::Borrowed(graph);
     for (batch, policy) in batches {
-        let prev: &CyclopsResult<P::Value, P::Message> = epochs.last().unwrap();
-        let next_graph = apply_mutations(&current, batch);
-        let plan = build(&next_graph);
-        let result = match policy {
-            WarmStart::Cold => run_cyclops_with_plan(program, &next_graph, &plan, config, None),
-            WarmStart::Incremental => {
-                // Build a synthetic checkpoint: carried state for old
-                // vertices, activation for the disturbance front. Vertices
-                // the batch added are chained in with the program's own
-                // `init` / `init_message` state and `initially_active`
-                // flag — a resume starts every master the checkpoint does
-                // not cover *inactive*, which would strand a new vertex the
-                // program expects to start active.
-                let mut active = vec![false; current.num_vertices()];
-                for v in batch.disturbed() {
-                    if (v as usize) < active.len() {
-                        active[v as usize] = true;
-                    }
-                }
-                let vertices = (0..current.num_vertices() as VertexId)
-                    .map(|v| {
-                        (
-                            v,
-                            prev.values[v as usize].clone(),
-                            prev.publications[v as usize].clone(),
-                            active[v as usize],
-                        )
-                    })
-                    .chain(
-                        (current.num_vertices() as VertexId..next_graph.num_vertices() as VertexId)
-                            .map(|v| {
-                                let value = program.init(v, &next_graph);
-                                let publication = program.init_message(v, &next_graph, &value);
-                                let act = program.initially_active(v, &next_graph);
-                                (v, value, publication, act)
-                            }),
-                    )
-                    .collect();
-                let cp = CyclopsCheckpoint {
-                    superstep: 0,
-                    vertices,
-                    aggregate: None,
-                };
-                run_cyclops_with_plan(program, &next_graph, &plan, config, Some(&cp))
-            }
+        let next = apply_mutations(&current, batch);
+        let cut = partition_fn(&next);
+        assert_eq!(cut.num_parts, plan.workers.len(), "the cut keeps its parts");
+        assert_eq!(
+            cut.assignment.len(),
+            next.num_vertices(),
+            "the cut covers the graph"
+        );
+        let seats = seats(batch, &plan.owner, &cut);
+        edit::reseat(&mut plan, &current, &next, seats, threshold);
+        plan.recount();
+        let resume = match policy {
+            WarmStart::Cold => None,
+            WarmStart::Incremental => Some(warm_start(program, batch, &last, &next)),
         };
-        current = next_graph;
-        epochs.push(result);
+        let result = run_cyclops_with_plan(program, &next, &plan, config, resume.as_ref());
+        epochs.push(std::mem::replace(&mut last, result));
+        current = Cow::Owned(next);
     }
+    epochs.push(last);
     EvolvingResult {
-        graph: current,
+        graph: current.into_owned(),
+        plan,
         epochs,
+    }
+}
+
+/// The vertices a batch re-seats, ascending, each with its owner under
+/// `owner` (`None` for a new vertex) and under `cut`: the endpoints of its
+/// edges, its new vertices and every vertex `cut` gives another owner.
+fn seats(
+    batch: &MutationBatch,
+    owner: &[u32],
+    cut: &EdgeCutPartition,
+) -> Vec<(VertexId, Option<u32>, u32)> {
+    let owners = &cut.assignment;
+    let mut reseated: Vec<bool> = owners.iter().zip(owner).map(|(a, b)| a != b).collect();
+    reseated.resize(owners.len(), true);
+    for v in batch.disturbed() {
+        if let Some(r) = reseated.get_mut(v as usize) {
+            *r = true;
+        }
+    }
+    let reseated = reseated.iter().enumerate().filter(|&(_, &r)| r);
+    reseated
+        .map(|(v, _)| (v as VertexId, owner.get(v).copied(), owners[v]))
+        .collect()
+}
+
+/// The checkpoint a warm epoch resumes from: every old vertex's value and
+/// publication from `prev`, active when the batch disturbed it, then every
+/// vertex the batch added with the program's own `init` / `init_message`
+/// state and `initially_active` flag — a resume starts every master the
+/// checkpoint does not cover *inactive*, which would strand a new vertex
+/// the program expects to start active.
+fn warm_start<P: CyclopsProgram>(
+    program: &P,
+    batch: &MutationBatch,
+    prev: &CyclopsResult<P::Value, P::Message>,
+    next: &Graph,
+) -> CyclopsCheckpoint<P::Value, P::Message> {
+    let mut active = vec![false; prev.values.len()];
+    for v in batch.disturbed() {
+        if let Some(a) = active.get_mut(v as usize) {
+            *a = true;
+        }
+    }
+    let old = prev.values.iter().zip(&prev.publications).zip(active);
+    let carried = old.enumerate().map(|(v, ((value, publication), act))| {
+        (v as VertexId, value.clone(), publication.clone(), act)
+    });
+    let added = (prev.values.len() as VertexId..next.num_vertices() as VertexId).map(|v| {
+        let value = program.init(v, next);
+        let publication = program.init_message(v, next, &value);
+        let act = program.initially_active(v, next);
+        (v, value, publication, act)
+    });
+    CyclopsCheckpoint {
+        superstep: 0,
+        vertices: carried.chain(added).collect(),
+        aggregate: None,
     }
 }
 
@@ -209,6 +224,7 @@ where
 mod tests {
     use super::*;
     use crate::engine::run_cyclops;
+    use crate::plan::tests::assert_plans_equal;
     use crate::program::CyclopsContext;
     use cyclops_net::ClusterSpec;
     use cyclops_partition::{EdgeCutPartitioner, HashPartitioner};
@@ -236,12 +252,18 @@ mod tests {
         }
     }
 
+    /// An unweighted graph on `n` vertices with `edges`, in order.
+    fn graph(n: usize, edges: &[(VertexId, VertexId)]) -> Graph {
+        let batch = MutationBatch {
+            add_edges: edges.iter().map(|&(s, t)| (s, t, None)).collect(),
+            ..Default::default()
+        };
+        apply_mutations(&Graph::empty(n), &batch)
+    }
+
     fn path(n: usize) -> Graph {
-        let mut b = GraphBuilder::new(n);
-        for i in 0..n - 1 {
-            b.add_edge(i as VertexId, (i + 1) as VertexId);
-        }
-        b.build()
+        let edges: Vec<_> = (1..n as VertexId).map(|i| (i - 1, i)).collect();
+        graph(n, &edges)
     }
 
     fn config() -> CyclopsConfig {
@@ -268,10 +290,7 @@ mod tests {
 
     #[test]
     fn apply_mutations_removes_all_parallel_copies() {
-        let mut b = GraphBuilder::new(2);
-        b.add_edge(0, 1);
-        b.add_edge(0, 1);
-        let g = b.build();
+        let g = graph(2, &[(0, 1), (0, 1)]);
         let g2 = apply_mutations(
             &g,
             &MutationBatch {
@@ -280,6 +299,64 @@ mod tests {
             },
         );
         assert_eq!(g2.num_edges(), 0);
+    }
+
+    #[test]
+    fn removals_apply_to_the_old_graph_only() {
+        // (0, 1) goes and comes back as the batch's own edge; (2, 0) is
+        // not in the old graph, so its removal spares the added copy.
+        let g = path(3);
+        let batch = MutationBatch {
+            add_edges: vec![(0, 1, None), (2, 0, None)],
+            remove_edges: vec![(0, 1), (2, 0), (7, 0)],
+            ..Default::default()
+        };
+        let g2 = apply_mutations(&g, &batch);
+        let edges: Vec<_> = g2.edges().map(|(s, t, _)| (s, t)).collect();
+        assert_eq!(edges, [(0, 1), (1, 2), (2, 0)]);
+    }
+
+    #[test]
+    fn the_edited_plan_equals_a_rebuild_after_every_batch() {
+        // Inserts that take degree-1 path vertices across thresholds 2 and
+        // 3, a removal that takes one back, a new vertex, and a cut that
+        // moves a third of the owners every batch.
+        let g = path(12);
+        let cut = |g: &Graph| {
+            let m = g.num_edges() as VertexId;
+            EdgeCutPartition::new(
+                2,
+                g.vertices()
+                    .map(|v| (v + (v % 3 == m % 3) as u32) % 2)
+                    .collect(),
+            )
+        };
+        let batches = [
+            (vec![(0, 5), (11, 3)], vec![], 0),
+            (vec![(12, 0), (4, 12)], vec![(4, 5), (0, 5)], 1),
+            (vec![(6, 6), (6, 6)], vec![(11, 3), (1, 2)], 0),
+        ]
+        .map(|(add, remove, add_vertices)| {
+            let batch = MutationBatch {
+                add_vertices,
+                add_edges: add.into_iter().map(|(s, t)| (s, t, None)).collect(),
+                remove_edges: remove,
+            };
+            (batch, WarmStart::Incremental)
+        });
+        for threshold in [0, 2, 3, u32::MAX] {
+            let config = CyclopsConfig {
+                cluster: ClusterSpec::flat(2, 1),
+                replicate_threshold: threshold,
+                ..Default::default()
+            };
+            for len in 1..=batches.len() {
+                let r = run_cyclops_evolving(&MaxPull, &g, cut, &config, &batches[..len]);
+                let rebuilt =
+                    CyclopsPlan::build_with_threshold(&r.graph, &cut(&r.graph), threshold);
+                assert_plans_equal(&r.plan, &rebuilt);
+            }
+        }
     }
 
     #[test]
@@ -364,9 +441,7 @@ mod tests {
     fn cold_policy_discards_state() {
         // Remove the only edge feeding vertex 1: incremental MaxPull would
         // keep the stale max (monotone state), cold recomputes from init.
-        let mut b = GraphBuilder::new(2);
-        b.add_edge(1, 0); // 0 pulls from 1 -> value 10
-        let g = b.build();
+        let g = graph(2, &[(1, 0)]); // 0 pulls from 1 -> value 10
         let partition_fn = |g: &Graph| HashPartitioner.partition(g, 4);
         let batch = MutationBatch {
             remove_edges: vec![(1, 0)],

@@ -7,11 +7,12 @@
 //! [`CyclopsPlan::build_parallel_with_threshold`] performs the same
 //! construction and times its three phases — graph loading (LD), vertex
 //! replication (REP), and vertex initialization (INIT) — which Figure 13(1)
-//! reports. The wiring itself is the linear-time routine in `plan::wire`, which
-//! the per-batch rebuilds of [`crate::mutation::run_cyclops_evolving`] reuse;
-//! a migration batch instead edits a built plan (`plan::edit`, behind
-//! [`crate::migrate::apply_migration`]). [`CyclopsPlan::build_with_threshold`]
-//! is the serial reference construction tests compare both against.
+//! reports. The wiring itself is the linear-time routine in `plan::wire`. A
+//! built plan is edited rather than built again: `plan::edit` re-seats the
+//! vertices a migration batch moves ([`crate::migrate::apply_migration`])
+//! or a mutation batch disturbs ([`crate::mutation::run_cyclops_evolving`]).
+//! [`CyclopsPlan::build_with_threshold`] is the serial reference
+//! construction tests compare both against.
 
 use cyclops_graph::{Graph, VertexId};
 use cyclops_obs::mem::{Component, MemScope};

@@ -1,44 +1,58 @@
-//! Migration as a plan edit: a batch of master moves patches the entries it
+//! Plan edits: a batch of re-seated vertices patches the entries it
 //! disturbs and translates the rest, instead of wiring workers again.
 //!
-//! A move of `v` from worker `f` to `t` changes the entries derived from an
-//! edge incident to `v`, and where every other entry points: indices shift
-//! as masters, replicas and direct slots enter or leave a worker's view slot
-//! space `[masters | replicas | direct slots]`. So per worker the edit
+//! *Re-seating* `v` on worker `t` derives `v`'s own rows and copies again
+//! from the new graph, with `v` a master of `t`. A migration re-seats its
+//! movers over one graph. A mutation batch re-seats, over the graphs before
+//! and after it, the endpoints of every edge it inserts or removes, every
+//! new vertex (which arrives with no old slot) and every vertex whose owner
+//! changed; a vertex whose owner did not change is re-seated in place. A
+//! vertex that is not re-seated has the same edges in both graphs, so an
+//! entry between two such vertices is only translated: indices shift as
+//! masters, replicas and direct slots enter or leave a worker's view slot
+//! space `[masters | replicas | direct slots]`. So is a re-seated vertex's
+//! entry in the row of a neighbour that is not, when it stays on its worker;
+//! a move drops those entries and derives them again. So per worker the
+//! edit
 //!
 //! 1. derives a translation from the old slot space to the new one,
 //!    monotone on each range, with [`GONE`] for a slot that leaves;
-//! 2. copies every table through it, a run of rows no move disturbed in one
-//!    pass, dropping activations of masters that left;
-//! 3. merges in what the moves add: each mover's own rows and copies, from
-//!    its adjacency, and its entries in its neighbours' rows, collected once
-//!    from the movers' adjacency into a [`Patch`] per worker.
+//! 2. copies every table through it, a run of rows no re-seat disturbed in
+//!    one pass, dropping activations of masters that left;
+//! 3. merges in what the re-seats add: each re-seated vertex's own rows and
+//!    copies, from its new adjacency, and its entries in its neighbours'
+//!    rows, collected once from that adjacency into a [`Patch`] per worker.
 //!
-//! A neighbour's row is patched at the mover's entries, never re-derived
-//! from the graph: a hub's neighbours hold half the graph's edges. Its
-//! in-edge references to a hot mover go through the translation (the mover
-//! is read through one master or replica slot before and after); those to a
-//! cold mover are found by binary search in its sorted in-adjacency. Only
-//! the sender rows (`mirrors`) of a mover's in-neighbours are recomputed, a
-//! hot one from replica membership on the workers it had a copy on or a
-//! mover reached, a cold one from its adjacency, which is shorter than the
-//! threshold. A worker no move touches (no mover
-//! among its masters, no master adjacent to one) keeps every table in place
-//! and only translates its `mirrors` entries into the workers that changed.
+//! Old entries are found with the old graph and new ones derived with the
+//! new: an edge can take an endpoint across the replication threshold, which
+//! switches it between replica and direct slots. A neighbour's row is
+//! patched at the re-seated vertex's entries, never re-derived from the
+//! graph: a hub's neighbours hold half the graph's edges. Its in-edge
+//! references to a vertex hot in both graphs go through the translation (the
+//! vertex is read through one master or replica slot before and after);
+//! those to any other are found again by binary search in its sorted
+//! in-adjacency. Only the sender rows (`mirrors`) of a re-seated vertex's
+//! in-neighbours are recomputed, a hot one from replica membership on the
+//! workers it had a copy on or a re-seated vertex reached, a cold one from
+//! its adjacency, which is shorter than the threshold. A worker no re-seat
+//! touches (no re-seated vertex among its masters, old or new, no master
+//! adjacent to one) keeps every table in place and only translates its
+//! `mirrors` entries into the workers that changed.
 //!
-//! The cost is the movers' degrees, one pass over the touched workers'
-//! tables and `O(V/64)` bitmaps; no other edge is read. Every vector is
-//! allocated once at its final length, as in `plan::wire`, so the result is
-//! a from-scratch build's plan field for field, memory ledger included.
+//! The cost is the re-seated vertices' degrees, one pass over the touched
+//! workers' tables and `O(V/64)` bitmaps; no other edge is read. Every
+//! vector is allocated once at its final length, as in `plan::wire`, so the
+//! result is a from-scratch build's plan field for field, memory ledger
+//! included.
 
 use super::wire::{below_threshold, exact, par_workers, RankSet};
 use super::{CyclopsPlan, WorkerPlan};
 use cyclops_graph::{Graph, VertexId};
 use cyclops_obs::mem::Component;
-use cyclops_partition::MigrationBatch;
 
 /// A translated slot with no counterpart: a master that left, a replica or
-/// direct slot no longer read, a cold mover's slot.
+/// direct slot no longer read, a cold mover's slot. Also the old owner and
+/// old local index of a vertex the old graph did not have.
 const GONE: u32 = u32::MAX;
 
 /// Consecutive masters that stay on a worker: old indices `old..old + len`
@@ -81,6 +95,12 @@ struct Patch {
 }
 
 impl Patch {
+    /// Whether every master that stays keeps its index, so that a row
+    /// naming only such masters copies as it is.
+    fn keeps_indices(&self) -> bool {
+        (0..).zip(&self.map).all(|(li, &to)| to == li || to == GONE)
+    }
+
     /// The new local indices a mover's out-edges reach here, ascending.
     fn mover_row(&self, v: VertexId) -> impl Iterator<Item = u32> + '_ {
         let start = self.mover_out.partition_point(|&(m, _)| m < v);
@@ -100,21 +120,25 @@ struct Layout<'a> {
 
 /// A CSR table in `layout`'s row order, allocated once at its final length
 /// (`total` entries, or found through scratch when `None`). A run of kept
-/// rows is copied in one pass, entries through `translate`, and so is a run
-/// of new rows when `new` holds them by row; `row(r, old, out)` builds a
-/// fresh row (`old` is its old index) or a new one (`None`).
+/// rows is copied in one pass, entries through `translate` (as they are
+/// without one), and so is a run of new rows when `new` holds them by row;
+/// `row(r, old, out)` builds a fresh row (`old` is its old index) or a new
+/// one (`None`).
 fn rebuild<T: Copy>(
     component: Component,
     layout: &Layout,
     total: Option<usize>,
     (old_offsets, old): (&[u32], &[T]),
     new: Option<(&[u32], &[T])>,
-    translate: impl Fn(T) -> T,
+    translate: Option<impl Fn(T) -> T>,
     mut row: impl FnMut(usize, Option<usize>, &mut Vec<T>),
 ) -> (Vec<u32>, Vec<T>) {
     let rows = layout.rows;
     let mut offsets = exact(component, rows + 1);
-    let mut entries = total.map_or_else(Vec::new, |total| exact(component, total));
+    let mut entries = match total {
+        Some(total) => exact(component, total),
+        None => Vec::with_capacity(old.len()),
+    };
     offsets.push(0);
     let mut fresh = layout.fresh.iter().map(|&r| r as usize).peekable();
     let mut r = 0;
@@ -147,7 +171,10 @@ fn rebuild<T: Copy>(
                 let shift = (entries.len() as u32).wrapping_sub(s as u32);
                 let shifted = old_offsets[from + 1..=to].iter();
                 offsets.extend(shifted.map(|&o| o.wrapping_add(shift)));
-                entries.extend(old[s..e].iter().map(|&x| translate(x)));
+                match &translate {
+                    Some(translate) => entries.extend(old[s..e].iter().map(|&x| translate(x))),
+                    None => entries.extend_from_slice(&old[s..e]),
+                }
             }
             r = stop;
             if stop < end {
@@ -192,12 +219,16 @@ impl Slots {
 
 /// What every worker's edit reads.
 struct Ctx<'a> {
+    /// The graph the plan was built for, and the one it is edited to.
+    old: &'a Graph,
     graph: &'a Graph,
     /// Post-move owners and local indices.
     owner: &'a [u32],
     local_of: &'a [u32],
     threshold: u32,
-    /// `(vertex, from, to, old local index)` per move, by vertex.
+    /// `(vertex, from, to, old local index)` per re-seated vertex (a
+    /// *mover*, in place when `from == to`), by vertex; `from` and the index
+    /// are `GONE` for a new vertex.
     movers: &'a [(VertexId, u32, u32, u32)],
     /// The workers movers arrive at, ascending.
     dests: &'a [u32],
@@ -208,8 +239,15 @@ struct Ctx<'a> {
 }
 
 impl Ctx<'_> {
+    /// Whether `u` is cold in the new graph.
     fn cold(&self, u: VertexId) -> bool {
         below_threshold(self.graph, u, self.threshold)
+    }
+
+    /// Whether a mover is hot in both graphs, so that every worker reads it
+    /// through one master or replica slot before and after.
+    fn stays_hot(&self, &(v, from, ..): &(VertexId, u32, u32, u32)) -> bool {
+        from != GONE && !below_threshold(self.old, v, self.threshold) && !self.cold(v)
     }
 }
 
@@ -275,16 +313,34 @@ fn merge_row(out: &mut Vec<u32>, old: &[u32], map: &[u32], masters: u32, added: 
     out.extend(added);
 }
 
-/// Moves the batch's masters and edits the plan's tables to match; see the
-/// module docs. The caller recounts the ingress statistics.
-pub(crate) fn move_masters(
+/// Re-seats each `(vertex, old owner, new owner)` of `seats` over `graph`,
+/// which replaced `old` (the graph the plan was built for; `graph` may only
+/// add vertices to it), and edits the plan's tables to match; see the
+/// module docs. The old owner is `None` for a vertex `old` does not have.
+/// Every such vertex must be seated, and so must both endpoints of every
+/// edge the two graphs do not share. The caller recounts the ingress
+/// statistics.
+pub(crate) fn reseat(
     plan: &mut CyclopsPlan,
+    old: &Graph,
     graph: &Graph,
-    batch: &MigrationBatch,
+    seats: impl IntoIterator<Item = (VertexId, Option<u32>, u32)>,
     threshold: u32,
 ) {
     let k = plan.workers.len();
-    let n = graph.num_vertices();
+    let (old_n, n) = (old.num_vertices(), graph.num_vertices());
+    assert!(
+        plan.owner.len() == old_n && old_n <= n,
+        "the plan is built for the old graph, and the new one only adds vertices"
+    );
+    if n > old_n {
+        for table in [&mut plan.owner, &mut plan.local_of] {
+            let mut grown = exact(Component::Plan, n);
+            grown.extend_from_slice(table);
+            grown.resize(n, GONE);
+            *table = grown;
+        }
+    }
     let CyclopsPlan {
         workers,
         owner,
@@ -292,30 +348,40 @@ pub(crate) fn move_masters(
         ..
     } = plan;
 
-    // Ownership transfer; movers in id order. A move onto its own worker
-    // changes nothing.
-    let mut movers = Vec::with_capacity(batch.len());
-    for mv in &batch.moves {
-        let v = mv.vertex as usize;
-        assert_eq!(owner[v], mv.from, "move source must own the vertex");
-        assert!((mv.to as usize) < k, "destination worker out of range");
-        if mv.from != mv.to {
-            owner[v] = mv.to;
-            movers.push((mv.vertex, mv.from, mv.to, local_of[v]));
-        }
+    // Ownership transfer; movers in id order.
+    let mut movers = Vec::new();
+    for (v, from, to) in seats {
+        let i = v as usize;
+        assert_eq!(
+            owner[i],
+            from.unwrap_or(GONE),
+            "a move's source owns the vertex"
+        );
+        assert!((to as usize) < k, "destination worker out of range");
+        owner[i] = to;
+        movers.push((v, from.unwrap_or(GONE), to, local_of[i]));
     }
     movers.sort_unstable();
     assert!(
         movers.windows(2).all(|m| m[0].0 < m[1].0),
-        "a batch moves a vertex at most once"
+        "a batch re-seats a vertex at most once"
     );
+    assert!(
+        !owner[old_n..].contains(&GONE),
+        "every new vertex is seated"
+    );
+    if movers.is_empty() {
+        return;
+    }
     let ids: Vec<VertexId> = movers.iter().map(|m| m.0).collect();
     let moved = RankSet::of(n, &ids);
 
     // Master lists of the workers movers leave or reach.
     let mut patches: Vec<Patch> = (0..k).map(|_| Patch::default()).collect();
     for &(_, from, to, _) in &movers {
-        patches[from as usize].touched = true;
+        if let Some(patch) = patches.get_mut(from as usize) {
+            patch.touched = true;
+        }
         patches[to as usize].touched = true;
     }
     for (w, (wp, patch)) in workers.iter_mut().zip(&mut patches).enumerate() {
@@ -325,13 +391,21 @@ pub(crate) fn move_masters(
     }
 
     // The movers' entries in their neighbours' rows. A vertex that moves
-    // too is left to its own rows. The pass is serial: split into spans of
+    // too is left to its own rows; one that does not has the same edges to
+    // the mover in both graphs, so the new adjacency finds its old entries
+    // as well as its new ones. The pass is serial: split into spans of
     // the movers' adjacency, merging the spans' patches cost more than the
     // split saved on two cores.
     let mut fresh = RankSet::of(n, &ids);
     for &(v, from, to, _) in &movers {
         let li_v = local_of[v as usize];
-        for run in graph.in_neighbors(v).chunk_by(|a, b| a == b) {
+        // A vertex re-seated in place keeps its entries in its neighbours'
+        // rows: its edges to them, its worker and their view of it stay.
+        let sources = match from == to {
+            true => &[][..],
+            false => graph.in_neighbors(v),
+        };
+        for run in sources.chunk_by(|a, b| a == b) {
             let u = run[0];
             if moved.contains(u) {
                 continue;
@@ -386,6 +460,7 @@ pub(crate) fn move_masters(
     dests.sort_unstable();
     dests.dedup();
     let ctx = Ctx {
+        old,
         graph,
         owner,
         local_of,
@@ -396,15 +471,16 @@ pub(crate) fn move_masters(
         fresh: &fresh,
     };
     // Each touched worker's receiving half and local fan-out read only its
-    // own old tables and the patch, so all of them run at once; the worker
-    // that lost the movers has the most of both.
-    let old: &[WorkerPlan] = &workers[..];
-    let halves = (0..2 * k).map(|job| (job / 2, job % 2 == 0));
+    // own old tables and the patch, so all of them run at once, the larger
+    // receiving half of each worker queued first; the worker with the most
+    // in-edges has the most of both.
+    let before: &[WorkerPlan] = &workers[..];
+    let halves = (0..2 * k).map(|job| (job / 2, job % 2 == 1));
     let mut edited = par_workers(halves, |_, (w, local)| {
         let patch = &patches[w];
         patch.touched.then(|| match local {
-            true => Edited::Local(local_fan_out(&ctx, w, &old[w], patch)),
-            false => Edited::Received(Box::new(receive(&ctx, w, &old[w], patch))),
+            true => Edited::Local(local_fan_out(&ctx, w, &before[w], patch)),
+            false => Edited::Received(Box::new(receive(&ctx, w, &before[w], patch))),
         })
     })
     .into_iter();
@@ -412,7 +488,7 @@ pub(crate) fn move_masters(
     let mut local = Vec::with_capacity(k);
     for wp in workers.iter_mut() {
         let (lo, received) = match (edited.next().flatten(), edited.next().flatten()) {
-            (Some(Edited::Local(lo)), Some(Edited::Received(received))) => {
+            (Some(Edited::Received(received)), Some(Edited::Local(lo))) => {
                 let (tables, s) = *received;
                 tables.install(wp);
                 (Some(lo), Some(s))
@@ -467,7 +543,8 @@ fn remaster(
     local_of: &mut [u32],
 ) {
     let old = &wp.masters;
-    let mut leaving = movers.iter().filter(|m| m.1 == w).map(|m| m.3).peekable();
+    let leaving = movers.iter().filter(|m| m.1 == w);
+    let mut leaving = leaving.map(|&(v, _, to, li)| (li, v, to == w)).peekable();
     let mut arriving = movers.iter().filter(|m| m.2 == w).map(|m| m.0).peekable();
     let len = old.len() - leaving.clone().count() + arriving.clone().count();
     let mut masters = exact(Component::Plan, len);
@@ -476,7 +553,7 @@ fn remaster(
     loop {
         // Up to the next leaving master, or the old master an arriving one
         // precedes, the masters stay in a run.
-        let leave = leaving.peek().map_or(old.len(), |&li| li as usize);
+        let leave = leaving.peek().map_or(old.len(), |&(li, ..)| li as usize);
         let arrive = arriving
             .peek()
             .map_or(old.len(), |&a| old.partition_point(|&m| m < a));
@@ -495,8 +572,11 @@ fn remaster(
         if let Some(a) = arriving.next_if(|_| arrive == stop && arrive <= leave) {
             local_of[a as usize] = masters.len() as u32;
             masters.push(a);
-        } else if leaving.next_if(|_| leave == stop).is_some() {
-            map.push(GONE);
+        } else if let Some((_, v, in_place)) = leaving.next_if(|_| leave == stop) {
+            // A vertex re-seated in place arrived just before: its entries
+            // in the rows of the masters that stay translate to its new
+            // index, only its own rows are new.
+            map.push(if in_place { local_of[v as usize] } else { GONE });
             at += 1;
         } else {
             break;
@@ -569,7 +649,7 @@ fn receive(ctx: &Ctx, w: usize, wp: &WorkerPlan, patch: &Patch) -> (Receiving, S
         None,
         (&wp.rep_out_offsets, &wp.rep_out),
         (!added.offsets.is_empty()).then_some((&added.offsets, &added.values)),
-        |li| patch.map[li as usize],
+        (!patch.keeps_indices()).then_some(|li: u32| patch.map[li as usize]),
         |r, old, out| match old {
             Some(i) => merge_row(out, wp.rep_out(i), &patch.map, masters, added.row(r)),
             None => out.extend_from_slice(added.row(r)),
@@ -603,9 +683,10 @@ fn receive(ctx: &Ctx, w: usize, wp: &WorkerPlan, patch: &Patch) -> (Receiving, S
         direct_target.push(li);
     }
 
-    // The rest of the slot map. A hot mover is read through one slot here
-    // before and after (master or replica), so its old slot maps to its new
-    // one; a cold mover's references are found again below, per edge.
+    // The rest of the slot map. A mover hot in both graphs is read through
+    // one slot here before and after (master or replica), so its old slot
+    // maps to its new one; any other mover's references are found again
+    // below, per edge.
     let replica_slot = |u: VertexId| masters + replicas.rank(u);
     let mut map = Vec::with_capacity(old_masters + wp.replicas.len() + old_slots);
     map.extend_from_slice(&patch.map);
@@ -618,7 +699,7 @@ fn receive(ctx: &Ctx, w: usize, wp: &WorkerPlan, patch: &Patch) -> (Receiving, S
             }),
     );
     map.extend(direct_map);
-    for &(v, from, to, old_li) in ctx.movers.iter().filter(|m| !ctx.cold(m.0)) {
+    for &(v, from, to, old_li) in ctx.movers.iter().filter(|m| ctx.stays_hot(m)) {
         let old_slot = match wp.replicas.binary_search(&v) {
             _ if from == me => old_li as usize,
             Ok(i) => old_masters + i,
@@ -653,8 +734,12 @@ fn receive(ctx: &Ctx, w: usize, wp: &WorkerPlan, patch: &Patch) -> (Receiving, S
     };
     let mut total = wp.in_refs.len();
     for &(v, from, to, _) in ctx.movers {
-        let degree = graph.in_degree(v);
-        total = total + (to == me) as usize * degree - (from == me) as usize * degree;
+        if to == me {
+            total += graph.in_degree(v);
+        }
+        if from == me {
+            total -= ctx.old.in_degree(v);
+        }
     }
     let by_master = Layout {
         runs: &patch.runs,
@@ -667,15 +752,16 @@ fn receive(ctx: &Ctx, w: usize, wp: &WorkerPlan, patch: &Patch) -> (Receiving, S
         Some(total),
         (&wp.in_ref_offsets, &wp.in_refs),
         None,
-        |r| map[r as usize],
+        Some(|r: u32| map[r as usize]),
         |li, _, out| {
             let sources = graph.in_neighbors(wp.masters[li]);
             out.extend((0..sources.len()).map(|pos| resolve(li, sources, pos)));
         },
     );
-    // A cold mover's references from masters that stay: a run of parallel
-    // edges in each out-neighbour's sorted in-adjacency.
-    for &(v, ..) in ctx.movers.iter().filter(|m| ctx.cold(m.0)) {
+    // The other movers' references from masters that stay: a run of
+    // parallel edges in each out-neighbour's sorted in-adjacency (the same in
+    // both graphs, as the neighbour is not re-seated).
+    for &(v, ..) in ctx.movers.iter().filter(|m| !ctx.stays_hot(m)) {
         for run in graph.out_neighbors(v).chunk_by(|a, b| a == b) {
             let x = run[0];
             if owner[x as usize] != me || ctx.moved.contains(x) {
@@ -703,7 +789,7 @@ fn receive(ctx: &Ctx, w: usize, wp: &WorkerPlan, patch: &Patch) -> (Receiving, S
                 Some(total),
                 old,
                 None,
-                |x| x,
+                None::<fn(f64) -> f64>,
                 weights,
             )
             .1
@@ -762,10 +848,11 @@ fn local_fan_out(ctx: &Ctx, w: usize, wp: &WorkerPlan, patch: &Patch) -> (Vec<u3
     let added = Grouped::new(masters, patch.local_adds.iter().copied());
     let mut total = wp.local_out.len() + patch.local_adds.len() - patch.local_drops;
     for &(v, from, to, old_li) in ctx.movers {
-        match (from == me, to == me) {
-            (true, _) => total -= wp.local_out(old_li as usize).len(),
-            (_, true) => total += patch.mover_row(v).count(),
-            _ => {}
+        if to == me {
+            total += patch.mover_row(v).count();
+        }
+        if from == me {
+            total -= wp.local_out(old_li as usize).len();
         }
     }
     let by_master = Layout {
@@ -779,7 +866,7 @@ fn local_fan_out(ctx: &Ctx, w: usize, wp: &WorkerPlan, patch: &Patch) -> (Vec<u3
         Some(total),
         (&wp.local_out_offsets, &wp.local_out),
         None,
-        |li| map[li as usize],
+        (!patch.keeps_indices()).then_some(|li: u32| map[li as usize]),
         |li, old, out| match old {
             None => out.extend(patch.mover_row(wp.masters[li])),
             Some(old) => merge_row(out, wp.local_out(old), map, masters as u32, added.row(li)),
@@ -858,10 +945,10 @@ fn remote_fan_out(
         None,
         (&wp.mirror_offsets, &wp.mirrors),
         None,
-        |(p, slot)| match &slots[p as usize] {
+        Some(|(p, slot): (u32, u32)| match &slots[p as usize] {
             Some(to) => (p, to.remote(slot)),
             None => (p, slot),
-        },
+        }),
         |li, old, out| fresh_row(wp.masters[li], old, out),
     )
 }

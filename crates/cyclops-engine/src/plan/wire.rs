@@ -1,5 +1,4 @@
-//! Linear-time plan wiring: the one routine behind the parallel build and
-//! mutation rebuilds.
+//! Linear-time plan wiring: the routine behind the parallel build.
 //!
 //! A worker's tables are wired in two halves, each a count pass followed by
 //! a fill pass into vectors allocated once at their final length:
@@ -15,8 +14,8 @@
 //!   fan-out table (`mirrors`) and work mass, resolving remote slots through
 //!   every worker's [`Inbound`].
 //!
-//! Migration does not come here: `plan::edit` patches the tables a batch
-//! disturbs and shares only the helpers below.
+//! Migration and mutation batches do not come here: `plan::edit` patches
+//! the tables a batch disturbs and shares only the helpers below.
 //!
 //! Nothing is searched, sorted or hashed per edge (a master's mirror
 //! workers, fewer than `k`, are put in order). Both halves lean on the

@@ -5,7 +5,8 @@
 
 use cyclops_engine::plan::SlotKind;
 use cyclops_engine::{
-    apply_migration, run_cyclops, CyclopsConfig, CyclopsContext, CyclopsPlan, CyclopsProgram,
+    apply_migration, apply_mutations, run_cyclops, run_cyclops_evolving, CyclopsConfig,
+    CyclopsContext, CyclopsPlan, CyclopsProgram, MutationBatch, WarmStart,
 };
 use cyclops_graph::gen::{rmat, RmatConfig};
 use cyclops_graph::{Graph, GraphBuilder, VertexId};
@@ -193,6 +194,55 @@ fn neighbouring_moves(
         })
         .filter(|mv| mv.from != mv.to)
         .collect()
+}
+
+/// One mutation batch on `g`, drawn from `seed`: a few inserts and removals
+/// at random (a removal may name an absent pair), up to two new vertices
+/// wired both ways, three in-edges into one vertex and every out-edge of
+/// another taken away, so endpoints cross a low threshold both ways.
+fn arb_mutation(g: &Graph, seed: u64) -> MutationBatch {
+    let mut state = seed | 1;
+    let mut next = |n: usize| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % n as u64) as VertexId
+    };
+    let n = g.num_vertices();
+    let add_vertices = next(3) as usize;
+    let m = n + add_vertices;
+    let edges: Vec<(VertexId, VertexId)> = g.edges().map(|(s, t, _)| (s, t)).collect();
+    let mut add_edges = Vec::new();
+    for _ in 0..next(5) {
+        add_edges.push((next(m), next(m)));
+    }
+    for new in n..m {
+        add_edges.push((new as VertexId, next(n)));
+        add_edges.push((next(m), new as VertexId));
+    }
+    let up = next(n);
+    for _ in 0..3 {
+        add_edges.push((next(n), up));
+    }
+    let mut remove_edges = Vec::new();
+    for _ in 0..next(5) {
+        remove_edges.push(match edges.is_empty() {
+            true => (next(n), next(n)),
+            false => edges[next(edges.len()) as usize],
+        });
+    }
+    remove_edges.push((next(m), next(m)));
+    let down = next(n);
+    remove_edges.extend(g.out_neighbors(down).iter().map(|&t| (down, t)));
+    let weight = |i: usize| g.is_weighted().then_some(0.5 + i as f64);
+    let add_edges = (add_edges.into_iter().enumerate())
+        .map(|(i, (s, t))| (s, t, weight(i)))
+        .collect();
+    MutationBatch {
+        add_vertices,
+        add_edges,
+        remove_edges,
+    }
 }
 
 /// Every vector of the plan was allocated at its final length: capacity
@@ -599,6 +649,56 @@ proptest! {
                 prop_assert!(false, "round {round}: {e}");
             }
             prop_assert_eq!(plan.memory_breakdown(), reference.memory_breakdown());
+        }
+    }
+
+    #[test]
+    fn mutation_edits_equal_a_rebuild(
+        g in arb_hub_graph(),
+        seeds in prop::collection::vec(0u64..1 << 48, 3..4),
+        workers_idx in 0usize..3,
+        threshold_idx in 0usize..4,
+        moving in any::<bool>(),
+        cut_seed in 0u64..1_000,
+    ) {
+        // Chains of three batches, each drawn on the graph the ones before
+        // it leave, through the evolving driver; after every batch its plan
+        // must be a build on the new graph and cut. The moving cut gives a
+        // third of the vertices another owner whenever the edge count moves.
+        let workers = [1usize, 2, 5][workers_idx];
+        let threshold = [0u32, 2, 3, u32::MAX][threshold_idx];
+        let cut = |g: &Graph| match moving {
+            true => {
+                let m = g.num_edges() as u32;
+                let owner = g.vertices().map(|v| (v + u32::from(v % 3 == m % 3)) % workers as u32);
+                EdgeCutPartition::new(workers, owner.collect())
+            }
+            false => arb_partition(g, workers, cut_seed),
+        };
+        let mut batches = Vec::new();
+        let mut graph = g.clone();
+        for &seed in &seeds {
+            let batch = arb_mutation(&graph, seed);
+            graph = apply_mutations(&graph, &batch);
+            batches.push((batch, WarmStart::Incremental));
+        }
+        let config = CyclopsConfig {
+            cluster: ClusterSpec::flat(workers, 1),
+            replicate_threshold: threshold,
+            ..Default::default()
+        };
+        for len in 1..=batches.len() {
+            let r = run_cyclops_evolving(&MaxPull, &g, cut, &config, &batches[..len]);
+            let fresh = CyclopsPlan::build_parallel_with_threshold(&r.graph, &cut(&r.graph), threshold);
+            let checked = plans_equal(&r.plan, &fresh)
+                .and_then(|_| exactly_sized(&r.plan))
+                .and_then(|_| in_refs_name_in_neighbors(&r.plan, &r.graph))
+                .and_then(|_| mirrors_name_their_master(&r.plan, &r.graph))
+                .and_then(|_| readers_invert_in_refs(&r.plan));
+            if let Err(e) = checked {
+                prop_assert!(false, "after batch {len}: {e}");
+            }
+            prop_assert_eq!(r.plan.memory_breakdown(), fresh.memory_breakdown());
         }
     }
 

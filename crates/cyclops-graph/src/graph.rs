@@ -181,6 +181,103 @@ impl Graph {
             .flat_map(move |v| self.out_edges(v).map(move |(t, w)| (v, t, w)))
     }
 
+    /// This graph after one batch of edits: `add_vertices` fresh vertices
+    /// appended, every copy of each `remove` pair this graph has dropped,
+    /// and `add`'s edges inserted (weight `None` on an unweighted graph).
+    /// The result equals, under `==`, the [`crate::GraphBuilder`] build of
+    /// the surviving edges in [`Self::edges`] order followed by `add` in
+    /// batch order: parallel copies keep the old ones first and the new ones
+    /// in batch order, in both directions. A removal reaches only edges of
+    /// this graph, never one `add` inserts, and an absent pair removes
+    /// nothing. Like the builder's, the result is weighted only while it
+    /// has an edge.
+    ///
+    /// The rows are spliced, not sorted: a row no edit touches is copied
+    /// with its neighbours in one slice, and a touched row is merged with
+    /// the batch's edges for it. The cost is one copy of each CSR plus the
+    /// batch's rows.
+    ///
+    /// Panics if an added edge's weight does not match the graph, or if an
+    /// endpoint is beyond the grown vertex range.
+    pub fn with_edits(
+        &self,
+        add_vertices: usize,
+        add: &[(VertexId, VertexId, Option<f64>)],
+        remove: &[(VertexId, VertexId)],
+    ) -> Graph {
+        let n = self.num_vertices + add_vertices;
+        for &(s, t, w) in add {
+            match (self.is_weighted(), w) {
+                (true, None) => panic!("weighted graph needs edge weights"),
+                (false, Some(_)) => panic!("unweighted graph cannot take weighted edges"),
+                _ => {}
+            }
+            assert!(
+                (s as usize) < n && (t as usize) < n,
+                "edge ({s}, {t}) out of range for {n} vertices"
+            );
+        }
+        // The pairs this graph has, once each, with their copy counts.
+        let copies = |(s, t): (VertexId, VertexId)| match (s as usize) < self.num_vertices {
+            true => {
+                let row = self.out_neighbors(s);
+                row.partition_point(|&x| x <= t) - row.partition_point(|&x| x < t)
+            }
+            false => 0,
+        };
+        let mut removed: Vec<(VertexId, VertexId)> = remove.to_vec();
+        removed.sort_unstable();
+        removed.dedup();
+        removed.retain(|&pair| copies(pair) > 0);
+        let dropped: usize = removed.iter().map(|&pair| copies(pair)).sum();
+        let len = self.num_edges() - dropped + add.len();
+        let weighted = self.is_weighted() && len > 0;
+
+        // Each direction is the same splice with rows and columns swapped.
+        // The sorts are stable, so copies of one pair keep batch order.
+        let mut out_adds: Vec<(VertexId, VertexId, f64)> = add
+            .iter()
+            .map(|&(s, t, w)| (s, t, w.unwrap_or_default()))
+            .collect();
+        out_adds.sort_by_key(|&(s, t, _)| (s, t));
+        let mut in_adds: Vec<(VertexId, VertexId, f64)> =
+            out_adds.iter().map(|&(s, t, w)| (t, s, w)).collect();
+        in_adds.sort_by_key(|&(t, s, _)| (t, s));
+        let mut in_removed: Vec<(VertexId, VertexId)> =
+            removed.iter().map(|&(s, t)| (t, s)).collect();
+        in_removed.sort_unstable();
+
+        let (out_offsets, out_targets, out_weights) = splice(
+            (
+                &self.out_offsets,
+                &self.out_targets,
+                self.out_weights.as_deref(),
+            ),
+            (n, len, weighted),
+            &out_adds,
+            &removed,
+        );
+        let (in_offsets, in_sources, in_weights) = splice(
+            (
+                &self.in_offsets,
+                &self.in_sources,
+                self.in_weights.as_deref(),
+            ),
+            (n, len, weighted),
+            &in_adds,
+            &in_removed,
+        );
+        Graph::from_csr(
+            n,
+            out_offsets,
+            out_targets,
+            out_weights,
+            in_offsets,
+            in_sources,
+            in_weights,
+        )
+    }
+
     /// Total bytes of the CSR arrays — the resident size of the topology.
     /// Used by the Table 2 memory-accounting experiment.
     pub fn resident_bytes(&self) -> usize {
@@ -193,6 +290,69 @@ impl Graph {
         }
         bytes
     }
+}
+
+/// One direction of [`Graph::with_edits`]: `rows` rows of `len` entries in
+/// all, where a row keeps its old entries but the `removed` columns and takes
+/// `added`'s entries after the old ones of the same column. Both lists are
+/// sorted by `(row, column)`; the rows between the ones they name are copied
+/// in one slice, their offsets shifted.
+fn splice(
+    (offsets, cols, weights): (&[usize], &[VertexId], Option<&[f64]>),
+    (rows, len, weighted): (usize, usize, bool),
+    added: &[(VertexId, VertexId, f64)],
+    removed: &[(VertexId, VertexId)],
+) -> (Vec<usize>, Vec<VertexId>, Option<Vec<f64>>) {
+    let old_rows = offsets.len() - 1;
+    let start = |r: usize| offsets[r.min(old_rows)];
+    let weights = weights.filter(|_| weighted);
+    let mut new_offsets = Vec::with_capacity(rows + 1);
+    let mut new_cols = Vec::with_capacity(len);
+    let mut new_weights = Vec::with_capacity(if weighted { len } else { 0 });
+    new_offsets.push(0);
+    let (mut at, mut a, mut d) = (0, 0, 0);
+    while at < rows {
+        let next = [added.get(a).map(|e| e.0), removed.get(d).map(|e| e.0)]
+            .into_iter()
+            .flatten()
+            .min()
+            .map_or(rows, |r| r as usize);
+        let (s, e) = (start(at), start(next));
+        let shift = new_cols.len().wrapping_sub(s);
+        new_offsets.extend((at + 1..=next).map(|r| start(r).wrapping_add(shift)));
+        new_cols.extend_from_slice(&cols[s..e]);
+        if let Some(w) = weights {
+            new_weights.extend_from_slice(&w[s..e]);
+        }
+        if next == rows {
+            break;
+        }
+        let a_end = a + added[a..].partition_point(|e| e.0 as usize == next);
+        let d_end = d + removed[d..].partition_point(|e| e.0 as usize == next);
+        let gone = &removed[d..d_end];
+        let mut adds = added[a..a_end].iter().peekable();
+        for i in start(next)..start(next + 1) {
+            let c = cols[i];
+            if gone.binary_search_by_key(&c, |g| g.1).is_ok() {
+                continue;
+            }
+            while let Some(&(_, col, w)) = adds.next_if(|add| add.1 < c) {
+                new_cols.push(col);
+                new_weights.extend(weights.map(|_| w));
+            }
+            new_cols.push(c);
+            new_weights.extend(weights.map(|w| w[i]));
+        }
+        for &(_, col, w) in adds {
+            new_cols.push(col);
+            new_weights.extend(weights.map(|_| w));
+        }
+        new_offsets.push(new_cols.len());
+        (at, a, d) = (next + 1, a_end, d_end);
+    }
+    debug_assert_eq!(new_offsets.len(), rows + 1);
+    debug_assert_eq!(new_cols.len(), len);
+    (new_offsets, new_cols, weighted.then_some(new_weights))
 }
 
 #[cfg(test)]

@@ -21,6 +21,33 @@ fn build(n: usize, edges: &[(u32, u32)]) -> Graph {
     b.build()
 }
 
+/// What [`Graph::with_edits`] must equal: the builder fed every edge of `g`
+/// that no `remove` pair names, in `edges()` order, then `add` in order.
+fn rebuilt(
+    g: &Graph,
+    add_vertices: usize,
+    add: &[(u32, u32, Option<f64>)],
+    remove: &[(u32, u32)],
+) -> Graph {
+    let mut b = GraphBuilder::new(g.num_vertices() + add_vertices);
+    for (s, t, w) in g.edges() {
+        if remove.contains(&(s, t)) {
+            continue;
+        }
+        match g.is_weighted() {
+            true => b.add_weighted_edge(s, t, w),
+            false => b.add_edge(s, t),
+        }
+    }
+    for &(s, t, w) in add {
+        match w {
+            Some(w) => b.add_weighted_edge(s, t, w),
+            None => b.add_edge(s, t),
+        }
+    }
+    b.build()
+}
+
 proptest! {
     #[test]
     fn degree_sums_equal_edge_count((n, edges) in arb_edges()) {
@@ -79,6 +106,66 @@ proptest! {
         unique.sort_unstable();
         unique.dedup();
         prop_assert_eq!(g.num_edges(), unique.len());
+    }
+
+    #[test]
+    fn with_edits_equals_the_builder(
+        (n, edges) in arb_edges(),
+        weighted in any::<bool>(),
+        add_vertices in 0usize..3,
+        adds in prop::collection::vec((0u32..64, 0u32..64, 0u32..4), 0..10),
+        removes in prop::collection::vec((0u32..256, 0u32..64, 0u32..3), 0..10),
+    ) {
+        // Self-loops and parallel edges come with the arbitrary edge list;
+        // weights are distinct, so a copy out of order shows.
+        let mut b = GraphBuilder::new(n);
+        for (i, &(s, t)) in edges.iter().enumerate() {
+            match weighted {
+                true => b.add_weighted_edge(s, t, i as f64 * 0.25),
+                false => b.add_edge(s, t),
+            }
+        }
+        let g = b.build();
+        let m = (n + add_vertices) as u32;
+        let weight = |i: usize| g.is_weighted().then_some(1000.0 + i as f64);
+        let mut add: Vec<(u32, u32, Option<f64>)> = Vec::new();
+        for (i, &(x, y, kind)) in adds.iter().enumerate() {
+            let (s, t) = match kind {
+                // Parallel to an edge the graph has.
+                0 if !edges.is_empty() => edges[x as usize % edges.len()],
+                // A duplicate of the add before it.
+                1 if !add.is_empty() => (add[add.len() - 1].0, add[add.len() - 1].1),
+                // To or from a new vertex.
+                2 if add_vertices > 0 => {
+                    let new = n as u32 + x % add_vertices as u32;
+                    match y % 2 {
+                        0 => (new, y % m),
+                        _ => (y % m, new),
+                    }
+                }
+                _ => (x % m, y % m),
+            };
+            add.push((s, t, weight(i)));
+        }
+        let mut remove = Vec::new();
+        for &(x, y, kind) in &removes {
+            remove.push(match kind {
+                // An edge the graph has.
+                0 if !edges.is_empty() => edges[x as usize % edges.len()],
+                // A pair the same batch adds.
+                1 if !add.is_empty() => (add[x as usize % add.len()].0, add[x as usize % add.len()].1),
+                // Mostly absent, sometimes beyond the grown range.
+                _ => (x % (m + 2), y % (m + 2)),
+            });
+        }
+        prop_assert_eq!(
+            g.with_edits(add_vertices, &add, &remove),
+            rebuilt(&g, add_vertices, &add, &remove)
+        );
+        // The empty batch, and one that removes every edge (the builder's
+        // result is then unweighted).
+        prop_assert_eq!(g.with_edits(0, &[], &[]), g.clone());
+        prop_assert_eq!(g.with_edits(0, &[], &edges), rebuilt(&g, 0, &[], &edges));
     }
 
     #[test]
