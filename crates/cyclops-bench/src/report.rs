@@ -1,6 +1,5 @@
 //! Plain-text report formatting shared by the benchmark targets.
 
-use cyclops_net::trace::{RunTrace, TraceRecord};
 use std::time::Duration;
 
 /// Prints a top-level experiment heading.
@@ -290,180 +289,9 @@ pub fn parse_json_rows(text: &str) -> Vec<std::collections::BTreeMap<String, Str
     rows
 }
 
-/// Builds a per-superstep table from an engine trace, summing worker records
-/// and converting phase durations to milliseconds. This supersedes hand-built
-/// tables over `SuperstepStats`: any engine with a [`TraceSink`] attached
-/// yields the same columns, including phase attribution and drain counts the
-/// old plumbing never carried.
-///
-/// [`TraceSink`]: cyclops_net::trace::TraceSink
-pub fn trace_table(trace: &RunTrace) -> Table {
-    let mut table = Table::new(&[
-        "superstep",
-        "frontier",
-        "computed",
-        "activated",
-        "drained",
-        "messages",
-        "bytes",
-        "prs_ms",
-        "cmp_ms",
-        "snd_ms",
-        "syn_ms",
-        "cp_ms",
-        "straggler",
-        "wait_ms",
-    ]);
-    let cp = critical_path(trace);
-    let supersteps = trace.supersteps();
-    let ms = |ns: u64| format!("{:.2}", ns as f64 / 1e6);
-    for s in 0..supersteps {
-        let rows: Vec<&TraceRecord> = trace.records.iter().filter(|r| r.superstep == s).collect();
-        let sum = |f: &dyn Fn(&TraceRecord) -> u64| rows.iter().map(|r| f(r)).sum::<u64>();
-        let path = cp.supersteps.iter().find(|p| p.superstep == s);
-        let (cp_ms, straggler, wait_ms) = match path {
-            Some(p) => (
-                ms(p.span_ns),
-                format!("w{} {}", p.straggler, p.straggler_phase.label()),
-                ms(p.caused_wait_ns),
-            ),
-            None => ("-".into(), "-".into(), "-".into()),
-        };
-        table.row(vec![
-            s.to_string(),
-            count(sum(&|r| r.frontier) as usize),
-            count(sum(&|r| r.computed) as usize),
-            count(sum(&|r| r.activated) as usize),
-            count(sum(&|r| r.drained) as usize),
-            count(sum(&|r| r.messages) as usize),
-            count(sum(&|r| r.bytes) as usize),
-            ms(sum(&|r| r.parse_ns)),
-            ms(sum(&|r| r.compute_ns)),
-            ms(sum(&|r| r.send_ns)),
-            ms(sum(&|r| r.sync_ns)),
-            cp_ms,
-            straggler,
-            wait_ms,
-        ]);
-    }
-    table
-}
-
-/// Reconstructs the [`CriticalPath`] of a trace by grouping per-worker
-/// records by superstep, in superstep order.
-///
-/// [`CriticalPath`]: cyclops_obs::CriticalPath
-pub fn critical_path(trace: &RunTrace) -> cyclops_obs::CriticalPath {
-    use std::collections::BTreeMap;
-    let mut steps: BTreeMap<u64, Vec<cyclops_obs::PhaseSample>> = BTreeMap::new();
-    for r in &trace.records {
-        steps
-            .entry(r.superstep)
-            .or_default()
-            .push(cyclops_obs::PhaseSample {
-                worker: r.worker,
-                parse_ns: r.parse_ns,
-                compute_ns: r.compute_ns,
-                send_ns: r.send_ns,
-                sync_ns: r.sync_ns,
-            });
-    }
-    cyclops_obs::CriticalPath::analyze(steps)
-}
-
-/// One-line straggler attribution: which worker/phase caused the largest
-/// share of barrier wait across the run, and how big that share is
-/// relative to the aggregate worker time.
-pub fn critical_path_summary(trace: &RunTrace) -> String {
-    let cp = critical_path(trace);
-    let ranking = cp.straggler_ranking();
-    let pool = cp.total_work_ns + cp.total_wait_ns + cp.total_residual_ns;
-    match ranking.first() {
-        Some(top) if pool > 0 => format!(
-            "critical path {:.2} ms; top straggler: worker {} {} caused {:.2} ms barrier wait ({:.1}% of aggregate worker time, {} supersteps)",
-            cp.total_span_ns as f64 / 1e6,
-            top.worker,
-            top.phase.label(),
-            top.caused_wait_ns as f64 / 1e6,
-            100.0 * top.caused_wait_ns as f64 / pool as f64,
-            top.supersteps,
-        ),
-        _ => format!(
-            "critical path {:.2} ms; no straggler attribution (no barrier wait recorded)",
-            cp.total_span_ns as f64 / 1e6
-        ),
-    }
-}
-
-/// Builds the tail-latency table of a trace: one row per phase with count,
-/// mean, p50/p90/p99 and max over the per-worker phase latencies. The
-/// quantiles come from the same log-linear histograms the live metrics
-/// registry uses (≤ 12.5 % relative bucket error), so figure outputs and
-/// `cyclops metrics` agree. Per-record latencies are per *worker* — a
-/// superstep with 4 workers contributes 4 samples per phase.
-pub fn phase_quantile_table(trace: &RunTrace) -> Table {
-    use cyclops_obs::LogLinearHistogram;
-    let mut table = Table::new(&[
-        "phase", "records", "mean_ms", "p50_ms", "p90_ms", "p99_ms", "max_ms",
-    ]);
-    type PhaseNs = fn(&TraceRecord) -> u64;
-    let phases: [(&str, PhaseNs); 4] = [
-        ("prs", |r| r.parse_ns),
-        ("cmp", |r| r.compute_ns),
-        ("snd", |r| r.send_ns),
-        ("syn", |r| r.sync_ns),
-    ];
-    let ms = |ns: u64| format!("{:.3}", ns as f64 / 1e6);
-    for (name, get) in phases {
-        let h = LogLinearHistogram::new();
-        for r in &trace.records {
-            h.record(get(r));
-        }
-        let s = h.snapshot();
-        if s.is_empty() {
-            table.row(vec![
-                name.into(),
-                "0".into(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-            ]);
-            continue;
-        }
-        table.row(vec![
-            name.into(),
-            count(s.count as usize),
-            ms(s.mean() as u64),
-            ms(s.percentile(0.50)),
-            ms(s.percentile(0.90)),
-            ms(s.percentile(0.99)),
-            ms(s.max),
-        ]);
-    }
-    table
-}
-
-/// Prints a [`trace_table`] and its [`phase_quantile_table`] under a
-/// heading naming the traced engine.
-pub fn print_trace(trace: &RunTrace) {
-    subheading(&format!(
-        "superstep trace — {} on {} ({} workers)",
-        trace.meta.engine, trace.meta.cluster, trace.meta.workers
-    ));
-    trace_table(trace).print();
-    println!();
-    println!("  {}", critical_path_summary(trace));
-    println!();
-    println!("  phase tail latency (per worker-record):");
-    phase_quantile_table(trace).print();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cyclops_net::trace::TraceMeta;
 
     #[test]
     fn count_formats_thousands() {
@@ -528,150 +356,5 @@ mod tests {
         assert_eq!(JsonValue::Num(f64::NAN).render(), "null");
         assert_eq!(JsonValue::Num(0.1).render(), "0.1");
         assert_eq!(JsonValue::Int(u64::MAX).render(), u64::MAX.to_string());
-    }
-
-    #[test]
-    fn trace_table_sums_workers_per_superstep() {
-        let trace = RunTrace {
-            spans: Vec::new(),
-            mem: Vec::new(),
-            meta: TraceMeta {
-                engine: "cyclops".into(),
-                cluster: "1x2x1".into(),
-                workers: 2,
-                values: false,
-            },
-            records: vec![
-                TraceRecord {
-                    superstep: 0,
-                    worker: 0,
-                    computed: 3,
-                    messages: 5,
-                    ..Default::default()
-                },
-                TraceRecord {
-                    superstep: 0,
-                    worker: 1,
-                    computed: 4,
-                    messages: 6,
-                    ..Default::default()
-                },
-                TraceRecord {
-                    superstep: 1,
-                    worker: 0,
-                    computed: 1,
-                    ..Default::default()
-                },
-                TraceRecord {
-                    superstep: 1,
-                    worker: 1,
-                    computed: 2,
-                    ..Default::default()
-                },
-            ],
-        };
-        let t = trace_table(&trace);
-        // header + 2 superstep rows
-        assert_eq!(t.rows.len(), 3);
-        assert_eq!(t.rows[1][2], "7"); // computed, superstep 0
-        assert_eq!(t.rows[1][5], "11"); // messages, superstep 0
-        assert_eq!(t.rows[2][2], "3"); // computed, superstep 1
-    }
-
-    fn skewed_trace() -> RunTrace {
-        let rec = |superstep, worker, compute_ns, sync_ns| TraceRecord {
-            superstep,
-            worker,
-            compute_ns,
-            sync_ns,
-            ..Default::default()
-        };
-        RunTrace {
-            spans: Vec::new(),
-            mem: Vec::new(),
-            meta: TraceMeta {
-                engine: "cyclops".into(),
-                cluster: "1x2x1".into(),
-                workers: 2,
-                values: false,
-            },
-            records: vec![
-                // Worker 0's 9 ms CMP holds worker 1 at the barrier for 8 ms.
-                rec(0, 0, 9_000_000, 0),
-                rec(0, 1, 1_000_000, 8_000_000),
-            ],
-        }
-    }
-
-    #[test]
-    fn trace_table_attributes_the_straggler() {
-        let t = trace_table(&skewed_trace());
-        let header = &t.rows[0];
-        assert_eq!(header[11], "cp_ms");
-        assert_eq!(header[12], "straggler");
-        assert_eq!(header[13], "wait_ms");
-        let row = &t.rows[1];
-        assert_eq!(row[11], "9.00"); // span of worker 0's chain
-        assert_eq!(row[12], "w0 CMP");
-        assert_eq!(row[13], "8.00"); // worker 1's barrier wait
-    }
-
-    #[test]
-    fn critical_path_summary_names_the_top_straggler() {
-        let s = critical_path_summary(&skewed_trace());
-        assert!(s.contains("critical path 9.00 ms"), "{s}");
-        assert!(s.contains("worker 0 CMP"), "{s}");
-        assert!(s.contains("8.00 ms barrier wait"), "{s}");
-        // Empty trace degrades gracefully.
-        let empty = RunTrace {
-            spans: Vec::new(),
-            mem: Vec::new(),
-            meta: TraceMeta::default(),
-            records: vec![],
-        };
-        assert!(critical_path_summary(&empty).contains("no straggler attribution"));
-    }
-
-    #[test]
-    fn phase_quantile_table_reports_tail_latency() {
-        let records = (0..100)
-            .map(|i| TraceRecord {
-                superstep: i,
-                compute_ns: 1_000_000, // 1 ms for every record...
-                send_ns: if i >= 98 { 80_000_000 } else { 1_000_000 }, // ...two 80 ms outliers
-                ..Default::default()
-            })
-            .collect();
-        let trace = RunTrace {
-            spans: Vec::new(),
-            mem: Vec::new(),
-            meta: TraceMeta::default(),
-            records,
-        };
-        let t = phase_quantile_table(&trace);
-        assert_eq!(t.rows.len(), 5); // header + 4 phases
-                                     // Pin the column layout the quantile bindings below rely on.
-        let header = &t.rows[0];
-        assert_eq!(header[3], "p50_ms");
-        assert_eq!(header[4], "p90_ms");
-        assert_eq!(header[5], "p99_ms");
-        assert_eq!(header[6], "max_ms");
-        let cmp = &t.rows[2];
-        assert_eq!(cmp[0], "cmp");
-        assert_eq!(cmp[1], "100");
-        let p50: f64 = cmp[3].parse().unwrap();
-        assert!((p50 - 1.0).abs() / 1.0 <= 0.125, "cmp p50 {p50}");
-        let snd = &t.rows[3];
-        let p50: f64 = snd[3].parse().unwrap();
-        let p90: f64 = snd[4].parse().unwrap();
-        let p99: f64 = snd[5].parse().unwrap();
-        let max: f64 = snd[6].parse().unwrap();
-        assert!((p50 - 1.0).abs() / 1.0 <= 0.125, "snd p50 {p50}");
-        assert!(p90 < 10.0, "snd p90 should not see the outliers: {p90}");
-        assert!(
-            (p99 - 80.0).abs() / 80.0 <= 0.125,
-            "snd p99 should surface the tail: {p99}"
-        );
-        assert!((max - 80.0).abs() / 80.0 <= 0.125, "snd max {max}");
     }
 }

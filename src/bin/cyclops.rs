@@ -14,6 +14,7 @@
 //! so an execution flag reaches every command on every engine that has the
 //! dial, and what is refused is an error with a reason, never a dropped flag.
 
+use cyclops::obs;
 use cyclops::prelude::*;
 use cyclops_bsp::{run_bsp_traced, BspConfig, BspProgram};
 use cyclops_engine::{run_cyclops_migrated_traced, run_cyclops_traced, CyclopsProgram};
@@ -335,9 +336,9 @@ fn report_migration(report: &cyclops_engine::MigrationReport) {
 }
 
 /// Renders a trace I/O error consistently across every trace-reading
-/// command (`metrics`, `top`, `trace-diff`, `why-slow`): always prefixed
-/// `trace <path>:`, so scripts can match one shape for missing, truncated,
-/// and malformed files alike.
+/// command (`trace-diff`, `metrics`, `top`, `why-slow`, `timeline`, `comm`,
+/// `mem`): always prefixed `trace <path>:`, so scripts can match one shape
+/// for missing, truncated, and malformed files alike.
 fn trace_error(path: &str, e: std::io::Error) -> String {
     match e.kind() {
         std::io::ErrorKind::NotFound => format!("trace {path}: file not found"),
@@ -609,106 +610,63 @@ fn run(opts: &Options) -> Result<(), String> {
         return Ok(());
     }
 
-    // `metrics` summarizes a trace file and exits.
-    if opts.command == "metrics" {
+    // The report commands fold one trace file into one summary and render
+    // it. `top --once` loads through the shared loader like the others, so a
+    // missing, empty or corrupt file fails the same way everywhere; live
+    // `top` tails the file with the tolerant follower, since an empty or
+    // mid-write file just means "no data yet".
+    let usage = match opts.command.as_str() {
+        "metrics" | "comm" => Some(""),
+        "why-slow" | "mem" => Some(" [--json]"),
+        "timeline" => Some(" [--chrome OUT.json]"),
+        "top" => Some(" [--once] [--refresh-ms N]"),
+        _ => None,
+    };
+    if let Some(usage) = usage {
+        let command = opts.command.as_str();
         let [path] = opts.positional.as_slice() else {
-            return Err("metrics needs one trace file: metrics TRACE.jsonl".into());
+            return Err(format!(
+                "{command} needs one trace file: {command} TRACE.jsonl{usage}"
+            ));
         };
-        let trace = load_trace(path)?;
-        print!("{}", cyclops::obs::metrics_report(&trace));
-        return Ok(());
-    }
-
-    // `why-slow` runs the critical-path profile and exits.
-    if opts.command == "why-slow" {
-        let [path] = opts.positional.as_slice() else {
-            return Err("why-slow needs one trace file: why-slow TRACE.jsonl [--json]".into());
-        };
-        let trace = load_trace(path)?;
-        if opts.json {
-            print!("{}", cyclops::obs::why_slow_json(&trace));
-        } else {
-            print!("{}", cyclops::obs::why_slow_report(&trace));
+        if command == "top" && !opts.once {
+            let mut follower = obs::TraceFollower::new(path);
+            let mut summary = obs::TraceSummary::default();
+            loop {
+                for r in follower.poll().map_err(|e| trace_error(path, e))? {
+                    summary.add(&r);
+                }
+                let frame = obs::top_frame(follower.meta(), &summary, 64);
+                // Clear the screen and redraw, like top(1).
+                print!("\x1b[2J\x1b[H{frame}");
+                std::io::stdout().flush().ok();
+                std::thread::sleep(std::time::Duration::from_millis(opts.refresh_ms.max(50)));
+            }
         }
-        return Ok(());
-    }
-
-    // `mem` renders the per-worker/per-component peak-memory table from a
-    // `--mem` trace's samples and exits.
-    if opts.command == "mem" {
-        let [path] = opts.positional.as_slice() else {
-            return Err("mem needs one trace file: mem TRACE.jsonl [--json]".into());
-        };
         let trace = load_trace(path)?;
-        if opts.json {
-            print!("{}", cyclops::obs::mem_json(&trace));
-        } else {
-            print!("{}", cyclops::obs::mem_report(&trace));
-        }
-        return Ok(());
-    }
-
-    // `timeline` summarizes spans and optionally exports Chrome trace JSON.
-    if opts.command == "timeline" {
-        let [path] = opts.positional.as_slice() else {
-            return Err(
-                "timeline needs one trace file: timeline TRACE.jsonl [--chrome OUT.json]".into(),
-            );
+        let summary = obs::TraceSummary::of(&trace);
+        let report = match (command, opts.json) {
+            ("metrics", _) => obs::metrics_report(&summary),
+            ("top", _) => obs::top_frame(Some(&trace.meta), &summary, 64),
+            ("why-slow", true) => obs::why_slow_json(&summary),
+            ("why-slow", false) => obs::why_slow_report(&summary),
+            ("mem", true) => obs::mem_json(&summary),
+            ("mem", false) => obs::mem_report(&summary),
+            ("timeline", _) => obs::timeline_summary(&summary),
+            _ => obs::comm_report(&summary),
         };
-        let trace = load_trace(path)?;
-        print!("{}", cyclops::obs::timeline_summary(&trace));
-        if let Some(out) = &opts.chrome {
-            std::fs::write(out, cyclops::obs::chrome_trace(&trace))
+        print!("{report}");
+        if let (Some(out), "timeline") = (&opts.chrome, command) {
+            std::fs::write(out, obs::chrome_trace(&trace, &summary))
                 .map_err(|e| format!("writing {out}: {e}"))?;
             println!("chrome trace written to {out} (open in chrome://tracing or ui.perfetto.dev)");
         }
-        return Ok(());
-    }
-
-    // `comm` renders the worker-pair communication matrix and verifies it.
-    if opts.command == "comm" {
-        let [path] = opts.positional.as_slice() else {
-            return Err("comm needs one trace file: comm TRACE.jsonl".into());
-        };
-        let trace = load_trace(path)?;
-        print!("{}", cyclops::obs::comm_report(&trace));
-        if !cyclops::obs::comm_mismatches(&trace).is_empty() {
+        if command == "comm" && !summary.mismatches.is_empty() {
             return Err(format!(
                 "trace {path}: comm row sums disagree with sent counters"
             ));
         }
         return Ok(());
-    }
-
-    // `top` tails a (possibly still growing) trace file.
-    if opts.command == "top" {
-        let [path] = opts.positional.as_slice() else {
-            return Err(
-                "top needs one trace file: top TRACE.jsonl [--once] [--refresh-ms N]".into(),
-            );
-        };
-        // One-shot mode reads a complete trace: validate it through the
-        // shared loader so a missing/empty/corrupt file fails exactly like
-        // `metrics` or `why-slow` would. Live mode keeps the tolerant
-        // follower — an empty or mid-write file just means "no data yet".
-        if opts.once {
-            let trace = load_trace(path)?;
-            let stats = cyclops::obs::TraceStats::from_trace(&trace);
-            print!("{}", cyclops::obs::top_frame(Some(&trace.meta), &stats, 64));
-            return Ok(());
-        }
-        let mut follower = cyclops::obs::TraceFollower::new(path);
-        let mut stats = cyclops::obs::TraceStats::new();
-        loop {
-            for r in follower.poll().map_err(|e| trace_error(path, e))? {
-                stats.add(&r);
-            }
-            let frame = cyclops::obs::top_frame(follower.meta(), &stats, 64);
-            // Clear the screen and redraw, like top(1).
-            print!("\x1b[2J\x1b[H{frame}");
-            std::io::stdout().flush().ok();
-            std::thread::sleep(std::time::Duration::from_millis(opts.refresh_ms.max(50)));
-        }
     }
 
     // `gen` writes an edge list and exits.

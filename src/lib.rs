@@ -16,8 +16,10 @@
 //! * [`algos`] — PageRank, ALS, community detection, and SSSP for all three
 //!   engines,
 //! * [`obs`] — the metrics/observability layer: log-linear latency
-//!   histograms, Prometheus/JSON exposition, trace summaries
-//!   (`cyclops metrics`), and live trace following (`cyclops top`).
+//!   histograms, Prometheus/JSON exposition, one trace summary folded in
+//!   one pass and the reports that render it (`cyclops metrics`, `top`,
+//!   `why-slow`, `comm`, `timeline`, `mem`), and live trace following
+//!   (`cyclops top`).
 //!
 //! See `README.md` for a tour, `DESIGN.md` for the substitution table mapping
 //! the paper's testbed onto this repository, and `EXPERIMENTS.md` for

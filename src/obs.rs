@@ -1,11 +1,15 @@
-//! Run-level observability: phase-latency summaries, sparkline tables, and
-//! a live trace follower.
+//! Run-level observability: one summary of a trace, the reports rendered
+//! from it, and a live trace follower.
 //!
-//! This module turns superstep traces (see [`cyclops_net::trace`]) into the
-//! human-facing reports behind `cyclops metrics` (post-hoc summary of a
-//! trace file) and `cyclops top` (live dashboard tailing a trace while the
-//! run is still writing it). Latencies are accumulated into
-//! the same log-linear histograms the engines feed
+//! [`TraceSummary`] folds a superstep trace (see [`cyclops_net::trace`]) —
+//! its records, flight spans and memory samples — in one pass, and every
+//! trace report is a view of it: `cyclops metrics` (phase quantiles and
+//! sparklines), `cyclops top` (the same, live, fed record by record while
+//! the run is still writing), `why-slow`, `comm`, `timeline` and `mem`.
+//! Its rows are keyed by the superstep and worker ids the records carry, so
+//! no size a trace file claims (its header's worker count, a record's
+//! superstep index) sizes an allocation or a loop. Latencies are
+//! accumulated into the same log-linear histograms the engines feed
 //! ([`cyclops_obs::LogLinearHistogram`], ≤ 12.5 % relative bucket error),
 //! so quantiles here and quantiles from the in-process registry agree.
 
@@ -18,51 +22,163 @@ pub use cyclops_obs::{
 
 use cyclops_net::trace::{RunTrace, SpanRecord, TraceLine, TraceMeta, TraceRecord};
 use cyclops_obs::SpanKind;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::io::{Read, Seek, SeekFrom};
 
 /// The four phase names, in the paper's order (§3.5).
 pub const PHASES: [&str; 4] = ["prs", "cmp", "snd", "syn"];
 
-/// Streaming accumulator over trace records: per-phase latency histograms
-/// plus compact per-superstep aggregates for sparklines. Feed it records
-/// with [`TraceStats::add`] — out of order is fine — and render at any
-/// point; `cyclops top` keeps one alive across polls.
-#[derive(Default)]
-pub struct TraceStats {
-    /// Phase latency histograms, indexed like [`PHASES`].
-    hists: [LogLinearHistogram; 4],
-    /// Per-superstep totals, indexed by superstep (summed over workers).
-    supersteps: Vec<SuperstepAgg>,
-    /// Records absorbed so far.
-    records: u64,
-}
-
-/// Per-superstep aggregate over workers.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SuperstepAgg {
-    /// Sum of all four phase latencies over all workers, nanoseconds.
-    pub total_ns: u64,
+/// One superstep of a trace, aggregated over the records that name it.
+#[derive(Clone, Debug, Default)]
+pub struct StepRow {
+    /// Each record's phase nanoseconds, in the order the records came: the
+    /// critical path's input, and the superstep's time and compute balance.
+    pub samples: Vec<PhaseSample>,
     /// Vertices that ran compute, summed over workers.
     pub computed: u64,
     /// Messages sent, summed over workers.
     pub messages: u64,
-    /// Workers that reported this superstep.
-    pub workers: u64,
+    /// Cross-machine batches that self-selected the dense wire encoding.
+    pub wire_dense: u64,
+    /// Cross-machine batches that self-selected the sparse wire encoding.
+    pub wire_sparse: u64,
+    /// Workers that ran this superstep on the sparse fast path (older
+    /// traces only; no run writes the column any more).
+    pub fast_workers: u64,
+    /// Priority bucket this superstep drained (bucketed runs only).
+    pub bucket: u64,
+    /// Relaxation rounds fused behind this superstep's barrier pair; 0 on
+    /// unbucketed runs. Every worker records the same count; the max
+    /// guards against partially written traces.
+    pub fused: u64,
+    /// Distinct vertices drained from the bucket, summed over workers.
+    pub occupancy: u64,
+    /// Masters migrated at the epoch boundary before this superstep,
+    /// summed over receiving workers; 0 on static runs.
+    pub migrated: u64,
 }
 
-impl TraceStats {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
+impl StepRow {
+    fn total_ns(&self) -> u64 {
+        self.samples
+            .iter()
+            .fold(0, |t, s| t.saturating_add(s.span_ns()))
     }
 
-    /// Builds the accumulator from a fully loaded trace.
-    pub fn from_trace(trace: &RunTrace) -> Self {
-        let mut s = Self::new();
+    /// Max/mean compute-time imbalance across the superstep's workers (1.0 =
+    /// perfectly balanced; 0.0 when the superstep has no compute time).
+    fn compute_imbalance(&self) -> f64 {
+        let (sum, max) = self.samples.iter().fold((0u64, 0u64), |(sum, max), s| {
+            (sum.saturating_add(s.compute_ns), max.max(s.compute_ns))
+        });
+        if sum == 0 {
+            0.0
+        } else {
+            max as f64 * self.samples.len() as f64 / sum as f64
+        }
+    }
+
+    fn is_mixed(&self) -> bool {
+        self.wire_dense > 0 || self.wire_sparse > 0 || self.fast_workers > 0
+    }
+
+    fn is_bucketed(&self) -> bool {
+        self.fused > 0
+    }
+
+    fn is_boundary(&self) -> bool {
+        self.migrated > 0
+    }
+}
+
+/// One `(src, dst)` cell of the worker-pair communication matrix,
+/// aggregated over the whole run.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CommPair {
+    /// Sending worker.
+    pub src: u64,
+    /// Receiving worker.
+    pub dst: u64,
+    /// Messages sent from `src` to `dst` (intra- and cross-machine alike).
+    pub messages: u64,
+    /// Cross-machine wire bytes from `src` to `dst`.
+    pub bytes: u64,
+    /// Cross-machine batches encoded in the dense wire mode.
+    pub wire_dense: u64,
+    /// Cross-machine batches encoded in the sparse wire mode.
+    pub wire_sparse: u64,
+}
+
+/// Everything the report commands say about one trace, folded in one pass.
+/// [`TraceSummary::of`] folds a loaded trace; `cyclops top` starts from
+/// [`TraceSummary::default`] and feeds each poll's records to
+/// [`TraceSummary::add`] — out of order is fine.
+#[derive(Default)]
+pub struct TraceSummary {
+    /// The trace header; empty on a summary fed only through
+    /// [`TraceSummary::add`].
+    pub meta: TraceMeta,
+    /// Records absorbed.
+    pub records: u64,
+    /// Phase latency histograms, indexed like [`PHASES`].
+    pub hists: [LogLinearHistogram; 4],
+    /// One row per superstep that has records, ascending.
+    pub steps: BTreeMap<u64, StepRow>,
+    /// Ids of the workers that wrote records, ascending.
+    pub workers: BTreeSet<u64>,
+    /// Direct messages (hybrid replication's no-replica path), summed.
+    pub direct_messages: u64,
+    /// Hot-vertex sketch cost summed per vertex; empty when the trace was
+    /// recorded without `--hot`.
+    pub hot: BTreeMap<u32, u64>,
+    /// The worker-pair communication matrix, summed over supersteps. Empty
+    /// for traces recorded before the matrix existed.
+    pub comm: BTreeMap<(u64, u64), CommPair>,
+    /// `(superstep, worker)` of every record whose matrix row sums disagree
+    /// with its `messages`/`bytes` counters. Always empty for healthy
+    /// traces: the matrix is filled from the counters' own transport cells.
+    pub mismatches: Vec<(u64, u64)>,
+    /// Per-worker peak bytes by component over the memory samples (peaks
+    /// are monotonic within a run, so this is the component-wise maximum).
+    /// The untagged (non-engine-thread) slot is worker [`u32::MAX`], last.
+    pub mem_peaks: BTreeMap<u32, [u64; NUM_COMPONENTS]>,
+    /// Memory samples absorbed.
+    pub mem_samples: u64,
+    /// Maximum `/proc/self/status` VmRSS over the samples, kB (0 when
+    /// unavailable — non-Linux or restricted environments).
+    pub rss_kb: u64,
+    /// Maximum VmHWM over the samples, kB (0 when unavailable).
+    pub hwm_kb: u64,
+    /// `(count, total nanoseconds)` of the flight-recorder spans of each
+    /// kind, indexed like [`SpanKind::ALL`].
+    pub spans: [(u64, u64); SpanKind::ALL.len()],
+}
+
+impl TraceSummary {
+    /// Folds a loaded trace: its header, records, spans and memory samples.
+    pub fn of(trace: &RunTrace) -> Self {
+        let mut s = TraceSummary {
+            meta: trace.meta.clone(),
+            ..Self::default()
+        };
         for r in &trace.records {
             s.add(r);
         }
+        for span in &trace.spans {
+            let (count, total) = &mut s.spans[span.kind as usize];
+            *count += 1;
+            *total = total.saturating_add(span.dur_ns);
+        }
+        for m in &trace.mem {
+            s.rss_kb = s.rss_kb.max(m.rss_kb);
+            s.hwm_kb = s.hwm_kb.max(m.hwm_kb);
+            let row = s.mem_peaks.entry(m.worker).or_default();
+            for (slot, &p) in row.iter_mut().zip(&m.peak) {
+                *slot = (*slot).max(p);
+            }
+        }
+        s.mem_samples = trace.mem.len() as u64;
         s
     }
 
@@ -76,42 +192,132 @@ impl TraceStats {
         {
             h.record(ns);
         }
-        let s = r.superstep as usize;
-        if s >= self.supersteps.len() {
-            self.supersteps.resize(s + 1, SuperstepAgg::default());
+        self.workers.insert(r.worker);
+        let step = self.steps.entry(r.superstep).or_default();
+        step.samples.push(PhaseSample {
+            worker: r.worker,
+            parse_ns: r.parse_ns,
+            compute_ns: r.compute_ns,
+            send_ns: r.send_ns,
+            sync_ns: r.sync_ns,
+        });
+        step.computed += r.computed;
+        step.messages += r.messages;
+        step.wire_dense += r.wire_dense;
+        step.wire_sparse += r.wire_sparse;
+        step.fast_workers += u64::from(r.sparse_fast_path);
+        if r.fused > 0 {
+            step.bucket = r.bucket;
+            step.fused = step.fused.max(r.fused);
+            step.occupancy += r.bucket_occupancy;
         }
-        let agg = &mut self.supersteps[s];
-        agg.total_ns += r.parse_ns + r.compute_ns + r.send_ns + r.sync_ns;
-        agg.computed += r.computed;
-        agg.messages += r.messages;
-        agg.workers += 1;
+        step.migrated += r.migrated;
+        self.direct_messages += r.direct_messages;
+        for &(v, w) in &r.hot {
+            *self.hot.entry(v).or_default() += w;
+        }
+        for e in &r.comm {
+            let dst = u64::from(e.dst);
+            let pair = self.comm.entry((r.worker, dst)).or_insert(CommPair {
+                src: r.worker,
+                dst,
+                ..CommPair::default()
+            });
+            pair.messages += e.messages;
+            pair.bytes += e.bytes;
+            pair.wire_dense += e.wire_dense;
+            pair.wire_sparse += e.wire_sparse;
+        }
+        if !r.comm_consistent() {
+            self.mismatches.push((r.superstep, r.worker));
+        }
     }
 
-    /// Records absorbed so far.
-    pub fn records(&self) -> u64 {
-        self.records
+    /// Supersteps that have records.
+    pub fn supersteps(&self) -> u64 {
+        self.steps.len() as u64
     }
 
-    /// Supersteps seen so far (highest superstep index + 1).
-    pub fn supersteps(&self) -> usize {
-        self.supersteps.len()
+    /// The run's critical path: each superstep's samples analysed as one
+    /// link of the barrier chain.
+    pub fn critical_chain(&self) -> CriticalPath {
+        CriticalPath::analyze(
+            self.steps
+                .iter()
+                .map(|(&step, row)| (step, row.samples.clone())),
+        )
     }
 
-    /// Snapshot of one phase's latency histogram (index into [`PHASES`]).
-    pub fn phase_snapshot(&self, phase: usize) -> HistogramSnapshot {
-        self.hists[phase].snapshot()
+    /// The `k` hottest vertices by summed sketch cost (ties → lowest vertex).
+    pub fn hottest(&self, k: usize) -> Vec<(u32, u64)> {
+        let mut out: Vec<(u32, u64)> = self.hot.iter().map(|(&v, &w)| (v, w)).collect();
+        out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        out.truncate(k);
+        out
+    }
+
+    /// The matrix's pairs by volume: bytes, then messages, descending (ties
+    /// → `(src, dst)` ascending).
+    pub fn pairs_by_volume(&self) -> Vec<&CommPair> {
+        let mut ranked: Vec<&CommPair> = self.comm.values().collect();
+        ranked.sort_by_key(|p| {
+            (
+                std::cmp::Reverse(p.bytes),
+                std::cmp::Reverse(p.messages),
+                p.src,
+                p.dst,
+            )
+        });
+        ranked
+    }
+
+    /// The superstep rows `keep` selects, ascending.
+    fn rows(&self, keep: fn(&StepRow) -> bool) -> Vec<(u64, &StepRow)> {
+        self.steps
+            .iter()
+            .filter(|(_, row)| keep(row))
+            .map(|(&step, row)| (step, row))
+            .collect()
+    }
+
+    fn imbalance(&self, superstep: u64) -> f64 {
+        self.steps
+            .get(&superstep)
+            .map_or(0.0, StepRow::compute_imbalance)
+    }
+
+    fn mem_totals(&self) -> [u64; NUM_COMPONENTS] {
+        let mut totals = [0u64; NUM_COMPONENTS];
+        for row in self.mem_peaks.values() {
+            for (t, p) in totals.iter_mut().zip(row) {
+                *t += p;
+            }
+        }
+        totals
+    }
+
+    /// The line every report opens with.
+    fn header(&self, out: &mut String, command: &str, n: u64, what: &str) {
+        let _ = writeln!(
+            out,
+            "{command}engine {} on {} ({} workers), {n} {what} over {} supersteps",
+            self.meta.engine,
+            self.meta.cluster,
+            self.meta.workers,
+            self.supersteps(),
+        );
     }
 
     /// The per-phase quantile table: count, mean, p50/p90/p99, max.
-    pub fn phase_table(&self) -> String {
+    fn phase_table(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
             out,
             "{:<5} {:>9} {:>10} {:>10} {:>10} {:>10} {:>10}",
             "phase", "records", "mean", "p50", "p90", "p99", "max"
         );
-        for (i, name) in PHASES.iter().enumerate() {
-            let s = self.hists[i].snapshot();
+        for (name, h) in PHASES.iter().zip(&self.hists) {
+            let s = h.snapshot();
             if s.is_empty() {
                 let _ = writeln!(out, "{name:<5} {:>9} {:>10}", 0, "-");
                 continue;
@@ -133,30 +339,57 @@ impl TraceStats {
 
     /// Sparkline rows over the last `width` supersteps: wall time per
     /// superstep, computed vertices, and messages sent.
-    pub fn sparkline_table(&self, width: usize) -> String {
+    fn sparkline_table(&self, width: usize) -> String {
         let series: [(&str, Vec<u64>); 3] = [
-            ("time", self.supersteps.iter().map(|a| a.total_ns).collect()),
+            ("time", self.steps.values().map(StepRow::total_ns).collect()),
             (
                 "computed",
-                self.supersteps.iter().map(|a| a.computed).collect(),
+                self.steps.values().map(|r| r.computed).collect(),
             ),
             (
                 "messages",
-                self.supersteps.iter().map(|a| a.messages).collect(),
+                self.steps.values().map(|r| r.messages).collect(),
             ),
         ];
         let mut out = String::new();
-        let shown = self.supersteps.len().min(width);
         let _ = writeln!(
             out,
-            "last {shown} of {} supersteps (left = older):",
-            self.supersteps.len()
+            "last {} of {} supersteps (left = older):",
+            self.steps.len().min(width),
+            self.steps.len()
         );
         for (name, values) in series {
             let _ = writeln!(out, "{:>9} {}", name, sparkline_last(&values, width));
         }
         out
     }
+}
+
+/// The last 16 rows of a table.
+fn last16<T>(rows: &[T]) -> &[T] {
+    &rows[rows.len().saturating_sub(16)..]
+}
+
+/// Writes each item with `each`, `sep` between items.
+fn join<T>(
+    out: &mut String,
+    sep: &str,
+    items: impl IntoIterator<Item = T>,
+    mut each: impl FnMut(&mut String, T),
+) {
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push_str(sep);
+        }
+        each(out, item);
+    }
+}
+
+/// `"component": bytes` for every component, comma-separated.
+fn component_fields(out: &mut String, row: &[u64; NUM_COMPONENTS]) {
+    join(out, ", ", Component::ALL.iter().zip(row), |out, (c, p)| {
+        let _ = write!(out, "\"{}\": {p}", c.name());
+    });
 }
 
 /// Renders nanoseconds with an adaptive unit (`ns`, `us`, `ms`, `s`).
@@ -169,28 +402,44 @@ pub fn fmt_ns(ns: u64) -> String {
     }
 }
 
-/// The full `cyclops metrics` report for a loaded trace: run header,
-/// per-phase quantile table, and superstep sparklines.
-pub fn metrics_report(trace: &RunTrace) -> String {
-    let stats = TraceStats::from_trace(trace);
+/// Formats a byte count compactly and deterministically (`999 B`,
+/// `1.5 KiB`, `23.4 MiB`, `1.2 GiB`).
+pub fn fmt_bytes(b: u64) -> String {
+    const KIB: f64 = 1024.0;
+    let bf = b as f64;
+    if bf >= KIB * KIB * KIB {
+        format!("{:.1} GiB", bf / (KIB * KIB * KIB))
+    } else if bf >= KIB * KIB {
+        format!("{:.1} MiB", bf / (KIB * KIB))
+    } else if bf >= KIB {
+        format!("{:.1} KiB", bf / KIB)
+    } else {
+        format!("{b} B")
+    }
+}
+
+fn pct(part: u64, whole: u64) -> f64 {
+    if whole == 0 {
+        0.0
+    } else {
+        part as f64 * 100.0 / whole as f64
+    }
+}
+
+/// The `cyclops metrics` report: run header, per-phase quantile table, and
+/// superstep sparklines.
+pub fn metrics_report(s: &TraceSummary) -> String {
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "engine {} on {} ({} workers), {} records over {} supersteps",
-        trace.meta.engine,
-        trace.meta.cluster,
-        trace.meta.workers,
-        stats.records(),
-        stats.supersteps(),
-    );
-    out.push_str(&stats.phase_table());
+    s.header(&mut out, "", s.records, "records");
+    out.push_str(&s.phase_table());
     out.push('\n');
-    out.push_str(&stats.sparkline_table(64));
+    out.push_str(&s.sparkline_table(64));
     out
 }
 
-/// One frame of the `cyclops top` dashboard.
-pub fn top_frame(meta: Option<&TraceMeta>, stats: &TraceStats, width: usize) -> String {
+/// One frame of the `cyclops top` dashboard; `meta` is `None` until the
+/// followed file's header has been read.
+pub fn top_frame(meta: Option<&TraceMeta>, s: &TraceSummary, width: usize) -> String {
     let mut out = String::new();
     match meta {
         Some(m) => {
@@ -205,224 +454,19 @@ pub fn top_frame(meta: Option<&TraceMeta>, stats: &TraceStats, width: usize) -> 
         }
     }
     let complete = meta
-        .map(|m| m.workers > 0 && stats.records() == stats.supersteps() as u64 * m.workers)
-        .unwrap_or(false);
+        .is_some_and(|m| m.workers > 0 && s.supersteps().checked_mul(m.workers) == Some(s.records));
     let _ = writeln!(
         out,
         "{} records, {} supersteps{}",
-        stats.records(),
-        stats.supersteps(),
+        s.records,
+        s.supersteps(),
         if complete { "" } else { " (partial)" },
     );
     out.push('\n');
-    out.push_str(&stats.phase_table());
+    out.push_str(&s.phase_table());
     out.push('\n');
-    out.push_str(&stats.sparkline_table(width));
+    out.push_str(&s.sparkline_table(width));
     out
-}
-
-/// Projects a loaded trace onto the engine-agnostic critical-path model:
-/// records grouped by superstep, each worker's phase nanoseconds becoming
-/// one [`PhaseSample`].
-pub fn critical_path(trace: &RunTrace) -> CriticalPath {
-    let mut grouped: std::collections::BTreeMap<u64, Vec<PhaseSample>> =
-        std::collections::BTreeMap::new();
-    for r in &trace.records {
-        grouped.entry(r.superstep).or_default().push(PhaseSample {
-            worker: r.worker,
-            parse_ns: r.parse_ns,
-            compute_ns: r.compute_ns,
-            send_ns: r.send_ns,
-            sync_ns: r.sync_ns,
-        });
-    }
-    CriticalPath::analyze(grouped)
-}
-
-/// The run-level hot-vertex table: per-superstep sketch outputs summed per
-/// vertex over the whole trace, top `k` by total cost (ties → lowest
-/// vertex). Empty when the trace was recorded without `--hot`.
-pub fn hot_vertices(trace: &RunTrace, k: usize) -> Vec<(u32, u64)> {
-    let mut totals: std::collections::BTreeMap<u32, u64> = std::collections::BTreeMap::new();
-    for r in &trace.records {
-        for &(v, w) in &r.hot {
-            *totals.entry(v).or_default() += w;
-        }
-    }
-    let mut out: Vec<(u32, u64)> = totals.into_iter().collect();
-    out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    out.truncate(k);
-    out
-}
-
-/// Per-superstep adaptive wire-encoding mix, summed over workers.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WireMixRow {
-    /// Superstep index.
-    pub superstep: u64,
-    /// Cross-machine batches that self-selected the dense bitmap encoding.
-    pub dense: u64,
-    /// Cross-machine batches that self-selected the sparse delta encoding.
-    pub sparse: u64,
-    /// Workers that ran this superstep on the sparse fast path.
-    pub fast_workers: u64,
-}
-
-/// The per-superstep wire-encoding mix of a trace: dense/sparse batch counts
-/// and fast-path worker counts, summed over workers. Supersteps with neither
-/// adaptive batches nor fast-path workers are omitted, so a legacy trace
-/// yields an empty vec.
-pub fn wire_mix(trace: &RunTrace) -> Vec<WireMixRow> {
-    let mut rows: std::collections::BTreeMap<u64, WireMixRow> = std::collections::BTreeMap::new();
-    for r in &trace.records {
-        if r.wire_dense == 0 && r.wire_sparse == 0 && !r.sparse_fast_path {
-            continue;
-        }
-        let row = rows.entry(r.superstep).or_default();
-        row.superstep = r.superstep;
-        row.dense += r.wire_dense;
-        row.sparse += r.wire_sparse;
-        row.fast_workers += r.sparse_fast_path as u64;
-    }
-    rows.into_values().collect()
-}
-
-/// Per-superstep bucketed-scheduler accounting, aggregated over workers.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BucketRow {
-    /// Superstep index.
-    pub superstep: u64,
-    /// Index of the priority bucket this superstep drained.
-    pub bucket: u64,
-    /// Relaxation rounds fused behind this superstep's single barrier pair
-    /// (every worker records the same global round count; the max guards
-    /// against partially written traces).
-    pub fused: u64,
-    /// Distinct vertices drained from the bucket, summed over workers.
-    pub occupancy: u64,
-}
-
-/// The per-superstep bucket occupancy of a trace: which bucket each
-/// superstep drained, how many relaxation rounds it fused, and how many
-/// distinct vertices it computed. Unbucketed runs (and legacy traces)
-/// record no fused rounds and yield an empty vec.
-pub fn bucketing(trace: &RunTrace) -> Vec<BucketRow> {
-    let mut rows: std::collections::BTreeMap<u64, BucketRow> = std::collections::BTreeMap::new();
-    for r in &trace.records {
-        if r.fused == 0 {
-            continue;
-        }
-        let row = rows.entry(r.superstep).or_default();
-        row.superstep = r.superstep;
-        row.bucket = r.bucket;
-        row.fused = row.fused.max(r.fused);
-        row.occupancy += r.bucket_occupancy;
-    }
-    rows.into_values().collect()
-}
-
-/// One dynamic-migration epoch boundary, reconstructed from the trace.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct MigrationRow {
-    /// First superstep *after* the boundary (the superstep whose records
-    /// carry the `migrated` counters).
-    pub superstep: u64,
-    /// Masters moved at this boundary, summed over receiving workers.
-    pub moved: u64,
-    /// Compute-time imbalance (max/mean of worker `cmp` nanoseconds) on
-    /// the last superstep before the boundary; 0 when unmeasurable.
-    pub imbalance_before: f64,
-    /// Compute-time imbalance on the first superstep after the boundary.
-    pub imbalance_after: f64,
-}
-
-/// Max/mean compute-time imbalance across the workers of one superstep
-/// (1.0 = perfectly balanced; 0.0 when the superstep has no compute time).
-fn superstep_compute_imbalance(trace: &RunTrace, superstep: u64) -> f64 {
-    let (mut sum, mut max, mut n) = (0u64, 0u64, 0u64);
-    for r in trace.records.iter().filter(|r| r.superstep == superstep) {
-        sum += r.compute_ns;
-        max = max.max(r.compute_ns);
-        n += 1;
-    }
-    if sum == 0 {
-        0.0
-    } else {
-        max as f64 * n as f64 / sum as f64
-    }
-}
-
-/// The dynamic-migration boundaries of a trace: supersteps whose records
-/// carry nonzero `migrated` counters, with moved-master totals and the
-/// compute-time imbalance on either side of each boundary. Static runs
-/// (and legacy traces) record no `migrated` counters and yield an empty
-/// vec, so their reports are unchanged.
-pub fn migrations(trace: &RunTrace) -> Vec<MigrationRow> {
-    let mut rows: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
-    for r in &trace.records {
-        if r.migrated > 0 {
-            *rows.entry(r.superstep).or_default() += r.migrated;
-        }
-    }
-    rows.into_iter()
-        .map(|(superstep, moved)| MigrationRow {
-            superstep,
-            moved,
-            imbalance_before: superstep_compute_imbalance(trace, superstep.saturating_sub(1)),
-            imbalance_after: superstep_compute_imbalance(trace, superstep),
-        })
-        .collect()
-}
-
-/// One `(src, dst)` cell of the worker-pair communication matrix,
-/// aggregated over the whole run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CommPair {
-    /// Sending worker.
-    pub src: u64,
-    /// Receiving worker.
-    pub dst: u64,
-    /// Messages sent from `src` to `dst` (intra- and cross-machine alike).
-    pub messages: u64,
-    /// Cross-machine wire bytes from `src` to `dst`.
-    pub bytes: u64,
-    /// Cross-machine batches encoded in the dense wire mode.
-    pub wire_dense: u64,
-    /// Cross-machine batches encoded in the sparse wire mode.
-    pub wire_sparse: u64,
-}
-
-/// The worker-pair communication matrix of a trace: per-record `comm` rows
-/// summed over supersteps, keyed and ordered by `(src, dst)`. Empty for
-/// traces recorded before the matrix existed.
-pub fn comm_pairs(trace: &RunTrace) -> Vec<CommPair> {
-    let mut rows: std::collections::BTreeMap<(u64, u64), CommPair> =
-        std::collections::BTreeMap::new();
-    for r in &trace.records {
-        for e in &r.comm {
-            let row = rows.entry((r.worker, e.dst as u64)).or_default();
-            row.src = r.worker;
-            row.dst = e.dst as u64;
-            row.messages += e.messages;
-            row.bytes += e.bytes;
-            row.wire_dense += e.wire_dense;
-            row.wire_sparse += e.wire_sparse;
-        }
-    }
-    rows.into_values().collect()
-}
-
-/// The `(superstep, worker)` keys of records whose communication-matrix
-/// row sums disagree with their `messages`/`bytes` counters. Always empty
-/// for healthy traces — the matrix is populated from the same transport
-/// counters the totals come from.
-pub fn comm_mismatches(trace: &RunTrace) -> Vec<(u64, u64)> {
-    trace
-        .records
-        .iter()
-        .filter(|r| !r.comm_consistent())
-        .map(|r| (r.superstep, r.worker))
-        .collect()
 }
 
 const SHADES: [char; 5] = ['.', '░', '▒', '▓', '█'];
@@ -437,64 +481,60 @@ fn shade(value: u64, max: u64) -> char {
     }
 }
 
-/// The `cyclops comm` report: a worker-pair heatmap of wire bytes, the top
-/// pairs by volume, and the row-sum consistency verdict. Deterministic for
-/// a fixed trace file.
-pub fn comm_report(trace: &RunTrace) -> String {
-    let pairs = comm_pairs(trace);
+/// The `cyclops comm` report: a worker-pair heatmap of wire bytes over the
+/// workers that wrote records, the top pairs by volume, and the row-sum
+/// consistency verdict. Deterministic for a fixed trace file.
+pub fn comm_report(s: &TraceSummary) -> String {
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "comm: engine {} on {} ({} workers), {} records over {} supersteps",
-        trace.meta.engine,
-        trace.meta.cluster,
-        trace.meta.workers,
-        trace.records.len(),
-        trace.supersteps(),
-    );
-    if pairs.is_empty() {
+    s.header(&mut out, "comm: ", s.records, "records");
+    if s.comm.is_empty() {
         out.push_str("no communication matrix recorded (trace predates comm rows)\n");
         return out;
     }
-    let workers = trace.meta.workers as usize;
-    let mut bytes = vec![0u64; workers * workers];
-    let mut msgs = vec![0u64; workers * workers];
-    for p in &pairs {
-        if (p.src as usize) < workers && (p.dst as usize) < workers {
-            bytes[p.src as usize * workers + p.dst as usize] = p.bytes;
-            msgs[p.src as usize * workers + p.dst as usize] = p.messages;
-        }
+    let (mut total_msgs, mut total_bytes, mut dense, mut sparse) = (0u64, 0u64, 0u64, 0u64);
+    for p in s.comm.values() {
+        total_msgs += p.messages;
+        total_bytes += p.bytes;
+        dense += p.wire_dense;
+        sparse += p.wire_sparse;
     }
-    let total_msgs: u64 = pairs.iter().map(|p| p.messages).sum();
-    let total_bytes: u64 = pairs.iter().map(|p| p.bytes).sum();
-    let dense: u64 = pairs.iter().map(|p| p.wire_dense).sum();
-    let sparse: u64 = pairs.iter().map(|p| p.wire_sparse).sum();
     let _ = writeln!(
         out,
         "{total_msgs} messages / {total_bytes} wire bytes over {} worker pairs \
          ({dense} dense / {sparse} sparse batches)",
-        pairs.len(),
+        s.comm.len(),
     );
     out.push('\n');
 
     // Shade heatmap of wire bytes (messages fall back when no pair crossed
     // a machine boundary, e.g. single-machine clusters).
-    let (cells, unit) = if total_bytes > 0 {
-        (&bytes, "wire bytes")
+    let unit = if total_bytes > 0 {
+        "wire bytes"
     } else {
-        (&msgs, "messages")
+        "messages"
     };
-    let max = cells.iter().copied().max().unwrap_or(0);
+    let cell = |src: u64, dst: u64| {
+        s.comm
+            .get(&(src, dst))
+            .map_or(0, |p| if total_bytes > 0 { p.bytes } else { p.messages })
+    };
+    let max = s
+        .comm
+        .keys()
+        .filter(|(src, dst)| s.workers.contains(src) && s.workers.contains(dst))
+        .map(|&(src, dst)| cell(src, dst))
+        .max()
+        .unwrap_or(0);
     let _ = writeln!(out, "heatmap ({unit}, src rows -> dst cols):");
     out.push_str("       ");
-    for d in 0..workers {
+    for d in &s.workers {
         let _ = write!(out, "{d:>3}");
     }
     out.push('\n');
-    for s in 0..workers {
-        let _ = write!(out, "  {s:>4} ");
-        for d in 0..workers {
-            let _ = write!(out, "  {}", shade(cells[s * workers + d], max));
+    for &src in &s.workers {
+        let _ = write!(out, "  {src:>4} ");
+        for &dst in &s.workers {
+            let _ = write!(out, "  {}", shade(cell(src, dst), max));
         }
         out.push('\n');
     }
@@ -506,11 +546,7 @@ pub fn comm_report(trace: &RunTrace) -> String {
         "  {:>4} {:>4} {:>10} {:>12} {:>7} {:>7}",
         "src", "dst", "messages", "bytes", "dense", "sparse"
     );
-    let mut ranked = pairs.clone();
-    ranked.sort_by(|a, b| {
-        (b.bytes, b.messages, a.src, a.dst).cmp(&(a.bytes, a.messages, b.src, b.dst))
-    });
-    for p in ranked.iter().take(12) {
+    for p in s.pairs_by_volume().iter().take(12) {
         let _ = writeln!(
             out,
             "  {:>4} {:>4} {:>10} {:>12} {:>7} {:>7}",
@@ -519,19 +555,18 @@ pub fn comm_report(trace: &RunTrace) -> String {
     }
     out.push('\n');
 
-    let bad = comm_mismatches(trace);
-    if bad.is_empty() {
+    if s.mismatches.is_empty() {
         let _ = writeln!(
             out,
             "row sums consistent with sent counters in all {} records",
-            trace.records.len()
+            s.records
         );
     } else {
         let _ = writeln!(
             out,
             "ROW-SUM MISMATCH in {} records (superstep, worker): {:?}",
-            bad.len(),
-            &bad[..bad.len().min(8)]
+            s.mismatches.len(),
+            &s.mismatches[..s.mismatches.len().min(8)]
         );
     }
     out
@@ -566,92 +601,12 @@ fn chrome_args(s: &SpanRecord) -> String {
     }
 }
 
-/// Per-worker peak bytes by component, aggregated from a trace's
-/// `{"mem":…}` samples. Peaks are monotonic within a run, so each row is
-/// the component-wise maximum over that worker's samples. The untagged
-/// (non-engine-thread) slot is reported as worker [`u32::MAX`].
-pub struct MemPeaks {
-    /// `(worker, per-component peak bytes)` rows, workers ascending with
-    /// the untagged slot last.
-    pub workers: Vec<(u32, [u64; NUM_COMPONENTS])>,
-    /// Component-wise sum over all rows.
-    pub totals: [u64; NUM_COMPONENTS],
-    /// Maximum `/proc/self/status` VmRSS seen across samples, kB (0 when
-    /// unavailable — non-Linux or restricted environments).
-    pub rss_kb: u64,
-    /// Maximum VmHWM seen across samples, kB (0 when unavailable).
-    pub hwm_kb: u64,
-    /// Number of mem samples aggregated.
-    pub samples: usize,
-}
-
-/// Aggregates a trace's mem samples into [`MemPeaks`] rows.
-pub fn mem_peaks(trace: &RunTrace) -> MemPeaks {
-    let mut rows: Vec<(u32, [u64; NUM_COMPONENTS])> = Vec::new();
-    let mut rss_kb = 0u64;
-    let mut hwm_kb = 0u64;
-    for m in &trace.mem {
-        rss_kb = rss_kb.max(m.rss_kb);
-        hwm_kb = hwm_kb.max(m.hwm_kb);
-        let row = match rows.iter_mut().find(|(w, _)| *w == m.worker) {
-            Some((_, row)) => row,
-            None => {
-                rows.push((m.worker, [0; NUM_COMPONENTS]));
-                &mut rows.last_mut().unwrap().1
-            }
-        };
-        for (slot, &p) in row.iter_mut().zip(m.peak.iter()) {
-            *slot = (*slot).max(p);
-        }
-    }
-    // Workers ascending; u32::MAX (untagged) naturally sorts last.
-    rows.sort_by_key(|&(w, _)| w);
-    let mut totals = [0u64; NUM_COMPONENTS];
-    for (_, row) in &rows {
-        for (t, p) in totals.iter_mut().zip(row.iter()) {
-            *t += p;
-        }
-    }
-    MemPeaks {
-        workers: rows,
-        totals,
-        rss_kb,
-        hwm_kb,
-        samples: trace.mem.len(),
-    }
-}
-
-/// Formats a byte count compactly and deterministically (`999 B`,
-/// `1.5 KiB`, `23.4 MiB`, `1.2 GiB`).
-pub fn fmt_bytes(b: u64) -> String {
-    const KIB: f64 = 1024.0;
-    let bf = b as f64;
-    if bf >= KIB * KIB * KIB {
-        format!("{:.1} GiB", bf / (KIB * KIB * KIB))
-    } else if bf >= KIB * KIB {
-        format!("{:.1} MiB", bf / (KIB * KIB))
-    } else if bf >= KIB {
-        format!("{:.1} KiB", bf / KIB)
-    } else {
-        format!("{b} B")
-    }
-}
-
 /// The `cyclops mem` report: a per-worker, per-component peak table from
 /// the trace's `{"mem":…}` samples, plus the process RSS high-water marks.
-pub fn mem_report(trace: &RunTrace) -> String {
-    let peaks = mem_peaks(trace);
+pub fn mem_report(s: &TraceSummary) -> String {
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "mem: engine {} on {} ({} workers), {} samples over {} supersteps",
-        trace.meta.engine,
-        trace.meta.cluster,
-        trace.meta.workers,
-        peaks.samples,
-        trace.supersteps(),
-    );
-    if peaks.samples == 0 {
+    s.header(&mut out, "mem: ", s.mem_samples, "samples");
+    if s.mem_samples == 0 {
         out.push_str("no memory samples recorded (run without --mem)\n");
         return out;
     }
@@ -661,28 +616,26 @@ pub fn mem_report(trace: &RunTrace) -> String {
         let _ = write!(out, " {:>12}", c.name());
     }
     let _ = writeln!(out, " {:>12}", "total");
-    for (w, row) in &peaks.workers {
-        if *w == u32::MAX {
-            let _ = write!(out, "  {:>8}", "untagged");
-        } else {
-            let _ = write!(out, "  {:>8}", w);
-        }
+    let mut line = |label: &dyn std::fmt::Display, row: &[u64; NUM_COMPONENTS]| {
+        let _ = write!(out, "  {label:>8}");
         for p in row {
             let _ = write!(out, " {:>12}", fmt_bytes(*p));
         }
         let _ = writeln!(out, " {:>12}", fmt_bytes(row.iter().sum()));
+    };
+    for (w, row) in &s.mem_peaks {
+        match *w {
+            u32::MAX => line(&"untagged", row),
+            _ => line(w, row),
+        }
     }
-    let _ = write!(out, "  {:>8}", "all");
-    for t in &peaks.totals {
-        let _ = write!(out, " {:>12}", fmt_bytes(*t));
-    }
-    let _ = writeln!(out, " {:>12}", fmt_bytes(peaks.totals.iter().sum()));
-    if peaks.rss_kb > 0 || peaks.hwm_kb > 0 {
+    line(&"all", &s.mem_totals());
+    if s.rss_kb > 0 || s.hwm_kb > 0 {
         let _ = writeln!(
             out,
             "process rss: peak {} (VmHWM {})",
-            fmt_bytes(peaks.rss_kb * 1024),
-            fmt_bytes(peaks.hwm_kb * 1024),
+            fmt_bytes(s.rss_kb * 1024),
+            fmt_bytes(s.hwm_kb * 1024),
         );
     } else {
         out.push_str("process rss: unavailable (/proc/self/status not readable)\n");
@@ -690,54 +643,41 @@ pub fn mem_report(trace: &RunTrace) -> String {
     out
 }
 
-/// The `cyclops mem --json` report: [`mem_peaks`] as one deterministic
+/// The `cyclops mem --json` report: the memory peaks as one deterministic
 /// JSON object (stable key order, integers only; the untagged slot is
 /// reported as worker `-1`).
-pub fn mem_json(trace: &RunTrace) -> String {
-    let peaks = mem_peaks(trace);
+pub fn mem_json(s: &TraceSummary) -> String {
     let mut out = String::new();
     let _ = write!(
         out,
         "{{\n  \"engine\": \"{}\",\n  \"cluster\": \"{}\",\n  \"samples\": {},\n  \
          \"supersteps\": {},\n  \"rss_kb\": {},\n  \"hwm_kb\": {},\n  \"workers\": [",
-        trace.meta.engine,
-        trace.meta.cluster,
-        peaks.samples,
-        trace.supersteps(),
-        peaks.rss_kb,
-        peaks.hwm_kb,
+        s.meta.engine,
+        s.meta.cluster,
+        s.mem_samples,
+        s.supersteps(),
+        s.rss_kb,
+        s.hwm_kb,
     );
-    for (i, (w, row)) in peaks.workers.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let worker = if *w == u32::MAX { -1 } else { *w as i64 };
+    join(&mut out, ",", &s.mem_peaks, |out, (&w, row)| {
+        let worker = if w == u32::MAX { -1 } else { i64::from(w) };
         let _ = write!(out, "\n    {{\"worker\": {worker}, \"peak\": {{");
-        for (j, c) in Component::ALL.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\"{}\": {}", c.name(), row[j]);
-        }
+        component_fields(out, row);
         out.push_str("}}");
-    }
+    });
     out.push_str("\n  ],\n  \"totals\": {");
-    for (j, c) in Component::ALL.iter().enumerate() {
-        if j > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "\"{}\": {}", c.name(), peaks.totals[j]);
-    }
+    component_fields(&mut out, &s.mem_totals());
     out.push_str("}\n}\n");
     out
 }
 
 /// Exports a trace as Chrome trace-event JSON (`chrome://tracing`,
-/// Perfetto). Real flight-recorder spans are used when the trace has them
-/// (`--flight` runs); otherwise one complete-event per phase per record is
-/// synthesized on a per-worker cumulative clock, which preserves relative
-/// phase widths but not true wall-clock alignment across workers.
-pub fn chrome_trace(trace: &RunTrace) -> String {
+/// Perfetto), one process per worker that wrote records. Real
+/// flight-recorder spans are used when the trace has them (`--flight`
+/// runs); otherwise one complete-event per phase per record is synthesized
+/// on a per-worker cumulative clock, which preserves relative phase widths
+/// but not true wall-clock alignment across workers.
+pub fn chrome_trace(trace: &RunTrace, s: &TraceSummary) -> String {
     let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
     let mut first = true;
     let emit = |out: &mut String, first: &mut bool, line: String| {
@@ -748,7 +688,7 @@ pub fn chrome_trace(trace: &RunTrace) -> String {
         out.push('\n');
         out.push_str(&line);
     };
-    for w in 0..trace.meta.workers {
+    for w in &s.workers {
         emit(
             &mut out,
             &mut first,
@@ -761,7 +701,7 @@ pub fn chrome_trace(trace: &RunTrace) -> String {
     if trace.spans.is_empty() {
         // Synthesized fallback: per-worker cumulative clocks from the
         // deterministic phase counters.
-        let mut clock: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
+        let mut clock: BTreeMap<u64, u64> = BTreeMap::new();
         for r in &trace.records {
             let t = clock.entry(r.worker).or_default();
             for (name, ns) in PHASES
@@ -781,23 +721,23 @@ pub fn chrome_trace(trace: &RunTrace) -> String {
                         r.superstep
                     ),
                 );
-                *t += ns;
+                *t = t.saturating_add(ns);
             }
         }
     } else {
-        for s in &trace.spans {
+        for span in &trace.spans {
             emit(
                 &mut out,
                 &mut first,
                 format!(
                     "{{\"ph\":\"X\",\"pid\":{},\"tid\":{},\"ts\":{},\"dur\":{},\
                      \"name\":\"{}\",\"args\":{}}}",
-                    s.worker,
-                    s.thread,
-                    chrome_us(s.start_ns),
-                    chrome_us(s.dur_ns),
-                    s.kind.name(),
-                    chrome_args(s)
+                    span.worker,
+                    span.thread,
+                    chrome_us(span.start_ns),
+                    chrome_us(span.dur_ns),
+                    span.kind.name(),
+                    chrome_args(span)
                 ),
             );
         }
@@ -808,18 +748,11 @@ pub fn chrome_trace(trace: &RunTrace) -> String {
 
 /// The `cyclops timeline` stdout summary: span counts and total time per
 /// kind, or the synthesized-fallback note for traces without spans.
-pub fn timeline_summary(trace: &RunTrace) -> String {
+pub fn timeline_summary(s: &TraceSummary) -> String {
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "timeline: engine {} on {} ({} workers), {} spans over {} supersteps",
-        trace.meta.engine,
-        trace.meta.cluster,
-        trace.meta.workers,
-        trace.spans.len(),
-        trace.supersteps(),
-    );
-    if trace.spans.is_empty() {
+    let spans: u64 = s.spans.iter().map(|&(count, _)| count).sum();
+    s.header(&mut out, "timeline: ", spans, "spans");
+    if spans == 0 {
         out.push_str(
             "no flight-recorder spans in trace (record with --flight); \
              --chrome synthesizes phase spans from the records instead\n",
@@ -831,12 +764,7 @@ pub fn timeline_summary(trace: &RunTrace) -> String {
         "  {:<8} {:>8} {:>12} {:>12}",
         "kind", "spans", "total", "mean"
     );
-    for kind in SpanKind::ALL {
-        let (count, total) = trace
-            .spans
-            .iter()
-            .filter(|s| s.kind == kind)
-            .fold((0u64, 0u64), |(c, t), s| (c + 1, t + s.dur_ns));
+    for (kind, &(count, total)) in SpanKind::ALL.iter().zip(&s.spans) {
         if count == 0 {
             continue;
         }
@@ -852,37 +780,25 @@ pub fn timeline_summary(trace: &RunTrace) -> String {
     out
 }
 
-fn pct(part: u64, whole: u64) -> f64 {
-    if whole == 0 {
-        0.0
-    } else {
-        part as f64 * 100.0 / whole as f64
-    }
-}
-
 /// The human `cyclops why-slow` report: run summary, wall-time
 /// decomposition, straggler ranking, per-superstep critical path,
-/// hot-vertex table, and sparkline timelines. Deterministic for a fixed
-/// trace file.
-pub fn why_slow_report(trace: &RunTrace) -> String {
-    let cp = critical_path(trace);
+/// hot-vertex table, the wire, communication, hybrid, bucket, migration
+/// and memory paragraphs, and sparkline timelines. Deterministic for a
+/// fixed trace file.
+pub fn why_slow_report(s: &TraceSummary) -> String {
+    let cp = s.critical_chain();
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "why-slow: engine {} on {} ({} workers), {} records over {} supersteps",
-        trace.meta.engine,
-        trace.meta.cluster,
-        trace.meta.workers,
-        trace.records.len(),
-        trace.supersteps(),
-    );
+    s.header(&mut out, "why-slow: ", s.records, "records");
     let _ = writeln!(
         out,
         "critical path {} (chain of per-superstep maxima)",
         fmt_ns(cp.total_span_ns)
     );
     // The attribution pool: every worker's exact span decomposition, summed.
-    let pool = cp.total_work_ns + cp.total_wait_ns + cp.total_residual_ns;
+    let pool = cp
+        .total_work_ns
+        .saturating_add(cp.total_wait_ns)
+        .saturating_add(cp.total_residual_ns);
     let _ = writeln!(
         out,
         "aggregate worker time: work {:.1}%  barrier-wait {:.1}%  residual {:.1}%",
@@ -917,22 +833,21 @@ pub fn why_slow_report(trace: &RunTrace) -> String {
         "  {:>5} {:>10} {:>9} {:>6} {:>10} {:>12}",
         "step", "span", "straggler", "phase", "work", "caused-wait"
     );
-    let tail = cp.supersteps.len().saturating_sub(16);
-    for s in &cp.supersteps[tail..] {
+    for p in last16(&cp.supersteps) {
         let _ = writeln!(
             out,
             "  {:>5} {:>10} {:>9} {:>6} {:>10} {:>12}",
-            s.superstep,
-            fmt_ns(s.span_ns),
-            s.straggler,
-            s.straggler_phase.label(),
-            fmt_ns(s.straggler_work_ns),
-            fmt_ns(s.caused_wait_ns),
+            p.superstep,
+            fmt_ns(p.span_ns),
+            p.straggler,
+            p.straggler_phase.label(),
+            fmt_ns(p.straggler_work_ns),
+            fmt_ns(p.caused_wait_ns),
         );
     }
     out.push('\n');
 
-    let hot = hot_vertices(trace, 10);
+    let hot = s.hottest(10);
     if hot.is_empty() {
         out.push_str("hot vertices: none recorded (run with --hot K to capture)\n");
     } else {
@@ -945,63 +860,56 @@ pub fn why_slow_report(trace: &RunTrace) -> String {
     }
     out.push('\n');
 
-    let mix = wire_mix(trace);
+    let mix = s.rows(StepRow::is_mixed);
     if mix.is_empty() {
         out.push_str("wire encoding: no adaptive batches recorded (legacy codec path)\n");
     } else {
-        let dense: u64 = mix.iter().map(|m| m.dense).sum();
-        let sparse: u64 = mix.iter().map(|m| m.sparse).sum();
-        let fast_steps = mix.iter().filter(|m| m.fast_workers > 0).count();
+        let dense: u64 = mix.iter().map(|(_, r)| r.wire_dense).sum();
+        let sparse: u64 = mix.iter().map(|(_, r)| r.wire_sparse).sum();
+        let fast_steps = mix.iter().filter(|(_, r)| r.fast_workers > 0).count();
         let _ = writeln!(
             out,
             "wire encoding: {dense} dense / {sparse} sparse batches, \
              {fast_steps} of {} supersteps on the sparse fast path",
-            trace.supersteps(),
+            s.supersteps(),
         );
         let _ = writeln!(
             out,
             "  {:>5} {:>7} {:>7} {:>12}",
             "step", "dense", "sparse", "fast-workers"
         );
-        let tail = mix.len().saturating_sub(16);
-        for m in &mix[tail..] {
+        for (step, r) in last16(&mix) {
             let _ = writeln!(
                 out,
                 "  {:>5} {:>7} {:>7} {:>12}",
-                m.superstep, m.dense, m.sparse, m.fast_workers
+                step, r.wire_dense, r.wire_sparse, r.fast_workers
             );
         }
     }
     out.push('\n');
 
-    let pairs = comm_pairs(trace);
-    if pairs.is_empty() {
+    if s.comm.is_empty() {
         out.push_str("communication matrix: none recorded (trace predates comm rows)\n");
     } else {
-        let msgs: u64 = pairs.iter().map(|p| p.messages).sum();
-        let bytes: u64 = pairs.iter().map(|p| p.bytes).sum();
-        let bad = comm_mismatches(trace);
-        let verdict = if bad.is_empty() {
+        let msgs: u64 = s.comm.values().map(|p| p.messages).sum();
+        let bytes: u64 = s.comm.values().map(|p| p.bytes).sum();
+        let verdict = if s.mismatches.is_empty() {
             "row sums consistent".to_string()
         } else {
-            format!("ROW-SUM MISMATCH in {} records", bad.len())
+            format!("ROW-SUM MISMATCH in {} records", s.mismatches.len())
         };
         let _ = writeln!(
             out,
             "communication matrix: {msgs} messages / {bytes} wire bytes over {} worker pairs, \
              {verdict}",
-            pairs.len(),
+            s.comm.len(),
         );
-        let mut ranked = pairs.clone();
-        ranked.sort_by(|a, b| {
-            (b.bytes, b.messages, a.src, a.dst).cmp(&(a.bytes, a.messages, b.src, b.dst))
-        });
         let _ = writeln!(
             out,
             "  {:>4} {:>4} {:>10} {:>12}",
             "src", "dst", "messages", "bytes"
         );
-        for p in ranked.iter().take(8) {
+        for p in s.pairs_by_volume().iter().take(8) {
             let _ = writeln!(
                 out,
                 "  {:>4} {:>4} {:>10} {:>12}",
@@ -1015,25 +923,25 @@ pub fn why_slow_report(trace: &RunTrace) -> String {
     // vertices; their share of the traffic is what the threshold trades for
     // the replicas it saves. They ride in the same batches as replica syncs,
     // so there is a message share and no byte share.
-    let direct_msgs: u64 = trace.records.iter().map(|r| r.direct_messages).sum();
-    if direct_msgs == 0 {
+    if s.direct_messages == 0 {
         out.push_str("hybrid replication: off (every boundary vertex replicated)\n");
     } else {
-        let total_msgs: u64 = trace.records.iter().map(|r| r.messages).sum();
+        let total_msgs: u64 = s.steps.values().map(|r| r.messages).sum();
         let _ = writeln!(
             out,
-            "hybrid replication: {direct_msgs} direct messages ({:.1}% of messages) took the \
+            "hybrid replication: {} direct messages ({:.1}% of messages) took the \
              no-replica path; the rest is replica sync for hot boundary vertices",
-            pct(direct_msgs, total_msgs),
+            s.direct_messages,
+            pct(s.direct_messages, total_msgs),
         );
     }
     out.push('\n');
 
-    let buckets = bucketing(trace);
+    let buckets = s.rows(StepRow::is_bucketed);
     if buckets.is_empty() {
         out.push_str("bucketed execution: off (one barrier per relaxation hop)\n");
     } else {
-        let rounds: u64 = buckets.iter().map(|b| b.fused).sum();
+        let rounds: u64 = buckets.iter().map(|(_, r)| r.fused).sum();
         let _ = writeln!(
             out,
             "bucketed execution: {rounds} relaxation rounds fused into {} supersteps \
@@ -1046,12 +954,11 @@ pub fn why_slow_report(trace: &RunTrace) -> String {
             "  {:>5} {:>7} {:>6} {:>10}",
             "step", "bucket", "fused", "occupancy"
         );
-        let tail = buckets.len().saturating_sub(16);
-        for b in &buckets[tail..] {
+        for (step, r) in last16(&buckets) {
             let _ = writeln!(
                 out,
                 "  {:>5} {:>7} {:>6} {:>10}",
-                b.superstep, b.bucket, b.fused, b.occupancy
+                step, r.bucket, r.fused, r.occupancy
             );
         }
     }
@@ -1060,9 +967,9 @@ pub fn why_slow_report(trace: &RunTrace) -> String {
     // Migration paragraph — only for `--migrate` traces (static runs
     // record no `migrated` counters, keeping pre-existing reports
     // byte-identical).
-    let moves = migrations(trace);
+    let moves = s.rows(StepRow::is_boundary);
     if !moves.is_empty() {
-        let moved: u64 = moves.iter().map(|m| m.moved).sum();
+        let moved: u64 = moves.iter().map(|(_, r)| r.migrated).sum();
         let _ = writeln!(
             out,
             "dynamic migration: {moved} masters moved across {} epoch boundaries \
@@ -1074,12 +981,14 @@ pub fn why_slow_report(trace: &RunTrace) -> String {
             "  {:>5} {:>7} {:>11} {:>11}",
             "step", "moved", "imb-before", "imb-after"
         );
-        let tail = moves.len().saturating_sub(16);
-        for m in &moves[tail..] {
+        for &(step, r) in last16(&moves) {
             let _ = writeln!(
                 out,
                 "  {:>5} {:>7} {:>11.2} {:>11.2}",
-                m.superstep, m.moved, m.imbalance_before, m.imbalance_after
+                step,
+                r.migrated,
+                s.imbalance(step.saturating_sub(1)),
+                r.compute_imbalance()
             );
         }
         out.push('\n');
@@ -1087,21 +996,20 @@ pub fn why_slow_report(trace: &RunTrace) -> String {
 
     // Memory paragraph — only for `--mem` traces (plain traces carry no
     // samples, keeping pre-existing reports byte-identical).
-    if !trace.mem.is_empty() {
-        let peaks = mem_peaks(trace);
-        let _ = write!(out, "memory ({} samples): peak", peaks.samples);
-        for (j, c) in Component::ALL.iter().enumerate() {
-            if peaks.totals[j] > 0 {
-                let _ = write!(out, " {} {}", c.name(), fmt_bytes(peaks.totals[j]));
+    if s.mem_samples > 0 {
+        let _ = write!(out, "memory ({} samples): peak", s.mem_samples);
+        for (c, total) in Component::ALL.iter().zip(s.mem_totals()) {
+            if total > 0 {
+                let _ = write!(out, " {} {}", c.name(), fmt_bytes(total));
             }
         }
         out.push('\n');
-        if peaks.rss_kb > 0 {
+        if s.rss_kb > 0 {
             let _ = writeln!(
                 out,
                 "  process rss peak {} (VmHWM {}); see `cyclops mem` for the per-worker table",
-                fmt_bytes(peaks.rss_kb * 1024),
-                fmt_bytes(peaks.hwm_kb * 1024),
+                fmt_bytes(s.rss_kb * 1024),
+                fmt_bytes(s.hwm_kb * 1024),
             );
         } else {
             out.push_str("  process rss unavailable; see `cyclops mem` for the per-worker table\n");
@@ -1109,8 +1017,8 @@ pub fn why_slow_report(trace: &RunTrace) -> String {
         out.push('\n');
     }
 
-    let spans: Vec<u64> = cp.supersteps.iter().map(|s| s.span_ns).collect();
-    let waits: Vec<u64> = cp.supersteps.iter().map(|s| s.caused_wait_ns).collect();
+    let spans: Vec<u64> = cp.supersteps.iter().map(|p| p.span_ns).collect();
+    let waits: Vec<u64> = cp.supersteps.iter().map(|p| p.caused_wait_ns).collect();
     let _ = writeln!(
         out,
         "timelines over {} supersteps (left = older):",
@@ -1124,141 +1032,123 @@ pub fn why_slow_report(trace: &RunTrace) -> String {
 /// The `cyclops why-slow --json` report: the same analysis as
 /// [`why_slow_report`] as one deterministic JSON object (stable key order,
 /// integers only), suitable for golden-file testing and scripting.
-pub fn why_slow_json(trace: &RunTrace) -> String {
-    let cp = critical_path(trace);
+pub fn why_slow_json(s: &TraceSummary) -> String {
+    let cp = s.critical_chain();
     let mut out = String::new();
     let _ = write!(
         out,
         "{{\n  \"engine\": \"{}\",\n  \"cluster\": \"{}\",\n  \"workers\": {},\n  \
          \"records\": {},\n  \"supersteps\": {},\n  \"critical_path_ns\": {},\n  \
          \"work_ns\": {},\n  \"wait_ns\": {},\n  \"residual_ns\": {},\n",
-        trace.meta.engine,
-        trace.meta.cluster,
-        trace.meta.workers,
-        trace.records.len(),
-        trace.supersteps(),
+        s.meta.engine,
+        s.meta.cluster,
+        s.meta.workers,
+        s.records,
+        s.supersteps(),
         cp.total_span_ns,
         cp.total_work_ns,
         cp.total_wait_ns,
         cp.total_residual_ns,
     );
     out.push_str("  \"stragglers\": [");
-    for (i, s) in cp.straggler_ranking().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    join(&mut out, ",", cp.straggler_ranking(), |out, x| {
         let _ = write!(
             out,
             "\n    {{\"worker\": {}, \"phase\": \"{}\", \"caused_wait_ns\": {}, \"supersteps\": {}}}",
-            s.worker,
-            s.phase.name(),
-            s.caused_wait_ns,
-            s.supersteps,
+            x.worker,
+            x.phase.name(),
+            x.caused_wait_ns,
+            x.supersteps,
         );
-    }
+    });
     out.push_str("\n  ],\n  \"superstep_paths\": [");
-    for (i, s) in cp.supersteps.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    join(&mut out, ",", &cp.supersteps, |out, p| {
         let _ = write!(
             out,
             "\n    {{\"superstep\": {}, \"span_ns\": {}, \"critical_worker\": {}, \
              \"straggler\": {}, \"phase\": \"{}\", \"straggler_work_ns\": {}, \
              \"caused_wait_ns\": {}, \"barrier_ns\": {}}}",
-            s.superstep,
-            s.span_ns,
-            s.critical_worker,
-            s.straggler,
-            s.straggler_phase.name(),
-            s.straggler_work_ns,
-            s.caused_wait_ns,
-            s.barrier_ns,
+            p.superstep,
+            p.span_ns,
+            p.critical_worker,
+            p.straggler,
+            p.straggler_phase.name(),
+            p.straggler_work_ns,
+            p.caused_wait_ns,
+            p.barrier_ns,
         );
-    }
+    });
     out.push_str("\n  ],\n  \"hot_vertices\": [");
-    for (i, (v, w)) in hot_vertices(trace, 10).iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    join(&mut out, ",", s.hottest(10), |out, (v, w)| {
         let _ = write!(out, "\n    {{\"vertex\": {v}, \"cost\": {w}}}");
-    }
+    });
     out.push_str("\n  ],\n  \"wire_mix\": [");
-    for (i, m) in wire_mix(trace).iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
+    join(
+        &mut out,
+        ",",
+        s.rows(StepRow::is_mixed),
+        |out, (step, r)| {
+            let _ = write!(
             out,
-            "\n    {{\"superstep\": {}, \"dense\": {}, \"sparse\": {}, \"fast_path_workers\": {}}}",
-            m.superstep, m.dense, m.sparse, m.fast_workers
+            "\n    {{\"superstep\": {step}, \"dense\": {}, \"sparse\": {}, \"fast_path_workers\": {}}}",
+            r.wire_dense, r.wire_sparse, r.fast_workers
         );
-    }
+        },
+    );
     let _ = write!(
         out,
         "\n  ],\n  \"comm_consistent\": {},\n  \"comm\": [",
-        comm_mismatches(trace).is_empty()
+        s.mismatches.is_empty()
     );
-    for (i, p) in comm_pairs(trace).iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    join(&mut out, ",", s.comm.values(), |out, p| {
         let _ = write!(
             out,
             "\n    {{\"src\": {}, \"dst\": {}, \"messages\": {}, \"bytes\": {}, \
              \"wire_dense\": {}, \"wire_sparse\": {}}}",
             p.src, p.dst, p.messages, p.bytes, p.wire_dense, p.wire_sparse
         );
-    }
+    });
     out.push_str("\n  ],\n  \"bucketing\": [");
-    for (i, b) in bucketing(trace).iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n    {{\"superstep\": {}, \"bucket\": {}, \"fused\": {}, \"occupancy\": {}}}",
-            b.superstep, b.bucket, b.fused, b.occupancy
-        );
-    }
+    join(
+        &mut out,
+        ",",
+        s.rows(StepRow::is_bucketed),
+        |out, (step, r)| {
+            let _ = write!(
+                out,
+                "\n    {{\"superstep\": {step}, \"bucket\": {}, \"fused\": {}, \"occupancy\": {}}}",
+                r.bucket, r.fused, r.occupancy
+            );
+        },
+    );
     out.push_str("\n  ]");
     // Migration array — only for `--migrate` traces, so goldens from
     // static runs are unchanged. Imbalance is reported in integer
     // permille to keep the object float-free.
-    let moves = migrations(trace);
+    let moves = s.rows(StepRow::is_boundary);
     if !moves.is_empty() {
         out.push_str(",\n  \"migrations\": [");
-        for (i, m) in moves.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+        join(&mut out, ",", moves, |out, (step, r)| {
             let _ = write!(
                 out,
-                "\n    {{\"superstep\": {}, \"moved\": {}, \
+                "\n    {{\"superstep\": {step}, \"moved\": {}, \
                  \"imbalance_before_permille\": {}, \"imbalance_after_permille\": {}}}",
-                m.superstep,
-                m.moved,
-                (m.imbalance_before * 1000.0).round() as u64,
-                (m.imbalance_after * 1000.0).round() as u64,
+                r.migrated,
+                (s.imbalance(step.saturating_sub(1)) * 1000.0).round() as u64,
+                (r.compute_imbalance() * 1000.0).round() as u64,
             );
-        }
+        });
         out.push_str("\n  ]");
     }
     // Memory object — only for `--mem` traces, so goldens from plain runs
     // are unchanged.
-    if !trace.mem.is_empty() {
-        let peaks = mem_peaks(trace);
+    if s.mem_samples > 0 {
         let _ = write!(
             out,
             ",\n  \"memory\": {{\"samples\": {}, \"rss_kb\": {}, \"hwm_kb\": {}, \"peak\": {{",
-            peaks.samples, peaks.rss_kb, peaks.hwm_kb
+            s.mem_samples, s.rss_kb, s.hwm_kb
         );
-        for (j, c) in Component::ALL.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\"{}\": {}", c.name(), peaks.totals[j]);
-        }
+        component_fields(&mut out, &s.mem_totals());
         out.push_str("}}");
     }
     out.push_str("\n}\n");
@@ -1353,26 +1243,26 @@ mod tests {
 
     #[test]
     fn stats_accumulate_per_phase_and_per_superstep() {
-        let mut s = TraceStats::new();
+        let mut s = TraceSummary::default();
         for step in 0..3 {
             for w in 0..2 {
                 s.add(&record(step, w, 1000));
             }
         }
-        assert_eq!(s.records(), 6);
+        assert_eq!(s.records, 6);
         assert_eq!(s.supersteps(), 3);
-        let cmp = s.phase_snapshot(1);
+        let cmp = s.hists[1].snapshot();
         assert_eq!(cmp.count, 6);
         // 2000ns falls in a log-linear bucket; midpoint error ≤ 12.5 %.
         let p50 = cmp.percentile(0.5) as f64;
         assert!((p50 - 2000.0).abs() / 2000.0 <= 0.125, "p50 {p50}");
-        assert_eq!(s.supersteps[0].computed, 20);
-        assert_eq!(s.supersteps[0].total_ns, 2 * (1000 + 2000 + 500 + 1000));
+        assert_eq!(s.steps[&0].computed, 20);
+        assert_eq!(s.steps[&0].total_ns(), 2 * (1000 + 2000 + 500 + 1000));
     }
 
     #[test]
     fn phase_table_lists_all_four_phases() {
-        let mut s = TraceStats::new();
+        let mut s = TraceSummary::default();
         s.add(&record(0, 0, 5000));
         let t = s.phase_table();
         for name in PHASES {
@@ -1523,9 +1413,33 @@ mod tests {
         }
     }
 
+    fn why_slow(trace: &RunTrace) -> String {
+        why_slow_report(&TraceSummary::of(trace))
+    }
+
+    fn why_slow_js(trace: &RunTrace) -> String {
+        why_slow_json(&TraceSummary::of(trace))
+    }
+
+    /// `(superstep, a, b, c)` of the superstep rows `keep` selects.
+    fn step_cols(
+        trace: &RunTrace,
+        keep: fn(&StepRow) -> bool,
+        cols: fn(&StepRow) -> (u64, u64, u64),
+    ) -> Vec<(u64, u64, u64, u64)> {
+        let s = TraceSummary::of(trace);
+        let rows = s.rows(keep);
+        rows.into_iter()
+            .map(|(step, r)| {
+                let (a, b, c) = cols(r);
+                (step, a, b, c)
+            })
+            .collect()
+    }
+
     #[test]
     fn critical_path_bridge_groups_records_by_superstep() {
-        let cp = critical_path(&skewed_trace());
+        let cp = TraceSummary::of(&skewed_trace()).critical_chain();
         assert_eq!(cp.supersteps.len(), 2);
         assert_eq!(cp.supersteps[0].straggler, 0);
         assert_eq!(cp.supersteps[0].straggler_phase, CpPhase::Compute);
@@ -1538,20 +1452,21 @@ mod tests {
         let mut trace = skewed_trace();
         trace.records[0].hot = vec![(7, 100), (3, 40)];
         trace.records[2].hot = vec![(7, 60), (9, 50)];
-        assert_eq!(hot_vertices(&trace, 10), vec![(7, 160), (9, 50), (3, 40)]);
-        assert_eq!(hot_vertices(&trace, 1), vec![(7, 160)]);
-        assert!(hot_vertices(&skewed_trace(), 10).is_empty());
+        let s = TraceSummary::of(&trace);
+        assert_eq!(s.hottest(10), vec![(7, 160), (9, 50), (3, 40)]);
+        assert_eq!(s.hottest(1), vec![(7, 160)]);
+        assert!(TraceSummary::of(&skewed_trace()).hottest(10).is_empty());
     }
 
     #[test]
     fn why_slow_report_names_the_straggler() {
-        let report = why_slow_report(&skewed_trace());
+        let report = why_slow(&skewed_trace());
         assert!(report.contains("critical path"), "{report}");
         assert!(report.contains("worker 0 CMP"), "{report}");
         assert!(report.contains("straggler ranking"), "{report}");
         assert!(report.contains("--hot K"), "{report}");
         // Deterministic for a fixed trace.
-        assert_eq!(report, why_slow_report(&skewed_trace()));
+        assert_eq!(report, why_slow(&skewed_trace()));
     }
 
     #[test]
@@ -1561,36 +1476,22 @@ mod tests {
         trace.records[1].wire_sparse = 2;
         trace.records[2].sparse_fast_path = true;
         trace.records[2].wire_sparse = 1;
-        let mix = wire_mix(&trace);
-        assert_eq!(
-            mix,
-            vec![
-                WireMixRow {
-                    superstep: 0,
-                    dense: 3,
-                    sparse: 2,
-                    fast_workers: 0
-                },
-                WireMixRow {
-                    superstep: 1,
-                    dense: 0,
-                    sparse: 1,
-                    fast_workers: 1
-                },
-            ]
-        );
-        let report = why_slow_report(&trace);
+        let mix = step_cols(&trace, StepRow::is_mixed, |r| {
+            (r.wire_dense, r.wire_sparse, r.fast_workers)
+        });
+        assert_eq!(mix, vec![(0, 3, 2, 0), (1, 0, 1, 1)]);
+        let report = why_slow(&trace);
         assert!(report.contains("3 dense / 3 sparse batches"), "{report}");
         assert!(
             report.contains("1 of 2 supersteps on the sparse fast path"),
             "{report}"
         );
-        let j = why_slow_json(&trace);
+        let j = why_slow_js(&trace);
         assert!(j.contains("\"wire_mix\": ["), "{j}");
         assert!(j.contains("\"fast_path_workers\": 1"), "{j}");
         // Legacy traces degrade to an explicit absence line / empty array.
-        assert!(why_slow_report(&skewed_trace()).contains("no adaptive batches"));
-        assert!(why_slow_json(&skewed_trace()).contains("\"wire_mix\": [\n  ]"));
+        assert!(why_slow(&skewed_trace()).contains("no adaptive batches"));
+        assert!(why_slow_js(&skewed_trace()).contains("\"wire_mix\": [\n  ]"));
     }
 
     #[test]
@@ -1607,38 +1508,25 @@ mod tests {
         trace.records[2].fused = 2;
         trace.records[2].bucket = 3;
         trace.records[2].bucket_occupancy = 1;
-        assert_eq!(
-            bucketing(&trace),
-            vec![
-                BucketRow {
-                    superstep: 0,
-                    bucket: 0,
-                    fused: 5,
-                    occupancy: 11
-                },
-                BucketRow {
-                    superstep: 1,
-                    bucket: 3,
-                    fused: 2,
-                    occupancy: 1
-                },
-            ]
-        );
-        let report = why_slow_report(&trace);
+        let rows = step_cols(&trace, StepRow::is_bucketed, |r| {
+            (r.bucket, r.fused, r.occupancy)
+        });
+        assert_eq!(rows, vec![(0, 0, 5, 11), (1, 3, 2, 1)]);
+        let report = why_slow(&trace);
         assert!(
             report.contains("7 relaxation rounds fused into 2 supersteps"),
             "{report}"
         );
         assert!(report.contains("(5 barrier rounds saved)"), "{report}");
-        let j = why_slow_json(&trace);
+        let j = why_slow_js(&trace);
         assert!(j.contains("\"bucketing\": ["), "{j}");
         assert!(
             j.contains("{\"superstep\": 0, \"bucket\": 0, \"fused\": 5, \"occupancy\": 11}"),
             "{j}"
         );
         // Unbucketed traces degrade to an explicit off line / empty array.
-        assert!(why_slow_report(&skewed_trace()).contains("bucketed execution: off"));
-        assert!(why_slow_json(&skewed_trace()).contains("\"bucketing\": [\n  ]"));
+        assert!(why_slow(&skewed_trace()).contains("bucketed execution: off"));
+        assert!(why_slow_js(&skewed_trace()).contains("\"bucketing\": [\n  ]"));
     }
 
     #[test]
@@ -1649,19 +1537,19 @@ mod tests {
         // superstep 1 is 80/20ns (imbalance 1.6).
         trace.records[2].migrated = 3;
         trace.records[3].migrated = 2;
-        let rows = migrations(&trace);
+        let s = TraceSummary::of(&trace);
+        let rows = s.rows(StepRow::is_boundary);
         assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].superstep, 1);
-        assert_eq!(rows[0].moved, 5);
-        assert!((rows[0].imbalance_before - 1.8).abs() < 1e-9, "{rows:?}");
-        assert!((rows[0].imbalance_after - 1.6).abs() < 1e-9, "{rows:?}");
-        let report = why_slow_report(&trace);
+        assert_eq!((rows[0].0, rows[0].1.migrated), (1, 5));
+        assert!((s.imbalance(0) - 1.8).abs() < 1e-9);
+        assert!((rows[0].1.compute_imbalance() - 1.6).abs() < 1e-9);
+        let report = why_slow(&trace);
         assert!(
             report.contains("dynamic migration: 5 masters moved across 1 epoch boundaries"),
             "{report}"
         );
         assert!(report.contains("imb-before"), "{report}");
-        let j = why_slow_json(&trace);
+        let j = why_slow_js(&trace);
         assert!(
             j.contains(
                 "{\"superstep\": 1, \"moved\": 5, \"imbalance_before_permille\": 1800, \
@@ -1671,9 +1559,10 @@ mod tests {
         );
         // Static runs keep their reports byte-identical: no paragraph, no
         // JSON key at all (goldens from pre-migration traces still match).
-        assert!(migrations(&skewed_trace()).is_empty());
-        assert!(!why_slow_report(&skewed_trace()).contains("dynamic migration"));
-        assert!(!why_slow_json(&skewed_trace()).contains("migrations"));
+        let plain = TraceSummary::of(&skewed_trace());
+        assert!(plain.rows(StepRow::is_boundary).is_empty());
+        assert!(!why_slow(&skewed_trace()).contains("dynamic migration"));
+        assert!(!why_slow_js(&skewed_trace()).contains("migrations"));
     }
 
     #[test]
@@ -1707,7 +1596,8 @@ mod tests {
             wire_dense: 0,
             wire_sparse: 1,
         }];
-        let pairs = comm_pairs(&trace);
+        let s = TraceSummary::of(&trace);
+        let pairs: Vec<CommPair> = s.comm.values().copied().collect();
         assert_eq!(
             pairs,
             vec![
@@ -1729,17 +1619,17 @@ mod tests {
                 },
             ]
         );
-        assert!(comm_mismatches(&trace).is_empty());
-        let report = comm_report(&trace);
+        assert!(s.mismatches.is_empty());
+        let report = comm_report(&s);
         assert!(report.contains("13"), "{report}");
         assert!(report.contains("row sums consistent"), "{report}");
         assert!(report.contains("heatmap"), "{report}");
-        let ws = why_slow_report(&trace);
+        let ws = why_slow(&trace);
         assert!(
             ws.contains("communication matrix: 17 messages / 390 wire bytes over 2 worker pairs"),
             "{ws}"
         );
-        let j = why_slow_json(&trace);
+        let j = why_slow_js(&trace);
         assert!(j.contains("\"comm_consistent\": true"), "{j}");
         assert!(
             j.contains(
@@ -1749,9 +1639,10 @@ mod tests {
             "{j}"
         );
         // Legacy traces degrade to an explicit absence line / empty array.
-        assert!(why_slow_report(&skewed_trace()).contains("communication matrix: none recorded"));
-        assert!(why_slow_json(&skewed_trace()).contains("\"comm\": [\n  ]"));
-        assert!(comm_report(&skewed_trace()).contains("no communication matrix recorded"));
+        assert!(why_slow(&skewed_trace()).contains("communication matrix: none recorded"));
+        assert!(why_slow_js(&skewed_trace()).contains("\"comm\": [\n  ]"));
+        let plain = comm_report(&TraceSummary::of(&skewed_trace()));
+        assert!(plain.contains("no communication matrix recorded"));
     }
 
     #[test]
@@ -1766,9 +1657,10 @@ mod tests {
             wire_dense: 0,
             wire_sparse: 0,
         }];
-        assert_eq!(comm_mismatches(&trace), vec![(0, 0)]);
-        assert!(comm_report(&trace).contains("ROW-SUM MISMATCH in 1 records"));
-        assert!(why_slow_json(&trace).contains("\"comm_consistent\": false"));
+        let s = TraceSummary::of(&trace);
+        assert_eq!(s.mismatches, vec![(0, 0)]);
+        assert!(comm_report(&s).contains("ROW-SUM MISMATCH in 1 records"));
+        assert!(why_slow_json(&s).contains("\"comm_consistent\": false"));
     }
 
     fn span(kind: SpanKind, worker: u32, start_ns: u64, dur_ns: u64) -> SpanRecord {
@@ -1784,6 +1676,10 @@ mod tests {
         }
     }
 
+    fn chrome(trace: &RunTrace) -> String {
+        chrome_trace(trace, &TraceSummary::of(trace))
+    }
+
     #[test]
     fn chrome_trace_exports_real_spans() {
         let mut trace = skewed_trace();
@@ -1791,7 +1687,7 @@ mod tests {
             span(SpanKind::Compute, 0, 1_500, 2_750),
             span(SpanKind::Flush, 1, 4_000, 500),
         ];
-        let j = chrome_trace(&trace);
+        let j = chrome(&trace);
         assert!(j.contains("\"traceEvents\""), "{j}");
         assert!(j.contains("\"ph\":\"X\""), "{j}");
         assert!(
@@ -1804,13 +1700,13 @@ mod tests {
         );
         assert!(j.contains("\"name\":\"worker 0\""), "{j}");
         assert!(!j.contains("synthetic"), "{j}");
-        assert_eq!(j, chrome_trace(&trace));
+        assert_eq!(j, chrome(&trace));
     }
 
     #[test]
     fn chrome_trace_synthesizes_from_records_without_spans() {
         let trace = skewed_trace();
-        let j = chrome_trace(&trace);
+        let j = chrome(&trace);
         assert!(j.contains("\"synthetic\":true"), "{j}");
         // Worker 0 superstep 0: prs 10ns at t=0, cmp 900ns at t=10ns.
         assert!(
@@ -1822,20 +1718,20 @@ mod tests {
             j.contains("\"pid\":1,\"tid\":0,\"ts\":0.000,\"dur\":0.010,\"name\":\"prs\""),
             "{j}"
         );
-        assert_eq!(j, chrome_trace(&trace));
+        assert_eq!(j, chrome(&trace));
     }
 
     #[test]
     fn timeline_summary_counts_spans_per_kind() {
         let mut trace = skewed_trace();
-        let s = timeline_summary(&trace);
+        let s = timeline_summary(&TraceSummary::of(&trace));
         assert!(s.contains("no flight-recorder spans"), "{s}");
         trace.spans = vec![
             span(SpanKind::Compute, 0, 0, 1_000),
             span(SpanKind::Compute, 1, 0, 3_000),
             span(SpanKind::Barrier, 0, 1_000, 500),
         ];
-        let s = timeline_summary(&trace);
+        let s = timeline_summary(&TraceSummary::of(&trace));
         assert!(s.contains("3 spans"), "{s}");
         assert!(s.contains("cmp"), "{s}");
         assert!(s.contains("barrier"), "{s}");
@@ -1844,10 +1740,10 @@ mod tests {
 
     #[test]
     fn why_slow_json_is_deterministic_and_exact() {
-        let j = why_slow_json(&skewed_trace());
+        let j = why_slow_js(&skewed_trace());
         assert!(j.contains("\"critical_path_ns\": 1100"), "{j}");
         assert!(j.contains("\"phase\": \"cmp\""), "{j}");
         assert!(j.contains("\"caused_wait_ns\": 850"), "{j}");
-        assert_eq!(j, why_slow_json(&skewed_trace()));
+        assert_eq!(j, why_slow_js(&skewed_trace()));
     }
 }

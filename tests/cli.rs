@@ -666,6 +666,108 @@ fn why_slow_migration_paragraph_matches_the_golden_report() {
     assert!(stdout.contains("imb-before"), "{stdout}");
 }
 
+/// Every report command's stdout, and the file `timeline --chrome` writes,
+/// byte for byte against `tests/golden/reports/`, on every golden fixture.
+/// `sssp_flight.jsonl` is a real `sssp --bucket-width auto
+/// --replicate-threshold 8 --flight --hot 4 --mem` run on two machines: it
+/// carries spans, fused buckets, direct messages and memory samples. A
+/// golden is the command's own output: regenerate one by running the
+/// command on its fixture from `tests/golden` and redirecting stdout.
+#[test]
+fn every_report_matches_its_golden() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
+    let golden = |name: &str| {
+        let path = format!("{dir}/reports/{name}");
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+    };
+    let text: [(&str, &[&str]); 6] = [
+        ("metrics.txt", &["metrics"]),
+        ("top.txt", &["top", "--once"]),
+        ("why_slow.txt", &["why-slow"]),
+        ("comm.txt", &["comm"]),
+        ("timeline.txt", &["timeline"]),
+        ("mem.txt", &["mem"]),
+    ];
+    let json: [(&str, &[&str]); 2] = [
+        ("why_slow.json", &["why-slow", "--json"]),
+        ("mem.json", &["mem", "--json"]),
+    ];
+    for fixture in ["why_slow", "why_slow_migrate", "mem", "sssp_flight"] {
+        let trace = format!("{dir}/{fixture}.jsonl");
+        let extra = if fixture == "sssp_flight" {
+            &json[..]
+        } else {
+            &json[..0]
+        };
+        for &(name, args) in text.iter().chain(extra) {
+            let mut argv = vec![args[0], trace.as_str()];
+            argv.extend(&args[1..]);
+            let (_, stdout, stderr) = cyclops(&argv);
+            let want = golden(&format!("{fixture}.{name}"));
+            assert_eq!(stdout, want, "cyclops {argv:?} drifted ({stderr})");
+        }
+        let chrome = temp_path(&format!("golden-{fixture}.chrome.json"));
+        let chrome = chrome.to_str().unwrap();
+        let (ok, _, stderr) = cyclops(&["timeline", trace.as_str(), "--chrome", chrome]);
+        assert!(ok, "stderr: {stderr}");
+        let exported = std::fs::read_to_string(chrome).unwrap();
+        let want = golden(&format!("{fixture}.chrome.json"));
+        assert_eq!(exported, want, "{fixture}: timeline --chrome drifted");
+    }
+}
+
+/// A trace file is input from outside the program, so the sizes it claims
+/// must not size anything a report allocates or loops over: a header
+/// claiming 2^32 workers and a record claiming superstep 2^40 each leave
+/// every report command finishing promptly, with success or a
+/// `trace <path>:` error.
+#[test]
+fn report_commands_survive_oversized_claims() {
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
+    for fixture in ["huge_workers", "huge_superstep"] {
+        let trace = format!("{dir}/{fixture}.jsonl");
+        let chrome = temp_path(&format!("{fixture}.chrome.json"));
+        let chrome = chrome.to_str().unwrap();
+        let t = trace.as_str();
+        let commands: [&[&str]; 9] = [
+            &["metrics", t],
+            &["top", t, "--once"],
+            &["why-slow", t],
+            &["why-slow", t, "--json"],
+            &["comm", t],
+            &["timeline", t, "--chrome", chrome],
+            &["mem", t],
+            &["mem", t, "--json"],
+            &["trace-diff", t, t],
+        ];
+        for args in commands {
+            let mut child = Command::new(env!("CARGO_BIN_EXE_cyclops"))
+                .args(args)
+                .stdout(Stdio::null())
+                .stderr(Stdio::piped())
+                .spawn()
+                .expect("binary runs");
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while child.try_wait().unwrap().is_none() {
+                if Instant::now() > deadline {
+                    child.kill().ok();
+                    panic!("cyclops {args:?} still running after 5 s");
+                }
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            let out = child.wait_with_output().unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                out.status.success() || stderr.contains(&format!("error: trace {t}:")),
+                "cyclops {args:?}: {:?} {stderr}",
+                out.status
+            );
+        }
+    }
+}
+
 /// End-to-end dynamic migration on a skewed partition: `--migrate K`
 /// actually moves masters, the run stays values-identical to
 /// `--migrate off` under the aggregated `trace-diff --values-only`
