@@ -8,29 +8,31 @@
 //! deterministic column of every trace record (all fields but `*_ns`), the
 //! run's `supersteps`, every [`SuperstepStats`] count, the schedule-free
 //! [`CounterSnapshot`] fields and the final values into one FNV-1a digest,
-//! and compares it with [`EXPECTED`]. The constants were captured, in debug
-//! and release, at the commit before the sparse-superstep fast path was
-//! deleted (`90b3c94`) with the read-only `sparse_fast_path` column taken out
-//! of the fold; there every cell equalled its twin with the fast path forced
-//! off. The table before them was captured at the commit before the
-//! baselines got one run struct and one set of phases (`0b744c5`).
+//! and compares it with [`EXPECTED`]. The fifteen `…/checkpoint/…`
+//! constants were captured, in debug and release, at the commit before BSP
+//! delta-stepping was deleted (`c1eefeb`), once that cell had dropped its
+//! bucketed iteration; the other cells held across that deletion unchanged.
+//! Those were captured at the commit before the sparse-superstep fast path
+//! was deleted (`90b3c94`) with the read-only `sparse_fast_path` column
+//! taken out of the fold; there every cell equalled its twin with the fast
+//! path forced off. The table before them was captured at the commit before
+//! the baselines got one run struct and one set of phases (`0b744c5`).
 //!
-//! Cells. `run_bsp_traced` × {SSSP, CC, PageRank} × {`flat(2,1)`,
+//! Cells (66). `run_bsp_traced` × {SSSP, CC, PageRank} × {`flat(2,1)`,
 //! `flat(3,1)`, `flat(4,1)`} × {classic, combiner, `track_redundant`,
-//! bucketed `Det`, bucketed `Fast`, checkpoint-every-k +
-//! `run_bsp_from_checkpoint` (classic and bucketed)} × inbox;
-//! `run_gas_traced` × {PageRank, SSSP} × {random, greedy cut} ×
-//! {`flat(2,1)`, `flat(3,1)`}, PageRank on `flat(2,1)` only.
+//! checkpoint-every-k + `run_bsp_from_checkpoint`} × inbox, PageRank under
+//! `Sharded` only (60); `run_gas_traced` × {PageRank, SSSP} × {random,
+//! greedy cut} × {`flat(2,1)`, `flat(3,1)`}, PageRank on `flat(2,1)` only
+//! (6).
 //!
 //! What is deliberately left out, because the parent does not repeat it from
 //! run to run: PageRank under [`InboxMode::GlobalQueue`] (arrival order moves
 //! the float sums' last ulp, so PageRank cells are `Sharded` only; SSSP and
 //! CC fold min, so they run under both inboxes); GAS PageRank on three
 //! workers (GAS has the global queue only, and a master with two mirrors sums
-//! their partials in arrival order — 12 of 12 runs differed); the trace of a
-//! [`BucketMode::Fast`] cell (its drain order is arrival order — values and
-//! counts only); and the [`CounterSnapshot`] fields that measure thread
-//! timing (`lock_contentions`, the queue peaks, allocation growth).
+//! their partials in arrival order — 12 of 12 runs differed); and the
+//! [`CounterSnapshot`] fields that measure thread timing
+//! (`lock_contentions`, the queue peaks, allocation growth).
 //!
 //! To re-capture after an intended behaviour change, run the test and paste
 //! the table it prints.
@@ -38,14 +40,14 @@
 use cyclops::prelude::*;
 use cyclops_algos::cc::{symmetrize, BspComponents};
 use cyclops_algos::pagerank::{BspPageRank, GasPageRank};
-use cyclops_algos::sssp::{auto_bucket_width, BspSssp, GasSssp};
+use cyclops_algos::sssp::{BspSssp, GasSssp};
 use cyclops_bsp::{
     run_bsp_from_checkpoint, run_bsp_traced, BspConfig, BspProgram, BspResult, Checkpoint,
 };
 use cyclops_gas::{run_gas_traced, GasConfig, GasProgram};
 use cyclops_net::metrics::CounterSnapshot;
 use cyclops_net::trace::{digest_bytes, TraceRecord, TraceSink};
-use cyclops_net::{BucketMode, InboxMode, SuperstepStats};
+use cyclops_net::{InboxMode, SuperstepStats};
 use cyclops_partition::{
     GreedyVertexCut, RandomVertexCut, VertexCutPartition, VertexCutPartitioner,
 };
@@ -226,14 +228,7 @@ where
     r
 }
 
-const BSP_VARIANTS: [&str; 6] = [
-    "classic",
-    "combiner",
-    "redundant",
-    "bucket-det",
-    "bucket-fast",
-    "checkpoint",
-];
+const BSP_VARIANTS: [&str; 4] = ["classic", "combiner", "redundant", "checkpoint"];
 
 fn bsp_cell<P: BspProgram>(
     program: &P,
@@ -246,7 +241,6 @@ where
     P::Value: Bits,
 {
     let mut h = Fold::default();
-    let width = auto_bucket_width(graph);
     let mut one = |config: BspConfig, traced: bool| {
         bsp_folded(&mut h, program, graph, &config, traced, None);
     };
@@ -266,40 +260,20 @@ where
             },
             true,
         ),
-        "bucket-det" => one(
-            BspConfig {
-                bucket_width: width,
-                bucket_mode: BucketMode::Det,
-                ..base
-            },
-            true,
-        ),
-        "bucket-fast" => one(
-            BspConfig {
-                bucket_width: width,
-                bucket_mode: BucketMode::Fast,
-                ..base
-            },
-            false,
-        ),
         "checkpoint" => {
-            // Both loops' capture triggers, and a resume from the middle
-            // checkpoint of each run that captured one (a program without
-            // priorities settles in one bucket and captures nothing).
-            for (bucket_width, every) in [(0.0, every), (width / 4.0, 2)] {
-                let config = BspConfig {
-                    bucket_width,
-                    checkpoint_every: Some(every),
-                    ..base.clone()
+            // The capture trigger, and a resume from the middle checkpoint
+            // if the run captured one.
+            let config = BspConfig {
+                checkpoint_every: Some(every),
+                ..base
+            };
+            let full = bsp_folded(&mut h, program, graph, &config, true, None);
+            if let Some(cp) = full.checkpoints.get(full.checkpoints.len() / 2) {
+                let rest = BspConfig {
+                    checkpoint_every: None,
+                    ..config
                 };
-                let full = bsp_folded(&mut h, program, graph, &config, true, None);
-                if let Some(cp) = full.checkpoints.get(full.checkpoints.len() / 2) {
-                    let rest = BspConfig {
-                        checkpoint_every: None,
-                        ..config
-                    };
-                    bsp_folded(&mut h, program, graph, &rest, false, Some(cp));
-                }
+                bsp_folded(&mut h, program, graph, &rest, false, Some(cp));
             }
         }
         other => unreachable!("unknown variant {other}"),
@@ -448,21 +422,11 @@ const EXPECTED: &[(&str, u64)] = &[
     ("bsp/sssp/flat(2,1)/redundant/sharded", 0xa05d81e7ef69b369),
     ("bsp/cc/flat(2,1)/redundant/sharded", 0xe2adeb113e29fd99),
     ("bsp/pr/flat(2,1)/redundant/sharded", 0x43c1c7ee19d3391b),
-    ("bsp/sssp/flat(2,1)/bucket-det/global", 0x6472c6cf32bd0608),
-    ("bsp/cc/flat(2,1)/bucket-det/global", 0xc07c376950d3e599),
-    ("bsp/sssp/flat(2,1)/bucket-det/sharded", 0x6472c6cf32bd0608),
-    ("bsp/cc/flat(2,1)/bucket-det/sharded", 0xc07c376950d3e599),
-    ("bsp/pr/flat(2,1)/bucket-det/sharded", 0xf9342ddd2acf477e),
-    ("bsp/sssp/flat(2,1)/bucket-fast/global", 0x8b95ffd291f2ccbc),
-    ("bsp/cc/flat(2,1)/bucket-fast/global", 0xd8b318fdc36631c4),
-    ("bsp/sssp/flat(2,1)/bucket-fast/sharded", 0x8b95ffd291f2ccbc),
-    ("bsp/cc/flat(2,1)/bucket-fast/sharded", 0xd8b318fdc36631c4),
-    ("bsp/pr/flat(2,1)/bucket-fast/sharded", 0x4c755df136f33d8e),
-    ("bsp/sssp/flat(2,1)/checkpoint/global", 0xd9e09744e42e0888),
-    ("bsp/cc/flat(2,1)/checkpoint/global", 0x3f08a0ecb406c448),
-    ("bsp/sssp/flat(2,1)/checkpoint/sharded", 0xd9e09744e42e0888),
-    ("bsp/cc/flat(2,1)/checkpoint/sharded", 0x3f08a0ecb406c448),
-    ("bsp/pr/flat(2,1)/checkpoint/sharded", 0x3106479cbae7429d),
+    ("bsp/sssp/flat(2,1)/checkpoint/global", 0xf2f0ad57270f2c2e),
+    ("bsp/cc/flat(2,1)/checkpoint/global", 0x7c5fa65be44885dc),
+    ("bsp/sssp/flat(2,1)/checkpoint/sharded", 0xf2f0ad57270f2c2e),
+    ("bsp/cc/flat(2,1)/checkpoint/sharded", 0x7c5fa65be44885dc),
+    ("bsp/pr/flat(2,1)/checkpoint/sharded", 0x3bc49f3aaf8dbd82),
     ("bsp/sssp/flat(3,1)/classic/global", 0x33e6dd54d41c7f91),
     ("bsp/cc/flat(3,1)/classic/global", 0x983e466ba513f2b6),
     ("bsp/sssp/flat(3,1)/classic/sharded", 0x33e6dd54d41c7f91),
@@ -478,21 +442,11 @@ const EXPECTED: &[(&str, u64)] = &[
     ("bsp/sssp/flat(3,1)/redundant/sharded", 0x33e6dd54d41c7f91),
     ("bsp/cc/flat(3,1)/redundant/sharded", 0x983e466ba513f2b6),
     ("bsp/pr/flat(3,1)/redundant/sharded", 0x1d6db3561994045a),
-    ("bsp/sssp/flat(3,1)/bucket-det/global", 0xac7151bd7b677798),
-    ("bsp/cc/flat(3,1)/bucket-det/global", 0x55ff9c9a1bd00631),
-    ("bsp/sssp/flat(3,1)/bucket-det/sharded", 0xac7151bd7b677798),
-    ("bsp/cc/flat(3,1)/bucket-det/sharded", 0x55ff9c9a1bd00631),
-    ("bsp/pr/flat(3,1)/bucket-det/sharded", 0x2f9c25ca97857a69),
-    ("bsp/sssp/flat(3,1)/bucket-fast/global", 0xff255353e55c5d63),
-    ("bsp/cc/flat(3,1)/bucket-fast/global", 0xaedab4cc777e89b9),
-    ("bsp/sssp/flat(3,1)/bucket-fast/sharded", 0xff255353e55c5d63),
-    ("bsp/cc/flat(3,1)/bucket-fast/sharded", 0xaedab4cc777e89b9),
-    ("bsp/pr/flat(3,1)/bucket-fast/sharded", 0xe5ffc5c47928c33b),
-    ("bsp/sssp/flat(3,1)/checkpoint/global", 0x21768c53f7ca2a08),
-    ("bsp/cc/flat(3,1)/checkpoint/global", 0x14182b25bafb7e1b),
-    ("bsp/sssp/flat(3,1)/checkpoint/sharded", 0x21768c53f7ca2a08),
-    ("bsp/cc/flat(3,1)/checkpoint/sharded", 0x14182b25bafb7e1b),
-    ("bsp/pr/flat(3,1)/checkpoint/sharded", 0x010937eb146b2197),
+    ("bsp/sssp/flat(3,1)/checkpoint/global", 0xb3784c2c6f1ab994),
+    ("bsp/cc/flat(3,1)/checkpoint/global", 0x8ea2d23d9f18fa2f),
+    ("bsp/sssp/flat(3,1)/checkpoint/sharded", 0xb3784c2c6f1ab994),
+    ("bsp/cc/flat(3,1)/checkpoint/sharded", 0x8ea2d23d9f18fa2f),
+    ("bsp/pr/flat(3,1)/checkpoint/sharded", 0x96e9d1ca792514a7),
     ("bsp/sssp/flat(4,1)/classic/global", 0xb705199eac18ab48),
     ("bsp/cc/flat(4,1)/classic/global", 0xefe08e5bb977bdbf),
     ("bsp/sssp/flat(4,1)/classic/sharded", 0xb705199eac18ab48),
@@ -508,21 +462,11 @@ const EXPECTED: &[(&str, u64)] = &[
     ("bsp/sssp/flat(4,1)/redundant/sharded", 0xb705199eac18ab48),
     ("bsp/cc/flat(4,1)/redundant/sharded", 0xefe08e5bb977bdbf),
     ("bsp/pr/flat(4,1)/redundant/sharded", 0x33c66c21eabcd22a),
-    ("bsp/sssp/flat(4,1)/bucket-det/global", 0xc07b796ad08dde32),
-    ("bsp/cc/flat(4,1)/bucket-det/global", 0x9c42c10daca6ce36),
-    ("bsp/sssp/flat(4,1)/bucket-det/sharded", 0xc07b796ad08dde32),
-    ("bsp/cc/flat(4,1)/bucket-det/sharded", 0x9c42c10daca6ce36),
-    ("bsp/pr/flat(4,1)/bucket-det/sharded", 0x12df38dc818618d8),
-    ("bsp/sssp/flat(4,1)/bucket-fast/global", 0x76bcbb1014d90c58),
-    ("bsp/cc/flat(4,1)/bucket-fast/global", 0x52fd30a25ebb1a20),
-    ("bsp/sssp/flat(4,1)/bucket-fast/sharded", 0x76bcbb1014d90c58),
-    ("bsp/cc/flat(4,1)/bucket-fast/sharded", 0x52fd30a25ebb1a20),
-    ("bsp/pr/flat(4,1)/bucket-fast/sharded", 0x4ce6fe5eaba30786),
-    ("bsp/sssp/flat(4,1)/checkpoint/global", 0xdd5ca6903e063d44),
-    ("bsp/cc/flat(4,1)/checkpoint/global", 0x999c7e6eca8e72f7),
-    ("bsp/sssp/flat(4,1)/checkpoint/sharded", 0xdd5ca6903e063d44),
-    ("bsp/cc/flat(4,1)/checkpoint/sharded", 0x999c7e6eca8e72f7),
-    ("bsp/pr/flat(4,1)/checkpoint/sharded", 0x436d4c92084ca7c2),
+    ("bsp/sssp/flat(4,1)/checkpoint/global", 0xeb745a5060996b70),
+    ("bsp/cc/flat(4,1)/checkpoint/global", 0xdead1f7e36348bc4),
+    ("bsp/sssp/flat(4,1)/checkpoint/sharded", 0xeb745a5060996b70),
+    ("bsp/cc/flat(4,1)/checkpoint/sharded", 0xdead1f7e36348bc4),
+    ("bsp/pr/flat(4,1)/checkpoint/sharded", 0xdbeb7c7573dfcd33),
     ("gas/pr/flat(2,1)/random", 0x022b32b2f0652a2f),
     ("gas/pr/flat(2,1)/greedy", 0x0e593108b39cf44e),
     ("gas/sssp/flat(2,1)/random", 0xa686d38e3e7fbb4d),
