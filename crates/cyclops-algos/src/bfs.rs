@@ -74,7 +74,7 @@ impl CyclopsProgram for CyclopsBfs {
 /// BSP BFS (push-mode flooding).
 ///
 /// To run: one superstep per hop after the seed superstep 0; defines
-/// `combine` (min), so set `use_combiner`; declares no `priority`.
+/// `combine` (min), so set `use_combiner`.
 pub struct BspBfs {
     /// The source vertex.
     pub source: VertexId,

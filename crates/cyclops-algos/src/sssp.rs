@@ -13,8 +13,8 @@ use cyclops_graph::{Graph, VertexId};
 /// BSP SSSP: classic Pregel push-mode Bellman–Ford. Vertices sleep and are
 /// woken by messages carrying candidate distances.
 ///
-/// To run: defines `combine` (min), so set `use_combiner`; declares
-/// `priority`, so `bucket_width > 0` runs it delta-stepped.
+/// To run: defines `combine` (min), so set `use_combiner`. Like Hama, the
+/// engine relaxes one hop per superstep.
 pub struct BspSssp {
     /// The source vertex.
     pub source: VertexId,
@@ -50,13 +50,6 @@ impl BspProgram for BspSssp {
 
     fn combine(&self, a: &f64, b: &f64) -> Option<f64> {
         Some(a.min(*b))
-    }
-
-    fn priority(&self, msg: &f64) -> Option<f64> {
-        // The message is the candidate distance at the receiver — with
-        // non-negative weights, a lower bound on anything reachable through
-        // it, which is exactly the delta-stepping bucket priority.
-        Some(*msg)
     }
 }
 
@@ -220,11 +213,10 @@ mod tests {
         run_cyclops(&CyclopsSssp { source: 0 }, g, p, &config)
     }
 
-    fn hama(g: &Graph, p: &EdgeCutPartition, bucket_width: f64) -> BspResult<f64, f64> {
+    fn hama(g: &Graph, p: &EdgeCutPartition) -> BspResult<f64, f64> {
         let config = BspConfig {
             cluster: ClusterSpec::flat(2, 2),
             use_combiner: true,
-            bucket_width,
             ..Default::default()
         };
         run_bsp(&BspSssp { source: 0 }, g, p, &config)
@@ -244,7 +236,7 @@ mod tests {
     fn bsp_matches_dijkstra_on_road() {
         let g = road_lattice(12, 12, 0.9, 0.1, 3);
         let p = HashPartitioner.partition(&g, 4);
-        let r = hama(&g, &p, 0.0);
+        let r = hama(&g, &p);
         assert_distances_match(&r.values, &reference::sssp(&g, 0));
     }
 
@@ -350,22 +342,6 @@ mod tests {
             );
             assert_distances_match(&bucketed.values, &reference::sssp(&g, 0));
         }
-    }
-
-    #[test]
-    fn bucketed_bsp_matches_unbucketed_with_fewer_supersteps() {
-        let g = road_lattice(12, 12, 0.9, 0.1, 3);
-        let p = HashPartitioner.partition(&g, 4);
-        let flat = hama(&g, &p, 0.0);
-        let bucketed = hama(&g, &p, auto_bucket_width(&g));
-        assert_eq!(flat.values, bucketed.values);
-        assert!(
-            bucketed.supersteps < flat.supersteps,
-            "{} vs {}",
-            bucketed.supersteps,
-            flat.supersteps
-        );
-        assert_distances_match(&bucketed.values, &reference::sssp(&g, 0));
     }
 
     #[test]

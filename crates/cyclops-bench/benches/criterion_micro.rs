@@ -23,7 +23,7 @@ use cyclops_engine::{
 };
 use cyclops_graph::gen::{rmat, RmatConfig};
 use cyclops_graph::{Dataset, Graph, VertexId};
-use cyclops_net::codec::{decode_batch, encode_batch, encode_batch_into};
+use cyclops_net::codec::{encode_batch, encode_batch_into, try_decode_batch};
 use cyclops_net::metrics::{PhaseHists, PhaseTimes};
 use cyclops_net::{
     ClusterSpec, FlatBarrier, HierarchicalBarrier, InboxMode, ReplicaUpdate, Transport, WireFormat,
@@ -45,10 +45,10 @@ fn bench_codec(c: &mut Criterion) {
         b.iter(|| encode_batch(std::hint::black_box(&msgs)))
     });
     let encoded = encode_batch(&msgs);
-    group.bench_function("decode_batch_4096", |b| {
+    group.bench_function("try_decode_batch_4096", |b| {
         b.iter(|| {
             let mut buf = encoded.clone().freeze();
-            let out: Vec<(u32, f64)> = decode_batch(&mut buf);
+            let out: Option<Vec<(u32, f64)>> = try_decode_batch(&mut buf);
             std::hint::black_box(out)
         })
     });

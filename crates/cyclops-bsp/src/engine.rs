@@ -14,10 +14,9 @@
 //! [`Worker::send`] (SND), [`Run::checkpoint_due`] with
 //! [`Worker::capture_checkpoint`], and [`Worker::sync`] (SYN), whose leader
 //! calls [`Run::publish_aggregate`] and [`Run::close_superstep`] and which
-//! [`Worker::commit_superstep`] follows for the observers. The two drivers
-//! keep what is theirs alone: [`worker_loop`] the awake list it walks,
-//! [`bucketed_worker_loop`] bucket selection, the parked minimum, the
-//! verdict protocol and the per-bucket counts.
+//! [`Worker::commit_superstep`] follows for the observers. The driver,
+//! [`worker_loop`], keeps the awake list it walks: one relaxation round per
+//! superstep, as in Hama.
 
 use crate::checkpoint::Checkpoint;
 use crate::program::{BspContext, BspProgram};
@@ -25,9 +24,8 @@ use cyclops_graph::{Graph, VertexId};
 use cyclops_net::metrics::CounterSnapshot;
 use cyclops_net::trace::{digest_bytes, SpaceSaving, TraceSink};
 use cyclops_net::{
-    priority_key, priority_key_inv, AggregateStats, BucketMode, ClusterSpec, FlatBarrier,
-    InboxMode, Phase, PhaseHists, PhaseTimes, SchedObs, SuperstepStats, Transport, WorkerTracer,
-    IMMEDIATE_KEY,
+    AggregateStats, ClusterSpec, FlatBarrier, InboxMode, Phase, PhaseHists, PhaseTimes, SchedObs,
+    SuperstepStats, Transport, WorkerTracer,
 };
 use cyclops_obs::{MemScope, SpanKind, SpanRing};
 use cyclops_partition::EdgeCutPartition;
@@ -61,19 +59,6 @@ pub struct BspConfig {
     /// the default; [`InboxMode::Sharded`] swaps in Cyclops' contention-free
     /// per-sender lanes for an apples-to-apples inbox ablation.
     pub inbox: InboxMode,
-    /// Bucketed (delta-stepping) execution: when `> 0.0`, activations carry
-    /// a priority ([`BspProgram::priority`]) and each superstep drains one
-    /// priority bucket of width `bucket_width` to a fixpoint through fused
-    /// lockstep rounds — deferring out-of-bucket vertices with their
-    /// mailboxes intact — instead of running exactly one relaxation round
-    /// per superstep. `0.0` (the default) disables bucketing and leaves the
-    /// classic loop untouched.
-    pub bucket_width: f64,
-    /// Drain discipline of the bucketed scheduler (ignored when
-    /// `bucket_width` is `0.0`). [`BucketMode::Det`] keeps each round's
-    /// selection order ascending by vertex so schedules are reproducible
-    /// across runs; [`BucketMode::Fast`] selects in arrival order.
-    pub bucket_mode: BucketMode,
 }
 
 impl Default for BspConfig {
@@ -86,8 +71,6 @@ impl Default for BspConfig {
             checkpoint_every: None,
             network: cyclops_net::NetworkModel::ideal(),
             inbox: InboxMode::GlobalQueue,
-            bucket_width: 0.0,
-            bucket_mode: BucketMode::Det,
         }
     }
 }
@@ -125,8 +108,8 @@ struct WorkerState<V, M> {
 }
 
 impl<V, M> WorkerState<V, M> {
-    /// Local indices of the un-halted vertices, ascending — what a driver
-    /// seeds its pending list from, so a checkpoint resume starts right.
+    /// Local indices of the un-halted vertices, ascending — what the driver
+    /// seeds its awake list from, so a checkpoint resume starts right.
     fn unhalted(&self) -> Vec<u32> {
         let awake = (0..self.locals.len()).filter(|&li| !self.halted[li]);
         awake.map(|li| li as u32).collect()
@@ -163,7 +146,6 @@ struct Run<'r, P: BspProgram> {
     last_counters: Mutex<CounterSnapshot>,
     supersteps_done: AtomicUsize,
     checkpoints: Mutex<Vec<Checkpoint<P::Value, P::Message>>>,
-    bucket: BucketShared,
     start_superstep: usize,
 }
 
@@ -280,7 +262,6 @@ fn run_bsp_inner<P: BspProgram>(
         last_counters: Mutex::new(CounterSnapshot::default()),
         supersteps_done: AtomicUsize::new(start_superstep),
         checkpoints: Mutex::new(Vec::new()),
-        bucket: BucketShared::new(),
         start_superstep,
     };
 
@@ -291,29 +272,23 @@ fn run_bsp_inner<P: BspProgram>(
         std::thread::scope(|scope| {
             for (me, st) in states.iter_mut().enumerate() {
                 let run = &run;
-                scope.spawn(move || {
-                    // Built on its own thread: the memory tag is thread-local.
-                    let worker = run.worker(me, st);
-                    if config.bucket_width > 0.0 {
-                        bucketed_worker_loop(run, worker);
-                    } else {
-                        worker_loop(run, worker);
-                    }
-                });
+                // The worker is built on its own thread: the memory tag is
+                // thread-local.
+                scope.spawn(move || worker_loop(run, run.worker(me, st)));
             }
         });
     }
     let elapsed = loop_start.elapsed();
 
-    // ---- Assemble global values: every worker's locals ascend, so walking
-    // the vertices in id order takes each worker's values in order. ----
-    let mut per_worker: Vec<_> = states.into_iter().map(|st| st.values.into_iter()).collect();
-    let mut owned = |v: VertexId| {
-        let value = per_worker[partition.part_of(v) as usize].next();
-        value.expect("a worker holds one value per vertex the partition assigns it")
-    };
+    // ---- Assemble global values: every vertex sits in exactly one worker's
+    // ascending locals, so a stable sort by id merges those runs. ----
+    let mut owned: Vec<(VertexId, P::Value)> = states
+        .into_iter()
+        .flat_map(|st| st.locals.into_iter().zip(st.values))
+        .collect();
+    owned.sort_by_key(|&(v, _)| v);
     BspResult {
-        values: graph.vertices().map(&mut owned).collect(),
+        values: owned.into_iter().map(|(_, value)| value).collect(),
         supersteps: run.supersteps_done.load(Ordering::Acquire),
         stats: run.history.into_inner(),
         counters: run.transport.counters().snapshot(),
@@ -355,18 +330,16 @@ struct Worker<'r, P: BspProgram> {
     /// Encode buffer of the redundant-message fingerprint, reused across
     /// vertices and supersteps.
     fp_buf: bytes::BytesMut,
-    /// The last superstep's (or fused round's) aggregate, as this one's
-    /// programs and checkpoint see it; a driver reloads it as it loops.
+    /// The last superstep's aggregate, as this one's programs and checkpoint
+    /// see it; the driver reloads it as it loops.
     agg_in: Option<AggregateStats>,
-    /// This round's phase times, aggregate contributions and redundant
-    /// messages (a classic superstep is one round, a bucket several), which
-    /// [`Self::sync`] folds into the superstep's; those, with the checkpoint
-    /// flag, [`Self::commit_superstep`] hands the observers and resets.
-    round: PhaseTimes,
-    round_agg: AggregateStats,
-    redundant: usize,
+    /// This superstep's phase times, aggregate contributions, redundant
+    /// messages and checkpoint flag: [`Self::sync`] adds the first and third
+    /// to the open stats entry, [`Self::commit_superstep`] hands the rest to
+    /// the observers and resets them all.
     times: PhaseTimes,
     agg: AggregateStats,
+    redundant: usize,
     checkpointed: bool,
     /// Worker-slot tag for the tracking allocator (two thread-local writes).
     _mem_tag: MemScope,
@@ -386,11 +359,9 @@ impl<'r, P: BspProgram> Run<'r, P> {
             vertex_outbox: Vec::new(),
             fp_buf: bytes::BytesMut::new(),
             agg_in: None,
-            round: PhaseTimes::default(),
-            round_agg: AggregateStats::default(),
-            redundant: 0,
             times: PhaseTimes::default(),
             agg: AggregateStats::default(),
+            redundant: 0,
             checkpointed: false,
             _mem_tag: MemScope::worker(me),
         }
@@ -408,7 +379,7 @@ impl<'r, P: BspProgram> Run<'r, P> {
     }
 
     /// SYN, leader only: hands the contributions every worker merged before
-    /// the barrier to the next superstep (or fused round).
+    /// the barrier to the next superstep.
     fn publish_aggregate(&self) {
         let mut acc = self.aggregate_acc.lock();
         *self.prev_aggregate.lock() = (!acc.is_empty()).then_some(*acc);
@@ -445,35 +416,27 @@ impl<'r, P: BspProgram> Worker<'r, P> {
         }
     }
 
-    /// PRS: drains transport epoch `epoch` into the per-vertex mailboxes.
-    /// `wake` is how an arrival wakes its vertex — it sees the local index,
-    /// the halted flag and the message, and says whether the vertex thereby
-    /// joined `pending` (only that transition pushes, so entries stay
-    /// unique). Arrivals come in message order; `sort` restores ascending
-    /// order. Returns the number of messages drained.
-    fn parse(
-        &mut self,
-        (epoch, superstep): (usize, usize),
-        (pending, sort): (&mut Vec<u32>, bool),
-        mut wake: impl FnMut(usize, &mut bool, &P::Message) -> bool,
-    ) -> usize {
+    /// PRS: drains superstep `superstep`'s messages into the per-vertex
+    /// mailboxes. A message reactivates a halted vertex (Pregel semantics);
+    /// only that transition joins it to `awake`, so entries stay unique, and
+    /// `awake` is re-sorted ascending after the arrivals. Returns the number
+    /// of messages drained.
+    fn parse(&mut self, superstep: usize, awake: &mut Vec<u32>) -> usize {
         let span = self.span_start();
         let (run, me) = (self.run, self.me);
         let st = &mut *self.st;
-        let received = self.round.time(Phase::Parse, || {
-            let msgs = run.transport.drain(me, epoch);
+        let received = self.times.time(Phase::Parse, || {
+            let msgs = run.transport.drain(me, superstep);
             let count = msgs.len();
             for (dest, msg) in msgs {
                 let li = run.local_index[dest as usize] as usize;
                 debug_assert_eq!(run.partition.part_of(dest) as usize, me);
-                if wake(li, &mut st.halted[li], &msg) {
-                    pending.push(li as u32);
+                if std::mem::replace(&mut st.halted[li], false) {
+                    awake.push(li as u32);
                 }
                 st.mailbox[li].push(msg);
             }
-            if sort {
-                pending.sort_unstable();
-            }
+            awake.sort_unstable();
             count
         });
         self.span_end(span, SpanKind::Parse, [superstep as u64, 0, 0]);
@@ -481,31 +444,32 @@ impl<'r, P: BspProgram> Worker<'r, P> {
     }
 
     /// Captures this worker's slice of superstep `superstep`'s checkpoint
-    /// (cooperative: the first worker to arrive creates the entry). Taken
-    /// where mailboxes are the only in-flight state, which go in as the
-    /// checkpoint's messages.
+    /// (cooperative: the first worker to arrive stores its slice as the
+    /// entry, the others append theirs). Taken where mailboxes are the only
+    /// in-flight state, which go in as the checkpoint's messages.
     fn capture_checkpoint(&mut self, superstep: usize) {
         self.checkpointed = true;
-        let mut cps = self.run.checkpoints.lock();
-        if cps.last().map(|c| c.superstep) != Some(superstep) {
-            cps.push(Checkpoint {
-                superstep,
-                values: Vec::new(),
-                halted: Vec::new(),
-                messages: Vec::new(),
-                aggregate: self.agg_in,
-            });
-        }
-        let cp = cps
-            .last_mut()
-            .expect("the first capture of a superstep pushes the entry the others append to");
         let st = &*self.st;
+        let (mut values, mut halted, mut messages) = (Vec::new(), Vec::new(), Vec::new());
         for (i, &v) in st.locals.iter().enumerate() {
-            cp.values.push((v, st.values[i].clone()));
-            cp.halted.push((v, st.halted[i]));
-            for m in &st.mailbox[i] {
-                cp.messages.push((v, m.clone()));
+            values.push((v, st.values[i].clone()));
+            halted.push((v, st.halted[i]));
+            messages.extend(st.mailbox[i].iter().map(|m| (v, m.clone())));
+        }
+        let mut cps = self.run.checkpoints.lock();
+        match cps.last_mut() {
+            Some(cp) if cp.superstep == superstep => {
+                cp.values.append(&mut values);
+                cp.halted.append(&mut halted);
+                cp.messages.append(&mut messages);
             }
+            _ => cps.push(Checkpoint {
+                superstep,
+                values,
+                halted,
+                messages,
+                aggregate: self.agg_in,
+            }),
         }
     }
 
@@ -534,7 +498,7 @@ impl<'r, P: BspProgram> Worker<'r, P> {
             value: &mut st.values[li],
             halted: &mut halted,
             outbox: &mut self.vertex_outbox,
-            aggregate: &mut self.round_agg,
+            aggregate: &mut self.agg,
             prev_aggregate: self.agg_in,
         };
         run.program.compute(&mut ctx, &msgs);
@@ -558,18 +522,15 @@ impl<'r, P: BspProgram> Worker<'r, P> {
 
     /// Closes the CMP pass `begun` opened, `[received, computed, activated]`
     /// being the arrivals it followed, the vertices it computed and those of
-    /// them still un-halted: its time joins the imbalance histogram's input
-    /// (CMP so far this superstep), its aggregate contributions the run's
-    /// and the superstep's, its counts the tracer's.
+    /// them still un-halted: its time joins the imbalance histogram's input,
+    /// its aggregate contributions the run's, its counts the tracer's.
     fn end_compute(&mut self, begun: (Option<u64>, Instant), superstep: usize, counts: [usize; 3]) {
-        self.round.add(Phase::Compute, begun.1.elapsed());
+        self.times.add(Phase::Compute, begun.1.elapsed());
         self.span_end(begun.0, SpanKind::Compute, [superstep as u64, 0, 0]);
-        let cmp = self.times.compute + self.round.compute;
-        self.run.cmp_ns[self.me].store(cmp.as_nanos() as u64, Ordering::Relaxed);
-        let agg = std::mem::take(&mut self.round_agg);
-        if !agg.is_empty() {
-            self.run.aggregate_acc.lock().merge(&agg);
-            self.agg.merge(&agg);
+        let cmp_ns = self.times.compute.as_nanos() as u64;
+        self.run.cmp_ns[self.me].store(cmp_ns, Ordering::Relaxed);
+        if !self.agg.is_empty() {
+            self.run.aggregate_acc.lock().merge(&self.agg);
         }
         if let Some(tr) = self.tracer {
             tr.add_drained(counts[0] as u64);
@@ -578,12 +539,12 @@ impl<'r, P: BspProgram> Worker<'r, P> {
         }
     }
 
-    /// SND: combines and transmits every nonempty outbox in transport epoch
-    /// `epoch`.
-    fn send(&mut self, (epoch, superstep): (usize, usize)) {
+    /// SND: combines and transmits every nonempty outbox as superstep
+    /// `superstep`'s messages.
+    fn send(&mut self, superstep: usize) {
         let span = self.span_start();
         let (run, me, tracer) = (self.run, self.me, self.tracer);
-        self.round.time(Phase::Send, || {
+        self.times.time(Phase::Send, || {
             for (dest_worker, outbox) in self.outboxes.iter_mut().enumerate() {
                 let mut batch = std::mem::take(outbox);
                 if batch.is_empty() {
@@ -596,7 +557,7 @@ impl<'r, P: BspProgram> Worker<'r, P> {
                 // Sender lanes are global thread indices; a BSP worker's
                 // single compute thread owns lane `me * threads_per_worker`.
                 let lane = me * run.config.cluster.threads_per_worker;
-                let receipt = run.transport.send(lane, dest_worker, batch, epoch);
+                let receipt = run.transport.send(lane, dest_worker, batch, superstep);
                 if let Some(tr) = tracer {
                     tr.add_sent_to(dest_worker, sent as u64, receipt.bytes as u64);
                 }
@@ -605,31 +566,30 @@ impl<'r, P: BspProgram> Worker<'r, P> {
         self.span_end(span, SpanKind::Send, [superstep as u64, 0, 0]);
     }
 
-    /// SYN: adds this round's `computed` vertices, redundant messages and
-    /// PRS / CMP / SND times to the open stats entry, meets the barrier
-    /// twice with `leader` run by one worker in between, and charges the
-    /// wait — to the *next* stats entry (`leader` may have published this
-    /// one; summed over workers like the compute phases, the scheme the
+    /// SYN: adds superstep `superstep`'s `computed` vertices, redundant
+    /// messages and PRS / CMP / SND times to the open stats entry, meets the
+    /// barrier twice with `leader` run by one worker in between, and charges
+    /// the wait — to the *next* stats entry (`leader` may have published
+    /// this one; summed over workers like the compute phases, the scheme the
     /// Cyclops engine uses) and to this superstep's times, which the trace
     /// record and the phase histograms attribute to the superstep that ran.
-    fn sync(&mut self, epoch: usize, computed: usize, leader: impl FnOnce()) {
+    fn sync(&mut self, superstep: usize, computed: usize, leader: impl FnOnce()) {
         let run = self.run;
         {
             let mut cur = run.current.lock();
             cur.active_vertices += computed;
             cur.redundant_messages += std::mem::take(&mut self.redundant);
-            cur.phase_times = cur.phase_times.merge(&self.round);
+            cur.phase_times = cur.phase_times.merge(&self.times);
         }
         let flight = self.flight.as_deref();
         let sync_start = Instant::now();
-        if run.barrier.wait_traced(flight, epoch as u64) {
+        if run.barrier.wait_traced(flight, superstep as u64) {
             leader();
         }
         run.barrier.wait();
         let wait = sync_start.elapsed();
         run.current.lock().phase_times.add(Phase::Sync, wait);
-        self.round.add(Phase::Sync, wait);
-        self.times = self.times.merge(&std::mem::take(&mut self.round));
+        self.times.add(Phase::Sync, wait);
     }
 
     /// Closes this worker's superstep for the observers: the phase-latency
@@ -673,11 +633,8 @@ fn worker_loop<P: BspProgram>(run: &Run<'_, P>, mut wk: Worker<'_, P>) {
     loop {
         wk.agg_in = *run.prev_aggregate.lock();
 
-        // ---- PRS: a message reactivates a halted vertex (Pregel
-        // semantics); only the halted->awake transition joins the list. ----
-        let wake = |_, halted: &mut bool, _: &P::Message| std::mem::replace(halted, false);
-        let epochs = (superstep, superstep);
-        let received = wk.parse(epochs, (&mut awake, true), wake);
+        // ---- PRS: arrivals wake their halted vertices. ----
+        let received = wk.parse(superstep, &mut awake);
         // The post-parse state is a consistent cut.
         if run.checkpoint_due(superstep) {
             wk.capture_checkpoint(superstep);
@@ -698,7 +655,7 @@ fn worker_loop<P: BspProgram>(run: &Run<'_, P>, mut wk: Worker<'_, P>) {
         std::mem::swap(&mut awake, &mut next_awake);
         run.active_total.fetch_add(computed, Ordering::Relaxed);
 
-        wk.send(epochs);
+        wk.send(superstep);
 
         wk.sync(superstep, computed, || {
             let total_active = run.active_total.swap(0, Ordering::Relaxed);
@@ -736,215 +693,6 @@ fn combine_batch<P: BspProgram>(program: &P, batch: &mut Vec<(VertexId, P::Messa
         }
     }
     *batch = out;
-}
-
-// ---- Bucketed (delta-stepping) execution. ----
-//
-// High-diameter push-mode algorithms (SSSP on road networks) spend hundreds
-// of near-empty supersteps paying a full barrier per hop. The bucketed path
-// replaces "one relaxation round per superstep" with "one priority bucket
-// per superstep": messages carry an activation priority
-// ([`BspProgram::priority`]), out-of-bucket vertices are deferred with their
-// mailboxes intact, and each superstep fuses however many lockstep rounds
-// the lowest nonempty bucket needs to settle. Correctness does not depend on
-// the drain order — with non-negative weights, min-relaxation reaches the
-// same fixpoint under any schedule — so deferral only batches work: a
-// deferred vertex later combines its whole accumulated mailbox in one
-// compute instead of one compute (and one message fan-out) per arrival.
-
-/// Round verdict: the current bucket needs another fused round.
-const VERDICT_CONTINUE: usize = 0;
-/// Round verdict: the bucket settled — advance to [`BucketShared::bucket`].
-const VERDICT_NEXT: usize = 1;
-/// Round verdict: the run is finished (drained or capped).
-const VERDICT_STOP: usize = 2;
-
-/// Shared coordination state for the bucketed BSP path. Workers contribute
-/// before a round's first barrier wait; the round leader reads, resets and
-/// writes the verdict between the two waits; everyone reads the verdict
-/// after the second — so every exchange is ordered by the barrier.
-struct BucketShared {
-    /// Vertices computed in the current fused round, summed over workers.
-    round_selected: AtomicUsize,
-    /// Minimum priority key among activations parked past the current
-    /// bucket, re-accumulated from scratch every round (the leader swaps it
-    /// back to `u64::MAX`), so it never holds stale minima from vertices
-    /// that have since been drained.
-    parked_min: AtomicU64,
-    /// Current bucket index, written by the leader on a bucket advance.
-    bucket: AtomicU64,
-    /// The leader's per-round verdict (`VERDICT_*`).
-    verdict: AtomicUsize,
-    /// Fused rounds executed so far. Bucketed runs budget `max_supersteps`
-    /// *rounds*: a fused round does at least one classic superstep's
-    /// relaxation work, so the cap is never looser than the classic loop's.
-    rounds_total: AtomicUsize,
-}
-
-impl BucketShared {
-    fn new() -> Self {
-        BucketShared {
-            round_selected: AtomicUsize::new(0),
-            parked_min: AtomicU64::new(u64::MAX),
-            bucket: AtomicU64::new(0),
-            verdict: AtomicUsize::new(VERDICT_CONTINUE),
-            rounds_total: AtomicUsize::new(0),
-        }
-    }
-}
-
-/// The bucketed (delta-stepping) BSP superstep loop: one superstep = one
-/// priority bucket drained to a fixpoint through fused lockstep rounds.
-/// Every round runs PRS/CMP/SND over the pending vertices whose parked
-/// priority falls inside the bucket and defers the rest; the round leader
-/// decides between the two barrier waits whether the bucket needs another
-/// round, the next bucket starts, or the run is done. One trace record and
-/// one [`SuperstepStats`] entry cover each bucket, with the round count in
-/// the record's `fused` field.
-fn bucketed_worker_loop<P: BspProgram>(run: &Run<'_, P>, mut wk: Worker<'_, P>) {
-    let (config, shared) = (run.config, &run.bucket);
-    let delta = config.bucket_width;
-    let mut superstep = run.start_superstep;
-    // Transport epoch: one per fused round, advanced in lockstep — a round's
-    // sends are drained by the next round, exactly like classic supersteps.
-    let mut epoch = run.start_superstep;
-    let mut bucket: u64 = 0;
-    // Pending set: `awake` holds exactly the locals with `prio != u64::MAX`
-    // (kept unique by only pushing on that transition). A parked vertex
-    // keeps its mailbox until selected, so deferred arrivals batch into one
-    // compute. A resume re-seeds every un-halted vertex as immediately due.
-    let mut prio: Vec<u64> = vec![u64::MAX; wk.st.locals.len()];
-    let mut awake = wk.st.unhalted();
-    for &li in &awake {
-        prio[li as usize] = IMMEDIATE_KEY;
-    }
-    let mut due: Vec<u32> = Vec::new();
-    // Per-bucket accumulators, reset on every bucket advance.
-    let mut rounds: u64 = 0;
-    let mut occupancy = 0usize;
-    let mut sel_gen: Vec<u64> = vec![0; wk.st.locals.len()];
-
-    loop {
-        wk.agg_in = *run.prev_aggregate.lock();
-        let round_span = wk.span_start();
-
-        // ---- Checkpoint at bucket start: the previous bucket settled, so
-        // the transport is empty and parked mailboxes are the only in-flight
-        // state. A resume costs at most one extra (idempotent) relaxation
-        // per parked vertex. ----
-        if rounds == 0 && run.checkpoint_due(superstep) {
-            wk.capture_checkpoint(superstep);
-        }
-
-        // ---- PRS: an arrival parks its vertex at the lowest priority key
-        // any of its messages proposed. ----
-        let sort = config.bucket_mode == BucketMode::Det;
-        let wake = |li: usize, halted: &mut bool, msg: &P::Message| {
-            let key = run.program.priority(msg);
-            let joins = prio[li] == u64::MAX;
-            prio[li] = prio[li].min(key.map_or(IMMEDIATE_KEY, priority_key));
-            *halted = false;
-            joins
-        };
-        let received = wk.parse((epoch, superstep), (&mut awake, sort), wake);
-
-        // ---- CMP: select the in-bucket pending vertices and compute them.
-        // `IMMEDIATE_KEY` compares below every non-negative priority, so
-        // priority-less activations are always due. ----
-        let end_key = priority_key((bucket + 1) as f64 * delta);
-        due.clear();
-        let mut parked_local = u64::MAX;
-        awake.retain(|&li| {
-            let p = prio[li as usize];
-            if p < end_key {
-                due.push(li);
-                false
-            } else {
-                parked_local = parked_local.min(p);
-                true
-            }
-        });
-        let mut activated = 0usize;
-        let cmp = wk.begin_compute();
-        let gen = superstep as u64 + 1;
-        for &li32 in &due {
-            let li = li32 as usize;
-            if sel_gen[li] != gen {
-                sel_gen[li] = gen;
-                occupancy += 1;
-            }
-            // Programs see the logical relaxation round (the lockstep epoch)
-            // as their superstep — one round does one classic superstep's
-            // work, so e.g. "superstep 0" initialization branches fire
-            // exactly once even though the whole bucket shares one
-            // barrier-visible superstep.
-            if wk.compute_vertex(li, epoch) {
-                prio[li] = u64::MAX;
-            } else {
-                // Still active with no pending message: due next round,
-                // whatever the bucket (classic BSP semantics).
-                prio[li] = IMMEDIATE_KEY;
-                awake.push(li32);
-                activated += 1;
-            }
-        }
-        wk.end_compute(cmp, superstep, [received, due.len(), activated]);
-
-        wk.send((epoch, superstep));
-
-        // ---- SYN: contribute round state, barrier, leader verdict. ----
-        let selected = due.len();
-        shared.round_selected.fetch_add(selected, Ordering::Relaxed);
-        if parked_local != u64::MAX {
-            shared.parked_min.fetch_min(parked_local, Ordering::Relaxed);
-        }
-        wk.sync(epoch, selected, || {
-            let sel = shared.round_selected.swap(0, Ordering::Relaxed);
-            let parked = shared.parked_min.swap(u64::MAX, Ordering::Relaxed);
-            let total_rounds = shared.rounds_total.fetch_add(1, Ordering::Relaxed) + 1;
-            run.publish_aggregate();
-            let settled = sel == 0 && run.transport.all_empty();
-            let capped = total_rounds >= config.max_supersteps;
-            let verdict = if !(settled || capped) {
-                VERDICT_CONTINUE
-            } else {
-                // The bucket (superstep) ends: record its statistics.
-                run.close_superstep(superstep);
-                if capped || parked == u64::MAX || superstep + 1 >= config.max_supersteps {
-                    VERDICT_STOP
-                } else {
-                    let next = ((priority_key_inv(parked) / delta) as u64).max(bucket + 1);
-                    shared.bucket.store(next, Ordering::Relaxed);
-                    VERDICT_NEXT
-                }
-            };
-            shared.verdict.store(verdict, Ordering::Release);
-        });
-        rounds += 1;
-        epoch += 1;
-        wk.span_end(
-            round_span,
-            SpanKind::Round,
-            [bucket, rounds, selected as u64],
-        );
-        let verdict = shared.verdict.load(Ordering::Acquire);
-        if verdict == VERDICT_CONTINUE {
-            continue;
-        }
-        // The bucket settled (or the run was capped mid-bucket): one trace
-        // record covers all its fused rounds.
-        if let Some(tr) = wk.tracer {
-            tr.set_bucket(bucket, rounds, occupancy as u64);
-        }
-        wk.commit_superstep(superstep, occupancy);
-        if verdict == VERDICT_STOP {
-            return;
-        }
-        superstep += 1;
-        bucket = shared.bucket.load(Ordering::Relaxed);
-        rounds = 0;
-        occupancy = 0;
-    }
 }
 
 #[cfg(test)]
@@ -1087,8 +835,7 @@ mod tests {
         assert_eq!(r2.counters.bytes, 0);
     }
 
-    /// Push-mode shortest distances with a priority hook: messages carry the
-    /// candidate distance, which is exactly the delta-stepping priority.
+    /// Push-mode shortest distances: messages carry candidate distances.
     struct MinDistBsp {
         source: VertexId,
     }
@@ -1115,140 +862,24 @@ mod tests {
         fn combine(&self, a: &f64, b: &f64) -> Option<f64> {
             Some(a.min(*b))
         }
-        fn priority(&self, msg: &f64) -> Option<f64> {
-            Some(*msg)
-        }
-    }
-
-    fn mindist_config(bucket_width: f64, bucket_mode: BucketMode) -> BspConfig {
-        BspConfig {
-            cluster: ClusterSpec::flat(2, 2),
-            use_combiner: true,
-            bucket_width,
-            bucket_mode,
-            ..Default::default()
-        }
-    }
-
-    fn run_mindist(config: &BspConfig) -> BspResult<f64, f64> {
-        let g = cyclops_graph::gen::road_lattice(12, 12, 0.9, 0.1, 3);
-        let p = HashPartitioner.partition(&g, config.cluster.num_workers());
-        run_bsp(&MinDistBsp { source: 0 }, &g, &p, config)
-    }
-
-    #[test]
-    fn bucketed_bsp_matches_classic_and_cuts_supersteps() {
-        let classic = run_mindist(&mindist_config(0.0, BucketMode::Det));
-        let det = run_mindist(&mindist_config(2.0, BucketMode::Det));
-        let fast = run_mindist(&mindist_config(2.0, BucketMode::Fast));
-        // Distances are min-folds of identical candidate path sums, so the
-        // fixpoint is bitwise identical whatever the relaxation schedule.
-        assert_eq!(classic.values, det.values);
-        assert_eq!(classic.values, fast.values);
-        assert!(
-            det.supersteps < classic.supersteps,
-            "bucketed {} vs classic {}",
-            det.supersteps,
-            classic.supersteps
-        );
-        let g = cyclops_graph::gen::road_lattice(12, 12, 0.9, 0.1, 3);
-        let expect = cyclops_graph::reference::sssp(&g, 0);
-        for (a, b) in det.values.iter().zip(&expect) {
-            assert!((a - b).abs() < 1e-9 || (a.is_infinite() && b.is_infinite()));
-        }
-    }
-
-    #[test]
-    fn bucketed_without_priorities_fuses_to_one_superstep() {
-        // MaxFlood has no priority hook, so every activation is immediately
-        // due: bucket 0 runs the whole algorithm as fused rounds and the run
-        // is a single superstep with the same fixpoint.
-        let g = ring(64);
-        let p = HashPartitioner.partition(&g, 4);
-        let classic = run_bsp(&MaxFlood, &g, &p, &BspConfig::default());
-        let fused = run_bsp(
-            &MaxFlood,
-            &g,
-            &p,
-            &BspConfig {
-                bucket_width: 1.0,
-                ..Default::default()
-            },
-        );
-        assert_eq!(classic.values, fused.values);
-        assert_eq!(fused.supersteps, 1);
-        assert_eq!(fused.stats.len(), 1);
-        // All the classic supersteps' compute happened inside the one fused
-        // superstep.
-        let classic_active: usize = classic.stats.iter().map(|s| s.active_vertices).sum();
-        assert_eq!(fused.stats[0].active_vertices, classic_active);
-    }
-
-    #[test]
-    fn bucketed_bsp_traces_carry_fused_rounds() {
-        let config = mindist_config(2.0, BucketMode::Det);
-        let g = cyclops_graph::gen::road_lattice(12, 12, 0.9, 0.1, 3);
-        let p = HashPartitioner.partition(&g, config.cluster.num_workers());
-        let mut sink = cyclops_net::trace::TraceSink::new("bsp", &config.cluster);
-        let r = run_bsp_traced(&MinDistBsp { source: 0 }, &g, &p, &config, Some(&sink));
-        assert!(r.supersteps > 1);
-        let records = sink.take_records();
-        assert!(!records.is_empty());
-        assert!(records.iter().all(|rec| rec.fused >= 1));
-        assert!(records.iter().any(|rec| rec.fused > 1));
-        // Buckets never move backwards as supersteps advance.
-        let mut by_step: Vec<(u64, u64)> = records
-            .iter()
-            .map(|rec| (rec.superstep, rec.bucket))
-            .collect();
-        by_step.sort_unstable();
-        for w in by_step.windows(2) {
-            assert!(w[0].1 <= w[1].1);
-        }
-    }
-
-    #[test]
-    fn bucketed_checkpoint_resume_matches_full_run() {
-        let config = BspConfig {
-            checkpoint_every: Some(2),
-            ..mindist_config(1.0, BucketMode::Det)
-        };
-        let full = run_mindist(&config);
-        assert!(
-            !full.checkpoints.is_empty(),
-            "expected a checkpoint in {} supersteps",
-            full.supersteps
-        );
-        let g = cyclops_graph::gen::road_lattice(12, 12, 0.9, 0.1, 3);
-        let p = HashPartitioner.partition(&g, config.cluster.num_workers());
-        let resumed = run_bsp_from_checkpoint(
-            &MinDistBsp { source: 0 },
-            &g,
-            &p,
-            &BspConfig {
-                checkpoint_every: None,
-                ..config
-            },
-            &full.checkpoints[0],
-        );
-        assert_eq!(resumed.values, full.values);
     }
 
     #[test]
     fn checkpoint_interval_longer_than_run_captures_nothing() {
         // Regression: a capture interval that never fires (or a degenerate
-        // zero interval) must leave the store empty without panicking, in
-        // both the classic and the bucketed loop.
+        // zero interval) must leave the store empty without panicking.
+        let g = cyclops_graph::gen::road_lattice(12, 12, 0.9, 0.1, 3);
+        let p = HashPartitioner.partition(&g, 4);
         for every in [Some(1000), Some(0)] {
-            for bucket_width in [0.0, 1.0] {
-                let config = BspConfig {
-                    checkpoint_every: every,
-                    ..mindist_config(bucket_width, BucketMode::Det)
-                };
-                let r = run_mindist(&config);
-                assert!(r.checkpoints.is_empty(), "every={every:?}");
-                assert!(r.values.iter().any(|v| v.is_finite()));
-            }
+            let config = BspConfig {
+                cluster: ClusterSpec::flat(2, 2),
+                use_combiner: true,
+                checkpoint_every: every,
+                ..Default::default()
+            };
+            let r = run_bsp(&MinDistBsp { source: 0 }, &g, &p, &config);
+            assert!(r.checkpoints.is_empty(), "every={every:?}");
+            assert!(r.values.iter().any(|v| v.is_finite()));
         }
     }
 }

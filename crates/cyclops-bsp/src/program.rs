@@ -27,16 +27,6 @@ pub trait BspProgram: Sync {
     fn combine(&self, _a: &Self::Message, _b: &Self::Message) -> Option<Self::Message> {
         None
     }
-
-    /// Activation priority carried by a message, for the bucketed
-    /// (delta-stepping) scheduler: a lower bound on how "urgent" the
-    /// receiving vertex is (for SSSP, the candidate distance the message
-    /// proposes). Return `None` (the default) for algorithms without a
-    /// priority structure; the bucketed scheduler then treats every
-    /// activation as immediately due.
-    fn priority(&self, _msg: &Self::Message) -> Option<f64> {
-        None
-    }
 }
 
 /// Everything a [`BspProgram::compute`] invocation may see and do.

@@ -105,11 +105,6 @@ impl<V, M> EvolvingResult<V, M> {
     pub fn final_values(&self) -> &[V] {
         self.epochs.last().map_or(&[], |e| &e.values)
     }
-
-    /// Total supersteps across all epochs.
-    pub fn total_supersteps(&self) -> usize {
-        self.epochs.iter().map(|e| e.supersteps).sum()
-    }
 }
 
 /// Runs `program` over an evolving graph: an initial epoch on `graph`, then

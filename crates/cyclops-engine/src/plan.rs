@@ -409,12 +409,6 @@ impl CyclopsPlan {
         self.ingress.total_replicas as f64 / graph.num_vertices() as f64
     }
 
-    /// Bytes of replica publication storage, given the per-publication size
-    /// — the memory overhead Table 2 examines.
-    pub fn replica_bytes(&self, per_message: usize) -> usize {
-        self.ingress.total_replicas * per_message
-    }
-
     /// Exact static audit of the plan's heap bytes, split by memory
     /// component and computed purely from vector capacities — the ledger
     /// `tests/mem_observability.rs` cross-checks against the tracking

@@ -149,11 +149,6 @@ impl Dataset {
         }
     }
 
-    /// Generates the stand-in at default scale with the default seed.
-    pub fn generate_default(&self) -> Graph {
-        self.generate_scaled(1.0, self.default_seed())
-    }
-
     /// Generates the stand-in at `fraction` of the default scale (edge counts
     /// scale linearly; vertex counts scale to preserve average degree).
     /// `fraction` must be positive; values above 1 grow the graph.

@@ -126,15 +126,16 @@ pub enum BucketMode {
     Fast,
 }
 
-/// Ordered-key sentinel for the bucketed schedulers: "due in whatever bucket
-/// is current". Initial actives and priority-less activations use it; it
-/// compares below the [`priority_key`] of every non-negative finite priority.
+/// Ordered-key sentinel for the Cyclops engine's bucketed settle: "due in
+/// whatever bucket is current". Initial actives and priority-less activations
+/// use it; it compares below the [`priority_key`] of every non-negative finite
+/// priority.
 pub const IMMEDIATE_KEY: u64 = 0;
 
 /// Ordered-key encoding of an `f64` activation priority: a monotone map into
-/// `u64` so a bucketed scheduler can compare and min priorities as plain
-/// integers (including with atomic `fetch_min`). Every non-negative float
-/// maps to `>= 1 << 63`, keeping [`IMMEDIATE_KEY`] strictly first.
+/// `u64` so the bucketed settle can compare and min priorities as plain
+/// integers. Every non-negative float maps to `>= 1 << 63`, keeping
+/// [`IMMEDIATE_KEY`] strictly first.
 #[inline]
 pub fn priority_key(p: f64) -> u64 {
     let b = p.to_bits();

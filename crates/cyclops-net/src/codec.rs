@@ -31,19 +31,15 @@ use bytes::{Buf, BufMut, BytesMut};
 
 /// A type that can be written to and read back from a byte buffer.
 ///
-/// `decode` must consume exactly the bytes `encode` produced
+/// `try_decode` must consume exactly the bytes `encode` produced
 /// (`proptest` round-trip tests in each engine enforce this for its message
 /// types).
 pub trait Codec: Sized {
     /// Appends the encoding of `self` to `buf`.
     fn encode(&self, buf: &mut BytesMut);
-    /// Reads one value from the front of `buf`. Panics if `buf` ends
-    /// mid-value; use [`Self::try_decode`] on buffers that may be
-    /// truncated or corrupt.
-    fn decode(buf: &mut impl Buf) -> Self;
-    /// Checked variant of [`Self::decode`]: returns `None` instead of
-    /// panicking when `buf` ends mid-value or holds an invalid encoding.
-    /// On `None` the buffer may be left partially consumed.
+    /// Reads one value from the front of `buf`, or `None` when `buf` ends
+    /// mid-value or holds an invalid encoding. On `None` the buffer may be
+    /// left partially consumed.
     fn try_decode(buf: &mut impl Buf) -> Option<Self>;
     /// Exact number of bytes `encode` appends. Used for pre-sizing buffers
     /// and for byte accounting.
@@ -53,9 +49,6 @@ pub trait Codec: Sized {
 impl Codec for u32 {
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_u32_le(*self);
-    }
-    fn decode(buf: &mut impl Buf) -> Self {
-        buf.get_u32_le()
     }
     fn try_decode(buf: &mut impl Buf) -> Option<Self> {
         (buf.remaining() >= 4).then(|| buf.get_u32_le())
@@ -69,9 +62,6 @@ impl Codec for u64 {
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_u64_le(*self);
     }
-    fn decode(buf: &mut impl Buf) -> Self {
-        buf.get_u64_le()
-    }
     fn try_decode(buf: &mut impl Buf) -> Option<Self> {
         (buf.remaining() >= 8).then(|| buf.get_u64_le())
     }
@@ -83,9 +73,6 @@ impl Codec for u64 {
 impl Codec for f64 {
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_f64_le(*self);
-    }
-    fn decode(buf: &mut impl Buf) -> Self {
-        buf.get_f64_le()
     }
     fn try_decode(buf: &mut impl Buf) -> Option<Self> {
         (buf.remaining() >= 8).then(|| buf.get_f64_le())
@@ -99,9 +86,6 @@ impl Codec for bool {
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_u8(*self as u8);
     }
-    fn decode(buf: &mut impl Buf) -> Self {
-        buf.get_u8() != 0
-    }
     fn try_decode(buf: &mut impl Buf) -> Option<Self> {
         buf.has_remaining().then(|| buf.get_u8() != 0)
     }
@@ -112,7 +96,6 @@ impl Codec for bool {
 
 impl Codec for () {
     fn encode(&self, _buf: &mut BytesMut) {}
-    fn decode(_buf: &mut impl Buf) -> Self {}
     fn try_decode(_buf: &mut impl Buf) -> Option<Self> {
         Some(())
     }
@@ -125,11 +108,6 @@ impl<A: Codec, B: Codec> Codec for (A, B) {
     fn encode(&self, buf: &mut BytesMut) {
         self.0.encode(buf);
         self.1.encode(buf);
-    }
-    fn decode(buf: &mut impl Buf) -> Self {
-        let a = A::decode(buf);
-        let b = B::decode(buf);
-        (a, b)
     }
     fn try_decode(buf: &mut impl Buf) -> Option<Self> {
         let a = A::try_decode(buf)?;
@@ -146,12 +124,6 @@ impl<A: Codec, B: Codec, C: Codec> Codec for (A, B, C) {
         self.0.encode(buf);
         self.1.encode(buf);
         self.2.encode(buf);
-    }
-    fn decode(buf: &mut impl Buf) -> Self {
-        let a = A::decode(buf);
-        let b = B::decode(buf);
-        let c = C::decode(buf);
-        (a, b, c)
     }
     fn try_decode(buf: &mut impl Buf) -> Option<Self> {
         let a = A::try_decode(buf)?;
@@ -170,10 +142,6 @@ impl<T: Codec> Codec for Vec<T> {
         for item in self {
             item.encode(buf);
         }
-    }
-    fn decode(buf: &mut impl Buf) -> Self {
-        let len = u32::decode(buf) as usize;
-        (0..len).map(|_| T::decode(buf)).collect()
     }
     fn try_decode(buf: &mut impl Buf) -> Option<Self> {
         let len = u32::try_decode(buf)? as usize;
@@ -220,15 +188,8 @@ pub fn encode_batch_into<M: Codec>(buf: &mut BytesMut, msgs: &[M]) -> usize {
     grown
 }
 
-/// Decodes a batch previously produced by [`encode_batch`]. Panics on a
-/// truncated buffer; the wire path uses [`try_decode_batch`].
-pub fn decode_batch<M: Codec>(buf: &mut impl Buf) -> Vec<M> {
-    let len = u32::decode(buf) as usize;
-    (0..len).map(|_| M::decode(buf)).collect()
-}
-
-/// Checked variant of [`decode_batch`]: `None` when the buffer is truncated
-/// mid-batch or an element's encoding is invalid, instead of panicking.
+/// Decodes a batch produced by [`encode_batch`]: `None` when the buffer is
+/// truncated mid-batch or an element's encoding is invalid.
 pub fn try_decode_batch<M: Codec>(buf: &mut impl Buf) -> Option<Vec<M>> {
     let len = u32::try_decode(buf)? as usize;
     let mut out = Vec::with_capacity(len.min(buf.remaining()));
@@ -775,7 +736,7 @@ mod tests {
         v.encode(&mut buf);
         assert_eq!(buf.len(), v.encoded_len());
         let mut read = buf.freeze();
-        assert_eq!(M::decode(&mut read), v);
+        assert_eq!(M::try_decode(&mut read), Some(v));
         assert!(!read.has_remaining());
     }
 
@@ -808,8 +769,8 @@ mod tests {
         let msgs: Vec<(u32, f64)> = (0..100).map(|i| (i, i as f64 * 0.5)).collect();
         let buf = encode_batch(&msgs);
         let mut read = buf.freeze();
-        let out: Vec<(u32, f64)> = decode_batch(&mut read);
-        assert_eq!(out, msgs);
+        let out: Option<Vec<(u32, f64)>> = try_decode_batch(&mut read);
+        assert_eq!(out, Some(msgs));
         assert!(!read.has_remaining());
     }
 
@@ -873,8 +834,8 @@ mod tests {
     fn nan_payload_survives() {
         let mut buf = BytesMut::new();
         f64::NAN.encode(&mut buf);
-        let v = f64::decode(&mut buf.freeze());
-        assert!(v.is_nan());
+        let v = f64::try_decode(&mut buf.freeze());
+        assert!(v.is_some_and(f64::is_nan));
     }
 
     // ---- Varint / wire-format tests. ----

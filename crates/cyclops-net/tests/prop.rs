@@ -5,9 +5,8 @@
 
 use bytes::{Buf, BufMut, BytesMut};
 use cyclops_net::codec::{
-    batch_reservation, decode_batch, encode_batch, encode_migration_batch, encode_varint,
-    try_decode_batch, try_decode_migration_batch, try_decode_varint, unzigzag, varint_len, zigzag,
-    MigrationRecord,
+    batch_reservation, encode_batch, encode_migration_batch, encode_varint, try_decode_batch,
+    try_decode_migration_batch, try_decode_varint, unzigzag, varint_len, zigzag, MigrationRecord,
 };
 use cyclops_net::{ClusterSpec, Codec, InboxMode, ReplicaUpdate, Transport, WireFormat};
 use proptest::prelude::*;
@@ -124,11 +123,11 @@ proptest! {
         d.encode(&mut buf);
         prop_assert_eq!(buf.len(), a.encoded_len() + b.encoded_len() + c.encoded_len() + d.encoded_len());
         let mut read = buf.freeze();
-        prop_assert_eq!(u32::decode(&mut read), a);
-        prop_assert_eq!(u64::decode(&mut read), b);
-        let c2 = f64::decode(&mut read);
+        prop_assert_eq!(u32::try_decode(&mut read), Some(a));
+        prop_assert_eq!(u64::try_decode(&mut read), Some(b));
+        let c2 = f64::try_decode(&mut read).unwrap();
         prop_assert!(c2 == c || (c.is_nan() && c2.is_nan()));
-        prop_assert_eq!(bool::decode(&mut read), d);
+        prop_assert_eq!(bool::try_decode(&mut read), Some(d));
         prop_assert!(!read.has_remaining());
     }
 
@@ -136,8 +135,8 @@ proptest! {
     fn codec_round_trips_batches(msgs in prop::collection::vec((any::<u32>(), any::<f64>().prop_filter("finite", |f| f.is_finite())), 0..200)) {
         let buf = encode_batch(&msgs);
         let mut read = buf.freeze();
-        let out: Vec<(u32, f64)> = decode_batch(&mut read);
-        prop_assert_eq!(out, msgs);
+        let out: Option<Vec<(u32, f64)>> = try_decode_batch(&mut read);
+        prop_assert_eq!(out, Some(msgs));
         prop_assert!(!read.has_remaining());
     }
 
@@ -167,8 +166,8 @@ proptest! {
         let mut buf = bytes::BytesMut::new();
         v.encode(&mut buf);
         prop_assert_eq!(buf.len(), v.encoded_len());
-        let out = Vec::<Vec<u32>>::decode(&mut buf.freeze());
-        prop_assert_eq!(out, v);
+        let out = Vec::<Vec<u32>>::try_decode(&mut buf.freeze());
+        prop_assert_eq!(out, Some(v));
     }
 
     /// Arbitrary send schedule: every message is delivered exactly once, on

@@ -767,8 +767,9 @@ fn run(opts: &Options) -> Result<(), String> {
             "--bucket-width applies to sssp and bfs (the programs that declare a priority)".into(),
         );
     }
-    if bucketed && command == "bfs" && use_hama {
-        return Err("--bucket-width with bfs needs --engine cyclops".into());
+    // Hama runs one relaxation round per superstep, as the paper's baseline.
+    if bucketed && use_hama {
+        return Err("--bucket-width needs --engine cyclops".into());
     }
     // Each engine's one config, mapped from the flags once; a command adds
     // its superstep cap and what only its program knows.
@@ -780,7 +781,6 @@ fn run(opts: &Options) -> Result<(), String> {
     let hama_base = BspConfig {
         cluster,
         inbox,
-        bucket_mode,
         ..Default::default()
     };
     // Install the global metrics registry *before* the engines construct
@@ -854,21 +854,19 @@ fn run(opts: &Options) -> Result<(), String> {
             use cyclops_algos::sssp::{auto_bucket_width, BspSssp, CyclopsSssp};
             let max_supersteps = opts.max_supersteps.unwrap_or(10_000);
             let source = opts.source;
-            // `auto` seeds the width from the mean edge weight; on Cyclops
-            // the engine then retunes it from live bucket occupancy.
-            let bucket_width = bucket_width_or(auto_bucket_width(&g));
             let ran = if use_hama {
                 let config = BspConfig {
                     max_supersteps,
                     use_combiner: true,
-                    bucket_width,
                     ..hama_base
                 };
                 drive_hama(opts, &BspSssp { source }, &g, &partition, &config)?
             } else {
                 let config = CyclopsConfig {
                     max_supersteps,
-                    bucket_width,
+                    // `auto` seeds the width from the mean edge weight; the
+                    // engine then retunes it from live bucket occupancy.
+                    bucket_width: bucket_width_or(auto_bucket_width(&g)),
                     bucket_adapt: opts.bucket_auto,
                     ..cyclops_base
                 };
@@ -1061,9 +1059,11 @@ execution:   --engine cyclops|hama  --machines M --workers W
                                     with --bucket-width (the bucketed
                                     loop has no checkpoint epochs to
                                     pause on)
-               --bucket-width       sssp on both engines, bfs on cyclops
-                                    (buckets order activations by the
-                                    program's priority(); no other
+               --bucket-width       cyclops only (hama runs one
+                                    relaxation round per superstep, as
+                                    the paper's baseline); sssp and bfs
+                                    only (buckets order activations by
+                                    the program's priority(); no other
                                     program declares one)
                --replicate-threshold  cyclops only (hama has no replicas)
 algorithm:   --epsilon F  --source V  --sweeps N

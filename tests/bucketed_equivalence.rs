@@ -3,13 +3,12 @@
 //! Non-negative edge weights make SSSP relaxation a min-fold over path
 //! sums, so *any* drain order reaches the same fixpoint with bitwise
 //! identical distances. These tests pin that property on random weighted
-//! graphs across all three bucketed engines (flat Cyclops, CyclopsMT,
-//! BSP) against the barrier-per-superstep oracle, and pin the det bucket
-//! mode's trace against itself across thread counts.
+//! graphs across both bucketed engine shapes (flat Cyclops and CyclopsMT)
+//! against the barrier-per-superstep oracle, and pin the det bucket mode's
+//! trace against itself across thread counts.
 
 use cyclops::prelude::*;
-use cyclops_algos::sssp::{auto_bucket_width, BspSssp, CyclopsSssp};
-use cyclops_bsp::{run_bsp, BspConfig};
+use cyclops_algos::sssp::{auto_bucket_width, CyclopsSssp};
 use cyclops_engine::run_cyclops_traced;
 use cyclops_net::trace::{diff, read_jsonl, RunTrace, TraceSink};
 use cyclops_net::BucketMode;
@@ -67,9 +66,9 @@ fn arb_graph_and_width() -> impl Strategy<Value = (Graph, f64)> {
 
 proptest! {
     /// Bucketed SSSP distances are bitwise equal to the unbucketed
-    /// barrier-per-superstep run on all three engines, in both det and
-    /// fast mode, for arbitrary graphs and bucket widths — and, on the
-    /// Cyclops engines, at every hybrid-replication threshold.
+    /// barrier-per-superstep run on flat Cyclops and CyclopsMT, in both det
+    /// and fast mode, for arbitrary graphs and bucket widths, at every
+    /// hybrid-replication threshold.
     #[test]
     fn bucketed_sssp_matches_barrier_per_superstep((g, width) in arb_graph_and_width()) {
         let p = HashPartitioner.partition(&g, 3);
@@ -99,20 +98,6 @@ proptest! {
                 prop_assert_eq!(r.direct_messages > 0, hop.direct_messages > 0, "t={}", threshold);
             }
         }
-
-        let bsp = run_bsp(
-            &BspSssp { source: 0 },
-            &g,
-            &p,
-            &BspConfig {
-                cluster: flat,
-                max_supersteps: 100_000,
-                use_combiner: true,
-                bucket_width: if width > 0.0 { width } else { auto_bucket_width(&g) },
-                ..Default::default()
-            },
-        );
-        prop_assert_eq!(&oracle.values, &bsp.values, "bsp det");
     }
 }
 

@@ -979,10 +979,14 @@ fn surviving_restrictions_are_errors() {
             vec!["cc", "--bucket-width", "auto"],
             "--bucket-width applies to sssp and bfs",
         ),
-        // BspBfs declares no priority.
+        // Hama runs one relaxation round per superstep.
+        (
+            vec!["sssp", "--engine", "hama", "--bucket-width", "auto"],
+            "--bucket-width needs --engine cyclops",
+        ),
         (
             vec!["bfs", "--engine", "hama", "--bucket-width", "auto"],
-            "--bucket-width with bfs needs --engine cyclops",
+            "--bucket-width needs --engine cyclops",
         ),
         // Hama has no replicas.
         (
@@ -1001,11 +1005,10 @@ fn surviving_restrictions_are_errors() {
         assert!(stderr.contains(expected), "{args:?}: {stderr}");
     }
     // What is not restricted any more: the threshold on a command that had
-    // no tuned runner, bucketed sssp on Hama, bucketed bfs on Cyclops.
+    // no tuned runner, bucketed bfs on Cyclops.
     for args in [
         vec!["triangles", "--replicate-threshold", "4"],
         vec!["cd", "--replicate-threshold", "auto", "--sweeps", "3"],
-        vec!["sssp", "--engine", "hama", "--bucket-width", "auto"],
         vec!["bfs", "--bucket-width", "auto"],
     ] {
         let mut full = args.clone();
