@@ -121,7 +121,7 @@ mod tests {
     use cyclops_engine::{run_cyclops, CyclopsConfig, CyclopsResult};
     use cyclops_graph::gen::{erdos_renyi, road_lattice};
     use cyclops_graph::reference;
-    use cyclops_net::{BucketMode, ClusterSpec};
+    use cyclops_net::ClusterSpec;
     use cyclops_partition::{EdgeCutPartition, EdgeCutPartitioner, HashPartitioner};
 
     fn cyclops(
@@ -130,7 +130,7 @@ mod tests {
         cluster: &ClusterSpec,
         source: VertexId,
     ) -> CyclopsResult<u32, u32> {
-        bucketed(g, p, cluster, source, 0.0, BucketMode::Det)
+        bucketed(g, p, cluster, source, 0.0)
     }
 
     fn bucketed(
@@ -139,13 +139,11 @@ mod tests {
         cluster: &ClusterSpec,
         source: VertexId,
         bucket_width: f64,
-        bucket_mode: BucketMode,
     ) -> CyclopsResult<u32, u32> {
         let config = CyclopsConfig {
             cluster: *cluster,
             max_supersteps: 1_000_000,
             bucket_width,
-            bucket_mode,
             ..Default::default()
         };
         run_cyclops(&CyclopsBfs { source }, g, p, &config)
@@ -190,25 +188,22 @@ mod tests {
         let p = HashPartitioner.partition(&g, 4);
         let cluster = ClusterSpec::flat(2, 2);
         let classic = cyclops(&g, &p, &cluster, 0);
-        for mode in [BucketMode::Det, BucketMode::Fast] {
-            let bucketed = bucketed(&g, &p, &cluster, 0, 1.0, mode);
-            assert_eq!(bucketed.values, classic.values, "{mode:?}");
-            assert_eq!(bucketed.values, reference::bfs_levels(&g, 0));
-            assert!(
-                bucketed.supersteps <= classic.supersteps,
-                "{mode:?}: one superstep per ring must not exceed classic \
-                 ({} vs {})",
-                bucketed.supersteps,
-                classic.supersteps
-            );
-        }
+        let bucketed = bucketed(&g, &p, &cluster, 0, 1.0);
+        assert_eq!(bucketed.values, classic.values);
+        assert_eq!(bucketed.values, reference::bfs_levels(&g, 0));
+        assert!(
+            bucketed.supersteps <= classic.supersteps,
+            "one superstep per ring must not exceed classic ({} vs {})",
+            bucketed.supersteps,
+            classic.supersteps
+        );
     }
 
     #[test]
     fn bucketed_bfs_drains_one_ring_per_superstep_on_grid() {
         let g = road_lattice(15, 15, 1.0, 0.0, 1);
         let p = HashPartitioner.partition(&g, 3);
-        let r = bucketed(&g, &p, &ClusterSpec::flat(3, 1), 0, 1.0, BucketMode::Det);
+        let r = bucketed(&g, &p, &ClusterSpec::flat(3, 1), 0, 1.0);
         assert_eq!(r.values, reference::bfs_levels(&g, 0));
         let max_level = *r.values.iter().filter(|&&l| l != UNREACHED).max().unwrap() as usize;
         // Kickoff + one settled bucket per ring (+ nothing else).
@@ -220,7 +215,7 @@ mod tests {
         );
         // A wider bucket fuses that many rings behind one barrier: same
         // levels, ~4x fewer supersteps.
-        let wide = bucketed(&g, &p, &ClusterSpec::flat(3, 1), 0, 4.0, BucketMode::Det);
+        let wide = bucketed(&g, &p, &ClusterSpec::flat(3, 1), 0, 4.0);
         assert_eq!(wide.values, r.values);
         assert!(
             wide.supersteps <= max_level / 4 + 3,

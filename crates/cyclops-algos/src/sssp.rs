@@ -189,7 +189,7 @@ mod tests {
     use cyclops_gas::{run_gas, GasConfig};
     use cyclops_graph::gen::road_lattice;
     use cyclops_graph::reference;
-    use cyclops_net::{BucketMode, ClusterSpec};
+    use cyclops_net::ClusterSpec;
     use cyclops_partition::{
         EdgeCutPartition, EdgeCutPartitioner, HashPartitioner, MigrationConfig, RandomVertexCut,
         VertexCutPartitioner,
@@ -201,13 +201,12 @@ mod tests {
         g: &Graph,
         p: &EdgeCutPartition,
         cluster: ClusterSpec,
-        bucketed: Option<BucketMode>,
+        bucketed: bool,
     ) -> CyclopsResult<f64, f64> {
         let config = CyclopsConfig {
             cluster,
-            bucket_width: bucketed.map_or(0.0, |_| auto_bucket_width(g)),
-            bucket_mode: bucketed.unwrap_or_default(),
-            bucket_adapt: bucketed.is_some(),
+            bucket_width: if bucketed { auto_bucket_width(g) } else { 0.0 },
+            bucket_adapt: bucketed,
             ..Default::default()
         };
         run_cyclops(&CyclopsSssp { source: 0 }, g, p, &config)
@@ -244,7 +243,7 @@ mod tests {
     fn cyclops_matches_dijkstra_on_road() {
         let g = road_lattice(12, 12, 0.9, 0.1, 3);
         let p = HashPartitioner.partition(&g, 4);
-        let r = cyclops(&g, &p, ClusterSpec::flat(2, 2), None);
+        let r = cyclops(&g, &p, ClusterSpec::flat(2, 2), false);
         assert_distances_match(&r.values, &reference::sssp(&g, 0));
     }
 
@@ -264,7 +263,7 @@ mod tests {
     fn cyclops_mt_matches_dijkstra() {
         let g = road_lattice(12, 12, 1.0, 0.0, 7);
         let p = HashPartitioner.partition(&g, 3);
-        let r = cyclops(&g, &p, ClusterSpec::mt(3, 4, 2), None);
+        let r = cyclops(&g, &p, ClusterSpec::mt(3, 4, 2), false);
         assert_distances_match(&r.values, &reference::sssp(&g, 0));
     }
 
@@ -275,7 +274,7 @@ mod tests {
         b.add_weighted_edge(2, 3, 1.0);
         let g = b.build();
         let p = HashPartitioner.partition(&g, 2);
-        let r = cyclops(&g, &p, ClusterSpec::flat(2, 1), None);
+        let r = cyclops(&g, &p, ClusterSpec::flat(2, 1), false);
         assert!(r.values[2].is_infinite());
         assert!(r.values[3].is_infinite());
         assert_eq!(r.values[1], 1.0);
@@ -291,7 +290,7 @@ mod tests {
             .collect();
         let p = EdgeCutPartition::new(4, assignment);
         let cluster = ClusterSpec::flat(4, 1);
-        let plain = cyclops(&g, &p, cluster, None);
+        let plain = cyclops(&g, &p, cluster, false);
         let config = CyclopsConfig {
             cluster,
             ..Default::default()
@@ -330,25 +329,23 @@ mod tests {
         let g = road_lattice(12, 12, 0.9, 0.1, 3);
         let p = HashPartitioner.partition(&g, 4);
         let cluster = ClusterSpec::flat(2, 2);
-        let flat = cyclops(&g, &p, cluster, None);
-        for mode in [BucketMode::Det, BucketMode::Fast] {
-            let bucketed = cyclops(&g, &p, cluster, Some(mode));
-            assert_eq!(flat.values, bucketed.values, "mode {mode:?}");
-            assert!(
-                bucketed.supersteps < flat.supersteps,
-                "mode {mode:?}: {} vs {}",
-                bucketed.supersteps,
-                flat.supersteps
-            );
-            assert_distances_match(&bucketed.values, &reference::sssp(&g, 0));
-        }
+        let flat = cyclops(&g, &p, cluster, false);
+        let bucketed = cyclops(&g, &p, cluster, true);
+        assert_eq!(flat.values, bucketed.values);
+        assert!(
+            bucketed.supersteps < flat.supersteps,
+            "{} vs {}",
+            bucketed.supersteps,
+            flat.supersteps
+        );
+        assert_distances_match(&bucketed.values, &reference::sssp(&g, 0));
     }
 
     #[test]
     fn bucketed_cyclops_mt_matches_dijkstra() {
         let g = road_lattice(12, 12, 1.0, 0.0, 7);
         let p = HashPartitioner.partition(&g, 3);
-        let r = cyclops(&g, &p, ClusterSpec::mt(3, 4, 2), Some(BucketMode::Det));
+        let r = cyclops(&g, &p, ClusterSpec::mt(3, 4, 2), true);
         assert_distances_match(&r.values, &reference::sssp(&g, 0));
     }
 
@@ -372,7 +369,7 @@ mod tests {
     fn push_mode_activity_is_sparse() {
         let g = road_lattice(20, 20, 1.0, 0.0, 9);
         let p = HashPartitioner.partition(&g, 4);
-        let r = cyclops(&g, &p, ClusterSpec::flat(2, 2), None);
+        let r = cyclops(&g, &p, ClusterSpec::flat(2, 2), false);
         // The frontier is a wavefront: far fewer than all vertices active.
         assert_eq!(r.stats[0].active_vertices, 1);
         let max_active = r.stats.iter().map(|s| s.active_vertices).max().unwrap();

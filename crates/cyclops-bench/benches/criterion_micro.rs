@@ -361,11 +361,11 @@ fn bench_span_event(c: &mut Criterion) {
     group.finish();
 }
 
-/// The communication matrix's per-flush accounting cost: the legacy
-/// aggregate counters (`add_sent`) vs the per-destination cells that feed
-/// the per-record matrix (`add_sent_to` + the wire-mode batch count). Both
-/// are a handful of relaxed atomic adds; the bar is that attributing by
-/// destination costs no more than a few nanoseconds over the aggregate.
+/// The communication matrix's per-flush accounting cost: the sent counters
+/// with their per-destination cells (`add_sent_to`) alone, and with the
+/// wire-mode batch count the engines add for a cross-machine batch. Both
+/// are a handful of relaxed atomic adds; the bar is that the batch count
+/// costs no more than a few nanoseconds over the counters.
 fn bench_comm_matrix(c: &mut Criterion) {
     use cyclops_net::trace::TraceSink;
     let cluster = ClusterSpec::flat(2, 2);
@@ -373,11 +373,15 @@ fn bench_comm_matrix(c: &mut Criterion) {
     let tr = sink.worker(0);
 
     let mut group = c.benchmark_group("comm_matrix_per_flush");
-    group.bench_function("add_sent_aggregate_only", |b| {
+    group.bench_function("add_sent_to_only", |b| {
         let mut dst = 0usize;
         b.iter(|| {
             dst = (dst + 1) & 3;
-            tr.add_sent(std::hint::black_box(16), std::hint::black_box(256));
+            tr.add_sent_to(
+                std::hint::black_box(dst),
+                std::hint::black_box(16),
+                std::hint::black_box(256),
+            );
         })
     });
     group.bench_function("add_sent_to_pair_cells", |b| {

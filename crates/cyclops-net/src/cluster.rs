@@ -106,76 +106,24 @@ impl std::fmt::Display for ClusterSpec {
     }
 }
 
-/// Drain discipline of the bucketed (delta-stepping) scheduler — the CLI's
-/// `--bucket-mode` dial. Both modes compute the same distances (priority
-/// relaxation under non-negative weights reaches the same min fixpoint
-/// whatever the order); they differ in what else they promise.
+/// Drain discipline of the Cyclops engine's bucketed (delta-stepping)
+/// scheduler. There is one: each fused round selects the in-bucket vertices
+/// in ascending vertex order and publishes between rounds, so a master
+/// computes at most once per round, and trace counters (fused rounds,
+/// occupancy, messages) and results are bitwise identical across runs and
+/// thread counts — `trace-diff`-checkable. The enum keeps its one variant
+/// only because the repository benchmark sets `CyclopsConfig::bucket_mode`
+/// by name; the next change to the benchmark deletes both.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BucketMode {
-    /// Deterministic drain: each fused round selects the in-bucket vertices
-    /// in ascending vertex order and publishes between rounds, so trace
-    /// counters (fused rounds, occupancy, messages) and results are bitwise
-    /// identical across runs and thread counts — `trace-diff`-checkable.
-    /// The default.
+    /// Sorted, once-per-round drain. The default and only mode.
     #[default]
     Det,
-    /// Fast drain: newly in-bucket activations chain into the *same* round
-    /// immediately, in whatever order they surface. Usually fewer rounds and
-    /// less re-relaxation, but the schedule (and hence fused/occupancy
-    /// accounting and message counts) carries no determinism contract.
-    Fast,
-}
-
-/// Ordered-key sentinel for the Cyclops engine's bucketed settle: "due in
-/// whatever bucket is current". Initial actives and priority-less activations
-/// use it; it compares below the [`priority_key`] of every non-negative finite
-/// priority.
-pub const IMMEDIATE_KEY: u64 = 0;
-
-/// Ordered-key encoding of an `f64` activation priority: a monotone map into
-/// `u64` so the bucketed settle can compare and min priorities as plain
-/// integers. Every non-negative float maps to `>= 1 << 63`, keeping
-/// [`IMMEDIATE_KEY`] strictly first.
-#[inline]
-pub fn priority_key(p: f64) -> u64 {
-    let b = p.to_bits();
-    if b >> 63 == 1 {
-        !b
-    } else {
-        b ^ (1 << 63)
-    }
-}
-
-/// Inverse of [`priority_key`], used when advancing to the bucket that holds
-/// the smallest parked priority.
-#[inline]
-pub fn priority_key_inv(k: u64) -> f64 {
-    if k >> 63 == 1 {
-        f64::from_bits(k ^ (1 << 63))
-    } else {
-        f64::from_bits(!k)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn priority_keys_are_order_preserving() {
-        let vals = [0.0, 1e-300, 0.5, 1.0, 2.5, 1e18, f64::INFINITY];
-        for w in vals.windows(2) {
-            assert!(
-                priority_key(w[0]) < priority_key(w[1]),
-                "{} vs {}",
-                w[0],
-                w[1]
-            );
-            assert_eq!(priority_key_inv(priority_key(w[0])), w[0]);
-        }
-        assert!(IMMEDIATE_KEY < priority_key(0.0));
-        assert!(priority_key(-1.0) < priority_key(0.0));
-    }
 
     #[test]
     fn flat_topology_arithmetic() {

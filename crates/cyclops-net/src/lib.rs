@@ -50,7 +50,7 @@ pub mod trace;
 pub mod transport;
 
 pub use barrier::{FlatBarrier, HierarchicalBarrier};
-pub use cluster::{priority_key, priority_key_inv, BucketMode, ClusterSpec, IMMEDIATE_KEY};
+pub use cluster::{BucketMode, ClusterSpec};
 pub use codec::{
     encode_migration_batch, migration_batch_encoded_len, try_decode_migration_batch, Codec,
     MigrationRecord, ReplicaUpdate, WireFormat, WireMode, WireStats,

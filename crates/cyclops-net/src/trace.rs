@@ -297,20 +297,10 @@ impl WorkerTracer {
         self.drained.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Adds messages/bytes sent by the calling thread without attributing a
-    /// destination (the communication-matrix row stays empty). Engines use
-    /// [`WorkerTracer::add_sent_to`]; this remains for callers that have no
-    /// destination to attribute.
-    #[inline]
-    pub fn add_sent(&self, messages: u64, bytes: u64) {
-        self.messages.fetch_add(messages, Ordering::Relaxed);
-        self.bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
     /// Adds messages/bytes sent by the calling thread to worker `dst`,
     /// feeding both the run totals and this worker's communication-matrix
-    /// row. Using this (never [`WorkerTracer::add_sent`]) at every send
-    /// site is what keeps the row sums equal to the totals.
+    /// row. Using this at every send site is what keeps the row sums equal
+    /// to the totals.
     #[inline]
     pub fn add_sent_to(&self, dst: usize, messages: u64, bytes: u64) {
         self.messages.fetch_add(messages, Ordering::Relaxed);
@@ -324,7 +314,7 @@ impl WorkerTracer {
     /// Adds cross-machine batches sent in the dense / sparse wire modes by
     /// the calling thread.
     #[inline]
-    pub fn add_wire_batches(&self, dense: u64, sparse: u64) {
+    fn add_wire_batches(&self, dense: u64, sparse: u64) {
         if dense > 0 {
             self.wire_dense.fetch_add(dense, Ordering::Relaxed);
         }
@@ -355,8 +345,9 @@ impl WorkerTracer {
         }
     }
 
-    /// Like [`WorkerTracer::add_wire_batches`], additionally attributing
-    /// the batches to destination `dst` in the communication-matrix row.
+    /// Adds cross-machine batches sent to worker `dst` in the dense / sparse
+    /// wire modes by the calling thread: the worker's totals and its
+    /// communication-matrix row.
     #[inline]
     pub fn add_wire_batches_to(&self, dst: usize, dense: u64, sparse: u64) {
         self.add_wire_batches(dense, sparse);
@@ -824,8 +815,7 @@ fn write_records(
 impl TraceRecord {
     /// Whether the communication-matrix row sums equal the record's
     /// `messages` / `bytes` totals. Trivially true when no matrix was
-    /// recorded (older traces, or sends attributed via
-    /// [`WorkerTracer::add_sent`]).
+    /// recorded (older traces).
     pub fn comm_consistent(&self) -> bool {
         if self.comm.is_empty() {
             return true;
@@ -1341,9 +1331,9 @@ pub mod diff {
     /// The deterministic counters compared per record, in report order.
     /// Phase durations are deliberately excluded: wall-clock differs
     /// between identical runs. The bucketed-scheduler counters *are*
-    /// compared: the deterministic bucket mode promises identical drain
-    /// order (and hence fused-round and occupancy counts) across thread
-    /// counts, and `trace-diff` is how that promise is checked. The
+    /// compared: the settle drains each round in sorted order, which fixes
+    /// the fused-round and occupancy counts across thread counts, and
+    /// `trace-diff` is how that promise is checked. The
     /// communication matrix joins them — per-destination message/byte
     /// splits are a pure function of graph + partition — but only its
     /// `(dst, messages, bytes)` portion: per-pair wire-mode counts stay
@@ -1572,7 +1562,7 @@ mod tests {
         t.add_computed(10 + w as u64);
         t.add_activated(5);
         t.add_drained(3);
-        t.add_sent(4, 48);
+        t.add_sent_to(1 - w, 4, 48);
         let mut agg = AggregateStats::default();
         agg.add(0.25 * (w + 1) as f64);
         t.set_thread_agg(0, agg);

@@ -1,6 +1,6 @@
-//! Exposition: Prometheus text format and JSON snapshots.
+//! Exposition: Prometheus text format.
 //!
-//! Both renderers walk the registry in its deterministic order, so output
+//! The renderer walks the registry in its deterministic order, so output
 //! for a fixed set of recordings is byte-stable (golden-file testable).
 //! Histograms render in the cumulative-`le` Prometheus convention, emitting
 //! only buckets whose cumulative count changed plus the trailing `+Inf`.
@@ -83,57 +83,6 @@ fn labels_only(id: &MetricId) -> String {
     format!("{{{}}}", pairs.join(","))
 }
 
-/// Renders the registry as a JSON array of metric objects. Histograms carry
-/// `count`, `sum`, `min`, `max`, and midpoint-quantised `p50`/`p90`/`p99`.
-pub fn render_json(reg: &MetricsRegistry) -> String {
-    let mut out = String::from("[");
-    let mut first = true;
-    reg.for_each(|id, metric| {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str("\n  {");
-        let _ = write!(out, "\"name\":\"{}\",\"labels\":{{", id.name);
-        for (i, (k, v)) in id.labels.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{k}\":\"{v}\"");
-        }
-        out.push_str("},");
-        match metric {
-            Metric::Counter(c) => {
-                let _ = write!(out, "\"type\":\"counter\",\"value\":{}", c.get());
-            }
-            Metric::Gauge(g) => {
-                let _ = write!(out, "\"type\":\"gauge\",\"value\":{}", g.get());
-            }
-            Metric::FloatGauge(g) => {
-                let _ = write!(out, "\"type\":\"gauge\",\"value\":{}", g.get());
-            }
-            Metric::Histogram(h) => {
-                let s = h.snapshot();
-                let _ = write!(
-                    out,
-                    "\"type\":\"histogram\",\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\
-                     \"p50\":{},\"p90\":{},\"p99\":{}",
-                    s.count,
-                    s.sum,
-                    s.min,
-                    s.max,
-                    s.percentile(0.50),
-                    s.percentile(0.90),
-                    s.percentile(0.99)
-                );
-            }
-        }
-        out.push('}');
-    });
-    out.push_str("\n]\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,19 +143,6 @@ mod tests {
         let text = render_prometheus(&r);
         assert!(text.contains("# TYPE cyclops_replication_factor gauge"));
         assert!(text.contains("cyclops_replication_factor{mode=\"hybrid\"} 1.375"));
-        let json = render_json(&r);
-        assert!(json.contains("\"type\":\"gauge\",\"value\":1.375"));
-    }
-
-    #[test]
-    fn json_snapshot_is_parseable_shape() {
-        let json = render_json(&sample_registry());
-        assert!(json.starts_with('['));
-        assert!(json.trim_end().ends_with(']'));
-        assert!(json.contains("\"type\":\"counter\",\"value\":42"));
-        assert!(json.contains("\"type\":\"gauge\",\"value\":7"));
-        assert!(json.contains("\"type\":\"histogram\",\"count\":3,\"sum\":203"));
-        assert!(json.contains("\"p50\":"));
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Metrics substrate for the Cyclops reproduction: atomic counters and
-//! gauges, log-linear (HDR-style) histograms, and Prometheus/JSON
-//! exposition.
+//! gauges, log-linear (HDR-style) histograms, and Prometheus exposition.
 //!
 //! The paper's evaluation is built from per-superstep telemetry (Fig 10's
 //! phase breakdowns, Fig 10(2,3)'s active-vertex and message curves,
@@ -17,8 +16,8 @@
 //!   instrumented code resolves **once** at construction — when absent the
 //!   hot path pays a single `Option` check, the same discipline as the
 //!   superstep tracer.
-//! - [`render_prometheus`] / [`render_json`]: deterministic text
-//!   exposition for scraping or golden-file testing.
+//! - [`render_prometheus`]: deterministic text exposition for scraping or
+//!   golden-file testing.
 //! - [`sparkline`]: terminal-dashboard rendering used by `cyclops metrics`
 //!   and `cyclops top`.
 //! - [`CriticalPath`]: barrier-structured critical-path extraction with
@@ -53,7 +52,7 @@ mod topk;
 pub use critpath::{
     CpPhase, CriticalPath, PhaseSample, StragglerShare, SuperstepPath, WorkerAttribution,
 };
-pub use expo::{render_json, render_prometheus};
+pub use expo::render_prometheus;
 pub use flight::{
     flight, install_flight, FlightDump, FlightRecorder, FlightSpan, SpanEvent, SpanKind, SpanRing,
     DEFAULT_FLIGHT_CAPACITY,

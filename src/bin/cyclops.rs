@@ -56,7 +56,6 @@ struct Options {
     inbox: String,
     bucket_width: f64,
     bucket_auto: bool,
-    bucket_mode: String,
     replicate_threshold: u32,
     replicate_auto: bool,
     migrate_every: usize,
@@ -103,7 +102,6 @@ impl Default for Options {
             // 0 = bucketing off, keeping default traces/output unchanged.
             bucket_width: 0.0,
             bucket_auto: false,
-            bucket_mode: "det".into(),
             // 0 = full replication, keeping default runs/traces unchanged.
             replicate_threshold: 0,
             replicate_auto: false,
@@ -180,7 +178,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     parsed(flag, v)?
                 };
             }
-            "--bucket-mode" => opts.bucket_mode = value()?,
             "--replicate-threshold" => {
                 let v = value()?;
                 opts.replicate_auto = v == "auto";
@@ -220,12 +217,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         && (!opts.bucket_width.is_finite() || opts.bucket_width < 0.0 || opts.bucket_width > 1e18)
     {
         return Err("--bucket-width must be `auto` or a finite width in [0, 1e18]".into());
-    }
-    if !matches!(opts.bucket_mode.as_str(), "det" | "fast") {
-        return Err(format!(
-            "unknown bucket mode {}; expected det or fast",
-            opts.bucket_mode
-        ));
     }
     if !opts.skew.is_finite() || opts.skew < 0.0 || opts.skew >= 1.0 {
         return Err("--skew must be a fraction in [0, 1)".into());
@@ -721,10 +712,6 @@ fn run(opts: &Options) -> Result<(), String> {
         "sharded" => cyclops_net::InboxMode::Sharded,
         other => return Err(format!("unknown inbox mode {other} (global|sharded)")),
     };
-    let bucket_mode = match opts.bucket_mode.as_str() {
-        "fast" => cyclops_net::BucketMode::Fast,
-        _ => cyclops_net::BucketMode::Det,
-    };
     // The restrictions below are the ones with a reason in an engine; every
     // other execution flag reaches every command on every engine that has
     // the dial.
@@ -775,7 +762,6 @@ fn run(opts: &Options) -> Result<(), String> {
     // its superstep cap and what only its program knows.
     let cyclops_base = CyclopsConfig {
         cluster,
-        bucket_mode,
         ..Default::default()
     };
     let hama_base = BspConfig {
@@ -785,9 +771,8 @@ fn run(opts: &Options) -> Result<(), String> {
     };
     // Install the global metrics registry *before* the engines construct
     // their transports/barriers, so instrumentation handles resolve.
-    if opts.prom.is_some() || opts.listen.is_some() {
-        cyclops::obs::install_global();
-    }
+    let registry =
+        (opts.prom.is_some() || opts.listen.is_some()).then(cyclops::obs::install_global);
     // Likewise the flight recorder: transports resolve their per-lane span
     // rings once, at construction.
     if opts.flight {
@@ -795,15 +780,14 @@ fn run(opts: &Options) -> Result<(), String> {
     }
     // The scrape endpoint serves the live registry for the whole run; the
     // server thread shuts down when `server` drops at the end of `run`.
-    let server = match &opts.listen {
-        Some(addr) => {
-            let reg = cyclops::obs::global().expect("registry installed above");
+    let server = match (&opts.listen, registry) {
+        (Some(addr), Some(reg)) => {
             let srv = cyclops::obs::MetricsServer::start(addr.as_str(), reg)
                 .map_err(|e| format!("listening on {addr}: {e}"))?;
             println!("metrics listening on http://{}/metrics", srv.addr());
             Some(srv)
         }
-        None => None,
+        _ => None,
     };
     if (opts.source as usize) >= g.num_vertices() && matches!(opts.command.as_str(), "sssp" | "bfs")
     {
@@ -844,7 +828,7 @@ fn run(opts: &Options) -> Result<(), String> {
                 .enumerate()
                 .map(|(v, &r)| (v as u32, r))
                 .collect();
-            ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
+            ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
             for (v, r) in ranked.iter().take(opts.top) {
                 println!("  {v} {r:.6e}");
             }
@@ -1003,8 +987,7 @@ fn run(opts: &Options) -> Result<(), String> {
         }
         other => return Err(format!("unknown command {other}; try `cyclops help`")),
     }
-    if let Some(path) = &opts.prom {
-        let reg = cyclops::obs::global().expect("registry installed above");
+    if let (Some(path), Some(reg)) = (&opts.prom, registry) {
         std::fs::write(path, cyclops::obs::render_prometheus(reg))
             .map_err(|e| format!("writing {path}: {e}"))?;
         println!("metrics exposition written to {path}");
@@ -1032,9 +1015,6 @@ execution:   --engine cyclops|hama  --machines M --workers W
              single barrier (auto = 8x mean edge weight for sssp, one
              hop ring for bfs; default 0 = off; results bitwise
              identical)
-             --bucket-mode det|fast  det (default) fixes the in-bucket
-             drain order for reproducible traces; fast keeps arrival
-             order
              --replicate-threshold N|auto  hybrid replication: boundary
              vertices with combined degree below N get no replica —
              their cross-worker edges receive direct messages instead
@@ -1106,7 +1086,7 @@ tracing:     --trace FILE (every run command, both engines): every record
 examples:
   cyclops pagerank --dataset GWeb --scale 0.2 --machines 3 --workers 2
   cyclops sssp --dataset RoadCA --source 5 --partitioner metis
-  cyclops sssp --dataset RoadCA --bucket-width auto --bucket-mode det
+  cyclops sssp --dataset RoadCA --bucket-width auto
   cyclops pagerank --dataset GWeb --replicate-threshold auto
   cyclops pagerank --dataset GWeb --skew 0.6 --migrate auto
   cyclops gen --dataset Wiki --scale 0.1 --output wiki.txt
@@ -1212,26 +1192,19 @@ mod tests {
         let o = parse_args(&args("sssp --dataset RoadCA")).unwrap();
         assert_eq!(o.bucket_width, 0.0);
         assert!(!o.bucket_auto);
-        assert_eq!(o.bucket_mode, "det");
         let o = parse_args(&args("sssp --dataset RoadCA --bucket-width 2.5")).unwrap();
         assert_eq!(o.bucket_width, 2.5);
         assert!(!o.bucket_auto);
         let o = parse_args(&args("sssp --dataset RoadCA --bucket-width auto")).unwrap();
         assert!(o.bucket_auto);
         assert_eq!(o.bucket_width, 0.0);
-        let o = parse_args(&args(
-            "sssp --dataset RoadCA --bucket-width 1 --bucket-mode fast",
-        ))
-        .unwrap();
-        assert_eq!(o.bucket_mode, "fast");
-        // Rejections: NaN, negative, non-finite, absurd, junk, bad mode.
+        // Rejections: NaN, negative, non-finite, absurd, junk, missing.
         assert!(parse_args(&args("sssp --bucket-width NaN")).is_err());
         assert!(parse_args(&args("sssp --bucket-width -2")).is_err());
         assert!(parse_args(&args("sssp --bucket-width inf")).is_err());
         assert!(parse_args(&args("sssp --bucket-width 1e19")).is_err());
         assert!(parse_args(&args("sssp --bucket-width nope")).is_err());
         assert!(parse_args(&args("sssp --bucket-width")).is_err());
-        assert!(parse_args(&args("sssp --bucket-width 1 --bucket-mode greedy")).is_err());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! * [`algos`] — PageRank, ALS, community detection, and SSSP for all three
 //!   engines,
 //! * [`obs`] — the metrics/observability layer: log-linear latency
-//!   histograms, Prometheus/JSON exposition, one trace summary folded in
+//!   histograms, Prometheus exposition, one trace summary folded in
 //!   one pass and the reports that render it (`cyclops metrics`, `top`,
 //!   `why-slow`, `comm`, `timeline`, `mem`), and live trace following
 //!   (`cyclops top`).

@@ -14,7 +14,7 @@
 //! so quantiles here and quantiles from the in-process registry agree.
 
 pub use cyclops_obs::{
-    flight, global, install_flight, install_global, mem, render_json, render_prometheus, sparkline,
+    flight, global, install_flight, install_global, mem, render_prometheus, sparkline,
     sparkline_last, Component, Counter, CpPhase, CriticalPath, FlightDump, FlightRecorder, Gauge,
     HistogramSnapshot, LogLinearHistogram, MemAlloc, MetricsRegistry, MetricsServer, PhaseSample,
     SpaceSaving, NUM_COMPONENTS,

@@ -437,17 +437,6 @@ fn invalid_bucket_width_fails_with_nonzero_exit() {
             "--bucket-width {width}: unexpected diagnostic {stderr:?}"
         );
     }
-    let (ok, _, stderr) = cyclops(&[
-        "sssp",
-        "--dataset",
-        "RoadCA",
-        "--bucket-width",
-        "1",
-        "--bucket-mode",
-        "greedy",
-    ]);
-    assert!(!ok);
-    assert!(stderr.contains("unknown bucket mode greedy"), "{stderr}");
 }
 
 #[test]
@@ -477,30 +466,26 @@ fn bucketed_sssp_matches_classic_distances_with_fewer_supersteps() {
     assert!(ok, "classic: {stderr}");
     let classic_steps = supersteps(&stdout);
 
-    for mode in ["det", "fast"] {
-        let file = temp_path(&format!("bucketed-dist-{mode}.txt"));
-        let (ok, stdout, stderr) = cyclops(&[
-            "sssp",
-            "--input",
-            graph_file.to_str().unwrap(),
-            "--bucket-width",
-            "auto",
-            "--bucket-mode",
-            mode,
-            "--output",
-            file.to_str().unwrap(),
-        ]);
-        assert!(ok, "bucketed {mode}: {stderr}");
-        assert!(
-            supersteps(&stdout) < classic_steps,
-            "bucketing must cut supersteps: {stdout} vs {classic_steps}"
-        );
-        assert_eq!(
-            std::fs::read_to_string(&classic_file).unwrap(),
-            std::fs::read_to_string(&file).unwrap(),
-            "bucketed {mode} distances must be byte-identical to classic"
-        );
-    }
+    let file = temp_path("bucketed-dist.txt");
+    let (ok, stdout, stderr) = cyclops(&[
+        "sssp",
+        "--input",
+        graph_file.to_str().unwrap(),
+        "--bucket-width",
+        "auto",
+        "--output",
+        file.to_str().unwrap(),
+    ]);
+    assert!(ok, "bucketed: {stderr}");
+    assert!(
+        supersteps(&stdout) < classic_steps,
+        "bucketing must cut supersteps: {stdout} vs {classic_steps}"
+    );
+    assert_eq!(
+        std::fs::read_to_string(&classic_file).unwrap(),
+        std::fs::read_to_string(&file).unwrap(),
+        "bucketed distances must be byte-identical to classic"
+    );
 }
 
 #[test]

@@ -418,12 +418,11 @@ fn comm_matrix_is_identical_across_thread_counts() {
     for threads in [1usize, 3] {
         let cluster = ClusterSpec::mt(2, threads, 1);
         let sink = TraceSink::new("cyclops", &cluster);
-        // The auto width, retuned by the engine; det drain order.
+        // The auto width, retuned by the engine.
         let config = CyclopsConfig {
             cluster,
             max_supersteps: 100_000,
             bucket_width: auto_bucket_width(&g),
-            bucket_mode: cyclops_net::BucketMode::Det,
             bucket_adapt: true,
             ..Default::default()
         };
@@ -435,12 +434,12 @@ fn comm_matrix_is_identical_across_thread_counts() {
                 assert_eq!(
                     diff::first_divergence(b, &trace, false),
                     None,
-                    "bucketed det diverged at {threads} threads"
+                    "bucketed run diverged at {threads} threads"
                 );
                 assert_eq!(
                     comm_of(b),
                     comm_of(&trace),
-                    "comm matrix differs at {threads} threads (bucket-mode det)"
+                    "comm matrix differs at {threads} threads (bucketed)"
                 );
             }
         }
