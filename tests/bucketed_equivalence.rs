@@ -4,14 +4,14 @@
 //! sums, so *any* drain order reaches the same fixpoint with bitwise
 //! identical distances. These tests pin that property on random weighted
 //! graphs across both bucketed engine shapes (flat Cyclops and CyclopsMT)
-//! against the barrier-per-superstep oracle, and pin the det bucket mode's
-//! trace against itself across thread counts.
+//! against the barrier-per-superstep oracle, and pin the bucketed run's
+//! trace against itself across thread counts. The same promise over every
+//! other engine dial is drawn by `tests/settings_oracle.rs`.
 
 use cyclops::prelude::*;
 use cyclops_algos::sssp::{auto_bucket_width, CyclopsSssp};
 use cyclops_engine::run_cyclops_traced;
 use cyclops_net::trace::{diff, read_jsonl, RunTrace, TraceSink};
-use cyclops_net::BucketMode;
 use proptest::prelude::*;
 
 const SOURCE: CyclopsSssp = CyclopsSssp { source: 0 };
@@ -28,14 +28,13 @@ fn per_hop(cluster: ClusterSpec, replicate_threshold: u32) -> CyclopsConfig {
 
 /// [`per_hop`] on the bucketed scheduler; width 0.0 is `auto`: seeded from
 /// the mean edge weight, then retuned by the engine.
-fn bucketed(g: &Graph, width: f64, bucket_mode: BucketMode, base: CyclopsConfig) -> CyclopsConfig {
+fn bucketed(g: &Graph, width: f64, base: CyclopsConfig) -> CyclopsConfig {
     CyclopsConfig {
         bucket_width: if width > 0.0 {
             width
         } else {
             auto_bucket_width(g)
         },
-        bucket_mode,
         bucket_adapt: width <= 0.0,
         ..base
     }
@@ -66,9 +65,9 @@ fn arb_graph_and_width() -> impl Strategy<Value = (Graph, f64)> {
 
 proptest! {
     /// Bucketed SSSP distances are bitwise equal to the unbucketed
-    /// barrier-per-superstep run on flat Cyclops and CyclopsMT, in both det
-    /// and fast mode, for arbitrary graphs and bucket widths, at every
-    /// hybrid-replication threshold.
+    /// barrier-per-superstep run on flat Cyclops and CyclopsMT, for
+    /// arbitrary graphs and bucket widths, at every hybrid-replication
+    /// threshold.
     #[test]
     fn bucketed_sssp_matches_barrier_per_superstep((g, width) in arb_graph_and_width()) {
         let p = HashPartitioner.partition(&g, 3);
@@ -79,29 +78,27 @@ proptest! {
         // messages the whole boundary, so every cross-worker publication of
         // the settle travels as a direct message.
         for threshold in [0, 2, u32::MAX] {
-            let run = |cluster, mode| {
-                run_cyclops(&SOURCE, &g, &p, &bucketed(&g, width, mode, per_hop(cluster, threshold)))
+            let run = |cluster| {
+                run_cyclops(&SOURCE, &g, &p, &bucketed(&g, width, per_hop(cluster, threshold)))
             };
-            let flat_det = run(flat, BucketMode::Det);
-            prop_assert_eq!(&oracle.values, &flat_det.values, "flat det, t={}", threshold);
-            let flat_fast = run(flat, BucketMode::Fast);
-            prop_assert_eq!(&oracle.values, &flat_fast.values, "flat fast, t={}", threshold);
-            let mt = run(ClusterSpec::mt(3, 2, 2), BucketMode::Det);
-            prop_assert_eq!(&oracle.values, &mt.values, "cyclops-mt det, t={}", threshold);
+            let flat_run = run(flat);
+            prop_assert_eq!(&oracle.values, &flat_run.values, "flat, t={}", threshold);
+            let mt = run(ClusterSpec::mt(3, 2, 2));
+            prop_assert_eq!(&oracle.values, &mt.values, "cyclops-mt, t={}", threshold);
 
             // The direct path is really taken: whenever the barrier-per-hop
             // run at this threshold sends direct messages, so does each
             // settle (fusing rounds dedups messages, it never drops a path).
             let hop = run_cyclops(&SOURCE, &g, &p, &per_hop(flat, threshold));
             prop_assert_eq!(&oracle.values, &hop.values, "per-hop, t={}", threshold);
-            for r in [&flat_det, &flat_fast, &mt] {
+            for r in [&flat_run, &mt] {
                 prop_assert_eq!(r.direct_messages > 0, hop.direct_messages > 0, "t={}", threshold);
             }
         }
     }
 }
 
-/// Det bucket mode fixes the in-bucket drain order, so the full trace —
+/// The bucketed drain fixes the in-bucket order, so the full trace —
 /// counters and per-publication value digests — is identical whatever the
 /// per-worker thread count.
 #[test]
@@ -118,7 +115,7 @@ fn det_bucket_trace_is_stable_across_thread_counts() {
         let path = path.to_str().unwrap();
         let sink = TraceSink::create("cyclops", &cluster, path, true).unwrap();
         // Width 0.0: auto.
-        let config = bucketed(&g, 0.0, BucketMode::Det, per_hop(cluster, 0));
+        let config = bucketed(&g, 0.0, per_hop(cluster, 0));
         let r = run_cyclops_traced(&SOURCE, &g, &p, &config, Some(&sink));
         sink.finish().unwrap();
         (r, read_jsonl(path).unwrap())

@@ -197,6 +197,35 @@ fn als_engines_match_reference_on_syn_gl() {
 }
 
 #[test]
+fn cyclops_mt_configs_agree_with_flat() {
+    // The same partition computed by wildly different thread/receiver
+    // configurations must produce identical results.
+    let g = Dataset::GWeb.generate_scaled(0.03, 6);
+    let p = HashPartitioner.partition(&g, 4);
+    let pagerank = CyclopsPageRank { epsilon: 0.0 };
+    let base = run_cyclops(
+        &pagerank,
+        &g,
+        &p,
+        &cyclops_config(ClusterSpec::flat(4, 1), 20),
+    );
+    for spec in [
+        ClusterSpec::mt(4, 2, 1),
+        ClusterSpec::mt(4, 4, 2),
+        ClusterSpec::mt(4, 4, 4),
+        ClusterSpec {
+            machines: 2,
+            workers_per_machine: 2,
+            threads_per_worker: 3,
+            receivers_per_worker: 2,
+        },
+    ] {
+        let r = run_cyclops(&pagerank, &g, &p, &cyclops_config(spec, 20));
+        assert_eq!(r.values, base.values, "config {spec}");
+    }
+}
+
+#[test]
 fn network_model_changes_time_not_results() {
     let g = Dataset::Amazon.generate_scaled(0.05, 9);
     let cluster = ClusterSpec::flat(3, 1);

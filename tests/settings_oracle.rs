@@ -32,33 +32,28 @@
 //! -- --ignored`). `tests/engine_oracle.rs` pins runs across commits; this
 //! pins them across settings.
 //!
-//! It replaces these hand-written tests, each assertion carried as named:
-//! - `bucketed_equivalence.rs`: `bucketed_sssp_matches_barrier_per_superstep`
-//!   (1 for bucketed sssp at thresholds 0 / 2 / `u32::MAX`, 4 for its direct
-//!   path), `det_bucket_trace_is_stable_across_thread_counts` (3).
-//! - `migration.rs`: `migrated_{pagerank,sssp}_matches_static_across_topologies`
-//!   (1 and 2 for migration every 4 or 8 on the 60 % cut, 3 across thread
-//!   counts, the coverage guard for "skew must trigger moves").
-//! - `hybrid_replication.rs`: `{pagerank,sssp,cc}_hybrid_matches_full_replication_*`
-//!   (1, 2 and 4 at thresholds 2 / 8 / auto),
-//!   `hybrid_dynamic_sched_trace_is_stable_across_thread_counts` (3, which
-//!   compares the direct-message and byte counters), and
-//!   `every_program_is_threshold_invariant` (1, 2 and 4 for all eight
-//!   programs).
-//! - `determinism_and_faults.rs`: `cyclops_runs_are_bitwise_deterministic`
-//!   and `sssp_deterministic_across_thread_counts` (1 and 3),
-//!   `cyclops_crash_recovery_from_every_checkpoint` (5, bitwise instead of
-//!   within 1e-12).
-//! - `cross_engine.rs`: `cyclops_mt_configs_agree_with_flat` (1 over the
-//!   split, threads and receivers).
-//! - `cyclops-engine` unit tests: `hybrid_thresholds_match_full_replication_{classic,bucketed}`
-//!   (1, 2 and 4; the coverage guard for direct messages),
-//!   `{bucketed,adaptive_bucketed}_runs_agree_across_cluster_shapes` (1 and
-//!   3; the superstep count across worker counts moved into the kept
-//!   `adaptive_bucketed_sssp_matches_classic_bitwise`),
-//!   `{,bucketed_}checkpoint_resume_matches_full_run` (5), and
-//!   `flat_and_mt_agree` (values across worker counts, still asserted by the
-//!   kept `mt_reduces_replicas_and_messages`).
+//! It draws over every dial what these hand-written tests pin at fixed
+//! points, which stay as named regressions:
+//! - `bucketed_equivalence.rs`: bucketed sssp at thresholds 0 / 2 /
+//!   `u32::MAX` (checks 1 and 4) and its trace across thread counts (3).
+//! - `migration.rs`: migration every 4 or 8 on the 60 % cut (1, 2 and 3).
+//! - `hybrid_replication.rs`: pagerank, sssp and cc at thresholds 2 / 8 /
+//!   auto (1, 2 and 4), the hybrid trace across thread counts (3), and all
+//!   eight programs at thresholds 2 / `u32::MAX` (1, 2 and 4).
+//! - `determinism_and_faults.rs`: repeated and multi-threaded runs (1 and
+//!   3) and a resume from every checkpoint (5).
+//! - `cross_engine.rs`: the machines × workers split, threads and receivers
+//!   against the flat run (1).
+//!
+//! The `cyclops-engine` unit tests it replaces:
+//! `hybrid_thresholds_match_full_replication_{classic,bucketed}` (1, 2 and
+//! 4; the coverage guard for direct messages),
+//! `{bucketed,adaptive_bucketed}_runs_agree_across_cluster_shapes` (1 and 3;
+//! the superstep count across worker counts moved into the kept
+//! `adaptive_bucketed_sssp_matches_classic_bitwise`),
+//! `{,bucketed_}checkpoint_resume_matches_full_run` (5), and
+//! `flat_and_mt_agree` (values across worker counts, still asserted by the
+//! kept `mt_reduces_replicas_and_messages`).
 
 use cyclops::prelude::*;
 use cyclops_algos::als::{AlsParams, CyclopsAls};
