@@ -22,7 +22,7 @@ use crate::checkpoint::Checkpoint;
 use crate::program::{BspContext, BspProgram};
 use cyclops_graph::{Graph, VertexId};
 use cyclops_net::metrics::CounterSnapshot;
-use cyclops_net::trace::{digest_bytes, SpaceSaving, TraceSink};
+use cyclops_net::trace::{digest_bytes, SpaceSaving, TraceRecord, TraceSink};
 use cyclops_net::{
     AggregateStats, ClusterSpec, FlatBarrier, InboxMode, Phase, PhaseHists, PhaseTimes, SchedObs,
     SuperstepStats, Transport, WorkerTracer,
@@ -520,11 +520,10 @@ impl<'r, P: BspProgram> Worker<'r, P> {
         halted
     }
 
-    /// Closes the CMP pass `begun` opened, `[received, computed, activated]`
-    /// being the arrivals it followed, the vertices it computed and those of
-    /// them still un-halted: its time joins the imbalance histogram's input,
-    /// its aggregate contributions the run's, its counts the tracer's.
-    fn end_compute(&mut self, begun: (Option<u64>, Instant), superstep: usize, counts: [usize; 3]) {
+    /// Closes the CMP pass `begun` opened, which followed `received`
+    /// arrivals: its time joins the imbalance histogram's input, its
+    /// aggregate contributions the run's, the arrivals the tracer's.
+    fn end_compute(&mut self, begun: (Option<u64>, Instant), superstep: usize, received: usize) {
         self.times.add(Phase::Compute, begun.1.elapsed());
         self.span_end(begun.0, SpanKind::Compute, [superstep as u64, 0, 0]);
         let cmp_ns = self.times.compute.as_nanos() as u64;
@@ -533,9 +532,7 @@ impl<'r, P: BspProgram> Worker<'r, P> {
             self.run.aggregate_acc.lock().merge(&self.agg);
         }
         if let Some(tr) = self.tracer {
-            tr.add_drained(counts[0] as u64);
-            tr.add_computed(counts[1] as u64);
-            tr.add_activated(counts[2] as u64);
+            tr.add_drained(received as u64);
         }
     }
 
@@ -593,10 +590,11 @@ impl<'r, P: BspProgram> Worker<'r, P> {
     }
 
     /// Closes this worker's superstep for the observers: the phase-latency
-    /// histograms, the trace record (its aggregate and hot sketch in slot 0
-    /// — BSP workers have one thread; `frontier` is the active-vertex count
-    /// entering compute), and the memory sample (no-op unless `--mem`).
-    fn commit_superstep(&mut self, superstep: usize, frontier: usize) {
+    /// histograms, the trace record (its hot sketch in slot 0 — BSP workers
+    /// have one thread; `computed` vertices were active entering compute
+    /// and `activated` of them stay un-halted), and the memory sample
+    /// (no-op unless `--mem`).
+    fn commit_superstep(&mut self, superstep: usize, computed: usize, activated: usize) {
         let times = std::mem::take(&mut self.times);
         let agg = std::mem::take(&mut self.agg);
         let checkpointed = std::mem::take(&mut self.checkpointed);
@@ -607,14 +605,21 @@ impl<'r, P: BspProgram> Worker<'r, P> {
             }
         }
         if let Some(tr) = self.tracer {
-            if !agg.is_empty() {
-                tr.set_thread_agg(0, agg);
-            }
             if let Some(hs) = self.hot.as_mut() {
                 tr.set_thread_hot(0, hs);
                 hs.clear();
             }
-            tr.commit(superstep, self.me, frontier, &times, checkpointed);
+            let record = TraceRecord {
+                superstep: superstep as u64,
+                worker: self.me as u64,
+                frontier: computed as u64,
+                computed: computed as u64,
+                activated: activated as u64,
+                checkpoint: checkpointed,
+                agg: (!agg.is_empty()).then_some(agg),
+                ..TraceRecord::default()
+            };
+            tr.commit(&times, record);
         }
         cyclops_obs::mem::sample(superstep as u64, self.me as u32);
     }
@@ -650,7 +655,7 @@ fn worker_loop<P: BspProgram>(run: &Run<'_, P>, mut wk: Worker<'_, P>) {
                 next_awake.push(li);
             }
         }
-        wk.end_compute(cmp, superstep, [received, computed, next_awake.len()]);
+        wk.end_compute(cmp, superstep, received);
         // The ascending compute walk rebuilt the un-halted set in order.
         std::mem::swap(&mut awake, &mut next_awake);
         run.active_total.fetch_add(computed, Ordering::Relaxed);
@@ -667,7 +672,7 @@ fn worker_loop<P: BspProgram>(run: &Run<'_, P>, mut wk: Worker<'_, P>) {
                 || superstep + 1 >= config.max_supersteps;
             run.stop.store(halt, Ordering::Release);
         });
-        wk.commit_superstep(superstep, computed);
+        wk.commit_superstep(superstep, computed, awake.len());
         if run.stop.load(Ordering::Acquire) {
             return;
         }

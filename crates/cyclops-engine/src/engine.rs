@@ -79,7 +79,7 @@ use crate::plan::{CyclopsPlan, WorkerPlan};
 use crate::program::{CyclopsContext, CyclopsProgram};
 use cyclops_graph::Graph;
 use cyclops_net::metrics::CounterSnapshot;
-use cyclops_net::trace::{digest_bytes, SpaceSaving, TraceSink};
+use cyclops_net::trace::{digest_bytes, SpaceSaving, TraceRecord, TraceSink};
 use cyclops_net::{
     AggregateStats, BucketMode, ClusterSpec, Codec, DisjointSlots, HierarchicalBarrier, InboxMode,
     Phase, PhaseHists, PhaseTimes, ReplicaUpdate, SchedObs, SuperstepStats, Transport, WireMode,
@@ -993,17 +993,18 @@ impl<'r, P: CyclopsProgram> Worker<'r, P> {
 
     /// Closes this worker's superstep for the observers: phase-latency
     /// histograms, the trace record (the worker's reduced partial `part`,
-    /// its aggregate in slot 0 — commit reset every slot last superstep),
-    /// and the memory sample (no-op unless `--mem` armed the tracking
-    /// allocator; lands in `{"mem":…}` JSONL lines outside the trace-diff
-    /// contract). One caller per worker, after all its streams finished.
+    /// whether the superstep opened with a checkpoint and, from the settle,
+    /// the `(bucket, fused, occupancy)` triple), and the memory sample
+    /// (no-op unless `--mem` armed the tracking allocator; lands in
+    /// `{"mem":…}` JSONL lines outside the trace-diff contract). One caller
+    /// per worker, after all its streams finished.
     fn commit_superstep(
         &self,
         superstep: usize,
         frontier: usize,
         times: &PhaseTimes,
         part: &ChunkPartial,
-        checkpoint: bool,
+        bucket: Option<(u64, u64, u64)>,
     ) {
         if let Some(ph) = &self.run.phase_hists {
             ph.record(times);
@@ -1012,14 +1013,23 @@ impl<'r, P: CyclopsProgram> Worker<'r, P> {
             }
         }
         if let Some(tr) = self.tr {
-            tr.add_computed(part.computed as u64);
-            tr.add_direct(part.direct as u64);
-            tr.add_converged_delta(part.conv_delta as i64);
-            tr.add_activated(part.next_active as u64);
-            if !part.agg.is_empty() {
-                tr.set_thread_agg(0, part.agg);
-            }
-            tr.commit(superstep, self.w, frontier, times, checkpoint);
+            let (bucket, fused, bucket_occupancy) = bucket.unwrap_or_default();
+            let record = TraceRecord {
+                superstep: superstep as u64,
+                worker: self.w as u64,
+                frontier: frontier as u64,
+                computed: part.computed as u64,
+                activated: part.next_active as u64,
+                converged_delta: part.conv_delta as i64,
+                direct_messages: part.direct as u64,
+                checkpoint: self.run.checkpoint_due(superstep),
+                agg: (!part.agg.is_empty()).then_some(part.agg),
+                bucket,
+                fused,
+                bucket_occupancy,
+                ..TraceRecord::default()
+            };
+            tr.commit(times, record);
         }
         cyclops_obs::mem::sample(superstep as u64, self.w as u32);
     }
@@ -1299,7 +1309,7 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
             let final_sync = sync_start.elapsed();
             run.current.lock().phase_times.add(Phase::Sync, final_sync);
             times.add(Phase::Sync, final_sync);
-            wk.commit_superstep(superstep, frontier_len, &times, &reduced, checkpoint_now);
+            wk.commit_superstep(superstep, frontier_len, &times, &reduced, None);
         }
         if run.stop.load(Ordering::Acquire) {
             return;
@@ -1580,8 +1590,7 @@ fn settle_bucket<P: CyclopsProgram>(
     // per-barrier loop captures. Parked priorities are not stored; a resume
     // reactivates the parked set as immediately due, costing at most one
     // extra (idempotent) relaxation.
-    let checkpoint_now = run.checkpoint_due(superstep);
-    if checkpoint_now {
+    if run.checkpoint_due(superstep) {
         for (w, marked) in sched.parked.marked.iter().enumerate() {
             run.worker(w)
                 .capture_checkpoint(superstep, agg_in, |li| marked[li]);
@@ -1696,12 +1705,10 @@ fn settle_bucket<P: CyclopsProgram>(
     // memory) on every worker's behalf.
     for (w, acc) in sched.accs.iter_mut().enumerate() {
         let wk = run.worker(w);
-        if let Some(tr) = wk.tr {
-            tr.set_bucket(bucket, rounds.max(1), occupancy[w]);
-        }
         wk.trace_hot(0, acc);
         let frontier = occupancy[w] as usize;
-        wk.commit_superstep(superstep, frontier, &times[w], &acc.part, checkpoint_now);
+        let triple = Some((bucket, rounds.max(1), occupancy[w]));
+        wk.commit_superstep(superstep, frontier, &times[w], &acc.part, triple);
         acc.part = ChunkPartial::default(); // the next superstep starts clean
     }
 

@@ -33,7 +33,7 @@
 use super::WorkerPlan;
 use cyclops_graph::{Graph, VertexId, INVALID_VERTEX};
 use cyclops_obs::mem::{Component, MemScope};
-use std::sync::Mutex;
+use parking_lot::Mutex;
 
 /// An empty vector with room for exactly `len` elements, allocated under
 /// `component`'s scope so the memory ledger attributes it without a
@@ -169,7 +169,8 @@ pub(crate) fn load_masters(owner: &[u32], local_of: &mut [u32], workers: &mut [W
 /// Runs `f(w, job)` for every job `w` of `jobs` (a worker's tables, or any
 /// per-worker item), on as many threads as the machine has cores, the
 /// calling one included (each takes the next unclaimed job), and returns
-/// the results in job order.
+/// the results in job order. A job that panics panics the caller with its
+/// own payload, once the other threads have finished.
 pub(crate) fn par_workers<T: Send, R: Send>(
     jobs: impl ExactSizeIterator<Item = T> + Send,
     f: impl Fn(usize, T) -> R + Sync,
@@ -184,7 +185,7 @@ pub(crate) fn par_workers<T: Send, R: Send>(
     let work = || {
         let mut mine = Vec::new();
         loop {
-            let next = queue.lock().expect("a plan build thread panicked").next();
+            let next = queue.lock().next();
             let Some((w, wp)) = next else { break };
             mine.push((w, f(w, wp)));
         }
@@ -194,7 +195,10 @@ pub(crate) fn par_workers<T: Send, R: Send>(
         let handles: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
         let mut done = work();
         for handle in handles {
-            done.extend(handle.join().expect("a plan build thread panicked"));
+            match handle.join() {
+                Ok(theirs) => done.extend(theirs),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
         }
         done
     });

@@ -21,7 +21,7 @@ use crate::program::GasProgram;
 use bytes::{Buf, BufMut, BytesMut};
 use cyclops_graph::{Graph, VertexId};
 use cyclops_net::metrics::{CounterSnapshot, PhaseHists, SchedObs};
-use cyclops_net::trace::{digest_bytes, SpaceSaving, TraceSink};
+use cyclops_net::trace::{digest_bytes, SpaceSaving, TraceRecord, TraceSink};
 use cyclops_net::{
     ClusterSpec, Codec, FlatBarrier, InboxMode, Phase, PhaseTimes, SuperstepStats, Transport,
     WorkerTracer,
@@ -364,8 +364,9 @@ impl<'r, P: GasProgram> Run<'r, P> {
 impl<'r, P: GasProgram> Worker<'r, P> {
     /// Closes this worker's superstep for the observers: the phase-latency
     /// histograms, the trace record (its hot sketch in slot 0 — GAS workers
-    /// have one thread), and the memory sample (no-op unless `--mem`).
-    fn commit_superstep(&mut self, superstep: usize, frontier: usize, times: &PhaseTimes) {
+    /// have one thread; `[frontier, computed, activated]` its counts), and
+    /// the memory sample (no-op unless `--mem`).
+    fn commit_superstep(&mut self, superstep: usize, counts: [usize; 3], times: &PhaseTimes) {
         if let Some(ph) = &self.run.phase_hists {
             ph.record(times);
             if self.me == 0 {
@@ -377,7 +378,16 @@ impl<'r, P: GasProgram> Worker<'r, P> {
                 tr.set_thread_hot(0, hs);
                 hs.clear();
             }
-            tr.commit(superstep, self.me, frontier, times, false);
+            let [frontier, computed, activated] = counts.map(|n| n as u64);
+            let record = TraceRecord {
+                superstep: superstep as u64,
+                worker: self.me as u64,
+                frontier,
+                computed,
+                activated,
+                ..TraceRecord::default()
+            };
+            tr.commit(times, record);
         }
         cyclops_obs::mem::sample(superstep as u64, self.me as u32);
     }
@@ -789,11 +799,10 @@ fn gas_worker<P: GasProgram>(run: &Run<'_, P>, mut wk: Worker<'_, P>) {
         times.add(Phase::Sync, sync_start.elapsed());
         if let Some(tr) = tracer {
             tr.add_drained(drained);
-            tr.add_computed(computed as u64);
-            tr.add_activated(locally_activated.len() as u64);
         }
         // The frontier is the active set entering the superstep.
-        wk.commit_superstep(superstep, my_active, &times);
+        let counts = [my_active, computed, locally_activated.len()];
+        wk.commit_superstep(superstep, counts, &times);
         superstep += 1;
     }
 }

@@ -3,10 +3,22 @@
 //! A [`TraceSink`] collects one [`TraceRecord`] per superstep × worker:
 //! phase durations, frontier size, computed / activated / converged counts,
 //! messages and bytes sent and drained, the worker's aggregate contribution,
-//! and checkpoint captures. Worker threads accumulate into relaxed
-//! per-worker atomics and only the worker leader commits a record, so the
-//! hot path takes no lock. When no sink is installed, engines skip every
-//! trace call — the observability layer costs nothing unless asked for.
+//! and checkpoint captures. Each column has one feeder:
+//!
+//! * the worker leader passes what it has already reduced to
+//!   [`WorkerTracer::commit`] — superstep, worker, frontier, computed,
+//!   activated, converged_delta, direct_messages, checkpoint, the aggregate
+//!   and the bucket / fused / occupancy triple;
+//! * the worker's threads add what several of them feed at once into its
+//!   [`WorkerTracer`] — drained (receivers), messages, bytes, wire batches
+//!   and the comm row (senders), publication digests and hot sketches
+//!   (compute threads) — in relaxed atomics and per-thread slots, so the
+//!   hot path takes no lock outside values mode;
+//! * the migration driver adds `migrated` between epochs;
+//! * commit sets the phase columns from the leader's [`PhaseTimes`].
+//!
+//! When no sink is installed, engines skip every trace call — the
+//! observability layer costs nothing unless asked for.
 //!
 //! A sink has one of two destinations, and every committed record reaches
 //! it. A **memory** sink ([`TraceSink::new`], [`TraceSink::with_values`])
@@ -36,11 +48,10 @@ use crate::metrics::{AggregateStats, HotObs, PhaseTimes};
 pub use cyclops_obs::SpaceSaving;
 pub use cyclops_obs::{FlightSpan, MemSample, SpanKind};
 use parking_lot::Mutex;
-use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::thread::JoinHandle;
 
@@ -126,8 +137,8 @@ pub struct TraceRecord {
     /// Distinct vertices this worker selected into the bucket across all
     /// fused rounds (bucketed runs only).
     pub bucket_occupancy: u64,
-    /// This worker's aggregate contribution, reduced over its threads in
-    /// thread order (deterministic, unlike the engines' global merge).
+    /// This worker's aggregate contribution, as its worker leader reduced it
+    /// (in a fixed order, so deterministic).
     pub agg: Option<AggregateStats>,
     /// `(vertex, digest)` publication digests, present only when the sink
     /// was created with [`TraceSink::with_values`]. Sorted by vertex.
@@ -190,12 +201,12 @@ enum Dest {
     },
 }
 
-/// Per-worker trace accumulator. Threads of the worker add into relaxed
-/// atomics; the worker leader alone commits records to the destination.
+/// Per-worker trace accumulator: the columns several threads of the worker
+/// feed at once (receivers drain, every thread sends, publishes and
+/// sketches), in relaxed atomics and per-thread slots, plus the migration
+/// driver's count between epochs. What the worker leader reduces itself it
+/// hands to [`WorkerTracer::commit`], the one writer of the destination.
 pub struct WorkerTracer {
-    computed: AtomicU64,
-    activated: AtomicU64,
-    converged_delta: AtomicI64,
     drained: AtomicU64,
     messages: AtomicU64,
     bytes: AtomicU64,
@@ -203,91 +214,49 @@ pub struct WorkerTracer {
     /// superstep.
     wire_dense: AtomicU64,
     wire_sparse: AtomicU64,
-    /// Direct messages sent this superstep (hybrid replication).
-    direct_messages: AtomicU64,
     /// Masters migrated onto this worker at the preceding epoch boundary.
     migrated: AtomicU64,
-    /// Bucketed-scheduler accounting for this superstep: fused relaxation
-    /// rounds, the bucket index drained, and distinct selected vertices.
-    fused: AtomicU64,
-    bucket: AtomicU64,
-    bucket_occupancy: AtomicU64,
     /// Per-destination traffic accumulators (the communication matrix row),
     /// one slot per worker in the cluster. Relaxed atomics like the rest:
     /// threads of the worker attribute sends concurrently, the leader
     /// drains at commit.
     comm: Vec<CommCell>,
-    /// Per-thread aggregate partials, reduced in thread order at commit so
-    /// the recorded aggregate is deterministic regardless of which thread
-    /// finishes first. One slot per thread: no cross-thread contention.
-    thread_aggs: Vec<Mutex<AggregateStats>>,
     /// Publication digests for the current superstep (values mode only;
     /// a short lock per publishing thread, acceptable for a diagnostic
     /// mode that already pays for hashing every publication).
     pubs: Mutex<Vec<(u32, u64)>>,
+    /// Compute threads of the worker: the hot-sketch slot count.
+    threads: usize,
     /// Per-thread hot-vertex sketches for the current superstep, merged in
-    /// thread order at commit (deterministic merge order, like
-    /// `thread_aggs`). Empty unless [`TraceSink::with_hot_k`] enabled it.
+    /// thread order at commit, so the merge order is deterministic. Empty
+    /// unless [`TraceSink::with_hot_k`] enabled it.
     thread_hot: Vec<Mutex<SpaceSaving>>,
     /// Sketch capacity; 0 disables hot-vertex capture.
     hot_k: usize,
     /// Resolved gauges for live hot-vertex exposition (None without a
     /// global registry).
     hot_obs: Option<HotObs>,
-    dest: UnsafeCell<Dest>,
+    /// Locked once per commit, by the worker leader, and after the run by
+    /// the sink's owner: never contended.
+    dest: Mutex<Dest>,
 }
-
-// SAFETY: the destination is written only by the worker-leader thread
-// (commit) and read only after the run's threads have joined (take_records
-// and the close, on an exclusive TraceSink) — the same single-writer
-// discipline DisjointSlots relies on.
-unsafe impl Sync for WorkerTracer {}
 
 impl WorkerTracer {
     fn new(threads: usize, workers: usize, dest: Dest) -> Self {
         WorkerTracer {
-            computed: AtomicU64::new(0),
-            activated: AtomicU64::new(0),
-            converged_delta: AtomicI64::new(0),
             drained: AtomicU64::new(0),
             messages: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
             wire_dense: AtomicU64::new(0),
             wire_sparse: AtomicU64::new(0),
-            direct_messages: AtomicU64::new(0),
             migrated: AtomicU64::new(0),
-            fused: AtomicU64::new(0),
-            bucket: AtomicU64::new(0),
-            bucket_occupancy: AtomicU64::new(0),
             comm: (0..workers).map(|_| CommCell::default()).collect(),
-            thread_aggs: (0..threads.max(1))
-                .map(|_| Mutex::new(AggregateStats::default()))
-                .collect(),
             pubs: Mutex::new(Vec::new()),
+            threads: threads.max(1),
             thread_hot: Vec::new(),
             hot_k: 0,
             hot_obs: None,
-            dest: UnsafeCell::new(dest),
-        }
-    }
-
-    /// Adds vertices computed by the calling thread this superstep.
-    #[inline]
-    pub fn add_computed(&self, n: u64) {
-        self.computed.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Adds local activations produced for the next superstep.
-    #[inline]
-    pub fn add_activated(&self, n: u64) {
-        self.activated.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Adds the calling thread's net converged-count change.
-    #[inline]
-    pub fn add_converged_delta(&self, d: i64) {
-        if d != 0 {
-            self.converged_delta.fetch_add(d, Ordering::Relaxed);
+            dest: Mutex::new(dest),
         }
     }
 
@@ -323,17 +292,6 @@ impl WorkerTracer {
         }
     }
 
-    /// Adds direct messages this worker queued this superstep (hybrid
-    /// replication's cold-vertex path). They are a subset of what
-    /// [`WorkerTracer::add_sent_to`] counts; this only feeds the separate
-    /// `direct_messages` record column.
-    #[inline]
-    pub fn add_direct(&self, messages: u64) {
-        if messages > 0 {
-            self.direct_messages.fetch_add(messages, Ordering::Relaxed);
-        }
-    }
-
     /// Adds masters migrated onto this worker at the epoch boundary that
     /// precedes the superstep being accumulated (the migration driver calls
     /// this between epochs; the count lands on the resumed epoch's first
@@ -364,23 +322,6 @@ impl WorkerTracer {
         }
     }
 
-    /// Records the bucketed scheduler's accounting for this superstep: the
-    /// bucket index being drained, how many relaxation rounds were fused
-    /// into the one global barrier, and how many distinct vertices this
-    /// worker selected into the bucket. `fused >= 1` on any bucketed
-    /// superstep; non-bucketed supersteps never call this.
-    #[inline]
-    pub fn set_bucket(&self, bucket: u64, fused: u64, occupancy: u64) {
-        self.bucket.store(bucket, Ordering::Relaxed);
-        self.fused.store(fused, Ordering::Relaxed);
-        self.bucket_occupancy.store(occupancy, Ordering::Relaxed);
-    }
-
-    /// Stores thread `t`'s aggregate partial for this superstep.
-    pub fn set_thread_agg(&self, t: usize, agg: AggregateStats) {
-        *self.thread_aggs[t].lock() = agg;
-    }
-
     /// Records one publication digest (values mode).
     pub fn record_publication(&self, vertex: u32, digest: u64) {
         self.pubs.lock().push((vertex, digest));
@@ -396,24 +337,15 @@ impl WorkerTracer {
         }
     }
 
-    /// Commits the accumulated superstep to the destination and resets the
-    /// accumulators. Must be called by exactly one thread per worker (the
-    /// worker leader), after this worker's threads have published their
-    /// counts for the superstep.
-    pub fn commit(
-        &self,
-        superstep: usize,
-        worker: usize,
-        frontier: usize,
-        times: &PhaseTimes,
-        checkpoint: bool,
-    ) {
-        let mut agg = AggregateStats::default();
-        for slot in &self.thread_aggs {
-            let mut s = slot.lock();
-            agg.merge(&s);
-            *s = AggregateStats::default();
-        }
+    /// Commits one superstep to the destination and resets the
+    /// accumulators. `record` carries what the worker leader reduced itself —
+    /// superstep, worker, frontier, computed, activated, converged_delta,
+    /// direct_messages, checkpoint, agg and, on a bucketed superstep, the
+    /// bucket / fused / occupancy triple; commit sets the phase columns from
+    /// `times` and every column this tracer accumulated. Called once per
+    /// worker and superstep, by the worker leader, after this worker's
+    /// threads have fed their counts.
+    pub fn commit(&self, times: &PhaseTimes, record: TraceRecord) {
         let mut pubs = std::mem::take(&mut *self.pubs.lock());
         pubs.sort_unstable();
         let hot = if self.hot_k > 0 {
@@ -455,36 +387,23 @@ impl WorkerTracer {
             })
             .collect();
         let record = TraceRecord {
-            superstep: superstep as u64,
-            worker: worker as u64,
             parse_ns: times.parse.as_nanos() as u64,
             compute_ns: times.compute.as_nanos() as u64,
             send_ns: times.send.as_nanos() as u64,
             sync_ns: times.sync.as_nanos() as u64,
-            frontier: frontier as u64,
-            computed: self.computed.swap(0, Ordering::Relaxed),
-            activated: self.activated.swap(0, Ordering::Relaxed),
-            converged_delta: self.converged_delta.swap(0, Ordering::Relaxed),
             drained: self.drained.swap(0, Ordering::Relaxed),
             messages: self.messages.swap(0, Ordering::Relaxed),
             bytes: self.bytes.swap(0, Ordering::Relaxed),
-            checkpoint,
-            sparse_fast_path: false,
             wire_dense: self.wire_dense.swap(0, Ordering::Relaxed),
             wire_sparse: self.wire_sparse.swap(0, Ordering::Relaxed),
-            direct_messages: self.direct_messages.swap(0, Ordering::Relaxed),
-            direct_bytes: 0,
             migrated: self.migrated.swap(0, Ordering::Relaxed),
-            fused: self.fused.swap(0, Ordering::Relaxed),
-            bucket: self.bucket.swap(0, Ordering::Relaxed),
-            bucket_occupancy: self.bucket_occupancy.swap(0, Ordering::Relaxed),
-            agg: if agg.is_empty() { None } else { Some(agg) },
             pubs,
             hot,
             comm,
+            ..record
         };
-        // SAFETY: single committer per worker (see the Sync impl above).
-        let (tx, backlog, deferred) = match unsafe { &mut *self.dest.get() } {
+        let mut dest = self.dest.lock();
+        let (tx, backlog, deferred) = match &mut *dest {
             Dest::Memory(kept) => return kept.push(record),
             Dest::File {
                 tx,
@@ -664,7 +583,7 @@ impl TraceSink {
         self.hot_k = k;
         for (w, tracer) in self.workers.iter_mut().enumerate() {
             tracer.hot_k = k;
-            tracer.thread_hot = (0..tracer.thread_aggs.len())
+            tracer.thread_hot = (0..tracer.threads)
                 .map(|_| Mutex::new(SpaceSaving::new(k)))
                 .collect();
             tracer.hot_obs = HotObs::resolve(&self.meta.engine, w, k);
@@ -731,7 +650,7 @@ impl TraceSink {
             summary.spans = dump.spans.len() as u64;
             summary.spans_dropped = dump.dropped;
             for s in dump.spans {
-                write_line(&mut f, &mut line, &TraceLine::Span(s.into()))?;
+                write_line(&mut f, &mut line, &TraceLine::Span(s))?;
             }
         }
         for s in cyclops_obs::mem::take_samples() {
@@ -923,65 +842,26 @@ impl TraceRecord {
     }
 }
 
-/// One flight-recorder span as stored in trace JSONL: span lines sit after
-/// the records (appended once the run's threads have joined and the rings
-/// are drained) and are keyed by a leading `"span"` field so record
-/// parsers and older traces are unaffected. Timestamps are wall-clock and
-/// inherently nondeterministic — spans are never part of the [`diff`]
-/// contract.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SpanRecord {
-    /// Worker id (Chrome `pid`).
-    pub worker: u32,
-    /// Thread id within the worker (Chrome `tid`).
-    pub thread: u32,
-    /// What the span measures.
-    pub kind: SpanKind,
-    /// Start, nanoseconds since the recorder's epoch.
-    pub start_ns: u64,
-    /// Duration in nanoseconds.
-    pub dur_ns: u64,
-    /// Kind-specific argument (see [`SpanKind`]).
-    pub a: u64,
-    /// Kind-specific argument.
-    pub b: u64,
-    /// Kind-specific argument.
-    pub c: u64,
-}
-
-impl From<FlightSpan> for SpanRecord {
-    fn from(s: FlightSpan) -> Self {
-        SpanRecord {
-            worker: s.worker,
-            thread: s.thread,
-            kind: s.event.kind,
-            start_ns: s.event.start_ns,
-            dur_ns: s.event.dur_ns,
-            a: s.event.a,
-            b: s.event.b,
-            c: s.event.c,
-        }
-    }
-}
-
-impl SpanRecord {
-    /// Appends this span as a single JSON object (no trailing newline).
-    pub fn to_json(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        let _ = write!(
-            out,
-            "{{\"span\":\"{}\",\"worker\":{},\"thread\":{},\"start_ns\":{},\
-             \"dur_ns\":{},\"a\":{},\"b\":{},\"c\":{}}}",
-            self.kind.name(),
-            self.worker,
-            self.thread,
-            self.start_ns,
-            self.dur_ns,
-            self.a,
-            self.b,
-            self.c
-        );
-    }
+/// Appends a flight-recorder span as a single JSON object (no trailing
+/// newline). Span lines sit after the records, keyed by a leading `"span"`
+/// field so record parsers and older traces are unaffected. Timestamps are
+/// wall-clock and inherently nondeterministic — spans are never part of the
+/// [`diff`] contract.
+fn span_to_json(s: &FlightSpan, out: &mut String) {
+    use std::fmt::Write as _;
+    let _ = write!(
+        out,
+        "{{\"span\":\"{}\",\"worker\":{},\"thread\":{},\"start_ns\":{},\
+         \"dur_ns\":{},\"a\":{},\"b\":{},\"c\":{}}}",
+        s.kind.name(),
+        s.worker,
+        s.thread,
+        s.start_ns,
+        s.dur_ns,
+        s.a,
+        s.b,
+        s.c
+    );
 }
 
 /// Appends a memory sample as a single JSON object (no trailing newline).
@@ -1031,7 +911,7 @@ pub struct RunTrace {
     pub records: Vec<TraceRecord>,
     /// Flight-recorder spans, ordered by `(start_ns, worker, thread)`;
     /// empty unless the run recorded with `--flight`.
-    pub spans: Vec<SpanRecord>,
+    pub spans: Vec<FlightSpan>,
     /// Memory samples, ordered by `(superstep, worker)`; empty unless the
     /// run recorded with `--mem`. Like spans, never part of [`diff`].
     pub mem: Vec<MemSample>,
@@ -1092,7 +972,7 @@ pub enum TraceLine {
     /// One superstep on one worker.
     Record(TraceRecord),
     /// A flight-recorder span, appended after the records.
-    Span(SpanRecord),
+    Span(FlightSpan),
     /// A memory sample, appended after the spans. Byte counts are
     /// allocator-tracked and nondeterministic — never part of [`diff`].
     Mem(MemSample),
@@ -1117,7 +997,7 @@ impl TraceLine {
                 values: field(line, "values").is_some_and(|v| v.trim() == "true"),
             }),
             "superstep" => TraceLine::Record(parse_record(line)?),
-            "span" => TraceLine::Span(SpanRecord {
+            "span" => TraceLine::Span(FlightSpan {
                 kind: SpanKind::parse(&string_field(line, "span")?)?,
                 worker: num(line, "worker")?,
                 thread: num(line, "thread")?,
@@ -1144,7 +1024,7 @@ impl TraceLine {
         match self {
             TraceLine::Meta(m) => m.to_json(out),
             TraceLine::Record(r) => r.to_json(out),
-            TraceLine::Span(s) => s.to_json(out),
+            TraceLine::Span(s) => span_to_json(s, out),
             TraceLine::Mem(m) => mem_to_json(m, out),
         }
     }
@@ -1557,16 +1437,31 @@ mod tests {
         ClusterSpec::flat(1, 2)
     }
 
+    /// What a worker leader hands to `commit`, with its ids and frontier
+    /// set.
+    fn leader(superstep: usize, worker: usize, frontier: usize) -> TraceRecord {
+        TraceRecord {
+            superstep: superstep as u64,
+            worker: worker as u64,
+            frontier: frontier as u64,
+            ..Default::default()
+        }
+    }
+
     fn committed(sink: &TraceSink, w: usize, superstep: usize) {
         let t = sink.worker(w);
-        t.add_computed(10 + w as u64);
-        t.add_activated(5);
         t.add_drained(3);
         t.add_sent_to(1 - w, 4, 48);
         let mut agg = AggregateStats::default();
         agg.add(0.25 * (w + 1) as f64);
-        t.set_thread_agg(0, agg);
-        t.commit(superstep, w, 12, &PhaseTimes::default(), superstep == 2);
+        let record = TraceRecord {
+            computed: 10 + w as u64,
+            activated: 5,
+            checkpoint: superstep == 2,
+            agg: Some(agg),
+            ..leader(superstep, w, 12)
+        };
+        t.commit(&PhaseTimes::default(), record);
     }
 
     fn tmp(name: &str) -> String {
@@ -1605,15 +1500,20 @@ mod tests {
     #[test]
     fn accumulators_reset_between_commits() {
         let sink = TraceSink::new("bsp", &spec());
-        sink.worker(0).add_computed(5);
+        sink.worker(0).add_drained(5);
+        let record = TraceRecord {
+            computed: 5,
+            ..leader(0, 0, 5)
+        };
+        sink.worker(0).commit(&PhaseTimes::default(), record);
         sink.worker(0)
-            .commit(0, 0, 5, &PhaseTimes::default(), false);
-        sink.worker(0)
-            .commit(1, 0, 0, &PhaseTimes::default(), false);
+            .commit(&PhaseTimes::default(), leader(1, 0, 0));
         let mut sink = sink;
         let records = sink.take_records();
         assert_eq!(records[0].computed, 5);
         assert_eq!(records[1].computed, 0);
+        assert_eq!(records[0].drained, 5);
+        assert_eq!(records[1].drained, 0);
     }
 
     #[test]
@@ -1621,30 +1521,11 @@ mod tests {
         let mut sink = TraceSink::new("gas", &spec());
         for s in 0..5000 {
             sink.worker(0)
-                .commit(s, 0, 0, &PhaseTimes::default(), false);
+                .commit(&PhaseTimes::default(), leader(s, 0, 0));
         }
         let steps: Vec<u64> = sink.take_records().iter().map(|r| r.superstep).collect();
         assert_eq!(steps, (0..5000).collect::<Vec<u64>>());
         assert!(sink.take_records().is_empty(), "taken records are gone");
-    }
-
-    #[test]
-    fn thread_aggs_reduce_in_thread_order() {
-        let spec = ClusterSpec::mt(1, 3, 1);
-        let sink = TraceSink::new("cyclops", &spec);
-        for t in 0..3 {
-            let mut a = AggregateStats::default();
-            a.add(t as f64 + 1.0);
-            sink.worker(0).set_thread_agg(t, a);
-        }
-        sink.worker(0)
-            .commit(0, 0, 0, &PhaseTimes::default(), false);
-        let mut sink = sink;
-        let agg = sink.take_records()[0].agg.unwrap();
-        assert_eq!(agg.sum, 6.0);
-        assert_eq!(agg.count, 3);
-        assert_eq!(agg.min, 1.0);
-        assert_eq!(agg.max, 3.0);
     }
 
     #[test]
@@ -1946,7 +1827,7 @@ mod tests {
                 pubs: vec![(4, 99)],
                 ..Default::default()
             }),
-            TraceLine::Span(SpanRecord {
+            TraceLine::Span(FlightSpan {
                 worker: 1,
                 thread: 0,
                 kind: SpanKind::Barrier,
@@ -1995,10 +1876,10 @@ mod tests {
         sink.worker(0).set_thread_hot(0, &t0);
         sink.worker(0).set_thread_hot(1, &t1);
         sink.worker(0)
-            .commit(0, 0, 0, &PhaseTimes::default(), false);
+            .commit(&PhaseTimes::default(), leader(0, 0, 0));
         // Slots reset between supersteps.
         sink.worker(0)
-            .commit(1, 0, 0, &PhaseTimes::default(), false);
+            .commit(&PhaseTimes::default(), leader(1, 0, 0));
         let mut sink = sink;
         let records = sink.take_records();
         assert_eq!(records[0].hot, vec![(10, 130), (20, 70), (11, 5)]);
@@ -2021,7 +1902,7 @@ mod tests {
         // set_thread_hot without with_hot_k is a no-op, not a panic.
         sink.worker(0).set_thread_hot(0, &s);
         sink.worker(0)
-            .commit(0, 0, 0, &PhaseTimes::default(), false);
+            .commit(&PhaseTimes::default(), leader(0, 0, 0));
         let mut sink = sink;
         assert!(sink.take_records()[0].hot.is_empty());
     }
@@ -2031,10 +1912,10 @@ mod tests {
         let sink = TraceSink::new("cyclops", &spec());
         sink.worker(0).add_wire_batches(3, 2);
         sink.worker(0)
-            .commit(0, 0, 4, &PhaseTimes::default(), false);
+            .commit(&PhaseTimes::default(), leader(0, 0, 4));
         // Counts reset at commit.
         sink.worker(0)
-            .commit(1, 0, 0, &PhaseTimes::default(), false);
+            .commit(&PhaseTimes::default(), leader(1, 0, 0));
         let mut sink = sink;
         let records = sink.take_records();
         assert_eq!(records[0].wire_dense, 3);
@@ -2084,12 +1965,16 @@ mod tests {
     #[test]
     fn bucket_fields_round_trip_and_are_diffed() {
         let sink = TraceSink::new("cyclops", &spec());
-        sink.worker(0).set_bucket(7, 12, 40);
+        let record = TraceRecord {
+            bucket: 7,
+            fused: 12,
+            bucket_occupancy: 40,
+            ..leader(0, 0, 40)
+        };
+        sink.worker(0).commit(&PhaseTimes::default(), record);
+        // A superstep that was not bucketed hands no triple.
         sink.worker(0)
-            .commit(0, 0, 40, &PhaseTimes::default(), false);
-        // Reset at commit, like the counters.
-        sink.worker(0)
-            .commit(1, 0, 0, &PhaseTimes::default(), false);
+            .commit(&PhaseTimes::default(), leader(1, 0, 0));
         let mut sink = sink;
         let records = sink.take_records();
         assert_eq!(records[0].bucket, 7);
@@ -2141,10 +2026,10 @@ mod tests {
         sink.worker(0).add_sent_to(1, 3, 120);
         sink.worker(0).add_wire_batches_to(1, 1, 2);
         sink.worker(0)
-            .commit(0, 0, 8, &PhaseTimes::default(), false);
+            .commit(&PhaseTimes::default(), leader(0, 0, 8));
         // Rows reset at commit, like the counters.
         sink.worker(0)
-            .commit(1, 0, 0, &PhaseTimes::default(), false);
+            .commit(&PhaseTimes::default(), leader(1, 0, 0));
         let mut sink = sink;
         let records = sink.take_records();
         assert_eq!(
@@ -2247,7 +2132,7 @@ mod tests {
 
     #[test]
     fn span_lines_round_trip_and_load_beside_records() {
-        let span = SpanRecord {
+        let span = FlightSpan {
             worker: 1,
             thread: 2,
             kind: SpanKind::Flush,
@@ -2258,7 +2143,7 @@ mod tests {
             c: 2,
         };
         let mut line = String::new();
-        span.to_json(&mut line);
+        TraceLine::Span(span).to_json(&mut line);
         assert_eq!(
             line,
             "{\"span\":\"flush\",\"worker\":1,\"thread\":2,\"start_ns\":1000,\
@@ -2278,11 +2163,7 @@ mod tests {
             TraceLine::Meta(TraceSink::new("cyclops", &spec()).meta().clone()),
             TraceLine::Record(TraceRecord::default()),
         ];
-        let spans = fr
-            .drain()
-            .spans
-            .into_iter()
-            .map(|s| TraceLine::Span(s.into()));
+        let spans = fr.drain().spans.into_iter().map(TraceLine::Span);
         for l in lines.into_iter().chain(spans) {
             l.to_json(&mut file);
             file.push('\n');

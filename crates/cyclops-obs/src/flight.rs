@@ -210,15 +210,27 @@ impl SpanRing {
     }
 }
 
-/// One drained span tagged with the ring it came from.
+/// One drained span tagged with the ring it came from: a [`SpanEvent`]'s
+/// fields beside the ring's worker and thread. It is also what a trace file's
+/// span line stores.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FlightSpan {
     /// Worker id (Chrome `pid`).
     pub worker: u32,
     /// Thread id within the worker (Chrome `tid`).
     pub thread: u32,
-    /// The span itself.
-    pub event: SpanEvent,
+    /// What the span measures.
+    pub kind: SpanKind,
+    /// Start, nanoseconds since the recorder's epoch.
+    pub start_ns: u64,
+    /// Duration in nanoseconds.
+    pub dur_ns: u64,
+    /// Kind-specific argument (see [`SpanKind`]).
+    pub a: u64,
+    /// Kind-specific argument.
+    pub b: u64,
+    /// Kind-specific argument.
+    pub c: u64,
 }
 
 /// Everything [`FlightRecorder::drain`] extracted: spans in start order
@@ -281,13 +293,18 @@ impl FlightRecorder {
         for ring in rings.iter() {
             let (events, d) = ring.take();
             dropped += d;
-            spans.extend(events.into_iter().map(|event| FlightSpan {
+            spans.extend(events.into_iter().map(|e| FlightSpan {
                 worker: ring.worker(),
                 thread: ring.thread(),
-                event,
+                kind: e.kind,
+                start_ns: e.start_ns,
+                dur_ns: e.dur_ns,
+                a: e.a,
+                b: e.b,
+                c: e.c,
             }));
         }
-        spans.sort_by_key(|s| (s.event.start_ns, s.worker, s.thread));
+        spans.sort_by_key(|s| (s.start_ns, s.worker, s.thread));
         FlightDump { spans, dropped }
     }
 }
@@ -323,9 +340,9 @@ mod tests {
         assert_eq!(dump.dropped, 0);
         let s = dump.spans[0];
         assert_eq!((s.worker, s.thread), (2, 1));
-        assert_eq!(s.event.kind, SpanKind::Flush);
-        assert_eq!((s.event.a, s.event.b, s.event.c), (3, 4096, 2));
-        assert!(s.event.start_ns >= t0);
+        assert_eq!(s.kind, SpanKind::Flush);
+        assert_eq!((s.a, s.b, s.c), (3, 4096, 2));
+        assert!(s.start_ns >= t0);
     }
 
     #[test]
@@ -344,7 +361,7 @@ mod tests {
         }
         let dump = fr.drain();
         assert_eq!(dump.dropped, 3);
-        let kept: Vec<u64> = dump.spans.iter().map(|s| s.event.a).collect();
+        let kept: Vec<u64> = dump.spans.iter().map(|s| s.a).collect();
         assert_eq!(kept, vec![3, 4, 5, 6], "the most recent window survives");
     }
 
@@ -365,11 +382,7 @@ mod tests {
         a.push(mk(10));
         a.push(mk(30));
         let dump = fr.drain();
-        let order: Vec<(u64, u32)> = dump
-            .spans
-            .iter()
-            .map(|s| (s.event.start_ns, s.worker))
-            .collect();
+        let order: Vec<(u64, u32)> = dump.spans.iter().map(|s| (s.start_ns, s.worker)).collect();
         assert_eq!(order, vec![(10, 0), (20, 1), (30, 0)]);
         assert!(fr.drain().spans.is_empty(), "drain clears the rings");
     }

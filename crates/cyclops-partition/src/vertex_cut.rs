@@ -51,18 +51,20 @@ impl VertexCutPartition {
         let mut replicas = Vec::with_capacity(n);
         let mut masters = Vec::with_capacity(n);
         for (v, count) in counts.iter().enumerate() {
-            if count.is_empty() {
-                let p = (v % num_parts) as u32;
-                replicas.push(vec![p]);
-                masters.push(p);
-            } else {
-                let master = count
-                    .iter()
-                    .max_by_key(|&(p, c)| (*c, std::cmp::Reverse(*p)))
-                    .map(|(&p, _)| p)
-                    .unwrap();
-                replicas.push(count.keys().copied().collect());
-                masters.push(master);
+            let most = count
+                .iter()
+                .max_by_key(|&(p, c)| (*c, std::cmp::Reverse(*p)));
+            match most {
+                Some((&master, _)) => {
+                    replicas.push(count.keys().copied().collect());
+                    masters.push(master);
+                }
+                // An isolated vertex has no edge to follow.
+                None => {
+                    let p = (v % num_parts) as u32;
+                    replicas.push(vec![p]);
+                    masters.push(p);
+                }
             }
         }
         VertexCutPartition {
@@ -178,9 +180,7 @@ impl VertexCutPartitioner for GreedyVertexCut {
             .collect();
         let mut assignment = vec![0u32; g.num_edges()];
 
-        let least_loaded_of = |set: &[u32], loads: &[usize]| -> u32 {
-            *set.iter().min_by_key(|&&p| (loads[p as usize], p)).unwrap()
-        };
+        let all_parts: Vec<u32> = (0..k as u32).collect();
 
         // PowerGraph ingests edges distributed across loaders, i.e. in no
         // particular order. Streaming CSR order (sorted by source) instead
@@ -199,20 +199,24 @@ impl VertexCutPartitioner for GreedyVertexCut {
                 .filter(|p| seen[v].binary_search(p).is_ok())
                 .copied()
                 .collect();
-            let part = if !common.is_empty() {
-                least_loaded_of(&common, &loads)
+            let candidates = if !common.is_empty() {
+                &common
             } else if !seen[u].is_empty() && !seen[v].is_empty() {
                 let anchor = if remaining[u] >= remaining[v] { u } else { v };
-                least_loaded_of(&seen[anchor], &loads)
+                &seen[anchor]
             } else if !seen[u].is_empty() {
-                least_loaded_of(&seen[u], &loads)
+                &seen[u]
             } else if !seen[v].is_empty() {
-                least_loaded_of(&seen[v], &loads)
+                &seen[v]
             } else {
-                (0..k as u32)
-                    .min_by_key(|&p| (loads[p as usize], p))
-                    .unwrap()
+                &all_parts
             };
+            // The least-loaded candidate, ties toward the smaller id. Every
+            // candidate set is non-empty (`k > 0`): the fallback is never
+            // taken.
+            let part = (candidates.iter().copied())
+                .min_by_key(|&p| (loads[p as usize], p))
+                .unwrap_or(0);
             assignment[e as usize] = part;
             loads[part as usize] += 1;
             remaining[u] = remaining[u].saturating_sub(1);

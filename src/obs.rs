@@ -20,7 +20,7 @@ pub use cyclops_obs::{
     SpaceSaving, NUM_COMPONENTS,
 };
 
-use cyclops_net::trace::{RunTrace, SpanRecord, TraceLine, TraceMeta, TraceRecord};
+use cyclops_net::trace::{FlightSpan, RunTrace, TraceLine, TraceMeta, TraceRecord};
 use cyclops_obs::SpanKind;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -578,7 +578,7 @@ fn chrome_us(ns: u64) -> String {
     format!("{}.{:03}", ns / 1_000, ns % 1_000)
 }
 
-fn chrome_args(s: &SpanRecord) -> String {
+fn chrome_args(s: &FlightSpan) -> String {
     match s.kind {
         SpanKind::Parse | SpanKind::Send => format!("{{\"superstep\":{}}}", s.a),
         SpanKind::Compute => {
@@ -1663,8 +1663,8 @@ mod tests {
         assert!(why_slow_json(&s).contains("\"comm_consistent\": false"));
     }
 
-    fn span(kind: SpanKind, worker: u32, start_ns: u64, dur_ns: u64) -> SpanRecord {
-        SpanRecord {
+    fn span(kind: SpanKind, worker: u32, start_ns: u64, dur_ns: u64) -> FlightSpan {
+        FlightSpan {
             worker,
             thread: 0,
             kind,

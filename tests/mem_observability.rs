@@ -9,7 +9,7 @@
 
 use cyclops::engine::CyclopsPlan;
 use cyclops::net::metrics::PhaseTimes;
-use cyclops::net::trace::{read_jsonl, TraceSink};
+use cyclops::net::trace::{read_jsonl, TraceRecord, TraceSink};
 use cyclops::obs::mem::{self, Component};
 use cyclops::prelude::*;
 use std::sync::Mutex;
@@ -115,8 +115,11 @@ fn samples_round_trip_through_the_trace_file() {
     mem::arm();
     let path = temp_trace("roundtrip.jsonl");
     let sink = TraceSink::create("cyclops", &ClusterSpec::flat(1, 1), &path, false).unwrap();
-    sink.worker(0)
-        .commit(0, 0, 1, &PhaseTimes::default(), false);
+    let record = TraceRecord {
+        frontier: 1,
+        ..TraceRecord::default()
+    };
+    sink.worker(0).commit(&PhaseTimes::default(), record);
 
     // Something live on worker 0's slot, so the sample is not all zeros.
     let held = {
@@ -159,8 +162,13 @@ fn a_panicking_run_still_writes_every_record_and_sample() {
         let sink = TraceSink::create("cyclops", &ClusterSpec::flat(1, 2), &path, false).unwrap();
         for s in 0..50 {
             for w in 0..2 {
-                sink.worker(w)
-                    .commit(s, w, 1, &PhaseTimes::default(), false);
+                let record = TraceRecord {
+                    superstep: s as u64,
+                    worker: w as u64,
+                    frontier: 1,
+                    ..TraceRecord::default()
+                };
+                sink.worker(w).commit(&PhaseTimes::default(), record);
                 mem::sample(s as u64, w as u32);
             }
         }

@@ -18,7 +18,7 @@ use cyclops_bsp::{run_bsp, run_bsp_from_checkpoint, BspConfig};
 use cyclops_engine::{run_cyclops, run_cyclops_from_checkpoint, run_cyclops_traced, CyclopsConfig};
 use cyclops_gas::{run_gas_traced, GasConfig, GasProgram};
 use cyclops_net::metrics::PhaseTimes;
-use cyclops_net::trace::{diff, read_jsonl, RunTrace, TraceSink};
+use cyclops_net::trace::{diff, read_jsonl, RunTrace, TraceRecord, TraceSink};
 use cyclops_net::InboxMode;
 use cyclops_partition::{RandomVertexCut, VertexCutPartitioner};
 
@@ -69,7 +69,13 @@ fn memory_and_file_sinks_keep_every_record_past_4096_supersteps() {
     for s in 0..n {
         for w in 0..workers {
             for sink in [&memory, &file] {
-                sink.worker(w).commit(s, w, s + w, &times, false);
+                let record = TraceRecord {
+                    superstep: s as u64,
+                    worker: w as u64,
+                    frontier: (s + w) as u64,
+                    ..TraceRecord::default()
+                };
+                sink.worker(w).commit(&times, record);
             }
         }
     }
