@@ -361,8 +361,8 @@ fn bench_span_event(c: &mut Criterion) {
     group.finish();
 }
 
-/// The communication matrix's per-flush accounting cost: the sent counters
-/// with their per-destination cells (`add_sent_to`) alone, and with the
+/// The communication matrix's per-flush accounting cost: the destination
+/// cell's sent counters (`add_sent_to`) alone, and with the
 /// wire-mode batch count the engines add for a cross-machine batch. Both
 /// are a handful of relaxed atomic adds; the bar is that the batch count
 /// costs no more than a few nanoseconds over the counters.

@@ -152,10 +152,11 @@ pub struct CyclopsConfig {
     /// many relaxation rounds as the bucket needs behind a *single* pair of
     /// global barrier waits — before advancing to the next nonempty bucket.
     /// On high-diameter graphs this collapses the paper's Figure 9 SSSP
-    /// pathology (~one barrier per hop) to ~one barrier per bucket. Only
-    /// useful for programs with a [`CyclopsProgram::priority`]; without one,
-    /// every activation is immediately due and bucketing degrades to plain
-    /// fused execution (still correct, still fewer barriers).
+    /// pathology (~one barrier per hop) to ~one barrier per bucket. Only for
+    /// programs with a [`CyclopsProgram::priority`]: without one every
+    /// activation is due at once and a bucket runs fused asynchronous
+    /// rounds — another schedule, which gives non-monotone programs
+    /// (PageRank, CD) other results. The CLI refuses that case.
     pub bucket_width: f64,
     /// Bucket drain discipline. The one drain selects each fused round's
     /// due vertices in ascending order, so a master computes at most once

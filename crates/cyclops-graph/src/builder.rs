@@ -50,16 +50,8 @@ impl GraphBuilder {
         self.num_vertices
     }
 
-    /// Grows the vertex count to at least `n`.
-    pub fn ensure_vertices(&mut self, n: usize) {
-        if n > self.num_vertices {
-            self.num_vertices = n;
-        }
-    }
-
     /// Adds an unweighted directed edge. Panics if either endpoint is out of
-    /// range (call [`Self::ensure_vertices`] first when streaming unknown
-    /// input; the text loader does this automatically).
+    /// range.
     pub fn add_edge(&mut self, src: VertexId, dst: VertexId) {
         assert!(
             (src as usize) < self.num_vertices && (dst as usize) < self.num_vertices,
@@ -285,14 +277,5 @@ mod tests {
     fn out_of_range_edge_panics() {
         let mut b = GraphBuilder::new(2);
         b.add_edge(0, 2);
-    }
-
-    #[test]
-    fn ensure_vertices_grows() {
-        let mut b = GraphBuilder::new(0);
-        b.ensure_vertices(10);
-        b.add_edge(9, 0);
-        let g = b.build();
-        assert_eq!(g.num_vertices(), 10);
     }
 }

@@ -72,16 +72,6 @@ impl Dataset {
         ]
     }
 
-    /// The four PageRank graphs, in size order.
-    pub fn pagerank_graphs() -> [Dataset; 4] {
-        [
-            Dataset::Amazon,
-            Dataset::GWeb,
-            Dataset::LJournal,
-            Dataset::Wiki,
-        ]
-    }
-
     /// Default deterministic seed for this dataset.
     pub fn default_seed(&self) -> u64 {
         Dataset::all().iter().position(|d| d == self).unwrap() as u64 + 1
@@ -228,10 +218,16 @@ mod tests {
 
     #[test]
     fn size_ordering_matches_paper() {
-        let sizes: Vec<usize> = Dataset::pagerank_graphs()
-            .iter()
-            .map(|d| d.generate_scaled(0.25, 1).num_edges())
-            .collect();
+        // The four PageRank graphs, in the paper's size order.
+        let sizes: Vec<usize> = [
+            Dataset::Amazon,
+            Dataset::GWeb,
+            Dataset::LJournal,
+            Dataset::Wiki,
+        ]
+        .iter()
+        .map(|d| d.generate_scaled(0.25, 1).num_edges())
+        .collect();
         assert!(sizes.windows(2).all(|w| w[0] < w[1]), "sizes {sizes:?}");
     }
 

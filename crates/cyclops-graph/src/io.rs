@@ -17,9 +17,9 @@ pub enum IoError {
     Io(std::io::Error),
     /// A line failed to parse.
     Parse {
-        /// 1-based line number (0 for non-line-oriented formats).
+        /// 1-based line number.
         line: usize,
-        /// The offending content or a description of the corruption.
+        /// The offending content.
         content: String,
     },
 }
@@ -139,87 +139,6 @@ pub fn write_edge_list_file<P: AsRef<Path>>(graph: &Graph, path: P) -> Result<()
     write_edge_list(graph, f)
 }
 
-/// Magic prefix of the binary graph format.
-const BINARY_MAGIC: &[u8; 8] = b"CYCLGR01";
-
-/// Writes `graph` in a compact little-endian binary format — the fast path
-/// for repeatedly-processed graphs (text parsing dominates text-format
-/// ingress). Layout: magic, vertex count, edge count, weighted flag, then
-/// the edge stream as `(u32 src, u32 dst[, f64 w])` in CSR order.
-pub fn write_binary<W: Write>(graph: &Graph, writer: W) -> Result<(), IoError> {
-    let mut w = BufWriter::new(writer);
-    w.write_all(BINARY_MAGIC)?;
-    w.write_all(&(graph.num_vertices() as u64).to_le_bytes())?;
-    w.write_all(&(graph.num_edges() as u64).to_le_bytes())?;
-    w.write_all(&[graph.is_weighted() as u8])?;
-    for (s, t, weight) in graph.edges() {
-        w.write_all(&s.to_le_bytes())?;
-        w.write_all(&t.to_le_bytes())?;
-        if graph.is_weighted() {
-            w.write_all(&weight.to_le_bytes())?;
-        }
-    }
-    w.flush()?;
-    Ok(())
-}
-
-/// Reads a graph written by [`write_binary`].
-pub fn read_binary<R: Read>(reader: R) -> Result<Graph, IoError> {
-    let mut r = BufReader::new(reader);
-    let corrupt = |what: &str| IoError::Parse {
-        line: 0,
-        content: format!("binary graph: {what}"),
-    };
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != BINARY_MAGIC {
-        return Err(corrupt("bad magic"));
-    }
-    let mut u64buf = [0u8; 8];
-    r.read_exact(&mut u64buf)?;
-    let n = u64::from_le_bytes(u64buf) as usize;
-    r.read_exact(&mut u64buf)?;
-    let m = u64::from_le_bytes(u64buf) as usize;
-    let mut flag = [0u8; 1];
-    r.read_exact(&mut flag)?;
-    let weighted = match flag[0] {
-        0 => false,
-        1 => true,
-        _ => return Err(corrupt("bad weighted flag")),
-    };
-    if n > u32::MAX as usize {
-        return Err(corrupt("vertex count exceeds u32"));
-    }
-    let mut b = GraphBuilder::new(n);
-    let mut u32buf = [0u8; 4];
-    for _ in 0..m {
-        r.read_exact(&mut u32buf)?;
-        let s = u32::from_le_bytes(u32buf);
-        r.read_exact(&mut u32buf)?;
-        let t = u32::from_le_bytes(u32buf);
-        if s as usize >= n || t as usize >= n {
-            return Err(corrupt("edge endpoint out of range"));
-        }
-        if weighted {
-            r.read_exact(&mut u64buf)?;
-            b.add_weighted_edge(s, t, f64::from_le_bytes(u64buf));
-        } else {
-            b.add_edge(s, t);
-        }
-    }
-    Ok(b.build())
-}
-
-/// Writes the binary format to `path`. See [`write_binary`].
-pub fn write_binary_file<P: AsRef<Path>>(graph: &Graph, path: P) -> Result<(), IoError> {
-    write_binary(graph, std::fs::File::create(path)?)
-}
-
-/// Reads the binary format from `path`. See [`read_binary`].
-pub fn read_binary_file<P: AsRef<Path>>(path: P) -> Result<Graph, IoError> {
-    read_binary(std::fs::File::open(path)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,54 +186,6 @@ mod tests {
         write_edge_list(&g, &mut buf).unwrap();
         let g2 = read_edge_list(&buf[..], 0).unwrap();
         assert_eq!(g, g2);
-    }
-
-    #[test]
-    fn binary_round_trip_unweighted() {
-        let g = read_edge_list("0 1\n1 2\n2 0\n".as_bytes(), 0).unwrap();
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
-        assert_eq!(read_binary(&buf[..]).unwrap(), g);
-    }
-
-    #[test]
-    fn binary_round_trip_weighted() {
-        let mut b = GraphBuilder::new(3);
-        b.add_weighted_edge(0, 1, 1.5);
-        b.add_weighted_edge(2, 0, -3.25);
-        let g = b.build();
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
-        assert_eq!(read_binary(&buf[..]).unwrap(), g);
-    }
-
-    #[test]
-    fn binary_rejects_garbage() {
-        assert!(read_binary(&b"NOTAGRPH"[..]).is_err());
-        let mut buf = Vec::new();
-        write_binary(&Graph::empty(3), &mut buf).unwrap();
-        buf[3] ^= 0xff; // corrupt the magic
-        assert!(read_binary(&buf[..]).is_err());
-    }
-
-    #[test]
-    fn binary_rejects_truncation() {
-        let g = read_edge_list("0 1\n1 2\n".as_bytes(), 0).unwrap();
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
-        buf.truncate(buf.len() - 3);
-        assert!(read_binary(&buf[..]).is_err());
-    }
-
-    #[test]
-    fn binary_file_round_trip() {
-        let dir = std::env::temp_dir().join(format!("cyclops-bin-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("g.bin");
-        let g = crate::gen::erdos_renyi(100, 500, 1);
-        write_binary_file(&g, &path).unwrap();
-        assert_eq!(read_binary_file(&path).unwrap(), g);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

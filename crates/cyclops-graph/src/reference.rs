@@ -8,6 +8,10 @@
 //! below and must agree exactly at convergence. The ALS reference lives in
 //! `cyclops-algos` next to the dense solver it shares with the distributed
 //! version.
+//!
+//! The `certify_*` checkers accept or reject an SSSP, BFS or components
+//! answer in O(V + E) without recomputing it: an engine computes, a small
+//! checker verifies.
 
 use crate::graph::{Graph, VertexId};
 
@@ -163,6 +167,105 @@ pub fn bfs_levels(g: &Graph, source: VertexId) -> Vec<u32> {
         }
     }
     level
+}
+
+/// Checks `dist` as the shortest-path distances from `source` over a graph
+/// with positive weights: the source is at 0, no edge relaxes
+/// (`d[v] <= d[u] + w`), and every other reached vertex has an in-edge with
+/// `d[v] == d[u] + w` exactly, so following those edges back reaches the
+/// source along a path of length `d[v]`. Unreached vertices are infinite.
+/// `Err` names the first violation.
+pub fn certify_sssp(g: &Graph, source: VertexId, dist: &[f64]) -> Result<(), String> {
+    certify_distances(g, source, dist, 0.0, f64::INFINITY, |d, w| d + w)
+}
+
+/// [`certify_sssp`] for BFS levels: weight 1 on every edge, `u32` levels,
+/// `u32::MAX` meaning unreached.
+pub fn certify_bfs(g: &Graph, source: VertexId, levels: &[u32]) -> Result<(), String> {
+    certify_distances(g, source, levels, 0, u32::MAX, |d, _| d.saturating_add(1))
+}
+
+/// The rules of [`certify_sssp`] for any distance type; `hop(d[u], w)` is
+/// the distance an edge of weight `w` offers its target.
+fn certify_distances<D: Copy + PartialOrd + std::fmt::Debug>(
+    g: &Graph,
+    source: VertexId,
+    d: &[D],
+    zero: D,
+    unreached: D,
+    hop: impl Fn(D, f64) -> D,
+) -> Result<(), String> {
+    use std::cmp::Ordering::{Greater, Less};
+    if d.len() != g.num_vertices() {
+        return Err(format!(
+            "{} values for {} vertices",
+            d.len(),
+            g.num_vertices()
+        ));
+    }
+    if d.get(source as usize) != Some(&zero) {
+        return Err(format!("source {source} is not at {zero:?}"));
+    }
+    for v in g.vertices() {
+        let dv = d[v as usize];
+        // `None` rejects NaN.
+        if matches!(dv.partial_cmp(&zero), None | Some(Less)) {
+            return Err(format!("vertex {v} is at {dv:?}"));
+        }
+        let mut tight = v == source || dv == unreached;
+        for (u, w) in g.in_edges(v) {
+            let via = hop(d[u as usize], w);
+            if matches!(dv.partial_cmp(&via), None | Some(Greater)) {
+                return Err(format!("edge {u} -> {v} relaxes {dv:?} to {via:?}"));
+            }
+            tight |= dv == via;
+        }
+        if !tight {
+            return Err(format!(
+                "vertex {v} is at {dv:?} but no in-edge reaches it there"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Checks `labels` as the connected components of a symmetrized `g`, each
+/// labelled by its smallest vertex id: labels agree across every edge, no
+/// label exceeds its vertex's id, and every vertex is reachable from the
+/// vertex its label names. `Err` names the first violation.
+pub fn certify_components(g: &Graph, labels: &[VertexId]) -> Result<(), String> {
+    if labels.len() != g.num_vertices() {
+        return Err(format!(
+            "{} labels for {} vertices",
+            labels.len(),
+            g.num_vertices()
+        ));
+    }
+    for (u, v, _) in g.edges() {
+        let (a, b) = (labels[u as usize], labels[v as usize]);
+        if a != b {
+            return Err(format!("edge {u} -> {v} joins labels {a} and {b}"));
+        }
+    }
+    if let Some(v) = g.vertices().find(|&v| labels[v as usize] > v) {
+        return Err(format!("vertex {v} is labelled {}", labels[v as usize]));
+    }
+    // Labels agree across edges, so a search from every vertex that names
+    // itself stays inside its label and reaches exactly what it names.
+    let mut seen: Vec<bool> = g.vertices().map(|v| labels[v as usize] == v).collect();
+    let mut stack: Vec<VertexId> = g.vertices().filter(|&v| seen[v as usize]).collect();
+    while let Some(u) = stack.pop() {
+        for &t in g.out_neighbors(u) {
+            if !seen[t as usize] {
+                seen[t as usize] = true;
+                stack.push(t);
+            }
+        }
+    }
+    match seen.iter().position(|&s| !s) {
+        Some(v) => Err(format!("vertex {v} is not reachable from {}", labels[v])),
+        None => Ok(()),
+    }
 }
 
 /// Counts triangles, treating the graph as undirected and ignoring
@@ -353,6 +456,74 @@ mod tests {
         b.add_edge(0, 1);
         let g = b.build();
         assert_eq!(bfs_levels(&g, 0), vec![0, 1, u32::MAX]);
+    }
+
+    #[test]
+    fn sssp_certificate_rejects_a_one_entry_change() {
+        let mut b = GraphBuilder::new(6);
+        for &(s, t, w) in &[
+            (0, 1, 1.0),
+            (1, 2, 2.0),
+            (0, 2, 4.0),
+            (2, 3, 0.5),
+            (3, 1, 1.0),
+            (5, 4, 1.0),
+        ] {
+            b.add_weighted_edge(s, t, w);
+        }
+        let g = b.build();
+        let dist = sssp(&g, 0);
+        assert_eq!(certify_sssp(&g, 0, &dist), Ok(()));
+        for v in 0..dist.len() {
+            let tos = if dist[v].is_finite() {
+                [dist[v] + 0.5, dist[v] - 0.5]
+            } else {
+                [1.0, 0.0]
+            };
+            for to in tos {
+                let mut bad = dist.clone();
+                bad[v] = to;
+                assert!(certify_sssp(&g, 0, &bad).is_err(), "vertex {v} at {to}");
+            }
+        }
+    }
+
+    #[test]
+    fn bfs_certificate_rejects_a_one_entry_change() {
+        let mut b = GraphBuilder::new(8);
+        for &(s, t) in &[(0, 1), (1, 2), (0, 3), (3, 2), (2, 4), (4, 0), (5, 6)] {
+            b.add_edge(s, t);
+        }
+        let g = b.build();
+        let levels = bfs_levels(&g, 0);
+        assert_eq!(certify_bfs(&g, 0, &levels), Ok(()));
+        for v in 0..levels.len() {
+            for change in [1, u32::MAX] {
+                let mut bad = levels.clone();
+                bad[v] = bad[v].wrapping_add(change);
+                assert!(certify_bfs(&g, 0, &bad).is_err(), "vertex {v}");
+            }
+        }
+    }
+
+    #[test]
+    fn components_certificate_rejects_a_one_entry_change() {
+        let mut b = GraphBuilder::new(7);
+        for &(s, t) in &[(1, 0), (1, 2), (4, 3), (6, 4)] {
+            b.add_undirected_edge(s, t);
+        }
+        let g = b.build();
+        let labels = connected_components(&g);
+        assert_eq!(certify_components(&g, &labels), Ok(()));
+        for v in 0..labels.len() {
+            for other in 0..labels.len() as VertexId {
+                if other != labels[v] {
+                    let mut bad = labels.clone();
+                    bad[v] = other;
+                    assert!(certify_components(&g, &bad).is_err(), "{v} -> {other}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -65,15 +65,6 @@ pub fn reachable_from(g: &Graph, src: VertexId) -> usize {
     count
 }
 
-/// Out-degree histogram as `(degree, count)` pairs sorted by degree.
-pub fn degree_histogram(g: &Graph) -> Vec<(usize, usize)> {
-    let mut map = std::collections::BTreeMap::new();
-    for v in g.vertices() {
-        *map.entry(g.out_degree(v)).or_insert(0usize) += 1;
-    }
-    map.into_iter().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,14 +95,5 @@ mod tests {
         assert_eq!(reachable_from(&g, 0), 10);
         assert_eq!(reachable_from(&g, 5), 5);
         assert_eq!(reachable_from(&g, 9), 1);
-    }
-
-    #[test]
-    fn histogram_sums_to_vertex_count() {
-        let g = chain(10);
-        let h = degree_histogram(&g);
-        let total: usize = h.iter().map(|&(_, c)| c).sum();
-        assert_eq!(total, 10);
-        assert_eq!(h, vec![(0, 1), (1, 9)]);
     }
 }

@@ -199,7 +199,7 @@ pub fn try_decode_batch<M: Codec>(buf: &mut impl Buf) -> Option<Vec<M>> {
     Some(out)
 }
 
-// ---- Varint / zigzag / delta layer. ----
+// ---- Varint / delta layer. ----
 //
 // LEB128 base-128 varints, least-significant group first, continuation bit
 // 0x80 — the standard protobuf wire integer. View-update batches use them
@@ -250,19 +250,6 @@ pub fn try_decode_varint(buf: &mut impl Buf) -> Option<u64> {
         }
         shift += 7;
     }
-}
-
-/// Zigzag-maps a signed value so small magnitudes get small varints
-/// (`0, -1, 1, -2, ... -> 0, 1, 2, 3, ...`).
-#[inline]
-pub fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-/// Inverse of [`zigzag`].
-#[inline]
-pub fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
 /// Reads `bits.div_ceil(8)` bitmap bytes; `None` on truncation.
@@ -867,16 +854,6 @@ mod tests {
         cut.put_slice(&buf[..5]);
         assert_eq!(try_decode_varint(&mut cut.freeze()), None);
         assert_eq!(try_decode_varint(&mut &[][..]), None);
-    }
-
-    #[test]
-    fn zigzag_round_trips() {
-        for v in [0i64, -1, 1, -2, 63, -64, i64::MAX, i64::MIN] {
-            assert_eq!(unzigzag(zigzag(v)), v);
-        }
-        assert_eq!(zigzag(0), 0);
-        assert_eq!(zigzag(-1), 1);
-        assert_eq!(zigzag(1), 2);
     }
 
     fn updates(ids: &[u32]) -> Vec<ReplicaUpdate<f64>> {

@@ -174,7 +174,8 @@ pub struct RunCounters {
     /// Bytes allocated for message buffers over the whole run (Table 2's
     /// "messages occupy a large number of memory in each superstep").
     pub message_bytes_allocated: AtomicU64,
-    /// Peak bytes held in in-flight message queues at any superstep.
+    /// Peak bytes held in in-flight message queues. No transport records
+    /// it, so it reads 0; the benchmark still reports the column.
     pub peak_queue_bytes: AtomicU64,
     /// Messages currently sitting in queues (enqueued minus drained).
     pub inflight_messages: AtomicU64,
@@ -219,11 +220,6 @@ impl RunCounters {
     #[inline]
     pub fn add_contention(&self) {
         self.lock_contentions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Raises the peak-queue-bytes watermark to at least `bytes`.
-    pub fn observe_queue_bytes(&self, bytes: u64) {
-        self.peak_queue_bytes.fetch_max(bytes, Ordering::Relaxed);
     }
 
     /// Records `n` messages entering queues, updating the peak watermark.
@@ -626,15 +622,5 @@ mod tests {
         assert_eq!(g("cyclops_hot_vertex_id", "2"), 0);
         // k == 0 disables resolution outright.
         assert!(HotObs::resolve("hot-test", 2, 0).is_none());
-    }
-
-    #[test]
-    fn peak_watermark_keeps_max() {
-        let c = RunCounters::default();
-        c.observe_queue_bytes(100);
-        c.observe_queue_bytes(50);
-        c.observe_queue_bytes(200);
-        c.observe_queue_bytes(10);
-        assert_eq!(c.snapshot().peak_queue_bytes, 200);
     }
 }

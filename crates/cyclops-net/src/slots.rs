@@ -106,12 +106,6 @@ impl<T> DisjointSlots<T> {
         }
     }
 
-    /// Exclusive access to the underlying values.
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        // SAFETY: `&mut self` guarantees no concurrent access.
-        unsafe { std::slice::from_raw_parts_mut(self.slots.as_ptr() as *mut T, self.slots.len()) }
-    }
-
     /// Consumes the array, returning the values.
     pub fn into_inner(self) -> Vec<T> {
         self.slots.into_iter().map(UnsafeCell::into_inner).collect()
@@ -172,9 +166,8 @@ mod tests {
     }
 
     #[test]
-    fn mut_slice_and_into_inner() {
-        let mut slots = DisjointSlots::new(vec![1, 2, 3]);
-        slots.as_mut_slice()[1] = 20;
+    fn snapshot_and_into_inner() {
+        let slots = DisjointSlots::new(vec![1, 20, 3]);
         assert_eq!(slots.snapshot(), vec![1, 20, 3]);
         assert_eq!(slots.into_inner(), vec![1, 20, 3]);
     }

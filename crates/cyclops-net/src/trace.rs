@@ -10,29 +10,28 @@
 //!   activated, converged_delta, direct_messages, checkpoint, the aggregate
 //!   and the bucket / fused / occupancy triple;
 //! * the worker's threads add what several of them feed at once into its
-//!   [`WorkerTracer`] — drained (receivers), messages, bytes, wire batches
-//!   and the comm row (senders), publication digests and hot sketches
-//!   (compute threads) — in relaxed atomics and per-thread slots, so the
-//!   hot path takes no lock outside values mode;
+//!   [`WorkerTracer`] — drained (receivers), the comm row (senders),
+//!   publication digests and hot sketches (compute threads) — in relaxed
+//!   atomics and per-thread slots, so the hot path takes no lock outside
+//!   values mode;
 //! * the migration driver adds `migrated` between epochs;
-//! * commit sets the phase columns from the leader's [`PhaseTimes`].
+//! * commit sets the phase columns from the leader's [`PhaseTimes`], and
+//!   messages, bytes and wire batches as the comm row's sums.
 //!
 //! When no sink is installed, engines skip every trace call — the
 //! observability layer costs nothing unless asked for.
 //!
-//! A sink has one of two destinations, and every committed record reaches
-//! it. A **memory** sink ([`TraceSink::new`], [`TraceSink::with_values`])
-//! has each worker leader push onto its own `Vec`, read after the run with
-//! [`TraceSink::take_records`]. A **file** sink ([`TraceSink::create`])
-//! hands each record to a writer thread over a bounded channel, which
-//! appends it to the file as one JSON line; a leader never blocks on I/O —
-//! when the channel is full the record parks in a leader-owned backlog,
-//! retried at the next commit. [`TraceSink::finish`] is the one close: it
-//! flushes the backlogs, joins the writer, and appends the flight-recorder
-//! spans and memory samples. Dropping an unfinished file sink runs the same
-//! close, best-effort, so a panicking run still leaves the supersteps that
-//! explain it. A live file can be tailed mid-run (`cyclops top`): the
-//! writer flushes whenever it catches up with the channel.
+//! Every sink owns one unbounded record channel; a commit sends its record
+//! on it, so a leader never blocks and no record is lost. A **memory** sink
+//! ([`TraceSink::new`], [`TraceSink::with_values`]) keeps the receiver and
+//! drains it in [`TraceSink::take_records`]. A **file** sink
+//! ([`TraceSink::create`]) hands it to a writer thread that appends each
+//! record as one JSON line, flushing whenever it catches up, so a live file
+//! can be tailed mid-run (`cyclops top`). [`TraceSink::finish`] is the one
+//! close: it drops every sender, joins the writer, and appends the
+//! flight-recorder spans and memory samples. Dropping an unfinished file
+//! sink runs the same close, best-effort, so a panicking run still leaves
+//! the supersteps that explain it.
 //!
 //! Every line of a trace file is one [`TraceLine`] — the header, a record,
 //! a flight span or a memory sample — written by its `to_json` and read
@@ -48,18 +47,11 @@ use crate::metrics::{AggregateStats, HotObs, PhaseTimes};
 pub use cyclops_obs::SpaceSaving;
 pub use cyclops_obs::{FlightSpan, MemSample, SpanKind};
 use parking_lot::Mutex;
-use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
-
-/// Bound of a file sink's record channel. Deep enough that the writer
-/// thread absorbs bursts from every worker committing at one barrier; when
-/// it still fills, records defer to the committing leader's backlog rather
-/// than blocking the barrier.
-const CHANNEL_CAPACITY: usize = 1024;
 
 /// One superstep on one worker.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -152,11 +144,11 @@ pub struct TraceRecord {
     /// Worker-pair communication matrix row: this worker's per-destination
     /// traffic for the superstep, ascending by destination, all-zero rows
     /// omitted (so matrix-off records serialize byte-identically to older
-    /// traces). Row sums equal the `messages` / `bytes` counters exactly —
-    /// [`TraceRecord::comm_consistent`] checks it. The `(dst, messages,
-    /// bytes)` portion is deterministic across thread counts and compared
-    /// by [`diff`]; the per-pair wire-mode counts are diagnostic, excluded
-    /// like `wire_dense` / `wire_sparse`.
+    /// traces). Commit writes the `messages` / `bytes` / wire totals as the
+    /// row sums; [`TraceRecord::comm_consistent`] checks a loaded trace
+    /// still agrees. The `(dst, messages, bytes)` portion is deterministic
+    /// across thread counts and compared by [`diff`]; the per-pair wire-mode
+    /// counts are diagnostic, excluded like `wire_dense` / `wire_sparse`.
     pub comm: Vec<CommEntry>,
 }
 
@@ -186,40 +178,19 @@ struct CommCell {
     wire_sparse: AtomicU64,
 }
 
-/// Where one worker leader's committed records go.
-enum Dest {
-    /// Kept, every one, until [`TraceSink::take_records`].
-    Memory(Vec<TraceRecord>),
-    /// Handed to the sink's writer thread.
-    File {
-        tx: SyncSender<TraceRecord>,
-        /// Records the channel could not take at commit, retried
-        /// oldest-first at later commits and flushed by the close.
-        backlog: VecDeque<TraceRecord>,
-        /// Records that were deferred at least once.
-        deferred: u64,
-    },
-}
-
 /// Per-worker trace accumulator: the columns several threads of the worker
 /// feed at once (receivers drain, every thread sends, publishes and
 /// sketches), in relaxed atomics and per-thread slots, plus the migration
 /// driver's count between epochs. What the worker leader reduces itself it
-/// hands to [`WorkerTracer::commit`], the one writer of the destination.
+/// hands to [`WorkerTracer::commit`], which sends the record to the sink.
 pub struct WorkerTracer {
     drained: AtomicU64,
-    messages: AtomicU64,
-    bytes: AtomicU64,
-    /// Cross-machine batches sent in the dense / sparse wire modes this
-    /// superstep.
-    wire_dense: AtomicU64,
-    wire_sparse: AtomicU64,
     /// Masters migrated onto this worker at the preceding epoch boundary.
     migrated: AtomicU64,
     /// Per-destination traffic accumulators (the communication matrix row),
-    /// one slot per worker in the cluster. Relaxed atomics like the rest:
-    /// threads of the worker attribute sends concurrently, the leader
-    /// drains at commit.
+    /// one slot per worker in the cluster and the only count of sent
+    /// traffic. Relaxed atomics like the rest: threads of the worker
+    /// attribute sends concurrently, the leader drains at commit.
     comm: Vec<CommCell>,
     /// Publication digests for the current superstep (values mode only;
     /// a short lock per publishing thread, acceptable for a diagnostic
@@ -236,19 +207,15 @@ pub struct WorkerTracer {
     /// Resolved gauges for live hot-vertex exposition (None without a
     /// global registry).
     hot_obs: Option<HotObs>,
-    /// Locked once per commit, by the worker leader, and after the run by
-    /// the sink's owner: never contended.
-    dest: Mutex<Dest>,
+    /// This tracer's end of the sink's record channel; the worker leader
+    /// sends once per commit.
+    tx: Sender<TraceRecord>,
 }
 
 impl WorkerTracer {
-    fn new(threads: usize, workers: usize, dest: Dest) -> Self {
+    fn new(threads: usize, workers: usize, tx: Sender<TraceRecord>) -> Self {
         WorkerTracer {
             drained: AtomicU64::new(0),
-            messages: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
-            wire_dense: AtomicU64::new(0),
-            wire_sparse: AtomicU64::new(0),
             migrated: AtomicU64::new(0),
             comm: (0..workers).map(|_| CommCell::default()).collect(),
             pubs: Mutex::new(Vec::new()),
@@ -256,7 +223,7 @@ impl WorkerTracer {
             thread_hot: Vec::new(),
             hot_k: 0,
             hot_obs: None,
-            dest: Mutex::new(dest),
+            tx,
         }
     }
 
@@ -266,30 +233,14 @@ impl WorkerTracer {
         self.drained.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Adds messages/bytes sent by the calling thread to worker `dst`,
-    /// feeding both the run totals and this worker's communication-matrix
-    /// row. Using this at every send site is what keeps the row sums equal
-    /// to the totals.
+    /// Adds messages/bytes sent by the calling thread to worker `dst`, in
+    /// this worker's communication-matrix row; commit sums the row into the
+    /// record's totals.
     #[inline]
     pub fn add_sent_to(&self, dst: usize, messages: u64, bytes: u64) {
-        self.messages.fetch_add(messages, Ordering::Relaxed);
-        self.bytes.fetch_add(bytes, Ordering::Relaxed);
-        if let Some(cell) = self.comm.get(dst) {
-            cell.messages.fetch_add(messages, Ordering::Relaxed);
-            cell.bytes.fetch_add(bytes, Ordering::Relaxed);
-        }
-    }
-
-    /// Adds cross-machine batches sent in the dense / sparse wire modes by
-    /// the calling thread.
-    #[inline]
-    fn add_wire_batches(&self, dense: u64, sparse: u64) {
-        if dense > 0 {
-            self.wire_dense.fetch_add(dense, Ordering::Relaxed);
-        }
-        if sparse > 0 {
-            self.wire_sparse.fetch_add(sparse, Ordering::Relaxed);
-        }
+        let cell = &self.comm[dst];
+        cell.messages.fetch_add(messages, Ordering::Relaxed);
+        cell.bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// Adds masters migrated onto this worker at the epoch boundary that
@@ -304,21 +255,16 @@ impl WorkerTracer {
     }
 
     /// Adds cross-machine batches sent to worker `dst` in the dense / sparse
-    /// wire modes by the calling thread: the worker's totals and its
+    /// wire modes by the calling thread, in this worker's
     /// communication-matrix row.
     #[inline]
     pub fn add_wire_batches_to(&self, dst: usize, dense: u64, sparse: u64) {
-        self.add_wire_batches(dense, sparse);
-        if dense == 0 && sparse == 0 {
-            return;
+        let cell = &self.comm[dst];
+        if dense > 0 {
+            cell.wire_dense.fetch_add(dense, Ordering::Relaxed);
         }
-        if let Some(cell) = self.comm.get(dst) {
-            if dense > 0 {
-                cell.wire_dense.fetch_add(dense, Ordering::Relaxed);
-            }
-            if sparse > 0 {
-                cell.wire_sparse.fetch_add(sparse, Ordering::Relaxed);
-            }
+        if sparse > 0 {
+            cell.wire_sparse.fetch_add(sparse, Ordering::Relaxed);
         }
     }
 
@@ -337,14 +283,14 @@ impl WorkerTracer {
         }
     }
 
-    /// Commits one superstep to the destination and resets the
+    /// Sends one superstep's record to the sink and resets the
     /// accumulators. `record` carries what the worker leader reduced itself —
     /// superstep, worker, frontier, computed, activated, converged_delta,
     /// direct_messages, checkpoint, agg and, on a bucketed superstep, the
     /// bucket / fused / occupancy triple; commit sets the phase columns from
-    /// `times` and every column this tracer accumulated. Called once per
-    /// worker and superstep, by the worker leader, after this worker's
-    /// threads have fed their counts.
+    /// `times`, every column this tracer accumulated, and the traffic totals
+    /// as the comm row's sums. Called once per worker and superstep, by the
+    /// worker leader, after this worker's threads have fed their counts.
     pub fn commit(&self, times: &PhaseTimes, record: TraceRecord) {
         let mut pubs = std::mem::take(&mut *self.pubs.lock());
         pubs.sort_unstable();
@@ -386,57 +332,26 @@ impl WorkerTracer {
                 })
             })
             .collect();
+        let sum = |f: fn(&CommEntry) -> u64| comm.iter().map(f).sum();
         let record = TraceRecord {
             parse_ns: times.parse.as_nanos() as u64,
             compute_ns: times.compute.as_nanos() as u64,
             send_ns: times.send.as_nanos() as u64,
             sync_ns: times.sync.as_nanos() as u64,
             drained: self.drained.swap(0, Ordering::Relaxed),
-            messages: self.messages.swap(0, Ordering::Relaxed),
-            bytes: self.bytes.swap(0, Ordering::Relaxed),
-            wire_dense: self.wire_dense.swap(0, Ordering::Relaxed),
-            wire_sparse: self.wire_sparse.swap(0, Ordering::Relaxed),
+            messages: sum(|e| e.messages),
+            bytes: sum(|e| e.bytes),
+            wire_dense: sum(|e| e.wire_dense),
+            wire_sparse: sum(|e| e.wire_sparse),
             migrated: self.migrated.swap(0, Ordering::Relaxed),
             pubs,
             hot,
             comm,
             ..record
         };
-        let mut dest = self.dest.lock();
-        let (tx, backlog, deferred) = match &mut *dest {
-            Dest::Memory(kept) => return kept.push(record),
-            Dest::File {
-                tx,
-                backlog,
-                deferred,
-            } => (tx, backlog, deferred),
-        };
-        // Retry deferred records oldest-first so the file stays close to
-        // superstep order even across backpressure episodes.
-        while let Some(r) = backlog.pop_front() {
-            match tx.try_send(r) {
-                Ok(()) => {}
-                Err(TrySendError::Full(r)) => {
-                    backlog.push_front(r);
-                    break;
-                }
-                Err(TrySendError::Disconnected(_)) => {
-                    // Writer died on an I/O error; the close surfaces it.
-                    backlog.clear();
-                    break;
-                }
-            }
-        }
-        let record = if backlog.is_empty() {
-            match tx.try_send(record) {
-                Ok(()) | Err(TrySendError::Disconnected(_)) => return,
-                Err(TrySendError::Full(r)) => r,
-            }
-        } else {
-            record
-        };
-        backlog.push_back(record);
-        *deferred += 1;
+        // Fails only when a file sink's writer died on an I/O error, which
+        // the close surfaces.
+        let _ = self.tx.send(record);
     }
 }
 
@@ -470,11 +385,6 @@ impl TraceMeta {
 pub struct StreamSummary {
     /// Records the writer thread appended to the file.
     pub records_written: u64,
-    /// Records that hit channel backpressure at commit and were parked in a
-    /// leader backlog before eventually being written. Always `<=`
-    /// `records_written`; nonzero means the writer briefly fell behind, not
-    /// that anything was lost.
-    pub records_deferred: u64,
     /// Flight-recorder spans appended after the records (0 without an
     /// installed recorder).
     pub spans: u64,
@@ -494,6 +404,9 @@ pub struct TraceSink {
     meta: TraceMeta,
     hot_k: usize,
     workers: Vec<WorkerTracer>,
+    /// A memory sink's end of the record channel (a file sink's writer
+    /// thread owns it instead).
+    kept: Option<Mutex<Receiver<TraceRecord>>>,
     /// `Some` on a file sink until its close.
     writer: Option<Writer>,
 }
@@ -501,14 +414,20 @@ pub struct TraceSink {
 impl TraceSink {
     /// A memory sink for `engine` on `spec`, counters only.
     pub fn new(engine: &str, spec: &ClusterSpec) -> Self {
-        Self::build(engine, spec, false, None)
+        Self::memory(engine, spec, false)
     }
 
     /// A memory sink that additionally captures per-publication value
     /// digests — heavier (hashes every publication, locks a per-worker vec)
     /// but lets [`diff`] name the first divergent vertex.
     pub fn with_values(engine: &str, spec: &ClusterSpec) -> Self {
-        Self::build(engine, spec, true, None)
+        Self::memory(engine, spec, true)
+    }
+
+    fn memory(engine: &str, spec: &ClusterSpec, values: bool) -> Self {
+        let (mut sink, rx) = Self::build(engine, spec, values);
+        sink.kept = Some(Mutex::new(rx));
+        sink
     }
 
     /// A file sink: truncates `path`, writes the header line, and appends
@@ -516,20 +435,7 @@ impl TraceSink {
     /// digests as [`TraceSink::with_values`] does. Close it with
     /// [`TraceSink::finish`].
     pub fn create(engine: &str, spec: &ClusterSpec, path: &str, values: bool) -> io::Result<Self> {
-        Self::open(engine, spec, path, values, CHANNEL_CAPACITY)
-    }
-
-    /// [`TraceSink::create`] with an explicit channel bound, so tests can
-    /// force backpressure with a tiny one.
-    fn open(
-        engine: &str,
-        spec: &ClusterSpec,
-        path: &str,
-        values: bool,
-        channel_capacity: usize,
-    ) -> io::Result<Self> {
-        let (tx, rx) = sync_channel(channel_capacity.max(1));
-        let mut sink = Self::build(engine, spec, values, Some(tx));
+        let (mut sink, rx) = Self::build(engine, spec, values);
         let mut f = BufWriter::new(File::create(path)?);
         let header = TraceLine::Meta(sink.meta.clone());
         write_line(&mut f, &mut String::new(), &header)?;
@@ -542,22 +448,12 @@ impl TraceSink {
         Ok(sink)
     }
 
-    fn build(
-        engine: &str,
-        spec: &ClusterSpec,
-        values: bool,
-        tx: Option<SyncSender<TraceRecord>>,
-    ) -> Self {
+    /// A sink with no receiver attached yet, and its record channel's
+    /// receiving end.
+    fn build(engine: &str, spec: &ClusterSpec, values: bool) -> (Self, Receiver<TraceRecord>) {
         let workers = spec.num_workers();
-        let dest = || match &tx {
-            Some(tx) => Dest::File {
-                tx: tx.clone(),
-                backlog: VecDeque::new(),
-                deferred: 0,
-            },
-            None => Dest::Memory(Vec::new()),
-        };
-        TraceSink {
+        let (tx, rx) = channel();
+        let sink = TraceSink {
             meta: TraceMeta {
                 engine: engine.to_string(),
                 cluster: spec.label(),
@@ -566,10 +462,12 @@ impl TraceSink {
             },
             hot_k: 0,
             workers: (0..workers)
-                .map(|_| WorkerTracer::new(spec.threads_per_worker, workers, dest()))
+                .map(|_| WorkerTracer::new(spec.threads_per_worker, workers, tx.clone()))
                 .collect(),
+            kept: None,
             writer: None,
-        }
+        };
+        (sink, rx)
     }
 
     /// Enables hot-vertex capture: every compute thread keeps a
@@ -598,8 +496,8 @@ impl TraceSink {
         self.hot_k
     }
 
-    /// Closes a file sink after the run's threads have joined: flushes
-    /// every leader backlog, joins the writer thread, then appends the
+    /// Closes a file sink after the run's threads have joined: drops every
+    /// tracer's sender, joins the writer thread, then appends the
     /// flight-recorder spans and memory samples the run collected. A memory
     /// sink has no file to close: `InvalidInput` (read its records with
     /// [`TraceSink::take_records`]).
@@ -615,25 +513,8 @@ impl TraceSink {
                 "finish() on a memory TraceSink; read its records with take_records()",
             ));
         };
-        let mut records_deferred = 0;
-        for w in &mut self.workers {
-            let dest = std::mem::replace(w.dest.get_mut(), Dest::Memory(Vec::new()));
-            if let Dest::File {
-                tx,
-                backlog,
-                deferred,
-            } = dest
-            {
-                records_deferred += deferred;
-                // A blocking send is fine here: the run is over and the
-                // writer drains until every worker's `tx` is gone.
-                for r in backlog {
-                    if tx.send(r).is_err() {
-                        break;
-                    }
-                }
-            }
-        }
+        // The writer drains the channel until every sender is gone.
+        self.workers.clear();
         let (records_written, mut f) = writer
             .join()
             .map_err(|_| io::Error::other("trace writer thread panicked"))??;
@@ -642,7 +523,6 @@ impl TraceSink {
         let mut line = String::with_capacity(256);
         let mut summary = StreamSummary {
             records_written,
-            records_deferred,
             ..StreamSummary::default()
         };
         if let Some(fr) = cyclops_obs::flight() {
@@ -682,12 +562,10 @@ impl TraceSink {
     /// (empty on a file sink: its records are in the file). Requires
     /// `&mut self`: the run's threads must have finished.
     pub fn take_records(&mut self) -> Vec<TraceRecord> {
-        let mut out = Vec::new();
-        for w in &mut self.workers {
-            if let Dest::Memory(kept) = w.dest.get_mut() {
-                out.append(kept);
-            }
-        }
+        let mut out: Vec<TraceRecord> = match &mut self.kept {
+            Some(rx) => rx.get_mut().try_iter().collect(),
+            None => Vec::new(),
+        };
         out.sort_by_key(|r| (r.superstep, r.worker));
         out
     }
@@ -1765,10 +1643,10 @@ mod tests {
     }
 
     #[test]
-    fn file_sink_backpressure_defers_but_never_drops() {
-        let path = tmp("file-bp");
-        // A 1-slot channel makes commit bursts outpace the writer.
-        let sink = TraceSink::open("bsp", &spec(), &path, false, 1).unwrap();
+    fn a_commit_burst_reaches_the_file_exactly_once() {
+        let path = tmp("file-burst");
+        // Commits outpace the writer; the channel queues, never drops.
+        let sink = TraceSink::create("bsp", &spec(), &path, false).unwrap();
         let n = 5000;
         for s in 0..n {
             for w in 0..2 {
@@ -1790,9 +1668,8 @@ mod tests {
     #[test]
     fn dropping_an_unfinished_file_sink_closes_it() {
         let path = tmp("file-drop");
-        // A 1-slot channel leaves records in the leader backlogs for the
-        // close to flush.
-        let sink = TraceSink::open("cyclops", &spec(), &path, false, 1).unwrap();
+        // Records still queued in the channel reach the file at the close.
+        let sink = TraceSink::create("cyclops", &spec(), &path, false).unwrap();
         for s in 0..500 {
             for w in 0..2 {
                 committed(&sink, w, s);
@@ -1910,7 +1787,7 @@ mod tests {
     #[test]
     fn fast_path_and_wire_mode_fields_round_trip_but_never_diff() {
         let sink = TraceSink::new("cyclops", &spec());
-        sink.worker(0).add_wire_batches(3, 2);
+        sink.worker(0).add_wire_batches_to(1, 3, 2);
         sink.worker(0)
             .commit(&PhaseTimes::default(), leader(0, 0, 4));
         // Counts reset at commit.
@@ -2123,7 +2000,7 @@ mod tests {
             ..Default::default()
         };
         assert!(r.comm_consistent());
-        r.messages = 11; // one send bypassed add_sent_to
+        r.messages = 11; // a row that misses a send
         assert!(!r.comm_consistent());
         // Legacy records (no matrix) are trivially consistent.
         r.comm.clear();

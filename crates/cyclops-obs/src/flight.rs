@@ -12,20 +12,19 @@
 //!   costs exactly one resolved `Option` check — the same discipline as the
 //!   metrics registry.
 //! - **Enabled**: each instrumented thread owns one [`SpanRing`]; recording
-//!   is two `Instant` reads plus a bounds-checked write into a preallocated
-//!   buffer. No locks, no allocation past the ring's first lap. When a ring
-//!   fills it overwrites its oldest events (and counts them), so a long run
-//!   keeps its most recent window instead of failing.
+//!   is two `Instant` reads plus a write into a preallocated buffer behind
+//!   the ring's own, uncontended lock. No allocation past the first lap.
+//!   When a ring fills it overwrites its oldest events (and counts them), so
+//!   a long run keeps its most recent window instead of failing.
 //!
-//! Rings are drained after the run's threads have joined ([
-//! `FlightRecorder::drain`]) and exported by the CLI as extra JSONL lines
+//! [`FlightRecorder::drain`] empties the rings (the trace close calls it
+//! after the run's threads have joined); the spans become extra JSONL lines
 //! next to the superstep records, which `cyclops timeline --chrome` turns
 //! into Chrome trace-event JSON. Timestamps are wall-clock nanoseconds
 //! relative to the recorder's epoch: inherently nondeterministic, which is
 //! why spans live beside — never inside — the deterministic trace records.
 
-use std::cell::UnsafeCell;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 /// Default per-ring capacity in events. A [`SpanEvent`] is 48 bytes, so a
@@ -114,24 +113,17 @@ struct RingBuf {
     dropped: u64,
 }
 
-/// A fixed-capacity single-writer ring of [`SpanEvent`]s, owned by one
-/// instrumented thread. Created via [`FlightRecorder::ring`]; the recorder
-/// keeps a handle for draining after the run.
+/// A fixed-capacity ring of [`SpanEvent`]s, written by the one
+/// instrumented thread that owns it, behind an uncontended lock that a
+/// drain also takes. Created via [`FlightRecorder::ring`]; the recorder
+/// keeps a handle for draining.
 pub struct SpanRing {
     worker: u32,
     thread: u32,
     epoch: Instant,
     cap: usize,
-    inner: UnsafeCell<RingBuf>,
+    inner: Mutex<RingBuf>,
 }
-
-// SAFETY: `inner` is written only by the one thread that owns the ring
-// (engines resolve a ring per worker thread; the transport one per sender
-// lane, each lane having exactly one sending thread) and read only by
-// `FlightRecorder::drain` after those threads have joined — the same
-// single-writer discipline the superstep tracer's per-worker records use.
-unsafe impl Sync for SpanRing {}
-unsafe impl Send for SpanRing {}
 
 impl SpanRing {
     fn new(worker: u32, thread: u32, epoch: Instant, cap: usize) -> Self {
@@ -140,7 +132,7 @@ impl SpanRing {
             thread,
             epoch,
             cap: cap.max(1),
-            inner: UnsafeCell::new(RingBuf {
+            inner: Mutex::new(RingBuf {
                 buf: Vec::with_capacity(cap.clamp(1, 1024)),
                 head: 0,
                 dropped: 0,
@@ -180,25 +172,29 @@ impl SpanRing {
         });
     }
 
+    /// The ring's buffer, recovered if a panicking holder poisoned it: a
+    /// ring holds plain data, whole after every push.
+    fn buf(&self) -> MutexGuard<'_, RingBuf> {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Appends one event, overwriting the oldest when full.
     #[inline]
     pub fn push(&self, ev: SpanEvent) {
-        // SAFETY: single writer (see the Sync impl above).
-        let rb = unsafe { &mut *self.inner.get() };
+        let mut rb = self.buf();
         if rb.buf.len() < self.cap {
             rb.buf.push(ev);
         } else {
-            rb.buf[rb.head] = ev;
-            rb.head = (rb.head + 1) % self.cap;
+            let head = rb.head;
+            rb.buf[head] = ev;
+            rb.head = (head + 1) % self.cap;
             rb.dropped += 1;
         }
     }
 
     /// Copies the ring's events in chronological order and clears it.
-    /// Only called by `FlightRecorder::drain`, after writers have joined.
     fn take(&self) -> (Vec<SpanEvent>, u64) {
-        // SAFETY: callers guarantee the owning thread has finished.
-        let rb = unsafe { &mut *self.inner.get() };
+        let mut rb = self.buf();
         let mut out = Vec::with_capacity(rb.buf.len());
         out.extend_from_slice(&rb.buf[rb.head..]);
         out.extend_from_slice(&rb.buf[..rb.head]);
@@ -284,8 +280,7 @@ impl FlightRecorder {
     }
 
     /// Drains every ring: returns all spans sorted by start time and clears
-    /// the rings. Must only be called after the instrumented threads have
-    /// finished (engines join their workers before the CLI drains).
+    /// the rings. Called mid-run, it returns what the rings hold so far.
     pub fn drain(&self) -> FlightDump {
         let rings = self.rings.lock().unwrap_or_else(|e| e.into_inner());
         let mut spans = Vec::new();

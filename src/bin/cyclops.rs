@@ -393,8 +393,8 @@ fn finish_sink(opts: &Options, sink: Option<cyclops_net::trace::TraceSink>) -> R
         .finish()
         .map_err(|e| format!("closing trace {path}: {e}"))?;
     println!(
-        "trace written to {path}: {} records ({} deferred)",
-        summary.records_written, summary.records_deferred
+        "trace written to {path}: {} records",
+        summary.records_written
     );
     if opts.flight {
         if summary.spans_dropped > 0 {

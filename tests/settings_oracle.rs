@@ -9,7 +9,8 @@
 //! programs with a `priority()`), a checkpoint interval and a migration
 //! epoch — only in the combinations the CLI accepts. The canonical run is
 //! the same program, graph and cut on `flat(k, 1)`, threshold 0, per-hop,
-//! traced in values mode. Checks:
+//! traced in values mode; an sssp, bfs or cc canonical run must pass its
+//! `reference::certify_*` checker. Checks:
 //!
 //! 1. final values are bitwise equal to the canonical run's;
 //! 2. a per-hop case has the canonical superstep count and a values-mode
@@ -68,6 +69,7 @@ use cyclops_engine::{
     CyclopsResult,
 };
 use cyclops_graph::gen::{bipartite_ratings, rmat, road_lattice, RmatConfig};
+use cyclops_graph::reference::{certify_bfs, certify_components, certify_sssp};
 use cyclops_net::trace::{diff, RunTrace, TraceSink};
 use cyclops_partition::{EdgeCutPartition, MigrationConfig};
 use proptest::prelude::*;
@@ -212,24 +214,37 @@ fn web(seed: u64) -> Graph {
 }
 
 /// Runs the case's program on its graph: the program and its graph family,
-/// superstep cap and `auto` bucket width are fixed per program, the rest is
-/// the case's.
+/// superstep cap, `auto` bucket width and the certificate its canonical run
+/// must pass are fixed per program, the rest is the case's.
 fn check(case: &Case) -> Result<Reached, String> {
     let road = || road_lattice(12, 12, 0.9, 0.1, case.graph_seed);
     match case.program {
         Program::PageRank => {
             let program = CyclopsPageRank { epsilon: 1e-6 };
-            check_program(&program, &web(case.graph_seed), case, 30, 1.0)
+            check_program(&program, &web(case.graph_seed), case, 30, 1.0, |_| Ok(()))
         }
         Program::Sssp => {
             let g = road();
             let auto = auto_bucket_width(&g);
-            check_program(&CyclopsSssp { source: 0 }, &g, case, 1_000, auto)
+            let certificate = |d: &[f64]| certify_sssp(&g, 0, d);
+            check_program(
+                &CyclopsSssp { source: 0 },
+                &g,
+                case,
+                1_000,
+                auto,
+                certificate,
+            )
         }
-        Program::Bfs => check_program(&CyclopsBfs { source: 0 }, &road(), case, 1_000, 1.0),
+        Program::Bfs => {
+            let g = road();
+            let certificate = |levels: &[u32]| certify_bfs(&g, 0, levels);
+            check_program(&CyclopsBfs { source: 0 }, &g, case, 1_000, 1.0, certificate)
+        }
         Program::Cc => {
             let g = symmetrize(&web(case.graph_seed));
-            check_program(&CyclopsComponents, &g, case, 1_000, 1.0)
+            let certificate = |labels: &[u32]| certify_components(&g, labels);
+            check_program(&CyclopsComponents, &g, case, 1_000, 1.0, certificate)
         }
         Program::Cd => check_program(
             &CyclopsCommunityDetection,
@@ -237,6 +252,7 @@ fn check(case: &Case) -> Result<Reached, String> {
             case,
             10,
             1.0,
+            |_| Ok(()),
         ),
         Program::Als => {
             let (g, users) = bipartite_ratings(48, 12, 200, 0.9, case.graph_seed);
@@ -246,15 +262,15 @@ fn check(case: &Case) -> Result<Reached, String> {
                 lambda: 0.1,
             };
             // Two supersteps per ALS iteration.
-            check_program(&CyclopsAls { params }, &g, case, 6, 1.0)
+            check_program(&CyclopsAls { params }, &g, case, 6, 1.0, |_| Ok(()))
         }
         Program::KCore => {
             let g = symmetrize(&web(case.graph_seed));
-            check_program(&CyclopsKCore, &g, case, 1_000, 1.0)
+            check_program(&CyclopsKCore, &g, case, 1_000, 1.0, |_| Ok(()))
         }
         Program::Triangles => {
             let g = symmetrize(&web(case.graph_seed));
-            check_program(&CyclopsTriangles, &g, case, 4, 1.0)
+            check_program(&CyclopsTriangles, &g, case, 4, 1.0, |_| Ok(()))
         }
     }
 }
@@ -319,6 +335,7 @@ fn check_program<P: CyclopsProgram>(
     case: &Case,
     max_supersteps: usize,
     auto_width: f64,
+    certificate: impl Fn(&[P::Value]) -> Result<(), String>,
 ) -> Result<Reached, String>
 where
     P::Value: Debug,
@@ -338,6 +355,7 @@ where
         ..Default::default()
     };
     let base = run(program, g, &p, &canonical, None);
+    certificate(&base.result.values).map_err(|e| format!("canonical run: {e}"))?;
     let threshold = match case.threshold {
         Threshold::Fixed(t) => t,
         Threshold::Auto => p.auto_replicate_threshold(g),
