@@ -213,7 +213,6 @@ mod tests {
         let config = GasConfig {
             cluster: ClusterSpec::flat(2, 2),
             max_supersteps: 20,
-            ..Default::default()
         };
         let r = run_gas(&GasPageRank { epsilon: 0.0 }, &g, &p, &config);
         let (expected, _) = reference::pagerank(&g, 0.0, 20);

@@ -146,7 +146,7 @@ fn bench_inbox(c: &mut Criterion) {
                             });
                         }
                     });
-                    std::hint::black_box(t.pending(3));
+                    std::hint::black_box(t.all_empty());
                 },
                 BatchSize::SmallInput,
             )

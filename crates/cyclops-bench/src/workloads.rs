@@ -366,7 +366,6 @@ pub fn run_on_gas(
     let config = |max_supersteps| GasConfig {
         cluster: *cluster,
         max_supersteps,
-        ..Default::default()
     };
     match workload.algo {
         Algo::PageRank => run_gas(

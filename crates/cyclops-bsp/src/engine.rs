@@ -102,6 +102,9 @@ struct WorkerState<V, M> {
     halted: Vec<bool>,
     /// Parsed incoming messages, parallel to `locals`.
     mailbox: Vec<Vec<M>>,
+    /// A resumed run's checkpoint messages for this worker, in checkpoint
+    /// order: the first PRS parses them ahead of its transport drain.
+    resumed: Vec<(VertexId, M)>,
     /// Fingerprint of last superstep's outgoing messages per vertex
     /// (redundancy tracking).
     last_sent: Vec<u64>,
@@ -215,6 +218,7 @@ fn run_bsp_inner<P: BspProgram>(
             values: locals.iter().map(|&v| program.init(v, graph)).collect(),
             halted: vec![false; locals.len()],
             mailbox: locals.iter().map(|_| Vec::new()).collect(),
+            resumed: Vec::new(),
             last_sent: vec![0; locals.len()],
             locals,
         }
@@ -222,8 +226,6 @@ fn run_bsp_inner<P: BspProgram>(
     let mut states: Vec<WorkerState<P::Value, P::Message>> =
         locals.into_iter().map(build).collect();
 
-    let transport: Transport<(VertexId, P::Message)> =
-        Transport::with_network(config.cluster, config.inbox, config.network);
     if let Some(cp) = resume {
         let owner = |v: VertexId| partition.part_of(v) as usize;
         let slot = |v: VertexId| local_index[v as usize] as usize;
@@ -233,10 +235,8 @@ fn run_bsp_inner<P: BspProgram>(
         for (v, halted) in &cp.halted {
             states[owner(*v)].halted[slot(*v)] = *halted;
         }
-        // Reinject in-flight messages; they will be parsed in the first
-        // resumed superstep's PRS phase.
         for (dest, msg) in &cp.messages {
-            transport.inject(owner(*dest), vec![(*dest, msg.clone())], cp.superstep);
+            states[owner(*dest)].resumed.push((*dest, msg.clone()));
         }
     }
     let start_superstep = resume.map_or(0, |cp| cp.superstep);
@@ -251,7 +251,7 @@ fn run_bsp_inner<P: BspProgram>(
         sched_obs: SchedObs::resolve("bsp"),
         cmp_ns: (0..num_workers).map(|_| AtomicU64::new(0)).collect(),
         local_index,
-        transport,
+        transport: Transport::with_network(config.cluster, config.inbox, config.network),
         barrier: FlatBarrier::new(num_workers),
         stop: AtomicBool::new(false),
         active_total: AtomicUsize::new(0),
@@ -416,19 +416,20 @@ impl<'r, P: BspProgram> Worker<'r, P> {
         }
     }
 
-    /// PRS: drains superstep `superstep`'s messages into the per-vertex
-    /// mailboxes. A message reactivates a halted vertex (Pregel semantics);
-    /// only that transition joins it to `awake`, so entries stay unique, and
-    /// `awake` is re-sorted ascending after the arrivals. Returns the number
-    /// of messages drained.
+    /// PRS: drains superstep `superstep`'s messages, behind a resumed run's
+    /// checkpoint messages, into the per-vertex mailboxes. A message
+    /// reactivates a halted vertex (Pregel semantics); only that transition
+    /// joins it to `awake`, so entries stay unique, and `awake` is re-sorted
+    /// ascending after the arrivals. Returns the number of messages drained.
     fn parse(&mut self, superstep: usize, awake: &mut Vec<u32>) -> usize {
         let span = self.span_start();
         let (run, me) = (self.run, self.me);
         let st = &mut *self.st;
         let received = self.times.time(Phase::Parse, || {
-            let msgs = run.transport.drain(me, superstep);
-            let count = msgs.len();
-            for (dest, msg) in msgs {
+            let resumed = std::mem::take(&mut st.resumed);
+            let drained = run.transport.drain(me, superstep);
+            let count = resumed.len() + drained.len();
+            for (dest, msg) in resumed.into_iter().chain(drained) {
                 let li = run.local_index[dest as usize] as usize;
                 debug_assert_eq!(run.partition.part_of(dest) as usize, me);
                 if std::mem::replace(&mut st.halted[li], false) {

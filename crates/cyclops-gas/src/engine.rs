@@ -41,8 +41,6 @@ pub struct GasConfig {
     pub cluster: ClusterSpec,
     /// Hard cap on supersteps.
     pub max_supersteps: usize,
-    /// Cost model for cross-machine traffic (default: ideal / zero delay).
-    pub network: cyclops_net::NetworkModel,
 }
 
 impl Default for GasConfig {
@@ -50,7 +48,6 @@ impl Default for GasConfig {
         GasConfig {
             cluster: ClusterSpec::flat(2, 2),
             max_supersteps: 10_000,
-            network: cyclops_net::NetworkModel::ideal(),
         }
     }
 }
@@ -514,7 +511,7 @@ pub fn run_gas_traced<P: GasProgram>(
         phase_hists: PhaseHists::resolve("gas"),
         sched_obs: SchedObs::resolve("gas"),
         cmp_ns: (0..num_workers).map(|_| AtomicU64::new(0)).collect(),
-        transport: Transport::with_network(config.cluster, InboxMode::GlobalQueue, config.network),
+        transport: Transport::new(config.cluster, InboxMode::GlobalQueue),
         barrier: FlatBarrier::new(num_workers),
         stop: AtomicBool::new(false),
         active_total: AtomicUsize::new(0),

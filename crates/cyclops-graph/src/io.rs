@@ -50,6 +50,8 @@ pub fn read_edge_list<R: Read>(reader: R, min_vertices: usize) -> Result<Graph, 
     let reader = BufReader::new(reader);
     let mut edges: Vec<(VertexId, VertexId, Option<f64>)> = Vec::new();
     let mut max_id: usize = 0;
+    // Whether the first edge carried a weight; every later edge must agree.
+    let mut weighted: Option<bool> = None;
     for (idx, line) in reader.lines().enumerate() {
         let line = line?;
         let trimmed = line.trim();
@@ -80,6 +82,12 @@ pub fn read_edge_list<R: Read>(reader: R, min_vertices: usize) -> Result<Graph, 
                 content: trimmed.to_string(),
             });
         }
+        if *weighted.get_or_insert(weight.is_some()) != weight.is_some() {
+            return Err(IoError::Parse {
+                line: idx + 1,
+                content: "mixed weighted and unweighted lines".to_string(),
+            });
+        }
         max_id = max_id.max(src as usize).max(dst as usize);
         edges.push((src as VertexId, dst as VertexId, weight));
     }
@@ -90,17 +98,10 @@ pub fn read_edge_list<R: Read>(reader: R, min_vertices: usize) -> Result<Graph, 
         (max_id + 1).max(min_vertices)
     };
     let mut b = GraphBuilder::new(n);
-    let weighted = edges.first().map(|e| e.2.is_some()).unwrap_or(false);
-    for (i, (s, d, w)) in edges.into_iter().enumerate() {
-        match (weighted, w) {
-            (true, Some(w)) => b.add_weighted_edge(s, d, w),
-            (false, None) => b.add_edge(s, d),
-            _ => {
-                return Err(IoError::Parse {
-                    line: i + 1,
-                    content: "mixed weighted and unweighted lines".to_string(),
-                })
-            }
+    for (s, d, w) in edges {
+        match w {
+            Some(w) => b.add_weighted_edge(s, d, w),
+            None => b.add_edge(s, d),
         }
     }
     Ok(b.build())
@@ -170,6 +171,14 @@ mod tests {
     fn rejects_mixed_weightedness() {
         let err = read_edge_list("0 1 2.0\n1 0\n".as_bytes(), 0).unwrap_err();
         assert!(matches!(err, IoError::Parse { .. }));
+    }
+
+    #[test]
+    fn mixed_weightedness_names_the_source_line() {
+        // The unweighted edge is the second edge but the file's fourth line.
+        let text = "0 1 1.0\n# comment\n\n1 2\n";
+        let err = read_edge_list(text.as_bytes(), 0).unwrap_err();
+        assert!(matches!(err, IoError::Parse { line: 4, .. }), "{err}");
     }
 
     #[test]

@@ -52,8 +52,8 @@ pub mod transport;
 pub use barrier::{FlatBarrier, HierarchicalBarrier};
 pub use cluster::{BucketMode, ClusterSpec};
 pub use codec::{
-    encode_migration_batch, migration_batch_encoded_len, try_decode_migration_batch, Codec,
-    MigrationRecord, ReplicaUpdate, WireFormat, WireMode, WireStats,
+    encode_migration_batch, try_decode_migration_batch, Codec, MigrationRecord, ReplicaUpdate,
+    WireFormat, WireMode, WireStats,
 };
 pub use metrics::{AggregateStats, Phase, PhaseHists, PhaseTimes, SchedObs, SuperstepStats};
 pub use slots::DisjointSlots;

@@ -54,6 +54,10 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 
 /// One superstep on one worker.
+///
+/// Every column has a writer in some engine. A JSONL line is read by key,
+/// so a column an older trace carries and no run writes any more (the
+/// fast-path flag, the direct messages' own wire bytes) is skipped on load.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TraceRecord {
     /// Superstep index.
@@ -85,13 +89,6 @@ pub struct TraceRecord {
     pub bytes: u64,
     /// Whether a checkpoint was captured this superstep.
     pub checkpoint: bool,
-    /// Whether this worker ran the superstep on the sparse fast path, in
-    /// traces written while the engines had one (a single compute thread
-    /// below a frontier cutoff). No run records it any more; the column is
-    /// read and re-serialized so older trace files keep loading, and
-    /// excluded from [`diff`]'s comparison, because it was the schedule,
-    /// never the results.
-    pub sparse_fast_path: bool,
     /// Cross-machine batches this worker sent in the dense wire mode.
     /// Deterministic for a deterministic schedule, but excluded from
     /// [`diff`] so adaptive-encoding runs stay comparable with legacy runs.
@@ -101,17 +98,12 @@ pub struct TraceRecord {
     /// Direct messages this worker sent during SND under hybrid
     /// replication (cold boundary masters messaging instead of syncing a
     /// replica). A subset of `messages`; 0 on full-replication runs — the
-    /// fields are then omitted from JSONL, keeping threshold-0 traces
+    /// field is then omitted from JSONL, keeping threshold-0 traces
     /// byte-identical to pre-hybrid ones. Deterministic for a given
     /// threshold and compared by [`diff`]; runs at *different* thresholds
     /// compare with [`diff::first_value_divergence`], which skips every
     /// traffic counter.
     pub direct_messages: u64,
-    /// Wire bytes of those messages, in traces written when they travelled
-    /// in batches of their own. No run records it any more (one batch per
-    /// destination carries both kinds); the column is read, compared and
-    /// re-serialized so older trace files keep loading.
-    pub direct_bytes: u64,
     /// Masters migrated *onto* this worker at the epoch boundary preceding
     /// this superstep (dynamic load balancing). 0 on migration-off runs —
     /// the field is then omitted from JSONL, keeping migration-off traces
@@ -648,11 +640,8 @@ impl TraceRecord {
             self.bytes,
             self.checkpoint
         );
-        // New-in-PR-5 fields are written only when set, so older readers
-        // (and older traces fed to trace-diff) keep working unchanged.
-        if self.sparse_fast_path {
-            out.push_str(",\"sparse_fast_path\":true");
-        }
+        // Later columns are written only when set, so older readers (and
+        // older traces fed to trace-diff) keep working unchanged.
         if self.wire_dense > 0 {
             let _ = write!(out, ",\"wire_dense\":{}", self.wire_dense);
         }
@@ -661,9 +650,6 @@ impl TraceRecord {
         }
         if self.direct_messages > 0 {
             let _ = write!(out, ",\"direct_messages\":{}", self.direct_messages);
-        }
-        if self.direct_bytes > 0 {
-            let _ = write!(out, ",\"direct_bytes\":{}", self.direct_bytes);
         }
         if self.migrated > 0 {
             let _ = write!(out, ",\"migrated\":{}", self.migrated);
@@ -924,13 +910,9 @@ fn parse_record(line: &str) -> Option<TraceRecord> {
         messages: num(line, "messages")?,
         bytes: num(line, "bytes")?,
         checkpoint: field(line, "checkpoint")?.trim() == "true",
-        sparse_fast_path: field(line, "sparse_fast_path")
-            .map(|v| v.trim() == "true")
-            .unwrap_or(false),
         wire_dense: num(line, "wire_dense").unwrap_or(0),
         wire_sparse: num(line, "wire_sparse").unwrap_or(0),
         direct_messages: num(line, "direct_messages").unwrap_or(0),
-        direct_bytes: num(line, "direct_bytes").unwrap_or(0),
         migrated: num(line, "migrated").unwrap_or(0),
         fused: num(line, "fused").unwrap_or(0),
         bucket: num(line, "bucket").unwrap_or(0),
@@ -1097,11 +1079,11 @@ pub mod diff {
     /// `(dst, messages, bytes)` portion: per-pair wire-mode counts stay
     /// diagnostic, like `wire_dense`/`wire_sparse`. With `values_only`
     /// every traffic-, schedule-, and visibility-shaped counter
-    /// (activated, drained, messages, bytes, direct_*, migrated, bucket
-    /// accounting, comm) is skipped: those legitimately differ between
-    /// runs at different replication thresholds or migration settings,
-    /// while the computation-shaped counters and the publication digests
-    /// must not.
+    /// (activated, drained, messages, bytes, direct_messages, migrated,
+    /// bucket accounting, comm) is skipped: those legitimately differ
+    /// between runs at different replication thresholds or migration
+    /// settings, while the computation-shaped counters and the publication
+    /// digests must not.
     fn counters(r: &TraceRecord, values_only: bool) -> Vec<(&'static str, String)> {
         let mut out = vec![
             ("frontier", r.frontier.to_string()),
@@ -1131,7 +1113,6 @@ pub mod diff {
                 ("messages", r.messages.to_string()),
                 ("bytes", r.bytes.to_string()),
                 ("direct_messages", r.direct_messages.to_string()),
-                ("direct_bytes", r.direct_bytes.to_string()),
                 ("migrated", r.migrated.to_string()),
                 ("fused", r.fused.to_string()),
                 ("bucket", r.bucket.to_string()),
@@ -1461,29 +1442,26 @@ mod tests {
 
     #[test]
     fn direct_fields_round_trip_and_values_only_diff_skips_traffic() {
-        // Nonzero direct counters survive JSONL; zero ones are omitted so
+        // A nonzero direct count survives JSONL; zero is omitted so
         // threshold-0 lines stay byte-identical to pre-hybrid traces.
         let mut r = TraceRecord {
             superstep: 2,
             worker: 1,
             direct_messages: 7,
-            direct_bytes: 120,
             ..Default::default()
         };
         let mut line = String::new();
         r.to_json(&mut line);
         assert!(line.contains("\"direct_messages\":7"));
-        assert!(line.contains("\"direct_bytes\":120"));
         assert_eq!(TraceLine::parse(&line), Some(TraceLine::Record(r.clone())));
         r.direct_messages = 0;
-        r.direct_bytes = 0;
         line.clear();
         r.to_json(&mut line);
         assert!(!line.contains("direct_"));
 
         // Full diff flags a direct-counter difference; the values-only
         // diff (and digest compare) sees the runs as equivalent.
-        let mk = |dm: u64, db: u64, bytes: u64| RunTrace {
+        let mk = |dm: u64, bytes: u64| RunTrace {
             meta: TraceMeta::default(),
             spans: Vec::new(),
             mem: Vec::new(),
@@ -1494,13 +1472,12 @@ mod tests {
                 messages: 9,
                 bytes,
                 direct_messages: dm,
-                direct_bytes: db,
                 pubs: vec![(1, 42), (3, 7)],
                 ..Default::default()
             }],
         };
-        let a = mk(0, 0, 200);
-        let b = mk(4, 64, 150);
+        let a = mk(0, 200);
+        let b = mk(4, 150);
         let d = diff::first_divergence(&a, &b, true).unwrap();
         assert_eq!(d.counter, "bytes");
         assert_eq!(diff::first_value_divergence(&a, &b), None);
@@ -1785,7 +1762,7 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_and_wire_mode_fields_round_trip_but_never_diff() {
+    fn wire_mode_fields_reset_at_commit_round_trip_and_never_diff() {
         let sink = TraceSink::new("cyclops", &spec());
         sink.worker(0).add_wire_batches_to(1, 3, 2);
         sink.worker(0)
@@ -1798,45 +1775,56 @@ mod tests {
         assert_eq!(records[0].wire_dense, 3);
         assert_eq!(records[0].wire_sparse, 2);
         assert_eq!(records[1].wire_dense, 0);
-        assert!(!records[0].sparse_fast_path, "no run writes the column");
-        // An older trace's fast-path record still loads and re-serializes.
-        let old = TraceRecord {
-            sparse_fast_path: true,
-            ..records[0].clone()
-        };
         let mut line = String::new();
-        old.to_json(&mut line);
-        assert!(line.contains("\"sparse_fast_path\":true"));
-        assert_eq!(TraceLine::parse(&line), Some(TraceLine::Record(old)));
-        // A record without the new fields omits them entirely (old readers
-        // keep working) and parses back with defaults.
+        records[0].to_json(&mut line);
+        assert_eq!(
+            TraceLine::parse(&line),
+            Some(TraceLine::Record(records[0].clone()))
+        );
+        // A record without wire batches omits the fields entirely (old
+        // readers keep working) and parses back with defaults.
         let mut plain = String::new();
         records[1].to_json(&mut plain);
-        assert!(!plain.contains("sparse_fast_path"));
         assert!(!plain.contains("wire_"));
         assert_eq!(
             TraceLine::parse(&plain),
             Some(TraceLine::Record(records[1].clone()))
         );
-        // diff must treat fast-path and legacy-path runs of the same
-        // workload as identical: the fields are schedule, not results.
-        let mk = |fast: bool, dense: u64| RunTrace {
-            meta: TraceMeta::default(),
-            spans: Vec::new(),
-            mem: Vec::new(),
+        // diff treats runs that differ only in wire modes as identical: the
+        // encoding is chosen per batch, the results are not.
+        let mk = |dense: u64| RunTrace {
             records: vec![TraceRecord {
-                superstep: 0,
-                worker: 0,
                 computed: 5,
-                sparse_fast_path: fast,
                 wire_dense: dense,
                 ..Default::default()
             }],
+            ..Default::default()
         };
-        assert_eq!(
-            diff::first_divergence(&mk(true, 7), &mk(false, 0), true),
-            None
-        );
+        assert_eq!(diff::first_divergence(&mk(7), &mk(0), true), None);
+    }
+
+    #[test]
+    fn an_old_line_with_retired_columns_parses_as_without_them() {
+        // Traces written while the engines had a sparse fast path and sent
+        // direct messages in batches of their own carry two more keys.
+        let old = r#"{"superstep":3,"worker":1,"parse_ns":10,"compute_ns":20,"send_ns":30,"sync_ns":40,"frontier":5,"computed":5,"activated":2,"converged_delta":0,"drained":4,"messages":6,"bytes":48,"checkpoint":false,"sparse_fast_path":true,"direct_messages":2,"direct_bytes":5}"#;
+        let plain = old
+            .replace(r#","sparse_fast_path":true"#, "")
+            .replace(r#","direct_bytes":5"#, "");
+        let record = |line: &str| match TraceLine::parse(line) {
+            Some(TraceLine::Record(r)) => r,
+            other => panic!("not a record: {other:?}"),
+        };
+        let (a, b) = (record(old), record(&plain));
+        assert_eq!(a, b);
+        let mut line = String::new();
+        a.to_json(&mut line);
+        assert_eq!(line, plain, "the retired keys are not written back");
+        let run = |r: TraceRecord| RunTrace {
+            records: vec![r],
+            ..Default::default()
+        };
+        assert_eq!(diff::first_divergence(&run(a), &run(b), true), None);
     }
 
     #[test]

@@ -4,9 +4,12 @@
 //! Hama buffers all incoming messages in **one global queue per worker**
 //! whose enqueue must be serialized — the contention the paper blames for
 //! much of the communication cost (§2.2.2, §4.1, Table 3). Cyclops instead
-//! gives each sender its own lane (its replica-update messages can be
-//! applied "in parallel by multiple receiving threads" because no two
-//! senders target the same replica), so enqueue never contends.
+//! gives each sender thread its own lane in every receiver, so enqueue
+//! never contends. Every lane has exactly one writer, and no two sender
+//! threads target the same replica, so the `R` receiver threads of a
+//! worker can split its lanes ([`Transport::drain_lanes_partitioned`]) and
+//! apply them "in parallel" without locks (§4.1, §5). Every message in a
+//! lane came through [`Transport::send`]; nothing else enqueues.
 //!
 //! Messages crossing a simulated machine boundary are round-tripped through
 //! the binary [`Codec`] into real byte buffers; intra-machine sends move the
@@ -98,6 +101,13 @@ pub enum InboxMode {
 
 /// Message fabric for one engine run.
 ///
+/// A receiver's inbox is a row of lanes: one per sender lane (sender thread
+/// `worker * threads_per_worker + thread`) under [`InboxMode::Sharded`],
+/// one lane shared by every sender under [`InboxMode::GlobalQueue`].
+/// [`Self::send`] is the one way in and [`Self::drain_lanes_partitioned`]
+/// the one way out; [`Self::drain_lanes`] and [`Self::drain`] are that walk
+/// over every lane.
+///
 /// `Transport` is shared by reference across worker threads; all methods
 /// take `&self`. Statistics are recorded into [`RunCounters`], which the
 /// engine reads after each superstep.
@@ -107,13 +117,12 @@ pub struct Transport<M> {
     /// Sender lanes per worker: one per compute thread, so threads of the
     /// same worker never contend ("private out-queues", §5).
     lanes_per_worker: usize,
-    /// `lanes[parity][receiver][sender lane]`; GlobalQueue mode uses
-    /// `lanes[parity][receiver][0]`, Sharded mode adds one extra trailing
-    /// lane per receiver reserved for [`Self::inject`] (checkpoint-resume
-    /// traffic has no sender lane). Queues are double-buffered by superstep
-    /// parity: a message sent during superstep `s` must only be visible to
-    /// its receiver's parse phase of superstep `s + 1`, even when workers
-    /// race one superstep apart inside the barrier interval.
+    /// `lanes[parity][receiver][sender lane]`: Sharded mode gives each
+    /// receiver one lane per sender lane, GlobalQueue mode one lane in all
+    /// (`lanes[parity][receiver][0]`). Queues are double-buffered by
+    /// superstep parity: a message sent during superstep `s` must only be
+    /// visible to its receiver's parse phase of superstep `s + 1`, even when
+    /// workers race one superstep apart inside the barrier interval.
     lanes: [Vec<Vec<Mutex<Vec<M>>>>; 2],
     /// `dirty[parity][receiver]` — indices of lanes that may hold messages,
     /// so drains touch only active lanes instead of walking all of them
@@ -189,10 +198,9 @@ pub fn flush_span_mode(mode: Option<WireMode>) -> u64 {
 
 /// Worker-pair traffic counters: `cyclops_comm_pair_{messages,bytes}_total
 /// {src,dst}` — the live (Prometheus) face of the per-record communication
-/// matrix. The full `workers²` family is resolved up front (registration is
-/// sharded, so large clusters don't serialize on one registry lock) and
-/// indexed flat by `src * workers + dst`; the send path pays two counter
-/// adds per batch.
+/// matrix. The full `workers²` family is resolved once, at construction,
+/// and indexed flat by `src * workers + dst`; the send path pays two
+/// counter adds per batch.
 struct CommObs {
     workers: usize,
     pair_messages: Vec<Arc<Counter>>,
@@ -285,12 +293,7 @@ impl<M: WireFormat + Send> Transport<M> {
         let w = spec.num_workers();
         let lanes_per_receiver = match mode {
             InboxMode::GlobalQueue => 1,
-            // One lane per sender thread plus a dedicated injection lane
-            // (the last index) for checkpoint-resume traffic, so injected
-            // batches never share a lane with a live sender — sharing
-            // would break the lane-disjointness that lets R receiver
-            // threads apply lanes to replicas without coordination.
-            InboxMode::Sharded => w * spec.threads_per_worker + 1,
+            InboxMode::Sharded => w * spec.threads_per_worker,
         };
         let make = || {
             (0..w)
@@ -465,59 +468,32 @@ impl<M: WireFormat + Send> Transport<M> {
         receipt
     }
 
-    /// Enqueues messages for delivery at exactly epoch `deliver_epoch`,
-    /// bypassing serialization and the send counters (the queue-occupancy
-    /// gauge is still maintained). Used to reinject in-flight messages when
-    /// resuming from a checkpoint.
-    ///
-    /// In [`InboxMode::Sharded`] the messages go into the dedicated
-    /// injection lane (index `num_workers * threads_per_worker`), never a
-    /// sender's lane: the checkpoint does not record senders, and merging
-    /// injected messages into lane 0 would let two receiver threads apply
-    /// messages for the same replica from different lanes.
-    pub fn inject(&self, to: usize, msgs: Vec<M>, deliver_epoch: usize) {
-        if msgs.is_empty() {
-            return;
-        }
-        self.counters.queue_enter(msgs.len());
-        let lanes = &self.lanes[deliver_epoch & 1][to];
-        let lane_idx = lanes.len() - 1;
-        let _mem = MemScope::enter(Component::Inbox);
-        lanes[lane_idx].lock().extend(msgs);
-        self.dirty[deliver_epoch & 1][to]
-            .lock()
-            .push(lane_idx as u32);
-    }
-
     /// Drains everything queued for worker `to`'s superstep `epoch`, in
-    /// sender order.
+    /// sender-lane order: [`Self::drain_lanes`] flattened, a single lane's
+    /// batch returned as it is.
     pub fn drain(&self, to: usize, epoch: usize) -> Vec<M> {
-        let mut indices = std::mem::take(&mut *self.dirty[epoch & 1][to].lock());
-        indices.sort_unstable();
-        indices.dedup();
-        let mut out = Vec::new();
-        for idx in indices {
-            out.append(&mut self.lanes[epoch & 1][to][idx as usize].lock());
-        }
-        self.counters.queue_leave(out.len());
-        if let Some(obs) = &self.obs {
-            obs.lane_depth.record(out.len() as u64);
+        let mut lanes = self
+            .drain_lanes(to, epoch)
+            .into_iter()
+            .map(|(_, batch)| batch);
+        let mut out = lanes.next().unwrap_or_default();
+        for mut batch in lanes {
+            out.append(&mut batch);
         }
         out
     }
 
     /// Drains worker `to`'s epoch-`epoch` inbox lane by lane as
-    /// `(sender, batch)` pairs. Only meaningful in [`InboxMode::Sharded`];
-    /// GlobalQueue mode returns a single pair with sender 0 (senders were
-    /// merged at enqueue).
+    /// `(sender lane, batch)` pairs, ascending by lane, empty lanes skipped.
+    /// GlobalQueue mode has one lane per receiver, reported as sender 0.
     pub fn drain_lanes(&self, to: usize, epoch: usize) -> Vec<(usize, Vec<M>)> {
         self.drain_lanes_partitioned(to, epoch, 0, 1)
     }
 
     /// Drains the subset of worker `to`'s epoch-`epoch` lanes whose index is
     /// congruent to `part` modulo `parts` — how `R` receiver threads split
-    /// the inbound lanes among themselves (§5). Lane-disjointness guarantees
-    /// the batches of different parts touch disjoint replicas.
+    /// the inbound lanes among themselves (§5). Each lane has one sending
+    /// thread, so the batches of different parts touch disjoint replicas.
     pub fn drain_lanes_partitioned(
         &self,
         to: usize,
@@ -554,14 +530,6 @@ impl<M: WireFormat + Send> Transport<M> {
                 }
             })
             .collect()
-    }
-
-    /// Number of messages currently queued for worker `to` (both parities).
-    pub fn pending(&self, to: usize) -> usize {
-        self.lanes
-            .iter()
-            .map(|par| par[to].iter().map(|l| l.lock().len()).sum::<usize>())
-            .sum()
     }
 
     /// True if no worker has pending messages in either parity. O(1): reads
@@ -672,45 +640,6 @@ mod tests {
     }
 
     #[test]
-    fn inject_targets_exact_epoch() {
-        let t: Transport<u32> = Transport::new(spec(), InboxMode::Sharded);
-        t.inject(2, vec![9], 6);
-        assert!(t.drain(2, 5).is_empty());
-        assert_eq!(t.drain(2, 6), vec![9]);
-        assert_eq!(t.counters().snapshot().messages, 0, "inject is uncounted");
-    }
-
-    #[test]
-    fn inject_uses_a_dedicated_lane_in_sharded_mode() {
-        // mt(1, 2, 2): one worker with two sender threads and two receiver
-        // threads — sender lanes 0..2, injection lane 2.
-        let spec = ClusterSpec::mt(1, 2, 2);
-        let t: Transport<u32> = Transport::new(spec, InboxMode::Sharded);
-        t.send(0, 0, vec![100], 5); // sender lane 0
-        t.send(1, 0, vec![101], 5); // sender lane 1
-        t.inject(0, vec![200, 201], 6);
-        // Each receiver thread claims its share of the lanes; every batch
-        // must come from exactly one source — injected messages must not be
-        // merged into sender lane 0 (that merge is what used to let two
-        // receivers apply messages for the same replica concurrently).
-        let receivers = spec.receivers_per_worker;
-        let mut by_lane = Vec::new();
-        for r in 0..receivers {
-            for (lane, batch) in t.drain_lanes_partitioned(0, 6, r, receivers) {
-                assert_eq!(lane % receivers, r, "lane {lane} drained by wrong part");
-                by_lane.push((lane, batch));
-            }
-        }
-        by_lane.sort();
-        assert_eq!(
-            by_lane,
-            vec![(0, vec![100]), (1, vec![101]), (2, vec![200, 201])],
-            "injected batch must stay in its own lane"
-        );
-        assert!(t.all_empty());
-    }
-
-    #[test]
     fn drain_lanes_reports_senders() {
         let t: Transport<u32> = Transport::new(spec(), InboxMode::Sharded);
         t.send(3, 0, vec![30], 0);
@@ -785,7 +714,7 @@ mod tests {
                 });
             }
         });
-        assert_eq!(t.pending(3), 8000);
+        assert_eq!(t.drain(3, 1).len(), 8000);
         // Each sender has its own lane: no contention possible.
         assert_eq!(t.counters().snapshot().lock_contentions, 0);
     }

@@ -15,7 +15,7 @@ pub fn render_prometheus(reg: &MetricsRegistry) -> String {
     let mut last_name = String::new();
     reg.for_each(|id, metric| {
         if id.name != last_name {
-            let _ = writeln!(out, "# TYPE {} {}", id.name, type_of(metric));
+            let _ = writeln!(out, "# TYPE {} {}", id.name, metric.kind());
             last_name = id.name.clone();
         }
         match metric {
@@ -34,14 +34,6 @@ pub fn render_prometheus(reg: &MetricsRegistry) -> String {
         }
     });
     out
-}
-
-fn type_of(metric: &Metric) -> &'static str {
-    match metric {
-        Metric::Counter(_) => "counter",
-        Metric::Gauge(_) | Metric::FloatGauge(_) => "gauge",
-        Metric::Histogram(_) => "histogram",
-    }
 }
 
 fn render_histogram(out: &mut String, id: &MetricId, s: &HistogramSnapshot) {

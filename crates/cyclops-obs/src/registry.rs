@@ -10,7 +10,7 @@
 use crate::hist::LogLinearHistogram;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -126,42 +126,24 @@ pub enum Metric {
 }
 
 impl Metric {
-    fn kind(&self) -> &'static str {
+    /// The Prometheus type: `counter`, `gauge` or `histogram`.
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             Metric::Counter(_) => "counter",
-            Metric::Gauge(_) => "gauge",
-            Metric::FloatGauge(_) => "gauge",
+            Metric::Gauge(_) | Metric::FloatGauge(_) => "gauge",
             Metric::Histogram(_) => "histogram",
         }
     }
 }
 
-/// Number of registration shards. Registration hashes the metric identity
-/// to one shard, so metric families registered concurrently (e.g. the
-/// per-worker-pair comm counters, one per `(src, dst)`) don't serialize on
-/// a single map lock. Exposition stays deterministic: [`MetricsRegistry::
-/// for_each`] merges the shards and sorts by identity.
-const REGISTRY_SHARDS: usize = 16;
-
-/// A get-or-create registry of named metrics.
-///
-/// Ordered deterministically (by name, then labels) so exposition output is
-/// stable — the golden-file test relies on that. Internally sharded by
-/// identity hash so concurrent registration of large metric families
-/// doesn't serialize on one lock.
-#[derive(Debug)]
+/// A get-or-create registry of named metrics: one map, ordered by name and
+/// then labels, so exposition output is stable — the golden-file test
+/// relies on that. Every registration resolves a handle once (a transport,
+/// barrier, sink or run being built, a report after the run), never per
+/// message, so one lock serves them all.
+#[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    shards: Vec<Mutex<BTreeMap<MetricId, Metric>>>,
-}
-
-impl Default for MetricsRegistry {
-    fn default() -> Self {
-        MetricsRegistry {
-            shards: (0..REGISTRY_SHARDS)
-                .map(|_| Mutex::new(BTreeMap::new()))
-                .collect(),
-        }
-    }
+    metrics: Mutex<BTreeMap<MetricId, Metric>>,
 }
 
 impl MetricsRegistry {
@@ -170,28 +152,19 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// FNV-1a over the identity; stable and dependency-free. Shard choice
-    /// only affects lock distribution, never exposition order.
-    fn shard_of(&self, id: &MetricId) -> &Mutex<BTreeMap<MetricId, Metric>> {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        eat(id.name.as_bytes());
-        for (k, v) in &id.labels {
-            eat(k.as_bytes());
-            eat(v.as_bytes());
-        }
-        &self.shards[(h % self.shards.len() as u64) as usize]
+    /// The map, recovered from poisoning: it holds only registration state
+    /// (no half-applied invariants — an insert is atomic), so a panic on
+    /// another thread while it held the lock must not take the
+    /// process-global registry (and every later scrape) down with it.
+    fn lock(&self) -> MutexGuard<'_, BTreeMap<MetricId, Metric>> {
+        self.metrics.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Returns the counter `name{labels}`, creating it on first use.
     ///
-    /// Panics if the same identity was already registered as a different
-    /// metric kind (a programming error, not a runtime condition).
+    /// Panics if `name` was already registered, under any labels, as a
+    /// different metric kind (a programming error, not a runtime condition):
+    /// a Prometheus family has one type. The same holds for every getter.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
         match self.get_or_insert(name, labels, || {
             Metric::Counter(Arc::new(Counter::default()))
@@ -229,6 +202,9 @@ impl MetricsRegistry {
         }
     }
 
+    /// The metric `name{labels}`, made on first use. When `name` already
+    /// names a metric of another kind, that metric is returned uninserted,
+    /// for the caller's kind match to refuse.
     fn get_or_insert(
         &self,
         name: &str,
@@ -236,26 +212,30 @@ impl MetricsRegistry {
         make: impl FnOnce() -> Metric,
     ) -> Metric {
         let id = MetricId::new(name, labels);
-        // Recover from poisoning: the map holds only registration state (no
-        // half-applied invariants — `entry` inserts atomically), so a panic
-        // on another thread while it held the lock must not take the
-        // process-global registry (and every later scrape) down with it.
-        let shard = self.shard_of(&id);
-        let mut metrics = shard.lock().unwrap_or_else(|e| e.into_inner());
-        metrics.entry(id).or_insert_with(make).clone()
+        let mut metrics = self.lock();
+        if let Some(m) = metrics.get(&id) {
+            return m.clone();
+        }
+        let made = make();
+        // A family's identities sort together, the label-free one lowest.
+        match metrics.range(MetricId::new(name, &[])..).next() {
+            Some((other, m)) if other.name == name && m.kind() != made.kind() => m.clone(),
+            _ => {
+                metrics.insert(id, made.clone());
+                made
+            }
+        }
     }
 
-    /// Visits every metric in deterministic order (by name, then labels —
-    /// independent of shard assignment). Entries are snapshotted out of the
-    /// shard locks first, so the visitor runs lock-free and a panicking
-    /// visitor cannot poison the registry.
+    /// Visits every metric in deterministic order (by name, then labels).
+    /// Entries are snapshotted out of the lock first, so the visitor runs
+    /// lock-free and a panicking visitor cannot poison the registry.
     pub fn for_each(&self, mut f: impl FnMut(&MetricId, &Metric)) {
-        let mut all: Vec<(MetricId, Metric)> = Vec::new();
-        for shard in &self.shards {
-            let metrics = shard.lock().unwrap_or_else(|e| e.into_inner());
-            all.extend(metrics.iter().map(|(id, m)| (id.clone(), m.clone())));
-        }
-        all.sort_by(|a, b| a.0.cmp(&b.0));
+        let all: Vec<(MetricId, Metric)> = self
+            .lock()
+            .iter()
+            .map(|(id, m)| (id.clone(), m.clone()))
+            .collect();
         for (id, m) in &all {
             f(id, m);
         }
@@ -263,10 +243,7 @@ impl MetricsRegistry {
 
     /// Number of registered metrics.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).len())
-            .sum()
+        self.lock().len()
     }
 
     /// Whether no metric has been registered.
@@ -329,6 +306,24 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "cyclops_x already registered as a histogram")]
+    fn a_name_keeps_one_kind_under_every_label_set() {
+        let r = MetricsRegistry::new();
+        r.histogram("cyclops_x", &[("engine", "bsp")]);
+        // Another kind under other labels would put gauge samples under the
+        // family's `# TYPE cyclops_x histogram` line.
+        r.float_gauge("cyclops_x", &[("when", "after")]);
+    }
+
+    #[test]
+    fn gauge_kinds_share_a_family() {
+        let r = MetricsRegistry::new();
+        r.gauge("g", &[("a", "1")]).set(2);
+        r.float_gauge("g", &[("a", "2")]).set(0.5);
+        assert_eq!(r.len(), 2);
+    }
+
+    #[test]
     fn gauge_moves_both_ways() {
         let g = Gauge::default();
         g.set(10);
@@ -341,9 +336,9 @@ mod tests {
         let r = std::sync::Arc::new(MetricsRegistry::new());
         r.counter("before_total", &[]).inc(1);
         // A visitor that panics on another thread must not break the
-        // registry. (Since sharding, for_each snapshots the entries before
-        // visiting, so the panic can't even poison a shard lock — and the
-        // lock paths still recover via `into_inner` if one ever is.)
+        // registry. (for_each snapshots the entries before visiting, so the
+        // panic can't even poison the lock — and every lock path still
+        // recovers via `into_inner` if it ever is.)
         let r2 = std::sync::Arc::clone(&r);
         let res = std::thread::spawn(move || {
             r2.for_each(|_, _| panic!("visitor panic during a scrape"));
@@ -362,11 +357,10 @@ mod tests {
     }
 
     #[test]
-    fn sharded_registration_is_concurrent_safe_and_scrapes_in_sorted_order() {
-        // A per-worker-pair family registered from many threads at once —
-        // the workload the sharding exists for. Every identity must land
-        // exactly once and exposition order must stay globally sorted,
-        // independent of shard assignment.
+    fn concurrent_registration_lands_once_and_scrapes_in_sorted_order() {
+        // A per-worker-pair family registered from many threads at once:
+        // every identity must land exactly once and exposition order must
+        // stay sorted, whatever the registration order.
         let r = std::sync::Arc::new(MetricsRegistry::new());
         std::thread::scope(|s| {
             for src in 0..8u32 {

@@ -62,7 +62,6 @@ fn main() {
         &GasConfig {
             cluster,
             max_supersteps,
-            ..Default::default()
         },
     );
 

@@ -319,9 +319,9 @@ fn report_migration(report: &cyclops_engine::MigrationReport) {
             .inc(report.migrations_total as u64);
         reg.counter("cyclops_migrated_bytes", &[])
             .inc(report.migrated_bytes as u64);
-        reg.float_gauge("cyclops_compute_imbalance", &[("when", "before")])
+        reg.float_gauge("cyclops_migration_imbalance", &[("when", "before")])
             .set(before);
-        reg.float_gauge("cyclops_compute_imbalance", &[("when", "after")])
+        reg.float_gauge("cyclops_migration_imbalance", &[("when", "after")])
             .set(after);
     }
 }

@@ -43,9 +43,6 @@ pub struct StepRow {
     pub wire_dense: u64,
     /// Cross-machine batches that self-selected the sparse wire encoding.
     pub wire_sparse: u64,
-    /// Workers that ran this superstep on the sparse fast path (older
-    /// traces only; no run writes the column any more).
-    pub fast_workers: u64,
     /// Priority bucket this superstep drained (bucketed runs only).
     pub bucket: u64,
     /// Relaxation rounds fused behind this superstep's barrier pair; 0 on
@@ -80,7 +77,7 @@ impl StepRow {
     }
 
     fn is_mixed(&self) -> bool {
-        self.wire_dense > 0 || self.wire_sparse > 0 || self.fast_workers > 0
+        self.wire_dense > 0 || self.wire_sparse > 0
     }
 
     fn is_bucketed(&self) -> bool {
@@ -205,7 +202,6 @@ impl TraceSummary {
         step.messages += r.messages;
         step.wire_dense += r.wire_dense;
         step.wire_sparse += r.wire_sparse;
-        step.fast_workers += u64::from(r.sparse_fast_path);
         if r.fused > 0 {
             step.bucket = r.bucket;
             step.fused = step.fused.max(r.fused);
@@ -866,23 +862,16 @@ pub fn why_slow_report(s: &TraceSummary) -> String {
     } else {
         let dense: u64 = mix.iter().map(|(_, r)| r.wire_dense).sum();
         let sparse: u64 = mix.iter().map(|(_, r)| r.wire_sparse).sum();
-        let fast_steps = mix.iter().filter(|(_, r)| r.fast_workers > 0).count();
         let _ = writeln!(
             out,
-            "wire encoding: {dense} dense / {sparse} sparse batches, \
-             {fast_steps} of {} supersteps on the sparse fast path",
-            s.supersteps(),
+            "wire encoding: {dense} dense / {sparse} sparse batches"
         );
-        let _ = writeln!(
-            out,
-            "  {:>5} {:>7} {:>7} {:>12}",
-            "step", "dense", "sparse", "fast-workers"
-        );
+        let _ = writeln!(out, "  {:>5} {:>7} {:>7}", "step", "dense", "sparse");
         for (step, r) in last16(&mix) {
             let _ = writeln!(
                 out,
-                "  {:>5} {:>7} {:>7} {:>12}",
-                step, r.wire_dense, r.wire_sparse, r.fast_workers
+                "  {:>5} {:>7} {:>7}",
+                step, r.wire_dense, r.wire_sparse
             );
         }
     }
@@ -1089,10 +1078,10 @@ pub fn why_slow_json(s: &TraceSummary) -> String {
         s.rows(StepRow::is_mixed),
         |out, (step, r)| {
             let _ = write!(
-            out,
-            "\n    {{\"superstep\": {step}, \"dense\": {}, \"sparse\": {}, \"fast_path_workers\": {}}}",
-            r.wire_dense, r.wire_sparse, r.fast_workers
-        );
+                out,
+                "\n    {{\"superstep\": {step}, \"dense\": {}, \"sparse\": {}}}",
+                r.wire_dense, r.wire_sparse
+            );
         },
     );
     let _ = write!(
@@ -1422,19 +1411,14 @@ mod tests {
     }
 
     /// `(superstep, a, b, c)` of the superstep rows `keep` selects.
-    fn step_cols(
+    fn step_cols<T>(
         trace: &RunTrace,
         keep: fn(&StepRow) -> bool,
-        cols: fn(&StepRow) -> (u64, u64, u64),
-    ) -> Vec<(u64, u64, u64, u64)> {
+        cols: fn(&StepRow) -> T,
+    ) -> Vec<(u64, T)> {
         let s = TraceSummary::of(trace);
         let rows = s.rows(keep);
-        rows.into_iter()
-            .map(|(step, r)| {
-                let (a, b, c) = cols(r);
-                (step, a, b, c)
-            })
-            .collect()
+        rows.into_iter().map(|(step, r)| (step, cols(r))).collect()
     }
 
     #[test]
@@ -1474,21 +1458,17 @@ mod tests {
         let mut trace = skewed_trace();
         trace.records[0].wire_dense = 3;
         trace.records[1].wire_sparse = 2;
-        trace.records[2].sparse_fast_path = true;
         trace.records[2].wire_sparse = 1;
-        let mix = step_cols(&trace, StepRow::is_mixed, |r| {
-            (r.wire_dense, r.wire_sparse, r.fast_workers)
-        });
-        assert_eq!(mix, vec![(0, 3, 2, 0), (1, 0, 1, 1)]);
+        let mix = step_cols(&trace, StepRow::is_mixed, |r| (r.wire_dense, r.wire_sparse));
+        assert_eq!(mix, vec![(0, (3, 2)), (1, (0, 1))]);
         let report = why_slow(&trace);
-        assert!(report.contains("3 dense / 3 sparse batches"), "{report}");
-        assert!(
-            report.contains("1 of 2 supersteps on the sparse fast path"),
-            "{report}"
-        );
+        assert!(report.contains("3 dense / 3 sparse batches\n"), "{report}");
         let j = why_slow_js(&trace);
         assert!(j.contains("\"wire_mix\": ["), "{j}");
-        assert!(j.contains("\"fast_path_workers\": 1"), "{j}");
+        assert!(
+            j.contains("{\"superstep\": 1, \"dense\": 0, \"sparse\": 1}"),
+            "{j}"
+        );
         // Legacy traces degrade to an explicit absence line / empty array.
         assert!(why_slow(&skewed_trace()).contains("no adaptive batches"));
         assert!(why_slow_js(&skewed_trace()).contains("\"wire_mix\": [\n  ]"));
@@ -1511,7 +1491,7 @@ mod tests {
         let rows = step_cols(&trace, StepRow::is_bucketed, |r| {
             (r.bucket, r.fused, r.occupancy)
         });
-        assert_eq!(rows, vec![(0, 0, 5, 11), (1, 3, 2, 1)]);
+        assert_eq!(rows, vec![(0, (0, 5, 11)), (1, (3, 2, 1))]);
         let report = why_slow(&trace);
         assert!(
             report.contains("7 relaxation rounds fused into 2 supersteps"),

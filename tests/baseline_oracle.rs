@@ -87,7 +87,7 @@ impl Fold {
             r.wire_dense,
             r.wire_sparse,
             r.direct_messages,
-            r.direct_bytes,
+            0,
             r.migrated,
             r.fused,
             r.bucket,

@@ -816,6 +816,53 @@ fn migrated_run_is_values_identical_and_comm_consistent() {
 
 /// `--migrate` is cyclops-engine-only and mutually exclusive with the
 /// bucketed scheduler; `--skew` rejects fractions outside [0, 1).
+/// A migrated run's `--prom` file is valid Prometheus text: every metric
+/// name has one `# TYPE` line, and under a histogram's line sit only its
+/// `_bucket`, `_sum` and `_count` samples. A gauge sharing a histogram's
+/// name would put gauge samples under its `# TYPE ... histogram` line.
+#[test]
+fn migrated_prom_file_has_one_kind_per_name() {
+    let prom = temp_path("migrate-auto.prom");
+    let prom = prom.to_str().unwrap();
+    let (ok, stdout, stderr) = cyclops(&[
+        "pagerank",
+        "--dataset",
+        "GWeb",
+        "--scale",
+        "0.05",
+        "--skew",
+        "0.6",
+        "--migrate",
+        "auto",
+        "--prom",
+        prom,
+    ]);
+    assert!(ok, "stderr: {stderr}");
+    assert!(stdout.contains("migration: "), "{stdout}");
+    let text = std::fs::read_to_string(prom).unwrap();
+    let mut typed = std::collections::BTreeSet::new();
+    let mut family: Option<(&str, &str)> = None;
+    for line in text.lines() {
+        if let Some(rest) = line.strip_prefix("# TYPE ") {
+            let (name, kind) = rest.split_once(' ').unwrap();
+            assert!(typed.insert(name), "second # TYPE line for {name}");
+            family = Some((name, kind));
+            continue;
+        }
+        let sample = line.split(['{', ' ']).next().unwrap();
+        let (name, kind) = family.unwrap_or_else(|| panic!("{sample} before any # TYPE"));
+        let ok = if kind == "histogram" {
+            ["_bucket", "_sum", "_count"]
+                .iter()
+                .any(|suffix| sample.strip_suffix(suffix) == Some(name))
+        } else {
+            sample == name
+        };
+        assert!(ok, "{sample} sits under # TYPE {name} {kind}");
+    }
+    assert!(typed.contains("cyclops_migration_imbalance"), "{text}");
+}
+
 #[test]
 fn migrate_flag_combinations_are_validated() {
     let (ok, _, stderr) = cyclops(&[

@@ -45,7 +45,6 @@ fn gas_config(cluster: ClusterSpec, max_supersteps: usize) -> GasConfig {
     GasConfig {
         cluster,
         max_supersteps,
-        ..Default::default()
     }
 }
 

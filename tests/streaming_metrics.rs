@@ -275,7 +275,6 @@ fn gas_values_trace_diff_names_the_divergent_vertex() {
     let config = GasConfig {
         cluster,
         max_supersteps: 4,
-        ..Default::default()
     };
 
     let base_sink = TraceSink::with_values("gas", &cluster);

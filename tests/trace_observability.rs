@@ -4,8 +4,8 @@
 //! superstep × worker and agree on superstep counts for the same fixed-
 //! iteration run; (2) `trace::diff` pinpoints a seeded single-vertex
 //! perturbation down to the exact superstep, worker, and vertex; (3)
-//! checkpoint-resume stays deterministic with the fixed `inject` routing
-//! under `InboxMode::Sharded` with R > 1 receiver lanes.
+//! checkpoint-resume stays deterministic on a CyclopsMT cluster whose
+//! R > 1 receiver threads split each worker's sender lanes.
 
 use cyclops::prelude::*;
 use cyclops_algos::pagerank::{BspPageRank, CyclopsPageRank, GasPageRank};
@@ -17,7 +17,6 @@ use cyclops_engine::{
 };
 use cyclops_gas::{run_gas_traced, GasConfig, GasResult};
 use cyclops_net::trace::{diff, read_jsonl, RunTrace, TraceSink};
-use cyclops_net::{InboxMode, Transport};
 use cyclops_partition::{
     EdgeCutPartition, RandomVertexCut, VertexCutPartition, VertexCutPartitioner,
 };
@@ -67,7 +66,6 @@ fn gas_pagerank(
     let config = GasConfig {
         cluster,
         max_supersteps: supersteps,
-        ..Default::default()
     };
     run_gas_traced(&GasPageRank { epsilon: 0.0 }, g, p, &config, Some(sink))
 }
@@ -221,9 +219,9 @@ fn trace_diff_pinpoints_a_seeded_single_vertex_perturbation() {
 #[test]
 fn checkpoint_resume_is_deterministic_under_sharded_mt_cluster() {
     // CyclopsMT runs on InboxMode::Sharded; mt(2, 2, 2) gives R = 2
-    // receiver lanes per worker — the shape where the lane-0 inject bug
-    // used to break lane disjointness. Resuming from every checkpoint must
-    // reproduce the full run bitwise.
+    // receiver threads per worker, each draining its share of the sender
+    // lanes. Resuming from every checkpoint must reproduce the full run
+    // bitwise.
     let g = Dataset::GWeb.generate_scaled(0.05, 4);
     let p = HashPartitioner.partition(&g, 2);
     let program = CyclopsPageRank { epsilon: 0.0 };
@@ -259,43 +257,6 @@ fn checkpoint_resume_is_deterministic_under_sharded_mt_cluster() {
             cp.superstep
         );
     }
-}
-
-#[test]
-fn resume_inject_preserves_lane_disjointness_under_sharded() {
-    // The resume path re-injects a checkpoint's in-flight messages through
-    // Transport::inject. Under Sharded with R = 2 those must land in the
-    // dedicated injection lane so the two receiver threads never apply
-    // messages for the same replica from different lanes: every batch is
-    // claimed by exactly one receiver, and nothing is lost or duplicated.
-    let spec = ClusterSpec::mt(2, 3, 2);
-    let t: Transport<u32> = Transport::new(spec, InboxMode::Sharded);
-    let epoch = 4;
-    // Live senders on worker 1 (threads 3..6 of the flat thread index).
-    t.send(3, 0, vec![10, 11], epoch);
-    t.send(4, 0, vec![12], epoch);
-    // Checkpointed in-flight messages re-injected at resume.
-    t.inject(0, vec![90, 91, 92], epoch + 1);
-
-    let receivers = spec.receivers_per_worker;
-    let mut seen = Vec::new();
-    for r in 0..receivers {
-        for (lane, batch) in t.drain_lanes_partitioned(0, epoch + 1, r, receivers) {
-            assert_eq!(lane % receivers, r, "lane {lane} drained by wrong receiver");
-            assert!(
-                lane < spec.total_threads() || batch.iter().all(|m| *m >= 90),
-                "sender lane {lane} contains injected messages"
-            );
-            seen.extend(batch);
-        }
-    }
-    seen.sort_unstable();
-    assert_eq!(seen, vec![10, 11, 12, 90, 91, 92]);
-    assert_eq!(
-        t.pending(0),
-        0,
-        "messages left behind after partitioned drain"
-    );
 }
 
 #[test]
