@@ -592,7 +592,7 @@ fn bench_activation_dense(c: &mut Criterion) {
                         frontier.mark(0, li as usize);
                     }
                 }
-                frontier.snapshot(0, &mut flat);
+                frontier.snapshot(0, &mut flat, |_| true);
                 woken[0] = flat.len();
             })
         });
@@ -605,7 +605,7 @@ fn bench_activation_dense(c: &mut Criterion) {
                 drop(writer);
                 frontier.fill_from(0, &wp, &fresh, (0, 1));
                 fresh.clear();
-                frontier.snapshot(0, &mut flat);
+                frontier.snapshot(0, &mut flat, |_| true);
                 woken[1] = flat.len();
             })
         });
@@ -645,7 +645,7 @@ fn bench_frontier_snapshot(c: &mut Criterion) {
                 for i in 0..count {
                     f.mark(0, i * STRIDE % N);
                 }
-                f.snapshot(0, &mut flat);
+                f.snapshot(0, &mut flat, |_| true);
                 assert_eq!(flat.len(), count);
             })
         });

@@ -50,7 +50,8 @@
 //! intra-worker barrier choreography, the frontier snapshot and its mass
 //! chunks, chunk claiming and the `[dest][thread]` deposit/merge.
 //! `settle_bucket` runs one barrier pair per priority bucket, on the global
-//! leader alone, and owns bucket selection, the sorted drain order and Δ
+//! leader alone. It parks, drains and computes through the same `Frontier`
+//! snapshot and `Worker::compute_chunk`, and owns the bucket advance and Δ
 //! retuning.
 //!
 //! # Safety
@@ -137,7 +138,9 @@ pub struct CyclopsConfig {
     /// Global hard cap on the superstep index: no superstep with index
     /// `>= max_supersteps` ever executes, and a checkpoint-resume continues
     /// toward the *same* cap (it does not get a fresh budget from the
-    /// resume point). Resuming at or past the cap executes nothing.
+    /// resume point). Resuming at or past the cap executes nothing. A
+    /// bucketed run also caps its fused rounds here and a resume restarts
+    /// that count, so it keeps this promise only while that budget is slack.
     pub max_supersteps: usize,
     /// Convergence detection scheme.
     pub convergence: Convergence,
@@ -156,7 +159,9 @@ pub struct CyclopsConfig {
     /// programs with a [`CyclopsProgram::priority`]: without one every
     /// activation is due at once and a bucket runs fused asynchronous
     /// rounds — another schedule, which gives non-monotone programs
-    /// (PageRank, CD) other results. The CLI refuses that case.
+    /// (PageRank, CD) other results. The CLI refuses that case. A resume
+    /// restarts the round budget (see `max_supersteps`), the bucket index
+    /// and the width, and relaxes the whole parked set at once.
     pub bucket_width: f64,
     /// Bucket drain discipline. The one drain selects each fused round's
     /// due vertices in ascending order, so a master computes at most once
@@ -760,8 +765,8 @@ fn apply_batches<M>(
             // id, and the assert above keeps `base + id` inside the replica
             // and direct ranges; a master reaches a slot at most once per
             // epoch (one update per remote copy per superstep; in the settle
-            // a master computes at most once per round, and each round is
-            // its own epoch), and lanes touching the same slot are drained
+            // a round computes a frontier snapshot, a set, in its own
+            // epoch), and lanes touching the same slot are drained
             // by one receiver — so within an epoch no slot is written twice,
             // the master range is written in another phase, and readers are
             // behind a barrier (or, in the settle, on this same thread).
@@ -824,10 +829,9 @@ impl<'r, P: CyclopsProgram> Worker<'r, P> {
         }
         let (mut publish, mut reported) = (None, None);
         // SAFETY: a driver computes each master at most once per epoch — the
-        // per-barrier loop's chunks partition a duplicate-free frontier, the
-        // settle's selection is duplicate-free (mark / select keep set
-        // semantics) and sequential — and nothing else touches `values`
-        // during CMP.
+        // per-barrier loop's chunks partition a duplicate-free frontier
+        // snapshot, the settle computes one sequential snapshot per round —
+        // and nothing else touches `values` during CMP.
         let value = unsafe { ws.values.get_mut(li) };
         self.run.program.compute(&mut CyclopsContext {
             vertex: wp.masters[li],
@@ -869,7 +873,8 @@ impl<'r, P: CyclopsProgram> Worker<'r, P> {
         ws.msg_next.read(li).as_ref()
     }
 
-    /// CMP of the per-barrier loop's unit of work: computes the masters of
+    /// CMP's unit of work — a claimed chunk in the per-barrier loop, one
+    /// worker's fused-round selection in the settle: computes the masters of
     /// `chunk` in order and queues each publication's remote fan-out in
     /// `out`.
     fn compute_chunk(
@@ -956,19 +961,20 @@ impl<'r, P: CyclopsProgram> Worker<'r, P> {
     }
 
     /// Captures this worker's share of a value-only checkpoint (cooperative:
-    /// the first worker to arrive creates the superstep's entry). `active`
-    /// reports a master's activation flag — the per-barrier loop reads the
-    /// frontier parity bit, the settle its parked set.
+    /// the first worker to arrive creates the superstep's entry). A master's
+    /// activation flag is its frontier bit in `parity` — the superstep's
+    /// parity in the per-barrier loop, the parked set in the settle.
     fn capture_checkpoint(
         &self,
         superstep: usize,
         aggregate: Option<AggregateStats>,
-        active: impl Fn(usize) -> bool,
+        parity: usize,
     ) {
         let mut vertices: Vec<_> = (self.wp.masters.iter().enumerate())
             .map(|(li, &v)| {
                 let (value, publication) = (self.ws.values.read(li), self.ws.view.read(li));
-                (v, value.clone(), publication.clone(), active(li))
+                let active = self.ws.frontier.is_marked(parity, li);
+                (v, value.clone(), publication.clone(), active)
             })
             .collect();
         let mut cps = self.run.checkpoints.lock();
@@ -979,6 +985,27 @@ impl<'r, P: CyclopsProgram> Worker<'r, P> {
                 vertices,
                 aggregate,
             }),
+        }
+    }
+
+    /// The settle's wake: parks each reader of a written slot in parity `par`
+    /// at the priority the payload proposes (`-∞`, due at once, if none). An
+    /// unmarked master takes it, a marked one keeps the smaller in
+    /// `f64::total_cmp` order; `prio[li]` is valid while `li` is marked.
+    fn park<'a>(
+        &'a self,
+        par: usize,
+        prio: &'a mut [f64],
+    ) -> impl FnMut(usize, &P::Message) + use<'a, 'r, P> {
+        move |slot, m| {
+            let p = self.run.program.priority(m).unwrap_or(f64::NEG_INFINITY);
+            for &li in self.wp.readers(slot) {
+                let li = li as usize;
+                if !self.ws.frontier.is_marked(par, li) || p.total_cmp(&prio[li]).is_lt() {
+                    prio[li] = p;
+                    self.ws.frontier.mark_alone(par, li);
+                }
+            }
         }
     }
 
@@ -1145,9 +1172,7 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
         // from masters alone.
         if checkpoint_now {
             if t == 0 {
-                wk.capture_checkpoint(superstep, agg_in, |li| {
-                    ws.frontier.is_marked(cur_parity, li)
-                });
+                wk.capture_checkpoint(superstep, agg_in, cur_parity);
             }
             ws.local.wait();
             // Epoch boundary: every thread of every worker reaches this
@@ -1173,7 +1198,7 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
                 ws.fresh.clear();
             }
             let mut flat = ws.flat.write();
-            ws.frontier.snapshot(cur_parity, &mut flat);
+            ws.frontier.snapshot(cur_parity, &mut flat, |_| true);
             frontier_len = flat.len();
             build_mass_chunks(&flat, &mut ws.ends.write(), &wp.work_mass, chunks);
             ws.cursor.store(0, Ordering::Relaxed);
@@ -1388,83 +1413,11 @@ fn build_mass_chunks(flat: &[u32], ends: &mut Vec<u32>, mass: &[u32], chunks: us
 // "One priority bucket per barrier" instead of "one relaxation round per
 // barrier" (what and why: `CyclopsConfig::bucket_width`). Vertices carry an
 // activation priority (for SSSP, the tentative distance proposed by the
-// activating publication) and parked activations wait in a bucket queue of
-// width Δ. Correctness does not depend on the drain order: with non-negative
-// weights, min-relaxation reaches the same fixpoint under any schedule; the
-// priority is only a lower bound used to avoid relaxing vertices whose turn
-// has not come.
-
-/// Ordered-key sentinel for "due in whatever bucket is current". Initial
-/// actives and priority-less activations use it; it compares below the
-/// [`priority_key`] of every non-negative finite priority.
-const IMMEDIATE_KEY: u64 = 0;
-
-/// Ordered-key encoding of an `f64` activation priority: a monotone map into
-/// `u64` so the settle can compare and min priorities as plain integers.
-/// Every non-negative float maps to `>= 1 << 63`, keeping [`IMMEDIATE_KEY`]
-/// strictly first.
-#[inline]
-fn priority_key(p: f64) -> u64 {
-    let b = p.to_bits();
-    if b >> 63 == 1 {
-        !b
-    } else {
-        b ^ (1 << 63)
-    }
-}
-
-/// Inverse of [`priority_key`], used when advancing to the bucket that holds
-/// the smallest parked priority.
-#[inline]
-fn priority_key_inv(k: u64) -> f64 {
-    if k >> 63 == 1 {
-        f64::from_bits(k ^ (1 << 63))
-    } else {
-        f64::from_bits(!k)
-    }
-}
-
-/// The settle's activation set: where the per-barrier loop marks a frontier
-/// parity bit, the settle parks the vertex at a priority.
-struct Parked {
-    /// Per worker: local indices of parked/pending activations.
-    pending: Vec<Vec<u32>>,
-    /// Per worker, per master: whether the vertex is in `pending`.
-    marked: Vec<Vec<bool>>,
-    /// Per worker, per master: ordered-key activation priority. Valid only
-    /// while marked; re-marks fold with `min`.
-    prio: Vec<Vec<u64>>,
-}
-
-impl Parked {
-    /// Parks an activation of each of worker `w`'s local masters `readers`
-    /// at priority `key` (re-activations keep the smaller key).
-    fn mark(&mut self, w: usize, readers: &[u32], key: u64) {
-        for &li in readers {
-            let prio = &mut self.prio[w][li as usize];
-            if std::mem::replace(&mut self.marked[w][li as usize], true) {
-                *prio = key.min(*prio);
-            } else {
-                *prio = key;
-                self.pending[w].push(li);
-            }
-        }
-    }
-
-    /// Moves worker `w`'s due activations (priority below `end_key`) out of
-    /// its pending list into `sel`, in order; parked vertices stay pending.
-    fn select(&mut self, w: usize, end_key: u64, sel: &mut Vec<u32>) {
-        let (prio, marked) = (&self.prio[w], &mut self.marked[w]);
-        self.pending[w].retain(|&li| {
-            let due = prio[li as usize] < end_key;
-            if due {
-                marked[li as usize] = false;
-                sel.push(li);
-            }
-            !due
-        });
-    }
-}
+// activating publication), parked on the worker's frontier until a bucket of
+// width Δ takes it. Correctness does not depend on the drain order: with
+// non-negative weights, min-relaxation reaches the same fixpoint under any
+// schedule; the priority is only a lower bound used to avoid relaxing
+// vertices whose turn has not come.
 
 /// Leader-owned state of the bucketed scheduler.
 ///
@@ -1473,12 +1426,13 @@ impl Parked {
 /// barrier waits while every other thread sleeps at the second wait. That
 /// trades the compute parallelism of one superstep — negligible on these
 /// near-empty high-diameter supersteps — for a superstep (and barrier)
-/// count of ~one per nonempty bucket instead of one per hop.
+/// count of ~one per nonempty bucket instead of one per hop. The parked set
+/// is each worker's [`Frontier`] in parity `start_superstep & 1`.
 struct BucketSched<M> {
-    parked: Parked,
-    /// Per worker, per master: superstep generation of the last selection —
-    /// counts distinct bucket occupancy without a per-superstep reset pass.
-    sel_gen: Vec<Vec<u64>>,
+    /// Per worker, per master: activation priority of a parked master.
+    /// `-∞` (due at once) until first parked, which is what INIT's and a
+    /// resume's marks carry: a value-only checkpoint holds no priorities.
+    prio: Vec<Vec<f64>>,
     /// Scratch: the current fused round's selection, per worker.
     selected: Vec<Vec<u32>>,
     /// Scratch: per-destination outboxes, reused per worker and round.
@@ -1509,16 +1463,11 @@ struct BucketSched<M> {
 
 impl<M> BucketSched<M> {
     fn new<P: CyclopsProgram<Message = M>>(run: &Run<'_, P>) -> Self {
-        let masters = || run.shared.iter().map(|ws| ws.values.len());
-        let per_master = || -> Vec<Vec<u64>> { masters().map(|n| vec![0; n]).collect() };
         let num_workers = run.shared.len();
-        let mut s = BucketSched {
-            parked: Parked {
-                pending: vec![Vec::new(); num_workers],
-                marked: masters().map(|n| vec![false; n]).collect(),
-                prio: per_master(),
-            },
-            sel_gen: per_master(),
+        BucketSched {
+            prio: (run.shared.iter())
+                .map(|ws| vec![f64::NEG_INFINITY; ws.values.len()])
+                .collect(),
             selected: vec![Vec::new(); num_workers],
             out: outboxes(num_workers),
             accs: (0..num_workers).map(|_| CmpAcc::new(run.trace)).collect(),
@@ -1529,17 +1478,7 @@ impl<M> BucketSched<M> {
             occ_count: 0,
             epoch: 0,
             rounds_total: 0,
-        };
-        // Seed from the initial (or checkpoint-restored) frontier marks;
-        // their priorities are unknown, so they are due immediately.
-        for (w, ws) in run.shared.iter().enumerate() {
-            for li in 0..ws.values.len() {
-                if ws.frontier.is_marked(run.start_superstep & 1, li) {
-                    s.parked.mark(w, &[li as u32], IMMEDIATE_KEY);
-                }
-            }
         }
-        s
     }
 }
 
@@ -1579,27 +1518,23 @@ fn settle_bucket<P: CyclopsProgram>(
     let settle_start = Instant::now();
     let num_workers = run.plan.workers.len();
     let bucket = sched.bucket;
-    let end_key = priority_key((bucket + 1) as f64 * sched.delta);
+    let end = (bucket + 1) as f64 * sched.delta;
     let agg_in = *run.prev_aggregate.lock();
-    let gen = superstep as u64 + 1;
-    // Activations park at the priority their payload proposes.
-    let key_of = |m: &P::Message| (run.program.priority(m)).map_or(IMMEDIATE_KEY, priority_key);
+    let par = run.start_superstep & 1;
 
     // Value-only checkpoint on the bucket boundary: the previous settle's
     // final drain applied every in-flight update, so the transport is empty
     // and each replica equals its master — the same consistent cut the
-    // per-barrier loop captures. Parked priorities are not stored; a resume
-    // reactivates the parked set as immediately due, costing at most one
-    // extra (idempotent) relaxation.
+    // per-barrier loop captures. Parked priorities are not stored: a
+    // resume's marks keep the initial `-∞` and are due at once, costing at
+    // most one extra (idempotent) relaxation per parked master.
     if run.checkpoint_due(superstep) {
-        for (w, marked) in sched.parked.marked.iter().enumerate() {
-            run.worker(w)
-                .capture_checkpoint(superstep, agg_in, |li| marked[li]);
+        for w in 0..num_workers {
+            run.worker(w).capture_checkpoint(superstep, agg_in, par);
         }
     }
 
     // Per-worker accumulators for this superstep's trace records.
-    let mut occupancy = vec![0u64; num_workers];
     let mut times: Vec<PhaseTimes> = vec![PhaseTimes::default(); num_workers];
     let mut rounds = 0u64;
     let mut budget_exhausted = false;
@@ -1620,19 +1555,19 @@ fn settle_bucket<P: CyclopsProgram>(
             let wk = run.worker(w);
             let t0 = Instant::now();
             wk.begin_epoch();
-            let wake =
-                |slot: usize, m: &P::Message| sched.parked.mark(w, wk.wp.readers(slot), key_of(m));
-            wk.apply_inbound(sched.epoch, (0, 1), wake);
+            wk.apply_inbound(sched.epoch, (0, 1), wk.park(par, &mut sched.prio[w]));
             t.add(Phase::Parse, t0.elapsed());
         }
 
-        // Phase B: select this round's due vertices per worker.
+        // Phase B: take each worker's due masters out of the parked set,
+        // ascending, and count them into the superstep's occupancy.
         let mut total_selected = 0usize;
         for (w, sel) in sched.selected.iter_mut().enumerate() {
-            sel.clear();
-            sched.parked.select(w, end_key, sel);
-            // Deterministic drain (and float-reduction) order.
-            sel.sort_unstable();
+            let (frontier, prio) = (&run.shared[w].frontier, &sched.prio[w]);
+            frontier.snapshot(par, sel, |li| prio[li].total_cmp(&end).is_lt());
+            for &li in sel.iter() {
+                frontier.mark_alone(par ^ 1, li as usize);
+            }
             total_selected += sel.len();
         }
         if total_selected == 0 && run.transport.all_empty() {
@@ -1649,33 +1584,20 @@ fn settle_bucket<P: CyclopsProgram>(
         let round_superstep = if kickoff_round { 0 } else { superstep.max(1) };
 
         // Phase C+D (CMP, SND): compute each worker's selection against the
-        // immutable view, queue each publication for its remote readers —
-        // the selection is a set, so a master computes and fans out at most
-        // once per round — publish locally, and send one sync batch per
-        // destination.
-        for w in 0..num_workers {
+        // immutable view, queue each publication for its remote readers,
+        // publish locally, and send one sync batch per destination.
+        for (w, t) in times.iter_mut().enumerate() {
             let wk = run.worker(w);
-            let acc = &mut sched.accs[w];
             let t_cmp = Instant::now();
-            for &li in &sched.selected[w] {
-                let li = li as usize;
-                if sched.sel_gen[w][li] != gen {
-                    sched.sel_gen[w][li] = gen;
-                    occupancy[w] += 1;
-                }
-                let wake = |slot: usize, m: &P::Message| {
-                    sched.parked.mark(w, wk.wp.readers(slot), key_of(m))
-                };
-                if let Some(m) = wk.compute_vertex(li, round_superstep, agg_in, acc, wake) {
-                    acc.part.direct += wk.fan_out(li, m, &mut sched.out);
-                }
-            }
+            let (sel, acc) = (&sched.selected[w], &mut sched.accs[w]);
+            let wake = wk.park(par, &mut sched.prio[w]);
+            wk.compute_chunk(sel, round_superstep, agg_in, acc, &mut sched.out, wake);
             // Publish this round's updates so the next round reads them.
             wk.publish_local(&mut acc.updated);
-            times[w].add(Phase::Compute, t_cmp.elapsed());
+            t.add(Phase::Compute, t_cmp.elapsed());
             let t_snd = Instant::now();
             wk.send_outboxes(w * run.threads, sched.epoch, &mut sched.out);
-            times[w].add(Phase::Send, t_snd.elapsed());
+            t.add(Phase::Send, t_snd.elapsed());
         }
         sched.epoch += 1;
         let span_args = [bucket, rounds, total_selected as u64];
@@ -1696,9 +1618,14 @@ fn settle_bucket<P: CyclopsProgram>(
         phase_total = phase_total.merge(t);
     }
     run.current.lock().phase_times = phase_total;
+    let mut occupancy = vec![0u64; num_workers];
     for (w, acc) in sched.accs.iter_mut().enumerate() {
+        let frontier = &run.shared[w].frontier;
+        // Draining the occupancy parity counts it and clears it.
+        frontier.snapshot(par ^ 1, &mut sched.selected[w], |_| true);
+        occupancy[w] = sched.selected[w].len() as u64;
         // The locally-known next frontier is the parked set.
-        acc.part.next_active = sched.parked.pending[w].len();
+        acc.part.next_active = frontier.len(par);
         *run.worker_partials[w].lock() = acc.part;
     }
     let stop = run.close_superstep(superstep, budget_exhausted);
@@ -1736,11 +1663,10 @@ fn settle_bucket<P: CyclopsProgram>(
         sched.delta
     };
     // Jump straight to the bucket holding the smallest parked priority
-    // (parked keys are all >= end_key, so this always advances).
-    let parked = &sched.parked;
-    let keys = (parked.pending.iter().zip(&parked.prio))
-        .flat_map(|(pending, prio)| pending.iter().map(|&li| prio[li as usize]));
-    if let Some(p) = keys.min().map(priority_key_inv) {
+    // (parked priorities are all >= end, so this always advances).
+    let parked = (run.shared.iter().zip(&sched.prio))
+        .flat_map(|(ws, prio)| ws.frontier.marked(par).map(|li| prio[li]));
+    if let Some(p) = parked.min_by(f64::total_cmp) {
         let next = if p.is_finite() && p >= 0.0 {
             (p / new_delta) as u64
         } else {
@@ -2124,22 +2050,6 @@ mod tests {
     }
 
     #[test]
-    fn priority_keys_are_order_preserving() {
-        let vals = [0.0, 1e-300, 0.5, 1.0, 2.5, 1e18, f64::INFINITY];
-        for w in vals.windows(2) {
-            assert!(
-                priority_key(w[0]) < priority_key(w[1]),
-                "{} vs {}",
-                w[0],
-                w[1]
-            );
-            assert_eq!(priority_key_inv(priority_key(w[0])), w[0]);
-        }
-        assert!(IMMEDIATE_KEY < priority_key(0.0));
-        assert!(priority_key(-1.0) < priority_key(0.0));
-    }
-
-    #[test]
     fn adaptive_bucketed_sssp_matches_classic_bitwise() {
         let base = CyclopsConfig {
             cluster: ClusterSpec::flat(4, 1),
@@ -2480,7 +2390,7 @@ mod tests {
                 assert_eq!(fresh.count(), pull as usize);
                 assert_eq!((frontier.len(0), frontier.is_marked(0, 1)), (1, true));
                 fresh.clear();
-                frontier.snapshot(0, &mut Vec::new());
+                frontier.snapshot(0, &mut Vec::new(), |_| true);
             }
         }
     }

@@ -40,14 +40,26 @@
 //!   the second re-tests them, which changes nothing — a master the first
 //!   fill left unmarked has no fresh master reference.
 //! * `is_marked(p, _)` — after PRS's barrier (and a pulled superstep's second
-//!   fill) and before the snapshot (checkpoint capture, bucket seeding).
+//!   fill) and before the snapshot (checkpoint capture).
 //! * `snapshot(p, ..)` — the worker leader alone, between the barrier that
-//!   ends PRS and the one that opens CMP. It clears the words as it reads
-//!   them: the next `mark(p, _)` is in CMP of the *following* superstep, a
-//!   full superstep and several barriers later, so nothing marks a parity
-//!   while it is being cleared and no per-vertex re-arm is needed.
+//!   ends PRS and the one that opens CMP. It takes every master and clears
+//!   the words as it reads them: the next `mark(p, _)` is in CMP of the
+//!   *following* superstep, a full superstep and several barriers later, so
+//!   nothing marks a parity while it is being cleared and no per-vertex
+//!   re-arm is needed.
 //! * `len(p)` — the worker leader, after the barrier that ends the CMP which
 //!   marked `p` (and a pulled superstep's first fill).
+//!
+//! A bucketed run's settle is the global leader alone, between a superstep's
+//! two global barrier waits while every other thread waits. It uses both
+//! parities of every worker, with `p = start_superstep & 1` (the parity INIT
+//! and a resume mark), and marks with `mark_alone`:
+//!
+//! * `p` is the parked set: PRS and CMP park readers, `snapshot(p, ..)` takes
+//!   a fused round's due masters out, `is_marked` captures a checkpoint,
+//!   `marked(p)` finds the next bucket and `len(p)` counts `next_active`.
+//! * `p ^ 1` is the superstep's occupancy: each selected master is marked,
+//!   and the epilogue's take-all `snapshot` counts and clears them.
 //!
 //! Every access is `Relaxed`: a bit publishes nothing but itself, and each
 //! hand-over above crosses one of the worker's barriers, which orders it.
@@ -102,6 +114,14 @@ impl Frontier {
         }
     }
 
+    /// [`Self::mark`] for a parity no other thread touches meanwhile (the
+    /// bucket settle's): a plain store, not a locked `fetch_or`.
+    pub(crate) fn mark_alone(&self, parity: usize, li: usize) {
+        let word = &self.words[parity & 1][li / 64];
+        let bits = word.load(Ordering::Relaxed) | 1 << (li % 64);
+        word.store(bits, Ordering::Relaxed);
+    }
+
     /// Whether `li` is currently marked for `parity`.
     #[inline]
     pub fn is_marked(&self, parity: usize, li: usize) -> bool {
@@ -152,22 +172,37 @@ impl Frontier {
         }
     }
 
-    /// Moves the parity's marked masters into `flat`, ascending, and leaves
-    /// the parity empty. Reads every word whatever the parity holds:
-    /// `⌈n/64⌉` loads for an empty frontier.
-    pub fn snapshot(&self, parity: usize, flat: &mut Vec<u32>) {
+    /// Moves the parity's marked masters that are `due` into `flat`,
+    /// ascending, and leaves the rest marked (the per-barrier driver takes
+    /// all, the bucket settle those below the bucket's end). Reads all
+    /// `⌈n/64⌉` words whatever the parity holds.
+    pub fn snapshot(&self, parity: usize, flat: &mut Vec<u32>, mut due: impl FnMut(usize) -> bool) {
         flat.clear();
         for (i, word) in self.words[parity & 1].iter().enumerate() {
-            let mut bits = word.load(Ordering::Relaxed);
-            if bits == 0 {
-                continue;
+            let (marked, mut bits) = (word.load(Ordering::Relaxed), 0);
+            let mut rest = marked;
+            while rest != 0 {
+                let li = i * 64 + rest.trailing_zeros() as usize;
+                if due(li) {
+                    flat.push(li as u32);
+                    bits |= rest & rest.wrapping_neg();
+                }
+                rest &= rest - 1;
             }
-            word.store(0, Ordering::Relaxed);
-            while bits != 0 {
-                flat.push((i * 64) as u32 + bits.trailing_zeros());
-                bits &= bits - 1;
+            if bits != 0 {
+                word.store(marked & !bits, Ordering::Relaxed);
             }
         }
+    }
+
+    /// The parity's marked masters, ascending, left marked.
+    pub(crate) fn marked(&self, parity: usize) -> impl Iterator<Item = usize> + '_ {
+        (self.words[parity & 1].iter().enumerate()).flat_map(|(i, word)| {
+            let bits = word.load(Ordering::Relaxed);
+            (0..64)
+                .filter(move |b| bits >> b & 1 != 0)
+                .map(move |b| i * 64 + b)
+        })
     }
 }
 
@@ -281,10 +316,61 @@ mod tests {
             }
         });
         let mut flat = Vec::new();
-        f.snapshot(1, &mut flat);
+        f.snapshot(1, &mut flat, |_| true);
         let expected: Vec<u32> = indices.iter().map(|&li| li as u32).collect();
         assert_eq!(flat, expected);
         assert_eq!(f.len(0), 0, "the other parity saw nothing");
+    }
+
+    /// Marks every third master of 130 (three words, the last partial) in
+    /// `parity`, the odd ones alone, plus master 5 in the other parity.
+    fn every_third_of_130(parity: usize) -> (Frontier, Vec<u32>) {
+        let f = Frontier::new(130);
+        let marks: Vec<u32> = (0..130).step_by(3).collect();
+        for &li in &marks {
+            match li % 2 {
+                0 => f.mark(parity, li as usize),
+                _ => f.mark_alone(parity, li as usize),
+            }
+        }
+        f.mark(parity ^ 1, 5);
+        (f, marks)
+    }
+
+    #[test]
+    fn a_due_predicate_drains_exactly_the_due_masters() {
+        let (f, marks) = every_third_of_130(1);
+        let due = |li: usize| li.is_multiple_of(2) || li == 129;
+        let mut flat = vec![7];
+        f.snapshot(1, &mut flat, due);
+        let (taken, left): (Vec<u32>, Vec<u32>) = marks.iter().partition(|&&li| due(li as usize));
+        assert_eq!(flat, taken, "the due masters, ascending");
+        assert!((0..130).all(|li| f.is_marked(1, li) == left.contains(&(li as u32))));
+        assert_eq!(f.len(1), left.len());
+        assert!(
+            f.len(0) == 1 && f.is_marked(0, 5),
+            "the other parity is untouched"
+        );
+    }
+
+    #[test]
+    fn the_take_all_predicate_drains_the_whole_parity() {
+        let (f, marks) = every_third_of_130(0);
+        let mut flat = Vec::new();
+        f.snapshot(0, &mut flat, |_| true);
+        assert_eq!(flat, marks);
+        assert_eq!(f.len(0), 0);
+        assert!((0..130).all(|li| !f.is_marked(0, li)));
+        assert_eq!(f.len(1), 1);
+    }
+
+    #[test]
+    fn marked_lists_ascending_and_clears_nothing() {
+        let (f, marks) = every_third_of_130(1);
+        let listed: Vec<u32> = f.marked(1).map(|li| li as u32).collect();
+        assert_eq!(listed, marks);
+        assert_eq!(f.len(1), marks.len());
+        assert_eq!(f.marked(0).collect::<Vec<_>>(), [5]);
     }
 
     #[test]
@@ -443,7 +529,7 @@ mod tests {
                 });
                 prop_assert_eq!(f.len(parity), expected.len(), "round {}", round);
                 prop_assert!(expected.iter().all(|&li| f.is_marked(parity, li as usize)));
-                f.snapshot(parity, &mut flat);
+                f.snapshot(parity, &mut flat, |_| true);
                 prop_assert_eq!(&flat, &expected, "round {}", round);
                 prop_assert_eq!(f.len(parity), 0);
                 prop_assert!((0..n).all(|li| !f.is_marked(parity, li)));

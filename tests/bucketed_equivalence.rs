@@ -10,7 +10,8 @@
 
 use cyclops::prelude::*;
 use cyclops_algos::sssp::{auto_bucket_width, CyclopsSssp};
-use cyclops_engine::run_cyclops_traced;
+use cyclops_engine::{run_cyclops_traced, run_cyclops_with_plan, CyclopsPlan};
+use cyclops_graph::gen::road_lattice;
 use cyclops_net::trace::{diff, read_jsonl, RunTrace, TraceSink};
 use proptest::prelude::*;
 
@@ -135,4 +136,42 @@ fn det_bucket_trace_is_stable_across_thread_counts() {
     );
     assert_eq!(diff::first_divergence(&t1, &t3, true), None, "values diff");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A bucketed run resumed from any of its checkpoints ends with the full
+/// run's distances, bit for bit, and by draining, not at the cap. A
+/// value-only checkpoint holds no parked priorities, so the resume re-parks
+/// every captured activation as due at once: the path this pins on both
+/// engine shapes, with the width fixed and retuned. The superstep count is
+/// not pinned: the resume restarts at bucket 0 with the seed width and
+/// relaxes the whole parked set in its first superstep, so its count differs
+/// from the full run's (by one on most of these checkpoints).
+#[test]
+fn bucketed_resume_matches_the_full_run() {
+    let g = road_lattice(20, 20, 0.9, 0.1, 3);
+    let p = HashPartitioner.partition(&g, 2);
+    let plan = CyclopsPlan::build_parallel(&g, &p);
+    for cluster in [ClusterSpec::flat(2, 1), ClusterSpec::mt(2, 2, 1)] {
+        // Every third superstep resumes in both parities.
+        for (bucket_adapt, every) in [(false, 2), (true, 2), (false, 3)] {
+            let config = CyclopsConfig {
+                cluster,
+                bucket_width: auto_bucket_width(&g) / 8.0,
+                bucket_adapt,
+                checkpoint_every: Some(every),
+                ..Default::default()
+            };
+            let full = run_cyclops_with_plan(&SOURCE, &g, &plan, &config, None);
+            let label = format!("{cluster:?} adapt {bucket_adapt} every {every}");
+            assert!(full.checkpoints.len() >= 3, "{label}");
+            for cp in &full.checkpoints {
+                let resumed = run_cyclops_with_plan(&SOURCE, &g, &plan, &config, Some(cp));
+                let label = format!("{label} from {}", cp.superstep);
+                let differs = (full.values.iter().zip(&resumed.values))
+                    .position(|(a, b)| a.to_bits() != b.to_bits());
+                assert_eq!(differs, None, "{label}: first differing vertex");
+                assert!(resumed.supersteps < config.max_supersteps, "{label}");
+            }
+        }
+    }
 }
