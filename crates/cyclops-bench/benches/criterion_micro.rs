@@ -24,9 +24,9 @@ use cyclops_engine::{
 use cyclops_graph::gen::{rmat, RmatConfig};
 use cyclops_graph::{Dataset, Graph, VertexId};
 use cyclops_net::codec::{encode_batch, encode_batch_into, try_decode_batch};
-use cyclops_net::metrics::{PhaseHists, PhaseTimes};
+use cyclops_net::metrics::{EngineObs, PhaseTimes};
 use cyclops_net::{
-    ClusterSpec, FlatBarrier, HierarchicalBarrier, InboxMode, ReplicaUpdate, Transport, WireFormat,
+    ClusterSpec, HierarchicalBarrier, InboxMode, ReplicaUpdate, Transport, WireFormat,
 };
 use cyclops_partition::{EdgeCutPartitioner, HashPartitioner};
 
@@ -157,37 +157,26 @@ fn bench_inbox(c: &mut Criterion) {
 
 fn bench_barrier(c: &mut Criterion) {
     let mut group = c.benchmark_group("barrier_8_threads_100_rounds");
-    group.bench_function("flat", |b| {
-        b.iter(|| {
-            let barrier = FlatBarrier::new(8);
-            std::thread::scope(|s| {
-                for _ in 0..8 {
-                    s.spawn(|| {
-                        for _ in 0..100 {
-                            barrier.wait();
+    // `(8, 1)` is the flat barrier the Hama and PowerGraph baselines wait on.
+    for (name, machines, threads) in [("flat_8x1", 8, 1), ("hierarchical_2x4", 2, 4)] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let barrier = HierarchicalBarrier::new(machines, threads);
+                std::thread::scope(|s| {
+                    for m in 0..machines {
+                        for t in 0..threads {
+                            let barrier = &barrier;
+                            s.spawn(move || {
+                                for _ in 0..100 {
+                                    barrier.wait(m, t);
+                                }
+                            });
                         }
-                    });
-                }
-            });
-        })
-    });
-    group.bench_function("hierarchical_2x4", |b| {
-        b.iter(|| {
-            let barrier = HierarchicalBarrier::new(2, 4);
-            std::thread::scope(|s| {
-                for m in 0..2 {
-                    for t in 0..4 {
-                        let barrier = &barrier;
-                        s.spawn(move || {
-                            for _ in 0..100 {
-                                barrier.wait(m, t);
-                            }
-                        });
                     }
-                }
-            });
-        })
-    });
+                });
+            })
+        });
+    }
     group.finish();
 }
 
@@ -247,26 +236,26 @@ fn bench_cholesky(c: &mut Criterion) {
 fn bench_metrics(c: &mut Criterion) {
     // Resolve BEFORE installing the global registry, exactly as an engine
     // run without `--prom` would: the handle is `None` for the whole run.
-    let disabled = PhaseHists::resolve("bench-disabled");
+    let disabled = EngineObs::resolve("bench-disabled");
     assert!(disabled.is_none(), "no registry installed yet");
     let times = PhaseTimes::default();
 
     let mut group = c.benchmark_group("metrics_per_superstep");
     group.bench_function("disabled_option_check", |b| {
         b.iter(|| {
-            if let Some(ph) = std::hint::black_box(&disabled) {
-                ph.record(std::hint::black_box(&times));
+            if let Some(obs) = std::hint::black_box(&disabled) {
+                obs.record_phases(std::hint::black_box(&times));
             }
         })
     });
 
     cyclops_obs::install_global();
-    let enabled = PhaseHists::resolve("bench-enabled");
+    let enabled = EngineObs::resolve("bench-enabled");
     assert!(enabled.is_some(), "registry installed");
     group.bench_function("enabled_4_hist_records", |b| {
         b.iter(|| {
-            if let Some(ph) = std::hint::black_box(&enabled) {
-                ph.record(std::hint::black_box(&times));
+            if let Some(obs) = std::hint::black_box(&enabled) {
+                obs.record_phases(std::hint::black_box(&times));
             }
         })
     });

@@ -24,7 +24,7 @@ use cyclops_graph::{Graph, VertexId};
 use cyclops_net::metrics::CounterSnapshot;
 use cyclops_net::trace::{digest_bytes, SpaceSaving, TraceRecord, TraceSink};
 use cyclops_net::{
-    AggregateStats, ClusterSpec, FlatBarrier, InboxMode, Phase, PhaseHists, PhaseTimes, SchedObs,
+    AggregateStats, ClusterSpec, EngineObs, HierarchicalBarrier, InboxMode, Phase, PhaseTimes,
     SuperstepStats, Transport, WorkerTracer,
 };
 use cyclops_obs::{MemScope, SpanKind, SpanRing};
@@ -127,15 +127,16 @@ struct Run<'r, P: BspProgram> {
     partition: &'r EdgeCutPartition,
     config: &'r BspConfig,
     trace: Option<&'r TraceSink>,
-    phase_hists: Option<PhaseHists>,
-    sched_obs: Option<SchedObs>,
+    obs: Option<EngineObs>,
     /// Per-worker CMP nanoseconds for the imbalance histogram (BSP has one
     /// compute thread per worker, so skew shows up *across* workers).
     cmp_ns: Vec<AtomicU64>,
     /// Global vertex -> local index on its owner.
     local_index: Vec<u32>,
     transport: Transport<(VertexId, P::Message)>,
-    barrier: FlatBarrier,
+    /// `(workers, 1)`: one single-threaded "machine" per worker; worker 0
+    /// leads each SYN.
+    barrier: HierarchicalBarrier,
     stop: AtomicBool,
     active_total: AtomicUsize,
     /// The aggregate pair: this superstep's contributions, and last
@@ -247,12 +248,11 @@ fn run_bsp_inner<P: BspProgram>(
         partition,
         config,
         trace,
-        phase_hists: PhaseHists::resolve("bsp"),
-        sched_obs: SchedObs::resolve("bsp"),
+        obs: EngineObs::resolve("bsp"),
         cmp_ns: (0..num_workers).map(|_| AtomicU64::new(0)).collect(),
         local_index,
         transport: Transport::with_network(config.cluster, config.inbox, config.network),
-        barrier: FlatBarrier::new(num_workers),
+        barrier: HierarchicalBarrier::new(num_workers, 1),
         stop: AtomicBool::new(false),
         active_total: AtomicUsize::new(0),
         aggregate_acc: Mutex::new(AggregateStats::default()),
@@ -390,8 +390,8 @@ impl<'r, P: BspProgram> Run<'r, P> {
     /// closes its [`SuperstepStats`] entry with the messages and bytes the
     /// counters gained since the last close, and publishes it done.
     fn close_superstep(&self, superstep: usize) {
-        if let Some(so) = &self.sched_obs {
-            so.record_threads(self.cmp_ns.iter().map(|a| a.load(Ordering::Relaxed)));
+        if let Some(obs) = &self.obs {
+            obs.record_imbalance(self.cmp_ns.iter().map(|a| a.load(Ordering::Relaxed)));
         }
         let snap = self.transport.counters().snapshot();
         let mut last = self.last_counters.lock();
@@ -566,7 +566,7 @@ impl<'r, P: BspProgram> Worker<'r, P> {
 
     /// SYN: adds superstep `superstep`'s `computed` vertices, redundant
     /// messages and PRS / CMP / SND times to the open stats entry, meets the
-    /// barrier twice with `leader` run by one worker in between, and charges
+    /// barrier twice with `leader` run by worker 0 in between, and charges
     /// the wait — to the *next* stats entry (`leader` may have published
     /// this one; summed over workers like the compute phases, the scheme the
     /// Cyclops engine uses) and to this superstep's times, which the trace
@@ -581,10 +581,12 @@ impl<'r, P: BspProgram> Worker<'r, P> {
         }
         let flight = self.flight.as_deref();
         let sync_start = Instant::now();
-        if run.barrier.wait_traced(flight, superstep as u64) {
+        run.barrier
+            .wait_traced(self.me, 0, flight, superstep as u64);
+        if self.me == 0 {
             leader();
         }
-        run.barrier.wait();
+        run.barrier.wait(self.me, 0);
         let wait = sync_start.elapsed();
         run.current.lock().phase_times.add(Phase::Sync, wait);
         self.times.add(Phase::Sync, wait);
@@ -599,10 +601,10 @@ impl<'r, P: BspProgram> Worker<'r, P> {
         let times = std::mem::take(&mut self.times);
         let agg = std::mem::take(&mut self.agg);
         let checkpointed = std::mem::take(&mut self.checkpointed);
-        if let Some(ph) = &self.run.phase_hists {
-            ph.record(&times);
+        if let Some(obs) = &self.run.obs {
+            obs.record_phases(&times);
             if self.me == 0 {
-                ph.set_supersteps(superstep + 1);
+                obs.set_supersteps(superstep + 1);
             }
         }
         if let Some(tr) = self.tracer {

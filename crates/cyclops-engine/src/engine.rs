@@ -82,16 +82,14 @@ use cyclops_graph::Graph;
 use cyclops_net::metrics::CounterSnapshot;
 use cyclops_net::trace::{digest_bytes, SpaceSaving, TraceRecord, TraceSink};
 use cyclops_net::{
-    AggregateStats, BucketMode, ClusterSpec, Codec, DisjointSlots, HierarchicalBarrier, InboxMode,
-    Phase, PhaseHists, PhaseTimes, ReplicaUpdate, SchedObs, SuperstepStats, Transport, WireMode,
-    WorkerTracer,
+    AggregateStats, BucketMode, ClusterSpec, Codec, DisjointSlots, EngineObs, HierarchicalBarrier,
+    InboxMode, Phase, PhaseTimes, ReplicaUpdate, SuperstepStats, Transport, WireMode, WorkerTracer,
 };
 use cyclops_obs::mem::{Component, MemScope};
 use cyclops_obs::{SpanKind, SpanRing};
 use cyclops_partition::EdgeCutPartition;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 /// How many chunks of the frontier CMP cuts per compute thread. The chunks
@@ -243,8 +241,10 @@ pub struct CyclopsResult<V, M> {
     pub replication_factor: f64,
     /// Value-only checkpoints captured during the run.
     pub checkpoints: Vec<CyclopsCheckpoint<V, M>>,
-    /// Cross-machine barrier protocol messages over the run (hierarchical
-    /// barriers send one per machine leader instead of one per thread).
+    /// Barrier protocol messages over the run: every non-leader arrival at
+    /// either level, `M·T − 1` per round — what a flat barrier over every
+    /// thread counts. The hierarchy's saving is that only `M − 1` of them
+    /// cross machines.
     pub barrier_protocol_messages: usize,
 }
 
@@ -323,8 +323,8 @@ struct WorkerShared<V, M> {
     /// Per-chunk float partials, written by whichever thread computed the
     /// chunk and reduced in chunk-index order by the worker leader.
     partials: Vec<Mutex<ChunkPartial>>,
-    /// Per-thread CMP nanoseconds this superstep — the worker leader feeds
-    /// the `cyclops_compute_imbalance` histogram from these.
+    /// Per-thread CMP nanoseconds this superstep — the global leader feeds
+    /// every worker's to the `cyclops_compute_imbalance` histogram.
     cmp_ns: Vec<AtomicU64>,
     /// Shared outboxes `[dest][thread]`: threads deposit their per-
     /// destination publications at the end of CMP; flush threads merge the
@@ -334,8 +334,6 @@ struct WorkerShared<V, M> {
     deposits: Vec<Vec<Mutex<Vec<ReplicaUpdate<M>>>>>,
     /// Per-master converged flags (Proportion mode).
     converged: Vec<AtomicBool>,
-    /// Intra-worker phase barrier (T participants).
-    local: Barrier,
 }
 
 /// Run-scoped state, built once and borrowed by every engine thread; a
@@ -347,8 +345,7 @@ struct Run<'a, P: CyclopsProgram> {
     config: &'a CyclopsConfig,
     force_pull: Option<bool>,
     trace: Option<&'a TraceSink>,
-    phase_hists: Option<PhaseHists>,
-    sched_obs: Option<SchedObs>,
+    obs: Option<EngineObs>,
     threads: usize,
     receivers: usize,
     shared: Vec<WorkerShared<P::Value, P::Message>>,
@@ -524,7 +521,6 @@ fn run_with_activation<P: CyclopsProgram>(
             cmp_ns: (0..threads).map(|_| AtomicU64::new(0)).collect(),
             deposits: (0..num_workers).map(thread_slots).collect(),
             converged: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            local: Barrier::new(threads),
         });
     }
     drop(restored);
@@ -554,8 +550,7 @@ fn run_with_activation<P: CyclopsProgram>(
         config,
         force_pull,
         trace,
-        phase_hists: PhaseHists::resolve("cyclops"),
-        sched_obs: SchedObs::resolve("cyclops"),
+        obs: EngineObs::resolve("cyclops"),
         threads,
         receivers: spec.receivers_per_worker.min(threads),
         shared,
@@ -685,9 +680,9 @@ impl<'r, P: CyclopsProgram> Run<'r, P> {
 
     /// SYN, global leader only, between the superstep's two hierarchical
     /// barrier waits: every worker's partial is in `worker_partials` and its
-    /// phase times in `current`. Reduces, records the superstep's
-    /// [`SuperstepStats`], and decides `stop`; `budget_exhausted` is the
-    /// settle's fused-round cap.
+    /// phase times in `current`. Reduces, records the superstep's compute
+    /// imbalance and [`SuperstepStats`], and decides `stop`;
+    /// `budget_exhausted` is the settle's fused-round cap.
     fn close_superstep(&self, superstep: usize, budget_exhausted: bool) -> bool {
         // Global reduction: merge the per-worker partials in worker order.
         // Two fixed-order levels — chunks within a worker, workers here —
@@ -705,6 +700,10 @@ impl<'r, P: CyclopsProgram> Run<'r, P> {
 
         self.direct_messages
             .fetch_add(total.direct, Ordering::Relaxed);
+        if let Some(obs) = &self.obs {
+            let cmp_ns = self.shared.iter().flat_map(|ws| &ws.cmp_ns);
+            obs.record_imbalance(cmp_ns.map(|a| a.load(Ordering::Relaxed)));
+        }
         let snap = self.transport.counters().snapshot();
         let mut last = self.last_counters.lock();
         let mut cur = self.current.lock();
@@ -1034,10 +1033,10 @@ impl<'r, P: CyclopsProgram> Worker<'r, P> {
         part: &ChunkPartial,
         bucket: Option<(u64, u64, u64)>,
     ) {
-        if let Some(ph) = &self.run.phase_hists {
-            ph.record(times);
+        if let Some(obs) = &self.run.obs {
+            obs.record_phases(times);
             if self.w == 0 {
-                ph.set_supersteps(superstep + 1);
+                obs.set_supersteps(superstep + 1);
             }
         }
         if let Some(tr) = self.tr {
@@ -1088,6 +1087,8 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
     }
     let wk = run.worker(w);
     let (ws, wp) = (wk.ws, wk.wp);
+    // The worker's intra-worker waits: the barrier's local level.
+    let local = run.barrier.local(w);
     let lane = w * run.threads + t;
     let num_workers = run.plan.workers.len();
     // Compute chunks per superstep. Fixed per run, so every partial slot in
@@ -1132,7 +1133,7 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
             wk.begin_epoch();
         }
         let checkpoint_now = run.checkpoint_due(superstep);
-        ws.local.wait();
+        local.wait();
 
         // ---- Apply phase (PRS): receivers update the view lock-free. ----
         let apply_start = Instant::now();
@@ -1152,7 +1153,7 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
         times.add(Phase::Parse, apply_start.elapsed());
         end_span(flight, prs_span, SpanKind::Parse, [step, 0, 0]);
         let mut wait_start = Instant::now();
-        ws.local.wait();
+        local.wait();
         if pull_inbound {
             // The second fill: the replica and direct bits are in, on top of
             // the master bits the first fill already used. Its time is the
@@ -1163,7 +1164,7 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
             ws.frontier.fill_from(cur_parity, wp, &ws.fresh, fill_share);
             times.add(Phase::Parse, fill_start.elapsed());
             wait_start = Instant::now();
-            ws.local.wait();
+            local.wait();
         }
         // Value-only checkpoint (no replicas, no messages — §3.6), taken on
         // the post-apply consistent cut: remote activations delivered this
@@ -1174,7 +1175,7 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
             if t == 0 {
                 wk.capture_checkpoint(superstep, agg_in, cur_parity);
             }
-            ws.local.wait();
+            local.wait();
             // Epoch boundary: every thread of every worker reaches this
             // exact point and returns together — transports are drained,
             // the frontier still holds superstep `s`'s activations (which
@@ -1204,13 +1205,13 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
             ws.cursor.store(0, Ordering::Relaxed);
             let pull = run.force_pull.unwrap_or_else(|| pull_wins(&flat, wp));
             ws.pull.store(pull, Ordering::Relaxed);
-            if let Some(so) = &run.sched_obs {
-                so.record_activation(pull);
+            if let Some(obs) = &run.obs {
+                obs.record_activation(pull);
             }
             times.add(Phase::Parse, snap_start.elapsed());
         }
         let wait_start = Instant::now();
-        ws.local.wait();
+        local.wait();
         times.add(Phase::Sync, wait_start.elapsed());
 
         // ---- Compute phase (CMP). ----
@@ -1264,7 +1265,7 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
         }
         times.add(Phase::Send, deposit_start.elapsed());
         let wait_start = Instant::now();
-        ws.local.wait();
+        local.wait();
         times.add(Phase::Sync, wait_start.elapsed());
         if pull {
             // The first fill: only master bits are fresh, so the parity gets
@@ -1302,7 +1303,7 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
             // Every thread's share of the first fill, before the leader
             // counts the parity.
             let wait_start = Instant::now();
-            ws.local.wait();
+            local.wait();
             times.add(Phase::Sync, wait_start.elapsed());
         }
         let mut reduced = ChunkPartial::default();
@@ -1316,9 +1317,6 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
             }
             // All compute-phase local activations are in.
             reduced.next_active = ws.frontier.len(next_parity);
-            if let Some(so) = &run.sched_obs {
-                so.record_threads(ws.cmp_ns.iter().map(|a| a.load(Ordering::Relaxed)));
-            }
             *run.worker_partials[w].lock() = reduced;
             let mut cur = run.current.lock();
             cur.phase_times = cur.phase_times.merge(&times);

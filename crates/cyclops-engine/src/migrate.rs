@@ -154,7 +154,6 @@ pub fn run_cyclops_migrated_traced<P: CyclopsProgram>(
     cfg.load_ledger = Some(ledger.clone());
     let num_workers = cfg.cluster.num_workers();
     let planner = MigrationPlanner::new(migration);
-    let state_bytes = std::mem::size_of::<P::Value>() as u32;
 
     let mut report = MigrationReport {
         epochs: 1,
@@ -174,7 +173,7 @@ pub fn run_cyclops_migrated_traced<P: CyclopsProgram>(
             imbalance_after: imbalance_before,
         };
         if !batch.is_empty() {
-            event.bytes = ship_moved_state(&mut cp, &batch, state_bytes);
+            event.bytes = ship_moved_state(&mut cp, &batch);
             apply_migration(&mut plan, graph, &batch, cfg.replicate_threshold);
             event.imbalance_after =
                 compute_imbalance(&ledger.worker_totals(&plan.owner, num_workers));
@@ -216,23 +215,22 @@ fn take_boundary<V, M>(result: &mut CyclopsResult<V, M>) -> Option<CyclopsCheckp
     stopped.then(|| result.checkpoints.pop()).flatten()
 }
 
-/// Ships the moved masters' in-flight state over the wire and returns the
-/// frame's bytes. The decoded records, not the originals, patch the
-/// checkpoint, so the resume consumes what crossed the network: they come
-/// back in the order the checkpoint was scanned, so one pass pairs them
-/// with the entries they left. A release build that meets a frame that
-/// does not decode patches nothing, leaving the state it was encoded from;
-/// a debug build fails on it.
-fn ship_moved_state<V, M: Codec + Clone>(
+/// Ships the moved masters' values, activation bits and publications over
+/// the wire and returns the frame's bytes. The decoded records, not the
+/// originals, patch the checkpoint, so the resume consumes what crossed the
+/// network: they come back in the order the checkpoint was scanned, so one
+/// pass pairs them with the entries they left. A release build that meets
+/// a frame that does not decode patches nothing, leaving the state it was
+/// encoded from; a debug build fails on it.
+fn ship_moved_state<V: Codec + Clone, M: Codec + Clone>(
     cp: &mut CyclopsCheckpoint<V, M>,
     batch: &MigrationBatch,
-    state_bytes: u32,
 ) -> usize {
     let mut moves = batch.moves.clone();
     moves.sort_unstable_by_key(|mv| mv.vertex);
     let mut records = Vec::with_capacity(moves.len());
     let mut entries = Vec::with_capacity(moves.len());
-    for (ci, (v, _, publication, active)) in cp.vertices.iter().enumerate() {
+    for (ci, (v, value, publication, active)) in cp.vertices.iter().enumerate() {
         if let Ok(i) = moves.binary_search_by_key(v, |mv| mv.vertex) {
             entries.push(ci);
             records.push(MigrationRecord {
@@ -241,13 +239,13 @@ fn ship_moved_state<V, M: Codec + Clone>(
                 to: moves[i].to,
                 active: *active,
                 publication: publication.clone(),
-                state_bytes,
+                value: value.clone(),
             });
         }
     }
     let mut buf = BytesMut::new();
     encode_migration_batch(&mut buf, &records);
-    let decoded = try_decode_migration_batch::<M>(&mut &buf[..]);
+    let decoded = try_decode_migration_batch::<V, M>(&mut &buf[..]);
     debug_assert!(
         decoded.as_ref().is_some_and(|d| d.len() == entries.len()),
         "a migration batch decodes to one record per moved entry"
@@ -256,7 +254,7 @@ fn ship_moved_state<V, M: Codec + Clone>(
         let entry = &mut cp.vertices[ci];
         debug_assert_eq!(entry.0, rec.vertex, "records come back in scan order");
         if entry.0 == rec.vertex {
-            (entry.2, entry.3) = (rec.publication, rec.active);
+            (entry.1, entry.2, entry.3) = (rec.value, rec.publication, rec.active);
         }
     }
     buf.len()

@@ -21,8 +21,9 @@ use cyclops_net::{AggregateStats, Codec, DisjointSlots};
 
 /// A vertex program over the distributed immutable view.
 pub trait CyclopsProgram: Sync {
-    /// Private per-vertex state.
-    type Value: Clone + Send + Sync;
+    /// Private per-vertex state; encodable, so a migrated master's value
+    /// crosses the wire as itself.
+    type Value: Codec + Clone + Send + Sync;
     /// Publication readable by out-neighbors; travels in sync messages, so
     /// it must be encodable.
     type Message: Codec + Clone + Send + Sync;

@@ -20,11 +20,11 @@
 use crate::program::GasProgram;
 use bytes::{Buf, BufMut, BytesMut};
 use cyclops_graph::{Graph, VertexId};
-use cyclops_net::metrics::{CounterSnapshot, PhaseHists, SchedObs};
+use cyclops_net::metrics::{CounterSnapshot, EngineObs};
 use cyclops_net::trace::{digest_bytes, SpaceSaving, TraceRecord, TraceSink};
 use cyclops_net::{
-    ClusterSpec, Codec, FlatBarrier, InboxMode, Phase, PhaseTimes, SuperstepStats, Transport,
-    WorkerTracer,
+    ClusterSpec, Codec, HierarchicalBarrier, InboxMode, Phase, PhaseTimes, SuperstepStats,
+    Transport, WorkerTracer,
 };
 use cyclops_obs::{MemScope, SpanKind, SpanRing};
 use cyclops_partition::VertexCutPartition;
@@ -278,13 +278,14 @@ struct Run<'r, P: GasProgram> {
     partition: &'r VertexCutPartition,
     config: &'r GasConfig,
     trace: Option<&'r TraceSink>,
-    phase_hists: Option<PhaseHists>,
-    sched_obs: Option<SchedObs>,
+    obs: Option<EngineObs>,
     /// Per-worker CMP nanoseconds for the imbalance histogram (like BSP,
     /// PowerGraph-style workers are single-threaded — skew is cross-worker).
     cmp_ns: Vec<AtomicU64>,
     transport: Transport<GasMsg<P::Value, P::Gather>>,
-    barrier: FlatBarrier,
+    /// `(workers, 1)`: one single-threaded "machine" per worker; worker 0
+    /// leads each SYN.
+    barrier: HierarchicalBarrier,
     stop: AtomicBool,
     active_total: AtomicUsize,
     /// The stats ledger: closed entries, the entry of the superstep in
@@ -326,8 +327,8 @@ impl<'r, P: GasProgram> Run<'r, P> {
     /// entry with the messages and bytes the counters gained since the last
     /// close, and publishes it done.
     fn close_superstep(&self, superstep: usize, sync: Duration) {
-        if let Some(so) = &self.sched_obs {
-            so.record_threads(self.cmp_ns.iter().map(|a| a.load(Ordering::Relaxed)));
+        if let Some(obs) = &self.obs {
+            obs.record_imbalance(self.cmp_ns.iter().map(|a| a.load(Ordering::Relaxed)));
         }
         let snap = self.transport.counters().snapshot();
         let mut last = self.last_counters.lock();
@@ -364,10 +365,10 @@ impl<'r, P: GasProgram> Worker<'r, P> {
     /// have one thread; `[frontier, computed, activated]` its counts), and
     /// the memory sample (no-op unless `--mem`).
     fn commit_superstep(&mut self, superstep: usize, counts: [usize; 3], times: &PhaseTimes) {
-        if let Some(ph) = &self.run.phase_hists {
-            ph.record(times);
+        if let Some(obs) = &self.run.obs {
+            obs.record_phases(times);
             if self.me == 0 {
-                ph.set_supersteps(superstep + 1);
+                obs.set_supersteps(superstep + 1);
             }
         }
         if let Some(tr) = self.tracer {
@@ -401,10 +402,14 @@ impl<'r, P: GasProgram> Worker<'r, P> {
         }
     }
 
-    /// A barrier wait under a flight span; `true` on the wait's one leader.
+    /// A barrier wait under a flight span; `true` on worker 0, the SYN
+    /// leader.
     fn barrier(&self, superstep: usize) -> bool {
         let flight = self.flight.as_deref();
-        self.run.barrier.wait_traced(flight, superstep as u64)
+        self.run
+            .barrier
+            .wait_traced(self.me, 0, flight, superstep as u64);
+        self.me == 0
     }
 
     /// Sends every nonempty outbox in transport epoch `epoch`.
@@ -508,11 +513,10 @@ pub fn run_gas_traced<P: GasProgram>(
         partition,
         config,
         trace,
-        phase_hists: PhaseHists::resolve("gas"),
-        sched_obs: SchedObs::resolve("gas"),
+        obs: EngineObs::resolve("gas"),
         cmp_ns: (0..num_workers).map(|_| AtomicU64::new(0)).collect(),
         transport: Transport::new(config.cluster, InboxMode::GlobalQueue),
-        barrier: FlatBarrier::new(num_workers),
+        barrier: HierarchicalBarrier::new(num_workers, 1),
         stop: AtomicBool::new(false),
         active_total: AtomicUsize::new(0),
         history: Mutex::new(Vec::new()),
@@ -608,7 +612,7 @@ fn gas_worker<P: GasProgram>(run: &Run<'_, P>, mut wk: Worker<'_, P>) {
             let stop = total == 0 || superstep >= config.max_supersteps;
             run.stop.store(stop, Ordering::Release);
         }
-        run.barrier.wait();
+        run.barrier.wait(me, 0);
         times.add(Phase::Sync, sync_start.elapsed());
         if run.stop.load(Ordering::Acquire) {
             // Record nothing for the would-be superstep; exit.
@@ -792,7 +796,7 @@ fn gas_worker<P: GasProgram>(run: &Run<'_, P>, mut wk: Worker<'_, P>) {
         if wk.barrier(superstep) {
             run.close_superstep(superstep, sync_start.elapsed());
         }
-        run.barrier.wait();
+        run.barrier.wait(me, 0);
         times.add(Phase::Sync, sync_start.elapsed());
         if let Some(tr) = tracer {
             tr.add_drained(drained);

@@ -1,82 +1,20 @@
-//! Global and hierarchical superstep barriers.
+//! The superstep barrier.
 //!
 //! A flat BSP barrier makes every participant take part in the distributed
 //! protocol; with 48 workers the paper observes the SYN phase growing to
 //! dominate (§6.5). CyclopsMT instead uses a hierarchical barrier (§5): the
 //! threads of one machine meet at a local barrier, then one leader per
-//! machine takes part in the global protocol. We model protocol cost by
-//! counting *barrier messages* — each non-leader participant contributes one
-//! message to its barrier — so experiments can report the reduction.
+//! machine takes part in the global protocol. Every engine waits on
+//! [`HierarchicalBarrier`]: a Cyclops run with one "machine" per worker and
+//! its compute threads as the local level, the single-threaded Hama and
+//! PowerGraph workers as `(workers, 1)`, which is the flat barrier. We model
+//! protocol cost by counting *barrier messages* — each non-leader arrival at
+//! either level contributes one — so experiments can report the reduction.
 
 use cyclops_obs::{LogLinearHistogram, SpanKind, SpanRing};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
-
-/// Resolves the `cyclops_barrier_wait_ns{kind}` histogram from the global
-/// registry, when one is installed. Resolved once per barrier; the wait
-/// path pays a single `Option` check when no registry exists.
-fn wait_hist(kind: &str) -> Option<Arc<LogLinearHistogram>> {
-    cyclops_obs::global().map(|reg| reg.histogram("cyclops_barrier_wait_ns", &[("kind", kind)]))
-}
-
-/// A flat barrier over `participants` threads, counting protocol messages
-/// (each arrival except the coordinator's counts as one message, mirroring a
-/// gather-release implementation).
-pub struct FlatBarrier {
-    inner: Barrier,
-    participants: usize,
-    messages: AtomicUsize,
-    wait_ns: Option<Arc<LogLinearHistogram>>,
-}
-
-impl FlatBarrier {
-    /// Creates a barrier for `participants` threads.
-    pub fn new(participants: usize) -> Self {
-        FlatBarrier {
-            inner: Barrier::new(participants),
-            participants,
-            messages: AtomicUsize::new(0),
-            wait_ns: wait_hist("flat"),
-        }
-    }
-
-    /// Blocks until all participants arrive. Returns `true` on exactly one
-    /// (arbitrary) leader thread per round.
-    pub fn wait(&self) -> bool {
-        self.messages
-            .fetch_add(self.participants.saturating_sub(1), Ordering::Relaxed);
-        let start = self.wait_ns.as_ref().map(|_| Instant::now());
-        // Every waiter adds the full round's messages; divide on read.
-        let leader = self.inner.wait().is_leader();
-        if let (Some(h), Some(start)) = (&self.wait_ns, start) {
-            h.record(start.elapsed().as_nanos() as u64);
-        }
-        leader
-    }
-
-    /// [`FlatBarrier::wait`], additionally recording the caller's wait as a
-    /// barrier span (epoch `epoch`) into its flight-recorder ring when one
-    /// is active. `None` costs one `Option` check.
-    pub fn wait_traced(&self, ring: Option<&SpanRing>, epoch: u64) -> bool {
-        let start = ring.map(|r| r.now_ns());
-        let leader = self.wait();
-        if let (Some(r), Some(start)) = (ring, start) {
-            r.record(SpanKind::Barrier, start, epoch, 0, 0);
-        }
-        leader
-    }
-
-    /// Total barrier protocol messages across all rounds so far.
-    pub fn protocol_messages(&self) -> usize {
-        // Each round, all `participants` waiters add `participants - 1`;
-        // normalize to one count per round.
-        self.messages
-            .load(Ordering::Relaxed)
-            .checked_div(self.participants)
-            .unwrap_or(0)
-    }
-}
 
 /// A two-level barrier: threads of each machine synchronize locally, then
 /// one leader per machine enters the global barrier, and finally the local
@@ -89,6 +27,8 @@ pub struct HierarchicalBarrier {
     machines: usize,
     threads_per_machine: usize,
     rounds: AtomicUsize,
+    /// `cyclops_barrier_wait_ns{kind="hierarchical"}`, resolved once when a
+    /// registry is installed; absent, the wait pays one `Option` check.
     wait_ns: Option<Arc<LogLinearHistogram>>,
 }
 
@@ -104,8 +44,16 @@ impl HierarchicalBarrier {
             machines,
             threads_per_machine,
             rounds: AtomicUsize::new(0),
-            wait_ns: wait_hist("hierarchical"),
+            wait_ns: cyclops_obs::global()
+                .map(|reg| reg.histogram("cyclops_barrier_wait_ns", &[("kind", "hierarchical")])),
         }
+    }
+
+    /// Machine `machine`'s local level alone: a barrier among its threads
+    /// that the global protocol never sees (and [`Self::rounds`] never
+    /// counts).
+    pub fn local(&self, machine: usize) -> &Barrier {
+        &self.local[machine]
     }
 
     /// Blocks the calling thread (thread `thread` of machine `machine`)
@@ -137,7 +85,9 @@ impl HierarchicalBarrier {
     }
 
     /// Barrier protocol messages so far: per round, `threads - 1` local
-    /// messages per machine plus `machines - 1` global messages.
+    /// messages per machine plus `machines - 1` global messages — `M·T − 1`,
+    /// what a flat barrier over every thread counts, of which only `M − 1`
+    /// cross machines.
     pub fn protocol_messages(&self) -> usize {
         let per_round =
             self.machines * (self.threads_per_machine.saturating_sub(1)) + self.machines - 1;
@@ -156,79 +106,74 @@ mod tests {
     use std::sync::atomic::AtomicU32;
 
     #[test]
-    fn flat_barrier_synchronizes() {
-        let barrier = FlatBarrier::new(4);
-        let phase = AtomicU32::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    phase.fetch_add(1, Ordering::SeqCst);
-                    barrier.wait();
-                    // After the barrier every increment must be visible.
-                    assert_eq!(phase.load(Ordering::SeqCst), 4);
-                });
-            }
-        });
-        assert_eq!(barrier.protocol_messages(), 3);
-    }
-
-    #[test]
-    fn flat_barrier_has_one_leader_per_round() {
-        let barrier = FlatBarrier::new(3);
-        let leaders = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..3 {
-                s.spawn(|| {
-                    for _ in 0..5 {
-                        if barrier.wait() {
-                            leaders.fetch_add(1, Ordering::SeqCst);
-                        }
-                    }
-                });
-            }
-        });
-        assert_eq!(leaders.load(Ordering::SeqCst), 5);
-    }
-
-    #[test]
     fn hierarchical_barrier_synchronizes_all_threads() {
-        let machines = 3;
-        let threads = 4;
+        for (machines, threads) in [(3, 4), (4, 1)] {
+            let barrier = HierarchicalBarrier::new(machines, threads);
+            let counter = AtomicU32::new(0);
+            std::thread::scope(|s| {
+                for m in 0..machines {
+                    for t in 0..threads {
+                        let barrier = &barrier;
+                        let counter = &counter;
+                        s.spawn(move || {
+                            for round in 0..10u32 {
+                                counter.fetch_add(1, Ordering::SeqCst);
+                                barrier.wait(m, t);
+                                let expected = (round + 1) * (machines * threads) as u32;
+                                assert_eq!(counter.load(Ordering::SeqCst), expected);
+                                barrier.wait(m, t);
+                            }
+                        });
+                    }
+                }
+            });
+            assert_eq!(barrier.rounds(), 20);
+        }
+    }
+
+    /// Runs `rounds` waits of every thread of a `machines x threads` barrier.
+    fn drive(machines: usize, threads: usize, rounds: usize) -> HierarchicalBarrier {
         let barrier = HierarchicalBarrier::new(machines, threads);
-        let counter = AtomicU32::new(0);
         std::thread::scope(|s| {
             for m in 0..machines {
                 for t in 0..threads {
                     let barrier = &barrier;
-                    let counter = &counter;
+                    s.spawn(move || (0..rounds).for_each(|_| barrier.wait(m, t)));
+                }
+            }
+        });
+        barrier
+    }
+
+    #[test]
+    fn hierarchy_counts_what_a_flat_barrier_counts() {
+        // 48 threads as 6 machines x 8 or as 48 single-threaded workers:
+        // both count 47 messages a round; the hierarchy's 42 local ones
+        // never cross a machine.
+        let rounds = 5;
+        for (machines, threads) in [(6, 8), (48, 1)] {
+            let barrier = drive(machines, threads, rounds);
+            assert_eq!(barrier.rounds(), rounds);
+            assert_eq!(barrier.protocol_messages(), rounds * 47);
+        }
+    }
+
+    #[test]
+    fn local_level_alone_is_not_a_round() {
+        let barrier = HierarchicalBarrier::new(2, 3);
+        std::thread::scope(|s| {
+            for m in 0..2 {
+                for t in 0..3 {
+                    let barrier = &barrier;
                     s.spawn(move || {
-                        for round in 0..10u32 {
-                            counter.fetch_add(1, Ordering::SeqCst);
-                            barrier.wait(m, t);
-                            let expected = (round + 1) * (machines * threads) as u32;
-                            assert_eq!(counter.load(Ordering::SeqCst), expected);
-                            barrier.wait(m, t);
-                        }
+                        barrier.local(m).wait();
+                        barrier.wait(m, t);
+                        barrier.local(m).wait();
                     });
                 }
             }
         });
-        assert_eq!(barrier.rounds(), 20);
-    }
-
-    #[test]
-    fn hierarchical_sends_fewer_messages_than_flat() {
-        // 6 machines x 8 threads: flat = 47 msgs/round, hierarchical =
-        // 6*7 + 5 = 47... for equality cases use 12 threads: flat = 71,
-        // hierarchical = 6*11 + 5 = 71. The hierarchy wins on *latency*
-        // (local barriers are cheap) and on wire messages (local ones never
-        // cross the network). Check the cross-machine portion instead.
-        let machines = 6;
-        let threads = 8;
-        let flat_cross = machines * threads - 1; // every waiter may be remote
-        let hier = HierarchicalBarrier::new(machines, threads);
-        let hier_cross = machines - 1; // only leaders cross machines
-        assert!(hier_cross < flat_cross);
-        assert_eq!(hier.rounds(), 0);
+        assert_eq!(barrier.rounds(), 1);
+        assert_eq!(barrier.protocol_messages(), 5);
     }
 }

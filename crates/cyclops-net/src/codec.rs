@@ -381,16 +381,11 @@ const PACKED_SINGLE_BIT: u8 = 0x80;
 const MIGRATION_BATCH: u8 = 5;
 
 /// One migrated master on the wire: the vertex, the ownership transfer,
-/// and the in-flight per-vertex engine state the destination worker needs
-/// to resume the epoch — the activation bit and the latest publication
-/// (both restored from the epoch checkpoint the migration driver resumes
-/// from). Vertex *values* are not `Codec` in the Cyclops engines (only
-/// messages are), so the value payload rides as `state_bytes` of opaque
-/// padding sized by the caller (`size_of::<V>()`): the byte accounting is
-/// honest without forcing a `Codec` bound onto every algorithm's value
-/// type.
+/// and the state the destination worker resumes the epoch from — value,
+/// activation bit and latest publication, as the epoch checkpoint holds
+/// them. Every field is encoded as itself, so a frame decodes one way.
 #[derive(Clone, Debug, PartialEq)]
-pub struct MigrationRecord<M> {
+pub struct MigrationRecord<V, M> {
     /// The migrated vertex (global id).
     pub vertex: u32,
     /// Worker losing the master.
@@ -401,16 +396,17 @@ pub struct MigrationRecord<M> {
     pub active: bool,
     /// The master's latest publication, if it has published.
     pub publication: Option<M>,
-    /// Size of the vertex-value payload transferred alongside (opaque
-    /// padding on the wire; see the type docs).
-    pub state_bytes: u32,
+    /// The master's value.
+    pub value: V,
 }
 
 /// Encodes a migration batch: tag · varint count · per record
 /// (varint vertex · varint from · varint to · flags byte · [publication]
-/// · varint state_bytes · `state_bytes` padding bytes). Flag bit 0 is
-/// `active`, bit 1 is publication presence.
-pub fn encode_migration_batch<M: Codec>(buf: &mut BytesMut, records: &[MigrationRecord<M>]) {
+/// · value). Flag bit 0 is `active`, bit 1 is publication presence.
+pub fn encode_migration_batch<V: Codec, M: Codec>(
+    buf: &mut BytesMut,
+    records: &[MigrationRecord<V, M>],
+) {
     buf.put_u8(MIGRATION_BATCH);
     encode_varint(buf, records.len() as u64);
     for r in records {
@@ -428,14 +424,15 @@ pub fn encode_migration_batch<M: Codec>(buf: &mut BytesMut, records: &[Migration
         if let Some(p) = &r.publication {
             p.encode(buf);
         }
-        encode_varint(buf, r.state_bytes as u64);
-        buf.put_slice(&vec![0u8; r.state_bytes as usize]);
+        r.value.encode(buf);
     }
 }
 
 /// Decodes a migration frame, which must be all of `buf`: rejects truncated
 /// buffers, other tags, malformed records and bytes left over.
-pub fn try_decode_migration_batch<M: Codec>(buf: &mut impl Buf) -> Option<Vec<MigrationRecord<M>>> {
+pub fn try_decode_migration_batch<V: Codec, M: Codec>(
+    buf: &mut impl Buf,
+) -> Option<Vec<MigrationRecord<V, M>>> {
     if buf.remaining() < 1 || buf.get_u8() != MIGRATION_BATCH {
         return None;
     }
@@ -457,18 +454,13 @@ pub fn try_decode_migration_batch<M: Codec>(buf: &mut impl Buf) -> Option<Vec<Mi
         } else {
             None
         };
-        let state_bytes = u32::try_from(try_decode_varint(buf)?).ok()?;
-        if buf.remaining() < state_bytes as usize {
-            return None;
-        }
-        buf.advance(state_bytes as usize);
         out.push(MigrationRecord {
             vertex,
             from,
             to,
             active: flags & 1 != 0,
             publication,
-            state_bytes,
+            value: V::try_decode(buf)?,
         });
     }
     (!buf.has_remaining()).then_some(out)
@@ -1174,7 +1166,7 @@ mod tests {
         assert_eq!(batch_reservation(3, 24), 3);
     }
 
-    fn migration_records(n: u32) -> Vec<MigrationRecord<f64>> {
+    fn migration_records(n: u32) -> Vec<MigrationRecord<Vec<f64>, f64>> {
         (0..n)
             .map(|i| MigrationRecord {
                 vertex: i * 3_000 + 7,
@@ -1186,7 +1178,7 @@ mod tests {
                 } else {
                     None
                 },
-                state_bytes: (i % 5) * 8,
+                value: vec![i as f64; (i % 5) as usize],
             })
             .collect()
     }
@@ -1198,7 +1190,7 @@ mod tests {
             let mut buf = BytesMut::new();
             encode_migration_batch(&mut buf, &records);
             let mut slice = &buf[..];
-            let out = try_decode_migration_batch::<f64>(&mut slice).unwrap();
+            let out = try_decode_migration_batch::<Vec<f64>, f64>(&mut slice).unwrap();
             assert!(slice.is_empty(), "decode must consume the whole frame");
             assert_eq!(out, records);
         }
@@ -1211,7 +1203,7 @@ mod tests {
         encode_migration_batch(&mut full, &records);
         for cut in 0..full.len() {
             assert_eq!(
-                try_decode_migration_batch::<f64>(&mut &full[..cut]),
+                try_decode_migration_batch::<Vec<f64>, f64>(&mut &full[..cut]),
                 None,
                 "a {cut}-byte prefix of {} decoded",
                 full.len()
@@ -1227,15 +1219,24 @@ mod tests {
         assert_eq!(full[1], 3, "count varint");
         let mut lowered = full.to_vec();
         lowered[1] = 2;
-        assert_eq!(try_decode_migration_batch::<f64>(&mut &lowered[..]), None);
+        assert_eq!(
+            try_decode_migration_batch::<Vec<f64>, f64>(&mut &lowered[..]),
+            None
+        );
         let mut longer = full.to_vec();
         longer.push(0);
-        assert_eq!(try_decode_migration_batch::<f64>(&mut &longer[..]), None);
+        assert_eq!(
+            try_decode_migration_batch::<Vec<f64>, f64>(&mut &longer[..]),
+            None
+        );
         // A count far beyond the frame reserves no more than the frame.
         let mut lying = BytesMut::new();
         lying.put_u8(MIGRATION_BATCH);
         encode_varint(&mut lying, u64::MAX);
-        assert_eq!(try_decode_migration_batch::<f64>(&mut &lying[..]), None);
+        assert_eq!(
+            try_decode_migration_batch::<Vec<f64>, f64>(&mut &lying[..]),
+            None
+        );
     }
 
     #[test]
@@ -1248,7 +1249,7 @@ mod tests {
         assert_eq!(decoded(&mig), None);
         for ids in frame_shapes() {
             let (_, buf) = encoded(&ids);
-            assert!(try_decode_migration_batch::<f64>(&mut &buf[..]).is_none());
+            assert!(try_decode_migration_batch::<Vec<f64>, f64>(&mut &buf[..]).is_none());
         }
     }
 

@@ -21,8 +21,8 @@
 //!   queue per worker — Hama's design, §4.1) and
 //!   [`transport::InboxMode::Sharded`] (per-sender lanes, contention-free —
 //!   Cyclops' design),
-//! * [`barrier::FlatBarrier`] / [`barrier::HierarchicalBarrier`] — the global
-//!   and hierarchical supserstep barriers (§5),
+//! * [`barrier::HierarchicalBarrier`] — the superstep barrier of every
+//!   engine, hierarchical on CyclopsMT (§5) and flat as `(workers, 1)`,
 //! * [`metrics`] — per-superstep phase timing (SYN/PRS/CMP/SND), message and
 //!   byte counters, contention counters, and allocation accounting for the
 //!   Table 2 memory experiment,
@@ -34,10 +34,10 @@
 //!   streamed to a JSONL file, and [`trace::diff`] for root-causing run
 //!   divergence).
 //!
-//! The transport and both barriers are additionally instrumented against
+//! The transport and the barrier are additionally instrumented against
 //! the `cyclops-obs` metrics registry (message-size, lane-depth, and
-//! barrier-wait histograms; [`metrics::PhaseHists`] for the engines' phase
-//! latencies). Instrumentation resolves its handles once at construction
+//! barrier-wait histograms; [`metrics::EngineObs`] for the engines' phase
+//! latencies and schedule). Instrumentation resolves its handles once at construction
 //! from [`cyclops_obs::global`]; with no registry installed the hot paths
 //! pay a single `Option` check.
 
@@ -49,13 +49,13 @@ pub mod slots;
 pub mod trace;
 pub mod transport;
 
-pub use barrier::{FlatBarrier, HierarchicalBarrier};
+pub use barrier::HierarchicalBarrier;
 pub use cluster::{BucketMode, ClusterSpec};
 pub use codec::{
     encode_migration_batch, try_decode_migration_batch, Codec, MigrationRecord, ReplicaUpdate,
     WireFormat, WireMode, WireStats,
 };
-pub use metrics::{AggregateStats, Phase, PhaseHists, PhaseTimes, SchedObs, SuperstepStats};
+pub use metrics::{AggregateStats, EngineObs, Phase, PhaseTimes, SuperstepStats};
 pub use slots::DisjointSlots;
 pub use trace::{RunTrace, StreamSummary, TraceLine, TraceRecord, TraceSink, WorkerTracer};
 pub use transport::{InboxMode, NetworkModel, SendReceipt, Transport};

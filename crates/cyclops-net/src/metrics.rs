@@ -8,6 +8,7 @@
 //! types here collect all of that.
 
 use crate::codec::WireMode;
+pub use cyclops_obs::Phase;
 use cyclops_obs::{Counter, Gauge, LogLinearHistogram};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -71,19 +72,6 @@ impl AggregateStats {
     pub fn is_empty(&self) -> bool {
         self.count == 0
     }
-}
-
-/// The four superstep phases of the BSP execution model (§3.5).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Phase {
-    /// Message parsing (PRS) — delivering received messages to vertices.
-    Parse,
-    /// Vertex computation (CMP) — running the user compute function.
-    Compute,
-    /// Message sending (SND) — serializing and transmitting messages.
-    Send,
-    /// Global barrier (SYN) — waiting for all workers.
-    Sync,
 }
 
 /// Wall-clock time spent in each phase.
@@ -174,8 +162,9 @@ pub struct RunCounters {
     /// Bytes allocated for message buffers over the whole run (Table 2's
     /// "messages occupy a large number of memory in each superstep").
     pub message_bytes_allocated: AtomicU64,
-    /// Peak bytes held in in-flight message queues. No transport records
-    /// it, so it reads 0; the benchmark still reports the column.
+    /// Peak bytes held in in-flight message queues: the in-flight message
+    /// count times the message type's `size_of`, heap payloads (a `Vec`
+    /// message's elements) excluded.
     pub peak_queue_bytes: AtomicU64,
     /// Messages currently sitting in queues (enqueued minus drained).
     pub inflight_messages: AtomicU64,
@@ -222,14 +211,17 @@ impl RunCounters {
         self.lock_contentions.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records `n` messages entering queues, updating the peak watermark.
+    /// Records `n` messages of `size` bytes each entering queues, updating
+    /// the peak watermarks.
     #[inline]
-    pub fn queue_enter(&self, n: usize) {
+    pub fn queue_enter(&self, n: usize, size: usize) {
         let now = self
             .inflight_messages
             .fetch_add(n as u64, Ordering::Relaxed)
             + n as u64;
         self.peak_queue_messages.fetch_max(now, Ordering::Relaxed);
+        self.peak_queue_bytes
+            .fetch_max(now.saturating_mul(size as u64), Ordering::Relaxed);
     }
 
     /// Records one cross-machine batch encoded in `mode`, saving `saved`
@@ -273,96 +265,62 @@ impl RunCounters {
     }
 }
 
-/// Pre-resolved registry handles for per-phase latency histograms plus the
-/// engine's superstep gauge.
+/// An engine run's pre-resolved registry handles. Engines call
+/// [`EngineObs::resolve`] **once** at run start; with no global
+/// [`cyclops_obs::MetricsRegistry`] installed it returns `None` and the run
+/// pays one `Option` check per superstep — the same discipline as the
+/// tracer. Every series is registered at resolve, so each line exists from
+/// the first scrape:
 ///
-/// Engines call [`PhaseHists::resolve`] **once** at run start; when no
-/// global [`cyclops_obs::MetricsRegistry`] is installed it returns `None`
-/// and the run pays exactly one `Option` check per superstep — the same
-/// discipline as the tracer. When present, each worker leader records its
-/// four phase durations per superstep:
-///
-/// - `cyclops_phase_ns{engine,phase}` histograms with `phase` one of
-///   `prs`, `cmp`, `snd`, `syn` (the paper's §3.5 decomposition),
-/// - `cyclops_run_supersteps{engine}` gauge, set by the global leader.
-pub struct PhaseHists {
-    parse: Arc<LogLinearHistogram>,
-    compute: Arc<LogLinearHistogram>,
-    send: Arc<LogLinearHistogram>,
-    sync: Arc<LogLinearHistogram>,
-    supersteps: Arc<Gauge>,
-}
-
-impl PhaseHists {
-    /// Resolves the handles from the global registry, or `None` when no
-    /// registry is installed.
-    pub fn resolve(engine: &str) -> Option<PhaseHists> {
-        let reg = cyclops_obs::global()?;
-        let hist = |phase: &str| {
-            reg.histogram("cyclops_phase_ns", &[("engine", engine), ("phase", phase)])
-        };
-        Some(PhaseHists {
-            parse: hist("prs"),
-            compute: hist("cmp"),
-            send: hist("snd"),
-            sync: hist("syn"),
-            supersteps: reg.gauge("cyclops_run_supersteps", &[("engine", engine)]),
-        })
-    }
-
-    /// Records one superstep's phase durations (worker-leader scope).
-    #[inline]
-    pub fn record(&self, times: &PhaseTimes) {
-        self.parse.record(times.parse.as_nanos() as u64);
-        self.compute.record(times.compute.as_nanos() as u64);
-        self.send.record(times.send.as_nanos() as u64);
-        self.sync.record(times.sync.as_nanos() as u64);
-    }
-
-    /// Sets the superstep gauge (global-leader scope).
-    #[inline]
-    pub fn set_supersteps(&self, completed: usize) {
-        self.supersteps.set(completed as i64);
-    }
-}
-
-/// Pre-resolved handles for what a worker leader observes about its
-/// superstep's schedule, same resolve-once `Option` discipline as
-/// [`PhaseHists`]:
-///
-/// - `cyclops_compute_imbalance{engine}` histogram — every superstep, once
-///   per worker leader, the ratio of the slowest compute thread to the mean
-///   compute thread in **permille** (1000 = all threads finished together;
-///   2000 = the straggler took twice the mean). This is the skew the
-///   degree-weighted compute chunks exist to flatten; a superstep whose
-///   frontier fills fewer chunks than there are threads shows here too.
+/// - `cyclops_phase_ns{engine,phase}` histograms, `phase` one of
+///   [`Phase::name`] — each worker leader's four phase durations per
+///   superstep (§3.5);
+/// - `cyclops_run_supersteps{engine}` gauge, set by worker 0;
+/// - `cyclops_compute_imbalance{engine}` histogram — once per superstep, the
+///   slowest compute thread's CMP time over the mean of every compute thread
+///   of every worker, in **permille** (1000 = all finished together, 2000 =
+///   the straggler took twice the mean);
 /// - `cyclops_activation_supersteps{engine,mode}` counters, `mode` one of
-///   `push`, `pull` — worker-supersteps whose publications woke their readers
-///   in that direction. Both are registered at resolve, so each line exists
-///   from the first scrape; an engine that never chooses a direction (BSP,
-///   GAS) leaves both at 0.
-pub struct SchedObs {
+///   `push`, `pull` — worker-supersteps whose publications woke their
+///   readers in that direction; an engine that never chooses a direction
+///   (BSP, GAS) leaves both at 0.
+pub struct EngineObs {
+    phases: [Arc<LogLinearHistogram>; 4],
+    supersteps: Arc<Gauge>,
     imbalance: Arc<LogLinearHistogram>,
     pushed: Arc<Counter>,
     pulled: Arc<Counter>,
 }
 
-impl SchedObs {
-    /// Resolves the handle from the global registry, or `None` when no
+impl EngineObs {
+    /// Resolves the handles from the global registry, or `None` when no
     /// registry is installed.
-    pub fn resolve(engine: &str) -> Option<SchedObs> {
+    pub fn resolve(engine: &str) -> Option<EngineObs> {
         let reg = cyclops_obs::global()?;
-        let activation = |mode: &str| {
-            reg.counter(
-                "cyclops_activation_supersteps",
-                &[("engine", engine), ("mode", mode)],
-            )
-        };
-        Some(SchedObs {
+        let labels = |key, value| [("engine", engine), (key, value)];
+        let activation = |mode| reg.counter("cyclops_activation_supersteps", &labels("mode", mode));
+        Some(EngineObs {
+            phases: Phase::ALL
+                .map(|p| reg.histogram("cyclops_phase_ns", &labels("phase", p.name()))),
+            supersteps: reg.gauge("cyclops_run_supersteps", &[("engine", engine)]),
             imbalance: reg.histogram("cyclops_compute_imbalance", &[("engine", engine)]),
             pushed: activation("push"),
             pulled: activation("pull"),
         })
+    }
+
+    /// Records one superstep's phase durations (worker-leader scope).
+    #[inline]
+    pub fn record_phases(&self, t: &PhaseTimes) {
+        for (h, d) in self.phases.iter().zip([t.parse, t.compute, t.send, t.sync]) {
+            h.record(d.as_nanos() as u64);
+        }
+    }
+
+    /// Sets the superstep gauge.
+    #[inline]
+    pub fn set_supersteps(&self, completed: usize) {
+        self.supersteps.set(completed as i64);
     }
 
     /// Counts one worker-superstep under the activation direction chosen
@@ -372,21 +330,19 @@ impl SchedObs {
         if pull { &self.pulled } else { &self.pushed }.inc(1);
     }
 
-    /// Records one superstep's max/mean thread-CMP-time ratio from the
-    /// per-thread compute durations in nanoseconds. Empty or all-zero
-    /// supersteps record nothing.
-    pub fn record_threads(&self, cmp_ns: impl IntoIterator<Item = u64>) {
+    /// Records one superstep's max/mean CMP-time ratio from the compute
+    /// threads' durations in nanoseconds. Empty or all-zero supersteps
+    /// record nothing.
+    pub fn record_imbalance(&self, cmp_ns: impl IntoIterator<Item = u64>) {
         let (mut max, mut sum, mut n) = (0u64, 0u64, 0u64);
         for ns in cmp_ns {
             max = max.max(ns);
             sum += ns;
             n += 1;
         }
-        if sum == 0 {
-            return;
+        if sum > 0 {
+            self.imbalance.record(max * 1000 / (sum / n).max(1));
         }
-        let mean = sum / n;
-        self.imbalance.record(max * 1000 / mean.max(1));
     }
 }
 
@@ -395,7 +351,7 @@ impl SchedObs {
 /// `cyclops_hot_vertex_id{engine,worker,rank}`.
 ///
 /// One instance per worker, resolved once at sink construction (same
-/// `Option` discipline as [`PhaseHists`]); [`HotObs::record`] publishes the
+/// `Option` discipline as [`EngineObs`]); [`HotObs::record`] publishes the
 /// merged Space-Saving top-K at superstep commit, so a scrape mid-run sees
 /// the heavy vertices of the most recent superstep.
 pub struct HotObs {
@@ -582,14 +538,14 @@ mod tests {
     }
 
     #[test]
-    fn sched_obs_records_max_over_mean_permille() {
+    fn engine_obs_records_max_over_mean_permille() {
         let reg = cyclops_obs::install_global();
-        let obs = SchedObs::resolve("sched-test").expect("registry installed");
+        let obs = EngineObs::resolve("sched-test").expect("registry installed");
         // Threads at 100/100/100/500 ns: mean 200, max 500 → 2500‰.
-        obs.record_threads([100, 100, 100, 500]);
+        obs.record_imbalance([100, 100, 100, 500]);
         // All-idle supersteps record nothing.
-        obs.record_threads([0, 0]);
-        obs.record_threads(std::iter::empty());
+        obs.record_imbalance([0, 0]);
+        obs.record_imbalance(std::iter::empty());
         let h = reg.histogram("cyclops_compute_imbalance", &[("engine", "sched-test")]);
         let s = h.snapshot();
         assert_eq!(s.count, 1);

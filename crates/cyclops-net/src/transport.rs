@@ -429,7 +429,8 @@ impl<M: WireFormat + Send> Transport<M> {
             InboxMode::Sharded => from,
         };
         let lane = &self.lanes[parity][to][lane_idx];
-        self.counters.queue_enter(payload.len());
+        self.counters
+            .queue_enter(payload.len(), std::mem::size_of::<M>());
         // Inbox-lane queue growth is charged to the Inbox component.
         let _mem = MemScope::enter(Component::Inbox);
         // try_lock first so contended acquisitions are observable — the
@@ -622,6 +623,20 @@ mod tests {
             snap.bytes
         );
         assert!(snap.message_bytes_allocated > 0, "cold buffer did allocate");
+    }
+
+    #[test]
+    fn peak_queue_bytes_is_the_in_flight_high_water_mark() {
+        let t: Transport<(u32, f64)> = Transport::new(spec(), InboxMode::Sharded);
+        let size = std::mem::size_of::<(u32, f64)>() as u64;
+        t.send(0, 1, vec![(1, 1.0); 3], 0);
+        t.send(2, 3, vec![(2, 2.0); 5], 0);
+        assert_eq!(t.drain(1, 1).len() + t.drain(3, 1).len(), 8);
+        t.send(0, 3, vec![(3, 3.0); 2], 1);
+        assert_eq!(t.drain(3, 2).len(), 2);
+        let snap = t.counters().snapshot();
+        assert_eq!(snap.peak_queue_bytes, 8 * size);
+        assert_eq!(snap.peak_queue_messages, 8);
     }
 
     #[test]

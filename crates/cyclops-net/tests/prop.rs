@@ -48,12 +48,27 @@ fn none_or_canonical<M: Codec>(bytes: &[u8]) -> Option<usize> {
     Some(batch.len())
 }
 
+/// The same debt for the migration framing: nothing, or records that encode
+/// back to exactly `bytes`, in a vector no longer than the input.
+fn migration_none_or_canonical<V: Codec, M: Codec>(bytes: &[u8]) -> Option<usize> {
+    let records = try_decode_migration_batch::<V, M>(&mut &bytes[..])?;
+    assert!(records.capacity() <= bytes.len());
+    let mut again = BytesMut::new();
+    encode_migration_batch(&mut again, &records);
+    assert_eq!(
+        &again[..],
+        bytes,
+        "a decoded migration frame must re-encode to itself"
+    );
+    Some(records.len())
+}
+
 /// Encodes `ids` with `payload(id)` each and runs the corruption corpus over
 /// the frame: every single-bit flip, every truncation, every other tag byte
 /// (the migration tag, the retired pair and the whole packed range among
 /// them) and every header varint overwritten with `{0, 1, v - 1, v + 1,
 /// u32::MAX, u64::MAX}`. The same bytes go to the migration decoder, which
-/// owes them the same: no panic, no reservation beyond the input.
+/// owes them the same.
 fn corruption_corpus<M: Codec + Clone>(ids: &[u32], payload: impl Fn(u32) -> M) {
     let mut batch: Vec<ReplicaUpdate<M>> = ids
         .iter()
@@ -66,9 +81,7 @@ fn corruption_corpus<M: Codec + Clone>(ids: &[u32], payload: impl Fn(u32) -> M) 
 
     let probe = |bytes: &[u8]| {
         none_or_canonical::<M>(bytes);
-        if let Some(records) = try_decode_migration_batch::<M>(&mut &bytes[..]) {
-            assert!(records.capacity() <= bytes.len());
-        }
+        migration_none_or_canonical::<M, M>(bytes);
     };
     for i in 0..frame.len() {
         for bit in 0..8 {
@@ -268,35 +281,31 @@ proptest! {
         corruption_corpus(&ids, |id| vec![word(id); (id as usize + width) % 4]);
     }
 
-    /// The migration framing is not canonical (padding bytes are skipped,
-    /// not kept), so its corpus asks for less: any corruption of a frame
-    /// decodes or fails without a panic, reserving no more than the input.
+    /// The migration framing is canonical too: any corruption of a frame
+    /// decodes to nothing or to records that re-encode to exactly its bytes,
+    /// reserving no more than the input.
     #[test]
     fn corrupted_migration_frames_never_panic_or_over_reserve(
         records in prop::collection::vec(
-            (any::<u32>(), 0u32..8, 0u32..8, 0u8..4, any::<f64>(), 0u32..20),
+            (any::<u32>(), 0u32..8, 0u32..8, 0u8..4, any::<f64>(), any::<f64>()),
             0..12,
         ),
     ) {
-        let records: Vec<MigrationRecord<f64>> = records
+        let records: Vec<MigrationRecord<f64, f64>> = records
             .into_iter()
-            .map(|(vertex, from, to, flags, value, state_bytes)| MigrationRecord {
+            .map(|(vertex, from, to, flags, publication, value)| MigrationRecord {
                 vertex,
                 from,
                 to,
                 active: flags & 1 != 0,
-                publication: (flags & 2 != 0).then_some(value),
-                state_bytes,
+                publication: (flags & 2 != 0).then_some(publication),
+                value,
             })
             .collect();
         let mut frame = BytesMut::new();
         encode_migration_batch(&mut frame, &records);
-        let decode = |bytes: &[u8]| {
-            let out = try_decode_migration_batch::<f64>(&mut &bytes[..]);
-            prop_assert!(out.as_ref().is_none_or(|r| r.capacity() <= bytes.len()));
-            out
-        };
-        prop_assert_eq!(decode(&frame).map(|r| r.len()), Some(records.len()));
+        let decode = migration_none_or_canonical::<f64, f64>;
+        prop_assert_eq!(decode(&frame), Some(records.len()));
         for i in 0..frame.len() {
             prop_assert_eq!(decode(&frame[..i]), None, "a {}-byte prefix decoded", i);
             for bit in 0..8 {

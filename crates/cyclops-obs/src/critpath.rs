@@ -67,51 +67,47 @@ impl PhaseSample {
     /// The dominant work phase (the attribution target when this sample is
     /// the straggler). Ties break toward the earlier phase in superstep
     /// order (PRS, then CMP, then SND), deterministically.
-    pub fn dominant_phase(&self) -> CpPhase {
-        let mut best = (CpPhase::Parse, self.parse_ns);
+    pub fn dominant_phase(&self) -> Phase {
+        let mut best = (Phase::Parse, self.parse_ns);
         if self.compute_ns > best.1 {
-            best = (CpPhase::Compute, self.compute_ns);
+            best = (Phase::Compute, self.compute_ns);
         }
         if self.send_ns > best.1 {
-            best = (CpPhase::Send, self.send_ns);
+            best = (Phase::Send, self.send_ns);
         }
         best.0
     }
 }
 
-/// A superstep phase, as an attribution target.
+/// The four superstep phases of the BSP execution model (§3.5), in
+/// superstep order — the one phase vocabulary of the engines' timers, the
+/// registry's `phase` label and the reports. As an attribution target,
+/// [`Phase::Sync`] is the straggler's own barrier wait.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum CpPhase {
-    /// Message parsing (PRS).
+pub enum Phase {
+    /// Message parsing (PRS) — delivering received messages to vertices.
     Parse,
-    /// Vertex computation (CMP).
+    /// Vertex computation (CMP) — running the user compute function.
     Compute,
-    /// Message sending (SND).
+    /// Message sending (SND) — serializing and transmitting messages.
     Send,
-    /// Barrier protocol itself (SYN) — the straggler's own wait.
+    /// Global barrier (SYN) — waiting for all workers.
     Sync,
 }
 
-impl CpPhase {
-    /// Short lowercase name (`prs`/`cmp`/`snd`/`syn`), matching the trace
-    /// reports.
+impl Phase {
+    /// Every phase, in superstep order.
+    pub const ALL: [Phase; 4] = [Phase::Parse, Phase::Compute, Phase::Send, Phase::Sync];
+
+    /// Short lowercase name (`prs`/`cmp`/`snd`/`syn`): the registry's
+    /// `phase` label and the reports' column names.
     pub fn name(self) -> &'static str {
-        match self {
-            CpPhase::Parse => "prs",
-            CpPhase::Compute => "cmp",
-            CpPhase::Send => "snd",
-            CpPhase::Sync => "syn",
-        }
+        ["prs", "cmp", "snd", "syn"][self as usize]
     }
 
     /// Uppercase paper-style name (`PRS`/`CMP`/`SND`/`SYN`).
     pub fn label(self) -> &'static str {
-        match self {
-            CpPhase::Parse => "PRS",
-            CpPhase::Compute => "CMP",
-            CpPhase::Send => "SND",
-            CpPhase::Sync => "SYN",
-        }
+        ["PRS", "CMP", "SND", "SYN"][self as usize]
     }
 }
 
@@ -144,7 +140,7 @@ pub struct SuperstepPath {
     /// barrier arriver that every other worker waited for.
     pub straggler: u64,
     /// The straggler's dominant work phase — what the wait is blamed on.
-    pub straggler_phase: CpPhase,
+    pub straggler_phase: Phase,
     /// The straggler's work time.
     pub straggler_work_ns: u64,
     /// Total barrier wait of the *other* workers, attributed to
@@ -164,7 +160,7 @@ pub struct StragglerShare {
     /// The straggling worker.
     pub worker: u64,
     /// Its dominant phase in the supersteps it straggled.
-    pub phase: CpPhase,
+    pub phase: Phase,
     /// Total barrier wait it caused in other workers.
     pub caused_wait_ns: u64,
     /// How many supersteps it was the straggler with this phase.
@@ -213,7 +209,7 @@ impl CriticalPath {
     /// `(worker, phase)`, sorted by caused wait descending (ties: worker
     /// then phase ascending, deterministically).
     pub fn straggler_ranking(&self) -> Vec<StragglerShare> {
-        let mut by_cause: std::collections::BTreeMap<(u64, CpPhase), (u64, u64)> =
+        let mut by_cause: std::collections::BTreeMap<(u64, Phase), (u64, u64)> =
             std::collections::BTreeMap::new();
         for s in &self.supersteps {
             let e = by_cause
@@ -348,7 +344,7 @@ mod tests {
         )]);
         let s = &cp.supersteps[0];
         assert_eq!(s.straggler, 1);
-        assert_eq!(s.straggler_phase, CpPhase::Compute);
+        assert_eq!(s.straggler_phase, Phase::Compute);
         assert_eq!(s.straggler_work_ns, 1000);
         assert_eq!(s.span_ns, 1000); // all spans equal here
         assert_eq!(s.caused_wait_ns, 800 + 700);
@@ -405,19 +401,19 @@ mod tests {
         let rank = cp.straggler_ranking();
         assert_eq!(rank.len(), 2);
         assert_eq!(rank[0].worker, 0);
-        assert_eq!(rank[0].phase, CpPhase::Compute);
+        assert_eq!(rank[0].phase, Phase::Compute);
         assert_eq!(rank[0].caused_wait_ns, 90 + 180);
         assert_eq!(rank[0].supersteps, 2);
         assert_eq!(rank[1].worker, 1);
-        assert_eq!(rank[1].phase, CpPhase::Parse);
+        assert_eq!(rank[1].phase, Phase::Parse);
         assert_eq!(rank[1].caused_wait_ns, 45);
     }
 
     #[test]
     fn dominant_phase_ties_break_in_superstep_order() {
-        assert_eq!(sample(0, 5, 5, 5, 0).dominant_phase(), CpPhase::Parse);
-        assert_eq!(sample(0, 5, 9, 9, 0).dominant_phase(), CpPhase::Compute);
-        assert_eq!(sample(0, 0, 0, 1, 0).dominant_phase(), CpPhase::Send);
+        assert_eq!(sample(0, 5, 5, 5, 0).dominant_phase(), Phase::Parse);
+        assert_eq!(sample(0, 5, 9, 9, 0).dominant_phase(), Phase::Compute);
+        assert_eq!(sample(0, 0, 0, 1, 0).dominant_phase(), Phase::Send);
     }
 
     #[test]

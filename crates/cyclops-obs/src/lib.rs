@@ -50,7 +50,7 @@ mod spark;
 mod topk;
 
 pub use critpath::{
-    CpPhase, CriticalPath, PhaseSample, StragglerShare, SuperstepPath, WorkerAttribution,
+    CriticalPath, Phase, PhaseSample, StragglerShare, SuperstepPath, WorkerAttribution,
 };
 pub use expo::render_prometheus;
 pub use flight::{

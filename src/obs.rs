@@ -15,9 +15,9 @@
 
 pub use cyclops_obs::{
     flight, global, install_flight, install_global, mem, render_prometheus, sparkline,
-    sparkline_last, Component, Counter, CpPhase, CriticalPath, FlightDump, FlightRecorder, Gauge,
-    HistogramSnapshot, LogLinearHistogram, MemAlloc, MetricsRegistry, MetricsServer, PhaseSample,
-    SpaceSaving, NUM_COMPONENTS,
+    sparkline_last, Component, Counter, CriticalPath, FlightDump, FlightRecorder, Gauge,
+    HistogramSnapshot, LogLinearHistogram, MemAlloc, MetricsRegistry, MetricsServer, Phase,
+    PhaseSample, SpaceSaving, NUM_COMPONENTS,
 };
 
 use cyclops_net::trace::{FlightSpan, RunTrace, TraceLine, TraceMeta, TraceRecord};
@@ -25,9 +25,6 @@ use cyclops_obs::SpanKind;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::io::{Read, Seek, SeekFrom};
-
-/// The four phase names, in the paper's order (§3.5).
-pub const PHASES: [&str; 4] = ["prs", "cmp", "snd", "syn"];
 
 /// One superstep of a trace, aggregated over the records that name it.
 #[derive(Clone, Debug, Default)]
@@ -118,7 +115,7 @@ pub struct TraceSummary {
     pub meta: TraceMeta,
     /// Records absorbed.
     pub records: u64,
-    /// Phase latency histograms, indexed like [`PHASES`].
+    /// Phase latency histograms, indexed like [`Phase::ALL`].
     pub hists: [LogLinearHistogram; 4],
     /// One row per superstep that has records, ascending.
     pub steps: BTreeMap<u64, StepRow>,
@@ -312,7 +309,7 @@ impl TraceSummary {
             "{:<5} {:>9} {:>10} {:>10} {:>10} {:>10} {:>10}",
             "phase", "records", "mean", "p50", "p90", "p99", "max"
         );
-        for (name, h) in PHASES.iter().zip(&self.hists) {
+        for (name, h) in Phase::ALL.map(Phase::name).iter().zip(&self.hists) {
             let s = h.snapshot();
             if s.is_empty() {
                 let _ = writeln!(out, "{name:<5} {:>9} {:>10}", 0, "-");
@@ -700,9 +697,10 @@ pub fn chrome_trace(trace: &RunTrace, s: &TraceSummary) -> String {
         let mut clock: BTreeMap<u64, u64> = BTreeMap::new();
         for r in &trace.records {
             let t = clock.entry(r.worker).or_default();
-            for (name, ns) in PHASES
-                .iter()
-                .zip([r.parse_ns, r.compute_ns, r.send_ns, r.sync_ns])
+            for (phase, ns) in
+                Phase::ALL
+                    .into_iter()
+                    .zip([r.parse_ns, r.compute_ns, r.send_ns, r.sync_ns])
             {
                 emit(
                     &mut out,
@@ -713,7 +711,7 @@ pub fn chrome_trace(trace: &RunTrace, s: &TraceSummary) -> String {
                         r.worker,
                         chrome_us(*t),
                         chrome_us(ns),
-                        name,
+                        phase.name(),
                         r.superstep
                     ),
                 );
@@ -1254,7 +1252,7 @@ mod tests {
         let mut s = TraceSummary::default();
         s.add(&record(0, 0, 5000));
         let t = s.phase_table();
-        for name in PHASES {
+        for name in Phase::ALL.map(Phase::name) {
             assert!(t.contains(name), "missing {name} in:\n{t}");
         }
         assert!(t.contains("p99"));
@@ -1426,7 +1424,7 @@ mod tests {
         let cp = TraceSummary::of(&skewed_trace()).critical_chain();
         assert_eq!(cp.supersteps.len(), 2);
         assert_eq!(cp.supersteps[0].straggler, 0);
-        assert_eq!(cp.supersteps[0].straggler_phase, CpPhase::Compute);
+        assert_eq!(cp.supersteps[0].straggler_phase, Phase::Compute);
         assert_eq!(cp.supersteps[0].caused_wait_ns, 850);
         assert_eq!(cp.total_span_ns, 1000 + 100);
     }

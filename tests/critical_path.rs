@@ -7,7 +7,7 @@
 //! the analyzer with arbitrary multi-worker synthetic traces and pin that
 //! partition, the per-superstep chain sum, and the tie-break determinism.
 
-use cyclops::obs::{CpPhase, CriticalPath, PhaseSample};
+use cyclops::obs::{CriticalPath, Phase, PhaseSample};
 use proptest::prelude::*;
 
 /// An arbitrary per-worker phase sample. Phase durations are kept below
@@ -146,6 +146,6 @@ fn single_worker_has_no_caused_wait() {
     assert_eq!(path.span_ns, 25);
     assert_eq!(path.caused_wait_ns, 0);
     assert_eq!(path.barrier_ns, 7);
-    assert_eq!(path.straggler_phase, CpPhase::Compute);
+    assert_eq!(path.straggler_phase, Phase::Compute);
     assert!(cp.straggler_ranking().is_empty() || cp.total_caused_wait_ns() == 0);
 }

@@ -45,7 +45,7 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> (String, Vec<String>, Vec
 fn scraping_metrics_matches_the_prom_file_exposition() {
     let registry = install_global();
 
-    // A real traced run with hot-vertex capture: resolves PhaseHists and
+    // A real traced run with hot-vertex capture: resolves EngineObs and
     // HotObs against the global registry and populates both.
     let g = Dataset::Amazon.generate_scaled(0.05, 1);
     let cluster = ClusterSpec::flat(2, 2);
