@@ -47,7 +47,7 @@ impl AlsParams {
     /// pairs; returns the old factor when the vertex has no ratings.
     fn solve<'a>(
         &self,
-        neighbors: impl Iterator<Item = (&'a Vec<f64>, f64)>,
+        neighbors: impl Iterator<Item = (&'a [f64], f64)>,
         old: &[f64],
     ) -> Vec<f64> {
         let d = self.dim;
@@ -111,7 +111,10 @@ impl CyclopsProgram for CyclopsAls {
         if users_turn != self.params.is_user(ctx.vertex()) {
             return;
         }
-        let new = self.params.solve(ctx.in_messages(), ctx.value().as_slice());
+        let new = self.params.solve(
+            ctx.in_messages().map(|(m, r)| (m.as_slice(), r)),
+            ctx.value().as_slice(),
+        );
         let delta: f64 = new
             .iter()
             .zip(ctx.value())
@@ -161,37 +164,21 @@ impl BspProgram for BspAls {
         if !my_turn {
             return;
         }
-        // The in-messages carry the other side's factors, but without the
-        // per-edge rating — recover it from the in-edge weights by pairing
-        // positionally is unsound under combining, so BSP ALS sends
-        // `(factor)` messages and reads ratings from its own in-edges via
-        // neighbor order. To stay faithful to message-passing semantics we
-        // instead read the rating from this vertex's weighted in-edges,
-        // which are sorted by source id, and sort messages by the factor
-        // sender implicitly: Hama delivers per-vertex messages in arbitrary
-        // order, so ALS-on-Hama ships (src, factor) pairs. We emulate that
-        // by prefixing the factor with the sender id at send time.
-        let graph_weights: std::collections::HashMap<u32, f64> = {
-            let mut map = std::collections::HashMap::new();
-            let vertex = ctx.vertex();
-            let g = ctx.graph();
-            for (s, w) in g.in_edges(vertex) {
-                map.insert(s, w);
-            }
-            map
+        // Hama delivers a vertex's messages in no fixed order, so each one
+        // carries its sender's id ahead of the factor (see the sends), and
+        // the rating is that sender's weight among this vertex's in-edges,
+        // which are sorted by source. Of parallel edges the last one counts.
+        let g = ctx.graph();
+        let sources = g.in_neighbors(ctx.vertex());
+        let weights = g.in_weights(ctx.vertex());
+        let rating = |src: VertexId| match sources.partition_point(|&s| s <= src).checked_sub(1) {
+            Some(i) if sources[i] == src => weights.get(i).copied().unwrap_or(1.0),
+            _ => 0.0,
         };
-        let pairs: Vec<(Vec<f64>, f64)> = msgs
-            .iter()
-            .map(|m| {
-                // First element is the sender id (see send below).
-                let src = m[0] as u32;
-                let rating = graph_weights.get(&src).copied().unwrap_or(0.0);
-                (m[1..].to_vec(), rating)
-            })
-            .collect();
-        let new = self
-            .params
-            .solve(pairs.iter().map(|(f, r)| (f, *r)), ctx.value().as_slice());
+        let new = self.params.solve(
+            msgs.iter().map(|m| (&m[1..], rating(m[0] as VertexId))),
+            ctx.value().as_slice(),
+        );
         ctx.set_value(new.clone());
         // Broadcast for the other side's turn, tagged with our id.
         let mut tagged = Vec::with_capacity(new.len() + 1);
@@ -213,11 +200,10 @@ pub fn reference_als(graph: &Graph, params: AlsParams, iterations: usize) -> Vec
             if params.is_user(v) != users_turn {
                 continue;
             }
-            let pairs: Vec<(&Vec<f64>, f64)> = graph
+            let pairs = graph
                 .in_edges(v)
-                .map(|(s, r)| (&snapshot[s as usize], r))
-                .collect();
-            factors[v as usize] = params.solve(pairs.into_iter(), &snapshot[v as usize]);
+                .map(|(s, r)| (snapshot[s as usize].as_slice(), r));
+            factors[v as usize] = params.solve(pairs, &snapshot[v as usize]);
         }
     }
     factors

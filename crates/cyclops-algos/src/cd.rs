@@ -8,16 +8,18 @@ use cyclops_engine::{CyclopsContext, CyclopsProgram};
 use cyclops_graph::{Graph, VertexId};
 
 /// Picks the most frequent label, breaking ties toward the smallest; `None`
-/// when the iterator is empty.
-fn most_frequent_label(labels: impl Iterator<Item = u32>) -> Option<u32> {
-    let mut counts: std::collections::HashMap<u32, usize> = std::collections::HashMap::new();
-    for l in labels {
-        *counts.entry(l).or_insert(0) += 1;
-    }
-    counts
-        .iter()
-        .max_by_key(|&(label, count)| (*count, std::cmp::Reverse(*label)))
-        .map(|(&label, _)| label)
+/// when the iterator is empty. Sorting puts equal labels in runs, ascending,
+/// so the first longest run is the answer.
+fn most_frequent_label(labels: impl IntoIterator<Item = u32>) -> Option<u32> {
+    crate::with_sorted(labels, |sorted| {
+        let mut best: Option<&[u32]> = None;
+        for run in sorted.chunk_by(|a, b| a == b) {
+            if best.is_none_or(|b| run.len() > b.len()) {
+                best = Some(run);
+            }
+        }
+        best.map(|run| run[0])
+    })
 }
 
 /// BSP label propagation: every vertex rebroadcasts its label every
@@ -100,6 +102,49 @@ mod tests {
     use cyclops_graph::GraphBuilder;
     use cyclops_net::ClusterSpec;
     use cyclops_partition::{EdgeCutPartition, EdgeCutPartitioner, HashPartitioner};
+    use proptest::prelude::*;
+
+    /// The label mode as a hash map of counts, as it was computed before the
+    /// sort; the model [`most_frequent_label`] is held to.
+    fn hash_map_mode(labels: &[u32]) -> Option<u32> {
+        let mut counts = std::collections::HashMap::new();
+        for &l in labels {
+            *counts.entry(l).or_insert(0usize) += 1;
+        }
+        counts
+            .iter()
+            .max_by_key(|&(label, count)| (*count, std::cmp::Reverse(*label)))
+            .map(|(&label, _)| label)
+    }
+
+    #[test]
+    fn most_frequent_label_cases() {
+        assert_eq!(most_frequent_label([]), None);
+        assert_eq!(most_frequent_label([7]), Some(7));
+        assert_eq!(most_frequent_label([5, 3, 5, 3]), Some(3)); // tie: smallest
+        assert_eq!(most_frequent_label([9, 1, 9]), Some(9));
+        assert_eq!(most_frequent_label([u32::MAX, 0, u32::MAX]), Some(u32::MAX));
+        assert_eq!(most_frequent_label([4; 1000]), Some(4));
+    }
+
+    proptest! {
+        /// Equal to the hash-map model on empty inputs, one label, ties and
+        /// long runs: a six-label alphabet repeats labels, the full `u32`
+        /// range spreads them, and a call after a longer one reuses the
+        /// buffer.
+        #[test]
+        fn most_frequent_label_matches_the_hash_map_model(
+            small in proptest::collection::vec(0u32..6, 0..300),
+            wide in proptest::collection::vec(any::<u32>(), 0..40),
+            split in 0usize..300,
+        ) {
+            let mut mixed = small.clone();
+            mixed.splice(split.min(mixed.len())..split.min(mixed.len()), wide.iter().copied());
+            for labels in [&small, &wide, &mixed, &small[..split.min(small.len())]] {
+                prop_assert_eq!(most_frequent_label(labels.iter().copied()), hash_map_mode(labels));
+            }
+        }
+    }
 
     fn cyclops(
         g: &Graph,

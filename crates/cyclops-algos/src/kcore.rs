@@ -14,18 +14,19 @@ use cyclops_engine::{CyclopsContext, CyclopsProgram};
 use cyclops_graph::{Graph, VertexId};
 
 /// Largest `k ≤ cap` such that at least `k` of the `estimates` are ≥ `k`.
-fn h_index(mut estimates: Vec<u32>, cap: u32) -> u32 {
-    estimates.sort_unstable_by(|a, b| b.cmp(a));
-    let mut k = 0u32;
-    for (i, &e) in estimates.iter().enumerate() {
-        let rank = (i + 1) as u32;
-        if e >= rank && rank <= cap {
-            k = rank;
-        } else {
-            break;
+fn h_index(estimates: impl IntoIterator<Item = u32>, cap: u32) -> u32 {
+    crate::with_sorted(estimates, |sorted| {
+        let mut k = 0u32;
+        for (i, &e) in sorted.iter().rev().enumerate() {
+            let rank = (i + 1) as u32;
+            if e >= rank && rank <= cap {
+                k = rank;
+            } else {
+                break;
+            }
         }
-    }
-    k.min(cap)
+        k.min(cap)
+    })
 }
 
 /// Cyclops k-core: publish the estimate; recompute the h-index of the
@@ -50,8 +51,7 @@ impl CyclopsProgram for CyclopsKCore {
     }
 
     fn compute(&self, ctx: &mut CyclopsContext<'_, u32, u32>) {
-        let estimates: Vec<u32> = ctx.in_messages().map(|(m, _)| *m).collect();
-        let new = h_index(estimates, *ctx.value());
+        let new = h_index(ctx.in_messages().map(|(m, _)| *m), *ctx.value());
         if new < *ctx.value() {
             ctx.set_value(new);
             ctx.activate_neighbors(new);

@@ -39,3 +39,20 @@ pub mod linalg;
 pub mod pagerank;
 pub mod sssp;
 pub mod triangles;
+
+thread_local! {
+    /// Scratch for [`with_sorted`]: one buffer per compute thread, kept
+    /// across vertex computations so a label mode or an h-index allocates
+    /// nothing once the thread has seen its largest in-degree.
+    static SORTED: std::cell::RefCell<Vec<u32>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// Calls `f` with `values` sorted ascending, in this thread's reused buffer.
+fn with_sorted<R>(values: impl IntoIterator<Item = u32>, f: impl FnOnce(&[u32]) -> R) -> R {
+    SORTED.with_borrow_mut(|buf| {
+        buf.clear();
+        buf.extend(values);
+        buf.sort_unstable();
+        f(buf)
+    })
+}

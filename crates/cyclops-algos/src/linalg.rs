@@ -2,14 +2,16 @@
 //! an in-place Cholesky solve of small SPD systems (the `d x d` normal
 //! equations, `d` ≈ 5–20).
 
-/// Adds `alpha * x xᵀ` to the row-major `d x d` matrix `a`.
+/// Adds `alpha * x xᵀ` to the lower triangle (`j ≤ i`) of the row-major
+/// `d x d` matrix `a`; the strict upper triangle is not written. The lower
+/// triangle is all [`cholesky_solve`] reads.
 pub fn syrk_update(a: &mut [f64], x: &[f64], alpha: f64) {
     let d = x.len();
     debug_assert_eq!(a.len(), d * d);
-    for i in 0..d {
-        let xi = alpha * x[i];
-        for j in 0..d {
-            a[i * d + j] += xi * x[j];
+    for (i, &xi) in x.iter().enumerate() {
+        let axi = alpha * xi;
+        for (aij, &xj) in a[i * d..=i * d + i].iter_mut().zip(x) {
+            *aij += axi * xj;
         }
     }
 }
@@ -30,7 +32,8 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 
 /// Solves `A x = b` for symmetric positive-definite `A` (row-major `d x d`)
 /// in place: on success `b` holds the solution and `a` holds the Cholesky
-/// factor. Returns `false` if `A` is not positive definite.
+/// factor. Only the lower triangle of `a` is read or written. Returns
+/// `false` if `A` is not positive definite.
 pub fn cholesky_solve(a: &mut [f64], b: &mut [f64], d: usize) -> bool {
     debug_assert_eq!(a.len(), d * d);
     debug_assert_eq!(b.len(), d);
@@ -73,6 +76,55 @@ pub fn cholesky_solve(a: &mut [f64], b: &mut [f64], d: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The full-matrix rank-1 update [`syrk_update`] was before it kept to
+    /// the lower triangle; the oracle for the solve's inputs.
+    fn syrk_update_full(a: &mut [f64], x: &[f64], alpha: f64) {
+        let d = x.len();
+        for i in 0..d {
+            let xi = alpha * x[i];
+            for j in 0..d {
+                a[i * d + j] += xi * x[j];
+            }
+        }
+    }
+
+    proptest! {
+        /// ALS's normal equations accumulated into the lower triangle solve
+        /// to the same bits as the full accumulation: the same factor, the
+        /// same solution, the same verdict on definiteness.
+        #[test]
+        fn lower_triangle_solve_is_bit_equal_to_full_accumulation(
+            d in 1usize..13,
+            entries in proptest::collection::vec(-2.0f64..2.0, 0..400),
+            ratings in proptest::collection::vec(0.5f64..5.0, 0..40),
+            lambda in 0.0f64..0.2,
+        ) {
+            let mut lower = vec![0.0; d * d];
+            let mut full = vec![0.0; d * d];
+            let mut b = vec![0.0; d];
+            let rows = entries.chunks_exact(d).zip(&ratings);
+            let count = rows.len();
+            for (x, &r) in rows {
+                syrk_update(&mut lower, x, 1.0);
+                syrk_update_full(&mut full, x, 1.0);
+                axpy(&mut b, x, r);
+            }
+            for i in 0..d {
+                lower[i * d + i] += lambda * count as f64;
+                full[i * d + i] += lambda * count as f64;
+            }
+            let mut b_full = b.clone();
+            let ok = cholesky_solve(&mut lower, &mut b, d);
+            prop_assert_eq!(ok, cholesky_solve(&mut full, &mut b_full, d));
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&b), bits(&b_full));
+            for i in 0..d {
+                prop_assert_eq!(bits(&lower[i * d..=i * d + i]), bits(&full[i * d..=i * d + i]));
+            }
+        }
+    }
 
     #[test]
     fn solves_identity() {
@@ -132,7 +184,7 @@ mod tests {
     fn syrk_and_axpy() {
         let mut a = vec![0.0; 4];
         syrk_update(&mut a, &[1.0, 2.0], 2.0);
-        assert_eq!(a, vec![2.0, 4.0, 4.0, 8.0]);
+        assert_eq!(a, vec![2.0, 0.0, 4.0, 8.0]);
         let mut y = vec![1.0, 1.0];
         axpy(&mut y, &[3.0, -1.0], 0.5);
         assert_eq!(y, vec![2.5, 0.5]);
