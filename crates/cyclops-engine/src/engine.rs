@@ -49,10 +49,12 @@
 //! `thread_loop` runs one barrier pair per relaxation round and owns the
 //! intra-worker barrier choreography, the frontier snapshot and its mass
 //! chunks, chunk claiming and the `[dest][thread]` deposit/merge.
-//! `settle_bucket` runs one barrier pair per priority bucket, on the global
-//! leader alone. It parks, drains and computes through the same `Frontier`
-//! snapshot and `Worker::compute_chunk`, and owns the bucket advance and Δ
-//! retuning.
+//! `bucketed_thread_loop` runs one barrier pair per priority bucket and, in
+//! between, as many fused relaxation rounds as the bucket needs: every worker
+//! runs each round on its thread 0, parking, draining and computing through
+//! the same `Frontier` snapshot and `Worker::compute_chunk`, and the workers
+//! meet at two spinning round waits per round. The global leader owns the
+//! bucket advance and Δ retuning.
 //!
 //! # Safety
 //!
@@ -151,7 +153,10 @@ pub struct CyclopsConfig {
     /// one-relaxation-round-per-barrier loop. With Δ > 0, each superstep
     /// drains one priority bucket `[bΔ, (b+1)Δ)` to a fixpoint — fusing as
     /// many relaxation rounds as the bucket needs behind a *single* pair of
-    /// global barrier waits — before advancing to the next nonempty bucket.
+    /// superstep waits — before advancing to the next nonempty bucket. Every
+    /// worker runs every fused round on its thread 0 (PRS → CMP → SND on its
+    /// own share), and the workers meet at two short spinning round waits
+    /// per round instead of a superstep barrier pair.
     /// On high-diameter graphs this collapses the paper's Figure 9 SSSP
     /// pathology (~one barrier per hop) to ~one barrier per bucket. Only for
     /// programs with a [`CyclopsProgram::priority`]: without one every
@@ -242,9 +247,10 @@ pub struct CyclopsResult<V, M> {
     /// Value-only checkpoints captured during the run.
     pub checkpoints: Vec<CyclopsCheckpoint<V, M>>,
     /// Barrier protocol messages over the run: every non-leader arrival at
-    /// either level, `M·T − 1` per round — what a flat barrier over every
+    /// either level, `M·T − 1` per wait — what a flat barrier over every
     /// thread counts. The hierarchy's saving is that only `M − 1` of them
-    /// cross machines.
+    /// cross machines. A bucketed run's round waits count too: a settle
+    /// spread over the workers pays them.
     pub barrier_protocol_messages: usize,
 }
 
@@ -324,7 +330,8 @@ struct WorkerShared<V, M> {
     /// chunk and reduced in chunk-index order by the worker leader.
     partials: Vec<Mutex<ChunkPartial>>,
     /// Per-thread CMP nanoseconds this superstep — the global leader feeds
-    /// every worker's to the `cyclops_compute_imbalance` histogram.
+    /// every worker's to the `cyclops_compute_imbalance` histogram. In a
+    /// bucketed superstep, thread 0's is the worker's settle CMP.
     cmp_ns: Vec<AtomicU64>,
     /// Shared outboxes `[dest][thread]`: threads deposit their per-
     /// destination publications at the end of CMP; flush threads merge the
@@ -366,6 +373,9 @@ struct Run<'a, P: CyclopsProgram> {
     last_counters: Mutex<CounterSnapshot>,
     supersteps_done: AtomicUsize,
     start_superstep: usize,
+    /// The bucketed driver's cross-worker state (unused by the per-barrier
+    /// driver).
+    buckets: Buckets,
 }
 
 /// Runs `program` over `graph` cut by `partition` on the simulated cluster,
@@ -569,6 +579,7 @@ fn run_with_activation<P: CyclopsProgram>(
         last_counters: Mutex::new(CounterSnapshot::default()),
         supersteps_done: AtomicUsize::new(start_superstep),
         start_superstep,
+        buckets: Buckets::new(num_workers, config.bucket_width),
     };
 
     let loop_start = Instant::now();
@@ -615,10 +626,10 @@ fn run_with_activation<P: CyclopsProgram>(
 }
 
 /// CMP state of one compute stream — an engine thread in the per-barrier
-/// loop, one worker's share of a bucket settle.
+/// loop, a worker's thread 0 in a bucket settle.
 #[derive(Default)]
 struct CmpAcc {
-    /// Partial being accumulated (one chunk, or one worker's settle).
+    /// Partial being accumulated (one chunk, or a worker's settle).
     part: ChunkPartial,
     /// Masters whose publication is stored in `msg_next` but not yet visible
     /// ([`Worker::publish_local`] drains it).
@@ -644,7 +655,7 @@ impl CmpAcc {
 }
 
 /// One worker as a phase function sees it. The tracer handle is resolved
-/// here — once per thread or per worker visit of a settle, never per send.
+/// here — once per thread, never per send.
 struct Worker<'r, P: CyclopsProgram> {
     run: &'r Run<'r, P>,
     w: usize,
@@ -768,7 +779,8 @@ fn apply_batches<M>(
             // epoch), and lanes touching the same slot are drained
             // by one receiver — so within an epoch no slot is written twice,
             // the master range is written in another phase, and readers are
-            // behind a barrier (or, in the settle, on this same thread).
+            // behind a barrier (or, in the settle, on this same thread: the
+            // worker's thread 0 is its view's only reader and writer).
             unsafe { view.write(base + id, Some(upd.payload)) };
         }
     }
@@ -829,8 +841,9 @@ impl<'r, P: CyclopsProgram> Worker<'r, P> {
         let (mut publish, mut reported) = (None, None);
         // SAFETY: a driver computes each master at most once per epoch — the
         // per-barrier loop's chunks partition a duplicate-free frontier
-        // snapshot, the settle computes one sequential snapshot per round —
-        // and nothing else touches `values` during CMP.
+        // snapshot, the settle's worker thread 0 computes its worker's
+        // snapshot in order, one per round — and nothing else touches
+        // `values` during CMP.
         let value = unsafe { ws.values.get_mut(li) };
         self.run.program.compute(&mut CyclopsContext {
             vertex: wp.masters[li],
@@ -872,7 +885,7 @@ impl<'r, P: CyclopsProgram> Worker<'r, P> {
         ws.msg_next.read(li).as_ref()
     }
 
-    /// CMP's unit of work — a claimed chunk in the per-barrier loop, one
+    /// CMP's unit of work — a claimed chunk in the per-barrier loop, a
     /// worker's fused-round selection in the settle: computes the masters of
     /// `chunk` in order and queues each publication's remote fan-out in
     /// `out`.
@@ -909,7 +922,8 @@ impl<'r, P: CyclopsProgram> Worker<'r, P> {
             // SAFETY: only the stream that computed `li` copies it, once
             // per epoch, into a range PRS never writes, and no reader is
             // active — the per-barrier loop is past its post-compute
-            // barrier, the settle is sequential.
+            // barrier, and in the settle the worker's thread 0, the view's
+            // one reader, is the thread copying.
             unsafe { self.ws.view.write(li as usize, m) };
         }
     }
@@ -1199,9 +1213,13 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
                 ws.fresh.clear();
             }
             let mut flat = ws.flat.write();
-            ws.frontier.snapshot(cur_parity, &mut flat, |_| true);
+            let mut mass = 0u64;
+            ws.frontier.snapshot(cur_parity, &mut flat, |li| {
+                mass += wp.work_mass[li] as u64;
+                true
+            });
             frontier_len = flat.len();
-            build_mass_chunks(&flat, &mut ws.ends.write(), &wp.work_mass, chunks);
+            build_mass_chunks(&flat, &mut ws.ends.write(), &wp.work_mass, mass, chunks);
             ws.cursor.store(0, Ordering::Relaxed);
             let pull = run.force_pull.unwrap_or_else(|| pull_wins(&flat, wp));
             ws.pull.store(pull, Ordering::Relaxed);
@@ -1385,13 +1403,13 @@ fn pull_wins(flat: &[u32], wp: &WorkerPlan) -> bool {
 }
 
 /// Re-cuts a sorted frontier into `chunks` contiguous ranges of roughly
-/// equal *work mass* (the plan's per-vertex degree-derived cost estimate).
-/// Chunk `c` is `flat[ends[c-1]..ends[c]]`; the cut points satisfy
-/// `cum·chunks ≥ c·total` (cross-multiplied to stay in integers), and short
-/// frontiers simply leave trailing chunks empty.
-fn build_mass_chunks(flat: &[u32], ends: &mut Vec<u32>, mass: &[u32], chunks: usize) {
+/// equal *work mass* (the plan's per-vertex degree-derived cost estimate),
+/// given `total`, the frontier's summed mass, which the snapshot that built
+/// `flat` adds up on its way. Chunk `c` is `flat[ends[c-1]..ends[c]]`; the
+/// cut points satisfy `cum·chunks ≥ c·total` (cross-multiplied to stay in
+/// integers), and short frontiers simply leave trailing chunks empty.
+fn build_mass_chunks(flat: &[u32], ends: &mut Vec<u32>, mass: &[u32], total: u64, chunks: usize) {
     ends.clear();
-    let total: u64 = flat.iter().map(|&li| mass[li as usize] as u64).sum();
     let mut cum = 0u64;
     let mut next = 1usize;
     for (pos, &li) in flat.iter().enumerate() {
@@ -1417,270 +1435,259 @@ fn build_mass_chunks(flat: &[u32], ends: &mut Vec<u32>, mass: &[u32], chunks: us
 // schedule; the priority is only a lower bound used to avoid relaxing
 // vertices whose turn has not come.
 
-/// Leader-owned state of the bucketed scheduler.
-///
-/// Only the global leader (worker 0, thread 0) ever touches it: the whole
-/// bucket settle runs sequentially between a superstep's two hierarchical
-/// barrier waits while every other thread sleeps at the second wait. That
-/// trades the compute parallelism of one superstep — negligible on these
-/// near-empty high-diameter supersteps — for a superstep (and barrier)
-/// count of ~one per nonempty bucket instead of one per hop. The parked set
-/// is each worker's [`Frontier`] in parity `start_superstep & 1`.
-struct BucketSched<M> {
-    /// Per worker, per master: activation priority of a parked master.
-    /// `-∞` (due at once) until first parked, which is what INIT's and a
-    /// resume's marks carry: a value-only checkpoint holds no priorities.
-    prio: Vec<Vec<f64>>,
-    /// Scratch: the current fused round's selection, per worker.
-    selected: Vec<Vec<u32>>,
-    /// Scratch: per-destination outboxes, reused per worker and round.
-    out: Vec<Vec<ReplicaUpdate<M>>>,
-    /// Per worker: this superstep's CMP accumulators (scratch recycled
-    /// across supersteps).
-    accs: Vec<CmpAcc>,
-    /// Index of the bucket the current superstep drains.
+/// Run-scoped state of the bucketed driver: what a worker's thread 0 hands
+/// the other workers in a fused round, and the global leader at the close.
+struct Buckets {
+    /// Per round parity, per worker: the size of the worker's selection in
+    /// a fused round, written by its thread 0 before the round's first wait
+    /// and summed by every thread after it (`Relaxed`: the round wait in
+    /// between orders them). Alternating parities keep one round's counts
+    /// apart from the next round's writes.
+    selected: [Vec<AtomicUsize>; 2],
+    /// Per worker: the superstep's occupancy and smallest parked priority,
+    /// written by its thread 0 before the superstep's first wait and read by
+    /// the global leader's bucket advance.
+    shares: Vec<Mutex<(u64, Option<f64>)>>,
+    /// The bucket being drained. The global leader advances it between a
+    /// superstep's two waits; every worker's thread 0 reads it after them.
+    cursor: Mutex<BucketCursor>,
+}
+
+/// Which bucket the next bucketed superstep drains, and the width history
+/// [`retune_delta`] reads.
+struct BucketCursor {
+    /// Index of the bucket, in units of `delta`.
     bucket: u64,
     /// Live bucket width. Seeded from `config.bucket_width`; when
-    /// `config.bucket_adapt` is set it is retuned at bucket advances from
-    /// the occupancy history (see [`retune_delta`]).
+    /// `config.bucket_adapt` is set it is retuned at bucket advances.
     delta: f64,
-    /// The seed width — anchor of the adaptation clamp.
-    delta0: f64,
     /// Running sum of per-superstep bucket occupancy (all workers).
     occ_sum: u64,
     /// Number of supersteps folded into `occ_sum`.
     occ_count: u64,
-    /// Transport epoch of the next fused round. Independent of the
-    /// superstep index: every round is its own send/drain parity cycle.
-    epoch: usize,
-    /// Fused relaxation rounds executed across the whole run — each is one
-    /// logical superstep of the classic loop, so the run's round budget is
-    /// capped at `max_supersteps` (never looser than classic).
-    rounds_total: usize,
 }
 
-impl<M> BucketSched<M> {
-    fn new<P: CyclopsProgram<Message = M>>(run: &Run<'_, P>) -> Self {
-        let num_workers = run.shared.len();
-        BucketSched {
-            prio: (run.shared.iter())
-                .map(|ws| vec![f64::NEG_INFINITY; ws.values.len()])
-                .collect(),
-            selected: vec![Vec::new(); num_workers],
-            out: outboxes(num_workers),
-            accs: (0..num_workers).map(|_| CmpAcc::new(run.trace)).collect(),
-            bucket: 0,
-            delta: run.config.bucket_width,
-            delta0: run.config.bucket_width,
-            occ_sum: 0,
-            occ_count: 0,
-            epoch: 0,
-            rounds_total: 0,
+impl Buckets {
+    fn new(num_workers: usize, width: f64) -> Self {
+        let counts = || (0..num_workers).map(|_| AtomicUsize::new(0)).collect();
+        Buckets {
+            selected: [counts(), counts()],
+            shares: (0..num_workers).map(|_| Mutex::new((0, None))).collect(),
+            cursor: Mutex::new(BucketCursor {
+                bucket: 0,
+                delta: width,
+                occ_sum: 0,
+                occ_count: 0,
+            }),
         }
     }
 }
 
-/// Thread body of a bucketed run. Every thread still meets the two
-/// hierarchical barrier waits per superstep, so barrier-protocol accounting
-/// stays comparable with the per-barrier loop (see [`BucketSched`]).
+impl<P: CyclopsProgram> Run<'_, P> {
+    /// The bucket advance, global leader only, after [`Run::close_superstep`]
+    /// of a superstep that did not stop: feeds the occupancy the workers
+    /// reported into the width controller and moves the cursor to the bucket
+    /// that holds the smallest parked priority.
+    fn advance_bucket(&self, rounds: u64) {
+        let shares: Vec<_> = self.buckets.shares.iter().map(|s| *s.lock()).collect();
+        let total_occ = shares.iter().map(|&(occupancy, _)| occupancy).sum();
+        let min_parked = shares.iter().filter_map(|&(_, p)| p).min_by(f64::total_cmp);
+        let mut cur = self.buckets.cursor.lock();
+        // Counters, never clocks: the same run retunes identically on any
+        // machine or thread count, keeping the trace stable.
+        cur.occ_sum += total_occ;
+        cur.occ_count += 1;
+        let (occ_sum, occ_count) = (cur.occ_sum, cur.occ_count);
+        let new_delta = if self.config.bucket_adapt {
+            let delta0 = self.config.bucket_width;
+            retune_delta(cur.delta, delta0, total_occ, rounds, occ_sum, occ_count)
+        } else {
+            cur.delta
+        };
+        // Parked priorities are all >= the drained bucket's end, so this
+        // always advances.
+        if let Some(p) = min_parked {
+            let next = if p.is_finite() && p >= 0.0 {
+                (p / new_delta) as u64
+            } else {
+                cur.bucket + 1
+            };
+            // Bucket indices are in units of the width, so the monotonic
+            // guard only means something while the width stands. After a
+            // retune the index containing the smallest parked priority is
+            // taken as is; progress is still guaranteed — the next end key
+            // strictly exceeds that priority, so every superstep selects at
+            // least one vertex.
+            cur.bucket = if new_delta == cur.delta {
+                next.max(cur.bucket + 1)
+            } else {
+                next
+            };
+            cur.delta = new_delta;
+        }
+    }
+}
+
+/// Thread body of a bucketed run. A superstep drains one bucket to a
+/// fixpoint in fused relaxation rounds, and every worker runs every round:
+/// its thread 0 drains and parks (PRS), selects its due masters, computes
+/// them and sends (CMP, SND) on its own priorities, selection, accumulator
+/// and outboxes, while the worker's other threads only wait. A round has two
+/// [`HierarchicalBarrier::round_wait`]s: after selection, so that every
+/// thread sums the workers' counts and all agree on whether the bucket is
+/// drained, and after SND, so that the next PRS sees every send. The
+/// superstep then closes like the per-barrier loop's, behind two superstep
+/// waits; between them the global leader reduces, decides `stop` and
+/// advances the bucket.
 fn bucketed_thread_loop<P: CyclopsProgram>(
     run: &Run<'_, P>,
     w: usize,
     t: usize,
     flight: Option<&SpanRing>,
 ) {
-    let mut sched = (w == 0 && t == 0).then(|| BucketSched::new(run));
+    let wk = run.worker(w);
+    let frontier = &wk.ws.frontier;
+    // Thread 0 settles the worker's share; the rest of its state is scratch
+    // it recycles across rounds and supersteps.
+    let settles = t == 0;
+    // Per master: the activation priority of a parked master. `-∞` (due at
+    // once) until first parked, which is what INIT's and a resume's marks
+    // carry: a value-only checkpoint holds no priorities.
+    let mut prio = vec![f64::NEG_INFINITY; if settles { wk.wp.num_masters() } else { 0 }];
+    let mut selected = Vec::new();
+    let mut out = outboxes(if settles { run.plan.workers.len() } else { 0 });
+    let mut acc = CmpAcc::new(run.trace);
+    // The parked set is parity `par`, INIT's and a resume's; the other
+    // parity counts the superstep's occupancy.
+    let par = run.start_superstep & 1;
+    // Fused rounds run so far, the same count on every thread: each is one
+    // logical superstep of the classic loop, so the run's round budget is
+    // capped at `max_supersteps` (never looser than classic). It is also the
+    // transport epoch of the next round, its own send/drain parity cycle.
+    let mut rounds_run = 0usize;
     let mut superstep = run.start_superstep;
     loop {
+        let mut times = PhaseTimes::default();
+        let agg_in = *run.prev_aggregate.lock();
+        let (bucket, end) = {
+            let cur = run.buckets.cursor.lock();
+            (cur.bucket, (cur.bucket + 1) as f64 * cur.delta)
+        };
+        // Value-only checkpoint on the bucket boundary: the previous
+        // superstep's final drain applied every in-flight update, so the
+        // transport is empty and each replica equals its master — the same
+        // consistent cut the per-barrier loop captures. Parked priorities are
+        // not stored: a resume's marks keep the initial `-∞` and are due at
+        // once, costing at most one extra (idempotent) relaxation per parked
+        // master. No other worker sends before this one's first round wait.
+        if settles && run.checkpoint_due(superstep) {
+            wk.capture_checkpoint(superstep, agg_in, par);
+        }
+
+        // ---- Fused relaxation rounds. ----
+        let mut rounds = 0u64;
+        let mut budget_exhausted = false;
+        loop {
+            // A program that keeps re-activating (which the per-barrier loop
+            // would cut off at its superstep cap) must not spin the drain
+            // forever: stop once the run has spent as many fused rounds as
+            // the per-barrier loop would have been allowed barrier rounds.
+            if rounds_run >= run.config.max_supersteps {
+                budget_exhausted = true;
+                break;
+            }
+            let round_span = flight.filter(|_| settles).map(|r| r.now_ns());
+            let epoch = rounds_run;
+            let counts = &run.buckets.selected[epoch & 1];
+            if settles {
+                // PRS, then take the due masters out of the parked set,
+                // ascending, and count them into the occupancy.
+                let prs_start = Instant::now();
+                wk.begin_epoch();
+                wk.apply_inbound(epoch, (0, 1), wk.park(par, &mut prio));
+                frontier.snapshot(par, &mut selected, |li| prio[li].total_cmp(&end).is_lt());
+                for &li in &selected {
+                    frontier.mark_alone(par ^ 1, li as usize);
+                }
+                counts[w].store(selected.len(), Ordering::Relaxed);
+                times.add(Phase::Parse, prs_start.elapsed());
+            }
+            let wait_start = Instant::now();
+            run.barrier.round_wait(w);
+            times.add(Phase::Sync, wait_start.elapsed());
+            let total_selected: usize = counts.iter().map(|c| c.load(Ordering::Relaxed)).sum();
+            // Nobody selected anything, so nobody sends: the transport stays
+            // as every thread reads it here.
+            if total_selected == 0 && run.transport.all_empty() {
+                break;
+            }
+            rounds += 1;
+            rounds_run += 1;
+            if settles {
+                // Each fused round is one logical superstep of relaxation;
+                // the program only ever sees the run's very first pass as
+                // superstep 0, so kick-off branches (`ctx.superstep() == 0`)
+                // fire exactly once even when the first bucket needs several
+                // rounds — or when a self-loop re-selects an initially
+                // active vertex.
+                let kickoff_round = superstep == 0 && rounds_run == 1;
+                let round_superstep = if kickoff_round { 0 } else { superstep.max(1) };
+                // CMP against the immutable view, each publication queued
+                // for its remote readers, then published locally so the next
+                // round reads it; SND one batch per destination.
+                let cmp_start = Instant::now();
+                let wake = wk.park(par, &mut prio);
+                wk.compute_chunk(&selected, round_superstep, agg_in, &mut acc, &mut out, wake);
+                wk.publish_local(&mut acc.updated);
+                times.add(Phase::Compute, cmp_start.elapsed());
+                let snd_start = Instant::now();
+                wk.send_outboxes(w * run.threads, epoch, &mut out);
+                times.add(Phase::Send, snd_start.elapsed());
+            }
+            let wait_start = Instant::now();
+            run.barrier.round_wait(w);
+            times.add(Phase::Sync, wait_start.elapsed());
+            let span_args = [bucket, rounds, total_selected as u64];
+            end_span(flight, round_span, SpanKind::Round, span_args);
+        }
+
+        // ---- Superstep epilogue: what the per-barrier loop's worker
+        // leaders hand the global leader, plus the bucket advance's inputs.
+        let mut occupancy = 0;
+        if settles {
+            // Draining the occupancy parity counts it and clears it.
+            frontier.snapshot(par ^ 1, &mut selected, |_| true);
+            occupancy = selected.len() as u64;
+            // The locally-known next frontier is the parked set.
+            acc.part.next_active = frontier.len(par);
+            *run.worker_partials[w].lock() = acc.part;
+            let parked = frontier.marked(par).map(|li| prio[li]);
+            *run.buckets.shares[w].lock() = (occupancy, parked.min_by(f64::total_cmp));
+            // The worker's other threads compute nothing in a settle.
+            let cmp_ns = times.compute.as_nanos() as u64;
+            wk.ws.cmp_ns[0].store(cmp_ns, Ordering::Relaxed);
+            let mut cur = run.current.lock();
+            cur.phase_times = cur.phase_times.merge(&times);
+        }
+        let sync_start = Instant::now();
         run.barrier.wait_traced(w, t, flight, superstep as u64);
-        if let Some(sched) = sched.as_mut() {
-            settle_bucket(run, sched, superstep, flight);
+        if w == 0 && t == 0 && !run.close_superstep(superstep, budget_exhausted) {
+            run.advance_bucket(rounds);
         }
         run.barrier.wait_traced(w, t, flight, superstep as u64);
+        if settles {
+            let final_sync = sync_start.elapsed();
+            run.current.lock().phase_times.add(Phase::Sync, final_sync);
+            times.add(Phase::Sync, final_sync);
+            wk.trace_hot(0, &mut acc);
+            let triple = Some((bucket, rounds.max(1), occupancy));
+            wk.commit_superstep(superstep, occupancy as usize, &times, &acc.part, triple);
+            acc.part = ChunkPartial::default(); // the next superstep starts clean
+        }
         if run.stop.load(Ordering::Acquire) {
             return;
         }
         superstep += 1;
-    }
-}
-
-/// One bucketed superstep, run by the global leader alone: drain the
-/// current bucket to a fixpoint (fused relaxation rounds, each a PRS → CMP
-/// → SND pass over every worker in worker order), then close the superstep.
-fn settle_bucket<P: CyclopsProgram>(
-    run: &Run<'_, P>,
-    sched: &mut BucketSched<P::Message>,
-    superstep: usize,
-    ring: Option<&SpanRing>,
-) {
-    let settle_start = Instant::now();
-    let num_workers = run.plan.workers.len();
-    let bucket = sched.bucket;
-    let end = (bucket + 1) as f64 * sched.delta;
-    let agg_in = *run.prev_aggregate.lock();
-    let par = run.start_superstep & 1;
-
-    // Value-only checkpoint on the bucket boundary: the previous settle's
-    // final drain applied every in-flight update, so the transport is empty
-    // and each replica equals its master — the same consistent cut the
-    // per-barrier loop captures. Parked priorities are not stored: a
-    // resume's marks keep the initial `-∞` and are due at once, costing at
-    // most one extra (idempotent) relaxation per parked master.
-    if run.checkpoint_due(superstep) {
-        for w in 0..num_workers {
-            run.worker(w).capture_checkpoint(superstep, agg_in, par);
-        }
-    }
-
-    // Per-worker accumulators for this superstep's trace records.
-    let mut times: Vec<PhaseTimes> = vec![PhaseTimes::default(); num_workers];
-    let mut rounds = 0u64;
-    let mut budget_exhausted = false;
-
-    // ---- Fused relaxation rounds. ----
-    loop {
-        let round_span = ring.map(|r| r.now_ns());
-        // A program that keeps re-activating (which the per-barrier loop
-        // would cut off at its superstep cap) must not spin the drain
-        // forever: stop once the run has spent as many fused rounds as the
-        // per-barrier loop would have been allowed barrier rounds.
-        if sched.rounds_total >= run.config.max_supersteps {
-            budget_exhausted = true;
-            break;
-        }
-        // Phase A (PRS): every worker, in worker order.
-        for (w, t) in times.iter_mut().enumerate() {
-            let wk = run.worker(w);
-            let t0 = Instant::now();
-            wk.begin_epoch();
-            wk.apply_inbound(sched.epoch, (0, 1), wk.park(par, &mut sched.prio[w]));
-            t.add(Phase::Parse, t0.elapsed());
-        }
-
-        // Phase B: take each worker's due masters out of the parked set,
-        // ascending, and count them into the superstep's occupancy.
-        let mut total_selected = 0usize;
-        for (w, sel) in sched.selected.iter_mut().enumerate() {
-            let (frontier, prio) = (&run.shared[w].frontier, &sched.prio[w]);
-            frontier.snapshot(par, sel, |li| prio[li].total_cmp(&end).is_lt());
-            for &li in sel.iter() {
-                frontier.mark_alone(par ^ 1, li as usize);
-            }
-            total_selected += sel.len();
-        }
-        if total_selected == 0 && run.transport.all_empty() {
-            break;
-        }
-        rounds += 1;
-        sched.rounds_total += 1;
-        // Each fused round is one logical superstep of relaxation; the
-        // program only ever sees the run's very first pass as superstep 0,
-        // so kick-off branches (`ctx.superstep() == 0`) fire exactly once
-        // even when the first bucket needs several rounds — or when a
-        // self-loop re-selects an initially active vertex.
-        let kickoff_round = superstep == 0 && sched.rounds_total == 1;
-        let round_superstep = if kickoff_round { 0 } else { superstep.max(1) };
-
-        // Phase C+D (CMP, SND): compute each worker's selection against the
-        // immutable view, queue each publication for its remote readers,
-        // publish locally, and send one sync batch per destination.
-        for (w, t) in times.iter_mut().enumerate() {
-            let wk = run.worker(w);
-            let t_cmp = Instant::now();
-            let (sel, acc) = (&sched.selected[w], &mut sched.accs[w]);
-            let wake = wk.park(par, &mut sched.prio[w]);
-            wk.compute_chunk(sel, round_superstep, agg_in, acc, &mut sched.out, wake);
-            // Publish this round's updates so the next round reads them.
-            wk.publish_local(&mut acc.updated);
-            t.add(Phase::Compute, t_cmp.elapsed());
-            let t_snd = Instant::now();
-            wk.send_outboxes(w * run.threads, sched.epoch, &mut sched.out);
-            t.add(Phase::Send, t_snd.elapsed());
-        }
-        sched.epoch += 1;
-        let span_args = [bucket, rounds, total_selected as u64];
-        end_span(ring, round_span, SpanKind::Round, span_args);
-    }
-
-    // ---- Superstep epilogue: hand the leader's SYN what the per-barrier
-    // loop's worker leaders hand it. ----
-    let settle_elapsed = settle_start.elapsed();
-    let mut phase_total = PhaseTimes::default();
-    for t in times.iter_mut() {
-        // The settle is sequential: while one worker's state is processed
-        // every other worker's threads wait, so a worker's sync share is the
-        // superstep wall minus its own work — making why-slow's wait
-        // attribution reflect the serialization honestly.
-        let work = t.total();
-        t.add(Phase::Sync, settle_elapsed.saturating_sub(work));
-        phase_total = phase_total.merge(t);
-    }
-    run.current.lock().phase_times = phase_total;
-    let mut occupancy = vec![0u64; num_workers];
-    for (w, acc) in sched.accs.iter_mut().enumerate() {
-        let frontier = &run.shared[w].frontier;
-        // Draining the occupancy parity counts it and clears it.
-        frontier.snapshot(par ^ 1, &mut sched.selected[w], |_| true);
-        occupancy[w] = sched.selected[w].len() as u64;
-        // The locally-known next frontier is the parked set.
-        acc.part.next_active = frontier.len(par);
-        *run.worker_partials[w].lock() = acc.part;
-    }
-    let stop = run.close_superstep(superstep, budget_exhausted);
-    // The settle runs on the global leader, so it commits (and samples
-    // memory) on every worker's behalf.
-    for (w, acc) in sched.accs.iter_mut().enumerate() {
-        let wk = run.worker(w);
-        wk.trace_hot(0, acc);
-        let frontier = occupancy[w] as usize;
-        let triple = Some((bucket, rounds.max(1), occupancy[w]));
-        wk.commit_superstep(superstep, frontier, &times[w], &acc.part, triple);
-        acc.part = ChunkPartial::default(); // the next superstep starts clean
-    }
-
-    // ---- Bucket advance. ----
-    if stop {
-        return;
-    }
-    // Feed the live occupancy histogram into the width controller.
-    // Counters, never clocks: the same run retunes identically on any
-    // machine or thread count, keeping the trace stable.
-    let total_occ: u64 = occupancy.iter().sum();
-    sched.occ_sum += total_occ;
-    sched.occ_count += 1;
-    let new_delta = if run.config.bucket_adapt {
-        retune_delta(
-            sched.delta,
-            sched.delta0,
-            total_occ,
-            rounds,
-            sched.occ_sum,
-            sched.occ_count,
-        )
-    } else {
-        sched.delta
-    };
-    // Jump straight to the bucket holding the smallest parked priority
-    // (parked priorities are all >= end, so this always advances).
-    let parked = (run.shared.iter().zip(&sched.prio))
-        .flat_map(|(ws, prio)| ws.frontier.marked(par).map(|li| prio[li]));
-    if let Some(p) = parked.min_by(f64::total_cmp) {
-        let next = if p.is_finite() && p >= 0.0 {
-            (p / new_delta) as u64
-        } else {
-            sched.bucket + 1
-        };
-        // Bucket indices are in units of the width, so the monotonic guard
-        // only means something while the width stands. After a retune the
-        // index containing the smallest parked priority is taken as is;
-        // progress is still guaranteed — the next end key strictly exceeds
-        // that priority, so every superstep selects at least one vertex.
-        sched.bucket = if new_delta == sched.delta {
-            next.max(sched.bucket + 1)
-        } else {
-            next
-        };
-        sched.delta = new_delta;
     }
 }
 
@@ -1719,6 +1726,7 @@ mod tests {
     use super::*;
     use cyclops_graph::{GraphBuilder, VertexId};
     use cyclops_partition::{EdgeCutPartition, EdgeCutPartitioner, HashPartitioner};
+    use proptest::prelude::{any, prop_assert_eq, proptest, Strategy};
 
     /// Pull-mode max propagation: each vertex's value becomes the max of
     /// its own value and its in-neighbors' publications; it re-publishes
@@ -2047,6 +2055,60 @@ mod tests {
         assert_eq!(retune_delta(4.0, 4.0, 0, 0, 0, 3), 4.0);
     }
 
+    /// The two-pass chunk cutter `build_mass_chunks` replaced: sums the
+    /// frontier's mass itself, then cuts.
+    fn two_pass_mass_chunks(flat: &[u32], mass: &[u32], chunks: usize) -> Vec<u32> {
+        let mut ends = Vec::new();
+        let total: u64 = flat.iter().map(|&li| mass[li as usize] as u64).sum();
+        let mut cum = 0u64;
+        let mut next = 1usize;
+        for (pos, &li) in flat.iter().enumerate() {
+            cum += mass[li as usize] as u64;
+            while next < chunks && cum * chunks as u64 >= next as u64 * total {
+                ends.push(pos as u32 + 1);
+                next += 1;
+            }
+        }
+        while ends.len() < chunks {
+            ends.push(flat.len() as u32);
+        }
+        ends
+    }
+
+    proptest! {
+        /// One pass cuts where two did, with the total summed by the
+        /// snapshot: any masses (zeros and `u32::MAX` too), any frontier,
+        /// any chunk count.
+        #[test]
+        fn one_pass_mass_chunks_cut_where_two_passes_did(
+            mass in proptest::collection::vec(
+                (0u32..4, any::<u32>()).prop_map(|(kind, m)| match kind {
+                    0 => m % 8,
+                    1 => m % 100_000,
+                    2 => u32::MAX,
+                    _ => m,
+                }),
+                1..300,
+            ),
+            picks in proptest::collection::vec(any::<u32>(), 0..300),
+            chunks in 1usize..40,
+        ) {
+            let n = mass.len();
+            let frontier = Frontier::new(n);
+            for &p in &picks {
+                frontier.mark(0, p as usize % n);
+            }
+            let (mut flat, mut total) = (Vec::new(), 0u64);
+            frontier.snapshot(0, &mut flat, |li| {
+                total += mass[li] as u64;
+                true
+            });
+            let mut ends = vec![7];
+            build_mass_chunks(&flat, &mut ends, &mass, total, chunks);
+            prop_assert_eq!(ends, two_pass_mass_chunks(&flat, &mass, chunks));
+        }
+    }
+
     #[test]
     fn adaptive_bucketed_sssp_matches_classic_bitwise() {
         let base = CyclopsConfig {
@@ -2118,6 +2180,45 @@ mod tests {
             records.iter().map(|r| (r.superstep, r.bucket)).collect();
         by_step.sort_unstable();
         assert!(by_step.windows(2).all(|w| w[0].1 <= w[1].1));
+    }
+
+    #[test]
+    fn bucketed_runs_pay_their_superstep_and_round_waits() {
+        // A distributed settle pays two round waits per fused round and one
+        // more for the round that finds the bucket drained, beside the two
+        // superstep waits; every wait counts `M·T − 1` protocol messages.
+        let g = cyclops_graph::gen::road_lattice(12, 12, 0.9, 0.1, 3);
+        for cluster in [ClusterSpec::flat(2, 2), ClusterSpec::mt(2, 3, 2)] {
+            let p = HashPartitioner.partition(&g, cluster.num_workers());
+            let mut sink = TraceSink::new("cyclops", &cluster);
+            let r = run_cyclops_with_plan_traced(
+                &MinDist { source: 0 },
+                &g,
+                &CyclopsPlan::build_parallel(&g, &p),
+                &CyclopsConfig {
+                    cluster,
+                    bucket_width: 2.0,
+                    ..Default::default()
+                },
+                None,
+                Some(&sink),
+            );
+            // Every superstep ran a round, so `fused` is its round count,
+            // not the floor of one; none met the round budget.
+            assert!(r.stats.iter().all(|s| s.active_vertices > 0));
+            let rounds: u64 = (sink.take_records().iter())
+                .filter(|rec| rec.worker == 0)
+                .map(|rec| rec.fused)
+                .sum();
+            let supersteps = r.supersteps as u64;
+            let waits = 2 * supersteps + 2 * rounds + supersteps;
+            let threads = cluster.num_workers() * cluster.threads_per_worker;
+            assert_eq!(
+                r.barrier_protocol_messages as u64,
+                waits * (threads as u64 - 1),
+                "{cluster:?}: {supersteps} supersteps, {rounds} rounds"
+            );
+        }
     }
 
     /// PageRank as `cyclops-algos` writes it (this crate cannot depend on

@@ -50,14 +50,16 @@
 //! * `len(p)` — the worker leader, after the barrier that ends the CMP which
 //!   marked `p` (and a pulled superstep's first fill).
 //!
-//! A bucketed run's settle is the global leader alone, between a superstep's
-//! two global barrier waits while every other thread waits. It uses both
-//! parities of every worker, with `p = start_superstep & 1` (the parity INIT
-//! and a resume mark), and marks with `mark_alone`:
+//! A bucketed run's settle touches a worker's frontier from the worker's
+//! thread 0 alone, every call of it: the worker's other threads only wait,
+//! and no other worker reads it. It uses both parities, with
+//! `p = start_superstep & 1` (the parity INIT and a resume mark), and marks
+//! with `mark_alone`:
 //!
 //! * `p` is the parked set: PRS and CMP park readers, `snapshot(p, ..)` takes
 //!   a fused round's due masters out, `is_marked` captures a checkpoint,
-//!   `marked(p)` finds the next bucket and `len(p)` counts `next_active`.
+//!   `marked(p)` gives the smallest parked priority for the next bucket and
+//!   `len(p)` counts `next_active`.
 //! * `p ^ 1` is the superstep's occupancy: each selected master is marked,
 //!   and the epilogue's take-all `snapshot` counts and clears them.
 //!
@@ -115,7 +117,8 @@ impl Frontier {
     }
 
     /// [`Self::mark`] for a parity no other thread touches meanwhile (the
-    /// bucket settle's): a plain store, not a locked `fetch_or`.
+    /// bucket settle's, whose one writer is the worker's thread 0): a plain
+    /// store, not a locked `fetch_or`.
     pub(crate) fn mark_alone(&self, parity: usize, li: usize) {
         let word = &self.words[parity & 1][li / 64];
         let bits = word.load(Ordering::Relaxed) | 1 << (li % 64);
@@ -195,13 +198,16 @@ impl Frontier {
         }
     }
 
-    /// The parity's marked masters, ascending, left marked.
+    /// The parity's marked masters, ascending, left marked. Visits each
+    /// word once and each marked bit once.
     pub(crate) fn marked(&self, parity: usize) -> impl Iterator<Item = usize> + '_ {
         (self.words[parity & 1].iter().enumerate()).flat_map(|(i, word)| {
-            let bits = word.load(Ordering::Relaxed);
-            (0..64)
-                .filter(move |b| bits >> b & 1 != 0)
-                .map(move |b| i * 64 + b)
+            let mut rest = word.load(Ordering::Relaxed);
+            std::iter::from_fn(move || {
+                let bit = (rest != 0).then(|| rest.trailing_zeros() as usize)?;
+                rest &= rest - 1;
+                Some(i * 64 + bit)
+            })
         })
     }
 }

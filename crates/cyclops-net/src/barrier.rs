@@ -10,11 +10,72 @@
 //! PowerGraph workers as `(workers, 1)`, which is the flat barrier. We model
 //! protocol cost by counting *barrier messages* — each non-leader arrival at
 //! either level contributes one — so experiments can report the reduction.
+//!
+//! A superstep wait parks at once. A bucketed Cyclops run also pays two
+//! [`HierarchicalBarrier::round_wait`]s per fused relaxation round, hundreds
+//! of microsecond-scale waits per superstep: those spin, then yield, over the
+//! same two levels and in the same count.
 
 use cyclops_obs::{LogLinearHistogram, SpanKind, SpanRing};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
+
+/// How many `spin_loop` hints a round wait spends before it starts yielding
+/// its core, while every waiting thread has a core of its own: a few hundred
+/// microseconds on a current x86 core, longer than most fused rounds of a
+/// road-network settle.
+const ROUND_SPINS: u32 = 20_000;
+
+/// One level of the round wait: a spin barrier over `parties` arrivals.
+struct SpinLevel {
+    parties: usize,
+    /// `spin_loop` hints before a waiter yields.
+    spins: u32,
+    arrived: AtomicUsize,
+    generation: AtomicUsize,
+}
+
+impl SpinLevel {
+    fn new(parties: usize, spins: u32) -> Self {
+        SpinLevel {
+            parties,
+            spins,
+            arrived: AtomicUsize::new(0),
+            generation: AtomicUsize::new(0),
+        }
+    }
+
+    /// Arrives at the level. The last arrival returns at once with the
+    /// generation it must [`Self::release`]; every other arrival returns
+    /// `None` once that release happened. The arrivals' `AcqRel` increments
+    /// and the `Release` / `Acquire` pair on `generation` order everything
+    /// before any arrival before everything after every return.
+    fn arrive(&self) -> Option<usize> {
+        let generation = self.generation.load(Ordering::Acquire);
+        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.parties {
+            // Nobody arrives again before the release below.
+            self.arrived.store(0, Ordering::Relaxed);
+            return Some(generation);
+        }
+        let released = || self.generation.load(Ordering::Acquire) != generation;
+        for _ in 0..self.spins {
+            if released() {
+                return None;
+            }
+            std::hint::spin_loop();
+        }
+        while !released() {
+            std::thread::yield_now();
+        }
+        None
+    }
+
+    fn release(&self, generation: usize) {
+        self.generation
+            .store(generation.wrapping_add(1), Ordering::Release);
+    }
+}
 
 /// A two-level barrier: threads of each machine synchronize locally, then
 /// one leader per machine enters the global barrier, and finally the local
@@ -24,6 +85,9 @@ pub struct HierarchicalBarrier {
     local: Vec<Barrier>,
     /// Global barrier among machine leaders.
     global: Barrier,
+    /// The round wait's two levels: one per machine, then its leaders.
+    round_local: Vec<SpinLevel>,
+    round_global: SpinLevel,
     machines: usize,
     threads_per_machine: usize,
     rounds: AtomicUsize,
@@ -36,11 +100,29 @@ impl HierarchicalBarrier {
     /// Creates a hierarchical barrier for `machines` machines with
     /// `threads_per_machine` threads each.
     pub fn new(machines: usize, threads_per_machine: usize) -> Self {
+        // A thread that spins while the thread it waits for has no core
+        // delays that very thread: with more threads than cores, a round
+        // wait yields at once.
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let spins = if machines * threads_per_machine <= cores {
+            ROUND_SPINS
+        } else {
+            0
+        };
+        Self::with_round_spins(machines, threads_per_machine, spins)
+    }
+
+    /// [`Self::new`] with the round wait's spin budget given.
+    fn with_round_spins(machines: usize, threads_per_machine: usize, spins: u32) -> Self {
         HierarchicalBarrier {
             local: (0..machines)
                 .map(|_| Barrier::new(threads_per_machine))
                 .collect(),
             global: Barrier::new(machines),
+            round_local: (0..machines)
+                .map(|_| SpinLevel::new(threads_per_machine, spins))
+                .collect(),
+            round_global: SpinLevel::new(machines, spins),
             machines,
             threads_per_machine,
             rounds: AtomicUsize::new(0),
@@ -84,17 +166,39 @@ impl HierarchicalBarrier {
         }
     }
 
-    /// Barrier protocol messages so far: per round, `threads - 1` local
-    /// messages per machine plus `machines - 1` global messages — `M·T − 1`,
-    /// what a flat barrier over every thread counts, of which only `M − 1`
-    /// cross machines.
+    /// A wait of every thread of every machine, like [`Self::wait`], that
+    /// spins and then yields instead of parking: the wait of a bucketed run's
+    /// fused rounds, too short and too many to pay a sleep and a wake-up
+    /// each. Returns `true` on exactly one thread per round, the last
+    /// machine leader to arrive. Counts as a round.
+    pub fn round_wait(&self, machine: usize) -> bool {
+        let local = &self.round_local[machine];
+        let Some(local_generation) = local.arrive() else {
+            return false;
+        };
+        let leader = match self.round_global.arrive() {
+            Some(generation) => {
+                self.rounds.fetch_add(1, Ordering::Relaxed);
+                self.round_global.release(generation);
+                true
+            }
+            None => false,
+        };
+        local.release(local_generation);
+        leader
+    }
+
+    /// Barrier protocol messages so far: per round — a superstep wait or a
+    /// round wait — `threads - 1` local messages per machine plus
+    /// `machines - 1` global messages, `M·T − 1`, what a flat barrier over
+    /// every thread counts, of which only `M − 1` cross machines.
     pub fn protocol_messages(&self) -> usize {
         let per_round =
             self.machines * (self.threads_per_machine.saturating_sub(1)) + self.machines - 1;
         self.rounds.load(Ordering::Relaxed) * per_round
     }
 
-    /// Completed rounds.
+    /// Completed rounds, superstep and round waits alike.
     pub fn rounds(&self) -> usize {
         self.rounds.load(Ordering::Relaxed)
     }
@@ -175,5 +279,71 @@ mod tests {
         });
         assert_eq!(barrier.rounds(), 1);
         assert_eq!(barrier.protocol_messages(), 5);
+    }
+
+    #[test]
+    fn round_wait_elects_one_leader_per_round() {
+        for spins in [0, ROUND_SPINS] {
+            round_wait_leaders(spins);
+        }
+    }
+
+    fn round_wait_leaders(spins: u32) {
+        let (machines, threads, rounds) = (3, 2, 200);
+        let barrier = HierarchicalBarrier::with_round_spins(machines, threads, spins);
+        let leaders = AtomicU32::new(0);
+        let counter = AtomicU32::new(0);
+        std::thread::scope(|s| {
+            for m in 0..machines {
+                for _ in 0..threads {
+                    let (barrier, leaders, counter) = (&barrier, &leaders, &counter);
+                    s.spawn(move || {
+                        for round in 0..rounds {
+                            counter.fetch_add(1, Ordering::Relaxed);
+                            leaders.fetch_add(barrier.round_wait(m) as u32, Ordering::Relaxed);
+                            let arrived = (round + 1) * (machines * threads) as u32;
+                            assert_eq!(counter.load(Ordering::Relaxed), arrived);
+                            leaders.fetch_add(barrier.round_wait(m) as u32, Ordering::Relaxed);
+                        }
+                    });
+                }
+            }
+        });
+        assert_eq!(leaders.load(Ordering::Relaxed), 2 * rounds);
+        assert_eq!(barrier.rounds(), 2 * rounds as usize);
+        assert_eq!(barrier.protocol_messages(), 2 * rounds as usize * 5);
+    }
+
+    #[test]
+    fn round_wait_releases_a_waiter_past_its_spin() {
+        for spins in [0, ROUND_SPINS] {
+            late_round_waiter(spins);
+        }
+    }
+
+    /// Two machines of two threads; one thread arrives long after the others
+    /// have spent their spins and yield. Then round and superstep waits
+    /// alternate, as a bucketed run's do.
+    fn late_round_waiter(spins: u32) {
+        let barrier = HierarchicalBarrier::with_round_spins(2, 2, spins);
+        let late = AtomicU32::new(0);
+        std::thread::scope(|s| {
+            for m in 0..2 {
+                for t in 0..2 {
+                    let (barrier, late) = (&barrier, &late);
+                    s.spawn(move || {
+                        if (m, t) == (1, 1) {
+                            std::thread::sleep(std::time::Duration::from_millis(50));
+                            late.store(1, Ordering::Relaxed);
+                        }
+                        barrier.round_wait(m);
+                        assert_eq!(late.load(Ordering::Relaxed), 1);
+                        barrier.wait(m, t);
+                        barrier.round_wait(m);
+                    });
+                }
+            }
+        });
+        assert_eq!(barrier.rounds(), 3);
     }
 }

@@ -10,7 +10,9 @@
 
 use cyclops::prelude::*;
 use cyclops_algos::sssp::{auto_bucket_width, CyclopsSssp};
-use cyclops_engine::{run_cyclops_traced, run_cyclops_with_plan, CyclopsPlan};
+use cyclops_engine::{
+    run_cyclops_traced, run_cyclops_with_plan, run_cyclops_with_plan_traced, CyclopsPlan,
+};
 use cyclops_graph::gen::road_lattice;
 use cyclops_net::trace::{diff, read_jsonl, RunTrace, TraceSink};
 use proptest::prelude::*;
@@ -171,6 +173,49 @@ fn bucketed_resume_matches_the_full_run() {
                     .position(|(a, b)| a.to_bits() != b.to_bits());
                 assert_eq!(differs, None, "{label}: first differing vertex");
                 assert!(resumed.supersteps < config.max_supersteps, "{label}");
+            }
+        }
+    }
+}
+
+/// Every worker settles its own share of a fused round, on its own thread,
+/// and the workers meet at two round waits per round. Run after run the
+/// values-mode trace stays the first run's, with the boundary replicated and
+/// partly messaged, and with checkpoints captured concurrently by the
+/// workers at every other bucket boundary.
+#[test]
+fn a_distributed_settle_repeats_its_trace() {
+    let g = Dataset::RoadCa.generate_scaled(0.03, 7);
+    for cluster in [ClusterSpec::flat(4, 1), ClusterSpec::mt(2, 3, 2)] {
+        let p = HashPartitioner.partition(&g, cluster.num_workers());
+        for threshold in [0, 8] {
+            let plan = CyclopsPlan::build_parallel_with_threshold(&g, &p, threshold);
+            let config = CyclopsConfig {
+                checkpoint_every: Some(2),
+                // A narrow fixed width: many buckets, so many boundaries.
+                ..bucketed(&g, auto_bucket_width(&g) / 8.0, per_hop(cluster, threshold))
+            };
+            let run = || {
+                let mut sink = TraceSink::with_values("cyclops", &cluster);
+                let r =
+                    run_cyclops_with_plan_traced(&SOURCE, &g, &plan, &config, None, Some(&sink));
+                let trace = RunTrace {
+                    meta: sink.meta().clone(),
+                    records: sink.take_records(),
+                    spans: Vec::new(),
+                    mem: Vec::new(),
+                };
+                (r, trace)
+            };
+            let (first, first_trace) = run();
+            assert!(first.checkpoints.len() >= 4, "{cluster:?}, t={threshold}");
+            for attempt in 1..20 {
+                let label = format!("{cluster:?}, t={threshold}, run {attempt}");
+                let (r, trace) = run();
+                assert_eq!(first.values, r.values, "{label}");
+                assert_eq!(first.supersteps, r.supersteps, "{label}");
+                let divergence = diff::first_divergence(&first_trace, &trace, true);
+                assert_eq!(divergence, None, "{label}");
             }
         }
     }
