@@ -52,8 +52,6 @@ pub struct BspConfig {
     pub track_redundant: bool,
     /// Capture a checkpoint every `n` supersteps (§3.6), if set.
     pub checkpoint_every: Option<usize>,
-    /// Cost model for cross-machine traffic (default: ideal / zero delay).
-    pub network: cyclops_net::NetworkModel,
     /// Inbox discipline for the transport. Hama's design is
     /// [`InboxMode::GlobalQueue`] (one locked queue per worker, §4.1) and is
     /// the default; [`InboxMode::Sharded`] swaps in Cyclops' contention-free
@@ -69,7 +67,6 @@ impl Default for BspConfig {
             use_combiner: false,
             track_redundant: false,
             checkpoint_every: None,
-            network: cyclops_net::NetworkModel::ideal(),
             inbox: InboxMode::GlobalQueue,
         }
     }
@@ -251,7 +248,7 @@ fn run_bsp_inner<P: BspProgram>(
         obs: EngineObs::resolve("bsp"),
         cmp_ns: (0..num_workers).map(|_| AtomicU64::new(0)).collect(),
         local_index,
-        transport: Transport::with_network(config.cluster, config.inbox, config.network),
+        transport: Transport::new(config.cluster, config.inbox),
         barrier: HierarchicalBarrier::new(num_workers, 1),
         stop: AtomicBool::new(false),
         active_total: AtomicUsize::new(0),

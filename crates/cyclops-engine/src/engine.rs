@@ -50,10 +50,11 @@
 //! intra-worker barrier choreography, the frontier snapshot and its mass
 //! chunks, chunk claiming and the `[dest][thread]` deposit/merge.
 //! `bucketed_thread_loop` runs one barrier pair per priority bucket and, in
-//! between, as many fused relaxation rounds as the bucket needs: every worker
-//! runs each round on its thread 0, parking, draining and computing through
-//! the same `Frontier` snapshot and `Worker::compute_chunk`, and the workers
-//! meet at two spinning round waits per round. The global leader owns the
+//! between, as many fused relaxation rounds as the bucket needs. A bucketed
+//! run starts one thread per worker, and every worker runs each round on it,
+//! parking, draining and computing through the same `Frontier` snapshot and
+//! `Worker::compute_chunk`; the workers meet at two spinning round waits per
+//! round. The global leader owns the
 //! bucket advance and Δ retuning.
 //!
 //! # Safety
@@ -146,17 +147,17 @@ pub struct CyclopsConfig {
     pub convergence: Convergence,
     /// Capture a value-only checkpoint every `n` supersteps (§3.6).
     pub checkpoint_every: Option<usize>,
-    /// Cost model for cross-machine traffic (default: ideal / zero delay).
-    pub network: cyclops_net::NetworkModel,
     /// Priority-bucket width Δ of the bucketed (delta-stepping) scheduler.
     /// `0.0` (the default) disables bucketing: the engine runs the classic
     /// one-relaxation-round-per-barrier loop. With Δ > 0, each superstep
     /// drains one priority bucket `[bΔ, (b+1)Δ)` to a fixpoint — fusing as
     /// many relaxation rounds as the bucket needs behind a *single* pair of
-    /// superstep waits — before advancing to the next nonempty bucket. Every
-    /// worker runs every fused round on its thread 0 (PRS → CMP → SND on its
-    /// own share), and the workers meet at two short spinning round waits
-    /// per round instead of a superstep barrier pair.
+    /// superstep waits — before advancing to the next nonempty bucket. A
+    /// bucketed run starts one thread per worker, whatever the cluster's
+    /// `threads_per_worker` and `receivers_per_worker`: every worker runs
+    /// every fused round on it (PRS → CMP → SND on its own share), and the
+    /// workers meet at two short spinning round waits per round instead of
+    /// a superstep barrier pair.
     /// On high-diameter graphs this collapses the paper's Figure 9 SSSP
     /// pathology (~one barrier per hop) to ~one barrier per bucket. Only for
     /// programs with a [`CyclopsProgram::priority`]: without one every
@@ -210,7 +211,6 @@ impl Default for CyclopsConfig {
             max_supersteps: 10_000,
             convergence: Convergence::ActiveVertices,
             checkpoint_every: None,
-            network: cyclops_net::NetworkModel::ideal(),
             bucket_width: 0.0,
             bucket_mode: BucketMode::Det,
             replicate_threshold: 0,
@@ -330,8 +330,8 @@ struct WorkerShared<V, M> {
     /// chunk and reduced in chunk-index order by the worker leader.
     partials: Vec<Mutex<ChunkPartial>>,
     /// Per-thread CMP nanoseconds this superstep — the global leader feeds
-    /// every worker's to the `cyclops_compute_imbalance` histogram. In a
-    /// bucketed superstep, thread 0's is the worker's settle CMP.
+    /// every worker's to the `cyclops_compute_imbalance` histogram. A
+    /// bucketed run has one, the worker's settle CMP.
     cmp_ns: Vec<AtomicU64>,
     /// Shared outboxes `[dest][thread]`: threads deposit their per-
     /// destination publications at the end of CMP; flush threads merge the
@@ -459,7 +459,18 @@ fn run_with_activation<P: CyclopsProgram>(
     trace: Option<&TraceSink>,
     force_pull: Option<bool>,
 ) -> CyclopsResult<P::Value, P::Message> {
-    let spec = config.cluster;
+    // A settle runs each worker's share on one thread, so a bucketed run
+    // starts one thread, lane and slot per worker; machines stay the
+    // cluster's, and with them every batch's wire crossing.
+    let spec = if config.bucket_width > 0.0 {
+        ClusterSpec {
+            threads_per_worker: 1,
+            receivers_per_worker: 1,
+            ..config.cluster
+        }
+    } else {
+        config.cluster
+    };
     let num_workers = spec.num_workers();
     let threads = spec.threads_per_worker;
     let planned = plan.workers.len();
@@ -564,7 +575,7 @@ fn run_with_activation<P: CyclopsProgram>(
         threads,
         receivers: spec.receivers_per_worker.min(threads),
         shared,
-        transport: Transport::with_network(spec, InboxMode::Sharded, config.network),
+        transport: Transport::new(spec, InboxMode::Sharded),
         direct_messages: AtomicUsize::new(0),
         barrier: HierarchicalBarrier::new(num_workers, threads),
         stop: AtomicBool::new(false),
@@ -626,7 +637,7 @@ fn run_with_activation<P: CyclopsProgram>(
 }
 
 /// CMP state of one compute stream — an engine thread in the per-barrier
-/// loop, a worker's thread 0 in a bucket settle.
+/// loop, a worker's one thread in a bucket settle.
 #[derive(Default)]
 struct CmpAcc {
     /// Partial being accumulated (one chunk, or a worker's settle).
@@ -780,7 +791,7 @@ fn apply_batches<M>(
             // by one receiver — so within an epoch no slot is written twice,
             // the master range is written in another phase, and readers are
             // behind a barrier (or, in the settle, on this same thread: the
-            // worker's thread 0 is its view's only reader and writer).
+            // worker's one thread is its view's only reader and writer).
             unsafe { view.write(base + id, Some(upd.payload)) };
         }
     }
@@ -841,8 +852,8 @@ impl<'r, P: CyclopsProgram> Worker<'r, P> {
         let (mut publish, mut reported) = (None, None);
         // SAFETY: a driver computes each master at most once per epoch — the
         // per-barrier loop's chunks partition a duplicate-free frontier
-        // snapshot, the settle's worker thread 0 computes its worker's
-        // snapshot in order, one per round — and nothing else touches
+        // snapshot, the settle's one thread per worker computes its
+        // worker's snapshot in order, one per round — and nothing else touches
         // `values` during CMP.
         let value = unsafe { ws.values.get_mut(li) };
         self.run.program.compute(&mut CyclopsContext {
@@ -922,7 +933,7 @@ impl<'r, P: CyclopsProgram> Worker<'r, P> {
             // SAFETY: only the stream that computed `li` copies it, once
             // per epoch, into a range PRS never writes, and no reader is
             // active — the per-barrier loop is past its post-compute
-            // barrier, and in the settle the worker's thread 0, the view's
+            // barrier, and in the settle the worker's one thread, the view's
             // one reader, is the thread copying.
             unsafe { self.ws.view.write(li as usize, m) };
         }
@@ -1097,7 +1108,7 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
     // relaxed load when disarmed).
     let _mem_tag = MemScope::worker(w);
     if run.config.bucket_width > 0.0 {
-        return bucketed_thread_loop(run, w, t, flight);
+        return bucketed_thread_loop(run, w, flight);
     }
     let wk = run.worker(w);
     let (ws, wp) = (wk.ws, wk.wp);
@@ -1435,21 +1446,21 @@ fn build_mass_chunks(flat: &[u32], ends: &mut Vec<u32>, mass: &[u32], total: u64
 // schedule; the priority is only a lower bound used to avoid relaxing
 // vertices whose turn has not come.
 
-/// Run-scoped state of the bucketed driver: what a worker's thread 0 hands
+/// Run-scoped state of the bucketed driver: what a worker's thread hands
 /// the other workers in a fused round, and the global leader at the close.
 struct Buckets {
     /// Per round parity, per worker: the size of the worker's selection in
-    /// a fused round, written by its thread 0 before the round's first wait
-    /// and summed by every thread after it (`Relaxed`: the round wait in
+    /// a fused round, written by its thread before the round's first wait
+    /// and summed by every worker after it (`Relaxed`: the round wait in
     /// between orders them). Alternating parities keep one round's counts
     /// apart from the next round's writes.
     selected: [Vec<AtomicUsize>; 2],
     /// Per worker: the superstep's occupancy and smallest parked priority,
-    /// written by its thread 0 before the superstep's first wait and read by
+    /// written by its thread before the superstep's first wait and read by
     /// the global leader's bucket advance.
     shares: Vec<Mutex<(u64, Option<f64>)>>,
     /// The bucket being drained. The global leader advances it between a
-    /// superstep's two waits; every worker's thread 0 reads it after them.
+    /// superstep's two waits; every worker reads it after them.
     cursor: Mutex<BucketCursor>,
 }
 
@@ -1528,39 +1539,32 @@ impl<P: CyclopsProgram> Run<'_, P> {
     }
 }
 
-/// Thread body of a bucketed run. A superstep drains one bucket to a
-/// fixpoint in fused relaxation rounds, and every worker runs every round:
-/// its thread 0 drains and parks (PRS), selects its due masters, computes
-/// them and sends (CMP, SND) on its own priorities, selection, accumulator
-/// and outboxes, while the worker's other threads only wait. A round has two
+/// Thread body of a bucketed run, the one thread of worker `w`. A superstep
+/// drains one bucket to a fixpoint in fused relaxation rounds, and every
+/// worker runs every round: it drains and parks (PRS), selects its due
+/// masters, computes them and sends (CMP, SND) on its own priorities,
+/// selection, accumulator and outboxes. A round has two
 /// [`HierarchicalBarrier::round_wait`]s: after selection, so that every
-/// thread sums the workers' counts and all agree on whether the bucket is
+/// worker sums the workers' counts and all agree on whether the bucket is
 /// drained, and after SND, so that the next PRS sees every send. The
 /// superstep then closes like the per-barrier loop's, behind two superstep
 /// waits; between them the global leader reduces, decides `stop` and
 /// advances the bucket.
-fn bucketed_thread_loop<P: CyclopsProgram>(
-    run: &Run<'_, P>,
-    w: usize,
-    t: usize,
-    flight: Option<&SpanRing>,
-) {
+fn bucketed_thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, flight: Option<&SpanRing>) {
     let wk = run.worker(w);
     let frontier = &wk.ws.frontier;
-    // Thread 0 settles the worker's share; the rest of its state is scratch
-    // it recycles across rounds and supersteps.
-    let settles = t == 0;
     // Per master: the activation priority of a parked master. `-∞` (due at
     // once) until first parked, which is what INIT's and a resume's marks
-    // carry: a value-only checkpoint holds no priorities.
-    let mut prio = vec![f64::NEG_INFINITY; if settles { wk.wp.num_masters() } else { 0 }];
+    // carry: a value-only checkpoint holds no priorities. The rest is
+    // scratch recycled across rounds and supersteps.
+    let mut prio = vec![f64::NEG_INFINITY; wk.wp.num_masters()];
     let mut selected = Vec::new();
-    let mut out = outboxes(if settles { run.plan.workers.len() } else { 0 });
+    let mut out = outboxes(run.plan.workers.len());
     let mut acc = CmpAcc::new(run.trace);
     // The parked set is parity `par`, INIT's and a resume's; the other
     // parity counts the superstep's occupancy.
     let par = run.start_superstep & 1;
-    // Fused rounds run so far, the same count on every thread: each is one
+    // Fused rounds run so far, the same count on every worker: each is one
     // logical superstep of the classic loop, so the run's round budget is
     // capped at `max_supersteps` (never looser than classic). It is also the
     // transport epoch of the next round, its own send/drain parity cycle.
@@ -1580,7 +1584,7 @@ fn bucketed_thread_loop<P: CyclopsProgram>(
         // not stored: a resume's marks keep the initial `-∞` and are due at
         // once, costing at most one extra (idempotent) relaxation per parked
         // master. No other worker sends before this one's first round wait.
-        if settles && run.checkpoint_due(superstep) {
+        if run.checkpoint_due(superstep) {
             wk.capture_checkpoint(superstep, agg_in, par);
         }
 
@@ -1596,56 +1600,51 @@ fn bucketed_thread_loop<P: CyclopsProgram>(
                 budget_exhausted = true;
                 break;
             }
-            let round_span = flight.filter(|_| settles).map(|r| r.now_ns());
+            let round_span = flight.map(|r| r.now_ns());
             let epoch = rounds_run;
             let counts = &run.buckets.selected[epoch & 1];
-            if settles {
-                // PRS, then take the due masters out of the parked set,
-                // ascending, and count them into the occupancy.
-                let prs_start = Instant::now();
-                wk.begin_epoch();
-                wk.apply_inbound(epoch, (0, 1), wk.park(par, &mut prio));
-                frontier.snapshot(par, &mut selected, |li| prio[li].total_cmp(&end).is_lt());
-                for &li in &selected {
-                    frontier.mark_alone(par ^ 1, li as usize);
-                }
-                counts[w].store(selected.len(), Ordering::Relaxed);
-                times.add(Phase::Parse, prs_start.elapsed());
+            // PRS, then take the due masters out of the parked set,
+            // ascending, and count them into the occupancy.
+            let prs_start = Instant::now();
+            wk.begin_epoch();
+            wk.apply_inbound(epoch, (0, 1), wk.park(par, &mut prio));
+            frontier.snapshot(par, &mut selected, |li| prio[li].total_cmp(&end).is_lt());
+            for &li in &selected {
+                frontier.mark_alone(par ^ 1, li as usize);
             }
+            counts[w].store(selected.len(), Ordering::Relaxed);
+            times.add(Phase::Parse, prs_start.elapsed());
             let wait_start = Instant::now();
-            run.barrier.round_wait(w);
+            run.barrier.round_wait();
             times.add(Phase::Sync, wait_start.elapsed());
             let total_selected: usize = counts.iter().map(|c| c.load(Ordering::Relaxed)).sum();
             // Nobody selected anything, so nobody sends: the transport stays
-            // as every thread reads it here.
+            // as every worker reads it here.
             if total_selected == 0 && run.transport.all_empty() {
                 break;
             }
             rounds += 1;
             rounds_run += 1;
-            if settles {
-                // Each fused round is one logical superstep of relaxation;
-                // the program only ever sees the run's very first pass as
-                // superstep 0, so kick-off branches (`ctx.superstep() == 0`)
-                // fire exactly once even when the first bucket needs several
-                // rounds — or when a self-loop re-selects an initially
-                // active vertex.
-                let kickoff_round = superstep == 0 && rounds_run == 1;
-                let round_superstep = if kickoff_round { 0 } else { superstep.max(1) };
-                // CMP against the immutable view, each publication queued
-                // for its remote readers, then published locally so the next
-                // round reads it; SND one batch per destination.
-                let cmp_start = Instant::now();
-                let wake = wk.park(par, &mut prio);
-                wk.compute_chunk(&selected, round_superstep, agg_in, &mut acc, &mut out, wake);
-                wk.publish_local(&mut acc.updated);
-                times.add(Phase::Compute, cmp_start.elapsed());
-                let snd_start = Instant::now();
-                wk.send_outboxes(w * run.threads, epoch, &mut out);
-                times.add(Phase::Send, snd_start.elapsed());
-            }
+            // Each fused round is one logical superstep of relaxation; the
+            // program only ever sees the run's very first pass as superstep
+            // 0, so kick-off branches (`ctx.superstep() == 0`) fire exactly
+            // once even when the first bucket needs several rounds — or when
+            // a self-loop re-selects an initially active vertex.
+            let kickoff_round = superstep == 0 && rounds_run == 1;
+            let round_superstep = if kickoff_round { 0 } else { superstep.max(1) };
+            // CMP against the immutable view, each publication queued for its
+            // remote readers, then published locally so the next round reads
+            // it; SND one batch per destination.
+            let cmp_start = Instant::now();
+            let wake = wk.park(par, &mut prio);
+            wk.compute_chunk(&selected, round_superstep, agg_in, &mut acc, &mut out, wake);
+            wk.publish_local(&mut acc.updated);
+            times.add(Phase::Compute, cmp_start.elapsed());
+            let snd_start = Instant::now();
+            wk.send_outboxes(w, epoch, &mut out);
+            times.add(Phase::Send, snd_start.elapsed());
             let wait_start = Instant::now();
-            run.barrier.round_wait(w);
+            run.barrier.round_wait();
             times.add(Phase::Sync, wait_start.elapsed());
             let span_args = [bucket, rounds, total_selected as u64];
             end_span(flight, round_span, SpanKind::Round, span_args);
@@ -1653,37 +1652,33 @@ fn bucketed_thread_loop<P: CyclopsProgram>(
 
         // ---- Superstep epilogue: what the per-barrier loop's worker
         // leaders hand the global leader, plus the bucket advance's inputs.
-        let mut occupancy = 0;
-        if settles {
-            // Draining the occupancy parity counts it and clears it.
-            frontier.snapshot(par ^ 1, &mut selected, |_| true);
-            occupancy = selected.len() as u64;
-            // The locally-known next frontier is the parked set.
-            acc.part.next_active = frontier.len(par);
-            *run.worker_partials[w].lock() = acc.part;
-            let parked = frontier.marked(par).map(|li| prio[li]);
-            *run.buckets.shares[w].lock() = (occupancy, parked.min_by(f64::total_cmp));
-            // The worker's other threads compute nothing in a settle.
-            let cmp_ns = times.compute.as_nanos() as u64;
-            wk.ws.cmp_ns[0].store(cmp_ns, Ordering::Relaxed);
+        // Draining the occupancy parity counts it and clears it.
+        frontier.snapshot(par ^ 1, &mut selected, |_| true);
+        let occupancy = selected.len() as u64;
+        // The locally-known next frontier is the parked set.
+        acc.part.next_active = frontier.len(par);
+        *run.worker_partials[w].lock() = acc.part;
+        let parked = frontier.marked(par).map(|li| prio[li]);
+        *run.buckets.shares[w].lock() = (occupancy, parked.min_by(f64::total_cmp));
+        let cmp_ns = times.compute.as_nanos() as u64;
+        wk.ws.cmp_ns[0].store(cmp_ns, Ordering::Relaxed);
+        {
             let mut cur = run.current.lock();
             cur.phase_times = cur.phase_times.merge(&times);
         }
         let sync_start = Instant::now();
-        run.barrier.wait_traced(w, t, flight, superstep as u64);
-        if w == 0 && t == 0 && !run.close_superstep(superstep, budget_exhausted) {
+        run.barrier.wait_traced(w, 0, flight, superstep as u64);
+        if w == 0 && !run.close_superstep(superstep, budget_exhausted) {
             run.advance_bucket(rounds);
         }
-        run.barrier.wait_traced(w, t, flight, superstep as u64);
-        if settles {
-            let final_sync = sync_start.elapsed();
-            run.current.lock().phase_times.add(Phase::Sync, final_sync);
-            times.add(Phase::Sync, final_sync);
-            wk.trace_hot(0, &mut acc);
-            let triple = Some((bucket, rounds.max(1), occupancy));
-            wk.commit_superstep(superstep, occupancy as usize, &times, &acc.part, triple);
-            acc.part = ChunkPartial::default(); // the next superstep starts clean
-        }
+        run.barrier.wait_traced(w, 0, flight, superstep as u64);
+        let final_sync = sync_start.elapsed();
+        run.current.lock().phase_times.add(Phase::Sync, final_sync);
+        times.add(Phase::Sync, final_sync);
+        wk.trace_hot(0, &mut acc);
+        let triple = Some((bucket, rounds.max(1), occupancy));
+        wk.commit_superstep(superstep, occupancy as usize, &times, &acc.part, triple);
+        acc.part = ChunkPartial::default(); // the next superstep starts clean
         if run.stop.load(Ordering::Acquire) {
             return;
         }
@@ -2186,7 +2181,9 @@ mod tests {
     fn bucketed_runs_pay_their_superstep_and_round_waits() {
         // A distributed settle pays two round waits per fused round and one
         // more for the round that finds the bucket drained, beside the two
-        // superstep waits; every wait counts `M·T − 1` protocol messages.
+        // superstep waits. A bucketed run starts one thread per worker, so
+        // every wait counts `workers − 1` protocol messages: 3 on `flat(2,
+        // 2)`, and `M − 1 = 1` on `mt(2, 3, 2)` whatever its threads.
         let g = cyclops_graph::gen::road_lattice(12, 12, 0.9, 0.1, 3);
         for cluster in [ClusterSpec::flat(2, 2), ClusterSpec::mt(2, 3, 2)] {
             let p = HashPartitioner.partition(&g, cluster.num_workers());
@@ -2212,10 +2209,9 @@ mod tests {
                 .sum();
             let supersteps = r.supersteps as u64;
             let waits = 2 * supersteps + 2 * rounds + supersteps;
-            let threads = cluster.num_workers() * cluster.threads_per_worker;
             assert_eq!(
                 r.barrier_protocol_messages as u64,
-                waits * (threads as u64 - 1),
+                waits * (cluster.num_workers() as u64 - 1),
                 "{cluster:?}: {supersteps} supersteps, {rounds} rounds"
             );
         }

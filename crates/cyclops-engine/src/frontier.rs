@@ -50,9 +50,9 @@
 //! * `len(p)` — the worker leader, after the barrier that ends the CMP which
 //!   marked `p` (and a pulled superstep's first fill).
 //!
-//! A bucketed run's settle touches a worker's frontier from the worker's
-//! thread 0 alone, every call of it: the worker's other threads only wait,
-//! and no other worker reads it. It uses both parities, with
+//! A bucketed run starts one thread per worker, and its settle touches a
+//! worker's frontier from that thread alone, every call of it: no other
+//! worker reads it. It uses both parities, with
 //! `p = start_superstep & 1` (the parity INIT and a resume mark), and marks
 //! with `mark_alone`:
 //!
@@ -117,7 +117,7 @@ impl Frontier {
     }
 
     /// [`Self::mark`] for a parity no other thread touches meanwhile (the
-    /// bucket settle's, whose one writer is the worker's thread 0): a plain
+    /// bucket settle's, whose one writer is the worker's one thread): a plain
     /// store, not a locked `fetch_or`.
     pub(crate) fn mark_alone(&self, parity: usize, li: usize) {
         let word = &self.words[parity & 1][li / 64];

@@ -11,10 +11,10 @@
 //! protocol cost by counting *barrier messages* — each non-leader arrival at
 //! either level contributes one — so experiments can report the reduction.
 //!
-//! A superstep wait parks at once. A bucketed Cyclops run also pays two
-//! [`HierarchicalBarrier::round_wait`]s per fused relaxation round, hundreds
-//! of microsecond-scale waits per superstep: those spin, then yield, over the
-//! same two levels and in the same count.
+//! A superstep wait parks at once. A bucketed Cyclops run, one thread per
+//! worker, also pays two [`HierarchicalBarrier::round_wait`]s per fused
+//! relaxation round, hundreds of microsecond-scale waits per superstep:
+//! those spin, then yield, over the global level alone.
 
 use cyclops_obs::{LogLinearHistogram, SpanKind, SpanRing};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -27,7 +27,7 @@ use std::time::Instant;
 /// road-network settle.
 const ROUND_SPINS: u32 = 20_000;
 
-/// One level of the round wait: a spin barrier over `parties` arrivals.
+/// The round wait: a spin barrier over `parties` arrivals.
 struct SpinLevel {
     parties: usize,
     /// `spin_loop` hints before a waiter yields.
@@ -85,9 +85,8 @@ pub struct HierarchicalBarrier {
     local: Vec<Barrier>,
     /// Global barrier among machine leaders.
     global: Barrier,
-    /// The round wait's two levels: one per machine, then its leaders.
-    round_local: Vec<SpinLevel>,
-    round_global: SpinLevel,
+    /// The round wait, among one-thread machines.
+    round: SpinLevel,
     machines: usize,
     threads_per_machine: usize,
     rounds: AtomicUsize,
@@ -119,10 +118,7 @@ impl HierarchicalBarrier {
                 .map(|_| Barrier::new(threads_per_machine))
                 .collect(),
             global: Barrier::new(machines),
-            round_local: (0..machines)
-                .map(|_| SpinLevel::new(threads_per_machine, spins))
-                .collect(),
-            round_global: SpinLevel::new(machines, spins),
+            round: SpinLevel::new(machines, spins),
             machines,
             threads_per_machine,
             rounds: AtomicUsize::new(0),
@@ -166,26 +162,23 @@ impl HierarchicalBarrier {
         }
     }
 
-    /// A wait of every thread of every machine, like [`Self::wait`], that
-    /// spins and then yields instead of parking: the wait of a bucketed run's
-    /// fused rounds, too short and too many to pay a sleep and a wake-up
-    /// each. Returns `true` on exactly one thread per round, the last
-    /// machine leader to arrive. Counts as a round.
-    pub fn round_wait(&self, machine: usize) -> bool {
-        let local = &self.round_local[machine];
-        let Some(local_generation) = local.arrive() else {
+    /// A wait of every machine, like [`Self::wait`], that spins and then
+    /// yields instead of parking: the wait of a bucketed run's fused rounds,
+    /// too short and too many to pay a sleep and a wake-up each. Only for
+    /// one-thread machines, the one shape a bucketed run takes. Returns
+    /// `true` on exactly one machine per round, the last to arrive. Counts
+    /// as a round.
+    pub fn round_wait(&self) -> bool {
+        debug_assert_eq!(
+            self.threads_per_machine, 1,
+            "round waits are for one-thread machines"
+        );
+        let Some(generation) = self.round.arrive() else {
             return false;
         };
-        let leader = match self.round_global.arrive() {
-            Some(generation) => {
-                self.rounds.fetch_add(1, Ordering::Relaxed);
-                self.round_global.release(generation);
-                true
-            }
-            None => false,
-        };
-        local.release(local_generation);
-        leader
+        self.rounds.fetch_add(1, Ordering::Relaxed);
+        self.round.release(generation);
+        true
     }
 
     /// Barrier protocol messages so far: per round — a superstep wait or a
@@ -289,29 +282,27 @@ mod tests {
     }
 
     fn round_wait_leaders(spins: u32) {
-        let (machines, threads, rounds) = (3, 2, 200);
-        let barrier = HierarchicalBarrier::with_round_spins(machines, threads, spins);
+        let (machines, rounds) = (4, 200);
+        let barrier = HierarchicalBarrier::with_round_spins(machines, 1, spins);
         let leaders = AtomicU32::new(0);
         let counter = AtomicU32::new(0);
         std::thread::scope(|s| {
-            for m in 0..machines {
-                for _ in 0..threads {
-                    let (barrier, leaders, counter) = (&barrier, &leaders, &counter);
-                    s.spawn(move || {
-                        for round in 0..rounds {
-                            counter.fetch_add(1, Ordering::Relaxed);
-                            leaders.fetch_add(barrier.round_wait(m) as u32, Ordering::Relaxed);
-                            let arrived = (round + 1) * (machines * threads) as u32;
-                            assert_eq!(counter.load(Ordering::Relaxed), arrived);
-                            leaders.fetch_add(barrier.round_wait(m) as u32, Ordering::Relaxed);
-                        }
-                    });
-                }
+            for _ in 0..machines {
+                let (barrier, leaders, counter) = (&barrier, &leaders, &counter);
+                s.spawn(move || {
+                    for round in 0..rounds {
+                        counter.fetch_add(1, Ordering::Relaxed);
+                        leaders.fetch_add(barrier.round_wait() as u32, Ordering::Relaxed);
+                        let arrived = (round + 1) * machines as u32;
+                        assert_eq!(counter.load(Ordering::Relaxed), arrived);
+                        leaders.fetch_add(barrier.round_wait() as u32, Ordering::Relaxed);
+                    }
+                });
             }
         });
         assert_eq!(leaders.load(Ordering::Relaxed), 2 * rounds);
         assert_eq!(barrier.rounds(), 2 * rounds as usize);
-        assert_eq!(barrier.protocol_messages(), 2 * rounds as usize * 5);
+        assert_eq!(barrier.protocol_messages(), 2 * rounds as usize * 3);
     }
 
     #[test]
@@ -321,27 +312,28 @@ mod tests {
         }
     }
 
-    /// Two machines of two threads; one thread arrives long after the others
-    /// have spent their spins and yield. Then round and superstep waits
+    /// Three one-thread machines; one arrives long after the others have
+    /// spent their spins and yield. Then round and superstep waits
     /// alternate, as a bucketed run's do.
     fn late_round_waiter(spins: u32) {
-        let barrier = HierarchicalBarrier::with_round_spins(2, 2, spins);
+        let barrier = HierarchicalBarrier::with_round_spins(3, 1, spins);
         let late = AtomicU32::new(0);
         std::thread::scope(|s| {
-            for m in 0..2 {
-                for t in 0..2 {
-                    let (barrier, late) = (&barrier, &late);
-                    s.spawn(move || {
-                        if (m, t) == (1, 1) {
-                            std::thread::sleep(std::time::Duration::from_millis(50));
-                            late.store(1, Ordering::Relaxed);
+            for m in 0..3 {
+                let (barrier, late) = (&barrier, &late);
+                s.spawn(move || {
+                    if m == 2 {
+                        let start = Instant::now();
+                        while start.elapsed() < std::time::Duration::from_millis(50) {
+                            std::thread::yield_now();
                         }
-                        barrier.round_wait(m);
-                        assert_eq!(late.load(Ordering::Relaxed), 1);
-                        barrier.wait(m, t);
-                        barrier.round_wait(m);
-                    });
-                }
+                        late.store(1, Ordering::Relaxed);
+                    }
+                    barrier.round_wait();
+                    assert_eq!(late.load(Ordering::Relaxed), 1);
+                    barrier.wait(m, 0);
+                    barrier.round_wait();
+                });
             }
         });
         assert_eq!(barrier.rounds(), 3);

@@ -1007,7 +1007,9 @@ commands:
 input:       --input FILE | --dataset NAME [--scale F] [--seed N]
              datasets: Amazon GWeb LJournal Wiki SYN-GL DBLP RoadCA
 execution:   --engine cyclops|hama  --machines M --workers W
-             --threads T --receivers R  --partitioner hash|metis
+             --threads T --receivers R  per worker (a bucketed run
+             starts one thread per worker, whatever T and R)
+             --partitioner hash|metis
              --inbox global|sharded (hama)
              --bucket-width D|auto  bucketed (delta-stepping) sssp
              or hop-ring bfs: each superstep drains one priority
