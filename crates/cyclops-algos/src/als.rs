@@ -6,11 +6,104 @@
 //! sides alternate: with item factors fixed, each user solves the
 //! regularized normal equations `(Σ x xᵀ + λ n I) f = Σ r x` over its rated
 //! items (and vice versa). One "iteration" is therefore two supersteps.
+//!
+//! A Cyclops publication is a [`Factor`], which keeps a factor of up to
+//! [`INLINE`] entries inside the view slot, so reading an in-neighbour's
+//! factor is a load from the view rather than a pointer chase, and
+//! publishing one allocates nothing.
 
 use crate::linalg::{axpy, cholesky_solve, syrk_update};
+use bytes::{Buf, BufMut, BytesMut};
 use cyclops_bsp::{BspContext, BspProgram};
 use cyclops_engine::{CyclopsContext, CyclopsProgram};
 use cyclops_graph::{Graph, VertexId};
+use cyclops_net::Codec;
+use std::cell::RefCell;
+use std::ops::Deref;
+
+/// Most entries a [`Factor`] stores without a heap allocation: the largest
+/// dimension the benchmark, the example and the tests use. A wider inline
+/// buffer grows every view slot for dimensions nobody runs.
+pub const INLINE: usize = 8;
+
+/// One ALS factor as a publication: stored inline up to [`INLINE`]
+/// entries, on the heap above that. It encodes byte for byte as the
+/// `Vec<f64>` it holds: a `u32` length, then the entries little-endian.
+#[derive(Clone)]
+pub struct Factor(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// The first `len` entries are the factor; the rest are zero.
+    Inline { len: u8, data: [f64; INLINE] },
+    /// A factor longer than [`INLINE`].
+    Heap(Vec<f64>),
+}
+
+impl Factor {
+    /// A factor of `len` entries written by `fill`.
+    fn filled(len: usize, fill: impl FnOnce(&mut [f64])) -> Self {
+        if len <= INLINE {
+            let mut data = [0.0; INLINE];
+            fill(&mut data[..len]);
+            Factor(Repr::Inline {
+                len: len as u8,
+                data,
+            })
+        } else {
+            let mut v = vec![0.0; len];
+            fill(&mut v);
+            Factor(Repr::Heap(v))
+        }
+    }
+}
+
+impl From<&[f64]> for Factor {
+    fn from(x: &[f64]) -> Self {
+        Factor::filled(x.len(), |out| out.copy_from_slice(x))
+    }
+}
+
+impl Deref for Factor {
+    type Target = [f64];
+    fn deref(&self) -> &[f64] {
+        match &self.0 {
+            Repr::Inline { len, data } => &data[..*len as usize],
+            Repr::Heap(v) => v,
+        }
+    }
+}
+
+impl Codec for Factor {
+    fn encode(&self, buf: &mut BytesMut) {
+        buf.put_u32_le(self.len() as u32);
+        for &x in self.iter() {
+            buf.put_f64_le(x);
+        }
+    }
+    fn try_decode(buf: &mut impl Buf) -> Option<Self> {
+        let len = u32::try_decode(buf)? as usize;
+        // Checked before `filled` sizes anything from the declared length.
+        if buf.remaining() / 8 < len {
+            return None;
+        }
+        Some(Factor::filled(len, |out| {
+            for x in out {
+                *x = buf.get_f64_le();
+            }
+        }))
+    }
+    fn encoded_len(&self) -> usize {
+        4 + 8 * self.len()
+    }
+}
+
+thread_local! {
+    /// The normal equations' `d x d` matrix and right-hand side: one pair
+    /// per compute thread, reused across solves so a solve allocates only
+    /// the factor it returns.
+    static NORMAL: RefCell<(Vec<f64>, Vec<f64>)> = const { RefCell::new((Vec::new(), Vec::new())) };
+}
 
 /// Shared ALS parameters.
 #[derive(Clone, Copy, Debug)]
@@ -51,26 +144,30 @@ impl AlsParams {
         old: &[f64],
     ) -> Vec<f64> {
         let d = self.dim;
-        let mut a = vec![0.0; d * d];
-        let mut b = vec![0.0; d];
-        let mut count = 0usize;
-        for (x, rating) in neighbors {
-            syrk_update(&mut a, x, 1.0);
-            axpy(&mut b, x, rating);
-            count += 1;
-        }
-        if count == 0 {
-            return old.to_vec();
-        }
-        let reg = self.lambda * count as f64;
-        for i in 0..d {
-            a[i * d + i] += reg;
-        }
-        if cholesky_solve(&mut a, &mut b, d) {
-            b
-        } else {
-            old.to_vec()
-        }
+        NORMAL.with_borrow_mut(|(a, b)| {
+            a.clear();
+            a.resize(d * d, 0.0);
+            b.clear();
+            b.resize(d, 0.0);
+            let mut count = 0usize;
+            for (x, rating) in neighbors {
+                syrk_update(a, x, 1.0);
+                axpy(b, x, rating);
+                count += 1;
+            }
+            if count == 0 {
+                return old.to_vec();
+            }
+            let reg = self.lambda * count as f64;
+            for i in 0..d {
+                a[i * d + i] += reg;
+            }
+            if cholesky_solve(a, b, d) {
+                b.clone()
+            } else {
+                old.to_vec()
+            }
+        })
     }
 }
 
@@ -88,14 +185,14 @@ pub struct CyclopsAls {
 
 impl CyclopsProgram for CyclopsAls {
     type Value = Vec<f64>;
-    type Message = Vec<f64>;
+    type Message = Factor;
 
     fn init(&self, v: VertexId, _g: &Graph) -> Vec<f64> {
         self.params.init_factor(v)
     }
 
-    fn init_message(&self, _v: VertexId, _g: &Graph, value: &Vec<f64>) -> Option<Vec<f64>> {
-        Some(value.clone())
+    fn init_message(&self, _v: VertexId, _g: &Graph, value: &Vec<f64>) -> Option<Factor> {
+        Some(Factor::from(value.as_slice()))
     }
 
     fn initially_active(&self, v: VertexId, _g: &Graph) -> bool {
@@ -103,7 +200,7 @@ impl CyclopsProgram for CyclopsAls {
         self.params.is_user(v)
     }
 
-    fn compute(&self, ctx: &mut CyclopsContext<'_, Vec<f64>, Vec<f64>>) {
+    fn compute(&self, ctx: &mut CyclopsContext<'_, Vec<f64>, Factor>) {
         // Alternation: users on even supersteps, items on odd. A vertex can
         // only be activated by the other side, so this guard just drops the
         // rare same-superstep double-activation at the boundary.
@@ -112,7 +209,7 @@ impl CyclopsProgram for CyclopsAls {
             return;
         }
         let new = self.params.solve(
-            ctx.in_messages().map(|(m, r)| (m.as_slice(), r)),
+            ctx.in_messages().map(|(m, r)| (&m[..], r)),
             ctx.value().as_slice(),
         );
         let delta: f64 = new
@@ -120,9 +217,10 @@ impl CyclopsProgram for CyclopsAls {
             .zip(ctx.value())
             .map(|(a, b)| (a - b).abs())
             .sum();
-        ctx.set_value(new.clone());
+        let publication = Factor::from(new.as_slice());
+        ctx.set_value(new);
         ctx.report_error(delta);
-        ctx.activate_neighbors(new);
+        ctx.activate_neighbors(publication);
     }
 }
 
@@ -230,6 +328,7 @@ mod tests {
     use cyclops_graph::gen::bipartite_ratings;
     use cyclops_net::ClusterSpec;
     use cyclops_partition::{EdgeCutPartition, EdgeCutPartitioner, HashPartitioner};
+    use proptest::prelude::*;
 
     fn cyclops(
         g: &Graph,
@@ -237,7 +336,7 @@ mod tests {
         cluster: ClusterSpec,
         params: AlsParams,
         iterations: usize,
-    ) -> CyclopsResult<Vec<f64>, Vec<f64>> {
+    ) -> CyclopsResult<Vec<f64>, Factor> {
         let config = CyclopsConfig {
             cluster,
             max_supersteps: iterations * 2,
@@ -263,6 +362,56 @@ mod tests {
             .zip(b)
             .flat_map(|(x, y)| x.iter().zip(y).map(|(p, q)| (p - q).abs()))
             .fold(0.0, f64::max)
+    }
+
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest! {
+        /// A factor on either side of the inline capacity encodes to exactly
+        /// the bytes of the `Vec<f64>` it holds, and decodes back to it.
+        #[test]
+        fn factor_encodes_as_its_vec(x in proptest::collection::vec(any::<f64>(), 0..21)) {
+            let f = Factor::from(x.as_slice());
+            let (mut ours, mut plain) = (BytesMut::new(), BytesMut::new());
+            f.encode(&mut ours);
+            x.encode(&mut plain);
+            prop_assert_eq!(&ours[..], &plain[..]);
+            prop_assert_eq!(f.encoded_len(), ours.len());
+            let mut rest = &ours[..];
+            let back = Factor::try_decode(&mut rest).expect("a whole encoding decodes");
+            prop_assert!(rest.is_empty());
+            prop_assert_eq!(bits(&back), bits(&x));
+        }
+
+        /// Every strict prefix of an encoding is rejected, without a panic.
+        #[test]
+        fn factor_truncated_anywhere_is_rejected(x in proptest::collection::vec(-1.0f64..1.0, 0..21)) {
+            let mut buf = BytesMut::new();
+            Factor::from(x.as_slice()).encode(&mut buf);
+            for cut in 0..buf.len() {
+                prop_assert!(Factor::try_decode(&mut &buf[..cut]).is_none(), "cut at {cut}");
+            }
+        }
+
+        /// A declared length beyond the bytes that follow is rejected up
+        /// front: a length up to `u32::MAX` sizes no buffer.
+        #[test]
+        fn factor_length_past_the_buffer_is_rejected(
+            x in proptest::collection::vec(-1.0f64..1.0, 0..21),
+            excess in 1u32..u32::MAX,
+        ) {
+            let held = x.len() as u32;
+            for len in [held + 1, held.saturating_add(excess), u32::MAX] {
+                let mut buf = BytesMut::new();
+                len.encode(&mut buf);
+                for v in &x {
+                    v.encode(&mut buf);
+                }
+                prop_assert!(Factor::try_decode(&mut &buf[..]).is_none(), "length {len}");
+            }
+        }
     }
 
     #[test]

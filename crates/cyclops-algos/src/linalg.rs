@@ -1,6 +1,9 @@
-//! Minimal dense linear algebra for ALS: symmetric rank-1 accumulation and
-//! an in-place Cholesky solve of small SPD systems (the `d x d` normal
-//! equations, `d` ≈ 5–20).
+//! Minimal dense linear algebra for ALS's `d x d` normal equations (`d` ≈
+//! 5–20): a symmetric rank-1 update into the lower triangle and an in-place
+//! Cholesky solve that reads only that triangle. Every function works on
+//! slices the caller owns and allocates nothing; `AlsParams::solve` passes
+//! its thread's reused matrix and right-hand side, so a solve allocates
+//! only the factor it returns.
 
 /// Adds `alpha * x xᵀ` to the lower triangle (`j ≤ i`) of the row-major
 /// `d x d` matrix `a`; the strict upper triangle is not written. The lower

@@ -134,8 +134,11 @@ pub fn gen_graph(dataset: Dataset, fraction: f64) -> Graph {
 
 /// ALS parameters matched to the SYN-GL stand-in at `fraction` scale.
 pub fn als_params(fraction: f64) -> AlsParams {
+    let Some(users) = Dataset::SynGl.bipartite_users_at(fraction) else {
+        unreachable!("SYN-GL is the bipartite dataset: it has a user split at every scale")
+    };
     AlsParams {
-        users: Dataset::SynGl.bipartite_users_at(fraction).unwrap(),
+        users,
         dim: ALS_DIM,
         lambda: ALS_LAMBDA,
     }

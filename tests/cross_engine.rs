@@ -3,7 +3,7 @@
 //! cluster shapes and partitioners.
 
 use cyclops::prelude::*;
-use cyclops_algos::als::{reference_als, AlsParams, BspAls, CyclopsAls};
+use cyclops_algos::als::{reference_als, AlsParams, BspAls, CyclopsAls, INLINE};
 use cyclops_algos::cd::{BspCommunityDetection, CyclopsCommunityDetection};
 use cyclops_algos::pagerank::{BspPageRank, GasPageRank};
 use cyclops_algos::sssp::{BspSssp, CyclopsSssp, GasSssp};
@@ -193,6 +193,36 @@ fn als_engines_match_reference_on_syn_gl() {
             assert!((bsp.values[v][d] - e).abs() < 1e-8, "bsp v{v}");
         }
     }
+}
+
+/// Above `als::INLINE` entries a Cyclops ALS publication spills to the
+/// heap; at dimension 12 the run is still the reference's, and the same
+/// bits on a flat and a CyclopsMT cluster.
+#[test]
+fn als_heap_factors_match_reference_on_every_shape() {
+    let g = Dataset::SynGl.generate_scaled(0.05, 5);
+    let params = AlsParams {
+        users: Dataset::SynGl.bipartite_users_at(0.05).unwrap(),
+        dim: 12,
+        lambda: 0.1,
+    };
+    assert!(params.dim > INLINE);
+    let expected = reference_als(&g, params, 3);
+    let run = |cluster: ClusterSpec| {
+        let p = HashPartitioner.partition(&g, cluster.num_workers());
+        run_cyclops(&CyclopsAls { params }, &g, &p, &cyclops_config(cluster, 6)).values
+    };
+    let flat = run(ClusterSpec::flat(4, 1));
+    for (v, (got, exp)) in flat.iter().zip(&expected).enumerate() {
+        assert_eq!(got.len(), params.dim, "v{v}");
+        for (x, e) in got.iter().zip(exp) {
+            assert!((x - e).abs() < 1e-9, "v{v}: {got:?} vs {exp:?}");
+        }
+    }
+    let bits = |values: &[Vec<f64>]| -> Vec<u64> {
+        values.iter().flatten().map(|x| x.to_bits()).collect()
+    };
+    assert_eq!(bits(&flat), bits(&run(ClusterSpec::mt(2, 3, 2))));
 }
 
 #[test]
