@@ -18,10 +18,10 @@
 //! * **PRS** — `Worker::apply_inbound`: drain a share of the inbound lanes,
 //!   write each update into its view slot lock-free, wake the slot's readers;
 //! * **CMP** — `Worker::compute_vertex` (build the [`CyclopsContext`], run the
-//!   program, fold error / convergence / digest, store the publication, wake
-//!   local readers), `Worker::fan_out` (one [`ReplicaUpdate`] per remote copy
-//!   of the publication: a replica of a hot master, a direct slot per cross
-//!   edge of a cold one) and `Worker::publish_local`;
+//!   program, fold error / convergence / digest, wake local readers, return
+//!   the publication), `Worker::fan_out` (one [`ReplicaUpdate`] per remote
+//!   copy of the publication: a replica of a hot master, a direct slot per
+//!   cross edge of a cold one) and `Worker::publish_local`;
 //! * **SND** — `Worker::send_outboxes`: one batch per non-empty destination,
 //!   its receipt booked in the trace;
 //! * **SYN** — `Run::close_superstep`: the global leader's reduction,
@@ -59,13 +59,13 @@
 //!
 //! # Safety
 //!
-//! Three slot arrays per worker are written without locks — `values`,
-//! `msg_next` (the masters' write buffer) and `view`, the one array every
-//! gather reads: `[masters | replicas | direct slots]`, indexed by the plan's
-//! in-edge references. Four `unsafe` sites, each resting on
+//! Two slot arrays per worker are written without locks — `values` and
+//! `view`, the one array every gather reads and the one place a publication
+//! is stored: `[masters | replicas | direct slots]`, indexed by the plan's
+//! in-edge references. Three `unsafe` sites, each resting on
 //! [`DisjointSlots`]' single-writer-per-epoch protocol (verified in debug
-//! builds) and stating its argument once for both drivers: `values` and
-//! `msg_next` in `Worker::compute_vertex`; the view's master range in
+//! builds) and stating its argument once for both drivers: `values` in
+//! `Worker::compute_vertex`; the view's master range in
 //! `Worker::publish_local` (SND, by the stream that computed the master); the
 //! view's replica and direct ranges in `apply_batches` (PRS, by the receiver
 //! that drained the slot's lane; the decoded remote slot is range-checked by
@@ -297,17 +297,15 @@ fn outboxes<M>(num_workers: usize) -> Vec<Vec<ReplicaUpdate<M>>> {
 /// Per-worker state shared by that worker's threads.
 struct WorkerShared<V, M> {
     values: DisjointSlots<V>,
-    /// The immutable view: every publication visible this superstep, in the
-    /// plan's slot space `[masters | replicas | direct slots]`. The master
-    /// range is copied from `msg_next` at the copy phase; the replica and
-    /// direct ranges are written by receiver threads, at most one message
-    /// per slot per superstep (one source master per slot, one batch per
-    /// sender per superstep). The direct range is empty under full
-    /// replication.
+    /// The immutable view, the one store of a publication: every one visible
+    /// this superstep, in the plan's slot space `[masters | replicas | direct
+    /// slots]`. A new master publication waits in its stream's
+    /// [`CmpAcc::updated`] until `Worker::publish_local` moves it into the
+    /// master range at SND, so a gather reads the previous superstep; receiver
+    /// threads write the replica and direct ranges, at most one message per
+    /// slot per superstep (one source master per slot, one batch per sender
+    /// per superstep). The direct range is empty under full replication.
     view: DisjointSlots<Option<M>>,
-    /// Master publications produced this superstep, made visible at the copy
-    /// phase.
-    msg_next: DisjointSlots<Option<M>>,
     /// Double-buffered activation bitmap: an activation is one bit, and the
     /// snapshot is an ordered scan of the words.
     frontier: Frontier,
@@ -496,40 +494,36 @@ fn run_with_activation<P: CyclopsProgram>(
     for wp in &plan.workers {
         let n = wp.num_masters();
         let mut values: Vec<P::Value> = Vec::with_capacity(n);
-        let mut msgs: Vec<Option<P::Message>> = Vec::with_capacity(n);
         let (frontier, fresh) = {
             let _mem = MemScope::enter(Component::Frontier);
             (Frontier::new(n), FreshSlots::new(wp.num_view_slots()))
         };
+        // The whole view is one allocation, booked as replica machinery:
+        // the master range now, the ranges seeded from other workers below.
+        let mut view = {
+            let _mem = MemScope::enter(Component::Replicas);
+            Vec::with_capacity(wp.num_view_slots())
+        };
         for (li, &v) in wp.masters.iter().enumerate() {
             if let Some(Some((_, value, publication, active))) = restored.get(v as usize) {
                 values.push(value.clone());
-                msgs.push(publication.clone());
+                view.push(publication.clone());
                 if *active {
                     frontier.mark(start_superstep & 1, li);
                 }
                 continue;
             }
             let value = program.init(v, graph);
-            let msg = program.init_message(v, graph, &value);
+            view.push(program.init_message(v, graph, &value));
             values.push(value);
-            msgs.push(msg);
             if resume.is_none() && program.initially_active(v, graph) {
                 frontier.mark(0, li);
             }
         }
-        // The whole view is one allocation, booked as replica machinery:
-        // the master range now, the ranges seeded from other workers below.
-        views.push({
-            let _mem = MemScope::enter(Component::Replicas);
-            let mut view = Vec::with_capacity(wp.num_view_slots());
-            view.extend(msgs.iter().cloned());
-            view
-        });
+        views.push(view);
         shared.push(WorkerShared {
             values: DisjointSlots::new(values),
             view: DisjointSlots::new(Vec::new()), // filled below
-            msg_next: DisjointSlots::new(msgs),
             frontier,
             fresh,
             pull: AtomicBool::new(false),
@@ -545,21 +539,25 @@ fn run_with_activation<P: CyclopsProgram>(
         });
     }
     drop(restored);
-    // Seed replica publications and direct slots from their source masters —
-    // the initial one-way sync of the ingress (and of checkpoint recovery):
-    // superstep 0 (and a resume) reads the identical immutable view through
-    // either path.
-    for (w, mut view) in views.into_iter().enumerate() {
+    // Seed replica publications and direct slots from their source masters'
+    // view slots — the initial one-way sync of the ingress (and of checkpoint
+    // recovery): superstep 0 (and a resume) reads the identical immutable
+    // view through either path. A remote slot's source is another worker's
+    // master, so its owner's view is in `lo` or `hi`, never `view`.
+    for w in 0..num_workers {
         let _mem = MemScope::enter(Component::Replicas);
-        let wp = &plan.workers[w];
-        // `msg_next` still equals the master range of its worker's view.
+        let (lo, rest) = views.split_at_mut(w);
+        let (view, hi) = rest.split_at_mut(1);
         let source_pub = |&u: &u32| {
             let ow = plan.owner[u as usize] as usize;
-            let li = plan.local_of[u as usize] as usize;
-            shared[ow].msg_next.read(li).clone()
+            let owner = if ow < w { &lo[ow] } else { &hi[ow - w - 1] };
+            owner[plan.local_of[u as usize] as usize].clone()
         };
-        view.extend(wp.replicas.iter().chain(&wp.direct_source).map(source_pub));
-        shared[w].view = DisjointSlots::new(view);
+        let wp = &plan.workers[w];
+        view[0].extend(wp.replicas.iter().chain(&wp.direct_source).map(source_pub));
+    }
+    for (ws, view) in shared.iter_mut().zip(views) {
+        ws.view = DisjointSlots::new(view);
     }
     let mut ingress = plan.ingress;
     ingress.init = init_start.elapsed();
@@ -638,13 +636,13 @@ fn run_with_activation<P: CyclopsProgram>(
 
 /// CMP state of one compute stream — an engine thread in the per-barrier
 /// loop, a worker's one thread in a bucket settle.
-#[derive(Default)]
-struct CmpAcc {
+struct CmpAcc<M> {
     /// Partial being accumulated (one chunk, or a worker's settle).
     part: ChunkPartial,
-    /// Masters whose publication is stored in `msg_next` but not yet visible
-    /// ([`Worker::publish_local`] drains it).
-    updated: Vec<u32>,
+    /// This stream's publications of the current CMP, `(master, publication)`,
+    /// held out of the view until [`Worker::publish_local`] moves them into
+    /// its master range.
+    updated: Vec<(u32, M)>,
     /// Hot-vertex capture: a Space-Saving sketch of per-vertex work mass,
     /// folded into the tracer each superstep. Disabled (`hot_k == 0`) the
     /// compute loop pays one `Option` check per vertex.
@@ -655,12 +653,14 @@ struct CmpAcc {
     digest_buf: bytes::BytesMut,
 }
 
-impl CmpAcc {
+impl<M> CmpAcc<M> {
     fn new(trace: Option<&TraceSink>) -> Self {
         let hot_k = trace.map_or(0, |s| s.hot_k());
         CmpAcc {
+            part: ChunkPartial::default(),
+            updated: Vec::new(),
             hot: (hot_k > 0).then(|| SpaceSaving::new(hot_k)),
-            ..Default::default()
+            digest_buf: bytes::BytesMut::new(),
         }
     }
 }
@@ -804,7 +804,6 @@ impl<'r, P: CyclopsProgram> Worker<'r, P> {
     fn begin_epoch(&self) {
         self.ws.values.begin_epoch();
         self.ws.view.begin_epoch();
-        self.ws.msg_next.begin_epoch();
     }
 
     /// PRS: drains receiver `part` of `parts`' share of this worker's
@@ -828,20 +827,20 @@ impl<'r, P: CyclopsProgram> Worker<'r, P> {
     /// CMP core: runs the program on local master `li` against the
     /// immutable view and does everything a computed vertex owes — the
     /// stream's counters and float partial, the `converged` flag, the
-    /// values-mode digest, storing the publication in `msg_next`, and
-    /// waking the same-worker readers (`wake(li, &publication)`: the master's
-    /// own view slot; lock-free bit operations in the per-barrier loop, §5).
-    /// Returns the stored publication, if the vertex published, for the
-    /// caller to fan out.
+    /// values-mode digest and waking the same-worker readers
+    /// (`wake(li, &publication)`: the master's own view slot; lock-free bit
+    /// operations in the per-barrier loop, §5). Returns the publication, if
+    /// the vertex published, by value: the caller fans it out and holds it
+    /// for `publish_local`.
     #[inline]
     fn compute_vertex(
         &self,
         li: usize,
         superstep: usize,
         agg_in: Option<AggregateStats>,
-        acc: &mut CmpAcc,
+        acc: &mut CmpAcc<P::Message>,
         mut wake: impl FnMut(usize, &P::Message),
-    ) -> Option<&'r P::Message> {
+    ) -> Option<P::Message> {
         let (ws, wp) = (self.ws, self.wp);
         acc.part.computed += 1;
         if let Some(hs) = acc.hot.as_mut() {
@@ -888,24 +887,19 @@ impl<'r, P: CyclopsProgram> Worker<'r, P> {
             tr.record_publication(wp.masters[li], digest_bytes(&acc.digest_buf));
         }
         wake(li, &m);
-        // SAFETY: one write per master per epoch, by the one stream that
-        // computed it (see above); `msg_next` has no reader until
-        // `publish_local`.
-        unsafe { ws.msg_next.write(li, Some(m)) };
-        acc.updated.push(li as u32);
-        ws.msg_next.read(li).as_ref()
+        Some(m)
     }
 
     /// CMP's unit of work — a claimed chunk in the per-barrier loop, a
     /// worker's fused-round selection in the settle: computes the masters of
-    /// `chunk` in order and queues each publication's remote fan-out in
-    /// `out`.
+    /// `chunk` in order, queues each publication's remote fan-out in `out`
+    /// and holds the publication in `acc.updated`.
     fn compute_chunk(
         &self,
         chunk: &[u32],
         superstep: usize,
         agg_in: Option<AggregateStats>,
-        acc: &mut CmpAcc,
+        acc: &mut CmpAcc<P::Message>,
         out: &mut [Vec<ReplicaUpdate<P::Message>>],
         mut wake: impl FnMut(usize, &P::Message),
     ) {
@@ -919,23 +913,23 @@ impl<'r, P: CyclopsProgram> Worker<'r, P> {
                 ledger.record(self.wp.masters[li], self.wp.work_mass[li].max(1) as u64);
             }
             if let Some(m) = self.compute_vertex(li, superstep, agg_in, acc, &mut wake) {
-                acc.part.direct += self.fan_out(li, m, out);
+                acc.part.direct += self.fan_out(li, &m, out);
+                acc.updated.push((li as u32, m));
             }
         }
     }
 
-    /// Makes the stream's stored publications visible to readers (`msg_next`
-    /// → the view's master range, where slot = local index) and empties
-    /// `updated`.
-    fn publish_local(&self, updated: &mut Vec<u32>) {
-        for li in updated.drain(..) {
-            let m = self.ws.msg_next.read(li as usize).clone();
-            // SAFETY: only the stream that computed `li` copies it, once
-            // per epoch, into a range PRS never writes, and no reader is
-            // active — the per-barrier loop is past its post-compute
-            // barrier, and in the settle the worker's one thread, the view's
-            // one reader, is the thread copying.
-            unsafe { self.ws.view.write(li as usize, m) };
+    /// Makes the stream's held publications visible to readers: moves each
+    /// of `updated` into the view's master range, where slot = local index,
+    /// leaving `updated` empty.
+    fn publish_local(&self, updated: &mut Vec<(u32, P::Message)>) {
+        for (li, m) in updated.drain(..) {
+            // SAFETY: only the stream that computed `li`, at most once per
+            // epoch, holds its publication, so it writes the slot once, in a
+            // range PRS never writes, and no reader is active — the
+            // per-barrier loop is past its post-compute barrier, and in the
+            // settle the worker's one thread, the view's one reader, writes.
+            unsafe { self.ws.view.write(li as usize, Some(m)) };
         }
     }
 
@@ -1036,7 +1030,7 @@ impl<'r, P: CyclopsProgram> Worker<'r, P> {
     /// Folds a compute stream's hot-vertex sketch into slot `t` of this
     /// worker's trace record (slots merge in thread order at commit) and
     /// clears it. Call before the worker's commit.
-    fn trace_hot(&self, t: usize, acc: &mut CmpAcc) {
+    fn trace_hot(&self, t: usize, acc: &mut CmpAcc<P::Message>) {
         if let (Some(tr), Some(hs)) = (self.tr, acc.hot.as_mut()) {
             tr.set_thread_hot(t, hs);
             hs.clear();
@@ -2359,6 +2353,63 @@ mod tests {
                 assert_directions_agree(&MaxPull, &web, &config, &label("CC"));
                 let sssp = MinDist { source: 0 };
                 assert_directions_agree(&sssp, &road, &config, &label("SSSP"));
+            }
+        }
+    }
+
+    /// Publishes its superstep index (`u32::MAX`, superstep −1, at INIT) and
+    /// counts the supersteps in which every in-edge read saw the one before.
+    struct Stamp;
+    impl CyclopsProgram for Stamp {
+        type Value = u32;
+        type Message = u32;
+        fn init(&self, _v: VertexId, _g: &Graph) -> u32 {
+            0
+        }
+        fn init_message(&self, _v: VertexId, _g: &Graph, _value: &u32) -> Option<u32> {
+            Some(u32::MAX)
+        }
+        fn compute(&self, ctx: &mut CyclopsContext<'_, u32, u32>) {
+            let previous = (ctx.superstep() as u32).wrapping_sub(1);
+            let seen = ctx.in_messages().filter(|&(&m, _)| m == previous).count();
+            if seen == ctx.in_degree() {
+                ctx.set_value(ctx.value() + 1);
+            }
+            ctx.activate_neighbors(ctx.superstep() as u32);
+        }
+    }
+
+    #[test]
+    fn every_gather_reads_the_previous_superstep() {
+        // Every vertex reads itself, its two predecessors and the one five
+        // back, so every vertex computes every superstep. Cut by `v % 2`,
+        // `v - 2` is the same worker's previous master, computed just before
+        // it, mostly in the same chunk; the other two are replicas. On one
+        // worker of two threads they are masters of the same or the other
+        // thread's chunks.
+        let n = 64;
+        let mut b = GraphBuilder::new(n);
+        for v in 0..n as VertexId {
+            for d in [0, 1, 2, 5] {
+                b.add_edge(v, (v + d) % n as VertexId);
+            }
+        }
+        let g = b.build();
+        let supersteps = 6;
+        for cluster in [ClusterSpec::flat(2, 1), ClusterSpec::mt(1, 2, 2)] {
+            let p = HashPartitioner.partition(&g, cluster.num_workers());
+            let plan = CyclopsPlan::build_parallel(&g, &p);
+            let config = CyclopsConfig {
+                cluster,
+                max_supersteps: supersteps,
+                ..Default::default()
+            };
+            for force_pull in [Some(false), Some(true)] {
+                let r = run_with_activation(&Stamp, &g, &plan, &config, None, None, force_pull);
+                let label = format!("{cluster:?}, force_pull {force_pull:?}");
+                assert_eq!(r.supersteps, supersteps, "{label}");
+                assert!(r.stats.iter().all(|s| s.active_vertices == n), "{label}");
+                assert_eq!(r.values, vec![supersteps as u32; n], "{label}");
             }
         }
     }

@@ -414,7 +414,9 @@ pub struct CounterSnapshot {
     pub lock_contentions: usize,
     /// Message buffer bytes allocated over the run.
     pub message_bytes_allocated: u64,
-    /// Peak bytes in in-flight queues.
+    /// Peak bytes in in-flight queues: the in-flight message count times
+    /// the message type's `size_of`, heap payloads (a `Vec` message's
+    /// elements) excluded.
     pub peak_queue_bytes: u64,
     /// Peak number of messages in in-flight queues.
     pub peak_queue_messages: u64,
