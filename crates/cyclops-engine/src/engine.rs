@@ -1,5 +1,5 @@
-//! The unified Cyclops / CyclopsMT engine: one set of superstep phases, two
-//! drivers.
+//! The unified Cyclops / CyclopsMT engine: one set of superstep phases, one
+//! superstep loop.
 //!
 //! One engine serves both systems: flat Cyclops is a [`ClusterSpec`] with
 //! single-threaded workers (`M x W x 1`); CyclopsMT is one worker per
@@ -32,9 +32,9 @@
 //!
 //! They vary in one thing only, decided by what the caller holds: *how the
 //! readers of a written view slot are woken* is a closure over
-//! `(slot, &payload)`, the readers being [`WorkerPlan::readers`]`(slot)`. The
-//! bucket settle parks them at the priority the payload proposes. The
-//! per-barrier driver takes whichever direction is cheaper for the superstep
+//! `(slot, &payload)`, the readers being [`WorkerPlan::readers`]`(slot)`. A
+//! bucketed round parks them at the priority the payload proposes. A per-hop
+//! round takes whichever direction is cheaper for the superstep
 //! (`pull_wins`): it *pushes* — walks the readers and marks each one's
 //! frontier parity bit — or it sets the slot's bit in the worker's
 //! [`FreshSlots`] and walks nothing, and the readers *pull* their wake-up
@@ -44,27 +44,31 @@
 //! a `Vec<ReplicaUpdate>`, the run has one [`Transport`], and an update's id is
 //! a remote slot of the destination's view, `[replicas | direct slots]`.
 //!
-//! # The drivers
+//! # The loop
 //!
-//! `thread_loop` runs one barrier pair per relaxation round and owns the
-//! intra-worker barrier choreography, the frontier snapshot and its mass
-//! chunks, chunk claiming and the `[dest][thread]` deposit/merge.
-//! `bucketed_thread_loop` runs one barrier pair per priority bucket and, in
-//! between, as many fused relaxation rounds as the bucket needs. A bucketed
-//! run starts one thread per worker, and every worker runs each round on it,
-//! parking, draining and computing through the same `Frontier` snapshot and
-//! `Worker::compute_chunk`; the workers meet at two spinning round waits per
-//! round. The global leader owns the
-//! bucket advance and Δ retuning.
+//! Every engine thread runs `thread_loop`, and a superstep is one or more
+//! *rounds*, then one epilogue. A round is PRS on the receivers' shares,
+//! selection (the worker leader's frontier snapshot and its mass chunks),
+//! CMP on the chunks every compute thread claims, and SND (the
+//! `[dest][thread]` deposit merge, one batch per destination). A per-hop
+//! superstep is one round, its waits the barrier's local level; a bucketed
+//! one drains a priority bucket in as many fused rounds as it needs, and its
+//! rounds meet at two spinning round waits over every thread. The epilogue
+//! is the worker leader's reduction and commit around the superstep barrier
+//! pair, between whose waits the global leader closes the superstep and, when
+//! bucketed, advances the bucket and retunes Δ.
 //!
 //! # Safety
 //!
 //! Two slot arrays per worker are written without locks — `values` and
 //! `view`, the one array every gather reads and the one place a publication
 //! is stored: `[masters | replicas | direct slots]`, indexed by the plan's
-//! in-edge references. Three `unsafe` sites, each resting on
-//! [`DisjointSlots`]' single-writer-per-epoch protocol (verified in debug
-//! builds) and stating its argument once for both drivers: `values` in
+//! in-edge references. An epoch is a round's CMP and SND and the next round's
+//! PRS: the worker leader opens it at selection, when every PRS write is
+//! behind one wait and every CMP write beyond the next. Three `unsafe` sites,
+//! each resting on [`DisjointSlots`]' single-writer-per-epoch protocol
+//! (verified in debug builds) and stating its argument once for both kinds
+//! of round, per hop and bucketed, on any number of threads: `values` in
 //! `Worker::compute_vertex`; the view's master range in
 //! `Worker::publish_local` (SND, by the stream that computed the master); the
 //! view's replica and direct ranges in `apply_batches` (PRS, by the receiver
@@ -73,9 +77,10 @@
 //! superstep looks no readers up). The two view writers never overlap in
 //! range or in phase, and no gather runs during either, so one argument
 //! covers the array: within an epoch every slot has one writer, and readers
-//! are behind a barrier. The activation bitmaps (`Frontier`, `FreshSlots`)
-//! are atomics and need no such argument; who may touch them when is the
-//! table at the top of `frontier.rs`.
+//! are behind a wait. The activation bitmaps (`Frontier`, `FreshSlots`) and
+//! a bucketed run's parking priorities are atomics and need no such
+//! argument; who may touch them when is the table at the top of
+//! `frontier.rs`.
 
 use crate::checkpoint::CyclopsCheckpoint;
 use crate::frontier::{FreshSlots, Frontier};
@@ -105,6 +110,10 @@ use std::time::{Duration, Instant};
 /// claim/reduce overhead; 4 keeps the straggler window at ~25 % of a thread's
 /// share.
 const CHUNKS_PER_THREAD: usize = 4;
+
+/// A bucketed run's parking priority of a master that is not parked: `+∞`,
+/// as the bits the priority array holds.
+const UNPARKED: u64 = f64::INFINITY.to_bits();
 
 /// Convergence detection scheme (§4.4).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -148,16 +157,15 @@ pub struct CyclopsConfig {
     /// Capture a value-only checkpoint every `n` supersteps (§3.6).
     pub checkpoint_every: Option<usize>,
     /// Priority-bucket width Δ of the bucketed (delta-stepping) scheduler.
-    /// `0.0` (the default) disables bucketing: the engine runs the classic
-    /// one-relaxation-round-per-barrier loop. With Δ > 0, each superstep
+    /// `0.0` (the default) disables bucketing: every superstep is one
+    /// relaxation round, one hop. With Δ > 0, each superstep
     /// drains one priority bucket `[bΔ, (b+1)Δ)` to a fixpoint — fusing as
     /// many relaxation rounds as the bucket needs behind a *single* pair of
     /// superstep waits — before advancing to the next nonempty bucket. A
-    /// bucketed run starts one thread per worker, whatever the cluster's
-    /// `threads_per_worker` and `receivers_per_worker`: every worker runs
-    /// every fused round on it (PRS → CMP → SND on its own share), and the
-    /// workers meet at two short spinning round waits per round instead of
-    /// a superstep barrier pair.
+    /// fused round is the per-hop round on the bucket's due masters: the
+    /// cluster's receivers drain, every compute thread claims chunks of the
+    /// worker's selection, and all threads of all workers meet at two short
+    /// spinning round waits per round instead of a superstep barrier pair.
     /// On high-diameter graphs this collapses the paper's Figure 9 SSSP
     /// pathology (~one barrier per hop) to ~one barrier per bucket. Only for
     /// programs with a [`CyclopsProgram::priority`]: without one every
@@ -249,8 +257,9 @@ pub struct CyclopsResult<V, M> {
     /// Barrier protocol messages over the run: every non-leader arrival at
     /// either level, `M·T − 1` per wait — what a flat barrier over every
     /// thread counts. The hierarchy's saving is that only `M − 1` of them
-    /// cross machines. A bucketed run's round waits count too: a settle
-    /// spread over the workers pays them.
+    /// cross machines. A bucketed run's round waits count too, over every
+    /// thread like a superstep wait; waits among one machine's threads alone
+    /// do not.
     pub barrier_protocol_messages: usize,
 }
 
@@ -298,17 +307,21 @@ fn outboxes<M>(num_workers: usize) -> Vec<Vec<ReplicaUpdate<M>>> {
 struct WorkerShared<V, M> {
     values: DisjointSlots<V>,
     /// The immutable view, the one store of a publication: every one visible
-    /// this superstep, in the plan's slot space `[masters | replicas | direct
+    /// this round, in the plan's slot space `[masters | replicas | direct
     /// slots]`. A new master publication waits in its stream's
     /// [`CmpAcc::updated`] until `Worker::publish_local` moves it into the
-    /// master range at SND, so a gather reads the previous superstep; receiver
+    /// master range at SND, so a gather reads the previous round; receiver
     /// threads write the replica and direct ranges, at most one message per
-    /// slot per superstep (one source master per slot, one batch per sender
-    /// per superstep). The direct range is empty under full replication.
+    /// slot per round (one source master per slot, one batch per sender per
+    /// round). The direct range is empty under full replication.
     view: DisjointSlots<Option<M>>,
     /// Double-buffered activation bitmap: an activation is one bit, and the
     /// snapshot is an ordered scan of the words.
     frontier: Frontier,
+    /// Per master, a bucketed run's parking priority as `f64` bits: `+∞`
+    /// while the master is not parked, `-∞` (due at once) for INIT's and a
+    /// resume's marks. Empty in a per-hop run.
+    prio: Vec<AtomicU64>,
     /// The view slots written by a pulled superstep's CMP and the PRS after
     /// it, until that PRS's fill has read them.
     fresh: FreshSlots,
@@ -317,7 +330,7 @@ struct WorkerShared<V, M> {
     /// PRS on this worker. Decided by the worker leader at the frontier
     /// snapshot, read by every thread after the barrier that follows it.
     pull: AtomicBool,
-    /// This superstep's snapshot: the ascending flat frontier...
+    /// This round's snapshot: the ascending flat frontier...
     flat: parking_lot::RwLock<Vec<u32>>,
     /// ...and its equal-work-mass chunk end offsets: chunk `c` is
     /// `flat[ends[c-1]..ends[c]]`.
@@ -327,14 +340,14 @@ struct WorkerShared<V, M> {
     /// Per-chunk float partials, written by whichever thread computed the
     /// chunk and reduced in chunk-index order by the worker leader.
     partials: Vec<Mutex<ChunkPartial>>,
-    /// Per-thread CMP nanoseconds this superstep — the global leader feeds
-    /// every worker's to the `cyclops_compute_imbalance` histogram. A
-    /// bucketed run has one, the worker's settle CMP.
+    /// Per-thread CMP nanoseconds this superstep, summed over a bucketed
+    /// superstep's rounds — the global leader feeds every worker's to the
+    /// `cyclops_compute_imbalance` histogram.
     cmp_ns: Vec<AtomicU64>,
     /// Shared outboxes `[dest][thread]`: threads deposit their per-
     /// destination publications at the end of CMP; flush threads merge the
     /// thread slots in thread order and send **one batch per destination**
-    /// per superstep, so the batch count (and its wire framing) stays
+    /// per round, so the batch count (and its wire framing) stays
     /// deterministic whatever chunks a thread claimed.
     deposits: Vec<Vec<Mutex<Vec<ReplicaUpdate<M>>>>>,
     /// Per-master converged flags (Proportion mode).
@@ -371,8 +384,7 @@ struct Run<'a, P: CyclopsProgram> {
     last_counters: Mutex<CounterSnapshot>,
     supersteps_done: AtomicUsize,
     start_superstep: usize,
-    /// The bucketed driver's cross-worker state (unused by the per-barrier
-    /// driver).
+    /// A bucketed run's cross-worker state (unused per hop).
     buckets: Buckets,
 }
 
@@ -443,8 +455,8 @@ pub fn run_cyclops_with_plan_traced<P: CyclopsProgram>(
     run_with_activation(program, graph, plan, config, resume, trace, None)
 }
 
-/// The one run function behind every entry point. `force_pull` overrides the
-/// per-barrier driver's choice of activation direction ([`pull_wins`], per
+/// The one run function behind every entry point. `force_pull` overrides a
+/// per-hop round's choice of activation direction ([`pull_wins`], per
 /// worker and superstep) with always-pull or always-push; every public entry
 /// point passes `None`, and tests force it to hold the two directions equal
 /// on runs the rule would send one way only.
@@ -457,18 +469,7 @@ fn run_with_activation<P: CyclopsProgram>(
     trace: Option<&TraceSink>,
     force_pull: Option<bool>,
 ) -> CyclopsResult<P::Value, P::Message> {
-    // A settle runs each worker's share on one thread, so a bucketed run
-    // starts one thread, lane and slot per worker; machines stay the
-    // cluster's, and with them every batch's wire crossing.
-    let spec = if config.bucket_width > 0.0 {
-        ClusterSpec {
-            threads_per_worker: 1,
-            receivers_per_worker: 1,
-            ..config.cluster
-        }
-    } else {
-        config.cluster
-    };
+    let spec = config.cluster;
     let num_workers = spec.num_workers();
     let threads = spec.threads_per_worker;
     let planned = plan.workers.len();
@@ -521,10 +522,19 @@ fn run_with_activation<P: CyclopsProgram>(
             }
         }
         views.push(view);
+        // A bucketed run's parking priorities: INIT's and a resume's marks
+        // are due at once (a value-only checkpoint holds no priorities).
+        let parked = |li| match frontier.is_marked(start_superstep & 1, li) {
+            true => AtomicU64::new(f64::NEG_INFINITY.to_bits()),
+            false => AtomicU64::new(UNPARKED),
+        };
+        let bucketed = if config.bucket_width > 0.0 { n } else { 0 };
+        let prio = (0..bucketed).map(parked).collect();
         shared.push(WorkerShared {
             values: DisjointSlots::new(values),
             view: DisjointSlots::new(Vec::new()), // filled below
             frontier,
+            prio,
             fresh,
             pull: AtomicBool::new(false),
             flat: parking_lot::RwLock::new(Vec::new()),
@@ -634,10 +644,9 @@ fn run_with_activation<P: CyclopsProgram>(
     }
 }
 
-/// CMP state of one compute stream — an engine thread in the per-barrier
-/// loop, a worker's one thread in a bucket settle.
+/// CMP state of one compute stream, an engine thread.
 struct CmpAcc<M> {
-    /// Partial being accumulated (one chunk, or a worker's settle).
+    /// Partial being accumulated, one chunk's.
     part: ChunkPartial,
     /// This stream's publications of the current CMP, `(master, publication)`,
     /// held out of the view until [`Worker::publish_local`] moves them into
@@ -704,7 +713,7 @@ impl<'r, P: CyclopsProgram> Run<'r, P> {
     /// barrier waits: every worker's partial is in `worker_partials` and its
     /// phase times in `current`. Reduces, records the superstep's compute
     /// imbalance and [`SuperstepStats`], and decides `stop`;
-    /// `budget_exhausted` is the settle's fused-round cap.
+    /// `budget_exhausted` is a bucketed run's fused-round cap.
     fn close_superstep(&self, superstep: usize, budget_exhausted: bool) -> bool {
         // Global reduction: merge the per-worker partials in worker order.
         // Two fixed-order levels — chunks within a worker, workers here —
@@ -785,13 +794,11 @@ fn apply_batches<M>(
             // a direct slot's cross edge) whose `mirrors` entries hold this
             // id, and the assert above keeps `base + id` inside the replica
             // and direct ranges; a master reaches a slot at most once per
-            // epoch (one update per remote copy per superstep; in the settle
-            // a round computes a frontier snapshot, a set, in its own
-            // epoch), and lanes touching the same slot are drained
-            // by one receiver — so within an epoch no slot is written twice,
-            // the master range is written in another phase, and readers are
-            // behind a barrier (or, in the settle, on this same thread: the
-            // worker's one thread is its view's only reader and writer).
+            // epoch (one update per remote copy per round: a round computes
+            // a frontier snapshot, a set), and lanes touching the same slot
+            // are drained by one receiver — so within an epoch no slot is
+            // written twice, the master range is written in another phase,
+            // and every gather is behind the wait that ends PRS.
             unsafe { view.write(base + id, Some(upd.payload)) };
         }
     }
@@ -799,13 +806,6 @@ fn apply_batches<M>(
 }
 
 impl<'r, P: CyclopsProgram> Worker<'r, P> {
-    /// Opens a write epoch on every slot array (resets the debug-mode
-    /// single-writer claim tables; no-op in release builds).
-    fn begin_epoch(&self) {
-        self.ws.values.begin_epoch();
-        self.ws.view.begin_epoch();
-    }
-
     /// PRS: drains receiver `part` of `parts`' share of this worker's
     /// inbound lanes for `epoch` and applies them to the view.
     /// `wake(slot, &payload)` is how the caller activates the local masters
@@ -829,7 +829,7 @@ impl<'r, P: CyclopsProgram> Worker<'r, P> {
     /// stream's counters and float partial, the `converged` flag, the
     /// values-mode digest and waking the same-worker readers
     /// (`wake(li, &publication)`: the master's own view slot; lock-free bit
-    /// operations in the per-barrier loop, §5). Returns the publication, if
+    /// operations, §5). Returns the publication, if
     /// the vertex published, by value: the caller fans it out and holds it
     /// for `publish_local`.
     #[inline]
@@ -849,11 +849,10 @@ impl<'r, P: CyclopsProgram> Worker<'r, P> {
             hs.record(wp.masters[li], wp.work_mass[li].max(1) as u64);
         }
         let (mut publish, mut reported) = (None, None);
-        // SAFETY: a driver computes each master at most once per epoch — the
-        // per-barrier loop's chunks partition a duplicate-free frontier
-        // snapshot, the settle's one thread per worker computes its
-        // worker's snapshot in order, one per round — and nothing else touches
-        // `values` during CMP.
+        // SAFETY: a round computes each master at most once per epoch — its
+        // chunks partition a duplicate-free frontier snapshot, one per round,
+        // whichever threads claim them — and nothing else touches `values`
+        // during CMP.
         let value = unsafe { ws.values.get_mut(li) };
         self.run.program.compute(&mut CyclopsContext {
             vertex: wp.masters[li],
@@ -890,10 +889,9 @@ impl<'r, P: CyclopsProgram> Worker<'r, P> {
         Some(m)
     }
 
-    /// CMP's unit of work — a claimed chunk in the per-barrier loop, a
-    /// worker's fused-round selection in the settle: computes the masters of
-    /// `chunk` in order, queues each publication's remote fan-out in `out`
-    /// and holds the publication in `acc.updated`.
+    /// CMP's unit of work, a claimed chunk: computes the masters of `chunk`
+    /// in order, queues each publication's remote fan-out in `out` and holds
+    /// the publication in `acc.updated`.
     fn compute_chunk(
         &self,
         chunk: &[u32],
@@ -926,9 +924,9 @@ impl<'r, P: CyclopsProgram> Worker<'r, P> {
         for (li, m) in updated.drain(..) {
             // SAFETY: only the stream that computed `li`, at most once per
             // epoch, holds its publication, so it writes the slot once, in a
-            // range PRS never writes, and no reader is active — the
-            // per-barrier loop is past its post-compute barrier, and in the
-            // settle the worker's one thread, the view's one reader, writes.
+            // range PRS never writes, and no reader is active: every thread
+            // of the worker is past the round's post-compute wait, and the
+            // next gather is behind the next round's PRS wait.
             unsafe { self.ws.view.write(li as usize, Some(m)) };
         }
     }
@@ -981,7 +979,7 @@ impl<'r, P: CyclopsProgram> Worker<'r, P> {
     /// Captures this worker's share of a value-only checkpoint (cooperative:
     /// the first worker to arrive creates the superstep's entry). A master's
     /// activation flag is its frontier bit in `parity` — the superstep's
-    /// parity in the per-barrier loop, the parked set in the settle.
+    /// parity per hop, the parked set when bucketed.
     fn capture_checkpoint(
         &self,
         superstep: usize,
@@ -1006,22 +1004,34 @@ impl<'r, P: CyclopsProgram> Worker<'r, P> {
         }
     }
 
-    /// The settle's wake: parks each reader of a written slot in parity `par`
-    /// at the priority the payload proposes (`-∞`, due at once, if none). An
-    /// unmarked master takes it, a marked one keeps the smaller in
-    /// `f64::total_cmp` order; `prio[li]` is valid while `li` is marked.
-    fn park<'a>(
-        &'a self,
-        par: usize,
-        prio: &'a mut [f64],
-    ) -> impl FnMut(usize, &P::Message) + use<'a, 'r, P> {
+    /// A bucketed run's wake: parks each reader of a written slot in parity
+    /// `par` at the priority the payload proposes (`-∞`, due at once, if
+    /// none), unless it is parked at a smaller one in `f64::total_cmp` order.
+    /// A worker's receivers and compute threads park at once: a priority
+    /// falls from [`UNPARKED`] by compare-and-swap, and the park that finds
+    /// it unparked marks. A worker with one thread, its arrays' one writer,
+    /// parks with plain loads and stores, a priority counting only while its
+    /// master is marked: a few percent of its run (EXPERIMENTS.md).
+    fn park<'a>(&'a self, par: usize) -> impl Fn(usize, &P::Message) + use<'a, 'r, P> {
+        let alone = self.run.threads == 1;
         move |slot, m| {
             let p = self.run.program.priority(m).unwrap_or(f64::NEG_INFINITY);
+            let bits = p.to_bits();
+            let lower = |cur| p.total_cmp(&f64::from_bits(cur)).is_lt().then_some(bits);
             for &li in self.wp.readers(slot) {
-                let li = li as usize;
-                if !self.ws.frontier.is_marked(par, li) || p.total_cmp(&prio[li]).is_lt() {
-                    prio[li] = p;
-                    self.ws.frontier.mark_alone(par, li);
+                let (li, prio) = (li as usize, &self.ws.prio[li as usize]);
+                if alone {
+                    let marked = self.ws.frontier.is_marked(par, li);
+                    if !marked || lower(prio.load(Ordering::Relaxed)).is_some() {
+                        prio.store(bits, Ordering::Relaxed);
+                        self.ws.frontier.mark_alone(par, li);
+                    }
+                } else {
+                    let (Ok(cur) | Err(cur)) =
+                        prio.fetch_update(Ordering::Relaxed, Ordering::Relaxed, lower);
+                    if cur == UNPARKED {
+                        self.ws.frontier.mark(par, li);
+                    }
                 }
             }
         }
@@ -1039,7 +1049,7 @@ impl<'r, P: CyclopsProgram> Worker<'r, P> {
 
     /// Closes this worker's superstep for the observers: phase-latency
     /// histograms, the trace record (the worker's reduced partial `part`,
-    /// whether the superstep opened with a checkpoint and, from the settle,
+    /// whether the superstep opened with a checkpoint and, when bucketed,
     /// the `(bucket, fused, occupancy)` triple), and the memory sample
     /// (no-op unless `--mem` armed the tracking allocator; lands in
     /// `{"mem":…}` JSONL lines outside the trace-diff contract). One caller
@@ -1091,8 +1101,12 @@ fn end_span(ring: Option<&SpanRing>, start: Option<u64>, kind: SpanKind, args: [
     }
 }
 
-/// Body of one engine thread: the per-barrier driver, or (with a bucket
-/// width set) the bucketed one.
+/// Body of one engine thread, thread `t` of worker `w`: the one superstep
+/// loop (module doc, "The loop"). A bucketed superstep's rounds meet at two
+/// [`HierarchicalBarrier::round_wait`]s over every thread: after selection,
+/// so that every thread sums the workers' counts and all agree on whether
+/// the bucket is drained, and after SND, so that the next PRS sees every
+/// send.
 fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
     // Per-thread flight-recorder ring, resolved once.
     let flight = cyclops_obs::flight().map(|fr| fr.ring(w as u32, t as u32));
@@ -1101,23 +1115,36 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
     // allocator (two thread-local writes; the allocator itself is a single
     // relaxed load when disarmed).
     let _mem_tag = MemScope::worker(w);
-    if run.config.bucket_width > 0.0 {
-        return bucketed_thread_loop(run, w, flight);
-    }
     let wk = run.worker(w);
     let (ws, wp) = (wk.ws, wk.wp);
-    // The worker's intra-worker waits: the barrier's local level.
+    let bucketed = run.config.bucket_width > 0.0;
+    // Intra-worker waits: a per-hop round parks on the barrier's local level,
+    // a bucketed one, too short for a sleep and a wake-up per wait, spins.
     let local = run.barrier.local(w);
+    let local_wait = || {
+        if bucketed {
+            run.barrier.round_local_wait(w);
+        } else {
+            local.wait();
+        }
+    };
     let lane = w * run.threads + t;
     let num_workers = run.plan.workers.len();
-    // Compute chunks per superstep. Fixed per run, so every partial slot in
-    // `0..chunks` is written every superstep — no stale-slot hazard.
-    let chunks = run.threads * CHUNKS_PER_THREAD;
+    // Compute chunks per round, fixed per run: every partial slot in
+    // `0..chunks` is written every round. A one-thread worker's bucketed round
+    // has no thread to balance and is one chunk (EXPERIMENTS.md); per hop, the
+    // cut fixes the float reduction order the traces pin.
+    let chunks = match (bucketed, run.threads) {
+        (true, 1) => 1,
+        (_, threads) => threads * CHUNKS_PER_THREAD,
+    };
 
-    // How this driver wakes the readers of a written slot, for the parity of
-    // the superstep that will compute them: push a lock-free frontier bit to
-    // each (§5), or leave one fresh bit for `fill_from` to pull them by. Two
-    // closures, picked per phase, so neither loop tests the direction.
+    // How a per-hop round wakes the readers of a written slot, for the
+    // parity of the superstep that will compute them: push a lock-free
+    // frontier bit to each (§5), or leave one fresh bit for `fill_from` to
+    // pull them by. A bucketed round parks them (`Worker::park`) in parity
+    // `par`, INIT's and a resume's, and counts its occupancy in the other.
+    // One closure per kind, picked per phase, so no loop tests the kind.
     let push_into = |parity: usize| {
         move |slot: usize, _: &P::Message| {
             for &lo in wp.readers(slot) {
@@ -1129,6 +1156,7 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
         let mut fresh = ws.fresh.writer();
         move |slot: usize, _: &P::Message| fresh.set(slot)
     };
+    let par = run.start_superstep & 1;
     let fill_share = (t, run.threads);
 
     let mut superstep = run.start_superstep;
@@ -1138,208 +1166,300 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
     // The direction the previous superstep's leader chose, which this
     // superstep's PRS still owes its remote activations.
     let mut pull_inbound = false;
+    // Rounds run so far, the same count on every thread, which caps a
+    // bucketed run's fused rounds at `max_supersteps` (a per-hop run meets
+    // its superstep cap first) and numbers the transport epochs.
+    let mut rounds_run = 0usize;
 
     loop {
         let mut times = PhaseTimes::default();
-        let mut frontier_len = 0usize;
         let step = superstep as u64;
-        let cur_parity = superstep & 1;
-        let next_parity = (superstep + 1) & 1;
         let agg_in = *run.prev_aggregate.lock();
-
-        // ---- Superstep prologue (worker leader). ----
-        if t == 0 {
-            wk.begin_epoch();
-        }
+        // The parity PRS wakes and selection takes, and the one CMP wakes:
+        // this superstep's and the next one's per hop, the parked set when
+        // bucketed.
+        let take = if bucketed { par } else { superstep & 1 };
+        let wake_into = if bucketed { par } else { take ^ 1 };
+        let (bucket, end) = {
+            let cur = run.buckets.cursor.lock();
+            (cur.bucket, (cur.bucket + 1) as f64 * cur.delta)
+        };
         let checkpoint_now = run.checkpoint_due(superstep);
-        local.wait();
+        // The worker leader's commit of the last superstep is in before this
+        // one's PRS feeds the worker's tracer.
+        local_wait();
 
-        // ---- Apply phase (PRS): receivers update the view lock-free. ----
-        let apply_start = Instant::now();
-        let prs_span = flight.map(|r| r.now_ns());
-        if t < run.receivers {
-            let share = (t, run.receivers);
-            if pull_inbound {
-                wk.apply_inbound(superstep, share, pull_fresh());
-            } else {
-                wk.apply_inbound(superstep, share, push_into(cur_parity));
+        let (mut rounds, mut frontier_len, mut cmp_ns) = (0u64, 0usize, 0u64);
+        let (mut pull, mut budget_exhausted) = (false, false);
+        // The worker leader's reduction of the superstep's chunk partials.
+        let mut reduced = ChunkPartial::default();
+        loop {
+            // A program that keeps re-activating must not spin a bucket's
+            // drain forever.
+            if rounds_run >= run.config.max_supersteps {
+                budget_exhausted = true;
+                break;
             }
-        }
-        // Only the drain/apply above is parse work; the barrier waits (and
-        // the optional checkpoint they bracket) are coordination time and
-        // belong to SYN — charging them to PRS used to inflate the parse
-        // column by a full barrier interval per superstep.
-        times.add(Phase::Parse, apply_start.elapsed());
-        end_span(flight, prs_span, SpanKind::Parse, [step, 0, 0]);
-        let mut wait_start = Instant::now();
-        local.wait();
-        if pull_inbound {
-            // The second fill: the replica and direct bits are in, on top of
-            // the master bits the first fill already used. Its time is the
-            // marking PRS did not do; its barrier is paid by pulled
-            // supersteps only.
-            times.add(Phase::Sync, wait_start.elapsed());
-            let fill_start = Instant::now();
-            ws.frontier.fill_from(cur_parity, wp, &ws.fresh, fill_share);
-            times.add(Phase::Parse, fill_start.elapsed());
-            wait_start = Instant::now();
-            local.wait();
-        }
-        // Value-only checkpoint (no replicas, no messages — §3.6), taken on
-        // the post-apply consistent cut: remote activations delivered this
-        // superstep are reflected in the activation flags, and every replica
-        // equals its master's publication, so a restore can rebuild replicas
-        // from masters alone.
-        if checkpoint_now {
-            if t == 0 {
-                wk.capture_checkpoint(superstep, agg_in, cur_parity);
-            }
-            local.wait();
-            // Epoch boundary: every thread of every worker reaches this
-            // exact point and returns together — transports are drained,
-            // the frontier still holds superstep `s`'s activations (which
-            // the checkpoint captured), and `supersteps_done` already reads
-            // `s`. The migration driver resumes from the checkpoint.
-            if run.config.stop_at_checkpoint {
-                return;
-            }
-        }
-        times.add(Phase::Sync, wait_start.elapsed());
-        // Snapshot the frontier: everything activated for this superstep by
-        // last superstep's local activations plus this superstep's replica
-        // messages, ascending — compute walks the CSR in index order and
-        // chunk contents (hence float reduction groups) are independent of
-        // activation interleaving. The snapshot clears the parity.
-        if t == 0 {
-            let snap_start = Instant::now();
-            if pull_inbound {
-                // Both fills have read the bits; the next writer is this
-                // superstep's CMP, behind the barrier below.
-                ws.fresh.clear();
-            }
-            let mut flat = ws.flat.write();
-            let mut mass = 0u64;
-            ws.frontier.snapshot(cur_parity, &mut flat, |li| {
-                mass += wp.work_mass[li] as u64;
-                true
-            });
-            frontier_len = flat.len();
-            build_mass_chunks(&flat, &mut ws.ends.write(), &wp.work_mass, mass, chunks);
-            ws.cursor.store(0, Ordering::Relaxed);
-            let pull = run.force_pull.unwrap_or_else(|| pull_wins(&flat, wp));
-            ws.pull.store(pull, Ordering::Relaxed);
-            if let Some(obs) = &run.obs {
-                obs.record_activation(pull);
-            }
-            times.add(Phase::Parse, snap_start.elapsed());
-        }
-        let wait_start = Instant::now();
-        local.wait();
-        times.add(Phase::Sync, wait_start.elapsed());
+            let round_span = flight.map(|r| r.now_ns());
+            let epoch = run.start_superstep + rounds_run;
 
-        // ---- Compute phase (CMP). ----
-        let pull = ws.pull.load(Ordering::Relaxed);
-        let compute_start = Instant::now();
-        let cmp_span = flight.map(|r| r.now_ns());
-        {
-            let flat = ws.flat.read();
-            let ends = ws.ends.read();
-            // Claim whatever chunk the cursor hands out next.
-            let claim = || Some(ws.cursor.fetch_add(1, Ordering::Relaxed)).filter(|&c| c < chunks);
-            while let Some(c) = claim() {
-                let lo = if c == 0 { 0 } else { ends[c - 1] as usize };
-                let hi = ends[c] as usize;
-                // Each claim is an event worth its own timeline row.
-                let chunk_span = flight.map(|r| r.now_ns());
-                acc.part = ChunkPartial::default();
-                let chunk = &flat[lo..hi];
-                if pull {
-                    // The writer drops with the call, which puts the chunk's
-                    // last fresh bits in.
-                    wk.compute_chunk(chunk, superstep, agg_in, &mut acc, &mut out, pull_fresh());
+            // ---- PRS: receivers update the view lock-free. ----
+            let apply_start = Instant::now();
+            let prs_span = flight.map(|r| r.now_ns());
+            if t < run.receivers {
+                let share = (t, run.receivers);
+                if bucketed {
+                    wk.apply_inbound(epoch, share, wk.park(par));
+                } else if pull_inbound {
+                    wk.apply_inbound(epoch, share, pull_fresh());
                 } else {
-                    let wake = push_into(next_parity);
-                    wk.compute_chunk(chunk, superstep, agg_in, &mut acc, &mut out, wake);
+                    wk.apply_inbound(epoch, share, push_into(take));
                 }
-                // Publish the chunk's float partial into its slot; the
-                // worker leader reduces slots in chunk-index order, so claim
-                // order never affects the float results.
-                *ws.partials[c].lock() = acc.part;
-                end_span(
-                    flight,
-                    chunk_span,
-                    SpanKind::Chunk,
-                    [step, c as u64, (hi - lo) as u64],
-                );
             }
-        }
-        let cmp_elapsed = compute_start.elapsed();
-        ws.cmp_ns[t].store(cmp_elapsed.as_nanos() as u64, Ordering::Relaxed);
-        times.add(Phase::Compute, cmp_elapsed);
-        end_span(flight, cmp_span, SpanKind::Compute, [step, 0, 0]);
-        // Deposit this thread's outboxes into the worker's `deposits` slots
-        // (swaps — the slot left empty by last superstep's flush trades
-        // places with the filled local outbox, so capacities recycle).
-        let deposit_start = Instant::now();
-        for (dest, ob) in out.iter_mut().enumerate() {
-            if !ob.is_empty() {
-                std::mem::swap(&mut *ws.deposits[dest][t].lock(), ob);
+            // Only the drain/apply above is parse work; the waits (and the
+            // optional checkpoint they bracket) are coordination time and
+            // belong to SYN.
+            times.add(Phase::Parse, apply_start.elapsed());
+            end_span(flight, prs_span, SpanKind::Parse, [step, 0, 0]);
+            let mut wait_start = Instant::now();
+            local_wait();
+            if pull_inbound {
+                // The second fill: the replica and direct bits are in, on top
+                // of the master bits the first fill already used. Its time is
+                // the marking PRS did not do; its wait is paid by pulled
+                // supersteps only.
+                times.add(Phase::Sync, wait_start.elapsed());
+                let fill_start = Instant::now();
+                ws.frontier.fill_from(take, wp, &ws.fresh, fill_share);
+                times.add(Phase::Parse, fill_start.elapsed());
+                wait_start = Instant::now();
+                local_wait();
             }
-        }
-        times.add(Phase::Send, deposit_start.elapsed());
-        let wait_start = Instant::now();
-        local.wait();
-        times.add(Phase::Sync, wait_start.elapsed());
-        if pull {
-            // The first fill: only master bits are fresh, so the parity gets
-            // exactly the local activations CMP's marks would have made, and
-            // the leader's count below is the count it has always been. Its
-            // time is the marking CMP did not do.
-            let fill_start = Instant::now();
-            ws.frontier
-                .fill_from(next_parity, wp, &ws.fresh, fill_share);
-            times.add(Phase::Compute, fill_start.elapsed());
+            // Value-only checkpoint (no replicas, no messages — §3.6) on the
+            // superstep's first post-apply cut: every delivered activation is
+            // in the flags (a bucketed superstep's first PRS drains nothing),
+            // and every replica equals its master's publication, so a restore
+            // can rebuild replicas from masters alone. Parked priorities are
+            // not stored: a resume's marks are due at once, costing at most
+            // one extra (idempotent) relaxation per parked master.
+            if checkpoint_now && rounds == 0 {
+                if t == 0 {
+                    wk.capture_checkpoint(superstep, agg_in, take);
+                }
+                local_wait();
+                // Epoch boundary: every thread of every worker reaches this
+                // exact point and returns together — transports are drained,
+                // the frontier still holds superstep `s`'s activations (which
+                // the checkpoint captured), and `supersteps_done` already
+                // reads `s`. The migration driver resumes from the checkpoint.
+                if run.config.stop_at_checkpoint {
+                    return;
+                }
+            }
+            times.add(Phase::Sync, wait_start.elapsed());
+
+            // ---- Selection (worker leader). ----
+            // The due masters, ascending — compute walks the CSR in index
+            // order and chunk contents (hence float reduction groups) are
+            // independent of activation interleaving. The snapshot clears
+            // what it takes.
+            if t == 0 {
+                let snap_start = Instant::now();
+                if pull_inbound {
+                    // Both fills have read the bits; the next writer is this
+                    // superstep's CMP, behind the wait below.
+                    ws.fresh.clear();
+                }
+                // A new write epoch on both slot arrays: every PRS write is
+                // behind the wait above, and every CMP write behind the one
+                // below.
+                ws.values.begin_epoch();
+                ws.view.begin_epoch();
+                let mut flat = ws.flat.write();
+                let (prio, work_mass) = (&ws.prio[..], &wp.work_mass[..]);
+                let mut mass = 0u64;
+                if bucketed {
+                    // The due test runs on every parked master: the due ones'
+                    // mass is a pass of its own.
+                    let parked = |li: usize| f64::from_bits(prio[li].load(Ordering::Relaxed));
+                    ws.frontier
+                        .snapshot(take, &mut flat, |li| parked(li).total_cmp(&end).is_lt());
+                    if chunks > 1 {
+                        mass = flat.iter().map(|&li| work_mass[li as usize] as u64).sum();
+                    }
+                } else {
+                    ws.frontier.snapshot(take, &mut flat, |li| {
+                        mass += work_mass[li] as u64;
+                        true
+                    });
+                }
+                frontier_len = flat.len();
+                build_mass_chunks(&flat, &mut ws.ends.write(), &wp.work_mass, mass, chunks);
+                ws.cursor.store(0, Ordering::Relaxed);
+                if bucketed {
+                    // Count the selection into the superstep's occupancy, and
+                    // unpark it where threads park at once (`Worker::park`).
+                    for &li in flat.iter() {
+                        if run.threads > 1 {
+                            prio[li as usize].store(UNPARKED, Ordering::Relaxed);
+                        }
+                        ws.frontier.mark_alone(par ^ 1, li as usize);
+                    }
+                    run.buckets.selected[epoch & 1][w].store(flat.len(), Ordering::Relaxed);
+                } else {
+                    let pull = run.force_pull.unwrap_or_else(|| pull_wins(&flat, wp));
+                    ws.pull.store(pull, Ordering::Relaxed);
+                    if let Some(obs) = &run.obs {
+                        obs.record_activation(pull);
+                    }
+                }
+                times.add(Phase::Parse, snap_start.elapsed());
+            }
+            let wait_start = Instant::now();
+            let selected: usize = if bucketed {
+                run.barrier.round_wait(w);
+                let counts = &run.buckets.selected[epoch & 1];
+                counts.iter().map(|c| c.load(Ordering::Relaxed)).sum()
+            } else {
+                local_wait();
+                0
+            };
+            times.add(Phase::Sync, wait_start.elapsed());
+            // Nobody selected anything, so nobody sends: the transport stays
+            // as every thread reads it here.
+            if bucketed && selected == 0 && run.transport.all_empty() {
+                break;
+            }
+            rounds += 1;
+            rounds_run += 1;
+            // The program only ever sees the run's very first round as
+            // superstep 0, so kick-off branches (`ctx.superstep() == 0`) fire
+            // exactly once even when the first bucket needs several rounds —
+            // or when a self-loop re-selects an initially active vertex.
+            let round_superstep = superstep.max(usize::from(rounds_run > 1));
+
+            // ---- CMP: claim chunks against the immutable view. ----
+            pull = ws.pull.load(Ordering::Relaxed);
+            let compute_start = Instant::now();
+            let cmp_span = flight.map(|r| r.now_ns());
+            {
+                let flat = ws.flat.read();
+                let ends = ws.ends.read();
+                // Claim whatever chunk the cursor hands out next.
+                let cursor = &ws.cursor;
+                let claim = || Some(cursor.fetch_add(1, Ordering::Relaxed)).filter(|&c| c < chunks);
+                while let Some(c) = claim() {
+                    let lo = if c == 0 { 0 } else { ends[c - 1] as usize };
+                    let hi = ends[c] as usize;
+                    // Each claim is an event worth its own timeline row.
+                    let chunk_span = flight.map(|r| r.now_ns());
+                    acc.part = ChunkPartial::default();
+                    let (chunk, s) = (&flat[lo..hi], round_superstep);
+                    if bucketed {
+                        wk.compute_chunk(chunk, s, agg_in, &mut acc, &mut out, wk.park(par));
+                    } else if pull {
+                        // The writer drops with the call, which puts the
+                        // chunk's last fresh bits in.
+                        wk.compute_chunk(chunk, s, agg_in, &mut acc, &mut out, pull_fresh());
+                    } else {
+                        let wake = push_into(wake_into);
+                        wk.compute_chunk(chunk, s, agg_in, &mut acc, &mut out, wake);
+                    }
+                    // Publish the chunk's float partial into its slot; the
+                    // worker leader reduces slots in chunk-index order, so
+                    // claim order never affects the float results.
+                    *ws.partials[c].lock() = acc.part;
+                    let args = [step, c as u64, (hi - lo) as u64];
+                    end_span(flight, chunk_span, SpanKind::Chunk, args);
+                }
+            }
+            let cmp_elapsed = compute_start.elapsed();
+            cmp_ns += cmp_elapsed.as_nanos() as u64;
+            times.add(Phase::Compute, cmp_elapsed);
+            end_span(flight, cmp_span, SpanKind::Compute, [step, 0, 0]);
+            // Deposit this thread's outboxes into the worker's `deposits`
+            // slots (swaps — the slot left empty by the last flush trades
+            // places with the filled local outbox, so capacities recycle).
+            let deposit_start = Instant::now();
+            for (dest, ob) in out.iter_mut().enumerate() {
+                if !ob.is_empty() {
+                    std::mem::swap(&mut *ws.deposits[dest][t].lock(), ob);
+                }
+            }
+            times.add(Phase::Send, deposit_start.elapsed());
+            let wait_start = Instant::now();
+            local_wait();
+            times.add(Phase::Sync, wait_start.elapsed());
+            if t == 0 {
+                // Worker-leader reduction: fold the chunk partials in
+                // chunk-index order — a fixed order regardless of which
+                // thread computed which chunk — so floating-point aggregation
+                // stays bitwise deterministic.
+                for slot in &ws.partials[..chunks] {
+                    reduced.merge(&slot.lock());
+                }
+            }
+            if pull {
+                // The first fill: only master bits are fresh, so the parity
+                // gets exactly the local activations CMP's marks would have
+                // made, and the leader's count below is the count it has
+                // always been. Its time is the marking CMP did not do.
+                let fill_start = Instant::now();
+                ws.frontier.fill_from(wake_into, wp, &ws.fresh, fill_share);
+                times.add(Phase::Compute, fill_start.elapsed());
+            }
+
+            // ---- SND: publish locally, then one batch per destination. ----
+            let send_start = Instant::now();
+            let snd_span = flight.map(|r| r.now_ns());
+            wk.publish_local(&mut acc.updated);
+            // Destination `dest` is flushed by thread `dest % threads`,
+            // merging every compute thread's deposit in thread order (see
+            // `deposits`; the adaptive wire format canonicalizes each batch
+            // by slot id, so the *bytes* are order-independent too) into
+            // `flush`, not `out` — the send gives the buffer away, and the
+            // deposit slots and local outboxes keep the capacities they trade.
+            for dest in (t..num_workers).step_by(run.threads) {
+                for slot in &ws.deposits[dest] {
+                    flush[dest].append(&mut slot.lock());
+                }
+            }
+            wk.send_outboxes(lane, epoch, &mut flush);
+            times.add(Phase::Send, send_start.elapsed());
+            end_span(flight, snd_span, SpanKind::Send, [step, 0, 0]);
+            if !bucketed {
+                break;
+            }
+            let wait_start = Instant::now();
+            run.barrier.round_wait(w);
+            times.add(Phase::Sync, wait_start.elapsed());
+            let span_args = [bucket, rounds, selected as u64];
+            end_span(flight, round_span, SpanKind::Round, span_args);
         }
 
-        // ---- Publish & send phase (SND). ----
-        let send_start = Instant::now();
-        let snd_span = flight.map(|r| r.now_ns());
-        wk.publish_local(&mut acc.updated);
-        // Flush: destination `dest` is flushed by thread `dest % threads`,
-        // merging every compute thread's deposit in thread order (see
-        // `deposits`; the adaptive wire format canonicalizes each batch by
-        // slot id, so the *bytes* are order-independent too) into `flush`,
-        // not `out` — the send gives the buffer away, and the deposit slots
-        // and local outboxes keep the capacities they trade.
-        for dest in (t..num_workers).step_by(run.threads) {
-            for slot in &ws.deposits[dest] {
-                flush[dest].append(&mut slot.lock());
-            }
-        }
-        wk.send_outboxes(lane, superstep, &mut flush);
-        times.add(Phase::Send, send_start.elapsed());
-        end_span(flight, snd_span, SpanKind::Send, [step, 0, 0]);
-
-        // ---- Publish this thread's sketch; reduce the worker's partials. ----
+        // ---- Epilogue: the worker's superstep, reduced for the leader. ----
         wk.trace_hot(t, &mut acc);
         if pull {
             // Every thread's share of the first fill, before the leader
             // counts the parity.
             let wait_start = Instant::now();
-            local.wait();
+            local_wait();
             times.add(Phase::Sync, wait_start.elapsed());
         }
-        let mut reduced = ChunkPartial::default();
+        ws.cmp_ns[t].store(cmp_ns, Ordering::Relaxed);
         if t == 0 {
-            // Worker-leader reduction: fold the chunk partials in chunk-index
-            // order — a fixed order regardless of which thread computed which
-            // chunk — so floating-point aggregation stays bitwise
-            // deterministic.
-            for slot in &ws.partials {
-                reduced.merge(&slot.lock());
+            // Every local activation of the superstep is in.
+            reduced.next_active = ws.frontier.len(wake_into);
+            if bucketed {
+                // The bucket advance's inputs. Draining the occupancy parity
+                // counts it and clears it; it is the superstep's frontier.
+                let mut occupied = ws.flat.write();
+                ws.frontier.snapshot(par ^ 1, &mut occupied, |_| true);
+                frontier_len = occupied.len();
+                let parked = ws.frontier.marked(par);
+                let min = parked.map(|li| f64::from_bits(ws.prio[li].load(Ordering::Relaxed)));
+                *run.buckets.shares[w].lock() = (frontier_len as u64, min.min_by(f64::total_cmp));
             }
-            // All compute-phase local activations are in.
-            reduced.next_active = ws.frontier.len(next_parity);
             *run.worker_partials[w].lock() = reduced;
             let mut cur = run.current.lock();
             cur.phase_times = cur.phase_times.merge(&times);
@@ -1347,16 +1467,17 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
 
         // ---- SYN: hierarchical barrier + leader bookkeeping. ----
         let sync_start = Instant::now();
-        run.barrier.wait_traced(w, t, flight, superstep as u64);
-        if w == 0 && t == 0 {
-            run.close_superstep(superstep, false);
+        run.barrier.wait_traced(w, t, flight, step);
+        if w == 0 && t == 0 && !run.close_superstep(superstep, budget_exhausted) && bucketed {
+            run.advance_bucket(rounds);
         }
-        run.barrier.wait_traced(w, t, flight, superstep as u64);
+        run.barrier.wait_traced(w, t, flight, step);
         if t == 0 {
             let final_sync = sync_start.elapsed();
             run.current.lock().phase_times.add(Phase::Sync, final_sync);
             times.add(Phase::Sync, final_sync);
-            wk.commit_superstep(superstep, frontier_len, &times, &reduced, None);
+            let triple = bucketed.then_some((bucket, rounds.max(1), frontier_len as u64));
+            wk.commit_superstep(superstep, frontier_len, &times, &reduced, triple);
         }
         if run.stop.load(Ordering::Acquire) {
             return;
@@ -1412,21 +1533,24 @@ fn pull_wins(flat: &[u32], wp: &WorkerPlan) -> bool {
 /// given `total`, the frontier's summed mass, which the snapshot that built
 /// `flat` adds up on its way. Chunk `c` is `flat[ends[c-1]..ends[c]]`; the
 /// cut points satisfy `cum·chunks ≥ c·total` (cross-multiplied to stay in
-/// integers), and short frontiers simply leave trailing chunks empty.
+/// integers), and short frontiers simply leave trailing chunks empty. The
+/// last chunk ends where the frontier does, so the walk stops at the last
+/// cut before it.
 fn build_mass_chunks(flat: &[u32], ends: &mut Vec<u32>, mass: &[u32], total: u64, chunks: usize) {
     ends.clear();
     let mut cum = 0u64;
     let mut next = 1usize;
     for (pos, &li) in flat.iter().enumerate() {
+        if next == chunks {
+            break;
+        }
         cum += mass[li as usize] as u64;
         while next < chunks && cum * chunks as u64 >= next as u64 * total {
             ends.push(pos as u32 + 1);
             next += 1;
         }
     }
-    while ends.len() < chunks {
-        ends.push(flat.len() as u32);
-    }
+    ends.resize(chunks, flat.len() as u32);
 }
 
 // ---- Bucketed (delta-stepping) execution. ----
@@ -1440,21 +1564,21 @@ fn build_mass_chunks(flat: &[u32], ends: &mut Vec<u32>, mass: &[u32], total: u64
 // schedule; the priority is only a lower bound used to avoid relaxing
 // vertices whose turn has not come.
 
-/// Run-scoped state of the bucketed driver: what a worker's thread hands
-/// the other workers in a fused round, and the global leader at the close.
+/// Run-scoped state of a bucketed run: what a worker leader hands the other
+/// workers in a fused round, and the global leader at the close.
 struct Buckets {
     /// Per round parity, per worker: the size of the worker's selection in
-    /// a fused round, written by its thread before the round's first wait
-    /// and summed by every worker after it (`Relaxed`: the round wait in
+    /// a fused round, written by its leader before the round's first wait
+    /// and summed by every thread after it (`Relaxed`: the round wait in
     /// between orders them). Alternating parities keep one round's counts
     /// apart from the next round's writes.
     selected: [Vec<AtomicUsize>; 2],
     /// Per worker: the superstep's occupancy and smallest parked priority,
-    /// written by its thread before the superstep's first wait and read by
+    /// written by its leader before the superstep's first wait and read by
     /// the global leader's bucket advance.
     shares: Vec<Mutex<(u64, Option<f64>)>>,
     /// The bucket being drained. The global leader advances it between a
-    /// superstep's two waits; every worker reads it after them.
+    /// superstep's two waits; every thread reads it after them.
     cursor: Mutex<BucketCursor>,
 }
 
@@ -1530,153 +1654,6 @@ impl<P: CyclopsProgram> Run<'_, P> {
             };
             cur.delta = new_delta;
         }
-    }
-}
-
-/// Thread body of a bucketed run, the one thread of worker `w`. A superstep
-/// drains one bucket to a fixpoint in fused relaxation rounds, and every
-/// worker runs every round: it drains and parks (PRS), selects its due
-/// masters, computes them and sends (CMP, SND) on its own priorities,
-/// selection, accumulator and outboxes. A round has two
-/// [`HierarchicalBarrier::round_wait`]s: after selection, so that every
-/// worker sums the workers' counts and all agree on whether the bucket is
-/// drained, and after SND, so that the next PRS sees every send. The
-/// superstep then closes like the per-barrier loop's, behind two superstep
-/// waits; between them the global leader reduces, decides `stop` and
-/// advances the bucket.
-fn bucketed_thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, flight: Option<&SpanRing>) {
-    let wk = run.worker(w);
-    let frontier = &wk.ws.frontier;
-    // Per master: the activation priority of a parked master. `-∞` (due at
-    // once) until first parked, which is what INIT's and a resume's marks
-    // carry: a value-only checkpoint holds no priorities. The rest is
-    // scratch recycled across rounds and supersteps.
-    let mut prio = vec![f64::NEG_INFINITY; wk.wp.num_masters()];
-    let mut selected = Vec::new();
-    let mut out = outboxes(run.plan.workers.len());
-    let mut acc = CmpAcc::new(run.trace);
-    // The parked set is parity `par`, INIT's and a resume's; the other
-    // parity counts the superstep's occupancy.
-    let par = run.start_superstep & 1;
-    // Fused rounds run so far, the same count on every worker: each is one
-    // logical superstep of the classic loop, so the run's round budget is
-    // capped at `max_supersteps` (never looser than classic). It is also the
-    // transport epoch of the next round, its own send/drain parity cycle.
-    let mut rounds_run = 0usize;
-    let mut superstep = run.start_superstep;
-    loop {
-        let mut times = PhaseTimes::default();
-        let agg_in = *run.prev_aggregate.lock();
-        let (bucket, end) = {
-            let cur = run.buckets.cursor.lock();
-            (cur.bucket, (cur.bucket + 1) as f64 * cur.delta)
-        };
-        // Value-only checkpoint on the bucket boundary: the previous
-        // superstep's final drain applied every in-flight update, so the
-        // transport is empty and each replica equals its master — the same
-        // consistent cut the per-barrier loop captures. Parked priorities are
-        // not stored: a resume's marks keep the initial `-∞` and are due at
-        // once, costing at most one extra (idempotent) relaxation per parked
-        // master. No other worker sends before this one's first round wait.
-        if run.checkpoint_due(superstep) {
-            wk.capture_checkpoint(superstep, agg_in, par);
-        }
-
-        // ---- Fused relaxation rounds. ----
-        let mut rounds = 0u64;
-        let mut budget_exhausted = false;
-        loop {
-            // A program that keeps re-activating (which the per-barrier loop
-            // would cut off at its superstep cap) must not spin the drain
-            // forever: stop once the run has spent as many fused rounds as
-            // the per-barrier loop would have been allowed barrier rounds.
-            if rounds_run >= run.config.max_supersteps {
-                budget_exhausted = true;
-                break;
-            }
-            let round_span = flight.map(|r| r.now_ns());
-            let epoch = rounds_run;
-            let counts = &run.buckets.selected[epoch & 1];
-            // PRS, then take the due masters out of the parked set,
-            // ascending, and count them into the occupancy.
-            let prs_start = Instant::now();
-            wk.begin_epoch();
-            wk.apply_inbound(epoch, (0, 1), wk.park(par, &mut prio));
-            frontier.snapshot(par, &mut selected, |li| prio[li].total_cmp(&end).is_lt());
-            for &li in &selected {
-                frontier.mark_alone(par ^ 1, li as usize);
-            }
-            counts[w].store(selected.len(), Ordering::Relaxed);
-            times.add(Phase::Parse, prs_start.elapsed());
-            let wait_start = Instant::now();
-            run.barrier.round_wait();
-            times.add(Phase::Sync, wait_start.elapsed());
-            let total_selected: usize = counts.iter().map(|c| c.load(Ordering::Relaxed)).sum();
-            // Nobody selected anything, so nobody sends: the transport stays
-            // as every worker reads it here.
-            if total_selected == 0 && run.transport.all_empty() {
-                break;
-            }
-            rounds += 1;
-            rounds_run += 1;
-            // Each fused round is one logical superstep of relaxation; the
-            // program only ever sees the run's very first pass as superstep
-            // 0, so kick-off branches (`ctx.superstep() == 0`) fire exactly
-            // once even when the first bucket needs several rounds — or when
-            // a self-loop re-selects an initially active vertex.
-            let kickoff_round = superstep == 0 && rounds_run == 1;
-            let round_superstep = if kickoff_round { 0 } else { superstep.max(1) };
-            // CMP against the immutable view, each publication queued for its
-            // remote readers, then published locally so the next round reads
-            // it; SND one batch per destination.
-            let cmp_start = Instant::now();
-            let wake = wk.park(par, &mut prio);
-            wk.compute_chunk(&selected, round_superstep, agg_in, &mut acc, &mut out, wake);
-            wk.publish_local(&mut acc.updated);
-            times.add(Phase::Compute, cmp_start.elapsed());
-            let snd_start = Instant::now();
-            wk.send_outboxes(w, epoch, &mut out);
-            times.add(Phase::Send, snd_start.elapsed());
-            let wait_start = Instant::now();
-            run.barrier.round_wait();
-            times.add(Phase::Sync, wait_start.elapsed());
-            let span_args = [bucket, rounds, total_selected as u64];
-            end_span(flight, round_span, SpanKind::Round, span_args);
-        }
-
-        // ---- Superstep epilogue: what the per-barrier loop's worker
-        // leaders hand the global leader, plus the bucket advance's inputs.
-        // Draining the occupancy parity counts it and clears it.
-        frontier.snapshot(par ^ 1, &mut selected, |_| true);
-        let occupancy = selected.len() as u64;
-        // The locally-known next frontier is the parked set.
-        acc.part.next_active = frontier.len(par);
-        *run.worker_partials[w].lock() = acc.part;
-        let parked = frontier.marked(par).map(|li| prio[li]);
-        *run.buckets.shares[w].lock() = (occupancy, parked.min_by(f64::total_cmp));
-        let cmp_ns = times.compute.as_nanos() as u64;
-        wk.ws.cmp_ns[0].store(cmp_ns, Ordering::Relaxed);
-        {
-            let mut cur = run.current.lock();
-            cur.phase_times = cur.phase_times.merge(&times);
-        }
-        let sync_start = Instant::now();
-        run.barrier.wait_traced(w, 0, flight, superstep as u64);
-        if w == 0 && !run.close_superstep(superstep, budget_exhausted) {
-            run.advance_bucket(rounds);
-        }
-        run.barrier.wait_traced(w, 0, flight, superstep as u64);
-        let final_sync = sync_start.elapsed();
-        run.current.lock().phase_times.add(Phase::Sync, final_sync);
-        times.add(Phase::Sync, final_sync);
-        wk.trace_hot(0, &mut acc);
-        let triple = Some((bucket, rounds.max(1), occupancy));
-        wk.commit_superstep(superstep, occupancy as usize, &times, &acc.part, triple);
-        acc.part = ChunkPartial::default(); // the next superstep starts clean
-        if run.stop.load(Ordering::Acquire) {
-            return;
-        }
-        superstep += 1;
     }
 }
 
@@ -2175,9 +2152,8 @@ mod tests {
     fn bucketed_runs_pay_their_superstep_and_round_waits() {
         // A distributed settle pays two round waits per fused round and one
         // more for the round that finds the bucket drained, beside the two
-        // superstep waits. A bucketed run starts one thread per worker, so
-        // every wait counts `workers − 1` protocol messages: 3 on `flat(2,
-        // 2)`, and `M − 1 = 1` on `mt(2, 3, 2)` whatever its threads.
+        // superstep waits. Every wait covers every thread, so it counts
+        // `M·T − 1` protocol messages: 3 on `flat(2, 2)`, 5 on `mt(2, 3, 2)`.
         let g = cyclops_graph::gen::road_lattice(12, 12, 0.9, 0.1, 3);
         for cluster in [ClusterSpec::flat(2, 2), ClusterSpec::mt(2, 3, 2)] {
             let p = HashPartitioner.partition(&g, cluster.num_workers());
@@ -2205,7 +2181,7 @@ mod tests {
             let waits = 2 * supersteps + 2 * rounds + supersteps;
             assert_eq!(
                 r.barrier_protocol_messages as u64,
-                waits * (cluster.num_workers() as u64 - 1),
+                waits * (cluster.total_threads() as u64 - 1),
                 "{cluster:?}: {supersteps} supersteps, {rounds} rounds"
             );
         }

@@ -50,18 +50,17 @@
 //! * `len(p)` — the worker leader, after the barrier that ends the CMP which
 //!   marked `p` (and a pulled superstep's first fill).
 //!
-//! A bucketed run starts one thread per worker, and its settle touches a
-//! worker's frontier from that thread alone, every call of it: no other
-//! worker reads it. It uses both parities, with
-//! `p = start_superstep & 1` (the parity INIT and a resume mark), and marks
-//! with `mark_alone`:
+//! A bucketed run's rounds wait where a per-hop round does; with `p =
+//! start_superstep & 1` (the parity INIT and a resume mark):
 //!
-//! * `p` is the parked set: PRS and CMP park readers, `snapshot(p, ..)` takes
-//!   a fused round's due masters out, `is_marked` captures a checkpoint,
-//!   `marked(p)` gives the smallest parked priority for the next bucket and
-//!   `len(p)` counts `next_active`.
-//! * `p ^ 1` is the superstep's occupancy: each selected master is marked,
-//!   and the epilogue's take-all `snapshot` counts and clears them.
+//! * `p` is the parked set: PRS's receivers and CMP's compute threads park
+//!   readers at once, with `mark` (`mark_alone` if the worker has one
+//!   thread); `snapshot(p, ..)` takes a round's due masters out; `is_marked`
+//!   captures a checkpoint; after the last round, `marked(p)` gives the
+//!   smallest parked priority and `len(p)` counts `next_active`.
+//! * `p ^ 1` is the superstep's occupancy: its one writer, the leader, marks
+//!   each selected master alone, and the epilogue's take-all `snapshot`
+//!   counts and clears them.
 //!
 //! Every access is `Relaxed`: a bit publishes nothing but itself, and each
 //! hand-over above crosses one of the worker's barriers, which orders it.
@@ -116,9 +115,10 @@ impl Frontier {
         }
     }
 
-    /// [`Self::mark`] for a parity no other thread touches meanwhile (the
-    /// bucket settle's, whose one writer is the worker's one thread): a plain
-    /// store, not a locked `fetch_or`.
+    /// [`Self::mark`] for a parity no other thread touches meanwhile (a
+    /// bucketed run's occupancy, whose one writer is the worker leader, and
+    /// the parked set of a worker with one thread): a plain store, not a
+    /// locked `fetch_or`.
     pub(crate) fn mark_alone(&self, parity: usize, li: usize) {
         let word = &self.words[parity & 1][li / 64];
         let bits = word.load(Ordering::Relaxed) | 1 << (li % 64);

@@ -11,10 +11,10 @@
 //! protocol cost by counting *barrier messages* — each non-leader arrival at
 //! either level contributes one — so experiments can report the reduction.
 //!
-//! A superstep wait parks at once. A bucketed Cyclops run, one thread per
-//! worker, also pays two [`HierarchicalBarrier::round_wait`]s per fused
-//! relaxation round, hundreds of microsecond-scale waits per superstep:
-//! those spin, then yield, over the global level alone.
+//! A superstep wait parks at once. A bucketed Cyclops run also pays, per
+//! fused relaxation round, two [`HierarchicalBarrier::round_wait`]s and two
+//! [`HierarchicalBarrier::round_local_wait`]s, hundreds of microsecond-scale
+//! waits per superstep: those spin, then yield, over the same two levels.
 
 use cyclops_obs::{LogLinearHistogram, SpanKind, SpanRing};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -27,7 +27,9 @@ use std::time::Instant;
 /// road-network settle.
 const ROUND_SPINS: u32 = 20_000;
 
-/// The round wait: a spin barrier over `parties` arrivals.
+/// One level of the round wait: a spin barrier over `parties` arrivals, on
+/// cache lines of its own, which no other level's arrivals evict.
+#[repr(align(128))]
 struct SpinLevel {
     parties: usize,
     /// `spin_loop` hints before a waiter yields.
@@ -85,8 +87,9 @@ pub struct HierarchicalBarrier {
     local: Vec<Barrier>,
     /// Global barrier among machine leaders.
     global: Barrier,
-    /// The round wait, among one-thread machines.
-    round: SpinLevel,
+    /// The round wait's two levels: one per machine, then its leaders.
+    round_local: Vec<SpinLevel>,
+    round_global: SpinLevel,
     machines: usize,
     threads_per_machine: usize,
     rounds: AtomicUsize,
@@ -118,7 +121,10 @@ impl HierarchicalBarrier {
                 .map(|_| Barrier::new(threads_per_machine))
                 .collect(),
             global: Barrier::new(machines),
-            round: SpinLevel::new(machines, spins),
+            round_local: (0..machines)
+                .map(|_| SpinLevel::new(threads_per_machine, spins))
+                .collect(),
+            round_global: SpinLevel::new(machines, spins),
             machines,
             threads_per_machine,
             rounds: AtomicUsize::new(0),
@@ -162,23 +168,35 @@ impl HierarchicalBarrier {
         }
     }
 
-    /// A wait of every machine, like [`Self::wait`], that spins and then
-    /// yields instead of parking: the wait of a bucketed run's fused rounds,
-    /// too short and too many to pay a sleep and a wake-up each. Only for
-    /// one-thread machines, the one shape a bucketed run takes. Returns
-    /// `true` on exactly one machine per round, the last to arrive. Counts
-    /// as a round.
-    pub fn round_wait(&self) -> bool {
-        debug_assert_eq!(
-            self.threads_per_machine, 1,
-            "round waits are for one-thread machines"
-        );
-        let Some(generation) = self.round.arrive() else {
+    /// A wait of every thread of every machine, like [`Self::wait`], that
+    /// spins and then yields instead of parking: the wait of a bucketed run's
+    /// fused rounds, too short and too many to pay a sleep and a wake-up
+    /// each. Returns `true` on exactly one thread per round, the last machine
+    /// leader to arrive. Counts as a round.
+    pub fn round_wait(&self, machine: usize) -> bool {
+        let local = &self.round_local[machine];
+        let Some(local_generation) = local.arrive() else {
             return false;
         };
-        self.rounds.fetch_add(1, Ordering::Relaxed);
-        self.round.release(generation);
-        true
+        let leader = match self.round_global.arrive() {
+            Some(generation) => {
+                self.rounds.fetch_add(1, Ordering::Relaxed);
+                self.round_global.release(generation);
+                true
+            }
+            None => false,
+        };
+        local.release(local_generation);
+        leader
+    }
+
+    /// Machine `machine`'s round level alone: a wait among its threads that
+    /// spins like [`Self::round_wait`] and is not a round.
+    pub fn round_local_wait(&self, machine: usize) {
+        let local = &self.round_local[machine];
+        if let Some(generation) = local.arrive() {
+            local.release(generation);
+        }
     }
 
     /// Barrier protocol messages so far: per round — a superstep wait or a
@@ -264,8 +282,10 @@ mod tests {
                     let barrier = &barrier;
                     s.spawn(move || {
                         barrier.local(m).wait();
+                        barrier.round_local_wait(m);
                         barrier.wait(m, t);
                         barrier.local(m).wait();
+                        barrier.round_local_wait(m);
                     });
                 }
             }
@@ -276,64 +296,78 @@ mod tests {
 
     #[test]
     fn round_wait_elects_one_leader_per_round() {
-        for spins in [0, ROUND_SPINS] {
-            round_wait_leaders(spins);
+        for (machines, threads) in [(4, 1), (2, 3)] {
+            for spins in [0, ROUND_SPINS] {
+                round_wait_leaders(machines, threads, spins);
+            }
         }
     }
 
-    fn round_wait_leaders(spins: u32) {
-        let (machines, rounds) = (4, 200);
-        let barrier = HierarchicalBarrier::with_round_spins(machines, 1, spins);
+    /// Every thread of a `machines x threads` barrier runs `rounds` pairs of
+    /// round waits, a round-level wait of its machine between them, as a
+    /// bucketed run's rounds do.
+    fn round_wait_leaders(machines: usize, threads: usize, spins: u32) {
+        let rounds = 200;
+        let barrier = HierarchicalBarrier::with_round_spins(machines, threads, spins);
         let leaders = AtomicU32::new(0);
         let counter = AtomicU32::new(0);
         std::thread::scope(|s| {
-            for _ in 0..machines {
-                let (barrier, leaders, counter) = (&barrier, &leaders, &counter);
-                s.spawn(move || {
-                    for round in 0..rounds {
-                        counter.fetch_add(1, Ordering::Relaxed);
-                        leaders.fetch_add(barrier.round_wait() as u32, Ordering::Relaxed);
-                        let arrived = (round + 1) * machines as u32;
-                        assert_eq!(counter.load(Ordering::Relaxed), arrived);
-                        leaders.fetch_add(barrier.round_wait() as u32, Ordering::Relaxed);
-                    }
-                });
+            for m in 0..machines {
+                for _ in 0..threads {
+                    let (barrier, leaders, counter) = (&barrier, &leaders, &counter);
+                    s.spawn(move || {
+                        for round in 0..rounds {
+                            counter.fetch_add(1, Ordering::Relaxed);
+                            leaders.fetch_add(barrier.round_wait(m) as u32, Ordering::Relaxed);
+                            let arrived = (round + 1) * (machines * threads) as u32;
+                            assert_eq!(counter.load(Ordering::Relaxed), arrived);
+                            barrier.round_local_wait(m);
+                            leaders.fetch_add(barrier.round_wait(m) as u32, Ordering::Relaxed);
+                        }
+                    });
+                }
             }
         });
         assert_eq!(leaders.load(Ordering::Relaxed), 2 * rounds);
         assert_eq!(barrier.rounds(), 2 * rounds as usize);
-        assert_eq!(barrier.protocol_messages(), 2 * rounds as usize * 3);
+        let per_wait = machines * threads - 1;
+        assert_eq!(barrier.protocol_messages(), 2 * rounds as usize * per_wait);
     }
 
     #[test]
     fn round_wait_releases_a_waiter_past_its_spin() {
-        for spins in [0, ROUND_SPINS] {
-            late_round_waiter(spins);
+        for (machines, threads) in [(3, 1), (2, 3)] {
+            for spins in [0, ROUND_SPINS] {
+                late_round_waiter(machines, threads, spins);
+            }
         }
     }
 
-    /// Three one-thread machines; one arrives long after the others have
-    /// spent their spins and yield. Then round and superstep waits
-    /// alternate, as a bucketed run's do.
-    fn late_round_waiter(spins: u32) {
-        let barrier = HierarchicalBarrier::with_round_spins(3, 1, spins);
+    /// The last thread of the last machine arrives long after the others
+    /// have spent their spins and yield. Then round, round-level and
+    /// superstep waits alternate, as a bucketed run's do.
+    fn late_round_waiter(machines: usize, threads: usize, spins: u32) {
+        let barrier = HierarchicalBarrier::with_round_spins(machines, threads, spins);
         let late = AtomicU32::new(0);
         std::thread::scope(|s| {
-            for m in 0..3 {
-                let (barrier, late) = (&barrier, &late);
-                s.spawn(move || {
-                    if m == 2 {
-                        let start = Instant::now();
-                        while start.elapsed() < std::time::Duration::from_millis(50) {
-                            std::thread::yield_now();
+            for m in 0..machines {
+                for t in 0..threads {
+                    let (barrier, late) = (&barrier, &late);
+                    s.spawn(move || {
+                        if (m, t) == (machines - 1, threads - 1) {
+                            let start = Instant::now();
+                            while start.elapsed() < std::time::Duration::from_millis(50) {
+                                std::thread::yield_now();
+                            }
+                            late.store(1, Ordering::Relaxed);
                         }
-                        late.store(1, Ordering::Relaxed);
-                    }
-                    barrier.round_wait();
-                    assert_eq!(late.load(Ordering::Relaxed), 1);
-                    barrier.wait(m, 0);
-                    barrier.round_wait();
-                });
+                        barrier.round_wait(m);
+                        assert_eq!(late.load(Ordering::Relaxed), 1);
+                        barrier.round_local_wait(m);
+                        barrier.wait(m, t);
+                        barrier.round_wait(m);
+                    });
+                }
             }
         });
         assert_eq!(barrier.rounds(), 3);

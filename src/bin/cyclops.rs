@@ -1007,8 +1007,8 @@ commands:
 input:       --input FILE | --dataset NAME [--scale F] [--seed N]
              datasets: Amazon GWeb LJournal Wiki SYN-GL DBLP RoadCA
 execution:   --engine cyclops|hama  --machines M --workers W
-             --threads T --receivers R  per worker (a bucketed run
-             starts one thread per worker, whatever T and R)
+             --threads T --receivers R  per worker (a bucketed run's
+             fused rounds compute on all T threads too)
              --partitioner hash|metis
              --inbox global|sharded (hama)
              --bucket-width D|auto  bucketed (delta-stepping) sssp
