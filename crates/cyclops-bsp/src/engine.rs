@@ -578,12 +578,12 @@ impl<'r, P: BspProgram> Worker<'r, P> {
         }
         let flight = self.flight.as_deref();
         let sync_start = Instant::now();
-        run.barrier
-            .wait_traced(self.me, 0, flight, superstep as u64);
+        let epoch = superstep as u64;
+        run.barrier.wait_traced(self.me, 0, flight, epoch);
         if self.me == 0 {
             leader();
         }
-        run.barrier.wait(self.me, 0);
+        run.barrier.wait_traced(self.me, 0, flight, epoch);
         let wait = sync_start.elapsed();
         run.current.lock().phase_times.add(Phase::Sync, wait);
         self.times.add(Phase::Sync, wait);

@@ -51,12 +51,13 @@
 //! selection (the worker leader's frontier snapshot and its mass chunks),
 //! CMP on the chunks every compute thread claims, and SND (the
 //! `[dest][thread]` deposit merge, one batch per destination). A per-hop
-//! superstep is one round, its waits the barrier's local level; a bucketed
-//! one drains a priority bucket in as many fused rounds as it needs, and its
-//! rounds meet at two spinning round waits over every thread. The epilogue
-//! is the worker leader's reduction and commit around the superstep barrier
-//! pair, between whose waits the global leader closes the superstep and, when
-//! bucketed, advances the bucket and retunes Δ.
+//! superstep is one round; a bucketed one drains a priority bucket in as
+//! many fused rounds as it needs. In every round of either kind a worker's
+//! threads meet at the barrier's spinning local level, and a bucketed round
+//! adds two spinning round waits over every thread. The epilogue is the
+//! worker leader's reduction and commit around the superstep barrier pair,
+//! the only waits that park, between whose waits the global leader closes
+//! the superstep and, when bucketed, advances the bucket and retunes Δ.
 //!
 //! # Safety
 //!
@@ -1102,11 +1103,15 @@ fn end_span(ring: Option<&SpanRing>, start: Option<u64>, kind: SpanKind, args: [
 }
 
 /// Body of one engine thread, thread `t` of worker `w`: the one superstep
-/// loop (module doc, "The loop"). A bucketed superstep's rounds meet at two
-/// [`HierarchicalBarrier::round_wait`]s over every thread: after selection,
-/// so that every thread sums the workers' counts and all agree on whether
-/// the bucket is drained, and after SND, so that the next PRS sees every
-/// send.
+/// loop (module doc, "The loop"). The worker's threads meet at
+/// [`HierarchicalBarrier::local_wait`] where one phase hands over to the
+/// next: at the superstep's opening, after PRS, after a checkpoint, after a
+/// per-hop selection, after CMP, and after each of a pulled superstep's two
+/// fills. After its selection a bucketed round meets
+/// instead at a [`HierarchicalBarrier::round_wait`] over every thread, so
+/// that every thread sums the workers' counts and all agree on whether the
+/// bucket is drained, and after SND at a second one, so that the next PRS
+/// sees every send.
 fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
     // Per-thread flight-recorder ring, resolved once.
     let flight = cyclops_obs::flight().map(|fr| fr.ring(w as u32, t as u32));
@@ -1118,16 +1123,6 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
     let wk = run.worker(w);
     let (ws, wp) = (wk.ws, wk.wp);
     let bucketed = run.config.bucket_width > 0.0;
-    // Intra-worker waits: a per-hop round parks on the barrier's local level,
-    // a bucketed one, too short for a sleep and a wake-up per wait, spins.
-    let local = run.barrier.local(w);
-    let local_wait = || {
-        if bucketed {
-            run.barrier.round_local_wait(w);
-        } else {
-            local.wait();
-        }
-    };
     let lane = w * run.threads + t;
     let num_workers = run.plan.workers.len();
     // Compute chunks per round, fixed per run: every partial slot in
@@ -1187,7 +1182,7 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
         let checkpoint_now = run.checkpoint_due(superstep);
         // The worker leader's commit of the last superstep is in before this
         // one's PRS feeds the worker's tracer.
-        local_wait();
+        run.barrier.local_wait(w);
 
         let (mut rounds, mut frontier_len, mut cmp_ns) = (0u64, 0usize, 0u64);
         let (mut pull, mut budget_exhausted) = (false, false);
@@ -1222,7 +1217,7 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
             times.add(Phase::Parse, apply_start.elapsed());
             end_span(flight, prs_span, SpanKind::Parse, [step, 0, 0]);
             let mut wait_start = Instant::now();
-            local_wait();
+            run.barrier.local_wait(w);
             if pull_inbound {
                 // The second fill: the replica and direct bits are in, on top
                 // of the master bits the first fill already used. Its time is
@@ -1233,7 +1228,7 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
                 ws.frontier.fill_from(take, wp, &ws.fresh, fill_share);
                 times.add(Phase::Parse, fill_start.elapsed());
                 wait_start = Instant::now();
-                local_wait();
+                run.barrier.local_wait(w);
             }
             // Value-only checkpoint (no replicas, no messages — §3.6) on the
             // superstep's first post-apply cut: every delivered activation is
@@ -1246,7 +1241,7 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
                 if t == 0 {
                     wk.capture_checkpoint(superstep, agg_in, take);
                 }
-                local_wait();
+                run.barrier.local_wait(w);
                 // Epoch boundary: every thread of every worker reaches this
                 // exact point and returns together — transports are drained,
                 // the frontier still holds superstep `s`'s activations (which
@@ -1321,7 +1316,7 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
                 let counts = &run.buckets.selected[epoch & 1];
                 counts.iter().map(|c| c.load(Ordering::Relaxed)).sum()
             } else {
-                local_wait();
+                run.barrier.local_wait(w);
                 0
             };
             times.add(Phase::Sync, wait_start.elapsed());
@@ -1388,7 +1383,7 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
             }
             times.add(Phase::Send, deposit_start.elapsed());
             let wait_start = Instant::now();
-            local_wait();
+            run.barrier.local_wait(w);
             times.add(Phase::Sync, wait_start.elapsed());
             if t == 0 {
                 // Worker-leader reduction: fold the chunk partials in
@@ -1443,7 +1438,7 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
             // Every thread's share of the first fill, before the leader
             // counts the parity.
             let wait_start = Instant::now();
-            local_wait();
+            run.barrier.local_wait(w);
             times.add(Phase::Sync, wait_start.elapsed());
         }
         ws.cmp_ns[t].store(cmp_ns, Ordering::Relaxed);
@@ -2146,6 +2141,36 @@ mod tests {
             records.iter().map(|r| (r.superstep, r.bucket)).collect();
         by_step.sort_unstable();
         assert!(by_step.windows(2).all(|w| w[0].1 <= w[1].1));
+    }
+
+    #[test]
+    fn per_hop_runs_pay_their_superstep_waits() {
+        // A per-hop superstep pays its two superstep waits, `M·T − 1`
+        // protocol messages each; the waits among a worker's threads
+        // (opening, PRS, pulled fills, checkpoint, selection, CMP) never
+        // count. SSSP pushes, PageRank pulls, and each runs with and without
+        // checkpoints.
+        let g = cyclops_graph::gen::road_lattice(12, 12, 0.9, 0.1, 3);
+        for cluster in [ClusterSpec::flat(2, 2), ClusterSpec::mt(2, 3, 2)] {
+            let p = HashPartitioner.partition(&g, cluster.num_workers());
+            for checkpoint_every in [None, Some(3)] {
+                let config = CyclopsConfig {
+                    cluster,
+                    max_supersteps: 30,
+                    checkpoint_every,
+                    ..Default::default()
+                };
+                let sssp = run_cyclops(&MinDist { source: 0 }, &g, &p, &config);
+                let rank = run_cyclops(&Rank { epsilon: 1e-9 }, &g, &p, &config);
+                for (supersteps, messages) in [
+                    (sssp.supersteps, sssp.barrier_protocol_messages),
+                    (rank.supersteps, rank.barrier_protocol_messages),
+                ] {
+                    let per_superstep = 2 * (cluster.total_threads() - 1);
+                    assert_eq!(messages, supersteps * per_superstep, "{config:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -176,9 +176,9 @@ impl Frontier {
     }
 
     /// Moves the parity's marked masters that are `due` into `flat`,
-    /// ascending, and leaves the rest marked (the per-barrier driver takes
-    /// all, the bucket settle those below the bucket's end). Reads all
-    /// `⌈n/64⌉` words whatever the parity holds.
+    /// ascending, and leaves the rest marked (a per-hop round's selection
+    /// takes all, a bucketed round's those parked below the bucket's end).
+    /// Reads all `⌈n/64⌉` words whatever the parity holds.
     pub fn snapshot(&self, parity: usize, flat: &mut Vec<u32>, mut due: impl FnMut(usize) -> bool) {
         flat.clear();
         for (i, word) in self.words[parity & 1].iter().enumerate() {

@@ -19,7 +19,7 @@
 
 use crate::program::GasProgram;
 use bytes::{Buf, BufMut, BytesMut};
-use cyclops_graph::{Graph, VertexId};
+use cyclops_graph::{Graph, GraphBuilder, VertexId};
 use cyclops_net::metrics::{CounterSnapshot, EngineObs};
 use cyclops_net::trace::{digest_bytes, SpaceSaving, TraceRecord, TraceSink};
 use cyclops_net::{
@@ -193,48 +193,6 @@ impl<V: Codec, G: Codec> Codec for GasMsg<V, G> {
     }
 }
 
-/// A part's local edges in one direction, CSR by local vertex: row `li` is
-/// `nbr[off[li]..off[li + 1]]` (local indices), with weights parallel to it.
-struct Csr {
-    off: Vec<u32>,
-    nbr: Vec<u32>,
-    /// Empty on an unweighted graph: every edge weighs 1.
-    w: Vec<f64>,
-}
-
-impl Csr {
-    /// Builds the `rows`-row CSR of `adj`'s `(row, neighbour, weight)` edges.
-    fn build(mut adj: Vec<(u32, u32, f64)>, rows: usize, weighted: bool) -> Csr {
-        adj.sort_unstable_by_key(|&(a, b, _)| (a, b));
-        let mut off = vec![0u32; rows + 1];
-        for &(a, ..) in &adj {
-            off[a as usize + 1] += 1;
-        }
-        for i in 0..rows {
-            off[i + 1] += off[i];
-        }
-        let w = if weighted {
-            adj.iter().map(|e| e.2).collect()
-        } else {
-            Vec::new()
-        };
-        let nbr = adj.into_iter().map(|e| e.1).collect();
-        Csr { off, nbr, w }
-    }
-
-    fn row(&self, li: usize) -> impl Iterator<Item = (u32, f64)> + '_ {
-        let (s, e) = (self.off[li] as usize, self.off[li + 1] as usize);
-        let weight = move |i: usize| {
-            if self.w.is_empty() {
-                1.0
-            } else {
-                self.w[s + i]
-            }
-        };
-        (self.nbr[s..e].iter().enumerate()).map(move |(i, &n)| (n, weight(i)))
-    }
-}
-
 /// One worker's share of the vertex-cut.
 struct PartState<V> {
     /// Global ids of the vertices replicated on this worker, ascending.
@@ -246,9 +204,9 @@ struct PartState<V> {
     data: Vec<V>,
     /// Active flags (meaningful for masters only).
     active: Vec<bool>,
-    /// Local in- and out-edges.
-    in_edges: Csr,
-    out_edges: Csr,
+    /// The part's edges, over local indices: a vertex's gather reads its
+    /// in-edges, its scatter its out-edges.
+    edges: Graph,
     /// Mirror workers per local vertex (masters only; empty otherwise).
     mirror_off: Vec<u32>,
     mirrors: Vec<u32>,
@@ -467,17 +425,20 @@ pub fn run_gas_traced<P: GasProgram>(
             locals[p as usize].push(v as VertexId);
         }
     }
-    let mut in_adj: Vec<Vec<(u32, u32, f64)>> = vec![Vec::new(); num_workers]; // (dst_li, src_li, w)
-    let mut out_adj: Vec<Vec<(u32, u32, f64)>> = vec![Vec::new(); num_workers];
+    let mut edges: Vec<GraphBuilder> = (locals.iter())
+        .map(|l| GraphBuilder::new(l.len()))
+        .collect();
     for (e, (u, x, w)) in graph.edges().enumerate() {
         let p = partition.edge_assignment[e] as usize;
         let (ul, xl) = (local_index(&locals[p], u), local_index(&locals[p], x));
-        in_adj[p].push((xl, ul, w));
-        out_adj[p].push((ul, xl, w));
+        if graph.is_weighted() {
+            edges[p].add_weighted_edge(ul, xl, w);
+        } else {
+            edges[p].add_edge(ul, xl);
+        }
     }
-    let weighted = graph.is_weighted();
     let mut parts: Vec<PartState<P::Value>> = Vec::with_capacity(num_workers);
-    for (p, local_vertices) in locals.into_iter().enumerate() {
+    for ((p, local_vertices), edges) in locals.into_iter().enumerate().zip(edges) {
         let nl = local_vertices.len();
         let is_master: Vec<bool> = (local_vertices.iter())
             .map(|&v| partition.masters[v as usize] == p as u32)
@@ -499,8 +460,7 @@ pub fn run_gas_traced<P: GasProgram>(
                 .map(|(&v, &m)| m && program.initially_active(v, graph))
                 .collect(),
             is_master,
-            in_edges: Csr::build(std::mem::take(&mut in_adj[p]), nl, weighted),
-            out_edges: Csr::build(std::mem::take(&mut out_adj[p]), nl, weighted),
+            edges: edges.build(),
             mirror_off,
             mirrors,
             local_vertices,
@@ -612,7 +572,7 @@ fn gas_worker<P: GasProgram>(run: &Run<'_, P>, mut wk: Worker<'_, P>) {
             let stop = total == 0 || superstep >= config.max_supersteps;
             run.stop.store(stop, Ordering::Release);
         }
-        run.barrier.wait(me, 0);
+        wk.barrier(superstep);
         times.add(Phase::Sync, sync_start.elapsed());
         if run.stop.load(Ordering::Acquire) {
             // Record nothing for the would-be superstep; exit.
@@ -796,7 +756,7 @@ fn gas_worker<P: GasProgram>(run: &Run<'_, P>, mut wk: Worker<'_, P>) {
         if wk.barrier(superstep) {
             run.close_superstep(superstep, sync_start.elapsed());
         }
-        run.barrier.wait(me, 0);
+        wk.barrier(superstep);
         times.add(Phase::Sync, sync_start.elapsed());
         if let Some(tr) = tracer {
             tr.add_drained(drained);
@@ -817,7 +777,7 @@ fn local_gather<P: GasProgram>(
 ) -> Option<P::Gather> {
     let dst = part.local_vertices[li];
     let mut acc: Option<P::Gather> = None;
-    for (src_li, w) in part.in_edges.row(li) {
+    for (src_li, w) in part.edges.in_edges(li as VertexId) {
         let src = part.local_vertices[src_li as usize];
         let g = program.gather(graph, src, &part.data[src_li as usize], w, dst);
         acc = Some(match acc {
@@ -853,7 +813,7 @@ fn scatter_local<P: GasProgram>(
     activated: &mut Vec<u32>,
 ) {
     let src = part.local_vertices[li];
-    for (dst_li, w) in part.out_edges.row(li) {
+    for (dst_li, w) in part.edges.out_edges(li as VertexId) {
         let dst = part.local_vertices[dst_li as usize];
         if program.scatter_activates(graph, src, old, new, w, dst) {
             activated.push(dst_li);
@@ -864,7 +824,6 @@ fn scatter_local<P: GasProgram>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cyclops_graph::GraphBuilder;
     use cyclops_partition::{GreedyVertexCut, RandomVertexCut, VertexCutPartitioner};
 
     /// Max propagation in GAS form.

@@ -11,24 +11,34 @@
 //! protocol cost by counting *barrier messages* — each non-leader arrival at
 //! either level contributes one — so experiments can report the reduction.
 //!
-//! A superstep wait parks at once. A bucketed Cyclops run also pays, per
-//! fused relaxation round, two [`HierarchicalBarrier::round_wait`]s and two
-//! [`HierarchicalBarrier::round_local_wait`]s, hundreds of microsecond-scale
-//! waits per superstep: those spin, then yield, over the same two levels.
+//! Two kinds of level carry the waits, chosen by what a wait ends. A
+//! superstep wait ([`HierarchicalBarrier::wait`]) parks at once on
+//! `std::sync::Barrier`s: it comes once or twice a superstep, and a parked
+//! thread leaves its core to the threads still computing. Every wait inside
+//! a superstep — a bucketed run's [`HierarchicalBarrier::round_wait`]s and
+//! every [`HierarchicalBarrier::local_wait`] among one worker's threads, per
+//! hop or bucketed — spins while the run's threads fit the cores, then
+//! yields, on spin levels of their own: those come several times a round,
+//! where a sleep and a wake-up would cost more than the wait (9–13 µs
+//! parked against 0.3 µs spinning, EXPERIMENTS.md "PR 47"). Both other
+//! rules were measured and lost (EXPERIMENTS.md "PR 48"): every wait
+//! spinning slowed `pr-wiki` and `sssp-road-bucket` in 6 of 8 and 7 of 8
+//! pairs, and a spin level that parks after its spin instead of yielding
+//! slowed a 48-worker bucketed SSSP from 0.036 to 0.043 s.
 
 use cyclops_obs::{LogLinearHistogram, SpanKind, SpanRing};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
-/// How many `spin_loop` hints a round wait spends before it starts yielding
-/// its core, while every waiting thread has a core of its own: a few hundred
-/// microseconds on a current x86 core, longer than most fused rounds of a
-/// road-network settle.
+/// How many `spin_loop` hints a spinning wait spends before it starts
+/// yielding its core, while every waiting thread has a core of its own: a
+/// few hundred microseconds on a current x86 core, longer than most fused
+/// rounds of a road-network settle.
 const ROUND_SPINS: u32 = 20_000;
 
-/// One level of the round wait: a spin barrier over `parties` arrivals, on
-/// cache lines of its own, which no other level's arrivals evict.
+/// One spin level: a spin barrier over `parties` arrivals, on cache lines of
+/// its own, which no other level's arrivals evict.
 #[repr(align(128))]
 struct SpinLevel {
     parties: usize,
@@ -81,15 +91,16 @@ impl SpinLevel {
 
 /// A two-level barrier: threads of each machine synchronize locally, then
 /// one leader per machine enters the global barrier, and finally the local
-/// barrier releases the machine's threads.
+/// barrier releases the machine's threads. Parking and spinning waits each
+/// have both levels (module doc).
 pub struct HierarchicalBarrier {
-    /// One local barrier per machine.
+    /// The superstep wait's levels: one parking barrier per machine, then
+    /// one among the machine leaders.
     local: Vec<Barrier>,
-    /// Global barrier among machine leaders.
     global: Barrier,
-    /// The round wait's two levels: one per machine, then its leaders.
-    round_local: Vec<SpinLevel>,
-    round_global: SpinLevel,
+    /// The spinning levels: one per machine, then its leaders.
+    spin_local: Vec<SpinLevel>,
+    spin_global: SpinLevel,
     machines: usize,
     threads_per_machine: usize,
     rounds: AtomicUsize,
@@ -103,7 +114,7 @@ impl HierarchicalBarrier {
     /// `threads_per_machine` threads each.
     pub fn new(machines: usize, threads_per_machine: usize) -> Self {
         // A thread that spins while the thread it waits for has no core
-        // delays that very thread: with more threads than cores, a round
+        // delays that very thread: with more threads than cores, a spinning
         // wait yields at once.
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let spins = if machines * threads_per_machine <= cores {
@@ -114,30 +125,23 @@ impl HierarchicalBarrier {
         Self::with_round_spins(machines, threads_per_machine, spins)
     }
 
-    /// [`Self::new`] with the round wait's spin budget given.
+    /// [`Self::new`] with the spin levels' budget given.
     fn with_round_spins(machines: usize, threads_per_machine: usize, spins: u32) -> Self {
         HierarchicalBarrier {
             local: (0..machines)
                 .map(|_| Barrier::new(threads_per_machine))
                 .collect(),
             global: Barrier::new(machines),
-            round_local: (0..machines)
+            spin_local: (0..machines)
                 .map(|_| SpinLevel::new(threads_per_machine, spins))
                 .collect(),
-            round_global: SpinLevel::new(machines, spins),
+            spin_global: SpinLevel::new(machines, spins),
             machines,
             threads_per_machine,
             rounds: AtomicUsize::new(0),
             wait_ns: cyclops_obs::global()
                 .map(|reg| reg.histogram("cyclops_barrier_wait_ns", &[("kind", "hierarchical")])),
         }
-    }
-
-    /// Machine `machine`'s local level alone: a barrier among its threads
-    /// that the global protocol never sees (and [`Self::rounds`] never
-    /// counts).
-    pub fn local(&self, machine: usize) -> &Barrier {
-        &self.local[machine]
     }
 
     /// Blocks the calling thread (thread `thread` of machine `machine`)
@@ -174,14 +178,14 @@ impl HierarchicalBarrier {
     /// each. Returns `true` on exactly one thread per round, the last machine
     /// leader to arrive. Counts as a round.
     pub fn round_wait(&self, machine: usize) -> bool {
-        let local = &self.round_local[machine];
+        let local = &self.spin_local[machine];
         let Some(local_generation) = local.arrive() else {
             return false;
         };
-        let leader = match self.round_global.arrive() {
+        let leader = match self.spin_global.arrive() {
             Some(generation) => {
                 self.rounds.fetch_add(1, Ordering::Relaxed);
-                self.round_global.release(generation);
+                self.spin_global.release(generation);
                 true
             }
             None => false,
@@ -190,10 +194,11 @@ impl HierarchicalBarrier {
         leader
     }
 
-    /// Machine `machine`'s round level alone: a wait among its threads that
-    /// spins like [`Self::round_wait`] and is not a round.
-    pub fn round_local_wait(&self, machine: usize) {
-        let local = &self.round_local[machine];
+    /// Machine `machine`'s spin level alone: a wait among its threads that
+    /// spins like [`Self::round_wait`], which the global protocol never sees
+    /// and [`Self::rounds`] never counts.
+    pub fn local_wait(&self, machine: usize) {
+        let local = &self.spin_local[machine];
         if let Some(generation) = local.arrive() {
             local.release(generation);
         }
@@ -281,11 +286,11 @@ mod tests {
                 for t in 0..3 {
                     let barrier = &barrier;
                     s.spawn(move || {
-                        barrier.local(m).wait();
-                        barrier.round_local_wait(m);
+                        barrier.local_wait(m);
+                        barrier.local_wait(m);
                         barrier.wait(m, t);
-                        barrier.local(m).wait();
-                        barrier.round_local_wait(m);
+                        barrier.local_wait(m);
+                        barrier.local_wait(m);
                     });
                 }
             }
@@ -304,8 +309,8 @@ mod tests {
     }
 
     /// Every thread of a `machines x threads` barrier runs `rounds` pairs of
-    /// round waits, a round-level wait of its machine between them, as a
-    /// bucketed run's rounds do.
+    /// round waits, a local wait of its machine between them, as a bucketed
+    /// run's rounds do.
     fn round_wait_leaders(machines: usize, threads: usize, spins: u32) {
         let rounds = 200;
         let barrier = HierarchicalBarrier::with_round_spins(machines, threads, spins);
@@ -321,7 +326,7 @@ mod tests {
                             leaders.fetch_add(barrier.round_wait(m) as u32, Ordering::Relaxed);
                             let arrived = (round + 1) * (machines * threads) as u32;
                             assert_eq!(counter.load(Ordering::Relaxed), arrived);
-                            barrier.round_local_wait(m);
+                            barrier.local_wait(m);
                             leaders.fetch_add(barrier.round_wait(m) as u32, Ordering::Relaxed);
                         }
                     });
@@ -344,8 +349,8 @@ mod tests {
     }
 
     /// The last thread of the last machine arrives long after the others
-    /// have spent their spins and yield. Then round, round-level and
-    /// superstep waits alternate, as a bucketed run's do.
+    /// have spent their spins and yield. Then round, local and superstep
+    /// waits alternate, as a bucketed run's do.
     fn late_round_waiter(machines: usize, threads: usize, spins: u32) {
         let barrier = HierarchicalBarrier::with_round_spins(machines, threads, spins);
         let late = AtomicU32::new(0);
@@ -363,7 +368,7 @@ mod tests {
                         }
                         barrier.round_wait(m);
                         assert_eq!(late.load(Ordering::Relaxed), 1);
-                        barrier.round_local_wait(m);
+                        barrier.local_wait(m);
                         barrier.wait(m, t);
                         barrier.round_wait(m);
                     });
