@@ -307,12 +307,13 @@ fn bench_hot_vertex(c: &mut Criterion) {
     group.finish();
 }
 
-/// The flight recorder's per-span cost at both ends of the dial: the
-/// disabled path (no recorder installed — the engine resolved `None` once
-/// per thread loop and pays one `Option` check at each span site, skipping
-/// the clock read) and the enabled path (a `now_ns` clock read plus one
-/// ring-buffer write). The acceptance bar pins the tentpole's overhead
-/// claim: the disabled check costs nothing measurable.
+/// The flight recorder's per-span cost at both ends of the dial, through the
+/// one span timer the engines' chunk spans and the transport's flush spans
+/// use: the disabled path (no recorder installed — the engine resolved
+/// `None` once per thread loop, and the timer checks that `Option` and reads
+/// no clock) and the enabled path (two clock reads plus one ring-buffer
+/// write). The acceptance bar pins the tentpole's overhead claim: the
+/// disabled check costs nothing measurable.
 fn bench_span_event(c: &mut Criterion) {
     use cyclops_obs::{FlightRecorder, SpanKind, SpanRing, DEFAULT_FLIGHT_CAPACITY};
     use std::sync::Arc;
@@ -323,15 +324,13 @@ fn bench_span_event(c: &mut Criterion) {
     );
     let mut group = c.benchmark_group("span_event_disabled");
 
-    // Exactly the engine's span-site shape: capture an optional start
-    // timestamp, do the (elided) work, record when the ring resolved.
+    // Exactly the engine's span-site shape: time the (elided) work as a span
+    // when the ring resolved.
     let disabled: Option<Arc<SpanRing>> = None;
     group.bench_function("disabled_option_check", |b| {
         b.iter(|| {
-            let start = std::hint::black_box(&disabled).as_ref().map(|r| r.now_ns());
-            if let (Some(r), Some(s)) = (std::hint::black_box(&disabled), start) {
-                r.record(SpanKind::Compute, s, 1, 0, 0);
-            }
+            let ring = std::hint::black_box(&disabled).as_deref();
+            PhaseTimes::span(ring, SpanKind::Compute, || ((), [1, 0, 0]))
         })
     });
 
@@ -341,10 +340,8 @@ fn bench_span_event(c: &mut Criterion) {
     let enabled: Option<Arc<SpanRing>> = Some(fr.ring(0, 0));
     group.bench_function("enabled_clock_and_ring_write", |b| {
         b.iter(|| {
-            let start = std::hint::black_box(&enabled).as_ref().map(|r| r.now_ns());
-            if let (Some(r), Some(s)) = (std::hint::black_box(&enabled), start) {
-                r.record(SpanKind::Compute, s, 1, 0, 0);
-            }
+            let ring = std::hint::black_box(&enabled).as_deref();
+            PhaseTimes::span(ring, SpanKind::Compute, || ((), [1, 0, 0]))
         })
     });
     group.finish();

@@ -9,25 +9,26 @@
 //!
 //! Where each phase lives: a [`Run`] is what every thread borrows, a
 //! [`Worker`] one thread's partition plus what it resolved once, and each
-//! phase is one method — [`Worker::parse`] (PRS), [`Worker::compute_vertex`]
-//! between [`Worker::begin_compute`] and [`Worker::end_compute`] (CMP),
-//! [`Worker::send`] (SND), [`Run::checkpoint_due`] with
+//! phase is one method — [`Worker::parse`] (PRS), [`Worker::compute`] and
+//! its [`Worker::compute_vertex`] (CMP), [`Worker::send`] (SND),
+//! [`Run::checkpoint_due`] with
 //! [`Worker::capture_checkpoint`], and [`Worker::sync`] (SYN), whose leader
 //! calls [`Run::publish_aggregate`] and [`Run::close_superstep`] and which
 //! [`Worker::commit_superstep`] follows for the observers. The driver,
 //! [`worker_loop`], keeps the awake list it walks: one relaxation round per
-//! superstep, as in Hama.
+//! superstep, as in Hama. Each phase and each wait is timed once, by
+//! [`PhaseTimes::time`], into its phase column and its flight span.
 
 use crate::checkpoint::Checkpoint;
 use crate::program::{BspContext, BspProgram};
 use cyclops_graph::{Graph, VertexId};
-use cyclops_net::metrics::CounterSnapshot;
+use cyclops_net::metrics::{CounterSnapshot, Span};
 use cyclops_net::trace::{digest_bytes, SpaceSaving, TraceRecord, TraceSink};
 use cyclops_net::{
     AggregateStats, ClusterSpec, EngineObs, HierarchicalBarrier, InboxMode, Phase, PhaseTimes,
     SuperstepStats, Transport, WorkerTracer,
 };
-use cyclops_obs::{MemScope, SpanKind, SpanRing};
+use cyclops_obs::{MemScope, SpanKind, SpanRing, Wait};
 use cyclops_partition::EdgeCutPartition;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -294,6 +295,11 @@ fn run_bsp_inner<P: BspProgram>(
     }
 }
 
+/// The flight span of phase `kind` in superstep `superstep`, on `ring`.
+fn span(ring: &Option<Arc<SpanRing>>, kind: SpanKind, superstep: usize) -> Option<Span<'_>> {
+    ring.as_deref().map(|r| (r, kind, [superstep as u64, 0, 0]))
+}
+
 /// FNV-1a over encoded message bytes; used to detect a vertex re-sending the
 /// same messages as last superstep.
 fn fingerprint<M: cyclops_net::Codec>(buf: &mut bytes::BytesMut, msgs: &[(VertexId, M)]) -> u64 {
@@ -315,7 +321,7 @@ struct Worker<'r, P: BspProgram> {
     st: &'r mut WorkerState<P::Value, P::Message>,
     tracer: Option<&'r WorkerTracer>,
     /// Per-worker flight-recorder ring (BSP workers are single-threaded);
-    /// absent a recorder each span site is one `Option` check.
+    /// absent a recorder each timed interval records no span.
     flight: Option<Arc<SpanRing>>,
     /// Hot-vertex capture; disabled it costs one `Option` check per computed
     /// vertex. BSP has no degree plan, so the cost proxy is the message
@@ -403,29 +409,21 @@ impl<'r, P: BspProgram> Run<'r, P> {
 }
 
 impl<'r, P: BspProgram> Worker<'r, P> {
-    fn span_start(&self) -> Option<u64> {
-        self.flight.as_ref().map(|r| r.now_ns())
-    }
-
-    fn span_end(&self, start: Option<u64>, kind: SpanKind, args: [u64; 3]) {
-        if let (Some(r), Some(start)) = (&self.flight, start) {
-            r.record(kind, start, args[0], args[1], args[2]);
-        }
-    }
-
     /// PRS: drains superstep `superstep`'s messages, behind a resumed run's
-    /// checkpoint messages, into the per-vertex mailboxes. A message
-    /// reactivates a halted vertex (Pregel semantics); only that transition
-    /// joins it to `awake`, so entries stay unique, and `awake` is re-sorted
-    /// ascending after the arrivals. Returns the number of messages drained.
-    fn parse(&mut self, superstep: usize, awake: &mut Vec<u32>) -> usize {
-        let span = self.span_start();
-        let (run, me) = (self.run, self.me);
+    /// checkpoint messages, into the per-vertex mailboxes, and books them
+    /// with the tracer. A message reactivates a halted vertex (Pregel
+    /// semantics); only that transition joins it to `awake`, so entries stay
+    /// unique, and `awake` is re-sorted ascending after the arrivals.
+    fn parse(&mut self, superstep: usize, awake: &mut Vec<u32>) {
+        let (run, me, tracer) = (self.run, self.me, self.tracer);
         let st = &mut *self.st;
-        let received = self.times.time(Phase::Parse, || {
+        let span = span(&self.flight, SpanKind::Parse, superstep);
+        self.times.time(Phase::Parse, span, || {
             let resumed = std::mem::take(&mut st.resumed);
             let drained = run.transport.drain(me, superstep);
-            let count = resumed.len() + drained.len();
+            if let Some(tr) = tracer {
+                tr.add_drained((resumed.len() + drained.len()) as u64);
+            }
             for (dest, msg) in resumed.into_iter().chain(drained) {
                 let li = run.local_index[dest as usize] as usize;
                 debug_assert_eq!(run.partition.part_of(dest) as usize, me);
@@ -435,10 +433,7 @@ impl<'r, P: BspProgram> Worker<'r, P> {
                 st.mailbox[li].push(msg);
             }
             awake.sort_unstable();
-            count
-        });
-        self.span_end(span, SpanKind::Parse, [superstep as u64, 0, 0]);
-        received
+        })
     }
 
     /// Captures this worker's slice of superstep `superstep`'s checkpoint
@@ -469,11 +464,6 @@ impl<'r, P: BspProgram> Worker<'r, P> {
                 aggregate: self.agg_in,
             }),
         }
-    }
-
-    /// Opens CMP: the flight span and the clock [`Self::end_compute`] closes.
-    fn begin_compute(&self) -> (Option<u64>, Instant) {
-        (self.span_start(), Instant::now())
     }
 
     /// CMP for one local vertex: runs the program over its mailbox as
@@ -518,28 +508,36 @@ impl<'r, P: BspProgram> Worker<'r, P> {
         halted
     }
 
-    /// Closes the CMP pass `begun` opened, which followed `received`
-    /// arrivals: its time joins the imbalance histogram's input, its
-    /// aggregate contributions the run's, the arrivals the tracer's.
-    fn end_compute(&mut self, begun: (Option<u64>, Instant), superstep: usize, received: usize) {
-        self.times.add(Phase::Compute, begun.1.elapsed());
-        self.span_end(begun.0, SpanKind::Compute, [superstep as u64, 0, 0]);
+    /// CMP: computes every vertex of `awake` as superstep `superstep`, in
+    /// order, and collects the ones left un-halted, ascending, in
+    /// `next_awake`. Its time joins the imbalance histogram's input, its
+    /// aggregate contributions the run's.
+    fn compute(&mut self, superstep: usize, awake: &[u32], next_awake: &mut Vec<u32>) {
+        let flight = self.flight.clone();
+        let mut times = std::mem::take(&mut self.times);
+        let span = span(&flight, SpanKind::Compute, superstep);
+        times.time(Phase::Compute, span, || {
+            next_awake.clear();
+            for &li in awake {
+                if !self.compute_vertex(li as usize, superstep) {
+                    next_awake.push(li);
+                }
+            }
+        });
+        self.times = times;
         let cmp_ns = self.times.compute.as_nanos() as u64;
         self.run.cmp_ns[self.me].store(cmp_ns, Ordering::Relaxed);
         if !self.agg.is_empty() {
             self.run.aggregate_acc.lock().merge(&self.agg);
-        }
-        if let Some(tr) = self.tracer {
-            tr.add_drained(received as u64);
         }
     }
 
     /// SND: combines and transmits every nonempty outbox as superstep
     /// `superstep`'s messages.
     fn send(&mut self, superstep: usize) {
-        let span = self.span_start();
-        let (run, me, tracer) = (self.run, self.me, self.tracer);
-        self.times.time(Phase::Send, || {
+        let (run, me, tracer, ring) = (self.run, self.me, self.tracer, self.flight.as_deref());
+        let span = span(&self.flight, SpanKind::Send, superstep);
+        self.times.time(Phase::Send, span, || {
             for (dest_worker, outbox) in self.outboxes.iter_mut().enumerate() {
                 let mut batch = std::mem::take(outbox);
                 if batch.is_empty() {
@@ -552,19 +550,21 @@ impl<'r, P: BspProgram> Worker<'r, P> {
                 // Sender lanes are global thread indices; a BSP worker's
                 // single compute thread owns lane `me * threads_per_worker`.
                 let lane = me * run.config.cluster.threads_per_worker;
-                let receipt = run.transport.send(lane, dest_worker, batch, superstep);
+                let receipt = PhaseTimes::span(ring, SpanKind::Flush, || {
+                    let receipt = run.transport.send(lane, dest_worker, batch, superstep);
+                    (receipt, receipt.flush_span(dest_worker))
+                });
                 if let Some(tr) = tracer {
                     tr.add_sent_to(dest_worker, sent as u64, receipt.bytes as u64);
                 }
             }
         });
-        self.span_end(span, SpanKind::Send, [superstep as u64, 0, 0]);
     }
 
     /// SYN: adds superstep `superstep`'s `computed` vertices, redundant
     /// messages and PRS / CMP / SND times to the open stats entry, meets the
     /// barrier twice with `leader` run by worker 0 in between, and charges
-    /// the wait — to the *next* stats entry (`leader` may have published
+    /// the waits and the leader — to the *next* stats entry (`leader` may have published
     /// this one; summed over workers like the compute phases, the scheme the
     /// Cyclops engine uses) and to this superstep's times, which the trace
     /// record and the phase histograms attribute to the superstep that ran.
@@ -576,17 +576,18 @@ impl<'r, P: BspProgram> Worker<'r, P> {
             cur.redundant_messages += std::mem::take(&mut self.redundant);
             cur.phase_times = cur.phase_times.merge(&self.times);
         }
-        let flight = self.flight.as_deref();
-        let sync_start = Instant::now();
-        let epoch = superstep as u64;
-        run.barrier.wait_traced(self.me, 0, flight, epoch);
-        if self.me == 0 {
-            leader();
+        let (me, ring, before) = (self.me, self.flight.as_deref(), self.times.sync);
+        let wait = || run.barrier.wait(me, 0);
+        let obs = run.obs.as_ref();
+        self.times
+            .wait(obs, ring, superstep as u64, Wait::Superstep, wait);
+        if me == 0 {
+            self.times.time(Phase::Sync, None, leader);
         }
-        run.barrier.wait_traced(self.me, 0, flight, epoch);
-        let wait = sync_start.elapsed();
-        run.current.lock().phase_times.add(Phase::Sync, wait);
-        self.times.add(Phase::Sync, wait);
+        self.times
+            .wait(obs, ring, superstep as u64, Wait::Superstep, wait);
+        let sync = self.times.sync - before;
+        run.current.lock().phase_times.add(Phase::Sync, sync);
     }
 
     /// Closes this worker's superstep for the observers: the phase-latency
@@ -639,7 +640,7 @@ fn worker_loop<P: BspProgram>(run: &Run<'_, P>, mut wk: Worker<'_, P>) {
         wk.agg_in = *run.prev_aggregate.lock();
 
         // ---- PRS: arrivals wake their halted vertices. ----
-        let received = wk.parse(superstep, &mut awake);
+        wk.parse(superstep, &mut awake);
         // The post-parse state is a consistent cut.
         if run.checkpoint_due(superstep) {
             wk.capture_checkpoint(superstep);
@@ -648,14 +649,7 @@ fn worker_loop<P: BspProgram>(run: &Run<'_, P>, mut wk: Worker<'_, P>) {
         // ---- CMP: run compute on the awake list — every un-halted
         // vertex, ascending. ----
         let computed = awake.len();
-        let cmp = wk.begin_compute();
-        next_awake.clear();
-        for &li in &awake {
-            if !wk.compute_vertex(li as usize, superstep) {
-                next_awake.push(li);
-            }
-        }
-        wk.end_compute(cmp, superstep, received);
+        wk.compute(superstep, &awake, &mut next_awake);
         // The ascending compute walk rebuilt the un-halted set in order.
         std::mem::swap(&mut awake, &mut next_awake);
         run.active_total.fetch_add(computed, Ordering::Relaxed);

@@ -58,6 +58,9 @@
 //! worker leader's reduction and commit around the superstep barrier pair,
 //! the only waits that park, between whose waits the global leader closes
 //! the superstep and, when bucketed, advances the bucket and retunes Δ.
+//! Every interval is timed once, by [`PhaseTimes::time`], into its phase
+//! column and, with a flight recorder, as its span: every wait is one SYN
+//! contribution and one `Barrier` span whose `b` is its [`Wait`] kind.
 //!
 //! # Safety
 //!
@@ -95,7 +98,7 @@ use cyclops_net::{
     InboxMode, Phase, PhaseTimes, ReplicaUpdate, SuperstepStats, Transport, WireMode, WorkerTracer,
 };
 use cyclops_obs::mem::{Component, MemScope};
-use cyclops_obs::{SpanKind, SpanRing};
+use cyclops_obs::{SpanKind, SpanRing, Wait};
 use cyclops_partition::EdgeCutPartition;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicU64, AtomicUsize, Ordering};
@@ -341,8 +344,8 @@ struct WorkerShared<V, M> {
     /// Per-chunk float partials, written by whichever thread computed the
     /// chunk and reduced in chunk-index order by the worker leader.
     partials: Vec<Mutex<ChunkPartial>>,
-    /// Per-thread CMP nanoseconds this superstep, summed over a bucketed
-    /// superstep's rounds — the global leader feeds every worker's to the
+    /// Per-thread CMP nanoseconds this superstep, over all its rounds — the
+    /// global leader feeds every worker's to the
     /// `cyclops_compute_imbalance` histogram.
     cmp_ns: Vec<AtomicU64>,
     /// Shared outboxes `[dest][thread]`: threads deposit their per-
@@ -955,17 +958,27 @@ impl<'r, P: CyclopsProgram> Worker<'r, P> {
     }
 
     /// SND: sends every non-empty outbox on `lane` for `epoch` — one batch
-    /// per destination — leaving `out` empty (capacity given away), and books
-    /// each receipt: tracer totals, comm-matrix row and the wire mode's
-    /// dense/sparse batch count (intra-machine sends count as neither).
-    fn send_outboxes(&self, lane: usize, epoch: usize, out: &mut [Vec<ReplicaUpdate<P::Message>>]) {
+    /// per destination, each a `Flush` span on `ring` — leaving `out` empty
+    /// (capacity given away), and books each receipt: tracer totals,
+    /// comm-matrix row and the wire mode's dense/sparse batch count
+    /// (intra-machine sends count as neither).
+    fn send_outboxes(
+        &self,
+        ring: Option<&SpanRing>,
+        lane: usize,
+        epoch: usize,
+        out: &mut [Vec<ReplicaUpdate<P::Message>>],
+    ) {
         let transport = &self.run.transport;
         for (dest, batch) in out.iter_mut().enumerate() {
             if batch.is_empty() {
                 continue;
             }
             let sent = batch.len() as u64;
-            let receipt = transport.send(lane, dest, std::mem::take(batch), epoch);
+            let receipt = PhaseTimes::span(ring, SpanKind::Flush, || {
+                let receipt = transport.send(lane, dest, std::mem::take(batch), epoch);
+                (receipt, receipt.flush_span(dest))
+            });
             if let Some(tr) = self.tr {
                 tr.add_sent_to(dest, sent, receipt.bytes as u64);
                 match receipt.wire_mode {
@@ -1092,16 +1105,6 @@ impl<'r, P: CyclopsProgram> Worker<'r, P> {
     }
 }
 
-/// Ends a flight-recorder span opened with `ring.map(|r| r.now_ns())`. With
-/// no recorder installed (the default) every span site is one `Option`
-/// check, the same discipline as the tracer and the phase histograms.
-#[inline]
-fn end_span(ring: Option<&SpanRing>, start: Option<u64>, kind: SpanKind, args: [u64; 3]) {
-    if let (Some(r), Some(start)) = (ring, start) {
-        r.record(kind, start, args[0], args[1], args[2]);
-    }
-}
-
 /// Body of one engine thread, thread `t` of worker `w`: the one superstep
 /// loop (module doc, "The loop"). The worker's threads meet at
 /// [`HierarchicalBarrier::local_wait`] where one phase hands over to the
@@ -1180,11 +1183,20 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
             (cur.bucket, (cur.bucket + 1) as f64 * cur.delta)
         };
         let checkpoint_now = run.checkpoint_due(superstep);
+        // Every interval is timed once, into its column and its span.
+        let span = |kind| flight.map(|r| (r, kind, [step, 0, 0]));
+        let wait = |times: &mut PhaseTimes, kind| {
+            times.wait(run.obs.as_ref(), flight, step, kind, || match kind {
+                Wait::Superstep => run.barrier.wait(w, t),
+                Wait::Round => _ = run.barrier.round_wait(w),
+                Wait::Local => run.barrier.local_wait(w),
+            })
+        };
         // The worker leader's commit of the last superstep is in before this
         // one's PRS feeds the worker's tracer.
-        run.barrier.local_wait(w);
+        wait(&mut times, Wait::Local);
 
-        let (mut rounds, mut frontier_len, mut cmp_ns) = (0u64, 0usize, 0u64);
+        let (mut rounds, mut frontier_len) = (0u64, 0usize);
         let (mut pull, mut budget_exhausted) = (false, false);
         // The worker leader's reduction of the superstep's chunk partials.
         let mut reduced = ChunkPartial::default();
@@ -1195,40 +1207,34 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
                 budget_exhausted = true;
                 break;
             }
-            let round_span = flight.map(|r| r.now_ns());
+            // A round's span runs from the end of the wait before it to the
+            // end of its last wait.
+            let round_from = flight.map(|r| r.last_end_ns());
             let epoch = run.start_superstep + rounds_run;
 
             // ---- PRS: receivers update the view lock-free. ----
-            let apply_start = Instant::now();
-            let prs_span = flight.map(|r| r.now_ns());
-            if t < run.receivers {
-                let share = (t, run.receivers);
-                if bucketed {
-                    wk.apply_inbound(epoch, share, wk.park(par));
-                } else if pull_inbound {
-                    wk.apply_inbound(epoch, share, pull_fresh());
-                } else {
-                    wk.apply_inbound(epoch, share, push_into(take));
+            times.time(Phase::Parse, span(SpanKind::Parse), || {
+                if t < run.receivers {
+                    let share = (t, run.receivers);
+                    if bucketed {
+                        wk.apply_inbound(epoch, share, wk.park(par));
+                    } else if pull_inbound {
+                        wk.apply_inbound(epoch, share, pull_fresh());
+                    } else {
+                        wk.apply_inbound(epoch, share, push_into(take));
+                    }
                 }
-            }
-            // Only the drain/apply above is parse work; the waits (and the
-            // optional checkpoint they bracket) are coordination time and
-            // belong to SYN.
-            times.add(Phase::Parse, apply_start.elapsed());
-            end_span(flight, prs_span, SpanKind::Parse, [step, 0, 0]);
-            let mut wait_start = Instant::now();
-            run.barrier.local_wait(w);
+            });
+            wait(&mut times, Wait::Local);
             if pull_inbound {
                 // The second fill: the replica and direct bits are in, on top
                 // of the master bits the first fill already used. Its time is
                 // the marking PRS did not do; its wait is paid by pulled
                 // supersteps only.
-                times.add(Phase::Sync, wait_start.elapsed());
-                let fill_start = Instant::now();
-                ws.frontier.fill_from(take, wp, &ws.fresh, fill_share);
-                times.add(Phase::Parse, fill_start.elapsed());
-                wait_start = Instant::now();
-                run.barrier.local_wait(w);
+                times.time(Phase::Parse, None, || {
+                    ws.frontier.fill_from(take, wp, &ws.fresh, fill_share);
+                });
+                wait(&mut times, Wait::Local);
             }
             // Value-only checkpoint (no replicas, no messages — §3.6) on the
             // superstep's first post-apply cut: every delivered activation is
@@ -1239,9 +1245,11 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
             // one extra (idempotent) relaxation per parked master.
             if checkpoint_now && rounds == 0 {
                 if t == 0 {
-                    wk.capture_checkpoint(superstep, agg_in, take);
+                    // Coordination time: SYN.
+                    let capture = || wk.capture_checkpoint(superstep, agg_in, take);
+                    times.time(Phase::Sync, None, capture);
                 }
-                run.barrier.local_wait(w);
+                wait(&mut times, Wait::Local);
                 // Epoch boundary: every thread of every worker reaches this
                 // exact point and returns together — transports are drained,
                 // the frontier still holds superstep `s`'s activations (which
@@ -1251,7 +1259,6 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
                     return;
                 }
             }
-            times.add(Phase::Sync, wait_start.elapsed());
 
             // ---- Selection (worker leader). ----
             // The due masters, ascending — compute walks the CSR in index
@@ -1259,67 +1266,65 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
             // independent of activation interleaving. The snapshot clears
             // what it takes.
             if t == 0 {
-                let snap_start = Instant::now();
-                if pull_inbound {
-                    // Both fills have read the bits; the next writer is this
-                    // superstep's CMP, behind the wait below.
-                    ws.fresh.clear();
-                }
-                // A new write epoch on both slot arrays: every PRS write is
-                // behind the wait above, and every CMP write behind the one
-                // below.
-                ws.values.begin_epoch();
-                ws.view.begin_epoch();
-                let mut flat = ws.flat.write();
-                let (prio, work_mass) = (&ws.prio[..], &wp.work_mass[..]);
-                let mut mass = 0u64;
-                if bucketed {
-                    // The due test runs on every parked master: the due ones'
-                    // mass is a pass of its own.
-                    let parked = |li: usize| f64::from_bits(prio[li].load(Ordering::Relaxed));
-                    ws.frontier
-                        .snapshot(take, &mut flat, |li| parked(li).total_cmp(&end).is_lt());
-                    if chunks > 1 {
-                        mass = flat.iter().map(|&li| work_mass[li as usize] as u64).sum();
+                times.time(Phase::Parse, None, || {
+                    if pull_inbound {
+                        // Both fills have read the bits; the next writer is this
+                        // superstep's CMP, behind the wait below.
+                        ws.fresh.clear();
                     }
-                } else {
-                    ws.frontier.snapshot(take, &mut flat, |li| {
-                        mass += work_mass[li] as u64;
-                        true
-                    });
-                }
-                frontier_len = flat.len();
-                build_mass_chunks(&flat, &mut ws.ends.write(), &wp.work_mass, mass, chunks);
-                ws.cursor.store(0, Ordering::Relaxed);
-                if bucketed {
-                    // Count the selection into the superstep's occupancy, and
-                    // unpark it where threads park at once (`Worker::park`).
-                    for &li in flat.iter() {
-                        if run.threads > 1 {
-                            prio[li as usize].store(UNPARKED, Ordering::Relaxed);
+                    // A new write epoch on both slot arrays: every PRS write is
+                    // behind the wait above, and every CMP write behind the one
+                    // below.
+                    ws.values.begin_epoch();
+                    ws.view.begin_epoch();
+                    let mut flat = ws.flat.write();
+                    let (prio, work_mass) = (&ws.prio[..], &wp.work_mass[..]);
+                    let mut mass = 0u64;
+                    if bucketed {
+                        // The due test runs on every parked master: the due ones'
+                        // mass is a pass of its own.
+                        let parked = |li: usize| f64::from_bits(prio[li].load(Ordering::Relaxed));
+                        ws.frontier
+                            .snapshot(take, &mut flat, |li| parked(li).total_cmp(&end).is_lt());
+                        if chunks > 1 {
+                            mass = flat.iter().map(|&li| work_mass[li as usize] as u64).sum();
                         }
-                        ws.frontier.mark_alone(par ^ 1, li as usize);
+                    } else {
+                        ws.frontier.snapshot(take, &mut flat, |li| {
+                            mass += work_mass[li] as u64;
+                            true
+                        });
                     }
-                    run.buckets.selected[epoch & 1][w].store(flat.len(), Ordering::Relaxed);
-                } else {
-                    let pull = run.force_pull.unwrap_or_else(|| pull_wins(&flat, wp));
-                    ws.pull.store(pull, Ordering::Relaxed);
-                    if let Some(obs) = &run.obs {
-                        obs.record_activation(pull);
+                    frontier_len = flat.len();
+                    build_mass_chunks(&flat, &mut ws.ends.write(), &wp.work_mass, mass, chunks);
+                    ws.cursor.store(0, Ordering::Relaxed);
+                    if bucketed {
+                        // Count the selection into the superstep's occupancy, and
+                        // unpark it where threads park at once (`Worker::park`).
+                        for &li in flat.iter() {
+                            if run.threads > 1 {
+                                prio[li as usize].store(UNPARKED, Ordering::Relaxed);
+                            }
+                            ws.frontier.mark_alone(par ^ 1, li as usize);
+                        }
+                        run.buckets.selected[epoch & 1][w].store(flat.len(), Ordering::Relaxed);
+                    } else {
+                        let pull = run.force_pull.unwrap_or_else(|| pull_wins(&flat, wp));
+                        ws.pull.store(pull, Ordering::Relaxed);
+                        if let Some(obs) = &run.obs {
+                            obs.record_activation(pull);
+                        }
                     }
-                }
-                times.add(Phase::Parse, snap_start.elapsed());
+                });
             }
-            let wait_start = Instant::now();
             let selected: usize = if bucketed {
-                run.barrier.round_wait(w);
+                wait(&mut times, Wait::Round);
                 let counts = &run.buckets.selected[epoch & 1];
                 counts.iter().map(|c| c.load(Ordering::Relaxed)).sum()
             } else {
-                run.barrier.local_wait(w);
+                wait(&mut times, Wait::Local);
                 0
             };
-            times.add(Phase::Sync, wait_start.elapsed());
             // Nobody selected anything, so nobody sends: the transport stays
             // as every thread reads it here.
             if bucketed && selected == 0 && run.transport.all_empty() {
@@ -1335,9 +1340,7 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
 
             // ---- CMP: claim chunks against the immutable view. ----
             pull = ws.pull.load(Ordering::Relaxed);
-            let compute_start = Instant::now();
-            let cmp_span = flight.map(|r| r.now_ns());
-            {
+            times.time(Phase::Compute, span(SpanKind::Compute), || {
                 let flat = ws.flat.read();
                 let ends = ws.ends.read();
                 // Claim whatever chunk the cursor hands out next.
@@ -1347,44 +1350,39 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
                     let lo = if c == 0 { 0 } else { ends[c - 1] as usize };
                     let hi = ends[c] as usize;
                     // Each claim is an event worth its own timeline row.
-                    let chunk_span = flight.map(|r| r.now_ns());
-                    acc.part = ChunkPartial::default();
-                    let (chunk, s) = (&flat[lo..hi], round_superstep);
-                    if bucketed {
-                        wk.compute_chunk(chunk, s, agg_in, &mut acc, &mut out, wk.park(par));
-                    } else if pull {
-                        // The writer drops with the call, which puts the
-                        // chunk's last fresh bits in.
-                        wk.compute_chunk(chunk, s, agg_in, &mut acc, &mut out, pull_fresh());
-                    } else {
-                        let wake = push_into(wake_into);
-                        wk.compute_chunk(chunk, s, agg_in, &mut acc, &mut out, wake);
-                    }
-                    // Publish the chunk's float partial into its slot; the
-                    // worker leader reduces slots in chunk-index order, so
-                    // claim order never affects the float results.
-                    *ws.partials[c].lock() = acc.part;
-                    let args = [step, c as u64, (hi - lo) as u64];
-                    end_span(flight, chunk_span, SpanKind::Chunk, args);
+                    PhaseTimes::span(flight, SpanKind::Chunk, || {
+                        acc.part = ChunkPartial::default();
+                        let (chunk, s) = (&flat[lo..hi], round_superstep);
+                        if bucketed {
+                            wk.compute_chunk(chunk, s, agg_in, &mut acc, &mut out, wk.park(par));
+                        } else if pull {
+                            // The writer drops with the call, which puts the
+                            // chunk's last fresh bits in.
+                            wk.compute_chunk(chunk, s, agg_in, &mut acc, &mut out, pull_fresh());
+                        } else {
+                            let wake = push_into(wake_into);
+                            wk.compute_chunk(chunk, s, agg_in, &mut acc, &mut out, wake);
+                        }
+                        // Publish the chunk's float partial into its slot;
+                        // the worker leader reduces slots in chunk-index
+                        // order, so claim order never affects the float
+                        // results.
+                        *ws.partials[c].lock() = acc.part;
+                        ((), [step, c as u64, (hi - lo) as u64])
+                    });
                 }
-            }
-            let cmp_elapsed = compute_start.elapsed();
-            cmp_ns += cmp_elapsed.as_nanos() as u64;
-            times.add(Phase::Compute, cmp_elapsed);
-            end_span(flight, cmp_span, SpanKind::Compute, [step, 0, 0]);
+            });
             // Deposit this thread's outboxes into the worker's `deposits`
             // slots (swaps — the slot left empty by the last flush trades
             // places with the filled local outbox, so capacities recycle).
-            let deposit_start = Instant::now();
-            for (dest, ob) in out.iter_mut().enumerate() {
-                if !ob.is_empty() {
-                    std::mem::swap(&mut *ws.deposits[dest][t].lock(), ob);
+            times.time(Phase::Send, None, || {
+                for (dest, ob) in out.iter_mut().enumerate() {
+                    if !ob.is_empty() {
+                        std::mem::swap(&mut *ws.deposits[dest][t].lock(), ob);
+                    }
                 }
-            }
-            times.add(Phase::Send, deposit_start.elapsed());
-            let wait_start = Instant::now();
-            run.barrier.local_wait(w);
-            times.add(Phase::Sync, wait_start.elapsed());
+            });
+            wait(&mut times, Wait::Local);
             if t == 0 {
                 // Worker-leader reduction: fold the chunk partials in
                 // chunk-index order — a fixed order regardless of which
@@ -1399,37 +1397,35 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
                 // gets exactly the local activations CMP's marks would have
                 // made, and the leader's count below is the count it has
                 // always been. Its time is the marking CMP did not do.
-                let fill_start = Instant::now();
-                ws.frontier.fill_from(wake_into, wp, &ws.fresh, fill_share);
-                times.add(Phase::Compute, fill_start.elapsed());
+                times.time(Phase::Compute, None, || {
+                    ws.frontier.fill_from(wake_into, wp, &ws.fresh, fill_share);
+                });
             }
 
             // ---- SND: publish locally, then one batch per destination. ----
-            let send_start = Instant::now();
-            let snd_span = flight.map(|r| r.now_ns());
-            wk.publish_local(&mut acc.updated);
-            // Destination `dest` is flushed by thread `dest % threads`,
-            // merging every compute thread's deposit in thread order (see
-            // `deposits`; the adaptive wire format canonicalizes each batch
-            // by slot id, so the *bytes* are order-independent too) into
-            // `flush`, not `out` — the send gives the buffer away, and the
-            // deposit slots and local outboxes keep the capacities they trade.
-            for dest in (t..num_workers).step_by(run.threads) {
-                for slot in &ws.deposits[dest] {
-                    flush[dest].append(&mut slot.lock());
+            times.time(Phase::Send, span(SpanKind::Send), || {
+                wk.publish_local(&mut acc.updated);
+                // Destination `dest` is flushed by thread `dest % threads`,
+                // merging every compute thread's deposit in thread order (see
+                // `deposits`; the adaptive wire format canonicalizes each
+                // batch by slot id, so the *bytes* are order-independent too)
+                // into `flush`, not `out` — the send gives the buffer away,
+                // and the deposit slots and local outboxes keep the
+                // capacities they trade.
+                for dest in (t..num_workers).step_by(run.threads) {
+                    for slot in &ws.deposits[dest] {
+                        flush[dest].append(&mut slot.lock());
+                    }
                 }
-            }
-            wk.send_outboxes(lane, epoch, &mut flush);
-            times.add(Phase::Send, send_start.elapsed());
-            end_span(flight, snd_span, SpanKind::Send, [step, 0, 0]);
+                wk.send_outboxes(flight, lane, epoch, &mut flush);
+            });
             if !bucketed {
                 break;
             }
-            let wait_start = Instant::now();
-            run.barrier.round_wait(w);
-            times.add(Phase::Sync, wait_start.elapsed());
-            let span_args = [bucket, rounds, selected as u64];
-            end_span(flight, round_span, SpanKind::Round, span_args);
+            wait(&mut times, Wait::Round);
+            if let (Some(r), Some(from)) = (flight, round_from) {
+                r.record_since(SpanKind::Round, from, [bucket, rounds, selected as u64]);
+            }
         }
 
         // ---- Epilogue: the worker's superstep, reduced for the leader. ----
@@ -1437,11 +1433,9 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
         if pull {
             // Every thread's share of the first fill, before the leader
             // counts the parity.
-            let wait_start = Instant::now();
-            run.barrier.local_wait(w);
-            times.add(Phase::Sync, wait_start.elapsed());
+            wait(&mut times, Wait::Local);
         }
-        ws.cmp_ns[t].store(cmp_ns, Ordering::Relaxed);
+        ws.cmp_ns[t].store(times.compute.as_nanos() as u64, Ordering::Relaxed);
         if t == 0 {
             // Every local activation of the superstep is in.
             reduced.next_active = ws.frontier.len(wake_into);
@@ -1461,16 +1455,19 @@ fn thread_loop<P: CyclopsProgram>(run: &Run<'_, P>, w: usize, t: usize) {
         }
 
         // ---- SYN: hierarchical barrier + leader bookkeeping. ----
-        let sync_start = Instant::now();
-        run.barrier.wait_traced(w, t, flight, step);
-        if w == 0 && t == 0 && !run.close_superstep(superstep, budget_exhausted) && bucketed {
-            run.advance_bucket(rounds);
+        let sync_before = times.sync;
+        wait(&mut times, Wait::Superstep);
+        if w == 0 && t == 0 {
+            times.time(Phase::Sync, None, || {
+                if !run.close_superstep(superstep, budget_exhausted) && bucketed {
+                    run.advance_bucket(rounds);
+                }
+            });
         }
-        run.barrier.wait_traced(w, t, flight, step);
+        wait(&mut times, Wait::Superstep);
         if t == 0 {
-            let final_sync = sync_start.elapsed();
+            let final_sync = times.sync - sync_before;
             run.current.lock().phase_times.add(Phase::Sync, final_sync);
-            times.add(Phase::Sync, final_sync);
             let triple = bucketed.then_some((bucket, rounds.max(1), frontier_len as u64));
             wk.commit_superstep(superstep, frontier_len, &times, &reduced, triple);
         }

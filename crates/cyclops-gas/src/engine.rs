@@ -15,7 +15,9 @@
 //! apply and broadcast, scatter (CMP, each followed by [`Worker::flush`]).
 //! SYN's leader half is [`Run::close_superstep`], its observer half
 //! [`Worker::commit_superstep`]; a message outside its phase dies in
-//! [`out_of_phase`].
+//! [`out_of_phase`]. Each phase, each flush and each of a superstep's seven
+//! waits is timed once, by [`PhaseTimes::time`], into its phase column and
+//! its flight span.
 
 use crate::program::GasProgram;
 use bytes::{Buf, BufMut, BytesMut};
@@ -26,12 +28,11 @@ use cyclops_net::{
     ClusterSpec, Codec, HierarchicalBarrier, InboxMode, Phase, PhaseTimes, SuperstepStats,
     Transport, WorkerTracer,
 };
-use cyclops_obs::{MemScope, SpanKind, SpanRing};
+use cyclops_obs::{MemScope, SpanKind, SpanRing, Wait};
 use cyclops_partition::VertexCutPartition;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Engine configuration.
@@ -261,9 +262,6 @@ struct Worker<'r, P: GasProgram> {
     me: usize,
     part: &'r mut PartState<P::Value>,
     tracer: Option<&'r WorkerTracer>,
-    /// Per-worker flight-recorder ring (GAS asserts one thread per worker);
-    /// absent a recorder each span site is one `Option` check.
-    flight: Option<Arc<SpanRing>>,
     /// Whether the sink digests applied values (values mode).
     capture_values: bool,
     /// Hot-vertex capture; disabled it costs one `Option` check per applied
@@ -307,7 +305,6 @@ impl<'r, P: GasProgram> Run<'r, P> {
             me,
             part,
             tracer: self.trace.map(|s| s.worker(me)),
-            flight: cyclops_obs::flight().map(|fr| fr.ring(me as u32, 0)),
             capture_values: self.trace.is_some_and(|s| s.captures_values()),
             hot: (hot_k > 0).then(|| SpaceSaving::new(hot_k)),
             outboxes: (0..self.partition.num_parts).map(|_| Vec::new()).collect(),
@@ -348,37 +345,17 @@ impl<'r, P: GasProgram> Worker<'r, P> {
         cyclops_obs::mem::sample(superstep as u64, self.me as u32);
     }
 
-    fn span_start(&self) -> Option<u64> {
-        self.flight.as_ref().map(|r| r.now_ns())
-    }
-
-    /// Ends a span of superstep `superstep`; `phase` tells the three CMP
-    /// spans of one superstep apart.
-    fn span_end(&self, start: Option<u64>, kind: SpanKind, superstep: usize, phase: u64) {
-        if let (Some(r), Some(start)) = (&self.flight, start) {
-            r.record(kind, start, superstep as u64, phase, 0);
-        }
-    }
-
-    /// A barrier wait under a flight span; `true` on worker 0, the SYN
-    /// leader.
-    fn barrier(&self, superstep: usize) -> bool {
-        let flight = self.flight.as_deref();
-        self.run
-            .barrier
-            .wait_traced(self.me, 0, flight, superstep as u64);
-        self.me == 0
-    }
-
-    /// Sends every nonempty outbox in transport epoch `epoch`.
-    fn flush(&mut self, epoch: usize) {
+    /// Sends every nonempty outbox in transport epoch `epoch`, each batch a
+    /// `Flush` span on `ring`.
+    fn flush(&mut self, ring: Option<&SpanRing>, epoch: usize) {
+        let transport = &self.run.transport;
         for (dest, batch) in self.outboxes.iter_mut().enumerate() {
             if !batch.is_empty() {
                 let sent = batch.len();
-                let receipt = self
-                    .run
-                    .transport
-                    .send(self.me, dest, std::mem::take(batch), epoch);
+                let receipt = PhaseTimes::span(ring, SpanKind::Flush, || {
+                    let receipt = transport.send(self.me, dest, std::mem::take(batch), epoch);
+                    (receipt, receipt.flush_span(dest))
+                });
                 if let Some(tr) = self.tracer {
                     tr.add_sent_to(dest, sent as u64, receipt.bytes as u64);
                 }
@@ -515,6 +492,10 @@ fn gas_worker<P: GasProgram>(run: &Run<'_, P>, mut wk: Worker<'_, P>) {
     let partition = run.partition;
     let (me, tracer) = (wk.me, wk.tracer);
     let num_workers = partition.num_parts;
+    // Per-worker flight-recorder ring (GAS asserts one thread per worker);
+    // absent a recorder each timed interval records no span.
+    let flight = cyclops_obs::flight().map(|fr| fr.ring(me as u32, 0));
+    let flight = flight.as_deref();
     let mut superstep = 0usize;
     // Gather accumulators pending per active master.
     let mut pending: HashMap<u32, Option<P::Gather>> = HashMap::new();
@@ -534,10 +515,22 @@ fn gas_worker<P: GasProgram>(run: &Run<'_, P>, mut wk: Worker<'_, P>) {
         let mut times = PhaseTimes::default();
         let base = superstep * 4;
         let mut drained = 0u64;
+        // A phase's span, `phase` telling its three CMP and four SND apart,
+        // and a superstep wait, which worker 0 leads.
+        let span = |kind, phase| flight.map(|r| (r, kind, [superstep as u64, phase, 0]));
+        let wait = |times: &mut PhaseTimes| {
+            let barrier = || run.barrier.wait(me, 0);
+            times.wait(
+                run.obs.as_ref(),
+                flight,
+                superstep as u64,
+                Wait::Superstep,
+                barrier,
+            );
+        };
 
         // ---- Phase 0: absorb activations, decide the active set. ----
-        let prs_span = wk.span_start();
-        times.time(Phase::Parse, || {
+        times.time(Phase::Parse, span(SpanKind::Parse, 0), || {
             let part = &mut *wk.part;
             let msgs = run.transport.drain(me, base);
             drained += msgs.len() as u64;
@@ -562,18 +555,18 @@ fn gas_worker<P: GasProgram>(run: &Run<'_, P>, mut wk: Worker<'_, P>) {
             // Activations arrive in message order; restore ascending order.
             active_list.sort_unstable();
         });
-        wk.span_end(prs_span, SpanKind::Parse, superstep, 0);
         let my_active = active_list.len();
         debug_assert_eq!(my_active, wk.part.active.iter().filter(|&&a| a).count());
         run.active_total.fetch_add(my_active, Ordering::Relaxed);
-        let sync_start = Instant::now();
-        if wk.barrier(superstep) {
-            let total = run.active_total.swap(0, Ordering::Relaxed);
-            let stop = total == 0 || superstep >= config.max_supersteps;
-            run.stop.store(stop, Ordering::Release);
+        wait(&mut times);
+        if me == 0 {
+            times.time(Phase::Sync, None, || {
+                let total = run.active_total.swap(0, Ordering::Relaxed);
+                let stop = total == 0 || superstep >= config.max_supersteps;
+                run.stop.store(stop, Ordering::Release);
+            });
         }
-        wk.barrier(superstep);
-        times.add(Phase::Sync, sync_start.elapsed());
+        wait(&mut times);
         if run.stop.load(Ordering::Acquire) {
             // Record nothing for the would-be superstep; exit.
             return;
@@ -582,8 +575,7 @@ fn gas_worker<P: GasProgram>(run: &Run<'_, P>, mut wk: Worker<'_, P>) {
         // ---- Phase 0 (send): gather requests to mirrors, one active master
         //      at a time, ascending. ----
         pending.clear();
-        let snd_span = wk.span_start();
-        times.time(Phase::Send, || {
+        times.time(Phase::Send, span(SpanKind::Send, 0), || {
             let (part, outboxes) = (&*wk.part, &mut wk.outboxes);
             for &li in &active_list {
                 pending.insert(li, None);
@@ -595,15 +587,13 @@ fn gas_worker<P: GasProgram>(run: &Run<'_, P>, mut wk: Worker<'_, P>) {
                     });
                 }
             }
-            wk.flush(base);
+            wk.flush(flight, base);
         });
-        wk.span_end(snd_span, SpanKind::Send, superstep, 0);
-        wk.barrier(superstep);
+        wait(&mut times);
 
         // ---- Phase 1: mirrors answer gather requests; master's own
         //      partial. ----
-        let cmp_span = wk.span_start();
-        times.time(Phase::Compute, || {
+        times.time(Phase::Compute, span(SpanKind::Compute, 1), || {
             let (part, outboxes) = (&*wk.part, &mut wk.outboxes);
             let msgs = run.transport.drain(me, base + 1);
             drained += msgs.len() as u64;
@@ -622,14 +612,14 @@ fn gas_worker<P: GasProgram>(run: &Run<'_, P>, mut wk: Worker<'_, P>) {
                 *slot = local_gather(program, graph, part, li as usize);
             }
         });
-        wk.span_end(cmp_span, SpanKind::Compute, superstep, 1);
-        times.time(Phase::Send, || wk.flush(base + 1));
-        wk.barrier(superstep);
+        times.time(Phase::Send, span(SpanKind::Send, 1), || {
+            wk.flush(flight, base + 1)
+        });
+        wait(&mut times);
 
         // ---- Phase 2: apply at masters, broadcast new values. ----
         old_values.clear();
-        let cmp_span = wk.span_start();
-        times.time(Phase::Compute, || {
+        times.time(Phase::Compute, span(SpanKind::Compute, 2), || {
             let msgs = run.transport.drain(me, base + 2);
             drained += msgs.len() as u64;
             for msg in msgs {
@@ -675,15 +665,15 @@ fn gas_worker<P: GasProgram>(run: &Run<'_, P>, mut wk: Worker<'_, P>) {
             // list (phase 3 scatter may re-add some).
             active_list.retain(|&li| part.active[li as usize]);
         });
-        wk.span_end(cmp_span, SpanKind::Compute, superstep, 2);
-        times.time(Phase::Send, || wk.flush(base + 2));
-        wk.barrier(superstep);
+        times.time(Phase::Send, span(SpanKind::Send, 2), || {
+            wk.flush(flight, base + 2)
+        });
+        wait(&mut times);
 
         // ---- Phase 3: scatter at mirrors and at the master. ----
         locally_activated.clear();
         let computed = old_values.len();
-        let cmp_span = wk.span_start();
-        times.time(Phase::Compute, || {
+        times.time(Phase::Compute, span(SpanKind::Compute, 3), || {
             let (part, outboxes) = (&mut *wk.part, &mut wk.outboxes);
             let mut mirror_old: HashMap<u32, P::Value> = HashMap::new();
             let msgs = run.transport.drain(me, base + 3);
@@ -742,8 +732,9 @@ fn gas_worker<P: GasProgram>(run: &Run<'_, P>, mut wk: Worker<'_, P>) {
                 }
             }
         });
-        wk.span_end(cmp_span, SpanKind::Compute, superstep, 3);
-        times.time(Phase::Send, || wk.flush(base + 3));
+        times.time(Phase::Send, span(SpanKind::Send, 3), || {
+            wk.flush(flight, base + 3)
+        });
 
         // ---- SYN: the superstep's stats entry, then the observers. ----
         {
@@ -752,12 +743,13 @@ fn gas_worker<P: GasProgram>(run: &Run<'_, P>, mut wk: Worker<'_, P>) {
             cur.phase_times = cur.phase_times.merge(&times);
         }
         run.cmp_ns[me].store(times.compute.as_nanos() as u64, Ordering::Relaxed);
-        let sync_start = Instant::now();
-        if wk.barrier(superstep) {
-            run.close_superstep(superstep, sync_start.elapsed());
+        let sync = times.sync;
+        wait(&mut times);
+        let first = times.sync - sync;
+        if me == 0 {
+            times.time(Phase::Sync, None, || run.close_superstep(superstep, first));
         }
-        wk.barrier(superstep);
-        times.add(Phase::Sync, sync_start.elapsed());
+        wait(&mut times);
         if let Some(tr) = tracer {
             tr.add_drained(drained);
         }

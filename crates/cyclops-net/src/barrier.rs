@@ -24,12 +24,11 @@
 //! rules were measured and lost (EXPERIMENTS.md "PR 48"): every wait
 //! spinning slowed `pr-wiki` and `sssp-road-bucket` in 6 of 8 and 7 of 8
 //! pairs, and a spin level that parks after its spin instead of yielding
-//! slowed a 48-worker bucketed SSSP from 0.036 to 0.043 s.
+//! slowed a 48-worker bucketed SSSP from 0.036 to 0.043 s. The barrier only
+//! synchronizes; its caller times each wait (`PhaseTimes::wait`).
 
-use cyclops_obs::{LogLinearHistogram, SpanKind, SpanRing};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
-use std::time::Instant;
+use std::sync::Barrier;
 
 /// How many `spin_loop` hints a spinning wait spends before it starts
 /// yielding its core, while every waiting thread has a core of its own: a
@@ -104,9 +103,6 @@ pub struct HierarchicalBarrier {
     machines: usize,
     threads_per_machine: usize,
     rounds: AtomicUsize,
-    /// `cyclops_barrier_wait_ns{kind="hierarchical"}`, resolved once when a
-    /// registry is installed; absent, the wait pays one `Option` check.
-    wait_ns: Option<Arc<LogLinearHistogram>>,
 }
 
 impl HierarchicalBarrier {
@@ -139,15 +135,12 @@ impl HierarchicalBarrier {
             machines,
             threads_per_machine,
             rounds: AtomicUsize::new(0),
-            wait_ns: cyclops_obs::global()
-                .map(|reg| reg.histogram("cyclops_barrier_wait_ns", &[("kind", "hierarchical")])),
         }
     }
 
     /// Blocks the calling thread (thread `thread` of machine `machine`)
     /// until all threads of all machines arrive.
     pub fn wait(&self, machine: usize, _thread: usize) {
-        let start = self.wait_ns.as_ref().map(|_| Instant::now());
         // Phase 1: gather locally; one leader per machine emerges.
         let leader = self.local[machine].wait().is_leader();
         // Phase 2: leaders run the global protocol.
@@ -156,20 +149,6 @@ impl HierarchicalBarrier {
         }
         // Phase 3: release the machine's threads.
         self.local[machine].wait();
-        if let (Some(h), Some(start)) = (&self.wait_ns, start) {
-            h.record(start.elapsed().as_nanos() as u64);
-        }
-    }
-
-    /// [`HierarchicalBarrier::wait`], additionally recording the caller's
-    /// wait as a barrier span (epoch `epoch`) into its flight-recorder ring
-    /// when one is active. `None` costs one `Option` check.
-    pub fn wait_traced(&self, machine: usize, thread: usize, ring: Option<&SpanRing>, epoch: u64) {
-        let start = ring.map(|r| r.now_ns());
-        self.wait(machine, thread);
-        if let (Some(r), Some(start)) = (ring, start) {
-            r.record(SpanKind::Barrier, start, epoch, 0, 0);
-        }
     }
 
     /// A wait of every thread of every machine, like [`Self::wait`], that
@@ -224,6 +203,7 @@ impl HierarchicalBarrier {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
+    use std::time::Instant;
 
     #[test]
     fn hierarchical_barrier_synchronizes_all_threads() {

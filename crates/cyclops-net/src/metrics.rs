@@ -9,7 +9,7 @@
 
 use crate::codec::WireMode;
 pub use cyclops_obs::Phase;
-use cyclops_obs::{Counter, Gauge, LogLinearHistogram};
+use cyclops_obs::{Counter, Gauge, LogLinearHistogram, SpanKind, SpanRing, Wait};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -113,14 +113,56 @@ impl PhaseTimes {
         }
     }
 
-    /// Times a closure and adds the elapsed duration to `phase`; returns the
-    /// closure's result.
-    pub fn time<T>(&mut self, phase: Phase, f: impl FnOnce() -> T) -> T {
-        let start = Instant::now();
-        let out = f();
-        self.add(phase, start.elapsed());
+    /// Times `f`, reading the clock once at each end: the one clock of
+    /// every phase column and every flight span. Adds the duration to
+    /// `phase` and, given a `span`, records that same interval as it.
+    pub fn time<T>(&mut self, phase: Phase, span: Option<Span<'_>>, f: impl FnOnce() -> T) -> T {
+        let (out, start, end) = clocked(f);
+        self.add(phase, end - start);
+        if let Some((ring, kind, args)) = span {
+            ring.record(kind, start, end, args);
+        }
         out
     }
+
+    /// A wait `f` of kind `wait` in epoch `epoch`, timed as SYN, as a
+    /// `Barrier` span on `ring` and, a superstep wait, into `obs`.
+    pub fn wait(
+        &mut self,
+        obs: Option<&EngineObs>,
+        ring: Option<&SpanRing>,
+        epoch: u64,
+        wait: Wait,
+        f: impl FnOnce(),
+    ) {
+        let (before, args) = (self.sync, [epoch, wait as u64, 0]);
+        self.time(Phase::Sync, ring.map(|r| (r, SpanKind::Barrier, args)), f);
+        if let (Wait::Superstep, Some(obs)) = (wait, obs) {
+            let ns = (self.sync - before).as_nanos() as u64;
+            obs.barrier_wait.record(ns);
+        }
+    }
+
+    /// Times `f` as a span on ring `on` that no phase column holds; `f`
+    /// returns its result and the span's arguments. Without a ring it reads
+    /// no clock.
+    pub fn span<T>(on: Option<&SpanRing>, kind: SpanKind, f: impl FnOnce() -> (T, [u64; 3])) -> T {
+        let Some(ring) = on else { return f().0 };
+        let ((out, args), start, end) = clocked(f);
+        ring.record(kind, start, end, args);
+        out
+    }
+}
+
+/// A flight span a timed interval is also recorded as: the thread's ring,
+/// the span's kind and its arguments `a`, `b`, `c` (see [`SpanKind`]).
+pub type Span<'a> = (&'a SpanRing, SpanKind, [u64; 3]);
+
+/// Runs `f` between two clock reads.
+fn clocked<T>(f: impl FnOnce() -> T) -> (T, Instant, Instant) {
+    let start = Instant::now();
+    let out = f();
+    (out, start, Instant::now())
 }
 
 /// Statistics of one superstep, aggregated over all workers.
@@ -283,9 +325,12 @@ impl RunCounters {
 /// - `cyclops_activation_supersteps{engine,mode}` counters, `mode` one of
 ///   `push`, `pull` — worker-supersteps whose publications woke their
 ///   readers in that direction; an engine that never chooses a direction
-///   (BSP, GAS) leaves both at 0.
+///   (BSP, GAS) leaves both at 0;
+/// - `cyclops_barrier_wait_ns{kind="hierarchical"}` histogram — every
+///   thread's every superstep wait, of every engine.
 pub struct EngineObs {
     phases: [Arc<LogLinearHistogram>; 4],
+    barrier_wait: Arc<LogLinearHistogram>,
     supersteps: Arc<Gauge>,
     imbalance: Arc<LogLinearHistogram>,
     pushed: Arc<Counter>,
@@ -302,6 +347,7 @@ impl EngineObs {
         Some(EngineObs {
             phases: Phase::ALL
                 .map(|p| reg.histogram("cyclops_phase_ns", &labels("phase", p.name()))),
+            barrier_wait: reg.histogram("cyclops_barrier_wait_ns", &[("kind", "hierarchical")]),
             supersteps: reg.gauge("cyclops_run_supersteps", &[("engine", engine)]),
             imbalance: reg.histogram("cyclops_compute_imbalance", &[("engine", engine)]),
             pushed: activation("push"),
@@ -498,11 +544,31 @@ mod tests {
     }
 
     #[test]
-    fn time_closure_returns_value() {
+    fn one_clock_times_the_column_and_the_span() {
+        let fr = cyclops_obs::FlightRecorder::new(16);
+        let ring = fr.ring(0, 0);
         let mut t = PhaseTimes::default();
-        let v = t.time(Phase::Compute, || 42);
-        assert_eq!(v, 42);
-        assert!(t.compute >= Duration::ZERO); // recorded
+        let spin = || (0..10_000u64).map(std::hint::black_box).sum::<u64>();
+        assert_eq!(t.time(Phase::Compute, None, || 42), 42);
+        t.time(
+            Phase::Compute,
+            Some((&ring, SpanKind::Compute, [3, 0, 0])),
+            spin,
+        );
+        t.wait(None, Some(&ring), 3, Wait::Local, || _ = spin());
+        assert_eq!(PhaseTimes::span(None, SpanKind::Chunk, || (7, [0; 3])), 7);
+        let spans = fr.drain().spans;
+        assert_eq!(spans.len(), 2, "a span costs a ring, a column does not");
+        let ns = |d: Duration| d.as_nanos() as u64;
+        assert!(
+            ns(t.compute) >= spans[0].dur_ns,
+            "the untraced interval is in the column too"
+        );
+        assert_eq!(
+            (spans[1].kind, spans[1].a, spans[1].b),
+            (SpanKind::Barrier, 3, 2)
+        );
+        assert_eq!(spans[1].dur_ns, ns(t.sync));
     }
 
     #[test]

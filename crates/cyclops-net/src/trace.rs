@@ -2020,9 +2020,13 @@ mod tests {
         let path = tmp("spans");
         let fr = cyclops_obs::FlightRecorder::new(8);
         let ring = fr.ring(0, 0);
-        let t0 = ring.now_ns();
-        ring.record(SpanKind::Parse, t0, 0, 0, 0);
-        ring.record(SpanKind::Barrier, ring.now_ns(), 0, 0, 0);
+        let mut times = crate::PhaseTimes::default();
+        times.time(
+            crate::Phase::Parse,
+            Some((&ring, SpanKind::Parse, [0; 3])),
+            || (),
+        );
+        times.wait(None, Some(&ring), 0, cyclops_obs::Wait::Superstep, || ());
         let mut file = String::new();
         let lines = [
             TraceLine::Meta(TraceSink::new("cyclops", &spec()).meta().clone()),

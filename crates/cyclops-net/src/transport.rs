@@ -22,7 +22,7 @@ use crate::metrics::RunCounters;
 use crate::trace::TraceRecord;
 use bytes::BytesMut;
 use cyclops_obs::mem::{Component, MemScope};
-use cyclops_obs::{Counter, LogLinearHistogram, SpanKind, SpanRing};
+use cyclops_obs::{Counter, LogLinearHistogram};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -157,10 +157,6 @@ pub struct Transport<M> {
     /// Worker-pair counters resolved once at construction; `None` costs
     /// one `Option` check per send, like `obs`.
     comm_obs: Option<CommObs>,
-    /// Flight-recorder rings, one per sender lane (each lane has exactly
-    /// one sending thread, preserving the single-writer ring discipline);
-    /// `None` (no recorder installed) costs one `Option` check per send.
-    flight: Option<Vec<Arc<SpanRing>>>,
 }
 
 /// Distribution-shape metrics for the fabric: totals tell you *how much*
@@ -196,15 +192,6 @@ fn wire_mode_index(mode: WireMode) -> usize {
         WireMode::Legacy => 0,
         WireMode::Sparse => 1,
         WireMode::Dense => 2,
-    }
-}
-
-/// Wire-mode code a flush span carries in its `c` argument: 0 intra-machine
-/// (no serialization), then 1 + [`wire_mode_index`].
-pub fn flush_span_mode(mode: Option<WireMode>) -> u64 {
-    match mode {
-        None => 0,
-        Some(m) => 1 + wire_mode_index(m) as u64,
     }
 }
 
@@ -290,6 +277,15 @@ pub struct SendReceipt {
     pub wire_mode: Option<WireMode>,
 }
 
+impl SendReceipt {
+    /// This batch's `Flush` span arguments: `to`, the wire bytes, and the wire
+    /// mode, 0 intra-machine, else 1 + [`wire_mode_index`].
+    pub fn flush_span(&self, to: usize) -> [u64; 3] {
+        let mode = self.wire_mode.map_or(0, |m| 1 + wire_mode_index(m) as u64);
+        [to as u64, self.bytes as u64, mode]
+    }
+}
+
 impl<M: WireFormat + Send> Transport<M> {
     /// Creates a transport for `spec.num_workers()` workers with
     /// `spec.threads_per_worker` private sender lanes per worker.
@@ -312,16 +308,6 @@ impl<M: WireFormat + Send> Transport<M> {
         let pool = (0..w * spec.threads_per_worker)
             .map(|_| Mutex::new(BytesMut::new()))
             .collect();
-        let flight = cyclops_obs::flight().map(|fr| {
-            (0..w * spec.threads_per_worker)
-                .map(|lane| {
-                    fr.ring(
-                        (lane / spec.threads_per_worker) as u32,
-                        (lane % spec.threads_per_worker) as u32,
-                    )
-                })
-                .collect()
-        });
         Transport {
             spec,
             mode,
@@ -332,7 +318,6 @@ impl<M: WireFormat + Send> Transport<M> {
             counters: RunCounters::default(),
             obs: TransportObs::resolve(mode),
             comm_obs: CommObs::resolve(w),
-            flight,
         }
     }
 
@@ -361,7 +346,6 @@ impl<M: WireFormat + Send> Transport<M> {
         if msgs.is_empty() {
             return SendReceipt::default();
         }
-        let span_start = self.flight.as_ref().map(|rings| rings[from].now_ns());
         let from_worker = from / self.lanes_per_worker;
         let count = msgs.len();
         self.counters.add_messages(count);
@@ -447,15 +431,6 @@ impl<M: WireFormat + Send> Transport<M> {
         }
         if let Some(comm) = &self.comm_obs {
             comm.record(from_worker, to, count as u64, bytes as u64);
-        }
-        if let (Some(rings), Some(start)) = (&self.flight, span_start) {
-            rings[from].record(
-                SpanKind::Flush,
-                start,
-                to as u64,
-                bytes as u64,
-                flush_span_mode(receipt.wire_mode),
-            );
         }
         receipt
     }

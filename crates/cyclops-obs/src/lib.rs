@@ -55,7 +55,7 @@ pub use critpath::{
 pub use expo::render_prometheus;
 pub use flight::{
     flight, install_flight, FlightDump, FlightRecorder, FlightSpan, SpanEvent, SpanKind, SpanRing,
-    DEFAULT_FLIGHT_CAPACITY,
+    Wait, DEFAULT_FLIGHT_CAPACITY,
 };
 pub use mem::{Component, MemAlloc, MemSample, MemScope, NUM_COMPONENTS};
 

@@ -442,6 +442,13 @@ impl<V: std::fmt::Display> Ran<V> {
     }
 }
 
+/// Prints the superstep loop's wall time — a `--migrate` run's summed over
+/// its epochs — on stderr, so that stdout compares byte for byte across
+/// runs and a timing leaves out generation, partitioning and ingress.
+fn report_loop(elapsed: std::time::Duration) {
+    eprintln!("loop: {:.6} s", elapsed.as_secs_f64());
+}
+
 /// The one way a command runs on the Cyclops engine: resolve
 /// `--replicate-threshold` against the graph and partition the run really
 /// uses, build the trace sink, run plain or with `--migrate`, print the
@@ -491,6 +498,7 @@ fn drive_cyclops<P: CyclopsProgram>(
     } else {
         run_cyclops_traced(program, g, partition, &config, sink.as_ref())
     };
+    report_loop(r.elapsed);
     report_hybrid(config.replicate_threshold, &r);
     finish_sink(opts, sink)?;
     Ok(Ran {
@@ -512,6 +520,7 @@ fn drive_hama<P: BspProgram>(
 ) -> Result<Ran<P::Value>, String> {
     let sink = build_sink(opts, "bsp", &config.cluster)?;
     let r = run_bsp_traced(program, g, partition, config, sink.as_ref());
+    report_loop(r.elapsed);
     finish_sink(opts, sink)?;
     Ok(Ran {
         values: r.values,

@@ -581,7 +581,13 @@ fn chrome_args(s: &FlightSpan) -> String {
                 format!("{{\"superstep\":{}}}", s.a)
             }
         }
-        SpanKind::Barrier => format!("{{\"epoch\":{}}}", s.a),
+        // `b` is the `Wait` kind; a superstep wait (0) prints as every
+        // barrier span did before waits had kinds.
+        SpanKind::Barrier => match s.b {
+            0 => format!("{{\"epoch\":{}}}", s.a),
+            1 => format!("{{\"epoch\":{},\"wait\":\"round\"}}", s.a),
+            _ => format!("{{\"epoch\":{},\"wait\":\"local\"}}", s.a),
+        },
         SpanKind::Round => format!(
             "{{\"bucket\":{},\"round\":{},\"selected\":{}}}",
             s.a, s.b, s.c

@@ -521,6 +521,35 @@ fn engines_agree_via_cli_output_files() {
 }
 
 #[test]
+fn a_run_prints_its_loop_time_on_stderr_only() {
+    for engine in ["cyclops", "hama"] {
+        let (ok, stdout, stderr) = cyclops(&[
+            "pagerank",
+            "--dataset",
+            "Amazon",
+            "--scale",
+            "0.02",
+            "--max-supersteps",
+            "5",
+            "--engine",
+            engine,
+        ]);
+        assert!(ok, "{engine}: {stderr}");
+        let lines: Vec<&str> = stderr.lines().filter(|l| l.starts_with("loop: ")).collect();
+        assert_eq!(lines.len(), 1, "{engine}: one loop line in {stderr:?}");
+        let seconds = lines[0]
+            .strip_prefix("loop: ")
+            .and_then(|l| l.strip_suffix(" s"));
+        let seconds: f64 = seconds.and_then(|s| s.parse().ok()).expect(lines[0]);
+        assert!(seconds > 0.0 && seconds < 60.0, "{engine}: {seconds} s");
+        assert!(
+            !stdout.contains("loop:"),
+            "{engine}: stdout stays comparable"
+        );
+    }
+}
+
+#[test]
 fn mem_json_matches_the_golden_report() {
     let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/mem.jsonl");
     let golden = include_str!("golden/mem.json");
