@@ -8,7 +8,8 @@
 # on blanks, and MODE, if present, is one of
 #   word  match whole words only (`git grep -w`);
 #   code  ignore hits on lines that are `//` comments;
-#   head  search each path (a file) only above its `#[cfg(test)]` line.
+#   head  search each tracked file under the paths only above its
+#         `#[cfg(test)]` line.
 # Blank lines and lines starting with `#` are comments.
 #
 # A guard that cannot search fails too: a path (other than a `:`-magic
@@ -34,8 +35,8 @@ while IFS= read -r line; do
     case $mode in
         '' | code) hits=$(git grep -nE -e "$pattern" -- "${pathv[@]}") ;;
         word) hits=$(git grep -nwE -e "$pattern" -- "${pathv[@]}") ;;
-        head) hits=$(for f in "${pathv[@]}"; do
-            [ -f "$f" ] && awk '/^#\[cfg\(test\)\]/ { exit }
+        head) hits=$(git ls-files -- "${pathv[@]}" | while IFS= read -r f; do
+            awk '/^#\[cfg\(test\)\]/ { exit }
                 { print FILENAME ":" FNR ":" $0 }' "$f"
         done | grep -E -e "$pattern") ;;
         *) echo "$table: unknown mode '$mode' in: $line" >&2; exit 2 ;;

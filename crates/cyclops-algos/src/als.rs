@@ -12,7 +12,7 @@
 //! factor is a load from the view rather than a pointer chase, and
 //! publishing one allocates nothing.
 
-use crate::linalg::{axpy, cholesky_solve, syrk_update};
+use crate::linalg::NormalEquations;
 use bytes::{Buf, BufMut, BytesMut};
 use cyclops_bsp::{BspContext, BspProgram};
 use cyclops_engine::{CyclopsContext, CyclopsProgram};
@@ -99,10 +99,9 @@ impl Codec for Factor {
 }
 
 thread_local! {
-    /// The normal equations' `d x d` matrix and right-hand side: one pair
-    /// per compute thread, reused across solves so a solve allocates only
-    /// the factor it returns.
-    static NORMAL: RefCell<(Vec<f64>, Vec<f64>)> = const { RefCell::new((Vec::new(), Vec::new())) };
+    /// The normal equations, one system per compute thread, reused across
+    /// solves so a solve allocates nothing.
+    static NORMAL: RefCell<NormalEquations> = const { RefCell::new(NormalEquations::new()) };
 }
 
 /// Shared ALS parameters.
@@ -136,37 +135,30 @@ impl AlsParams {
             .collect()
     }
 
-    /// Solves the regularized normal equations over `(factor, rating)`
-    /// pairs; returns the old factor when the vertex has no ratings.
+    /// Solves the regularized normal equations `(Σ x xᵀ + λ n I) f = Σ r x`
+    /// over the `n` `(factor x, rating r)` pairs and writes `f` into `value`
+    /// in place; returns `Σ |f − old|` over the entries. Keeps `value` (and
+    /// returns 0) when the vertex has no ratings or the system is not
+    /// positive definite. The system is built on register tiles in this
+    /// thread's [`NormalEquations`] (see [`crate::linalg`]), to the bits of a
+    /// per-entry loop taking the pairs in order, so a solve allocates
+    /// nothing.
     fn solve<'a>(
         &self,
         neighbors: impl Iterator<Item = (&'a [f64], f64)>,
-        old: &[f64],
-    ) -> Vec<f64> {
-        let d = self.dim;
-        NORMAL.with_borrow_mut(|(a, b)| {
-            a.clear();
-            a.resize(d * d, 0.0);
-            b.clear();
-            b.resize(d, 0.0);
-            let mut count = 0usize;
+        value: &mut [f64],
+    ) -> f64 {
+        NORMAL.with_borrow_mut(|system| {
+            system.reset(self.dim);
             for (x, rating) in neighbors {
-                syrk_update(a, x, 1.0);
-                axpy(b, x, rating);
-                count += 1;
+                system.push(x, rating);
             }
-            if count == 0 {
-                return old.to_vec();
-            }
-            let reg = self.lambda * count as f64;
-            for i in 0..d {
-                a[i * d + i] += reg;
-            }
-            if cholesky_solve(a, b, d) {
-                b.clone()
-            } else {
-                old.to_vec()
-            }
+            let Some(new) = system.solve(self.lambda) else {
+                return 0.0;
+            };
+            let delta = new.iter().zip(&*value).map(|(a, b)| (a - b).abs()).sum();
+            value.copy_from_slice(new);
+            delta
         })
     }
 }
@@ -208,17 +200,10 @@ impl CyclopsProgram for CyclopsAls {
         if users_turn != self.params.is_user(ctx.vertex()) {
             return;
         }
-        let new = self.params.solve(
-            ctx.in_messages().map(|(m, r)| (&m[..], r)),
-            ctx.value().as_slice(),
-        );
-        let delta: f64 = new
-            .iter()
-            .zip(ctx.value())
-            .map(|(a, b)| (a - b).abs())
-            .sum();
-        let publication = Factor::from(new.as_slice());
-        ctx.set_value(new);
+        let delta = self
+            .params
+            .solve(ctx.in_messages().map(|(m, r)| (&m[..], r)), ctx.value_mut());
+        let publication = Factor::from(ctx.value().as_slice());
         ctx.report_error(delta);
         ctx.activate_neighbors(publication);
     }
@@ -251,10 +236,7 @@ impl BspProgram for BspAls {
         let is_user = self.params.is_user(ctx.vertex());
         if ctx.superstep() == 0 {
             if !is_user {
-                let mut tagged = Vec::with_capacity(ctx.value().len() + 1);
-                tagged.push(ctx.vertex() as f64);
-                tagged.extend_from_slice(ctx.value());
-                ctx.send_to_neighbors(tagged);
+                broadcast(ctx);
             }
             return;
         }
@@ -273,17 +255,21 @@ impl BspProgram for BspAls {
             Some(i) if sources[i] == src => weights.get(i).copied().unwrap_or(1.0),
             _ => 0.0,
         };
-        let new = self.params.solve(
+        self.params.solve(
             msgs.iter().map(|m| (&m[1..], rating(m[0] as VertexId))),
-            ctx.value().as_slice(),
+            ctx.value_mut(),
         );
-        ctx.set_value(new.clone());
-        // Broadcast for the other side's turn, tagged with our id.
-        let mut tagged = Vec::with_capacity(new.len() + 1);
-        tagged.push(ctx.vertex() as f64);
-        tagged.extend_from_slice(&new);
-        ctx.send_to_neighbors(tagged);
+        broadcast(ctx);
     }
+}
+
+/// Sends this vertex's factor to every out-neighbour for the other side's
+/// turn, tagged with the vertex's id.
+fn broadcast(ctx: &mut BspContext<'_, Vec<f64>, Vec<f64>>) {
+    let mut tagged = Vec::with_capacity(ctx.value().len() + 1);
+    tagged.push(ctx.vertex() as f64);
+    tagged.extend_from_slice(ctx.value());
+    ctx.send_to_neighbors(tagged);
 }
 
 /// Sequential reference ALS with the same alternation schedule; used by the
@@ -301,7 +287,7 @@ pub fn reference_als(graph: &Graph, params: AlsParams, iterations: usize) -> Vec
             let pairs = graph
                 .in_edges(v)
                 .map(|(s, r)| (snapshot[s as usize].as_slice(), r));
-            factors[v as usize] = params.solve(pairs, &snapshot[v as usize]);
+            params.solve(pairs, &mut factors[v as usize]);
         }
     }
     factors
@@ -412,6 +398,33 @@ mod tests {
                 prop_assert!(Factor::try_decode(&mut &buf[..]).is_none(), "length {len}");
             }
         }
+    }
+
+    #[test]
+    fn solve_keeps_the_value_without_ratings_or_definiteness() {
+        let params = AlsParams {
+            users: 1,
+            dim: 2,
+            lambda: 0.0,
+        };
+        let old = [0.25, -0.5];
+        let mut value = old;
+        assert_eq!(params.solve(std::iter::empty(), &mut value), 0.0);
+        assert_eq!(bits(&value), bits(&old));
+        // A factor with a zero entry leaves an unregularized `x xᵀ` singular.
+        let x = [0.0, 1.0];
+        assert_eq!(params.solve([(&x[..], 3.0)].into_iter(), &mut value), 0.0);
+        assert_eq!(bits(&value), bits(&old));
+        // Regularized, the same system solves in place: `diag(λ, 1 + λ) f =
+        // (0, 3)`, and the returned change is the distance moved.
+        let params = AlsParams {
+            lambda: 0.05,
+            ..params
+        };
+        let delta = params.solve([(&x[..], 3.0)].into_iter(), &mut value);
+        assert_eq!(value[0], 0.0);
+        assert!((value[1] - 3.0 / 1.05).abs() < 1e-12, "{value:?}");
+        assert!((delta - (0.25 + 3.0 / 1.05 + 0.5)).abs() < 1e-12, "{delta}");
     }
 
     #[test]

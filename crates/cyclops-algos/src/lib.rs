@@ -25,7 +25,8 @@
 //! that seeds in superstep 0 needs one more superstep; which BSP programs
 //! define `combine`) is a "To run" line on the program struct.
 //!
-//! [`linalg`] holds the small dense Cholesky solver ALS needs. Every
+//! [`linalg`] holds ALS's register-tiled normal equations and the small
+//! dense Cholesky solver that solves them. Every
 //! distributed implementation is cross-checked against the sequential
 //! references in `cyclops_graph::reference` (and [`als::reference_als`],
 //! [`kcore::reference_kcore`]) by the test suites.

@@ -16,7 +16,7 @@
 
 use bytes::BytesMut;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use cyclops_algos::linalg::cholesky_solve;
+use cyclops_algos::linalg::{cholesky_solve, NormalEquations};
 use cyclops_engine::{
     run_cyclops_with_plan, CyclopsConfig, CyclopsContext, CyclopsPlan, CyclopsProgram, FreshSlots,
     Frontier,
@@ -223,8 +223,28 @@ fn bench_cholesky(c: &mut Criterion) {
         b.iter(|| {
             let mut a2 = a.clone();
             let mut b2 = b0.clone();
-            assert!(cholesky_solve(&mut a2, &mut b2, d));
+            assert!(cholesky_solve(&mut a2, d, &mut b2));
             std::hint::black_box(b2)
+        })
+    });
+    // One whole ALS solve at the benchmark's dimension and about twice
+    // `als-syngl`'s mean degree: the tiled build of 24 neighbours, then the
+    // solve above.
+    let neighbours: Vec<Vec<f64>> = (0..24)
+        .map(|k| {
+            (0..d)
+                .map(|i| ((k * 7 + i * 3) % 13) as f64 / 13.0 + 0.01)
+                .collect()
+        })
+        .collect();
+    let mut system = NormalEquations::new();
+    c.bench_function("als_normal_equations_8x24", |b| {
+        b.iter(|| {
+            system.reset(d);
+            for (k, x) in std::hint::black_box(&neighbours).iter().enumerate() {
+                system.push(x, 1.0 + (k % 5) as f64);
+            }
+            std::hint::black_box(system.solve(0.05).expect("the system is regularized")[0])
         })
     });
 }

@@ -67,8 +67,10 @@ impl<'a, V, M: Clone> BspContext<'a, V, M> {
 
     /// The (read-only) global graph topology. A real Pregel worker only
     /// holds its own partition's adjacency; programs should restrict
-    /// themselves to this vertex's edges.
-    pub fn graph(&self) -> &Graph {
+    /// themselves to this vertex's edges. The reference borrows the graph,
+    /// not the context, so [`Self::value_mut`] may be written while it is
+    /// held.
+    pub fn graph(&self) -> &'a Graph {
         self.graph
     }
 
@@ -85,6 +87,11 @@ impl<'a, V, M: Clone> BspContext<'a, V, M> {
     /// Overwrites this vertex's value.
     pub fn set_value(&mut self, v: V) {
         *self.value = v;
+    }
+
+    /// This vertex's value, to update in place.
+    pub fn value_mut(&mut self) -> &mut V {
+        self.value
     }
 
     /// Sends `msg` to every out-neighbor.

@@ -148,6 +148,11 @@ impl<'a, V, M> CyclopsContext<'a, V, M> {
         *self.value = v;
     }
 
+    /// The private value, to update in place.
+    pub fn value_mut(&mut self) -> &mut V {
+        self.value
+    }
+
     /// A gather over this vertex's in-edges.
     #[inline]
     fn gather(&self) -> Gather<'a, M> {
@@ -167,8 +172,9 @@ impl<'a, V, M> CyclopsContext<'a, V, M> {
     /// master, a read-only replica or a direct-message slot, the reader
     /// neither knows nor branches on which — so a read is one local load,
     /// never a trip to a remote machine. Neighbors that have published
-    /// nothing yet are skipped.
-    pub fn in_messages(&self) -> impl Iterator<Item = (&M, f64)> + '_ {
+    /// nothing yet are skipped. The iterator borrows the view, not the
+    /// context, so [`Self::value_mut`] may be written while it is read.
+    pub fn in_messages(&self) -> impl Iterator<Item = (&'a M, f64)> + 'a {
         self.gather().map(|(_, m, w)| (m, w))
     }
 
